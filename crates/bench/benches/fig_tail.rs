@@ -1,90 +1,14 @@
-//! Tail latency at the serving front-end — beyond the paper: p50/p99
-//! queueing delay vs client fan-in (1 → 64) over a fixed fleet of 4
-//! shards, contiguous vs hashed key routing, for every registered
-//! engine.
-//!
-//! Clients are open-loop Poisson sources, so the offered load grows
-//! with fan-in and does not back off when the server queues. The
-//! Zipfian key distribution concentrates load on a contiguous hot
-//! prefix: range partitioning saturates the shard that owns it (p99
-//! queue delay explodes with fan-in) while hash routing spreads the
-//! same load and keeps the tail bounded. Queue delay is measured
-//! separately from engine/device service time via the front-end's
-//! `submitted_at`/`issued_at`/`done_at` timestamps — the layer of the
-//! serving path the paper's single-threaded methodology cannot see.
+//! Tail latency at the serving front-end — beyond the paper: the
+//! `ptsbench_bench::fig_tail` fan-in sweep for every registered engine,
+//! each at an arrival rate calibrated to its own service time.
 //!
 //! The bench asserts the front-end's headline guarantees: monotone
 //! tail growth under contiguous routing, a bounded tail under hashed
 //! routing, and byte-identical reports run-to-run.
 
-use ptsbench_core::frontend::FrontendRun;
-use ptsbench_core::registry::{EngineKind, EngineRegistry};
-use ptsbench_core::runner::RunConfig;
-use ptsbench_core::sharded::Sharding;
-use ptsbench_harness::run_frontend;
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_metrics::runreport::RunReport;
-use ptsbench_ssd::{MINUTE, SECOND};
-use ptsbench_workload::{ArrivalSpec, KeyDistribution};
-
-/// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-const TOTAL_BYTES: u64 = 64 << 20;
-const SHARDS: usize = 4;
-const FAN_SWEEP: [usize; 4] = [1, 4, 16, 64];
-
-fn config(engine: EngineKind, clients: usize, duration: u64) -> FrontendRun {
-    let mut cfg = FrontendRun::new(
-        RunConfig {
-            engine,
-            device_bytes: TOTAL_BYTES,
-            distribution: KeyDistribution::Zipfian { theta: 0.99 },
-            read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
-            ..RunConfig::default()
-        },
-        clients,
-    );
-    cfg.shards = SHARDS;
-    cfg
-}
-
-/// Engines differ ~10x in per-op service time (the B+Tree's CPU budget
-/// dwarfs the LSM's), so a fixed arrival rate would either starve the
-/// fast engines of queueing or bury the slow ones under every routing.
-/// A single closed-loop client probes the fleet's mean service time,
-/// and the sweep offers ~45% of aggregate fleet capacity at the top
-/// fan-in: enough to saturate the Zipfian hot shard under contiguous
-/// routing (~85% of traffic onto a quarter of the capacity), with
-/// comfortable headroom when hashing spreads it. Deterministic, like
-/// everything else here.
-fn calibrated_interarrival(engine: EngineKind, duration: u64) -> u64 {
-    let report = run_frontend(&config(engine, 1, duration)).expect("calibration run");
-    let (busy, served) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.load)
-        .fold((0u64, 0u64), |(b, n), l| (b + l.busy_ns, n + l.served));
-    let mean_service = busy / served.max(1);
-    let raw = (*FAN_SWEEP.last().unwrap() as u64 * mean_service) as f64 / (0.45 * SHARDS as f64);
-    // Round to 100 ms so report labels stay readable.
-    ((raw as u64).div_ceil(SECOND / 10)).max(1) * (SECOND / 10)
-}
-
-fn serve(
-    engine: EngineKind,
-    sharding: Sharding,
-    clients: usize,
-    duration: u64,
-    interarrival: u64,
-) -> RunReport {
-    let mut cfg = config(engine, clients, duration);
-    cfg.sharding = sharding;
-    cfg.arrival = ArrivalSpec::OpenPoisson {
-        mean_interarrival_ns: interarrival,
-    };
-    run_frontend(&cfg).expect("frontend run")
-}
+use ptsbench_bench::fig_tail::{fig_tail, SHARDS, TOTAL_BYTES};
+use ptsbench_core::registry::EngineRegistry;
+use ptsbench_ssd::MINUTE;
 
 fn main() {
     ptsbench_hashlog::register();
@@ -100,92 +24,7 @@ fn main() {
         duration / MINUTE
     );
     println!("================================================================");
-
-    for engine in EngineRegistry::all() {
-        let interarrival = calibrated_interarrival(engine, duration);
-        println!();
-        println!(
-            "{}: calibrated mean interarrival {:.1} s/client",
-            engine.label(),
-            interarrival as f64 / SECOND as f64
-        );
-        let mut rows = Vec::new();
-        let mut tails = std::collections::BTreeMap::new();
-        for sharding in [Sharding::Contiguous, Sharding::Hashed] {
-            let name = match sharding {
-                Sharding::Contiguous => "contig",
-                Sharding::Hashed => "hashed",
-            };
-            for clients in FAN_SWEEP {
-                let report = serve(engine, sharding, clients, duration, interarrival);
-                let p99 = report.queue_delay_quantile(0.99).expect("queue delay");
-                tails.insert((name, clients), p99);
-                let imbalance = report.load_imbalance().expect("load");
-                rows.push((
-                    format!("{}/{}/fan{}", engine.label(), name, clients),
-                    vec![
-                        report.ops as f64,
-                        report.queue_delay_quantile(0.5).expect("p50") as f64 / 1e6,
-                        p99 as f64 / 1e6,
-                        report.latency.quantile(0.99) as f64 / 1e6,
-                        imbalance.request_ratio(),
-                        imbalance.max_utilization,
-                    ],
-                ));
-            }
-        }
-        println!();
-        println!(
-            "{}",
-            render_sweep_table(
-                &format!("fig_tail — {}", engine.name()),
-                &[
-                    "ops",
-                    "qd p50(ms)",
-                    "qd p99(ms)",
-                    "svc p99(ms)",
-                    "req ratio",
-                    "max util"
-                ],
-                &rows,
-            )
-        );
-
-        // Contiguous routing: the hot shard's tail grows monotonically
-        // with fan-in once load is non-trivial.
-        assert!(
-            tails[&("contig", 4)] <= tails[&("contig", 16)]
-                && tails[&("contig", 16)] < tails[&("contig", 64)],
-            "{engine}: contiguous p99 queue delay must grow with fan-in: {tails:?}"
-        );
-        // Hashed routing: the same offered load, bounded tail.
-        assert!(
-            tails[&("contig", 64)] > 10 * tails[&("hashed", 64)],
-            "{engine}: hashed routing must bound the saturated tail: {tails:?}"
-        );
-        assert!(
-            tails[&("hashed", 64)] < 2 * MINUTE,
-            "{engine}: hashed p99 queue delay out of bounds: {tails:?}"
-        );
-    }
-
-    // Headline guarantee: the serving report is deterministic.
-    let a = serve(
-        EngineKind::lsm(),
-        Sharding::Hashed,
-        16,
-        20 * MINUTE,
-        20 * SECOND,
-    )
-    .render();
-    let b = serve(
-        EngineKind::lsm(),
-        Sharding::Hashed,
-        16,
-        20 * MINUTE,
-        20 * SECOND,
-    )
-    .render();
-    assert_eq!(a, b, "serving reports must render byte-identically");
+    fig_tail(&EngineRegistry::all(), duration, None);
+    println!();
     println!("determinism: byte-identical reports across runs — ok");
 }

@@ -19,12 +19,18 @@
 //! | `fig_qd` | beyond the paper: read throughput vs I/O queue depth 1→32 |
 //! | `micro` | criterion micro-benchmarks |
 //!
+//! A study that also runs as a root-package example lives here as a
+//! module, with a thin wrapper on each side: [`fig_tail`] is both the
+//! `fig_tail` bench target and `examples/fig_tail.rs`.
+//!
 //! Sizing: benches default to a 128 MiB simulated stand-in for the
 //! paper's 400 GB drive with the full 210-minute measured phase. Set
 //! `PTSBENCH_QUICK=1` for a fast smoke configuration.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod fig_tail;
 
 use ptsbench_core::pitfalls::PitfallOptions;
 use ptsbench_ssd::MINUTE;

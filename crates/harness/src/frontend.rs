@@ -49,11 +49,12 @@ use ptsbench_metrics::runreport::RunReport;
 use ptsbench_metrics::slo::SloStats;
 use ptsbench_metrics::RateBudget;
 use ptsbench_ssd::{Cause, Ns};
-use ptsbench_workload::{encode_key, route_hash, ArrivalClock, ArrivalSpec, OpGenerator, OpKind};
+use ptsbench_workload::{encode_key, route_hash, ArrivalClock, OpGenerator, OpKind};
 
 use crate::driver::{base_shard_report, HarnessOutcome};
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Rejection turnaround of a request dropped by an out-of-space shard,
 /// in virtual nanoseconds: the error response still takes a round
@@ -722,7 +723,10 @@ impl Frontend {
         let now = self.now;
         let token = completion.token;
         let shard = &mut self.shards[shard_idx];
-        let backlog = shard.waiting.len() + shard.slots.iter().filter(|&&done| done > now).count();
+        // `pump` pushes one slot per served request; `now` never moves
+        // backwards, so completions at or before it are free for good.
+        shard.slots.retain(|&done| done > now);
+        let backlog = shard.waiting.len() + shard.slots.len();
         let rejected = match policy {
             SloPolicy::QueueBound { max_pending } => backlog >= max_pending,
             SloPolicy::PredictedSojourn { deadline_ns } => {
@@ -1159,16 +1163,8 @@ fn completion_order(c: &ReqCompletion) -> (Ns, u64) {
 struct ClientState {
     generator: OpGenerator,
     arrivals: ArrivalClock,
-    /// The client's own arrival process (its tenant's override when the
-    /// tenant declares one, the run's shared spec otherwise).
-    spec: ArrivalSpec,
     class: ReqClass,
     tenant: TenantId,
-    /// The closed-loop request in flight whose completion has not been
-    /// collected yet. Resolved immediately under FIFO dispatch; under a
-    /// reordering discipline it stays `Some` until the dispatcher
-    /// decides the request.
-    inflight: Option<ReqToken>,
 }
 
 /// Runs a full serving experiment and returns the merged report.
@@ -1183,6 +1179,12 @@ struct ClientState {
 /// closed-loop client retires once its traffic can never be served
 /// again — its bound shard died, or every shard did — while a routed
 /// client with healthy shards left keeps submitting.
+///
+/// The driver is an event queue, not a scan: every client with a known
+/// next submission time sits in one binary heap keyed `(time, client
+/// index)`, and the closed-loop clients waiting on an undecided request
+/// sit in a blocked list, so a request costs O(log clients) however
+/// wide the fan-in.
 ///
 /// Deterministic in virtual time: fixed seeds produce byte-identical
 /// rendered reports. In the conformant shape
@@ -1200,18 +1202,30 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
         .map(|c| ClientState {
             generator: OpGenerator::new(cfg.client_workload(c)),
             arrivals: ArrivalClock::new(cfg.client_arrival(c), cfg.client_arrival_seed(c)),
-            spec: cfg.client_arrival(c),
             class: cfg.client_class(c),
             tenant: cfg.tenant_of_client(c),
-            inflight: None,
         })
         .collect();
+    // Due arrivals, earliest first, ties by client index. Invariant:
+    // client `i` has exactly one entry iff `arrivals.next_submit()` is
+    // `Some` — pushed when a submission or a collected completion
+    // schedules the next arrival, never for a retired client.
+    let mut due: BinaryHeap<Reverse<(Ns, usize)>> = clients
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| Some(Reverse((c.arrivals.next_submit()?, i))))
+        .collect();
+    // Closed-loop clients whose request in flight has not been
+    // collected yet. Resolved immediately under FIFO dispatch; under a
+    // reordering discipline a client stays here until the dispatcher
+    // decides its request.
+    let mut blocked: Vec<(usize, ReqToken)> = Vec::new();
 
     // Event loop, three moves per iteration:
     //
     // 1. collect resolved completions for blocked closed-loop clients
     //    (so they can schedule their next arrival),
-    // 2. submit the earliest pending arrival (ties by client index),
+    // 2. submit the earliest due arrival (ties by client index),
     //    settling dispatch decisions strictly before it so the
     //    discipline decides in event order,
     // 3. when neither is possible, force the dispatcher's single next
@@ -1223,15 +1237,12 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
     loop {
         // 1. Blocked clients whose requests have resolved.
         let mut resolved_any = false;
-        for client in clients.iter_mut() {
-            let Some(token) = client.inflight else {
-                continue;
-            };
+        blocked.retain(|&(client_idx, token)| {
             let Some(completion) = frontend.take(token) else {
-                continue;
+                return true;
             };
-            client.inflight = None;
             resolved_any = true;
+            let arrivals = &mut clients[client_idx].arrivals;
             // A closed-loop client retires when its traffic can never
             // be served again: a bound client's shard died (mirroring
             // how a sharded-harness shard stops), or the whole fleet is
@@ -1242,20 +1253,21 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
             if completion.outcome == ReqOutcome::ShardOutOfSpace
                 && (cfg.binding == ClientBinding::Bound || frontend.all_shards_dead())
             {
-                client.arrivals.retire();
+                arrivals.retire();
             } else {
-                client.arrivals.note_completed(completion.done_at);
+                arrivals.note_completed(completion.done_at);
+                if let Some(next) = arrivals.next_submit() {
+                    due.push(Reverse((next, client_idx)));
+                }
             }
-        }
+            false
+        });
 
-        // 2. The earliest pending arrival within the submission window.
-        if let Some((client_idx, at)) = clients
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.arrivals.next_submit().map(|t| (i, t)))
-            .min_by_key(|&(i, t)| (t, i))
-        {
+        // 2. The earliest due arrival within the submission window (an
+        //    entry at or past the deadline on top means nobody submits).
+        if let Some(&Reverse((at, client_idx))) = due.peek() {
             if at < cfg.base.duration {
+                due.pop();
                 frontend.advance_to(at);
                 // Settle strictly *before* the arrival instant: a
                 // decision at exactly `at` must still see this (and any
@@ -1274,13 +1286,15 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
                 };
                 client.arrivals.note_submitted();
                 let token = frontend.submit(request)?;
-                if client.spec.is_closed() {
-                    // Step 1 collects the completion once it resolves
-                    // (immediately under FIFO, at the dispatch decision
-                    // otherwise). Open-loop completions are never
-                    // collected — `note_completed` is a no-op for them
-                    // — and are discarded at finish.
-                    client.inflight = Some(token);
+                match client.arrivals.next_submit() {
+                    // Open loop: the next arrival is already known, and
+                    // the completion is never collected (discarded at
+                    // finish).
+                    Some(next) => due.push(Reverse((next, client_idx))),
+                    // Closed loop: step 1 collects the completion once
+                    // it resolves (immediately under FIFO, at the
+                    // dispatch decision otherwise).
+                    None => blocked.push((client_idx, token)),
                 }
                 continue;
             }

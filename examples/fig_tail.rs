@@ -1,20 +1,9 @@
 //! Tail-latency demo: queueing delay at the serving front-end as the
 //! client fan-in grows from 1 to 64 over a fixed fleet of 4 shards,
-//! under contiguous vs hashed key routing.
-//!
-//! Each client is an *open-loop* Poisson source (25 simulated seconds
-//! mean interarrival), so the offered load grows with fan-in and does
-//! not back off when the server queues. A Zipfian key distribution
-//! concentrates that load on a contiguous hot prefix: with range
-//! partitioning the shard owning it saturates around fan-in 64 while
-//! the rest idle, so p99 *queue delay* — measured separately from
-//! device/engine service latency via the front-end's
-//! `submitted_at`/`issued_at`/`done_at` timestamps — explodes with
-//! fan-in. Hash routing spreads the same offered load nearly evenly
-//! and keeps every shard below saturation: the same fan-in's tail
-//! stays orders of magnitude lower. Service latency itself barely
-//! moves either way — the tail lives in the dispatch queue, invisible
-//! to any harness that stops at the engine API.
+//! under contiguous vs hashed key routing — the study in
+//! `ptsbench_bench::fig_tail`, on the default engine with every client
+//! an open-loop Poisson source of 25 simulated seconds mean
+//! interarrival.
 //!
 //! The output is fully deterministic — fixed seeds produce
 //! byte-identical text — which the CI determinism check exploits by
@@ -22,38 +11,9 @@
 //!
 //! Run with: `cargo run --release --example fig_tail`
 
-use ptsbench::core::frontend::FrontendRun;
-use ptsbench::core::runner::RunConfig;
-use ptsbench::core::sharded::Sharding;
-use ptsbench::harness::run_frontend;
-use ptsbench::metrics::runreport::RunReport;
+use ptsbench::core::registry::EngineKind;
 use ptsbench::ssd::{MINUTE, SECOND};
-use ptsbench::workload::{ArrivalSpec, KeyDistribution};
-
-/// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-const TOTAL_BYTES: u64 = 64 << 20;
-const SHARDS: usize = 4;
-const FAN_INS: [usize; 4] = [1, 4, 16, 64];
-
-fn serve(sharding: Sharding, clients: usize) -> RunReport {
-    let mut cfg = FrontendRun::new(
-        RunConfig {
-            device_bytes: TOTAL_BYTES,
-            distribution: KeyDistribution::Zipfian { theta: 0.99 },
-            read_fraction: 0.5,
-            duration: 20 * MINUTE,
-            sample_window: 5 * MINUTE,
-            ..RunConfig::default()
-        },
-        clients,
-    );
-    cfg.shards = SHARDS;
-    cfg.sharding = sharding;
-    cfg.arrival = ArrivalSpec::OpenPoisson {
-        mean_interarrival_ns: 25 * SECOND,
-    };
-    run_frontend(&cfg).expect("frontend run")
-}
+use ptsbench_bench::fig_tail::{fig_tail, SHARDS, TOTAL_BYTES};
 
 fn main() {
     println!("ptsbench fig_tail — queueing delay vs fan-in at the serving front-end");
@@ -63,62 +23,5 @@ fn main() {
         TOTAL_BYTES >> 20
     );
     println!();
-    println!(
-        "{:>10} {:>7} {:>9} {:>13} {:>13} {:>13} {:>10} {:>9}",
-        "routing",
-        "fan-in",
-        "ops",
-        "qdelay p50",
-        "qdelay p99",
-        "service p99",
-        "req ratio",
-        "max util"
-    );
-
-    let mut p99 = std::collections::BTreeMap::new();
-    for sharding in [Sharding::Contiguous, Sharding::Hashed] {
-        let name = match sharding {
-            Sharding::Contiguous => "contiguous",
-            Sharding::Hashed => "hashed",
-        };
-        for clients in FAN_INS {
-            let report = serve(sharding, clients);
-            let delay_p99 = report.queue_delay_quantile(0.99).expect("queue delay");
-            let imbalance = report.load_imbalance().expect("load");
-            p99.insert((name, clients), delay_p99);
-            println!(
-                "{:>10} {:>7} {:>9} {:>13} {:>13} {:>13} {:>10.2} {:>9.3}",
-                name,
-                clients,
-                report.ops,
-                report.queue_delay_quantile(0.5).expect("queue delay"),
-                delay_p99,
-                report.latency.quantile(0.99),
-                imbalance.request_ratio(),
-                imbalance.max_utilization
-            );
-        }
-    }
-
-    // The figure's claim, asserted: under contiguous routing the p99
-    // queue delay grows with fan-in (the hot shard saturates); hashed
-    // routing absorbs the same offered load with a bounded tail.
-    assert!(
-        p99[&("contiguous", 4)] < p99[&("contiguous", 16)]
-            && p99[&("contiguous", 16)] < p99[&("contiguous", 64)],
-        "contiguous p99 queue delay must grow with fan-in: {p99:?}"
-    );
-    assert!(
-        p99[&("contiguous", 64)] > 10 * p99[&("hashed", 64)],
-        "hashed routing must bound the saturated tail: {p99:?}"
-    );
-    assert!(
-        p99[&("hashed", 64)] < MINUTE,
-        "hashed p99 queue delay must stay below a simulated minute: {p99:?}"
-    );
-
-    println!();
-    println!("full report at fan-in 64, contiguous (the pathological corner):");
-    println!();
-    println!("{}", serve(Sharding::Contiguous, 64).render());
+    fig_tail(&[EngineKind::lsm()], 20 * MINUTE, Some(25 * SECOND));
 }

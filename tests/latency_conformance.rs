@@ -12,12 +12,14 @@
 //! resolves engines purely through the registry, so a newly registered
 //! engine is automatically held to the same timing spec.
 
-use ptsbench::core::frontend::FrontendRun;
+use ptsbench::core::frontend::{FrontendRun, TenantSpec};
 use ptsbench::core::registry::{EngineKind, EngineRegistry};
 use ptsbench::core::runner::{run, RunConfig};
 use ptsbench::core::sharded::{ShardedRun, Sharding};
+use ptsbench::core::ReqClass;
 use ptsbench::harness::{run_frontend, run_frontend_with_results, run_sharded_with_results};
-use ptsbench::ssd::MINUTE;
+use ptsbench::ssd::{MINUTE, SECOND};
+use ptsbench::workload::ArrivalSpec;
 
 fn engines() -> Vec<EngineKind> {
     ptsbench::hashlog::register();
@@ -161,4 +163,50 @@ fn conformance_holds_under_hashed_sharding() {
     let served = run_frontend(&served_cfg).expect("served");
     assert_eq!(direct.render(), served.render());
     assert!(direct.render().contains("/hash"));
+}
+
+/// The driver's event order, pinned against history: 128 Poisson
+/// clients, 128 closed-loop clients with think time and one fixed-rate
+/// client share two hashed FIFO shards (all 257 are due at t = 0, so
+/// the client-index tie-break decides the first 257 submissions). The
+/// snapshot was rendered by the driver that scanned every client per
+/// event, before `run_frontend` kept its arrivals in a heap.
+#[test]
+fn mixed_arrival_fleet_matches_the_scanning_driver_golden_output() {
+    let mut cfg = FrontendRun::new(base(EngineKind::lsm(), 32 << 20), 257);
+    cfg.shards = 2;
+    cfg.sharding = Sharding::Hashed;
+    cfg.base.read_fraction = 0.5;
+    cfg.base.duration = 30 * MINUTE;
+    let tenant = |class, clients, arrival| TenantSpec {
+        arrival: Some(arrival),
+        ..TenantSpec::new(class, clients)
+    };
+    cfg.tenants = vec![
+        tenant(
+            ReqClass::Interactive,
+            128,
+            ArrivalSpec::OpenPoisson {
+                mean_interarrival_ns: 600 * SECOND,
+            },
+        ),
+        tenant(
+            ReqClass::Batch,
+            128,
+            ArrivalSpec::Closed {
+                think_ns: 400 * SECOND,
+            },
+        ),
+        tenant(
+            ReqClass::Background,
+            1,
+            ArrivalSpec::Open {
+                interarrival_ns: 20 * SECOND,
+            },
+        ),
+    ];
+    assert_eq!(
+        run_frontend(&cfg).expect("run").render(),
+        include_str!("golden/frontend_mixed257.txt")
+    );
 }

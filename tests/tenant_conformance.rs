@@ -27,7 +27,7 @@ use ptsbench::core::runner::RunConfig;
 use ptsbench::core::ReqClass;
 use ptsbench::harness::run_frontend;
 use ptsbench::ssd::{MINUTE, SECOND};
-use ptsbench::workload::KeyDistribution;
+use ptsbench::workload::{ArrivalSpec, KeyDistribution};
 
 /// Rendered harness output captured before the multi-tenant front-end
 /// (and the read-path tier) existed.
@@ -156,4 +156,41 @@ fn active_mt_knobs_do_perturb_the_report() {
     let split_report = run_frontend(&split).expect("run");
     assert!(split.mt_active());
     assert!(split_report.label.contains("/mt"), "{}", split_report.label);
+}
+
+/// The lazy dispatch path's event order, pinned against history: the
+/// `fig_tenant` WFQ overload (two paced interactive Poisson clients and
+/// one open-loop batch aggressor at 1.75x fleet capacity over four LSM
+/// shards, rates frozen from that study's calibration). The snapshot
+/// was rendered by the driver that scanned every client per event,
+/// before `run_frontend` kept its arrivals in a heap.
+#[test]
+fn wfq_overload_matches_the_scanning_driver_golden_output() {
+    let mut cfg = FrontendRun::new(
+        RunConfig {
+            device_bytes: 64 << 20,
+            read_fraction: 1.0,
+            distribution: KeyDistribution::Zipfian { theta: 0.9 },
+            duration: 2 * MINUTE,
+            sample_window: MINUTE,
+            ..base(EngineKind::lsm())
+        },
+        3,
+    );
+    cfg.shards = 4;
+    cfg.discipline = DispatchDiscipline::WeightedFair { weights: [8, 1, 1] };
+    let tenant = |class, clients, mean_interarrival_ns| TenantSpec {
+        arrival: Some(ArrivalSpec::OpenPoisson {
+            mean_interarrival_ns,
+        }),
+        ..TenantSpec::new(class, clients)
+    };
+    cfg.tenants = vec![
+        tenant(ReqClass::Interactive, 2, 3_837_000_000),
+        tenant(ReqClass::Batch, 1, 109_640_000),
+    ];
+    assert_eq!(
+        run_frontend(&cfg).expect("run").render(),
+        include_str!("golden/frontend_wfq_overload.txt")
+    );
 }
