@@ -1,12 +1,17 @@
 //! Criterion micro-benchmarks of the core data structures: the FTL
 //! write path, extent allocator, memtable, bloom filter, SSTable
-//! build/lookup, B+Tree operations and the k-way merge.
+//! build/lookup, B+Tree operations and the k-way merge — and, layer by
+//! layer, the B+Tree's page walk at the paper's geometry.
+
+use std::cell::RefCell;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ptsbench_btree::{BTreeDb, BTreeOptions};
+use ptsbench_btree::node::Node;
+use ptsbench_btree::pager::Pager;
+use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
 use ptsbench_lsm::bloom::BloomFilter;
 use ptsbench_lsm::iter::{EntryStream, KWayMerge};
 use ptsbench_lsm::memtable::Memtable;
@@ -203,6 +208,101 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
+/// The B+Tree's layers at the geometry `paper_btree_mixed` runs
+/// (32 KiB pages, 4 000 B values — eight entries to a leaf, ~1 000
+/// separators to an internal page), not `BTreeOptions::small()`: a
+/// walk served from the cache, a walk whose leaf comes off the device,
+/// an in-place update through a four-page cache (every put ends in a
+/// page write-back), and the decode of one wide internal page.
+fn bench_btree_layers(c: &mut Criterion) {
+    const KEYS: u32 = 2000;
+    const PAGE_BYTES: usize = 32 << 10;
+    const FOUR_PAGES: u64 = 4 * PAGE_BYTES as u64 + 1;
+    let keys: Vec<Vec<u8>> = (0..KEYS)
+        .map(|i| format!("user{i:012}").into_bytes())
+        .collect();
+    let value = vec![0u8; 4000];
+    let loaded = |cache_bytes: u64| {
+        let opts = BTreeOptions {
+            cache_bytes,
+            ..BTreeOptions::default()
+        };
+        let mut db = BTreeDb::open(fresh_vfs(64), opts).expect("open");
+        for key in &keys {
+            db.put(key, &value).expect("put");
+        }
+        db
+    };
+
+    let mut group = c.benchmark_group("btree");
+    group.sample_size(2000);
+    group.bench_function("get_hit", |b| {
+        // The default 10 MB cache holds all ~250 leaves.
+        let mut db = loaded(10 << 20);
+        for key in &keys {
+            db.get(key).expect("get");
+        }
+        let mut rng = SmallRng::seed_from_u64(5);
+        b.iter(|| black_box(db.get(&keys[rng.gen_range(0..keys.len())]).expect("get")))
+    });
+    group.bench_function("get_leaf_miss_4page_cache", |b| {
+        let mut db = loaded(FOUR_PAGES);
+        let mut rng = SmallRng::seed_from_u64(5);
+        b.iter(|| black_box(db.get(&keys[rng.gen_range(0..keys.len())]).expect("get")))
+    });
+    group.bench_function("put_update_32k_pages", |b| {
+        let mut db = loaded(FOUR_PAGES);
+        let mut rng = SmallRng::seed_from_u64(5);
+        b.iter(|| {
+            db.put(&keys[rng.gen_range(0..keys.len())], &value)
+                .expect("put")
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("pager");
+    group.sample_size(500);
+    group.bench_function("load_internal_1k_separators", |b| {
+        let mut pager = Pager::create(fresh_vfs(64), "t.db", PAGE_BYTES, 4 * PAGE_BYTES as u64)
+            .expect("create");
+        let internal = pager
+            .allocate(Node::Internal {
+                children: (1..=1001).collect(),
+                separators: keys[..1000].iter().collect(),
+            })
+            .expect("allocate");
+        let fillers: Vec<PageNo> = (0..4u8)
+            .map(|i| {
+                let leaf = Node::Leaf {
+                    entries: vec![(vec![i], vec![i; 30_000])],
+                };
+                pager.allocate(leaf).expect("allocate")
+            })
+            .collect();
+        let pager = RefCell::new(pager);
+        b.iter_batched(
+            // Four ~30 KB leaves push the internal page out (untimed)...
+            || {
+                for &page in &fillers {
+                    pager.borrow_mut().read(page).expect("read");
+                }
+            },
+            // ...so this read is a device read plus the decode.
+            |()| {
+                black_box(
+                    pager
+                        .borrow_mut()
+                        .read(internal)
+                        .expect("read")
+                        .encoded_len(),
+                )
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ftl,
@@ -211,6 +311,7 @@ criterion_group!(
     bench_bloom,
     bench_sstable,
     bench_kway_merge,
-    bench_engines
+    bench_engines,
+    bench_btree_layers
 );
 criterion_main!(benches);

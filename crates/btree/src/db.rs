@@ -43,6 +43,17 @@ struct CkptJob {
     meta: Option<(PageNo, u64)>,
 }
 
+/// Where a root-to-leaf walk for one key ended.
+struct Descent {
+    /// The leaf covering the key.
+    leaf: PageNo,
+    /// `(page, child index taken)` for each internal page above it.
+    path: Vec<(PageNo, usize)>,
+    /// The key's position among the leaf's entries: `Ok` if present,
+    /// `Err` with its insertion point if not.
+    slot: std::result::Result<usize, usize>,
+}
+
 struct MaintState {
     sched: MaintScheduler,
     job: Option<CkptJob>,
@@ -195,13 +206,14 @@ impl BTreeDb {
             )));
         }
         seen[page as usize] = true;
-        if let Node::Internal { children, .. } = self.pager.read(page)? {
-            for child in children {
-                if child >= seen.len() as u64 {
-                    return Err(BTreeError::Corruption(format!("child {child} beyond file")));
-                }
-                self.mark_reachable(child, seen)?;
+        let Node::Internal { children, .. } = self.pager.read(page)? else {
+            return Ok(());
+        };
+        for child in children.clone() {
+            if child >= seen.len() as u64 {
+                return Err(BTreeError::Corruption(format!("child {child} beyond file")));
             }
+            self.mark_reachable(child, seen)?;
         }
         Ok(())
     }
@@ -297,33 +309,57 @@ impl BTreeDb {
         let walk = self
             .trace
             .begin("btree.page_walk", self.trace.current_cause());
+        let result = self.lookup(key);
+        self.trace.end(walk);
+        result
+    }
+
+    fn lookup(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let mut page = self.root;
-        let result = loop {
-            let node = match self.pager.read(page) {
-                Ok(n) => n,
-                Err(e) => break Err(e),
-            };
+        loop {
+            let node = self.pager.read(page)?;
             match node {
                 Node::Internal { children, .. } => {
-                    let idx = {
-                        // Re-decode route on the same node.
-                        match self.pager.read(page) {
-                            Ok(n) => n.route(key),
-                            Err(e) => break Err(e),
-                        }
-                    };
-                    page = children[idx];
+                    let child = children[node.route(key)];
+                    // The model charges a lookup two cache hits per
+                    // internal page (the seed's walk looked each one up
+                    // a second time to route); the counters keep that.
+                    self.pager.touch(page);
+                    page = child;
                 }
                 Node::Leaf { entries } => {
-                    break Ok(entries
+                    return Ok(entries
                         .binary_search_by(|(k, _)| k.as_slice().cmp(key))
                         .ok()
                         .map(|i| entries[i].1.clone()));
                 }
             }
-        };
-        self.trace.end(walk);
-        result
+        }
+    }
+
+    /// Walks from the root to the leaf covering `key`. The leaf is the
+    /// last page read, so it is resident when this returns.
+    fn descend(&mut self, key: &[u8]) -> Result<Descent> {
+        let mut path = Vec::new();
+        let mut page = self.root;
+        loop {
+            let node = self.pager.read(page)?;
+            match node {
+                Node::Internal { children, .. } => {
+                    let idx = node.route(key);
+                    path.push((page, idx));
+                    page = children[idx];
+                }
+                Node::Leaf { entries } => {
+                    let slot = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key));
+                    return Ok(Descent {
+                        leaf: page,
+                        path,
+                        slot,
+                    });
+                }
+            }
+        }
     }
 
     /// Streaming range scan: entries with `start <= key < end` (`end`
@@ -598,78 +634,63 @@ impl BTreeDb {
             self.entries = 1;
             return Ok(());
         }
-        // Descend, recording the path of (page, child index).
-        let mut path: Vec<(PageNo, usize)> = Vec::new();
-        let mut page = self.root;
-        let mut node = self.pager.read(page)?;
-        while let Node::Internal { ref children, .. } = node {
-            let idx = node.route(key);
-            let child = children[idx];
-            path.push((page, idx));
-            page = child;
-            node = self.pager.read(page)?;
-        }
-        let Node::Leaf { ref mut entries } = node else {
-            unreachable!("descent ends at a leaf")
-        };
-        let mut appended_last = false;
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => entries[i].1 = value.to_vec(),
-            Err(i) => {
-                appended_last = i == entries.len();
-                entries.insert(i, (key.to_vec(), value.to_vec()));
-                self.entries += 1;
+        let Descent {
+            leaf: page,
+            mut path,
+            slot,
+        } = self.descend(key)?;
+        let page_bytes = self.opts.page_bytes;
+        let split = self.pager.update(page, |node| {
+            let Node::Leaf { entries } = node else {
+                unreachable!("descent ends at a leaf")
+            };
+            let mut appended_last = false;
+            match slot {
+                Ok(i) => entries[i].1 = value.to_vec(),
+                Err(i) => {
+                    appended_last = i == entries.len();
+                    entries.insert(i, (key.to_vec(), value.to_vec()));
+                }
             }
-        }
-        if node.encoded_len() <= self.opts.page_bytes {
-            return self.pager.write(page, node);
-        }
-
-        // Split, propagating up the path. Inserts at the tail of a leaf
-        // (sequential loads) use the append-optimized split to keep
-        // leaves ~full.
-        let (mut sep, right) = if appended_last {
-            node.split_append()
-        } else {
-            node.split()
+            // Inserts at the tail of a leaf (sequential loads) use the
+            // append-optimized split to keep leaves ~full.
+            (node.encoded_len() > page_bytes).then(|| {
+                if appended_last {
+                    node.split_append()
+                } else {
+                    node.split()
+                }
+            })
+        })?;
+        self.entries += u64::from(slot.is_err());
+        let Some((mut sep, right)) = split else {
+            return Ok(());
         };
+
+        // Propagate the split up the path.
         self.stats.splits += 1;
-        self.pager.write(page, node)?;
         let mut left_page = page;
         let mut right_page = self.pager.allocate(right)?;
-        loop {
-            match path.pop() {
-                Some((ppage, idx)) => {
-                    let mut pnode = self.pager.read(ppage)?;
-                    let Node::Internal {
-                        ref mut children,
-                        ref mut separators,
-                    } = pnode
-                    else {
-                        unreachable!("path holds internal nodes")
-                    };
-                    separators.insert(idx, sep);
-                    children.insert(idx + 1, right_page);
-                    if pnode.encoded_len() <= self.opts.page_bytes {
-                        return self.pager.write(ppage, pnode);
-                    }
-                    let (psep, pright) = pnode.split();
-                    self.stats.splits += 1;
-                    self.pager.write(ppage, pnode)?;
-                    sep = psep;
-                    left_page = ppage;
-                    right_page = self.pager.allocate(pright)?;
-                }
-                None => {
-                    let new_root = Node::Internal {
-                        children: vec![left_page, right_page],
-                        separators: vec![sep],
-                    };
-                    self.root = self.pager.allocate(new_root)?;
-                    return Ok(());
-                }
-            }
+        while let Some((ppage, idx)) = path.pop() {
+            self.pager.read(ppage)?;
+            let split = self.pager.update(ppage, |pnode| {
+                pnode.insert_child(idx, &sep, right_page);
+                (pnode.encoded_len() > page_bytes).then(|| pnode.split())
+            })?;
+            let Some((psep, pright)) = split else {
+                return Ok(());
+            };
+            self.stats.splits += 1;
+            sep = psep;
+            left_page = ppage;
+            right_page = self.pager.allocate(pright)?;
         }
+        let new_root = Node::Internal {
+            children: vec![left_page, right_page],
+            separators: [sep].into_iter().collect(),
+        };
+        self.root = self.pager.allocate(new_root)?;
+        Ok(())
     }
 
     // ----- deletion -----
@@ -678,113 +699,78 @@ impl BTreeDb {
         if self.root == 0 {
             return Ok(false);
         }
-        let mut path: Vec<(PageNo, usize)> = Vec::new();
-        let mut page = self.root;
-        let mut node = self.pager.read(page)?;
-        while let Node::Internal { ref children, .. } = node {
-            let idx = node.route(key);
-            let child = children[idx];
-            path.push((page, idx));
-            page = child;
-            node = self.pager.read(page)?;
-        }
-        let Node::Leaf { ref mut entries } = node else {
-            unreachable!("descent ends at a leaf")
-        };
-        let Ok(i) = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) else {
+        let Descent {
+            leaf: page,
+            mut path,
+            slot,
+        } = self.descend(key)?;
+        let Ok(i) = slot else {
             return Ok(false);
         };
-        entries.remove(i);
+        let mut cur_len = self.pager.update(page, |node| {
+            let Node::Leaf { entries } = node else {
+                unreachable!("descent ends at a leaf")
+            };
+            entries.remove(i);
+            node.encoded_len()
+        })?;
         self.entries -= 1;
-        let len_after = node.encoded_len();
-        self.pager.write(page, node)?;
 
         // Merge undersized pages upward.
-        let mut cur_page = page;
-        let mut cur_len = len_after;
         while cur_len < self.opts.page_bytes / self.opts.merge_divisor {
             let Some((ppage, idx)) = path.pop() else {
-                // cur is the root.
+                // The undersized page is the root.
                 self.collapse_root()?;
                 break;
             };
-            let parent = self.pager.read(ppage)?;
             let Node::Internal {
                 children,
                 separators,
-            } = parent
+            } = self.pager.read(ppage)?
             else {
                 unreachable!("path holds internal nodes")
             };
             // Pick a sibling: prefer the right one.
-            let (left_idx, right_idx) = if idx + 1 < children.len() {
-                (idx, idx + 1)
+            let left_idx = if idx + 1 < children.len() {
+                idx
             } else {
-                (idx - 1, idx)
+                idx - 1
             };
-            let left_page = children[left_idx];
-            let right_page = children[right_idx];
-            let left = self.pager.read(left_page)?;
+            let (left_page, right_page) = (children[left_idx], children[left_idx + 1]);
+            let siblings = children.len();
+            let sep = separators[left_idx].to_vec();
+            let left_len = self.pager.read(left_page)?.encoded_len();
             let right = self.pager.read(right_page)?;
-            let merged = match (left, right) {
-                (Node::Leaf { entries: mut le }, Node::Leaf { entries: re }) => {
-                    le.extend(re);
-                    Node::Leaf { entries: le }
-                }
-                (
-                    Node::Internal {
-                        children: mut lc,
-                        separators: mut ls,
-                    },
-                    Node::Internal {
-                        children: rc,
-                        separators: rs,
-                    },
-                ) => {
-                    ls.push(separators[left_idx].clone());
-                    ls.extend(rs);
-                    lc.extend(rc);
-                    Node::Internal {
-                        children: lc,
-                        separators: ls,
-                    }
-                }
-                _ => unreachable!("siblings have equal height"),
-            };
-            if merged.encoded_len() > self.opts.page_bytes {
+            if right.merged_len(left_len, &sep) > self.opts.page_bytes {
                 break; // siblings too full to merge; accept the small page
             }
+            // The right page's contents move into the left page; its own
+            // slot stays counted until it is freed below.
+            let right = right.clone();
             self.stats.merges += 1;
-            self.pager.write(left_page, merged)?;
+            self.pager
+                .update(left_page, |left| left.absorb(&sep, right))?;
             self.pager.free(right_page);
-            let mut new_children = children;
-            let mut new_separators = separators;
-            new_children.remove(right_idx);
-            new_separators.remove(left_idx);
-            if new_children.len() == 1 && ppage == self.root {
+            if siblings == 2 && ppage == self.root {
                 // Root collapsed to a single child.
                 self.pager.free(ppage);
-                self.root = new_children[0];
+                self.root = left_page;
                 break;
             }
-            let pnode = Node::Internal {
-                children: new_children,
-                separators: new_separators,
-            };
-            cur_len = pnode.encoded_len();
-            self.pager.write(ppage, pnode)?;
-            cur_page = ppage;
+            cur_len = self.pager.update(ppage, |parent| {
+                parent.remove_child(left_idx);
+                parent.encoded_len()
+            })?;
         }
-        let _ = cur_page;
         Ok(true)
     }
 
     fn collapse_root(&mut self) -> Result<()> {
-        let node = self.pager.read(self.root)?;
-        if let Node::Internal { children, .. } = node {
+        if let Node::Internal { children, .. } = self.pager.read(self.root)? {
             if children.len() == 1 {
+                let only = children[0];
                 self.pager.free(self.root);
-                self.root = children[0];
+                self.root = only;
             }
         }
         Ok(())
@@ -809,13 +795,12 @@ impl BTreeDb {
         low: Option<Vec<u8>>,
         high: Option<Vec<u8>>,
     ) -> (usize, u64) {
-        let node = self.pager.read(page).expect("readable page");
-        match node {
+        let (children, separators) = match self.pager.read(page).expect("readable page") {
             Node::Leaf { entries } => {
                 for w in entries.windows(2) {
                     assert!(w[0].0 < w[1].0, "leaf keys out of order");
                 }
-                for (k, _) in &entries {
+                for (k, _) in entries {
                     if let Some(l) = &low {
                         assert!(k >= l, "leaf key below subtree bound");
                     }
@@ -823,39 +808,39 @@ impl BTreeDb {
                         assert!(k < h, "leaf key above subtree bound");
                     }
                 }
-                (1, entries.len() as u64)
+                return (1, entries.len() as u64);
             }
+            // The recursion reads other pages: take what it needs.
             Node::Internal {
                 children,
                 separators,
-            } => {
-                assert_eq!(children.len(), separators.len() + 1);
-                for w in separators.windows(2) {
-                    assert!(w[0] < w[1], "separators out of order");
-                }
-                let mut depth = None;
-                let mut total = 0;
-                for (i, &child) in children.iter().enumerate() {
-                    let clow = if i == 0 {
-                        low.clone()
-                    } else {
-                        Some(separators[i - 1].clone())
-                    };
-                    let chigh = if i == separators.len() {
-                        high.clone()
-                    } else {
-                        Some(separators[i].clone())
-                    };
-                    let (d, c) = self.verify_node(child, clow, chigh);
-                    match depth {
-                        None => depth = Some(d),
-                        Some(pd) => assert_eq!(pd, d, "unbalanced tree"),
-                    }
-                    total += c;
-                }
-                (depth.expect("internal node has children") + 1, total)
-            }
+            } => (children.clone(), separators.clone()),
+        };
+        assert_eq!(children.len(), separators.len() + 1);
+        for i in 1..separators.len() {
+            assert!(separators[i - 1] < separators[i], "separators out of order");
         }
+        let mut depth = None;
+        let mut total = 0;
+        for (i, &child) in children.iter().enumerate() {
+            let clow = if i == 0 {
+                low.clone()
+            } else {
+                Some(separators[i - 1].to_vec())
+            };
+            let chigh = if i == separators.len() {
+                high.clone()
+            } else {
+                Some(separators[i].to_vec())
+            };
+            let (d, c) = self.verify_node(child, clow, chigh);
+            match depth {
+                None => depth = Some(d),
+                Some(pd) => assert_eq!(pd, d, "unbalanced tree"),
+            }
+            total += c;
+        }
+        (depth.expect("internal node has children") + 1, total)
     }
 }
 
@@ -880,32 +865,39 @@ pub struct BTreeScan<'a> {
 
 impl BTreeScan<'_> {
     /// Walks from `page` down to a leaf, routing by `start` on the
-    /// first descent and leftmost thereafter, and buffers the leaf's
-    /// in-range entries.
+    /// first descent and leftmost thereafter, and copies out the leaf's
+    /// entries the scan can still yield. A leaf that holds the end of
+    /// the range caps `remaining`, so the walk stops with it.
     fn descend(&mut self, mut page: PageNo) -> Result<()> {
         loop {
-            match self.pager.read(page)? {
-                Node::Leaf { mut entries } => {
-                    if self.first_descent {
-                        let from =
-                            entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice());
-                        entries.drain(..from);
+            let node = self.pager.read(page)?;
+            match node {
+                Node::Leaf { entries } => {
+                    let from = if self.first_descent {
+                        entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice())
+                    } else {
+                        0
+                    };
+                    let tail = &entries[from..];
+                    if let Some(end) = &self.end {
+                        let in_range = tail.partition_point(|(k, _)| k.as_slice() < end.as_slice());
+                        if in_range < tail.len() {
+                            self.remaining = self.remaining.min(in_range);
+                        }
                     }
                     self.first_descent = false;
-                    self.leaf = entries.into_iter();
+                    let wanted = tail[..tail.len().min(self.remaining)].to_vec();
+                    self.leaf = wanted.into_iter();
                     return Ok(());
                 }
-                Node::Internal {
-                    children,
-                    separators,
-                } => {
+                Node::Internal { children, .. } => {
                     let idx = if self.first_descent {
-                        separators.partition_point(|s| s.as_slice() <= self.start.as_slice())
+                        node.route(&self.start)
                     } else {
                         0
                     };
                     page = children[idx];
-                    self.stack.push((children, idx + 1));
+                    self.stack.push((children.clone(), idx + 1));
                 }
             }
         }
@@ -931,27 +923,19 @@ impl Iterator for BTreeScan<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if let Some(root) = self.descend_from.take() {
-            if let Err(e) = self.descend(root) {
-                self.remaining = 0;
-                return Some(Err(e));
-            }
-        }
         loop {
-            if let Some((key, value)) = self.leaf.next() {
-                if let Some(end) = &self.end {
-                    if key.as_slice() >= end.as_slice() {
-                        self.remaining = 0;
-                        return None;
-                    }
-                }
-                self.remaining -= 1;
-                return Some(Ok((key, value)));
+            if self.remaining == 0 {
+                return None;
             }
-            match self.next_leaf() {
+            if let Some(entry) = self.leaf.next() {
+                self.remaining -= 1;
+                return Some(Ok(entry));
+            }
+            let advanced = match self.descend_from.take() {
+                Some(root) => self.descend(root).map(|()| true),
+                None => self.next_leaf(),
+            };
+            match advanced {
                 Ok(true) => {}
                 Ok(false) => {
                     self.remaining = 0;
@@ -1134,6 +1118,41 @@ mod tests {
         assert_eq!(db.scan(&key(0), None, 25).expect("scan").len(), 25);
         // Empty range.
         assert!(db.scan(&key(500), None, 10).expect("scan").is_empty());
+    }
+
+    #[test]
+    fn lookups_that_change_nothing_leave_the_cache_as_it_was() {
+        // The tree borrows pages from the cache; a delete of an absent
+        // key, a get miss and a scan dropped early must hand every slot
+        // back whole and clean.
+        let mut db = db_on(32 << 20);
+        for i in (0..600u32).step_by(2) {
+            db.put(&key(i), format!("v{i}").as_bytes()).expect("put");
+        }
+        db.checkpoint().expect("ckpt");
+        assert_eq!(db.pager.dirty_pages(), 0);
+        let writebacks = db.pager_stats().writebacks;
+
+        assert!(!db.delete(&key(301)).expect("delete"), "absent key");
+        assert_eq!(db.get(&key(303)).expect("get"), None);
+        let first: Vec<_> = db.scan_iter(&key(100), None, 500).take(3).collect();
+        assert_eq!(first.len(), 3);
+        assert!(db
+            .scan_iter(&key(100), Some(&key(104)), 500)
+            .eq([100, 102].map(|i| Ok((key(i), format!("v{i}").into_bytes())))));
+
+        assert_eq!(db.pager.dirty_pages(), 0, "no slot was dirtied");
+        assert_eq!(db.pager_stats().writebacks, writebacks);
+        assert_eq!(db.len(), 300);
+        let (_, live) = db.verify();
+        assert_eq!(live, 300);
+        for i in (0..600u32).step_by(2) {
+            assert_eq!(
+                db.get(&key(i)).expect("get"),
+                Some(format!("v{i}").into_bytes()),
+                "key {i}"
+            );
+        }
     }
 
     #[test]

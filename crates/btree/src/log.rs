@@ -68,9 +68,9 @@ impl Journal {
             self.buffer.extend_from_slice(v);
         }
         while self.buffer.len() >= self.page_size {
-            let page: Vec<u8> = self.buffer.drain(..self.page_size).collect();
-            self.vfs.append(self.file, &page)?;
-            self.bytes_written += page.len() as u64;
+            self.vfs.append(self.file, &self.buffer[..self.page_size])?;
+            self.buffer.drain(..self.page_size);
+            self.bytes_written += self.page_size as u64;
         }
         Ok(())
     }

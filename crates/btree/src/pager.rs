@@ -6,8 +6,20 @@
 //! write-back targets the same LBAs (Fig 4's confined footprint), and
 //! the small cache (10 MB in the paper's setup) means nearly every
 //! update eventually causes one full-page write.
+//!
+//! # Slot ownership
+//!
+//! The cache is the single owner of every decoded [`Node`]: one node per
+//! resident page, decoded once per device read. The tree borrows it —
+//! [`Pager::read`] hands out `&Node` and [`Pager::update`] runs a closure
+//! over the slot's `&mut Node` — so a root-to-leaf walk copies nothing
+//! but the bytes it returns. Each slot remembers its node's encoded
+//! length (the cache budget is in encoded bytes), the dirty pages are
+//! kept as an ordered set (checkpoints write back in page order without
+//! collecting or sorting), and the slots are indexed by last-access tick
+//! (the LRU victim is the index's first entry, not a scan).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ptsbench_cache::CacheStats;
 use ptsbench_vfs::{FileId, TraceHandle, Vfs};
@@ -34,10 +46,22 @@ pub struct PagerStats {
     pub checkpoints: u64,
 }
 
-struct CachedPage {
+/// One resident page.
+struct Slot {
     node: Node,
-    dirty: bool,
+    /// `node.encoded_len()`, kept current by [`Pager::update`].
+    encoded_len: usize,
+    /// Tick of the last access; the slot's key in `Pager::lru`.
     last_access: u64,
+}
+
+impl Slot {
+    /// Makes this slot (page `page`) the most recently used as of `tick`.
+    fn stamp(&mut self, page: PageNo, tick: u64, lru: &mut BTreeMap<u64, PageNo>) {
+        lru.remove(&self.last_access);
+        self.last_access = tick;
+        lru.insert(tick, page);
+    }
 }
 
 /// Page cache over the tree file.
@@ -46,14 +70,20 @@ pub struct Pager {
     file: FileId,
     page_bytes: usize,
     cache_bytes: u64,
-    cache: HashMap<PageNo, CachedPage>,
+    cache: HashMap<PageNo, Slot>,
+    /// Resident pages by last-access tick (ticks are unique), oldest
+    /// first.
+    lru: BTreeMap<u64, PageNo>,
+    /// Resident pages whose contents are newer than the file's.
+    dirty: BTreeSet<PageNo>,
     cached_bytes: u64,
     access_clock: u64,
     /// Next page number to materialize (page 0 is the meta page).
     next_page: PageNo,
     free_list: Vec<PageNo>,
     stats: PagerStats,
-    encode_buf: Vec<u8>,
+    /// One page image, reused by every load and write-back.
+    page_buf: Vec<u8>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
 }
@@ -69,25 +99,44 @@ impl std::fmt::Debug for Pager {
 }
 
 impl Pager {
-    /// Creates the tree file with a zeroed meta page.
-    pub fn create(vfs: Vfs, file_name: &str, page_bytes: usize, cache_bytes: u64) -> Result<Self> {
-        let file = vfs.create(file_name)?;
-        // Materialize the meta page.
-        vfs.write_at(file, 0, &vec![0u8; page_bytes])?;
-        Ok(Self {
+    fn over(
+        vfs: Vfs,
+        file: FileId,
+        page_bytes: usize,
+        cache_bytes: u64,
+        next_page: PageNo,
+    ) -> Self {
+        // `update` relies on the few most recently touched pages staying
+        // resident (a merge touches parent, left and right before it
+        // updates any of them).
+        assert!(
+            cache_bytes >= 4 * page_bytes as u64,
+            "cache must hold at least four pages"
+        );
+        Self {
             vfs,
             file,
             page_bytes,
             cache_bytes,
             cache: HashMap::new(),
+            lru: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             cached_bytes: 0,
             access_clock: 0,
-            next_page: 1,
+            next_page,
             free_list: Vec::new(),
             stats: PagerStats::default(),
-            encode_buf: Vec::new(),
+            page_buf: Vec::new(),
             trace: None,
-        })
+        }
+    }
+
+    /// Creates the tree file with a zeroed meta page.
+    pub fn create(vfs: Vfs, file_name: &str, page_bytes: usize, cache_bytes: u64) -> Result<Self> {
+        let file = vfs.create(file_name)?;
+        // Materialize the meta page.
+        vfs.write_at(file, 0, &vec![0u8; page_bytes])?;
+        Ok(Self::over(vfs, file, page_bytes, cache_bytes, 1))
     }
 
     /// Attaches the tracing context: page-cache hits record
@@ -112,20 +161,8 @@ impl Pager {
                 "tree file size {size} is not a multiple of the {page_bytes}-byte page size"
             )));
         }
-        Ok(Self {
-            vfs,
-            file,
-            page_bytes,
-            cache_bytes,
-            cache: HashMap::new(),
-            cached_bytes: 0,
-            access_clock: 0,
-            next_page: size / page_bytes as u64,
-            free_list: Vec::new(),
-            stats: PagerStats::default(),
-            encode_buf: Vec::new(),
-            trace: None,
-        })
+        let pages = size / page_bytes as u64;
+        Ok(Self::over(vfs, file, page_bytes, cache_bytes, pages))
     }
 
     /// Installs a rebuilt free list (recovery path).
@@ -147,6 +184,12 @@ impl Pager {
     /// Cumulative statistics.
     pub fn stats(&self) -> PagerStats {
         self.stats
+    }
+
+    /// Whether `page` currently occupies a cache slot. Observes only:
+    /// no counter, tick or LRU position moves.
+    pub fn is_resident(&self, page: PageNo) -> bool {
+        self.cache.contains_key(&page)
     }
 
     /// Allocates a page, reusing freed pages first (keeping the file's
@@ -174,8 +217,10 @@ impl Pager {
 
     /// Returns a page to the free list (contents become garbage).
     pub fn free(&mut self, page: PageNo) {
-        if let Some(c) = self.cache.remove(&page) {
-            self.cached_bytes -= c.node.encoded_len() as u64;
+        if let Some(slot) = self.cache.remove(&page) {
+            self.cached_bytes -= slot.encoded_len as u64;
+            self.lru.remove(&slot.last_access);
+            self.dirty.remove(&page);
         }
         debug_assert!(
             !self.free_list.contains(&page),
@@ -184,90 +229,123 @@ impl Pager {
         self.free_list.push(page);
     }
 
-    /// Reads a page (through the cache), returning a clone of the node.
-    pub fn read(&mut self, page: PageNo) -> Result<Node> {
-        self.access_clock += 1;
-        let clock = self.access_clock;
-        if let Some(c) = self.cache.get_mut(&page) {
-            c.last_access = clock;
-            self.stats.cache.hits += 1;
-            self.stats.cache.bytes_saved += self.page_bytes as u64;
-            if let Some(t) = &self.trace {
-                t.mark("btree.cache_hit", t.current_cause());
-            }
-            return Ok(c.node.clone());
+    /// Borrows a page from the cache, loading it from the file on a
+    /// miss. The returned node is the cache's own: nothing is copied.
+    pub fn read(&mut self, page: PageNo) -> Result<&Node> {
+        if !self.hit(page) {
+            self.load(page)?;
         }
+        Ok(&self.cache[&page].node)
+    }
+
+    /// Counts one more cache hit on a resident page — a second lookup of
+    /// a page the caller already holds, without the lookup.
+    ///
+    /// # Panics
+    /// If `page` is not resident.
+    pub fn touch(&mut self, page: PageNo) {
+        let resident = self.hit(page);
+        assert!(resident, "touch of page {page}, which is not resident");
+    }
+
+    /// Ticks the access clock and, if `page` is resident, accounts a
+    /// hit and makes it the most recently used. Returns whether it was.
+    fn hit(&mut self, page: PageNo) -> bool {
+        self.access_clock += 1;
+        let Some(slot) = self.cache.get_mut(&page) else {
+            return false;
+        };
+        slot.stamp(page, self.access_clock, &mut self.lru);
+        self.stats.cache.hits += 1;
+        self.stats.cache.bytes_saved += self.page_bytes as u64;
+        if let Some(t) = &self.trace {
+            t.mark("btree.cache_hit", t.current_cause());
+        }
+        true
+    }
+
+    /// The miss path: reads and decodes the page, admits it clean.
+    fn load(&mut self, page: PageNo) -> Result<()> {
         self.stats.cache.misses += 1;
         let span = self
             .trace
             .as_ref()
             .map(|t| t.begin("btree.page_load", t.current_cause()));
-        let load = || -> Result<Node> {
-            let buf =
-                self.vfs
-                    .read_at(self.file, page * self.page_bytes as u64, self.page_bytes)?;
-            if buf.len() < self.page_bytes {
-                return Err(BTreeError::Corruption(format!("short read of page {page}")));
-            }
-            Node::decode(&buf)
-        };
-        let node = load();
+        let node = self.read_node(page);
         if let (Some(t), Some(span)) = (&self.trace, span) {
             t.end(span);
         }
-        let node = node?;
-        self.insert_cached(page, node.clone(), false)?;
-        Ok(node)
+        self.insert_cached(page, node?, false)
     }
 
-    /// Replaces a page's contents in cache and marks it dirty; the write
-    /// reaches the file on eviction or checkpoint.
-    pub fn write(&mut self, page: PageNo, node: Node) -> Result<()> {
+    fn read_node(&mut self, page: PageNo) -> Result<Node> {
+        let offset = page * self.page_bytes as u64;
+        self.vfs
+            .read_at_into(self.file, offset, self.page_bytes, &mut self.page_buf)?;
+        if self.page_buf.len() < self.page_bytes {
+            return Err(BTreeError::Corruption(format!("short read of page {page}")));
+        }
+        Node::decode(&self.page_buf)
+    }
+
+    /// Mutates a resident page in place and marks it dirty; the change
+    /// reaches the file on eviction or checkpoint. `f`'s result is
+    /// passed through.
+    ///
+    /// The caller must have touched `page` ([`Pager::read`],
+    /// [`Pager::allocate`]) no more than two other pages ago: the cache
+    /// holds at least four pages and evicts least-recently-used first,
+    /// so such a page cannot have been evicted since.
+    ///
+    /// # Panics
+    /// If `page` is not resident, or if `f` leaves the node larger than
+    /// a page.
+    pub fn update<R>(&mut self, page: PageNo, f: impl FnOnce(&mut Node) -> R) -> Result<R> {
+        let slot = self
+            .cache
+            .get_mut(&page)
+            .unwrap_or_else(|| panic!("update of page {page}, which is not resident"));
+        let out = f(&mut slot.node);
+        let len = slot.node.encoded_len();
         assert!(
-            node.encoded_len() <= self.page_bytes,
-            "node of {} bytes exceeds page size {}",
-            node.encoded_len(),
+            len <= self.page_bytes,
+            "node of {len} bytes exceeds page size {}",
             self.page_bytes
         );
-        if let Some(c) = self.cache.get_mut(&page) {
-            self.cached_bytes =
-                self.cached_bytes - c.node.encoded_len() as u64 + node.encoded_len() as u64;
-            c.node = node;
-            c.dirty = true;
-            self.access_clock += 1;
-            c.last_access = self.access_clock;
-            self.evict_as_needed()?;
-            return Ok(());
-        }
-        self.insert_cached(page, node, true)
+        self.cached_bytes = self.cached_bytes - slot.encoded_len as u64 + len as u64;
+        slot.encoded_len = len;
+        self.access_clock += 1;
+        slot.stamp(page, self.access_clock, &mut self.lru);
+        self.dirty.insert(page);
+        self.evict_as_needed()?;
+        Ok(out)
     }
 
     fn insert_cached(&mut self, page: PageNo, node: Node, dirty: bool) -> Result<()> {
         self.access_clock += 1;
         self.stats.cache.admissions += 1;
-        self.cached_bytes += node.encoded_len() as u64;
-        self.cache.insert(
-            page,
-            CachedPage {
-                node,
-                dirty,
-                last_access: self.access_clock,
-            },
-        );
+        let encoded_len = node.encoded_len();
+        self.cached_bytes += encoded_len as u64;
+        let slot = Slot {
+            node,
+            encoded_len,
+            last_access: self.access_clock,
+        };
+        self.lru.insert(slot.last_access, page);
+        if dirty {
+            self.dirty.insert(page);
+        }
+        self.cache.insert(page, slot);
         self.evict_as_needed()
     }
 
     fn evict_as_needed(&mut self) -> Result<()> {
         while self.cached_bytes > self.cache_bytes && self.cache.len() > 1 {
-            let victim = self
-                .cache
-                .iter()
-                .min_by_key(|(_, c)| c.last_access)
-                .map(|(&p, _)| p)
-                .expect("cache non-empty");
+            let (_, &victim) = self.lru.first_key_value().expect("cache non-empty");
             self.flush_page(victim)?;
-            let c = self.cache.remove(&victim).expect("victim cached");
-            self.cached_bytes -= c.node.encoded_len() as u64;
+            self.lru.pop_first();
+            let slot = self.cache.remove(&victim).expect("victim cached");
+            self.cached_bytes -= slot.encoded_len as u64;
             self.stats.cache.evictions += 1;
         }
         Ok(())
@@ -278,23 +356,19 @@ impl Pager {
     }
 
     fn flush_page_opts(&mut self, page: PageNo, background: bool) -> Result<()> {
-        let c = self.cache.get(&page).expect("page cached");
-        if !c.dirty {
+        if !self.dirty.contains(&page) {
             return Ok(());
         }
-        c.node.encode(&mut self.encode_buf);
-        self.encode_buf.resize(self.page_bytes, 0);
-        let buf = std::mem::take(&mut self.encode_buf);
+        self.cache[&page].node.encode(&mut self.page_buf);
+        self.page_buf.resize(self.page_bytes, 0);
         let offset = page * self.page_bytes as u64;
-        let written = if background {
-            self.vfs.write_at_bg(self.file, offset, &buf)
+        if background {
+            self.vfs.write_at_bg(self.file, offset, &self.page_buf)?;
         } else {
-            self.vfs.write_at(self.file, offset, &buf)
-        };
-        self.encode_buf = buf;
-        written?;
+            self.vfs.write_at(self.file, offset, &self.page_buf)?;
+        }
         self.stats.writebacks += 1;
-        self.cache.get_mut(&page).expect("page cached").dirty = false;
+        self.dirty.remove(&page);
         Ok(())
     }
 
@@ -303,18 +377,11 @@ impl Pager {
     /// until `max_bytes` of writes have been issued or the cache is
     /// clean. Pages stay cached (now clean); returns the bytes written.
     pub fn flush_dirty_bg(&mut self, max_bytes: u64) -> Result<u64> {
-        let mut dirty: Vec<PageNo> = self
-            .cache
-            .iter()
-            .filter(|(_, c)| c.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
         let mut written = 0u64;
-        for page in dirty {
-            if written >= max_bytes {
+        while written < max_bytes {
+            let Some(&page) = self.dirty.first() else {
                 break;
-            }
+            };
             self.flush_page_opts(page, true)?;
             written += self.page_bytes as u64;
         }
@@ -350,18 +417,11 @@ impl Pager {
         self.stats.checkpoints += 1;
     }
 
-    /// Writes every dirty page plus the metadata page, then fsyncs —
-    /// the checkpoint operation.
+    /// Writes every dirty page (lowest page number first) plus the
+    /// metadata page, then fsyncs — the checkpoint operation.
     pub fn checkpoint(&mut self, meta: &[u8]) -> Result<()> {
         assert!(meta.len() <= self.page_bytes);
-        let mut dirty: Vec<PageNo> = self
-            .cache
-            .iter()
-            .filter(|(_, c)| c.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
-        for page in dirty {
+        while let Some(&page) = self.dirty.first() {
             self.flush_page(page)?;
         }
         let mut meta_buf = meta.to_vec();
@@ -379,7 +439,7 @@ impl Pager {
 
     /// Current number of dirty pages in cache.
     pub fn dirty_pages(&self) -> usize {
-        self.cache.values().filter(|c| c.dirty).count()
+        self.dirty.len()
     }
 }
 
@@ -404,9 +464,9 @@ mod tests {
     fn allocate_read_write_round_trip() {
         let mut p = Pager::create(vfs(), "t.db", 4096, 64 << 10).expect("create");
         let page = p.allocate(leaf(1, 10)).expect("alloc");
-        assert_eq!(p.read(page).expect("read"), leaf(1, 10));
-        p.write(page, leaf(2, 20)).expect("write");
-        assert_eq!(p.read(page).expect("read"), leaf(2, 20));
+        assert_eq!(*p.read(page).expect("read"), leaf(1, 10));
+        p.update(page, |n| *n = leaf(2, 20)).expect("update");
+        assert_eq!(*p.read(page).expect("read"), leaf(2, 20));
     }
 
     #[test]
@@ -420,7 +480,7 @@ mod tests {
         assert!(p.stats().cache.evictions > 0);
         // Everything still readable (from disk where evicted).
         for (i, &page) in pages.iter().enumerate() {
-            assert_eq!(p.read(page).expect("read"), leaf(i as u8, 3000));
+            assert_eq!(*p.read(page).expect("read"), leaf(i as u8, 3000));
         }
         let s = p.stats().cache;
         assert!(s.misses > 0);
@@ -439,7 +499,7 @@ mod tests {
         p.checkpoint(b"m1").expect("ckpt");
         let mapped_before = v.ssd().lock().mapped_pages();
         for i in 0..20 {
-            p.write(page, leaf(i, 3000)).expect("write");
+            p.update(page, |n| *n = leaf(i, 3000)).expect("update");
             p.checkpoint(b"m1").expect("ckpt");
         }
         assert_eq!(
@@ -478,6 +538,6 @@ mod tests {
     fn oversized_node_panics() {
         let mut p = Pager::create(vfs(), "t.db", 4096, 64 << 10).expect("create");
         let page = p.allocate(leaf(1, 10)).expect("alloc");
-        p.write(page, leaf(2, 8000)).expect("write");
+        p.update(page, |n| *n = leaf(2, 8000)).expect("update");
     }
 }

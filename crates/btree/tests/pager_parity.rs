@@ -1,0 +1,110 @@
+//! Counter parity across pager refactors: a fixed seeded
+//! put/get/delete/scan mix over `BTreeOptions::small()` with a
+//! four-page cache must leave every model-side number — page-cache
+//! traffic, engine counts, device SMART counters and the virtual clock —
+//! exactly where the cloning pager of PR 13 left it. The constants were
+//! recorded on that commit; a change that only makes the host faster
+//! must not move any of them.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use ptsbench_btree::{BTreeDb, BTreeOptions};
+use ptsbench_maint::MaintConfig;
+use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_vfs::{Vfs, VfsOptions};
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:08}").into_bytes()
+}
+
+/// Runs the mix and renders every counter that must not move.
+fn run_mix(maint: MaintConfig) -> String {
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
+    let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    let opts = BTreeOptions {
+        cache_bytes: 4 * 4096,
+        maint,
+        ..BTreeOptions::small()
+    };
+    let mut db = BTreeDb::open(vfs, opts).expect("open");
+    let pump = |db: &mut BTreeDb| while db.run_maintenance_slice().expect("slice") {};
+
+    // Sequential load (append splits), enough leaves for a height-3 tree.
+    for i in 0..8000u32 {
+        db.put(&key(i), &[i as u8; 128]).expect("put");
+        pump(&mut db);
+    }
+    let (loaded_height, _) = db.verify();
+    assert_eq!(loaded_height, 3, "the load must split an internal page");
+    let mut rng = SmallRng::seed_from_u64(14);
+    let mut scanned = 0usize;
+    for step in 0..12_000u32 {
+        let i: u32 = rng.gen_range(0..9000);
+        match rng.gen_range(0..20) {
+            0..=8 => {
+                let len = rng.gen_range(16..400);
+                db.put(&key(i), &vec![step as u8; len]).expect("put");
+            }
+            9..=13 => {
+                db.get(&key(i)).expect("get");
+            }
+            14..=18 => {
+                // Absent keys (deleted earlier, or >= 8000 and never put)
+                // take the early return.
+                db.delete(&key(i)).expect("delete");
+            }
+            _ => {
+                // Early-terminated and exhausted scans both occur.
+                let limit = rng.gen_range(1..120);
+                scanned += db.scan_iter(&key(i), None, limit).take(60).count();
+            }
+        }
+        pump(&mut db);
+    }
+    // Mass deletion: merges up the path and root collapses.
+    for i in 0..7000u32 {
+        db.delete(&key(i)).expect("delete");
+        pump(&mut db);
+    }
+    db.drain_maintenance().expect("drain");
+    let (height, live) = db.verify();
+    let smart = db.vfs().ssd().lock().smart();
+    format!(
+        "{:?} {:?} maint={:?} height={height} live={live} scanned={scanned} \
+         hpw={} hpr={} npw={} clock={}",
+        db.pager_stats(),
+        db.stats(),
+        db.maint_stats(),
+        smart.host_pages_written,
+        smart.host_pages_read,
+        smart.nand_pages_written,
+        db.vfs().clock().now(),
+    )
+}
+
+#[test]
+fn inline_counters_match_the_cloning_pager() {
+    assert_eq!(
+        run_mix(MaintConfig::default()),
+        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
+         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8518, allocations: 578, checkpoints: 9 } \
+         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
+         merges: 472, checkpoints: 9 } maint=None height=2 live=1177 scanned=28755 hpw=9740 hpr=19947 \
+         npw=9740 clock=13274542447292"
+    );
+}
+
+#[test]
+fn background_counters_match_the_cloning_pager() {
+    assert_eq!(
+        run_mix(MaintConfig::enabled()),
+        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
+         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
+         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
+         merges: 472, checkpoints: 11 } maint=Some(MaintStats { jobs: 11, slices: 289, installs: 11, \
+         bytes_read: 0, bytes_written: 2990080, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, \
+         used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10173 hpr=19947 npw=10173 \
+         clock=13227412447292"
+    );
+}

@@ -105,7 +105,7 @@ proptest! {
         prop_assert_eq!(Node::decode(&buf).expect("decode leaf"), leaf);
 
         // Internal node: n children need n-1 strictly increasing keys.
-        let separators: Vec<Vec<u8>> = (0..children.len() - 1)
+        let separators = (0..children.len() - 1)
             .map(|i| format!("sep{i:06}").into_bytes())
             .collect();
         let internal = Node::Internal { children, separators };

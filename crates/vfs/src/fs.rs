@@ -379,7 +379,35 @@ impl Vfs {
         self.read_at_opts(id, offset, len, false)
     }
 
+    /// [`Vfs::read_at`] into a caller-owned buffer (cleared first): a
+    /// caller that reads page after page reuses one allocation.
+    pub fn read_at_into(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: usize,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        self.read_with(id, offset, len, true, |bytes| {
+            buf.clear();
+            buf.extend_from_slice(bytes);
+        })
+    }
+
     fn read_at_opts(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<Vec<u8>> {
+        self.read_with(id, offset, len, blocking, <[u8]>::to_vec)
+    }
+
+    /// Charges the device reads for `[offset, offset + len)` (clipped at
+    /// EOF) and hands the bytes to `take`.
+    fn read_with<R>(
+        &self,
+        id: FileId,
+        offset: u64,
+        len: usize,
+        blocking: bool,
+        take: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         let mut g = self.inner.lock();
         let Inner {
             ssd,
@@ -392,7 +420,7 @@ impl Vfs {
         let node = files.get(&id).ok_or(VfsError::StaleHandle)?;
         let size = node.data.len() as u64;
         if offset >= size || len == 0 {
-            return Ok(Vec::new());
+            return Ok(take(&[]));
         }
         let len = len.min((size - offset) as usize);
         let first_page = offset / ps;
@@ -410,7 +438,7 @@ impl Vfs {
             }
             dev.tracer().end(span, clock.now());
         }
-        Ok(node.data[offset as usize..offset as usize + len].to_vec())
+        Ok(take(&node.data[offset as usize..offset as usize + len]))
     }
 
     /// Creates a submission/completion queue of `depth` outstanding
@@ -710,6 +738,15 @@ mod tests {
             v.read_at(f, 5_000, 100).expect("read"),
             payload[5_000..5_100]
         );
+        // The caller-buffer variant: same bytes (clipped at EOF), same
+        // device reads, nothing left over from the buffer's last use.
+        let mut buf = vec![9u8; 64];
+        let reads_before = v.ssd().lock().smart().host_pages_read;
+        v.read_at_into(f, 5_000, 8_192, &mut buf).expect("read");
+        assert_eq!(buf, payload[5_000..]);
+        assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 2);
+        v.read_at_into(f, 10_000, 16, &mut buf).expect("read");
+        assert!(buf.is_empty(), "a read at EOF is empty");
         v.check_invariants();
     }
 
