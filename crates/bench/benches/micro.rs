@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the core data structures: the FTL
 //! write path, extent allocator, memtable, bloom filter, SSTable
 //! build/lookup, B+Tree operations and the k-way merge — and, layer by
-//! layer, the B+Tree's page walk at the paper's geometry.
+//! layer, the B+Tree's page walk and the LSM's compaction data path at
+//! the paper's geometry.
 
 use std::cell::RefCell;
 
@@ -18,7 +19,7 @@ use ptsbench_lsm::memtable::Memtable;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
-use ptsbench_vfs::{AllocPolicy, ExtentAllocator, Vfs, VfsOptions};
+use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, Vfs, VfsOptions};
 
 fn fresh_vfs(mb: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), mb << 20));
@@ -153,16 +154,25 @@ fn bench_sstable(c: &mut Criterion) {
 fn bench_kway_merge(c: &mut Criterion) {
     c.bench_function("kway_merge/8x1k", |b| {
         b.iter_batched(
+            // Each source's entries are ranges of one buffer, as a table
+            // scan yields them: 11-byte keys, 32-byte values.
             || {
                 (0..8usize)
                     .map(|s| {
-                        let items: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..1000u32)
-                            .map(|i| {
-                                let k = format!("key{:08}", i * 8 + s as u32);
-                                (k.into_bytes(), Some(vec![0u8; 32]))
-                            })
-                            .collect();
-                        Box::new(items.into_iter()) as EntryStream<'static>
+                        let mut window = Vec::new();
+                        for i in 0..1000u32 {
+                            window.extend(format!("key{:08}", i * 8 + s as u32).bytes());
+                            window.extend([0u8; 32]);
+                        }
+                        let window = FileSlice::from(window);
+                        let entry = move |i: usize| {
+                            let at = i * 43;
+                            (
+                                window.slice(at..at + 11),
+                                Some(window.slice(at + 11..at + 43)),
+                            )
+                        };
+                        Box::new((0..1000).map(entry)) as EntryStream<'static>
                     })
                     .collect::<Vec<_>>()
             },
@@ -303,6 +313,115 @@ fn bench_btree_layers(c: &mut Criterion) {
     group.finish();
 }
 
+/// The LSM's compaction data path at the geometry `paper_lsm_write`
+/// runs (4 000 B values, 1 MiB memtables and tables, 256 KiB appends
+/// and scan windows): storing a staged chunk into a file, reading a
+/// scan window back owned and shared, building one table, and merging
+/// four overlapping L0 tables into L1.
+fn bench_lsm_data_path(c: &mut Criterion) {
+    const CHUNK: usize = 256 << 10;
+    const TABLE: u64 = 1 << 20;
+    let value = vec![0x5au8; 4000];
+    let key = |i: u32| format!("user{i:012}").into_bytes();
+
+    let mut group = c.benchmark_group("vfs");
+    group.sample_size(400);
+    group.bench_function("append_256k", |b| {
+        let fs = fresh_vfs(64);
+        let chunk = vec![0xa5u8; CHUNK];
+        let file = RefCell::new(fs.create("t").expect("create"));
+        b.iter_batched(
+            // A table's worth of chunks per file, then a fresh one.
+            || {
+                let mut file = file.borrow_mut();
+                if fs.size(*file).expect("size") >= TABLE {
+                    fs.delete("t").expect("delete");
+                    *file = fs.create("t").expect("create");
+                }
+                *file
+            },
+            |file| fs.append_bg(file, &chunk).expect("append"),
+            BatchSize::PerIteration,
+        )
+    });
+    let fs = fresh_vfs(64);
+    let table = fs.create("t").expect("create");
+    fs.append(table, &vec![0xa5u8; TABLE as usize])
+        .expect("append");
+    let mut window = 0u64;
+    let mut next_window = move || {
+        window = (window + CHUNK as u64) % TABLE;
+        window
+    };
+    group.bench_function("read_at_256k", |b| {
+        b.iter(|| black_box(fs.read_at_bg(table, next_window(), CHUNK).expect("read")))
+    });
+    group.bench_function("read_window_256k", |b| {
+        b.iter(|| {
+            black_box(
+                fs.read_shared_bg(table, next_window(), CHUNK)
+                    .expect("read"),
+            )
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("sstable");
+    group.sample_size(100);
+    group.bench_function("build_1mib", |b| {
+        let fs = fresh_vfs(64);
+        let keys: Vec<Vec<u8>> = (0..TABLE as u32 / 4022).map(key).collect();
+        b.iter_batched(
+            || fs.delete("t").ok(),
+            |_| {
+                let mut builder =
+                    SstableBuilder::create_bg(fs.clone(), "t", 4096, 10).expect("create");
+                for k in &keys {
+                    builder.add(k, Some(&value)).expect("add");
+                }
+                black_box(builder.finish().expect("finish"))
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("lsm");
+    group.sample_size(30);
+    group.bench_function("compact_4x1mib_into_l1", |b| {
+        let opts = LsmOptions {
+            // Four flushes must pile up in L0 untouched.
+            l0_compaction_trigger: 8,
+            ..LsmOptions::scaled_to_partition(256 << 20)
+        };
+        let db = RefCell::new(None);
+        b.iter_batched(
+            // Untimed: four memtables of interleaved keys, flushed.
+            || {
+                let mut fresh = LsmDb::open(fresh_vfs(64), opts.clone()).expect("open");
+                let mut i = 0u32;
+                while fresh.stats().flushes < 4 {
+                    fresh
+                        .put(&key(i.wrapping_mul(2_654_435_761) % 100_000), &value)
+                        .expect("put");
+                    i += 1;
+                }
+                *db.borrow_mut() = Some(fresh);
+            },
+            |()| {
+                let mut db = db.borrow_mut();
+                let db = db.as_mut().expect("set up");
+                db.compact_all().expect("compact");
+                let stats = db.stats();
+                assert_eq!((stats.compactions, stats.trivial_moves), (1, 0));
+                black_box(stats.compaction_bytes_written)
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ftl,
@@ -312,6 +431,7 @@ criterion_group!(
     bench_sstable,
     bench_kway_merge,
     bench_engines,
-    bench_btree_layers
+    bench_btree_layers,
+    bench_lsm_data_path
 );
 criterion_main!(benches);

@@ -21,17 +21,18 @@
 use ptsbench_maint::MaintScheduler;
 
 use crate::compaction::CompactionTask;
-use crate::iter::KMerge;
+use crate::iter::{KMerge, SharedEntry};
 use crate::memtable::Memtable;
 use crate::sstable::{SstableBuilder, SstableMeta};
 
-/// One buffered entry stream (an input table read into memory by the
-/// compaction read phase).
-pub(crate) type BufferedRun = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+/// One buffered entry stream: an input table scanned by the compaction
+/// read phase, every entry a pair of ranges of the table's own contents
+/// (which the ranges keep alive even after the table is deleted).
+pub(crate) type BufferedRun = Vec<SharedEntry>;
 
 /// Owned iterator over one buffered run (concrete so parked jobs stay
 /// `Send`).
-pub(crate) type RunIter = std::vec::IntoIter<(Vec<u8>, Option<Vec<u8>>)>;
+pub(crate) type RunIter = std::vec::IntoIter<SharedEntry>;
 
 /// A memtable flush in progress, resumable across slices.
 pub(crate) struct FlushJob {

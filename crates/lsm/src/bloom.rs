@@ -20,10 +20,22 @@ impl BloomFilter {
     /// answers "definitely absent", which is the correct semantics for
     /// a table with no keys.
     pub fn build<K: AsRef<[u8]>>(keys: &[K], bits_per_key: u32) -> Self {
-        let num_bits = if keys.is_empty() {
+        let hashes = keys.iter().map(|k| hash_pair(k.as_ref()));
+        Self::sized_for(keys.len(), hashes, bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] from the keys' [`hash_pair`]s — all the
+    /// filter ever needs of a key, so a table builder keeps 16 bytes per
+    /// entry instead of a copy of every key.
+    pub fn from_hashes(hashes: &[(u64, u64)], bits_per_key: u32) -> Self {
+        Self::sized_for(hashes.len(), hashes.iter().copied(), bits_per_key)
+    }
+
+    fn sized_for(keys: usize, hashes: impl Iterator<Item = (u64, u64)>, bits_per_key: u32) -> Self {
+        let num_bits = if keys == 0 {
             64
         } else {
-            (keys.len() as u64 * bits_per_key as u64).max(64)
+            (keys as u64 * bits_per_key as u64).max(64)
         };
         let num_probes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
         let mut filter = Self {
@@ -31,18 +43,13 @@ impl BloomFilter {
             num_bits,
             num_probes,
         };
-        for k in keys {
-            filter.insert(k.as_ref());
+        for (h1, h2) in hashes {
+            for i in 0..filter.num_probes {
+                let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % filter.num_bits;
+                filter.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+            }
         }
         filter
-    }
-
-    fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = hash_pair(key);
-        for i in 0..self.num_probes {
-            let bit = h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.num_bits;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
     }
 
     /// Whether the key *may* be present (false positives possible, false
@@ -95,7 +102,8 @@ impl BloomFilter {
     }
 }
 
-fn hash_pair(key: &[u8]) -> (u64, u64) {
+/// The two hash values a key's probe positions derive from.
+pub fn hash_pair(key: &[u8]) -> (u64, u64) {
     // FNV-1a then a finalizing avalanche for the second hash.
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in key {
@@ -148,6 +156,22 @@ mod tests {
         assert!(
             BloomFilter::decode(&buf[..5]).is_none(),
             "truncated input rejected"
+        );
+    }
+
+    #[test]
+    fn hash_pairs_build_the_same_filter() {
+        let keys: Vec<Vec<u8>> = (0..500u32).map(|i| i.to_le_bytes().to_vec()).collect();
+        let hashes: Vec<(u64, u64)> = keys.iter().map(|k| hash_pair(k)).collect();
+        for bits in [4, 10] {
+            assert_eq!(
+                BloomFilter::from_hashes(&hashes, bits),
+                BloomFilter::build(&keys, bits)
+            );
+        }
+        assert_eq!(
+            BloomFilter::from_hashes(&[], 10),
+            BloomFilter::build(&Vec::<Vec<u8>>::new(), 10)
         );
     }
 

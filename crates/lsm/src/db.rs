@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{JobKind, MaintScheduler, MaintStats};
-use ptsbench_vfs::{Cause, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, FileSlice, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::background::{BufferedRun, CompactJob, FlushJob, MaintState};
 use crate::compaction::{effective_targets, pick, CompactionTask};
@@ -371,17 +371,15 @@ impl LsmDb {
     /// most one entry per source through the k-way merge, so memory
     /// stays proportional to the number of sources, not the range.
     pub fn scan_iter(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> RangeScan<'_> {
+        // Memtable entries join the merge as slices of their own copies.
+        let shared = |(k, v): (&[u8], &Option<Vec<u8>>)| {
+            (FileSlice::from(k.to_vec()), v.clone().map(FileSlice::from))
+        };
         let mut sources: Vec<EntryStream<'_>> = Vec::new();
-        sources.push(Box::new(
-            self.memtable
-                .range(start, end)
-                .map(|(k, v)| (k.to_vec(), v.clone())),
-        ));
+        sources.push(Box::new(self.memtable.range(start, end).map(shared)));
         if let Some(m) = &self.maint {
             if let Some(imm) = &m.imm {
-                sources.push(Box::new(
-                    imm.range(start, end).map(|(k, v)| (k.to_vec(), v.clone())),
-                ));
+                sources.push(Box::new(imm.range(start, end).map(shared)));
             }
         }
         for handle in self.version.tables(0).iter().rev() {
@@ -1495,14 +1493,14 @@ impl Iterator for RangeScan<'_> {
         }
         for (key, value) in self.merge.by_ref() {
             if let Some(end) = &self.end {
-                if key.as_slice() >= end.as_slice() {
+                if key[..] >= end[..] {
                     self.remaining = 0;
                     return None;
                 }
             }
             if let Some(value) = value {
                 self.remaining -= 1;
-                return Some((key, value));
+                return Some((key.to_vec(), value.to_vec()));
             }
         }
         self.remaining = 0;

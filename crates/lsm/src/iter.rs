@@ -4,16 +4,29 @@
 //! then L0 tables newest-to-oldest, then deeper levels. When several
 //! sources yield the same key, the entry from the lowest-numbered source
 //! wins and the rest are discarded — the LSM shadowing rule.
+//!
+//! An entry in flight is a pair of *ranges*, not of owned vectors: a
+//! table scan yields each key and value as a [`FileSlice`] of the
+//! readahead window it decoded them from, the merge orders and forwards
+//! those ranges, and the bytes are read once more only where they
+//! leave — encoded into an output table, or copied out at the public
+//! `scan` boundary. Memtable entries join a merge as slices of their
+//! own small buffers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A sorted stream of `(key, value-or-tombstone)` entries.
-pub type EntryStream<'a> = Box<dyn Iterator<Item = (Vec<u8>, Option<Vec<u8>>)> + 'a>;
+use ptsbench_vfs::FileSlice;
+
+/// One entry of a sorted stream: `(key, value-or-tombstone)`.
+pub type SharedEntry = (FileSlice, Option<FileSlice>);
+
+/// A sorted stream of entries.
+pub type EntryStream<'a> = Box<dyn Iterator<Item = SharedEntry> + 'a>;
 
 struct HeapItem {
-    key: Vec<u8>,
-    value: Option<Vec<u8>>,
+    key: FileSlice,
+    value: Option<FileSlice>,
     source: usize,
 }
 
@@ -45,7 +58,7 @@ impl Ord for HeapItem {
 /// compaction jobs hold a `KMerge<std::vec::IntoIter<..>>` over owned
 /// buffered runs instead, which keeps the parked job `Send` (engines
 /// move across harness client threads with their jobs inside).
-pub struct KMerge<I: Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>> {
+pub struct KMerge<I: Iterator<Item = SharedEntry>> {
     sources: Vec<I>,
     heap: BinaryHeap<HeapItem>,
 }
@@ -53,7 +66,7 @@ pub struct KMerge<I: Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>> {
 /// Merging iterator over boxed entry streams.
 pub type KWayMerge<'a> = KMerge<EntryStream<'a>>;
 
-impl<I: Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>> KMerge<I> {
+impl<I: Iterator<Item = SharedEntry>> KMerge<I> {
     /// Builds a merge over `sources` (index 0 = newest).
     pub fn new(sources: Vec<I>) -> Self {
         let mut merge = Self {
@@ -73,10 +86,10 @@ impl<I: Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>> KMerge<I> {
     }
 }
 
-impl<I: Iterator<Item = (Vec<u8>, Option<Vec<u8>>)>> Iterator for KMerge<I> {
+impl<I: Iterator<Item = SharedEntry>> Iterator for KMerge<I> {
     /// Yields each distinct key once with its newest entry (tombstones
     /// included — dropping them is the consumer's policy decision).
-    type Item = (Vec<u8>, Option<Vec<u8>>);
+    type Item = SharedEntry;
 
     fn next(&mut self) -> Option<Self::Item> {
         let top = self.heap.pop()?;
@@ -101,7 +114,10 @@ mod tests {
         Box::new(
             items
                 .into_iter()
-                .map(|(k, v)| (k.as_bytes().to_vec(), v.map(|v| v.as_bytes().to_vec())))
+                .map(|(k, v)| {
+                    let value = v.map(|v| FileSlice::from(v.as_bytes().to_vec()));
+                    (FileSlice::from(k.as_bytes().to_vec()), value)
+                })
                 .collect::<Vec<_>>()
                 .into_iter(),
         )
@@ -113,7 +129,7 @@ mod tests {
             stream(vec![("b", Some("1")), ("d", Some("2"))]),
             stream(vec![("a", Some("3")), ("c", Some("4"))]),
         ]);
-        let keys: Vec<Vec<u8>> = m.map(|(k, _)| k).collect();
+        let keys: Vec<Vec<u8>> = m.map(|(k, _)| k.to_vec()).collect();
         assert_eq!(
             keys,
             vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]
@@ -127,7 +143,7 @@ mod tests {
             stream(vec![("k", Some("old"))]),
         ]);
         let items: Vec<_> = m.collect();
-        assert_eq!(items, vec![(b"k".to_vec(), Some(b"new".to_vec()))]);
+        assert_eq!(items, stream(vec![("k", Some("new"))]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -137,7 +153,7 @@ mod tests {
             stream(vec![("k", Some("old"))]),
         ]);
         let items: Vec<_> = m.collect();
-        assert_eq!(items, vec![(b"k".to_vec(), None)]);
+        assert_eq!(items, stream(vec![("k", None)]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -158,8 +174,8 @@ mod tests {
         let items: Vec<_> = m
             .map(|(k, v)| {
                 (
-                    String::from_utf8(k).expect("utf8"),
-                    v.map(|v| String::from_utf8(v).expect("utf8")),
+                    String::from_utf8(k.to_vec()).expect("utf8"),
+                    v.map(|v| String::from_utf8(v.to_vec()).expect("utf8")),
                 )
             })
             .collect();

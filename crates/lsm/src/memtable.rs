@@ -73,12 +73,9 @@ impl Memtable {
     /// Iterates entries with keys in `[start, end)` (end `None` = to the
     /// last key).
     pub fn range(&self, start: &[u8], end: Option<&[u8]>) -> impl Iterator<Item = (&[u8], &Entry)> {
-        let upper = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
-        };
+        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
         self.map
-            .range::<Vec<u8>, _>((Bound::Included(start.to_vec()), upper))
+            .range::<[u8], _>((Bound::Included(start), upper))
             .map(|(k, v)| (k.as_slice(), v))
     }
 

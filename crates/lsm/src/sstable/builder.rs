@@ -5,15 +5,24 @@
 //! (large sequential writes — the LSM write pattern the paper calls
 //! "flash friendly" before measuring otherwise). `finish` writes the
 //! index, bloom filter and footer.
+//!
+//! Each entry is encoded once. Without a codec a block *is* its entries
+//! back to back, so they are encoded straight into the staging buffer
+//! and sealing a block only records where it began; with a codec the
+//! entries collect in a scratch block that the codec then encodes into
+//! the staging buffer.
 
 use ptsbench_cache::Compression;
 use ptsbench_vfs::{FileId, Vfs};
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{hash_pair, BloomFilter};
 use crate::sstable::format::{
     encode_entry, encode_index, entry_encoded_len, Footer, IndexEntry, SstableMeta,
 };
 use crate::{LsmError, Result};
+
+/// Staged bytes are appended once this many whole pages have gathered.
+const APPEND_BYTES: usize = 256 << 10;
 
 /// Streaming SSTable writer.
 pub struct SstableBuilder {
@@ -30,19 +39,24 @@ pub struct SstableBuilder {
     /// the reader knows to decode; the CPU cost is charged to the
     /// simulated clock on the foreground path.
     compression: Compression,
-    /// Current data block under construction.
+    /// The codec's input: the current block's entries. Stays empty when
+    /// the codec is off.
     block: Vec<u8>,
     block_entries: u32,
     block_first_key: Option<Vec<u8>>,
-    /// Page-aligned staging buffer awaiting append.
+    /// Staging buffer awaiting append: sealed blocks and, when the
+    /// codec is off, the current block's entries from `block_start` on.
     pending: Vec<u8>,
+    /// Where the current block begins in `pending` (codec off).
+    block_start: usize,
     flushed_bytes: u64,
     index: Vec<IndexEntry>,
-    keys: Vec<Vec<u8>>,
+    /// One [`hash_pair`] per key, for the bloom filter.
+    key_hashes: Vec<(u64, u64)>,
     min_key: Option<Vec<u8>>,
-    max_key: Option<Vec<u8>>,
+    /// The newest key (the ordering check now, the max key at the end).
+    last_key: Vec<u8>,
     entries: u64,
-    last_key: Option<Vec<u8>>,
     page_size: usize,
 }
 
@@ -85,17 +99,20 @@ impl SstableBuilder {
             block_bytes,
             bloom_bits_per_key,
             compression: Compression::None,
-            block: Vec::with_capacity(block_bytes * 2),
+            block: Vec::new(),
             block_entries: 0,
             block_first_key: None,
-            pending: Vec::with_capacity(256 << 10),
+            // The threshold is crossed by up to a block (and a page of
+            // remainder stays behind): leave room for that, or every
+            // table reallocates its staging buffer on the first chunk.
+            pending: Vec::with_capacity(APPEND_BYTES + APPEND_BYTES / 4),
+            block_start: 0,
             flushed_bytes: 0,
             index: Vec::new(),
-            keys: Vec::new(),
+            key_hashes: Vec::new(),
             min_key: None,
-            max_key: None,
+            last_key: Vec::new(),
             entries: 0,
-            last_key: None,
             page_size,
         })
     }
@@ -110,30 +127,39 @@ impl SstableBuilder {
 
     /// Appends an entry; keys must arrive in strictly increasing order.
     pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        if let Some(last) = &self.last_key {
+        if self.entries == 0 {
+            self.min_key = Some(key.to_vec());
+        } else {
             assert!(
-                key > last.as_slice(),
+                key > self.last_key.as_slice(),
                 "SSTable keys must be strictly increasing"
             );
         }
-        self.last_key = Some(key.to_vec());
-        if self.min_key.is_none() {
-            self.min_key = Some(key.to_vec());
-        }
-        self.max_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_vec());
         }
-        encode_entry(&mut self.block, key, value);
+        let block = if self.compression.is_active() {
+            &mut self.block
+        } else {
+            &mut self.pending
+        };
+        encode_entry(block, key, value);
         self.block_entries += 1;
         self.entries += 1;
         if self.bloom_bits_per_key > 0 {
-            self.keys.push(key.to_vec());
+            self.key_hashes.push(hash_pair(key));
         }
-        if self.block.len() >= self.block_bytes {
+        if self.block_len() >= self.block_bytes {
             self.seal_block()?;
         }
         Ok(())
+    }
+
+    /// Encoded bytes of the current (unsealed) block.
+    fn block_len(&self) -> usize {
+        self.block.len() + self.pending.len() - self.block_start
     }
 
     /// Approximate file size if finished now (compaction output split
@@ -153,15 +179,15 @@ impl SstableBuilder {
     }
 
     fn seal_block(&mut self) -> Result<()> {
-        if self.block.is_empty() {
+        if self.block_len() == 0 {
             return Ok(());
         }
-        let offset = self.flushed_bytes + self.pending.len() as u64;
+        let offset = self.flushed_bytes + self.block_start as u64;
         let first_key = self
             .block_first_key
             .take()
             .expect("non-empty block has a first key");
-        let disk_len = if self.compression.is_active() {
+        if self.compression.is_active() {
             let container = self.compression.encode(&self.block);
             if !self.background {
                 // Foreground builds pay the codec's CPU time on the
@@ -172,28 +198,26 @@ impl SstableBuilder {
                     .advance(self.compression.encode_cost_ns(self.block.len()));
             }
             self.pending.extend_from_slice(&container);
-            container.len() as u32
-        } else {
-            self.pending.extend_from_slice(&self.block);
-            self.block.len() as u32
-        };
+            self.block.clear();
+        }
         self.index.push(IndexEntry {
             first_key,
             offset,
-            len: disk_len,
+            len: (self.pending.len() - self.block_start) as u32,
             entries: self.block_entries,
         });
-        self.block.clear();
         self.block_entries = 0;
+        self.block_start = self.pending.len();
         // Stream out whole pages to keep appends aligned.
         let aligned = (self.pending.len() / self.page_size) * self.page_size;
-        if aligned >= 256 << 10 {
-            let chunk: Vec<u8> = self.pending.drain(..aligned).collect();
+        if aligned >= APPEND_BYTES {
             if self.background {
-                self.vfs.append_bg(self.file, &chunk)?;
+                self.vfs.append_bg(self.file, &self.pending[..aligned])?;
             } else {
-                self.vfs.append(self.file, &chunk)?;
+                self.vfs.append(self.file, &self.pending[..aligned])?;
             }
+            self.pending.drain(..aligned);
+            self.block_start -= aligned;
             self.flushed_bytes += aligned as u64;
         }
         Ok(())
@@ -219,7 +243,7 @@ impl SstableBuilder {
         let bloom_off = self.flushed_bytes + tail.len() as u64;
         let bloom_len = if self.bloom_bits_per_key > 0 {
             let start = tail.len();
-            BloomFilter::build(&self.keys, self.bloom_bits_per_key).encode(&mut tail);
+            BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits_per_key).encode(&mut tail);
             (tail.len() - start) as u32
         } else {
             0
@@ -258,7 +282,7 @@ impl SstableBuilder {
         Ok(SstableMeta {
             name: self.name,
             min_key: self.min_key.expect("non-empty"),
-            max_key: self.max_key.expect("non-empty"),
+            max_key: self.last_key,
             entries: self.entries,
             file_bytes,
         })

@@ -1,5 +1,7 @@
 //! Binary encoding of SSTable entries, index and footer.
 
+use std::ops::Range;
+
 use crate::LsmError;
 
 /// Value tag marking a tombstone (no value bytes follow).
@@ -72,8 +74,12 @@ pub fn entry_encoded_len(key: &[u8], value: Option<&[u8]>) -> usize {
 /// A decoded entry: `(key, value-or-tombstone, next_position)`.
 pub type DecodedEntry<'a> = (&'a [u8], Option<&'a [u8]>, usize);
 
-/// Decodes the entry at `buf[pos..]`; returns `(key, value, next_pos)`.
-pub fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
+/// Where an entry's key and value sit in the buffer it was decoded
+/// from: `(key range, value range or tombstone, next_position)`.
+pub type EntryRanges = (Range<usize>, Option<Range<usize>>, usize);
+
+/// Locates the entry at `buf[pos..]` without touching its bytes.
+pub fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
     let need = |ok: bool| {
         if ok {
             Ok(())
@@ -85,15 +91,20 @@ pub fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError
     let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")) as usize;
     let vtag = u32::from_le_bytes(buf[pos + 2..pos + 6].try_into().expect("4 bytes"));
     let kstart = pos + 6;
-    need(kstart + klen <= buf.len())?;
-    let key = &buf[kstart..kstart + klen];
-    if vtag == TOMBSTONE_TAG {
-        return Ok((key, None, kstart + klen));
-    }
     let vstart = kstart + klen;
-    let vlen = vtag as usize;
-    need(vstart + vlen <= buf.len())?;
-    Ok((key, Some(&buf[vstart..vstart + vlen]), vstart + vlen))
+    need(vstart <= buf.len())?;
+    if vtag == TOMBSTONE_TAG {
+        return Ok((kstart..vstart, None, vstart));
+    }
+    let vend = vstart + vtag as usize;
+    need(vend <= buf.len())?;
+    Ok((kstart..vstart, Some(vstart..vend), vend))
+}
+
+/// Decodes the entry at `buf[pos..]`; returns `(key, value, next_pos)`.
+pub fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
+    let (key, value, next) = entry_ranges(buf, pos)?;
+    Ok((&buf[key], value.map(|v| &buf[v]), next))
 }
 
 /// Encodes the index block.

@@ -1,14 +1,27 @@
 //! SSTable reading: point lookups via bloom + index, full scans for
 //! compaction and range queries.
+//!
+//! Nothing here copies table bytes on its way through. A block or a
+//! readahead window is a [`FileSlice`] — a shared range of the table
+//! file's own contents (or, for a compressed table, of the buffer the
+//! codec decoded into) — and a scan yields each entry as two narrower
+//! ranges of its window ([`SharedEntry`]). Bytes become owned vectors
+//! only where the public API promises them: the value `get` returns,
+//! `last_key`, and the copy the block cache keeps (so that a cached
+//! block can never pin the contents of a deleted table).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ptsbench_cache::{file_tag, Compression, SharedBlockCache};
-use ptsbench_vfs::{FileId, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::bloom::BloomFilter;
-use crate::sstable::format::{decode_entry, decode_index, Footer, IndexEntry, FOOTER_LEN};
+use crate::iter::SharedEntry;
+use crate::sstable::format::{
+    decode_entry, decode_index, entry_ranges, Footer, IndexEntry, FOOTER_LEN,
+};
 use crate::{LsmError, Result};
 
 /// Shared bloom-filter traffic counters.
@@ -117,14 +130,14 @@ impl SstableReader {
     }
 
     fn open_opts(vfs: Vfs, name: &str, blocking: bool) -> Result<Self> {
+        let file = vfs.open(name)?;
         let read = |off: u64, len: usize| {
             if blocking {
-                vfs.read_at(vfs.open(name).expect("file exists"), off, len)
+                vfs.read_shared(file, off, len)
             } else {
-                vfs.read_at_bg(vfs.open(name).expect("file exists"), off, len)
+                vfs.read_shared_bg(file, off, len)
             }
         };
-        let file = vfs.open(name)?;
         let file_bytes = vfs.size(file)?;
         if (file_bytes as usize) < FOOTER_LEN {
             return Err(LsmError::Corruption(format!(
@@ -200,13 +213,14 @@ impl SstableReader {
 
     /// Loads one data block on the foreground point-lookup path: the
     /// shared cache is consulted first; a miss reads the device, undoes
-    /// the codec, and offers the uncompressed block for admission.
-    fn load_block(&self, block: &IndexEntry) -> Result<Arc<Vec<u8>>> {
+    /// the codec, and offers a copy of the uncompressed block for
+    /// admission.
+    fn load_block(&self, block: &IndexEntry) -> Result<FileSlice> {
         let key = (self.cache_tag, block.offset);
         if let Some(cache) = &self.cache {
             if let Some(data) = cache.lock().get(&key) {
                 self.trace.mark("lsm.cache_hit", self.trace.current_cause());
-                return Ok(data);
+                return Ok(data.into());
             }
         }
         let span = self
@@ -214,15 +228,15 @@ impl SstableReader {
             .begin("lsm.block_load", self.trace.current_cause());
         let raw = self
             .vfs
-            .read_at(self.file, block.offset, block.len as usize)?;
-        let data =
-            Arc::new(decode_window(self, raw, true).ok_or_else(|| {
-                LsmError::Corruption(format!("{}: bad compressed block", self.name))
-            })?);
+            .read_shared(self.file, block.offset, block.len as usize)?;
+        let data = decode_window(self, raw, true)
+            .ok_or_else(|| LsmError::Corruption(format!("{}: bad compressed block", self.name)))?;
         if let Some(cache) = &self.cache {
+            // The cache owns its bytes: a block that stayed a range of
+            // the table would keep a deleted table's contents alive.
             cache
                 .lock()
-                .insert(key, Arc::clone(&data), block.len as u64);
+                .insert(key, Arc::new(data.to_vec()), block.len as u64);
         }
         self.trace.end(span);
         Ok(data)
@@ -281,29 +295,13 @@ impl SstableReader {
     /// readahead), paying the per-command latency once per chunk rather
     /// than once per 4 KiB block.
     pub fn iter(&self) -> SstIter<'_> {
-        SstIter {
-            reader: self,
-            next_block: 0,
-            buf: Vec::new(),
-            pos: 0,
-            remaining: 0,
-            background: false,
-            ramp: 1,
-        }
+        SstIter::new(self, 0, false)
     }
 
     /// Full scan with background I/O (compaction threads): reads consume
     /// media bandwidth without advancing the simulated clock.
     pub fn iter_bg(&self) -> SstIter<'_> {
-        SstIter {
-            reader: self,
-            next_block: 0,
-            buf: Vec::new(),
-            pos: 0,
-            remaining: 0,
-            background: true,
-            ramp: 1,
-        }
+        SstIter::new(self, 0, true)
     }
 
     /// Scan starting at the first key >= `start`.
@@ -311,16 +309,7 @@ impl SstableReader {
         let idx = self
             .index
             .partition_point(|e| e.first_key.as_slice() <= start);
-        let next_block = idx.saturating_sub(1);
-        let mut it = SstIter {
-            reader: self,
-            next_block,
-            buf: Vec::new(),
-            pos: 0,
-            remaining: 0,
-            background: false,
-            ramp: 1,
-        };
+        let mut it = SstIter::new(self, idx.saturating_sub(1), false);
         it.skip_until(start);
         it
     }
@@ -366,11 +355,12 @@ fn next_window_of<'a>(reader: &'a SstableReader, next_block: &mut usize) -> Opti
     })
 }
 
-/// Undoes the block codec on one window's bytes (a no-op for
-/// uncompressed tables). `charge` bills the decode CPU time to the
-/// simulated clock — foreground paths only; background (compaction)
-/// decodes are free CPU on their own thread, like their reads.
-fn decode_window(reader: &SstableReader, raw: Vec<u8>, charge: bool) -> Option<Vec<u8>> {
+/// Undoes the block codec on one window's bytes (for uncompressed
+/// tables the window is the data). `charge` bills the decode CPU time
+/// to the simulated clock — foreground paths only; background
+/// (compaction) decodes are free CPU on their own thread, like their
+/// reads.
+fn decode_window(reader: &SstableReader, raw: FileSlice, charge: bool) -> Option<FileSlice> {
     if !reader.compression.is_active() {
         return Some(raw);
     }
@@ -381,8 +371,11 @@ fn decode_window(reader: &SstableReader, raw: Vec<u8>, charge: bool) -> Option<V
             .clock()
             .advance(Compression::decode_cost_ns(data.len()));
     }
-    Some(data)
+    Some(data.into())
 }
+
+/// A window's decoded bytes and how many entries they hold.
+type LoadedWindow = (FileSlice, u64);
 
 /// Submits `windows` as one batch (one command per extent run per
 /// window, every submission before the first collection) and returns
@@ -394,13 +387,13 @@ fn batch_read_windows(
     q: &mut ptsbench_vfs::IoQueue,
     windows: &[Window<'_>],
     background: bool,
-) -> Option<Vec<(Vec<u8>, u64)>> {
+) -> Option<Vec<LoadedWindow>> {
     let mut reads = Vec::with_capacity(windows.len());
     for w in windows {
         match w
             .reader
             .vfs
-            .read_runs_async(q, w.reader.file, w.offset, w.len)
+            .read_runs_shared(q, w.reader.file, w.offset, w.len)
         {
             Ok(read) => reads.push((read, w.len, w.entries)),
             Err(_) => {
@@ -443,57 +436,135 @@ fn ramp_up(ramp: &mut usize, depth: usize) -> usize {
     take
 }
 
-/// In-order iterator over a table's entries (chunked readahead).
-pub struct SstIter<'a> {
-    reader: &'a SstableReader,
-    /// Next block index to fetch into the chunk buffer.
-    next_block: usize,
-    /// Current chunk of consecutive data blocks.
-    buf: Vec<u8>,
+/// Where a [`WindowScan`] gets its windows from.
+pub trait WindowSource {
+    /// Reads more windows onto the back of `loaded`, in key order;
+    /// `false` when there are none left (or a read failed).
+    fn load(&mut self, loaded: &mut VecDeque<LoadedWindow>) -> bool;
+}
+
+/// In-order iterator over the entries of a sequence of readahead
+/// windows: each entry is yielded as ranges of the window it sits in.
+pub struct WindowScan<S> {
+    source: S,
+    /// Windows already read, in consumption order.
+    loaded: VecDeque<LoadedWindow>,
+    /// Current window being decoded.
+    buf: FileSlice,
     pos: usize,
-    /// Entries left in the current chunk.
+    /// Entries left in the current window.
     remaining: u64,
-    /// Background mode: chunk reads do not advance the clock.
+}
+
+impl<S: WindowSource> WindowScan<S> {
+    fn over(source: S) -> Self {
+        Self {
+            source,
+            loaded: VecDeque::new(),
+            buf: FileSlice::default(),
+            pos: 0,
+            remaining: 0,
+        }
+    }
+
+    /// Makes the decode cursor point at a window with entries left.
+    fn advance_buffer(&mut self) -> bool {
+        while self.remaining == 0 {
+            if self.loaded.is_empty() && !self.source.load(&mut self.loaded) {
+                return false;
+            }
+            let Some((buf, entries)) = self.loaded.pop_front() else {
+                return false;
+            };
+            self.buf = buf;
+            self.pos = 0;
+            self.remaining = entries;
+        }
+        true
+    }
+
+    /// Consumes entries smaller than `start`; the cursor only advances
+    /// on the skip branch, so the first entry `>= start` stays pending.
+    fn skip_until(&mut self, start: &[u8]) {
+        while self.advance_buffer() {
+            match decode_entry(&self.buf, self.pos) {
+                Ok((k, _, next)) if k < start => {
+                    self.pos = next;
+                    self.remaining -= 1;
+                }
+                _ => return,
+            }
+        }
+    }
+}
+
+impl<S: WindowSource> Iterator for WindowScan<S> {
+    type Item = SharedEntry;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if !self.advance_buffer() {
+            return None;
+        }
+        let (key, value, next) = entry_ranges(&self.buf, self.pos).ok()?;
+        self.pos = next;
+        self.remaining -= 1;
+        Some((self.buf.slice(key), value.map(|v| self.buf.slice(v))))
+    }
+}
+
+/// In-order iterator over a table's entries (chunked readahead).
+pub type SstIter<'a> = WindowScan<TableWindows<'a>>;
+
+/// The readahead windows of one table, front to back.
+pub struct TableWindows<'a> {
+    reader: &'a SstableReader,
+    /// Next block index to fetch.
+    next_block: usize,
+    /// Background mode: window reads do not advance the clock.
     background: bool,
     /// Queued-path readahead ramp (see [`ramp_up`]).
     ramp: usize,
 }
 
-impl SstIter<'_> {
-    /// Loads the next chunk. Without a queue: one synchronous readahead
-    /// window (the legacy path). With a queue: a ramping batch of up to
-    /// `queue.depth()` windows is submitted together — one command per
-    /// extent run — so their fixed base latencies overlap instead of
-    /// accruing serially; background (compaction-input) chunks are
-    /// submitted detached, charging bandwidth and queue slots without
-    /// blocking.
-    fn load_next_chunk(&mut self) -> bool {
+impl<'a> SstIter<'a> {
+    fn new(reader: &'a SstableReader, next_block: usize, background: bool) -> Self {
+        Self::over(TableWindows {
+            reader,
+            next_block,
+            background,
+            ramp: 1,
+        })
+    }
+}
+
+impl WindowSource for TableWindows<'_> {
+    /// Without a queue: one synchronous readahead window (the legacy
+    /// path). With a queue: a ramping batch of up to `queue.depth()`
+    /// windows is submitted together — one command per extent run — so
+    /// their fixed base latencies overlap instead of accruing serially;
+    /// background (compaction-input) windows are submitted detached,
+    /// charging bandwidth and queue slots without blocking.
+    fn load(&mut self, loaded: &mut VecDeque<LoadedWindow>) -> bool {
         match self.reader.queue.clone() {
             None => {
                 let Some(w) = next_window_of(self.reader, &mut self.next_block) else {
                     return false;
                 };
+                let vfs = &self.reader.vfs;
                 let read = if self.background {
-                    self.reader
-                        .vfs
-                        .read_at_bg(self.reader.file, w.offset, w.len)
+                    vfs.read_shared_bg(self.reader.file, w.offset, w.len)
                 } else {
-                    self.reader.vfs.read_at(self.reader.file, w.offset, w.len)
+                    vfs.read_shared(self.reader.file, w.offset, w.len)
                 };
-                match read {
-                    Ok(buf) if buf.len() == w.len => {
-                        match decode_window(self.reader, buf, !self.background) {
-                            Some(buf) => {
-                                self.buf = buf;
-                                self.pos = 0;
-                                self.remaining = w.entries;
-                                true
-                            }
-                            None => false,
-                        }
-                    }
-                    _ => false,
-                }
+                let Some(data) = read
+                    .ok()
+                    .filter(|data| data.len() == w.len)
+                    .and_then(|data| decode_window(self.reader, data, !self.background))
+                else {
+                    return false;
+                };
+                loaded.push_back((data, w.entries));
+                true
             }
             Some(queue) => {
                 let mut q = queue.lock();
@@ -511,59 +582,9 @@ impl SstIter<'_> {
                 let Some(buffers) = batch_read_windows(&mut q, &windows, self.background) else {
                     return false;
                 };
-                let mut buf = Vec::new();
-                let mut total_entries = 0u64;
-                for (data, entries) in buffers {
-                    buf.extend_from_slice(&data);
-                    total_entries += entries;
-                }
-                self.buf = buf;
-                self.pos = 0;
-                self.remaining = total_entries;
+                loaded.extend(buffers);
                 true
             }
-        }
-    }
-
-    fn skip_until(&mut self, start: &[u8]) {
-        // Consume entries smaller than `start`, preserving the first
-        // entry >= start by restoring the saved position.
-        loop {
-            if self.remaining == 0 && !self.load_next_chunk() {
-                return;
-            }
-            let saved_pos = self.pos;
-            let saved_remaining = self.remaining;
-            match decode_entry(&self.buf, self.pos) {
-                Ok((k, _, next)) => {
-                    if k >= start {
-                        self.pos = saved_pos;
-                        self.remaining = saved_remaining;
-                        return;
-                    }
-                    self.pos = next;
-                    self.remaining -= 1;
-                }
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-impl Iterator for SstIter<'_> {
-    type Item = (Vec<u8>, Option<Vec<u8>>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 && !self.load_next_chunk() {
-            return None;
-        }
-        match decode_entry(&self.buf, self.pos) {
-            Ok((k, v, next)) => {
-                self.pos = next;
-                self.remaining -= 1;
-                Some((k.to_vec(), v.map(|v| v.to_vec())))
-            }
-            Err(_) => None,
         }
     }
 }
@@ -578,18 +599,15 @@ impl Iterator for SstIter<'_> {
 /// table, strictly serially. Chained batching keeps `depth` window
 /// reads in flight, overlapping those base latencies — the same reason
 /// io_uring-driven scans beat synchronous readahead on real NVMe.
-pub struct ChainedSstScan<'a> {
+pub type ChainedSstScan<'a> = WindowScan<ChainWindows<'a>>;
+
+/// The readahead windows of a chain of tables, in key order.
+pub struct ChainWindows<'a> {
     tables: Vec<&'a SstableReader>,
     queue: SharedIoQueue,
     /// Cursor of the next window to load.
     load_table: usize,
     load_block: usize,
-    /// Windows already read, in consumption order.
-    loaded: std::collections::VecDeque<(Vec<u8>, u64)>,
-    /// Current window being decoded.
-    buf: Vec<u8>,
-    pos: usize,
-    remaining: u64,
     /// Readahead ramp (see [`ramp_up`]).
     ramp: usize,
 }
@@ -600,27 +618,25 @@ impl<'a> ChainedSstScan<'a> {
     /// out tables entirely below `start` (their cached `max_key` makes
     /// that free), so only the first table can hold smaller keys.
     pub fn new(tables: Vec<&'a SstableReader>, start: &[u8], queue: SharedIoQueue) -> Self {
-        let mut scan = Self {
+        // Seek: position the block cursor inside the first table, then
+        // consume any leading entries below `start`.
+        let load_block = tables.first().map_or(0, |t| {
+            let idx = t.index.partition_point(|e| e.first_key.as_slice() <= start);
+            idx.saturating_sub(1)
+        });
+        let mut scan = Self::over(ChainWindows {
             tables,
             queue,
             load_table: 0,
-            load_block: 0,
-            loaded: std::collections::VecDeque::new(),
-            buf: Vec::new(),
-            pos: 0,
-            remaining: 0,
+            load_block,
             ramp: 1,
-        };
-        // Seek: position the block cursor inside the first table, then
-        // consume any leading entries below `start`.
-        if let Some(t) = scan.tables.first() {
-            let idx = t.index.partition_point(|e| e.first_key.as_slice() <= start);
-            scan.load_block = idx.saturating_sub(1);
-        }
+        });
         scan.skip_until(start);
         scan
     }
+}
 
+impl<'a> ChainWindows<'a> {
     /// Computes the next window at the load cursor, advancing it across
     /// table boundaries.
     fn next_window(&mut self) -> Option<Window<'a>> {
@@ -635,11 +651,12 @@ impl<'a> ChainedSstScan<'a> {
         }
         None
     }
+}
 
+impl WindowSource for ChainWindows<'_> {
     /// Submits a ramping batch of windows (possibly spanning several
-    /// tables) in one round, waits for them all, and queues their
-    /// buffers.
-    fn batch_load(&mut self) -> bool {
+    /// tables) in one round and waits for them all.
+    fn load(&mut self, loaded: &mut VecDeque<LoadedWindow>) -> bool {
         let queue = self.queue.clone();
         let mut q = queue.lock();
         let take = ramp_up(&mut self.ramp, q.depth());
@@ -656,60 +673,8 @@ impl<'a> ChainedSstScan<'a> {
         let Some(buffers) = batch_read_windows(&mut q, &windows, false) else {
             return false;
         };
-        self.loaded.extend(buffers);
+        loaded.extend(buffers);
         true
-    }
-
-    /// Makes the decode cursor point at a non-empty window.
-    fn advance_buffer(&mut self) -> bool {
-        while self.remaining == 0 {
-            if self.loaded.is_empty() && !self.batch_load() {
-                return false;
-            }
-            let (buf, entries) = self.loaded.pop_front().expect("batch_load queued windows");
-            self.buf = buf;
-            self.pos = 0;
-            self.remaining = entries;
-        }
-        true
-    }
-
-    /// Consumes entries smaller than `start`; the cursor only advances
-    /// on the skip branch, so the first entry `>= start` stays pending.
-    fn skip_until(&mut self, start: &[u8]) {
-        loop {
-            if !self.advance_buffer() {
-                return;
-            }
-            match decode_entry(&self.buf, self.pos) {
-                Ok((k, _, next)) => {
-                    if k >= start {
-                        return;
-                    }
-                    self.pos = next;
-                    self.remaining -= 1;
-                }
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-impl Iterator for ChainedSstScan<'_> {
-    type Item = (Vec<u8>, Option<Vec<u8>>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if !self.advance_buffer() {
-            return None;
-        }
-        match decode_entry(&self.buf, self.pos) {
-            Ok((k, v, next)) => {
-                self.pos = next;
-                self.remaining -= 1;
-                Some((k.to_vec(), v.map(|v| v.to_vec())))
-            }
-            Err(_) => None,
-        }
     }
 }
 
@@ -767,7 +732,7 @@ mod tests {
         for w in items.windows(2) {
             assert!(w[0].0 < w[1].0, "scan must be sorted");
         }
-        assert_eq!(items[0].0, b"key00000");
+        assert_eq!(&*items[0].0, b"key00000");
         assert_eq!(items[3].1, None, "tombstone preserved in scan");
     }
 
@@ -776,13 +741,37 @@ mod tests {
         let v = vfs();
         let r = build_table(&v, 200);
         let items: Vec<_> = r.iter_from(b"key00100").collect();
-        assert_eq!(items[0].0, b"key00100");
+        assert_eq!(&*items[0].0, b"key00100");
         assert_eq!(items.len(), 150);
         // Seek between keys lands on the next one.
         let items: Vec<_> = r.iter_from(b"key00101").collect();
-        assert_eq!(items[0].0, b"key00102");
+        assert_eq!(&*items[0].0, b"key00102");
         // Seek past the end yields nothing.
         assert_eq!(r.iter_from(b"z").count(), 0);
+    }
+
+    /// The background compaction parks its inputs as runs of ranges and
+    /// deletes the input tables at install, possibly before a parked
+    /// run is drained: the ranges must keep the bytes.
+    #[test]
+    fn buffered_run_outlives_its_table() {
+        let v = vfs();
+        let r = build_table(&v, 300);
+        let want: Vec<_> = r
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.map(|v| v.to_vec())))
+            .collect();
+        let run: crate::background::BufferedRun = r.iter_bg().collect();
+        drop(r);
+        v.delete("sst-1").expect("delete");
+        // The freed pages (and the name) are taken by other bytes.
+        let f = v.create("sst-1").expect("create");
+        v.append(f, &vec![0xffu8; 64 << 10]).expect("append");
+        let merged: Vec<_> = crate::iter::KMerge::new(vec![run.into_iter()])
+            .map(|(k, v)| (k.to_vec(), v.map(|v| v.to_vec())))
+            .collect();
+        assert_eq!(merged.len(), 300);
+        assert_eq!(merged, want);
     }
 
     #[test]

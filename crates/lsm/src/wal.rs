@@ -85,11 +85,13 @@ impl Wal {
 
     fn append_record(&mut self, tag: u8, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         self.encode_record(tag, key, value);
-        // Write out whole pages as they fill.
+        // Write out whole pages as they fill. A page leaves the buffer
+        // only once the filesystem took it: a failed append (out of
+        // space) keeps the record for the next attempt.
         while self.buffer.len() >= self.page_size {
-            let page: Vec<u8> = self.buffer.drain(..self.page_size).collect();
-            self.vfs.append(self.file, &page)?;
-            self.bytes_written += page.len() as u64;
+            self.vfs.append(self.file, &self.buffer[..self.page_size])?;
+            self.buffer.drain(..self.page_size);
+            self.bytes_written += self.page_size as u64;
         }
         Ok(())
     }
@@ -408,6 +410,28 @@ mod tests {
             Wal::replay(&classic_vfs).expect("replay"),
             Wal::replay(&batched_vfs).expect("replay"),
             "group commit must not change recoverable records"
+        );
+    }
+
+    #[test]
+    fn failed_append_keeps_the_record_buffered() {
+        let v = vfs();
+        // Leave the log no room: one other file takes the whole device.
+        let hog = v.create("hog").expect("create");
+        let free = v.stats().free_pages as usize;
+        v.append(hog, &vec![0u8; free * 4096]).expect("fill");
+        let mut w = Wal::create(v.clone(), true).expect("create");
+        let err = w.log_put(b"key", &[7u8; 5000]).expect_err("no space");
+        assert!(err.is_out_of_space(), "{err}");
+        assert_eq!(w.bytes_written(), 0);
+        assert_eq!(w.file_bytes(), 0);
+        // Space comes back: the record that failed is written, whole.
+        v.delete("hog").expect("delete");
+        w.sync(true).expect("sync");
+        assert_eq!(w.bytes_written(), 2 * 4096);
+        assert_eq!(
+            Wal::replay(&v).expect("replay"),
+            vec![WalRecord::Put(b"key".to_vec(), vec![7u8; 5000])]
         );
     }
 

@@ -1,0 +1,428 @@
+//! Byte and counter parity across data-path refactors of the LSM: a
+//! fixed seeded put/delete/get/scan run over `LsmOptions::small()`-scale
+//! tables must leave every model-side number — engine and maintenance
+//! counters, device SMART counters, the virtual clock, what the reads
+//! returned — and every surviving table's bytes exactly where the
+//! copying data path of PR 14 left them, and the builder must keep
+//! producing the documented file layout. The constants were recorded on
+//! that commit; a change that only makes the host faster must not move
+//! any of them.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use ptsbench_cache::Compression;
+use ptsbench_lsm::bloom::BloomFilter;
+use ptsbench_lsm::sstable::SstableBuilder;
+use ptsbench_lsm::{LsmDb, LsmOptions};
+use ptsbench_maint::MaintConfig;
+use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_vfs::{Vfs, VfsOptions};
+
+fn vfs(bytes: u64) -> Vfs {
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), bytes));
+    Vfs::whole_device(ssd.into_shared(), VfsOptions::default())
+}
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:08}").into_bytes()
+}
+
+/// FNV-1a, folded over everything a read returned or a table holds.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+        // Length-delimit so ("ab", "c") and ("a", "bc") differ.
+        self.0 ^= bytes.len() as u64;
+        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Runs the mix and renders every number and byte that must not move.
+fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
+    let opts = LsmOptions {
+        maint,
+        compression,
+        queue_depth,
+        ..LsmOptions::small()
+    };
+    let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
+    let pump = |db: &mut LsmDb| while db.run_maintenance_slice().expect("slice") {};
+    let mut rng = SmallRng::seed_from_u64(15);
+    let mut reads = Fnv::new();
+    for step in 0..6000u32 {
+        let i: u32 = rng.gen_range(0..160);
+        match rng.gen_range(0..20) {
+            0..=11 => {
+                // One value in twelve spans several 4 KiB blocks.
+                let len = if rng.gen_range(0..12) == 0 {
+                    rng.gen_range(5000..9000)
+                } else {
+                    rng.gen_range(100..3000)
+                };
+                let word = rng.gen::<u64>().to_le_bytes();
+                let value: Vec<u8> = (0..len)
+                    .map(|b| word[b % 8] ^ (step as u8) ^ ((b / 64) as u8))
+                    .collect();
+                db.put(&key(i), &value).expect("put");
+            }
+            12..=14 => db.delete(&key(i)).expect("delete"),
+            15..=18 => match db.get(&key(i)).expect("get") {
+                Some(v) => reads.feed(&v),
+                None => reads.feed(b"<absent>"),
+            },
+            _ => {
+                let limit = rng.gen_range(1..40);
+                for (k, v) in db.scan(&key(i), None, limit).expect("scan") {
+                    reads.feed(&k);
+                    reads.feed(&v);
+                }
+            }
+        }
+        pump(&mut db);
+    }
+    db.flush().expect("flush");
+    db.quiesce();
+
+    // Model-side numbers first: reading the tables back below charges
+    // the device.
+    let smart = db.vfs().ssd().lock().smart();
+    let mut out = format!(
+        "{:?}\nmaint={:?}\nhpw={} hpr={} npw={} clock={} reads={:016x}\n",
+        db.stats(),
+        db.maint_stats(),
+        smart.host_pages_written,
+        smart.host_pages_read,
+        smart.nand_pages_written,
+        db.vfs().clock().now(),
+        reads.0,
+    );
+    let fs = db.vfs();
+    let mut tables: Vec<String> = fs
+        .list()
+        .into_iter()
+        .filter(|n| n.starts_with("sst-"))
+        .collect();
+    tables.sort();
+    for name in tables {
+        let id = fs.open(&name).expect("open");
+        let size = fs.size(id).expect("size");
+        let mut sum = Fnv::new();
+        sum.feed(&fs.read_at(id, 0, size as usize).expect("read"));
+        out.push_str(&format!("{name} {size} {:016x}\n", sum.0));
+    }
+    out
+}
+
+fn assert_parity(actual: &str, expected: &str) {
+    assert!(
+        actual == expected,
+        "the run drifted from the recorded constants; it now renders:\n{actual}"
+    );
+}
+
+const INLINE_RAW_QD1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7268153, compactions: 101, compaction_bytes_read: 32396106, compaction_bytes_written: 25362871, trivial_moves: 0, bloom_probes: 2277, bloom_negatives: 1386, bloom_false_positives: 14 }\n\
+maint=None\n\
+hpw=11686 hpr=29330 npw=11686 clock=3394916809460 reads=fcd831f343d41a1f\n\
+sst-00001802 16908 b84bc2065e01d3a2\n\
+sst-00001820 17213 005c14d04f4ef32b\n\
+sst-00001821 16749 6613fa7aef05a2b2\n\
+sst-00001822 19941 0dd04719d73ecbb7\n\
+sst-00001823 19074 81a43150905799af\n\
+sst-00001824 16740 e1815247efcff185\n\
+sst-00001825 16875 437975e34d4a8c72\n\
+sst-00001826 18510 cfe060ea8bf147db\n\
+sst-00001827 16918 6150c212bad03496\n\
+sst-00001828 17212 1d1fdbd0cbd46dc7\n\
+sst-00001829 16856 226774a5c6c22969\n\
+sst-00001830 22675 c834b1f04f1c8c53\n\
+sst-00001831 17133 c0bbf5d345982b31\n\
+sst-00001832 2114 364197717f588383\n\
+";
+const INLINE_RAW_QD8: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7268153, compactions: 101, compaction_bytes_read: 32396106, compaction_bytes_written: 25362871, trivial_moves: 0, bloom_probes: 2277, bloom_negatives: 1386, bloom_false_positives: 14 }\n\
+maint=None\n\
+hpw=11686 hpr=24078 npw=11686 clock=2386581450272 reads=fcd831f343d41a1f\n\
+sst-00001802 16908 b84bc2065e01d3a2\n\
+sst-00001820 17213 005c14d04f4ef32b\n\
+sst-00001821 16749 6613fa7aef05a2b2\n\
+sst-00001822 19941 0dd04719d73ecbb7\n\
+sst-00001823 19074 81a43150905799af\n\
+sst-00001824 16740 e1815247efcff185\n\
+sst-00001825 16875 437975e34d4a8c72\n\
+sst-00001826 18510 cfe060ea8bf147db\n\
+sst-00001827 16918 6150c212bad03496\n\
+sst-00001828 17212 1d1fdbd0cbd46dc7\n\
+sst-00001829 16856 226774a5c6c22969\n\
+sst-00001830 22675 c834b1f04f1c8c53\n\
+sst-00001831 17133 c0bbf5d345982b31\n\
+sst-00001832 2114 364197717f588383\n\
+";
+const INLINE_LZ_QD1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 1486876, compactions: 101, compaction_bytes_read: 6572086, compaction_bytes_written: 5132432, trivial_moves: 0, bloom_probes: 2295, bloom_negatives: 1400, bloom_false_positives: 18 }\n\
+maint=None\n\
+hpw=4407 hpr=14753 npw=4407 clock=3257100829604 reads=fcd831f343d41a1f\n\
+sst-00000789 16143 f9ca8585eba22d42\n\
+sst-00000790 15792 a65b518a00a19f7a\n\
+sst-00000791 15287 840af8bca5e236d4\n\
+";
+const INLINE_LZ_QD8: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 1486876, compactions: 101, compaction_bytes_read: 6572086, compaction_bytes_written: 5132432, trivial_moves: 0, bloom_probes: 2295, bloom_negatives: 1400, bloom_false_positives: 18 }\n\
+maint=None\n\
+hpw=4407 hpr=15262 npw=4407 clock=2534943137722 reads=fcd831f343d41a1f\n\
+sst-00000789 16143 f9ca8585eba22d42\n\
+sst-00000790 15792 a65b518a00a19f7a\n\
+sst-00000791 15287 840af8bca5e236d4\n\
+";
+const BG_RAW_QD1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7268153, compactions: 40, compaction_bytes_read: 17101769, compaction_bytes_written: 10191376, trivial_moves: 0, bloom_probes: 5230, bloom_negatives: 4288, bloom_false_positives: 46 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 2304, installs: 444, bytes_read: 17101769, bytes_written: 17459529, stall_ns: 249621999056, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=7362 hpr=27306 npw=7362 clock=3982583355596 reads=fcd831f343d41a1f\n\
+sst-00000944 9294 90118c77084c70e9\n\
+sst-00000955 23510 f04db8a991c062d3\n\
+sst-00000956 22234 8e5cad42b7698b69\n\
+sst-00000957 17722 1ac519aadd31eb71\n\
+sst-00000958 22067 38ff54d36f6cbed8\n\
+sst-00000959 19304 a2477c9015904697\n\
+sst-00000960 18176 8ed30fde6aeb41af\n\
+sst-00000961 17467 e0a44f4a593879d7\n\
+sst-00000962 21192 811eb555aeda5852\n\
+sst-00000963 17001 b1d8d5033532a53e\n\
+sst-00000964 19033 8b2ebde5bbb1e798\n\
+sst-00000965 24397 6e4bccc95e408319\n\
+sst-00000966 17545 ddffbfb3aa5bba48\n\
+sst-00000967 11818 a054899fba20d4a2\n\
+sst-00000968 17680 75cab69d8861cc1d\n\
+sst-00000969 17486 5b12c0951f53839b\n\
+sst-00000970 17688 6d60dacdef86d647\n\
+sst-00000971 18744 9e3c89f5af3b9727\n\
+sst-00000972 18066 d3d7f6c1b9188cf0\n\
+sst-00000973 7336 bdc06fdf4fa7a69d\n\
+";
+const BG_RAW_QD8: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7268153, compactions: 40, compaction_bytes_read: 17101769, compaction_bytes_written: 10191376, trivial_moves: 0, bloom_probes: 5230, bloom_negatives: 4288, bloom_false_positives: 46 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 2304, installs: 444, bytes_read: 17101769, bytes_written: 17459529, stall_ns: 256988454188, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=7362 hpr=22217 npw=7362 clock=3012697812472 reads=fcd831f343d41a1f\n\
+sst-00000944 9294 90118c77084c70e9\n\
+sst-00000955 23510 f04db8a991c062d3\n\
+sst-00000956 22234 8e5cad42b7698b69\n\
+sst-00000957 17722 1ac519aadd31eb71\n\
+sst-00000958 22067 38ff54d36f6cbed8\n\
+sst-00000959 19304 a2477c9015904697\n\
+sst-00000960 18176 8ed30fde6aeb41af\n\
+sst-00000961 17467 e0a44f4a593879d7\n\
+sst-00000962 21192 811eb555aeda5852\n\
+sst-00000963 17001 b1d8d5033532a53e\n\
+sst-00000964 19033 8b2ebde5bbb1e798\n\
+sst-00000965 24397 6e4bccc95e408319\n\
+sst-00000966 17545 ddffbfb3aa5bba48\n\
+sst-00000967 11818 a054899fba20d4a2\n\
+sst-00000968 17680 75cab69d8861cc1d\n\
+sst-00000969 17486 5b12c0951f53839b\n\
+sst-00000970 17688 6d60dacdef86d647\n\
+sst-00000971 18744 9e3c89f5af3b9727\n\
+sst-00000972 18066 d3d7f6c1b9188cf0\n\
+sst-00000973 7336 bdc06fdf4fa7a69d\n\
+";
+const BG_LZ_QD1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 1486876, compactions: 40, compaction_bytes_read: 3464053, compaction_bytes_written: 2049520, trivial_moves: 0, bloom_probes: 5311, bloom_negatives: 4367, bloom_false_positives: 45 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 1841, installs: 444, bytes_read: 3464053, bytes_written: 3952590, stall_ns: 97333999448, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=3496 hpr=12866 npw=3496 clock=4489737138394 reads=fcd831f343d41a1f\n\
+sst-00000549 13902 67dbb7e95b0c8240\n\
+sst-00000550 15472 8c564a47c9a1a01b\n\
+sst-00000551 15644 02b80cf8d8919691\n\
+sst-00000552 7198 56b00eaca3ca3c29\n\
+sst-00000553 3692 8d77bcb793b18312\n\
+sst-00000554 3574 768d2edee3b88c6d\n\
+sst-00000555 3629 43b0ad18e14c562f\n\
+sst-00000556 3901 fc7446a8b57b05be\n\
+sst-00000557 3761 907978a71a617312\n\
+sst-00000558 1570 2ddf3cc8ba678878\n\
+";
+const BG_LZ_QD8: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 1486876, compactions: 40, compaction_bytes_read: 3464053, compaction_bytes_written: 2049520, trivial_moves: 0, bloom_probes: 5320, bloom_negatives: 4375, bloom_false_positives: 46 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 1841, installs: 444, bytes_read: 3464053, bytes_written: 3952590, stall_ns: 184216058589, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=3496 hpr=13845 npw=3496 clock=3644769485503 reads=fcd831f343d41a1f\n\
+sst-00000549 13902 67dbb7e95b0c8240\n\
+sst-00000550 15472 8c564a47c9a1a01b\n\
+sst-00000551 15644 02b80cf8d8919691\n\
+sst-00000552 7198 56b00eaca3ca3c29\n\
+sst-00000553 3692 8d77bcb793b18312\n\
+sst-00000554 3574 768d2edee3b88c6d\n\
+sst-00000555 3629 43b0ad18e14c562f\n\
+sst-00000556 3901 fc7446a8b57b05be\n\
+sst-00000557 3761 907978a71a617312\n\
+sst-00000558 1570 2ddf3cc8ba678878\n\
+";
+
+#[test]
+fn inline_codec_off_matches_the_copying_data_path() {
+    let off = MaintConfig::default();
+    assert_parity(&run_mix(off, Compression::None, 1), INLINE_RAW_QD1);
+    assert_parity(&run_mix(off, Compression::None, 8), INLINE_RAW_QD8);
+}
+
+#[test]
+fn inline_codec_on_matches_the_copying_data_path() {
+    let off = MaintConfig::default();
+    assert_parity(&run_mix(off, Compression::from_level(1), 1), INLINE_LZ_QD1);
+    assert_parity(&run_mix(off, Compression::from_level(1), 8), INLINE_LZ_QD8);
+}
+
+#[test]
+fn background_codec_off_matches_the_copying_data_path() {
+    let on = MaintConfig::enabled();
+    assert_parity(&run_mix(on, Compression::None, 1), BG_RAW_QD1);
+    assert_parity(&run_mix(on, Compression::None, 8), BG_RAW_QD8);
+}
+
+#[test]
+fn background_codec_on_matches_the_copying_data_path() {
+    let on = MaintConfig::enabled();
+    assert_parity(&run_mix(on, Compression::from_level(1), 1), BG_LZ_QD1);
+    assert_parity(&run_mix(on, Compression::from_level(1), 8), BG_LZ_QD8);
+}
+
+/// Reference encoder of the table layout documented in
+/// `ptsbench_lsm::sstable`: data blocks sealed once they reach
+/// `block_bytes` (each stored through the codec when it is on), the
+/// index, the bloom filter over every key, the footer.
+fn reference_image(
+    entries: &[(Vec<u8>, Option<Vec<u8>>)],
+    block_bytes: usize,
+    bloom_bits_per_key: u32,
+    compression: Compression,
+) -> Vec<u8> {
+    let mut file = Vec::new();
+    // (first key, offset, stored length, entries) per block.
+    let mut index: Vec<(Vec<u8>, u64, u32, u32)> = Vec::new();
+    let mut block = Vec::new();
+    let mut block_entries = 0u32;
+    let mut first_key: Option<Vec<u8>> = None;
+    let mut seal = |block: &mut Vec<u8>, first: &mut Option<Vec<u8>>, n: &mut u32| {
+        if block.is_empty() {
+            return;
+        }
+        let stored = if compression.is_active() {
+            compression.encode(block)
+        } else {
+            block.clone()
+        };
+        index.push((
+            first.take().expect("non-empty block"),
+            file.len() as u64,
+            stored.len() as u32,
+            *n,
+        ));
+        file.extend_from_slice(&stored);
+        block.clear();
+        *n = 0;
+    };
+    for (k, v) in entries {
+        first_key.get_or_insert_with(|| k.clone());
+        block.extend_from_slice(&(k.len() as u16).to_le_bytes());
+        match v {
+            Some(v) => {
+                block.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                block.extend_from_slice(k);
+                block.extend_from_slice(v);
+            }
+            None => {
+                block.extend_from_slice(&u32::MAX.to_le_bytes());
+                block.extend_from_slice(k);
+            }
+        }
+        block_entries += 1;
+        if block.len() >= block_bytes {
+            seal(&mut block, &mut first_key, &mut block_entries);
+        }
+    }
+    seal(&mut block, &mut first_key, &mut block_entries);
+
+    let index_off = file.len() as u64;
+    file.extend_from_slice(&(index.len() as u32).to_le_bytes());
+    for (first, offset, len, n) in &index {
+        file.extend_from_slice(&(first.len() as u16).to_le_bytes());
+        file.extend_from_slice(first);
+        file.extend_from_slice(&offset.to_le_bytes());
+        file.extend_from_slice(&len.to_le_bytes());
+        file.extend_from_slice(&n.to_le_bytes());
+    }
+    let index_len = (file.len() as u64 - index_off) as u32;
+
+    let bloom_off = file.len() as u64;
+    if bloom_bits_per_key > 0 {
+        let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
+        BloomFilter::build(&keys, bloom_bits_per_key).encode(&mut file);
+    }
+    let bloom_len = (file.len() as u64 - bloom_off) as u32;
+
+    file.extend_from_slice(&index_off.to_le_bytes());
+    file.extend_from_slice(&index_len.to_le_bytes());
+    file.extend_from_slice(&bloom_off.to_le_bytes());
+    file.extend_from_slice(&bloom_len.to_le_bytes());
+    file.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+    file.extend_from_slice(&(compression.level() as u32).to_le_bytes());
+    file.extend_from_slice(b"PTSS");
+    file
+}
+
+#[test]
+fn sst_image_is_unchanged() {
+    // Tombstones, values spanning several blocks, enough bytes to cross
+    // the builder's 256 KiB streaming threshold more than once.
+    let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..400u32)
+        .map(|i| {
+            let value = match i % 7 {
+                3 => None,
+                5 => Some(vec![i as u8; 9000 + i as usize]),
+                _ => Some((0..1200 + i).map(|b| (b ^ i) as u8).collect()),
+            };
+            (key(i), value)
+        })
+        .collect();
+    for (bloom_bits, compression) in [
+        (10, Compression::None),
+        (0, Compression::None),
+        (10, Compression::from_level(1)),
+        (0, Compression::from_level(1)),
+    ] {
+        for background in [false, true] {
+            let fs = vfs(32 << 20);
+            let create = if background {
+                SstableBuilder::create_bg
+            } else {
+                SstableBuilder::create
+            };
+            let mut b = create(fs.clone(), "sst-image", 4096, bloom_bits)
+                .expect("create")
+                .with_compression(compression);
+            for (k, v) in &entries {
+                b.add(k, v.as_deref()).expect("add");
+            }
+            let meta = b.finish().expect("finish");
+            let id = fs.open("sst-image").expect("open");
+            let image = fs.read_at(id, 0, meta.file_bytes as usize).expect("read");
+            let want = reference_image(&entries, 4096, bloom_bits, compression);
+            assert_eq!(meta.file_bytes, want.len() as u64);
+            assert!(
+                image == want,
+                "table image differs (bloom {bloom_bits}, {compression:?}, bg {background})"
+            );
+            assert_eq!(meta.entries, entries.len() as u64);
+            assert_eq!(meta.min_key, key(0));
+            assert_eq!(meta.max_key, key(399));
+        }
+    }
+}

@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use ptsbench_lsm::iter::SharedEntry;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -118,13 +119,14 @@ proptest! {
         for (k, v) in &entries {
             prop_assert_eq!(reader.get(k).expect("get"), Some(v.clone()));
         }
-        // Full scan in order.
-        let scanned: Vec<_> = reader.iter().collect();
+        // Full scan in order (entries are ranges of the scan window).
+        let owned = |(k, v): SharedEntry| (k.to_vec(), v.map(|v| v.to_vec()));
+        let scanned: Vec<_> = reader.iter().map(owned).collect();
         let expect: Vec<_> = entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(scanned, expect);
         // Seeked scan from an arbitrary existing key.
         if let Some((mid, _)) = entries.iter().nth(entries.len() / 2) {
-            let from: Vec<_> = reader.iter_from(mid).collect();
+            let from: Vec<_> = reader.iter_from(mid).map(owned).collect();
             let expect_from: Vec<_> =
                 entries.range(mid.clone()..).map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(from, expect_from);

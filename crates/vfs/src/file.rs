@@ -1,5 +1,7 @@
 //! File representation: contents plus the LBA extents backing them.
 
+use std::sync::Arc;
+
 use ptsbench_ssd::{Lpn, LpnRange, Ns};
 
 use crate::alloc::Extent;
@@ -11,12 +13,16 @@ pub struct FileId(pub(crate) u64);
 /// In-memory state of one file.
 ///
 /// Contents live here (the device models *when*, the filesystem owns
-/// *what*); `extents` record which logical pages back which file pages,
-/// so page-aligned overwrites are in-place at the device level.
+/// *what*), reference-counted so that a read can share a range of them
+/// instead of copying it; `extents` record which logical pages back
+/// which file pages, so page-aligned overwrites are in-place at the
+/// device level.
 #[derive(Debug)]
 pub(crate) struct FileNode {
     pub name: String,
-    pub data: Vec<u8>,
+    /// Mutated through `Arc::make_mut`: in place while no
+    /// [`crate::FileSlice`] of this file is outstanding.
+    pub data: Arc<Vec<u8>>,
     /// Ordered extents; file page `i` lives in the extent covering the
     /// `i`-th page slot.
     pub extents: Vec<Extent>,
@@ -30,7 +36,7 @@ impl FileNode {
     pub fn new(name: String) -> Self {
         Self {
             name,
-            data: Vec::new(),
+            data: Arc::default(),
             extents: Vec::new(),
             cum_pages: Vec::new(),
             durable_at: 0,
@@ -66,16 +72,19 @@ impl FileNode {
     }
 
     /// Decomposes a file-relative page range into contiguous device
-    /// ranges (one per extent crossing).
-    pub fn runs(&self, first_page: u64, count: u64) -> Vec<LpnRange> {
-        let mut out = Vec::new();
-        if count == 0 {
-            return out;
-        }
-        let mut page = first_page;
+    /// ranges (one per extent crossing), in file order.
+    ///
+    /// # Panics
+    /// The iterator panics on reaching a page beyond the allocated
+    /// extents.
+    pub fn runs(&self, first_page: u64, count: u64) -> impl Iterator<Item = LpnRange> + '_ {
         let end = first_page + count;
-        while page < end {
-            let idx = self.cum_pages.partition_point(|&c| c <= page);
+        let mut page = first_page;
+        let mut idx = self.cum_pages.partition_point(|&c| c <= page);
+        std::iter::from_fn(move || {
+            if page >= end {
+                return None;
+            }
             assert!(
                 idx < self.extents.len(),
                 "file page {page} beyond allocation"
@@ -83,13 +92,13 @@ impl FileNode {
             let prior = if idx == 0 { 0 } else { self.cum_pages[idx - 1] };
             let offset_in_extent = page - prior;
             let extent = self.extents[idx];
-            let avail = extent.pages - offset_in_extent;
-            let take = avail.min(end - page);
+            let take = (extent.pages - offset_in_extent).min(end - page);
             let start = extent.start + offset_in_extent;
-            out.push(LpnRange::new(start, start + take));
+            // A run that stops short of `end` used its extent up.
             page += take;
-        }
-        out
+            idx += 1;
+            Some(LpnRange::new(start, start + take))
+        })
     }
 }
 
@@ -121,10 +130,17 @@ mod tests {
     #[test]
     fn runs_split_at_extent_boundaries() {
         let n = node_with(&[(100, 4), (200, 4)]);
-        let runs = n.runs(2, 4);
-        assert_eq!(runs, vec![LpnRange::new(102, 104), LpnRange::new(200, 202)]);
-        assert_eq!(n.runs(0, 0), vec![]);
-        assert_eq!(n.runs(5, 2), vec![LpnRange::new(201, 203)]);
+        let runs = |first, count| n.runs(first, count).collect::<Vec<_>>();
+        assert_eq!(
+            runs(2, 4),
+            vec![LpnRange::new(102, 104), LpnRange::new(200, 202)]
+        );
+        assert_eq!(runs(0, 0), vec![]);
+        assert_eq!(runs(5, 2), vec![LpnRange::new(201, 203)]);
+        assert_eq!(
+            runs(0, 8),
+            vec![LpnRange::new(100, 104), LpnRange::new(200, 204)]
+        );
     }
 
     #[test]

@@ -3,6 +3,22 @@
 //! [`Vfs`] is cheaply cloneable (shared interior); the key-value engines
 //! hold one clone, the measurement harness another, mirroring how a real
 //! benchmark observes `df`/`iostat` next to the system under test.
+//!
+//! # Who owns a file's bytes
+//!
+//! Contents are host state — the device only models *when* they move —
+//! and each file keeps its own in one reference-counted buffer. A read
+//! is charged to the device page by page and then *shares* a range of
+//! that buffer ([`Vfs::read_shared`] and friends return a
+//! [`FileSlice`]); the owned calls ([`Vfs::read_at`], …) are the same
+//! read followed by a copy of the range. A slice keeps the bytes it
+//! was read with: a write to the file while any slice of it is
+//! outstanding first copies the whole file once (`Arc::make_mut`) and
+//! leaves the old buffer to the slices; deleting the file does not
+//! disturb them either. That copy is correct and slow, and no engine
+//! pays it: tables are immutable once finished, and WAL, manifest,
+//! journal, segment and page files are only ever read through the owned
+//! calls, whose transient slice is gone before the call returns.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,18 +29,20 @@ use ptsbench_ssd::{IoCmd, IoQueue, IoToken, LpnRange, Ns, SharedSsd, SimClock, T
 use crate::alloc::{AllocPolicy, ExtentAllocator};
 use crate::error::VfsError;
 use crate::file::{FileId, FileNode};
+use crate::slice::FileSlice;
 use crate::Result;
 
 /// An in-flight batched read: the data (contents are host state, the
 /// device only models *when* they arrive) plus the submission tokens of
-/// its per-run commands. Produced by [`Vfs::read_runs_async`].
+/// its per-run commands. Produced by [`Vfs::read_runs_async`] (an owned
+/// copy, the default) and [`Vfs::read_runs_shared`] (a [`FileSlice`]).
 #[derive(Debug)]
-pub struct AsyncRead {
+pub struct AsyncRead<D = Vec<u8>> {
     tokens: Vec<IoToken>,
-    data: Vec<u8>,
+    data: D,
 }
 
-impl AsyncRead {
+impl<D> AsyncRead<D> {
     /// The submission tokens backing this read, in submission order.
     pub fn tokens(&self) -> &[IoToken] {
         &self.tokens
@@ -32,7 +50,7 @@ impl AsyncRead {
 
     /// Blocks (advances the virtual clock) until every run completes,
     /// then yields the data.
-    pub fn wait(self, queue: &mut IoQueue) -> Vec<u8> {
+    pub fn wait(self, queue: &mut IoQueue) -> D {
         for token in self.tokens {
             queue.wait(token);
         }
@@ -41,7 +59,7 @@ impl AsyncRead {
 
     /// Detaches the completions (background semantics: the device work
     /// stays charged, the clock never blocks) and yields the data.
-    pub fn into_bg(self, queue: &mut IoQueue) -> Vec<u8> {
+    pub fn into_bg(self, queue: &mut IoQueue) -> D {
         for token in self.tokens {
             queue.forget(token);
         }
@@ -100,6 +118,8 @@ struct Inner {
     opts: VfsOptions,
     allocator: ExtentAllocator,
     peak_used_pages: u64,
+    /// Sum of live file sizes, kept current by write/truncate/delete.
+    data_bytes: u64,
     files: HashMap<FileId, FileNode>,
     names: HashMap<String, FileId>,
     next_id: u64,
@@ -142,6 +162,7 @@ impl Vfs {
                 opts,
                 allocator: ExtentAllocator::new(partition, opts.policy),
                 peak_used_pages: 0,
+                data_bytes: 0,
                 files: HashMap::new(),
                 names: HashMap::new(),
                 next_id: 1,
@@ -221,6 +242,7 @@ impl Vfs {
             .remove(name)
             .ok_or_else(|| VfsError::NotFound(name.to_string()))?;
         let node = g.files.remove(&id).expect("name table points to live file");
+        g.data_bytes -= node.data.len() as u64;
         let discard = g.opts.discard_on_delete;
         for e in node.extents {
             g.allocator.release(e);
@@ -294,6 +316,7 @@ impl Vfs {
             clock,
             page_size,
             allocator,
+            data_bytes,
             files,
             ..
         } = &mut *g;
@@ -315,11 +338,12 @@ impl Vfs {
             g_peak_update = allocator.used_pages();
         }
 
-        // Contents.
-        if new_size > old_size {
-            node.data.resize(new_size as usize, 0);
-        }
-        node.data[offset as usize..offset as usize + buf.len()].copy_from_slice(buf);
+        // Contents: overwrite what exists, append the rest.
+        let data = Arc::make_mut(&mut node.data);
+        let overlap = buf.len().min((old_size - offset) as usize);
+        data[offset as usize..offset as usize + overlap].copy_from_slice(&buf[..overlap]);
+        data.extend_from_slice(&buf[overlap..]);
+        *data_bytes += new_size - old_size;
 
         // Device traffic. Partial first/last pages that already existed
         // require read-modify-write under direct I/O.
@@ -344,13 +368,19 @@ impl Vfs {
                     clock.advance_to(done);
                 }
             }
-            for run in node.runs(first_page, last_page - first_page + 1) {
-                let c = dev.write_range(run)?;
-                if blocking {
-                    clock.advance_to(c.host_done);
-                }
-                node.durable_at = node.durable_at.max(c.durable_at);
-            }
+            let mut durable_at = node.durable_at;
+            let written = node
+                .runs(first_page, last_page - first_page + 1)
+                .try_for_each(|run| {
+                    let c = dev.write_range(run)?;
+                    if blocking {
+                        clock.advance_to(c.host_done);
+                    }
+                    durable_at = durable_at.max(c.durable_at);
+                    Ok::<(), VfsError>(())
+                });
+            node.durable_at = durable_at;
+            written?;
             dev.tracer().end(span, clock.now());
         }
         if g_peak_update > g.peak_used_pages {
@@ -369,14 +399,14 @@ impl Vfs {
     /// Charges device reads for every page touched (the engines above
     /// maintain their own caches; a call here is a cache miss).
     pub fn read_at(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.read_at_opts(id, offset, len, true)
+        Ok(self.read_with(id, offset, len, true)?.to_vec())
     }
 
     /// Background read: consumes media bandwidth without advancing the
     /// simulated clock (I/O by background threads, e.g. compaction input
     /// scans).
     pub fn read_at_bg(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        self.read_at_opts(id, offset, len, false)
+        Ok(self.read_with(id, offset, len, false)?.to_vec())
     }
 
     /// [`Vfs::read_at`] into a caller-owned buffer (cleared first): a
@@ -388,57 +418,54 @@ impl Vfs {
         len: usize,
         buf: &mut Vec<u8>,
     ) -> Result<()> {
-        self.read_with(id, offset, len, true, |bytes| {
-            buf.clear();
-            buf.extend_from_slice(bytes);
-        })
+        let bytes = self.read_with(id, offset, len, true)?;
+        buf.clear();
+        buf.extend_from_slice(&bytes);
+        Ok(())
     }
 
-    fn read_at_opts(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<Vec<u8>> {
-        self.read_with(id, offset, len, blocking, <[u8]>::to_vec)
+    /// [`Vfs::read_at`] without the copy: the same device reads, then a
+    /// shared range of the file's contents as of this call (see the
+    /// ownership rule in the [module docs](self)).
+    pub fn read_shared(&self, id: FileId, offset: u64, len: usize) -> Result<FileSlice> {
+        self.read_with(id, offset, len, true)
     }
 
-    /// Charges the device reads for `[offset, offset + len)` (clipped at
-    /// EOF) and hands the bytes to `take`.
-    fn read_with<R>(
-        &self,
-        id: FileId,
-        offset: u64,
-        len: usize,
-        blocking: bool,
-        take: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R> {
-        let mut g = self.inner.lock();
-        let Inner {
-            ssd,
-            clock,
-            page_size,
-            files,
-            ..
-        } = &mut *g;
-        let ps = *page_size;
-        let node = files.get(&id).ok_or(VfsError::StaleHandle)?;
+    /// [`Vfs::read_at_bg`] without the copy.
+    pub fn read_shared_bg(&self, id: FileId, offset: u64, len: usize) -> Result<FileSlice> {
+        self.read_with(id, offset, len, false)
+    }
+
+    /// The one synchronous read: charges the device reads for `[offset,
+    /// offset + len)` (clipped at EOF) and shares that range.
+    fn read_with(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<FileSlice> {
+        let g = self.inner.lock();
+        let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
         let size = node.data.len() as u64;
         if offset >= size || len == 0 {
-            return Ok(take(&[]));
+            return Ok(FileSlice::default());
         }
         let len = len.min((size - offset) as usize);
+        let ps = g.page_size;
         let first_page = offset / ps;
         let last_page = (offset + len as u64 - 1) / ps;
         {
-            let mut dev = ssd.lock();
+            let mut dev = g.ssd.lock();
             let span = dev
                 .tracer()
-                .begin("vfs.read", dev.current_cause(), clock.now());
+                .begin("vfs.read", dev.current_cause(), g.clock.now());
             for run in node.runs(first_page, last_page - first_page + 1) {
                 let done = dev.read_pages(run);
                 if blocking {
-                    clock.advance_to(done);
+                    g.clock.advance_to(done);
                 }
             }
-            dev.tracer().end(span, clock.now());
+            dev.tracer().end(span, g.clock.now());
         }
-        Ok(take(&node.data[offset as usize..offset as usize + len]))
+        Ok(FileSlice::new(
+            &node.data,
+            offset as usize..offset as usize + len,
+        ))
     }
 
     /// Creates a submission/completion queue of `depth` outstanding
@@ -464,6 +491,24 @@ impl Vfs {
         offset: u64,
         len: usize,
     ) -> Result<AsyncRead> {
+        let AsyncRead { tokens, data } = self.read_runs_shared(queue, id, offset, len)?;
+        Ok(AsyncRead {
+            tokens,
+            data: data.to_vec(),
+        })
+    }
+
+    /// [`Vfs::read_runs_async`] without the copy: the data is a shared
+    /// range of the file's contents as of this call.
+    pub fn read_runs_shared(
+        &self,
+        queue: &mut IoQueue,
+        id: FileId,
+        offset: u64,
+        len: usize,
+    ) -> Result<AsyncRead<FileSlice>> {
+        // Submitting takes the device lock, so the filesystem lock is
+        // released first and the runs are collected.
         let (runs, data) = {
             let g = self.inner.lock();
             let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
@@ -471,17 +516,16 @@ impl Vfs {
             if offset >= size || len == 0 {
                 return Ok(AsyncRead {
                     tokens: Vec::new(),
-                    data: Vec::new(),
+                    data: FileSlice::default(),
                 });
             }
             let len = len.min((size - offset) as usize);
             let ps = g.page_size;
             let first_page = offset / ps;
             let last_page = (offset + len as u64 - 1) / ps;
-            (
-                node.runs(first_page, last_page - first_page + 1),
-                node.data[offset as usize..offset as usize + len].to_vec(),
-            )
+            let runs: Vec<LpnRange> = node.runs(first_page, last_page - first_page + 1).collect();
+            let range = offset as usize..offset as usize + len;
+            (runs, FileSlice::new(&node.data, range))
         };
         let mut tokens = Vec::with_capacity(runs.len());
         for run in runs {
@@ -553,6 +597,7 @@ impl Vfs {
             let Inner {
                 page_size,
                 allocator,
+                data_bytes,
                 files,
                 ..
             } = &mut *g;
@@ -568,7 +613,8 @@ impl Vfs {
                 node.push_extents(fresh);
                 peak_update = allocator.used_pages();
             }
-            node.data.extend_from_slice(buf);
+            Arc::make_mut(&mut node.data).extend_from_slice(buf);
+            *data_bytes += buf.len() as u64;
 
             let first_page = offset / ps;
             let last_page = (new_size - 1) / ps;
@@ -577,7 +623,7 @@ impl Vfs {
             // page: direct I/O must read it back first.
             let rmw_lpn = (!offset.is_multiple_of(ps) && first_page < old_pages)
                 .then(|| node.page_to_lpn(first_page));
-            let runs = node.runs(first_page, last_page - first_page + 1);
+            let runs: Vec<LpnRange> = node.runs(first_page, last_page - first_page + 1).collect();
             if peak_update > g.peak_used_pages {
                 g.peak_used_pages = peak_update;
             }
@@ -627,14 +673,18 @@ impl Vfs {
     /// reuse the same LBAs for successive logs). No device traffic.
     pub fn truncate(&self, id: FileId, new_len: u64) -> Result<()> {
         let mut g = self.inner.lock();
-        let node = g.files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-        if new_len > node.data.len() as u64 {
+        let Inner {
+            data_bytes, files, ..
+        } = &mut *g;
+        let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
+        let old_len = node.data.len() as u64;
+        if new_len > old_len {
             return Err(VfsError::InvalidArgument(format!(
-                "truncate to {new_len} beyond EOF {}",
-                node.data.len()
+                "truncate to {new_len} beyond EOF {old_len}"
             )));
         }
-        node.data.truncate(new_len as usize);
+        Arc::make_mut(&mut node.data).truncate(new_len as usize);
+        *data_bytes -= old_len - new_len;
         Ok(())
     }
 
@@ -679,7 +729,6 @@ impl Vfs {
     /// Filesystem usage statistics.
     pub fn stats(&self) -> FsStats {
         let g = self.inner.lock();
-        let data_bytes: u64 = g.files.values().map(|f| f.data.len() as u64).sum();
         let used = g.allocator.used_pages();
         FsStats {
             partition_pages: g.allocator.partition().len(),
@@ -687,7 +736,7 @@ impl Vfs {
             free_pages: g.allocator.free_pages(),
             live_files: g.files.len(),
             peak_used_pages: g.peak_used_pages.max(used),
-            data_bytes,
+            data_bytes: g.data_bytes,
             used_bytes: used * g.page_size,
         }
     }
@@ -702,6 +751,8 @@ impl Vfs {
             g.allocator.used_pages(),
             "extent accounting drifted"
         );
+        let file_bytes: u64 = g.files.values().map(|f| f.data.len() as u64).sum();
+        assert_eq!(file_bytes, g.data_bytes, "data-byte accounting drifted");
         for (name, id) in &g.names {
             assert_eq!(&g.files[id].name, name, "name table out of sync");
         }

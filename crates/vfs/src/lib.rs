@@ -5,7 +5,8 @@
 //! the allocator but sends **no TRIM** to the drive, so the device keeps
 //! treating those LBAs as live data. This crate reproduces that layer:
 //!
-//! * **Extent-based files** ([`file`](mod@file)) — a file is a byte vector plus an
+//! * **Extent-based files** ([`file`](mod@file)) — a file is a shared byte buffer
+//!   (reads can borrow ranges of it as [`FileSlice`]s) plus an
 //!   ordered list of LBA extents; page-aligned overwrites hit the *same*
 //!   LBAs (the in-place behaviour a B+Tree relies on), appends allocate
 //!   new extents.
@@ -31,12 +32,14 @@ pub mod alloc;
 pub mod error;
 pub mod file;
 pub mod fs;
+pub mod slice;
 pub mod trace;
 
 pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
 pub use error::VfsError;
 pub use file::FileId;
 pub use fs::{AsyncRead, FsStats, Vfs, VfsOptions};
+pub use slice::FileSlice;
 pub use trace::{CauseScope, TraceHandle};
 // Re-exported so engines can drive the asynchronous submission path
 // without depending on `ptsbench-ssd` directly.

@@ -1,0 +1,144 @@
+//! Shared byte ranges: how file contents leave the filesystem without
+//! being copied.
+
+use std::cmp::Ordering;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
+/// A range of a reference-counted byte buffer — what a shared read
+/// ([`crate::Vfs::read_shared`]) returns: the file's own contents as
+/// they were at the read, not a copy of them. Cloning and
+/// [`FileSlice::slice`] share the buffer; a later write to the file
+/// never shows through (see the ownership rule in [`crate::fs`]), and
+/// the bytes outlive the file's deletion for as long as a slice is held.
+///
+/// Compares, orders and prints as the bytes it covers.
+#[derive(Clone, Default)]
+pub struct FileSlice {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl FileSlice {
+    /// `buf[range]`, shared.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub(crate) fn new(buf: &Arc<Vec<u8>>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "range {range:?} outside a buffer of {} bytes",
+            buf.len()
+        );
+        Self {
+            buf: Arc::clone(buf),
+            start: range.start,
+            end: range.end,
+        }
+    }
+
+    /// A sub-range of this slice (positions relative to it), sharing
+    /// the same buffer.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        assert!(
+            range.end <= self.len(),
+            "range {range:?} outside a slice of {} bytes",
+            self.len()
+        );
+        Self::new(&self.buf, self.start + range.start..self.start + range.end)
+    }
+}
+
+/// A buffer that is already shared (a cached block), whole.
+impl From<Arc<Vec<u8>>> for FileSlice {
+    fn from(buf: Arc<Vec<u8>>) -> Self {
+        let end = buf.len();
+        Self { buf, start: 0, end }
+    }
+}
+
+/// Bytes that never lived in a file (a decoded block, a memtable key),
+/// so that they can flow beside ranges that do.
+impl From<Vec<u8>> for FileSlice {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self::from(Arc::new(bytes))
+    }
+}
+
+impl Deref for FileSlice {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl AsRef<[u8]> for FileSlice {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
+impl PartialEq for FileSlice {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for FileSlice {}
+
+impl PartialOrd for FileSlice {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for FileSlice {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::fmt::Debug for FileSlice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slices_share_and_compare_by_bytes() {
+        let whole = FileSlice::from(b"hello world".to_vec());
+        let hello = whole.slice(0..5);
+        let world = whole.slice(6..11);
+        assert_eq!(&*hello, b"hello");
+        assert_eq!(&*world.slice(1..3), b"or");
+        assert!(hello < world, "ordered by bytes, not by position");
+        assert_eq!(hello, FileSlice::from(b"hello".to_vec()));
+        assert_eq!(format!("{:?}", world.slice(0..2)), "[119, 111]");
+        assert!(FileSlice::default().is_empty());
+        // The bytes outlive every other handle on the buffer.
+        drop(whole);
+        drop(hello);
+        assert_eq!(&*world, b"world");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a slice")]
+    fn sub_range_is_bounds_checked() {
+        FileSlice::from(vec![0u8; 4]).slice(2..5);
+    }
+
+    #[test]
+    fn crosses_threads() {
+        fn assert_send<T: Send + Sync>() {}
+        assert_send::<FileSlice>();
+    }
+}

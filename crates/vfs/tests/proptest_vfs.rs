@@ -1,13 +1,15 @@
 //! Property-based tests of the filesystem: random create / write /
 //! append / truncate / delete / rename sequences agree with a
-//! name→bytes model, and the extent allocator never leaks or overlaps.
+//! name→bytes model — with owned reads and with shared reads held
+//! across every later mutation — and the extent allocator never leaks
+//! or overlaps.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
-use ptsbench_vfs::{AllocPolicy, ExtentAllocator, Vfs, VfsError, VfsOptions};
+use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, FsStats, Vfs, VfsError, VfsOptions};
 
 #[derive(Debug, Clone)]
 enum FsOp {
@@ -40,104 +42,145 @@ fn pattern(seed: u16, len: usize) -> Vec<u8> {
     (0..len).map(|i| (seed as usize + i) as u8).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// What a run leaves behind that the flavour of its reads must not
+/// move: SMART pages read and written, the virtual clock, the `df` view.
+type Footprint = (u64, u64, u64, FsStats);
 
-    /// The filesystem agrees byte-for-byte with a HashMap model.
-    #[test]
-    fn vfs_matches_model(ops in proptest::collection::vec(fs_op(), 1..120)) {
-        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
-        let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
-
-        for op in &ops {
-            match op {
-                FsOp::Create(f) => {
-                    let n = name(*f);
-                    let result = vfs.create(&n);
-                    if let std::collections::hash_map::Entry::Vacant(e) = model.entry(n) {
-                        prop_assert!(result.is_ok());
-                        e.insert(Vec::new());
-                    } else {
-                        prop_assert!(matches!(result, Err(VfsError::AlreadyExists(_))));
+/// Applies `ops` to a fresh filesystem and a name→bytes model, checking
+/// one against the other at every step. With `shared`, reads go through
+/// [`Vfs::read_shared`] and every slice is *kept*: whatever happens to
+/// its file afterwards — overwritten, grown, truncated, deleted,
+/// renamed — it must go on showing the bytes it was read with.
+fn run_against_model(ops: &[FsOp], shared: bool) -> Result<Footprint, TestCaseError> {
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
+    let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+    let mut held: Vec<(FileSlice, Vec<u8>)> = Vec::new();
+    for op in ops {
+        match op {
+            FsOp::Create(f) => {
+                let n = name(*f);
+                let result = vfs.create(&n);
+                if let std::collections::hash_map::Entry::Vacant(e) = model.entry(n) {
+                    prop_assert!(result.is_ok());
+                    e.insert(Vec::new());
+                } else {
+                    prop_assert!(matches!(result, Err(VfsError::AlreadyExists(_))));
+                }
+            }
+            FsOp::WriteAt(f, offset, len) => {
+                let n = name(*f);
+                let Ok(id) = vfs.open(&n) else {
+                    prop_assert!(!model.contains_key(&n));
+                    continue;
+                };
+                let data = pattern(*offset ^ *len, *len as usize);
+                let offset = *offset as u64;
+                let result = vfs.write_at(id, offset, &data);
+                let m = model.get_mut(&n).expect("model has file");
+                if offset > m.len() as u64 {
+                    prop_assert!(matches!(result, Err(VfsError::InvalidArgument(_))));
+                } else {
+                    prop_assert!(result.is_ok(), "write failed: {:?}", result);
+                    let end = offset as usize + data.len();
+                    if end > m.len() {
+                        m.resize(end, 0);
                     }
+                    m[offset as usize..end].copy_from_slice(&data);
                 }
-                FsOp::WriteAt(f, offset, len) => {
-                    let n = name(*f);
-                    let Ok(id) = vfs.open(&n) else {
-                        prop_assert!(!model.contains_key(&n));
-                        continue;
-                    };
-                    let data = pattern(*offset ^ *len, *len as usize);
-                    let offset = *offset as u64;
-                    let result = vfs.write_at(id, offset, &data);
-                    let m = model.get_mut(&n).expect("model has file");
-                    if offset > m.len() as u64 {
-                        prop_assert!(matches!(result, Err(VfsError::InvalidArgument(_))));
-                    } else {
-                        prop_assert!(result.is_ok(), "write failed: {:?}", result);
-                        let end = offset as usize + data.len();
-                        if end > m.len() {
-                            m.resize(end, 0);
-                        }
-                        m[offset as usize..end].copy_from_slice(&data);
-                    }
+            }
+            FsOp::Append(f, len) => {
+                let n = name(*f);
+                let Ok(id) = vfs.open(&n) else { continue };
+                let data = pattern(*len, *len as usize);
+                vfs.append(id, &data).expect("append");
+                model
+                    .get_mut(&n)
+                    .expect("model has file")
+                    .extend_from_slice(&data);
+            }
+            FsOp::Truncate(f, len) => {
+                let n = name(*f);
+                let Ok(id) = vfs.open(&n) else { continue };
+                let m = model.get_mut(&n).expect("model has file");
+                let result = vfs.truncate(id, *len as u64);
+                if (*len as usize) > m.len() {
+                    prop_assert!(result.is_err());
+                } else {
+                    prop_assert!(result.is_ok());
+                    m.truncate(*len as usize);
                 }
-                FsOp::Append(f, len) => {
-                    let n = name(*f);
-                    let Ok(id) = vfs.open(&n) else { continue };
-                    let data = pattern(*len, *len as usize);
-                    vfs.append(id, &data).expect("append");
-                    model.get_mut(&n).expect("model has file").extend_from_slice(&data);
+            }
+            FsOp::Delete(f) => {
+                let n = name(*f);
+                let result = vfs.delete(&n);
+                prop_assert_eq!(result.is_ok(), model.remove(&n).is_some());
+            }
+            FsOp::Rename(a, b) => {
+                let (from, to) = (name(*a), name(*b));
+                let result = vfs.rename(&from, &to);
+                if model.contains_key(&from) && !model.contains_key(&to) && from != to {
+                    prop_assert!(result.is_ok());
+                    let v = model.remove(&from).expect("source exists");
+                    model.insert(to, v);
+                } else {
+                    prop_assert!(result.is_err());
                 }
-                FsOp::Truncate(f, len) => {
-                    let n = name(*f);
-                    let Ok(id) = vfs.open(&n) else { continue };
-                    let m = model.get_mut(&n).expect("model has file");
-                    let result = vfs.truncate(id, *len as u64);
-                    if (*len as usize) > m.len() {
-                        prop_assert!(result.is_err());
-                    } else {
-                        prop_assert!(result.is_ok());
-                        m.truncate(*len as usize);
-                    }
-                }
-                FsOp::Delete(f) => {
-                    let n = name(*f);
-                    let result = vfs.delete(&n);
-                    prop_assert_eq!(result.is_ok(), model.remove(&n).is_some());
-                }
-                FsOp::Rename(a, b) => {
-                    let (from, to) = (name(*a), name(*b));
-                    let result = vfs.rename(&from, &to);
-                    if model.contains_key(&from) && !model.contains_key(&to) && from != to {
-                        prop_assert!(result.is_ok());
-                        let v = model.remove(&from).expect("source exists");
-                        model.insert(to, v);
-                    } else {
-                        prop_assert!(result.is_err());
-                    }
-                }
-                FsOp::Read(f, offset, len) => {
-                    let n = name(*f);
-                    let Ok(id) = vfs.open(&n) else { continue };
-                    let got = vfs.read_at(id, *offset as u64, *len as usize).expect("read");
-                    let m = &model[&n];
-                    let start = (*offset as usize).min(m.len());
-                    let end = (start + *len as usize).min(m.len());
+            }
+            FsOp::Read(f, offset, len) => {
+                let n = name(*f);
+                let Ok(id) = vfs.open(&n) else { continue };
+                let m = &model[&n];
+                let start = (*offset as usize).min(m.len());
+                let end = (start + *len as usize).min(m.len());
+                if shared {
+                    let got = vfs
+                        .read_shared(id, *offset as u64, *len as usize)
+                        .expect("read");
+                    prop_assert_eq!(&*got, &m[start..end], "read mismatch on {}", n);
+                    held.push((got, m[start..end].to_vec()));
+                } else {
+                    let got = vfs
+                        .read_at(id, *offset as u64, *len as usize)
+                        .expect("read");
                     prop_assert_eq!(&got, &m[start..end], "read mismatch on {}", n);
                 }
             }
-            vfs.check_invariants();
         }
-        // Final byte-for-byte audit.
-        for (n, bytes) in &model {
-            let id = vfs.open(n).expect("file exists");
-            prop_assert_eq!(vfs.size(id).expect("size") as usize, bytes.len());
-            let got = vfs.read_at(id, 0, bytes.len()).expect("read");
-            prop_assert_eq!(&got, bytes, "content mismatch on {}", n);
+        vfs.check_invariants();
+        for (slice, bytes) in &held {
+            prop_assert_eq!(&**slice, &bytes[..], "a held slice changed under {:?}", op);
         }
-        prop_assert_eq!(vfs.list().len(), model.len());
+    }
+    // Final byte-for-byte audit.
+    for (n, bytes) in &model {
+        let id = vfs.open(n).expect("file exists");
+        prop_assert_eq!(vfs.size(id).expect("size") as usize, bytes.len());
+        let got = vfs.read_at(id, 0, bytes.len()).expect("read");
+        prop_assert_eq!(&got, bytes, "content mismatch on {}", n);
+    }
+    prop_assert_eq!(vfs.list().len(), model.len());
+    let smart = vfs.ssd().lock().smart();
+    Ok((
+        smart.host_pages_read,
+        smart.host_pages_written,
+        vfs.clock().now(),
+        vfs.stats(),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The filesystem agrees byte-for-byte with a HashMap model, a held
+    /// shared read keeps its bytes while fresh reads see the new ones,
+    /// and sharing instead of copying moves no device traffic, no
+    /// virtual time and no usage figure.
+    #[test]
+    fn vfs_matches_model(ops in proptest::collection::vec(fs_op(), 1..120)) {
+        let owned = run_against_model(&ops, false)?;
+        let shared = run_against_model(&ops, true)?;
+        prop_assert_eq!(owned, shared);
     }
 
     /// The allocator hands out non-overlapping extents and accounts free
