@@ -4,7 +4,8 @@
 //! traffic, engine counts, device SMART counters and the virtual clock —
 //! exactly where the cloning pager of PR 13 left it. The constants were
 //! recorded on that commit; a change that only makes the host faster
-//! must not move any of them.
+//! must not move any of them. The two `explicit` constants were recorded
+//! on PR 15, before the inline and sliced checkpoints became one job.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +19,11 @@ fn key(i: u32) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
 }
 
-/// Runs the mix and renders every counter that must not move.
-fn run_mix(maint: MaintConfig) -> String {
+/// Runs the mix and renders every counter that must not move. With
+/// `explicit`, the random phase also calls `checkpoint()` and
+/// `drain_maintenance()` at fixed steps: a foreground checkpoint that
+/// lands on a half-done background job, and a forced drain mid-run.
+fn run_mix(maint: MaintConfig, explicit: bool) -> String {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = BTreeOptions {
@@ -61,6 +65,12 @@ fn run_mix(maint: MaintConfig) -> String {
             }
         }
         pump(&mut db);
+        if explicit && step % 1500 == 1499 {
+            db.checkpoint().expect("checkpoint");
+        }
+        if explicit && step % 4000 == 3999 {
+            db.drain_maintenance().expect("drain");
+        }
     }
     // Mass deletion: merges up the path and root collapses.
     for i in 0..7000u32 {
@@ -86,7 +96,7 @@ fn run_mix(maint: MaintConfig) -> String {
 #[test]
 fn inline_counters_match_the_cloning_pager() {
     assert_eq!(
-        run_mix(MaintConfig::default()),
+        run_mix(MaintConfig::default(), false),
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8518, allocations: 578, checkpoints: 9 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
@@ -98,7 +108,7 @@ fn inline_counters_match_the_cloning_pager() {
 #[test]
 fn background_counters_match_the_cloning_pager() {
     assert_eq!(
-        run_mix(MaintConfig::enabled()),
+        run_mix(MaintConfig::enabled(), false),
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
@@ -106,5 +116,31 @@ fn background_counters_match_the_cloning_pager() {
          bytes_read: 0, bytes_written: 2990080, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, \
          used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10173 hpr=19947 npw=10173 \
          clock=13227412447292"
+    );
+}
+
+#[test]
+fn inline_counters_with_explicit_checkpoints_match_the_two_path_engine() {
+    assert_eq!(
+        run_mix(MaintConfig::default(), true),
+        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
+         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8517, allocations: 578, checkpoints: 12 } \
+         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
+         merges: 472, checkpoints: 12 } maint=None height=2 live=1177 scanned=28755 hpw=9743 hpr=19947 \
+         npw=9743 clock=13275022447292"
+    );
+}
+
+#[test]
+fn background_counters_with_explicit_checkpoints_match_the_two_path_engine() {
+    assert_eq!(
+        run_mix(MaintConfig::enabled(), true),
+        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
+         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
+         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
+         merges: 472, checkpoints: 11 } maint=Some(MaintStats { jobs: 3, slices: 231, installs: 3, \
+         bytes_read: 0, bytes_written: 2752512, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, \
+         used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10170 hpr=19947 npw=10170 \
+         clock=13236212447292"
     );
 }
