@@ -20,8 +20,8 @@
 //! | `micro` | criterion micro-benchmarks |
 //!
 //! A study that also runs as a root-package example lives here as a
-//! module, with a thin wrapper on each side: [`fig_tail`] is both the
-//! `fig_tail` bench target and `examples/fig_tail.rs`.
+//! module, with a thin wrapper on each side: [`fig_tail`] and
+//! [`fig_stall`] are each both a bench target and an `examples/` file.
 //!
 //! Sizing: benches default to a 128 MiB simulated stand-in for the
 //! paper's 400 GB drive with the full 210-minute measured phase. Set
@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod fig_stall;
 pub mod fig_tail;
 
 use ptsbench_core::pitfalls::PitfallOptions;

@@ -1,6 +1,6 @@
 //! The B+Tree database: public API, tree algorithms, checkpointing.
 
-use ptsbench_maint::{JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
 use ptsbench_vfs::{Cause, TraceHandle, Vfs};
 
 use crate::log::Journal;
@@ -30,10 +30,12 @@ pub struct BTreeStats {
 
 const META_MAGIC: &[u8; 6] = b"BTREE1";
 
-/// A slice-resumable fuzzy checkpoint. There is no materialized work
-/// list: each slice asks the pager for its dirty pages, so foreground
-/// writes that re-dirty pages mid-job simply extend the cleaning phase
-/// instead of invalidating a snapshot.
+/// A slice-resumable fuzzy checkpoint — the only checkpoint there is:
+/// drained in place by [`BTreeDb::checkpoint`], or pumped in paced
+/// slices. There is no materialized work list: each slice asks the
+/// pager for its dirty pages, so foreground writes that re-dirty pages
+/// mid-job simply extend the cleaning phase instead of invalidating a
+/// snapshot.
 struct CkptJob {
     /// `(root, entries)` captured when the metadata page was written
     /// through the background path; `None` until the cache is clean.
@@ -54,24 +56,6 @@ struct Descent {
     slot: std::result::Result<usize, usize>,
 }
 
-struct MaintState {
-    sched: MaintScheduler,
-    job: Option<CkptJob>,
-}
-
-impl MaintState {
-    fn has_work(&self) -> bool {
-        self.job.is_some() || self.sched.pending() > 0
-    }
-}
-
-fn maint_for(vfs: &Vfs, opts: &BTreeOptions) -> Option<MaintState> {
-    opts.maint.enabled.then(|| MaintState {
-        sched: MaintScheduler::new(opts.maint, vfs.clock().now()),
-        job: None,
-    })
-}
-
 /// An on-disk B+Tree key-value store on a simulated flash stack.
 pub struct BTreeDb {
     pager: Pager,
@@ -81,8 +65,12 @@ pub struct BTreeDb {
     entries: u64,
     stats: BTreeStats,
     bytes_since_checkpoint: u64,
-    /// Deferred-checkpoint state; `None` keeps the seed inline path.
-    maint: Option<MaintState>,
+    /// Pacing source for checkpoint jobs, present iff
+    /// `opts.maint.enabled`; without one the triggering put drains the
+    /// job in place.
+    sched: Option<MaintScheduler>,
+    /// The checkpoint in flight.
+    ckpt: Option<CkptJob>,
     vfs: Vfs,
     /// Tracing context (inert unless `opts.trace` and the device has a
     /// tracer attached).
@@ -111,7 +99,7 @@ impl BTreeDb {
         } else {
             None
         };
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         Ok(Self {
             pager,
             journal,
@@ -120,7 +108,8 @@ impl BTreeDb {
             entries: 0,
             stats: BTreeStats::default(),
             bytes_since_checkpoint: 0,
-            maint,
+            sched,
+            ckpt: None,
             vfs,
             trace,
         })
@@ -151,7 +140,7 @@ impl BTreeDb {
             )));
         }
 
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         let mut db = Self {
             pager,
             journal: None, // attached after replay so replay is not re-logged
@@ -160,7 +149,8 @@ impl BTreeDb {
             entries,
             stats: BTreeStats::default(),
             bytes_since_checkpoint: 0,
-            maint,
+            sched,
+            ckpt: None,
             vfs: vfs.clone(),
             trace,
         };
@@ -403,72 +393,67 @@ impl BTreeDb {
     }
 
     /// Forces a checkpoint: all dirty pages and metadata reach the
-    /// device, the journal truncates.
+    /// device, the journal truncates. Whatever the mode, this drains a
+    /// fresh job in place under foreground rules; a paced job in flight
+    /// is superseded (everything it would install is durable after
+    /// this).
     pub fn checkpoint(&mut self) -> Result<()> {
         let _cause = self.trace.cause(Cause::Checkpoint);
         let span = self.trace.begin("btree.checkpoint", Cause::Checkpoint);
-        let result = self.checkpoint_inner();
+        let result = self.checkpoint_in_place();
         self.trace.end(span);
         result
     }
 
-    fn checkpoint_inner(&mut self) -> Result<()> {
+    fn checkpoint_in_place(&mut self) -> Result<()> {
         if let Some(j) = self.journal.as_mut() {
             j.sync(true)?;
         }
-        let mut meta = Vec::with_capacity(32);
-        meta.extend_from_slice(META_MAGIC);
-        meta.extend_from_slice(&self.root.to_le_bytes());
-        meta.extend_from_slice(&self.entries.to_le_bytes());
-        self.pager.checkpoint(&meta)?;
-        if let Some(j) = self.journal.as_mut() {
-            j.truncate()?;
-        }
-        self.stats.checkpoints += 1;
-        self.bytes_since_checkpoint = 0;
-        if let Some(m) = self.maint.as_mut() {
-            // An inline checkpoint supersedes any in-flight background
-            // job: everything the job would install is now durable.
-            m.job = None;
+        self.ckpt = Some(CkptJob { meta: None });
+        while self.ckpt.is_some() {
+            self.ckpt_slice(Drive::Inline, true)?;
         }
         Ok(())
     }
 
     fn maybe_checkpoint(&mut self) -> Result<()> {
         if self.bytes_since_checkpoint >= self.opts.checkpoint_app_bytes {
-            if let Some(m) = self.maint.as_mut() {
+            match self.sched.as_mut() {
                 // Deferred: the harness pumps the ticket forward in
                 // bounded background slices between foreground ops.
-                m.sched.enqueue(JobKind::Checkpoint);
-            } else {
-                self.checkpoint()?;
+                Some(sched) => sched.enqueue(JobKind::Checkpoint),
+                None => self.checkpoint()?,
             }
         }
         Ok(())
     }
 
-    // ---- Background maintenance -------------------------------------
+    // ---- Maintenance: one checkpoint job, two drives ------------------
     //
-    // In maintenance mode the byte-threshold checkpoint never runs
-    // inline inside the triggering put: `maybe_checkpoint` enqueues a
-    // `Checkpoint` ticket and the harness pumps `run_maintenance_slice`
-    // between foreground ops. The job is a fuzzy checkpoint: each slice
-    // writes back a byte-bounded batch of dirty pages through the
-    // detached background path, paced by the scheduler's token bucket;
-    // once the cache is clean the metadata page is written, and once
-    // the tree file is durable the journal truncates — the install.
-    // Foreground writes that re-dirty pages mid-job extend the cleaning
-    // phase (and invalidate a written-but-not-installed metadata page),
-    // so the install is always consistent with the on-disk tree.
+    // The job is a fuzzy checkpoint in three phases: write back dirty
+    // pages a byte-bounded batch at a time, write the metadata page once
+    // the cache is clean, then — once the tree file is durable —
+    // truncate the journal (the install). Foreground writes that
+    // re-dirty pages mid-job extend the cleaning phase and invalidate a
+    // written-but-not-installed metadata page, so the install is always
+    // consistent with the on-disk tree.
+    //
+    // Maintenance off (`Drive::Inline`): `maybe_checkpoint` drains the
+    // job inside the triggering put — unbounded batches, blocking
+    // writes, an unconditional fsync. Maintenance on (`Drive::Paced`):
+    // it enqueues a `Checkpoint` ticket instead and the harness pumps
+    // `run_maintenance_slice` between foreground ops — detached writes
+    // paced by the scheduler's token bucket, the install gated on the
+    // device's durability horizon.
 
     /// Whether background-maintenance mode is on.
     pub fn maint_enabled(&self) -> bool {
-        self.maint.is_some()
+        self.sched.is_some()
     }
 
     /// Background-maintenance counters; `None` when maintenance is off.
     pub fn maint_stats(&self) -> Option<MaintStats> {
-        self.maint.as_ref().map(|m| m.sched.stats)
+        self.sched.as_ref().map(|s| s.stats)
     }
 
     /// Runs at most one bounded checkpoint slice, if work is pending
@@ -476,7 +461,7 @@ impl BTreeDb {
     /// whether any forward progress was made (callers may pump in a
     /// loop until `false`).
     pub fn run_maintenance_slice(&mut self) -> Result<bool> {
-        self.maintenance_slice_inner(false)
+        self.maintenance_slice(false)
     }
 
     /// Drains every outstanding checkpoint job to completion with
@@ -484,128 +469,82 @@ impl BTreeDb {
     /// must drain first so no shard exits with a half-written
     /// checkpoint.
     pub fn drain_maintenance(&mut self) -> Result<()> {
-        if self.maint.is_none() {
-            return Ok(());
-        }
-        let mut spins = 0u32;
-        while self.maint.as_ref().expect("maintenance mode").has_work() {
-            if self.maintenance_slice_inner(true)? {
-                spins = 0;
-            } else {
-                // Only stale tickets were consumed; a couple of empty
-                // rounds means we are done.
-                spins += 1;
-                if spins > 2 {
-                    break;
-                }
-            }
-        }
-        Ok(())
+        let pending =
+            |db: &Self| (db.sched.as_ref()).is_some_and(|s| db.ckpt.is_some() || s.pending() > 0);
+        drain_forced(self, pending, |db| db.maintenance_slice(true))
     }
 
-    /// The urgency condition that bypasses pacing: the journal backlog
-    /// (bytes logged since the last completed checkpoint) has outgrown
-    /// the space-amplification ceiling over the checkpoint threshold.
-    /// Without it a write load faster than the maintenance rate budget
-    /// grows the journal — pure space overhead — without bound.
-    fn backlog_exceeded(&self) -> bool {
-        let Some(m) = &self.maint else {
-            return false;
-        };
-        self.bytes_since_checkpoint > m.sched.cfg().max_space_amp * self.opts.checkpoint_app_bytes
-    }
-
-    fn maintenance_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        if self.maint.is_none() {
+    fn maintenance_slice(&mut self, forced: bool) -> Result<bool> {
+        let Some(sched) = self.sched.as_mut() else {
             return Ok(false);
-        }
-        let forced = forced || self.backlog_exceeded();
+        };
+        // The urgency condition that bypasses pacing: the journal
+        // backlog (bytes logged since the last completed checkpoint) has
+        // outgrown the space-amplification ceiling over the checkpoint
+        // threshold. Without it a write load faster than the maintenance
+        // rate budget grows the journal — pure space overhead — without
+        // bound.
+        let forced = forced
+            || self.bytes_since_checkpoint
+                > self.opts.maint.max_space_amp * self.opts.checkpoint_app_bytes;
         let now = self.vfs.clock().now();
         let backlog = self.vfs.device_backlog_ns();
-        {
-            let m = self.maint.as_mut().expect("maintenance mode");
-            if !forced && backlog > m.sched.cfg().max_backlog_ns {
-                return Ok(false);
-            }
-            if m.job.is_none() {
-                let Some(kind) = m.sched.pop_ready(now, forced) else {
-                    return Ok(false);
-                };
+        match sched.admit(now, backlog, forced, self.ckpt.is_some()) {
+            Admission::Gated => return Ok(false),
+            Admission::Continue => {}
+            Admission::Start(kind) => {
                 debug_assert_eq!(kind, JobKind::Checkpoint, "btree only checkpoints");
-                m.job = Some(CkptJob { meta: None });
-            } else if !m.sched.budget_ready(now, forced) {
-                return Ok(false);
+                self.ckpt = Some(CkptJob { meta: None });
             }
         }
-        let progressed = self.ckpt_run_slice(forced)?;
-        if progressed {
-            self.maint
-                .as_mut()
-                .expect("maintenance mode")
-                .sched
-                .stats
-                .slices += 1;
-        }
-        Ok(progressed)
-    }
-
-    fn ckpt_run_slice(&mut self, forced: bool) -> Result<bool> {
         let _cause = self.trace.cause(Cause::Checkpoint);
         let span = self
             .trace
             .begin(JobKind::Checkpoint.span_label(), Cause::Checkpoint);
-        let result = self.ckpt_run_slice_inner(forced);
+        let result = self.ckpt_slice(Drive::Paced, forced);
         self.trace.end(span);
+        if let (Ok(true), Some(sched)) = (&result, self.sched.as_mut()) {
+            sched.stats.slices += 1;
+        }
         result
     }
 
     /// One checkpoint increment: a batch of page write-backs, the
-    /// metadata write, or the durability-gated install — whichever the
-    /// job needs next. `Ok(false)` means the job is blocked waiting for
-    /// durability (nothing runnable until the clock advances).
-    fn ckpt_run_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        let slice_bytes = {
-            let m = self.maint.as_ref().expect("maintenance mode");
-            m.sched.cfg().slice_bytes.max(1)
+    /// metadata write, or the install — whichever the job needs next.
+    /// `Ok(false)` means a paced job is blocked waiting for durability
+    /// (nothing runnable until the clock advances).
+    fn ckpt_slice(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+        let Some(job) = self.ckpt.as_mut() else {
+            return Ok(false);
         };
+        let background = drive == Drive::Paced;
         // Phase 1: clean the cache, one byte-bounded batch per slice.
         if self.pager.dirty_pages() > 0 {
-            let written = self.pager.flush_dirty_bg(slice_bytes)?;
-            let now = self.vfs.clock().now();
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.sched.charge(now, written, false);
+            let batch = drive.slice_bytes(&self.sched);
+            let written = self.pager.flush_dirty(batch, background)?;
+            drive.charge(&mut self.sched, self.vfs.clock().now(), written, false);
             // Any previously written metadata predates these pages.
-            m.job.as_mut().expect("job in progress").meta = None;
+            job.meta = None;
             return Ok(true);
         }
         // Phase 2: write the metadata page once per clean point.
-        let captured = self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .job
-            .as_ref()
-            .expect("job in progress")
-            .meta;
-        if captured != Some((self.root, self.entries)) {
+        if job.meta != Some((self.root, self.entries)) {
             let mut meta = Vec::with_capacity(32);
             meta.extend_from_slice(META_MAGIC);
             meta.extend_from_slice(&self.root.to_le_bytes());
             meta.extend_from_slice(&self.entries.to_le_bytes());
-            self.pager.write_meta_bg(&meta)?;
+            self.pager.write_meta(&meta, background)?;
             let page_bytes = self.pager.page_bytes() as u64;
-            let now = self.vfs.clock().now();
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.sched.charge(now, page_bytes, false);
-            m.job.as_mut().expect("job in progress").meta = Some((self.root, self.entries));
+            drive.charge(&mut self.sched, self.vfs.clock().now(), page_bytes, false);
+            job.meta = Some((self.root, self.entries));
             return Ok(true);
         }
         // Phase 3: install — truncate the journal once the tree file
-        // (pages + metadata) is durable. A blocked wait returns `false`
-        // so the pump stops spinning; `drain` forces the sync.
-        let now = self.vfs.clock().now();
-        if self.pager.durable_at()? > now {
-            if !forced {
+        // (pages + metadata) is durable. Inline fsyncs unconditionally;
+        // paced waits for the destage — a blocked wait returns `false`
+        // so the pump stops spinning — unless `forced` (drains).
+        if !background || self.pager.durable_at()? > self.vfs.clock().now() {
+            if background && !forced {
                 return Ok(false);
             }
             self.pager.fsync()?;
@@ -616,10 +555,8 @@ impl BTreeDb {
         self.pager.note_checkpoint();
         self.stats.checkpoints += 1;
         self.bytes_since_checkpoint = 0;
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.stats.jobs += 1;
-        m.sched.stats.installs += 1;
-        m.job = None;
+        drive.installed(&mut self.sched);
+        self.ckpt = None;
         Ok(true)
     }
 

@@ -342,7 +342,7 @@ impl Pager {
     fn evict_as_needed(&mut self) -> Result<()> {
         while self.cached_bytes > self.cache_bytes && self.cache.len() > 1 {
             let (_, &victim) = self.lru.first_key_value().expect("cache non-empty");
-            self.flush_page(victim)?;
+            self.flush_page(victim, false)?;
             self.lru.pop_first();
             let slot = self.cache.remove(&victim).expect("victim cached");
             self.cached_bytes -= slot.encoded_len as u64;
@@ -351,11 +351,9 @@ impl Pager {
         Ok(())
     }
 
-    fn flush_page(&mut self, page: PageNo) -> Result<()> {
-        self.flush_page_opts(page, false)
-    }
-
-    fn flush_page_opts(&mut self, page: PageNo, background: bool) -> Result<()> {
+    /// Writes `page` back if dirty — blocking the clock, or through the
+    /// detached background path.
+    fn flush_page(&mut self, page: PageNo, background: bool) -> Result<()> {
         if !self.dirty.contains(&page) {
             return Ok(());
         }
@@ -373,29 +371,32 @@ impl Pager {
     }
 
     /// Writes back dirty pages — lowest page number first, for
-    /// deterministic slicing — through the detached background path
-    /// until `max_bytes` of writes have been issued or the cache is
-    /// clean. Pages stay cached (now clean); returns the bytes written.
-    pub fn flush_dirty_bg(&mut self, max_bytes: u64) -> Result<u64> {
+    /// deterministic slicing — until `max_bytes` of writes have been
+    /// issued or the cache is clean. Pages stay cached (now clean);
+    /// returns the bytes written.
+    pub fn flush_dirty(&mut self, max_bytes: u64, background: bool) -> Result<u64> {
         let mut written = 0u64;
         while written < max_bytes {
             let Some(&page) = self.dirty.first() else {
                 break;
             };
-            self.flush_page_opts(page, true)?;
+            self.flush_page(page, background)?;
             written += self.page_bytes as u64;
         }
         Ok(written)
     }
 
-    /// Writes the metadata page through the detached background path
-    /// **without** an fsync — the caller gates any dependent install on
-    /// [`Pager::durable_at`].
-    pub fn write_meta_bg(&mut self, meta: &[u8]) -> Result<()> {
+    /// Writes the metadata page **without** an fsync — the caller
+    /// fsyncs, or gates any dependent install on [`Pager::durable_at`].
+    pub fn write_meta(&mut self, meta: &[u8], background: bool) -> Result<()> {
         assert!(meta.len() <= self.page_bytes);
         let mut meta_buf = meta.to_vec();
         meta_buf.resize(self.page_bytes, 0);
-        self.vfs.write_at_bg(self.file, 0, &meta_buf)?;
+        if background {
+            self.vfs.write_at_bg(self.file, 0, &meta_buf)?;
+        } else {
+            self.vfs.write_at(self.file, 0, &meta_buf)?;
+        }
         Ok(())
     }
 
@@ -405,31 +406,15 @@ impl Pager {
         Ok(self.vfs.durable_at(self.file)?)
     }
 
-    /// Blocks until the tree file is durable (forced background
-    /// installs; the inline path fsyncs inside [`Pager::checkpoint`]).
+    /// Blocks until the tree file is durable.
     pub fn fsync(&mut self) -> Result<()> {
         Ok(self.vfs.fsync(self.file)?)
     }
 
-    /// Counts a checkpoint completed outside [`Pager::checkpoint`] (the
-    /// background install path).
+    /// Counts a completed checkpoint (the caller wrote the pages and the
+    /// metadata and made them durable).
     pub fn note_checkpoint(&mut self) {
         self.stats.checkpoints += 1;
-    }
-
-    /// Writes every dirty page (lowest page number first) plus the
-    /// metadata page, then fsyncs — the checkpoint operation.
-    pub fn checkpoint(&mut self, meta: &[u8]) -> Result<()> {
-        assert!(meta.len() <= self.page_bytes);
-        while let Some(&page) = self.dirty.first() {
-            self.flush_page(page)?;
-        }
-        let mut meta_buf = meta.to_vec();
-        meta_buf.resize(self.page_bytes, 0);
-        self.vfs.write_at(self.file, 0, &meta_buf)?;
-        self.vfs.fsync(self.file)?;
-        self.stats.checkpoints += 1;
-        Ok(())
     }
 
     /// Reads the metadata page (bypassing the node cache).
@@ -452,6 +437,13 @@ mod tests {
     fn vfs() -> Vfs {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
         Vfs::whole_device(ssd.into_shared(), VfsOptions::default())
+    }
+
+    /// A foreground checkpoint, as `BTreeDb::checkpoint` drives it.
+    fn checkpoint(p: &mut Pager, meta: &[u8]) {
+        p.flush_dirty(u64::MAX, false).expect("write-back");
+        p.write_meta(meta, false).expect("meta");
+        p.fsync().expect("fsync");
     }
 
     fn leaf(tag: u8, bytes: usize) -> Node {
@@ -496,11 +488,11 @@ mod tests {
         let v = vfs();
         let mut p = Pager::create(v.clone(), "t.db", 4096, 16 << 10).expect("create");
         let page = p.allocate(leaf(1, 3000)).expect("alloc");
-        p.checkpoint(b"m1").expect("ckpt");
+        checkpoint(&mut p, b"m1");
         let mapped_before = v.ssd().lock().mapped_pages();
         for i in 0..20 {
             p.update(page, |n| *n = leaf(i, 3000)).expect("update");
-            p.checkpoint(b"m1").expect("ckpt");
+            checkpoint(&mut p, b"m1");
         }
         assert_eq!(
             v.ssd().lock().mapped_pages(),
@@ -516,7 +508,7 @@ mod tests {
             p.allocate(leaf(i, 100)).expect("alloc");
         }
         assert!(p.dirty_pages() > 0);
-        p.checkpoint(b"meta-bytes").expect("ckpt");
+        checkpoint(&mut p, b"meta-bytes");
         assert_eq!(p.dirty_pages(), 0);
         let meta = p.read_meta().expect("meta");
         assert_eq!(&meta[..10], b"meta-bytes");

@@ -203,13 +203,18 @@ proptest! {
                     freed = Some(page);
                 }
                 PagerOp::Checkpoint => {
-                    pager.checkpoint(b"meta").expect("checkpoint");
+                    // A foreground checkpoint, as `BTreeDb::checkpoint`
+                    // drives it.
+                    pager.flush_dirty(u64::MAX, false).expect("write-back");
+                    pager.write_meta(b"meta", false).expect("meta");
+                    pager.fsync().expect("fsync");
+                    pager.note_checkpoint();
                     oracle.write_back(usize::MAX);
                     oracle.stats.checkpoints += 1;
                 }
                 PagerOp::FlushBg(pages) => {
                     let written = pager
-                        .flush_dirty_bg(pages * PAGE_BYTES as u64)
+                        .flush_dirty(pages * PAGE_BYTES as u64, true)
                         .expect("flush");
                     let dirty_before =
                         oracle.slots.values().filter(|slot| slot.dirty).count() as u64;

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use ptsbench_cache::{file_tag, BlockCache, CacheStats, Compression, SharedBlockCache};
 use ptsbench_core::engine::{BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, WriteBatch};
 use ptsbench_core::registry::EngineKind;
-use ptsbench_maint::{JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
 use ptsbench_vfs::{Cause, FileId, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::options::HashLogOptions;
@@ -69,29 +69,18 @@ struct Pending {
     value_len: u32,
 }
 
-/// A slice-resumable segment-GC job: the victim's decoded contents plus
-/// a byte cursor. Each maintenance slice relocates a bounded span of
-/// records into the active segment; the victim file is deleted only
-/// when the cursor reaches the end (the install step), so foreground
-/// reads of not-yet-relocated records keep working between slices.
+/// A slice-resumable segment-GC job — the only GC there is: the
+/// victim's decoded contents plus a byte cursor. Each slice relocates a
+/// bounded span of records into the active segment. Drained in place
+/// (maintenance off) one unbounded slice covers the whole victim; paced,
+/// the victim file is deleted only when the cursor reaches the end (the
+/// install step), so foreground reads of not-yet-relocated records keep
+/// working between slices.
 struct GcJob {
     victim: u64,
     buf: Vec<u8>,
     offset: usize,
     rewritten: u64,
-}
-
-/// Background-maintenance state: the per-shard scheduler plus the
-/// in-flight GC job, if any. Present only when `opts.maint.enabled`.
-struct MaintState {
-    sched: MaintScheduler,
-    job: Option<GcJob>,
-}
-
-impl MaintState {
-    fn has_work(&self) -> bool {
-        self.job.is_some() || self.sched.pending() > 0
-    }
 }
 
 const SEGMENT_PREFIX: &str = "hlog-";
@@ -136,9 +125,12 @@ pub struct HashLogDb {
     /// Tracing context (inert unless `opts.trace` and the device has a
     /// tracer attached).
     trace: TraceHandle,
-    /// Background-maintenance state (`None` runs GC inline, the seed
-    /// behavior); see [`HashLogDb::run_maintenance_slice`].
-    maint: Option<MaintState>,
+    /// Pacing source for GC jobs, present iff `opts.maint.enabled`
+    /// (see [`HashLogDb::run_maintenance_slice`]); without one the
+    /// triggering write drains the job in place.
+    sched: Option<MaintScheduler>,
+    /// The GC job in flight.
+    gc: Option<GcJob>,
 }
 
 impl std::fmt::Debug for HashLogDb {
@@ -157,7 +149,7 @@ impl HashLogDb {
         opts.validate();
         let queue = io_queue_for(&vfs, &opts);
         let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         let mut db = Self {
             vfs,
             opts,
@@ -172,7 +164,8 @@ impl HashLogDb {
             pending_seg: Vec::new(),
             cache: cache_for(&opts),
             trace,
-            maint,
+            sched,
+            gc: None,
         };
         db.new_segment()?;
         Ok(db)
@@ -195,7 +188,7 @@ impl HashLogDb {
         }
         let queue = io_queue_for(&vfs, &opts);
         let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         let mut db = Self {
             vfs,
             opts,
@@ -210,7 +203,8 @@ impl HashLogDb {
             pending_seg: Vec::new(),
             cache: cache_for(&opts),
             trace,
-            maint,
+            sched,
+            gc: None,
         };
 
         // Decode every record of every segment, then apply in sequence
@@ -317,14 +311,18 @@ impl HashLogDb {
 
     /// Appends `buf` to the active segment: straight to the device, or
     /// into the in-memory pending buffer when compression is on (the
-    /// device sees one container at seal time).
-    fn append_active(&mut self, buf: &[u8]) -> Result<()> {
+    /// device sees one container at seal time). A paced GC slice appends
+    /// through the background write path — media bandwidth is consumed
+    /// (and later destages queue behind it) but the foreground clock
+    /// does not advance.
+    fn append_active(&mut self, buf: &[u8], drive: Drive) -> Result<()> {
         let active = self.active;
         if self.opts.compression.is_active() {
             self.pending_seg.extend_from_slice(buf);
+        } else if drive == Drive::Paced {
+            self.vfs.append_bg(self.segments[&active].file, buf)?;
         } else {
-            let file = self.segments[&active].file;
-            self.vfs.append(file, buf)?;
+            self.vfs.append(self.segments[&active].file, buf)?;
         }
         let seg = self.segments.get_mut(&active).expect("active segment");
         seg.bytes += buf.len() as u64;
@@ -360,11 +358,11 @@ impl HashLogDb {
     }
 
     /// Appends an encoded run of records to the active segment and
-    /// indexes them, then rotates/collects as needed.
-    fn log_append(&mut self, buf: &[u8], pendings: Vec<Pending>) -> Result<()> {
+    /// indexes them, sealing the segment once it is full.
+    fn append_records(&mut self, buf: &[u8], pendings: Vec<Pending>, drive: Drive) -> Result<()> {
         let active = self.active;
         let base = self.segments[&active].bytes;
-        self.append_active(buf)?;
+        self.append_active(buf, drive)?;
         for p in pendings {
             {
                 let seg = self.segments.get_mut(&active).expect("active segment");
@@ -384,6 +382,13 @@ impl HashLogDb {
         if self.segments[&active].bytes >= self.opts.segment_bytes {
             self.seal_active()?;
         }
+        Ok(())
+    }
+
+    /// The foreground write path: append, index, then collect garbage if
+    /// it is due.
+    fn log_append(&mut self, buf: &[u8], pendings: Vec<Pending>) -> Result<()> {
+        self.append_records(buf, pendings, Drive::Inline)?;
         self.maybe_gc()
     }
 
@@ -744,53 +749,191 @@ impl HashLogDb {
             .map(|(id, _)| id)
     }
 
+    // ---- Maintenance: one GC job, two drives ---------------------------
+    //
+    // A job reads its victim once, then relocates the records that are
+    // still current into the active segment, re-checking liveness
+    // against the index as it goes.
+    //
+    // Maintenance off (`Drive::Inline`): the write that crosses the
+    // garbage trigger drains the job in place — a blocking read, one
+    // unbounded slice, blocking appends, and the victim reclaimed
+    // *before* its live records are re-appended (so the append can reuse
+    // the space). Maintenance on (`Drive::Paced`): `maybe_gc` enqueues a
+    // `SegmentGc` ticket and the harness pumps `run_maintenance_slice`
+    // between foreground ops — a detached read, byte-bounded slices
+    // paced by the scheduler's token bucket, and the victim deleted only
+    // at the final install, so reads of not-yet-moved records keep
+    // working throughout. Space-amp urgency (`max_space_amp`) forces
+    // slices past the pacing gate.
+
     /// Collects the worst sealed segment when total garbage crosses the
-    /// configured fraction. In background-maintenance mode the write
-    /// path only *schedules* the job — the rewrite happens in bounded
-    /// slices pumped between foreground ops.
+    /// configured fraction: in place when maintenance is off, as a
+    /// scheduled job when it is on.
     fn maybe_gc(&mut self) -> Result<()> {
-        let due = self.gc_due();
-        if let Some(m) = self.maint.as_mut() {
-            if due {
-                m.sched.enqueue(JobKind::SegmentGc);
-            }
+        if !self.gc_due() {
             return Ok(());
         }
-        if !due {
+        if let Some(sched) = self.sched.as_mut() {
+            sched.enqueue(JobKind::SegmentGc);
             return Ok(());
         }
-        match self.select_victim() {
-            Some(id) => {
-                let _cause = self.trace.cause(Cause::SegmentGc);
-                let span = self.trace.begin("hashlog.gc", Cause::SegmentGc);
-                let result = self.rewrite_segment(id);
-                self.trace.end(span);
-                result
-            }
-            None => Ok(()),
-        }
+        let Some(victim) = self.select_victim() else {
+            return Ok(());
+        };
+        let _cause = self.trace.cause(Cause::SegmentGc);
+        let span = self.trace.begin("hashlog.gc", Cause::SegmentGc);
+        let result = self
+            .gc_start(victim, Drive::Inline)
+            .and_then(|()| self.gc_slice(Drive::Inline));
+        self.trace.end(span);
+        result
     }
 
-    /// Relocates a segment's live records into the active segment and
-    /// deletes the file.
-    fn rewrite_segment(&mut self, victim: u64) -> Result<()> {
-        let (file, size, name) = {
+    /// Whether background-maintenance mode is on.
+    pub fn maint_enabled(&self) -> bool {
+        self.sched.is_some()
+    }
+
+    /// Background-maintenance counters; `None` when maintenance is off.
+    pub fn maint_stats(&self) -> Option<MaintStats> {
+        self.sched.as_ref().map(|s| s.stats)
+    }
+
+    /// Runs at most one bounded GC slice, if work is pending and the
+    /// rate budget and device-backlog gate allow it. Returns whether
+    /// any forward progress was made (callers may pump in a loop until
+    /// `false`).
+    pub fn run_maintenance_slice(&mut self) -> Result<bool> {
+        self.maintenance_slice(false)
+    }
+
+    /// Drains every outstanding GC job to completion with forced
+    /// slices. Callers that end a run or leave a `ClockBarrier` must
+    /// drain first so no shard exits with a half-relocated segment.
+    pub fn drain_maintenance(&mut self) -> Result<()> {
+        let pending =
+            |db: &Self| (db.sched.as_ref()).is_some_and(|s| db.gc.is_some() || s.pending() > 0);
+        drain_forced(self, pending, |db| db.maintenance_slice(true))
+    }
+
+    /// Whether measured space amplification (total log bytes over live
+    /// bytes) exceeds the configured ceiling — the Marble urgency
+    /// condition that bypasses pacing.
+    fn space_amp_exceeded(&self) -> bool {
+        let total: u64 = self.segments.values().map(|s| s.bytes).sum();
+        let live: u64 = self.segments.values().map(|s| s.live_bytes).sum();
+        live > 0 && total > self.opts.maint.max_space_amp * live
+    }
+
+    fn maintenance_slice(&mut self, forced: bool) -> Result<bool> {
+        if self.sched.is_none() {
+            return Ok(false);
+        }
+        let forced = forced || self.space_amp_exceeded();
+        let now = self.vfs.clock().now();
+        let backlog = self.vfs.device_backlog_ns();
+        let Some(sched) = self.sched.as_mut() else {
+            return Ok(false);
+        };
+        let admission = sched.admit(now, backlog, forced, self.gc.is_some());
+        if admission == Admission::Gated {
+            return Ok(false);
+        }
+        // The victim read is maintenance traffic too: without the scope
+        // it would land under whatever cause is current (usually none),
+        // and the per-cause ledger would under-report GC reads.
+        let _cause = self.trace.cause(Cause::SegmentGc);
+        if let Admission::Start(kind) = admission {
+            debug_assert_eq!(kind, JobKind::SegmentGc, "hashlog only schedules GC");
+            let Some(victim) = self.select_victim() else {
+                return Ok(false); // stale ticket: no qualifying victim
+            };
+            self.gc_start(victim, Drive::Paced)?;
+        }
+        let span = self
+            .trace
+            .begin(JobKind::SegmentGc.span_label(), Cause::SegmentGc);
+        let result = self.gc_slice(Drive::Paced);
+        self.trace.end(span);
+        if let (Ok(()), Some(sched)) = (&result, self.sched.as_mut()) {
+            sched.stats.slices += 1;
+        }
+        result.map(|()| true)
+    }
+
+    /// Starts a GC job: reads the victim's full contents. Inline, a
+    /// foreground read (and decode) on the triggering op's clock; paced,
+    /// through the detached background path — media bandwidth without a
+    /// foreground clock charge, the foreground only feels it through
+    /// device congestion.
+    fn gc_start(&mut self, victim: u64, drive: Drive) -> Result<()> {
+        let (file, size) = {
             let seg = &self.segments[&victim];
-            (seg.file, seg.bytes, seg.name.clone())
+            (seg.file, seg.bytes)
         };
         // Victims are always sealed; with compression that means one
         // container on disk holding `size` logical bytes.
-        let buf = if self.opts.compression.is_active() {
-            let disk = self.vfs.size(file)?;
-            let raw = self.vfs.read_at(file, 0, disk as usize)?;
-            self.decode_segment(raw)?
+        let disk = if self.opts.compression.is_active() {
+            self.vfs.size(file)?
         } else {
-            self.vfs.read_at(file, 0, size as usize)?
+            size
         };
+        let compressed = self.opts.compression.is_active();
+        let buf = match drive {
+            Drive::Inline => {
+                let raw = self.vfs.read_at(file, 0, disk as usize)?;
+                if compressed {
+                    self.decode_segment(raw)?
+                } else {
+                    raw
+                }
+            }
+            Drive::Paced => {
+                let raw = self.vfs.read_at_bg(file, 0, disk as usize)?;
+                if compressed {
+                    // Background decode: unlike the foreground read path
+                    // the codec CPU cost is not charged to the clock —
+                    // maintenance compute happens off the foreground
+                    // thread, and its device footprint is what the
+                    // pacing budget meters.
+                    Compression::decode(&raw)
+                        .ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()))?
+                } else {
+                    raw
+                }
+            }
+        };
+        debug_assert_eq!(buf.len() as u64, size, "decoded victim length");
+        drive.charge(&mut self.sched, self.vfs.clock().now(), disk, true);
+        self.gc = Some(GcJob {
+            victim,
+            buf,
+            offset: 0,
+            rewritten: 0,
+        });
+        Ok(())
+    }
+
+    /// Relocates one byte-bounded span of the victim into the active
+    /// segment. Liveness is re-checked against the index *at slice
+    /// time*, so records overwritten by foreground ops between slices
+    /// are dropped rather than resurrected. Index and accounting edits
+    /// happen in the same slice as the append, so foreground ops never
+    /// observe a half-moved record. The final slice installs the job:
+    /// victim removed from the log and deleted on disk.
+    fn gc_slice(&mut self, drive: Drive) -> Result<()> {
+        let slice_bytes = drive.slice_bytes(&self.sched);
+        let GcJob {
+            victim,
+            buf,
+            mut offset,
+            rewritten,
+        } = self.gc.take().expect("job in progress");
+        let begin = offset;
         let mut out = Vec::new();
         let mut pendings = Vec::new();
-        let mut offset = 0usize;
-        while offset < buf.len() {
+        while offset < buf.len() && ((offset - begin) as u64) < slice_bytes {
             let (record, end) = Record::decode(&buf, offset)?;
             let record_bytes = (end - offset) as u64;
             let current = self
@@ -826,321 +969,38 @@ impl HashLogDb {
             }
             offset = end;
         }
-        self.stats.gc_runs += 1;
-        self.stats.gc_bytes_rewritten += out.len() as u64;
-        self.segments.remove(&victim);
-        self.vfs.delete(&name)?;
-        if !out.is_empty() {
-            // Relocation must not recurse into GC while the victim's
-            // accounting is mid-flight; append directly.
-            let active = self.active;
-            let base = self.segments[&active].bytes;
-            self.append_active(&out)?;
-            for p in pendings {
-                {
-                    let seg = self.segments.get_mut(&active).expect("active segment");
-                    seg.min_seq = seg.min_seq.min(p.seq);
-                    seg.live_bytes += p.record_bytes;
-                }
-                let entry = IndexEntry {
-                    segment: active,
-                    record_offset: base + p.rel_record_offset,
-                    record_bytes: p.record_bytes,
-                    value_offset: base + p.rel_value_offset,
-                    value_len: p.value_len,
-                    tombstone: p.tombstone,
-                };
-                // Relocated records are the current version by
-                // construction; plain insert keeps accounting intact.
-                self.index.insert(p.key, entry);
-            }
-            if self.segments[&active].bytes >= self.opts.segment_bytes {
-                self.seal_active()?;
-            }
-        }
-        Ok(())
-    }
-
-    // ---- Background maintenance -------------------------------------
-    //
-    // In maintenance mode the write path never rewrites a segment
-    // inline: `maybe_gc` enqueues a `SegmentGc` ticket and the harness
-    // pumps `run_maintenance_slice` between foreground ops. A job reads
-    // the victim once (detached background read, no clock charge), then
-    // relocates its live records in byte-bounded slices paced by the
-    // scheduler's token bucket; the victim file is deleted only at the
-    // final install, so reads of not-yet-moved records keep working
-    // throughout. Space-amp urgency (`max_space_amp`) forces slices
-    // past the pacing gate.
-
-    /// Whether background-maintenance mode is on.
-    pub fn maint_enabled(&self) -> bool {
-        self.maint.is_some()
-    }
-
-    /// Background-maintenance counters; `None` when maintenance is off.
-    pub fn maint_stats(&self) -> Option<MaintStats> {
-        self.maint.as_ref().map(|m| m.sched.stats)
-    }
-
-    /// Runs at most one bounded GC slice, if work is pending and the
-    /// rate budget and device-backlog gate allow it. Returns whether
-    /// any forward progress was made (callers may pump in a loop until
-    /// `false`).
-    pub fn run_maintenance_slice(&mut self) -> Result<bool> {
-        self.maintenance_slice_inner(false)
-    }
-
-    /// Drains every outstanding GC job to completion with forced
-    /// slices. Callers that end a run or leave a `ClockBarrier` must
-    /// drain first so no shard exits with a half-relocated segment.
-    pub fn drain_maintenance(&mut self) -> Result<()> {
-        if self.maint.is_none() {
-            return Ok(());
-        }
-        let mut spins = 0u32;
-        while self.maint.as_ref().expect("maintenance mode").has_work() {
-            if self.maintenance_slice_inner(true)? {
-                spins = 0;
-            } else {
-                // Only stale tickets were consumed; a couple of empty
-                // rounds means we are done.
-                spins += 1;
-                if spins > 2 {
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether measured space amplification (total log bytes over live
-    /// bytes) exceeds the configured ceiling — the Marble urgency
-    /// condition that bypasses pacing.
-    fn space_amp_exceeded(&self) -> bool {
-        let Some(m) = &self.maint else {
-            return false;
-        };
-        let total: u64 = self.segments.values().map(|s| s.bytes).sum();
-        let live: u64 = self.segments.values().map(|s| s.live_bytes).sum();
-        live > 0 && total > m.sched.cfg().max_space_amp * live
-    }
-
-    fn maintenance_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        if self.maint.is_none() {
-            return Ok(false);
-        }
-        let forced = forced || self.space_amp_exceeded();
-        let now = self.vfs.clock().now();
-        let backlog = self.vfs.device_backlog_ns();
-        let need_start = {
-            let m = self.maint.as_mut().expect("maintenance mode");
-            if !forced && backlog > m.sched.cfg().max_backlog_ns {
-                return Ok(false);
-            }
-            if m.job.is_none() {
-                let Some(kind) = m.sched.pop_ready(now, forced) else {
-                    return Ok(false);
-                };
-                debug_assert_eq!(kind, JobKind::SegmentGc, "hashlog only schedules GC");
-                true
-            } else {
-                if !m.sched.budget_ready(now, forced) {
-                    return Ok(false);
-                }
-                false
-            }
-        };
-        if need_start && !self.gc_start()? {
-            return Ok(false); // stale ticket: no qualifying victim
-        }
-        self.gc_run_slice()?;
-        self.maint
-            .as_mut()
-            .expect("maintenance mode")
-            .sched
-            .stats
-            .slices += 1;
-        Ok(true)
-    }
-
-    /// Starts a GC job: picks the victim and reads its full contents
-    /// through the detached background path (media bandwidth without a
-    /// foreground clock charge — the foreground only feels it through
-    /// device congestion). Returns `false` when no segment qualifies.
-    fn gc_start(&mut self) -> Result<bool> {
-        let Some(victim) = self.select_victim() else {
-            return Ok(false);
-        };
-        // The victim read is maintenance traffic too: without the scope
-        // it would land under whatever cause is current (usually none),
-        // and the per-cause ledger would under-report GC reads.
-        let _cause = self.trace.cause(Cause::SegmentGc);
-        let (file, size) = {
-            let seg = &self.segments[&victim];
-            (seg.file, seg.bytes)
-        };
-        let (buf, disk) = if self.opts.compression.is_active() {
-            let disk = self.vfs.size(file)?;
-            let raw = self.vfs.read_at_bg(file, 0, disk as usize)?;
-            // Background decode: unlike the foreground read path the
-            // codec CPU cost is not charged to the clock — maintenance
-            // compute happens off the foreground thread, and its device
-            // footprint is what the pacing budget meters.
-            let buf = Compression::decode(&raw)
-                .ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()))?;
-            (buf, disk)
-        } else {
-            (self.vfs.read_at_bg(file, 0, size as usize)?, size)
-        };
-        debug_assert_eq!(buf.len() as u64, size, "decoded victim length");
-        let now = self.vfs.clock().now();
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.charge(now, disk, true);
-        m.job = Some(GcJob {
-            victim,
-            buf,
-            offset: 0,
-            rewritten: 0,
-        });
-        Ok(true)
-    }
-
-    fn gc_run_slice(&mut self) -> Result<()> {
-        let _cause = self.trace.cause(Cause::SegmentGc);
-        let span = self
-            .trace
-            .begin(JobKind::SegmentGc.span_label(), Cause::SegmentGc);
-        let result = self.gc_run_slice_inner();
-        self.trace.end(span);
-        result
-    }
-
-    /// Relocates one byte-bounded span of the victim into the active
-    /// segment. Liveness is re-checked against the index *at slice
-    /// time*, so records overwritten by foreground ops between slices
-    /// are dropped rather than resurrected. The final slice installs
-    /// the job: victim removed from the log and deleted on disk.
-    fn gc_run_slice_inner(&mut self) -> Result<()> {
-        let slice_bytes = {
-            let m = self.maint.as_ref().expect("maintenance mode");
-            m.sched.cfg().slice_bytes.max(1) as usize
-        };
-        let GcJob {
-            victim,
-            buf,
-            mut offset,
-            rewritten,
-        } = self
-            .maint
-            .as_mut()
-            .expect("maintenance mode")
-            .job
-            .take()
-            .expect("job in progress");
-        let begin = offset;
-        let mut out = Vec::new();
-        let mut pendings = Vec::new();
-        while offset < buf.len() && offset - begin < slice_bytes {
-            let (record, end) = Record::decode(&buf, offset)?;
-            let record_bytes = (end - offset) as u64;
-            let current = self
-                .index
-                .get(&record.key)
-                .is_some_and(|e| e.segment == victim && e.record_offset == offset as u64);
-            if current {
-                if record.tombstone {
-                    let blocked = self
-                        .segments
-                        .iter()
-                        .any(|(id, s)| *id != victim && s.min_seq < record.seq);
-                    if !blocked {
-                        self.index.remove(&record.key);
-                        offset = end;
-                        continue;
-                    }
-                }
-                let rel_record_offset = out.len() as u64;
-                out.extend_from_slice(&buf[offset..end]);
-                pendings.push(Pending {
-                    rel_value_offset: rel_record_offset + Record::encoded_len(record.key.len(), 0),
-                    key: record.key,
-                    seq: record.seq,
-                    tombstone: record.tombstone,
-                    rel_record_offset,
-                    record_bytes,
-                    value_len: record.value_len,
-                });
-            }
-            offset = end;
-        }
-        if !out.is_empty() {
-            // Relocation appends through the background write path; the
-            // install (index + accounting edits) happens in the same
-            // slice, so foreground ops never observe a half-moved
-            // record.
-            let active = self.active;
-            let base = self.segments[&active].bytes;
-            self.append_active_bg(&out)?;
-            for p in pendings {
-                {
-                    let seg = self.segments.get_mut(&active).expect("active segment");
-                    seg.min_seq = seg.min_seq.min(p.seq);
-                    seg.live_bytes += p.record_bytes;
-                }
-                let entry = IndexEntry {
-                    segment: active,
-                    record_offset: base + p.rel_record_offset,
-                    record_bytes: p.record_bytes,
-                    value_offset: base + p.rel_value_offset,
-                    value_len: p.value_len,
-                    tombstone: p.tombstone,
-                };
-                // The victim still holds the displaced entry, so the
-                // garbage-accounting insert keeps its live bytes exact.
-                self.apply_index_entry(p.key, entry);
-            }
-            if self.segments[&active].bytes >= self.opts.segment_bytes {
-                self.seal_active()?;
-            }
-        }
-        let now = self.vfs.clock().now();
         let out_len = out.len() as u64;
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.charge(now, out_len, false);
-        if offset >= buf.len() {
-            // Install: the whole victim is relocated; drop the file.
-            m.sched.stats.jobs += 1;
-            m.sched.stats.installs += 1;
-            self.stats.gc_runs += 1;
-            self.stats.gc_bytes_rewritten += rewritten + out_len;
-            let name = self.segments.remove(&victim).expect("victim segment").name;
-            self.vfs.delete(&name)?;
-        } else {
-            m.job = Some(GcJob {
+        // An inline job (one unbounded slice) reclaims the victim before
+        // re-appending; with the victim gone the re-index below displaces
+        // nothing, so its accounting is a plain insert.
+        if drive == Drive::Inline {
+            self.gc_reclaim(victim, rewritten + out_len)?;
+        }
+        if !out.is_empty() {
+            self.append_records(&out, pendings, drive)?;
+        }
+        drive.charge(&mut self.sched, self.vfs.clock().now(), out_len, false);
+        if offset < buf.len() {
+            self.gc = Some(GcJob {
                 victim,
                 buf,
                 offset,
                 rewritten: rewritten + out_len,
             });
+        } else if drive == Drive::Paced {
+            // Install: the whole victim is relocated; drop the file.
+            self.gc_reclaim(victim, rewritten + out_len)?;
+            drive.installed(&mut self.sched);
         }
         Ok(())
     }
 
-    /// [`HashLogDb::append_active`] through the background write path:
-    /// media bandwidth is consumed (and later destages queue behind it)
-    /// but the foreground clock does not advance.
-    fn append_active_bg(&mut self, buf: &[u8]) -> Result<()> {
-        let active = self.active;
-        if self.opts.compression.is_active() {
-            self.pending_seg.extend_from_slice(buf);
-        } else {
-            let file = self.segments[&active].file;
-            self.vfs.append_bg(file, buf)?;
-        }
-        let seg = self.segments.get_mut(&active).expect("active segment");
-        seg.bytes += buf.len() as u64;
-        Ok(())
+    /// Removes a collected victim from the log and deletes its file.
+    fn gc_reclaim(&mut self, victim: u64, rewritten: u64) -> Result<()> {
+        self.stats.gc_runs += 1;
+        self.stats.gc_bytes_rewritten += rewritten;
+        let name = self.segments.remove(&victim).expect("victim segment").name;
+        Ok(self.vfs.delete(&name)?)
     }
 }
 
@@ -1152,14 +1012,6 @@ fn io_queue_for(vfs: &Vfs, opts: &HashLogOptions) -> Option<SharedIoQueue> {
 /// Builds the value/segment cache when the options ask for one.
 fn cache_for(opts: &HashLogOptions) -> Option<SharedBlockCache> {
     (opts.cache_bytes > 0).then(|| BlockCache::shared(opts.cache_bytes))
-}
-
-/// Builds the background-maintenance state when the options ask for it.
-fn maint_for(vfs: &Vfs, opts: &HashLogOptions) -> Option<MaintState> {
-    opts.maint.enabled.then(|| MaintState {
-        sched: MaintScheduler::new(opts.maint, vfs.clock().now()),
-        job: None,
-    })
 }
 
 /// Streaming cursor returned by [`HashLogDb::scan_iter`].

@@ -1,16 +1,27 @@
-//! Background-maintenance job state: frozen memtables, slice-resumable
-//! flush and compaction jobs, and the per-shard scheduler.
+//! Maintenance job state: the frozen memtable's flush and the
+//! compaction, each resumable across slices.
 //!
-//! In maintenance mode ([`ptsbench_maint::MaintConfig::enabled`]) a full
-//! memtable is *frozen* instead of flushed inline: writes continue into
-//! a fresh memtable (and a fresh WAL file, see
-//! [`crate::wal::Wal::rotate_deferred`]) while a [`FlushJob`] streams
-//! the frozen entries into an L0 table one bounded slice at a time.
-//! Compactions likewise become [`CompactJob`]s that buffer one input
-//! table per slice, then merge and write outputs in byte-bounded
-//! slices. Both install their version edit only once the background
-//! writes have destaged (durability-gated install), so the blocking
-//! manifest commit never queues behind a burst of compaction traffic.
+//! There is one implementation of each job, and two ways to drive it
+//! ([`ptsbench_maint::Drive`], chosen by
+//! [`ptsbench_maint::MaintConfig::enabled`]). Either way a full memtable
+//! is *frozen* into the database's `imm` slot — still readable — and a
+//! [`FlushJob`] streams it into an L0 table; a picked compaction becomes
+//! a [`CompactJob`] that merges its inputs into output tables and then
+//! installs one version edit.
+//!
+//! * **Off — the same jobs, drained in place, foreground rules.** The
+//!   op that fills the memtable freezes it, runs the flush job to
+//!   completion in unbounded slices, installs at once and rotates the
+//!   WAL, then does the same for each due compaction, streaming the
+//!   inputs through the merge. Nothing is charged to a scheduler.
+//! * **On — bounded slices pumped between foreground ops.** Writes
+//!   continue into a fresh memtable (and a fresh WAL file, see
+//!   [`crate::wal::Wal::rotate_deferred`]) while the flush proceeds one
+//!   byte-bounded slice at a time; a compaction buffers one input table
+//!   per slice, then merges and writes outputs in byte-bounded slices.
+//!   Both install their version edit only once the background writes
+//!   have destaged (durability-gated install), so the blocking manifest
+//!   commit never queues behind a burst of compaction traffic.
 //!
 //! MVCC safety: a [`CompactJob`] holds its inputs as
 //! [`CompactionTask`]'s `Arc<TableHandle>` pins, so concurrent
@@ -18,11 +29,8 @@
 //! keep working against the old tables until the install swaps the
 //! version atomically between two foreground ops.
 
-use ptsbench_maint::MaintScheduler;
-
 use crate::compaction::CompactionTask;
 use crate::iter::{KMerge, SharedEntry};
-use crate::memtable::Memtable;
 use crate::sstable::{SstableBuilder, SstableMeta};
 
 /// One buffered entry stream: an input table scanned by the compaction
@@ -38,8 +46,6 @@ pub(crate) type RunIter = std::vec::IntoIter<SharedEntry>;
 pub(crate) struct FlushJob {
     /// Output table under construction (`None` once finished).
     pub builder: Option<SstableBuilder>,
-    /// Output table name.
-    pub name: String,
     /// Last key streamed from the frozen memtable (resume point).
     pub cursor: Option<Vec<u8>>,
     /// Finished table metadata awaiting the durability-gated install.
@@ -55,17 +61,20 @@ pub(crate) struct CompactJob {
     pub task: CompactionTask,
     /// Whether output tombstones can be dropped (nothing lives below).
     pub drop_tombstones: bool,
-    /// Next input table to buffer (read phase; one table per slice).
+    /// Next input table to buffer (paced read phase; one table per
+    /// slice — an inline job streams its inputs instead).
     pub read_idx: usize,
     /// Buffered input runs, recency order.
     pub buffered: Vec<BufferedRun>,
-    /// Merge over the buffered runs (write phase); built lazily once
-    /// every input is buffered.
+    /// Merge over the buffered runs (paced write phase); built lazily
+    /// once every input is buffered.
     pub merge: Option<KMerge<RunIter>>,
     /// Output table under construction.
     pub builder: Option<SstableBuilder>,
     /// Finished output tables awaiting install.
     pub outputs: Vec<SstableMeta>,
+    /// Total file bytes of `outputs`.
+    pub finished_bytes: u64,
     /// Input bytes (for stats, captured at pick time).
     pub input_bytes: u64,
     /// Input table names (for the manifest edit).
@@ -89,6 +98,7 @@ impl CompactJob {
             merge: None,
             builder: None,
             outputs: Vec::new(),
+            finished_bytes: 0,
             input_bytes,
             input_names,
             write_done: false,
@@ -103,44 +113,16 @@ impl CompactJob {
 
     /// Output bytes produced so far (finished outputs + live builder).
     pub fn produced_bytes(&self) -> u64 {
-        self.outputs.iter().map(|m| m.file_bytes).sum::<u64>()
-            + self.builder.as_ref().map_or(0, |b| b.estimated_bytes())
+        self.finished_bytes + self.builder.as_ref().map_or(0, |b| b.estimated_bytes())
     }
-}
 
-/// Everything background-maintenance mode adds to an `LsmDb`.
-pub(crate) struct MaintState {
-    /// Rate budget, job tickets and counters.
-    pub sched: MaintScheduler,
-    /// The frozen memtable awaiting flush (readable; writes go to the
-    /// live memtable).
-    pub imm: Option<Memtable>,
-    /// WAL file holding the frozen records; deleted at flush install.
-    pub old_wal: Option<String>,
-    /// Flush in progress.
-    pub flush: Option<FlushJob>,
-    /// Compaction in progress.
-    pub compact: Option<CompactJob>,
-}
-
-impl MaintState {
-    /// A fresh state around a scheduler.
-    pub fn new(sched: MaintScheduler) -> Self {
-        Self {
-            sched,
-            imm: None,
-            old_wal: None,
-            flush: None,
-            compact: None,
+    /// Finishes the live output table, if any.
+    pub fn finish_output(&mut self) -> crate::Result<()> {
+        if let Some(builder) = self.builder.take() {
+            let meta = builder.finish()?;
+            self.finished_bytes += meta.file_bytes;
+            self.outputs.push(meta);
         }
-    }
-
-    /// Whether any background work is outstanding (tickets, jobs, or a
-    /// frozen memtable).
-    pub fn has_work(&self) -> bool {
-        self.imm.is_some()
-            || self.flush.is_some()
-            || self.compact.is_some()
-            || self.sched.pending() > 0
+        Ok(())
     }
 }

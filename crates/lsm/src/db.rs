@@ -4,16 +4,16 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
-use ptsbench_maint::{JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
 use ptsbench_vfs::{Cause, FileSlice, SharedIoQueue, TraceHandle, Vfs};
 
-use crate::background::{BufferedRun, CompactJob, FlushJob, MaintState};
+use crate::background::{BufferedRun, CompactJob, FlushJob, RunIter};
 use crate::compaction::{effective_targets, pick, CompactionTask};
-use crate::iter::{EntryStream, KWayMerge};
+use crate::iter::{EntryStream, KMerge, KWayMerge, SharedEntry};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
-use crate::sstable::{BloomCounters, SstableBuilder, SstableReader};
+use crate::sstable::{BloomCounters, SstableBuilder, SstableMeta, SstableReader};
 use crate::version::{TableHandle, Version};
 use crate::wal::{Wal, WalRecord};
 use crate::{LsmError, Result};
@@ -73,10 +73,21 @@ pub struct LsmDb {
     /// Phase-span recorder + device cause scopes (inert unless
     /// `opts.trace` and a tracer is attached to the device).
     trace: TraceHandle,
-    /// Background-maintenance state (frozen memtable, slice-resumable
-    /// jobs, rate-budgeted scheduler); `None` — the seed behavior,
-    /// maintenance inline — unless `opts.maint.enabled`.
-    maint: Option<MaintState>,
+    /// Pacing source for maintenance jobs, present iff
+    /// `opts.maint.enabled`; without one the op that triggers a job
+    /// drains it in place (the seed behavior).
+    sched: Option<MaintScheduler>,
+    /// The frozen memtable being flushed (readable, newer than any
+    /// table; writes go to the live memtable).
+    imm: Option<Memtable>,
+    /// WAL files holding frozen records whose rotation was deferred
+    /// (paced drive); deleted at flush install. More than one only
+    /// after an aborted flush thawed its memtable.
+    old_wals: Vec<String>,
+    /// Flush in progress.
+    flush: Option<FlushJob>,
+    /// Compaction in progress.
+    compact: Option<CompactJob>,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -101,7 +112,7 @@ impl LsmDb {
         let queue = io_queue_for(&vfs, &opts);
         let cache = cache_for(&opts);
         let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         Ok(Self {
             memtable: Memtable::new(),
             wal,
@@ -116,7 +127,11 @@ impl LsmDb {
             cache,
             blooms: Arc::new(BloomCounters::default()),
             trace,
-            maint,
+            sched,
+            imm: None,
+            old_wals: Vec::new(),
+            flush: None,
+            compact: None,
         })
     }
 
@@ -182,7 +197,7 @@ impl LsmDb {
             None
         };
         let manifest = Manifest::open(vfs.clone())?;
-        let maint = maint_for(&vfs, &opts);
+        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
         let mut db = Self {
             memtable: Memtable::new(),
             wal,
@@ -197,7 +212,11 @@ impl LsmDb {
             cache,
             blooms,
             trace,
-            maint,
+            sched,
+            imm: None,
+            old_wals: Vec::new(),
+            flush: None,
+            compact: None,
         };
         for record in records {
             match record {
@@ -293,7 +312,7 @@ impl LsmDb {
     /// instead of paying a serial page drain per record. Inline mode
     /// applies the ops one by one, byte-identical to the seed.
     pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
-        if self.maint.is_none() {
+        if self.sched.is_none() {
             for &(key, value) in ops {
                 match value {
                     Some(value) => self.put(key, value)?,
@@ -338,13 +357,9 @@ impl LsmDb {
         if let Some(entry) = self.memtable.get(key) {
             return Ok(entry.clone());
         }
-        // The frozen memtable (background mode) is newer than any table.
-        if let Some(m) = &self.maint {
-            if let Some(imm) = &m.imm {
-                if let Some(entry) = imm.get(key) {
-                    return Ok(entry.clone());
-                }
-            }
+        // The frozen memtable is newer than any table.
+        if let Some(entry) = self.imm.as_ref().and_then(|imm| imm.get(key)) {
+            return Ok(entry.clone());
         }
         // L0: newest to oldest, any table may contain the key.
         for handle in self.version.tables(0).iter().rev() {
@@ -377,10 +392,8 @@ impl LsmDb {
         };
         let mut sources: Vec<EntryStream<'_>> = Vec::new();
         sources.push(Box::new(self.memtable.range(start, end).map(shared)));
-        if let Some(m) = &self.maint {
-            if let Some(imm) = &m.imm {
-                sources.push(Box::new(imm.range(start, end).map(shared)));
-            }
+        if let Some(imm) = &self.imm {
+            sources.push(Box::new(imm.range(start, end).map(shared)));
         }
         for handle in self.version.tables(0).iter().rev() {
             sources.push(Box::new(handle.reader.iter_from(start)));
@@ -447,8 +460,8 @@ impl LsmDb {
     /// In background mode this freezes the memtable and drains every
     /// outstanding maintenance job to completion (forced slices).
     pub fn flush(&mut self) -> Result<()> {
-        if self.maint.is_some() {
-            self.freeze_memtable()?;
+        if self.sched.is_some() {
+            self.freeze_memtable(Drive::Paced)?;
             self.maybe_schedule_compaction()?;
             return self.drain_maintenance();
         }
@@ -462,10 +475,10 @@ impl LsmDb {
     /// versions or tombstones. Useful before space-sensitive
     /// measurements and read-heavy phases.
     pub fn compact_all(&mut self) -> Result<()> {
-        if self.maint.is_some() {
-            // Settle outstanding background work first so the inline
-            // full-merge below starts from a consistent version.
-            self.freeze_memtable()?;
+        if self.sched.is_some() {
+            // Settle outstanding background work first so the in-place
+            // full merge below starts from a consistent version.
+            self.freeze_memtable(Drive::Paced)?;
             self.drain_maintenance()?;
         }
         self.flush_memtable()?;
@@ -511,81 +524,13 @@ impl LsmDb {
 
     fn maybe_flush(&mut self) -> Result<()> {
         if self.memtable.approx_bytes() >= self.opts.memtable_bytes {
-            if self.maint.is_some() {
-                self.freeze_memtable()?;
+            if self.sched.is_some() {
+                self.freeze_memtable(Drive::Paced)?;
                 self.maybe_schedule_compaction()?;
-                self.backpressure_l0()?;
-                return Ok(());
+                return self.backpressure_l0();
             }
             self.flush_memtable()?;
             self.maybe_compact()?;
-        }
-        Ok(())
-    }
-
-    fn next_table_name(&mut self) -> String {
-        let n = self.next_file;
-        self.next_file += 1;
-        format!("sst-{n:08}")
-    }
-
-    fn flush_memtable(&mut self) -> Result<()> {
-        if self.memtable.is_empty() {
-            return Ok(());
-        }
-        // Flush rides the Compaction cause: it is the same inline
-        // maintenance stall, and the paper's WA-A folds both together.
-        let _cause = self.trace.cause(Cause::Compaction);
-        let span = self.trace.begin("lsm.flush", Cause::Compaction);
-        let result = self.flush_memtable_inner();
-        self.trace.end(span);
-        result
-    }
-
-    fn flush_memtable_inner(&mut self) -> Result<()> {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync(false)?;
-        }
-        let entries = self.memtable.drain();
-        let name = self.next_table_name();
-        let vfs = self.vfs.clone();
-        let (block_bytes, bloom_bits) = (self.opts.block_bytes, self.opts.bits_per_key_for(0));
-        let compression = self.opts.compression;
-        let build = || -> Result<crate::sstable::SstableMeta> {
-            let mut b = SstableBuilder::create_bg(vfs, &name, block_bytes, bloom_bits)?
-                .with_compression(compression);
-            for (k, v) in &entries {
-                if let Err(e) = b.add(k, v.as_deref()) {
-                    b.abandon();
-                    return Err(e);
-                }
-            }
-            b.finish()
-        };
-        let meta = match build() {
-            Ok(m) => m,
-            Err(e) => {
-                // Undo: keep the data in memory so the DB stays readable.
-                for (k, v) in entries {
-                    match v {
-                        Some(v) => self.memtable.put(&k, &v),
-                        None => self.memtable.delete(&k),
-                    }
-                }
-                return Err(e);
-            }
-        };
-        self.stats.flushes += 1;
-        self.stats.flush_bytes += meta.file_bytes;
-        self.manifest.log_add(0, &meta.name);
-        self.manifest.commit()?;
-        let reader = SstableReader::open_bg_q(self.vfs.clone(), &meta.name, self.queue.clone())?
-            .with_cache(self.cache.clone())
-            .with_blooms(Some(Arc::clone(&self.blooms)))
-            .with_trace(self.trace.clone());
-        self.version.push_l0(Arc::new(TableHandle { meta, reader }));
-        if let Some(wal) = self.wal.as_mut() {
-            wal.rotate()?;
         }
         Ok(())
     }
@@ -657,145 +602,37 @@ impl LsmDb {
         Ok(())
     }
 
-    fn run_compaction(&mut self, task: CompactionTask) -> Result<()> {
-        let _cause = self.trace.cause(Cause::Compaction);
-        let span = self.trace.begin("lsm.compaction", Cause::Compaction);
-        let result = self.run_compaction_inner(task);
-        self.trace.end(span);
-        result
-    }
-
-    fn run_compaction_inner(&mut self, task: CompactionTask) -> Result<()> {
-        let drop_tombstones = !self.version.has_data_below(task.target_level);
-        let input_bytes = task.input_bytes();
-        let input_names = task.input_names();
-
-        // Recency-ordered sources: source-level tables (already newest
-        // first), then target-level overlaps (older).
-        let mut sources: Vec<EntryStream<'_>> = Vec::new();
-        for h in &task.inputs {
-            sources.push(Box::new(h.reader.iter_bg()));
-        }
-        for h in &task.overlaps {
-            sources.push(Box::new(h.reader.iter_bg()));
-        }
-        let merge = KWayMerge::new(sources);
-
-        // Write merged output, splitting at the table size target.
-        let mut outputs: Vec<crate::sstable::SstableMeta> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
-        // Pre-reserve names (can't mutate self.next_file while borrowing
-        // version through `task`): the task holds Arcs, not borrows, so
-        // this is fine — but names are generated up front for clarity.
-        let mut builder: Option<SstableBuilder> = None;
-        let mut failure: Option<LsmError> = None;
-
-        for (key, value) in merge {
-            if value.is_none() && drop_tombstones {
-                continue;
-            }
-            if builder.is_none() {
-                let n = self.next_file;
-                self.next_file += 1;
-                let name = format!("sst-{n:08}");
-                match SstableBuilder::create_bg(
-                    self.vfs.clone(),
-                    &name,
-                    self.opts.block_bytes,
-                    self.opts.bits_per_key_for(task.target_level),
-                ) {
-                    Ok(b) => {
-                        names.push(name);
-                        builder = Some(b.with_compression(self.opts.compression));
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            let b = builder.as_mut().expect("just ensured");
-            if let Err(e) = b.add(&key, value.as_deref()) {
-                failure = Some(e);
-                break;
-            }
-            if b.estimated_bytes() >= self.opts.sstable_target_bytes {
-                match builder.take().expect("present").finish() {
-                    Ok(meta) => outputs.push(meta),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        if failure.is_none() {
-            if let Some(b) = builder.take() {
-                match b.finish() {
-                    Ok(meta) => outputs.push(meta),
-                    Err(e) => failure = Some(e),
-                }
-            }
-        } else if let Some(b) = builder.take() {
-            b.abandon();
-        }
-
-        if let Some(e) = failure {
-            // Roll back: remove any finished outputs; inputs stay live.
-            for meta in outputs {
-                let _ = self.vfs.delete(&meta.name);
-            }
-            return Err(e);
-        }
-
-        // Install the edit, then delete input files (nodiscard churn).
-        let mut added = Vec::with_capacity(outputs.len());
-        let output_bytes: u64 = outputs.iter().map(|m| m.file_bytes).sum();
-        for name in &input_names {
-            self.manifest.log_del(name);
-        }
-        for meta in outputs {
-            self.manifest.log_add(task.target_level, &meta.name);
-            let reader =
-                SstableReader::open_bg_q(self.vfs.clone(), &meta.name, self.queue.clone())?
-                    .with_cache(self.cache.clone())
-                    .with_blooms(Some(Arc::clone(&self.blooms)))
-                    .with_trace(self.trace.clone());
-            added.push(Arc::new(TableHandle { meta, reader }));
-        }
-        self.manifest.commit()?;
-        self.version
-            .apply_compaction(task.source_level, task.target_level, &input_names, added);
-        for name in &input_names {
-            self.vfs.delete(name)?;
-        }
-        self.stats.compactions += 1;
-        self.stats.compaction_bytes_read += input_bytes;
-        self.stats.compaction_bytes_written += output_bytes;
-        Ok(())
-    }
-
-    // ---- Background maintenance -------------------------------------
+    // ---- Maintenance: one flush job, one compaction job, two drives ----
     //
-    // In maintenance mode a full memtable *freezes* instead of flushing
-    // inline, and flush/compaction execute as bounded byte slices the
-    // harness pumps between foreground ops (`run_maintenance_slice`).
-    // Slices issue their device traffic through the detached background
-    // paths (no clock charge); the version edit installs only once the
-    // written files have destaged past the device's durability horizon,
-    // so the blocking manifest commit never queues behind a compaction
-    // burst. Pacing: a bytes-per-virtual-second token bucket plus a
-    // device-backlog gate; `forced` slices (backpressure, space-amp
-    // urgency, drains) bypass both and fsync instead of waiting.
+    // A full memtable *freezes* into `imm` and a `FlushJob` streams it
+    // into an L0 table; a picked compaction becomes a `CompactJob` that
+    // merges its inputs into output tables and installs one version
+    // edit. What differs is who runs the slices (`Drive`):
+    //
+    // Maintenance off (`Drive::Inline`): the op that triggers the job
+    // drains it in place — unbounded slices, compaction inputs streamed
+    // through the merge, the edit installed at once, the WAL rotated
+    // after the install. The detached table I/O is the same either way.
+    //
+    // Maintenance on (`Drive::Paced`): the harness pumps byte-bounded
+    // slices between foreground ops (`run_maintenance_slice`). The WAL
+    // rotates at the freeze without touching the old file, a compaction
+    // buffers one input table per slice, and the version edit installs
+    // only once the written files have destaged past the device's
+    // durability horizon, so the blocking manifest commit never queues
+    // behind a compaction burst. Pacing: a bytes-per-virtual-second
+    // token bucket plus a device-backlog gate; `forced` slices
+    // (backpressure, space-amp urgency, drains) bypass both and fsync
+    // instead of waiting.
 
     /// Whether background-maintenance mode is on.
     pub fn maint_enabled(&self) -> bool {
-        self.maint.is_some()
+        self.sched.is_some()
     }
 
     /// Background-maintenance counters; `None` when maintenance is off.
     pub fn maint_stats(&self) -> Option<MaintStats> {
-        self.maint.as_ref().map(|m| m.sched.stats)
+        self.sched.as_ref().map(|s| s.stats)
     }
 
     /// Runs at most one bounded maintenance slice, if work is pending
@@ -803,7 +640,7 @@ impl LsmDb {
     /// whether any forward progress was made (callers may pump in a
     /// loop until `false`).
     pub fn run_maintenance_slice(&mut self) -> Result<bool> {
-        self.maintenance_slice_inner(false)
+        self.maintenance_slice(false)
     }
 
     /// Drains every outstanding background job to completion with
@@ -811,102 +648,88 @@ impl LsmDb {
     /// must drain first so no shard exits with detached maintenance
     /// I/O (or an uninstalled version edit) outstanding.
     pub fn drain_maintenance(&mut self) -> Result<()> {
-        if self.maint.is_none() {
-            return Ok(());
-        }
-        let mut spins = 0u32;
-        while self.maint.as_ref().expect("maintenance mode").has_work() {
-            self.reissue_tickets();
-            if self.maintenance_slice_inner(true)? {
-                spins = 0;
-            } else {
-                // Only stale tickets were consumed; a couple of empty
-                // rounds with tickets re-issued means we are done.
-                spins += 1;
-                if spins > 2 {
-                    break;
-                }
+        drain_forced(self, Self::has_paced_work, Self::forced_slice)
+    }
+
+    /// Whether any paced work is outstanding (tickets, jobs, or a
+    /// frozen memtable).
+    fn has_paced_work(&self) -> bool {
+        self.sched.as_ref().is_some_and(|s| {
+            self.imm.is_some() || self.flush.is_some() || self.compact.is_some() || s.pending() > 0
+        })
+    }
+
+    /// One forced slice. Tickets are first re-issued for any live work
+    /// whose ticket was consumed by a gated or stale slice (defensive;
+    /// keeps the drain and backpressure loops from wedging).
+    fn forced_slice(&mut self) -> Result<bool> {
+        if let Some(sched) = self.sched.as_mut() {
+            if self.imm.is_some() || self.flush.is_some() {
+                sched.enqueue(JobKind::Flush);
             }
+            if self.compact.is_some() {
+                sched.enqueue(JobKind::Compaction);
+            }
+        }
+        self.maintenance_slice(true)
+    }
+
+    fn maintenance_slice(&mut self, forced: bool) -> Result<bool> {
+        let Some(sched) = self.sched.as_mut() else {
+            return Ok(false);
+        };
+        let now = self.vfs.clock().now();
+        let backlog = self.vfs.device_backlog_ns();
+        // Unfinished jobs re-queue their ticket after every slice, so
+        // nothing ever continues without one.
+        let Admission::Start(kind) = sched.admit(now, backlog, forced, false) else {
+            return Ok(false);
+        };
+        let _cause = self.trace.cause(Cause::Compaction);
+        let span = self.trace.begin(kind.span_label(), Cause::Compaction);
+        let result = match kind {
+            JobKind::Flush => self.flush_step(Drive::Paced, forced),
+            JobKind::Compaction => self.compact_step(Drive::Paced, forced),
+            // GC / checkpoint tickets belong to other engines.
+            _ => Ok(false),
+        };
+        self.trace.end(span);
+        if let (Ok(true), Some(sched)) = (&result, self.sched.as_mut()) {
+            sched.stats.slices += 1;
+        }
+        result
+    }
+
+    /// A foreground stall: forced slices until `blocked` clears, the
+    /// wait attributed to `stall_ns`.
+    fn stall_while(
+        &mut self,
+        blocked: impl Fn(&Self) -> bool,
+        slice: impl FnMut(&mut Self) -> Result<bool>,
+    ) -> Result<()> {
+        let t0 = self.vfs.clock().now();
+        drain_forced(self, blocked, slice)?;
+        if let Some(sched) = self.sched.as_mut() {
+            sched.stats.stall_ns += self.vfs.clock().now() - t0;
         }
         Ok(())
     }
 
-    /// Re-issues scheduler tickets for any live work whose ticket was
-    /// consumed by a gated or stale slice (defensive; keeps the drain
-    /// and backpressure loops from wedging).
-    fn reissue_tickets(&mut self) {
-        let m = self.maint.as_mut().expect("maintenance mode");
-        if (m.imm.is_some() || m.flush.is_some()) && !m.sched.has(JobKind::Flush) {
-            m.sched.enqueue(JobKind::Flush);
-        }
-        if m.compact.is_some() && !m.sched.has(JobKind::Compaction) {
-            m.sched.enqueue(JobKind::Compaction);
-        }
-    }
-
-    fn maintenance_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        let now = self.vfs.clock().now();
-        let backlog = self.vfs.device_backlog_ns();
-        let Some(m) = self.maint.as_mut() else {
-            return Ok(false);
-        };
-        if !forced && backlog > m.sched.cfg().max_backlog_ns {
-            return Ok(false);
-        }
-        let Some(kind) = m.sched.pop_ready(now, forced) else {
-            return Ok(false);
-        };
-        let did = match kind {
-            JobKind::Flush => self.flush_slice(forced)?,
-            JobKind::Compaction => self.compact_slice(forced)?,
-            // GC / checkpoint tickets belong to other engines.
-            _ => false,
-        };
-        if did {
-            self.maint
-                .as_mut()
-                .expect("maintenance mode")
-                .sched
-                .stats
-                .slices += 1;
-        }
-        Ok(did)
-    }
-
-    /// Freezes the full memtable for background flushing: waits (via
-    /// forced slices) for the previous frozen memtable to clear,
-    /// rotates the WAL *without* touching the old file — it still holds
-    /// the frozen records until the flush installs — and enqueues a
-    /// flush ticket. Writes continue into the fresh memtable.
-    fn freeze_memtable(&mut self) -> Result<()> {
+    /// Freezes the memtable for flushing: syncs the WAL and moves the
+    /// live memtable into the frozen slot. Paced, writes continue into a
+    /// fresh memtable meanwhile, so the WAL rotates here *without*
+    /// touching the old file — it still holds the frozen records until
+    /// the flush installs — and a flush ticket is enqueued.
+    fn freeze_memtable(&mut self, drive: Drive) -> Result<()> {
         if self.memtable.is_empty() {
             return Ok(());
         }
         // One frozen memtable at a time (RocksDB's write-buffer limit):
         // if the previous flush is still in flight the writer stalls
         // here, driving forced slices until the slot frees.
-        if self.maint.as_ref().is_some_and(|m| m.imm.is_some()) {
-            let t0 = self.vfs.clock().now();
-            let mut spins = 0u32;
-            while self.maint.as_ref().is_some_and(|m| m.imm.is_some()) {
-                self.reissue_tickets();
-                if self.maintenance_slice_inner(true)? {
-                    spins = 0;
-                } else {
-                    spins += 1;
-                    if spins > 2 {
-                        break;
-                    }
-                }
-            }
-            let dt = self.vfs.clock().now() - t0;
-            self.maint
-                .as_mut()
-                .expect("maintenance mode")
-                .sched
-                .stats
-                .stall_ns += dt;
-            if self.maint.as_ref().is_some_and(|m| m.imm.is_some()) {
+        if self.imm.is_some() {
+            self.stall_while(|db| db.imm.is_some(), Self::forced_slice)?;
+            if self.imm.is_some() {
                 // Could not clear the slot (should not happen): skip the
                 // freeze — the memtable keeps accumulating and the next
                 // write retries. Never overwrite a frozen memtable.
@@ -915,13 +738,14 @@ impl LsmDb {
         }
         if let Some(wal) = self.wal.as_mut() {
             wal.sync(false)?;
-            let old = wal.rotate_deferred()?;
-            self.maint.as_mut().expect("maintenance mode").old_wal = Some(old);
+            if drive == Drive::Paced {
+                self.old_wals.push(wal.rotate_deferred()?);
+            }
         }
-        let frozen = std::mem::replace(&mut self.memtable, Memtable::new());
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.imm = Some(frozen);
-        m.sched.enqueue(JobKind::Flush);
+        self.imm = Some(std::mem::take(&mut self.memtable));
+        if let Some(sched) = drive.pacing(&mut self.sched) {
+            sched.enqueue(JobKind::Flush);
+        }
         Ok(())
     }
 
@@ -929,157 +753,119 @@ impl LsmDb {
     /// background merge window, the writer runs forced slices until it
     /// drains below the line; the stall is attributed to `stall_ns`.
     fn backpressure_l0(&mut self) -> Result<()> {
-        let Some(m) = &self.maint else {
-            return Ok(());
-        };
-        let limit = 2 * m.sched.cfg().merge_window.max(2);
+        let limit = 2 * self.opts.maint.merge_window.max(2);
         if self.version.tables(0).len() < limit {
             return Ok(());
         }
-        let t0 = self.vfs.clock().now();
-        let mut spins = 0u32;
-        while self.version.tables(0).len() >= limit {
-            self.maybe_schedule_compaction()?;
-            self.reissue_tickets();
-            if self.maintenance_slice_inner(true)? {
-                spins = 0;
-            } else {
-                spins += 1;
-                if spins > 2 {
-                    break;
-                }
-            }
-        }
-        let dt = self.vfs.clock().now() - t0;
-        self.maint
-            .as_mut()
-            .expect("maintenance mode")
-            .sched
-            .stats
-            .stall_ns += dt;
-        Ok(())
+        self.stall_while(
+            |db| db.version.tables(0).len() >= limit,
+            |db| {
+                db.maybe_schedule_compaction()?;
+                db.forced_slice()
+            },
+        )
     }
 
-    fn flush_slice(&mut self, forced: bool) -> Result<bool> {
+    /// Inline drive: freezes the memtable and drains its flush job
+    /// inside the calling op.
+    fn flush_memtable(&mut self) -> Result<()> {
+        if self.memtable.is_empty() {
+            return Ok(());
+        }
+        // Flush rides the Compaction cause: it is the same inline
+        // maintenance stall, and the paper's WA-A folds both together.
         let _cause = self.trace.cause(Cause::Compaction);
-        let span = self
-            .trace
-            .begin(JobKind::Flush.span_label(), Cause::Compaction);
-        let result = self.flush_slice_inner(forced);
+        let span = self.trace.begin("lsm.flush", Cause::Compaction);
+        let mut result = self.freeze_memtable(Drive::Inline);
+        while result.is_ok() && self.imm.is_some() {
+            result = self.flush_step(Drive::Inline, true).map(drop);
+        }
         self.trace.end(span);
         result
     }
 
-    fn flush_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        {
-            let m = self.maint.as_mut().expect("maintenance mode");
-            if m.imm.is_none() {
-                m.flush = None;
-                return Ok(false); // stale ticket
+    /// One step of the flush job: a build slice, or the install once
+    /// the table is finished. `Ok(false)` is a stale ticket, or a paced
+    /// install still waiting for the durability horizon. A failed step
+    /// aborts the job ([`LsmDb::flush_abort`]).
+    fn flush_step(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+        if self.imm.is_none() {
+            self.flush = None;
+            return Ok(false); // stale ticket
+        }
+        let step = if self.flush.as_ref().is_some_and(|j| j.meta.is_some()) {
+            self.flush_install(drive, forced)
+        } else {
+            self.flush_build_slice(drive).map(|()| true)
+        };
+        if step.is_err() {
+            self.flush_abort();
+        } else if self.imm.is_some() {
+            // More to do (or blocked on durability: retry once foreground
+            // progress advances the clock).
+            if let Some(sched) = drive.pacing(&mut self.sched) {
+                sched.requeue_front(JobKind::Flush);
             }
         }
-        let finished = self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .flush
-            .as_ref()
-            .is_some_and(|j| j.meta.is_some());
-        if finished {
-            if self.flush_install(forced)? {
-                return Ok(true);
-            }
-            // Blocked on the durability horizon: retry once foreground
-            // progress advances the clock.
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.sched.requeue_front(JobKind::Flush);
-            return Ok(false);
-        }
-        self.flush_build_slice()?;
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.requeue_front(JobKind::Flush);
-        Ok(true)
+        step
     }
 
     /// Streams one byte-bounded slice of the frozen memtable into the
     /// output table (background writes, no foreground clock charge for
     /// the block encode), finishing the table when the input runs dry.
-    fn flush_build_slice(&mut self) -> Result<()> {
-        if self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .flush
-            .is_none()
-        {
-            let name = self.next_table_name();
-            let builder = SstableBuilder::create_bg(
-                self.vfs.clone(),
-                &name,
-                self.opts.block_bytes,
-                self.opts.bits_per_key_for(0),
-            )?
-            .with_compression(self.opts.compression);
-            self.maint.as_mut().expect("maintenance mode").flush = Some(FlushJob {
-                builder: Some(builder),
-                name,
-                cursor: None,
-                meta: None,
-                charged: 0,
-            });
+    fn flush_build_slice(&mut self, drive: Drive) -> Result<()> {
+        let imm = self.imm.as_ref().expect("frozen memtable present");
+        let job = match &mut self.flush {
+            Some(job) => job,
+            none => {
+                let builder = SstableBuilder::create_bg(
+                    self.vfs.clone(),
+                    &table_name(&mut self.next_file),
+                    self.opts.block_bytes,
+                    self.opts.bits_per_key_for(0),
+                )?
+                .with_compression(self.opts.compression);
+                none.insert(FlushJob {
+                    builder: Some(builder),
+                    cursor: None,
+                    meta: None,
+                    charged: 0,
+                })
+            }
+        };
+        let slice_bytes = drive.slice_bytes(&self.sched);
+        let builder = job.builder.as_mut().expect("builder live until finish");
+        let resume = job.cursor.take();
+        let mut last: Option<&[u8]> = None;
+        for (k, v) in imm.range(resume.as_deref().unwrap_or(&[]), None) {
+            if resume.as_deref() == Some(k) {
+                continue; // the resume key itself was already added
+            }
+            builder.add(k, v.as_deref())?;
+            last = Some(k);
+            if builder.estimated_bytes().saturating_sub(job.charged) >= slice_bytes {
+                break;
+            }
         }
-        let now = self.vfs.clock().now();
-        let mut failure: Option<LsmError> = None;
-        {
-            let m = self.maint.as_mut().expect("maintenance mode");
-            let slice_bytes = m.sched.cfg().slice_bytes.max(1);
-            let MaintState {
-                sched, imm, flush, ..
-            } = m;
-            let job = flush.as_mut().expect("just ensured");
-            let imm = imm.as_ref().expect("frozen memtable present");
-            let resume = job.cursor.clone();
-            let start: &[u8] = resume.as_deref().unwrap_or(&[]);
-            let builder = job.builder.as_mut().expect("builder live until finish");
-            let mut wrote = false;
-            for (k, v) in imm.range(start, None) {
-                if resume.as_deref() == Some(k) {
-                    continue; // the resume key itself was already added
-                }
-                if let Err(e) = builder.add(k, v.as_deref()) {
-                    failure = Some(e);
-                    break;
-                }
-                wrote = true;
+        let produced = match last {
+            Some(k) => {
                 job.cursor = Some(k.to_vec());
-                if builder.estimated_bytes().saturating_sub(job.charged) >= slice_bytes {
-                    break;
-                }
+                builder.estimated_bytes()
             }
-            if failure.is_none() {
-                if wrote {
-                    let est = job.builder.as_ref().expect("live").estimated_bytes();
-                    let delta = est.saturating_sub(job.charged);
-                    sched.charge(now, delta, false);
-                    job.charged = est;
-                } else {
-                    // Input exhausted: finish the table.
-                    match job.builder.take().expect("builder live").finish() {
-                        Ok(meta) => {
-                            let delta = meta.file_bytes.saturating_sub(job.charged);
-                            sched.charge(now, delta, false);
-                            job.charged = meta.file_bytes;
-                            job.meta = Some(meta);
-                        }
-                        Err(e) => failure = Some(e),
-                    }
-                }
+            None => {
+                // Input exhausted: finish the table.
+                let meta = job.builder.take().expect("builder live").finish()?;
+                job.meta.insert(meta).file_bytes
             }
-        }
-        if let Some(e) = failure {
-            self.flush_abort();
-            return Err(e);
-        }
+        };
+        let now = self.vfs.clock().now();
+        drive.charge(
+            &mut self.sched,
+            now,
+            produced.saturating_sub(job.charged),
+            false,
+        );
+        job.charged = produced;
         Ok(())
     }
 
@@ -1087,17 +873,15 @@ impl LsmDb {
     /// the partial output is deleted and the frozen entries are merged
     /// back *under* the live memtable so the database stays readable.
     fn flush_abort(&mut self) {
-        let m = self.maint.as_mut().expect("maintenance mode");
-        if let Some(mut job) = m.flush.take() {
-            match job.builder.take() {
-                Some(b) => b.abandon(),
-                None => {
-                    let _ = self.vfs.delete(&job.name);
-                }
+        if let Some(job) = self.flush.take() {
+            if let Some(b) = job.builder {
+                b.abandon();
+            }
+            if let Some(meta) = job.meta {
+                let _ = self.vfs.delete(&meta.name);
             }
         }
-        let m = self.maint.as_mut().expect("maintenance mode");
-        if let Some(frozen) = m.imm.take() {
+        if let Some(frozen) = self.imm.take() {
             let mut live = std::mem::replace(&mut self.memtable, frozen);
             for (k, v) in live.drain() {
                 match v {
@@ -1108,104 +892,134 @@ impl LsmDb {
         }
     }
 
-    /// Installs a finished flush once its table has destaged (or after
-    /// an explicit fsync when `forced`). Returns `false` while the
-    /// durability horizon is still ahead of the clock.
-    fn flush_install(&mut self, forced: bool) -> Result<bool> {
+    /// The durability gate of a paced install: whether every named
+    /// output has destaged. `forced` fsyncs instead of waiting.
+    fn outputs_durable<'a>(
+        &self,
+        names: impl Iterator<Item = &'a String>,
+        forced: bool,
+    ) -> Result<bool> {
         let now = self.vfs.clock().now();
-        let name = self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .flush
-            .as_ref()
-            .expect("finished job")
-            .name
-            .clone();
-        let id = self.vfs.open(&name)?;
-        if self.vfs.durable_at(id)? > now {
-            if !forced {
-                return Ok(false);
+        for name in names {
+            let id = self.vfs.open(name)?;
+            if self.vfs.durable_at(id)? > now {
+                if !forced {
+                    return Ok(false);
+                }
+                self.vfs.fsync(id)?;
             }
-            self.vfs.fsync(id)?;
         }
-        let meta = self
-            .maint
-            .as_mut()
-            .expect("maintenance mode")
-            .flush
-            .take()
-            .expect("finished job")
-            .meta
-            .expect("meta present");
-        self.stats.flushes += 1;
-        self.stats.flush_bytes += meta.file_bytes;
-        self.manifest.log_add(0, &meta.name);
-        self.manifest.commit()?;
+        Ok(true)
+    }
+
+    /// Opens a finished output as a live table.
+    fn open_table(&self, meta: SstableMeta) -> Result<Arc<TableHandle>> {
         let reader = SstableReader::open_bg_q(self.vfs.clone(), &meta.name, self.queue.clone())?
             .with_cache(self.cache.clone())
             .with_blooms(Some(Arc::clone(&self.blooms)))
             .with_trace(self.trace.clone());
-        self.version.push_l0(Arc::new(TableHandle { meta, reader }));
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.imm = None;
-        m.sched.stats.jobs += 1;
-        m.sched.stats.installs += 1;
-        let old_wal = m.old_wal.take();
-        if let Some(old) = old_wal {
-            self.vfs.delete(&old)?;
+        Ok(Arc::new(TableHandle { meta, reader }))
+    }
+
+    /// Installs a finished flush. Paced, only once its table has
+    /// destaged (or after an explicit fsync when `forced`): returns
+    /// `false` while the durability horizon is still ahead of the clock.
+    /// The job stays parked until the commit succeeds, so a failure
+    /// leaves [`LsmDb::flush_abort`] the table to delete and nothing
+    /// staged in the manifest.
+    fn flush_install(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+        let name = &(self.flush.as_ref())
+            .and_then(|j| j.meta.as_ref())
+            .expect("finished job")
+            .name;
+        if drive == Drive::Paced && !self.outputs_durable(std::iter::once(name), forced)? {
+            return Ok(false);
         }
-        self.maybe_schedule_compaction()?;
+        self.manifest.log_add(0, name);
+        self.manifest.commit()?;
+        let meta = self
+            .flush
+            .take()
+            .and_then(|j| j.meta)
+            .expect("finished job");
+        self.stats.flushes += 1;
+        self.stats.flush_bytes += meta.file_bytes;
+        let table = self.open_table(meta)?;
+        self.version.push_l0(table);
+        self.imm = None;
+        drive.installed(&mut self.sched);
+        // Release the log that held the frozen records.
+        match drive {
+            Drive::Paced => {
+                for old in std::mem::take(&mut self.old_wals) {
+                    self.vfs.delete(&old)?;
+                }
+                self.maybe_schedule_compaction()?;
+            }
+            Drive::Inline => {
+                if let Some(wal) = self.wal.as_mut() {
+                    wal.rotate()?;
+                }
+            }
+        }
         Ok(true)
     }
 
-    fn compact_slice(&mut self, forced: bool) -> Result<bool> {
+    /// Inline drive: drains one compaction inside the calling op.
+    fn run_compaction(&mut self, task: CompactionTask) -> Result<()> {
         let _cause = self.trace.cause(Cause::Compaction);
-        let span = self
-            .trace
-            .begin(JobKind::Compaction.span_label(), Cause::Compaction);
-        let result = self.compact_slice_inner(forced);
+        let span = self.trace.begin("lsm.compaction", Cause::Compaction);
+        let drop_tombstones = !self.version.has_data_below(task.target_level);
+        self.compact = Some(CompactJob::new(task, drop_tombstones));
+        let mut result = Ok(());
+        while result.is_ok() && self.compact.is_some() {
+            result = self.compact_step(Drive::Inline, true).map(drop);
+        }
         self.trace.end(span);
         result
     }
 
-    fn compact_slice_inner(&mut self, forced: bool) -> Result<bool> {
-        let Some(job) = self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .compact
-            .as_ref()
-        else {
+    /// One step of the compaction job: read, merge-and-write, or the
+    /// install once the merge ran dry. `Ok(false)` is a stale ticket, or
+    /// a paced install still waiting for the durability horizon. A
+    /// failed step rolls the job back: partial outputs are deleted, the
+    /// inputs stay live and the version is unchanged.
+    fn compact_step(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+        let Some(job) = self.compact.as_ref() else {
             return Ok(false); // stale ticket
         };
-        if job.read_idx < job.source_count() {
-            self.compact_read_slice()?;
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.sched.requeue_front(JobKind::Compaction);
-            return Ok(true);
+        let step = if job.write_done {
+            self.compact_install(drive, forced)
+        } else if drive == Drive::Inline {
+            self.compact_stream().map(|()| true)
+        } else if job.read_idx < job.source_count() {
+            self.compact_read_slice().map(|()| true)
+        } else {
+            self.compact_write_slice().map(|()| true)
+        };
+        if step.is_err() {
+            if let Some(mut job) = self.compact.take() {
+                if let Some(b) = job.builder.take() {
+                    b.abandon();
+                }
+                for meta in &job.outputs {
+                    let _ = self.vfs.delete(&meta.name);
+                }
+            }
+        } else if self.compact.is_some() {
+            if let Some(sched) = drive.pacing(&mut self.sched) {
+                sched.requeue_front(JobKind::Compaction);
+            }
         }
-        if !job.write_done {
-            self.compact_write_slice()?;
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.sched.requeue_front(JobKind::Compaction);
-            return Ok(true);
-        }
-        if self.compact_install(forced)? {
-            return Ok(true);
-        }
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.requeue_front(JobKind::Compaction);
-        Ok(false) // blocked on the durability horizon
+        step
     }
 
-    /// Buffers one input table into memory via the detached background
-    /// read path (the table's `Arc` pin keeps it readable for
-    /// concurrent foreground lookups meanwhile).
+    /// Paced read phase: buffers one input table into memory via the
+    /// detached background read path (the table's `Arc` pin keeps it
+    /// readable for concurrent foreground lookups meanwhile).
     fn compact_read_slice(&mut self) -> Result<()> {
         let now = self.vfs.clock().now();
-        let m = self.maint.as_mut().expect("maintenance mode");
-        let job = m.compact.as_mut().expect("live job");
+        let job = self.compact.as_mut().expect("live job");
         let idx = job.read_idx;
         let handle = if idx < job.task.inputs.len() {
             Arc::clone(&job.task.inputs[idx])
@@ -1215,161 +1029,124 @@ impl LsmDb {
         let run: BufferedRun = handle.reader.iter_bg().collect();
         job.buffered.push(run);
         job.read_idx += 1;
-        m.sched.charge(now, handle.meta.file_bytes, true);
+        Drive::Paced.charge(&mut self.sched, now, handle.meta.file_bytes, true);
         Ok(())
     }
 
-    /// Merges one byte-bounded slice of output from the buffered input
-    /// runs, splitting tables at the size target; marks the job ready
-    /// to install once the merge runs dry.
+    /// Paced write phase: merges one byte-bounded slice of output from
+    /// the buffered input runs.
     fn compact_write_slice(&mut self) -> Result<()> {
         let now = self.vfs.clock().now();
-        let (slice_bytes, mut job) = {
-            let m = self.maint.as_mut().expect("maintenance mode");
-            (
-                m.sched.cfg().slice_bytes.max(1),
-                m.compact.take().expect("live job"),
-            )
-        };
-        if job.merge.is_none() {
-            let sources: Vec<crate::background::RunIter> =
-                job.buffered.drain(..).map(|run| run.into_iter()).collect();
-            job.merge = Some(crate::iter::KMerge::new(sources));
+        let slice_bytes = Drive::Paced.slice_bytes(&self.sched);
+        let job = self.compact.as_mut().expect("live job");
+        let mut merge = job.merge.take().unwrap_or_else(|| {
+            let runs: Vec<RunIter> = job.buffered.drain(..).map(Vec::into_iter).collect();
+            KMerge::new(runs)
+        });
+        self.compact_write(&mut merge, slice_bytes)?;
+        let job = self.compact.as_mut().expect("live job");
+        if !job.write_done {
+            job.merge = Some(merge);
         }
+        let produced = job.produced_bytes();
+        let delta = produced.saturating_sub(job.charged);
+        job.charged = produced;
+        Drive::Paced.charge(&mut self.sched, now, delta, false);
+        Ok(())
+    }
+
+    /// Inline read-and-write phase: streams every input through the
+    /// merge straight into the outputs, in one unbounded slice.
+    fn compact_stream(&mut self) -> Result<()> {
+        let task = &self.compact.as_ref().expect("live job").task;
+        // Recency-ordered sources: source-level tables (already newest
+        // first), then target-level overlaps (older).
+        let handles: Vec<Arc<TableHandle>> =
+            task.inputs.iter().chain(&task.overlaps).cloned().collect();
+        let sources: Vec<EntryStream<'_>> = handles
+            .iter()
+            .map(|h| Box::new(h.reader.iter_bg()) as EntryStream<'_>)
+            .collect();
+        let mut merge = KWayMerge::new(sources);
+        self.compact_write(&mut merge, u64::MAX)
+    }
+
+    /// Merges entries into output tables, splitting them at the table
+    /// size target, until `slice_bytes` of output are produced; marks
+    /// the job ready to install once the merge runs dry.
+    fn compact_write(
+        &mut self,
+        merge: &mut dyn Iterator<Item = SharedEntry>,
+        slice_bytes: u64,
+    ) -> Result<()> {
+        let job = self.compact.as_mut().expect("live job");
         let base = job.produced_bytes();
-        let mut failure: Option<LsmError> = None;
         while job.produced_bytes().saturating_sub(base) < slice_bytes {
-            let Some((key, value)) = job.merge.as_mut().expect("merge built").next() else {
-                // Merge ran dry: finish the last output (if any).
-                job.merge = None;
-                if let Some(b) = job.builder.take() {
-                    match b.finish() {
-                        Ok(meta) => job.outputs.push(meta),
-                        Err(e) => failure = Some(e),
-                    }
-                }
+            let Some((key, value)) = merge.next() else {
+                job.finish_output()?;
                 job.write_done = true;
                 break;
             };
             if value.is_none() && job.drop_tombstones {
                 continue;
             }
-            if job.builder.is_none() {
-                let name = self.next_table_name();
-                match SstableBuilder::create_bg(
-                    self.vfs.clone(),
-                    &name,
-                    self.opts.block_bytes,
-                    self.opts.bits_per_key_for(job.task.target_level),
-                ) {
-                    Ok(b) => job.builder = Some(b.with_compression(self.opts.compression)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
+            let builder = match &mut job.builder {
+                Some(b) => b,
+                none => {
+                    let b = SstableBuilder::create_bg(
+                        self.vfs.clone(),
+                        &table_name(&mut self.next_file),
+                        self.opts.block_bytes,
+                        self.opts.bits_per_key_for(job.task.target_level),
+                    )?;
+                    none.insert(b.with_compression(self.opts.compression))
                 }
-            }
-            let b = job.builder.as_mut().expect("just ensured");
-            if let Err(e) = b.add(&key, value.as_deref()) {
-                failure = Some(e);
-                break;
-            }
-            if b.estimated_bytes() >= self.opts.sstable_target_bytes {
-                match job.builder.take().expect("present").finish() {
-                    Ok(meta) => job.outputs.push(meta),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
+            };
+            builder.add(&key, value.as_deref())?;
+            if builder.estimated_bytes() >= self.opts.sstable_target_bytes {
+                job.finish_output()?;
             }
         }
-        let produced = job.produced_bytes();
-        let delta = produced.saturating_sub(job.charged);
-        job.charged = produced;
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.charge(now, delta, false);
-        if let Some(e) = failure {
-            // Roll back: drop partial outputs; the inputs stay live and
-            // the version is unchanged.
-            if let Some(b) = job.builder.take() {
-                b.abandon();
-            }
-            for meta in &job.outputs {
-                let _ = self.vfs.delete(&meta.name);
-            }
-            return Err(e);
-        }
-        self.maint.as_mut().expect("maintenance mode").compact = Some(job);
         Ok(())
     }
 
-    /// Installs a finished compaction once every output has destaged
-    /// (or after explicit fsyncs when `forced`): one manifest commit
-    /// swaps the version, then the input files are deleted.
-    fn compact_install(&mut self, forced: bool) -> Result<bool> {
-        let now = self.vfs.clock().now();
-        let names: Vec<String> = self
-            .maint
-            .as_ref()
-            .expect("maintenance mode")
-            .compact
-            .as_ref()
-            .expect("live job")
-            .outputs
-            .iter()
-            .map(|m| m.name.clone())
-            .collect();
-        for name in &names {
-            let id = self.vfs.open(name)?;
-            if self.vfs.durable_at(id)? > now {
-                if !forced {
-                    return Ok(false);
-                }
-                self.vfs.fsync(id)?;
-            }
+    /// Installs a finished compaction — paced, only once every output
+    /// has destaged (or after explicit fsyncs when `forced`): one
+    /// manifest commit swaps the version, then the input files are
+    /// deleted. The readers open before anything is staged and the job
+    /// stays parked until the commit succeeds, so a failure leaves
+    /// [`LsmDb::compact_step`] the outputs to delete and nothing staged
+    /// in the manifest.
+    fn compact_install(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+        let job = self.compact.as_ref().expect("live job");
+        let names = job.outputs.iter().map(|m| &m.name);
+        if drive == Drive::Paced && !self.outputs_durable(names, forced)? {
+            return Ok(false);
         }
-        let job = self
-            .maint
-            .as_mut()
-            .expect("maintenance mode")
-            .compact
-            .take()
-            .expect("live job");
-        let CompactJob {
-            task,
-            outputs,
-            input_names,
-            input_bytes,
-            ..
-        } = job;
-        let output_bytes: u64 = outputs.iter().map(|m| m.file_bytes).sum();
-        for name in &input_names {
+        let added = (job.outputs.iter().cloned())
+            .map(|meta| self.open_table(meta))
+            .collect::<Result<Vec<_>>>()?;
+        for name in &job.input_names {
             self.manifest.log_del(name);
         }
-        let mut added = Vec::with_capacity(outputs.len());
-        for meta in outputs {
-            self.manifest.log_add(task.target_level, &meta.name);
-            let reader =
-                SstableReader::open_bg_q(self.vfs.clone(), &meta.name, self.queue.clone())?
-                    .with_cache(self.cache.clone())
-                    .with_blooms(Some(Arc::clone(&self.blooms)))
-                    .with_trace(self.trace.clone());
-            added.push(Arc::new(TableHandle { meta, reader }));
+        for meta in &job.outputs {
+            self.manifest.log_add(job.task.target_level, &meta.name);
         }
         self.manifest.commit()?;
+        let job = self.compact.take().expect("live job");
+        let (source, target) = (job.task.source_level, job.task.target_level);
         self.version
-            .apply_compaction(task.source_level, task.target_level, &input_names, added);
-        for name in &input_names {
+            .apply_compaction(source, target, &job.input_names, added);
+        for name in &job.input_names {
             self.vfs.delete(name)?;
         }
         self.stats.compactions += 1;
-        self.stats.compaction_bytes_read += input_bytes;
-        self.stats.compaction_bytes_written += output_bytes;
-        let m = self.maint.as_mut().expect("maintenance mode");
-        m.sched.stats.jobs += 1;
-        m.sched.stats.installs += 1;
-        self.maybe_schedule_compaction()?;
+        self.stats.compaction_bytes_read += job.input_bytes;
+        self.stats.compaction_bytes_written += job.finished_bytes;
+        drive.installed(&mut self.sched);
+        if drive == Drive::Paced {
+            self.maybe_schedule_compaction()?;
+        }
         Ok(true)
     }
 
@@ -1380,18 +1157,22 @@ impl LsmDb {
     /// to the tighter foreground thresholds). Trivial moves apply
     /// immediately — they are free.
     fn maybe_schedule_compaction(&mut self) -> Result<()> {
+        if self.compact.is_some()
+            || (self.sched.as_ref()).is_none_or(|s| s.has(JobKind::Compaction))
         {
-            let m = self.maint.as_ref().expect("maintenance mode");
-            if m.compact.is_some() || m.sched.has(JobKind::Compaction) {
-                return Ok(());
-            }
+            return Ok(());
         }
         loop {
             let urgent = self.space_amp_exceeded();
             if !self.compaction_due_bg() && !urgent {
                 return Ok(());
             }
-            let bg = self.bg_opts();
+            // Background picks use the Marble merge window (runs allowed
+            // to accumulate before a background merge) as the L0 trigger.
+            let bg = LsmOptions {
+                l0_compaction_trigger: self.opts.maint.merge_window.max(2),
+                ..self.opts.clone()
+            };
             let mut task = pick(&self.version, &bg, &mut self.cursors);
             if task.is_none() && urgent {
                 task = pick(&self.version, &self.opts, &mut self.cursors);
@@ -1404,27 +1185,17 @@ impl LsmDb {
                 continue;
             }
             let drop_tombstones = !self.version.has_data_below(task.target_level);
-            let m = self.maint.as_mut().expect("maintenance mode");
-            m.compact = Some(CompactJob::new(task, drop_tombstones));
-            m.sched.enqueue(JobKind::Compaction);
+            self.compact = Some(CompactJob::new(task, drop_tombstones));
+            if let Some(sched) = self.sched.as_mut() {
+                sched.enqueue(JobKind::Compaction);
+            }
             return Ok(());
-        }
-    }
-
-    /// The options under which background compactions are picked: the
-    /// L0 trigger is the Marble merge window (runs allowed to
-    /// accumulate before a background merge).
-    fn bg_opts(&self) -> LsmOptions {
-        let cfg = self.maint.as_ref().expect("maintenance mode").sched.cfg();
-        LsmOptions {
-            l0_compaction_trigger: cfg.merge_window.max(2),
-            ..self.opts.clone()
         }
     }
 
     /// Background compaction triggers (see [`LsmDb::maybe_schedule_compaction`]).
     fn compaction_due_bg(&self) -> bool {
-        let cfg = self.maint.as_ref().expect("maintenance mode").sched.cfg();
+        let cfg = &self.opts.maint;
         if self.version.tables(0).len() >= cfg.merge_window.max(2) {
             return true;
         }
@@ -1449,20 +1220,19 @@ impl LsmDb {
     /// Whether measured space amplification exceeds the configured
     /// ceiling (total tree bytes vs the deepest level's bytes).
     fn space_amp_exceeded(&self) -> bool {
-        let cfg = self.maint.as_ref().expect("maintenance mode").sched.cfg();
         let Some(bottom) = self.version.deepest_nonempty() else {
             return false;
         };
         let base = self.version.bytes_at(bottom).max(1);
-        self.version.total_bytes() > cfg.max_space_amp.max(1) * base
+        self.version.total_bytes() > self.opts.maint.max_space_amp.max(1) * base
     }
 }
 
-/// Builds the background-maintenance state when the options ask for it.
-fn maint_for(vfs: &Vfs, opts: &LsmOptions) -> Option<MaintState> {
-    opts.maint
-        .enabled
-        .then(|| MaintState::new(MaintScheduler::new(opts.maint, vfs.clock().now())))
+/// The next table file name.
+fn table_name(next_file: &mut u64) -> String {
+    let n = *next_file;
+    *next_file += 1;
+    format!("sst-{n:08}")
 }
 
 /// Opens the shared submission queue when the options ask for one.
@@ -1725,15 +1495,54 @@ mod tests {
         db.version.check_invariants();
     }
 
-    #[test]
-    fn out_of_space_is_reported_and_survivable() {
-        // Tiny device: updates eventually exceed capacity.
-        let mut db = db_on(16 << 20);
+    /// Table files no one owns: not in the version, not the output of a
+    /// job still parked on the database.
+    fn orphan_tables(db: &LsmDb) -> Vec<String> {
+        let mut owned: std::collections::HashSet<String> = (0..db.version.level_count())
+            .flat_map(|level| db.version.tables(level))
+            .map(|h| h.meta.name.clone())
+            .collect();
+        let building = (db.flush.as_ref().map(|j| &j.builder))
+            .into_iter()
+            .chain(db.compact.as_ref().map(|j| &j.builder))
+            .flatten()
+            .map(|b| b.name().to_string());
+        let finished = (db.flush.iter().filter_map(|j| j.meta.as_ref()))
+            .chain(db.compact.iter().flat_map(|j| &j.outputs))
+            .map(|m| m.name.clone());
+        owned.extend(building.chain(finished));
+        let mut orphans: Vec<String> = (db.vfs.list().into_iter())
+            .filter(|n| n.starts_with("sst-") && !owned.contains(n))
+            .collect();
+        orphans.sort();
+        orphans
+    }
+
+    /// Fills a tiny device until the first ENOSPC — from a put, or from
+    /// the maintenance slice pumped after it — then checks that nothing
+    /// acknowledged was lost and no table file was orphaned.
+    fn out_of_space_model_check(opts: LsmOptions) {
+        let mut db = db_on_opts(16 << 20, opts);
+        let mut model: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
         let mut rng = SmallRng::seed_from_u64(5);
+        // The key of a put that failed: it may or may not have landed.
+        let mut in_doubt = None;
         let mut saw_enospc = false;
-        for _ in 0..80_000 {
+        for step in 0..80_000u32 {
             let i: u32 = rng.gen_range(0..18_000);
-            match db.put(&key(i), &[7u8; 800]) {
+            let fill = step as u8;
+            let mut outcome = db.put(&key(i), &[fill; 800]);
+            match &outcome {
+                Ok(()) => {
+                    model.insert(i, fill);
+                    outcome = (|| {
+                        while db.run_maintenance_slice()? {}
+                        Ok(())
+                    })();
+                }
+                Err(_) => in_doubt = Some(i),
+            }
+            match outcome {
                 Ok(()) => {}
                 Err(e) if e.is_out_of_space() => {
                     saw_enospc = true;
@@ -1746,8 +1555,113 @@ mod tests {
             saw_enospc,
             "small device must eventually fill (the paper's RocksDB OOS)"
         );
-        // Reads still work after ENOSPC.
-        let _ = db.get(&key(1)).expect("get after enospc");
+        assert_eq!(orphan_tables(&db), Vec::<String>::new(), "orphaned tables");
+        for (&i, &fill) in &model {
+            if in_doubt != Some(i) {
+                assert_eq!(
+                    db.get(&key(i)).expect("get after enospc"),
+                    Some(vec![fill; 800]),
+                    "acknowledged put of key {i} lost"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_space_loses_nothing_acknowledged_inline() {
+        out_of_space_model_check(LsmOptions::small());
+    }
+
+    #[test]
+    fn out_of_space_loses_nothing_acknowledged_paced() {
+        out_of_space_model_check(maint_opts());
+    }
+
+    /// Flushes small identical rounds (no compaction ever due) until the
+    /// next manifest commit needs a fresh page, then leaves room on the
+    /// device for the next table but not for that page: the flush builds
+    /// its table and fails at the commit. The failed install must be
+    /// atomic — nothing acknowledged lost, no table orphaned, no edit
+    /// half-written — and succeed when retried with space.
+    fn failed_commit_model_check(maint: ptsbench_maint::MaintConfig) {
+        let opts = LsmOptions {
+            // Every log starts on fresh pages, under either drive.
+            recycle_wal: false,
+            l0_compaction_trigger: 100_000,
+            maint: ptsbench_maint::MaintConfig {
+                merge_window: 100_000,
+                ..maint
+            },
+            ..LsmOptions::small()
+        };
+        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
+        let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+        let mut db = LsmDb::open(vfs.clone(), opts.clone()).expect("open");
+        let round = |db: &mut LsmDb, fill: u8| {
+            for i in 0..10u32 {
+                db.put(&key(i), &[fill; 100]).expect("put");
+            }
+        };
+        let page = vfs.page_size();
+        let size_of = |name: &str| vfs.size(vfs.open(name).expect("open")).expect("size");
+        let line = "add 0 sst-00000000\n".len() as u64;
+        let mut rounds = 0u8;
+        while size_of(crate::manifest::MANIFEST_NAME) % page + line <= page {
+            round(&mut db, rounds);
+            db.flush().expect("flush");
+            rounds += 1;
+        }
+        let flushes = db.stats().flushes;
+        assert_eq!(flushes, rounds as u64);
+        let newest = db
+            .version
+            .tables(0)
+            .last()
+            .expect("flushed")
+            .meta
+            .name
+            .clone();
+        let table_pages = size_of(&newest).div_ceil(page);
+        let filler = vfs.create("filler").expect("create");
+        // Besides its table, the flush syncs one page of WAL records.
+        let spare = vfs.stats().free_pages - table_pages - 1;
+        vfs.append(filler, &vec![0u8; (spare * page) as usize])
+            .expect("fill");
+
+        round(&mut db, rounds);
+        let err = db.flush().expect_err("the commit cannot fit");
+        assert!(err.is_out_of_space(), "unexpected error: {err}");
+        assert_eq!(db.stats().flushes, flushes, "the install did not happen");
+        assert_eq!(orphan_tables(&db), Vec::<String>::new(), "orphaned tables");
+        let check = |db: &mut LsmDb| {
+            for i in 0..10u32 {
+                assert_eq!(
+                    db.get(&key(i)).expect("get"),
+                    Some(vec![rounds; 100]),
+                    "acknowledged put of key {i} lost"
+                );
+            }
+        };
+        check(&mut db);
+
+        vfs.delete("filler").expect("delete");
+        db.flush().expect("retry with space");
+        assert_eq!(db.stats().flushes, flushes + 1);
+        check(&mut db);
+        let logs = vfs.list().iter().filter(|n| n.starts_with("wal-")).count();
+        assert_eq!(logs, 1, "every log of flushed records is released");
+        drop(db);
+        check(&mut LsmDb::recover(vfs, opts).expect("recover"));
+    }
+
+    #[test]
+    fn failed_manifest_commit_is_atomic_inline() {
+        failed_commit_model_check(ptsbench_maint::MaintConfig::default());
+    }
+
+    #[test]
+    fn failed_manifest_commit_is_atomic_paced() {
+        failed_commit_model_check(ptsbench_maint::MaintConfig::enabled());
     }
 
     #[test]
@@ -1983,10 +1897,15 @@ mod tests {
             db.put(&key(i), &[9u8; 256]).expect("put");
         }
         db.drain_maintenance().expect("drain");
-        let m = db.maint.as_ref().expect("maintenance on");
-        assert!(!m.has_work(), "drain must settle all background work");
-        assert!(m.imm.is_none());
-        assert!(m.old_wal.is_none(), "frozen-WAL file released at install");
+        assert!(
+            !db.has_paced_work(),
+            "drain must settle all background work"
+        );
+        assert!(db.imm.is_none());
+        assert!(
+            db.old_wals.is_empty(),
+            "frozen-WAL file released at install"
+        );
         // A second drain is a no-op.
         db.drain_maintenance().expect("drain");
         db.version.check_invariants();
@@ -1997,17 +1916,17 @@ mod tests {
         let mut db = db_on_opts(64 << 20, maint_opts());
         // Fill past the memtable threshold to force a freeze.
         let mut i = 0u32;
-        while db.maint.as_ref().expect("on").imm.is_none() {
+        while db.imm.is_none() {
             db.put(&key(i), &[5u8; 300]).expect("put");
             i += 1;
         }
-        let m = db.maint.as_ref().expect("on");
-        let old = m.old_wal.clone().expect("deferred WAL rotation");
+        let old = db.old_wals.last().cloned().expect("deferred WAL rotation");
         assert!(
             db.vfs.open(&old).is_ok(),
             "old WAL file must survive until the flush installs"
         );
-        assert!(m.sched.has(JobKind::Flush) || m.flush.is_some());
+        let sched = db.sched.as_ref().expect("maintenance on");
+        assert!(sched.has(JobKind::Flush) || db.flush.is_some());
         // Reads see the frozen entries.
         assert_eq!(db.get(&key(0)).expect("get"), Some(vec![5u8; 300]));
         db.drain_maintenance().expect("drain");

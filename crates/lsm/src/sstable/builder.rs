@@ -168,6 +168,11 @@ impl SstableBuilder {
         self.flushed_bytes + self.pending.len() as u64 + self.block.len() as u64
     }
 
+    /// Name of the table file under construction.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// Number of entries added so far.
     pub fn entries(&self) -> u64 {
         self.entries
@@ -224,7 +229,8 @@ impl SstableBuilder {
     }
 
     /// Finalizes the table: writes remaining data, index, bloom and
-    /// footer, fsyncs, and returns the metadata.
+    /// footer, fsyncs, and returns the metadata. A failed finish removes
+    /// the partial file.
     pub fn finish(mut self) -> Result<SstableMeta> {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
@@ -233,7 +239,10 @@ impl SstableBuilder {
                 "refusing to write empty SSTable".into(),
             ));
         }
-        self.seal_block()?;
+        if let Err(e) = self.seal_block() {
+            self.abandon();
+            return Err(e);
+        }
         let mut tail = std::mem::take(&mut self.pending);
         let index_off = self.flushed_bytes + tail.len() as u64;
         let index_start = tail.len();

@@ -2,11 +2,12 @@
 //!
 //! Tree structures on flash pay for their writes twice — once at the
 //! foreground op, and again when flush/compaction/GC rewrites the data.
-//! Run inline (the seed behavior), a single compaction can cost seconds
-//! of virtual time charged to one unlucky put. This crate models the
-//! production alternative: maintenance as a *background tenant* that
-//! runs in bounded slices interleaved with foreground ops, paced by a
-//! bytes-per-virtual-second token bucket, so the foreground tail under
+//! Drained inside the op that triggers it (the seed behavior,
+//! [`Drive::Inline`]), a single compaction can cost seconds of virtual
+//! time charged to one unlucky put. This crate models the production
+//! alternative ([`Drive::Paced`]): the same job as a *background tenant*
+//! that runs in bounded slices interleaved with foreground ops, paced by
+//! a bytes-per-virtual-second token bucket, so the foreground tail under
 //! sustained writes becomes a measurable quantity instead of a
 //! pathology.
 //!
@@ -30,11 +31,14 @@ pub type Ns = u64;
 
 /// Pacing and scheduling knobs for background maintenance.
 ///
-/// `enabled = false` (the default) must leave every engine's behavior —
-/// and every report byte — identical to the inline-maintenance seed.
+/// Every engine has one resumable job per kind of maintenance;
+/// `enabled` only chooses who drives it ([`Drive`]). Off (the default)
+/// must leave every engine's behavior — and every report byte —
+/// identical to the inline-maintenance seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaintConfig {
-    /// Master switch. Off = maintenance runs inline as before.
+    /// Master switch. Off = the same jobs, drained in place by the op
+    /// that triggers them, under foreground I/O rules.
     pub enabled: bool,
     /// Token-bucket refill rate for background device traffic, in bytes
     /// per virtual second.
@@ -80,7 +84,9 @@ impl Default for MaintConfig {
 }
 
 impl MaintConfig {
-    /// An enabled config with the default pacing knobs.
+    /// An enabled config with the default pacing knobs: jobs run in
+    /// bounded slices pumped between foreground ops ([`Drive::Paced`])
+    /// instead of being drained inside the triggering op.
     pub fn enabled() -> Self {
         Self {
             enabled: true,
@@ -118,6 +124,83 @@ impl JobKind {
             JobKind::Checkpoint => "maint.checkpoint",
         }
     }
+}
+
+/// Who drives a maintenance job, and under which I/O rules. The job —
+/// its phases, its bytes, its install — is the same either way; the
+/// drive is the short list of places the two genuinely differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drive {
+    /// The op that triggers the job drains it in place: unbounded
+    /// slices, foreground I/O rules, immediate install, nothing charged
+    /// to a scheduler.
+    Inline,
+    /// The harness pumps bounded slices between foreground ops:
+    /// detached I/O, durability-gated install, every byte charged to
+    /// the scheduler's budget.
+    Paced,
+}
+
+impl Drive {
+    /// The pacing source under this drive: the engine's scheduler when
+    /// paced, none when inline.
+    pub fn pacing(self, sched: &mut Option<MaintScheduler>) -> Option<&mut MaintScheduler> {
+        match self {
+            Drive::Paced => sched.as_mut(),
+            Drive::Inline => None,
+        }
+    }
+
+    /// The byte bound of one slice (unbounded when inline).
+    pub fn slice_bytes(self, sched: &Option<MaintScheduler>) -> u64 {
+        match (self, sched) {
+            (Drive::Paced, Some(s)) => s.cfg.slice_bytes.max(1),
+            _ => u64::MAX,
+        }
+    }
+
+    /// Charges job traffic against the budget (a no-op when inline).
+    pub fn charge(self, sched: &mut Option<MaintScheduler>, now: Ns, bytes: u64, read: bool) {
+        if let Some(s) = self.pacing(sched) {
+            s.charge(now, bytes, read);
+        }
+    }
+
+    /// Counts a job that ran to completion and installed its edit.
+    pub fn installed(self, sched: &mut Option<MaintScheduler>) {
+        if let Some(s) = self.pacing(sched) {
+            s.stats.jobs += 1;
+            s.stats.installs += 1;
+        }
+    }
+}
+
+/// What [`MaintScheduler::admit`] allows at this instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Nothing may run: the device backlog is too deep, the budget is in
+    /// debt, or no ticket is pending.
+    Gated,
+    /// The job already in flight may run its next slice.
+    Continue,
+    /// A ticket was consumed: run a slice of this kind of job.
+    Start(JobKind),
+}
+
+/// The forced-drain loop behind every `drain_maintenance` and
+/// backpressure stall: runs `slice` on `target` while `pending` holds. A
+/// slice that reports no progress consumed only a stale ticket; three
+/// such rounds in a row end the drain instead of spinning.
+pub fn drain_forced<T, E>(
+    target: &mut T,
+    pending: impl Fn(&T) -> bool,
+    mut slice: impl FnMut(&mut T) -> Result<bool, E>,
+) -> Result<(), E> {
+    let mut spins = 0u32;
+    while pending(target) && spins <= 2 {
+        spins = if slice(target)? { 0 } else { spins + 1 };
+    }
+    Ok(())
 }
 
 /// Counters for background maintenance, surfaced as first-class run
@@ -234,6 +317,13 @@ impl MaintScheduler {
         }
     }
 
+    /// The pacing source an engine opened at `now` runs under `cfg`: a
+    /// scheduler when maintenance is enabled, none (jobs drain in place)
+    /// when it is off.
+    pub fn for_config(cfg: MaintConfig, now: Ns) -> Option<Self> {
+        cfg.enabled.then(|| Self::new(cfg, now))
+    }
+
     /// The pacing knobs this scheduler runs under.
     pub fn cfg(&self) -> &MaintConfig {
         &self.cfg
@@ -271,6 +361,26 @@ impl MaintScheduler {
             return None;
         }
         self.queue.pop_front()
+    }
+
+    /// The admission check every slice starts with: the device-backlog
+    /// gate, then the budget. A job `in_flight` continues without a
+    /// ticket; otherwise the next ticket is consumed. `forced` bypasses
+    /// both gates.
+    pub fn admit(&mut self, now: Ns, backlog: Ns, forced: bool, in_flight: bool) -> Admission {
+        if !forced && backlog > self.cfg.max_backlog_ns {
+            return Admission::Gated;
+        }
+        if !in_flight {
+            return self
+                .pop_ready(now, forced)
+                .map_or(Admission::Gated, Admission::Start);
+        }
+        if self.budget_ready(now, forced) {
+            Admission::Continue
+        } else {
+            Admission::Gated
+        }
     }
 
     /// Re-queues a ticket at the front (job not yet finished).
@@ -348,6 +458,68 @@ mod tests {
         assert_eq!(s.stats.bytes_written, 1 << 20);
         let at = s.ready_at(0);
         assert!(at > 0);
+    }
+
+    #[test]
+    fn admission_gates_on_backlog_then_budget_then_tickets() {
+        let cfg = MaintConfig {
+            rate_bytes_per_sec: 1 << 20,
+            burst_bytes: 4096,
+            ..MaintConfig::enabled()
+        };
+        let mut s = MaintScheduler::new(cfg, 0);
+        assert_eq!(s.admit(0, 0, false, false), Admission::Gated, "no ticket");
+        s.enqueue(JobKind::SegmentGc);
+        let deep = cfg.max_backlog_ns + 1;
+        assert_eq!(s.admit(0, deep, false, false), Admission::Gated);
+        assert_eq!(s.pending(), 1, "a gated slice keeps its ticket");
+        assert_eq!(
+            s.admit(0, deep, true, false),
+            Admission::Start(JobKind::SegmentGc),
+            "forced slices bypass the backlog gate"
+        );
+        // A job in flight continues without a ticket, on the budget alone.
+        assert_eq!(s.admit(0, 0, false, true), Admission::Continue);
+        s.charge(0, 1 << 20, false);
+        assert_eq!(s.admit(0, 0, false, true), Admission::Gated, "in debt");
+        assert_eq!(s.admit(0, 0, true, true), Admission::Continue);
+    }
+
+    #[test]
+    fn inline_drive_has_no_pacing_source() {
+        let mut sched = Some(MaintScheduler::new(MaintConfig::enabled(), 0));
+        assert_eq!(Drive::Inline.slice_bytes(&sched), u64::MAX);
+        Drive::Inline.charge(&mut sched, 0, 4096, false);
+        Drive::Inline.installed(&mut sched);
+        assert_eq!(sched.as_ref().map(|s| s.stats), Some(MaintStats::default()));
+        assert_eq!(Drive::Paced.slice_bytes(&sched), 128 << 10);
+        Drive::Paced.charge(&mut sched, 0, 4096, true);
+        Drive::Paced.installed(&mut sched);
+        let stats = sched.as_ref().map(|s| s.stats).unwrap_or_default();
+        assert_eq!((stats.bytes_read, stats.jobs, stats.installs), (4096, 1, 1));
+        // Paced without a scheduler degrades to unbounded and uncharged.
+        assert_eq!(Drive::Paced.slice_bytes(&None), u64::MAX);
+        Drive::Paced.installed(&mut None);
+    }
+
+    #[test]
+    fn forced_drain_stops_after_three_rounds_without_progress() {
+        // Two units of work, then stale tickets for ever.
+        let mut state = (2u32, 0u32); // (work left, slices run)
+        let slice = |s: &mut (u32, u32)| -> Result<bool, ()> {
+            s.1 += 1;
+            let progressed = s.0 > 0;
+            s.0 = s.0.saturating_sub(1);
+            Ok(progressed)
+        };
+        drain_forced(&mut state, |_| true, slice).expect("drain");
+        assert_eq!(state, (0, 5), "two useful slices, then three empty rounds");
+        // Nothing pending: not a single slice runs.
+        drain_forced(&mut state, |_| false, slice).expect("drain");
+        assert_eq!(state.1, 5);
+        // Errors surface at once.
+        let failed = drain_forced(&mut state, |_| true, |_| Err::<bool, u8>(7));
+        assert_eq!(failed, Err(7));
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! descriptor, it is automatically held to this spec.
 
 use ptsbench::core::runner::{run, RunConfig};
-use ptsbench::core::{EngineKind, EngineRegistry, EngineTuning, PtsError, WriteBatch};
+use ptsbench::core::{EngineRegistry, EngineTuning, PtsError, WriteBatch};
 use ptsbench::ssd::{DeviceConfig, DeviceProfile, Ssd, MINUTE};
 use ptsbench::vfs::{Vfs, VfsOptions};
 
-fn engines() -> Vec<EngineKind> {
-    ptsbench::hashlog::register();
-    EngineRegistry::all()
-}
+mod common;
+use common::engines;
 
 fn stack(bytes: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), bytes)).into_shared();

@@ -13,30 +13,16 @@
 //! engine is automatically held to the same timing spec.
 
 use ptsbench::core::frontend::{FrontendRun, TenantSpec};
-use ptsbench::core::registry::{EngineKind, EngineRegistry};
-use ptsbench::core::runner::{run, RunConfig};
+use ptsbench::core::registry::EngineKind;
+use ptsbench::core::runner::run;
 use ptsbench::core::sharded::{ShardedRun, Sharding};
 use ptsbench::core::ReqClass;
 use ptsbench::harness::{run_frontend, run_frontend_with_results, run_sharded_with_results};
 use ptsbench::ssd::{MINUTE, SECOND};
 use ptsbench::workload::ArrivalSpec;
 
-fn engines() -> Vec<EngineKind> {
-    ptsbench::hashlog::register();
-    EngineRegistry::all()
-}
-
-/// Small enough for debug-mode tests: 16 MiB per shard (the SSD1
-/// geometry floor), short measured phase.
-fn base(engine: EngineKind, total_bytes: u64) -> RunConfig {
-    RunConfig {
-        engine,
-        device_bytes: total_bytes,
-        duration: 10 * MINUTE,
-        sample_window: 5 * MINUTE,
-        ..RunConfig::default()
-    }
-}
+mod common;
+use common::{base, engines};
 
 /// The tentpole guarantee: a QD=1 front-end run reproduces the direct
 /// `Experiment` path byte-identically — same label, same per-shard op

@@ -12,60 +12,18 @@
 //! engine, across the sharded driver and the serving front-end.
 //!
 //! Like `cache_conformance`, this pins against the golden snapshot
-//! (`tests/golden/pr5_cache_off.txt`) captured before either subsystem
+//! (`tests/golden/baseline.txt`) captured before either subsystem
 //! existed, so a regression in *any* layer maintenance touched —
 //! engine write paths, the WAL, options, the runner, the report
 //! renderer — shows up as a byte diff against history.
 
-use ptsbench::core::frontend::FrontendRun;
-use ptsbench::core::registry::{EngineKind, EngineRegistry};
-use ptsbench::core::runner::{run, RunConfig};
+use ptsbench::core::runner::run;
 use ptsbench::core::sharded::ShardedRun;
 use ptsbench::harness::{run_frontend, run_frontend_with_results, run_sharded};
 use ptsbench::maint::MaintConfig;
-use ptsbench::ssd::MINUTE;
-use ptsbench::workload::KeyDistribution;
 
-/// Rendered harness output captured before the maintenance subsystem
-/// (and the cache tier) landed.
-const GOLDEN: &str = include_str!("golden/pr5_cache_off.txt");
-
-fn engines() -> Vec<EngineKind> {
-    ptsbench::hashlog::register();
-    EngineRegistry::all()
-}
-
-/// One `@@@section@@@` block of the golden snapshot.
-fn golden_section(name: &str) -> String {
-    let header = format!("@@@{name}@@@\n");
-    let start = GOLDEN
-        .find(&header)
-        .unwrap_or_else(|| panic!("golden section {name} missing"))
-        + header.len();
-    let end = GOLDEN[start..]
-        .find("@@@")
-        .expect("golden sections are terminated");
-    GOLDEN[start..start + end].to_string()
-}
-
-/// The exact shapes the snapshot was captured with.
-fn base(engine: EngineKind, total_bytes: u64) -> RunConfig {
-    RunConfig {
-        engine,
-        device_bytes: total_bytes,
-        duration: 10 * MINUTE,
-        sample_window: 5 * MINUTE,
-        ..RunConfig::default()
-    }
-}
-
-fn serving_shape(engine: EngineKind) -> FrontendRun {
-    let mut cfg = FrontendRun::new(base(engine, 32 << 20), 6);
-    cfg.shards = 2;
-    cfg.base.read_fraction = 0.5;
-    cfg.base.distribution = KeyDistribution::Zipfian { theta: 0.9 };
-    cfg
-}
+mod common;
+use common::{base, engines, golden_section, serving_shape};
 
 /// The tentpole guarantee: with maintenance off (the default), today's
 /// sharded harness reproduces the pre-maintenance golden output

@@ -14,40 +14,14 @@
 //! automatically held to the same spec.
 
 use ptsbench::core::frontend::{FrontendRun, SloPolicy};
-use ptsbench::core::registry::{EngineKind, EngineRegistry};
-use ptsbench::core::runner::RunConfig;
+use ptsbench::core::registry::EngineKind;
 use ptsbench::core::sharded::{ShardedRun, Sharding};
 use ptsbench::harness::{run_frontend, run_sharded};
-use ptsbench::ssd::{MINUTE, SECOND};
-use ptsbench::workload::{ArrivalSpec, KeyDistribution};
+use ptsbench::ssd::SECOND;
+use ptsbench::workload::ArrivalSpec;
 
-fn engines() -> Vec<EngineKind> {
-    ptsbench::hashlog::register();
-    EngineRegistry::all()
-}
-
-/// Small enough for debug-mode tests: 16 MiB per shard (the SSD1
-/// geometry floor), short measured phase.
-fn base(engine: EngineKind, total_bytes: u64) -> RunConfig {
-    RunConfig {
-        engine,
-        device_bytes: total_bytes,
-        duration: 10 * MINUTE,
-        sample_window: 5 * MINUTE,
-        ..RunConfig::default()
-    }
-}
-
-/// A serving shape that actually queues (fan-in over fewer shards,
-/// Zipfian skew), so the equivalence is tested where the policy would
-/// have something to do if it were active.
-fn serving_shape(engine: EngineKind) -> FrontendRun {
-    let mut cfg = FrontendRun::new(base(engine, 32 << 20), 6);
-    cfg.shards = 2;
-    cfg.base.read_fraction = 0.5;
-    cfg.base.distribution = KeyDistribution::Zipfian { theta: 0.9 };
-    cfg
-}
+mod common;
+use common::{base, engines, serving_shape};
 
 /// The tentpole guarantee: for every registered engine, a fan-in
 /// serving run under `SloPolicy::None` and under an infinite

@@ -13,7 +13,7 @@
 //! anywhere — for every registered engine.
 //!
 //! Like `tests/cache_conformance.rs`, the pin is against the **golden
-//! snapshot** (`tests/golden/pr5_cache_off.txt`) captured from the
+//! snapshot** (`tests/golden/baseline.txt`) captured from the
 //! harness before either subsystem existed, so a regression in any
 //! layer the front-end rework touched — the dispatcher, the completion
 //! ordering, the report renderer — shows up as a byte diff against
@@ -22,53 +22,15 @@
 use ptsbench::core::frontend::{
     ClassPolicyMap, DispatchDiscipline, FrontendRun, SloPolicy, TenantSpec,
 };
-use ptsbench::core::registry::{EngineKind, EngineRegistry};
+use ptsbench::core::registry::EngineKind;
 use ptsbench::core::runner::RunConfig;
 use ptsbench::core::ReqClass;
 use ptsbench::harness::run_frontend;
 use ptsbench::ssd::{MINUTE, SECOND};
 use ptsbench::workload::{ArrivalSpec, KeyDistribution};
 
-/// Rendered harness output captured before the multi-tenant front-end
-/// (and the read-path tier) existed.
-const GOLDEN: &str = include_str!("golden/pr5_cache_off.txt");
-
-fn engines() -> Vec<EngineKind> {
-    ptsbench::hashlog::register();
-    EngineRegistry::all()
-}
-
-/// One `@@@section@@@` block of the golden snapshot.
-fn golden_section(name: &str) -> String {
-    let header = format!("@@@{name}@@@\n");
-    let start = GOLDEN
-        .find(&header)
-        .unwrap_or_else(|| panic!("golden section {name} missing"))
-        + header.len();
-    let end = GOLDEN[start..]
-        .find("@@@")
-        .expect("golden sections are terminated");
-    GOLDEN[start..start + end].to_string()
-}
-
-/// The exact shape the snapshot was captured with.
-fn base(engine: EngineKind) -> RunConfig {
-    RunConfig {
-        engine,
-        device_bytes: 32 << 20,
-        duration: 10 * MINUTE,
-        sample_window: 5 * MINUTE,
-        ..RunConfig::default()
-    }
-}
-
-fn serving_shape(engine: EngineKind) -> FrontendRun {
-    let mut cfg = FrontendRun::new(base(engine), 6);
-    cfg.shards = 2;
-    cfg.base.read_fraction = 0.5;
-    cfg.base.distribution = KeyDistribution::Zipfian { theta: 0.9 };
-    cfg
-}
+mod common;
+use common::{base, engines, golden_section, serving_shape};
 
 /// The tentpole guarantee: a front-end run whose multi-tenant knobs are
 /// all at their explicit pass-through settings reproduces the
@@ -173,7 +135,7 @@ fn wfq_overload_matches_the_scanning_driver_golden_output() {
             distribution: KeyDistribution::Zipfian { theta: 0.9 },
             duration: 2 * MINUTE,
             sample_window: MINUTE,
-            ..base(EngineKind::lsm())
+            ..base(EngineKind::lsm(), 32 << 20)
         },
         3,
     );
