@@ -2,7 +2,8 @@
 //! write path, extent allocator, memtable, bloom filter, SSTable
 //! build/lookup, B+Tree operations and the k-way merge — and, layer by
 //! layer, the B+Tree's page walk and the LSM's compaction data path at
-//! the paper's geometry.
+//! the paper's geometry, and the block codec over blocks the branch
+//! predictor cannot learn.
 
 use std::cell::RefCell;
 
@@ -13,6 +14,7 @@ use rand::{Rng, SeedableRng};
 use ptsbench_btree::node::Node;
 use ptsbench_btree::pager::Pager;
 use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
+use ptsbench_cache::Compression;
 use ptsbench_lsm::bloom::BloomFilter;
 use ptsbench_lsm::iter::{EntryStream, KWayMerge};
 use ptsbench_lsm::memtable::Memtable;
@@ -20,6 +22,7 @@ use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
 use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, Vfs, VfsOptions};
+use ptsbench_workload::{encode_key, fill_value};
 
 fn fresh_vfs(mb: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), mb << 20));
@@ -422,6 +425,100 @@ fn bench_lsm_data_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The block codec over inputs shaped like what the engines hand it.
+/// Each row cycles 64 *distinct* inputs: re-encoding one block lets the
+/// branch predictor learn that block's hash-chain walk, and the row
+/// then reports a fraction of what an engine pays per sealed block.
+fn bench_codec(c: &mut Criterion) {
+    const DISTINCT: u64 = 64;
+    // Entries as the LSM lays them out: 16-byte keys in order, values
+    // from the workload generator (pseudorandom, so incompressible).
+    let entries = |first: u64, bytes: usize, value_size: usize| {
+        let (mut key, mut value) = (Vec::new(), Vec::new());
+        let mut block = Vec::with_capacity(bytes + value_size + 22);
+        let mut idx = first;
+        while block.len() < bytes {
+            encode_key(idx, 16, &mut key);
+            fill_value(idx, 0, value_size, &mut value);
+            block.extend_from_slice(&(key.len() as u16).to_le_bytes());
+            block.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            block.extend_from_slice(&key);
+            block.extend_from_slice(&value);
+            idx += 1;
+        }
+        block
+    };
+    // Text-like: words of 3-10 letters drawn from a 256-word vocabulary.
+    let text = |seed: u64| {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let vocabulary: Vec<Vec<u8>> = (0..256)
+            .map(|_| {
+                (0..rng.gen_range(3..=10))
+                    .map(|_| rng.gen_range(b'a'..=b'z'))
+                    .collect()
+            })
+            .collect();
+        let mut block = Vec::with_capacity(8192 + 11);
+        while block.len() < 8192 {
+            block.extend_from_slice(&vocabulary[rng.gen_range(0..256usize)]);
+            block.push(b' ');
+        }
+        block.truncate(8192);
+        block
+    };
+    let inputs: [(&str, u64, Vec<Vec<u8>>); 3] = [
+        // What a 4 KiB-block table seals at the paper's 4 000-byte
+        // values: two entries, 8 044 bytes.
+        (
+            "two_4000B_values_8k",
+            6400,
+            (0..DISTINCT).map(|b| entries(2 * b, 4096, 4000)).collect(),
+        ),
+        ("compressible_8k", 6400, (0..DISTINCT).map(text).collect()),
+        // A hash-log segment of the same records.
+        (
+            "segment_1m",
+            64,
+            (0..DISTINCT)
+                .map(|b| entries(1000 * b, 1 << 20, 4000))
+                .collect(),
+        ),
+    ];
+
+    let mut group = c.benchmark_group("codec_encode");
+    for (name, samples, blocks) in &inputs {
+        for level in [1u8, 3] {
+            let codec = Compression::from_level(level);
+            let mut next = 0usize;
+            group.sample_size(*samples as usize);
+            group.bench_function(&format!("{name}/l{level}"), |b| {
+                b.iter(|| {
+                    next = (next + 1) % blocks.len();
+                    black_box(codec.encode(black_box(&blocks[next])))
+                })
+            });
+        }
+    }
+    group.finish();
+
+    // Every block of every benchmark workload is stored-mode.
+    let stored: Vec<Vec<u8>> = inputs[0]
+        .2
+        .iter()
+        .map(|block| Compression::from_level(1).encode(block))
+        .collect();
+    let mut group = c.benchmark_group("codec_decode");
+    group.sample_size(6400);
+    let mut next = 0usize;
+    group.bench_function("stored_8k", |b| {
+        b.iter(|| {
+            next = (next + 1) % stored.len();
+            black_box(Compression::decode(black_box(&stored[next])))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ftl,
@@ -432,6 +529,7 @@ criterion_group!(
     bench_kway_merge,
     bench_engines,
     bench_btree_layers,
-    bench_lsm_data_path
+    bench_lsm_data_path,
+    bench_codec
 );
 criterion_main!(benches);
