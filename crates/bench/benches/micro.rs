@@ -18,6 +18,7 @@ use ptsbench_cache::Compression;
 use ptsbench_lsm::bloom::BloomFilter;
 use ptsbench_lsm::iter::{EntryStream, KWayMerge};
 use ptsbench_lsm::memtable::Memtable;
+use ptsbench_lsm::sstable::format::encode_entry;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
@@ -440,10 +441,7 @@ fn bench_codec(c: &mut Criterion) {
         while block.len() < bytes {
             encode_key(idx, 16, &mut key);
             fill_value(idx, 0, value_size, &mut value);
-            block.extend_from_slice(&(key.len() as u16).to_le_bytes());
-            block.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            block.extend_from_slice(&key);
-            block.extend_from_slice(&value);
+            encode_entry(&mut block, &key, Some(&value));
             idx += 1;
         }
         block
@@ -466,14 +464,16 @@ fn bench_codec(c: &mut Criterion) {
         block.truncate(8192);
         block
     };
-    let inputs: [(&str, u64, Vec<Vec<u8>>); 3] = [
-        // What a 4 KiB-block table seals at the paper's 4 000-byte
-        // values: two entries, 8 044 bytes.
-        (
-            "two_4000B_values_8k",
-            6400,
-            (0..DISTINCT).map(|b| entries(2 * b, 4096, 4000)).collect(),
-        ),
+    // What a 4 KiB-block table seals at the paper's 4 000-byte values:
+    // two entries, 8 044 bytes — stored mode, like every block of every
+    // benchmark workload.
+    let two_values: Vec<Vec<u8>> = (0..DISTINCT).map(|b| entries(2 * b, 4096, 4000)).collect();
+    let stored: Vec<Vec<u8>> = two_values
+        .iter()
+        .map(|block| Compression::from_level(1).encode(block))
+        .collect();
+    let inputs: [(&str, usize, Vec<Vec<u8>>); 3] = [
+        ("two_4000B_values_8k", 6400, two_values),
         ("compressible_8k", 6400, (0..DISTINCT).map(text).collect()),
         // A hash-log segment of the same records.
         (
@@ -490,7 +490,7 @@ fn bench_codec(c: &mut Criterion) {
         for level in [1u8, 3] {
             let codec = Compression::from_level(level);
             let mut next = 0usize;
-            group.sample_size(*samples as usize);
+            group.sample_size(*samples);
             group.bench_function(&format!("{name}/l{level}"), |b| {
                 b.iter(|| {
                     next = (next + 1) % blocks.len();
@@ -501,12 +501,6 @@ fn bench_codec(c: &mut Criterion) {
     }
     group.finish();
 
-    // Every block of every benchmark workload is stored-mode.
-    let stored: Vec<Vec<u8>> = inputs[0]
-        .2
-        .iter()
-        .map(|block| Compression::from_level(1).encode(block))
-        .collect();
     let mut group = c.benchmark_group("codec_decode");
     group.sample_size(6400);
     let mut next = 0usize;

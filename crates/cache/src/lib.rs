@@ -30,6 +30,6 @@ pub mod compress;
 pub mod sketch;
 
 pub use block::{file_tag, BlockCache, CacheKey, SharedBlockCache};
-pub use compress::Compression;
+pub use compress::{Compression, EncodeScratch};
 pub use ptsbench_metrics::CacheStats;
 pub use sketch::CountMinSketch;

@@ -4,7 +4,9 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use ptsbench_cache::{file_tag, BlockCache, CacheStats, Compression, SharedBlockCache};
+use ptsbench_cache::{
+    file_tag, BlockCache, CacheStats, Compression, EncodeScratch, SharedBlockCache,
+};
 use ptsbench_core::engine::{BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, WriteBatch};
 use ptsbench_core::registry::EngineKind;
 use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
@@ -119,6 +121,10 @@ pub struct HashLogDb {
     /// like a memtable — `flush` seals a partial segment for
     /// durability). Always empty when compression is off.
     pending_seg: Vec<u8>,
+    /// The codec's match-finder tables and the container it builds at
+    /// a seal, both reused segment after segment.
+    codec_scratch: EncodeScratch,
+    container: Vec<u8>,
     /// Value/segment cache sized by `opts.cache_bytes`; `None` keeps
     /// the seed read path.
     cache: Option<SharedBlockCache>,
@@ -162,6 +168,8 @@ impl HashLogDb {
             stats: HashLogStats::default(),
             queue,
             pending_seg: Vec::new(),
+            codec_scratch: EncodeScratch::default(),
+            container: Vec::new(),
             cache: cache_for(&opts),
             trace,
             sched,
@@ -201,6 +209,8 @@ impl HashLogDb {
             stats: HashLogStats::default(),
             queue,
             pending_seg: Vec::new(),
+            codec_scratch: EncodeScratch::default(),
+            container: Vec::new(),
             cache: cache_for(&opts),
             trace,
             sched,
@@ -342,16 +352,18 @@ impl HashLogDb {
     fn seal_active_inner(&mut self) -> Result<()> {
         let file = self.segments[&self.active].file;
         if self.opts.compression.is_active() {
-            let raw = std::mem::take(&mut self.pending_seg);
-            let container = self.opts.compression.encode(&raw);
+            self.container.clear();
+            self.opts.compression.encode_into(
+                &self.pending_seg,
+                &mut self.codec_scratch,
+                &mut self.container,
+            );
             self.vfs
                 .clock()
-                .advance(self.opts.compression.encode_cost_ns(raw.len()));
-            if let Err(e) = self.vfs.append(file, &container) {
-                // Out of space: keep the contents readable in memory.
-                self.pending_seg = raw;
-                return Err(e.into());
-            }
+                .advance(self.opts.compression.encode_cost_ns(self.pending_seg.len()));
+            // Out of space leaves the contents readable in memory.
+            self.vfs.append(file, &self.container)?;
+            self.pending_seg.clear();
         }
         self.vfs.fsync(file)?;
         self.new_segment()

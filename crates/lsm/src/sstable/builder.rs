@@ -9,10 +9,10 @@
 //! Each entry is encoded once. Without a codec a block *is* its entries
 //! back to back, so they are encoded straight into the staging buffer
 //! and sealing a block only records where it began; with a codec the
-//! entries collect in a scratch block that the codec then encodes into
-//! the staging buffer.
+//! entries collect in a scratch block that the codec then encodes
+//! straight onto the staging buffer.
 
-use ptsbench_cache::Compression;
+use ptsbench_cache::{Compression, EncodeScratch};
 use ptsbench_vfs::{FileId, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
@@ -39,6 +39,8 @@ pub struct SstableBuilder {
     /// the reader knows to decode; the CPU cost is charged to the
     /// simulated clock on the foreground path.
     compression: Compression,
+    /// The codec's match-finder tables, reused block after block.
+    codec_scratch: EncodeScratch,
     /// The codec's input: the current block's entries. Stays empty when
     /// the codec is off.
     block: Vec<u8>,
@@ -99,6 +101,7 @@ impl SstableBuilder {
             block_bytes,
             bloom_bits_per_key,
             compression: Compression::None,
+            codec_scratch: EncodeScratch::default(),
             block: Vec::new(),
             block_entries: 0,
             block_first_key: None,
@@ -193,7 +196,8 @@ impl SstableBuilder {
             .take()
             .expect("non-empty block has a first key");
         if self.compression.is_active() {
-            let container = self.compression.encode(&self.block);
+            self.compression
+                .encode_into(&self.block, &mut self.codec_scratch, &mut self.pending);
             if !self.background {
                 // Foreground builds pay the codec's CPU time on the
                 // simulated clock; background (flush/compaction) builds
@@ -202,7 +206,6 @@ impl SstableBuilder {
                     .clock()
                     .advance(self.compression.encode_cost_ns(self.block.len()));
             }
-            self.pending.extend_from_slice(&container);
             self.block.clear();
         }
         self.index.push(IndexEntry {

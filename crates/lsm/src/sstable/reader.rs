@@ -364,14 +364,19 @@ fn decode_window(reader: &SstableReader, raw: FileSlice, charge: bool) -> Option
     if !reader.compression.is_active() {
         return Some(raw);
     }
-    let data = Compression::decode(&raw)?;
+    let data = match Compression::stored_payload(&raw) {
+        // A block the codec stored verbatim is a range of the file's
+        // own bytes, like an uncompressed table's.
+        Some(payload) => raw.slice(raw.len() - payload.len()..raw.len()),
+        None => Compression::decode(&raw)?.into(),
+    };
     if charge {
         reader
             .vfs
             .clock()
             .advance(Compression::decode_cost_ns(data.len()));
     }
-    Some(data.into())
+    Some(data)
 }
 
 /// A window's decoded bytes and how many entries they hold.
@@ -800,6 +805,58 @@ mod tests {
             "bloom should stop absent-key reads, got {}",
             after - before
         );
+    }
+
+    #[test]
+    fn compressed_table_serves_stored_and_lz_blocks_alike() {
+        // The first half of the 2 000-byte values is noise, so the
+        // table mixes blocks the codec stored verbatim (served as ranges
+        // of the file) with blocks it compressed (decoded into their own
+        // buffer); both must read back exactly, by lookup and by scan,
+        // and both charge decode time.
+        let value = |i: u32| -> Vec<u8> {
+            if i < 20 {
+                let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1);
+                (0..2000)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 32) as u8
+                    })
+                    .collect()
+            } else {
+                format!("value-{i}-").repeat(300).into_bytes()[..2000].to_vec()
+            }
+        };
+        let v = vfs();
+        let mut b = SstableBuilder::create(v.clone(), "sst-z", 4096, 10)
+            .expect("create")
+            .with_compression(Compression::from_level(1));
+        for i in 0..40u32 {
+            b.add(format!("key{i:05}").as_bytes(), Some(&value(i)))
+                .expect("add");
+        }
+        b.finish().expect("finish");
+        let r = SstableReader::open(v.clone(), "sst-z").expect("open");
+        let file = v.open("sst-z").expect("open file");
+        let modes: Vec<u8> = r
+            .index
+            .iter()
+            .map(|e| v.read_at(file, e.offset, 3).expect("read")[2])
+            .collect();
+        assert!(
+            modes.contains(&0) && modes.contains(&1),
+            "both container modes present: {modes:?}"
+        );
+        for i in 0..40u32 {
+            let before = v.clock().now();
+            let got = r.get(format!("key{i:05}").as_bytes()).expect("get");
+            assert_eq!(got, Some(Some(value(i))), "key {i}");
+            assert!(v.clock().now() > before, "decode time is charged");
+        }
+        let scanned: Vec<Vec<u8>> = r.iter().map(|(_, v)| v.expect("live").to_vec()).collect();
+        assert_eq!(scanned, (0..40).map(value).collect::<Vec<_>>());
     }
 
     #[test]
