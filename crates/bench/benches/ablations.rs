@@ -181,12 +181,10 @@ fn ablate_superblock_size() {
 }
 
 fn main() {
-    println!("================================================================");
-    println!(
-        "ptsbench — ablation studies ({} MiB simulated SSD1)",
-        DEVICE_BYTES >> 20
+    ptsbench_bench::rule_banner(
+        "ablation studies",
+        &format!("{} MiB simulated SSD1", DEVICE_BYTES >> 20),
     );
-    println!("================================================================");
     ablate_gc_policy();
     ablate_alloc_policy();
     ablate_wal_recycling();

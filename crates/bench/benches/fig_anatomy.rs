@@ -1,269 +1,12 @@
-//! Latency anatomy — beyond the paper: decomposing the serving tail
-//! into engine phases via the flight recorder, for every registered
-//! engine.
-//!
-//! `fig_tail` separates queue delay from engine service time;
-//! this figure splits the service time itself. Every run is traced:
-//! each request carries a `req.put`/`req.get` root span with the queue
-//! wait, the engine op and every engine phase (WAL append, memtable
-//! flush, compaction, block load, cache hit, segment decode, page
-//! walk, ...) nested beneath it, and the device charges every host
-//! byte to the cause scope that issued it. The table reports, per
-//! quantile band of engine service time, the share of that time spent
-//! in maintenance phases (flush/compaction/GC/checkpoint), in device
-//! commands, and in cache hits. Phase shares may overlap (a device
-//! command inside a compaction counts toward both) and queued device
-//! commands proceed concurrently in virtual time, so the span sum can
-//! exceed the enclosing op's wall time at queue depth 16 — columns
-//! need not sum to 100%.
-//!
-//! The bench asserts the subsystem's headline guarantees:
-//!
-//! * the LSM's p99 put band is dominated by inline-maintenance stalls
-//!   (>= half of its service time inside `lsm.flush`/`lsm.compaction`);
-//! * the block cache shifts per-get `lsm.block_load` time into
-//!   `lsm.cache_hit` marks;
-//! * per-cause device bytes close exactly against the SMART host
-//!   counters on every shard of every engine;
-//! * traced runs are deterministic — byte-identical reports and
-//!   identical phase rollups run-to-run.
+//! Latency anatomy — beyond the paper: the
+//! `ptsbench_bench::fig_anatomy` phase decomposition of the serving
+//! tail for every registered engine, at 40 simulated minutes per traced
+//! fleet (20 under `PTSBENCH_QUICK=1`), without the trace export.
 
-use std::collections::BTreeMap;
-
-use ptsbench_core::frontend::FrontendRun;
-use ptsbench_core::registry::{EngineKind, EngineRegistry};
-use ptsbench_core::runner::RunConfig;
-use ptsbench_harness::{run_frontend_with_results, HarnessOutcome};
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_ssd::{Ns, MINUTE};
-use ptsbench_trace::OpBreakdown;
-use ptsbench_workload::KeyDistribution;
-
-/// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-const TOTAL_BYTES: u64 = 64 << 20;
-const SHARDS: usize = 4;
-/// The fig_tail fan-in maximum: enough closed-loop clients to keep
-/// every shard saturated for the whole measured phase.
-const FAN_IN: usize = 64;
-
-/// Inline-maintenance phases, across all three engines.
-const MAINT: [&str; 5] = [
-    "lsm.flush",
-    "lsm.compaction",
-    "hashlog.gc",
-    "hashlog.seal",
-    "btree.checkpoint",
-];
-/// Device command spans.
-const DEV: [&str; 2] = ["dev.read", "dev.write"];
-/// Block/segment/page cache hit marks.
-const CACHE: [&str; 3] = ["lsm.cache_hit", "btree.cache_hit", "hashlog.cache_hit"];
-
-fn serve(engine: EngineKind, cache_bytes: u64, duration: u64) -> HarnessOutcome {
-    let mut cfg = FrontendRun::new(
-        RunConfig {
-            engine,
-            device_bytes: TOTAL_BYTES,
-            distribution: KeyDistribution::Zipfian { theta: 0.99 },
-            read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
-            cache_bytes,
-            trace: true,
-            ..RunConfig::default()
-        },
-        FAN_IN,
-    );
-    cfg.shards = SHARDS;
-    run_frontend_with_results(&cfg).expect("frontend run")
-}
-
-/// Every request rollup across the fleet's flight recorders, in shard
-/// order (deterministic).
-fn breakdowns(outcome: &HarnessOutcome) -> Vec<OpBreakdown> {
-    outcome
-        .shard_results
-        .iter()
-        .filter_map(|r| r.recorder.as_ref())
-        .flat_map(|rec| rec.lock().op_breakdowns())
-        .collect()
-}
-
-/// `(span count, total ns)` per phase name, summed across the fleet.
-fn fleet_phases(outcome: &HarnessOutcome) -> BTreeMap<&'static str, (u64, Ns)> {
-    let mut agg: BTreeMap<&'static str, (u64, Ns)> = BTreeMap::new();
-    for r in &outcome.shard_results {
-        if let Some(rec) = &r.recorder {
-            for (name, total, count) in rec.lock().time_by_name() {
-                let e = agg.entry(name).or_insert((0, 0));
-                e.0 += count;
-                e.1 += total;
-            }
-        }
-    }
-    agg
-}
-
-/// Requests rooted at `root`, as `(engine service ns, rollup)` sorted
-/// ascending by service time (the `op.*` span — queue wait excluded).
-fn by_service<'a>(ops: &'a [OpBreakdown], root: &str) -> Vec<(Ns, &'a OpBreakdown)> {
-    let op_phase = if root == "req.put" {
-        "op.put"
-    } else {
-        "op.get"
-    };
-    let mut v: Vec<(Ns, &OpBreakdown)> = ops
-        .iter()
-        .filter(|o| o.root.name == root)
-        .map(|o| (o.time_in(op_phase), o))
-        .collect();
-    v.sort_by_key(|&(s, _)| s);
-    v
-}
-
-/// Total time in any of `names` across the band, as a share of the
-/// band's total service time.
-fn share(band: &[(Ns, &OpBreakdown)], total: Ns, names: &[&str]) -> f64 {
-    let t: Ns = band
-        .iter()
-        .map(|&(_, o)| names.iter().map(|n| o.time_in(n)).sum::<Ns>())
-        .sum();
-    t as f64 / total.max(1) as f64
-}
-
-/// The requests at or above the `q`-quantile of service time, plus the
-/// band's total service time.
-fn band<'a, 'b>(sorted: &'b [(Ns, &'a OpBreakdown)], q: f64) -> (&'b [(Ns, &'a OpBreakdown)], Ns) {
-    assert!(!sorted.is_empty(), "no requests to decompose");
-    let idx = ((sorted.len() - 1) as f64 * q) as usize;
-    let cut = sorted[idx].0;
-    let start = sorted.partition_point(|&(s, _)| s < cut);
-    let b = &sorted[start..];
-    (b, b.iter().map(|&(s, _)| s).sum())
-}
+use ptsbench_ssd::MINUTE;
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { 20 * MINUTE } else { 40 * MINUTE };
-
-    println!("================================================================");
-    println!("ptsbench — fig_anatomy: engine-phase decomposition of the tail");
-    println!(
-        "{} MiB over {SHARDS} shards, Zipfian(0.99) 50:50, {FAN_IN} closed-loop \
-         clients, {} simulated minutes, flight recorder on",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE
-    );
-    println!("================================================================");
-
-    let mut lsm_outcome = None;
-    for engine in EngineRegistry::all() {
-        let outcome = serve(engine, 0, duration);
-        let ops = breakdowns(&outcome);
-        let mut rows = Vec::new();
-        for root in ["req.put", "req.get"] {
-            let sorted = by_service(&ops, root);
-            if sorted.is_empty() {
-                continue;
-            }
-            for (label, q) in [("p50", 0.50), ("p99", 0.99), ("p999", 0.999)] {
-                let (b, total) = band(&sorted, q);
-                rows.push((
-                    format!("{}/{}/{}", engine.label(), root, label),
-                    vec![
-                        b.len() as f64,
-                        total as f64 / b.len().max(1) as f64 / 1e6,
-                        100.0 * share(b, total, &MAINT),
-                        100.0 * share(b, total, &DEV),
-                        100.0 * share(b, total, &CACHE),
-                    ],
-                ));
-            }
-        }
-        println!();
-        println!(
-            "{}",
-            render_sweep_table(
-                &format!("fig_anatomy — {}", engine.name()),
-                &["n", "svc(ms)", "maint %", "dev %", "cache %"],
-                &rows,
-            )
-        );
-
-        // Per-cause device bytes close exactly against the SMART host
-        // counters, shard by shard, for every engine.
-        for (i, r) in outcome.shard_results.iter().enumerate() {
-            let cause = r.cause.expect("traced runs attribute device traffic");
-            assert_eq!(
-                cause.total_bytes_written(),
-                r.host_bytes_written,
-                "{engine} shard{i}: per-cause written bytes must sum to host writes"
-            );
-            assert_eq!(
-                cause.total_bytes_read(),
-                r.host_bytes_read,
-                "{engine} shard{i}: per-cause read bytes must sum to host reads"
-            );
-        }
-        println!("per-cause bytes == host bytes on every shard — ok");
-
-        if engine == EngineKind::lsm() {
-            lsm_outcome = Some(outcome);
-        }
-    }
-
-    // The LSM's slowest puts are inline-maintenance stalls.
-    let lsm = lsm_outcome.expect("the LSM is a built-in engine");
-    let ops = breakdowns(&lsm);
-    let sorted = by_service(&ops, "req.put");
-    let (b, total) = band(&sorted, 0.99);
-    let stall = share(b, total, &["lsm.flush", "lsm.compaction"]);
-    println!();
-    println!(
-        "lsm puts >= p99 ({} reqs): {:.1}% of service time inside \
-         lsm.flush/lsm.compaction spans",
-        b.len(),
-        100.0 * stall
-    );
-    assert!(
-        stall >= 0.5,
-        "the LSM p99 must be dominated by inline-maintenance stalls: {stall:.3}"
-    );
-
-    // The block cache shifts block-load time into cache hits.
-    let cached = serve(EngineKind::lsm(), 2 << 20, duration);
-    let off = fleet_phases(&lsm);
-    let on = fleet_phases(&cached);
-    let gets = |m: &BTreeMap<&str, (u64, Ns)>| m.get("op.get").map_or(0, |e| e.0).max(1);
-    let load_per_get_off = off.get("lsm.block_load").map_or(0, |e| e.1) as f64 / gets(&off) as f64;
-    let load_per_get_on = on.get("lsm.block_load").map_or(0, |e| e.1) as f64 / gets(&on) as f64;
-    let hits_off = off.get("lsm.cache_hit").map_or(0, |e| e.0);
-    let hits_on = on.get("lsm.cache_hit").map_or(0, |e| e.0);
-    println!(
-        "lsm block cache: block_load/get {:.0} ns -> {:.0} ns, cache_hit marks {} -> {}",
-        load_per_get_off, load_per_get_on, hits_off, hits_on
-    );
-    assert_eq!(hits_off, 0, "no cache phase may fire with the cache off");
-    assert!(hits_on > 0, "a Zipfian read phase must hit the cache");
-    assert!(
-        load_per_get_on < load_per_get_off,
-        "the cache must shift block-load time into hits: \
-         {load_per_get_off:.0} vs {load_per_get_on:.0} ns/get"
-    );
-
-    // Headline guarantee: traced runs are deterministic — the report
-    // text and the full phase rollup are identical run-to-run.
-    let again = serve(EngineKind::lsm(), 0, duration);
-    assert_eq!(
-        lsm.report.render(),
-        again.report.render(),
-        "traced serving reports must render byte-identically"
-    );
-    assert_eq!(
-        fleet_phases(&lsm),
-        fleet_phases(&again),
-        "phase rollups must be identical run-to-run"
-    );
-    println!("determinism: byte-identical traced reports across runs — ok");
+    let minutes = if ptsbench_bench::quick() { 20 } else { 40 };
+    ptsbench_bench::fig_anatomy::fig_anatomy(minutes * MINUTE, None);
 }

@@ -1,200 +1,13 @@
-//! Queue-depth sweep — beyond the paper: aggregate read throughput of
-//! every registered engine as the I/O submission queue deepens from 1
-//! (the paper's synchronous methodology) to 32.
-//!
-//! Each probe builds a stack, bulk-loads the default dataset, then
-//! drives a fixed, seeded set of range scans and measures the device
-//! read throughput over the virtual time they take. The scan streams
-//! are identical across queue depths, so the sweep isolates exactly
-//! one variable: how many commands the engine may keep in flight. This
-//! is the dimension Roh et al. show flash needs before it reveals its
-//! internal parallelism — the LSM batches its scan chunk loads across
-//! tables, the hash log issues its per-entry point reads in parallel,
-//! and the B+Tree (untouched by the async API) serves as the
-//! synchronous control.
-//!
-//! The bench also asserts the redesign's compatibility guarantee: a
-//! queue-depth-1 harness run renders **byte-identically** to one with
-//! an untouched (pre-queue) configuration.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use ptsbench_core::measure::{build_stack, bulk_load};
-use ptsbench_core::registry::{EngineKind, EngineRegistry, EngineTuning};
-use ptsbench_core::runner::RunConfig;
-use ptsbench_core::sharded::ShardedRun;
-use ptsbench_harness::run_sharded;
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_ssd::{IoDepthStats, MINUTE};
-use ptsbench_workload::encode_key;
-
-/// 64 MiB stand-in for the 400 GB reference drive.
-const DEVICE_BYTES: u64 = 64 << 20;
-
-const QD_SWEEP: [usize; 6] = [1, 2, 4, 8, 16, 32];
-
-/// One probe's measurements (reference-scale rates).
-struct Probe {
-    read_mbps: f64,
-    kentries_per_sec: f64,
-    io: IoDepthStats,
-}
-
-/// Builds a stack + engine at `qd`, loads the default dataset, runs
-/// `scans` seeded range scans of `scan_len` entries, and measures the
-/// read path. Fully deterministic per (engine, qd).
-fn scan_probe(engine: EngineKind, qd: usize, scans: u64, scan_len: usize) -> Probe {
-    let cfg = RunConfig {
-        engine,
-        device_bytes: DEVICE_BYTES,
-        queue_depth: qd,
-        ..RunConfig::default()
-    };
-    let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes).with_queue_depth(qd);
-    let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
-        .expect("open engine");
-    let workload = cfg.workload();
-    bulk_load(system.as_mut(), &workload).expect("bulk load");
-    system.flush().expect("flush");
-    stack.shared.lock().reset_observability();
-
-    // The same seed for every depth: identical scan starts, so the only
-    // variable across the sweep is the queue depth itself.
-    let mut rng = SmallRng::seed_from_u64(0xF1D0);
-    let t0 = stack.clock.now();
-    let mut entries = 0u64;
-    let mut key = Vec::new();
-    for _ in 0..scans {
-        let start = rng.gen_range(0..workload.num_keys.saturating_sub(scan_len as u64));
-        encode_key(workload.key_base + start, workload.key_size, &mut key);
-        let cursor = system.scan(&key, None, scan_len).expect("scan");
-        for item in cursor {
-            item.expect("scan item");
-            entries += 1;
-        }
-    }
-    let elapsed_secs = (stack.clock.now() - t0) as f64 / 1e9;
-    assert!(elapsed_secs > 0.0, "scans must consume virtual time");
-    let dev = stack.shared.lock();
-    let read_bytes = dev.smart().host_pages_read as f64 * stack.page_size as f64;
-    Probe {
-        read_mbps: read_bytes * cfg.scale() / elapsed_secs / 1e6,
-        kentries_per_sec: entries as f64 * cfg.scale() / elapsed_secs / 1e3,
-        io: dev.io_depth_stats(),
-    }
-}
+//! Queue-depth sweep — beyond the paper: the `ptsbench_bench::fig_qd`
+//! study from QD 1 to 32, 16 seeded scans of 512 entries per probe
+//! (8 of 384 under `PTSBENCH_QUICK=1`).
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let (scans, scan_len) = if quick { (8, 384) } else { (16, 512) };
-
-    println!("================================================================");
-    println!("ptsbench — fig_qd (queue-depth sweep, asynchronous I/O API)");
-    println!(
-        "simulated drive: {} MiB stand-in for a 400 GB-class device; \
-         {} seeded scans x {} entries per probe, QD 1 -> 32",
-        DEVICE_BYTES >> 20,
-        scans,
-        scan_len
-    );
-    println!("================================================================");
-
-    let mut rows = Vec::new();
-    let mut probes: Vec<(EngineKind, Vec<Probe>)> = Vec::new();
-    for engine in EngineRegistry::all() {
-        let mut per_engine = Vec::new();
-        for qd in QD_SWEEP {
-            let p = scan_probe(engine, qd, scans, scan_len);
-            rows.push((
-                format!("{}/qd{qd}", engine.label()),
-                vec![
-                    qd as f64,
-                    p.read_mbps,
-                    p.kentries_per_sec,
-                    p.io.max_in_flight as f64,
-                    p.io.mean_in_flight(),
-                ],
-            ));
-            per_engine.push(p);
-        }
-        probes.push((engine, per_engine));
-    }
-    println!(
-        "{}",
-        render_sweep_table(
-            "Read throughput vs submission queue depth (fixed scan stream)",
-            &["qd", "read_MB/s", "kentries/s", "qd_max", "qd_mean"],
-            &rows,
-        )
-    );
-
-    // Scaling assertions: the two async-capable engines must gain read
-    // throughput from QD=1 to QD=8; the hash log (parallel point reads)
-    // must gain a lot.
-    for (engine, per_engine) in &probes {
-        let label = engine.label();
-        let qd1 = &per_engine[0];
-        let qd8 = &per_engine[3];
-        assert_eq!(qd1.io.submitted, 0, "{label}: QD=1 stays synchronous");
-        match label {
-            "lsm" => {
-                assert!(
-                    qd8.kentries_per_sec > 1.2 * qd1.kentries_per_sec,
-                    "{label}: QD=8 must lift scan read throughput: {:.2} vs {:.2} kentries/s",
-                    qd8.kentries_per_sec,
-                    qd1.kentries_per_sec
-                );
-                assert!(
-                    qd8.io.max_in_flight > 1,
-                    "{label}: queue must actually fill"
-                );
-            }
-            "hashlog" => {
-                assert!(
-                    qd8.read_mbps > 2.0 * qd1.read_mbps
-                        && qd8.kentries_per_sec > 2.0 * qd1.kentries_per_sec,
-                    "{label}: QD=8 parallel point reads must scale: {:.2} vs {:.2} MB/s",
-                    qd8.read_mbps,
-                    qd1.read_mbps
-                );
-                assert!(qd8.io.max_in_flight > 4, "{label}: queue must run deep");
-            }
-            _ => {} // btree: the synchronous control, no claim
-        }
-    }
-    println!("scaling check: QD=8 beats QD=1 on lsm and hashlog read throughput");
-
-    // Determinism: an identical probe reproduces bit-identical rates.
-    let a = scan_probe(EngineKind::lsm(), 8, scans, scan_len);
-    let b = scan_probe(EngineKind::lsm(), 8, scans, scan_len);
-    assert_eq!(a.read_mbps.to_bits(), b.read_mbps.to_bits());
-    assert_eq!(a.io, b.io);
-    println!("determinism check: identical QD=8 probes measured bit-identically");
-
-    // Compatibility: a QD=1 harness run renders byte-identically to an
-    // untouched (pre-queue) configuration.
-    let harness_cfg = |qd: Option<usize>| {
-        let mut base = RunConfig {
-            device_bytes: DEVICE_BYTES,
-            duration: 20 * MINUTE,
-            sample_window: 5 * MINUTE,
-            ..RunConfig::default()
-        };
-        if let Some(qd) = qd {
-            base.queue_depth = qd;
-        }
-        ShardedRun::new(base, 2)
+    let (scans, scan_len) = if ptsbench_bench::quick() {
+        (8, 384)
+    } else {
+        (16, 512)
     };
-    let untouched = run_sharded(&harness_cfg(None)).expect("run").render();
-    let qd1 = run_sharded(&harness_cfg(Some(1))).expect("run").render();
-    assert_eq!(
-        untouched, qd1,
-        "QD=1 must render byte-identically to the pre-queue configuration"
-    );
-    assert!(!untouched.contains("qd["));
-    println!("compatibility check: QD=1 report diffs empty against the default renderer");
+    ptsbench_bench::fig_qd::fig_qd(scans, scan_len, 32);
 }

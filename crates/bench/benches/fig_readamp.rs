@@ -1,224 +1,13 @@
-//! Read-amplification sweep — beyond the paper: device read traffic of
-//! every registered engine under a fixed, seeded Zipfian point-read
-//! stream, as the read-path tier's block-cache budget grows and the
-//! compression codec switches on.
-//!
-//! Each probe builds a stack, bulk-loads the default dataset, then
-//! replays an identical skewed get stream and measures device read
-//! bytes over it. The stream is the same at every sweep point, so the
-//! sweep isolates exactly one variable: the tier configuration. The
-//! LSM and the hash log consult the shared TinyLFU-gated block cache;
-//! the B+Tree's paper pager (its budget overridable through the same
-//! knob) serves as the baseline the tier's accounting was unified with.
-//!
-//! The bench asserts the figure's claims: device read bytes fall
-//! monotonically with the cache budget, a real budget beats the seed
-//! read path outright, compression shrinks a compressible dataset, and
-//! the whole sweep is bit-reproducible.
-
-use ptsbench_cache::Compression;
-use ptsbench_core::measure::{build_stack, bulk_load};
-use ptsbench_core::registry::{EngineKind, EngineRegistry, EngineTuning};
-use ptsbench_core::runner::RunConfig;
-use ptsbench_lsm::{LsmDb, LsmOptions};
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
-use ptsbench_workload::{encode_key, KeyDistribution, Sampler};
-
-/// 64 MiB stand-in for the 400 GB reference drive.
-const DEVICE_BYTES: u64 = 64 << 20;
-
-/// Cache budgets swept per engine (0 = the seed read path).
-const BUDGETS: [u64; 4] = [0, 256 << 10, 1 << 20, 4 << 20];
-
-/// One sweep point's measurements.
-struct Probe {
-    device_read_bytes: u64,
-    hit_rate: Option<f64>,
-}
-
-/// Builds a stack + engine with the given tier knobs, loads the default
-/// dataset, replays `gets` seeded Zipfian point gets, and measures the
-/// device read path. Fully deterministic per configuration.
-fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8, gets: u64) -> Probe {
-    let cfg = RunConfig {
-        engine,
-        device_bytes: DEVICE_BYTES,
-        cache_bytes,
-        compression_level: level,
-        ..RunConfig::default()
-    };
-    let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes)
-        .with_cache_bytes(cache_bytes)
-        .with_compression_level(level);
-    let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
-        .expect("open engine");
-    let workload = cfg.workload();
-    bulk_load(system.as_mut(), &workload).expect("bulk load");
-    system.flush().expect("flush");
-    stack.shared.lock().reset_observability();
-
-    let mut sampler = Sampler::new(
-        KeyDistribution::Zipfian { theta: 0.9 },
-        workload.num_keys,
-        0xAC_CE55,
-    );
-    let mut key = Vec::new();
-    for _ in 0..gets {
-        encode_key(
-            workload.key_base + sampler.sample(),
-            workload.key_size,
-            &mut key,
-        );
-        assert!(
-            system.get(&key).expect("get").is_some(),
-            "every loaded key must be readable"
-        );
-    }
-    system.drain_io();
-
-    let read_bytes = stack.shared.lock().smart().host_pages_read * stack.page_size;
-    Probe {
-        device_read_bytes: read_bytes,
-        hit_rate: system.stats().cache.and_then(|c| {
-            let total = c.hits + c.misses;
-            (total > 0).then(|| c.hits as f64 / total as f64)
-        }),
-    }
-}
-
-/// On-disk footprint of a compressible LSM dataset at `level` (the
-/// sweep workload's fill values are pseudorandom, i.e. incompressible,
-/// so the compression claim needs its own dataset).
-fn compressible_footprint(level: u8) -> u64 {
-    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
-    let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
-    let opts = LsmOptions {
-        compression: Compression::from_level(level),
-        ..LsmOptions::small()
-    };
-    let mut db = LsmDb::open(vfs.clone(), opts).expect("open");
-    for i in 0..4_000u64 {
-        let key = format!("key{i:08}");
-        let value = format!("v{:02}", i % 10).repeat(64);
-        db.put(key.as_bytes(), value.as_bytes()).expect("put");
-    }
-    db.flush().expect("flush");
-    vfs.stats().used_bytes
-}
+//! Read-amplification sweep — beyond the paper: the
+//! `ptsbench_bench::fig_readamp` cache budget x compression study at
+//! 4 000 Zipfian gets per probe (1 500 under `PTSBENCH_QUICK=1`).
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let gets: u64 = if quick { 1_500 } else { 4_000 };
-
-    println!("================================================================");
-    println!("ptsbench — fig_readamp (cache budget x compression sweep)");
-    println!(
-        "simulated drive: {} MiB stand-in for a 400 GB-class device; \
-         {gets} Zipfian(0.9) point gets per probe, budgets 0 -> 4 MiB",
-        DEVICE_BYTES >> 20
-    );
-    println!("================================================================");
-
-    let mut rows = Vec::new();
-    let mut sweeps: Vec<(EngineKind, u8, Vec<Probe>)> = Vec::new();
-    for engine in EngineRegistry::all() {
-        // The B+Tree ignores the compression knob (fixed-size page
-        // slots), so only its cache axis is swept.
-        let levels: &[u8] = if engine.label() == "btree" {
-            &[0]
-        } else {
-            &[0, 3]
-        };
-        for &level in levels {
-            let mut probes = Vec::new();
-            for budget in BUDGETS {
-                let p = read_probe(engine, budget, level, gets);
-                rows.push((
-                    format!("{}/c{}k/z{level}", engine.label(), budget >> 10),
-                    vec![
-                        (budget >> 10) as f64,
-                        p.device_read_bytes as f64 / 1e6,
-                        p.device_read_bytes as f64 / gets as f64,
-                        p.hit_rate.unwrap_or(0.0),
-                    ],
-                ));
-                probes.push(p);
-            }
-            sweeps.push((engine, level, probes));
-        }
-    }
-    println!(
-        "{}",
-        render_sweep_table(
-            "Device read traffic vs cache budget (fixed Zipfian get stream)",
-            &["budget_KiB", "dev_read_MB", "B/get", "hit_rate"],
-            &rows,
-        )
-    );
-
-    // The figure's claims, per engine and level.
-    for (engine, level, probes) in &sweeps {
-        let label = engine.label();
-        if label == "btree" {
-            // The paper pager is the budget-0 baseline; explicit budgets
-            // only override its size, so compare within those.
-            for w in probes[1..].windows(2) {
-                assert!(
-                    w[1].device_read_bytes <= w[0].device_read_bytes,
-                    "btree: a larger pager budget must not read more"
-                );
-            }
-            assert!(
-                probes[0].hit_rate.is_some(),
-                "btree: the pager always accounts its cache"
-            );
-            continue;
-        }
-        for (i, w) in probes.windows(2).enumerate() {
-            assert!(
-                w[1].device_read_bytes <= w[0].device_read_bytes,
-                "{label}/z{level}: {} -> {} budget step raised device reads \
-                 ({} -> {} bytes)",
-                BUDGETS[i],
-                BUDGETS[i + 1],
-                w[0].device_read_bytes,
-                w[1].device_read_bytes
-            );
-        }
-        assert!(
-            probes[BUDGETS.len() - 1].device_read_bytes < probes[0].device_read_bytes,
-            "{label}/z{level}: the largest budget must beat the seed read path"
-        );
-        assert!(
-            probes[0].hit_rate.is_none(),
-            "{label}: budget 0 must stay on the seed read path (no cache stats)"
-        );
-    }
-    println!("monotonicity check: device read bytes fall with cache budget (lsm, hashlog)");
-
-    // Compression earns its keep on compressible data.
-    let (plain, packed) = (compressible_footprint(0), compressible_footprint(3));
-    assert!(
-        packed < plain,
-        "level 3 must shrink a compressible dataset: {plain} -> {packed} bytes"
-    );
-    println!(
-        "compression check: compressible LSM dataset {plain} B stored -> {packed} B at level 3"
-    );
-
-    // Determinism: an identical probe reproduces identical measurements.
-    let a = read_probe(EngineKind::lsm(), 1 << 20, 3, gets);
-    let b = read_probe(EngineKind::lsm(), 1 << 20, 3, gets);
-    assert_eq!(a.device_read_bytes, b.device_read_bytes);
-    assert_eq!(
-        a.hit_rate.map(f64::to_bits),
-        b.hit_rate.map(f64::to_bits),
-        "identical probes must measure bit-identically"
-    );
-    println!("determinism check: identical probes measured bit-identically");
+    let gets = if ptsbench_bench::quick() {
+        1_500
+    } else {
+        4_000
+    };
+    ptsbench_bench::fig_readamp::fig_readamp(gets);
 }

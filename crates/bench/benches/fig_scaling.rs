@@ -1,127 +1,11 @@
-//! Client scaling — beyond the paper: aggregate throughput of every
-//! registered engine under the concurrent sharded harness, sweeping
-//! 1 → 8 client threads over a fixed total simulated capacity.
-//!
-//! Each client drives its own shared-nothing shard (own device slice,
-//! own engine instance, own key range), synchronized on the
-//! virtual-time barrier. Because the total capacity is fixed, the sweep
-//! isolates the effect of request parallelism — the dimension Roh et
-//! al. show flash SSDs need before revealing their internal
-//! parallelism, and the axis the paper's single-threaded methodology
-//! leaves unexplored.
-//!
-//! The bench also asserts the harness's headline guarantee: with fixed
-//! seeds the merged report renders byte-identically run-to-run.
+//! Client scaling — beyond the paper: the `ptsbench_bench::fig_scaling`
+//! sweep of 1 → 8 client threads over every registered engine, at 60
+//! simulated minutes per point (20 under `PTSBENCH_QUICK=1`).
 
-use ptsbench_core::registry::EngineRegistry;
-use ptsbench_core::runner::RunConfig;
-use ptsbench_core::sharded::ShardedRun;
-use ptsbench_harness::run_sharded;
-use ptsbench_metrics::report::render_sweep_table;
 use ptsbench_ssd::MINUTE;
-
-/// Total simulated capacity, fixed across the sweep. 128 MiB divides
-/// into eight 16 MiB shards — the SSD1 geometry floor (8 erase
-/// blocks/shard).
-const TOTAL_BYTES: u64 = 128 << 20;
-
-const CLIENT_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { 20 * MINUTE } else { 60 * MINUTE };
-
-    println!("================================================================");
-    println!("ptsbench — client scaling (concurrent sharded harness)");
-    println!(
-        "total simulated capacity {} MiB, {} simulated minutes, \
-         {} clients sweep, all registered engines",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE,
-        CLIENT_SWEEP.len()
-    );
-    println!("================================================================");
-
-    let mut rows = Vec::new();
-    for engine in EngineRegistry::all() {
-        let mut base_kops = None;
-        for clients in CLIENT_SWEEP {
-            let sharded = ShardedRun::new(
-                RunConfig {
-                    engine,
-                    device_bytes: TOTAL_BYTES,
-                    duration,
-                    sample_window: duration / 4,
-                    ..RunConfig::default()
-                },
-                clients,
-            );
-            let report = run_sharded(&sharded).expect("sharded run");
-            let kops = report.steady_mean("kv_kops").unwrap_or(0.0);
-            let speedup = kops / *base_kops.get_or_insert(kops.max(f64::MIN_POSITIVE));
-            rows.push((
-                format!("{}/c{clients}", engine.label()),
-                vec![
-                    clients as f64,
-                    kops,
-                    speedup,
-                    report.wa_a(),
-                    report.out_of_space_shards() as f64,
-                ],
-            ));
-        }
-    }
-    println!(
-        "{}",
-        render_sweep_table(
-            "Aggregate steady throughput vs client count (fixed total capacity)",
-            &["clients", "kops", "speedup", "wa_a", "oos"],
-            &rows,
-        )
-    );
-
-    // Scaling must be visible for every engine: 8 clients beat 1 client
-    // on aggregate steady throughput.
-    for engine in EngineRegistry::all() {
-        let label = engine.label();
-        let one = rows
-            .iter()
-            .find(|(l, _)| l == &format!("{label}/c1"))
-            .expect("c1 row")
-            .1[1];
-        let eight = rows
-            .iter()
-            .find(|(l, _)| l == &format!("{label}/c8"))
-            .expect("c8 row")
-            .1[1];
-        assert!(
-            eight > 2.0 * one,
-            "{label}: 8 clients must scale aggregate throughput ({eight:.2} vs {one:.2} Kops)"
-        );
-    }
-
-    // Reproducibility: the merged report is byte-identical across runs.
-    let sharded = |seed| {
-        let mut s = ShardedRun::new(
-            RunConfig {
-                device_bytes: TOTAL_BYTES,
-                duration: 20 * MINUTE,
-                sample_window: 5 * MINUTE,
-                seed,
-                ..RunConfig::default()
-            },
-            4,
-        );
-        s.shards = 4;
-        s
-    };
-    let a = run_sharded(&sharded(7))
-        .expect("determinism run a")
-        .render();
-    let b = run_sharded(&sharded(7))
-        .expect("determinism run b")
-        .render();
-    assert_eq!(a, b, "fixed seeds must render byte-identical reports");
-    println!("determinism check: two seeded runs rendered byte-identically");
+    let minutes = if ptsbench_bench::quick() { 20 } else { 60 };
+    ptsbench_bench::fig_scaling::fig_scaling(minutes * MINUTE);
 }

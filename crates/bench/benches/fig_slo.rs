@@ -1,205 +1,11 @@
 //! Goodput vs offered load under admission control — beyond the paper:
-//! the serving front-end's goodput/offered-load curves for every
-//! registered engine, control (admit everything) against
-//! `PredictedSojourn` shedding, offered load swept from 0.2× to 3× of
-//! each engine's calibrated saturation rate.
-//!
-//! The paper's core lesson is that steady-state behavior under
-//! sustained pressure is what separates tree structures on flash; one
-//! level up, a serving stack is characterized the same way — by its
-//! goodput curve under sustained overload, not its unloaded latency.
-//! Without admission control an open-loop overload grows the backlog
-//! (and therefore the queue-delay tail) without bound for the rest of
-//! the run; with sojourn-predictive shedding the dispatcher turns away
-//! exactly the requests that would miss the deadline, goodput plateaus
-//! at the fleet's effective capacity, and every admitted request starts
-//! service within its budget.
-//!
-//! The bench asserts the subsystem's headline guarantees per engine:
-//! goodput grows below saturation, plateaus past it (3× goodput ≥ 90%
-//! of 1× goodput), the queue-delay maximum of admitted requests never
-//! exceeds the deadline, the no-policy control's p99 collapses to >10×
-//! the deadline, and reports render byte-identically run-to-run.
+//! the `ptsbench_bench::fig_slo` sweep for every registered engine, at
+//! 40 simulated minutes per point (20 under `PTSBENCH_QUICK=1`).
 
-use ptsbench_core::frontend::{FrontendRun, SloPolicy};
-use ptsbench_core::registry::{EngineKind, EngineRegistry};
-use ptsbench_core::runner::RunConfig;
-use ptsbench_harness::run_frontend;
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_metrics::runreport::RunReport;
-use ptsbench_ssd::{Ns, MILLISECOND, MINUTE, SECOND};
-use ptsbench_workload::ArrivalSpec;
-
-/// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-const TOTAL_BYTES: u64 = 64 << 20;
-const SHARDS: usize = 4;
-const CLIENTS: usize = 8;
-const LOAD_FACTORS: [f64; 5] = [0.2, 0.5, 1.0, 2.0, 3.0];
-
-fn config(engine: EngineKind, duration: Ns) -> FrontendRun {
-    let mut cfg = FrontendRun::new(
-        RunConfig {
-            engine,
-            device_bytes: TOTAL_BYTES,
-            read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
-            ..RunConfig::default()
-        },
-        CLIENTS,
-    );
-    cfg.shards = SHARDS;
-    cfg
-}
-
-/// Mean per-op service time of the fleet, probed with one zero-think
-/// closed-loop client. Engines differ ~8× here, so rates and deadlines
-/// must be calibrated per engine for one sweep shape to stress all of
-/// them equally. Deterministic, like everything else.
-fn calibrate_mean_service(engine: EngineKind, duration: Ns) -> Ns {
-    let mut cfg = config(engine, duration);
-    cfg.clients = 1;
-    let report = run_frontend(&cfg).expect("calibration run");
-    let (busy, served) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.load)
-        .fold((0u64, 0u64), |(b, n), l| (b + l.busy_ns, n + l.served));
-    busy / served.max(1)
-}
-
-fn serve(engine: EngineKind, duration: Ns, arrival: ArrivalSpec, slo: SloPolicy) -> RunReport {
-    let mut cfg = config(engine, duration);
-    cfg.arrival = arrival;
-    cfg.slo = slo.into();
-    run_frontend(&cfg).expect("frontend run")
-}
+use ptsbench_ssd::MINUTE;
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { 20 * MINUTE } else { 40 * MINUTE };
-
-    println!("================================================================");
-    println!("ptsbench — fig_slo: goodput vs offered load (admission control)");
-    println!(
-        "{} MiB over {SHARDS} shards, {CLIENTS} open-loop Poisson clients, 50:50 \
-         read:write, {} simulated minutes, control vs PredictedSojourn shedding, \
-         all registered engines",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE
-    );
-    println!("================================================================");
-
-    for engine in EngineRegistry::all() {
-        let mean_service = calibrate_mean_service(engine, duration);
-        let saturation_interarrival = ((CLIENTS as u64 * mean_service / SHARDS as u64)
-            .div_ceil(10 * MILLISECOND)
-            .max(1))
-            * (10 * MILLISECOND);
-        let deadline = (4 * mean_service).div_ceil(100 * MILLISECOND) * (100 * MILLISECOND);
-        let base = ArrivalSpec::OpenPoisson {
-            mean_interarrival_ns: saturation_interarrival,
-        };
-        println!();
-        println!(
-            "{}: mean service {:.1} ms, saturation interarrival {:.2} s/client, \
-             deadline {:.1} s",
-            engine.label(),
-            mean_service as f64 / MILLISECOND as f64,
-            saturation_interarrival as f64 / SECOND as f64,
-            deadline as f64 / SECOND as f64
-        );
-
-        let mut rows = Vec::new();
-        let mut goodput = std::collections::BTreeMap::new();
-        let mut control_p99_at_3x = 0;
-        for factor in LOAD_FACTORS {
-            let arrival = base.at_load_factor(factor);
-            let control = serve(engine, duration, arrival, SloPolicy::None);
-            let ctl_qd = control.queue_delay.as_ref().expect("queue delay");
-            let ctl_p99 = control.queue_delay_quantile(0.99).expect("p99");
-            if factor == 3.0 {
-                control_p99_at_3x = ctl_p99;
-            }
-
-            let shed = serve(
-                engine,
-                duration,
-                arrival,
-                SloPolicy::PredictedSojourn {
-                    deadline_ns: deadline,
-                },
-            );
-            let totals = shed.slo_totals().expect("slo accounting");
-            let shed_qd = shed.queue_delay.as_ref().expect("queue delay");
-            assert!(
-                shed_qd.max() <= deadline,
-                "{engine}: an admitted request started past the deadline \
-                 ({} > {deadline}) — the sojourn prediction must be exact",
-                shed_qd.max()
-            );
-            goodput.insert((factor * 10.0) as u64, totals.goodput_per_sec());
-
-            rows.push((
-                format!("{}/x{:.1}", engine.label(), factor),
-                vec![
-                    totals.offered_per_sec(),
-                    control.ops as f64 * ctl_qd.fraction_at_most(deadline)
-                        / (duration as f64 / 1e9),
-                    ctl_p99 as f64 / 1e9,
-                    totals.goodput_per_sec(),
-                    shed.queue_delay_quantile(0.99).expect("p99") as f64 / 1e9,
-                    totals.attainment(),
-                ],
-            ));
-        }
-        println!();
-        println!(
-            "{}",
-            render_sweep_table(
-                &format!("fig_slo — {}", engine.name()),
-                &[
-                    "offered/s",
-                    "ctl good/s",
-                    "ctl p99(s)",
-                    "shed good/s",
-                    "shed p99(s)",
-                    "attainment"
-                ],
-                &rows,
-            )
-        );
-
-        // The figure's claims, asserted per engine.
-        let at = |f: f64| goodput[&((f * 10.0) as u64)];
-        assert!(
-            at(3.0) >= 0.9 * at(1.0),
-            "{engine}: goodput must plateau past saturation: {goodput:?}"
-        );
-        assert!(
-            at(1.0) > 2.0 * at(0.2),
-            "{engine}: goodput must still grow below saturation: {goodput:?}"
-        );
-        assert!(
-            control_p99_at_3x > 10 * deadline,
-            "{engine}: the no-policy control must collapse into the tail at 3x \
-             (p99 {control_p99_at_3x} vs deadline {deadline})"
-        );
-    }
-
-    // Headline guarantee: the SLO-governed report is deterministic.
-    let run = || {
-        serve(
-            EngineKind::lsm(),
-            20 * MINUTE,
-            ArrivalSpec::OpenPoisson {
-                mean_interarrival_ns: SECOND,
-            },
-            SloPolicy::QueueBound { max_pending: 4 },
-        )
-        .render()
-    };
-    assert_eq!(run(), run(), "SLO reports must render byte-identically");
-    println!("determinism: byte-identical SLO reports across runs — ok");
+    let minutes = if ptsbench_bench::quick() { 20 } else { 40 };
+    ptsbench_bench::fig_slo::fig_slo(minutes * MINUTE);
 }

@@ -12,19 +12,17 @@ use ptsbench_ssd::MINUTE;
 
 fn main() {
     ptsbench_hashlog::register();
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { 20 * MINUTE } else { 40 * MINUTE };
+    let minutes = if ptsbench_bench::quick() { 20 } else { 40 };
 
-    println!("================================================================");
-    println!("ptsbench — fig_tail: queueing delay vs fan-in (serving front-end)");
-    println!(
-        "{} MiB over {SHARDS} shards, Zipfian(0.99), open-loop Poisson (rate \
-         calibrated per engine), {} simulated minutes, all registered engines",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE
+    ptsbench_bench::rule_banner(
+        "fig_tail: queueing delay vs fan-in (serving front-end)",
+        &format!(
+            "{} MiB over {SHARDS} shards, Zipfian(0.99), open-loop Poisson (rate \
+             calibrated per engine), {minutes} simulated minutes, all registered engines",
+            TOTAL_BYTES >> 20
+        ),
     );
-    println!("================================================================");
-    fig_tail(&EngineRegistry::all(), duration, None);
+    fig_tail(&EngineRegistry::all(), minutes * MINUTE, None);
     println!();
     println!("determinism: byte-identical reports across runs — ok");
 }

@@ -1,293 +1,10 @@
 //! Multi-tenant isolation under a batch aggressor — beyond the paper:
-//! the serving front-end's dispatch disciplines and tenant quotas,
-//! measured as the interactive tenant's p99 queue delay against its
-//! isolated baseline.
-//!
-//! The paper evaluates tree structures under *one* workload at a time;
-//! a production fleet serves several at once, and the steady-state
-//! lesson carries over: what separates configurations is how the
-//! latency-sensitive tenant's tail behaves while a bulk tenant holds
-//! the device at saturation for minutes. FIFO lets the aggressor's
-//! open-loop backlog swallow the interactive tail (≥10× the isolated
-//! baseline); weighted-fair dispatch holds it within 2× while staying
-//! work-conserving; a token-bucket quota caps the aggressor at exactly
-//! `rate·T + burst` admissions with no discipline at all; and strict
-//! priority with age promotion bounds how long the lowest class can
-//! starve.
-//!
-//! The bench asserts those five claims and that multi-tenant reports
-//! render byte-identically run-to-run (the CI determinism check runs
-//! the sibling example twice and diffs). `PTSBENCH_QUICK=1` shortens
-//! the simulated duration.
+//! the `ptsbench_bench::fig_tenant` study at 2 simulated minutes per
+//! configuration (1 under `PTSBENCH_QUICK=1`).
 
-use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun, TenantQuota, TenantSpec};
-use ptsbench_core::registry::EngineKind;
-use ptsbench_core::runner::RunConfig;
-use ptsbench_core::ReqClass;
-use ptsbench_harness::run_frontend;
-use ptsbench_metrics::mt::MtStats;
-use ptsbench_metrics::report::render_sweep_table;
-use ptsbench_metrics::runreport::RunReport;
-use ptsbench_ssd::{Ns, MILLISECOND, MINUTE, SECOND};
-use ptsbench_workload::{ArrivalSpec, KeyDistribution};
-
-/// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-const TOTAL_BYTES: u64 = 64 << 20;
-const SHARDS: usize = 4;
-/// WFQ class weights: interactive 8, batch 1, background 1.
-const WEIGHTS: [u32; 3] = [8, 1, 1];
-/// Strict-priority promotion age for the background-starvation run.
-const PROMOTE_AFTER: Ns = 2 * SECOND;
-/// Closed-loop batch aggressor fleet size in the strict-priority run.
-const BATCH_CLIENTS: usize = 16;
-
-fn config(clients: usize, duration: Ns) -> FrontendRun {
-    let mut cfg = FrontendRun::new(
-        RunConfig {
-            engine: EngineKind::lsm(),
-            device_bytes: TOTAL_BYTES,
-            read_fraction: 1.0,
-            distribution: KeyDistribution::Zipfian { theta: 0.9 },
-            duration,
-            sample_window: duration / 2,
-            ..RunConfig::default()
-        },
-        clients,
-    );
-    cfg.shards = SHARDS;
-    cfg
-}
-
-/// Mean per-op service time of the fleet, probed with one zero-think
-/// closed-loop client (no queueing, pure service). Deterministic.
-fn calibrate_mean_service(duration: Ns) -> Ns {
-    let report = run_frontend(&config(1, duration)).expect("calibration run");
-    let (busy, served) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.load)
-        .fold((0u64, 0u64), |(b, n), l| (b + l.busy_ns, n + l.served));
-    busy / served.max(1)
-}
-
-/// The paced interactive tenant: two clients, Poisson arrivals, ~10%
-/// of fleet capacity in aggregate.
-fn interactive_tenant(mean_service: Ns) -> TenantSpec {
-    let mut spec = TenantSpec::new(ReqClass::Interactive, 2);
-    spec.arrival = Some(ArrivalSpec::OpenPoisson {
-        mean_interarrival_ns: 5 * mean_service,
-    });
-    spec
-}
-
-/// The open-loop batch aggressor: one client offering ~1.75× the
-/// fleet's capacity, never backing off.
-fn batch_aggressor(mean_service: Ns) -> TenantSpec {
-    let mut spec = TenantSpec::new(ReqClass::Batch, 1);
-    spec.arrival = Some(ArrivalSpec::OpenPoisson {
-        mean_interarrival_ns: (mean_service / 7).max(1),
-    });
-    spec
-}
-
-fn shared_run(mean_service: Ns, duration: Ns, discipline: DispatchDiscipline) -> RunReport {
-    let mut cfg = config(3, duration);
-    cfg.tenants = vec![
-        interactive_tenant(mean_service),
-        batch_aggressor(mean_service),
-    ];
-    cfg.discipline = discipline;
-    run_frontend(&cfg).expect("shared run")
-}
-
-fn int_p99_queue_delay(mt: &MtStats) -> Ns {
-    mt.class(ReqClass::Interactive).queue_delay.quantile(0.99)
-}
+use ptsbench_ssd::MINUTE;
 
 fn main() {
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { MINUTE } else { 2 * MINUTE };
-
-    println!("================================================================");
-    println!("ptsbench — fig_tenant: multi-tenant isolation under an aggressor");
-    println!(
-        "{} MiB over {SHARDS} shards, lsm, Zipfian(0.9) reads, {} simulated \
-         minutes; paced interactive tenant vs open-loop batch aggressor",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE
-    );
-    println!("================================================================");
-
-    let mean_service = calibrate_mean_service(duration);
-    println!(
-        "calibration: mean service {:.1} ms → fleet capacity ≈ {:.1} ops/s",
-        mean_service as f64 / MILLISECOND as f64,
-        SHARDS as f64 * 1e9 / mean_service as f64
-    );
-
-    // Isolated baseline: the interactive tenant alone, plus one p99
-    // service time (a shared fleet can never beat "behind one
-    // in-service op").
-    let iso = {
-        let mut cfg = config(2, duration);
-        cfg.tenants = vec![interactive_tenant(mean_service)];
-        run_frontend(&cfg).expect("isolated run")
-    };
-    let iso_mt = iso.mt_totals().expect("per-class stats");
-    let baseline = int_p99_queue_delay(&iso_mt) + iso.latency.quantile(0.99);
-
-    let fifo = shared_run(mean_service, duration, DispatchDiscipline::Fifo);
-    let wfq = shared_run(
-        mean_service,
-        duration,
-        DispatchDiscipline::WeightedFair { weights: WEIGHTS },
-    );
-    let fifo_mt = fifo.mt_totals().expect("per-class stats");
-    let wfq_mt = wfq.mt_totals().expect("per-class stats");
-    let fifo_p99 = int_p99_queue_delay(&fifo_mt);
-    let wfq_p99 = int_p99_queue_delay(&wfq_mt);
-
-    let batch_served = |mt: &MtStats| mt.class(ReqClass::Batch).slo.served;
-    let rows = vec![
-        (
-            "isolated".to_string(),
-            vec![baseline as f64 / 1e6, 1.0, 0.0],
-        ),
-        (
-            "fifo".to_string(),
-            vec![
-                fifo_p99 as f64 / 1e6,
-                fifo_p99 as f64 / baseline as f64,
-                batch_served(&fifo_mt) as f64,
-            ],
-        ),
-        (
-            "wfq8-1-1".to_string(),
-            vec![
-                wfq_p99 as f64 / 1e6,
-                wfq_p99 as f64 / baseline as f64,
-                batch_served(&wfq_mt) as f64,
-            ],
-        ),
-    ];
-    println!();
-    println!(
-        "{}",
-        render_sweep_table(
-            "fig_tenant — interactive p99 queue delay vs isolated baseline",
-            &["int p99(ms)", "x baseline", "batch srv"],
-            &rows,
-        )
-    );
-
-    assert!(
-        fifo_p99 >= 10 * baseline,
-        "FIFO must let the aggressor collapse interactive latency \
-         ({fifo_p99} < 10x {baseline})"
-    );
-    assert!(
-        wfq_p99 <= 2 * baseline,
-        "WFQ must hold interactive near the isolated baseline \
-         ({wfq_p99} > 2x {baseline})"
-    );
-    assert!(
-        batch_served(&wfq_mt) as f64 >= 0.9 * batch_served(&fifo_mt) as f64,
-        "WFQ must stay work-conserving: batch {} vs FIFO {}",
-        batch_served(&wfq_mt),
-        batch_served(&fifo_mt)
-    );
-
-    // Token-bucket quota: cap the aggressor at ~25% of fleet capacity;
-    // it keeps offering ~2× its quota.
-    let quota_rate = (SHARDS as u64 * 1_000_000_000 / mean_service / 4).max(1);
-    let quota = TenantQuota {
-        rate_ops_per_sec: quota_rate,
-        burst_ops: 16,
-    };
-    let quota_report = {
-        let mut cfg = config(3, duration);
-        let mut aggressor = TenantSpec::new(ReqClass::Batch, 1);
-        aggressor.arrival = Some(ArrivalSpec::OpenPoisson {
-            mean_interarrival_ns: (1_000_000_000 / (2 * quota_rate)).max(1),
-        });
-        aggressor.quota = Some(quota);
-        cfg.tenants = vec![interactive_tenant(mean_service), aggressor];
-        run_frontend(&cfg).expect("quota run")
-    };
-    let quota_mt = quota_report.mt_totals().expect("per-tenant stats");
-    let ledger = &quota_mt.tenants[1];
-    let cap = quota_rate * (duration / SECOND) + quota.burst_ops;
-    println!(
-        "quota {} ops/s + {} burst: offered {} admitted {} throttled {} (cap {})",
-        quota_rate, quota.burst_ops, ledger.offered, ledger.admitted, ledger.throttled, cap
-    );
-    assert!(
-        ledger.admitted <= cap,
-        "hard cap: {} > {cap}",
-        ledger.admitted
-    );
-    assert!(
-        ledger.admitted as f64 >= 0.9 * (quota_rate * (duration / SECOND)) as f64,
-        "a sustained over-offer must come out near its full quota: {} of {cap}",
-        ledger.admitted
-    );
-    assert!(ledger.throttled > 0, "the over-offer must throttle");
-    assert_eq!(quota_mt.tenants[0].throttled, 0, "neighbor untouched");
-
-    // Strict priority with age promotion: a closed-loop batch fleet
-    // saturates the device; the background tenant is served only
-    // through promotion, so its worst-case wait is bounded by the
-    // promotion age plus draining the fleet's whole in-flight backlog.
-    let sp = {
-        let mut cfg = config(2 + BATCH_CLIENTS, duration);
-        let mut bg = TenantSpec::new(ReqClass::Background, 1);
-        bg.arrival = Some(ArrivalSpec::OpenPoisson {
-            mean_interarrival_ns: 20 * mean_service,
-        });
-        let mut int = TenantSpec::new(ReqClass::Interactive, 1);
-        int.arrival = Some(ArrivalSpec::OpenPoisson {
-            mean_interarrival_ns: 10 * mean_service,
-        });
-        cfg.tenants = vec![int, bg, TenantSpec::new(ReqClass::Batch, BATCH_CLIENTS)];
-        cfg.discipline = DispatchDiscipline::StrictPriority {
-            promote_after_ns: PROMOTE_AFTER,
-        };
-        run_frontend(&cfg).expect("strict-priority run")
-    };
-    let sp_mt = sp.mt_totals().expect("per-class stats");
-    let bg_starve = sp_mt.class(ReqClass::Background).starve_max_ns;
-    let starve_bound = PROMOTE_AFTER + (BATCH_CLIENTS as u64 + 2) * mean_service + SECOND;
-    println!(
-        "strict priority (promote after {:.1} s): background starve max {:.2} s \
-         (bound {:.2} s)",
-        PROMOTE_AFTER as f64 / 1e9,
-        bg_starve as f64 / 1e9,
-        starve_bound as f64 / 1e9
-    );
-    assert!(
-        sp_mt.class(ReqClass::Background).slo.served > 0,
-        "the background tenant must be served, not starved out"
-    );
-    assert!(
-        bg_starve >= PROMOTE_AFTER,
-        "strict priority must actually deprioritize background first: \
-         {bg_starve} < {PROMOTE_AFTER}"
-    );
-    assert!(
-        bg_starve <= starve_bound,
-        "age promotion must bound background starvation: {bg_starve} > {starve_bound}"
-    );
-
-    // Headline guarantee: multi-tenant reports are deterministic.
-    let rerun = shared_run(
-        mean_service,
-        duration,
-        DispatchDiscipline::WeightedFair { weights: WEIGHTS },
-    );
-    assert_eq!(
-        wfq.render(),
-        rerun.render(),
-        "multi-tenant reports must render byte-identically"
-    );
-    println!("determinism: byte-identical multi-tenant reports across runs — ok");
+    let minutes = if ptsbench_bench::quick() { 1 } else { 2 };
+    ptsbench_bench::fig_tenant::fig_tenant(minutes * MINUTE);
 }

@@ -74,19 +74,22 @@ fn serve(engine: EngineKind, maint: MaintConfig, duration: u64) -> HarnessOutcom
 /// Runs the study over every registered engine, prints its table and
 /// asserts its claims (`PTSBENCH_QUICK=1` halves the simulated time).
 pub fn fig_stall() {
-    let quick = std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1");
-    let duration = if quick { 10 * MINUTE } else { 20 * MINUTE };
+    let duration = if crate::quick() {
+        10 * MINUTE
+    } else {
+        20 * MINUTE
+    };
 
-    println!("================================================================");
-    println!("ptsbench — fig_stall: write stalls vs background maintenance");
-    println!(
-        "{} MiB over {SHARDS} shards, Zipfian(0.99) pure writes, {FAN_IN} \
-         closed-loop clients, {} simulated minutes; inline vs deferred \
-         maintenance",
-        TOTAL_BYTES >> 20,
-        duration / MINUTE
+    crate::rule_banner(
+        "fig_stall: write stalls vs background maintenance",
+        &format!(
+            "{} MiB over {SHARDS} shards, Zipfian(0.99) pure writes, {FAN_IN} \
+             closed-loop clients, {} simulated minutes; inline vs deferred \
+             maintenance",
+            TOTAL_BYTES >> 20,
+            duration / MINUTE
+        ),
     );
-    println!("================================================================");
     println!();
     println!(
         "{:>8} {:>7} | {:>10} {:>12} {:>12} | {:>6} {:>7} {:>8} {:>8} {:>12}",

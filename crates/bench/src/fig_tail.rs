@@ -65,13 +65,8 @@ fn config(engine: EngineKind, clients: usize, duration: Ns) -> FrontendRun {
 /// comfortable headroom when hashing spreads it. Deterministic, like
 /// everything else here.
 fn calibrated_interarrival(engine: EngineKind, duration: Ns) -> Ns {
-    let report = run_frontend(&config(engine, 1, duration)).expect("calibration run");
-    let (busy, served) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.load)
-        .fold((0u64, 0u64), |(b, n), l| (b + l.busy_ns, n + l.served));
-    let mean_service = busy / served.max(1);
+    let probe = run_frontend(&config(engine, 1, duration)).expect("calibration run");
+    let mean_service = crate::mean_service(&probe);
     let raw = (FAN_INS[FAN_INS.len() - 1] as u64 * mean_service) as f64 / (0.45 * SHARDS as f64);
     // Round to 100 ms so report labels stay readable.
     ((raw as u64).div_ceil(SECOND / 10)).max(1) * (SECOND / 10)

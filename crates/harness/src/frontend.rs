@@ -437,11 +437,6 @@ impl Frontend {
         self.pending.len()
     }
 
-    /// Whether a shard has run out of space (it drops all requests).
-    pub fn shard_dead(&self, shard: usize) -> bool {
-        self.shards[shard].dead
-    }
-
     /// Whether every shard has run out of space (nothing can be served
     /// any more).
     pub fn all_shards_dead(&self) -> bool {
@@ -981,22 +976,21 @@ impl Frontend {
     /// Blocks (advances the front-end clock) until `token`'s request
     /// completes and returns its record. Under a reordering discipline
     /// the token may still sit undecided in a waiting room; waiting on
-    /// it settles every outstanding dispatch decision first.
+    /// it settles every outstanding dispatch decision first, and a hard
+    /// engine failure met while settling returns `Err`.
     ///
     /// # Panics
-    /// Panics if the token was never issued or was already collected,
-    /// or if settling hits a hard engine failure.
-    pub fn wait(&mut self, token: ReqToken) -> ReqCompletion {
+    /// Panics if the token was never issued or was already collected.
+    pub fn wait(&mut self, token: ReqToken) -> Result<ReqCompletion, PtsError> {
         if !self.pending.contains_key(&token.0) {
-            self.settle()
-                .expect("engine failure while settling the dispatch backlog");
+            self.settle()?;
         }
         let completion = self
             .pending
             .remove(&token.0)
             .expect("waiting on an unknown or already-collected ReqToken");
         self.now = self.now.max(completion.done_at);
-        completion
+        Ok(completion)
     }
 
     /// Collects one already-completed request (earliest in the
@@ -1020,35 +1014,37 @@ impl Frontend {
     /// *any* outcome; a rejection turned around at `REJECT_LATENCY` can
     /// precede a served request submitted before it — and returns it
     /// (`None` if nothing is pending). Settles every outstanding
-    /// dispatch decision first (panicking on hard engine failures).
-    pub fn wait_any(&mut self) -> Option<ReqCompletion> {
-        self.settle()
-            .expect("engine failure while settling the dispatch backlog");
-        let key = self
+    /// dispatch decision first; a hard engine failure met there returns
+    /// `Err`.
+    pub fn wait_any(&mut self) -> Result<Option<ReqCompletion>, PtsError> {
+        self.settle()?;
+        let Some(key) = self
             .pending
             .iter()
             .min_by_key(|(_, c)| completion_order(c))
-            .map(|(t, _)| *t)?;
+            .map(|(t, _)| *t)
+        else {
+            return Ok(None);
+        };
         let completion = self.pending.remove(&key).expect("key just found");
         self.now = self.now.max(completion.done_at);
-        Some(completion)
+        Ok(Some(completion))
     }
 
     /// Drains every pending completion, advancing the clock to the
     /// latest; returns them in completion order (`done_at`, then
     /// resolution order), interleaving served, rejected and shed
     /// records by when each actually resolved. Settles every
-    /// outstanding dispatch decision first (panicking on hard engine
-    /// failures).
-    pub fn wait_all(&mut self) -> Vec<ReqCompletion> {
-        self.settle()
-            .expect("engine failure while settling the dispatch backlog");
+    /// outstanding dispatch decision first; a hard engine failure met
+    /// there returns `Err` and leaves what had resolved collectable.
+    pub fn wait_all(&mut self) -> Result<Vec<ReqCompletion>, PtsError> {
+        self.settle()?;
         let mut all: Vec<ReqCompletion> = std::mem::take(&mut self.pending).into_values().collect();
         all.sort_by_key(completion_order);
         if let Some(last) = all.last() {
             self.now = self.now.max(last.done_at);
         }
-        all
+        Ok(all)
     }
 
     /// Finishes every shard experiment (emitting trailing samples and
@@ -1403,9 +1399,9 @@ mod tests {
                 ..Default::default()
             })
             .expect("submit");
-        let c0 = fe.wait(t0);
+        let c0 = fe.wait(t0).expect("wait");
         assert_eq!(fe.now(), c0.done_at, "wait advances the front-end clock");
-        let c1 = fe.wait(t1);
+        let c1 = fe.wait(t1).expect("wait");
         assert_eq!(
             c1.issued_at, c0.done_at,
             "depth 1 admits the next request only when the previous completes"
@@ -1725,7 +1721,7 @@ mod tests {
                     ..Default::default()
                 })
                 .expect("submit");
-            if fe.wait(token).outcome == ReqOutcome::Served {
+            if fe.wait(token).expect("wait").outcome == ReqOutcome::Served {
                 served += 1;
             }
         }
@@ -1749,7 +1745,7 @@ mod tests {
                     ..Default::default()
                 })
                 .expect("submit");
-            let c = fe.wait(probe);
+            let c = fe.wait(probe).expect("wait");
             probes += 1;
             match c.outcome {
                 ReqOutcome::Served => break true,
@@ -1862,12 +1858,12 @@ mod tests {
         // wait_any surfaces the earliest completion of any outcome:
         // the remaining rejection precedes the served request even
         // though the served one was submitted first.
-        let second = fe.wait_any().expect("pending");
+        let second = fe.wait_any().expect("wait").expect("pending");
         assert_eq!((second.token, second.outcome), (c, ReqOutcome::Rejected));
-        let third = fe.wait_any().expect("pending");
+        let third = fe.wait_any().expect("wait").expect("pending");
         assert_eq!((third.token, third.outcome), (a, ReqOutcome::Served));
         assert!(second.done_at < third.done_at);
-        assert_eq!(fe.wait_any().map(|c| c.token), None);
+        assert_eq!(fe.wait_any().expect("wait").map(|c| c.token), None);
 
         // wait_all over a fresh identical scenario interleaves by
         // (done_at, token), not by submission or outcome.
@@ -1875,7 +1871,7 @@ mod tests {
         let a = fe.submit(update(1)).expect("submit");
         let b = fe.submit(update(2)).expect("submit");
         let c = fe.submit(update(3)).expect("submit");
-        let all = fe.wait_all();
+        let all = fe.wait_all().expect("wait");
         assert_eq!(
             all.iter().map(|c| c.token).collect::<Vec<_>>(),
             vec![b, c, a],
@@ -1944,7 +1940,7 @@ mod tests {
                 ..Default::default()
             })
             .expect("submit");
-        let all = fe.wait_all();
+        let all = fe.wait_all().expect("wait");
         let tokens: Vec<_> = all.iter().map(|c| c.token).collect();
         assert_eq!(
             tokens,
@@ -2007,7 +2003,7 @@ mod tests {
                 .expect("submit"),
             );
         }
-        let all = fe.wait_all();
+        let all = fe.wait_all().expect("wait");
         assert_eq!(all.len(), 8);
         let int_mean: u64 = all
             .iter()
@@ -2060,7 +2056,12 @@ mod tests {
         let i0 = fe.submit(req(1, ReqClass::Interactive)).expect("submit");
         let i1 = fe.submit(req(2, ReqClass::Interactive)).expect("submit");
         let i2 = fe.submit(req(3, ReqClass::Interactive)).expect("submit");
-        let order: Vec<_> = fe.wait_all().iter().map(|c| c.token).collect();
+        let order: Vec<_> = fe
+            .wait_all()
+            .expect("wait")
+            .iter()
+            .map(|c| c.token)
+            .collect();
         // First decision at t=0: nothing has aged, interactive wins.
         // Second decision: the background request has aged past the
         // 1 ns promotion bound and jumps the remaining interactives.
@@ -2112,7 +2113,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for key in 0..4 {
             let t = fe.submit(from_tenant(key, 1)).expect("submit");
-            outcomes.push(fe.wait(t));
+            outcomes.push(fe.wait(t).expect("wait"));
         }
         assert_eq!(outcomes[0].outcome, ReqOutcome::Served);
         assert_eq!(outcomes[1].outcome, ReqOutcome::Served);
@@ -2127,7 +2128,7 @@ mod tests {
         }
         // The unthrottled tenant is untouched by its neighbor's quota.
         let t = fe.submit(from_tenant(5, 0)).expect("submit");
-        assert_eq!(fe.wait(t).outcome, ReqOutcome::Served);
+        assert_eq!(fe.wait(t).expect("wait").outcome, ReqOutcome::Served);
 
         let shard = fe.finish().pop().expect("one shard");
         assert_eq!(shard.slo.throttled, 2);
@@ -2144,6 +2145,87 @@ mod tests {
             2,
             "throttles land in the submitting class's lane too"
         );
+    }
+
+    #[test]
+    fn blocking_collectors_return_a_hard_engine_failure() {
+        use ptsbench_core::engine::{EngineStats, PtsEngine, ScanCursor};
+        use ptsbench_core::registry::{EngineDescriptor, EngineRegistry, EngineTuning, Lifecycle};
+        use ptsbench_vfs::Vfs;
+
+        /// The LSM with every point lookup failing hard.
+        struct FailingGets(Box<dyn PtsEngine>);
+        impl PtsEngine for FailingGets {
+            fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
+                self.0.put(key, value)
+            }
+            fn get(&mut self, _key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
+                Err(PtsError::engine(
+                    "failing-gets",
+                    std::io::Error::other("injected read failure"),
+                ))
+            }
+            fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
+                self.0.delete(key)
+            }
+            fn scan(
+                &mut self,
+                start: &[u8],
+                end: Option<&[u8]>,
+                limit: usize,
+            ) -> Result<ScanCursor<'_>, PtsError> {
+                self.0.scan(start, end, limit)
+            }
+            fn flush(&mut self) -> Result<(), PtsError> {
+                self.0.flush()
+            }
+            fn stats(&self) -> EngineStats {
+                self.0.stats()
+            }
+            fn app_bytes_written(&self) -> u64 {
+                self.0.app_bytes_written()
+            }
+            fn vfs(&self) -> &Vfs {
+                self.0.vfs()
+            }
+            fn kind(&self) -> EngineKind {
+                self.0.kind()
+            }
+        }
+        fn build(
+            vfs: Vfs,
+            tuning: &EngineTuning,
+            lifecycle: Lifecycle,
+        ) -> Result<Box<dyn PtsEngine>, PtsError> {
+            let lsm = EngineRegistry::descriptor(EngineKind::lsm());
+            Ok(Box::new(FailingGets((lsm.build)(vfs, tuning, lifecycle)?)))
+        }
+        let mut run = base(16 << 20);
+        run.engine = EngineRegistry::register(EngineDescriptor {
+            name: "Failing gets (test)",
+            label: "failing-gets",
+            default_cpu_cost_ns: 1,
+            build,
+        });
+        let mut cfg = FrontendRun::new(run, 1);
+        cfg.discipline = DispatchDiscipline::WeightedFair { weights: [8, 1, 1] };
+        let mut fe = Frontend::new(&cfg).expect("frontend");
+
+        // A reordering discipline decides nothing at submission, so the
+        // read is accepted; the failure surfaces where the backlog is
+        // settled — as an error from each blocking collector, not a
+        // panic. The failed request has left the waiting room, so each
+        // call below meets the next one.
+        let read = |key_index| Request {
+            key_index,
+            ..Default::default()
+        };
+        fe.submit(read(0)).expect("submit");
+        assert!(matches!(fe.wait_all(), Err(PtsError::Engine { .. })));
+        fe.submit(read(1)).expect("submit");
+        assert!(matches!(fe.wait_any(), Err(PtsError::Engine { .. })));
+        let token = fe.submit(read(2)).expect("submit");
+        assert!(matches!(fe.wait(token), Err(PtsError::Engine { .. })));
     }
 
     #[test]

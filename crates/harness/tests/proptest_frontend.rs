@@ -381,7 +381,7 @@ proptest! {
                 }
                 1 if !outstanding.is_empty() => {
                     let token = outstanding.swap_remove(next(outstanding.len() as u64) as usize);
-                    collected.push(frontend.wait(token));
+                    collected.push(frontend.wait(token).expect("wait"));
                 }
                 2 if !outstanding.is_empty() => {
                     let token = outstanding.swap_remove(next(outstanding.len() as u64) as usize);
@@ -392,7 +392,7 @@ proptest! {
                 _ => {}
             }
         }
-        collected.extend(frontend.wait_all());
+        collected.extend(frontend.wait_all().expect("wait"));
         prop_assert_eq!(frontend.pending(), 0);
 
         // 1. Exactly once.

@@ -148,7 +148,7 @@ fn drive(
         }
     }
     let last_submit = frontend.now();
-    collected.extend(frontend.wait_all());
+    collected.extend(frontend.wait_all().expect("wait"));
     assert_eq!(frontend.pending(), 0);
     (collected, frontend.finish(), last_submit)
 }

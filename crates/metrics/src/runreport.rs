@@ -200,13 +200,6 @@ impl RunReport {
         self.shards.iter().filter(|s| s.out_of_space).count()
     }
 
-    /// The merged queue-delay CDF as `(ns, cumulative fraction)` points
-    /// (`None` when no shard reported queue delays). Tail-latency plots
-    /// — and the `fig_tail` assertions — read directly off these.
-    pub fn queue_delay_cdf(&self) -> Option<Vec<(u64, f64)>> {
-        self.queue_delay.as_ref().map(|qd| qd.cdf_points())
-    }
-
     /// A merged queue-delay quantile in nanoseconds (`None` when no
     /// shard reported queue delays).
     pub fn queue_delay_quantile(&self, q: f64) -> Option<u64> {
@@ -525,7 +518,6 @@ mod tests {
         assert!(!plain_text.contains("qdelay["));
         assert!(!plain_text.contains("load["));
         assert!(plain.queue_delay.is_none());
-        assert!(plain.queue_delay_cdf().is_none());
         assert!(plain.load_imbalance().is_none());
 
         // Present: merged queue-delay quantiles, per-shard tails, and
@@ -565,8 +557,6 @@ mod tests {
             Some(3),
             "shard queue delays merge"
         );
-        let cdf = served.queue_delay_cdf().expect("cdf present");
-        assert_eq!(cdf.last().map(|&(_, f)| f), Some(1.0));
         assert!(served.queue_delay_quantile(0.99).expect("p99") >= 90_000);
         let imbalance = served.load_imbalance().expect("imbalance");
         assert_eq!(imbalance.max_requests, 40);

@@ -93,26 +93,6 @@ impl ArrivalSpec {
         }
     }
 
-    /// This process swept across offered-load multipliers, in the given
-    /// order: one spec per factor, each [`ArrivalSpec::at_load_factor`]
-    /// of `self`.
-    pub fn offered_load_sweep(&self, factors: &[f64]) -> Vec<ArrivalSpec> {
-        factors.iter().map(|&f| self.at_load_factor(f)).collect()
-    }
-
-    /// A fixed-rate open loop of `ops_per_sec` requests per virtual
-    /// second: the natural way to express a paced tenant ("this tenant
-    /// sends 50 ops/s") without hand-converting to an interarrival gap.
-    /// The gap rounds to the nearest nanosecond and is floored at 1 ns;
-    /// a zero rate is rejected (a tenant that never submits is a
-    /// configuration mistake, not a workload).
-    pub fn paced_per_sec(ops_per_sec: u64) -> ArrivalSpec {
-        assert!(ops_per_sec > 0, "a paced arrival needs a positive rate");
-        ArrivalSpec::Open {
-            interarrival_ns: (1_000_000_000 / ops_per_sec).max(1),
-        }
-    }
-
     /// Panics with a description if the specification is degenerate.
     pub fn validate(&self) {
         match self {
@@ -236,32 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn paced_rates_convert_to_open_interarrivals() {
-        assert_eq!(
-            ArrivalSpec::paced_per_sec(50),
-            ArrivalSpec::Open {
-                interarrival_ns: 20_000_000
-            }
-        );
-        assert_eq!(
-            ArrivalSpec::paced_per_sec(1),
-            ArrivalSpec::Open {
-                interarrival_ns: 1_000_000_000
-            }
-        );
-        // Rates beyond 1 GHz floor at the 1 ns resolution of virtual
-        // time rather than producing a zero (invalid) gap.
-        assert_eq!(
-            ArrivalSpec::paced_per_sec(u64::MAX),
-            ArrivalSpec::Open { interarrival_ns: 1 }
-        );
-        ArrivalSpec::paced_per_sec(50).validate();
-        assert!(!ArrivalSpec::paced_per_sec(50).is_closed());
-        let err = std::panic::catch_unwind(|| ArrivalSpec::paced_per_sec(0));
-        assert!(err.is_err(), "zero-rate pacing is a configuration mistake");
-    }
-
-    #[test]
     fn open_loop_ignores_completions() {
         let mut c = ArrivalClock::new(
             ArrivalSpec::Open {
@@ -380,36 +334,6 @@ mod tests {
             saturated,
             "a zero-think loop is already at maximum pressure"
         );
-    }
-
-    #[test]
-    fn offered_load_sweeps_cover_each_factor_in_order() {
-        let base = ArrivalSpec::OpenPoisson {
-            mean_interarrival_ns: 6_000,
-        };
-        let sweep = base.offered_load_sweep(&[0.2, 0.5, 1.0, 2.0, 3.0]);
-        assert_eq!(sweep.len(), 5);
-        assert_eq!(
-            sweep,
-            vec![
-                ArrivalSpec::OpenPoisson {
-                    mean_interarrival_ns: 30_000
-                },
-                ArrivalSpec::OpenPoisson {
-                    mean_interarrival_ns: 12_000
-                },
-                base,
-                ArrivalSpec::OpenPoisson {
-                    mean_interarrival_ns: 3_000
-                },
-                ArrivalSpec::OpenPoisson {
-                    mean_interarrival_ns: 2_000
-                },
-            ]
-        );
-        for spec in &sweep {
-            spec.validate();
-        }
     }
 
     #[test]

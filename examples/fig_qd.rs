@@ -1,102 +1,17 @@
-//! Queue-depth demo: read throughput of every registered engine at
-//! I/O submission queue depths 1, 2, 4 and 8, plus the compatibility
-//! check that a QD=1 harness run renders byte-identically to an
-//! untouched (pre-queue) configuration.
+//! Queue-depth demo: scan read throughput of every registered engine at
+//! I/O submission queue depths 1, 2, 4 and 8 (8 seeded scans of 384
+//! entries per probe), plus the compatibility check that a QD=1 harness
+//! run renders byte-identically to an untouched (pre-queue)
+//! configuration — the study in `ptsbench_bench::fig_qd`.
 //!
 //! The output is fully deterministic — fixed seeds produce
-//! byte-identical text — which the CI determinism check exploits by
-//! running this example twice and diffing the output.
+//! byte-identical text — which CI exploits twice: it runs this example
+//! twice and diffs the output, and diffs it against
+//! `tests/golden/fig_qd.txt`.
 //!
 //! Run with: `cargo run --release --example fig_qd`
 
-use ptsbench::core::measure::{build_stack, bulk_load};
-use ptsbench::core::registry::{EngineKind, EngineRegistry, EngineTuning};
-use ptsbench::core::runner::RunConfig;
-use ptsbench::core::sharded::ShardedRun;
-use ptsbench::harness::run_sharded;
-use ptsbench::ssd::MINUTE;
-use ptsbench::workload::encode_key;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// 64 MiB stand-in for the 400 GB reference drive.
-const DEVICE_BYTES: u64 = 64 << 20;
-
-/// Seeded scan probe; returns (reference-scale read MB/s, entries).
-fn scan_probe(engine: EngineKind, qd: usize) -> (f64, u64) {
-    let cfg = RunConfig {
-        engine,
-        device_bytes: DEVICE_BYTES,
-        queue_depth: qd,
-        ..RunConfig::default()
-    };
-    let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes).with_queue_depth(qd);
-    let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
-        .expect("open engine");
-    let workload = cfg.workload();
-    bulk_load(system.as_mut(), &workload).expect("bulk load");
-    system.flush().expect("flush");
-    stack.shared.lock().reset_observability();
-
-    let mut rng = SmallRng::seed_from_u64(0xF1D0);
-    let t0 = stack.clock.now();
-    let mut entries = 0u64;
-    let mut key = Vec::new();
-    for _ in 0..8 {
-        let start = rng.gen_range(0..workload.num_keys.saturating_sub(384));
-        encode_key(workload.key_base + start, workload.key_size, &mut key);
-        for item in system.scan(&key, None, 384).expect("scan") {
-            item.expect("scan item");
-            entries += 1;
-        }
-    }
-    let elapsed_secs = (stack.clock.now() - t0) as f64 / 1e9;
-    let read_bytes = stack.shared.lock().smart().host_pages_read as f64 * stack.page_size as f64;
-    (read_bytes * cfg.scale() / elapsed_secs / 1e6, entries)
-}
-
 fn main() {
     ptsbench::hashlog::register();
-    println!("ptsbench fig_qd — asynchronous submission/completion I/O demo");
-    println!(
-        "{} MiB simulated drive, 8 seeded scans x 384 entries per probe",
-        DEVICE_BYTES >> 20
-    );
-    println!();
-
-    for engine in EngineRegistry::all() {
-        for qd in [1usize, 2, 4, 8] {
-            let (mbps, entries) = scan_probe(engine, qd);
-            println!(
-                "{:>10}/qd{:<2}  read {:>9.2} MB/s  ({entries} entries)",
-                engine.label(),
-                qd,
-                mbps
-            );
-        }
-    }
-
-    // Compatibility: QD=1 harness output diffs empty against the
-    // untouched default configuration.
-    let harness = |qd: Option<usize>| {
-        let mut base = RunConfig {
-            device_bytes: DEVICE_BYTES,
-            duration: 20 * MINUTE,
-            sample_window: 5 * MINUTE,
-            ..RunConfig::default()
-        };
-        if let Some(qd) = qd {
-            base.queue_depth = qd;
-        }
-        run_sharded(&ShardedRun::new(base, 2)).expect("harness run")
-    };
-    let untouched = harness(None).render();
-    let qd1 = harness(Some(1)).render();
-    assert_eq!(untouched, qd1, "QD=1 must reproduce the default report");
-    println!();
-    println!("QD=1 harness report (byte-identical to the pre-queue renderer):");
-    println!();
-    println!("{untouched}");
+    ptsbench_bench::fig_qd::fig_qd(8, 384, 8);
 }

@@ -1,243 +1,16 @@
 //! Read-amplification demo: device read traffic of every registered
-//! engine under a skewed (Zipfian) point-read stream, swept across the
-//! read-path tier's block-cache budget and compression level.
-//!
-//! The access stream is identical at every sweep point, so the only
-//! variable is the tier configuration. The claims checked here:
-//!
-//! * device read bytes fall monotonically as the cache budget grows
-//!   (LSM and hash log; the B+Tree's paper pager is its own baseline);
-//! * compression shrinks the on-disk footprint when data is actually
-//!   compressible (workload fill values are pseudorandom, so the
-//!   footprint check uses a dedicated compressible dataset);
-//! * a cache-off harness run renders with no cache accounting at all,
-//!   while a cache-on run reports per-shard hit rates.
+//! engine under a skewed (Zipfian) point-read stream of 4 000 gets,
+//! swept across the read-path tier's block-cache budget and compression
+//! level — the study in `ptsbench_bench::fig_readamp`.
 //!
 //! The output is fully deterministic — fixed seeds produce
-//! byte-identical text — which the CI determinism check exploits by
-//! running this example twice and diffing the output.
+//! byte-identical text — which CI exploits twice: it runs this example
+//! twice and diffs the output, and diffs it against
+//! `tests/golden/fig_readamp.txt`.
 //!
 //! Run with: `cargo run --release --example fig_readamp`
 
-use ptsbench::cache::Compression;
-use ptsbench::core::measure::{build_stack, bulk_load};
-use ptsbench::core::registry::{EngineKind, EngineRegistry, EngineTuning};
-use ptsbench::core::runner::RunConfig;
-use ptsbench::core::sharded::ShardedRun;
-use ptsbench::harness::run_sharded;
-use ptsbench::lsm::{LsmDb, LsmOptions};
-use ptsbench::ssd::{DeviceConfig, DeviceProfile, Ssd, MINUTE};
-use ptsbench::vfs::{Vfs, VfsOptions};
-use ptsbench::workload::{encode_key, KeyDistribution, Sampler};
-
-/// 64 MiB stand-in for the 400 GB reference drive.
-const DEVICE_BYTES: u64 = 64 << 20;
-
-/// Cache budgets swept per engine (0 = the seed read path).
-const BUDGETS: [u64; 4] = [0, 256 << 10, 1 << 20, 4 << 20];
-
-/// Zipfian point gets per probe.
-const GETS: u64 = 4_000;
-
-/// One sweep point's measurements.
-struct Probe {
-    device_read_bytes: u64,
-    hit_rate: Option<f64>,
-}
-
-/// Builds a stack + engine with the given tier knobs, loads the default
-/// dataset, then replays a fixed seeded Zipfian point-get stream and
-/// measures device read traffic. Fully deterministic per configuration.
-fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8) -> Probe {
-    let cfg = RunConfig {
-        engine,
-        device_bytes: DEVICE_BYTES,
-        cache_bytes,
-        compression_level: level,
-        ..RunConfig::default()
-    };
-    let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes)
-        .with_cache_bytes(cache_bytes)
-        .with_compression_level(level);
-    let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
-        .expect("open engine");
-    let workload = cfg.workload();
-    bulk_load(system.as_mut(), &workload).expect("bulk load");
-    system.flush().expect("flush");
-    stack.shared.lock().reset_observability();
-
-    // The same seed at every sweep point: identical key stream, so the
-    // only variable is the tier configuration.
-    let mut sampler = Sampler::new(
-        KeyDistribution::Zipfian { theta: 0.9 },
-        workload.num_keys,
-        0xAC_CE55,
-    );
-    let mut key = Vec::new();
-    for _ in 0..GETS {
-        encode_key(
-            workload.key_base + sampler.sample(),
-            workload.key_size,
-            &mut key,
-        );
-        let hit = system.get(&key).expect("get");
-        assert!(hit.is_some(), "every loaded key must be readable");
-    }
-    system.drain_io();
-
-    let read_bytes = stack.shared.lock().smart().host_pages_read * stack.page_size;
-    let cache = system.stats().cache;
-    Probe {
-        device_read_bytes: read_bytes,
-        hit_rate: cache.and_then(|c| {
-            let total = c.hits + c.misses;
-            (total > 0).then(|| c.hits as f64 / total as f64)
-        }),
-    }
-}
-
-/// On-disk footprint of a *compressible* dataset at a given level
-/// (the sweep's workload values are pseudorandom, i.e. incompressible,
-/// so the compression claim needs its own dataset).
-fn compressible_footprint(level: u8) -> u64 {
-    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
-    let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
-    let opts = LsmOptions {
-        compression: Compression::from_level(level),
-        ..LsmOptions::small()
-    };
-    let mut db = LsmDb::open(vfs.clone(), opts).expect("open");
-    for i in 0..4_000u64 {
-        let key = format!("key{i:08}");
-        let value = format!("v{:02}", i % 10).repeat(64);
-        db.put(key.as_bytes(), value.as_bytes()).expect("put");
-    }
-    db.flush().expect("flush");
-    vfs.stats().used_bytes
-}
-
 fn main() {
     ptsbench::hashlog::register();
-    println!("ptsbench fig_readamp — read-path acceleration tier demo");
-    println!(
-        "{} MiB simulated drive, {GETS} Zipfian(0.9) point gets per probe",
-        DEVICE_BYTES >> 20
-    );
-    println!();
-
-    let mut sweeps: Vec<(EngineKind, u8, Vec<Probe>)> = Vec::new();
-    for engine in EngineRegistry::all() {
-        // The B+Tree ignores the compression knob (fixed-size page
-        // slots), so only its cache axis is swept.
-        let levels: &[u8] = if engine.label() == "btree" {
-            &[0]
-        } else {
-            &[0, 3]
-        };
-        for &level in levels {
-            let mut probes = Vec::new();
-            for budget in BUDGETS {
-                let p = read_probe(engine, budget, level);
-                println!(
-                    "{:>18}  device reads {:>10} B  ({:>10.2} B/get, cache hit {})",
-                    format!("{}/c{}k/z{level}", engine.label(), budget >> 10),
-                    p.device_read_bytes,
-                    p.device_read_bytes as f64 / GETS as f64,
-                    p.hit_rate
-                        .map_or_else(|| "   n/a".into(), |r| format!("{:>5.1}%", r * 100.0)),
-                );
-                probes.push(p);
-            }
-            sweeps.push((engine, level, probes));
-        }
-    }
-    println!();
-
-    // The figure's claim: device read bytes fall monotonically with the
-    // cache budget for the engines that gained the shared block cache,
-    // and a real budget beats the seed read path outright.
-    for (engine, level, probes) in &sweeps {
-        let label = engine.label();
-        if label == "btree" {
-            // The paper pager is the budget-0 baseline; explicit budgets
-            // only override its size, so compare within those.
-            for w in probes[1..].windows(2) {
-                assert!(
-                    w[1].device_read_bytes <= w[0].device_read_bytes,
-                    "btree: a larger pager budget must not read more"
-                );
-            }
-            continue;
-        }
-        for (i, w) in probes.windows(2).enumerate() {
-            assert!(
-                w[1].device_read_bytes <= w[0].device_read_bytes,
-                "{label}/z{level}: {} -> {} budget step raised device reads \
-                 ({} -> {} bytes)",
-                BUDGETS[i],
-                BUDGETS[i + 1],
-                w[0].device_read_bytes,
-                w[1].device_read_bytes
-            );
-        }
-        assert!(
-            probes[BUDGETS.len() - 1].device_read_bytes < probes[0].device_read_bytes,
-            "{label}/z{level}: the largest budget must beat the seed read path"
-        );
-        let top = probes[BUDGETS.len() - 1]
-            .hit_rate
-            .expect("cache configured");
-        assert!(top > 0.0, "{label}/z{level}: the cache must take hits");
-    }
-    println!("monotonicity check: device read bytes fall with cache budget (lsm, hashlog)");
-
-    // Compression earns its keep on compressible data.
-    let (plain, packed) = (compressible_footprint(0), compressible_footprint(3));
-    assert!(
-        packed < plain,
-        "level 3 must shrink a compressible dataset: {plain} -> {packed} bytes"
-    );
-    println!(
-        "compression check: compressible LSM dataset {plain} B stored -> {packed} B at level 3"
-    );
-
-    // Determinism: an identical probe reproduces identical measurements.
-    let a = read_probe(EngineKind::lsm(), 1 << 20, 3);
-    let b = read_probe(EngineKind::lsm(), 1 << 20, 3);
-    assert_eq!(a.device_read_bytes, b.device_read_bytes);
-    assert_eq!(
-        a.hit_rate.map(f64::to_bits),
-        b.hit_rate.map(f64::to_bits),
-        "identical probes must measure bit-identically"
-    );
-    println!("determinism check: identical probes measured bit-identically");
-    println!();
-
-    // Compatibility + reporting: a cache-off harness run carries no
-    // cache accounting; a cache-on run reports per-shard hit rates.
-    let harness_cfg = |cache_bytes: u64| {
-        let base = RunConfig {
-            device_bytes: DEVICE_BYTES,
-            duration: 20 * MINUTE,
-            sample_window: 5 * MINUTE,
-            read_fraction: 0.5,
-            distribution: KeyDistribution::Zipfian { theta: 0.9 },
-            cache_bytes,
-            ..RunConfig::default()
-        };
-        ShardedRun::new(base, 2)
-    };
-    let off = run_sharded(&harness_cfg(0)).expect("run").render();
-    assert!(
-        !off.contains("cache"),
-        "cache-off harness output must carry no cache accounting"
-    );
-    let on = run_sharded(&harness_cfg(2 << 20)).expect("run");
-    let totals = on.cache_totals().expect("cache totals");
-    assert!(totals.hits > 0, "a Zipfian read phase must hit the cache");
-    println!("cache-on harness report (per-shard hit rates, fleet totals):");
-    println!();
-    println!("{}", on.render());
+    ptsbench_bench::fig_readamp::fig_readamp(4_000);
 }

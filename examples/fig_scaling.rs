@@ -1,50 +1,18 @@
 //! Concurrent sharded harness demo: every registered engine under
-//! 1, 2, 4 and 8 client threads on a fixed total simulated capacity.
+//! 1, 2, 4 and 8 client threads on a fixed total simulated capacity,
+//! 20 simulated minutes per point — the study in
+//! `ptsbench_bench::fig_scaling`.
 //!
-//! Prints each configuration's merged report. The output is fully
-//! deterministic — fixed seeds produce byte-identical text — which the
-//! CI determinism check exploits by running this example twice and
-//! diffing the output.
+//! The output is fully deterministic — fixed seeds produce
+//! byte-identical text — which CI exploits twice: it runs this example
+//! twice and diffs the output, and diffs it against
+//! `tests/golden/fig_scaling.txt`.
 //!
 //! Run with: `cargo run --release --example fig_scaling`
 
-use ptsbench::core::registry::EngineRegistry;
-use ptsbench::core::runner::RunConfig;
-use ptsbench::core::sharded::ShardedRun;
-use ptsbench::harness::run_sharded;
 use ptsbench::ssd::MINUTE;
-
-/// 128 MiB total: divides into eight 16 MiB shards, the smallest SSD1
-/// geometry (8 erase blocks per shard device).
-const TOTAL_BYTES: u64 = 128 << 20;
 
 fn main() {
     ptsbench::hashlog::register();
-    println!("ptsbench fig_scaling — multi-client drive of every registered engine");
-    println!(
-        "total capacity {} MiB, 20 simulated minutes, 5-minute windows",
-        TOTAL_BYTES >> 20
-    );
-
-    for engine in EngineRegistry::all() {
-        for clients in [1usize, 2, 4, 8] {
-            let sharded = ShardedRun::new(
-                RunConfig {
-                    engine,
-                    device_bytes: TOTAL_BYTES,
-                    duration: 20 * MINUTE,
-                    sample_window: 5 * MINUTE,
-                    ..RunConfig::default()
-                },
-                clients,
-            );
-            let report = run_sharded(&sharded).expect("sharded run");
-            println!();
-            println!("{}", report.render());
-            println!(
-                "steady aggregate: {:.3} Kops/s",
-                report.steady_mean("kv_kops").unwrap_or(0.0)
-            );
-        }
-    }
+    ptsbench_bench::fig_scaling::fig_scaling(20 * MINUTE);
 }
