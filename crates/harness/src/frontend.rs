@@ -1347,6 +1347,8 @@ mod tests {
     use ptsbench_ssd::MINUTE;
     use ptsbench_workload::{ArrivalSpec, KeyDistribution};
 
+    use proptest::prelude::*;
+
     fn base(total_bytes: u64) -> RunConfig {
         RunConfig {
             engine: EngineKind::lsm(),
@@ -2226,6 +2228,227 @@ mod tests {
         assert!(matches!(fe.wait_any(), Err(PtsError::Engine { .. })));
         let token = fe.submit(read(2)).expect("submit");
         assert!(matches!(fe.wait(token), Err(PtsError::Engine { .. })));
+    }
+
+    /// The waiting room as the dispatcher kept it before it became
+    /// per-class lanes: one `Vec` in arrival order, and every decision
+    /// a scan over all of it. Copied verbatim from `pump`, `settle_one`
+    /// and `select_next` while they were the live code, and kept as the
+    /// oracle the live waiting room is held to.
+    mod scan_oracle {
+        use super::super::*;
+
+        pub fn earliest(waiting: &[WaitingReq]) -> Option<Ns> {
+            waiting.iter().map(|w| w.issued_at).min()
+        }
+
+        pub fn select_next(
+            waiting: &[WaitingReq],
+            t0: Ns,
+            discipline: DispatchDiscipline,
+        ) -> usize {
+            let candidates = || {
+                waiting
+                    .iter()
+                    .enumerate()
+                    .filter(move |(_, w)| w.issued_at <= t0)
+            };
+            match discipline {
+                DispatchDiscipline::Fifo => {
+                    unreachable!("FIFO dispatch decides eagerly at submission")
+                }
+                DispatchDiscipline::StrictPriority { promote_after_ns } => {
+                    let (oldest_idx, oldest) = candidates()
+                        .min_by_key(|(_, w)| (w.issued_at, w.token))
+                        .expect("select_next requires a candidate");
+                    if t0 - oldest.issued_at > promote_after_ns {
+                        oldest_idx
+                    } else {
+                        candidates()
+                            .min_by_key(|(_, w)| (w.class.priority(), w.issued_at, w.token))
+                            .expect("select_next requires a candidate")
+                            .0
+                    }
+                }
+                DispatchDiscipline::WeightedFair { .. } => {
+                    candidates()
+                        .min_by_key(|(_, w)| (w.finish_tag, w.token))
+                        .expect("select_next requires a candidate")
+                        .0
+                }
+            }
+        }
+
+        /// A dead shard's drain order.
+        pub fn drain(waiting: &mut Vec<WaitingReq>) -> Vec<WaitingReq> {
+            let mut rest = std::mem::take(waiting);
+            rest.sort_by_key(|w| w.token);
+            rest
+        }
+    }
+
+    /// One arrival of the dispatch model below: class index, virtual ns
+    /// since the previous arrival, the shard's service estimate when it
+    /// arrives, how long the request occupies the engine once picked
+    /// (0: shed at dispatch, the engine stays free), and whether the
+    /// driver settles up to the arrival instant first (`run_frontend`
+    /// always does; a caller that submits a burst and then blocks does
+    /// not, which is what leaves requests in the room that have not yet
+    /// arrived at the decision instant).
+    type Arrival = (usize, Ns, Ns, Ns, bool);
+
+    fn arrivals() -> impl Strategy<Value = Vec<Arrival>> {
+        proptest::collection::vec(
+            (
+                0usize..3,
+                // Mostly same-instant and near-instant arrivals, so ties
+                // on time are the common case, not the rare one.
+                prop_oneof![3 => Just(0u64), 3 => 0u64..4, 1 => 0u64..40],
+                0u64..4,
+                0u64..7,
+                any::<bool>(),
+            ),
+            1..160,
+        )
+    }
+
+    /// Weights on both sides of `WFQ_SCALE` × the largest estimate: past
+    /// it a class's tag increment is 0, its tags stand still, and only
+    /// the token orders it against the others.
+    fn weight() -> impl Strategy<Value = u32> {
+        prop_oneof![1u32..10, 900u32..5000, 5000u32..1_000_000]
+    }
+
+    /// Replays `arrivals` through the live waiting room and the scan
+    /// oracle side by side under one discipline: the same dispatch
+    /// instants (`busy_until.max(earliest)`, bounded by the same
+    /// horizons), the same WFQ tags, and after `die_after` decisions the
+    /// shard dies and drains. Returns how many decisions were compared.
+    fn replay_against_the_scan(
+        shard: &mut ShardState,
+        arrivals: &[Arrival],
+        discipline: DispatchDiscipline,
+        die_after: usize,
+    ) -> Result<usize, TestCaseError> {
+        let request = |token, class, at, finish_tag| WaitingReq {
+            token: ReqToken(token),
+            kind: OpKind::Read,
+            key_index: token,
+            value: Vec::new(),
+            class,
+            tenant: 0,
+            submitted_at: at,
+            issued_at: at,
+            finish_tag,
+        };
+        shard.waiting.clear();
+        let mut oracle: Vec<WaitingReq> = Vec::new();
+        let (mut now, mut busy_until, mut decisions) = (0, 0, 0);
+        let (mut vtime, mut last_finish) = (0u128, [0u128; 3]);
+        let mut service_of = std::collections::HashMap::new();
+        // One extra turn after the last arrival settles without bound.
+        for turn in 0..=arrivals.len() {
+            let arrival = arrivals.get(turn);
+            let horizon = match arrival {
+                Some(&(_, gap, _, _, settle_first)) => {
+                    now += gap;
+                    // Strictly before the arrival instant, as the driver
+                    // settles.
+                    settle_first.then(|| now.saturating_sub(1))
+                }
+                None => Some(Ns::MAX),
+            };
+            while let Some(horizon) = horizon {
+                prop_assert_eq!(
+                    shard.waiting.iter().map(|w| w.issued_at).min(),
+                    scan_oracle::earliest(&oracle)
+                );
+                let Some(earliest) = scan_oracle::earliest(&oracle) else {
+                    break;
+                };
+                let t0 = busy_until.max(earliest);
+                if t0 > horizon {
+                    break;
+                }
+                if decisions == die_after {
+                    let mut live = std::mem::take(&mut shard.waiting);
+                    live.sort_by_key(|w| w.token);
+                    let live: Vec<ReqToken> = live.iter().map(|w| w.token).collect();
+                    let scanned: Vec<ReqToken> = scan_oracle::drain(&mut oracle)
+                        .iter()
+                        .map(|w| w.token)
+                        .collect();
+                    prop_assert_eq!(live, scanned, "a dead shard drains in token order");
+                    return Ok(decisions);
+                }
+                let pos = select_next(shard, t0, discipline);
+                let picked = shard.waiting.remove(pos);
+                let expected = oracle.remove(scan_oracle::select_next(&oracle, t0, discipline));
+                prop_assert_eq!(
+                    picked.token,
+                    expected.token,
+                    "decision {} at t0={} under {:?}",
+                    decisions,
+                    t0,
+                    discipline
+                );
+                decisions += 1;
+                if let DispatchDiscipline::WeightedFair { .. } = discipline {
+                    vtime = vtime.max(picked.finish_tag);
+                }
+                busy_until = t0 + service_of[&picked.token];
+            }
+            let Some(&(class, _, estimate, service, _)) = arrival else {
+                break;
+            };
+            let finish_tag = match discipline {
+                DispatchDiscipline::WeightedFair { weights } => {
+                    let start = vtime.max(last_finish[class]);
+                    let tag = start
+                        + u128::from(estimate.max(1)) * WFQ_SCALE / u128::from(weights[class]);
+                    last_finish[class] = tag;
+                    tag
+                }
+                _ => 0,
+            };
+            let token = turn as u64;
+            service_of.insert(ReqToken(token), service);
+            shard
+                .waiting
+                .push(request(token, ReqClass::ALL[class], now, finish_tag));
+            oracle.push(request(token, ReqClass::ALL[class], now, finish_tag));
+        }
+        Ok(decisions)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// At every decision instant the live waiting room picks the
+        /// request the scanning waiting room picks, and a dead shard
+        /// drains in the same order — under weighted fair queueing with
+        /// arbitrary weights and under strict priority with arbitrary
+        /// promotion bounds, over arbitrary class / arrival-time /
+        /// service-estimate sequences.
+        #[test]
+        fn every_dispatch_decision_is_the_scan_oracles(
+            arrivals in arrivals(),
+            weights in (weight(), weight(), weight()),
+            promote_after_ns in 1u64..12,
+            die_after in prop_oneof![0usize..160, Just(usize::MAX)],
+        ) {
+            let mut cfg = FrontendRun::new(base(16 << 20), 1);
+            cfg.base.dataset_fraction = 0.05;
+            let mut fe = Frontend::new(&cfg).expect("frontend");
+            for discipline in [
+                DispatchDiscipline::WeightedFair { weights: [weights.0, weights.1, weights.2] },
+                DispatchDiscipline::StrictPriority { promote_after_ns },
+            ] {
+                let decisions =
+                    replay_against_the_scan(&mut fe.shards[0], &arrivals, discipline, die_after)?;
+                prop_assert!(decisions <= arrivals.len());
+            }
+        }
     }
 
     #[test]

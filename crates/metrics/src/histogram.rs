@@ -207,6 +207,256 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The histogram as it was while every instance held all 640
+    /// buckets from `new()` on: copied verbatim while it was the live
+    /// code, and kept as the oracle the live histogram is held to.
+    mod fixed640 {
+        use super::super::{BASE_NS, BUCKETS, GROWTH};
+
+        #[derive(Debug, Clone)]
+        pub struct LatencyHistogram {
+            counts: Vec<u64>,
+            total: u64,
+            sum_ns: u128,
+            max_ns: u64,
+            min_ns: u64,
+        }
+
+        impl LatencyHistogram {
+            pub fn new() -> Self {
+                Self {
+                    counts: vec![0; BUCKETS],
+                    total: 0,
+                    sum_ns: 0,
+                    max_ns: 0,
+                    min_ns: u64::MAX,
+                }
+            }
+
+            pub fn record(&mut self, ns: u64) {
+                let idx = Self::bucket_of(ns);
+                self.counts[idx] += 1;
+                self.total += 1;
+                self.sum_ns += ns as u128;
+                self.max_ns = self.max_ns.max(ns);
+                self.min_ns = self.min_ns.min(ns);
+            }
+
+            fn bucket_of(ns: u64) -> usize {
+                if (ns as f64) <= BASE_NS {
+                    return 0;
+                }
+                let idx = ((ns as f64 / BASE_NS).ln() / GROWTH.ln()) as usize;
+                idx.min(BUCKETS - 1)
+            }
+
+            pub fn count(&self) -> u64 {
+                self.total
+            }
+
+            pub fn mean(&self) -> f64 {
+                if self.total == 0 {
+                    0.0
+                } else {
+                    self.sum_ns as f64 / self.total as f64
+                }
+            }
+
+            pub fn max(&self) -> u64 {
+                if self.total == 0 {
+                    0
+                } else {
+                    self.max_ns
+                }
+            }
+
+            pub fn min(&self) -> u64 {
+                if self.total == 0 {
+                    0
+                } else {
+                    self.min_ns
+                }
+            }
+
+            pub fn quantile(&self, q: f64) -> u64 {
+                assert!((0.0..=1.0).contains(&q));
+                if self.total == 0 {
+                    return 0;
+                }
+                let target = (q * self.total as f64).ceil().max(1.0) as u64;
+                let mut cum = 0;
+                for (i, &c) in self.counts.iter().enumerate() {
+                    cum += c;
+                    if cum >= target {
+                        return (BASE_NS * GROWTH.powi(i as i32 + 1)) as u64;
+                    }
+                }
+                self.max_ns
+            }
+
+            pub fn fraction_at_most(&self, ns: u64) -> f64 {
+                if self.total == 0 {
+                    return 1.0;
+                }
+                if ns >= self.max_ns {
+                    return 1.0;
+                }
+                let mut cum = 0u64;
+                for (i, &c) in self.counts.iter().enumerate() {
+                    let edge = if i == BUCKETS - 1 {
+                        self.max_ns
+                    } else {
+                        (BASE_NS * GROWTH.powi(i as i32 + 1)) as u64
+                    };
+                    if edge > ns {
+                        break;
+                    }
+                    cum += c;
+                }
+                cum as f64 / self.total as f64
+            }
+
+            pub fn cdf_points(&self) -> Vec<(u64, f64)> {
+                let mut out = Vec::new();
+                if self.total == 0 {
+                    return out;
+                }
+                let mut cum = 0u64;
+                for (i, &c) in self.counts.iter().enumerate() {
+                    if c == 0 {
+                        continue;
+                    }
+                    cum += c;
+                    let edge = (BASE_NS * GROWTH.powi(i as i32 + 1)) as u64;
+                    out.push((edge, cum as f64 / self.total as f64));
+                }
+                let final_edge = (BASE_NS * GROWTH.powi(BUCKETS as i32)) as u64;
+                match out.last_mut() {
+                    Some((edge, _)) if *edge < final_edge => out.push((final_edge, 1.0)),
+                    _ => {}
+                }
+                out
+            }
+
+            pub fn merge(&mut self, other: &LatencyHistogram) {
+                if other.total == 0 {
+                    return;
+                }
+                for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                    *a = a.saturating_add(*b);
+                }
+                self.total = self.total.saturating_add(other.total);
+                self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+                self.max_ns = self.max_ns.max(other.max_ns);
+                self.min_ns = self.min_ns.min(other.min_ns);
+            }
+
+            pub fn reset(&mut self) {
+                self.counts.fill(0);
+                self.total = 0;
+                self.sum_ns = 0;
+                self.max_ns = 0;
+                self.min_ns = u64::MAX;
+            }
+        }
+    }
+
+    /// One step over a set of three histograms.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Record(usize, u64),
+        /// Merge histogram `.1` into histogram `.0`.
+        Merge(usize, usize),
+        Reset(usize),
+    }
+
+    /// Latencies over the whole bucket range: at and under the 100 ns
+    /// floor, the microsecond-to-second body, simulated hours, and past
+    /// the last nominal edge (~2.2 h), where the top bucket clamps.
+    fn latency() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..200,
+            0u64..5_000_000,
+            0u64..2_000_000_000_000,
+            7_000_000_000_000u64..40_000_000_000_000,
+            Just(u64::MAX / 2),
+        ]
+    }
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        proptest::collection::vec(
+            prop_oneof![
+                12 => (0usize..3, latency()).prop_map(|(h, ns)| Step::Record(h, ns)),
+                3 => (0usize..3, 0usize..3).prop_map(|(into, from)| Step::Merge(into, from)),
+                1 => (0usize..3).prop_map(Step::Reset),
+            ],
+            0..80,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary record / merge / reset sequences read identically
+        /// through the live histogram and the fixed-640 oracle: every
+        /// summary, quantile, attainment fraction and CDF point —
+        /// including the clamped top bucket and merges between
+        /// histograms that have seen different ranges, both ways round.
+        #[test]
+        fn reads_match_the_fixed_640_bucket_oracle(
+            steps in steps(),
+            thresholds in proptest::collection::vec(latency(), 4),
+        ) {
+            let mut live = [
+                LatencyHistogram::new(),
+                LatencyHistogram::new(),
+                LatencyHistogram::new(),
+            ];
+            let mut oracle = [
+                fixed640::LatencyHistogram::new(),
+                fixed640::LatencyHistogram::new(),
+                fixed640::LatencyHistogram::new(),
+            ];
+            for step in steps {
+                let touched = match step {
+                    Step::Record(h, ns) => {
+                        live[h].record(ns);
+                        oracle[h].record(ns);
+                        h
+                    }
+                    Step::Merge(into, from) => {
+                        let (other, other_oracle) = (live[from].clone(), oracle[from].clone());
+                        live[into].merge(&other);
+                        oracle[into].merge(&other_oracle);
+                        into
+                    }
+                    Step::Reset(h) => {
+                        live[h].reset();
+                        oracle[h].reset();
+                        h
+                    }
+                };
+                let (l, o) = (&live[touched], &oracle[touched]);
+                prop_assert_eq!(l.count(), o.count());
+                prop_assert_eq!(l.mean().to_bits(), o.mean().to_bits());
+                prop_assert_eq!((l.min(), l.max()), (o.min(), o.max()));
+                for q in [0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                    prop_assert_eq!(l.quantile(q), o.quantile(q), "q={}", q);
+                }
+                for &ns in thresholds.iter().chain(&[o.min(), o.max(), o.max() / 2]) {
+                    prop_assert_eq!(
+                        l.fraction_at_most(ns).to_bits(),
+                        o.fraction_at_most(ns).to_bits(),
+                        "ns={}",
+                        ns
+                    );
+                }
+                prop_assert_eq!(l.cdf_points(), o.cdf_points());
+            }
+        }
+    }
 
     #[test]
     fn records_and_summarizes() {

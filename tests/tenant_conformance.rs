@@ -25,9 +25,10 @@ use ptsbench::core::frontend::{
 use ptsbench::core::registry::EngineKind;
 use ptsbench::core::runner::RunConfig;
 use ptsbench::core::ReqClass;
-use ptsbench::harness::run_frontend;
-use ptsbench::ssd::{MINUTE, SECOND};
-use ptsbench::workload::{ArrivalSpec, KeyDistribution};
+use ptsbench::harness::{run_frontend, Frontend, ReqOutcome, Request};
+use ptsbench::metrics::runreport::{RunReport, ShardReport};
+use ptsbench::ssd::{MILLISECOND, MINUTE, SECOND};
+use ptsbench::workload::{ArrivalSpec, KeyDistribution, OpKind};
 
 mod common;
 use common::{base, engines, golden_section, serving_shape};
@@ -154,5 +155,157 @@ fn wfq_overload_matches_the_scanning_driver_golden_output() {
     assert_eq!(
         run_frontend(&cfg).expect("run").render(),
         include_str!("golden/frontend_wfq_overload.txt")
+    );
+}
+
+/// Strict priority's decisions, pinned against history: two LSM shards
+/// at about twice their capacity for two simulated minutes, traffic in
+/// all three classes (bursts of simultaneous submissions included), a
+/// promotion bound short enough that aged batch and background work
+/// keeps jumping the class order, and the batch lane under a
+/// [`SloPolicy::Deadline`] so stale requests are shed at dispatch. The
+/// front-end is driven by hand the way `run_frontend` drives an
+/// open-loop fleet and drained with `wait_all`, so the snapshot holds
+/// the rendered report *and* a checksum over every completion's
+/// identity, placement, outcome, timestamps and decision order. It was
+/// recorded from the dispatcher that scanned one `Vec` of waiting
+/// requests per decision, before the waiting room became per-class
+/// lanes.
+#[test]
+fn strict_priority_overload_matches_the_scanning_dispatcher_golden_output() {
+    let mut cfg = FrontendRun::new(
+        RunConfig {
+            distribution: KeyDistribution::Zipfian { theta: 0.9 },
+            duration: 2 * MINUTE,
+            sample_window: MINUTE,
+            ..base(EngineKind::lsm(), 32 << 20)
+        },
+        3,
+    );
+    cfg.shards = 2;
+    cfg.discipline = DispatchDiscipline::StrictPriority {
+        promote_after_ns: 6 * SECOND,
+    };
+    cfg.slo = ClassPolicyMap::default().with(
+        ReqClass::Batch,
+        SloPolicy::Deadline {
+            budget_ns: 5 * SECOND,
+        },
+    );
+    let num_keys = cfg.base.workload().num_keys;
+    let mut frontend = Frontend::new(&cfg).expect("frontend");
+
+    // Knuth's MMIX LCG, high bits: the stream is part of the snapshot.
+    let mut state = 0x5eed_u64;
+    let mut draw = move |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    let mut tokens = Vec::new();
+    let mut at = 0;
+    while at < cfg.base.duration {
+        frontend.advance_to(at);
+        frontend.settle_to(at.saturating_sub(1)).expect("settle");
+        let kind = if draw(4) == 0 {
+            OpKind::Update
+        } else {
+            OpKind::Read
+        };
+        let request = Request {
+            kind,
+            key_index: draw(num_keys),
+            value: match kind {
+                OpKind::Update => vec![0xA5; 64],
+                OpKind::Read => Vec::new(),
+            },
+            // Half batch, a third background, a sixth interactive.
+            class: [
+                ReqClass::Batch,
+                ReqClass::Background,
+                ReqClass::Batch,
+                ReqClass::Interactive,
+                ReqClass::Batch,
+                ReqClass::Background,
+            ][draw(6) as usize],
+            tenant: 0,
+        };
+        tokens.push(frontend.submit(request).expect("submit"));
+        // One arrival in four shares its instant with the next.
+        if draw(4) != 0 {
+            at += 1 + draw(1200 * MILLISECOND);
+        }
+    }
+
+    let completions = frontend.wait_all().expect("wait_all");
+    assert_eq!(completions.len(), tokens.len(), "exactly-once resolution");
+    let mut fnv = 0xcbf2_9ce4_8422_2325_u64;
+    let mut fold = |word: u64| {
+        for byte in word.to_le_bytes() {
+            fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let (mut served, mut shed) = (0, 0);
+    for c in &completions {
+        let index = tokens.binary_search(&c.token).expect("a submitted token");
+        let outcome = match c.outcome {
+            ReqOutcome::Served => 0,
+            ReqOutcome::Shed => 1,
+            other => panic!("nothing rejects, throttles or runs out of space here: {other:?}"),
+        };
+        served += u64::from(outcome == 0);
+        shed += u64::from(outcome == 1);
+        for word in [
+            index as u64,
+            c.shard as u64,
+            outcome,
+            c.issued_at,
+            c.done_at,
+            c.seq,
+        ] {
+            fold(word);
+        }
+    }
+
+    let reports = frontend
+        .finish()
+        .into_iter()
+        .enumerate()
+        .map(|(index, shard)| {
+            let r = &shard.result;
+            ShardReport {
+                name: format!("shard{index}"),
+                ops: r.ops_executed,
+                out_of_space: r.out_of_space,
+                latency: r.latency.clone(),
+                app_bytes: r.app_bytes_written,
+                host_bytes: r.host_bytes_written,
+                io_depth: None,
+                queue_delay: Some(shard.queue_delay),
+                load: Some(shard.load),
+                slo: Some(shard.slo),
+                mt: Some(shard.mt),
+                cache: r.cache,
+                cause: r.cause,
+                maint: r.maint,
+                series: vec![r.throughput_series(), r.device_write_series()],
+            }
+        })
+        .collect();
+    let report = RunReport::merge(cfg.label(), cfg.clients, reports);
+    let rendered = format!(
+        "{}completions={} served={served} shed={shed}\n\
+         fnv1a(token, shard, outcome, issued_at, done_at, seq)={fnv:016x}\n",
+        report.render(),
+        completions.len(),
+    );
+    assert!(
+        shed > 0 && served > 0,
+        "the shed branch must run: {rendered}"
+    );
+    assert_eq!(
+        rendered,
+        include_str!("golden/frontend_strict_overload.txt")
     );
 }
