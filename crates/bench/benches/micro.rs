@@ -2,8 +2,9 @@
 //! write path, extent allocator, memtable, bloom filter, SSTable
 //! build/lookup, B+Tree operations and the k-way merge — and, layer by
 //! layer, the B+Tree's page walk and the LSM's compaction data path at
-//! the paper's geometry, and the block codec over blocks the branch
-//! predictor cannot learn.
+//! the paper's geometry, the block codec over blocks the branch
+//! predictor cannot learn, and one serving-dispatch decision at two
+//! backlog depths.
 
 use std::cell::RefCell;
 
@@ -15,15 +16,20 @@ use ptsbench_btree::node::Node;
 use ptsbench_btree::pager::Pager;
 use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
 use ptsbench_cache::Compression;
+use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun};
+use ptsbench_core::registry::EngineKind;
+use ptsbench_core::runner::RunConfig;
+use ptsbench_core::ReqClass;
+use ptsbench_harness::{Frontend, Request};
 use ptsbench_lsm::bloom::BloomFilter;
 use ptsbench_lsm::iter::{EntryStream, KWayMerge};
 use ptsbench_lsm::memtable::Memtable;
 use ptsbench_lsm::sstable::format::encode_entry;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
-use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
+use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd, MINUTE, SECOND};
 use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, Vfs, VfsOptions};
-use ptsbench_workload::{encode_key, fill_value};
+use ptsbench_workload::{encode_key, fill_value, OpKind};
 
 fn fresh_vfs(mb: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), mb << 20));
@@ -513,6 +519,66 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// One dispatch decision of the serving front-end's reordering path
+/// (`Frontend::settle_one`: find the next dispatch instant, let the
+/// discipline pick, serve one cached LSM read) with a standing backlog
+/// on one shard, all three classes waiting. The backlog is topped up
+/// outside the timed region, so every sample decides at the named
+/// depth; the two depths should read alike. The strict-priority rows
+/// are the ones that run the promotion test: after the first simulated
+/// second every decision finds the oldest request past the bound.
+fn bench_frontend_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frontend_dispatch");
+    group.sample_size(4000);
+    for (name, discipline) in [
+        (
+            "wfq",
+            DispatchDiscipline::WeightedFair { weights: [8, 2, 1] },
+        ),
+        (
+            "strict",
+            DispatchDiscipline::StrictPriority {
+                promote_after_ns: SECOND,
+            },
+        ),
+    ] {
+        for (depth, backlog) in [("1k", 1 << 10), ("32k", 32 << 10)] {
+            let mut cfg = FrontendRun::new(
+                RunConfig {
+                    engine: EngineKind::lsm(),
+                    device_bytes: 16 << 20,
+                    read_fraction: 1.0,
+                    duration: 600 * MINUTE,
+                    sample_window: 300 * MINUTE,
+                    ..RunConfig::default()
+                },
+                1,
+            );
+            cfg.discipline = discipline;
+            let keys = cfg.base.workload().num_keys;
+            let mut rng = SmallRng::seed_from_u64(11);
+            let mut read = move || Request {
+                kind: OpKind::Read,
+                key_index: rng.gen_range(0..keys),
+                class: ReqClass::ALL[rng.gen_range(0..3usize)],
+                ..Request::default()
+            };
+            let frontend = RefCell::new(Frontend::new(&cfg).expect("frontend"));
+            for _ in 0..backlog {
+                frontend.borrow_mut().submit(read()).expect("submit");
+            }
+            group.bench_function(&format!("{name}_backlog_{depth}"), |b| {
+                b.iter_batched(
+                    || frontend.borrow_mut().submit(read()).expect("submit"),
+                    |_| black_box(frontend.borrow_mut().settle_one().expect("settle")),
+                    BatchSize::PerIteration,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ftl,
@@ -524,6 +590,7 @@ criterion_group!(
     bench_engines,
     bench_btree_layers,
     bench_lsm_data_path,
-    bench_codec
+    bench_codec,
+    bench_frontend_dispatch
 );
 criterion_main!(benches);

@@ -30,6 +30,25 @@
 //! per-tenant token buckets throttle over-quota submissions before any
 //! of that (property-tested in `tests/proptest_tenant.rs`).
 //!
+//! The waiting room is one FIFO lane per class, and a dispatch decision
+//! looks at the lane heads only — its cost does not depend on the
+//! backlog. Three things make a head stand for its whole lane: within a
+//! class, requests enter with nondecreasing arrival times (the
+//! front-end clock never moves backwards), with rising tokens, and —
+//! under WFQ — with nondecreasing finish tags (a class's next tag
+//! starts no earlier than its last). So the head is its class's oldest,
+//! first-submitted and lowest-tagged request at once, the requests
+//! present at a decision instant are a prefix of each lane, and every
+//! rule a discipline applies (`min (finish tag, token)`; "the oldest
+//! request once it has aged past the promotion bound, else
+//! `min (priority, arrival, token)`") picks among at most three
+//! candidates what a scan over every waiting request would pick. The
+//! scan survives in this file's tests, as the oracle.
+//!
+//! A request whose completion nobody will collect — every request of
+//! an open-loop client — goes in through [`Frontend::submit_detached`]:
+//! served and accounted like any other, never parked.
+//!
 //! Because service times are computed at submission from deterministic
 //! per-shard state, a fixed request stream produces byte-identical
 //! completions run-to-run; [`run_frontend`] drives seeded arrival
@@ -54,7 +73,7 @@ use ptsbench_workload::{encode_key, route_hash, ArrivalClock, OpGenerator, OpKin
 use crate::driver::{base_shard_report, HarnessOutcome};
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Rejection turnaround of a request dropped by an out-of-space shard,
 /// in virtual nanoseconds: the error response still takes a round
@@ -189,7 +208,9 @@ impl ReqCompletion {
 }
 
 /// One request admitted into a reordering shard's waiting room, not
-/// yet decided by the dispatch discipline.
+/// yet decided by the dispatch discipline. It entered the room at
+/// `submitted_at`: the lazy dispatcher admits immediately (see
+/// [`Frontend::submit`]).
 struct WaitingReq {
     token: ReqToken,
     kind: OpKind,
@@ -198,12 +219,84 @@ struct WaitingReq {
     class: ReqClass,
     tenant: TenantId,
     submitted_at: Ns,
-    /// When the request entered the waiting room (= `submitted_at`:
-    /// the lazy dispatcher admits immediately; see
-    /// [`Frontend::submit`]).
-    issued_at: Ns,
     /// WFQ virtual finish tag (0 under strict priority).
     finish_tag: u128,
+    /// Submitted through [`Frontend::submit_detached`]: the decided
+    /// record is dropped, not parked for collection.
+    detached: bool,
+}
+
+impl WaitingReq {
+    /// The record of this request dropped by `shard` at the dispatch
+    /// instant `t0` — also the template `pump` fills in when the
+    /// request is shed or served instead.
+    fn dropped(&self, shard: usize, t0: Ns) -> ReqCompletion {
+        ReqCompletion {
+            token: self.token,
+            shard,
+            kind: self.kind,
+            key_index: self.key_index,
+            submitted_at: self.submitted_at,
+            issued_at: self.submitted_at,
+            done_at: t0 + DROP_LATENCY,
+            service_ns: 0,
+            outcome: ReqOutcome::ShardOutOfSpace,
+            class: self.class,
+            tenant: self.tenant,
+            seq: 0,
+        }
+    }
+}
+
+/// A reordering shard's waiting room: one FIFO lane per [`ReqClass`].
+/// Arrival times, tokens and finish tags never fall along a lane
+/// (`push` asserts it), which is what lets a dispatch decision look at
+/// the heads alone — see the module documentation.
+#[derive(Default)]
+struct WaitingRoom {
+    lanes: [VecDeque<WaitingReq>; 3],
+}
+
+impl WaitingRoom {
+    fn push(&mut self, w: WaitingReq) {
+        let lane = &mut self.lanes[w.class.index()];
+        debug_assert!(
+            lane.back().is_none_or(|last| {
+                last.submitted_at <= w.submitted_at
+                    && last.token < w.token
+                    && last.finish_tag <= w.finish_tag
+            }),
+            "a lane's arrival times, tokens and finish tags never fall"
+        );
+        lane.push_back(w);
+    }
+
+    /// The oldest request of each non-empty lane, in class order.
+    fn heads(&self) -> impl Iterator<Item = &WaitingReq> {
+        self.lanes.iter().filter_map(VecDeque::front)
+    }
+
+    /// When the oldest waiting request arrived (`None` when empty).
+    fn earliest(&self) -> Option<Ns> {
+        self.heads().map(|w| w.submitted_at).min()
+    }
+
+    fn pop(&mut self, class: ReqClass) -> WaitingReq {
+        self.lanes[class.index()]
+            .pop_front()
+            .expect("the discipline picked the head of a non-empty lane")
+    }
+
+    /// Empties the room, in submission order.
+    fn drain_by_token(&mut self) -> Vec<WaitingReq> {
+        let mut all: Vec<WaitingReq> = self.lanes.iter_mut().flat_map(|l| l.drain(..)).collect();
+        all.sort_by_key(|w| w.token);
+        all
+    }
+
+    fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
+    }
 }
 
 /// One shard's state behind the dispatcher.
@@ -219,7 +312,7 @@ struct ShardState {
     /// Requests admitted but not yet decided, under a reordering
     /// [`DispatchDiscipline`] only (always empty under FIFO, whose
     /// outcomes are decided eagerly at submission).
-    waiting: Vec<WaitingReq>,
+    waiting: WaitingRoom,
     load: ShardLoad,
     queue_delay: LatencyHistogram,
     /// SLO accounting (tracked unconditionally; attached to reports
@@ -356,7 +449,7 @@ impl Frontend {
                 experiment,
                 slots: Vec::with_capacity(cfg.queue_depth),
                 busy_until: 0,
-                waiting: Vec::new(),
+                waiting: WaitingRoom::default(),
                 load: ShardLoad {
                     span_ns: cfg.base.duration,
                     ..ShardLoad::default()
@@ -420,9 +513,10 @@ impl Frontend {
     }
 
     /// Requests admitted to `shard` and not yet complete at the current
-    /// front-end time (bounded by the configured queue depth under FIFO
-    /// dispatch; reordering disciplines add their undecided waiting
-    /// room).
+    /// front-end time: the occupied queue slots (bounded by the
+    /// configured queue depth under FIFO dispatch) plus, under a
+    /// reordering discipline, everything still undecided in the
+    /// waiting room's class lanes (unbounded).
     pub fn in_flight(&self, shard: usize) -> usize {
         self.shards[shard]
             .slots
@@ -465,6 +559,26 @@ impl Frontend {
     /// at that instant). Neither consumes any device or engine time.
     /// Hard engine failures return `Err`.
     pub fn submit(&mut self, req: Request) -> Result<ReqToken, PtsError> {
+        self.submit_inner(req, false)
+    }
+
+    /// [`Frontend::submit`] for a request whose completion nobody will
+    /// collect — the name and meaning of
+    /// [`IoQueue::submit_detached`](ptsbench_ssd::IoQueue::submit_detached)
+    /// one level up. The request is routed, admitted, served,
+    /// accounted, traced and numbered in the decision order
+    /// ([`ReqCompletion::seq`]) exactly as if submitted, but its decided
+    /// record is dropped instead of parked: it never shows in
+    /// [`Frontend::pending`] and no collector returns it. This is what
+    /// keeps an open-loop run's memory independent of how many
+    /// requests it has served.
+    pub fn submit_detached(&mut self, req: Request) -> Result<(), PtsError> {
+        self.submit_inner(req, true).map(drop)
+    }
+
+    /// The one body of [`Frontend::submit`] and
+    /// [`Frontend::submit_detached`].
+    fn submit_inner(&mut self, req: Request, detached: bool) -> Result<ReqToken, PtsError> {
         let shard_idx = self.route(req.key_index);
         let token = ReqToken(self.next_token);
         self.next_token += 1;
@@ -510,7 +624,7 @@ impl Frontend {
                 shard.mt.tenant_mut(req.tenant).throttled += 1;
                 completion.done_at = now + REJECT_LATENCY;
                 completion.outcome = ReqOutcome::Throttled;
-                self.resolve(completion);
+                self.resolve(completion, detached);
                 return Ok(token);
             }
         }
@@ -520,11 +634,11 @@ impl Frontend {
 
         if shard.dead {
             shard.load.dropped += 1;
-            self.resolve(completion);
+            self.resolve(completion, detached);
             return Ok(token);
         }
         if !self.cfg.discipline.is_fifo() {
-            return self.submit_lazy(shard_idx, req, completion, policy);
+            return self.submit_lazy(shard_idx, req, completion, policy, detached);
         }
         let shard = &mut self.shards[shard_idx];
         shard.slots.retain(|&done| done > now);
@@ -569,7 +683,7 @@ impl Frontend {
             }
             completion.done_at = now + REJECT_LATENCY;
             completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion);
+            self.resolve(completion, detached);
             return Ok(token);
         }
         shard.slo.admitted += 1;
@@ -592,7 +706,7 @@ impl Frontend {
                 shard.mt.class_mut(req.class).slo.shed += 1;
                 completion.done_at = start_lb;
                 completion.outcome = ReqOutcome::Shed;
-                self.resolve(completion);
+                self.resolve(completion, detached);
                 return Ok(token);
             }
         }
@@ -674,18 +788,22 @@ impl Frontend {
                 shard.load.dropped += 1;
             }
         }
-        self.resolve(completion);
+        self.resolve(completion, detached);
         Ok(token)
     }
 
     /// Stamps a decided completion with its resolution sequence number
-    /// (see [`ReqCompletion::seq`]) and parks it for collection. Every
-    /// outcome — served, dropped, rejected, shed, throttled — resolves
-    /// through here, so `seq` is a total order over decisions.
-    fn resolve(&mut self, mut completion: ReqCompletion) {
+    /// (see [`ReqCompletion::seq`]) and parks it for collection — or,
+    /// for a detached submission, drops it. Every outcome — served,
+    /// dropped, rejected, shed, throttled — of either kind of
+    /// submission resolves through here, so `seq` is a total order over
+    /// decisions.
+    fn resolve(&mut self, mut completion: ReqCompletion, detached: bool) {
         completion.seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(completion.token.0, completion);
+        if !detached {
+            self.pending.insert(completion.token.0, completion);
+        }
     }
 
     /// Admission under a reordering [`DispatchDiscipline`]: the request
@@ -714,6 +832,7 @@ impl Frontend {
         req: Request,
         mut completion: ReqCompletion,
         policy: SloPolicy,
+        detached: bool,
     ) -> Result<ReqToken, PtsError> {
         let now = self.now;
         let token = completion.token;
@@ -742,7 +861,7 @@ impl Frontend {
             }
             completion.done_at = now + REJECT_LATENCY;
             completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion);
+            self.resolve(completion, detached);
             return Ok(token);
         }
         shard.slo.admitted += 1;
@@ -771,8 +890,8 @@ impl Frontend {
             class: req.class,
             tenant: req.tenant,
             submitted_at: now,
-            issued_at: now,
             finish_tag,
+            detached,
         });
         Ok(token)
     }
@@ -780,21 +899,16 @@ impl Frontend {
     /// Decides waiting requests on one shard whose service start falls
     /// at or before `horizon`: repeatedly finds the next dispatch
     /// instant (engine free and at least one request present), lets the
-    /// discipline pick among the requests present at that instant, and
-    /// serves or sheds the pick. A no-op for empty waiting rooms, hence
-    /// for FIFO dispatch entirely.
+    /// discipline pick among the lane heads present at that instant,
+    /// and serves or sheds the pick. Each decision costs the same
+    /// however long the lanes are. A no-op for empty waiting rooms,
+    /// hence for FIFO dispatch entirely.
     fn pump(&mut self, shard_idx: usize, horizon: Ns) -> Result<(), PtsError> {
         loop {
             let shard = &mut self.shards[shard_idx];
-            if shard.waiting.is_empty() {
+            let Some(earliest) = shard.waiting.earliest() else {
                 return Ok(());
-            }
-            let earliest = shard
-                .waiting
-                .iter()
-                .map(|w| w.issued_at)
-                .min()
-                .expect("non-empty waiting room");
+            };
             // The next dispatch decision: the engine is free and at
             // least one request has arrived. Nondecreasing across
             // iterations (serving raises `busy_until` past it; shedding
@@ -808,57 +922,29 @@ impl Frontend {
                 // The shard died with requests still waiting: they all
                 // drop, in submission order, with the same turnaround a
                 // direct submission to a dead shard gets.
-                let mut rest = std::mem::take(&mut shard.waiting);
-                rest.sort_by_key(|w| w.token);
-                for w in rest {
-                    let shard = &mut self.shards[shard_idx];
-                    shard.load.dropped += 1;
-                    self.resolve(ReqCompletion {
-                        token: w.token,
-                        shard: shard_idx,
-                        kind: w.kind,
-                        key_index: w.key_index,
-                        submitted_at: w.submitted_at,
-                        issued_at: w.issued_at,
-                        done_at: t0 + DROP_LATENCY,
-                        service_ns: 0,
-                        outcome: ReqOutcome::ShardOutOfSpace,
-                        class: w.class,
-                        tenant: w.tenant,
-                        seq: 0,
-                    });
+                for w in shard.waiting.drain_by_token() {
+                    self.shards[shard_idx].load.dropped += 1;
+                    self.resolve(w.dropped(shard_idx, t0), w.detached);
                 }
                 return Ok(());
             }
-            let pos = select_next(shard, t0, self.cfg.discipline);
-            let w = shard.waiting.remove(pos);
+            let w = shard
+                .waiting
+                .pop(select_next(&shard.waiting, t0, self.cfg.discipline));
             if let DispatchDiscipline::WeightedFair { .. } = self.cfg.discipline {
                 // Self-clocking: virtual time jumps to the dispatched
                 // tag, so classes going idle don't bank credit.
                 shard.vtime = shard.vtime.max(w.finish_tag);
             }
             let policy = self.cfg.slo.get(w.class);
-            let mut completion = ReqCompletion {
-                token: w.token,
-                shard: shard_idx,
-                kind: w.kind,
-                key_index: w.key_index,
-                submitted_at: w.submitted_at,
-                issued_at: w.issued_at,
-                done_at: t0 + DROP_LATENCY,
-                service_ns: 0,
-                outcome: ReqOutcome::ShardOutOfSpace,
-                class: w.class,
-                tenant: w.tenant,
-                seq: 0,
-            };
+            let mut completion = w.dropped(shard_idx, t0);
             if let SloPolicy::Deadline { budget_ns } = policy {
                 if t0 - w.submitted_at > budget_ns {
                     shard.slo.shed += 1;
                     shard.mt.class_mut(w.class).slo.shed += 1;
                     completion.done_at = t0;
                     completion.outcome = ReqOutcome::Shed;
-                    self.resolve(completion);
+                    self.resolve(completion, w.detached);
                     continue;
                 }
             }
@@ -908,12 +994,12 @@ impl Frontend {
                         policy.deadline_ns().unwrap_or(Ns::MAX)
                     };
                     shard.observe_service(completion.service_ns.min(estimator_cap));
-                    self.resolve(completion);
+                    self.resolve(completion, w.detached);
                 }
                 Served::OutOfSpace => {
                     shard.dead = true;
                     shard.load.dropped += 1;
-                    self.resolve(completion);
+                    self.resolve(completion, w.detached);
                     // The next iteration drains the rest as drops.
                 }
             }
@@ -949,10 +1035,7 @@ impl Frontend {
             .shards
             .iter()
             .enumerate()
-            .filter_map(|(idx, s)| {
-                let earliest = s.waiting.iter().map(|w| w.issued_at).min()?;
-                Some((idx, s.busy_until.max(earliest)))
-            })
+            .filter_map(|(idx, s)| Some((idx, s.busy_until.max(s.waiting.earliest()?))))
             .min_by_key(|&(idx, t0)| (t0, idx));
         let Some((shard_idx, t0)) = next else {
             return Ok(false);
@@ -1052,8 +1135,11 @@ impl Frontend {
     /// per-shard results in shard order. Settles any waiting dispatch
     /// decisions first (panicking on hard engine failures — drivers
     /// that must propagate them call [`Frontend::settle`] themselves
-    /// beforehand). Uncollected completions are discarded — their work
-    /// was executed and is accounted in the shard results either way.
+    /// beforehand). Completions still parked go with the front-end —
+    /// their work was executed and is accounted in the shard results
+    /// either way; a driver that never means to collect a completion
+    /// does not park it in the first place
+    /// ([`Frontend::submit_detached`]).
     pub fn finish(mut self) -> Vec<FrontendShardResult> {
         self.settle()
             .expect("engine failure while settling the dispatch backlog");
@@ -1075,20 +1161,15 @@ impl Frontend {
 /// service estimates.
 const WFQ_SCALE: u128 = 1 << 10;
 
-/// The waiting-room index the discipline serves next at instant `t0`,
-/// among requests already present (`issued_at <= t0` — guaranteed
-/// non-empty, since `t0` is never earlier than the earliest waiting
-/// request). Ties always fall back to token (submission) order, so
-/// dispatch is deterministic.
-fn select_next(shard: &ShardState, t0: Ns, discipline: DispatchDiscipline) -> usize {
-    let candidates = || {
-        shard
-            .waiting
-            .iter()
-            .enumerate()
-            .filter(move |(_, w)| w.issued_at <= t0)
-    };
-    match discipline {
+/// The lane the discipline serves next at instant `t0`, among the lane
+/// heads already present (`submitted_at <= t0` — guaranteed non-empty,
+/// since `t0` is never earlier than the earliest waiting request). A
+/// head stands for its whole lane (see [`WaitingRoom`]), so this is the
+/// choice a scan over every waiting request would make. Ties always
+/// fall back to token (submission) order, so dispatch is deterministic.
+fn select_next(waiting: &WaitingRoom, t0: Ns, discipline: DispatchDiscipline) -> ReqClass {
+    let candidates = || waiting.heads().filter(move |w| w.submitted_at <= t0);
+    let pick = match discipline {
         DispatchDiscipline::Fifo => unreachable!("FIFO dispatch decides eagerly at submission"),
         DispatchDiscipline::StrictPriority { promote_after_ns } => {
             // Highest class first — unless the oldest candidate has
@@ -1096,25 +1177,20 @@ fn select_next(shard: &ShardState, t0: Ns, discipline: DispatchDiscipline) -> us
             // class order. This is the starvation bound the property
             // suite pins: no request waits beyond `promote_after_ns`
             // plus the residual service ahead of it.
-            let (oldest_idx, oldest) = candidates()
-                .min_by_key(|(_, w)| (w.issued_at, w.token))
+            let oldest = candidates()
+                .min_by_key(|w| (w.submitted_at, w.token))
                 .expect("select_next requires a candidate");
-            if t0 - oldest.issued_at > promote_after_ns {
-                oldest_idx
+            if t0 - oldest.submitted_at > promote_after_ns {
+                Some(oldest)
             } else {
-                candidates()
-                    .min_by_key(|(_, w)| (w.class.priority(), w.issued_at, w.token))
-                    .expect("select_next requires a candidate")
-                    .0
+                candidates().min_by_key(|w| (w.class.priority(), w.submitted_at, w.token))
             }
         }
         DispatchDiscipline::WeightedFair { .. } => {
-            candidates()
-                .min_by_key(|(_, w)| (w.finish_tag, w.token))
-                .expect("select_next requires a candidate")
-                .0
+            candidates().min_by_key(|w| (w.finish_tag, w.token))
         }
-    }
+    };
+    pick.expect("select_next requires a candidate").class
 }
 
 /// Pops freed slots (on the caller's scratch copy) until the queue is
@@ -1281,17 +1357,22 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
                     }
                 };
                 client.arrivals.note_submitted();
-                let token = frontend.submit(request)?;
                 match client.arrivals.next_submit() {
-                    // Open loop: the next arrival is already known, and
-                    // the completion is never collected (discarded at
-                    // finish).
-                    Some(next) => due.push(Reverse((next, client_idx))),
+                    // Open loop: the next arrival is already known, so
+                    // nobody will ever collect this completion.
+                    Some(next) => {
+                        frontend.submit_detached(request)?;
+                        due.push(Reverse((next, client_idx)));
+                    }
                     // Closed loop: step 1 collects the completion once
                     // it resolves (immediately under FIFO, at the
                     // dispatch decision otherwise).
-                    None => blocked.push((client_idx, token)),
+                    None => blocked.push((client_idx, frontend.submit(request)?)),
                 }
+                // Only what a blocked client will come back for is
+                // parked, so the run's memory does not grow with the
+                // number of requests it has served.
+                debug_assert!(frontend.pending() <= blocked.len());
                 continue;
             }
         }
@@ -2230,16 +2311,184 @@ mod tests {
         assert!(matches!(fe.wait(token), Err(PtsError::Engine { .. })));
     }
 
+    /// Everything a shard reports, rendered exactly.
+    fn shard_print(shard: &FrontendShardResult) -> String {
+        let histogram =
+            |h: &LatencyHistogram| format!("{} {:?} {:?}", h.count(), h.mean(), h.cdf_points());
+        format!(
+            "ops={} latency[{}] qdelay[{}] {:?} {:?} {}",
+            shard.result.ops_executed,
+            histogram(&shard.result.latency),
+            histogram(&shard.queue_delay),
+            shard.load,
+            shard.slo,
+            shard.mt.render()
+        )
+    }
+
+    #[test]
+    fn detached_submissions_change_nothing_but_what_is_parked() {
+        // The same 300-request stream twice — rejections, sheds and a
+        // backlog included — once all collected, once with two requests
+        // in three detached: identical shard results, and the collected
+        // third carries the same records, `seq` included.
+        use ptsbench_ssd::SECOND;
+        for discipline in [
+            DispatchDiscipline::Fifo,
+            DispatchDiscipline::WeightedFair { weights: [4, 2, 1] },
+            DispatchDiscipline::StrictPriority {
+                promote_after_ns: 2 * SECOND,
+            },
+        ] {
+            let mut cfg = FrontendRun::new(base(32 << 20), 1);
+            cfg.shards = 2;
+            cfg.discipline = discipline;
+            cfg.slo = ptsbench_core::frontend::ClassPolicyMap::default()
+                .with(ReqClass::Batch, SloPolicy::Deadline { budget_ns: SECOND })
+                .with(
+                    ReqClass::Background,
+                    SloPolicy::QueueBound { max_pending: 3 },
+                );
+            let keys = cfg.base.workload().num_keys;
+            let run = |detach: fn(u64) -> bool| {
+                let mut fe = Frontend::new(&cfg).expect("frontend");
+                for i in 0..300u64 {
+                    fe.advance_to(i * SECOND / 8);
+                    fe.settle_to((i * SECOND / 8).saturating_sub(1))
+                        .expect("settle");
+                    let request = Request {
+                        kind: if i % 4 == 0 {
+                            OpKind::Update
+                        } else {
+                            OpKind::Read
+                        },
+                        key_index: i * 7919 % keys,
+                        value: vec![i as u8; 48],
+                        class: ReqClass::ALL[(i % 3) as usize],
+                        tenant: 0,
+                    };
+                    if detach(i) {
+                        fe.submit_detached(request).expect("submit");
+                    } else {
+                        fe.submit(request).expect("submit");
+                    }
+                }
+                let collected = fe.wait_all().expect("wait");
+                let shards: Vec<String> = fe.finish().iter().map(shard_print).collect();
+                (collected, shards)
+            };
+            let (all, shards) = run(|_| false);
+            let (third, shards_detached) = run(|i| i % 3 != 0);
+            assert_eq!(shards, shards_detached, "{discipline:?}");
+            assert_eq!(all.len(), 300);
+            assert!(
+                all.iter().any(|c| c.outcome == ReqOutcome::Shed)
+                    && all.iter().any(|c| c.outcome == ReqOutcome::Rejected),
+                "{discipline:?}: the stream must not only be served"
+            );
+            // Tokens count submissions of either kind.
+            let kept: Vec<ReqCompletion> = all.into_iter().filter(|c| c.token.0 % 3 == 0).collect();
+            assert_eq!(third, kept, "{discipline:?}");
+        }
+    }
+
+    #[test]
+    fn only_requests_somebody_will_collect_are_parked() {
+        use ptsbench_ssd::SECOND;
+        // By hand, on both dispatch paths: an open-loop fleet parks
+        // nothing at any step; with two closed-loop clients beside it,
+        // never more than their two requests.
+        for discipline in [
+            DispatchDiscipline::Fifo,
+            DispatchDiscipline::WeightedFair { weights: [4, 2, 1] },
+        ] {
+            for closed_clients in [0, 2] {
+                let mut cfg = FrontendRun::new(base(16 << 20), 1);
+                cfg.discipline = discipline;
+                let mut fe = Frontend::new(&cfg).expect("frontend");
+                let mut blocked: Vec<ReqToken> = Vec::new();
+                let mut parked_peak = 0;
+                for i in 0..400u64 {
+                    fe.advance_to(i * SECOND / 4);
+                    fe.settle_to((i * SECOND / 4).saturating_sub(1))
+                        .expect("settle");
+                    // Lazily decided requests resolve in the settle.
+                    parked_peak = parked_peak.max(fe.pending());
+                    assert!(fe.pending() <= blocked.len(), "step {i}");
+                    blocked.retain(|&token| fe.take(token).is_none());
+                    let request = Request {
+                        key_index: i,
+                        class: ReqClass::ALL[(i % 3) as usize],
+                        ..Default::default()
+                    };
+                    if blocked.len() < closed_clients {
+                        blocked.push(fe.submit(request).expect("submit"));
+                    } else {
+                        fe.submit_detached(request).expect("submit");
+                    }
+                    assert!(fe.pending() <= blocked.len(), "step {i}");
+                    parked_peak = parked_peak.max(fe.pending());
+                }
+                fe.settle().expect("settle");
+                assert!(fe.pending() <= closed_clients);
+                assert_eq!(parked_peak > 0, closed_clients > 0, "{discipline:?}");
+                let served: u64 = fe.finish().iter().map(|s| s.load.served).sum();
+                assert!(served > 300, "the detached requests were served: {served}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_frontend_parks_only_what_blocked_clients_will_collect() {
+        use ptsbench_ssd::SECOND;
+        // The driver holds itself to that bound after every submission
+        // (a `debug_assert!` in its loop): open-loop fleets and a mixed
+        // one, eager and lazy.
+        for discipline in [
+            DispatchDiscipline::Fifo,
+            DispatchDiscipline::WeightedFair { weights: [4, 2, 1] },
+        ] {
+            let tenant = |class, clients, arrival| TenantSpec {
+                arrival: Some(arrival),
+                ..TenantSpec::new(class, clients)
+            };
+            let poisson = ArrivalSpec::OpenPoisson {
+                mean_interarrival_ns: 4 * SECOND,
+            };
+            for closed in [false, true] {
+                let mut cfg = FrontendRun::new(base(32 << 20), 6);
+                cfg.shards = 2;
+                cfg.discipline = discipline;
+                cfg.tenants = vec![
+                    tenant(ReqClass::Interactive, 3, poisson),
+                    tenant(
+                        ReqClass::Batch,
+                        3,
+                        if closed {
+                            ArrivalSpec::Closed { think_ns: SECOND }
+                        } else {
+                            poisson
+                        },
+                    ),
+                ];
+                let report = run_frontend(&cfg).expect("run");
+                assert!(report.ops > 100, "{}", report.render());
+            }
+        }
+    }
+
     /// The waiting room as the dispatcher kept it before it became
     /// per-class lanes: one `Vec` in arrival order, and every decision
-    /// a scan over all of it. Copied verbatim from `pump`, `settle_one`
-    /// and `select_next` while they were the live code, and kept as the
-    /// oracle the live waiting room is held to.
+    /// a scan over all of it. Copied from `pump`, `settle_one` and
+    /// `select_next` while they were the live code (`issued_at`, which
+    /// never differed from `submitted_at` there, is read as the
+    /// latter), and kept as the oracle the lanes are held to: the only
+    /// scan over waiting requests left in this file.
     mod scan_oracle {
         use super::super::*;
 
         pub fn earliest(waiting: &[WaitingReq]) -> Option<Ns> {
-            waiting.iter().map(|w| w.issued_at).min()
+            waiting.iter().map(|w| w.submitted_at).min()
         }
 
         pub fn select_next(
@@ -2251,7 +2500,7 @@ mod tests {
                 waiting
                     .iter()
                     .enumerate()
-                    .filter(move |(_, w)| w.issued_at <= t0)
+                    .filter(move |(_, w)| w.submitted_at <= t0)
             };
             match discipline {
                 DispatchDiscipline::Fifo => {
@@ -2259,13 +2508,13 @@ mod tests {
                 }
                 DispatchDiscipline::StrictPriority { promote_after_ns } => {
                     let (oldest_idx, oldest) = candidates()
-                        .min_by_key(|(_, w)| (w.issued_at, w.token))
+                        .min_by_key(|(_, w)| (w.submitted_at, w.token))
                         .expect("select_next requires a candidate");
-                    if t0 - oldest.issued_at > promote_after_ns {
+                    if t0 - oldest.submitted_at > promote_after_ns {
                         oldest_idx
                     } else {
                         candidates()
-                            .min_by_key(|(_, w)| (w.class.priority(), w.issued_at, w.token))
+                            .min_by_key(|(_, w)| (w.class.priority(), w.submitted_at, w.token))
                             .expect("select_next requires a candidate")
                             .0
                     }
@@ -2319,13 +2568,12 @@ mod tests {
         prop_oneof![1u32..10, 900u32..5000, 5000u32..1_000_000]
     }
 
-    /// Replays `arrivals` through the live waiting room and the scan
-    /// oracle side by side under one discipline: the same dispatch
-    /// instants (`busy_until.max(earliest)`, bounded by the same
-    /// horizons), the same WFQ tags, and after `die_after` decisions the
-    /// shard dies and drains. Returns how many decisions were compared.
+    /// Replays `arrivals` through the lanes and the scan oracle side by
+    /// side under one discipline: the same dispatch instants
+    /// (`busy_until.max(earliest)`, bounded by the same horizons), the
+    /// same WFQ tags, and after `die_after` decisions the shard dies and
+    /// drains. Returns how many decisions were compared.
     fn replay_against_the_scan(
-        shard: &mut ShardState,
         arrivals: &[Arrival],
         discipline: DispatchDiscipline,
         die_after: usize,
@@ -2338,10 +2586,10 @@ mod tests {
             class,
             tenant: 0,
             submitted_at: at,
-            issued_at: at,
             finish_tag,
+            detached: false,
         };
-        shard.waiting.clear();
+        let mut lanes = WaitingRoom::default();
         let mut oracle: Vec<WaitingReq> = Vec::new();
         let (mut now, mut busy_until, mut decisions) = (0, 0, 0);
         let (mut vtime, mut last_finish) = (0u128, [0u128; 3]);
@@ -2359,11 +2607,9 @@ mod tests {
                 None => Some(Ns::MAX),
             };
             while let Some(horizon) = horizon {
-                prop_assert_eq!(
-                    shard.waiting.iter().map(|w| w.issued_at).min(),
-                    scan_oracle::earliest(&oracle)
-                );
-                let Some(earliest) = scan_oracle::earliest(&oracle) else {
+                prop_assert_eq!(lanes.len(), oracle.len());
+                prop_assert_eq!(lanes.earliest(), scan_oracle::earliest(&oracle));
+                let Some(earliest) = lanes.earliest() else {
                     break;
                 };
                 let t0 = busy_until.max(earliest);
@@ -2371,18 +2617,18 @@ mod tests {
                     break;
                 }
                 if decisions == die_after {
-                    let mut live = std::mem::take(&mut shard.waiting);
-                    live.sort_by_key(|w| w.token);
-                    let live: Vec<ReqToken> = live.iter().map(|w| w.token).collect();
-                    let scanned: Vec<ReqToken> = scan_oracle::drain(&mut oracle)
-                        .iter()
-                        .map(|w| w.token)
-                        .collect();
-                    prop_assert_eq!(live, scanned, "a dead shard drains in token order");
+                    let tokens = |drained: Vec<WaitingReq>| -> Vec<ReqToken> {
+                        drained.iter().map(|w| w.token).collect()
+                    };
+                    prop_assert_eq!(
+                        tokens(lanes.drain_by_token()),
+                        tokens(scan_oracle::drain(&mut oracle)),
+                        "a dead shard drains in token order"
+                    );
+                    prop_assert_eq!(lanes.len(), 0);
                     return Ok(decisions);
                 }
-                let pos = select_next(shard, t0, discipline);
-                let picked = shard.waiting.remove(pos);
+                let picked = lanes.pop(select_next(&lanes, t0, discipline));
                 let expected = oracle.remove(scan_oracle::select_next(&oracle, t0, discipline));
                 prop_assert_eq!(
                     picked.token,
@@ -2413,9 +2659,7 @@ mod tests {
             };
             let token = turn as u64;
             service_of.insert(ReqToken(token), service);
-            shard
-                .waiting
-                .push(request(token, ReqClass::ALL[class], now, finish_tag));
+            lanes.push(request(token, ReqClass::ALL[class], now, finish_tag));
             oracle.push(request(token, ReqClass::ALL[class], now, finish_tag));
         }
         Ok(decisions)
@@ -2424,9 +2668,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// At every decision instant the live waiting room picks the
-        /// request the scanning waiting room picks, and a dead shard
-        /// drains in the same order — under weighted fair queueing with
+        /// At every decision instant the lanes pick the request the
+        /// scanning waiting room picks, and a dead shard drains in the
+        /// same order — under weighted fair queueing with
         /// arbitrary weights and under strict priority with arbitrary
         /// promotion bounds, over arbitrary class / arrival-time /
         /// service-estimate sequences.
@@ -2437,15 +2681,11 @@ mod tests {
             promote_after_ns in 1u64..12,
             die_after in prop_oneof![0usize..160, Just(usize::MAX)],
         ) {
-            let mut cfg = FrontendRun::new(base(16 << 20), 1);
-            cfg.base.dataset_fraction = 0.05;
-            let mut fe = Frontend::new(&cfg).expect("frontend");
             for discipline in [
                 DispatchDiscipline::WeightedFair { weights: [weights.0, weights.1, weights.2] },
                 DispatchDiscipline::StrictPriority { promote_after_ns },
             ] {
-                let decisions =
-                    replay_against_the_scan(&mut fe.shards[0], &arrivals, discipline, die_after)?;
+                let decisions = replay_against_the_scan(&arrivals, discipline, die_after)?;
                 prop_assert!(decisions <= arrivals.len());
             }
         }

@@ -2,14 +2,18 @@
 //!
 //! Operation latencies span five orders of magnitude (cache-hit writes at
 //! tens of microseconds to GC-stalled writes at hundreds of
-//! milliseconds), so buckets grow geometrically. Memory is constant;
-//! recording is O(1); quantiles are approximate to one bucket width
-//! (~4%).
+//! milliseconds), so buckets grow geometrically. Memory is bounded by
+//! 640 buckets, and a histogram holds them only up to the highest one
+//! it has recorded (an empty one holds none: reports keep several per
+//! shard, most covering a fraction of the range); recording is O(1);
+//! quantiles are approximate to one bucket width (~4%).
 
 /// A latency histogram with geometric buckets (4% resolution).
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    /// bucket i covers [BASE * GROWTH^i, BASE * GROWTH^(i+1)).
+    /// bucket i covers [BASE * GROWTH^i, BASE * GROWTH^(i+1)). Ends
+    /// at the highest bucket recorded so far; the buckets past it, up
+    /// to `BUCKETS`, are implicitly zero.
     counts: Vec<u64>,
     total: u64,
     sum_ns: u128,
@@ -32,10 +36,10 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
+    /// An empty histogram (allocates nothing).
     pub fn new() -> Self {
         Self {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -46,6 +50,9 @@ impl LatencyHistogram {
     /// Records one latency observation in nanoseconds.
     pub fn record(&mut self, ns: u64) {
         let idx = Self::bucket_of(ns);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
         self.counts[idx] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
@@ -185,6 +192,9 @@ impl LatencyHistogram {
         if other.total == 0 {
             return;
         }
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a = a.saturating_add(*b);
         }
@@ -196,7 +206,7 @@ impl LatencyHistogram {
 
     /// Clears all observations.
     pub fn reset(&mut self) {
-        self.counts.fill(0);
+        self.counts.clear();
         self.total = 0;
         self.sum_ns = 0;
         self.max_ns = 0;
@@ -211,7 +221,7 @@ mod tests {
 
     /// The histogram as it was while every instance held all 640
     /// buckets from `new()` on: copied verbatim while it was the live
-    /// code, and kept as the oracle the live histogram is held to.
+    /// code, and kept as the oracle the trimmed histogram is held to.
     mod fixed640 {
         use super::super::{BASE_NS, BUCKETS, GROWTH};
 
