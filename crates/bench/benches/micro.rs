@@ -143,6 +143,42 @@ fn bench_sstable(c: &mut Criterion) {
             black_box(builder.finish().expect("finish"))
         })
     });
+    // One table as compaction writes it (background, 4 000 B values) at
+    // two sizes: several 256 KiB appends, and less than one. Half of
+    // each value is noise and half one byte, so the lz1 rows store a
+    // little over half.
+    for (label, table_bytes) in [("1MiB", 1usize << 20), ("128KiB", 128 << 10)] {
+        for (suffix, compression) in [
+            ("", Compression::None),
+            ("_lz1", Compression::from_level(1)),
+        ] {
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..(table_bytes / 4022) as u64)
+                .map(|i| {
+                    let (mut key, mut value) = (Vec::new(), Vec::new());
+                    encode_key(i, 16, &mut key);
+                    fill_value(i, 1, 2000, &mut value);
+                    value.resize(4000, i as u8);
+                    (key, value)
+                })
+                .collect();
+            c.bench_function(&format!("sstable/build_{label}_4k_values{suffix}"), |b| {
+                let fs = fresh_vfs(64);
+                b.iter_batched(
+                    || fs.delete("t").ok(),
+                    |_| {
+                        let mut builder = SstableBuilder::create_bg(fs.clone(), "t", 4096, 10)
+                            .expect("create")
+                            .with_compression(compression);
+                        for (k, v) in &entries {
+                            builder.add(k, Some(v)).expect("add");
+                        }
+                        black_box(builder.finish().expect("finish"))
+                    },
+                    BatchSize::PerIteration,
+                )
+            });
+        }
+    }
     c.bench_function("sstable/point_get", |b| {
         let vfs = fresh_vfs(64);
         let mut builder = SstableBuilder::create(vfs.clone(), "t", 4096, 10).expect("create");
@@ -354,6 +390,24 @@ fn bench_lsm_data_path(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
+    // Growing a table 64 KiB at a time: the caller's buffer copied in.
+    group.bench_function("append_64k", |b| {
+        let fs = fresh_vfs(64);
+        let chunk = vec![0xa5u8; 64 << 10];
+        let file = RefCell::new(fs.create("t").expect("create"));
+        b.iter_batched(
+            || {
+                let mut file = file.borrow_mut();
+                if fs.size(*file).expect("size") >= TABLE {
+                    fs.delete("t").expect("delete");
+                    *file = fs.create("t").expect("create");
+                }
+                *file
+            },
+            |file| fs.append_bg(file, &chunk).expect("append"),
+            BatchSize::PerIteration,
+        )
+    });
     let fs = fresh_vfs(64);
     let table = fs.create("t").expect("create");
     fs.append(table, &vec![0xa5u8; TABLE as usize])
@@ -373,26 +427,6 @@ fn bench_lsm_data_path(c: &mut Criterion) {
                     .expect("read"),
             )
         })
-    });
-    group.finish();
-
-    let mut group = c.benchmark_group("sstable");
-    group.sample_size(100);
-    group.bench_function("build_1mib", |b| {
-        let fs = fresh_vfs(64);
-        let keys: Vec<Vec<u8>> = (0..TABLE as u32 / 4022).map(key).collect();
-        b.iter_batched(
-            || fs.delete("t").ok(),
-            |_| {
-                let mut builder =
-                    SstableBuilder::create_bg(fs.clone(), "t", 4096, 10).expect("create");
-                for k in &keys {
-                    builder.add(k, Some(&value)).expect("add");
-                }
-                black_box(builder.finish().expect("finish"))
-            },
-            BatchSize::PerIteration,
-        )
     });
     group.finish();
 

@@ -426,3 +426,182 @@ fn sst_image_is_unchanged() {
         }
     }
 }
+
+/// A value of 4 000 bytes, the first half noise and the second half a
+/// short repeating pattern: with the codec on, a block of two of them
+/// compresses to a little over half.
+fn build_value(i: u32) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1);
+    (0..4000u32)
+        .map(|b| {
+            if b < 2000 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            } else {
+                (b % 23) as u8 ^ i as u8
+            }
+        })
+        .collect()
+}
+
+/// Builds one table of `entries` 4 000-byte values straight through the
+/// builder — on a 32 MiB device with `free_pages` left when given — the
+/// way the engine drives it (a failed `add` abandons the build), and
+/// renders what the device, the clock and the filesystem were left with.
+fn build_table(
+    background: bool,
+    compression: Compression,
+    entries: u32,
+    free_pages: Option<u64>,
+) -> String {
+    let fs = vfs(32 << 20);
+    if let Some(free) = free_pages {
+        let hog = fs.create("hog").expect("create");
+        let pages = fs.stats().partition_pages - free;
+        fs.write_at(hog, 0, &vec![0u8; (pages * 4096) as usize])
+            .expect("fill");
+    }
+    let before = fs.stats();
+    let builder = if background {
+        SstableBuilder::create_bg(fs.clone(), "sst-build", 4096, 10)
+    } else {
+        SstableBuilder::create(fs.clone(), "sst-build", 4096, 10)
+    };
+    let mut builder = Some(builder.expect("create").with_compression(compression));
+    let mut outcome = String::from("ok");
+    for i in 0..entries {
+        let b = builder.as_mut().expect("live");
+        if let Err(e) = b.add(&key(i), Some(&build_value(i))) {
+            outcome = format!("add {i}: {e}");
+            builder.take().expect("live").abandon();
+            break;
+        }
+    }
+    let meta = builder.and_then(|b| match b.finish() {
+        Ok(meta) => Some(meta),
+        Err(e) => {
+            outcome = format!("finish: {e}");
+            None
+        }
+    });
+    fs.check_invariants();
+    let smart = fs.ssd().lock().smart();
+    let df = fs.stats();
+    let mut out = format!(
+        "{outcome} | hpw={} hpr={} npw={} clock={} used={} peak={} data={}",
+        smart.host_pages_written,
+        smart.host_pages_read,
+        smart.nand_pages_written,
+        fs.clock().now(),
+        df.used_pages,
+        df.peak_used_pages,
+        df.data_bytes,
+    );
+    match meta {
+        Some(meta) => {
+            let id = fs.open("sst-build").expect("open");
+            assert_eq!(fs.size(id).expect("size"), meta.file_bytes);
+            let mut sum = Fnv::new();
+            sum.feed(&fs.read_at(id, 0, meta.file_bytes as usize).expect("read"));
+            out.push_str(&format!(
+                " | {} bytes, {} entries, durable={} fnv={:016x}",
+                meta.file_bytes,
+                meta.entries,
+                fs.durable_at(id).expect("durable_at"),
+                sum.0
+            ));
+        }
+        None => {
+            assert!(!fs.exists("sst-build"), "the partial file is gone");
+            assert_eq!(df.live_files, before.live_files);
+            assert_eq!(df.used_pages, before.used_pages, "its pages are back");
+            assert_eq!(df.data_bytes, before.data_bytes);
+        }
+    }
+    out.push('\n');
+    out
+}
+
+/// The four builder flavours — foreground and background, codec off and
+/// level 1 — over one table size and amount of free space.
+fn build_tables(entries: u32, free_pages: impl Fn(bool, Compression) -> Option<u64>) -> String {
+    let mut out = String::new();
+    for (label, compression) in [
+        ("raw", Compression::None),
+        ("lz1", Compression::from_level(1)),
+    ] {
+        for background in [false, true] {
+            let side = if background { "bg" } else { "fg" };
+            out.push_str(&format!("{label} {side}: "));
+            out.push_str(&build_table(
+                background,
+                compression,
+                entries,
+                free_pages(background, compression),
+            ));
+        }
+    }
+    out
+}
+
+const BUILD_SMALL: &str = "\
+raw fg: ok | hpw=20 hpr=0 npw=20 clock=2000000000 used=20 peak=20 data=80718 | 80718 bytes, 20 entries, durable=2000000000 fnv=4003da8ae9a643c0\n\
+raw bg: ok | hpw=20 hpr=0 npw=20 clock=0 used=20 peak=20 data=80718 | 80718 bytes, 20 entries, durable=2000000000 fnv=4003da8ae9a643c0\n\
+lz1 fg: ok | hpw=11 hpr=0 npw=11 clock=1100160680 used=11 peak=11 data=42401 | 42401 bytes, 20 entries, durable=1100160680 fnv=d9673334bd7f846a\n\
+lz1 bg: ok | hpw=11 hpr=0 npw=11 clock=0 used=11 peak=11 data=42401 | 42401 bytes, 20 entries, durable=1100000000 fnv=d9673334bd7f846a\n\
+";
+const BUILD_LARGE: &str = "\
+raw fg: ok | hpw=296 hpr=0 npw=296 clock=29600000000 used=296 peak=296 data=1209882 | 1209882 bytes, 300 entries, durable=29600000000 fnv=06f670df3a6e7dce\n\
+raw bg: ok | hpw=296 hpr=0 npw=296 clock=0 used=296 peak=296 data=1209882 | 1209882 bytes, 300 entries, durable=29600000000 fnv=06f670df3a6e7dce\n\
+lz1 fg: ok | hpw=156 hpr=0 npw=156 clock=15601012284 used=156 peak=156 data=635261 | 635261 bytes, 300 entries, durable=15601012284 fnv=a135841893ccffe9\n\
+lz1 bg: ok | hpw=156 hpr=0 npw=156 clock=0 used=156 peak=156 data=635261 | 635261 bytes, 300 entries, durable=15600000000 fnv=a135841893ccffe9\n\
+";
+const BUILD_NO_SPACE_MID_ADD: &str = "\
+raw fg: add 131: filesystem error: no space left on device (requested 65 pages, 36 free) | hpw=8156 hpr=0 npw=8156 clock=815120000000 used=8092 peak=8156 data=33144832\n\
+raw bg: add 131: filesystem error: no space left on device (requested 65 pages, 36 free) | hpw=8156 hpr=0 npw=8156 clock=808720000000 used=8092 peak=8156 data=33144832\n\
+lz1 fg: add 249: filesystem error: no space left on device (requested 64 pages, 36 free) | hpw=8156 hpr=0 npw=8156 clock=815120996216 used=8092 peak=8156 data=33144832\n\
+lz1 bg: add 249: filesystem error: no space left on device (requested 64 pages, 36 free) | hpw=8156 hpr=0 npw=8156 clock=808720000000 used=8092 peak=8156 data=33144832\n\
+";
+const BUILD_NO_SPACE_AT_FINISH: &str = "\
+raw fg: finish: filesystem error: no space left on device (requested 38 pages, 37 free) | hpw=8155 hpr=0 npw=8155 clock=815020000000 used=7897 peak=8155 data=32346112\n\
+raw bg: finish: filesystem error: no space left on device (requested 38 pages, 37 free) | hpw=8155 hpr=0 npw=8155 clock=789220000000 used=7897 peak=8155 data=32346112\n\
+lz1 fg: finish: filesystem error: no space left on device (requested 28 pages, 27 free) | hpw=8165 hpr=0 npw=8165 clock=816020401700 used=8037 peak=8165 data=32919552\n\
+lz1 bg: finish: filesystem error: no space left on device (requested 28 pages, 27 free) | hpw=8165 hpr=0 npw=8165 clock=803220000000 used=8037 peak=8165 data=32919552\n\
+";
+
+#[test]
+fn builder_table_smaller_than_one_append() {
+    // 20 x 4 KB: everything leaves in the one write `finish` makes.
+    assert_parity(&build_tables(20, |_, _| None), BUILD_SMALL);
+}
+
+#[test]
+fn builder_table_of_several_appends() {
+    // 300 x 4 KB: 256 KiB streamed out at a time, then the tail.
+    assert_parity(&build_tables(300, |_, _| None), BUILD_LARGE);
+}
+
+#[test]
+fn builder_out_of_space_mid_add() {
+    // 100 free pages take the first 256 KiB, not the second.
+    assert_parity(&build_tables(300, |_, _| Some(100)), BUILD_NO_SPACE_MID_ADD);
+}
+
+#[test]
+fn builder_out_of_space_at_finish() {
+    // One page short of the finished table: every streamed chunk fits,
+    // the tail `finish` writes does not.
+    let one_short = |_, compression| {
+        let fs = vfs(32 << 20);
+        let mut b = SstableBuilder::create(fs, "probe", 4096, 10)
+            .expect("create")
+            .with_compression(compression);
+        for i in 0..300 {
+            b.add(&key(i), Some(&build_value(i))).expect("add");
+        }
+        Some(b.finish().expect("finish").file_bytes.div_ceil(4096) - 1)
+    };
+    assert_parity(&build_tables(300, one_short), BUILD_NO_SPACE_AT_FINISH);
+}

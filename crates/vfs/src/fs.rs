@@ -26,7 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use ptsbench_ssd::{IoCmd, IoQueue, IoToken, LpnRange, Ns, SharedSsd, SimClock, Tracer};
 
-use crate::alloc::{AllocPolicy, ExtentAllocator};
+use crate::alloc::{AllocPolicy, Extent, ExtentAllocator};
 use crate::error::VfsError;
 use crate::file::{FileId, FileNode};
 use crate::slice::FileSlice;
@@ -702,6 +702,15 @@ impl Vfs {
         g.files
             .get(&id)
             .map(|f| f.durable_at)
+            .ok_or(VfsError::StaleHandle)
+    }
+
+    /// The extents backing the file, in file order (diagnostics).
+    pub fn extents(&self, id: FileId) -> Result<Vec<Extent>> {
+        let g = self.inner.lock();
+        g.files
+            .get(&id)
+            .map(|f| f.extents.clone())
             .ok_or(VfsError::StaleHandle)
     }
 
