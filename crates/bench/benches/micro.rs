@@ -28,7 +28,7 @@ use ptsbench_lsm::sstable::format::encode_entry;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd, MINUTE, SECOND};
-use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, Vfs, VfsOptions};
+use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions};
 use ptsbench_workload::{encode_key, fill_value, OpKind};
 
 fn fresh_vfs(mb: u64) -> Vfs {
@@ -166,9 +166,15 @@ fn bench_sstable(c: &mut Criterion) {
                 b.iter_batched(
                     || fs.delete("t").ok(),
                     |_| {
-                        let mut builder = SstableBuilder::create_bg(fs.clone(), "t", 4096, 10)
-                            .expect("create")
-                            .with_compression(compression);
+                        let mut builder = SstableBuilder::create_bg(
+                            fs.clone(),
+                            "t",
+                            4096,
+                            10,
+                            table_bytes as u64,
+                        )
+                        .expect("create")
+                        .with_compression(compression);
                         for (k, v) in &entries {
                             builder.add(k, Some(v)).expect("add");
                         }
@@ -405,6 +411,34 @@ fn bench_lsm_data_path(c: &mut Criterion) {
                 *file
             },
             |file| fs.append_bg(file, &chunk).expect("append"),
+            BatchSize::PerIteration,
+        )
+    });
+    // The same growth through the file's own buffer: the writer puts
+    // the chunk at its tail (room for a table reserved), then commits.
+    group.bench_function("appender_commit_64k", |b| {
+        let fs = fresh_vfs(64);
+        let chunk = vec![0xa5u8; 64 << 10];
+        let out = RefCell::new(None);
+        b.iter_batched(
+            || {
+                let mut out = out.borrow_mut();
+                if out
+                    .as_ref()
+                    .is_none_or(|a: &FileAppender| a.buf.len() as u64 >= TABLE)
+                {
+                    *out = None;
+                    fs.delete("t").ok();
+                    let file = fs.create("t").expect("create");
+                    *out = Some(fs.appender(file, TABLE).expect("appender"));
+                }
+            },
+            |_| {
+                let mut out = out.borrow_mut();
+                let a = out.as_mut().expect("appender");
+                a.buf.extend_from_slice(&chunk);
+                a.commit(a.buf.len(), false).expect("commit")
+            },
             BatchSize::PerIteration,
         )
     });

@@ -823,6 +823,7 @@ impl LsmDb {
                     &table_name(&mut self.next_file),
                     self.opts.block_bytes,
                     self.opts.bits_per_key_for(0),
+                    imm.approx_bytes(),
                 )?
                 .with_compression(self.opts.compression);
                 none.insert(FlushJob {
@@ -1098,6 +1099,7 @@ impl LsmDb {
                         &table_name(&mut self.next_file),
                         self.opts.block_bytes,
                         self.opts.bits_per_key_for(job.task.target_level),
+                        self.opts.sstable_target_bytes,
                     )?;
                     none.insert(b.with_compression(self.opts.compression))
                 }

@@ -1,27 +1,30 @@
 //! SSTable construction.
 //!
-//! The builder streams sorted entries into data blocks, accumulating
-//! page-aligned chunks that are appended to the filesystem as they fill
-//! (large sequential writes — the LSM write pattern the paper calls
-//! "flash friendly" before measuring otherwise). `finish` writes the
-//! index, bloom filter and footer.
+//! The builder streams sorted entries into data blocks **in the table
+//! file's own buffer** — it holds the file's [`FileAppender`]; there is
+//! no staging buffer — and commits whole pages to the filesystem
+//! 256 KiB at a time (large sequential writes — the LSM write pattern
+//! the paper calls "flash friendly" before measuring otherwise).
+//! `finish` puts index, bloom filter and footer behind the last block
+//! and commits the rest. Spare capacity in that buffer is resident
+//! memory for as long as the table lives: it is sized once, from the
+//! size the caller expects, and the tail is reserved exactly.
 //!
-//! Each entry is encoded once. Without a codec a block *is* its entries
-//! back to back, so they are encoded straight into the staging buffer
-//! and sealing a block only records where it began; with a codec the
-//! entries collect in a scratch block that the codec then encodes
-//! straight onto the staging buffer.
+//! Without a codec a block *is* its entries back to back, so sealing
+//! one only records where it began; with a codec the entries collect in
+//! a scratch block that the codec then encodes onto the file buffer.
 
 use ptsbench_cache::{Compression, EncodeScratch};
-use ptsbench_vfs::{FileId, Vfs};
+use ptsbench_vfs::{FileAppender, FileId, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::sstable::format::{
-    encode_entry, encode_index, entry_encoded_len, Footer, IndexEntry, SstableMeta,
+    encode_entry, encode_index_entry, entry_encoded_len, entry_ranges, Footer, SstableMeta,
+    FOOTER_LEN,
 };
 use crate::{LsmError, Result};
 
-/// Staged bytes are appended once this many whole pages have gathered.
+/// Written bytes are committed once this many whole pages have gathered.
 const APPEND_BYTES: usize = 256 << 10;
 
 /// Streaming SSTable writer.
@@ -45,14 +48,14 @@ pub struct SstableBuilder {
     /// the codec is off.
     block: Vec<u8>,
     block_entries: u32,
-    block_first_key: Option<Vec<u8>>,
-    /// Staging buffer awaiting append: sealed blocks and, when the
-    /// codec is off, the current block's entries from `block_start` on.
-    pending: Vec<u8>,
-    /// Where the current block begins in `pending` (codec off).
+    /// The table file's buffer: sealed blocks and, when the codec is
+    /// off, the current block's entries from `block_start` on.
+    out: FileAppender,
+    /// Where the current block begins in `out` (codec off).
     block_start: usize,
-    flushed_bytes: u64,
-    index: Vec<IndexEntry>,
+    /// The index block's entries, encoded as blocks are sealed.
+    index: Vec<u8>,
+    blocks: u32,
     /// One [`hash_pair`] per key, for the bloom filter.
     key_hashes: Vec<(u64, u64)>,
     min_key: Option<Vec<u8>>,
@@ -70,18 +73,27 @@ impl SstableBuilder {
         block_bytes: usize,
         bloom_bits_per_key: u32,
     ) -> Result<Self> {
-        Self::create_opts(vfs, name, block_bytes, bloom_bits_per_key, false)
+        Self::create_opts(vfs, name, block_bytes, bloom_bits_per_key, 0, false)
     }
 
     /// Creates a builder whose writes are issued by a background thread
-    /// (device-queued, non-blocking).
+    /// (device-queued, non-blocking). `expected_bytes` is the table
+    /// size the caller aims for; the file's buffer is sized from it.
     pub fn create_bg(
         vfs: Vfs,
         name: &str,
         block_bytes: usize,
         bloom_bits_per_key: u32,
+        expected_bytes: u64,
     ) -> Result<Self> {
-        Self::create_opts(vfs, name, block_bytes, bloom_bits_per_key, true)
+        Self::create_opts(
+            vfs,
+            name,
+            block_bytes,
+            bloom_bits_per_key,
+            expected_bytes,
+            true,
+        )
     }
 
     fn create_opts(
@@ -89,10 +101,16 @@ impl SstableBuilder {
         name: &str,
         block_bytes: usize,
         bloom_bits_per_key: u32,
+        expected_bytes: u64,
         background: bool,
     ) -> Result<Self> {
         let file = vfs.create(name)?;
         let page_size = vfs.page_size() as usize;
+        // A caller stops at its target by up to an entry, and the tail
+        // is about 1 % of a table of 4 KB values: with a block and
+        // 1/64 of slack neither regrows the buffer.
+        let reserve = expected_bytes + block_bytes as u64 + expected_bytes / 64;
+        let out = vfs.appender(file, reserve)?;
         Ok(Self {
             vfs,
             name: name.to_string(),
@@ -104,14 +122,10 @@ impl SstableBuilder {
             codec_scratch: EncodeScratch::default(),
             block: Vec::new(),
             block_entries: 0,
-            block_first_key: None,
-            // The threshold is crossed by up to a block (and a page of
-            // remainder stays behind): leave room for that, or every
-            // table reallocates its staging buffer on the first chunk.
-            pending: Vec::with_capacity(APPEND_BYTES + APPEND_BYTES / 4),
+            out,
             block_start: 0,
-            flushed_bytes: 0,
             index: Vec::new(),
+            blocks: 0,
             key_hashes: Vec::new(),
             min_key: None,
             last_key: Vec::new(),
@@ -140,13 +154,10 @@ impl SstableBuilder {
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
-        if self.block_first_key.is_none() {
-            self.block_first_key = Some(key.to_vec());
-        }
         let block = if self.compression.is_active() {
             &mut self.block
         } else {
-            &mut self.pending
+            &mut self.out.buf
         };
         encode_entry(block, key, value);
         self.block_entries += 1;
@@ -162,13 +173,13 @@ impl SstableBuilder {
 
     /// Encoded bytes of the current (unsealed) block.
     fn block_len(&self) -> usize {
-        self.block.len() + self.pending.len() - self.block_start
+        self.block.len() + self.out.buf.len() - self.block_start
     }
 
     /// Approximate file size if finished now (compaction output split
     /// decisions).
     pub fn estimated_bytes(&self) -> u64 {
-        self.flushed_bytes + self.pending.len() as u64 + self.block.len() as u64
+        (self.out.buf.len() + self.block.len()) as u64
     }
 
     /// Name of the table file under construction.
@@ -190,14 +201,12 @@ impl SstableBuilder {
         if self.block_len() == 0 {
             return Ok(());
         }
-        let offset = self.flushed_bytes + self.block_start as u64;
-        let first_key = self
-            .block_first_key
-            .take()
-            .expect("non-empty block has a first key");
-        if self.compression.is_active() {
+        let start = self.block_start;
+        let out = &mut self.out.buf;
+        let codec = self.compression.is_active();
+        if codec {
             self.compression
-                .encode_into(&self.block, &mut self.codec_scratch, &mut self.pending);
+                .encode_into(&self.block, &mut self.codec_scratch, out);
             if !self.background {
                 // Foreground builds pay the codec's CPU time on the
                 // simulated clock; background (flush/compaction) builds
@@ -206,34 +215,27 @@ impl SstableBuilder {
                     .clock()
                     .advance(self.compression.encode_cost_ns(self.block.len()));
             }
-            self.block.clear();
         }
-        self.index.push(IndexEntry {
-            first_key,
-            offset,
-            len: (self.pending.len() - self.block_start) as u32,
-            entries: self.block_entries,
-        });
+        // The block's first key is where its first entry put it.
+        let entries = if codec { &self.block } else { &out[start..] };
+        let (first_key, _, _) = entry_ranges(entries, 0)?;
+        let (key, len) = (&entries[first_key], (out.len() - start) as u32);
+        encode_index_entry(&mut self.index, key, start as u64, len, self.block_entries);
+        self.blocks += 1;
+        self.block.clear();
         self.block_entries = 0;
-        self.block_start = self.pending.len();
-        // Stream out whole pages to keep appends aligned.
-        let aligned = (self.pending.len() / self.page_size) * self.page_size;
-        if aligned >= APPEND_BYTES {
-            if self.background {
-                self.vfs.append_bg(self.file, &self.pending[..aligned])?;
-            } else {
-                self.vfs.append(self.file, &self.pending[..aligned])?;
-            }
-            self.pending.drain(..aligned);
-            self.block_start -= aligned;
-            self.flushed_bytes += aligned as u64;
+        self.block_start = out.len();
+        // Stream out whole pages to keep the writes aligned.
+        let aligned = (out.len() / self.page_size) * self.page_size;
+        if aligned - self.out.committed() >= APPEND_BYTES {
+            self.out.commit(aligned, !self.background)?;
         }
         Ok(())
     }
 
-    /// Finalizes the table: writes remaining data, index, bloom and
-    /// footer, fsyncs, and returns the metadata. A failed finish removes
-    /// the partial file.
+    /// Finalizes the table: encodes index, bloom and footer, writes
+    /// everything not yet written, fsyncs, and returns the metadata. A
+    /// failed finish removes the partial file.
     pub fn finish(mut self) -> Result<SstableMeta> {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
@@ -246,40 +248,33 @@ impl SstableBuilder {
             self.abandon();
             return Err(e);
         }
-        let mut tail = std::mem::take(&mut self.pending);
-        let index_off = self.flushed_bytes + tail.len() as u64;
-        let index_start = tail.len();
-        encode_index(&self.index, &mut tail);
-        let index_len = (tail.len() - index_start) as u32;
-
-        let bloom_off = self.flushed_bytes + tail.len() as u64;
-        let bloom_len = if self.bloom_bits_per_key > 0 {
-            let start = tail.len();
-            BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits_per_key).encode(&mut tail);
-            (tail.len() - start) as u32
-        } else {
-            0
-        };
-
+        let bloom = (self.bloom_bits_per_key > 0)
+            .then(|| BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits_per_key));
+        let index_len = 4 + self.index.len();
+        let bloom_len = bloom.as_ref().map_or(0, BloomFilter::encoded_len);
+        let out = &mut self.out.buf;
+        out.reserve_exact(index_len + bloom_len + FOOTER_LEN);
+        let index_off = out.len() as u64;
+        out.extend_from_slice(&self.blocks.to_le_bytes());
+        out.extend_from_slice(&self.index);
+        let bloom_off = out.len() as u64;
+        if let Some(bloom) = bloom {
+            bloom.encode(out);
+        }
         Footer {
             index_off,
-            index_len,
+            index_len: index_len as u32,
             bloom_off,
-            bloom_len,
+            bloom_len: bloom_len as u32,
             entries: self.entries,
             // The codec level doubles as the block-format tag: 0 keeps
             // the seed format byte-identical, non-zero tells the reader
             // that data blocks are compressed containers.
             reserved: self.compression.level() as u32,
         }
-        .encode(&mut tail);
+        .encode(out);
 
-        let appended = if self.background {
-            self.vfs.append_bg(self.file, &tail)
-        } else {
-            self.vfs.append(self.file, &tail)
-        };
-        if let Err(e) = appended {
+        if let Err(e) = self.out.commit(self.out.buf.len(), !self.background) {
             // Out of space mid-finish: remove the partial file.
             let _ = self.vfs.delete(&self.name);
             return Err(e.into());
@@ -290,13 +285,12 @@ impl SstableBuilder {
         if !self.background {
             self.vfs.fsync(self.file)?;
         }
-        let file_bytes = self.vfs.size(self.file)?;
         Ok(SstableMeta {
             name: self.name,
             min_key: self.min_key.expect("non-empty"),
             max_key: self.last_key,
             entries: self.entries,
-            file_bytes,
+            file_bytes: self.out.committed() as u64,
         })
     }
 

@@ -2,6 +2,8 @@
 
 use std::ops::Range;
 
+use ptsbench_vfs::FileSlice;
+
 use crate::LsmError;
 
 /// Value tag marking a tombstone (no value bytes follow).
@@ -35,17 +37,90 @@ impl SstableMeta {
     }
 }
 
-/// One index entry: a data block's location and first key.
+/// One index entry: a data block's location. Its first key is a range
+/// of the index block its [`BlockIndex`] keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexEntry {
-    /// First key stored in the block.
-    pub first_key: Vec<u8>,
+    first_key: Range<u32>,
     /// Byte offset of the block in the file.
     pub offset: u64,
     /// Byte length of the block.
     pub len: u32,
     /// Number of entries in the block.
     pub entries: u32,
+}
+
+/// A table's block index, decoded in place: the first keys stay where
+/// they are in the index block as it was read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockIndex {
+    block: FileSlice,
+    /// The blocks, in file order.
+    pub entries: Vec<IndexEntry>,
+}
+
+impl BlockIndex {
+    /// First key stored in `block`, an entry of this index.
+    pub fn first_key(&self, block: &IndexEntry) -> &[u8] {
+        &self.block[block.first_key.start as usize..block.first_key.end as usize]
+    }
+
+    /// How many blocks begin at or before `key`: the block that can
+    /// hold it is the last of them.
+    pub fn blocks_from(&self, key: &[u8]) -> usize {
+        self.entries.partition_point(|e| self.first_key(e) <= key)
+    }
+
+    /// Decodes an index block: `u32` entry count, then the entries.
+    pub fn decode(block: FileSlice) -> Result<Self, LsmError> {
+        let corrupt = || LsmError::Corruption("truncated index".into());
+        let buf = &block[..];
+        if buf.len() < 4 || buf.len() > u32::MAX as usize {
+            return Err(corrupt());
+        }
+        let n = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
+        let mut pos = 4;
+        // An entry takes at least 18 bytes: a count beyond that is corrupt.
+        let mut entries = Vec::with_capacity(n.min(buf.len() / 18));
+        for _ in 0..n {
+            if pos + 2 > buf.len() {
+                return Err(corrupt());
+            }
+            let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")) as usize;
+            pos += 2;
+            if pos + klen + 16 > buf.len() {
+                return Err(corrupt());
+            }
+            let first_key = pos as u32..(pos + klen) as u32;
+            pos += klen;
+            let offset = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
+            let len = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().expect("4 bytes"));
+            let count = u32::from_le_bytes(buf[pos + 12..pos + 16].try_into().expect("4 bytes"));
+            pos += 16;
+            entries.push(IndexEntry {
+                first_key,
+                offset,
+                len,
+                entries: count,
+            });
+        }
+        Ok(Self { block, entries })
+    }
+}
+
+/// Appends one entry of the index block to `out`.
+pub fn encode_index_entry(
+    out: &mut Vec<u8>,
+    first_key: &[u8],
+    offset: u64,
+    len: u32,
+    entries: u32,
+) {
+    out.extend_from_slice(&(first_key.len() as u16).to_le_bytes());
+    out.extend_from_slice(first_key);
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&entries.to_le_bytes());
 }
 
 /// Appends an entry encoding to `out`.
@@ -105,54 +180,6 @@ pub fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
 pub fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
     let (key, value, next) = entry_ranges(buf, pos)?;
     Ok((&buf[key], value.map(|v| &buf[v]), next))
-}
-
-/// Encodes the index block.
-pub fn encode_index(entries: &[IndexEntry], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        out.extend_from_slice(&(e.first_key.len() as u16).to_le_bytes());
-        out.extend_from_slice(&e.first_key);
-        out.extend_from_slice(&e.offset.to_le_bytes());
-        out.extend_from_slice(&e.len.to_le_bytes());
-        out.extend_from_slice(&e.entries.to_le_bytes());
-    }
-}
-
-/// Decodes the index block.
-pub fn decode_index(buf: &[u8]) -> Result<Vec<IndexEntry>, LsmError> {
-    let corrupt = || LsmError::Corruption("truncated index".into());
-    if buf.len() < 4 {
-        return Err(corrupt());
-    }
-    let n = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
-    let mut pos = 4;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if pos + 2 > buf.len() {
-            return Err(corrupt());
-        }
-        let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")) as usize;
-        pos += 2;
-        if pos + klen + 16 > buf.len() {
-            return Err(corrupt());
-        }
-        let first_key = buf[pos..pos + klen].to_vec();
-        pos += klen;
-        let offset = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
-        pos += 8;
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
-        let entries = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-        pos += 4;
-        out.push(IndexEntry {
-            first_key,
-            offset,
-            len,
-            entries,
-        });
-    }
-    Ok(out)
 }
 
 /// The fixed-size footer.
@@ -238,24 +265,23 @@ mod tests {
 
     #[test]
     fn index_round_trip() {
-        let entries = vec![
-            IndexEntry {
-                first_key: b"aaa".to_vec(),
-                offset: 0,
-                len: 4096,
-                entries: 10,
-            },
-            IndexEntry {
-                first_key: b"mmm".to_vec(),
-                offset: 4096,
-                len: 2048,
-                entries: 5,
-            },
-        ];
-        let mut buf = Vec::new();
-        encode_index(&entries, &mut buf);
-        assert_eq!(decode_index(&buf).expect("decode"), entries);
-        assert!(decode_index(&buf[..buf.len() - 2]).is_err());
+        let blocks = [(&b"aaa"[..], 0u64, 4096u32, 10u32), (b"mmm", 4096, 2048, 5)];
+        let mut buf = (blocks.len() as u32).to_le_bytes().to_vec();
+        for (key, offset, len, entries) in blocks {
+            encode_index_entry(&mut buf, key, offset, len, entries);
+        }
+        let index = BlockIndex::decode(buf.clone().into()).expect("decode");
+        assert_eq!(index.entries.len(), 2);
+        for (e, (key, offset, len, entries)) in index.entries.iter().zip(blocks) {
+            assert_eq!(index.first_key(e), key);
+            assert_eq!((e.offset, e.len, e.entries), (offset, len, entries));
+        }
+        assert_eq!(
+            [&b"a"[..], b"aaa", b"bbb", b"mmm", b"z"].map(|k| index.blocks_from(k)),
+            [0, 1, 1, 2, 2]
+        );
+        buf.truncate(buf.len() - 2);
+        assert!(BlockIndex::decode(buf.into()).is_err());
     }
 
     #[test]

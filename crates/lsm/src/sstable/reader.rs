@@ -20,7 +20,7 @@ use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, TraceHandle, Vfs};
 use crate::bloom::BloomFilter;
 use crate::iter::SharedEntry;
 use crate::sstable::format::{
-    decode_entry, decode_index, entry_ranges, Footer, IndexEntry, FOOTER_LEN,
+    decode_entry, entry_ranges, BlockIndex, Footer, IndexEntry, FOOTER_LEN,
 };
 use crate::{LsmError, Result};
 
@@ -52,7 +52,9 @@ pub struct SstableReader {
     vfs: Vfs,
     file: FileId,
     name: String,
-    index: Vec<IndexEntry>,
+    /// Decoded in place: the first keys are ranges of the index block
+    /// as it was read.
+    index: BlockIndex,
     bloom: Option<BloomFilter>,
     entries: u64,
     file_bytes: u64,
@@ -75,7 +77,7 @@ impl std::fmt::Debug for SstableReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SstableReader")
             .field("name", &self.name)
-            .field("blocks", &self.index.len())
+            .field("blocks", &self.index.entries.len())
             .field("entries", &self.entries)
             .finish()
     }
@@ -146,8 +148,7 @@ impl SstableReader {
         }
         let footer_buf = read(file_bytes - FOOTER_LEN as u64, FOOTER_LEN)?;
         let footer = Footer::decode(&footer_buf)?;
-        let index_buf = read(footer.index_off, footer.index_len as usize)?;
-        let index = decode_index(&index_buf)?;
+        let index = BlockIndex::decode(read(footer.index_off, footer.index_len as usize)?)?;
         let bloom = if footer.bloom_len > 0 {
             let bloom_buf = read(footer.bloom_off, footer.bloom_len as usize)?;
             Some(
@@ -192,12 +193,13 @@ impl SstableReader {
 
     /// Smallest key in the table (from the cached index; no I/O).
     pub fn first_key(&self) -> Option<Vec<u8>> {
-        self.index.first().map(|e| e.first_key.clone())
+        let first = self.index.entries.first()?;
+        Some(self.index.first_key(first).to_vec())
     }
 
     /// Largest key in the table (reads the final data block).
     pub fn last_key(&self) -> Result<Option<Vec<u8>>> {
-        let Some(block) = self.index.last() else {
+        let Some(block) = self.index.entries.last() else {
             return Ok(None);
         };
         let buf = self.load_block(block)?;
@@ -266,14 +268,12 @@ impl SstableReader {
             }
         };
         // Last block whose first key <= key.
-        let idx = self
-            .index
-            .partition_point(|e| e.first_key.as_slice() <= key);
+        let idx = self.index.blocks_from(key);
         if idx == 0 {
             miss(self);
             return Ok(None);
         }
-        let block = &self.index[idx - 1];
+        let block = &self.index.entries[idx - 1];
         let buf = self.load_block(block)?;
         let mut pos = 0;
         for _ in 0..block.entries {
@@ -306,9 +306,7 @@ impl SstableReader {
 
     /// Scan starting at the first key >= `start`.
     pub fn iter_from(&self, start: &[u8]) -> SstIter<'_> {
-        let idx = self
-            .index
-            .partition_point(|e| e.first_key.as_slice() <= start);
+        let idx = self.index.blocks_from(start);
         let mut it = SstIter::new(self, idx.saturating_sub(1), false);
         it.skip_until(start);
         it
@@ -331,7 +329,7 @@ struct Window<'a> {
 /// tables use single-block windows: each container must be decoded as
 /// a unit, so a window is exactly one block there.
 fn next_window_of<'a>(reader: &'a SstableReader, next_block: &mut usize) -> Option<Window<'a>> {
-    let index = &reader.index;
+    let index = &reader.index.entries;
     if *next_block >= index.len() {
         return None;
     }
@@ -625,10 +623,9 @@ impl<'a> ChainedSstScan<'a> {
     pub fn new(tables: Vec<&'a SstableReader>, start: &[u8], queue: SharedIoQueue) -> Self {
         // Seek: position the block cursor inside the first table, then
         // consume any leading entries below `start`.
-        let load_block = tables.first().map_or(0, |t| {
-            let idx = t.index.partition_point(|e| e.first_key.as_slice() <= start);
-            idx.saturating_sub(1)
-        });
+        let load_block = tables
+            .first()
+            .map_or(0, |t| t.index.blocks_from(start).saturating_sub(1));
         let mut scan = Self::over(ChainWindows {
             tables,
             queue,
@@ -647,7 +644,7 @@ impl<'a> ChainWindows<'a> {
     fn next_window(&mut self) -> Option<Window<'a>> {
         while self.load_table < self.tables.len() {
             let reader = self.tables[self.load_table];
-            if self.load_block >= reader.index.len() {
+            if self.load_block >= reader.index.entries.len() {
                 self.load_table += 1;
                 self.load_block = 0;
                 continue;
@@ -840,9 +837,7 @@ mod tests {
         b.finish().expect("finish");
         let r = SstableReader::open(v.clone(), "sst-z").expect("open");
         let file = v.open("sst-z").expect("open file");
-        let modes: Vec<u8> = r
-            .index
-            .iter()
+        let modes: Vec<u8> = (r.index.entries.iter())
             .map(|e| v.read_at(file, e.offset, 3).expect("read")[2])
             .collect();
         assert!(

@@ -400,14 +400,13 @@ fn sst_image_is_unchanged() {
     ] {
         for background in [false, true] {
             let fs = vfs(32 << 20);
-            let create = if background {
-                SstableBuilder::create_bg
+            // No size hint: the file's buffer grows as the image does.
+            let b = if background {
+                SstableBuilder::create_bg(fs.clone(), "sst-image", 4096, bloom_bits, 0)
             } else {
-                SstableBuilder::create
+                SstableBuilder::create(fs.clone(), "sst-image", 4096, bloom_bits)
             };
-            let mut b = create(fs.clone(), "sst-image", 4096, bloom_bits)
-                .expect("create")
-                .with_compression(compression);
+            let mut b = b.expect("create").with_compression(compression);
             for (k, v) in &entries {
                 b.add(k, v.as_deref()).expect("add");
             }
@@ -465,7 +464,7 @@ fn build_table(
     }
     let before = fs.stats();
     let builder = if background {
-        SstableBuilder::create_bg(fs.clone(), "sst-build", 4096, 10)
+        SstableBuilder::create_bg(fs.clone(), "sst-build", 4096, 10, entries as u64 * 4000)
     } else {
         SstableBuilder::create(fs.clone(), "sst-build", 4096, 10)
     };

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use ptsbench_ssd::{Lpn, LpnRange, Ns};
 
 use crate::alloc::Extent;
+use crate::error::VfsError;
 
 /// An opaque handle to an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,8 +22,14 @@ pub struct FileId(pub(crate) u64);
 pub(crate) struct FileNode {
     pub name: String,
     /// Mutated through `Arc::make_mut`: in place while no
-    /// [`crate::FileSlice`] of this file is outstanding.
+    /// [`crate::FileSlice`] of this file is outstanding. Empty while a
+    /// [`crate::FileAppender`] has the buffer checked out.
     pub data: Arc<Vec<u8>>,
+    /// The file's size: `data.len()`, or, while the buffer is checked
+    /// out, how much of it the appender has committed.
+    pub len: u64,
+    /// A [`crate::FileAppender`] holds the buffer.
+    pub checked_out: bool,
     /// Ordered extents; file page `i` lives in the extent covering the
     /// `i`-th page slot.
     pub extents: Vec<Extent>,
@@ -37,10 +44,19 @@ impl FileNode {
         Self {
             name,
             data: Arc::default(),
+            len: 0,
+            checked_out: false,
             extents: Vec::new(),
             cum_pages: Vec::new(),
             durable_at: 0,
         }
+    }
+
+    /// The contents, unless an appender holds them.
+    pub fn contents(&self) -> Result<&Arc<Vec<u8>>, VfsError> {
+        let busy =
+            || VfsError::InvalidArgument(format!("{}: checked out to an appender", self.name));
+        (!self.checked_out).then_some(&self.data).ok_or_else(busy)
     }
 
     /// Total pages currently allocated to the file.

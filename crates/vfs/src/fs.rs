@@ -19,6 +19,17 @@
 //! pays it: tables are immutable once finished, and WAL, manifest,
 //! journal, segment and page files are only ever read through the owned
 //! calls, whose transient slice is gone before the call returns.
+//!
+//! A file that is *built* — a table, written once front to back — has
+//! one more owner for a while: [`Vfs::appender`] checks the buffer out
+//! to a single writer ([`FileAppender`]), which encodes at its tail
+//! with no lock and no second buffer and commits prefixes of it through
+//! the accounting every write goes through (`Inner::write`). Meanwhile
+//! the file's *size* is the committed length — what [`Vfs::size`], `df`
+//! and a crash would see — and its contents are nobody else's: a read,
+//! a write, a truncate or a second appender is an `InvalidArgument`
+//! error, never an empty read. Deleting the file is allowed (an
+//! abandoned build) and orphans the buffer.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -123,6 +134,144 @@ struct Inner {
     files: HashMap<FileId, FileNode>,
     names: HashMap<String, FileId>,
     next_id: u64,
+}
+
+impl Inner {
+    /// The one write: `len` bytes at `offset` (`None`: at EOF, as it is
+    /// under this lock). Allocates extents, moves the size and charges
+    /// the device, advancing the clock when `blocking`. The bytes are
+    /// `src`, copied into the file's buffer, or (`None`) already at the
+    /// tail of the buffer an appender holds.
+    fn write(
+        &mut self,
+        id: FileId,
+        offset: Option<u64>,
+        len: u64,
+        src: Option<&[u8]>,
+        blocking: bool,
+    ) -> Result<()> {
+        if len == 0 {
+            return Ok(());
+        }
+        let ps = self.page_size;
+        let node = self.files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
+        if src.is_some() {
+            node.contents()?;
+        }
+        let old_size = node.len;
+        let offset = offset.unwrap_or(old_size);
+        if offset > old_size {
+            return Err(VfsError::InvalidArgument(format!(
+                "write at {offset} past EOF {old_size} would leave a hole"
+            )));
+        }
+        let end = offset + len;
+        let new_size = old_size.max(end);
+        let needed_pages = new_size.div_ceil(ps);
+        let have_pages = node.total_pages();
+        if needed_pages > have_pages {
+            let fresh = self.allocator.alloc(needed_pages - have_pages)?;
+            node.push_extents(fresh);
+            self.peak_used_pages = self.peak_used_pages.max(self.allocator.used_pages());
+        }
+
+        // Contents: overwrite what exists, append the rest.
+        if let Some(buf) = src {
+            let data = Arc::make_mut(&mut node.data);
+            let overlap = buf.len().min((old_size - offset) as usize);
+            data[offset as usize..offset as usize + overlap].copy_from_slice(&buf[..overlap]);
+            data.extend_from_slice(&buf[overlap..]);
+        }
+        node.len = new_size;
+        self.data_bytes += new_size - old_size;
+
+        // Device traffic. Partial first/last pages that already existed
+        // require read-modify-write under direct I/O.
+        let clock = &self.clock;
+        let first_page = offset / ps;
+        let last_page = (end - 1) / ps;
+        let old_pages = old_size.div_ceil(ps);
+        let mut dev = self.ssd.lock();
+        let span = dev
+            .tracer()
+            .begin("vfs.write", dev.current_cause(), clock.now());
+        if !offset.is_multiple_of(ps) && first_page < old_pages {
+            let done = dev.read_page(node.page_to_lpn(first_page));
+            if blocking {
+                clock.advance_to(done);
+            }
+        }
+        if !end.is_multiple_of(ps) && last_page < old_pages && last_page != first_page {
+            let done = dev.read_page(node.page_to_lpn(last_page));
+            if blocking {
+                clock.advance_to(done);
+            }
+        }
+        let mut durable_at = node.durable_at;
+        let written = node
+            .runs(first_page, last_page - first_page + 1)
+            .try_for_each(|run| {
+                let c = dev.write_range(run)?;
+                if blocking {
+                    clock.advance_to(c.host_done);
+                }
+                durable_at = durable_at.max(c.durable_at);
+                Ok::<(), VfsError>(())
+            });
+        node.durable_at = durable_at;
+        written?;
+        dev.tracer().end(span, clock.now());
+        Ok(())
+    }
+}
+
+/// One writer building a file in the file's own buffer, checked out by
+/// [`Vfs::appender`] (see the [module docs](self)): it encodes at the
+/// tail of `buf` and commits prefixes of it. Dropping the appender hands
+/// the buffer back to the file, cut to the committed length — a file
+/// never has a size without its bytes.
+#[derive(Debug)]
+pub struct FileAppender {
+    vfs: Vfs,
+    id: FileId,
+    /// The file's contents so far, then what the writer is encoding.
+    /// Not to be cut below the committed length.
+    pub buf: Vec<u8>,
+    committed: usize,
+}
+
+impl FileAppender {
+    /// Makes `buf[..upto]` the file: extents, device commands, clock
+    /// (when `blocking`) and `df` exactly as appending `[committed,
+    /// upto)` would. On an error nothing was committed.
+    ///
+    /// # Panics
+    /// Panics if `upto` is not in `committed..=buf.len()`.
+    pub fn commit(&mut self, upto: usize, blocking: bool) -> Result<()> {
+        assert!(self.committed <= upto && upto <= self.buf.len());
+        let len = (upto - self.committed) as u64;
+        let mut g = self.vfs.inner.lock();
+        g.write(self.id, None, len, None, blocking)?;
+        self.committed = upto;
+        Ok(())
+    }
+
+    /// How much of the buffer is the file so far.
+    pub fn committed(&self) -> usize {
+        self.committed
+    }
+}
+
+/// A file deleted in the meantime (an abandoned build) is left alone.
+impl Drop for FileAppender {
+    fn drop(&mut self) {
+        let mut g = self.vfs.inner.lock();
+        if let Some(node) = g.files.get_mut(&self.id) {
+            self.buf.truncate(self.committed);
+            *Arc::make_mut(&mut node.data) = std::mem::take(&mut self.buf);
+            node.checked_out = false;
+        }
+    }
 }
 
 /// A filesystem mounted on a partition of a simulated drive.
@@ -242,7 +391,7 @@ impl Vfs {
             .remove(name)
             .ok_or_else(|| VfsError::NotFound(name.to_string()))?;
         let node = g.files.remove(&id).expect("name table points to live file");
-        g.data_bytes -= node.data.len() as u64;
+        g.data_bytes -= node.len;
         let discard = g.opts.discard_on_delete;
         for e in node.extents {
             g.allocator.release(e);
@@ -271,30 +420,31 @@ impl Vfs {
     /// File size in bytes.
     pub fn size(&self, id: FileId) -> Result<u64> {
         let g = self.inner.lock();
-        g.files
-            .get(&id)
-            .map(|f| f.data.len() as u64)
-            .ok_or(VfsError::StaleHandle)
+        g.files.get(&id).map(|f| f.len).ok_or(VfsError::StaleHandle)
     }
 
-    /// Appends `buf` to the end of the file (blocks the simulated clock
-    /// with direct-I/O semantics).
+    /// Appends `buf` to the end of the file as it is when the write
+    /// happens (blocks the simulated clock with direct-I/O semantics).
     pub fn append(&self, id: FileId, buf: &[u8]) -> Result<()> {
-        let offset = self.size(id)?;
-        self.write_at(id, offset, buf)
+        self.inner
+            .lock()
+            .write(id, None, buf.len() as u64, Some(buf), true)
     }
 
     /// Appends `buf` with background semantics (see [`Vfs::write_at_bg`]).
     pub fn append_bg(&self, id: FileId, buf: &[u8]) -> Result<()> {
-        let offset = self.size(id)?;
-        self.write_at_bg(id, offset, buf)
+        self.inner
+            .lock()
+            .write(id, None, buf.len() as u64, Some(buf), false)
     }
 
     /// Writes `buf` at `offset`. The write may extend the file but must
     /// not leave a hole (`offset <= size`). Page-aligned overwrites reuse
     /// the existing LBAs (in-place at the device level).
     pub fn write_at(&self, id: FileId, offset: u64, buf: &[u8]) -> Result<()> {
-        self.write_at_opts(id, offset, buf, true)
+        self.inner
+            .lock()
+            .write(id, Some(offset), buf.len() as u64, Some(buf), true)
     }
 
     /// Background (asynchronous) write: the device work is queued — it
@@ -303,90 +453,29 @@ impl Vfs {
     /// background threads (LSM flush/compaction, B+Tree eviction
     /// writers): the foreground only feels it through device congestion.
     pub fn write_at_bg(&self, id: FileId, offset: u64, buf: &[u8]) -> Result<()> {
-        self.write_at_opts(id, offset, buf, false)
+        self.inner
+            .lock()
+            .write(id, Some(offset), buf.len() as u64, Some(buf), false)
     }
 
-    fn write_at_opts(&self, id: FileId, offset: u64, buf: &[u8], blocking: bool) -> Result<()> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        let mut g = self.inner.lock();
-        let Inner {
-            ssd,
-            clock,
-            page_size,
-            allocator,
-            data_bytes,
-            files,
-            ..
-        } = &mut *g;
-        let ps = *page_size;
-        let mut g_peak_update = 0u64;
-        let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-        let old_size = node.data.len() as u64;
-        if offset > old_size {
-            return Err(VfsError::InvalidArgument(format!(
-                "write at {offset} past EOF {old_size} would leave a hole"
-            )));
-        }
-        let new_size = old_size.max(offset + buf.len() as u64);
-        let needed_pages = new_size.div_ceil(ps);
-        let have_pages = node.total_pages();
-        if needed_pages > have_pages {
-            let fresh = allocator.alloc(needed_pages - have_pages)?;
-            node.push_extents(fresh);
-            g_peak_update = allocator.used_pages();
-        }
-
-        // Contents: overwrite what exists, append the rest.
-        let data = Arc::make_mut(&mut node.data);
-        let overlap = buf.len().min((old_size - offset) as usize);
-        data[offset as usize..offset as usize + overlap].copy_from_slice(&buf[..overlap]);
-        data.extend_from_slice(&buf[overlap..]);
-        *data_bytes += new_size - old_size;
-
-        // Device traffic. Partial first/last pages that already existed
-        // require read-modify-write under direct I/O.
-        let first_page = offset / ps;
-        let last_page = (offset + buf.len() as u64 - 1) / ps;
-        let old_pages = old_size.div_ceil(ps);
-        {
-            let mut dev = ssd.lock();
-            let span = dev
-                .tracer()
-                .begin("vfs.write", dev.current_cause(), clock.now());
-            if !offset.is_multiple_of(ps) && first_page < old_pages {
-                let done = dev.read_page(node.page_to_lpn(first_page));
-                if blocking {
-                    clock.advance_to(done);
-                }
-            }
-            let end = offset + buf.len() as u64;
-            if !end.is_multiple_of(ps) && last_page < old_pages && last_page != first_page {
-                let done = dev.read_page(node.page_to_lpn(last_page));
-                if blocking {
-                    clock.advance_to(done);
-                }
-            }
-            let mut durable_at = node.durable_at;
-            let written = node
-                .runs(first_page, last_page - first_page + 1)
-                .try_for_each(|run| {
-                    let c = dev.write_range(run)?;
-                    if blocking {
-                        clock.advance_to(c.host_done);
-                    }
-                    durable_at = durable_at.max(c.durable_at);
-                    Ok::<(), VfsError>(())
-                });
-            node.durable_at = durable_at;
-            written?;
-            dev.tracer().end(span, clock.now());
-        }
-        if g_peak_update > g.peak_used_pages {
-            g.peak_used_pages = g_peak_update;
-        }
-        Ok(())
+    /// Checks the file's buffer out to one writer that builds the file
+    /// in place (see [`FileAppender`]), with room for `reserve` more bytes.
+    pub fn appender(&self, id: FileId, reserve: u64) -> Result<FileAppender> {
+        let mut buf = {
+            let mut g = self.inner.lock();
+            let node = g.files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
+            node.contents()?;
+            node.checked_out = true;
+            std::mem::take(Arc::make_mut(&mut node.data))
+        };
+        buf.reserve_exact(reserve as usize);
+        let (vfs, committed) = (self.clone(), buf.len());
+        Ok(FileAppender {
+            vfs,
+            id,
+            buf,
+            committed,
+        })
     }
 
     /// Resets the peak-usage high-water mark to current usage.
@@ -441,7 +530,8 @@ impl Vfs {
     fn read_with(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<FileSlice> {
         let g = self.inner.lock();
         let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
-        let size = node.data.len() as u64;
+        let data = node.contents()?;
+        let size = node.len;
         if offset >= size || len == 0 {
             return Ok(FileSlice::default());
         }
@@ -462,10 +552,7 @@ impl Vfs {
             }
             dev.tracer().end(span, g.clock.now());
         }
-        Ok(FileSlice::new(
-            &node.data,
-            offset as usize..offset as usize + len,
-        ))
+        Ok(FileSlice::new(data, offset as usize..offset as usize + len))
     }
 
     /// Creates a submission/completion queue of `depth` outstanding
@@ -512,7 +599,8 @@ impl Vfs {
         let (runs, data) = {
             let g = self.inner.lock();
             let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
-            let size = node.data.len() as u64;
+            let data = node.contents()?;
+            let size = node.len;
             if offset >= size || len == 0 {
                 return Ok(AsyncRead {
                     tokens: Vec::new(),
@@ -525,7 +613,7 @@ impl Vfs {
             let last_page = (offset + len as u64 - 1) / ps;
             let runs: Vec<LpnRange> = node.runs(first_page, last_page - first_page + 1).collect();
             let range = offset as usize..offset as usize + len;
-            (runs, FileSlice::new(&node.data, range))
+            (runs, FileSlice::new(data, range))
         };
         let mut tokens = Vec::with_capacity(runs.len());
         for run in runs {
@@ -603,7 +691,8 @@ impl Vfs {
             } = &mut *g;
             let ps = *page_size;
             let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-            let offset = node.data.len() as u64;
+            node.contents()?;
+            let offset = node.len;
             let new_size = offset + buf.len() as u64;
             let needed_pages = new_size.div_ceil(ps);
             let have_pages = node.total_pages();
@@ -614,6 +703,7 @@ impl Vfs {
                 peak_update = allocator.used_pages();
             }
             Arc::make_mut(&mut node.data).extend_from_slice(buf);
+            node.len = new_size;
             *data_bytes += buf.len() as u64;
 
             let first_page = offset / ps;
@@ -677,13 +767,15 @@ impl Vfs {
             data_bytes, files, ..
         } = &mut *g;
         let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-        let old_len = node.data.len() as u64;
+        node.contents()?;
+        let old_len = node.len;
         if new_len > old_len {
             return Err(VfsError::InvalidArgument(format!(
                 "truncate to {new_len} beyond EOF {old_len}"
             )));
         }
         Arc::make_mut(&mut node.data).truncate(new_len as usize);
+        node.len = new_len;
         *data_bytes -= old_len - new_len;
         Ok(())
     }
@@ -708,10 +800,8 @@ impl Vfs {
     /// The extents backing the file, in file order (diagnostics).
     pub fn extents(&self, id: FileId) -> Result<Vec<Extent>> {
         let g = self.inner.lock();
-        g.files
-            .get(&id)
-            .map(|f| f.extents.clone())
-            .ok_or(VfsError::StaleHandle)
+        let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
+        Ok(node.extents.clone())
     }
 
     /// Pending device work in nanoseconds (backend backlog) — lets an
@@ -760,8 +850,11 @@ impl Vfs {
             g.allocator.used_pages(),
             "extent accounting drifted"
         );
-        let file_bytes: u64 = g.files.values().map(|f| f.data.len() as u64).sum();
+        let file_bytes: u64 = g.files.values().map(|f| f.len).sum();
         assert_eq!(file_bytes, g.data_bytes, "data-byte accounting drifted");
+        for f in g.files.values().filter(|f| !f.checked_out) {
+            assert_eq!(f.len, f.data.len() as u64, "{}: size without bytes", f.name);
+        }
         for (name, id) in &g.names {
             assert_eq!(&g.files[id].name, name, "name table out of sync");
         }
@@ -1080,6 +1173,103 @@ mod tests {
             before + 8,
             "async reads charge the same SMART traffic"
         );
+    }
+
+    #[test]
+    fn concurrent_appends_take_their_offset_under_the_write_lock() {
+        // Two handles, one file: an offset read before the write's lock
+        // would let the second writer land on the first one's bytes.
+        let v = fs();
+        let f = v.create("log").expect("create");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for writer in 0..2u8 {
+                let (v, start) = (v.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for seq in 0..1000u16 {
+                        let mut record = [writer; 100];
+                        record[1..3].copy_from_slice(&seq.to_le_bytes());
+                        v.append_bg(f, &record).expect("append");
+                    }
+                });
+            }
+        });
+        assert_eq!(v.size(f).expect("size"), 200_000);
+        let bytes = v.read_at(f, 0, 200_000).expect("read");
+        let mut seen = [[false; 1000]; 2];
+        for record in bytes.chunks_exact(100) {
+            let seq = u16::from_le_bytes([record[1], record[2]]) as usize;
+            assert!(record[3..].iter().all(|&b| b == record[0]), "torn record");
+            assert!(!std::mem::replace(&mut seen[record[0] as usize][seq], true));
+        }
+        assert!(
+            seen.iter().flatten().all(|&s| s),
+            "every record present once"
+        );
+        v.check_invariants();
+    }
+
+    #[test]
+    fn checked_out_file_refuses_readers_and_second_appenders() {
+        let v = fs();
+        let f = v.create("t").expect("create");
+        v.append(f, &[7u8; 5000]).expect("append");
+        let mut a = v.appender(f, 0).expect("appender");
+        assert_eq!((a.buf.len(), a.committed()), (5000, 5000));
+        a.buf.extend_from_slice(&[8u8; 3192]);
+        a.commit(8192, false).expect("commit");
+        assert_eq!(v.size(f).expect("size"), 8192);
+        let busy = |r: Result<()>| matches!(r, Err(VfsError::InvalidArgument(_)));
+        assert!(busy(v.read_at(f, 0, 10).map(drop)), "not an empty read");
+        assert!(busy(v.read_shared_bg(f, 0, 10).map(drop)));
+        assert!(busy(v.appender(f, 0).map(drop)));
+        assert!(busy(v.append(f, &[1])), "one writer");
+        assert!(busy(v.truncate(f, 0)));
+        v.check_invariants();
+        drop(a);
+        let bytes = v.read_at(f, 0, 8192).expect("readable again");
+        assert!(bytes[..5000].iter().all(|&b| b == 7) && bytes[5000..].iter().all(|&b| b == 8));
+        v.check_invariants();
+    }
+
+    #[test]
+    fn dropped_appender_leaves_the_committed_prefix() {
+        let v = fs();
+        let f = v.create("t").expect("create");
+        let mut a = v.appender(f, 64 << 10).expect("appender");
+        a.buf.extend_from_slice(&[1u8; 4096]);
+        a.commit(4096, true).expect("commit");
+        a.buf.extend_from_slice(&[2u8; 1000]); // never committed
+        drop(a);
+        assert_eq!(v.size(f).expect("size"), 4096, "no size without bytes");
+        assert_eq!(v.read_at(f, 0, 8192).expect("read"), vec![1u8; 4096]);
+        assert_eq!(v.stats().data_bytes, 4096);
+        v.check_invariants();
+    }
+
+    #[test]
+    fn deleting_a_checked_out_file_makes_the_drop_a_no_op() {
+        // What an abandoned table build does.
+        let v = fs();
+        let f = v.create("t").expect("create");
+        let mut a = v.appender(f, 0).expect("appender");
+        a.buf.extend_from_slice(&[1u8; 8192]);
+        a.commit(8192, false).expect("commit");
+        v.delete("t").expect("delete while checked out");
+        assert_eq!(v.stats().used_pages, 0);
+        assert_eq!(v.stats().data_bytes, 0);
+        a.buf.extend_from_slice(&[2u8; 10]);
+        assert!(matches!(a.commit(8202, false), Err(VfsError::StaleHandle)));
+        drop(a);
+        assert!(!v.exists("t"));
+        v.check_invariants();
+    }
+
+    #[test]
+    fn appender_crosses_threads() {
+        fn assert_send<T: Send>() {}
+        assert_send::<FileAppender>();
     }
 
     #[test]

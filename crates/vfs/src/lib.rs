@@ -38,7 +38,7 @@ pub mod trace;
 pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
 pub use error::VfsError;
 pub use file::FileId;
-pub use fs::{AsyncRead, FsStats, Vfs, VfsOptions};
+pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};
 pub use slice::FileSlice;
 pub use trace::{CauseScope, TraceHandle};
 // Re-exported so engines can drive the asynchronous submission path

@@ -3,7 +3,11 @@
 //! horizon and extents and the `df` view after every chunk, and the
 //! bytes read back at the end. The constants were recorded from
 //! [`Vfs::append`] / [`Vfs::append_bg`] before any other way to grow a
-//! file existed; every way to grow one must reproduce them step by step.
+//! file existed; every way to grow one must reproduce them step by
+//! step, and [`ptsbench_vfs::FileAppender`] — the writer encodes into
+//! the file's own buffer, then commits — is held to them here.
+
+use proptest::prelude::*;
 
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
 use ptsbench_vfs::{FileId, Vfs, VfsOptions};
@@ -20,33 +24,33 @@ enum Layout {
     TwoRuns(u64, u64),
 }
 
-struct Case {
+struct Case<'a> {
     layout: Layout,
-    chunks: &'static [usize],
+    chunks: &'a [usize],
 }
 
 /// Whole pages at every step.
-const ALIGNED: Case = Case {
+const ALIGNED: Case<'static> = Case {
     layout: Layout::Fresh,
     chunks: &[65_536, 262_144, 4_096, 131_072],
 };
 /// Whole pages, then a tail that ends mid-page (a table's last append).
-const UNALIGNED_TAIL: Case = Case {
+const UNALIGNED_TAIL: Case<'static> = Case {
     layout: Layout::Fresh,
     chunks: &[262_144, 262_144, 9_001],
 };
 /// Every chunk starts or ends mid-page: read-modify-write of the tail.
-const SUB_PAGE: Case = Case {
+const SUB_PAGE: Case<'static> = Case {
     layout: Layout::Fresh,
     chunks: &[100, 200, 3_000, 796, 1, 4_096, 5_000, 12_288],
 };
 /// The second chunk starts in one extent and ends in another.
-const CROSSING: Case = Case {
+const CROSSING: Case<'static> = Case {
     layout: Layout::TwoRuns(24, 64),
     chunks: &[65_536, 65_536 + 777, 32_768],
 };
 /// 40 free pages: the third 64 KiB chunk does not fit.
-const OUT_OF_SPACE: Case = Case {
+const OUT_OF_SPACE: Case<'static> = Case {
     layout: Layout::TwoRuns(30, 10),
     chunks: &[65_536, 65_536, 65_536, 4_096],
 };
@@ -122,23 +126,53 @@ fn contents_sum(v: &Vfs, t: FileId) -> u64 {
     })
 }
 
-/// Grows "t" by `case`'s chunks with one `append*` call each.
-fn run_append(case: &Case, blocking: bool) -> String {
+/// How the chunks reach the file.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// One `append` / `append_bg` call per chunk.
+    Append,
+    /// Written at the tail of the file's checked-out buffer, then
+    /// committed.
+    Appender,
+}
+
+/// Grows "t" by `case`'s chunks and renders every step.
+fn run(case: &Case, blocking: bool, via: Via) -> String {
     let (v, t) = stack(case.layout);
+    let mut appender = match via {
+        Via::Append => None,
+        Via::Appender => Some(v.appender(t, 0).expect("appender")),
+    };
     let mut out = String::new();
     for (i, &len) in case.chunks.iter().enumerate() {
         let chunk = pattern(i, len);
-        let result = if blocking {
-            v.append(t, &chunk)
-        } else {
-            v.append_bg(t, &chunk)
+        let result = match &mut appender {
+            None if blocking => v.append(t, &chunk),
+            None => v.append_bg(t, &chunk),
+            Some(a) => {
+                a.buf.extend_from_slice(&chunk);
+                let result = a.commit(a.buf.len(), blocking);
+                if result.is_err() {
+                    // What a failed `append` never wrote.
+                    a.buf.truncate(a.committed());
+                }
+                result
+            }
         };
         let verdict = if result.is_ok() { "ok" } else { "ERR" };
         out.push_str(&format!("{i} +{len} {verdict} {}\n", snapshot(&v, t)));
         v.check_invariants();
     }
+    drop(appender);
+    v.check_invariants();
     out.push_str(&format!("bytes={:016x}\n", contents_sum(&v, t)));
     out
+}
+
+/// Both ways of growing the file leave `expected`.
+fn assert_both(case: &Case, blocking: bool, expected: &str) {
+    assert_parity(&run(case, blocking, Via::Append), expected);
+    assert_parity(&run(case, blocking, Via::Appender), expected);
 }
 
 fn assert_parity(actual: &str, expected: &str) {
@@ -225,30 +259,50 @@ bytes=e27a3ba75942f0bf\n\
 
 #[test]
 fn aligned_chunks() {
-    assert_parity(&run_append(&ALIGNED, true), ALIGNED_FG);
-    assert_parity(&run_append(&ALIGNED, false), ALIGNED_BG);
+    assert_both(&ALIGNED, true, ALIGNED_FG);
+    assert_both(&ALIGNED, false, ALIGNED_BG);
 }
 
 #[test]
 fn unaligned_tail() {
-    assert_parity(&run_append(&UNALIGNED_TAIL, true), UNALIGNED_TAIL_FG);
-    assert_parity(&run_append(&UNALIGNED_TAIL, false), UNALIGNED_TAIL_BG);
+    assert_both(&UNALIGNED_TAIL, true, UNALIGNED_TAIL_FG);
+    assert_both(&UNALIGNED_TAIL, false, UNALIGNED_TAIL_BG);
 }
 
 #[test]
 fn sub_page_chunks() {
-    assert_parity(&run_append(&SUB_PAGE, true), SUB_PAGE_FG);
-    assert_parity(&run_append(&SUB_PAGE, false), SUB_PAGE_BG);
+    assert_both(&SUB_PAGE, true, SUB_PAGE_FG);
+    assert_both(&SUB_PAGE, false, SUB_PAGE_BG);
 }
 
 #[test]
 fn chunk_crossing_an_extent_boundary() {
-    assert_parity(&run_append(&CROSSING, true), CROSSING_FG);
-    assert_parity(&run_append(&CROSSING, false), CROSSING_BG);
+    assert_both(&CROSSING, true, CROSSING_FG);
+    assert_both(&CROSSING, false, CROSSING_BG);
 }
 
 #[test]
 fn out_of_space_on_the_third_chunk() {
-    assert_parity(&run_append(&OUT_OF_SPACE, true), OUT_OF_SPACE_FG);
-    assert_parity(&run_append(&OUT_OF_SPACE, false), OUT_OF_SPACE_BG);
+    assert_both(&OUT_OF_SPACE, true, OUT_OF_SPACE_FG);
+    assert_both(&OUT_OF_SPACE, false, OUT_OF_SPACE_BG);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary chunkings, layouts and blocking modes: the appender
+    /// and `append*` render the same steps, failures included.
+    #[test]
+    fn appender_matches_append_on_arbitrary_chunkings(
+        chunks in proptest::collection::vec(
+            prop_oneof![1usize..9_000, (1usize..40).prop_map(|p| p * 4096), 60_000usize..300_000],
+            1..64,
+        ),
+        blocking in any::<bool>(),
+        runs in prop_oneof![Just(None), (1u64..200, 1u64..200).prop_map(Some)],
+    ) {
+        let layout = runs.map_or(Layout::Fresh, |(a, b)| Layout::TwoRuns(a, b));
+        let case = Case { layout, chunks: &chunks };
+        prop_assert_eq!(run(&case, blocking, Via::Append), run(&case, blocking, Via::Appender));
+    }
 }
