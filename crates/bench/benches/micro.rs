@@ -378,43 +378,28 @@ fn bench_lsm_data_path(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("vfs");
     group.sample_size(400);
-    group.bench_function("append_256k", |b| {
-        let fs = fresh_vfs(64);
-        let chunk = vec![0xa5u8; CHUNK];
-        let file = RefCell::new(fs.create("t").expect("create"));
-        b.iter_batched(
-            // A table's worth of chunks per file, then a fresh one.
-            || {
-                let mut file = file.borrow_mut();
-                if fs.size(*file).expect("size") >= TABLE {
-                    fs.delete("t").expect("delete");
-                    *file = fs.create("t").expect("create");
-                }
-                *file
-            },
-            |file| fs.append_bg(file, &chunk).expect("append"),
-            BatchSize::PerIteration,
-        )
-    });
-    // Growing a table 64 KiB at a time: the caller's buffer copied in.
-    group.bench_function("append_64k", |b| {
-        let fs = fresh_vfs(64);
-        let chunk = vec![0xa5u8; 64 << 10];
-        let file = RefCell::new(fs.create("t").expect("create"));
-        b.iter_batched(
-            || {
-                let mut file = file.borrow_mut();
-                if fs.size(*file).expect("size") >= TABLE {
-                    fs.delete("t").expect("delete");
-                    *file = fs.create("t").expect("create");
-                }
-                *file
-            },
-            |file| fs.append_bg(file, &chunk).expect("append"),
-            BatchSize::PerIteration,
-        )
-    });
-    // The same growth through the file's own buffer: the writer puts
+    // Growing a table chunk by chunk, the caller's buffer copied in.
+    for (name, bytes) in [("append_256k", CHUNK), ("append_64k", 64 << 10)] {
+        group.bench_function(name, |b| {
+            let fs = fresh_vfs(64);
+            let chunk = vec![0xa5u8; bytes];
+            let file = RefCell::new(fs.create("t").expect("create"));
+            b.iter_batched(
+                // A table's worth of chunks per file, then a fresh one.
+                || {
+                    let mut file = file.borrow_mut();
+                    if fs.size(*file).expect("size") >= TABLE {
+                        fs.delete("t").expect("delete");
+                        *file = fs.create("t").expect("create");
+                    }
+                    *file
+                },
+                |file| fs.append_bg(file, &chunk).expect("append"),
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    // The 64 KiB growth through the file's own buffer: the writer puts
     // the chunk at its tail (room for a table reserved), then commits.
     group.bench_function("appender_commit_64k", |b| {
         let fs = fresh_vfs(64);
