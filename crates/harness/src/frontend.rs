@@ -2230,26 +2230,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn blocking_collectors_return_a_hard_engine_failure() {
+    /// The LSM with every point lookup failing: hard, or — `full` — as
+    /// the out-of-space outcome.
+    fn failing_gets(full: bool) -> EngineKind {
         use ptsbench_core::engine::{EngineStats, PtsEngine, ScanCursor};
         use ptsbench_core::registry::{EngineDescriptor, EngineRegistry, EngineTuning, Lifecycle};
         use ptsbench_vfs::Vfs;
 
-        /// The LSM with every point lookup failing hard.
-        struct FailingGets(Box<dyn PtsEngine>);
+        struct FailingGets {
+            lsm: Box<dyn PtsEngine>,
+            full: bool,
+        }
         impl PtsEngine for FailingGets {
             fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
-                self.0.put(key, value)
+                self.lsm.put(key, value)
             }
             fn get(&mut self, _key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
-                Err(PtsError::engine(
-                    "failing-gets",
-                    std::io::Error::other("injected read failure"),
-                ))
+                Err(if self.full {
+                    PtsError::OutOfSpace
+                } else {
+                    PtsError::engine(
+                        "failing-gets",
+                        std::io::Error::other("injected read failure"),
+                    )
+                })
             }
             fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
-                self.0.delete(key)
+                self.lsm.delete(key)
             }
             fn scan(
                 &mut self,
@@ -2257,39 +2264,70 @@ mod tests {
                 end: Option<&[u8]>,
                 limit: usize,
             ) -> Result<ScanCursor<'_>, PtsError> {
-                self.0.scan(start, end, limit)
+                self.lsm.scan(start, end, limit)
             }
             fn flush(&mut self) -> Result<(), PtsError> {
-                self.0.flush()
+                self.lsm.flush()
             }
             fn stats(&self) -> EngineStats {
-                self.0.stats()
+                self.lsm.stats()
             }
             fn app_bytes_written(&self) -> u64 {
-                self.0.app_bytes_written()
+                self.lsm.app_bytes_written()
             }
             fn vfs(&self) -> &Vfs {
-                self.0.vfs()
+                self.lsm.vfs()
             }
             fn kind(&self) -> EngineKind {
-                self.0.kind()
+                self.lsm.kind()
             }
         }
-        fn build(
+        fn build<const FULL: bool>(
             vfs: Vfs,
             tuning: &EngineTuning,
             lifecycle: Lifecycle,
         ) -> Result<Box<dyn PtsEngine>, PtsError> {
-            let lsm = EngineRegistry::descriptor(EngineKind::lsm());
-            Ok(Box::new(FailingGets((lsm.build)(vfs, tuning, lifecycle)?)))
+            let lsm =
+                (EngineRegistry::descriptor(EngineKind::lsm()).build)(vfs, tuning, lifecycle)?;
+            Ok(Box::new(FailingGets { lsm, full: FULL }))
         }
+        EngineRegistry::register(if full {
+            EngineDescriptor {
+                name: "Full on gets (test)",
+                label: "full-on-gets",
+                default_cpu_cost_ns: 1,
+                build: build::<true>,
+            }
+        } else {
+            EngineDescriptor {
+                name: "Failing gets (test)",
+                label: "failing-gets",
+                default_cpu_cost_ns: 1,
+                build: build::<false>,
+            }
+        })
+    }
+
+    fn read(key_index: u64) -> Request {
+        Request {
+            key_index,
+            ..Default::default()
+        }
+    }
+
+    fn update(key_index: u64) -> Request {
+        Request {
+            kind: OpKind::Update,
+            key_index,
+            value: vec![5; 64],
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn blocking_collectors_return_a_hard_engine_failure() {
         let mut run = base(16 << 20);
-        run.engine = EngineRegistry::register(EngineDescriptor {
-            name: "Failing gets (test)",
-            label: "failing-gets",
-            default_cpu_cost_ns: 1,
-            build,
-        });
+        run.engine = failing_gets(false);
         let mut cfg = FrontendRun::new(run, 1);
         cfg.discipline = DispatchDiscipline::WeightedFair { weights: [8, 1, 1] };
         let mut fe = Frontend::new(&cfg).expect("frontend");
@@ -2299,16 +2337,99 @@ mod tests {
         // settled — as an error from each blocking collector, not a
         // panic. The failed request has left the waiting room, so each
         // call below meets the next one.
-        let read = |key_index| Request {
-            key_index,
-            ..Default::default()
-        };
         fe.submit(read(0)).expect("submit");
         assert!(matches!(fe.wait_all(), Err(PtsError::Engine { .. })));
         fe.submit(read(1)).expect("submit");
         assert!(matches!(fe.wait_any(), Err(PtsError::Engine { .. })));
         let token = fe.submit(read(2)).expect("submit");
         assert!(matches!(fe.wait(token), Err(PtsError::Engine { .. })));
+    }
+
+    #[test]
+    fn a_hard_engine_failure_under_fifo_leaves_the_queue_as_it_was() {
+        // Two front-ends served the same two updates, which fill the
+        // depth-2 queue; one of them is then handed a read that fails
+        // hard. FIFO decides at submission, so `submit` itself returns
+        // the error — and the queue slots, the engine's busy horizon and
+        // what the next valid submission gets are what they are on the
+        // front-end that never saw the read. Only the front door counted
+        // it: one more request offered and admitted, with no outcome.
+        let mut run = base(16 << 20);
+        run.engine = failing_gets(false);
+        let mut cfg = FrontendRun::new(run, 1);
+        cfg.queue_depth = 2;
+        let mut control = Frontend::new(&cfg).expect("frontend");
+        let mut fe = Frontend::new(&cfg).expect("frontend");
+        for f in [&mut control, &mut fe] {
+            f.submit(update(0)).expect("submit");
+            f.submit(update(1)).expect("submit");
+        }
+        assert!(matches!(fe.submit(read(2)), Err(PtsError::Engine { .. })));
+
+        assert_eq!(fe.in_flight(0), 2);
+        assert_eq!(fe.pending(), 2);
+        let (failed, clean) = (&fe.shards[0], &control.shards[0]);
+        assert_eq!(failed.slots, clean.slots);
+        assert_eq!(failed.busy_until, clean.busy_until);
+        assert_eq!(failed.service_ewma, clean.service_ewma);
+        assert!(!failed.dead);
+        let counted = |s: &ShardState, extra: u64| {
+            let mut load = s.load;
+            let mut slo = s.slo;
+            let mut lane = s.mt.class(ReqClass::Interactive).slo;
+            load.requests += extra;
+            slo.offered += extra;
+            slo.admitted += extra;
+            lane.offered += extra;
+            lane.admitted += extra;
+            format!("{load:?} {slo:?} {lane:?} {}", s.queue_delay.count())
+        };
+        assert_eq!(counted(failed, 0), counted(clean, 1));
+
+        let next = |f: &mut Frontend| {
+            let token = f.submit(update(3)).expect("submit");
+            let c = f.take(token).expect("completion");
+            (c.issued_at, c.done_at, c.service_ns, c.outcome, c.seq)
+        };
+        assert_eq!(next(&mut fe), next(&mut control));
+    }
+
+    #[test]
+    fn the_request_that_hits_out_of_space_is_answered_from_where_it_was_admitted() {
+        // An update keeps the engine busy until `busy`; a read submitted
+        // at the same instant is admitted at once (depth 2) and would
+        // start at `busy`, where the engine reports out-of-space. FIFO
+        // stamped the drop when it admitted the request:
+        // `issue + DROP_LATENCY`. A reordering discipline decides at the
+        // dispatch instant: `t0 + DROP_LATENCY`.
+        for (discipline, lazy) in [
+            (DispatchDiscipline::Fifo, false),
+            (
+                DispatchDiscipline::WeightedFair { weights: [8, 1, 1] },
+                true,
+            ),
+        ] {
+            let mut run = base(16 << 20);
+            run.engine = failing_gets(true);
+            let mut cfg = FrontendRun::new(run, 1);
+            cfg.queue_depth = 2;
+            cfg.discipline = discipline;
+            let mut fe = Frontend::new(&cfg).expect("frontend");
+            let served = fe.submit(update(0)).expect("submit");
+            let dropped = fe.submit(read(1)).expect("submit");
+            let served = fe.wait(served).expect("wait");
+            let dropped = fe.wait(dropped).expect("wait");
+            assert_eq!(served.outcome, ReqOutcome::Served);
+            assert!(served.done_at > 0);
+            assert_eq!(dropped.outcome, ReqOutcome::ShardOutOfSpace);
+            assert_eq!((dropped.submitted_at, dropped.issued_at), (0, 0));
+            let from = if lazy { served.done_at } else { 0 };
+            assert_eq!(dropped.done_at, from + DROP_LATENCY, "{discipline:?}");
+            let shard = &fe.shards[0];
+            assert!(shard.dead);
+            assert_eq!((shard.load.served, shard.load.dropped), (1, 1));
+            assert_eq!(shard.slots, vec![served.done_at]);
+        }
     }
 
     /// Everything a shard reports, rendered exactly.
