@@ -1,9 +1,8 @@
 //! The B+Tree database: public API, tree algorithms, checkpointing.
 
 use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
-use ptsbench_vfs::{Cause, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, LogRecord, RecordLog, TraceHandle, Vfs};
 
-use crate::log::Journal;
 use crate::node::Node;
 use crate::options::BTreeOptions;
 use crate::pager::{Pager, PagerStats};
@@ -29,6 +28,11 @@ pub struct BTreeStats {
 }
 
 const META_MAGIC: &[u8; 6] = b"BTREE1";
+
+/// The journal is the one file `journal-0`: a record log recycled in
+/// place at every checkpoint (WiredTiger preallocates and reuses
+/// journal files), so its LBAs stay stable.
+const JOURNAL_PREFIX: &str = "journal";
 
 /// A slice-resumable fuzzy checkpoint — the only checkpoint there is:
 /// drained in place by [`BTreeDb::checkpoint`], or pumped in paced
@@ -59,7 +63,7 @@ struct Descent {
 /// An on-disk B+Tree key-value store on a simulated flash stack.
 pub struct BTreeDb {
     pager: Pager,
-    journal: Option<Journal>,
+    journal: Option<RecordLog>,
     opts: BTreeOptions,
     root: PageNo,
     entries: u64,
@@ -95,7 +99,7 @@ impl BTreeDb {
         let mut pager = Pager::create(vfs.clone(), "btree.db", opts.page_bytes, opts.cache_bytes)?;
         pager.attach_trace(trace.clone());
         let journal = if opts.wal_enabled {
-            Some(Journal::create(vfs.clone())?)
+            Some(RecordLog::create(vfs.clone(), JOURNAL_PREFIX, true)?)
         } else {
             None
         };
@@ -169,20 +173,20 @@ impl BTreeDb {
 
         // Replay the journal (records since the last checkpoint).
         let records = if db.opts.wal_enabled {
-            Journal::replay(&vfs)?
+            RecordLog::replay(&vfs, JOURNAL_PREFIX)?
         } else {
             Vec::new()
         };
         for record in records {
             match record {
-                crate::log::JournalRecord::Put(k, v) => db.insert_entry(&k, &v)?,
-                crate::log::JournalRecord::Delete(k) => {
+                LogRecord::Put(k, v) => db.insert_entry(&k, &v)?,
+                LogRecord::Delete(k) => {
                     db.remove_entry(&k)?;
                 }
             }
         }
         if db.opts.wal_enabled {
-            db.journal = Some(Journal::open_or_create(vfs)?);
+            db.journal = Some(RecordLog::open_or_create(vfs, JOURNAL_PREFIX, true)?);
         }
         // Make the recovered state durable and truncate the journal.
         db.checkpoint()?;
@@ -550,7 +554,7 @@ impl BTreeDb {
             self.pager.fsync()?;
         }
         if let Some(j) = self.journal.as_mut() {
-            j.truncate()?;
+            j.rotate()?;
         }
         self.pager.note_checkpoint();
         self.stats.checkpoints += 1;

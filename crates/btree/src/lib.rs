@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod db;
-pub mod log;
 pub mod node;
 pub mod options;
 pub mod pager;
@@ -61,6 +60,15 @@ pub enum BTreeError {
 impl From<ptsbench_vfs::VfsError> for BTreeError {
     fn from(e: ptsbench_vfs::VfsError) -> Self {
         BTreeError::Vfs(e)
+    }
+}
+
+impl From<ptsbench_vfs::LogError> for BTreeError {
+    fn from(e: ptsbench_vfs::LogError) -> Self {
+        match e {
+            ptsbench_vfs::LogError::Vfs(e) => BTreeError::Vfs(e),
+            ptsbench_vfs::LogError::Corruption(what) => BTreeError::Corruption(what),
+        }
     }
 }
 

@@ -174,13 +174,6 @@ const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
 impl Node {
-    /// An empty leaf.
-    pub fn empty_leaf() -> Self {
-        Node::Leaf {
-            entries: Vec::new(),
-        }
-    }
-
     /// Whether this is a leaf page.
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })

@@ -64,7 +64,15 @@ fn journal_tail_survives_past_checkpoint() {
         db.delete(&key(7)).expect("delete");
         db.sync_journal().expect("sync");
     }
-    let mut recovered = BTreeDb::recover(v, BTreeOptions::small()).expect("recover");
+    // The journal is recycled in place at every checkpoint: there is
+    // only ever the one file, before and after recovery.
+    let journals = |v: &Vfs| -> Vec<String> {
+        let names = v.list().into_iter();
+        names.filter(|n| n.starts_with("journal-")).collect()
+    };
+    assert_eq!(journals(&v), ["journal-0"]);
+    let mut recovered = BTreeDb::recover(v.clone(), BTreeOptions::small()).expect("recover");
+    assert_eq!(journals(&v), ["journal-0"]);
     assert_eq!(
         recovered.get(&key(0)).expect("get"),
         Some(b"checkpointed".to_vec())

@@ -329,42 +329,63 @@ impl Experiment {
                     }
                 }
             }
-            let op_start = now;
-            let gen = &mut self.gen;
-            let system = self
-                .system
-                .as_mut()
-                .expect("loaded experiment has an engine");
-            let op = gen.next_op();
-            let (span_name, cause) = match op.kind {
-                OpKind::Update => ("op.put", Cause::Put),
-                OpKind::Read => ("op.get", Cause::Get),
-            };
-            let _op_cause = self.trace.cause(cause);
-            let span = self.trace.begin(span_name, cause);
-            let outcome = match op.kind {
-                OpKind::Update => system.put(op.key, op.value),
-                OpKind::Read => system.get(op.key).map(|_| ()),
-            };
-            match outcome {
-                Ok(()) => {}
-                Err(PtsError::OutOfSpace) => {
-                    self.trace.end(span);
-                    self.out_of_space = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-            self.stack.clock.advance(self.cpu_cost_sim);
-            self.trace.end(span);
-            self.ops_executed += 1;
-            self.latency.record(self.stack.clock.now() - op_start);
-            self.pump_maintenance()?;
+            self.execute(None)?;
             if self.out_of_space {
                 break;
             }
         }
         Ok(())
+    }
+
+    /// Executes one operation at the clock's current instant — the one
+    /// body under [`Experiment::run_until`] and [`Experiment::serve`]:
+    /// `op.*` span, engine call, per-op CPU charge, latency record, then
+    /// the maintenance pump. `routed` is a front-end request; `None`
+    /// draws the next operation from this experiment's own generator
+    /// (drawn in here because the operation borrows the generator's
+    /// buffers). Returns the completion instant, or `None` when the
+    /// operation hit out-of-space (`out_of_space` set, nothing recorded).
+    /// An out-of-space met by a maintenance slice *after* the operation
+    /// completed only sets the flag.
+    fn execute(&mut self, routed: Option<(OpKind, &[u8], &[u8])>) -> Result<Option<Ns>, PtsError> {
+        let op_start = self.stack.clock.now();
+        let (kind, key, value) = match routed {
+            Some(op) => op,
+            None => {
+                let op = self.gen.next_op();
+                (op.kind, op.key, op.value)
+            }
+        };
+        let system = self
+            .system
+            .as_mut()
+            .expect("loaded experiment has an engine");
+        let (span_name, cause) = match kind {
+            OpKind::Update => ("op.put", Cause::Put),
+            OpKind::Read => ("op.get", Cause::Get),
+        };
+        let _op_cause = self.trace.cause(cause);
+        let span = self.trace.begin(span_name, cause);
+        let outcome = match kind {
+            OpKind::Update => system.put(key, value),
+            OpKind::Read => system.get(key).map(|_| ()),
+        };
+        match outcome {
+            Ok(()) => {}
+            Err(PtsError::OutOfSpace) => {
+                self.trace.end(span);
+                self.out_of_space = true;
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        }
+        self.stack.clock.advance(self.cpu_cost_sim);
+        self.trace.end(span);
+        self.ops_executed += 1;
+        let done = self.stack.clock.now();
+        self.latency.record(done - op_start);
+        self.pump_maintenance()?;
+        Ok(Some(done))
     }
 
     /// Yields to deferred background maintenance between foreground
@@ -421,37 +442,11 @@ impl Experiment {
         // request serviced past the end must not mint extra windows
         // (finish() emits the trailing ones).
         self.emit_due_samples(now.min(self.t0 + self.cfg.duration));
-        let system = self
-            .system
-            .as_mut()
-            .expect("loaded experiment has an engine");
-        let (span_name, cause) = match kind {
-            OpKind::Update => ("op.put", Cause::Put),
-            OpKind::Read => ("op.get", Cause::Get),
+        let Some(done) = self.execute(Some((kind, key, value)))? else {
+            return Ok(Served::OutOfSpace);
         };
-        let _op_cause = self.trace.cause(cause);
-        let span = self.trace.begin(span_name, cause);
-        let outcome = match kind {
-            OpKind::Update => system.put(key, value),
-            OpKind::Read => system.get(key).map(|_| ()),
-        };
-        match outcome {
-            Ok(()) => {}
-            Err(PtsError::OutOfSpace) => {
-                self.trace.end(span);
-                self.out_of_space = true;
-                return Ok(Served::OutOfSpace);
-            }
-            Err(e) => return Err(e),
-        }
-        self.stack.clock.advance(self.cpu_cost_sim);
-        self.trace.end(span);
-        self.ops_executed += 1;
-        let done = self.stack.clock.now();
-        self.latency.record(done - now);
-        // This request completed; if a maintenance slice hits
-        // out-of-space the *next* serve reports it.
-        self.pump_maintenance()?;
+        // This request completed; if a maintenance slice hit
+        // out-of-space after it, the *next* serve reports it.
         Ok(Served::Done {
             start: now - self.t0,
             done: done - self.t0,

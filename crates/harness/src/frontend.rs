@@ -228,8 +228,8 @@ struct WaitingReq {
 
 impl WaitingReq {
     /// The record of this request dropped by `shard` at the dispatch
-    /// instant `t0` — also the template `pump` fills in when the
-    /// request is shed or served instead.
+    /// instant `t0` — also the template [`Frontend::decide`] fills in
+    /// when the request is shed or served instead.
     fn dropped(&self, shard: usize, t0: Ns) -> ReqCompletion {
         ReqCompletion {
             token: self.token,
@@ -670,20 +670,7 @@ impl Frontend {
             SloPolicy::None | SloPolicy::Deadline { .. } => false,
         };
         if rejected {
-            shard.slo.rejected += 1;
-            shard.mt.class_mut(req.class).slo.rejected += 1;
-            // Unclamped-estimator recovery (maintenance mode only; see
-            // the clamp at the `Served::Done` arm): each rejection
-            // decays the service EWMA one step so the estimator can
-            // re-probe once pressure subsides instead of wedging.
-            if self.cfg.base.maint.enabled {
-                if let SloPolicy::PredictedSojourn { .. } = policy {
-                    shard.decay_service_estimate();
-                }
-            }
-            completion.done_at = now + REJECT_LATENCY;
-            completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion, detached);
+            self.reject(completion, detached);
             return Ok(token);
         }
         shard.slo.admitted += 1;
@@ -692,25 +679,75 @@ impl Frontend {
         completion.done_at = issue + DROP_LATENCY;
 
         // Service: the engine is a single server, so the request starts
-        // when both it is admitted and the engine is free.
+        // when both it is admitted and the engine is free. The planned
+        // slots go live only with a decision: a hard engine failure
+        // leaves the queue as it was, and so does the request that hits
+        // out-of-space.
         let start_lb = issue.max(shard.busy_until);
+        match self.decide(completion, &req.value, start_lb, detached)? {
+            Decided::Served { done } => slots.push(done),
+            // A shed request held its slot from admission until the
+            // instant it would have started.
+            Decided::Shed => slots.push(start_lb),
+            Decided::OutOfSpace => return Ok(token),
+        }
+        self.shards[shard_idx].slots = slots;
+        Ok(token)
+    }
+
+    /// Turns `completion`'s request away at admission: counted, answered
+    /// after [`REJECT_LATENCY`], never queued.
+    fn reject(&mut self, mut completion: ReqCompletion, detached: bool) {
+        let shard = &mut self.shards[completion.shard];
+        shard.slo.rejected += 1;
+        shard.mt.class_mut(completion.class).slo.rejected += 1;
+        // Unclamped-estimator recovery (maintenance mode only; see the
+        // clamp in `decide`): each rejection decays the service EWMA one
+        // step so the estimator can re-probe once pressure subsides
+        // instead of wedging.
+        if self.cfg.base.maint.enabled {
+            if let SloPolicy::PredictedSojourn { .. } = self.cfg.slo.get(completion.class) {
+                shard.decay_service_estimate();
+            }
+        }
+        completion.done_at = completion.submitted_at + REJECT_LATENCY;
+        completion.outcome = ReqOutcome::Rejected;
+        self.resolve(completion, detached);
+    }
+
+    /// The one place an admitted request meets its shard's engine: at
+    /// the known start instant `start`, `completion`'s request (filled
+    /// in as the drop it becomes if the shard turns out to be full) is
+    /// shed if it outlived its [`SloPolicy::Deadline`] budget, else
+    /// served, and resolved either way. What differs between the two
+    /// dispatchers is how they got here — their admission rule and what
+    /// it does to the queue slots, which the returned [`Decided`] lets
+    /// each settle for itself. A hard engine failure returns `Err` with
+    /// nothing resolved and no counter past admission touched.
+    fn decide(
+        &mut self,
+        mut completion: ReqCompletion,
+        value: &[u8],
+        start: Ns,
+        detached: bool,
+    ) -> Result<Decided, PtsError> {
+        let policy = self.cfg.slo.get(completion.class);
+        let shard = &mut self.shards[completion.shard];
+        let submitted_at = completion.submitted_at;
         if let SloPolicy::Deadline { budget_ns } = policy {
             // Shed at dispatch: the request aged past its budget while
             // queueing, so starting it now would only waste device time
-            // on an answer nobody is waiting for. It held a queue slot
-            // from admission until this instant.
-            if start_lb - now > budget_ns {
-                slots.push(start_lb);
-                shard.slots = slots;
+            // on an answer nobody is waiting for.
+            if start - submitted_at > budget_ns {
                 shard.slo.shed += 1;
-                shard.mt.class_mut(req.class).slo.shed += 1;
-                completion.done_at = start_lb;
+                shard.mt.class_mut(completion.class).slo.shed += 1;
+                completion.done_at = start;
                 completion.outcome = ReqOutcome::Shed;
                 self.resolve(completion, detached);
-                return Ok(token);
+                return Ok(Decided::Shed);
             }
         }
-        encode_key(req.key_index, self.key_size, &mut self.key_buf);
+        encode_key(completion.key_index, self.key_size, &mut self.key_buf);
         // Request-level spans (traced runs only): a `req.get`/`req.put`
         // root opening at submission, with the dispatch/queue wait as a
         // `req.queue` child, so the engine's `op.*` span — and every
@@ -718,48 +755,41 @@ impl Frontend {
         // caused it. Timestamps are front-end (phase-relative) times
         // shifted onto the absolute span timeline.
         let trace = shard.experiment.trace_handle().clone();
-        let t0 = shard.experiment.phase_start();
-        let req_span = if trace.is_on() {
-            let cause = match req.kind {
-                OpKind::Update => Cause::Put,
-                OpKind::Read => Cause::Get,
+        let phase0 = shard.experiment.phase_start();
+        let req_span = trace.is_on().then(|| {
+            let (name, cause) = match completion.kind {
+                OpKind::Update => ("req.put", Cause::Put),
+                OpKind::Read => ("req.get", Cause::Get),
             };
-            let name = match req.kind {
-                OpKind::Update => "req.put",
-                OpKind::Read => "req.get",
-            };
-            let id = trace.tracer().begin(name, cause, t0 + now);
+            let id = trace.tracer().begin(name, cause, phase0 + submitted_at);
             trace
                 .tracer()
-                .leaf("req.queue", cause, t0 + now, t0 + start_lb);
-            Some(id)
-        } else {
-            None
-        };
+                .leaf("req.queue", cause, phase0 + submitted_at, phase0 + start);
+            id
+        });
         let served = shard
             .experiment
-            .serve(start_lb, req.kind, &self.key_buf, &req.value);
+            .serve(start, completion.kind, &self.key_buf, value);
         if let Some(id) = req_span {
             // The experiment clock sits at the service completion time,
             // which is exactly where the request span closes.
             trace.end(id);
         }
-        match served? {
+        let decided = match served? {
             Served::Done { start, done } => {
                 shard.busy_until = done;
-                slots.push(done);
-                shard.slots = slots;
                 shard.load.served += 1;
                 shard.load.busy_ns += done - start;
-                shard.queue_delay.record(start - now);
+                let wait = start - submitted_at;
+                shard.queue_delay.record(wait);
+                shard.slo.served += 1;
+                let lane = shard.mt.class_mut(completion.class);
+                lane.slo.served += 1;
+                lane.queue_delay.record(wait);
+                lane.starve_max_ns = lane.starve_max_ns.max(wait);
                 completion.done_at = done;
                 completion.service_ns = done - start;
                 completion.outcome = ReqOutcome::Served;
-                shard.slo.served += 1;
-                let lane = shard.mt.class_mut(req.class);
-                lane.slo.served += 1;
-                lane.queue_delay.record(start - now);
-                lane.starve_max_ns = lane.starve_max_ns.max(start - now);
                 // Inline maintenance clamps the estimator's observation
                 // to the deadline: an op that absorbs an inline
                 // compaction/GC stall can run 30x the typical service
@@ -772,9 +802,8 @@ impl Frontend {
                 // comes off: budgeted slices bound routine stalls, raw
                 // observations let admission control see genuine
                 // backpressure overload, and the decay-on-reject step
-                // (see the rejection branch above) guarantees the
-                // estimator re-probes instead of wedging
-                // (regression-tested by
+                // (see `reject`) guarantees the estimator re-probes
+                // instead of wedging (regression-tested by
                 // `maintenance_mode_estimator_runs_unclamped_without_wedging`).
                 let estimator_cap = if self.cfg.base.maint.enabled {
                     Ns::MAX
@@ -782,14 +811,16 @@ impl Frontend {
                     policy.deadline_ns().unwrap_or(Ns::MAX)
                 };
                 shard.observe_service(completion.service_ns.min(estimator_cap));
+                Decided::Served { done }
             }
             Served::OutOfSpace => {
                 shard.dead = true;
                 shard.load.dropped += 1;
+                Decided::OutOfSpace
             }
-        }
+        };
         self.resolve(completion, detached);
-        Ok(token)
+        Ok(decided)
     }
 
     /// Stamps a decided completion with its resolution sequence number
@@ -830,7 +861,7 @@ impl Frontend {
         &mut self,
         shard_idx: usize,
         req: Request,
-        mut completion: ReqCompletion,
+        completion: ReqCompletion,
         policy: SloPolicy,
         detached: bool,
     ) -> Result<ReqToken, PtsError> {
@@ -852,16 +883,7 @@ impl Frontend {
             SloPolicy::None | SloPolicy::Deadline { .. } => false,
         };
         if rejected {
-            shard.slo.rejected += 1;
-            shard.mt.class_mut(req.class).slo.rejected += 1;
-            if self.cfg.base.maint.enabled {
-                if let SloPolicy::PredictedSojourn { .. } = policy {
-                    shard.decay_service_estimate();
-                }
-            }
-            completion.done_at = now + REJECT_LATENCY;
-            completion.outcome = ReqOutcome::Rejected;
-            self.resolve(completion, detached);
+            self.reject(completion, detached);
             return Ok(token);
         }
         shard.slo.admitted += 1;
@@ -936,72 +958,13 @@ impl Frontend {
                 // tag, so classes going idle don't bank credit.
                 shard.vtime = shard.vtime.max(w.finish_tag);
             }
-            let policy = self.cfg.slo.get(w.class);
-            let mut completion = w.dropped(shard_idx, t0);
-            if let SloPolicy::Deadline { budget_ns } = policy {
-                if t0 - w.submitted_at > budget_ns {
-                    shard.slo.shed += 1;
-                    shard.mt.class_mut(w.class).slo.shed += 1;
-                    completion.done_at = t0;
-                    completion.outcome = ReqOutcome::Shed;
-                    self.resolve(completion, w.detached);
-                    continue;
-                }
-            }
-            encode_key(w.key_index, self.key_size, &mut self.key_buf);
-            let trace = shard.experiment.trace_handle().clone();
-            let phase0 = shard.experiment.phase_start();
-            let req_span = if trace.is_on() {
-                let cause = match w.kind {
-                    OpKind::Update => Cause::Put,
-                    OpKind::Read => Cause::Get,
-                };
-                let name = match w.kind {
-                    OpKind::Update => "req.put",
-                    OpKind::Read => "req.get",
-                };
-                let id = trace.tracer().begin(name, cause, phase0 + w.submitted_at);
-                trace
-                    .tracer()
-                    .leaf("req.queue", cause, phase0 + w.submitted_at, phase0 + t0);
-                Some(id)
-            } else {
-                None
-            };
-            let served = shard.experiment.serve(t0, w.kind, &self.key_buf, &w.value);
-            if let Some(id) = req_span {
-                trace.end(id);
-            }
-            match served? {
-                Served::Done { start, done } => {
-                    shard.busy_until = done;
-                    shard.slots.push(done);
-                    shard.load.served += 1;
-                    shard.load.busy_ns += done - start;
-                    let wait = start - w.submitted_at;
-                    shard.queue_delay.record(wait);
-                    shard.slo.served += 1;
-                    let lane = shard.mt.class_mut(w.class);
-                    lane.slo.served += 1;
-                    lane.queue_delay.record(wait);
-                    lane.starve_max_ns = lane.starve_max_ns.max(wait);
-                    completion.done_at = done;
-                    completion.service_ns = done - start;
-                    completion.outcome = ReqOutcome::Served;
-                    let estimator_cap = if self.cfg.base.maint.enabled {
-                        Ns::MAX
-                    } else {
-                        policy.deadline_ns().unwrap_or(Ns::MAX)
-                    };
-                    shard.observe_service(completion.service_ns.min(estimator_cap));
-                    self.resolve(completion, w.detached);
-                }
-                Served::OutOfSpace => {
-                    shard.dead = true;
-                    shard.load.dropped += 1;
-                    self.resolve(completion, w.detached);
-                    // The next iteration drains the rest as drops.
-                }
+            // Served, the request takes a queue slot until it is done;
+            // shed or dropped it never held one. When it hit
+            // out-of-space, the next iteration drains the rest as drops.
+            if let Decided::Served { done } =
+                self.decide(w.dropped(shard_idx, t0), &w.value, t0, w.detached)?
+            {
+                self.shards[shard_idx].slots.push(done);
             }
         }
     }
@@ -1154,6 +1117,20 @@ impl Frontend {
             })
             .collect()
     }
+}
+
+/// What [`Frontend::decide`] did with a request, for the slot
+/// bookkeeping of the dispatcher that called it.
+enum Decided {
+    /// Served; the engine is busy until `done`.
+    Served {
+        /// Host-visible completion (phase-relative ns).
+        done: Ns,
+    },
+    /// Past its deadline budget at the start instant: dropped there.
+    Shed,
+    /// The request hit out-of-space; the shard is dead.
+    OutOfSpace,
 }
 
 /// Fixed-point scale of the WFQ virtual clock, so integer division by

@@ -16,7 +16,7 @@
 //!   inputs through the merge. Nothing is charged to a scheduler.
 //! * **On — bounded slices pumped between foreground ops.** Writes
 //!   continue into a fresh memtable (and a fresh WAL file, see
-//!   [`crate::wal::Wal::rotate_deferred`]) while the flush proceeds one
+//!   [`ptsbench_vfs::RecordLog::rotate_deferred`]) while the flush proceeds one
 //!   byte-bounded slice at a time; a compaction buffers one input table
 //!   per slice, then merges and writes outputs in byte-bounded slices.
 //!   Both install their version edit only once the background writes

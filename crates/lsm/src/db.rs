@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
-use ptsbench_vfs::{Cause, FileSlice, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, FileSlice, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::background::{BufferedRun, CompactJob, FlushJob, RunIter};
 use crate::compaction::{effective_targets, pick, CompactionTask};
@@ -15,7 +15,6 @@ use crate::memtable::Memtable;
 use crate::options::LsmOptions;
 use crate::sstable::{BloomCounters, SstableBuilder, SstableMeta, SstableReader};
 use crate::version::{TableHandle, Version};
-use crate::wal::{Wal, WalRecord};
 use crate::{LsmError, Result};
 
 /// Cumulative engine statistics.
@@ -51,12 +50,15 @@ pub struct DbStats {
     pub bloom_false_positives: u64,
 }
 
+/// The write-ahead log's files are `wal-<n>`.
+const WAL_PREFIX: &str = "wal";
+
 /// A leveled LSM-tree key-value store on a simulated flash stack.
 pub struct LsmDb {
     vfs: Vfs,
     opts: LsmOptions,
     memtable: Memtable,
-    wal: Option<Wal>,
+    wal: Option<RecordLog>,
     manifest: Manifest,
     version: Version,
     cursors: Vec<usize>,
@@ -81,8 +83,9 @@ pub struct LsmDb {
     /// table; writes go to the live memtable).
     imm: Option<Memtable>,
     /// WAL files holding frozen records whose rotation was deferred
-    /// (paced drive); deleted at flush install. More than one only
-    /// after an aborted flush thawed its memtable.
+    /// (paced drive), or that a recovery found behind the live log;
+    /// deleted at flush install. More than one only after an aborted
+    /// flush thawed its memtable, or a crash before an install.
     old_wals: Vec<String>,
     /// Flush in progress.
     flush: Option<FlushJob>,
@@ -104,7 +107,11 @@ impl LsmDb {
     pub fn open(vfs: Vfs, opts: LsmOptions) -> Result<Self> {
         opts.validate();
         let wal = if opts.wal_enabled {
-            Some(Wal::create(vfs.clone(), opts.recycle_wal)?)
+            Some(RecordLog::create(
+                vfs.clone(),
+                WAL_PREFIX,
+                opts.recycle_wal,
+            )?)
         } else {
             None
         };
@@ -186,15 +193,23 @@ impl LsmDb {
         }
         version.check_invariants();
 
-        let records = if opts.wal_enabled {
-            Wal::replay(&vfs)?
+        // Every log on disk, oldest first: after a crash between a
+        // paced freeze and its install, the frozen records sit in a log
+        // older than the live one. Those logs go where a deferred
+        // rotation puts them, so the flush below releases them exactly
+        // when their records are durable in a table.
+        let (records, wal, old_wals) = if opts.wal_enabled {
+            (
+                RecordLog::replay(&vfs, WAL_PREFIX)?,
+                Some(RecordLog::open_or_create(
+                    vfs.clone(),
+                    WAL_PREFIX,
+                    opts.recycle_wal,
+                )?),
+                RecordLog::stale(&vfs, WAL_PREFIX),
+            )
         } else {
-            Vec::new()
-        };
-        let wal = if opts.wal_enabled {
-            Some(Wal::open_or_create(vfs.clone(), opts.recycle_wal)?)
-        } else {
-            None
+            (Vec::new(), None, Vec::new())
         };
         let manifest = Manifest::open(vfs.clone())?;
         let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
@@ -214,14 +229,14 @@ impl LsmDb {
             trace,
             sched,
             imm: None,
-            old_wals: Vec::new(),
+            old_wals,
             flush: None,
             compact: None,
         };
         for record in records {
             match record {
-                WalRecord::Put(k, v) => db.memtable.put(&k, &v),
-                WalRecord::Delete(k) => db.memtable.delete(&k),
+                LogRecord::Put(k, v) => db.memtable.put(&k, &v),
+                LogRecord::Delete(k) => db.memtable.delete(&k),
             }
         }
         db.flush()?;
@@ -949,14 +964,12 @@ impl LsmDb {
         self.version.push_l0(table);
         self.imm = None;
         drive.installed(&mut self.sched);
-        // Release the log that held the frozen records.
+        // Release the logs that held the frozen records.
+        for old in std::mem::take(&mut self.old_wals) {
+            self.vfs.delete(&old)?;
+        }
         match drive {
-            Drive::Paced => {
-                for old in std::mem::take(&mut self.old_wals) {
-                    self.vfs.delete(&old)?;
-                }
-                self.maybe_schedule_compaction()?;
-            }
+            Drive::Paced => self.maybe_schedule_compaction()?,
             Drive::Inline => {
                 if let Some(wal) = self.wal.as_mut() {
                     wal.rotate()?;

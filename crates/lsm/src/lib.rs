@@ -42,7 +42,6 @@ pub mod memtable;
 pub mod options;
 pub mod sstable;
 pub mod version;
-pub mod wal;
 
 pub use db::{DbStats, LsmDb, RangeScan};
 pub use options::LsmOptions;
@@ -60,6 +59,15 @@ pub enum LsmError {
 impl From<ptsbench_vfs::VfsError> for LsmError {
     fn from(e: ptsbench_vfs::VfsError) -> Self {
         LsmError::Vfs(e)
+    }
+}
+
+impl From<ptsbench_vfs::LogError> for LsmError {
+    fn from(e: ptsbench_vfs::LogError) -> Self {
+        match e {
+            ptsbench_vfs::LogError::Vfs(e) => LsmError::Vfs(e),
+            ptsbench_vfs::LogError::Corruption(what) => LsmError::Corruption(what),
+        }
     }
 }
 

@@ -19,8 +19,7 @@ use ptsbench_vfs::{FileAppender, FileId, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::sstable::format::{
-    encode_entry, encode_index_entry, entry_encoded_len, entry_ranges, Footer, SstableMeta,
-    FOOTER_LEN,
+    encode_entry, encode_index_entry, entry_ranges, Footer, SstableMeta, FOOTER_LEN,
 };
 use crate::{LsmError, Result};
 
@@ -190,11 +189,6 @@ impl SstableBuilder {
     /// Number of entries added so far.
     pub fn entries(&self) -> u64 {
         self.entries
-    }
-
-    /// Cost in bytes an entry would add.
-    pub fn entry_cost(key: &[u8], value: Option<&[u8]>) -> usize {
-        entry_encoded_len(key, value)
     }
 
     fn seal_block(&mut self) -> Result<()> {

@@ -141,11 +141,6 @@ pub fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
     }
 }
 
-/// Size of an entry's encoding.
-pub fn entry_encoded_len(key: &[u8], value: Option<&[u8]>) -> usize {
-    2 + 4 + key.len() + value.map_or(0, |v| v.len())
-}
-
 /// A decoded entry: `(key, value-or-tombstone, next_position)`.
 pub type DecodedEntry<'a> = (&'a [u8], Option<&'a [u8]>, usize);
 
@@ -247,12 +242,6 @@ mod tests {
         let (k, v, p) = decode_entry(&buf, p).expect("decode");
         assert_eq!((k, v), (&b"key3"[..], Some(&b""[..])));
         assert_eq!(p, buf.len());
-        assert_eq!(
-            buf.len(),
-            entry_encoded_len(b"key1", Some(b"value1"))
-                + entry_encoded_len(b"key2", None)
-                + entry_encoded_len(b"key3", Some(b""))
-        );
     }
 
     #[test]

@@ -143,3 +143,41 @@ fn repeated_recovery_is_stable() {
         }
     }
 }
+
+#[test]
+fn records_in_a_deferred_log_survive_recovery() {
+    // Paced maintenance: a freeze rotates the log *without* deleting the
+    // old file, which alone holds the frozen memtable's records until
+    // its flush installs. A crash in that window leaves two logs.
+    let paced = || LsmOptions {
+        maint: ptsbench_maint::MaintConfig::enabled(),
+        ..LsmOptions::small()
+    };
+    let logs = |v: &Vfs| v.list().iter().filter(|n| n.starts_with("wal-")).count();
+    let v = vfs();
+    let mut acknowledged = 0u32;
+    {
+        let mut db = LsmDb::open(v.clone(), paced()).expect("open");
+        while logs(&v) < 2 {
+            db.put(&key(acknowledged), &[7u8; 100]).expect("put");
+            acknowledged += 1;
+        }
+        for _ in 0..5 {
+            db.put(&key(acknowledged), &[7u8; 100]).expect("put");
+            acknowledged += 1;
+        }
+        db.sync_wal().expect("sync");
+        // Crash: the frozen memtable was never flushed.
+    }
+    for round in 0..2 {
+        let mut db = LsmDb::recover(v.clone(), paced()).expect("recover");
+        let lost = (0..acknowledged)
+            .filter(|&i| db.get(&key(i)).expect("get") != Some(vec![7u8; 100]))
+            .count();
+        assert_eq!(
+            lost, 0,
+            "round {round}: {lost} of {acknowledged} acknowledged puts lost"
+        );
+        assert_eq!(logs(&v), 1, "round {round}: stale logs are released");
+    }
+}

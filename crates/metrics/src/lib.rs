@@ -11,8 +11,7 @@
 //! * [`cusum`] — Page's CUSUM change detector, the §4.1 guideline for
 //!   declaring steady state "when application throughput, WA-A and WA-D
 //!   stop changing for long enough";
-//! * [`cdf`] / [`histogram`] — distribution summaries (Fig 4, latency
-//!   percentiles);
+//! * [`histogram`] — latency distributions and their percentiles;
 //! * [`cost`] — the storage-cost model behind the Fig 6c and Fig 8
 //!   heatmaps (#drives = max(capacity-bound, throughput-bound));
 //! * [`report`] — plain-text rendering of series, sweeps and heatmaps in
@@ -39,11 +38,9 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod cdf;
 pub mod cost;
 pub mod cusum;
 pub mod histogram;
-pub mod lifetime;
 pub mod load;
 pub mod mt;
 pub mod report;
@@ -53,11 +50,9 @@ pub mod timeseries;
 pub mod wa;
 
 pub use cache::CacheStats;
-pub use cdf::Cdf;
 pub use cost::{CostModel, DeploymentPlan, Heatmap};
 pub use cusum::CusumDetector;
 pub use histogram::LatencyHistogram;
-pub use lifetime::EnduranceModel;
 pub use load::{LoadImbalance, ShardLoad};
 pub use mt::{ClassStats, MtStats, ReqClass, TenantId, TenantStats};
 pub use ptsbench_maint::RateBudget;

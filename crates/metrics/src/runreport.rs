@@ -213,19 +213,27 @@ impl RunReport {
         LoadImbalance::from_shards(&loads)
     }
 
+    /// The one fold over an optional report section: `merge`s the
+    /// section of every shard that carries one into a default-started
+    /// total, `None` when no shard does.
+    fn fold_sections<T: Default>(
+        &self,
+        section: impl Fn(&ShardReport) -> Option<&T>,
+        merge: impl Fn(&mut T, &T),
+    ) -> Option<T> {
+        self.shards.iter().filter_map(section).fold(None, |acc, s| {
+            let mut total = acc.unwrap_or_default();
+            merge(&mut total, s);
+            Some(total)
+        })
+    }
+
     /// Fleet-level SLO accounting, folded over every shard that
     /// reported it (`None` when none did — i.e. no admission policy was
     /// active). Counters sum; the span stays the shared measurement
     /// window, so [`SloStats::goodput_per_sec`] is the fleet rate.
     pub fn slo_totals(&self) -> Option<SloStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.slo.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.slo.as_ref(), SloStats::merge)
     }
 
     /// Fleet-level multi-tenant accounting, folded over every shard
@@ -234,14 +242,7 @@ impl RunReport {
     /// lanes merge lane-wise; tenant ledgers merge by id; starvation
     /// maxima take the fleet-wide max.
     pub fn mt_totals(&self) -> Option<MtStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.mt.as_ref())
-            .fold(None, |acc, s| {
-                let mut total: MtStats = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.mt.as_ref(), MtStats::merge)
     }
 
     /// Run-level cache accounting, folded over every shard that
@@ -249,14 +250,7 @@ impl RunReport {
     /// configured). Counters sum across shards; the hit rate is the
     /// fleet-wide rate.
     pub fn cache_totals(&self) -> Option<CacheStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cache.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.cache.as_ref(), CacheStats::merge)
     }
 
     /// Fleet-level per-cause device traffic, folded over every shard
@@ -264,14 +258,7 @@ impl RunReport {
     /// was traced). Counters sum across shards, so the totals row is
     /// the fleet's whole device traffic by provenance.
     pub fn cause_totals(&self) -> Option<CauseStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.cause.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.cause.as_ref(), CauseStats::merge)
     }
 
     /// Fleet-level background-maintenance accounting, folded over every
@@ -279,14 +266,7 @@ impl RunReport {
     /// ran inline). Counters and byte ledgers sum across shards, so the
     /// footer's write/space amplification is the fleet-wide figure.
     pub fn maint_totals(&self) -> Option<MaintStats> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.maint.as_ref())
-            .fold(None, |acc, s| {
-                let mut total = acc.unwrap_or_default();
-                total.merge(s);
-                Some(total)
-            })
+        self.fold_sections(|s| s.maint.as_ref(), MaintStats::merge)
     }
 
     /// Deterministic plain-text rendering (byte-identical for
@@ -326,28 +306,16 @@ impl RunReport {
                 qd.count()
             ));
         }
-        if let Some(imbalance) = self.load_imbalance() {
-            out.push_str(&imbalance.render());
-            out.push('\n');
-        }
-        if let Some(slo) = self.slo_totals() {
-            out.push_str(&slo.render());
-            out.push('\n');
-        }
-        if let Some(mt) = self.mt_totals() {
-            out.push_str(&mt.render());
-            out.push('\n');
-        }
-        if let Some(cache) = self.cache_totals() {
-            out.push_str(&cache.render());
-            out.push('\n');
-        }
-        if let Some(cause) = self.cause_totals() {
-            out.push_str(&cause.render());
-            out.push('\n');
-        }
-        if let Some(maint) = self.maint_totals() {
-            out.push_str(&maint.render());
+        let footers = [
+            self.load_imbalance().map(|s| s.render()),
+            self.slo_totals().map(|s| s.render()),
+            self.mt_totals().map(|s| s.render()),
+            self.cache_totals().map(|s| s.render()),
+            self.cause_totals().map(|s| s.render()),
+            self.maint_totals().map(|s| s.render()),
+        ];
+        for footer in footers.into_iter().flatten() {
+            out.push_str(&footer);
             out.push('\n');
         }
         for shard in &self.shards {
@@ -368,30 +336,12 @@ impl RunReport {
                     Some(qd) => format!(" qdelay[p99={}]", qd.quantile(0.99)),
                     None => String::new(),
                 },
-                match &shard.load {
-                    Some(load) => format!(" {}", load.render_compact()),
-                    None => String::new(),
-                },
-                match &shard.slo {
-                    Some(slo) => format!(" {}", slo.render_compact()),
-                    None => String::new(),
-                },
-                match &shard.mt {
-                    Some(mt) => format!(" {}", mt.render_compact()),
-                    None => String::new(),
-                },
-                match &shard.cache {
-                    Some(cache) => format!(" {}", cache.render_compact()),
-                    None => String::new(),
-                },
-                match &shard.cause {
-                    Some(cause) => format!(" {}", cause.render_compact()),
-                    None => String::new(),
-                },
-                match &shard.maint {
-                    Some(maint) => format!(" {}", maint.render_compact()),
-                    None => String::new(),
-                },
+                compact(&shard.load, ShardLoad::render_compact),
+                compact(&shard.slo, SloStats::render_compact),
+                compact(&shard.mt, MtStats::render_compact),
+                compact(&shard.cache, CacheStats::render_compact),
+                compact(&shard.cause, CauseStats::render_compact),
+                compact(&shard.maint, MaintStats::render_compact),
                 if shard.out_of_space {
                     " OUT-OF-SPACE"
                 } else {
@@ -410,6 +360,14 @@ impl RunReport {
             .filter_map(|s| s.io_depth.map(|io| io.max_in_flight))
             .max()
     }
+}
+
+/// A shard line's rendering of an optional section: a space and the
+/// compact form, or nothing.
+fn compact<T>(section: &Option<T>, render: impl Fn(&T) -> String) -> String {
+    section
+        .as_ref()
+        .map_or_else(String::new, |s| format!(" {}", render(s)))
 }
 
 #[cfg(test)]

@@ -186,11 +186,6 @@ impl Ftl {
         self.blocks.iter().map(|b| b.erase_count).collect()
     }
 
-    /// Valid-page count of the current greedy GC victim (diagnostics).
-    pub fn min_candidate_valid(&self) -> Option<u32> {
-        self.candidates.min_valid()
-    }
-
     /// Services a host write of one logical page. Returns the NAND
     /// operations performed (any GC work plus the host program itself).
     pub fn write(&mut self, lpn: Lpn) -> Result<NandOps, SsdError> {

@@ -114,11 +114,6 @@ impl CandidateSet {
         }
     }
 
-    /// Valid-count of the current greedy victim, if any (diagnostics).
-    pub fn min_valid(&self) -> Option<u32> {
-        self.by_valid.iter().next().map(|&(v, _)| v)
-    }
-
     /// Checks internal consistency against externally tracked valid counts.
     pub fn check_member(&self, block: BlockId, valid: u32) -> bool {
         self.by_valid.contains(&(valid, block))

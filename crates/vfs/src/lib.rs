@@ -17,6 +17,10 @@
 //! * **`nodiscard` semantics** — deletes return extents to the allocator
 //!   without trimming; an explicit [`Vfs::trim_free_space`] models
 //!   `fstrim`, and discard-on-delete can be enabled to model `-o discard`.
+//! * **The record log** ([`log`]) — the write-ahead log of both trees
+//!   (`wal-<n>`, `journal-0`): page-buffered put/delete records,
+//!   recycling or churning rotation, replay of every log in sequence
+//!   order.
 //! * **Partitions** ([`Vfs::new`] takes an LPN range) — reserving part of
 //!   the device as an untouched partition is exactly the paper's software
 //!   over-provisioning knob (Pitfall 6).
@@ -32,6 +36,7 @@ pub mod alloc;
 pub mod error;
 pub mod file;
 pub mod fs;
+pub mod log;
 pub mod slice;
 pub mod trace;
 
@@ -39,6 +44,7 @@ pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
 pub use error::VfsError;
 pub use file::FileId;
 pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};
+pub use log::{LogError, LogRecord, RecordLog};
 pub use slice::FileSlice;
 pub use trace::{CauseScope, TraceHandle};
 // Re-exported so engines can drive the asynchronous submission path

@@ -3,20 +3,21 @@
 //! bytes, the device's SMART counters, the virtual clock, the `df` view
 //! and the records a replay returns. The constants were recorded from
 //! the LSM's `Wal` (recycling and churning) and the B+Tree's `Journal`
-//! while they were two implementations; whatever appends, pads, rotates
-//! and replays `wal-<n>` and `journal-0` must reproduce them.
+//! while they were two implementations (`lsm/src/wal.rs`,
+//! `btree/src/log.rs`); [`RecordLog`], the one log both trees now
+//! write, is held to them under both prefixes — and runs the WAL's
+//! whole script under the journal's name too.
 //!
 //! The replayed list is rendered only while one log file is on disk:
 //! with a deferred rotation pending, `Wal::replay` read the newest file
-//! alone — a defect, not a contract (see `replay` in the log's own unit
-//! tests for what holds there). A log whose last record is still partly
-//! buffered does not parse at all (`<torn>`): tolerating a torn tail is
-//! the crash model's business (ROADMAP item 2), not this suite's.
+//! alone — a defect, not a contract (`replays_every_log_in_sequence_order`
+//! in `log.rs` pins what holds there). A log whose last record is still
+//! partly buffered does not parse at all (`<torn>`): tolerating a torn
+//! tail is the crash model's business (ROADMAP item 2), not this
+//! suite's.
 
-use ptsbench_btree::log::{Journal, JournalRecord};
-use ptsbench_lsm::wal::{Wal, WalRecord};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{SharedIoQueue, Vfs, VfsOptions};
+use ptsbench_vfs::{LogRecord, RecordLog, SharedIoQueue, Vfs, VfsOptions};
 
 const PAGE: usize = 4096;
 
@@ -139,84 +140,32 @@ const WAL_SCRIPT: &[Step] = &[
     Rotate,
 ];
 
-/// A replayed record: key and, for a put, the value.
-type Record = (Vec<u8>, Option<Vec<u8>>);
-
-/// The log under test.
-trait Log: Sized {
-    const PREFIX: &'static str;
-    fn create(v: Vfs, recycle: bool) -> Self;
-    fn open_or_create(v: Vfs, recycle: bool) -> Self;
-    /// Runs a log step; `Err` is the step's error text.
-    fn step(&mut self, step: Step, value: &[u8], queue: &SharedIoQueue) -> Result<(), String>;
-    /// `None`: the log does not parse (a record's tail still buffered).
-    fn replay(v: &Vfs) -> Option<Vec<Record>>;
-}
-
-impl Log for Wal {
-    const PREFIX: &'static str = "wal";
-    fn create(v: Vfs, recycle: bool) -> Self {
-        Wal::create(v, recycle).expect("create")
-    }
-    fn open_or_create(v: Vfs, recycle: bool) -> Self {
-        Wal::open_or_create(v, recycle).expect("open")
-    }
-    fn step(&mut self, step: Step, value: &[u8], queue: &SharedIoQueue) -> Result<(), String> {
-        match step {
-            Put(k, _) => self.log_put(k.as_bytes(), value),
-            Delete(k) => self.log_delete(k.as_bytes()),
-            Sync(wait) => self.sync(wait),
-            Rotate => self.rotate(),
-            RotateDeferred => self.rotate_deferred().map(drop),
-            PutBuffered(k, _) => {
-                self.log_put_buffered(k.as_bytes(), value);
-                Ok(())
-            }
-            DeleteBuffered(k) => {
-                self.log_delete_buffered(k.as_bytes());
-                Ok(())
-            }
-            SyncBatched { queued, wait } => self.sync_batched(queued.then_some(queue), wait),
-            ReleaseDeferred | Hog(_) | Unhog | Reopen => unreachable!("not a log call"),
+/// Runs a step that is a call on the log.
+fn log_step(
+    log: &mut RecordLog,
+    step: Step,
+    value: &[u8],
+    queue: &SharedIoQueue,
+) -> Result<(), String> {
+    match step {
+        Put(k, _) => log.log_put(k.as_bytes(), value),
+        Delete(k) => log.log_delete(k.as_bytes()),
+        Sync(wait) => log.sync(wait),
+        Rotate => log.rotate(),
+        RotateDeferred => log.rotate_deferred().map(drop),
+        PutBuffered(k, _) => {
+            log.log_put_buffered(k.as_bytes(), value);
+            Ok(())
         }
-        .map_err(|e| e.to_string())
-    }
-    fn replay(v: &Vfs) -> Option<Vec<Record>> {
-        let records = Wal::replay(v).ok()?;
-        let plain = |r| match r {
-            WalRecord::Put(k, v) => (k, Some(v)),
-            WalRecord::Delete(k) => (k, None),
-        };
-        Some(records.into_iter().map(plain).collect())
-    }
-}
-
-impl Log for Journal {
-    const PREFIX: &'static str = "journal";
-    fn create(v: Vfs, _recycle: bool) -> Self {
-        Journal::create(v).expect("create")
-    }
-    fn open_or_create(v: Vfs, _recycle: bool) -> Self {
-        Journal::open_or_create(v).expect("open")
-    }
-    fn step(&mut self, step: Step, value: &[u8], _queue: &SharedIoQueue) -> Result<(), String> {
-        match step {
-            Put(k, _) => self.log_put(k.as_bytes(), value),
-            Delete(k) => self.log_delete(k.as_bytes()),
-            Sync(wait) => self.sync(wait),
-            Rotate => self.truncate(),
-            other => unreachable!("the journal has no {other:?}"),
+        DeleteBuffered(k) => {
+            log.log_delete_buffered(k.as_bytes());
+            Ok(())
         }
-        .map_err(|e| e.to_string())
+        SyncBatched { queued, wait } => log.sync_batched(queued.then_some(queue), wait),
+        ReleaseDeferred | Hog(_) | Unhog | Reopen => unreachable!("not a log call"),
     }
-    fn replay(v: &Vfs) -> Option<Vec<Record>> {
-        let records = Journal::replay(v).ok()?;
-        let plain = |r| match r {
-            JournalRecord::Put(k, v) => (k, Some(v)),
-            JournalRecord::Delete(k) => (k, None),
-        };
-        Some(records.into_iter().map(plain).collect())
-    }
+    // As both engines word the filesystem's error.
+    .map_err(|e| format!("filesystem error: {e}"))
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -246,8 +195,8 @@ fn log_files(v: &Vfs, prefix: &str) -> Vec<String> {
 }
 
 /// Everything that must not move, after one step.
-fn snapshot<L: Log>(v: &Vfs) -> String {
-    let logs = log_files(v, L::PREFIX);
+fn snapshot(v: &Vfs, prefix: &str) -> String {
+    let logs = log_files(v, prefix);
     let files: Vec<String> = logs
         .iter()
         .map(|name| {
@@ -264,15 +213,17 @@ fn snapshot<L: Log>(v: &Vfs) -> String {
         .collect();
     let replay = if logs.len() != 1 {
         format!("<{} logs>", logs.len())
-    } else if let Some(records) = L::replay(v) {
+    } else if let Ok(records) = RecordLog::replay(v, prefix) {
         let records: Vec<String> = records
             .iter()
-            .map(|(k, value)| {
-                let k = String::from_utf8_lossy(k);
-                match value {
-                    Some(value) => format!("{k}={}:{:08x}", value.len(), fnv(value) as u32),
-                    None => format!("{k}=X"),
-                }
+            .map(|record| match record {
+                LogRecord::Put(k, value) => format!(
+                    "{}={}:{:08x}",
+                    String::from_utf8_lossy(k),
+                    value.len(),
+                    fnv(value) as u32
+                ),
+                LogRecord::Delete(k) => format!("{}=X", String::from_utf8_lossy(k)),
             })
             .collect();
         records.join(" ")
@@ -304,16 +255,16 @@ fn snapshot<L: Log>(v: &Vfs) -> String {
 /// Drives a fresh log on a 16 MiB device through `script`, rendering
 /// every step. The snapshot's replay is itself a blocking read of the
 /// log: its device reads and clock time are part of what is pinned.
-fn run<L: Log>(script: &[Step], recycle: bool) -> String {
+fn run(prefix: &'static str, script: &[Step], recycle: bool) -> String {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 16 << 20));
     let v = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let queue = v.io_queue(8).into_shared();
-    let mut log = Some(L::create(v.clone(), recycle));
+    let mut log = Some(RecordLog::create(v.clone(), prefix, recycle).expect("create"));
     let mut out = String::new();
     for (i, &step) in script.iter().enumerate() {
         let result = match step {
             ReleaseDeferred => {
-                let logs = log_files(&v, L::PREFIX);
+                let logs = log_files(&v, prefix);
                 assert_eq!(logs.len(), 2, "one deferred log to release");
                 v.delete(&logs[0]).map_err(|e| e.to_string())
             }
@@ -326,21 +277,25 @@ fn run<L: Log>(script: &[Step], recycle: bool) -> String {
             Unhog => v.delete("hog").map_err(|e| e.to_string()),
             Reopen => {
                 drop(log.take());
-                log = Some(L::open_or_create(v.clone(), recycle));
+                log = Some(RecordLog::open_or_create(v.clone(), prefix, recycle).expect("open"));
                 Ok(())
             }
-            Put(_, len) | PutBuffered(_, len) => {
-                log.as_mut()
-                    .expect("open log")
-                    .step(step, &pattern(i, len), &queue)
-            }
-            _ => log.as_mut().expect("open log").step(step, &[], &queue),
+            Put(_, len) | PutBuffered(_, len) => log_step(
+                log.as_mut().expect("open log"),
+                step,
+                &pattern(i, len),
+                &queue,
+            ),
+            _ => log_step(log.as_mut().expect("open log"), step, &[], &queue),
         };
         let verdict = match &result {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("ERR({e})"),
         };
-        out.push_str(&format!("{i} {step:?} {verdict} {}\n", snapshot::<L>(&v)));
+        out.push_str(&format!(
+            "{i} {step:?} {verdict} {}\n",
+            snapshot(&v, prefix)
+        ));
         v.check_invariants();
     }
     out
@@ -472,15 +427,27 @@ const WAL_CHURN: &str = "\
 
 #[test]
 fn journal_script() {
-    assert_parity(&run::<Journal>(JOURNAL_SCRIPT, true), JOURNAL);
+    assert_parity(&run("journal", JOURNAL_SCRIPT, true), JOURNAL);
 }
 
 #[test]
 fn wal_script_recycling() {
-    assert_parity(&run::<Wal>(WAL_SCRIPT, true), WAL_RECYCLE);
+    assert_parity(&run("wal", WAL_SCRIPT, true), WAL_RECYCLE);
 }
 
 #[test]
 fn wal_script_churning() {
-    assert_parity(&run::<Wal>(WAL_SCRIPT, false), WAL_CHURN);
+    assert_parity(&run("wal", WAL_SCRIPT, false), WAL_CHURN);
+}
+
+/// The prefix is a name and nothing else: the WAL's script under the
+/// journal's prefix renders the WAL's constants with the files renamed.
+#[test]
+fn the_prefix_only_names_the_files() {
+    for (recycle, expected) in [(true, WAL_RECYCLE), (false, WAL_CHURN)] {
+        assert_parity(
+            &run("journal", WAL_SCRIPT, recycle),
+            &expected.replace("wal-", "journal-"),
+        );
+    }
 }

@@ -95,13 +95,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Sets the read fraction (Fig 11 mixed variant).
-    pub fn with_read_fraction(mut self, f: f64) -> Self {
-        assert!((0.0..=1.0).contains(&f));
-        self.read_fraction = f;
-        self
-    }
-
     /// The `index`-th of `of` shard specifications: a contiguous slice
     /// of this spec's key range plus an independently seeded RNG
     /// stream.
