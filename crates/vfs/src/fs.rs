@@ -900,6 +900,11 @@ mod tests {
         assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 2);
         v.read_at_into(f, 10_000, 16, &mut buf).expect("read");
         assert!(buf.is_empty(), "a read at EOF is empty");
+        // The range read: clipped at EOF, the same two device reads.
+        let range = v.read_shared(f, 5_000, 8_192).expect("read");
+        assert_eq!(&*range, &payload[5_000..]);
+        assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 4);
+        assert!(v.read_shared(f, 10_000, 16).expect("read").is_empty());
         v.check_invariants();
     }
 
@@ -1086,13 +1091,22 @@ mod tests {
         a
     }
 
+    /// The queued read the engines issue: one command per extent run,
+    /// then a wait for all of them.
+    fn queued_read(v: &Vfs, q: &mut IoQueue, f: FileId, len: usize) -> FileSlice {
+        v.read_runs_shared(q, f, 0, len).expect("submit").wait(q)
+    }
+
     #[test]
     fn read_at_async_depth1_matches_sync_read() {
         let sync_fs = fs();
         let async_fs = fs();
+        let ranged_fs = fs();
         let fa = fragmented_file(&sync_fs, 16);
         let fb = fragmented_file(&async_fs, 16);
+        let fc = fragmented_file(&ranged_fs, 16);
         let mut q = async_fs.io_queue(1);
+        let mut qr = ranged_fs.io_queue(1);
         let t_sync = sync_fs.clock().now();
         let t_async = async_fs.clock().now();
         assert_eq!(t_sync, t_async);
@@ -1105,6 +1119,13 @@ mod tests {
             sync_fs.clock().now(),
             async_fs.clock().now(),
             "depth-1 async read must cost exactly the sync time"
+        );
+        let ranged = queued_read(&ranged_fs, &mut qr, fc, 16 * 4096);
+        assert_eq!(want, &*ranged, "the range holds the same bytes");
+        assert_eq!(
+            sync_fs.clock().now(),
+            ranged_fs.clock().now(),
+            "a depth-1 queued range read must cost exactly the sync time"
         );
     }
 
@@ -1130,6 +1151,17 @@ mod tests {
             deep < serial / 2,
             "QD=8 must overlap the per-run base latencies: {deep} vs {serial}"
         );
+        // The same two reads as ranges cost the same two times.
+        let (serial_fs, deep_fs) = (fs(), fs());
+        let fa = fragmented_file(&serial_fs, 32);
+        let fb = fragmented_file(&deep_fs, 32);
+        let (mut q1, mut q8) = (serial_fs.io_queue(1), deep_fs.io_queue(8));
+        let t0 = serial_fs.clock().now();
+        queued_read(&serial_fs, &mut q1, fa, 32 * 4096);
+        assert_eq!(serial_fs.clock().now() - t0, serial);
+        let t0 = deep_fs.clock().now();
+        queued_read(&deep_fs, &mut q8, fb, 32 * 4096);
+        assert_eq!(deep_fs.clock().now() - t0, deep);
     }
 
     #[test]
@@ -1172,6 +1204,12 @@ mod tests {
             v.ssd().lock().smart().host_pages_read,
             before + 8,
             "async reads charge the same SMART traffic"
+        );
+        queued_read(&v, &mut q, f, 8 * 4096);
+        assert_eq!(
+            v.ssd().lock().smart().host_pages_read,
+            before + 16,
+            "queued range reads charge the same SMART traffic"
         );
     }
 
