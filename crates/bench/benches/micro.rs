@@ -193,7 +193,7 @@ fn bench_sstable(c: &mut Criterion) {
             builder.add(key.as_bytes(), Some(&[0u8; 64])).expect("add");
         }
         builder.finish().expect("finish");
-        let reader = SstableReader::open(vfs, "t").expect("open");
+        let reader = SstableReader::open(vfs, "t", true, None).expect("open");
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 7919) % 50_000;
@@ -436,9 +436,6 @@ fn bench_lsm_data_path(c: &mut Criterion) {
         window = (window + CHUNK as u64) % TABLE;
         window
     };
-    group.bench_function("read_at_256k", |b| {
-        b.iter(|| black_box(fs.read_at_bg(table, next_window(), CHUNK).expect("read")))
-    });
     group.bench_function("read_window_256k", |b| {
         b.iter(|| {
             black_box(

@@ -82,7 +82,7 @@ pub struct Pager {
     next_page: PageNo,
     free_list: Vec<PageNo>,
     stats: PagerStats,
-    /// One page image, reused by every load and write-back.
+    /// One page image, reused by every write-back.
     page_buf: Vec<u8>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
@@ -278,14 +278,17 @@ impl Pager {
         self.insert_cached(page, node?, false)
     }
 
+    /// Decodes the page straight from the range that was read. The
+    /// tree file is written in place, so the range must not outlive this
+    /// call (the ownership rule in `ptsbench_vfs::fs`): the next
+    /// write-back would copy the whole file.
     fn read_node(&mut self, page: PageNo) -> Result<Node> {
         let offset = page * self.page_bytes as u64;
-        self.vfs
-            .read_at_into(self.file, offset, self.page_bytes, &mut self.page_buf)?;
-        if self.page_buf.len() < self.page_bytes {
+        let bytes = self.vfs.read_shared(self.file, offset, self.page_bytes)?;
+        if bytes.len() < self.page_bytes {
             return Err(BTreeError::Corruption(format!("short read of page {page}")));
         }
-        Node::decode(&self.page_buf)
+        Node::decode(&bytes)
     }
 
     /// Mutates a resident page in place and marks it dirty; the change

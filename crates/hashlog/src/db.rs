@@ -1,16 +1,16 @@
 //! The hash-log database: value-log segments, in-memory index, GC.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 use ptsbench_cache::{
-    file_tag, BlockCache, CacheStats, Compression, EncodeScratch, SharedBlockCache,
+    file_tag, BlockCache, CacheKey, CacheStats, Compression, EncodeScratch, SharedBlockCache,
 };
 use ptsbench_core::engine::{BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, WriteBatch};
 use ptsbench_core::registry::EngineKind;
 use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
-use ptsbench_vfs::{Cause, FileId, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{AsyncRead, Cause, FileId, FileSlice, IoQueue, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::options::HashLogOptions;
 use crate::record::Record;
@@ -72,15 +72,16 @@ struct Pending {
 }
 
 /// A slice-resumable segment-GC job — the only GC there is: the
-/// victim's decoded contents plus a byte cursor. Each slice relocates a
-/// bounded span of records into the active segment. Drained in place
-/// (maintenance off) one unbounded slice covers the whole victim; paced,
-/// the victim file is deleted only when the cursor reaches the end (the
-/// install step), so foreground reads of not-yet-relocated records keep
-/// working between slices.
+/// victim's contents (the range that was read; a victim is sealed, so
+/// the range may be kept, see `ptsbench_vfs::fs`) plus a byte cursor.
+/// Each slice relocates a bounded span of records into the active
+/// segment. Drained in place (maintenance off) one unbounded slice
+/// covers the whole victim; paced, the victim file is deleted only when
+/// the cursor reaches the end (the install step), so foreground reads of
+/// not-yet-relocated records keep working between slices.
 struct GcJob {
     victim: u64,
-    buf: Vec<u8>,
+    buf: FileSlice,
     offset: usize,
     rewritten: u64,
 }
@@ -150,13 +151,15 @@ impl std::fmt::Debug for HashLogDb {
 }
 
 impl HashLogDb {
-    /// Opens a fresh database on the filesystem.
-    pub fn open(vfs: Vfs, opts: HashLogOptions) -> Result<Self> {
+    /// A database with no segments yet: [`HashLogDb::open`] creates the
+    /// first, [`HashLogDb::recover`] adopts the ones on the filesystem.
+    fn empty(vfs: Vfs, opts: HashLogOptions) -> Self {
         opts.validate();
-        let queue = io_queue_for(&vfs, &opts);
+        let queue = (opts.queue_depth > 1).then(|| vfs.io_queue(opts.queue_depth).into_shared());
+        let cache = (opts.cache_bytes > 0).then(|| BlockCache::shared(opts.cache_bytes));
         let trace = TraceHandle::from_vfs(&vfs, opts.trace);
         let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
-        let mut db = Self {
+        Self {
             vfs,
             opts,
             index: BTreeMap::new(),
@@ -170,11 +173,16 @@ impl HashLogDb {
             pending_seg: Vec::new(),
             codec_scratch: EncodeScratch::default(),
             container: Vec::new(),
-            cache: cache_for(&opts),
+            cache,
             trace,
             sched,
             gc: None,
-        };
+        }
+    }
+
+    /// Opens a fresh database on the filesystem.
+    pub fn open(vfs: Vfs, opts: HashLogOptions) -> Result<Self> {
+        let mut db = Self::empty(vfs, opts);
         db.new_segment()?;
         Ok(db)
     }
@@ -182,40 +190,20 @@ impl HashLogDb {
     /// Rebuilds the database from the segments on the filesystem,
     /// replaying records in global sequence order.
     pub fn recover(vfs: Vfs, opts: HashLogOptions) -> Result<Self> {
-        opts.validate();
         let mut ids: Vec<u64> = vfs
             .list()
             .iter()
             .filter_map(|name| segment_id(name))
             .collect();
         ids.sort_unstable();
-        if ids.is_empty() {
+        let Some(&newest) = ids.last() else {
             return Err(HashLogError::Corruption(
                 "no log segments to recover from".into(),
             ));
-        }
-        let queue = io_queue_for(&vfs, &opts);
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
-        let mut db = Self {
-            vfs,
-            opts,
-            index: BTreeMap::new(),
-            segments: BTreeMap::new(),
-            active: *ids.last().expect("non-empty"),
-            next_seq: 1,
-            next_segment_id: ids.last().expect("non-empty") + 1,
-            live_entries: 0,
-            stats: HashLogStats::default(),
-            queue,
-            pending_seg: Vec::new(),
-            codec_scratch: EncodeScratch::default(),
-            container: Vec::new(),
-            cache: cache_for(&opts),
-            trace,
-            sched,
-            gc: None,
         };
+        let mut db = Self::empty(vfs, opts);
+        db.active = newest;
+        db.next_segment_id = newest + 1;
 
         // Decode every record of every segment, then apply in sequence
         // order so GC-relocated records land correctly.
@@ -224,11 +212,13 @@ impl HashLogDb {
             let name = segment_name(id);
             let file = db.vfs.open(&name)?;
             let size = db.vfs.size(file)?;
-            let raw = db.vfs.read_at(file, 0, size as usize)?;
+            // The newest segment goes on taking appends: its range is
+            // gone by the end of this iteration.
+            let raw = db.vfs.read_shared(file, 0, size as usize)?;
             // Compressed logs store each sealed segment as one
             // container; undo it so offsets below are logical.
             let buf = if db.opts.compression.is_active() && !raw.is_empty() {
-                db.decode_segment(raw)?
+                db.decode_segment(raw, Drive::Inline)?
             } else {
                 raw
             };
@@ -273,8 +263,10 @@ impl HashLogDb {
                 .expect("segment of entry");
             seg.live_bytes += entry.record_bytes;
         }
-        if db.opts.compression.is_active() {
-            // Sealed containers cannot take raw appends; start fresh.
+        // A sealed container cannot take raw appends, so a compressed log
+        // goes on in a fresh segment — unless the newest one is the empty
+        // segment the last incarnation opened and never sealed into.
+        if db.opts.compression.is_active() && db.segments[&newest].bytes > 0 {
             db.new_segment()?;
         }
         Ok(db)
@@ -397,115 +389,80 @@ impl HashLogDb {
         Ok(())
     }
 
-    /// The foreground write path: append, index, then collect garbage if
-    /// it is due.
-    fn log_append(&mut self, buf: &[u8], pendings: Vec<Pending>) -> Result<()> {
-        self.append_records(buf, pendings, Drive::Inline)?;
-        self.maybe_gc()
-    }
-
     /// Inserts or overwrites a key.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.stats.puts += 1;
-        self.stats.app_bytes_written += (key.len() + value.len()) as u64;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut buf = Vec::with_capacity(Record::encoded_len(key.len(), value.len()) as usize);
-        Record::encode_put(&mut buf, seq, key, value);
-        let pending = Pending {
-            key: key.to_vec(),
-            seq,
-            tombstone: false,
-            rel_record_offset: 0,
-            record_bytes: buf.len() as u64,
-            rel_value_offset: Record::encoded_len(key.len(), 0),
-            value_len: value.len() as u32,
-        };
-        self.log_append(&buf, vec![pending])
+        self.write([(key, Some(value))])
     }
 
     /// Deletes a key (a no-op when the key is not live).
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        self.stats.deletes += 1;
-        self.stats.app_bytes_written += key.len() as u64;
-        if self.index.get(key).is_none_or(|e| e.tombstone) {
-            return Ok(());
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut buf = Vec::with_capacity(Record::encoded_len(key.len(), 0) as usize);
-        Record::encode_tombstone(&mut buf, seq, key);
-        let pending = Pending {
-            key: key.to_vec(),
-            seq,
-            tombstone: true,
-            rel_record_offset: 0,
-            record_bytes: buf.len() as u64,
-            rel_value_offset: Record::encoded_len(key.len(), 0),
-            value_len: 0,
-        };
-        self.log_append(&buf, vec![pending])
+        self.write([(key, None)])
     }
 
     /// Applies a whole batch as a single log append (the native group
     /// write path: one `append` call, one rotation/GC check).
     pub fn apply_batch(&mut self, batch: &WriteBatch) -> Result<()> {
+        self.write(batch.ops().iter().map(|op| match op {
+            BatchOp::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
+            BatchOp::Delete { key } => (key.as_slice(), None),
+        }))
+    }
+
+    /// The foreground write path and its one record encoder: every op
+    /// of the group (`Some(value)` is a put, `None` a delete) becomes a
+    /// record of one log append, which is indexed; then garbage is
+    /// collected if it is due. Deletes of keys that are not visible write
+    /// nothing; a group that writes nothing appends nothing.
+    fn write<'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+    ) -> Result<()> {
+        let ops = ops.into_iter();
         let mut buf = Vec::new();
-        let mut pendings = Vec::with_capacity(batch.len());
-        for op in batch.ops() {
-            match op {
-                BatchOp::Put { key, value } => {
-                    self.stats.puts += 1;
-                    self.stats.app_bytes_written += (key.len() + value.len()) as u64;
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let rel_record_offset = buf.len() as u64;
-                    Record::encode_put(&mut buf, seq, key, value);
-                    pendings.push(Pending {
-                        key: key.clone(),
-                        seq,
-                        tombstone: false,
-                        rel_record_offset,
-                        record_bytes: buf.len() as u64 - rel_record_offset,
-                        rel_value_offset: rel_record_offset + Record::encoded_len(key.len(), 0),
-                        value_len: value.len() as u32,
-                    });
-                }
-                BatchOp::Delete { key } => {
-                    self.stats.deletes += 1;
-                    self.stats.app_bytes_written += key.len() as u64;
-                    // A delete is live if the key is currently visible,
-                    // either in the index or earlier in this batch.
-                    let visible_in_batch = pendings
-                        .iter()
-                        .rev()
-                        .find(|p| p.key == *key)
-                        .map(|p| !p.tombstone);
-                    let visible = visible_in_batch
-                        .unwrap_or_else(|| self.index.get(key).is_some_and(|e| !e.tombstone));
-                    if !visible {
-                        continue;
-                    }
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let rel_record_offset = buf.len() as u64;
-                    Record::encode_tombstone(&mut buf, seq, key);
-                    pendings.push(Pending {
-                        key: key.clone(),
-                        seq,
-                        tombstone: true,
-                        rel_record_offset,
-                        record_bytes: buf.len() as u64 - rel_record_offset,
-                        rel_value_offset: rel_record_offset + Record::encoded_len(key.len(), 0),
-                        value_len: 0,
-                    });
+        let mut pendings: Vec<Pending> = Vec::with_capacity(ops.size_hint().0);
+        for (key, value) in ops {
+            let value_len = value.map_or(0, <[u8]>::len);
+            self.stats.app_bytes_written += (key.len() + value_len) as u64;
+            if value.is_some() {
+                self.stats.puts += 1;
+            } else {
+                self.stats.deletes += 1;
+                // A delete is live if the key is currently visible,
+                // either in the index or earlier in this group.
+                let visible_in_group = pendings
+                    .iter()
+                    .rev()
+                    .find(|p| p.key == key)
+                    .map(|p| !p.tombstone);
+                let visible = visible_in_group
+                    .unwrap_or_else(|| self.index.get(key).is_some_and(|e| !e.tombstone));
+                if !visible {
+                    continue;
                 }
             }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let rel_record_offset = buf.len() as u64;
+            buf.reserve(Record::encoded_len(key.len(), value_len) as usize);
+            match value {
+                Some(value) => Record::encode_put(&mut buf, seq, key, value),
+                None => Record::encode_tombstone(&mut buf, seq, key),
+            }
+            pendings.push(Pending {
+                key: key.to_vec(),
+                seq,
+                tombstone: value.is_none(),
+                rel_record_offset,
+                record_bytes: buf.len() as u64 - rel_record_offset,
+                rel_value_offset: rel_record_offset + Record::encoded_len(key.len(), 0),
+                value_len: value_len as u32,
+            });
         }
         if buf.is_empty() {
             return Ok(());
         }
-        self.log_append(&buf, pendings)
+        self.append_records(&buf, pendings, Drive::Inline)?;
+        self.maybe_gc()
     }
 
     /// Advances the virtual clock past every asynchronous command still
@@ -519,147 +476,138 @@ impl HashLogDb {
         }
     }
 
-    /// Undoes a segment container, charging the decode CPU time to the
-    /// simulated clock.
-    fn decode_segment(&self, raw: Vec<u8>) -> Result<Vec<u8>> {
-        let span = self
-            .trace
-            .begin("hashlog.decode", self.trace.current_cause());
-        let data = Compression::decode(&raw)
-            .ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()));
-        if let Ok(data) = &data {
+    /// Undoes a segment container: one the codec stored verbatim is a
+    /// range of the file's own bytes, an LZ one is decoded. On the
+    /// foreground ([`Drive::Inline`]) the decode is a traced phase and
+    /// its CPU time is charged to the simulated clock; a paced GC job
+    /// decodes off the foreground thread, and its device footprint is
+    /// what the pacing budget meters.
+    fn decode_segment(&self, raw: FileSlice, drive: Drive) -> Result<FileSlice> {
+        let foreground = drive == Drive::Inline;
+        let span = foreground.then(|| {
+            self.trace
+                .begin("hashlog.decode", self.trace.current_cause())
+        });
+        let data = match Compression::stored_payload(&raw) {
+            Some(payload) => Some(raw.slice(raw.len() - payload.len()..raw.len())),
+            None => Compression::decode(&raw).map(FileSlice::from),
+        };
+        if let (true, Some(data)) = (foreground, &data) {
             self.vfs
                 .clock()
                 .advance(Compression::decode_cost_ns(data.len()));
         }
-        self.trace.end(span);
-        data
+        if let Some(span) = span {
+            self.trace.end(span);
+        }
+        data.ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()))
     }
 
-    /// Reads the value an index entry points at, through the read-path
-    /// tiers: active-segment contents come straight from the pending
-    /// buffer (compression only), sealed compressed segments are
-    /// decoded whole and cached whole (one device read serves every hot
-    /// value in the segment), uncompressed values are cached
-    /// individually. With cache and codec both off this is exactly the
-    /// seed path: one device read per value.
-    fn read_value(&self, entry: &IndexEntry) -> Result<Vec<u8>> {
-        let seg = &self.segments[&entry.segment];
-        let start = entry.value_offset as usize;
-        let end = start + entry.value_len as usize;
-        if self.opts.compression.is_active() {
-            if entry.segment == self.active {
-                return Ok(self.pending_seg[start..end].to_vec());
-            }
-            let key = (file_tag(&seg.name), 0);
+    /// Reads the values a batch of index entries point at, in order,
+    /// through the read tiers. Contents of the active segment come
+    /// straight from the pending buffer (compression only). Everything
+    /// else is looked up in the cache first, by the unit the cache
+    /// holds: a whole decoded segment under compression (one device read
+    /// serves every hot value in it), a single value without. A miss
+    /// reads the device — the whole container, decoded from its range,
+    /// under compression; otherwise just the value — and offers the
+    /// cache its own copy of the unit. A caller with a `queue` has its
+    /// uncompressed misses submitted one command per extent run, all of
+    /// them in flight before the first is waited for (the parallel point
+    /// reads KVell leans on). With cache and codec both off and no queue
+    /// this is exactly the seed path: one device read per value.
+    ///
+    /// The values are copied out here, at the engine's public boundary:
+    /// no range of the active segment's file outlives the call.
+    fn fetch(
+        &self,
+        entries: &[IndexEntry],
+        mut queue: Option<&mut IoQueue>,
+    ) -> Result<Vec<Vec<u8>>> {
+        /// What a miss needs once its unit's bytes are in: the unit's
+        /// cache key and device length, and the value's place in it.
+        type Miss = (CacheKey, u64, Range<usize>);
+        enum Slot {
+            Ready(Vec<u8>),
+            Queued(AsyncRead, Miss),
+        }
+        let admit = |unit: FileSlice, (ckey, device_len, value): Miss| {
             if let Some(cache) = &self.cache {
-                if let Some(data) = cache.lock().get(&key) {
-                    self.trace
-                        .mark("hashlog.cache_hit", self.trace.current_cause());
-                    return Ok(data[start..end].to_vec());
-                }
+                // The cache owns its bytes: a unit that stayed a range of
+                // the segment would keep a deleted segment's contents alive.
+                cache
+                    .lock()
+                    .insert(ckey, Arc::new(unit.to_vec()), device_len);
             }
-            let disk = self.vfs.size(seg.file)?;
-            let raw = self.vfs.read_at(seg.file, 0, disk as usize)?;
-            let data = Arc::new(self.decode_segment(raw)?);
-            if let Some(cache) = &self.cache {
-                cache.lock().insert(key, Arc::clone(&data), disk);
-            }
-            return Ok(data[start..end].to_vec());
-        }
-        if let Some(cache) = &self.cache {
-            let key = (file_tag(&seg.name), entry.value_offset);
-            if let Some(data) = cache.lock().get(&key) {
-                self.trace
-                    .mark("hashlog.cache_hit", self.trace.current_cause());
-                return Ok(data.as_ref().clone());
-            }
-            let value = self
-                .vfs
-                .read_at(seg.file, entry.value_offset, entry.value_len as usize)?;
-            cache
-                .lock()
-                .insert(key, Arc::new(value.clone()), entry.value_len as u64);
-            return Ok(value);
-        }
-        Ok(self
-            .vfs
-            .read_at(seg.file, entry.value_offset, entry.value_len as usize)?)
-    }
-
-    /// Point lookup: index probe plus (at most) one device read.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.stats.gets += 1;
-        let Some(entry) = self.index.get(key).copied() else {
-            return Ok(None);
+            unit[value].to_vec()
         };
-        if entry.tombstone {
-            return Ok(None);
-        }
-        Ok(Some(self.read_value(&entry)?))
-    }
-
-    /// Batched point lookups: with a submission queue (``queue_depth >
-    /// 1``) all present keys' value reads are submitted before any is
-    /// waited on, so up to the queue depth of them are in flight at once
-    /// — the parallel-point-read pattern KVell leans on. Without a queue
-    /// this degrades to sequential [`HashLogDb::get`]s.
-    pub fn multi_get(&mut self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        let queue = match self.queue.clone() {
-            // Compressed segments decode as whole containers, so the
-            // per-value batched reads below do not apply; sequential
-            // gets serve both tiers (and still hit the segment cache).
-            Some(q) if !self.opts.compression.is_active() => q,
-            _ => return keys.iter().map(|k| self.get(k)).collect(),
-        };
-        self.stats.gets += keys.len() as u64;
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let mut q = queue.lock();
-        let mut in_flight = Vec::with_capacity(keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            let Some(entry) = self.index.get(*key) else {
-                continue;
-            };
-            if entry.tombstone {
-                continue;
-            }
+        let compressed = self.opts.compression.is_active();
+        let mut slots = Vec::with_capacity(entries.len());
+        for entry in entries {
             let seg = &self.segments[&entry.segment];
-            let ckey = (file_tag(&seg.name), entry.value_offset);
+            let (offset, len) = (entry.value_offset, entry.value_len as usize);
+            let in_segment = offset as usize..offset as usize + len;
+            if compressed && entry.segment == self.active {
+                slots.push(Slot::Ready(self.pending_seg[in_segment].to_vec()));
+                continue;
+            }
+            let (unit_offset, value) = if compressed {
+                (0, in_segment)
+            } else {
+                (offset, 0..len)
+            };
+            let ckey = (file_tag(&seg.name), unit_offset);
             if let Some(cache) = &self.cache {
-                if let Some(data) = cache.lock().get(&ckey) {
+                if let Some(unit) = cache.lock().get(&ckey) {
                     self.trace
                         .mark("hashlog.cache_hit", self.trace.current_cause());
-                    out[i] = Some(data.as_ref().clone());
+                    slots.push(Slot::Ready(unit[value].to_vec()));
                     continue;
                 }
             }
-            match self.vfs.read_runs_async(
-                &mut q,
-                seg.file,
-                entry.value_offset,
-                entry.value_len as usize,
-            ) {
-                Ok(read) => in_flight.push((i, ckey, entry.value_len as u64, read)),
-                Err(e) => {
-                    // Fail the batch without leaking the completions of
-                    // the reads already submitted.
-                    for (_, _, _, read) in in_flight {
-                        read.into_bg(&mut q);
+            let slot = if compressed {
+                let disk = self.vfs.size(seg.file)?;
+                let raw = self.vfs.read_shared(seg.file, 0, disk as usize)?;
+                let unit = self.decode_segment(raw, Drive::Inline)?;
+                Slot::Ready(admit(unit, (ckey, disk, value)))
+            } else if let Some(q) = queue.as_deref_mut() {
+                match self.vfs.read_runs_shared(q, seg.file, offset, len) {
+                    Ok(read) => Slot::Queued(read, (ckey, len as u64, value)),
+                    Err(e) => {
+                        // Fail the batch without leaking the completions
+                        // of the reads already submitted.
+                        for slot in slots {
+                            if let Slot::Queued(read, _) = slot {
+                                read.into_bg(q);
+                            }
+                        }
+                        return Err(e.into());
                     }
-                    return Err(e.into());
                 }
-            }
+            } else {
+                let unit = self.vfs.read_shared(seg.file, offset, len)?;
+                Slot::Ready(admit(unit, (ckey, len as u64, value)))
+            };
+            slots.push(slot);
         }
-        for (i, ckey, device_len, read) in in_flight {
-            let value = read.wait(&mut q);
-            if let Some(cache) = &self.cache {
-                cache
-                    .lock()
-                    .insert(ckey, Arc::new(value.clone()), device_len);
+        let values = slots.into_iter().map(|slot| match slot {
+            Slot::Ready(value) => value,
+            Slot::Queued(read, miss) => {
+                let q = queue.as_deref_mut().expect("queued by this call");
+                admit(read.wait(q), miss)
             }
-            out[i] = Some(value);
+        });
+        Ok(values.collect())
+    }
+
+    /// Point lookup: index probe plus (at most) one device read, never
+    /// through the submission queue.
+    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.stats.gets += 1;
+        match self.index.get(key) {
+            Some(entry) if !entry.tombstone => Ok(self.fetch(&[*entry], None)?.pop()),
+            _ => Ok(None),
         }
-        Ok(out)
     }
 
     /// Streaming range scan: the index walks in key order, but every
@@ -675,7 +623,7 @@ impl HashLogDb {
             db: self,
             range,
             remaining: limit,
-            batch: std::collections::VecDeque::new(),
+            batch: VecDeque::new(),
             ramp: 1,
         }
     }
@@ -891,30 +839,14 @@ impl HashLogDb {
         } else {
             size
         };
-        let compressed = self.opts.compression.is_active();
-        let buf = match drive {
-            Drive::Inline => {
-                let raw = self.vfs.read_at(file, 0, disk as usize)?;
-                if compressed {
-                    self.decode_segment(raw)?
-                } else {
-                    raw
-                }
-            }
-            Drive::Paced => {
-                let raw = self.vfs.read_at_bg(file, 0, disk as usize)?;
-                if compressed {
-                    // Background decode: unlike the foreground read path
-                    // the codec CPU cost is not charged to the clock —
-                    // maintenance compute happens off the foreground
-                    // thread, and its device footprint is what the
-                    // pacing budget meters.
-                    Compression::decode(&raw)
-                        .ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()))?
-                } else {
-                    raw
-                }
-            }
+        let raw = match drive {
+            Drive::Inline => self.vfs.read_shared(file, 0, disk as usize)?,
+            Drive::Paced => self.vfs.read_shared_bg(file, 0, disk as usize)?,
+        };
+        let buf = if self.opts.compression.is_active() {
+            self.decode_segment(raw, drive)?
+        } else {
+            raw
         };
         debug_assert_eq!(buf.len() as u64, size, "decoded victim length");
         drive.charge(&mut self.sched, self.vfs.clock().now(), disk, true);
@@ -1016,98 +948,45 @@ impl HashLogDb {
     }
 }
 
-/// Opens the shared submission queue when the options ask for one.
-fn io_queue_for(vfs: &Vfs, opts: &HashLogOptions) -> Option<SharedIoQueue> {
-    (opts.queue_depth > 1).then(|| vfs.io_queue(opts.queue_depth).into_shared())
-}
-
-/// Builds the value/segment cache when the options ask for one.
-fn cache_for(opts: &HashLogOptions) -> Option<SharedBlockCache> {
-    (opts.cache_bytes > 0).then(|| BlockCache::shared(opts.cache_bytes))
-}
-
 /// Streaming cursor returned by [`HashLogDb::scan_iter`].
 pub struct IndexScan<'a> {
     db: &'a HashLogDb,
     range: std::collections::btree_map::Range<'a, Vec<u8>, IndexEntry>,
     remaining: usize,
-    /// Entries whose reads were already batched through the queue.
-    batch: std::collections::VecDeque<Result<(Vec<u8>, Vec<u8>)>>,
+    /// Entries already fetched (or the error that ended the scan).
+    batch: VecDeque<Result<(Vec<u8>, Vec<u8>)>>,
     /// Prefetch ramp: batches start at one read and double towards the
     /// queue depth, so a scan that stops after a few entries is not
     /// charged a full depth of prefetched reads it never consumes.
+    /// Stays at one without a queue.
     ramp: usize,
 }
 
 impl IndexScan<'_> {
-    /// Pulls a ramping batch of live entries from the index and issues
-    /// all their value reads as one submission round. Cache hits fill
-    /// their slot immediately; only misses touch the device (and are
-    /// offered for admission once the read completes).
-    fn refill_batch(&mut self, queue: &SharedIoQueue) {
-        // A slot is a cache hit (value ready) or an in-flight read.
-        enum Slot {
-            Hit(Vec<u8>),
-            Read(ptsbench_vfs::AsyncRead),
-        }
-        let _cause = self.db.trace.cause(Cause::Scan);
-        let mut q = queue.lock();
-        let take = self.ramp.min(q.depth()).max(1);
-        self.ramp = (take * 2).min(q.depth().max(1));
-        let mut slots: Vec<(Vec<u8>, ptsbench_cache::CacheKey, u64, Slot)> =
-            Vec::with_capacity(take);
-        while slots.len() < take.min(self.remaining) {
-            let Some((key, entry)) = self.range.next() else {
-                break;
-            };
-            if entry.tombstone {
-                continue;
+    /// Pulls a ramping batch of live entries from the index and fetches
+    /// their values as one submission round.
+    fn refill(&mut self) {
+        let db = self.db;
+        let _cause = db.trace.cause(Cause::Scan);
+        // Queued prefetch reads values at device offsets, which only
+        // exist on the uncompressed layout.
+        let queued = !db.opts.compression.is_active();
+        let mut queue = db.queue.as_ref().filter(|_| queued).map(|q| q.lock());
+        let depth = queue.as_ref().map_or(1, |q| q.depth().max(1));
+        let take = self.ramp.min(depth);
+        self.ramp = (take * 2).min(depth);
+        let (keys, entries): (Vec<&Vec<u8>>, Vec<IndexEntry>) = self
+            .range
+            .by_ref()
+            .filter(|(_, entry)| !entry.tombstone)
+            .take(take.min(self.remaining))
+            .unzip();
+        match db.fetch(&entries, queue.as_deref_mut()) {
+            Ok(values) => {
+                let items = keys.into_iter().cloned().zip(values);
+                self.batch.extend(items.map(Ok));
             }
-            let seg = &self.db.segments[&entry.segment];
-            let ckey = (file_tag(&seg.name), entry.value_offset);
-            if let Some(cache) = &self.db.cache {
-                if let Some(data) = cache.lock().get(&ckey) {
-                    self.db
-                        .trace
-                        .mark("hashlog.cache_hit", self.db.trace.current_cause());
-                    slots.push((key.clone(), ckey, 0, Slot::Hit(data.as_ref().clone())));
-                    continue;
-                }
-            }
-            match self.db.vfs.read_runs_async(
-                &mut q,
-                seg.file,
-                entry.value_offset,
-                entry.value_len as usize,
-            ) {
-                Ok(read) => {
-                    slots.push((key.clone(), ckey, entry.value_len as u64, Slot::Read(read)))
-                }
-                Err(e) => {
-                    // Surface the error without leaking the completions
-                    // of the reads already submitted for this batch.
-                    for (_, _, _, slot) in slots {
-                        if let Slot::Read(read) = slot {
-                            read.into_bg(&mut q);
-                        }
-                    }
-                    self.batch.push_back(Err(e.into()));
-                    return;
-                }
-            }
-        }
-        for (key, ckey, device_len, slot) in slots {
-            let value = match slot {
-                Slot::Hit(v) => v,
-                Slot::Read(read) => {
-                    let v = read.wait(&mut q);
-                    if let Some(cache) = &self.db.cache {
-                        cache.lock().insert(ckey, Arc::new(v.clone()), device_len);
-                    }
-                    v
-                }
-            };
-            self.batch.push_back(Ok((key, value)));
+            Err(e) => self.batch.push_back(Err(e)),
         }
     }
 }
@@ -1119,48 +998,16 @@ impl Iterator for IndexScan<'_> {
         if self.remaining == 0 {
             return None;
         }
-        // Queued prefetch reads values at device offsets, which only
-        // exists on the uncompressed layout.
-        let queued = self
-            .db
-            .queue
-            .clone()
-            .filter(|_| !self.db.opts.compression.is_active());
-        if let Some(queue) = queued {
-            if self.batch.is_empty() {
-                self.refill_batch(&queue);
-            }
-            return match self.batch.pop_front() {
-                Some(Ok(item)) => {
-                    self.remaining -= 1;
-                    Some(Ok(item))
-                }
-                Some(Err(e)) => {
-                    self.remaining = 0;
-                    Some(Err(e))
-                }
-                None => {
-                    self.remaining = 0;
-                    None
-                }
-            };
+        if self.batch.is_empty() {
+            self.refill();
         }
-        for (key, entry) in self.range.by_ref() {
-            if entry.tombstone {
-                continue;
-            }
-            let read = self.db.read_value(entry);
-            self.remaining -= 1;
-            return match read {
-                Ok(value) => Some(Ok((key.clone(), value))),
-                Err(e) => {
-                    self.remaining = 0;
-                    Some(Err(e))
-                }
-            };
+        let item = self.batch.pop_front();
+        match item {
+            Some(Ok(_)) => self.remaining -= 1,
+            // An error, or the index ran out: the scan is over.
+            _ => self.remaining = 0,
         }
-        self.remaining = 0;
-        None
+        item
     }
 }
 
@@ -1411,6 +1258,54 @@ mod tests {
     }
 
     #[test]
+    fn repeated_recoveries_leave_the_segment_set_alone() {
+        // Under compression the newest segment on disk is the empty one
+        // the last incarnation never sealed into: adopted as a sealed
+        // segment, with another opened beside it, it leaked one empty
+        // file per recovery.
+        for compression in [Compression::None, Compression::from_level(1)] {
+            let opts = HashLogOptions {
+                compression,
+                ..HashLogOptions::small()
+            };
+            let v = vfs();
+            let mut db = HashLogDb::open(v.clone(), opts).expect("open");
+            for i in 0..50u32 {
+                db.put(&key(i), format!("v{i}").repeat(40).as_bytes())
+                    .expect("put");
+            }
+            db.flush().expect("flush");
+            drop(db);
+            let mut first = None;
+            for round in 0..4 {
+                let mut db = HashLogDb::recover(v.clone(), opts).expect("recover");
+                let mut files = v.list();
+                files.sort();
+                let shape = (db.segment_count(), files);
+                assert_eq!(
+                    first.get_or_insert_with(|| shape.clone()),
+                    &shape,
+                    "recovery {round}, {compression:?}"
+                );
+                for i in 0..50u32 {
+                    assert_eq!(
+                        db.get(&key(i)).expect("get"),
+                        Some(format!("v{i}").repeat(40).into_bytes())
+                    );
+                }
+            }
+            // The segment that was kept takes the next writes.
+            let mut db = HashLogDb::recover(v.clone(), opts).expect("recover");
+            db.put(b"post", b"ok").expect("put");
+            db.flush().expect("flush");
+            drop(db);
+            let mut db = HashLogDb::recover(v, opts).expect("recover");
+            assert_eq!(db.get(b"post").expect("get"), Some(b"ok".to_vec()));
+            assert_eq!(db.len(), 51);
+        }
+    }
+
+    #[test]
     fn batch_is_one_append_and_matches_individual_ops() {
         let mut a = HashLogDb::open(vfs(), HashLogOptions::small()).expect("open a");
         let mut b = HashLogDb::open(vfs(), HashLogOptions::small()).expect("open b");
@@ -1462,31 +1357,6 @@ mod tests {
             deep_cost * 2 < sync_cost,
             "QD=8 parallel point reads must overlap latencies: {deep_cost} vs {sync_cost}"
         );
-    }
-
-    #[test]
-    fn multi_get_matches_individual_gets() {
-        let mut db = HashLogDb::open(
-            vfs(),
-            HashLogOptions {
-                queue_depth: 8,
-                ..HashLogOptions::small()
-            },
-        )
-        .expect("open");
-        for i in 0..64u32 {
-            db.put(&key(i), format!("v{i}").as_bytes()).expect("put");
-        }
-        db.delete(&key(7)).expect("delete");
-        let lookups: Vec<Vec<u8>> = vec![key(3), key(7), key(63), b"missing".to_vec()];
-        let refs: Vec<&[u8]> = lookups.iter().map(|k| k.as_slice()).collect();
-        let got = db.multi_get(&refs).expect("multi_get");
-        assert_eq!(got[0], Some(b"v3".to_vec()));
-        assert_eq!(got[1], None, "tombstoned key");
-        assert_eq!(got[2], Some(b"v63".to_vec()));
-        assert_eq!(got[3], None, "absent key");
-        // Stats count every probed key.
-        assert!(db.stats().gets >= 4);
     }
 
     #[test]

@@ -17,9 +17,10 @@ pub struct HashLogOptions {
     pub min_victim_garbage: f64,
     /// I/O submission queue depth. At 1 (the default) every read uses
     /// the classic synchronous path; above 1 the engine opens a shared
-    /// [`ptsbench_vfs::IoQueue`] and issues scans and `multi_get`s as
-    /// batches of up to this many parallel point reads — the KVell
-    /// trick of hiding per-command latency behind queue depth.
+    /// [`ptsbench_vfs::IoQueue`] and issues scans as batches of up to
+    /// this many parallel point reads — the KVell trick of hiding
+    /// per-command latency behind queue depth. Point lookups stay
+    /// synchronous at any depth.
     pub queue_depth: usize,
     /// Value/segment cache budget in bytes (0 — the default — disables
     /// the cache and keeps the seed read path). Without compression the

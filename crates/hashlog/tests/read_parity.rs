@@ -9,10 +9,10 @@
 //! read/write and queue-depth counters, the virtual clock and an FNV-1a
 //! over everything the reads returned, and (before the `drop` and at the
 //! end) one FNV-1a per segment file. The constants were recorded while
-//! `get`, `multi_get` and the scan cursor were three hand copies of the
-//! read tiers and `put` / `delete` / `apply_batch` three copies of the
-//! record encoder; a change that only reshapes the code must not move
-//! any of them.
+//! `get`, a batched lookup nothing called and the scan cursor were
+//! three hand copies of the read tiers and `put` / `delete` /
+//! `apply_batch` three copies of the record encoder; a change that only
+//! reshapes the code must not move any of them.
 //!
 //! Two things the rendering leaves out on purpose. Segment files of
 //! zero length are not listed, and after the `recover` the segment

@@ -150,7 +150,7 @@ mod tests {
             b.add(max.as_bytes(), Some(&vec![0u8; pad])).expect("add");
         }
         let meta = b.finish().expect("finish");
-        let reader = SstableReader::open(v.clone(), name).expect("open");
+        let reader = SstableReader::open(v.clone(), name, true, None).expect("open");
         Arc::new(TableHandle { meta, reader })
     }
 

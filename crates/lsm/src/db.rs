@@ -167,7 +167,7 @@ impl LsmDb {
             }
             // Recover the key range from the table's own index (the
             // manifest intentionally stores only placement).
-            let reader = SstableReader::open_q(vfs.clone(), &name, queue.clone())?
+            let reader = SstableReader::open(vfs.clone(), &name, true, queue.clone())?
                 .with_cache(cache.clone())
                 .with_blooms(Some(Arc::clone(&blooms)))
                 .with_trace(trace.clone());
@@ -930,7 +930,7 @@ impl LsmDb {
 
     /// Opens a finished output as a live table.
     fn open_table(&self, meta: SstableMeta) -> Result<Arc<TableHandle>> {
-        let reader = SstableReader::open_bg_q(self.vfs.clone(), &meta.name, self.queue.clone())?
+        let reader = SstableReader::open(self.vfs.clone(), &meta.name, false, self.queue.clone())?
             .with_cache(self.cache.clone())
             .with_blooms(Some(Arc::clone(&self.blooms)))
             .with_trace(self.trace.clone());

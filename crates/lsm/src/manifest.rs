@@ -80,8 +80,8 @@ impl Manifest {
     pub fn replay(vfs: &Vfs) -> Result<(ReplayedTables, u64)> {
         let file = vfs.open(MANIFEST_NAME)?;
         let size = vfs.size(file)? as usize;
-        let raw = vfs.read_at(file, 0, size)?;
-        let text = String::from_utf8(raw)
+        let raw = vfs.read_shared(file, 0, size)?;
+        let text = std::str::from_utf8(&raw)
             .map_err(|_| LsmError::Corruption("manifest is not UTF-8".into()))?;
 
         let mut live: Vec<(usize, String)> = Vec::new();

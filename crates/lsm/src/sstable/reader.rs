@@ -84,34 +84,6 @@ impl std::fmt::Debug for SstableReader {
 }
 
 impl SstableReader {
-    /// Opens a table by name, loading footer, index and bloom filter
-    /// with foreground I/O.
-    pub fn open(vfs: Vfs, name: &str) -> Result<Self> {
-        Self::open_opts(vfs, name, true).map(|r| r.with_queue(None))
-    }
-
-    /// [`SstableReader::open`] with an I/O queue for batched scans.
-    pub fn open_q(vfs: Vfs, name: &str, queue: Option<SharedIoQueue>) -> Result<Self> {
-        Self::open_opts(vfs, name, true).map(|r| r.with_queue(queue))
-    }
-
-    /// Opens a table from a background thread (flush/compaction install
-    /// path): the metadata reads consume bandwidth without advancing the
-    /// simulated clock.
-    pub fn open_bg(vfs: Vfs, name: &str) -> Result<Self> {
-        Self::open_opts(vfs, name, false).map(|r| r.with_queue(None))
-    }
-
-    /// [`SstableReader::open_bg`] with an I/O queue for batched scans.
-    pub fn open_bg_q(vfs: Vfs, name: &str, queue: Option<SharedIoQueue>) -> Result<Self> {
-        Self::open_opts(vfs, name, false).map(|r| r.with_queue(queue))
-    }
-
-    fn with_queue(mut self, queue: Option<SharedIoQueue>) -> Self {
-        self.queue = queue;
-        self
-    }
-
     /// Attaches the database's shared block cache (point lookups only).
     pub fn with_cache(mut self, cache: Option<SharedBlockCache>) -> Self {
         self.cache = cache;
@@ -131,7 +103,17 @@ impl SstableReader {
         self
     }
 
-    fn open_opts(vfs: Vfs, name: &str, blocking: bool) -> Result<Self> {
+    /// Opens a table by name, loading footer, index and bloom filter.
+    /// `blocking` says whose reads these are: the foreground's, or a
+    /// background thread's (the flush/compaction install path), which
+    /// consume bandwidth without advancing the simulated clock. `queue`
+    /// is the I/O queue scans batch their window reads through.
+    pub fn open(
+        vfs: Vfs,
+        name: &str,
+        blocking: bool,
+        queue: Option<SharedIoQueue>,
+    ) -> Result<Self> {
         let file = vfs.open(name)?;
         let read = |off: u64, len: usize| {
             if blocking {
@@ -168,7 +150,7 @@ impl SstableReader {
             bloom,
             entries: footer.entries,
             file_bytes,
-            queue: None,
+            queue,
             compression: Compression::from_level(footer.reserved.min(255) as u8),
             cache: None,
             blooms: None,
@@ -704,7 +686,7 @@ mod tests {
             }
         }
         b.finish().expect("finish");
-        SstableReader::open(v.clone(), "sst-1").expect("open")
+        SstableReader::open(v.clone(), "sst-1", true, None).expect("open")
     }
 
     #[test]
@@ -835,7 +817,7 @@ mod tests {
                 .expect("add");
         }
         b.finish().expect("finish");
-        let r = SstableReader::open(v.clone(), "sst-z").expect("open");
+        let r = SstableReader::open(v.clone(), "sst-z", true, None).expect("open");
         let file = v.open("sst-z").expect("open file");
         let modes: Vec<u8> = (r.index.entries.iter())
             .map(|e| v.read_at(file, e.offset, 3).expect("read")[2])
@@ -860,7 +842,7 @@ mod tests {
         let f = v.create("sst-bad").expect("create");
         v.write_at(f, 0, &[0u8; 100]).expect("write");
         assert!(matches!(
-            SstableReader::open(v, "sst-bad"),
+            SstableReader::open(v, "sst-bad", true, None),
             Err(LsmError::Corruption(_))
         ));
     }

@@ -165,7 +165,7 @@ mod tests {
             }
             let mut meta = b.finish().expect("finish");
             meta.file_bytes = bytes; // override for size-based tests
-            let reader = SstableReader::open(v.clone(), name).expect("open");
+            let reader = SstableReader::open(v.clone(), name, true, None).expect("open");
             Arc::new(TableHandle { meta, reader })
         })
     }

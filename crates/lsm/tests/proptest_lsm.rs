@@ -114,7 +114,7 @@ proptest! {
         let meta = b.finish().expect("finish");
         prop_assert_eq!(meta.entries, entries.len() as u64);
 
-        let reader = SstableReader::open(vfs, "t").expect("open");
+        let reader = SstableReader::open(vfs, "t", true, None).expect("open");
         // Point lookups for every key.
         for (k, v) in &entries {
             prop_assert_eq!(reader.get(k).expect("get"), Some(v.clone()));

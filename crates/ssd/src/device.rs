@@ -181,7 +181,6 @@ impl Ssd {
                 let mut media_pages = 0u64;
                 for lpn in range.iter() {
                     self.smart.host_pages_read += 1;
-                    self.probe.note_host_read(lpn);
                     let mapped = match self.cfg.media {
                         MediaKind::Flash => self.ftl.is_mapped(lpn),
                         MediaKind::InPlace => self.inplace_written[lpn as usize],
@@ -528,14 +527,6 @@ impl Ssd {
             .enable_write_trace(self.cfg.geometry.logical_pages);
     }
 
-    /// Enables per-LBA *read* tracing on top of write tracing
-    /// (idempotent; creates the trace if needed) — used to inspect
-    /// read-path access patterns under the asynchronous I/O API.
-    pub fn enable_read_trace(&mut self) {
-        self.probe
-            .enable_read_trace(self.cfg.geometry.logical_pages);
-    }
-
     /// The write trace, if tracing is enabled.
     pub fn write_trace(&self) -> Option<&WriteTrace> {
         self.probe.write_trace()
@@ -738,25 +729,6 @@ mod tests {
         }
         let trace = d.write_trace().expect("enabled");
         assert!((trace.untouched_fraction() - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn read_trace_records_host_reads_when_enabled() {
-        let mut d = ssd1(16 * MB);
-        d.enable_read_trace();
-        for lpn in 0..4 {
-            d.write_page(lpn).expect("write");
-        }
-        d.read_pages(LpnRange::new(0, 4));
-        d.read_page(2);
-        let trace = d.write_trace().expect("enabled");
-        assert_eq!(trace.total_writes(), 4);
-        assert_eq!(trace.total_reads(), 5);
-        assert_eq!(trace.touched_read_lpns(), Some(4));
-        // The queued submission path records reads identically.
-        d.execute_at(d.clock().now(), IoCmd::read_page(0), true)
-            .expect("queued read");
-        assert_eq!(d.write_trace().expect("enabled").total_reads(), 6);
     }
 
     #[test]

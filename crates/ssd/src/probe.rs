@@ -26,7 +26,7 @@ use crate::types::Lpn;
 
 /// Unified instrumentation state for one device.
 ///
-/// Groups the LBA write/read trace, queued-submission depth counters,
+/// Groups the LBA write trace, queued-submission depth counters,
 /// per-cause traffic counters and the span tracer behind one set of
 /// hooks. All sinks are disabled by default; the device's command path
 /// calls the hooks unconditionally and the probe filters.
@@ -54,13 +54,6 @@ impl DeviceProbe {
     pub fn note_host_write(&mut self, lpn: Lpn) {
         if let Some(t) = self.trace.as_mut() {
             t.record(lpn);
-        }
-    }
-
-    /// One host page read at `lpn`.
-    pub fn note_host_read(&mut self, lpn: Lpn) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record_read(lpn);
         }
     }
 
@@ -139,16 +132,6 @@ impl DeviceProbe {
         if self.trace.is_none() {
             self.trace = Some(WriteTrace::new(logical_pages));
         }
-    }
-
-    /// Enables per-LBA read tracing on top of write tracing
-    /// (idempotent; creates the trace if needed).
-    pub fn enable_read_trace(&mut self, logical_pages: u64) {
-        self.enable_write_trace(logical_pages);
-        self.trace
-            .as_mut()
-            .expect("trace just enabled")
-            .enable_reads();
     }
 
     /// The LBA write trace, if enabled.
@@ -237,15 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn write_trace_hooks_record_both_directions() {
+    fn write_trace_hook_records_and_resets() {
         let mut p = DeviceProbe::default();
-        p.enable_read_trace(16);
+        p.enable_write_trace(16);
         p.note_host_write(1);
-        p.note_host_read(1);
-        p.note_host_read(2);
-        let t = p.write_trace().expect("enabled");
-        assert_eq!(t.total_writes(), 1);
-        assert_eq!(t.total_reads(), 2);
+        assert_eq!(p.write_trace().expect("enabled").total_writes(), 1);
         p.reset_write_trace();
         assert_eq!(p.write_trace().expect("enabled").total_writes(), 0);
     }

@@ -6,23 +6,14 @@
 //! on a trimmed drive those LBAs act as free over-provisioning, whereas
 //! RocksDB cycles the whole space. [`WriteTrace`] records per-LPN write
 //! counts and produces exactly that curve.
-//!
-//! Read recording is optional ([`WriteTrace::enable_reads`], usually via
-//! `Ssd::enable_read_trace`): with the asynchronous submission path the
-//! read-side access pattern becomes interesting in its own right (which
-//! LBAs the batched scan and parallel point-read paths actually touch),
-//! and the same per-LPN counters and CDF machinery apply.
 
 use crate::types::Lpn;
 
-/// Per-logical-page write (and optionally read) counter.
+/// Per-logical-page write counter.
 #[derive(Debug, Clone)]
 pub struct WriteTrace {
     counts: Vec<u32>,
     total: u64,
-    /// Per-LPN host-read counters, when read recording is enabled.
-    read_counts: Option<Vec<u32>>,
-    total_reads: u64,
 }
 
 impl WriteTrace {
@@ -31,8 +22,6 @@ impl WriteTrace {
         Self {
             counts: vec![0; logical_pages as usize],
             total: 0,
-            read_counts: None,
-            total_reads: 0,
         }
     }
 
@@ -40,59 +29,6 @@ impl WriteTrace {
     pub fn record(&mut self, lpn: Lpn) {
         self.counts[lpn as usize] += 1;
         self.total += 1;
-    }
-
-    /// Turns on per-LPN read recording (idempotent).
-    pub fn enable_reads(&mut self) {
-        if self.read_counts.is_none() {
-            self.read_counts = Some(vec![0; self.counts.len()]);
-        }
-    }
-
-    /// Whether read recording is enabled.
-    pub fn records_reads(&self) -> bool {
-        self.read_counts.is_some()
-    }
-
-    /// Records one host read of `lpn` (a no-op unless
-    /// [`WriteTrace::enable_reads`] was called).
-    pub fn record_read(&mut self, lpn: Lpn) {
-        if let Some(reads) = self.read_counts.as_mut() {
-            reads[lpn as usize] += 1;
-            self.total_reads += 1;
-        }
-    }
-
-    /// Total host reads recorded (0 unless read recording is enabled).
-    pub fn total_reads(&self) -> u64 {
-        self.total_reads
-    }
-
-    /// Number of LPNs read at least once (None unless read recording is
-    /// enabled).
-    pub fn touched_read_lpns(&self) -> Option<u64> {
-        self.read_counts
-            .as_ref()
-            .map(|reads| reads.iter().filter(|&&c| c > 0).count() as u64)
-    }
-
-    /// Fraction of the LBA space never read (None unless read recording
-    /// is enabled) — the read-side analogue of
-    /// [`WriteTrace::untouched_fraction`].
-    pub fn untouched_read_fraction(&self) -> Option<f64> {
-        let touched = self.touched_read_lpns()?;
-        if self.counts.is_empty() {
-            return Some(0.0);
-        }
-        Some(1.0 - touched as f64 / self.counts.len() as f64)
-    }
-
-    /// The Fig-4-shaped curve over *reads*: `points` samples of
-    /// (normalized LBA index sorted by decreasing read count, cumulative
-    /// fraction of reads). None unless read recording is enabled.
-    pub fn read_cdf_by_descending_frequency(&self, points: usize) -> Option<Vec<(f64, f64)>> {
-        let reads = self.read_counts.as_ref()?;
-        Some(cdf_by_descending_frequency(reads, self.total_reads, points))
     }
 
     /// Total writes recorded.
@@ -114,14 +50,10 @@ impl WriteTrace {
         1.0 - self.touched_lpns() as f64 / self.counts.len() as f64
     }
 
-    /// Zeroes all counters (write and read).
+    /// Zeroes all counters.
     pub fn reset(&mut self) {
         self.counts.fill(0);
         self.total = 0;
-        if let Some(reads) = self.read_counts.as_mut() {
-            reads.fill(0);
-        }
-        self.total_reads = 0;
     }
 
     /// The Figure 4 curve: `points` samples of (normalized LBA index
@@ -130,31 +62,26 @@ impl WriteTrace {
     /// The returned vector has `points + 1` entries from x=0 to x=1, with
     /// y non-decreasing and y(1) == 1 (when any write was recorded).
     pub fn cdf_by_descending_frequency(&self, points: usize) -> Vec<(f64, f64)> {
-        cdf_by_descending_frequency(&self.counts, self.total, points)
-    }
-}
+        assert!(points >= 1);
+        let mut sorted: Vec<u32> = self.counts.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let n = sorted.len().max(1);
+        let total = self.total.max(1) as f64;
 
-/// Shared CDF machinery for the write and read curves.
-fn cdf_by_descending_frequency(counts: &[u32], total: u64, points: usize) -> Vec<(f64, f64)> {
-    assert!(points >= 1);
-    let mut sorted: Vec<u32> = counts.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let n = sorted.len().max(1);
-    let total = total.max(1) as f64;
-
-    // Prefix sums at `points + 1` evenly spaced cut positions.
-    let mut out = Vec::with_capacity(points + 1);
-    let mut cum = 0u64;
-    let mut next_idx = 0usize;
-    for p in 0..=points {
-        let cut = (n * p) / points;
-        while next_idx < cut {
-            cum += sorted[next_idx] as u64;
-            next_idx += 1;
+        // Prefix sums at `points + 1` evenly spaced cut positions.
+        let mut out = Vec::with_capacity(points + 1);
+        let mut cum = 0u64;
+        let mut next_idx = 0usize;
+        for p in 0..=points {
+            let cut = (n * p) / points;
+            while next_idx < cut {
+                cum += sorted[next_idx] as u64;
+                next_idx += 1;
+            }
+            out.push((p as f64 / points as f64, cum as f64 / total));
         }
-        out.push((p as f64 / points as f64, cum as f64 / total));
+        out
     }
-    out
 }
 
 #[cfg(test)]
@@ -214,34 +141,5 @@ mod tests {
         t.reset();
         assert_eq!(t.total_writes(), 0);
         assert_eq!(t.touched_lpns(), 0);
-    }
-
-    #[test]
-    fn read_recording_is_opt_in() {
-        let mut t = WriteTrace::new(10);
-        t.record_read(3);
-        assert_eq!(t.total_reads(), 0, "reads ignored until enabled");
-        assert!(t.touched_read_lpns().is_none());
-        assert!(t.untouched_read_fraction().is_none());
-        assert!(t.read_cdf_by_descending_frequency(4).is_none());
-
-        t.enable_reads();
-        assert!(t.records_reads());
-        t.record_read(3);
-        t.record_read(3);
-        t.record_read(7);
-        assert_eq!(t.total_reads(), 3);
-        assert_eq!(t.touched_read_lpns(), Some(2));
-        assert!((t.untouched_read_fraction().expect("enabled") - 0.8).abs() < 1e-9);
-        let cdf = t.read_cdf_by_descending_frequency(10).expect("enabled");
-        assert_eq!(cdf.len(), 11);
-        let last = cdf.last().expect("non-empty");
-        assert!((last.1 - 1.0).abs() < 1e-9);
-        // Write counters are untouched by read traffic.
-        assert_eq!(t.total_writes(), 0);
-
-        t.reset();
-        assert_eq!(t.total_reads(), 0);
-        assert!(t.records_reads(), "reset keeps read recording enabled");
     }
 }

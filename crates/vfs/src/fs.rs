@@ -9,16 +9,25 @@
 //! Contents are host state — the device only models *when* they move —
 //! and each file keeps its own in one reference-counted buffer. A read
 //! is charged to the device page by page and then *shares* a range of
-//! that buffer ([`Vfs::read_shared`] and friends return a
-//! [`FileSlice`]); the owned calls ([`Vfs::read_at`], …) are the same
-//! read followed by a copy of the range. A slice keeps the bytes it
-//! was read with: a write to the file while any slice of it is
-//! outstanding first copies the whole file once (`Arc::make_mut`) and
-//! leaves the old buffer to the slices; deleting the file does not
-//! disturb them either. That copy is correct and slow, and no engine
-//! pays it: tables are immutable once finished, and WAL, manifest,
-//! journal, segment and page files are only ever read through the owned
-//! calls, whose transient slice is gone before the call returns.
+//! that buffer: [`Vfs::read_shared`], [`Vfs::read_shared_bg`] and
+//! [`Vfs::read_runs_shared`] are the reads, and each returns a
+//! [`FileSlice`]. A slice keeps the bytes it was read with: a write to
+//! the file while any slice of it is outstanding first copies the whole
+//! file once (`Arc::make_mut`) and leaves the old buffer to the slices;
+//! deleting the file does not disturb them either. That copy is correct
+//! and slow, and one rule keeps every engine from paying it:
+//!
+//! **a range of a file that can still be written is dropped before the
+//! call that read it returns.** The pager decodes a page from its range
+//! and lets go; log, manifest and segment replay parse theirs and let
+//! go; a hash-log `get` of the active segment copies the value out at
+//! its public boundary. Ranges of files nobody writes again — finished
+//! tables, sealed segments, GC victims — may be kept for as long as
+//! they are useful (scan windows, a victim being relocated across
+//! slices, past the file's deletion). [`Vfs::read_at`] is the rule
+//! applied for the caller — the same read, copied out — for one-off
+//! reads (the B+Tree's meta page at recovery), tests, tools and the
+//! benchmark's unit-cost row.
 //!
 //! A file that is *built* — a table, written once front to back — has
 //! one more owner for a while: [`Vfs::appender`] checks the buffer out
@@ -43,25 +52,19 @@ use crate::file::{FileId, FileNode};
 use crate::slice::FileSlice;
 use crate::Result;
 
-/// An in-flight batched read: the data (contents are host state, the
-/// device only models *when* they arrive) plus the submission tokens of
-/// its per-run commands. Produced by [`Vfs::read_runs_async`] (an owned
-/// copy, the default) and [`Vfs::read_runs_shared`] (a [`FileSlice`]).
+/// An in-flight batched read ([`Vfs::read_runs_shared`]): the data
+/// (contents are host state, the device only models *when* they arrive)
+/// plus the submission tokens of its per-run commands.
 #[derive(Debug)]
-pub struct AsyncRead<D = Vec<u8>> {
+pub struct AsyncRead {
     tokens: Vec<IoToken>,
-    data: D,
+    data: FileSlice,
 }
 
-impl<D> AsyncRead<D> {
-    /// The submission tokens backing this read, in submission order.
-    pub fn tokens(&self) -> &[IoToken] {
-        &self.tokens
-    }
-
+impl AsyncRead {
     /// Blocks (advances the virtual clock) until every run completes,
     /// then yields the data.
-    pub fn wait(self, queue: &mut IoQueue) -> D {
+    pub fn wait(self, queue: &mut IoQueue) -> FileSlice {
         for token in self.tokens {
             queue.wait(token);
         }
@@ -70,7 +73,7 @@ impl<D> AsyncRead<D> {
 
     /// Detaches the completions (background semantics: the device work
     /// stays charged, the clock never blocks) and yields the data.
-    pub fn into_bg(self, queue: &mut IoQueue) -> D {
+    pub fn into_bg(self, queue: &mut IoQueue) -> FileSlice {
         for token in self.tokens {
             queue.forget(token);
         }
@@ -486,43 +489,26 @@ impl Vfs {
 
     /// Reads up to `len` bytes at `offset`; short reads happen at EOF.
     /// Charges device reads for every page touched (the engines above
-    /// maintain their own caches; a call here is a cache miss).
-    pub fn read_at(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        Ok(self.read_with(id, offset, len, true)?.to_vec())
+    /// maintain their own caches; a call here is a cache miss), advances
+    /// the clock past them, then shares that range of the file's
+    /// contents as of this call (see the ownership rule in the
+    /// [module docs](self)).
+    pub fn read_shared(&self, id: FileId, offset: u64, len: usize) -> Result<FileSlice> {
+        self.read_with(id, offset, len, true)
     }
 
     /// Background read: consumes media bandwidth without advancing the
     /// simulated clock (I/O by background threads, e.g. compaction input
     /// scans).
-    pub fn read_at_bg(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
-        Ok(self.read_with(id, offset, len, false)?.to_vec())
-    }
-
-    /// [`Vfs::read_at`] into a caller-owned buffer (cleared first): a
-    /// caller that reads page after page reuses one allocation.
-    pub fn read_at_into(
-        &self,
-        id: FileId,
-        offset: u64,
-        len: usize,
-        buf: &mut Vec<u8>,
-    ) -> Result<()> {
-        let bytes = self.read_with(id, offset, len, true)?;
-        buf.clear();
-        buf.extend_from_slice(&bytes);
-        Ok(())
-    }
-
-    /// [`Vfs::read_at`] without the copy: the same device reads, then a
-    /// shared range of the file's contents as of this call (see the
-    /// ownership rule in the [module docs](self)).
-    pub fn read_shared(&self, id: FileId, offset: u64, len: usize) -> Result<FileSlice> {
-        self.read_with(id, offset, len, true)
-    }
-
-    /// [`Vfs::read_at_bg`] without the copy.
     pub fn read_shared_bg(&self, id: FileId, offset: u64, len: usize) -> Result<FileSlice> {
         self.read_with(id, offset, len, false)
+    }
+
+    /// [`Vfs::read_shared`] copied out: the one owned read, for callers
+    /// that are not on a data path (a meta page at recovery, tests,
+    /// tools, unit-cost probes).
+    pub fn read_at(&self, id: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
+        Ok(self.read_shared(id, offset, len)?.to_vec())
     }
 
     /// The one synchronous read: charges the device reads for `[offset,
@@ -557,7 +543,7 @@ impl Vfs {
 
     /// Creates a submission/completion queue of `depth` outstanding
     /// commands over this filesystem's device — the entry point of the
-    /// asynchronous I/O path (see [`Vfs::read_runs_async`]).
+    /// asynchronous I/O path (see [`Vfs::read_runs_shared`]).
     pub fn io_queue(&self, depth: usize) -> IoQueue {
         let g = self.inner.lock();
         IoQueue::new(Arc::clone(&g.ssd), depth)
@@ -565,35 +551,21 @@ impl Vfs {
 
     /// Submits one read command **per extent run** of `[offset,
     /// offset+len)` to `queue` and returns immediately with an
-    /// [`AsyncRead`] holding the data and the submission tokens; the
-    /// caller decides when (and whether) to block on the completions.
-    /// This is the io_uring shape of [`Vfs::read_at`]: the runs' media
-    /// times overlap up to the device's channel count and their base
-    /// latencies pipeline, instead of each run charging its full
-    /// latency serially.
-    pub fn read_runs_async(
-        &self,
-        queue: &mut IoQueue,
-        id: FileId,
-        offset: u64,
-        len: usize,
-    ) -> Result<AsyncRead> {
-        let AsyncRead { tokens, data } = self.read_runs_shared(queue, id, offset, len)?;
-        Ok(AsyncRead {
-            tokens,
-            data: data.to_vec(),
-        })
-    }
-
-    /// [`Vfs::read_runs_async`] without the copy: the data is a shared
-    /// range of the file's contents as of this call.
+    /// [`AsyncRead`] holding the data — a shared range of the file's
+    /// contents as of this call — and the submission tokens; the caller
+    /// decides when (and whether) to block on the completions. This is
+    /// the io_uring shape of [`Vfs::read_shared`]: the runs' media times
+    /// overlap up to the device's channel count and their base latencies
+    /// pipeline, instead of each run charging its full latency serially.
+    /// Submitted and waited on through a depth-1 queue it reproduces
+    /// [`Vfs::read_shared`] exactly.
     pub fn read_runs_shared(
         &self,
         queue: &mut IoQueue,
         id: FileId,
         offset: u64,
         len: usize,
-    ) -> Result<AsyncRead<FileSlice>> {
+    ) -> Result<AsyncRead> {
         // Submitting takes the device lock, so the filesystem lock is
         // released first and the runs are collected.
         let (runs, data) = {
@@ -630,31 +602,6 @@ impl Vfs {
             }
         }
         Ok(AsyncRead { tokens, data })
-    }
-
-    /// Batched foreground read: submits one command per extent run and
-    /// blocks (advances the clock) until all of them complete. With a
-    /// depth-1 queue this reproduces [`Vfs::read_at`] exactly; deeper
-    /// queues overlap the runs.
-    pub fn read_at_async(
-        &self,
-        queue: &mut IoQueue,
-        id: FileId,
-        offset: u64,
-        len: usize,
-    ) -> Result<Vec<u8>> {
-        let (tracer, cause, clock) = self.trace_context();
-        let span = tracer.begin("vfs.read", cause, clock.now());
-        let result = self.read_runs_async(queue, id, offset, len);
-        let data = match result {
-            Ok(read) => read.wait(queue),
-            Err(e) => {
-                tracer.end(span, clock.now());
-                return Err(e);
-            }
-        };
-        tracer.end(span, clock.now());
-        Ok(data)
     }
 
     /// The tracer, current device cause and clock in one grab (span
@@ -891,19 +838,12 @@ mod tests {
             v.read_at(f, 5_000, 100).expect("read"),
             payload[5_000..5_100]
         );
-        // The caller-buffer variant: same bytes (clipped at EOF), same
-        // device reads, nothing left over from the buffer's last use.
-        let mut buf = vec![9u8; 64];
+        // The range read: clipped at EOF, one device read per page
+        // touched, empty at EOF.
         let reads_before = v.ssd().lock().smart().host_pages_read;
-        v.read_at_into(f, 5_000, 8_192, &mut buf).expect("read");
-        assert_eq!(buf, payload[5_000..]);
-        assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 2);
-        v.read_at_into(f, 10_000, 16, &mut buf).expect("read");
-        assert!(buf.is_empty(), "a read at EOF is empty");
-        // The range read: clipped at EOF, the same two device reads.
         let range = v.read_shared(f, 5_000, 8_192).expect("read");
         assert_eq!(&*range, &payload[5_000..]);
-        assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 4);
+        assert_eq!(v.ssd().lock().smart().host_pages_read, reads_before + 2);
         assert!(v.read_shared(f, 10_000, 16).expect("read").is_empty());
         v.check_invariants();
     }
@@ -1098,34 +1038,20 @@ mod tests {
     }
 
     #[test]
-    fn read_at_async_depth1_matches_sync_read() {
+    fn queued_read_depth1_matches_sync_read() {
         let sync_fs = fs();
-        let async_fs = fs();
-        let ranged_fs = fs();
+        let queued_fs = fs();
         let fa = fragmented_file(&sync_fs, 16);
-        let fb = fragmented_file(&async_fs, 16);
-        let fc = fragmented_file(&ranged_fs, 16);
-        let mut q = async_fs.io_queue(1);
-        let mut qr = ranged_fs.io_queue(1);
-        let t_sync = sync_fs.clock().now();
-        let t_async = async_fs.clock().now();
-        assert_eq!(t_sync, t_async);
-        let want = sync_fs.read_at(fa, 0, 16 * 4096).expect("sync read");
-        let got = async_fs
-            .read_at_async(&mut q, fb, 0, 16 * 4096)
-            .expect("async read");
+        let fb = fragmented_file(&queued_fs, 16);
+        let mut q = queued_fs.io_queue(1);
+        assert_eq!(sync_fs.clock().now(), queued_fs.clock().now());
+        let want = sync_fs.read_shared(fa, 0, 16 * 4096).expect("sync read");
+        let got = queued_read(&queued_fs, &mut q, fb, 16 * 4096);
         assert_eq!(want, got, "contents match");
         assert_eq!(
             sync_fs.clock().now(),
-            async_fs.clock().now(),
-            "depth-1 async read must cost exactly the sync time"
-        );
-        let ranged = queued_read(&ranged_fs, &mut qr, fc, 16 * 4096);
-        assert_eq!(want, &*ranged, "the range holds the same bytes");
-        assert_eq!(
-            sync_fs.clock().now(),
-            ranged_fs.clock().now(),
-            "a depth-1 queued range read must cost exactly the sync time"
+            queued_fs.clock().now(),
+            "a depth-1 queued read must cost exactly the sync time"
         );
     }
 
@@ -1138,30 +1064,15 @@ mod tests {
         let mut q1 = serial_fs.io_queue(1);
         let mut q8 = deep_fs.io_queue(8);
         let t0 = serial_fs.clock().now();
-        serial_fs
-            .read_at_async(&mut q1, fa, 0, 32 * 4096)
-            .expect("read");
+        queued_read(&serial_fs, &mut q1, fa, 32 * 4096);
         let serial = serial_fs.clock().now() - t0;
         let t0 = deep_fs.clock().now();
-        deep_fs
-            .read_at_async(&mut q8, fb, 0, 32 * 4096)
-            .expect("read");
+        queued_read(&deep_fs, &mut q8, fb, 32 * 4096);
         let deep = deep_fs.clock().now() - t0;
         assert!(
             deep < serial / 2,
             "QD=8 must overlap the per-run base latencies: {deep} vs {serial}"
         );
-        // The same two reads as ranges cost the same two times.
-        let (serial_fs, deep_fs) = (fs(), fs());
-        let fa = fragmented_file(&serial_fs, 32);
-        let fb = fragmented_file(&deep_fs, 32);
-        let (mut q1, mut q8) = (serial_fs.io_queue(1), deep_fs.io_queue(8));
-        let t0 = serial_fs.clock().now();
-        queued_read(&serial_fs, &mut q1, fa, 32 * 4096);
-        assert_eq!(serial_fs.clock().now() - t0, serial);
-        let t0 = deep_fs.clock().now();
-        queued_read(&deep_fs, &mut q8, fb, 32 * 4096);
-        assert_eq!(deep_fs.clock().now() - t0, deep);
     }
 
     #[test]
@@ -1193,23 +1104,17 @@ mod tests {
     }
 
     #[test]
-    fn async_reads_record_smart_traffic() {
+    fn queued_reads_record_smart_traffic() {
         let v = fs();
         let f = v.create("a").expect("create");
         v.write_at(f, 0, &vec![1u8; 8 * 4096]).expect("write");
         let before = v.ssd().lock().smart().host_pages_read;
         let mut q = v.io_queue(4);
-        v.read_at_async(&mut q, f, 0, 8 * 4096).expect("read");
-        assert_eq!(
-            v.ssd().lock().smart().host_pages_read,
-            before + 8,
-            "async reads charge the same SMART traffic"
-        );
         queued_read(&v, &mut q, f, 8 * 4096);
         assert_eq!(
             v.ssd().lock().smart().host_pages_read,
-            before + 16,
-            "queued range reads charge the same SMART traffic"
+            before + 8,
+            "queued reads charge the same SMART traffic"
         );
     }
 

@@ -245,7 +245,7 @@ impl RecordLog {
         for (_, name) in Self::files(vfs, prefix) {
             let file = vfs.open(&name)?;
             let size = vfs.size(file)? as usize;
-            let buf = vfs.read_at(file, 0, size)?;
+            let buf = vfs.read_shared(file, 0, size)?;
             parse(&buf, page, &mut out)
                 .map_err(|what| LogError::Corruption(format!("{name}: {what}")))?;
         }
