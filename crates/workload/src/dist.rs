@@ -4,7 +4,11 @@
 //! key indices in `[0, num_keys)`. The Zipfian implementation follows the
 //! YCSB generator (Gray et al.'s rejection method with precomputed zeta),
 //! giving the familiar skew where `theta = 0.99` sends ~90% of accesses
-//! to ~10% of keys.
+//! to ~10% of keys. Its constants are computed once per key space and
+//! shared by every sampler built over it, so constructing a sampler is
+//! O(1) in the key space after the first.
+
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -32,34 +36,48 @@ pub struct Sampler {
     num_keys: u64,
     rng: SmallRng,
     next_seq: u64,
-    // Zipfian precomputed state.
-    zeta_n: f64,
-    zeta_theta: f64,
-    alpha: f64,
-    eta: f64,
+    zipf: ZipfParams,
 }
+
+/// The constants of the YCSB Zipfian generator over one key space:
+/// what [`Sampler::sample`] needs besides the RNG draw and the key count.
+#[derive(Debug, Clone, Copy, Default)]
+struct ZipfParams {
+    zeta_n: f64,
+    eta: f64,
+    alpha: f64,
+    /// `1 + 0.5^θ`: a scaled draw below it is rank 1.
+    rank1_bound: f64,
+}
+
+/// The last key space [`zipf_params_memo`] computed, keyed by
+/// `(num_keys, θ.to_bits())`. ζ(n, θ) is a sum over every key, and every
+/// client of a run builds its own generator over the same key space
+/// (4 096 of them in the serving fan-in), so the memo makes all but the
+/// first construction O(1). `zipf_params` is a pure function: a hit
+/// returns exactly the bits a recomputation would. One slot suffices
+/// because callers build clients in order and tenants are contiguous
+/// blocks of clients; a miss only costs the recomputation.
+static ZIPF_MEMO: Mutex<Option<((u64, u64), ZipfParams)>> = Mutex::new(None);
 
 impl Sampler {
     /// Builds a sampler over `[0, num_keys)`.
     pub fn new(dist: KeyDistribution, num_keys: u64, seed: u64) -> Self {
         assert!(num_keys > 0, "empty key space");
-        let (zeta_n, zeta_theta, alpha, eta) = match dist {
+        let zipf = match dist {
             KeyDistribution::Zipfian { theta } => {
                 assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
-                zipf_params(num_keys, theta)
+                zipf_params_memo(num_keys, theta)
             }
-            KeyDistribution::Latest => zipf_params(num_keys, 0.99),
-            KeyDistribution::Uniform | KeyDistribution::Sequential => (0.0, 0.0, 0.0, 0.0),
+            KeyDistribution::Latest => zipf_params_memo(num_keys, 0.99),
+            KeyDistribution::Uniform | KeyDistribution::Sequential => ZipfParams::default(),
         };
         Self {
             dist,
             num_keys,
             rng: SmallRng::seed_from_u64(seed),
             next_seq: 0,
-            zeta_n,
-            zeta_theta,
-            alpha,
-            eta,
+            zipf,
         }
     }
 
@@ -87,25 +105,52 @@ impl Sampler {
     }
 
     fn zipf_rank(&mut self) -> u64 {
+        let ZipfParams {
+            zeta_n,
+            eta,
+            alpha,
+            rank1_bound,
+        } = self.zipf;
         let u: f64 = self.rng.gen();
-        let uz = u * self.zeta_n;
+        let uz = u * zeta_n;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.zeta_theta) {
+        if uz < rank1_bound {
             return 1;
         }
-        let rank = (self.num_keys as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        let rank = (self.num_keys as f64 * (eta * u - eta + 1.0).powf(alpha)) as u64;
         rank.min(self.num_keys - 1)
     }
 }
 
-fn zipf_params(num_keys: u64, theta: f64) -> (f64, f64, f64, f64) {
+/// [`zipf_params`] through the one-slot [`ZIPF_MEMO`].
+fn zipf_params_memo(num_keys: u64, theta: f64) -> ZipfParams {
+    let key = (num_keys, theta.to_bits());
+    // The slot is written in one assignment of a finished value, so a
+    // guard recovered from a poisoned lock still holds a valid entry.
+    let mut memo = ZIPF_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((memo_key, params)) = *memo {
+        if memo_key == key {
+            return params;
+        }
+    }
+    let params = zipf_params(num_keys, theta);
+    *memo = Some((key, params));
+    params
+}
+
+fn zipf_params(num_keys: u64, theta: f64) -> ZipfParams {
     let zeta_n = zeta(num_keys, theta);
     let zeta2 = zeta(2, theta);
     let alpha = 1.0 / (1.0 - theta);
     let eta = (1.0 - (2.0 / num_keys as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zeta_n);
-    (zeta_n, theta, alpha, eta)
+    ZipfParams {
+        zeta_n,
+        eta,
+        alpha,
+        rank1_bound: 1.0 + 0.5f64.powf(theta),
+    }
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {

@@ -1,5 +1,8 @@
 //! Operation stream and bulk-load generation.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,10 +38,40 @@ pub struct OpGenerator {
     spec: WorkloadSpec,
     sampler: Sampler,
     rng: SmallRng,
-    versions: Vec<u32>,
+    /// Version of every key this generator has updated, by local index
+    /// (`key_index - key_base`); an absent key is at version 0, as
+    /// bulk-loaded. Memory follows the keys updated, not the key space:
+    /// a fan-in client updates a few dozen keys of thousands. Never
+    /// iterated — only looked up and inserted into — so its hash order
+    /// cannot reach an op stream or a report.
+    versions: HashMap<u64, u32, BuildHasherDefault<LocalIndexHasher>>,
     key_buf: Vec<u8>,
     value_buf: Vec<u8>,
     ops_generated: u64,
+}
+
+/// Fibonacci hashing of a local key index: one multiply spreads the
+/// small integers the version table is keyed by over the hash's high
+/// and low bits alike. The keys come from the generator's own sampler,
+/// never from outside the program, so no collision resistance is
+/// needed.
+#[derive(Debug, Default)]
+struct LocalIndexHasher(u64);
+
+impl Hasher for LocalIndexHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 impl OpGenerator {
@@ -49,7 +82,7 @@ impl OpGenerator {
         let sampler = Sampler::new(spec.distribution, spec.num_keys, spec.seed);
         let rng = SmallRng::seed_from_u64(spec.seed ^ 0xDEAD_BEEF);
         Self {
-            versions: vec![0; spec.num_keys as usize],
+            versions: HashMap::default(),
             sampler,
             rng,
             key_buf: Vec::with_capacity(spec.key_size),
@@ -70,9 +103,17 @@ impl OpGenerator {
     }
 
     /// Current version of a key (0 = as bulk-loaded). `key_index` is
-    /// global; it must fall in this generator's key slice.
+    /// global; it must fall in this generator's key slice, or this
+    /// panics.
     pub fn version_of(&self, key_index: u64) -> u32 {
-        self.versions[(key_index - self.spec.key_base) as usize]
+        assert!(
+            (self.spec.key_base..self.spec.key_end()).contains(&key_index),
+            "key {key_index} outside this generator's slice [{}, {})",
+            self.spec.key_base,
+            self.spec.key_end()
+        );
+        let local = key_index - self.spec.key_base;
+        self.versions.get(&local).copied().unwrap_or(0)
     }
 
     /// Produces the next operation. The returned [`Op`] borrows internal
@@ -106,11 +147,11 @@ impl OpGenerator {
                 key_index,
             }
         } else {
-            let version = self.versions[local as usize] + 1;
-            self.versions[local as usize] = version;
+            let version = self.versions.entry(local).or_insert(0);
+            *version += 1;
             fill_value(
                 key_index,
-                version as u64,
+                *version as u64,
                 self.spec.value_size,
                 &mut self.value_buf,
             );
@@ -305,6 +346,22 @@ mod tests {
             op.key_index
         };
         assert!(g.version_of(op_idx) >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this generator's slice")]
+    fn version_of_below_the_slice_panics() {
+        let shard = spec().shard(1, 2);
+        let below = shard.key_base - 1;
+        OpGenerator::new(shard).version_of(below);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this generator's slice")]
+    fn version_of_at_the_slice_end_panics() {
+        let shard = spec().shard(0, 2);
+        let end = shard.key_end();
+        OpGenerator::new(shard).version_of(end);
     }
 
     #[test]

@@ -38,14 +38,27 @@ pub use spec::{route_hash, split_seed, WorkloadSpec};
 /// YCSB-style keys used in practice.
 pub fn encode_key(idx: u64, key_size: usize, buf: &mut Vec<u8>) {
     buf.clear();
-    let digits = format!("{idx}");
+    // Decimal digits, written backwards into a stack buffer wide enough
+    // for u64::MAX: no heap string per key.
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = idx;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let digits = &digits[start..];
     assert!(
         key_size > digits.len(),
         "key_size {key_size} too small for index {idx}"
     );
     buf.resize(key_size - digits.len(), b'0');
     buf[0] = b'k';
-    buf.extend_from_slice(digits.as_bytes());
+    buf.extend_from_slice(digits);
 }
 
 /// Decodes a key produced by [`encode_key`] back to its index.
@@ -97,10 +110,14 @@ mod tests {
     #[test]
     fn keys_round_trip() {
         let mut buf = Vec::new();
-        for idx in [0, 1, 7, 1000, 123_456_789] {
+        for idx in [0, 1, 7, 10, 1000, 123_456_789] {
             encode_key(idx, 16, &mut buf);
             assert_eq!(decode_key(&buf), idx);
         }
+        // Twenty digits: the widest index there is.
+        encode_key(u64::MAX, 21, &mut buf);
+        assert_eq!(buf, b"k18446744073709551615");
+        assert_eq!(decode_key(&buf), u64::MAX);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! recorded.
 
 use std::collections::BTreeSet;
+use std::sync::Barrier;
 
 use ptsbench_workload::{KeyDistribution, Loader, OpGenerator, OpKind, WorkloadSpec};
 
@@ -163,6 +164,82 @@ fn bulk_loads_match_the_recorded_constants() {
         })
         .collect();
     assert_table("bulk loads", got, LOADS);
+}
+
+/// The recorded checksum of configuration `name`.
+fn recorded(name: &str) -> u64 {
+    STREAMS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no constant for {name}"))
+        .1
+}
+
+/// The Zipfian constants are memoised per key space: generators built
+/// over alternating key spaces — `(n, 0.99)`, `(n / 4, 0.5)`, `(n / 4,
+/// 0.99)`, `(n, 0.99)` — before any of them runs must each draw their
+/// own recorded stream.
+#[test]
+fn interleaved_key_spaces_draw_their_own_streams() {
+    let configurations = configurations();
+    let names = [
+        "zipf99/whole/rw",
+        "zipf50/shard/w",
+        "latest/shard/rw",
+        "zipf99/whole/w",
+        "zipf50/hashed/rw",
+        "zipf50/shard/w",
+        "latest/whole/w",
+    ];
+    let generators: Vec<(&str, OpGenerator)> = names
+        .iter()
+        .map(|&name| {
+            let spec = configurations
+                .iter()
+                .find(|(n, _)| n == name)
+                .expect("a recorded configuration")
+                .1
+                .clone();
+            (name, OpGenerator::new(spec))
+        })
+        .collect();
+    for (name, generator) in generators {
+        assert_eq!(stream_checksum(generator), recorded(name), "{name}");
+    }
+}
+
+/// Four threads building every configuration, each in its own order
+/// and all four at once at every step, all draw the recorded streams.
+#[test]
+fn concurrent_construction_draws_the_recorded_streams() {
+    let configurations = configurations();
+    let barrier = Barrier::new(4);
+    // Mismatches are collected, not asserted in the threads: a thread
+    // that panicked would leave the others waiting at the barrier.
+    let moved: Vec<String> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..4)
+            .map(|thread| {
+                let (configurations, barrier) = (&configurations, &barrier);
+                scope.spawn(move || {
+                    let count = configurations.len();
+                    let mut moved = Vec::new();
+                    for step in 0..count {
+                        let (name, spec) = &configurations[(step * 7 + thread * 5) % count];
+                        barrier.wait();
+                        if stream_checksum(OpGenerator::new(spec.clone())) != recorded(name) {
+                            moved.push(format!("thread {thread}: {name}"));
+                        }
+                    }
+                    moved
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("a construction thread panicked"))
+            .collect()
+    });
+    assert!(moved.is_empty(), "streams moved: {moved:?}");
 }
 
 /// Recorded while every generator recomputed ζ(n, θ) and held a dense
