@@ -6,7 +6,10 @@
 //! copying data path of PR 14 left them, and the builder must keep
 //! producing the documented file layout. The constants were recorded on
 //! that commit; a change that only makes the host faster must not move
-//! any of them.
+//! any of them. The noise-valued, half-noise and codec-level-change
+//! mixes were recorded while compaction still re-encoded every block
+//! it wrote: most of their compacted blocks are stored-mode input
+//! blocks passing through the merge unchanged.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,15 +51,57 @@ impl Fnv {
     }
 }
 
-/// Runs the mix and renders every number and byte that must not move.
-fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
-    let opts = LsmOptions {
+/// What the mix's puts write.
+#[derive(Clone, Copy)]
+enum Values {
+    /// An 8-byte word varied every 64 bytes: every block compresses.
+    Patterned,
+    /// xorshift noise, like the workloads' `fill_value`: no block
+    /// compresses, so the codec stores every one verbatim.
+    Noise,
+    /// Noise under the lower half of the keys, patterned above: stored
+    /// and compressed blocks in the same tables.
+    Halves,
+}
+
+impl Values {
+    /// The value of one put; `word` is the mix's random draw for it.
+    fn make(self, i: u32, step: u32, len: usize, word: u64) -> Vec<u8> {
+        let noise = match self {
+            Values::Patterned => false,
+            Values::Noise => true,
+            Values::Halves => i < 80,
+        };
+        if !noise {
+            let word = word.to_le_bytes();
+            return (0..len)
+                .map(|b| word[b % 8] ^ (step as u8) ^ ((b / 64) as u8))
+                .collect();
+        }
+        let mut state = word | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+}
+
+fn mix_options(maint: MaintConfig, compression: Compression, queue_depth: usize) -> LsmOptions {
+    LsmOptions {
         maint,
         compression,
         queue_depth,
         ..LsmOptions::small()
-    };
-    let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
+    }
+}
+
+/// Drives the seeded put/delete/get/scan mix through `db`, then flushes
+/// and settles it; returns the checksum of everything the reads saw.
+fn drive_mix(db: &mut LsmDb, values: Values) -> Fnv {
     let pump = |db: &mut LsmDb| while db.run_maintenance_slice().expect("slice") {};
     let mut rng = SmallRng::seed_from_u64(15);
     let mut reads = Fnv::new();
@@ -70,10 +115,7 @@ fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> 
                 } else {
                     rng.gen_range(100..3000)
                 };
-                let word = rng.gen::<u64>().to_le_bytes();
-                let value: Vec<u8> = (0..len)
-                    .map(|b| word[b % 8] ^ (step as u8) ^ ((b / 64) as u8))
-                    .collect();
+                let value = values.make(i, step, len, rng.gen::<u64>());
                 db.put(&key(i), &value).expect("put");
             }
             12..=14 => db.delete(&key(i)).expect("delete"),
@@ -89,11 +131,17 @@ fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> 
                 }
             }
         }
-        pump(&mut db);
+        pump(db);
     }
     db.flush().expect("flush");
     db.quiesce();
+    reads
+}
 
+/// Renders every number and byte that must not move: the engine and
+/// maintenance counters, the device, the clock, `reads`, and one
+/// checksum per surviving table file.
+fn render(db: &LsmDb, reads: Fnv) -> String {
     // Model-side numbers first: reading the tables back below charges
     // the device.
     let smart = db.vfs().ssd().lock().smart();
@@ -122,6 +170,24 @@ fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> 
         out.push_str(&format!("{name} {size} {:016x}\n", sum.0));
     }
     out
+}
+
+/// Runs the mix on a fresh database and renders it.
+fn run_values(
+    maint: MaintConfig,
+    compression: Compression,
+    queue_depth: usize,
+    values: Values,
+) -> String {
+    let opts = mix_options(maint, compression, queue_depth);
+    let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
+    let reads = drive_mix(&mut db, values);
+    render(&db, reads)
+}
+
+/// The original mix: compressible values.
+fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
+    run_values(maint, compression, queue_depth, Values::Patterned)
 }
 
 fn assert_parity(actual: &str, expected: &str) {
@@ -266,6 +332,147 @@ sst-00000557 3761 907978a71a617312\n\
 sst-00000558 1570 2ddf3cc8ba678878\n\
 ";
 
+const INLINE_NOISE_LZ1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7278359, compactions: 101, compaction_bytes_read: 32443641, compaction_bytes_written: 25400578, trivial_moves: 0, bloom_probes: 2276, bloom_negatives: 1385, bloom_false_positives: 14 }\n\
+maint=None\n\
+hpw=11705 hpr=30975 npw=11705 clock=4373386077129 reads=9ecfba7a43fb9cda\n\
+sst-00001802 16940 4b455a3c60b3919b\n\
+sst-00001820 17245 c19e19c4dd108e3e\n\
+sst-00001821 16781 d3319fe39004c31b\n\
+sst-00001822 19965 f0fbf36cf7dbfafa\n\
+sst-00001823 19106 e4830a043af2ac37\n\
+sst-00001824 16764 2a072fecfbbcba74\n\
+sst-00001825 16907 d6cb9ace772bac96\n\
+sst-00001826 18542 3605d65f794a22bb\n\
+sst-00001827 16950 935e3a195e4434f5\n\
+sst-00001828 17236 56dec7077359d07d\n\
+sst-00001829 16888 2bccc34c311799cd\n\
+sst-00001830 22693 0f73cba5d1e2d257\n\
+sst-00001831 17157 87b6ecd8090cb80c\n\
+sst-00001832 2122 2d9811f102ff4ac1\n\
+";
+const INLINE_NOISE_LZ3: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7278308, compactions: 101, compaction_bytes_read: 32443550, compaction_bytes_written: 25400537, trivial_moves: 0, bloom_probes: 2276, bloom_negatives: 1385, bloom_false_positives: 14 }\n\
+maint=None\n\
+hpw=11705 hpr=30975 npw=11705 clock=4373386077129 reads=9ecfba7a43fb9cda\n\
+sst-00001802 16940 1d4881c327cac521\n\
+sst-00001820 17245 27c2a051d70b9104\n\
+sst-00001821 16781 f27dcefc06379c0d\n\
+sst-00001822 19965 793c0bae186846b2\n\
+sst-00001823 19106 9bdb6dab5ee03a25\n\
+sst-00001824 16764 4b2ee741b996ec3c\n\
+sst-00001825 16907 0f1e23c2daebfd3c\n\
+sst-00001826 18542 eab0c666e2b918e5\n\
+sst-00001827 16950 bde0dba0ec337667\n\
+sst-00001828 17236 522f51c90077f2a5\n\
+sst-00001829 16888 e05a916eb5dd6597\n\
+sst-00001830 22693 0f38eba79409c9d7\n\
+sst-00001831 17156 9267868085ae999e\n\
+sst-00001832 2122 296486a14ac5ac09\n\
+";
+const BG_NOISE_LZ1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7278359, compactions: 40, compaction_bytes_read: 17126283, compaction_bytes_written: 10206185, trivial_moves: 0, bloom_probes: 5230, bloom_negatives: 4288, bloom_false_positives: 46 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 2305, installs: 444, bytes_read: 17126283, bytes_written: 17484544, stall_ns: 263091089544, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=7374 hpr=26860 npw=7374 clock=5410957001056 reads=9ecfba7a43fb9cda\n\
+sst-00000945 9310 7d330121da117c50\n\
+sst-00000956 23542 eedc5b9bdac339fd\n\
+sst-00000957 22266 5c251cc08c8600a7\n\
+sst-00000958 17754 a22edc551c593ee8\n\
+sst-00000959 22091 23bf98388002983d\n\
+sst-00000960 19336 83733b1c48043049\n\
+sst-00000961 18200 64145bd3bb585c17\n\
+sst-00000962 17499 bd7b4dd5b38c5f98\n\
+sst-00000963 21216 16639eb01352e472\n\
+sst-00000964 17025 150b88b0d91f6ef9\n\
+sst-00000965 19057 eb4fa3a481d80bb3\n\
+sst-00000966 24429 c9e67b05b6db79ad\n\
+sst-00000967 17561 da0d388cd01013ed\n\
+sst-00000968 11842 e5317faa3d4515ff\n\
+sst-00000969 17696 dcb05681075a873d\n\
+sst-00000970 17510 d0ef4b53df9b5aa7\n\
+sst-00000971 17720 b2fb93cce99c4266\n\
+sst-00000972 18760 5354dc664747d317\n\
+sst-00000973 18098 6dddab3f4f631478\n\
+sst-00000974 7349 ff0c5bceca79f820\n\
+";
+const BG_NOISE_LZ3: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 7278308, compactions: 40, compaction_bytes_read: 17126217, compaction_bytes_written: 10206169, trivial_moves: 0, bloom_probes: 5230, bloom_negatives: 4288, bloom_false_positives: 46 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 2305, installs: 444, bytes_read: 17126217, bytes_written: 17484477, stall_ns: 263091089544, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=7374 hpr=26860 npw=7374 clock=5410957001056 reads=9ecfba7a43fb9cda\n\
+sst-00000945 9310 dcbb42fd34c3f656\n\
+sst-00000956 23542 09a19818c7ba8283\n\
+sst-00000957 22266 c5d24b5f2d925d4d\n\
+sst-00000958 17754 1de79fd9f59e5eb2\n\
+sst-00000959 22091 7d973404846e1721\n\
+sst-00000960 19336 ba8294af09789abf\n\
+sst-00000961 18200 c063a422b91a1543\n\
+sst-00000962 17499 61f3d803206d5abe\n\
+sst-00000963 21216 e87487712841773e\n\
+sst-00000964 17025 4126a96a7011211d\n\
+sst-00000965 19057 011544174545780b\n\
+sst-00000966 24429 2a1adb84a6604563\n\
+sst-00000967 17561 ba8f6528607b8b2b\n\
+sst-00000968 11842 07b1894165e8e81f\n\
+sst-00000969 17696 392186e4b84d628f\n\
+sst-00000970 17510 a76591aa39c34b1f\n\
+sst-00000971 17720 6c85cd20c1c2aee0\n\
+sst-00000972 18759 64eafb0982b160aa\n\
+sst-00000973 18098 31daf653ccef892e\n\
+sst-00000974 7349 27d984f0d45b8ba2\n\
+";
+const INLINE_HALVES_LZ1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 4366739, compactions: 101, compaction_bytes_read: 19814700, compaction_bytes_written: 15588666, trivial_moves: 0, bloom_probes: 2289, bloom_negatives: 1397, bloom_false_positives: 15 }\n\
+maint=None\n\
+hpw=8169 hpr=21855 npw=8169 clock=3560701371240 reads=41d176fd5ea89f8b\n\
+sst-00001315 16940 4b455a3c60b3919b\n\
+sst-00001328 17245 c19e19c4dd108e3e\n\
+sst-00001329 16781 d3319fe39004c31b\n\
+sst-00001330 19965 f0fbf36cf7dbfafa\n\
+sst-00001331 19106 e4830a043af2ac37\n\
+sst-00001332 16764 2a072fecfbbcba74\n\
+sst-00001333 15724 9af2732292d271f7\n\
+sst-00001334 15742 56c61a067ad4aeda\n\
+sst-00001335 2438 62506c5cf20478d5\n\
+";
+const BG_HALVES_LZ1: &str = "\
+DbStats { puts: 3640, gets: 1156, deletes: 889, app_bytes_written: 7353461, flushes: 404, flush_bytes: 4366739, compactions: 40, compaction_bytes_read: 10434733, compaction_bytes_written: 6338559, trivial_moves: 0, bloom_probes: 5231, bloom_negatives: 4285, bloom_false_positives: 39 }\n\
+maint=Some(MaintStats { jobs: 444, slices: 2095, installs: 444, bytes_read: 10434733, bytes_written: 11110957, stall_ns: 188351089848, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=5520 hpr=18722 npw=5520 clock=4733360808229 reads=41d176fd5ea89f8b\n\
+sst-00000765 17695 05a846379cee61fd\n\
+sst-00000766 17996 53a2f38004c675e4\n\
+sst-00000767 19103 3806ddcafd3d9bb6\n\
+sst-00000768 18770 e43d3f30600d70e6\n\
+sst-00000769 20209 815707dba6213945\n\
+sst-00000770 16776 d99340e2f85e3a30\n\
+sst-00000771 17189 9993ca3f9f20acbb\n\
+sst-00000772 17365 2472273f15e8d45a\n\
+sst-00000773 13702 c6b36aa470672f3d\n\
+sst-00000774 14176 3c11e7732bb48000\n\
+sst-00000775 6872 692bfc3a9d7f3de9\n\
+sst-00000776 12549 382331bf51b8d99b\n\
+sst-00000777 7531 d692930b53a07755\n\
+sst-00000778 14113 03dca48dee2e5f05\n\
+sst-00000779 9798 4a1c971bd449b815\n\
+sst-00000780 15841 4e59bd5fc550fe04\n\
+sst-00000781 14985 57be3aee129a9b78\n\
+sst-00000782 10670 c7c8871e5bfbcf22\n\
+sst-00000783 5225 660fcecccd908ede\n\
+";
+const LEVEL_3_TO_1: &str = "\
+DbStats { puts: 18, gets: 0, deletes: 0, app_bytes_written: 12798, flushes: 1, flush_bytes: 7546, compactions: 1, compaction_bytes_read: 145811, compaction_bytes_written: 126485, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=None\n\
+hpw=8213 hpr=22015 npw=8213 clock=3592608113346 reads=41d176fd5ea89f8b\n\
+sst-00001335 2434 b67da364fdaf2ff1\n\
+sst-00001337 16647 41510a7fc61a796e\n\
+sst-00001338 17990 5ac7df4ae3e63f90\n\
+sst-00001339 17234 1d9581155cd11645\n\
+sst-00001340 18419 a05b8b0cbd0a792b\n\
+sst-00001341 16846 c90577f2312fd377\n\
+sst-00001342 16924 7e3d69b79117f8ed\n\
+sst-00001343 15449 f2a895617d92e47f\n\
+sst-00001344 6976 490e2209972f7246\n\
+";
+
 #[test]
 fn inline_codec_off_matches_the_copying_data_path() {
     let off = MaintConfig::default();
@@ -292,6 +499,53 @@ fn background_codec_on_matches_the_copying_data_path() {
     let on = MaintConfig::enabled();
     assert_parity(&run_mix(on, Compression::from_level(1), 1), BG_LZ_QD1);
     assert_parity(&run_mix(on, Compression::from_level(1), 8), BG_LZ_QD8);
+}
+
+/// Noise-valued and half-noise mixes: the codec stores most blocks
+/// verbatim, and most of what a compaction writes is an input block
+/// passing through unchanged. Queue depth 1; codec levels 1 and 3.
+fn run_noise(maint: MaintConfig, level: u8, values: Values) -> String {
+    run_values(maint, Compression::from_level(level), 1, values)
+}
+
+#[test]
+fn inline_noise_values_match_the_recorded_tables() {
+    let off = MaintConfig::default();
+    assert_parity(&run_noise(off, 1, Values::Noise), INLINE_NOISE_LZ1);
+    assert_parity(&run_noise(off, 3, Values::Noise), INLINE_NOISE_LZ3);
+}
+
+#[test]
+fn background_noise_values_match_the_recorded_tables() {
+    let on = MaintConfig::enabled();
+    assert_parity(&run_noise(on, 1, Values::Noise), BG_NOISE_LZ1);
+    assert_parity(&run_noise(on, 3, Values::Noise), BG_NOISE_LZ3);
+}
+
+#[test]
+fn half_noise_values_match_the_recorded_tables() {
+    let (off, on) = (MaintConfig::default(), MaintConfig::enabled());
+    assert_parity(&run_noise(off, 1, Values::Halves), INLINE_HALVES_LZ1);
+    assert_parity(&run_noise(on, 1, Values::Halves), BG_HALVES_LZ1);
+}
+
+/// Tables written at codec level 3, recovered at level 1, updated here
+/// and there and fully compacted: every output block is encoded at
+/// level 1, including the level-3 blocks that pass through unchanged.
+#[test]
+fn a_codec_level_change_rewrites_every_compacted_block() {
+    let opts = |level| mix_options(MaintConfig::default(), Compression::from_level(level), 1);
+    let mut db = LsmDb::open(vfs(64 << 20), opts(3)).expect("open");
+    let reads = drive_mix(&mut db, Values::Halves);
+    let fs = db.vfs().clone();
+    drop(db);
+    let mut db = LsmDb::recover(fs, opts(1)).expect("recover");
+    for i in (0..160).step_by(9) {
+        let value = Values::Halves.make(i, 0, 700, 0x9E37_79B9_7F4A_7C15 ^ i as u64);
+        db.put(&key(i), &value).expect("put");
+    }
+    db.compact_all().expect("compact_all");
+    assert_parity(&render(&db, reads), LEVEL_3_TO_1);
 }
 
 /// Reference encoder of the table layout documented in
