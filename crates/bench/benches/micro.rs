@@ -479,6 +479,45 @@ fn bench_lsm_data_path(c: &mut Criterion) {
             BatchSize::PerIteration,
         )
     });
+    // One L1 -> L2 merge at codec level 1 of ~4 MiB of workload values
+    // (noise: every block stored verbatim) with every eighth key updated,
+    // so that most L2 blocks pass through the merge unchanged.
+    group.bench_function("compact_noise_lz1", |b| {
+        let opts = LsmOptions {
+            max_levels: 3,
+            compression: Compression::from_level(1),
+            ..LsmOptions::scaled_to_partition(256 << 20)
+        };
+        let db = RefCell::new(None);
+        let mut value = Vec::new();
+        b.iter_batched(
+            // Untimed: a sequential fill, moved untouched to L2, then
+            // the updates flushed to L0.
+            || {
+                let mut fresh = LsmDb::open(fresh_vfs(64), opts.clone()).expect("open");
+                for (keys, version) in [(1, 0), (8, 1)] {
+                    for i in (0..1000).step_by(keys) {
+                        fill_value(i as u64, version, 4000, &mut value);
+                        fresh.put(&key(i as u32), &value).expect("put");
+                    }
+                    if version == 0 {
+                        fresh.compact_all().expect("move");
+                    }
+                }
+                fresh.flush().expect("flush");
+                assert_eq!(fresh.stats().compactions, 0);
+                *db.borrow_mut() = Some(fresh);
+            },
+            |()| {
+                let mut db = db.borrow_mut();
+                let db = db.as_mut().expect("set up");
+                db.compact_all().expect("compact");
+                assert_eq!(db.stats().compactions, 1);
+                black_box(db.stats().compaction_bytes_written)
+            },
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
 }
 

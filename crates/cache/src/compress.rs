@@ -173,6 +173,20 @@ impl Compression {
         (mode == MODE_STORED && body.len() == raw_len).then_some(body)
     }
 
+    /// The payload of `container` when it is a stored-mode container of
+    /// this level: what [`Compression::encode_into`] at this level
+    /// appends for a block it does not compress. Of a container that
+    /// `encode_into` did produce, this is exact: the codec is
+    /// deterministic, so encoding the payload again at this level would
+    /// append `container` byte for byte. `None` for an LZ container,
+    /// another level's, the codec off, or a corrupt one.
+    pub fn stored_payload_at_level<'a>(&self, container: &'a [u8]) -> Option<&'a [u8]> {
+        let level = self.level();
+        (level != 0 && container.get(3) == Some(&level))
+            .then(|| Self::stored_payload(container))
+            .flatten()
+    }
+
     /// Virtual CPU nanoseconds to encode `raw_len` bytes: one ns per
     /// byte per effort step (level 3 on a 4 KiB block ≈ 16 µs).
     pub fn encode_cost_ns(&self, raw_len: usize) -> u64 {
@@ -498,6 +512,21 @@ mod tests {
             None
         );
         assert_eq!(Compression::stored_payload(b"PZ"), None);
+    }
+
+    #[test]
+    fn stored_payload_at_level_is_this_levels_stored_container() {
+        let noise = noise(75);
+        let stored = Compression::Level(3).encode(&noise);
+        assert_eq!(
+            Compression::Level(3).stored_payload_at_level(&stored),
+            Some(&noise[..])
+        );
+        assert_eq!(Compression::Level(1).stored_payload_at_level(&stored), None);
+        assert_eq!(Compression::None.stored_payload_at_level(&stored), None);
+        let lz = Compression::Level(3).encode(&[7u8; 600]);
+        assert_eq!(Compression::Level(3).stored_payload_at_level(&lz), None);
+        assert_eq!(Compression::Level(3).stored_payload_at_level(b"PZ"), None);
     }
 
     #[test]

@@ -75,6 +75,8 @@ pub(crate) struct CompactJob {
     pub outputs: Vec<SstableMeta>,
     /// Total file bytes of `outputs`.
     pub finished_bytes: u64,
+    /// Blocks of `outputs` copied from an input instead of encoded.
+    pub reused_blocks: u64,
     /// Input bytes (for stats, captured at pick time).
     pub input_bytes: u64,
     /// Input table names (for the manifest edit).
@@ -99,6 +101,7 @@ impl CompactJob {
             builder: None,
             outputs: Vec::new(),
             finished_bytes: 0,
+            reused_blocks: 0,
             input_bytes,
             input_names,
             write_done: false,
@@ -119,7 +122,8 @@ impl CompactJob {
     /// Finishes the live output table, if any.
     pub fn finish_output(&mut self) -> crate::Result<()> {
         if let Some(builder) = self.builder.take() {
-            let meta = builder.finish()?;
+            let (meta, reused) = builder.finish_counted()?;
+            self.reused_blocks += reused;
             self.finished_bytes += meta.file_bytes;
             self.outputs.push(meta);
         }

@@ -91,6 +91,10 @@ pub struct LsmDb {
     flush: Option<FlushJob>,
     /// Compaction in progress.
     compact: Option<CompactJob>,
+    /// Blocks installed compactions copied from an input table instead
+    /// of encoding. Host-side work only, so not a [`DbStats`] field:
+    /// no rendered report moves with it.
+    blocks_reused: u64,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -139,6 +143,7 @@ impl LsmDb {
             old_wals: Vec::new(),
             flush: None,
             compact: None,
+            blocks_reused: 0,
         })
     }
 
@@ -232,6 +237,7 @@ impl LsmDb {
             old_wals,
             flush: None,
             compact: None,
+            blocks_reused: 0,
         };
         for record in records {
             match record {
@@ -246,6 +252,12 @@ impl LsmDb {
     /// The engine options.
     pub fn options(&self) -> &LsmOptions {
         &self.opts
+    }
+
+    /// Data blocks that installed compactions copied from an input table
+    /// instead of encoding them (see [`SstableBuilder::add_reusing`]).
+    pub fn compaction_blocks_reused(&self) -> u64 {
+        self.blocks_reused
     }
 
     /// The underlying filesystem (for disk-utilization observation).
@@ -1117,7 +1129,13 @@ impl LsmDb {
                     none.insert(b.with_compression(self.opts.compression))
                 }
             };
-            builder.add(&key, value.as_deref())?;
+            // A block that begins where an input block begins may be
+            // that block unchanged: offer its container.
+            let task = &job.task;
+            builder.add_reusing(&key, value.as_deref(), || {
+                (task.inputs.iter().chain(&task.overlaps))
+                    .find_map(|h| h.reader.stored_block_at(&key))
+            })?;
             if builder.estimated_bytes() >= self.opts.sstable_target_bytes {
                 job.finish_output()?;
             }
@@ -1158,6 +1176,7 @@ impl LsmDb {
         self.stats.compactions += 1;
         self.stats.compaction_bytes_read += job.input_bytes;
         self.stats.compaction_bytes_written += job.finished_bytes;
+        self.blocks_reused += job.reused_blocks;
         drive.installed(&mut self.sched);
         if drive == Drive::Paced {
             self.maybe_schedule_compaction()?;

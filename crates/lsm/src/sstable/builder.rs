@@ -12,10 +12,12 @@
 //!
 //! Without a codec a block *is* its entries back to back, so sealing
 //! one only records where it began; with a codec the entries collect in
-//! a scratch block that the codec then encodes onto the file buffer.
+//! a scratch block that the codec then encodes onto the file buffer —
+//! unless the block is one an input table already stored verbatim
+//! ([`SstableBuilder::add_reusing`]), which is then copied.
 
 use ptsbench_cache::{Compression, EncodeScratch};
-use ptsbench_vfs::{FileAppender, FileId, Vfs};
+use ptsbench_vfs::{FileAppender, FileId, FileSlice, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::sstable::format::{
@@ -46,6 +48,11 @@ pub struct SstableBuilder {
     /// The codec's input: the current block's entries. Stays empty when
     /// the codec is off.
     block: Vec<u8>,
+    /// A stored-mode container another table holds that the current
+    /// block may turn out to equal (see [`SstableBuilder::seal_block`]).
+    donor: Option<FileSlice>,
+    /// Blocks sealed by copying their donor.
+    reused_blocks: u64,
     block_entries: u32,
     /// The table file's buffer: sealed blocks and, when the codec is
     /// off, the current block's entries from `block_start` on.
@@ -120,6 +127,8 @@ impl SstableBuilder {
             compression: Compression::None,
             codec_scratch: EncodeScratch::default(),
             block: Vec::new(),
+            donor: None,
+            reused_blocks: 0,
             block_entries: 0,
             out,
             block_start: 0,
@@ -143,6 +152,25 @@ impl SstableBuilder {
 
     /// Appends an entry; keys must arrive in strictly increasing order.
     pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        self.add_reusing(key, value, || None)
+    }
+
+    /// [`SstableBuilder::add`] for an entry that may begin a block some
+    /// other table holds already (a compaction's input). When the entry
+    /// begins a block and the codec is on, `donor` is asked for that
+    /// block's container — [`crate::sstable::SstableReader::stored_block_at`]
+    /// — and the block is sealed by copying that container if it is a
+    /// stored-mode container of this builder's level holding exactly the
+    /// block's bytes (the exactness argument is at `seal_block`).
+    pub fn add_reusing(
+        &mut self,
+        key: &[u8],
+        value: Option<&[u8]>,
+        donor: impl FnOnce() -> Option<FileSlice>,
+    ) -> Result<()> {
+        if self.block_entries == 0 && self.compression.is_active() {
+            self.donor = donor();
+        }
         if self.entries == 0 {
             self.min_key = Some(key.to_vec());
         } else {
@@ -191,6 +219,23 @@ impl SstableBuilder {
         self.entries
     }
 
+    /// Seals the current block onto the file buffer and indexes it.
+    ///
+    /// With the codec on, the block is copied from its donor instead of
+    /// encoded when all of these hold:
+    /// 1. the donor is a data block of a table written by this codec,
+    ///    beginning with this block's first entry (what
+    ///    [`crate::sstable::SstableReader::stored_block_at`] returns:
+    ///    an index entry of the input table, by offset arithmetic);
+    /// 2. it is a stored-mode container tagged with this builder's
+    ///    level ([`Compression::stored_payload_at_level`]);
+    /// 3. its payload is this block, byte for byte.
+    ///
+    /// That is exact, not probable: the donor is what `encode_into` at
+    /// this level appended for those bytes, and the codec is
+    /// deterministic, so encoding this block would append the donor
+    /// again. Every table byte, index entry and clock charge is the same
+    /// either way; only the match finder's host time is saved.
     fn seal_block(&mut self) -> Result<()> {
         if self.block_len() == 0 {
             return Ok(());
@@ -199,8 +244,18 @@ impl SstableBuilder {
         let out = &mut self.out.buf;
         let codec = self.compression.is_active();
         if codec {
-            self.compression
-                .encode_into(&self.block, &mut self.codec_scratch, out);
+            let donor = self.donor.take();
+            let same = (donor.as_deref())
+                .filter(|d| self.compression.stored_payload_at_level(d) == Some(&self.block[..]));
+            match same {
+                Some(container) => {
+                    out.extend_from_slice(container);
+                    self.reused_blocks += 1;
+                }
+                None => self
+                    .compression
+                    .encode_into(&self.block, &mut self.codec_scratch, out),
+            }
             if !self.background {
                 // Foreground builds pay the codec's CPU time on the
                 // simulated clock; background (flush/compaction) builds
@@ -230,7 +285,13 @@ impl SstableBuilder {
     /// Finalizes the table: encodes index, bloom and footer, writes
     /// everything not yet written, fsyncs, and returns the metadata. A
     /// failed finish removes the partial file.
-    pub fn finish(mut self) -> Result<SstableMeta> {
+    pub fn finish(self) -> Result<SstableMeta> {
+        self.finish_counted().map(|(meta, _)| meta)
+    }
+
+    /// [`SstableBuilder::finish`], also returning how many blocks were
+    /// copied from a donor instead of encoded.
+    pub(crate) fn finish_counted(mut self) -> Result<(SstableMeta, u64)> {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
             self.vfs.delete(&self.name)?;
@@ -279,13 +340,14 @@ impl SstableBuilder {
         if !self.background {
             self.vfs.fsync(self.file)?;
         }
-        Ok(SstableMeta {
+        let meta = SstableMeta {
             name: self.name,
             min_key: self.min_key.expect("non-empty"),
             max_key: self.last_key,
             entries: self.entries,
             file_bytes: self.out.committed() as u64,
-        })
+        };
+        Ok((meta, self.reused_blocks))
     }
 
     /// Abandons the build, deleting the partial file.
@@ -297,6 +359,9 @@ impl SstableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iter::SharedEntry;
+    use crate::sstable::format::{BlockIndex, Footer};
+    use crate::sstable::SstableReader;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
     use ptsbench_vfs::VfsOptions;
 
@@ -348,6 +413,176 @@ mod tests {
         b.add(b"a", Some(b"1")).expect("add");
         b.abandon();
         assert!(!v.exists("sst-1"));
+    }
+
+    /// `len` xorshift bytes: no block of them compresses.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Entries `range`, each an 11-byte key and a 2 000-byte value —
+    /// three to a 4 KiB block — tombstones at `tombstones`; noise values
+    /// unless `compressible`. (Blocks of five 1 000-byte noise values do
+    /// compress: their keys and entry headers repeat.)
+    fn entries(
+        range: std::ops::Range<u32>,
+        tombstones: &[u32],
+        compressible: bool,
+    ) -> Vec<SharedEntry> {
+        range
+            .map(|i| {
+                let key = FileSlice::from(format!("key{i:08}").into_bytes());
+                let value = if compressible {
+                    format!("value-{i}-").repeat(300).into_bytes()[..2000].to_vec()
+                } else {
+                    noise((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15), 2000)
+                };
+                (key, (!tombstones.contains(&i)).then(|| value.into()))
+            })
+            .collect()
+    }
+
+    /// Builds `name` at codec `level` from `entries`, offering every
+    /// entry the blocks of `inputs` the way a compaction does; returns
+    /// the table's bytes and how many blocks were copied.
+    fn build(
+        v: &Vfs,
+        name: &str,
+        level: u8,
+        entries: &[SharedEntry],
+        inputs: &[&SstableReader],
+    ) -> (Vec<u8>, u64) {
+        let mut b = SstableBuilder::create_bg(v.clone(), name, 4096, 10, 0)
+            .expect("create")
+            .with_compression(Compression::from_level(level));
+        for (k, value) in entries {
+            b.add_reusing(k, value.as_deref(), || {
+                inputs.iter().find_map(|r| r.stored_block_at(k))
+            })
+            .expect("add");
+        }
+        let (meta, reused) = b.finish_counted().expect("finish");
+        let image = v.read_at(v.open(name).expect("open"), 0, meta.file_bytes as usize);
+        (image.expect("read"), reused)
+    }
+
+    /// A table written from `entries` and opened, with its scan.
+    fn input(
+        v: &Vfs,
+        name: &str,
+        level: u8,
+        entries: &[SharedEntry],
+    ) -> (SstableReader, Vec<SharedEntry>) {
+        build(v, name, level, entries, &[]);
+        let r = SstableReader::open(v.clone(), name, true, None).expect("open");
+        let scan = r.iter_bg().collect();
+        (r, scan)
+    }
+
+    fn blocks(image: &[u8]) -> usize {
+        let footer = Footer::decode(&image[image.len() - FOOTER_LEN..]).expect("footer");
+        u32::from_le_bytes(
+            image[footer.index_off as usize..][..4]
+                .try_into()
+                .expect("4"),
+        ) as usize
+    }
+
+    #[test]
+    fn a_copied_block_is_the_block_a_fresh_build_encodes() {
+        let v = vfs();
+        let (r, scan) = input(&v, "in", 1, &entries(0..20, &[], false));
+        let (image, reused) = build(&v, "out", 1, &scan, &[&r]);
+        let (fresh, _) = build(&v, "fresh", 1, &scan, &[]);
+        assert_eq!(blocks(&image), 7);
+        assert_eq!(reused, 7, "every block, the short last one too");
+        assert!(image == fresh, "copied image differs from a fresh build");
+    }
+
+    #[test]
+    fn a_dropped_tombstone_re_encodes_its_block() {
+        // The tombstone makes the input's first block four entries long;
+        // without it the output's first is three, and the rest line up.
+        let v = vfs();
+        let (r, scan) = input(&v, "in", 1, &entries(0..20, &[1], false));
+        let live: Vec<SharedEntry> = scan.into_iter().filter(|(_, v)| v.is_some()).collect();
+        let (image, reused) = build(&v, "out", 1, &live, &[&r]);
+        let (fresh, _) = build(&v, "fresh", 1, &live, &[]);
+        assert_eq!((blocks(&image), reused), (7, 6));
+        assert!(image == fresh);
+    }
+
+    #[test]
+    fn another_levels_blocks_are_re_encoded() {
+        let v = vfs();
+        let (r, scan) = input(&v, "in", 3, &entries(0..20, &[], false));
+        assert!(
+            r.stored_block_at(&scan[0].0).is_some(),
+            "offered, stored at level 3"
+        );
+        let (image, reused) = build(&v, "out", 1, &scan, &[&r]);
+        let (fresh, _) = build(&v, "fresh", 1, &scan, &[]);
+        assert_eq!(reused, 0);
+        assert!(image == fresh);
+    }
+
+    #[test]
+    fn an_lz_container_is_never_copied() {
+        // Offered its own block's LZ container, the builder encodes
+        // anyway: only stored containers are copied.
+        let v = vfs();
+        let all = entries(0..20, &[], true);
+        let (want, _) = build(&v, "in", 1, &all, &[]);
+        let footer = Footer::decode(&want[want.len() - FOOTER_LEN..]).expect("footer");
+        let index_bytes = &want[footer.index_off as usize..footer.bloom_off as usize];
+        let index = BlockIndex::decode(index_bytes.to_vec().into()).expect("index");
+        let mut containers = (index.entries.iter())
+            .map(|e| FileSlice::from(want[e.offset as usize..][..e.len as usize].to_vec()));
+        let mut b = SstableBuilder::create_bg(v.clone(), "out", 4096, 10, 0)
+            .expect("create")
+            .with_compression(Compression::from_level(1));
+        for (k, value) in &all {
+            b.add_reusing(k, value.as_deref(), || containers.next())
+                .expect("add");
+        }
+        let (meta, reused) = b.finish_counted().expect("finish");
+        assert_eq!(reused, 0);
+        assert_eq!(containers.next(), None, "offered once per block");
+        let image = v.read_at(v.open("out").expect("open"), 0, meta.file_bytes as usize);
+        assert!(image.expect("read") == want);
+    }
+
+    #[test]
+    fn memtable_entries_are_re_encoded() {
+        // The same bytes, but owned rather than ranges of the input.
+        let v = vfs();
+        let owned = entries(0..20, &[], false);
+        let (r, _) = input(&v, "in", 1, &owned);
+        let (image, reused) = build(&v, "out", 1, &owned, &[&r]);
+        assert_eq!(reused, 0);
+        assert!(image == build(&v, "fresh", 1, &owned, &[]).0);
+    }
+
+    #[test]
+    fn a_short_last_block_followed_by_more_entries_is_re_encoded() {
+        // Input one is blocks of 3, 3 and 2 entries; the output's third
+        // block adds one of input two's, and stays out of step with
+        // input two's blocks from there on.
+        let v = vfs();
+        let (one, mut scan) = input(&v, "in-1", 1, &entries(0..8, &[], false));
+        let (two, rest) = input(&v, "in-2", 1, &entries(8..26, &[], false));
+        scan.extend(rest);
+        let (image, reused) = build(&v, "out", 1, &scan, &[&one, &two]);
+        assert_eq!(reused, 2);
+        assert!(image == build(&v, "fresh", 1, &scan, &[]).0);
     }
 
     #[test]

@@ -12,6 +12,9 @@ pub const TOMBSTONE_TAG: u32 = u32::MAX;
 /// Magic bytes terminating a valid SSTable.
 pub const MAGIC: &[u8; 4] = b"PTSS";
 
+/// Bytes of an entry before its key: `u16` key length, `u32` value tag.
+pub const ENTRY_HEADER_LEN: usize = 2 + 4;
+
 /// Footer size in bytes.
 pub const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 4 + 4;
 
@@ -63,6 +66,13 @@ impl BlockIndex {
     /// First key stored in `block`, an entry of this index.
     pub fn first_key(&self, block: &IndexEntry) -> &[u8] {
         &self.block[block.first_key.start as usize..block.first_key.end as usize]
+    }
+
+    /// Whether `slice` is a range of the bytes this index was decoded
+    /// from: of the table file's contents as read, when both came from
+    /// reads of the file.
+    pub fn shares_buffer(&self, slice: &FileSlice) -> bool {
+        self.block.shares_buffer(slice)
     }
 
     /// How many blocks begin at or before `key`: the block that can
@@ -157,10 +167,10 @@ pub fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
             Err(LsmError::Corruption("truncated entry".into()))
         }
     };
-    need(pos + 6 <= buf.len())?;
+    need(pos + ENTRY_HEADER_LEN <= buf.len())?;
     let klen = u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2 bytes")) as usize;
     let vtag = u32::from_le_bytes(buf[pos + 2..pos + 6].try_into().expect("4 bytes"));
-    let kstart = pos + 6;
+    let kstart = pos + ENTRY_HEADER_LEN;
     let vstart = kstart + klen;
     need(vstart <= buf.len())?;
     if vtag == TOMBSTONE_TAG {

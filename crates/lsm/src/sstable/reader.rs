@@ -20,7 +20,7 @@ use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, TraceHandle, Vfs};
 use crate::bloom::BloomFilter;
 use crate::iter::SharedEntry;
 use crate::sstable::format::{
-    decode_entry, entry_ranges, BlockIndex, Footer, IndexEntry, FOOTER_LEN,
+    decode_entry, entry_ranges, BlockIndex, Footer, IndexEntry, ENTRY_HEADER_LEN, FOOTER_LEN,
 };
 use crate::{LsmError, Result};
 
@@ -270,6 +270,29 @@ impl SstableReader {
         }
         miss(self);
         Ok(None)
+    }
+
+    /// The container of the stored-mode data block that begins with the
+    /// entry whose key is `key`, when `key` is that key as a scan of
+    /// this table yielded it: a range of the table's own bytes, found by
+    /// offset arithmetic against the index, without a device read.
+    /// `None` for any other key: one mid-block, one of another table or
+    /// of an LZ block (decoded into a buffer of its own), or any key of
+    /// a table written without the codec.
+    pub fn stored_block_at(&self, key: &FileSlice) -> Option<FileSlice> {
+        if !self.compression.is_active() || !self.index.shares_buffer(key) {
+            return None;
+        }
+        let entry = key.buffer_offset().checked_sub(ENTRY_HEADER_LEN)?;
+        // The block holding the entry is the last one starting before it.
+        let blocks = &self.index.entries;
+        let block = &blocks[blocks
+            .partition_point(|b| (b.offset as usize) < entry)
+            .checked_sub(1)?];
+        let start = block.offset as usize;
+        let container = key.buffer_slice(start..start + block.len as usize);
+        let payload = Compression::stored_payload(&container)?.len();
+        (start + container.len() - payload == entry).then_some(container)
     }
 
     /// Full in-order scan (used by compaction and range queries). Scans
@@ -834,6 +857,82 @@ mod tests {
         }
         let scanned: Vec<Vec<u8>> = r.iter().map(|(_, v)| v.expect("live").to_vec()).collect();
         assert_eq!(scanned, (0..40).map(value).collect::<Vec<_>>());
+    }
+
+    /// A table of 2 000-byte values, three to a block: noise (every
+    /// block stored verbatim) or a repeating text (every block LZ).
+    fn table_of(v: &Vfs, name: &str, level: u8, noise: bool) -> SstableReader {
+        let mut b = SstableBuilder::create(v.clone(), name, 4096, 10)
+            .expect("create")
+            .with_compression(Compression::from_level(level));
+        for i in 0..20u32 {
+            let value: Vec<u8> = if noise {
+                let mut state = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (0..2000)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 32) as u8
+                    })
+                    .collect()
+            } else {
+                format!("value-{i}-").repeat(300).into_bytes()[..2000].to_vec()
+            };
+            b.add(format!("key{i:05}").as_bytes(), Some(&value))
+                .expect("add");
+        }
+        b.finish().expect("finish");
+        SstableReader::open(v.clone(), name, true, None).expect("open")
+    }
+
+    #[test]
+    fn stored_block_at_finds_the_container_a_scanned_block_start_is_in() {
+        let v = vfs();
+        let r = table_of(&v, "sst-n", 1, true);
+        let file = v.open("sst-n").expect("open file");
+        let scan: Vec<_> = r.iter_bg().collect();
+        let mut starts = r.index.entries.iter();
+        let mut first = 0;
+        for (i, (key, _)) in scan.iter().enumerate() {
+            let found = r.stored_block_at(key);
+            if i == first {
+                // The block's own bytes, as the file holds them.
+                let block = starts.next().expect("a block starts here");
+                let container = found.expect("a block start");
+                assert_eq!(
+                    container.to_vec(),
+                    v.read_at(file, block.offset, block.len as usize)
+                        .expect("read")
+                );
+                first += block.entries as usize;
+            } else {
+                assert_eq!(found, None, "entry {i} is mid-block");
+            }
+        }
+        assert_eq!(starts.next(), None);
+        // An owned copy of a block-start key (a memtable entry's) is not
+        // a range of the table.
+        assert_eq!(r.stored_block_at(&scan[0].0.to_vec().into()), None);
+    }
+
+    #[test]
+    fn stored_block_at_refuses_other_tables_lz_blocks_and_raw_tables() {
+        let v = vfs();
+        let r = table_of(&v, "sst-a", 1, true);
+        // The same bytes in another file.
+        let twin = table_of(&v, "sst-b", 1, true);
+        let key = twin.iter_bg().next().expect("entry").0;
+        assert!(twin.stored_block_at(&key).is_some());
+        assert_eq!(r.stored_block_at(&key), None);
+        // Decoded LZ blocks live in buffers of their own.
+        let lz = table_of(&v, "sst-lz", 1, false);
+        assert!(lz.iter_bg().all(|(k, _)| lz.stored_block_at(&k).is_none()));
+        // Without the codec a block is no container at all.
+        let raw = table_of(&v, "sst-raw", 0, true);
+        assert!(raw
+            .iter_bg()
+            .all(|(k, _)| raw.stored_block_at(&k).is_none()));
     }
 
     #[test]

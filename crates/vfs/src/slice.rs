@@ -51,6 +51,29 @@ impl FileSlice {
         );
         Self::new(&self.buf, self.start + range.start..self.start + range.end)
     }
+
+    /// Whether `self` and `other` are ranges of one buffer: of the same
+    /// file contents, when both came from reads (the bytes themselves
+    /// are not compared).
+    pub fn shares_buffer(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.buf, &other.buf)
+    }
+
+    /// Where this range starts in its buffer: for a range a read
+    /// returned, its offset in the file.
+    pub fn buffer_offset(&self) -> usize {
+        self.start
+    }
+
+    /// Another range of this slice's buffer, positions in the buffer (so
+    /// file offsets, for a range a read returned): the bytes beside a
+    /// range, without a second read.
+    ///
+    /// # Panics
+    /// Panics if the range is out of bounds.
+    pub fn buffer_slice(&self, range: Range<usize>) -> Self {
+        Self::new(&self.buf, range)
+    }
 }
 
 /// A buffer that is already shared (a cached block), whole.
@@ -128,6 +151,24 @@ mod tests {
         drop(whole);
         drop(hello);
         assert_eq!(&*world, b"world");
+    }
+
+    #[test]
+    fn buffer_identity_and_offsets() {
+        let whole = FileSlice::from(b"hello world".to_vec());
+        let world = whole.slice(6..11);
+        assert!(world.shares_buffer(&whole));
+        assert!(!world.shares_buffer(&FileSlice::from(b"world".to_vec())));
+        assert_eq!(world.slice(1..3).buffer_offset(), 7);
+        let hello = world.buffer_slice(0..5);
+        assert_eq!(&*hello, b"hello");
+        assert!(hello.shares_buffer(&whole));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a buffer")]
+    fn buffer_range_is_bounds_checked() {
+        FileSlice::from(vec![0u8; 4]).slice(1..2).buffer_slice(2..5);
     }
 
     #[test]
