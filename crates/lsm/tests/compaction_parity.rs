@@ -9,7 +9,9 @@
 //! any of them. The noise-valued, half-noise and codec-level-change
 //! mixes were recorded while compaction still re-encoded every block
 //! it wrote: most of their compacted blocks are stored-mode input
-//! blocks passing through the merge unchanged.
+//! blocks passing through the merge unchanged. The bounded-scan mix was
+//! recorded while merges still passed every entry along as two shared
+//! ranges: it pins when each scan and compaction reads its windows.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -556,6 +558,217 @@ fn a_codec_level_change_rewrites_every_compacted_block() {
     }
     db.compact_all().expect("compact_all");
     assert_parity(&render(&db, reads), LEVEL_3_TO_1);
+}
+
+/// Bounded scans while maintenance advances one slice per step: under
+/// the paced drive a frozen memtable, L0 tables and several levels are
+/// all live while scans run, so every kind of merge source (memtable
+/// ranges, single tables, chained levels with and without a submission
+/// queue) lends entries to the scans. Renders like the other mixes, with
+/// the scans' results in `reads`.
+fn run_scans(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
+    let opts = mix_options(maint, compression, queue_depth);
+    let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
+    let mut rng = SmallRng::seed_from_u64(31);
+    let mut reads = Fnv::new();
+    for step in 0..3000u32 {
+        let i: u32 = rng.gen_range(0..160);
+        match rng.gen_range(0..10) {
+            0..=5 => {
+                let len = rng.gen_range(100..3000);
+                let value = Values::Halves.make(i, step, len, rng.gen::<u64>());
+                db.put(&key(i), &value).expect("put");
+            }
+            6 => db.delete(&key(i)).expect("delete"),
+            _ => {
+                let end = key(i + rng.gen_range(1..60u32));
+                let limit = rng.gen_range(1..40);
+                let got = db.scan(&key(i), Some(&end), limit).expect("scan");
+                reads.feed(&(got.len() as u32).to_le_bytes());
+                for (k, v) in got {
+                    reads.feed(&k);
+                    reads.feed(&v);
+                }
+            }
+        }
+        db.run_maintenance_slice().expect("slice");
+    }
+    db.flush().expect("flush");
+    db.quiesce();
+    render(&db, reads)
+}
+
+const SCAN_INLINE_RAW_QD1: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 2774925, compactions: 40, compaction_bytes_read: 10669355, compaction_bytes_written: 8130986, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=None\n\
+hpw=4112 hpr=36001 npw=4112 clock=4809155533036 reads=69c58ead09b021e6\n\
+sst-00000626 18709 24540d3259f6642d\n\
+sst-00000627 19546 efbf58c67570713f\n\
+sst-00000628 18729 386bf3fc0142b507\n\
+sst-00000629 16849 6b2d674936737af8\n\
+sst-00000630 19097 2b4c1c12e1f3480e\n\
+sst-00000631 16587 3656baac00954b61\n\
+sst-00000632 18515 eb34e3704effe6bc\n\
+sst-00000633 18411 800af00c81ec5e1b\n\
+sst-00000634 17175 74fc2842bdfef91e\n\
+sst-00000635 17511 c0457bebdaf44d73\n\
+sst-00000636 16672 7a41cc4e2e3e48b1\n\
+sst-00000637 17600 14b65b697e47bb52\n\
+sst-00000638 5880 41f16f9c1c97e69d\n\
+sst-00000639 15275 13fe5554d0d73f1c\n\
+";
+const SCAN_INLINE_RAW_QD8: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 2774925, compactions: 40, compaction_bytes_read: 10669355, compaction_bytes_written: 8130986, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=None\n\
+hpw=4112 hpr=19823 npw=4112 clock=2165891448744 reads=69c58ead09b021e6\n\
+sst-00000626 18709 24540d3259f6642d\n\
+sst-00000627 19546 efbf58c67570713f\n\
+sst-00000628 18729 386bf3fc0142b507\n\
+sst-00000629 16849 6b2d674936737af8\n\
+sst-00000630 19097 2b4c1c12e1f3480e\n\
+sst-00000631 16587 3656baac00954b61\n\
+sst-00000632 18515 eb34e3704effe6bc\n\
+sst-00000633 18411 800af00c81ec5e1b\n\
+sst-00000634 17175 74fc2842bdfef91e\n\
+sst-00000635 17511 c0457bebdaf44d73\n\
+sst-00000636 16672 7a41cc4e2e3e48b1\n\
+sst-00000637 17600 14b65b697e47bb52\n\
+sst-00000638 5880 41f16f9c1c97e69d\n\
+sst-00000639 15275 13fe5554d0d73f1c\n\
+";
+const SCAN_INLINE_LZ_QD1: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 1638605, compactions: 40, compaction_bytes_read: 6314487, compaction_bytes_written: 4814318, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=None\n\
+hpw=2855 hpr=17466 npw=2855 clock=5049455020984 reads=69c58ead09b021e6\n\
+sst-00000460 18741 be95fefb842b75f7\n\
+sst-00000461 16594 57debbd36ce44f42\n\
+sst-00000462 17114 fa929829d7e7e330\n\
+sst-00000463 16888 055877b6a343a67b\n\
+sst-00000464 17248 9a6dd5ecbcbe1172\n\
+sst-00000465 16619 d4f1db7677070720\n\
+sst-00000466 15473 41c57aa27080bb1f\n\
+sst-00000467 11147 0c951c141bbbf62c\n\
+sst-00000468 8612 b68f50682b2a7001\n\
+";
+const SCAN_INLINE_LZ_QD8: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 1638605, compactions: 40, compaction_bytes_read: 6314487, compaction_bytes_written: 4814318, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=None\n\
+hpw=2855 hpr=17858 npw=2855 clock=2965646608065 reads=69c58ead09b021e6\n\
+sst-00000460 18741 be95fefb842b75f7\n\
+sst-00000461 16594 57debbd36ce44f42\n\
+sst-00000462 17114 fa929829d7e7e330\n\
+sst-00000463 16888 055877b6a343a67b\n\
+sst-00000464 17248 9a6dd5ecbcbe1172\n\
+sst-00000465 16619 d4f1db7677070720\n\
+sst-00000466 15473 41c57aa27080bb1f\n\
+sst-00000467 11147 0c951c141bbbf62c\n\
+sst-00000468 8612 b68f50682b2a7001\n\
+";
+const SCAN_BG_RAW_QD1: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 2774925, compactions: 16, compaction_bytes_read: 5758726, compaction_bytes_written: 3293256, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=Some(MaintStats { jobs: 177, slices: 864, installs: 177, bytes_read: 5758726, bytes_written: 6068181, stall_ns: 70839181676, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=2698 hpr=46357 npw=2698 clock=6811535983992 reads=69c58ead09b021e6\n\
+sst-00000334 17430 62a88d5e6ce03a60\n\
+sst-00000335 17133 f2187d051e32c32a\n\
+sst-00000336 18102 b79fa56289b6d524\n\
+sst-00000337 18767 c06120644c963b36\n\
+sst-00000338 18369 e355d45b75669d2f\n\
+sst-00000339 17017 515336082cc1c4bc\n\
+sst-00000340 16620 4e640e8c036787b2\n\
+sst-00000341 18083 32d3131bb318b220\n\
+sst-00000342 17607 f1a9554aa08d80f9\n\
+sst-00000343 17509 bee164e204b9c7df\n\
+sst-00000344 18695 6e03eb08a2295dc4\n\
+sst-00000345 17044 a56f495ca719d618\n\
+sst-00000346 13578 1aa62c705250f99e\n\
+sst-00000347 16784 91810f5b2a4324b4\n\
+sst-00000348 16684 2a44547f449b2ad4\n\
+sst-00000349 18312 ad250da349bc14c3\n\
+sst-00000350 16446 8a70af161b8d08ab\n\
+sst-00000351 15275 13fe5554d0d73f1c\n\
+";
+const SCAN_BG_RAW_QD8: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 2774925, compactions: 16, compaction_bytes_read: 5758726, compaction_bytes_written: 3293256, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=Some(MaintStats { jobs: 177, slices: 864, installs: 177, bytes_read: 5758726, bytes_written: 6068181, stall_ns: 71420999916, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=2698 hpr=31071 npw=2698 clock=4355956716616 reads=69c58ead09b021e6\n\
+sst-00000334 17430 62a88d5e6ce03a60\n\
+sst-00000335 17133 f2187d051e32c32a\n\
+sst-00000336 18102 b79fa56289b6d524\n\
+sst-00000337 18767 c06120644c963b36\n\
+sst-00000338 18369 e355d45b75669d2f\n\
+sst-00000339 17017 515336082cc1c4bc\n\
+sst-00000340 16620 4e640e8c036787b2\n\
+sst-00000341 18083 32d3131bb318b220\n\
+sst-00000342 17607 f1a9554aa08d80f9\n\
+sst-00000343 17509 bee164e204b9c7df\n\
+sst-00000344 18695 6e03eb08a2295dc4\n\
+sst-00000345 17044 a56f495ca719d618\n\
+sst-00000346 13578 1aa62c705250f99e\n\
+sst-00000347 16784 91810f5b2a4324b4\n\
+sst-00000348 16684 2a44547f449b2ad4\n\
+sst-00000349 18312 ad250da349bc14c3\n\
+sst-00000350 16446 8a70af161b8d08ab\n\
+sst-00000351 15275 13fe5554d0d73f1c\n\
+";
+const SCAN_BG_LZ_QD1: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 1638605, compactions: 16, compaction_bytes_read: 3379422, compaction_bytes_written: 1940240, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=Some(MaintStats { jobs: 177, slices: 789, installs: 177, bytes_read: 3379422, bytes_written: 3759316, stall_ns: 45057908972, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=2006 hpr=23097 npw=2006 clock=8015266962872 reads=69c58ead09b021e6\n\
+sst-00000268 18838 e0bd3bc7fad2fbd0\n\
+sst-00000269 17567 4114b88b548064d2\n\
+sst-00000270 18823 9aebd58c2daa25c1\n\
+sst-00000271 18799 4e8d0001df4d6e6f\n\
+sst-00000272 19266 76b7ca94cf6a2206\n\
+sst-00000273 17041 bc61b5a339d5a351\n\
+sst-00000274 15615 a8d9f4b18bf5a3cf\n\
+sst-00000275 15490 9d26c430d5c9ad4a\n\
+sst-00000276 3056 1f1ad8028d026652\n\
+sst-00000277 9469 c8834a7e9b90625a\n\
+sst-00000278 11140 cae07469fb579d65\n\
+sst-00000279 10029 b4a9cf0e00cf1feb\n\
+sst-00000280 8280 42467e65b480a8bf\n\
+sst-00000281 7398 d79273183be3ad96\n\
+sst-00000282 8612 b68f50682b2a7001\n\
+";
+const SCAN_BG_LZ_QD8: &str = "\
+DbStats { puts: 1832, gets: 0, deletes: 308, app_bytes_written: 2822263, flushes: 161, flush_bytes: 1638605, compactions: 16, compaction_bytes_read: 3379422, compaction_bytes_written: 1940240, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
+maint=Some(MaintStats { jobs: 177, slices: 789, installs: 177, bytes_read: 3379422, bytes_written: 3759316, stall_ns: 59968636316, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
+hpw=2006 hpr=24644 npw=2006 clock=5997641153544 reads=69c58ead09b021e6\n\
+sst-00000268 18838 e0bd3bc7fad2fbd0\n\
+sst-00000269 17567 4114b88b548064d2\n\
+sst-00000270 18823 9aebd58c2daa25c1\n\
+sst-00000271 18799 4e8d0001df4d6e6f\n\
+sst-00000272 19266 76b7ca94cf6a2206\n\
+sst-00000273 17041 bc61b5a339d5a351\n\
+sst-00000274 15615 a8d9f4b18bf5a3cf\n\
+sst-00000275 15490 9d26c430d5c9ad4a\n\
+sst-00000276 3056 1f1ad8028d026652\n\
+sst-00000277 9469 c8834a7e9b90625a\n\
+sst-00000278 11140 cae07469fb579d65\n\
+sst-00000279 10029 b4a9cf0e00cf1feb\n\
+sst-00000280 8280 42467e65b480a8bf\n\
+sst-00000281 7398 d79273183be3ad96\n\
+sst-00000282 8612 b68f50682b2a7001\n\
+";
+
+#[test]
+fn inline_scans_match_the_recorded_run() {
+    let off = MaintConfig::default();
+    let lz = Compression::from_level(1);
+    assert_parity(&run_scans(off, Compression::None, 1), SCAN_INLINE_RAW_QD1);
+    assert_parity(&run_scans(off, Compression::None, 8), SCAN_INLINE_RAW_QD8);
+    assert_parity(&run_scans(off, lz, 1), SCAN_INLINE_LZ_QD1);
+    assert_parity(&run_scans(off, lz, 8), SCAN_INLINE_LZ_QD8);
+}
+
+#[test]
+fn background_scans_match_the_recorded_run() {
+    let on = MaintConfig::enabled();
+    let lz = Compression::from_level(1);
+    assert_parity(&run_scans(on, Compression::None, 1), SCAN_BG_RAW_QD1);
+    assert_parity(&run_scans(on, Compression::None, 8), SCAN_BG_RAW_QD8);
+    assert_parity(&run_scans(on, lz, 1), SCAN_BG_LZ_QD1);
+    assert_parity(&run_scans(on, lz, 8), SCAN_BG_LZ_QD8);
 }
 
 /// Reference encoder of the table layout documented in

@@ -1,0 +1,147 @@
+//! NAND-operation parity of the FTL across refactors of its garbage
+//! collector: a fixed seeded write/TRIM mix, with one `discard_all`
+//! midway, on two small geometries (~28 % spare with 32-page blocks,
+//! ~10 % spare with 16-page blocks) under both victim policies. Each half
+//! fills the drive, then writes eight times its logical capacity, so GC
+//! picks thousands of victims. The rendered numbers — an FNV over every
+//! step's [`NandOps`], the final wear vector, the free list and the
+//! mapped page count — were recorded before the candidate set changed;
+//! a change that only makes the host faster must not move any of them.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+use ptsbench_ssd::config::{GcConfig, Geometry};
+use ptsbench_ssd::{Ftl, GcPolicy, NandOps};
+
+/// FNV-1a over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, word: u64) {
+        for b in word.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn ops(&mut self, ops: NandOps) {
+        for word in [
+            ops.programs,
+            ops.reads,
+            ops.erases,
+            ops.relocated,
+            ops.gc_runs,
+        ] {
+            self.feed(word as u64);
+        }
+    }
+}
+
+/// 64 logical blocks of 32 pages on 82 physical: ~28 % spare.
+fn roomy() -> Geometry {
+    Geometry {
+        page_size: 4096,
+        pages_per_block: 32,
+        logical_pages: 64 * 32,
+        physical_blocks: 82,
+    }
+}
+
+/// 128 logical blocks of 16 pages on 141 physical: ~10 % spare.
+fn tight() -> Geometry {
+    Geometry {
+        page_size: 4096,
+        pages_per_block: 16,
+        logical_pages: 128 * 16,
+        physical_blocks: 141,
+    }
+}
+
+/// Runs the mix and renders what must not move.
+fn run(geom: Geometry, policy: GcPolicy) -> String {
+    let mut ftl = Ftl::new(geom, GcConfig::default(), policy);
+    let logical = geom.logical_pages;
+    let mut rng = SmallRng::seed_from_u64(28);
+    let mut steps = Fnv::new();
+    let mut total = NandOps::default();
+    let writes = 16 * logical;
+    let mut written = 0;
+    while written < writes {
+        if written == writes / 2 {
+            ftl.discard_all();
+            steps.feed(u64::MAX);
+        }
+        if written % (writes / 2) == 0 {
+            // A full drive: fill the logical space in order.
+            for lpn in 0..logical {
+                steps.ops(ftl.write(lpn).expect("fill"));
+            }
+        }
+        // A fifth of the LBA space takes most writes (cold data for the
+        // cost-benefit cleaner to age), the rest are uniform; one op in
+        // twenty trims a short range.
+        let lpn = if rng.gen_range(0..10) < 7 {
+            rng.gen_range(0..logical / 5)
+        } else {
+            rng.gen_range(0..logical)
+        };
+        if rng.gen_range(0..20) == 0 {
+            let end = (lpn + rng.gen_range(1..8u64)).min(logical);
+            for lpn in lpn..end {
+                steps.feed(ftl.trim(lpn).expect("trim") as u64);
+            }
+        } else {
+            let ops = ftl.write(lpn).expect("write");
+            steps.ops(ops);
+            total.merge(ops);
+            written += 1;
+        }
+    }
+    ftl.check_invariants();
+    let mut wear = Fnv::new();
+    for count in ftl.erase_counts() {
+        wear.feed(count as u64);
+    }
+    format!(
+        "steps={:016x} wear={:016x} free={} mapped={} gc_runs={} relocated={}",
+        steps.0,
+        wear.0,
+        ftl.free_blocks(),
+        ftl.mapped_pages(),
+        total.gc_runs,
+        total.relocated
+    )
+}
+
+fn assert_parity(actual: &str, expected: &str) {
+    assert!(
+        actual == expected,
+        "the run drifted from the recorded constants; it now renders:\n{actual}"
+    );
+}
+
+const ROOMY_GREEDY: &str =
+    "steps=58a2c443a8c35711 wear=0f88441aaefd2823 free=4 mapped=1704 gc_runs=1980 relocated=31443";
+const ROOMY_COST_BENEFIT: &str =
+    "steps=b4d6e78ac828e9c9 wear=e230f44fcd0781c6 free=4 mapped=1704 gc_runs=1837 relocated=26897";
+const TIGHT_GREEDY: &str =
+    "steps=1f894217dbe255fd wear=cb4206d912f525f6 free=4 mapped=1704 gc_runs=5379 relocated=53575";
+const TIGHT_COST_BENEFIT: &str =
+    "steps=9e8da9fc19a8df2a wear=a6871fbb43bd41f8 free=4 mapped=1704 gc_runs=4901 relocated=45918";
+
+#[test]
+fn greedy_victims_match_the_recorded_runs() {
+    assert_parity(&run(roomy(), GcPolicy::Greedy), ROOMY_GREEDY);
+    assert_parity(&run(tight(), GcPolicy::Greedy), TIGHT_GREEDY);
+}
+
+#[test]
+fn cost_benefit_victims_match_the_recorded_runs() {
+    assert_parity(&run(roomy(), GcPolicy::CostBenefit), ROOMY_COST_BENEFIT);
+    assert_parity(&run(tight(), GcPolicy::CostBenefit), TIGHT_COST_BENEFIT);
+}
