@@ -7,6 +7,7 @@
 //! backlog depths.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -22,12 +23,15 @@ use ptsbench_core::runner::RunConfig;
 use ptsbench_core::ReqClass;
 use ptsbench_harness::{Frontend, Request};
 use ptsbench_lsm::bloom::BloomFilter;
-use ptsbench_lsm::iter::{EntryStream, KWayMerge};
+use ptsbench_lsm::iter::Merge;
 use ptsbench_lsm::memtable::Memtable;
 use ptsbench_lsm::sstable::format::encode_entry;
+use ptsbench_lsm::sstable::reader::WindowScan;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
-use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd, MINUTE, SECOND};
+use ptsbench_ssd::{
+    DeviceConfig, DeviceProfile, Ftl, GcConfig, GcPolicy, LpnRange, Ssd, MINUTE, SECOND,
+};
 use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions};
 use ptsbench_workload::{encode_key, fill_value, OpKind};
 
@@ -75,6 +79,27 @@ fn bench_ftl(c: &mut Criterion) {
         )
     });
     group.finish();
+    // The FTL alone in steady GC: a 64 MiB SSD1 geometry preconditioned
+    // like `Ssd::precondition` (a sequential fill, then twice its
+    // capacity in uniform random pages), then 10 000 random page writes
+    // per iteration, each invalidating a page of a GC candidate.
+    c.bench_function("ssd/ftl_write_steady", |b| {
+        let geom = DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20).geometry;
+        let mut ftl = Ftl::new(geom, GcConfig::default(), GcPolicy::Greedy);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let pages = geom.logical_pages;
+        for lpn in 0..pages {
+            ftl.write(lpn).expect("fill");
+        }
+        for _ in 0..2 * pages {
+            ftl.write(rng.gen_range(0..pages)).expect("precondition");
+        }
+        b.iter(|| {
+            for _ in 0..10_000 {
+                black_box(ftl.write(rng.gen_range(0..pages)).expect("write"));
+            }
+        })
+    });
 }
 
 fn bench_allocator(c: &mut Criterion) {
@@ -206,29 +231,28 @@ fn bench_sstable(c: &mut Criterion) {
 fn bench_kway_merge(c: &mut Criterion) {
     c.bench_function("kway_merge/8x1k", |b| {
         b.iter_batched(
-            // Each source's entries are ranges of one buffer, as a table
-            // scan yields them: 11-byte keys, 32-byte values.
+            // Each source is one window of encoded entries, as a table
+            // scan reads them: 11-byte keys, 32-byte values.
             || {
                 (0..8usize)
                     .map(|s| {
                         let mut window = Vec::new();
                         for i in 0..1000u32 {
-                            window.extend(format!("key{:08}", i * 8 + s as u32).bytes());
-                            window.extend([0u8; 32]);
+                            let key = format!("key{:08}", i * 8 + s as u32);
+                            encode_entry(&mut window, key.as_bytes(), Some(&[0u8; 32]));
                         }
-                        let window = FileSlice::from(window);
-                        let entry = move |i: usize| {
-                            let at = i * 43;
-                            (
-                                window.slice(at..at + 11),
-                                Some(window.slice(at + 11..at + 43)),
-                            )
-                        };
-                        Box::new((0..1000).map(entry)) as EntryStream<'static>
+                        WindowScan::over(VecDeque::from([(FileSlice::from(window), 1000)]))
                     })
                     .collect::<Vec<_>>()
             },
-            |sources| black_box(KWayMerge::new(sources).count()),
+            |sources| {
+                let mut merge = Merge::new(sources);
+                let mut n = 0;
+                while merge.next_entry().is_some() {
+                    n += 1;
+                }
+                black_box(n)
+            },
             BatchSize::SmallInput,
         )
     });

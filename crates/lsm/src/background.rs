@@ -17,8 +17,9 @@
 //! * **On — bounded slices pumped between foreground ops.** Writes
 //!   continue into a fresh memtable (and a fresh WAL file, see
 //!   [`ptsbench_vfs::RecordLog::rotate_deferred`]) while the flush proceeds one
-//!   byte-bounded slice at a time; a compaction buffers one input table
-//!   per slice, then merges and writes outputs in byte-bounded slices.
+//!   byte-bounded slice at a time; a compaction reads one input table's
+//!   windows per slice, then merges and writes outputs in byte-bounded
+//!   slices.
 //!   Both install their version edit only once the background writes
 //!   have destaged (durability-gated install), so the blocking manifest
 //!   commit never queues behind a burst of compaction traffic.
@@ -29,18 +30,16 @@
 //! keep working against the old tables until the install swaps the
 //! version atomically between two foreground ops.
 
+use std::collections::VecDeque;
+
 use crate::compaction::CompactionTask;
-use crate::iter::{KMerge, SharedEntry};
+use crate::iter::Merge;
+use crate::sstable::reader::{LoadedWindow, WindowScan};
 use crate::sstable::{SstableBuilder, SstableMeta};
 
-/// One buffered entry stream: an input table scanned by the compaction
-/// read phase, every entry a pair of ranges of the table's own contents
-/// (which the ranges keep alive even after the table is deleted).
-pub(crate) type BufferedRun = Vec<SharedEntry>;
-
-/// Owned iterator over one buffered run (concrete so parked jobs stay
-/// `Send`).
-pub(crate) type RunIter = std::vec::IntoIter<SharedEntry>;
+/// A scan over one input table's windows, read by the compaction read
+/// phase; the windows keep their bytes after the table is deleted.
+pub(crate) type BufferedScan = WindowScan<VecDeque<LoadedWindow>>;
 
 /// A memtable flush in progress, resumable across slices.
 pub(crate) struct FlushJob {
@@ -64,11 +63,11 @@ pub(crate) struct CompactJob {
     /// Next input table to buffer (paced read phase; one table per
     /// slice — an inline job streams its inputs instead).
     pub read_idx: usize,
-    /// Buffered input runs, recency order.
-    pub buffered: Vec<BufferedRun>,
-    /// Merge over the buffered runs (paced write phase); built lazily
+    /// Buffered input windows, one queue per table, recency order.
+    pub buffered: Vec<VecDeque<LoadedWindow>>,
+    /// Merge over the buffered windows (paced write phase); built lazily
     /// once every input is buffered.
-    pub merge: Option<KMerge<RunIter>>,
+    pub merge: Option<Merge<BufferedScan>>,
     /// Output table under construction.
     pub builder: Option<SstableBuilder>,
     /// Finished output tables awaiting install.

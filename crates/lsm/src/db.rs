@@ -5,15 +5,16 @@ use std::sync::Arc;
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
-use ptsbench_vfs::{Cause, FileSlice, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs};
 
-use crate::background::{BufferedRun, CompactJob, FlushJob, RunIter};
+use crate::background::{CompactJob, FlushJob};
 use crate::compaction::{effective_targets, pick, CompactionTask};
-use crate::iter::{EntryStream, KMerge, KWayMerge, SharedEntry};
+use crate::iter::{Merge, Source};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
-use crate::sstable::{BloomCounters, SstableBuilder, SstableMeta, SstableReader};
+use crate::sstable::reader::WindowScan;
+use crate::sstable::{BloomCounters, ChainedSstScan, SstableBuilder, SstableMeta, SstableReader};
 use crate::version::{TableHandle, Version};
 use crate::{LsmError, Result};
 
@@ -409,55 +410,46 @@ impl LsmDb {
 
     /// Streaming range scan: live entries with `start <= key < end`
     /// (`end` `None` = unbounded), up to `limit` results, yielded in key
-    /// order without materializing the result set. Each step pulls at
-    /// most one entry per source through the k-way merge, so memory
-    /// stays proportional to the number of sources, not the range.
+    /// order without materializing the result set. Each step moves at
+    /// most one entry per source through the merge, so memory stays
+    /// proportional to the number of sources, not the range.
     pub fn scan_iter(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> RangeScan<'_> {
-        // Memtable entries join the merge as slices of their own copies.
-        let shared = |(k, v): (&[u8], &Option<Vec<u8>>)| {
-            (FileSlice::from(k.to_vec()), v.clone().map(FileSlice::from))
-        };
-        let mut sources: Vec<EntryStream<'_>> = Vec::new();
-        sources.push(Box::new(self.memtable.range(start, end).map(shared)));
+        let mut sources: Vec<Box<dyn Source + '_>> =
+            vec![Box::new(self.memtable.source(start, end))];
         if let Some(imm) = &self.imm {
-            sources.push(Box::new(imm.range(start, end).map(shared)));
+            sources.push(Box::new(imm.source(start, end)));
         }
         for handle in self.version.tables(0).iter().rev() {
             sources.push(Box::new(handle.reader.iter_from(start)));
         }
         for level in 1..self.version.level_count() {
-            let tables = self.version.tables(level);
-            // With a submission queue, scan each level as one chained
-            // batched stream: readahead windows of consecutive tables
-            // are submitted together (up to the queue depth), so their
-            // per-command base latencies overlap instead of accruing
-            // once per table.
-            if let Some(queue) = &self.queue {
-                let readers: Vec<&crate::sstable::SstableReader> = tables
-                    .iter()
-                    .filter(|h| h.meta.max_key.as_slice() >= start)
-                    .map(|h| &h.reader)
-                    .collect();
-                if !readers.is_empty() {
-                    sources.push(Box::new(crate::sstable::ChainedSstScan::new(
-                        readers,
-                        start,
-                        queue.clone(),
-                    )));
+            let tables = (self.version.tables(level).iter())
+                .filter(|h| h.meta.max_key.as_slice() >= start)
+                .map(|h| &h.reader);
+            match &self.queue {
+                // With a submission queue a level is one chained scan:
+                // readahead windows of consecutive tables are submitted
+                // together (up to the queue depth), so their per-command
+                // base latencies overlap instead of accruing once per
+                // table.
+                Some(queue) => {
+                    let readers: Vec<&SstableReader> = tables.collect();
+                    if !readers.is_empty() {
+                        sources.push(Box::new(ChainedSstScan::new(readers, start, queue.clone())));
+                    }
                 }
-                continue;
-            }
-            let mut chained: EntryStream<'_> = Box::new(std::iter::empty());
-            for handle in tables {
-                if handle.meta.max_key.as_slice() < start {
-                    continue;
+                // Without one, each table is a source of its own with its
+                // first window read now. A level's tables hold disjoint
+                // key ranges, so the merge drains them in key order.
+                None => {
+                    for reader in tables {
+                        sources.push(Box::new(reader.iter_from(start)));
+                    }
                 }
-                chained = Box::new(chained.chain(handle.reader.iter_from(start)));
             }
-            sources.push(chained);
         }
         RangeScan {
-            merge: KWayMerge::new(sources),
+            merge: Merge::new(sources),
             end: end.map(|e| e.to_vec()),
             remaining: limit,
         }
@@ -1040,9 +1032,9 @@ impl LsmDb {
         step
     }
 
-    /// Paced read phase: buffers one input table into memory via the
-    /// detached background read path (the table's `Arc` pin keeps it
-    /// readable for concurrent foreground lookups meanwhile).
+    /// Paced read phase: buffers one input table's windows into memory
+    /// via the detached background read path (the table's `Arc` pin
+    /// keeps it readable for concurrent foreground lookups meanwhile).
     fn compact_read_slice(&mut self) -> Result<()> {
         let now = self.vfs.clock().now();
         let job = self.compact.as_mut().expect("live job");
@@ -1052,23 +1044,20 @@ impl LsmDb {
         } else {
             Arc::clone(&job.task.overlaps[idx - job.task.inputs.len()])
         };
-        let run: BufferedRun = handle.reader.iter_bg().collect();
-        job.buffered.push(run);
+        job.buffered.push(handle.reader.read_windows_bg());
         job.read_idx += 1;
         Drive::Paced.charge(&mut self.sched, now, handle.meta.file_bytes, true);
         Ok(())
     }
 
     /// Paced write phase: merges one byte-bounded slice of output from
-    /// the buffered input runs.
+    /// the buffered input windows.
     fn compact_write_slice(&mut self) -> Result<()> {
         let now = self.vfs.clock().now();
         let slice_bytes = Drive::Paced.slice_bytes(&self.sched);
         let job = self.compact.as_mut().expect("live job");
-        let mut merge = job.merge.take().unwrap_or_else(|| {
-            let runs: Vec<RunIter> = job.buffered.drain(..).map(Vec::into_iter).collect();
-            KMerge::new(runs)
-        });
+        let mut merge = (job.merge.take())
+            .unwrap_or_else(|| Merge::new(job.buffered.drain(..).map(WindowScan::over).collect()));
         self.compact_write(&mut merge, slice_bytes)?;
         let job = self.compact.as_mut().expect("live job");
         if !job.write_done {
@@ -1089,31 +1078,23 @@ impl LsmDb {
         // first), then target-level overlaps (older).
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
-        let sources: Vec<EntryStream<'_>> = handles
-            .iter()
-            .map(|h| Box::new(h.reader.iter_bg()) as EntryStream<'_>)
-            .collect();
-        let mut merge = KWayMerge::new(sources);
+        let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
         self.compact_write(&mut merge, u64::MAX)
     }
 
     /// Merges entries into output tables, splitting them at the table
     /// size target, until `slice_bytes` of output are produced; marks
     /// the job ready to install once the merge runs dry.
-    fn compact_write(
-        &mut self,
-        merge: &mut dyn Iterator<Item = SharedEntry>,
-        slice_bytes: u64,
-    ) -> Result<()> {
+    fn compact_write<S: Source>(&mut self, merge: &mut Merge<S>, slice_bytes: u64) -> Result<()> {
         let job = self.compact.as_mut().expect("live job");
         let base = job.produced_bytes();
         while job.produced_bytes().saturating_sub(base) < slice_bytes {
-            let Some((key, value)) = merge.next() else {
+            let Some(entry) = merge.next_entry() else {
                 job.finish_output()?;
                 job.write_done = true;
                 break;
             };
-            if value.is_none() && job.drop_tombstones {
+            if entry.value.is_none() && job.drop_tombstones {
                 continue;
             }
             let builder = match &mut job.builder {
@@ -1132,9 +1113,10 @@ impl LsmDb {
             // A block that begins where an input block begins may be
             // that block unchanged: offer its container.
             let task = &job.task;
-            builder.add_reusing(&key, value.as_deref(), || {
+            builder.add_reusing(entry.key, entry.value, || {
+                let (window, key_at) = entry.window?;
                 (task.inputs.iter().chain(&task.overlaps))
-                    .find_map(|h| h.reader.stored_block_at(&key))
+                    .find_map(|h| h.reader.stored_block_at(window, key_at))
             })?;
             if builder.estimated_bytes() >= self.opts.sstable_target_bytes {
                 job.finish_output()?;
@@ -1280,10 +1262,10 @@ fn cache_for(opts: &LsmOptions) -> Option<SharedBlockCache> {
 }
 
 /// Streaming cursor returned by [`LsmDb::scan_iter`]: merges the
-/// memtable and all table levels lazily, filtering tombstones and
+/// memtables and all table levels lazily, filtering tombstones and
 /// shadowed versions, and stops at the end bound or the limit.
 pub struct RangeScan<'a> {
-    merge: KWayMerge<'a>,
+    merge: Merge<Box<dyn Source + 'a>>,
     end: Option<Vec<u8>>,
     remaining: usize,
 }
@@ -1295,16 +1277,14 @@ impl Iterator for RangeScan<'_> {
         if self.remaining == 0 {
             return None;
         }
-        for (key, value) in self.merge.by_ref() {
-            if let Some(end) = &self.end {
-                if key[..] >= end[..] {
-                    self.remaining = 0;
-                    return None;
-                }
+        while let Some(entry) = self.merge.next_entry() {
+            if self.end.as_deref().is_some_and(|end| entry.key >= end) {
+                self.remaining = 0;
+                return None;
             }
-            if let Some(value) = value {
+            if let Some(value) = entry.value {
                 self.remaining -= 1;
-                return Some((key.to_vec(), value.to_vec()));
+                return Some((entry.key.to_vec(), value.to_vec()));
             }
         }
         self.remaining = 0;

@@ -1,135 +1,188 @@
-//! K-way merge of sorted entry streams.
+//! The merge of sorted sources, lending each key's newest entry.
 //!
 //! Sources are ordered by recency: source 0 is the newest (memtable),
 //! then L0 tables newest-to-oldest, then deeper levels. When several
-//! sources yield the same key, the entry from the lowest-numbered source
-//! wins and the rest are discarded — the LSM shadowing rule.
+//! sources hold the same key, the entry from the lowest-numbered source
+//! wins and the others are consumed — the LSM shadowing rule.
 //!
-//! An entry in flight is a pair of *ranges*, not of owned vectors: a
-//! table scan yields each key and value as a [`FileSlice`] of the
-//! readahead window it decoded them from, the merge orders and forwards
-//! those ranges, and the bytes are read once more only where they
-//! leave — encoded into an output table, or copied out at the public
-//! `scan` boundary. Memtable entries join a merge as slices of their
-//! own small buffers.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Entries are *lent*, not shared: a source exposes the entry at its
+//! cursor as slices of bytes it already holds — a table scan of the
+//! readahead window it decoded the entry from, a memtable range of the
+//! map itself — and the merge lends the winner's slices on to its
+//! caller. The bytes are read once more only where they leave: encoded
+//! into an output table, or copied out at the public `scan` boundary.
+//!
+//! A merge step moves the winner and every shadowed duplicate past
+//! their entries *before* it lends, so a source reads its next window at
+//! the step that consumes its previous one. A source that has moved on
+//! keeps the entry it moved past readable until it moves again: a table
+//! scan holds on to one previous window for it.
 
 use ptsbench_vfs::FileSlice;
 
-/// One entry of a sorted stream: `(key, value-or-tombstone)`.
-pub type SharedEntry = (FileSlice, Option<FileSlice>);
-
-/// A sorted stream of entries.
-pub type EntryStream<'a> = Box<dyn Iterator<Item = SharedEntry> + 'a>;
-
-struct HeapItem {
-    key: FileSlice,
-    value: Option<FileSlice>,
-    source: usize,
+/// An entry lent by its source until the source next moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lent<'a> {
+    /// The key.
+    pub key: &'a [u8],
+    /// The value; `None` is a tombstone.
+    pub value: Option<&'a [u8]>,
+    /// For an entry of a table, the window it was decoded from and
+    /// where the key begins in it (what
+    /// [`crate::sstable::SstableReader::stored_block_at`] takes); `None`
+    /// for a memtable entry.
+    pub window: Option<(&'a FileSlice, usize)>,
 }
 
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.source == other.source
+/// A sorted stream of entries a [`Merge`] draws from.
+pub trait Source {
+    /// Key of the entry at the cursor; `None` once the source is spent.
+    fn peek(&self) -> Option<&[u8]>;
+
+    /// Moves the cursor past its entry, reading on if the source needs
+    /// to. That entry stays readable through [`Source::last`] until the
+    /// next call.
+    fn advance(&mut self);
+
+    /// The entry the last [`Source::advance`] moved past.
+    fn last(&self) -> Lent<'_>;
+
+    /// Moves past the entry at the cursor and lends it; `None` once the
+    /// source is spent.
+    fn next_entry(&mut self) -> Option<Lent<'_>> {
+        self.peek()?;
+        self.advance();
+        Some(self.last())
     }
 }
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl<S: Source + ?Sized> Source for Box<S> {
+    fn peek(&self) -> Option<&[u8]> {
+        (**self).peek()
+    }
+
+    fn advance(&mut self) {
+        (**self).advance()
+    }
+
+    fn last(&self) -> Lent<'_> {
+        (**self).last()
     }
 }
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for min-ordering by
-        // (key, source): smaller key first, then newer source.
-        other
-            .key
-            .cmp(&self.key)
-            .then(other.source.cmp(&self.source))
-    }
+
+/// Merge of recency-ordered sources (index 0 = newest).
+pub struct Merge<S> {
+    sources: Vec<S>,
 }
 
-/// Merging iterator over multiple recency-ordered sorted streams,
-/// generic over the stream type. [`KWayMerge`] is the boxed-stream
-/// alias the read and inline-compaction paths use; background
-/// compaction jobs hold a `KMerge<std::vec::IntoIter<..>>` over owned
-/// buffered runs instead, which keeps the parked job `Send` (engines
-/// move across harness client threads with their jobs inside).
-pub struct KMerge<I: Iterator<Item = SharedEntry>> {
-    sources: Vec<I>,
-    heap: BinaryHeap<HeapItem>,
-}
-
-/// Merging iterator over boxed entry streams.
-pub type KWayMerge<'a> = KMerge<EntryStream<'a>>;
-
-impl<I: Iterator<Item = SharedEntry>> KMerge<I> {
+impl<S: Source> Merge<S> {
     /// Builds a merge over `sources` (index 0 = newest).
-    pub fn new(sources: Vec<I>) -> Self {
-        let mut merge = Self {
-            sources,
-            heap: BinaryHeap::new(),
-        };
-        for i in 0..merge.sources.len() {
-            merge.refill(i);
-        }
-        merge
+    pub fn new(sources: Vec<S>) -> Self {
+        Self { sources }
     }
 
-    fn refill(&mut self, source: usize) {
-        if let Some((key, value)) = self.sources[source].next() {
-            self.heap.push(HeapItem { key, value, source });
-        }
-    }
-}
-
-impl<I: Iterator<Item = SharedEntry>> Iterator for KMerge<I> {
-    /// Yields each distinct key once with its newest entry (tombstones
-    /// included — dropping them is the consumer's policy decision).
-    type Item = SharedEntry;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let top = self.heap.pop()?;
-        self.refill(top.source);
-        // Discard older entries for the same key.
-        while let Some(peek) = self.heap.peek() {
-            if peek.key != top.key {
-                break;
+    /// Lends each distinct key once, in key order, with its newest entry
+    /// (tombstones included — dropping them is the consumer's policy
+    /// decision). The winner moves first, then each older source that
+    /// held the same key, in recency order.
+    pub fn next_entry(&mut self) -> Option<Lent<'_>> {
+        let mut winner: Option<(usize, &[u8])> = None;
+        for (i, source) in self.sources.iter().enumerate() {
+            if let Some(key) = source.peek() {
+                if winner.is_none_or(|(_, best)| key < best) {
+                    winner = Some((i, key));
+                }
             }
-            let dup = self.heap.pop().expect("peeked");
-            self.refill(dup.source);
         }
-        Some((top.key, top.value))
+        let (w, _) = winner?;
+        self.sources[w].advance();
+        let (newer, older) = self.sources.split_at_mut(w + 1);
+        let key = newer[w].last().key;
+        for source in older {
+            if source.peek() == Some(key) {
+                source.advance();
+            }
+        }
+        Some(self.sources[w].last())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, VecDeque};
+    use std::rc::Rc;
 
-    fn stream(items: Vec<(&str, Option<&str>)>) -> EntryStream<'static> {
-        Box::new(
-            items
-                .into_iter()
-                .map(|(k, v)| {
-                    let value = v.map(|v| FileSlice::from(v.as_bytes().to_vec()));
-                    (FileSlice::from(k.as_bytes().to_vec()), value)
-                })
-                .collect::<Vec<_>>()
-                .into_iter(),
-        )
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::memtable::Memtable;
+    use crate::sstable::format::encode_entry;
+    use crate::sstable::reader::{LoadedWindow, WindowScan, WindowSource};
+
+    /// Entries as owned bytes.
+    type Owned = Vec<(Vec<u8>, Option<Vec<u8>>)>;
+
+    /// A table-like source: `entries` encoded into windows of
+    /// `per_window` entries, one window read per load, counting loads.
+    struct Windows {
+        windows: VecDeque<LoadedWindow>,
+        loads: Rc<Cell<usize>>,
+    }
+
+    impl WindowSource for Windows {
+        fn load(&mut self, loaded: &mut VecDeque<LoadedWindow>) -> bool {
+            let Some(window) = self.windows.pop_front() else {
+                return false;
+            };
+            self.loads.set(self.loads.get() + 1);
+            loaded.push_back(window);
+            true
+        }
+    }
+
+    fn table(entries: &[(Vec<u8>, Option<Vec<u8>>)], per_window: usize) -> WindowScan<Windows> {
+        table_counting(entries, per_window, Rc::default())
+    }
+
+    fn table_counting(
+        entries: &[(Vec<u8>, Option<Vec<u8>>)],
+        per_window: usize,
+        loads: Rc<Cell<usize>>,
+    ) -> WindowScan<Windows> {
+        let windows = (entries.chunks(per_window))
+            .map(|chunk| {
+                let mut buf = Vec::new();
+                for (k, v) in chunk {
+                    encode_entry(&mut buf, k, v.as_deref());
+                }
+                (FileSlice::from(buf), chunk.len() as u64)
+            })
+            .collect();
+        WindowScan::over(Windows { windows, loads })
+    }
+
+    fn entries(items: &[(&str, Option<&str>)]) -> Owned {
+        (items.iter())
+            .map(|(k, v)| (k.as_bytes().to_vec(), v.map(|v| v.as_bytes().to_vec())))
+            .collect()
+    }
+
+    fn drain<S: Source>(mut merge: Merge<S>) -> Owned {
+        let mut out = Vec::new();
+        while let Some(e) = merge.next_entry() {
+            out.push((e.key.to_vec(), e.value.map(<[u8]>::to_vec)));
+        }
+        out
     }
 
     #[test]
     fn merges_in_order() {
-        let m = KWayMerge::new(vec![
-            stream(vec![("b", Some("1")), ("d", Some("2"))]),
-            stream(vec![("a", Some("3")), ("c", Some("4"))]),
+        let m = Merge::new(vec![
+            table(&entries(&[("b", Some("1")), ("d", Some("2"))]), 1),
+            table(&entries(&[("a", Some("3")), ("c", Some("4"))]), 2),
         ]);
-        let keys: Vec<Vec<u8>> = m.map(|(k, _)| k.to_vec()).collect();
+        let keys: Vec<Vec<u8>> = drain(m).into_iter().map(|(k, _)| k).collect();
         assert_eq!(
             keys,
             vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec(), b"d".to_vec()]
@@ -138,68 +191,155 @@ mod tests {
 
     #[test]
     fn newest_source_wins_duplicates() {
-        let m = KWayMerge::new(vec![
-            stream(vec![("k", Some("new"))]),
-            stream(vec![("k", Some("old"))]),
+        let m = Merge::new(vec![
+            table(&entries(&[("k", Some("new"))]), 1),
+            table(&entries(&[("k", Some("old"))]), 1),
         ]);
-        let items: Vec<_> = m.collect();
-        assert_eq!(items, stream(vec![("k", Some("new"))]).collect::<Vec<_>>());
+        assert_eq!(drain(m), entries(&[("k", Some("new"))]));
     }
 
     #[test]
     fn tombstones_shadow_older_values() {
-        let m = KWayMerge::new(vec![
-            stream(vec![("k", None)]),
-            stream(vec![("k", Some("old"))]),
+        let m = Merge::new(vec![
+            table(&entries(&[("k", None)]), 1),
+            table(&entries(&[("k", Some("old"))]), 1),
         ]);
-        let items: Vec<_> = m.collect();
-        assert_eq!(items, stream(vec![("k", None)]).collect::<Vec<_>>());
+        assert_eq!(drain(m), entries(&[("k", None)]));
     }
 
     #[test]
     fn three_way_with_interleaved_duplicates() {
-        let m = KWayMerge::new(vec![
-            stream(vec![("b", Some("B0")), ("e", None)]),
-            stream(vec![
-                ("a", Some("A1")),
-                ("b", Some("B1")),
-                ("d", Some("D1")),
-            ]),
-            stream(vec![
-                ("b", Some("B2")),
-                ("c", Some("C2")),
-                ("e", Some("E2")),
-            ]),
+        let m = Merge::new(vec![
+            table(&entries(&[("b", Some("B0")), ("e", None)]), 2),
+            table(
+                &entries(&[("a", Some("A1")), ("b", Some("B1")), ("d", Some("D1"))]),
+                1,
+            ),
+            table(
+                &entries(&[("b", Some("B2")), ("c", Some("C2")), ("e", Some("E2"))]),
+                2,
+            ),
         ]);
-        let items: Vec<_> = m
-            .map(|(k, v)| {
-                (
-                    String::from_utf8(k.to_vec()).expect("utf8"),
-                    v.map(|v| String::from_utf8(v.to_vec()).expect("utf8")),
-                )
-            })
-            .collect();
         assert_eq!(
-            items,
-            vec![
-                ("a".into(), Some("A1".into())),
-                ("b".into(), Some("B0".into())),
-                ("c".into(), Some("C2".into())),
-                ("d".into(), Some("D1".into())),
-                ("e".into(), None),
-            ]
+            drain(m),
+            entries(&[
+                ("a", Some("A1")),
+                ("b", Some("B0")),
+                ("c", Some("C2")),
+                ("d", Some("D1")),
+                ("e", None),
+            ])
         );
     }
 
     #[test]
     fn empty_sources() {
-        let m = KWayMerge::new(vec![
-            stream(vec![]),
-            stream(vec![("a", Some("1"))]),
-            stream(vec![]),
+        let m = Merge::new(vec![
+            table(&[], 1),
+            table(&entries(&[("a", Some("1"))]), 1),
+            table(&[], 1),
         ]);
-        assert_eq!(m.count(), 1);
-        let m = KWayMerge::new(vec![]);
-        assert_eq!(m.count(), 0);
+        assert_eq!(drain(m).len(), 1);
+        assert_eq!(drain(Merge::<WindowScan<Windows>>::new(vec![])), vec![]);
+    }
+
+    #[test]
+    fn a_lent_entry_outlives_the_read_of_its_sources_next_window() {
+        // "a" ends its window: moving past it reads the next one, before
+        // "a" is lent. The shadowed "a" of the older source ends its
+        // window too, and is moved past in the same step.
+        let (newer, older) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let mut m = Merge::new(vec![
+            table_counting(
+                &entries(&[("a", Some("A0")), ("c", None)]),
+                1,
+                newer.clone(),
+            ),
+            table_counting(
+                &entries(&[("a", Some("A1")), ("b", Some("B1"))]),
+                1,
+                older.clone(),
+            ),
+        ]);
+        assert_eq!((newer.get(), older.get()), (1, 1), "first windows only");
+        let lent = m.next_entry().expect("a");
+        assert_eq!((lent.key, lent.value), (&b"a"[..], Some(&b"A0"[..])));
+        let (window, at) = lent.window.expect("a table entry");
+        assert_eq!(&window[at..at + 1], b"a", "the key's place in its window");
+        assert_eq!((newer.get(), older.get()), (2, 2), "both read on first");
+        let lent = m.next_entry().expect("b");
+        assert_eq!((lent.key, lent.value), (&b"b"[..], Some(&b"B1"[..])));
+        assert_eq!(older.get(), 2, "nothing left to read");
+        assert_eq!(
+            m.next_entry().map(|e| (e.key, e.value)),
+            Some((&b"c"[..], None))
+        );
+        assert_eq!(m.next_entry(), None);
+    }
+
+    #[test]
+    fn memtables_lend_from_their_maps() {
+        let mut mem = Memtable::new();
+        mem.put(b"b", b"new");
+        mem.delete(b"c");
+        mem.put(b"z", b"past the end");
+        let old = entries(&[("a", Some("1")), ("b", Some("2")), ("c", Some("3"))]);
+        let m = Merge::new(vec![
+            Box::new(mem.source(b"a", Some(b"y"))) as Box<dyn Source + '_>,
+            Box::new(table(&old, 2)),
+        ]);
+        assert_eq!(
+            drain(m),
+            entries(&[("a", Some("1")), ("b", Some("new")), ("c", None)])
+        );
+        let mut source = mem.source(b"b", None);
+        assert_eq!(source.next_entry().and_then(|e| e.window), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any number of overlapping sources, each cut into windows of its
+        /// own size (one-entry windows included), merges to what a map
+        /// the sources are written into oldest first holds.
+        #[test]
+        fn the_merge_is_the_newest_write_of_every_key(
+            sources in proptest::collection::vec(
+                (
+                    proptest::collection::btree_map(
+                        0u8..40,
+                        proptest::option::of(0u8..=255),
+                        0..30,
+                    ),
+                    1usize..5,
+                ),
+                0..6,
+            ),
+            memtable in proptest::collection::btree_map(
+                0u8..40,
+                proptest::option::of(0u8..=255),
+                0..10,
+            ),
+        ) {
+            let bytes = |k: u8, v: Option<u8>| (vec![b'k', k], v.map(|v| vec![v; v as usize % 7]));
+            let mut model = BTreeMap::new();
+            for (entries, _) in sources.iter().rev() {
+                model.extend(entries.iter().map(|(&k, &v)| bytes(k, v)));
+            }
+            model.extend(memtable.iter().map(|(&k, &v)| bytes(k, v)));
+            let mut mem = Memtable::new();
+            for (&k, &v) in &memtable {
+                match bytes(k, v) {
+                    (k, Some(v)) => mem.put(&k, &v),
+                    (k, None) => mem.delete(&k),
+                }
+            }
+            let mut merged: Vec<Box<dyn Source + '_>> = vec![Box::new(mem.source(b"", None))];
+            for (entries, per_window) in &sources {
+                let owned: Owned = entries.iter().map(|(&k, &v)| bytes(k, v)).collect();
+                merged.push(Box::new(table(&owned, *per_window)));
+            }
+            prop_assert_eq!(drain(Merge::new(merged)), model.into_iter().collect::<Owned>());
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! Everything below the API is real: SSTables have a binary on-"disk"
 //! format with data blocks, a block index and a bloom filter
-//! ([`sstable`]); compaction does k-way heap merges through the
+//! ([`sstable`]); compaction does k-way merges through the
 //! filesystem ([`compaction`], [`iter`]); and all I/O flows through
 //! `ptsbench-vfs` onto the simulated flash device, which is what lets the
 //! harness observe the paper's phenomena (bursty compaction writes,

@@ -1,7 +1,9 @@
 //! The in-memory sorted write buffer.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
+
+use crate::iter::{Lent, Source};
 
 /// A value or a deletion marker.
 pub type Entry = Option<Vec<u8>>;
@@ -73,16 +75,57 @@ impl Memtable {
     /// Iterates entries with keys in `[start, end)` (end `None` = to the
     /// last key).
     pub fn range(&self, start: &[u8], end: Option<&[u8]>) -> impl Iterator<Item = (&[u8], &Entry)> {
+        self.bounded(start, end).map(|(k, v)| (k.as_slice(), v))
+    }
+
+    /// The entries of [`Memtable::range`] as a merge source, lent from
+    /// the map itself.
+    pub(crate) fn source(&self, start: &[u8], end: Option<&[u8]>) -> MemSource<'_> {
+        let mut range = self.bounded(start, end);
+        MemSource {
+            head: range.next(),
+            range,
+            last: (&[], None),
+        }
+    }
+
+    fn bounded(&self, start: &[u8], end: Option<&[u8]>) -> btree_map::Range<'_, Vec<u8>, Entry> {
         let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
-        self.map
-            .range::<[u8], _>((Bound::Included(start), upper))
-            .map(|(k, v)| (k.as_slice(), v))
+        self.map.range::<[u8], _>((Bound::Included(start), upper))
     }
 
     /// Drains the table, returning the sorted entries.
     pub fn drain(&mut self) -> Vec<(Vec<u8>, Entry)> {
         self.approx_bytes = 0;
         std::mem::take(&mut self.map).into_iter().collect()
+    }
+}
+
+/// A key range of a [`Memtable`] as a merge [`Source`].
+pub(crate) struct MemSource<'a> {
+    range: btree_map::Range<'a, Vec<u8>, Entry>,
+    head: Option<(&'a Vec<u8>, &'a Entry)>,
+    last: (&'a [u8], Option<&'a [u8]>),
+}
+
+impl Source for MemSource<'_> {
+    fn peek(&self) -> Option<&[u8]> {
+        self.head.map(|(k, _)| k.as_slice())
+    }
+
+    fn advance(&mut self) {
+        if let Some((k, v)) = std::mem::replace(&mut self.head, self.range.next()) {
+            self.last = (k, v.as_deref());
+        }
+    }
+
+    fn last(&self) -> Lent<'_> {
+        let (key, value) = self.last;
+        Lent {
+            key,
+            value,
+            window: None,
+        }
     }
 }
 

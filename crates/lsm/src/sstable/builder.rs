@@ -359,7 +359,7 @@ impl SstableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::SharedEntry;
+    use crate::iter::Source;
     use crate::sstable::format::{BlockIndex, Footer};
     use crate::sstable::SstableReader;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -369,6 +369,11 @@ mod tests {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
         Vfs::whole_device(ssd.into_shared(), VfsOptions::default())
     }
+
+    /// An entry with its key as a range: of the window a scan lent it
+    /// from (what `stored_block_at` looks a block up by, at offset 0 of
+    /// the range), or of a buffer of its own.
+    type Scanned = (FileSlice, Option<FileSlice>);
 
     #[test]
     fn build_produces_valid_meta() {
@@ -436,7 +441,7 @@ mod tests {
         range: std::ops::Range<u32>,
         tombstones: &[u32],
         compressible: bool,
-    ) -> Vec<SharedEntry> {
+    ) -> Vec<Scanned> {
         range
             .map(|i| {
                 let key = FileSlice::from(format!("key{i:08}").into_bytes());
@@ -457,7 +462,7 @@ mod tests {
         v: &Vfs,
         name: &str,
         level: u8,
-        entries: &[SharedEntry],
+        entries: &[Scanned],
         inputs: &[&SstableReader],
     ) -> (Vec<u8>, u64) {
         let mut b = SstableBuilder::create_bg(v.clone(), name, 4096, 10, 0)
@@ -465,7 +470,7 @@ mod tests {
             .with_compression(Compression::from_level(level));
         for (k, value) in entries {
             b.add_reusing(k, value.as_deref(), || {
-                inputs.iter().find_map(|r| r.stored_block_at(k))
+                inputs.iter().find_map(|r| r.stored_block_at(k, 0))
             })
             .expect("add");
         }
@@ -475,16 +480,18 @@ mod tests {
     }
 
     /// A table written from `entries` and opened, with its scan.
-    fn input(
-        v: &Vfs,
-        name: &str,
-        level: u8,
-        entries: &[SharedEntry],
-    ) -> (SstableReader, Vec<SharedEntry>) {
+    fn input(v: &Vfs, name: &str, level: u8, entries: &[Scanned]) -> (SstableReader, Vec<Scanned>) {
         build(v, name, level, entries, &[]);
         let r = SstableReader::open(v.clone(), name, true, None).expect("open");
-        let scan = r.iter_bg().collect();
-        (r, scan)
+        let mut scanned = Vec::new();
+        let mut scan = r.iter_bg();
+        while let Some(e) = scan.next_entry() {
+            let (window, at) = e.window.expect("a table entry");
+            let value = e.value.map(|v| v.to_vec().into());
+            scanned.push((window.slice(at..at + e.key.len()), value));
+        }
+        drop(scan);
+        (r, scanned)
     }
 
     fn blocks(image: &[u8]) -> usize {
@@ -513,7 +520,7 @@ mod tests {
         // without it the output's first is three, and the rest line up.
         let v = vfs();
         let (r, scan) = input(&v, "in", 1, &entries(0..20, &[1], false));
-        let live: Vec<SharedEntry> = scan.into_iter().filter(|(_, v)| v.is_some()).collect();
+        let live: Vec<Scanned> = scan.into_iter().filter(|(_, v)| v.is_some()).collect();
         let (image, reused) = build(&v, "out", 1, &live, &[&r]);
         let (fresh, _) = build(&v, "fresh", 1, &live, &[]);
         assert_eq!((blocks(&image), reused), (7, 6));
@@ -525,7 +532,7 @@ mod tests {
         let v = vfs();
         let (r, scan) = input(&v, "in", 3, &entries(0..20, &[], false));
         assert!(
-            r.stored_block_at(&scan[0].0).is_some(),
+            r.stored_block_at(&scan[0].0, 0).is_some(),
             "offered, stored at level 3"
         );
         let (image, reused) = build(&v, "out", 1, &scan, &[&r]);

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ptsbench_lsm::iter::SharedEntry;
-use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
+use ptsbench_lsm::iter::Source;
+use ptsbench_lsm::sstable::{SstIter, SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
 use ptsbench_vfs::{Vfs, VfsOptions};
@@ -120,13 +120,19 @@ proptest! {
             prop_assert_eq!(reader.get(k).expect("get"), Some(v.clone()));
         }
         // Full scan in order (entries are ranges of the scan window).
-        let owned = |(k, v): SharedEntry| (k.to_vec(), v.map(|v| v.to_vec()));
-        let scanned: Vec<_> = reader.iter().map(owned).collect();
+        let owned = |mut scan: SstIter<'_>| {
+            let mut out = Vec::new();
+            while let Some(e) = scan.next_entry() {
+                out.push((e.key.to_vec(), e.value.map(<[u8]>::to_vec)));
+            }
+            out
+        };
+        let scanned = owned(reader.iter());
         let expect: Vec<_> = entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(scanned, expect);
         // Seeked scan from an arbitrary existing key.
         if let Some((mid, _)) = entries.iter().nth(entries.len() / 2) {
-            let from: Vec<_> = reader.iter_from(mid).map(owned).collect();
+            let from = owned(reader.iter_from(mid));
             let expect_from: Vec<_> =
                 entries.range(mid.clone()..).map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(from, expect_from);

@@ -129,7 +129,8 @@ impl Ftl {
         let min_spare = gc_cfg.reserve_blocks as u64 + STREAMS as u64 + 2;
         assert!(
             geom.physical_blocks as u64 >= logical_blocks + min_spare,
-            "geometry needs >= {min_spare} spare blocks beyond the logical capacity              for GC forward progress (logical {logical_blocks} blocks, physical {})",
+            "geometry needs >= {min_spare} spare blocks beyond the logical capacity \
+             for GC forward progress (logical {logical_blocks} blocks, physical {})",
             geom.physical_blocks
         );
         let blocks = geom.physical_blocks;
@@ -150,7 +151,7 @@ impl Ftl {
             ],
             free: (0..blocks).collect(),
             opens: [None; STREAMS],
-            candidates: CandidateSet::new(blocks),
+            candidates: CandidateSet::new(blocks, geom.pages_per_block),
             mapped: 0,
             seq: 0,
         }
@@ -224,7 +225,7 @@ impl Ftl {
         self.l2p.fill(UNMAPPED);
         self.p2l.fill(UNMAPPED);
         self.free.clear();
-        self.candidates = CandidateSet::new(self.geom.physical_blocks);
+        self.candidates = CandidateSet::new(self.geom.physical_blocks, self.geom.pages_per_block);
         for (id, b) in self.blocks.iter_mut().enumerate() {
             b.state = BlockState::Free;
             b.valid = 0;
@@ -428,6 +429,20 @@ mod tests {
             GcConfig { reserve_blocks: 2 },
             GcPolicy::Greedy,
         )
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "geometry needs >= 7 spare blocks beyond the logical capacity \
+                               for GC forward progress (logical 8 blocks, physical 14)"
+    )]
+    fn too_little_spare_is_refused() {
+        // Reserve 2 + 3 write streams + 2: 7 spare blocks, one short.
+        let geom = Geometry {
+            physical_blocks: 14,
+            ..small_geom()
+        };
+        Ftl::new(geom, GcConfig { reserve_blocks: 2 }, GcPolicy::Greedy);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //!   of the block's data (Rosenblum & Ousterhout's LFS cleaner score),
 //!   which beats greedy under skewed workloads by segregating cold data.
 //!
-//! The candidate set is kept in ordered structures so selection is
-//! `O(log n)` per pick regardless of device size.
-
-use std::collections::BTreeSet;
+//! The candidate set is one bitset of block ids per valid-page count
+//! (`0..=pages_per_block`), the buckets laid end to end: its set bits,
+//! read in order, are the candidates in `(valid, block)` order. A page
+//! invalidation moves its block one bucket down (two bit flips), a
+//! greedy pick is the first set bit, and a cost-benefit pick visits the
+//! set bits in that same order. Memory is `(pages_per_block + 1) ×
+//! ⌈blocks / 64⌉` words.
 
 use crate::types::BlockId;
 
@@ -27,56 +30,104 @@ pub enum GcPolicy {
     CostBenefit,
 }
 
-/// Ordered candidate set of closed blocks, keyed for greedy selection and
-/// carrying close timestamps for cost-benefit scoring.
+/// Candidate set of closed blocks, bucketed by valid-page count for
+/// greedy selection and carrying close timestamps for cost-benefit
+/// scoring.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
-    /// (valid_count, block) ordered ascending: first element is the
-    /// greedy victim.
-    by_valid: BTreeSet<(u32, BlockId)>,
+    /// Bucket `v` is `bits[v * words..(v + 1) * words]`; bit `b` of it
+    /// is set iff block `b` is a candidate with `v` valid pages.
+    bits: Vec<u64>,
+    /// Words per bucket.
+    words: usize,
     /// Sequence number at which each candidate block was closed
     /// (indexed by block id; only meaningful for members).
     closed_seq: Vec<u64>,
 }
 
 impl CandidateSet {
-    /// A candidate set able to track `blocks` block ids.
-    pub fn new(blocks: u32) -> Self {
+    /// A candidate set able to track `blocks` block ids of
+    /// `pages_per_block` pages each.
+    pub fn new(blocks: u32, pages_per_block: u32) -> Self {
+        let words = (blocks as usize).div_ceil(64);
         Self {
-            by_valid: BTreeSet::new(),
+            bits: vec![0; (pages_per_block as usize + 1) * words],
+            words,
             closed_seq: vec![0; blocks as usize],
         }
     }
 
     /// Number of candidate blocks.
     pub fn len(&self) -> usize {
-        self.by_valid.len()
+        self.bits
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
     }
 
     /// Whether there are no candidates.
     pub fn is_empty(&self) -> bool {
-        self.by_valid.is_empty()
+        self.bits.iter().all(|&word| word == 0)
+    }
+
+    /// The word and mask of `block`'s bit in bucket `valid`.
+    fn slot(&self, valid: u32, block: BlockId) -> (usize, u64) {
+        (
+            valid as usize * self.words + block as usize / 64,
+            1 << (block % 64),
+        )
+    }
+
+    /// Sets (`member`) or clears `block`'s bit in bucket `valid`;
+    /// whether that changed it.
+    fn mark(&mut self, valid: u32, block: BlockId, member: bool) -> bool {
+        let (word, mask) = self.slot(valid, block);
+        let was = self.bits[word] & mask != 0;
+        if member {
+            self.bits[word] |= mask;
+        } else {
+            self.bits[word] &= !mask;
+        }
+        was != member
     }
 
     /// Adds a freshly closed block with `valid` valid pages at logical
     /// sequence `seq`.
     pub fn insert(&mut self, block: BlockId, valid: u32, seq: u64) {
-        let inserted = self.by_valid.insert((valid, block));
+        let inserted = self.mark(valid, block, true);
         debug_assert!(inserted, "block {block} already a GC candidate");
         self.closed_seq[block as usize] = seq;
     }
 
     /// Updates a candidate's valid count after a page invalidation.
     pub fn update_valid(&mut self, block: BlockId, old_valid: u32, new_valid: u32) {
-        let removed = self.by_valid.remove(&(old_valid, block));
+        let removed = self.mark(old_valid, block, false);
         debug_assert!(removed, "block {block} missing from candidate set");
-        self.by_valid.insert((new_valid, block));
+        self.mark(new_valid, block, true);
     }
 
     /// Removes a block (it is about to be erased or reopened).
     pub fn remove(&mut self, block: BlockId, valid: u32) {
-        let removed = self.by_valid.remove(&(valid, block));
+        let removed = self.mark(valid, block, false);
         debug_assert!(removed, "block {block} missing from candidate set");
+    }
+
+    /// Every candidate as `(valid, block)`, in that order.
+    fn members(&self) -> impl Iterator<Item = (u32, BlockId)> + '_ {
+        let words = self.words;
+        (self.bits.iter().enumerate())
+            .filter(|&(_, &word)| word != 0)
+            .flat_map(move |(i, &word)| {
+                let (valid, base) = ((i / words) as u32, (i % words) as BlockId * 64);
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        (valid, base + bit)
+                    })
+                })
+            })
     }
 
     /// Picks a victim under `policy`; returns `(block, valid_count)`.
@@ -89,14 +140,12 @@ impl CandidateSet {
         now_seq: u64,
     ) -> Option<(BlockId, u32)> {
         match policy {
-            GcPolicy::Greedy => self.by_valid.iter().next().map(|&(v, b)| (b, v)),
+            GcPolicy::Greedy => self.members().next().map(|(v, b)| (b, v)),
             GcPolicy::CostBenefit => {
-                // Scan is bounded: blocks with many valid pages can't beat
-                // low-valid blocks unless far older, so examining the
-                // lowest-valid few hundred candidates suffices in practice;
-                // we keep it exact but cheap by early-exit on a perfect block.
+                // Exact over every candidate, emptiest first, with an
+                // early exit on a block that holds no valid page.
                 let mut best: Option<(f64, BlockId, u32)> = None;
-                for &(valid, block) in &self.by_valid {
+                for (valid, block) in self.members() {
                     if valid == 0 {
                         return Some((block, 0));
                     }
@@ -116,17 +165,19 @@ impl CandidateSet {
 
     /// Checks internal consistency against externally tracked valid counts.
     pub fn check_member(&self, block: BlockId, valid: u32) -> bool {
-        self.by_valid.contains(&(valid, block))
+        let (word, mask) = self.slot(valid, block);
+        self.bits[word] & mask != 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn greedy_picks_min_valid() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         c.insert(3, 100, 1);
         c.insert(5, 10, 2);
         c.insert(1, 50, 3);
@@ -135,7 +186,7 @@ mod tests {
 
     #[test]
     fn update_valid_reorders() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         c.insert(0, 100, 1);
         c.insert(1, 90, 2);
         c.update_valid(0, 100, 5);
@@ -144,7 +195,7 @@ mod tests {
 
     #[test]
     fn remove_deletes() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         c.insert(2, 7, 1);
         assert_eq!(c.len(), 1);
         c.remove(2, 7);
@@ -154,7 +205,7 @@ mod tests {
 
     #[test]
     fn cost_benefit_prefers_old_half_empty_over_young_emptier() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         // Block 0: closed long ago (seq 1), half valid.
         c.insert(0, 128, 1);
         // Block 1: just closed (seq 1000), slightly fewer valid pages.
@@ -172,7 +223,7 @@ mod tests {
 
     #[test]
     fn cost_benefit_short_circuits_on_empty_block() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         c.insert(0, 0, 5);
         c.insert(1, 200, 1);
         assert_eq!(c.pick(GcPolicy::CostBenefit, 256, 10), Some((0, 0)));
@@ -180,7 +231,7 @@ mod tests {
 
     #[test]
     fn tie_break_is_deterministic() {
-        let mut c = CandidateSet::new(8);
+        let mut c = CandidateSet::new(8, 256);
         c.insert(4, 10, 1);
         c.insert(2, 10, 1);
         assert_eq!(
@@ -188,5 +239,112 @@ mod tests {
             Some((2, 10)),
             "lowest id wins ties"
         );
+    }
+
+    /// The ordered-set candidate set the buckets replaced: `(valid,
+    /// block)` pairs in a `BTreeSet`, scanned in order.
+    struct Oracle {
+        by_valid: std::collections::BTreeSet<(u32, BlockId)>,
+        closed_seq: Vec<u64>,
+    }
+
+    impl Oracle {
+        fn pick(&self, policy: GcPolicy, ppb: u32, now_seq: u64) -> Option<(BlockId, u32)> {
+            match policy {
+                GcPolicy::Greedy => self.by_valid.iter().next().map(|&(v, b)| (b, v)),
+                GcPolicy::CostBenefit => {
+                    let mut best: Option<(f64, BlockId, u32)> = None;
+                    for &(valid, block) in &self.by_valid {
+                        if valid == 0 {
+                            return Some((block, 0));
+                        }
+                        let u = valid as f64 / ppb as f64;
+                        let age =
+                            (now_seq.saturating_sub(self.closed_seq[block as usize])) as f64 + 1.0;
+                        let score = (1.0 - u) * age / (1.0 + u);
+                        match best {
+                            Some((s, _, _)) if s >= score => {}
+                            _ => best = Some((score, block, valid)),
+                        }
+                    }
+                    best.map(|(_, b, v)| (b, v))
+                }
+            }
+        }
+    }
+
+    /// Block ids on both sides of the bucket words' edges.
+    const EDGES: [BlockId; 9] = [0, 1, 62, 63, 64, 65, 126, 127, 129];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Insert the block if it is no candidate, else remove it.
+        Toggle(usize, u32, u64),
+        /// Move a candidate to another valid count.
+        Update(usize, u32),
+        Pick(bool, u64),
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn buckets_pick_what_the_ordered_set_picks(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    3 => (0..EDGES.len(), 0..=16u32, 0..400u64)
+                        .prop_map(|(b, v, s)| Op::Toggle(b, v, s)),
+                    3 => (0..EDGES.len(), 0..=16u32).prop_map(|(b, v)| Op::Update(b, v)),
+                    2 => (any::<bool>(), 0..500u64).prop_map(|(c, n)| Op::Pick(c, n)),
+                ],
+                1..200,
+            ),
+        ) {
+            let (blocks, ppb) = (130, 16);
+            let mut set = CandidateSet::new(blocks, ppb);
+            let mut oracle = Oracle {
+                by_valid: Default::default(),
+                closed_seq: vec![0; blocks as usize],
+            };
+            let mut valid = [None::<u32>; EDGES.len()];
+            for op in ops {
+                match op {
+                    Op::Toggle(i, v, seq) => match valid[i].take() {
+                        Some(old) => {
+                            set.remove(EDGES[i], old);
+                            oracle.by_valid.remove(&(old, EDGES[i]));
+                        }
+                        None => {
+                            set.insert(EDGES[i], v, seq);
+                            oracle.by_valid.insert((v, EDGES[i]));
+                            oracle.closed_seq[EDGES[i] as usize] = seq;
+                            valid[i] = Some(v);
+                        }
+                    },
+                    Op::Update(i, v) => {
+                        if let Some(old) = valid[i] {
+                            set.update_valid(EDGES[i], old, v);
+                            oracle.by_valid.remove(&(old, EDGES[i]));
+                            oracle.by_valid.insert((v, EDGES[i]));
+                            valid[i] = Some(v);
+                        }
+                    }
+                    Op::Pick(cost_benefit, now) => {
+                        let policy = if cost_benefit {
+                            GcPolicy::CostBenefit
+                        } else {
+                            GcPolicy::Greedy
+                        };
+                        prop_assert_eq!(set.pick(policy, ppb, now), oracle.pick(policy, ppb, now));
+                    }
+                }
+                prop_assert_eq!(set.len(), oracle.by_valid.len());
+                for (&block, v) in EDGES.iter().zip(valid) {
+                    prop_assert_eq!(v.is_some_and(|v| set.check_member(block, v)), v.is_some());
+                }
+            }
+            let members: Vec<_> = set.members().collect();
+            prop_assert_eq!(members, oracle.by_valid.into_iter().collect::<Vec<_>>());
+        }
     }
 }
