@@ -393,7 +393,8 @@ fn bench_btree_layers(c: &mut Criterion) {
 /// runs (4 000 B values, 1 MiB memtables and tables, 256 KiB appends
 /// and scan windows): storing a staged chunk into a file, reading a
 /// scan window back owned and shared, building one table, and merging
-/// four overlapping L0 tables into L1.
+/// four overlapping L0 tables into L1 — and a range scan over a level of
+/// many small tables.
 fn bench_lsm_data_path(c: &mut Criterion) {
     const CHUNK: usize = 256 << 10;
     const TABLE: u64 = 1 << 20;
@@ -541,6 +542,25 @@ fn bench_lsm_data_path(c: &mut Criterion) {
             },
             BatchSize::PerIteration,
         )
+    });
+    // A full scan without a submission queue over one level of ~150 small
+    // tables: every table's first window is read when the scan is built,
+    // and the level is one merge source however many tables it has.
+    group.bench_function("scan_qd1_many_tables", |b| {
+        let opts = LsmOptions {
+            max_levels: 3,
+            memtable_bytes: 16 << 10,
+            sstable_target_bytes: 16 << 10,
+            ..LsmOptions::scaled_to_partition(64 << 20)
+        };
+        let mut db = LsmDb::open(fresh_vfs(64), opts).expect("open");
+        for i in 0..8192 {
+            db.put(&key(i), &[0x5a; 256]).expect("put");
+        }
+        db.compact_all().expect("compact");
+        let tables: usize = db.level_summary().iter().map(|&(_, t, _)| t).sum();
+        assert!(tables >= 128, "{tables} tables");
+        b.iter(|| black_box(db.scan_iter(b"", None, usize::MAX).count()))
     });
     group.finish();
 }

@@ -9,7 +9,7 @@ use ptsbench_vfs::{Cause, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs}
 
 use crate::background::{CompactJob, FlushJob};
 use crate::compaction::{effective_targets, pick, CompactionTask};
-use crate::iter::{Merge, Source};
+use crate::iter::{Chain, Merge, Source};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
@@ -438,13 +438,11 @@ impl LsmDb {
                         sources.push(Box::new(ChainedSstScan::new(readers, start, queue.clone())));
                     }
                 }
-                // Without one, each table is a source of its own with its
-                // first window read now. A level's tables hold disjoint
-                // key ranges, so the merge drains them in key order.
+                // Without one, the level's table scans are chained, each
+                // with its first window read now.
                 None => {
-                    for reader in tables {
-                        sources.push(Box::new(reader.iter_from(start)));
-                    }
+                    let scans = Chain::new(tables.map(|reader| reader.iter_from(start)));
+                    sources.push(Box::new(scans));
                 }
             }
         }

@@ -3,7 +3,10 @@
 //! Sources are ordered by recency: source 0 is the newest (memtable),
 //! then L0 tables newest-to-oldest, then deeper levels. When several
 //! sources hold the same key, the entry from the lowest-numbered source
-//! wins and the others are consumed — the LSM shadowing rule.
+//! wins and the others are consumed — the LSM shadowing rule. A deeper
+//! level's tables hold disjoint key ranges, so the level is one source:
+//! a chained window scan with a submission queue, a [`Chain`] of table
+//! scans without one.
 //!
 //! Entries are *lent*, not shared: a source exposes the entry at its
 //! cursor as slices of bytes it already holds — a table scan of the
@@ -17,6 +20,8 @@
 //! the step that consumes its previous one. A source that has moved on
 //! keeps the entry it moved past readable until it moves again: a table
 //! scan holds on to one previous window for it.
+
+use std::collections::VecDeque;
 
 use ptsbench_vfs::FileSlice;
 
@@ -46,14 +51,6 @@ pub trait Source {
 
     /// The entry the last [`Source::advance`] moved past.
     fn last(&self) -> Lent<'_>;
-
-    /// Moves past the entry at the cursor and lends it; `None` once the
-    /// source is spent.
-    fn next_entry(&mut self) -> Option<Lent<'_>> {
-        self.peek()?;
-        self.advance();
-        Some(self.last())
-    }
 }
 
 impl<S: Source + ?Sized> Source for Box<S> {
@@ -67,6 +64,47 @@ impl<S: Source + ?Sized> Source for Box<S> {
 
     fn last(&self) -> Lent<'_> {
         (**self).last()
+    }
+}
+
+/// Sources over disjoint key ranges, in key order, drawn from as one: a
+/// level's table scans when there is no submission queue to chain their
+/// reads. Each scan is opened (its first window read) before the chain
+/// is built; the chain moves only its front scan, and drops it once it
+/// is spent and the entry lent from it has been released.
+pub struct Chain<S> {
+    /// Scans with entries left, except the front one, which may be spent
+    /// and still hold the entry lent last.
+    sources: VecDeque<S>,
+}
+
+impl<S: Source> Chain<S> {
+    /// Chains `sources` (key-ordered, non-overlapping); spent ones are
+    /// dropped.
+    pub fn new(sources: impl IntoIterator<Item = S>) -> Self {
+        let sources = sources.into_iter().filter(|s| s.peek().is_some());
+        Self {
+            sources: sources.collect(),
+        }
+    }
+}
+
+impl<S: Source> Source for Chain<S> {
+    fn peek(&self) -> Option<&[u8]> {
+        self.sources.iter().find_map(S::peek)
+    }
+
+    fn advance(&mut self) {
+        if self.sources.len() > 1 && self.sources[0].peek().is_none() {
+            self.sources.pop_front();
+        }
+        if let Some(front) = self.sources.front_mut() {
+            front.advance();
+        }
+    }
+
+    fn last(&self) -> Lent<'_> {
+        self.sources.front().expect("an entry was lent").last()
     }
 }
 
@@ -292,16 +330,48 @@ mod tests {
             drain(m),
             entries(&[("a", Some("1")), ("b", Some("new")), ("c", None)])
         );
-        let mut source = mem.source(b"b", None);
-        assert_eq!(source.next_entry().and_then(|e| e.window), None);
+        let mut m = Merge::new(vec![mem.source(b"b", None)]);
+        assert_eq!(m.next_entry().and_then(|e| e.window), None);
+    }
+
+    #[test]
+    fn a_chain_reads_table_by_table() {
+        // Two entries to a window, two windows to a table: each table's
+        // first window is read when the chain is built, its second only
+        // when the chain reaches it.
+        let loads: Vec<Rc<Cell<usize>>> = (0..3).map(|_| Rc::default()).collect();
+        let tables = [
+            entries(&[("a", Some("1")), ("b", None), ("c", Some("3"))]),
+            vec![],
+            entries(&[("d", Some("4")), ("e", Some("5")), ("f", Some("6"))]),
+        ];
+        let chain = Chain::new(
+            (tables.iter().zip(&loads)).map(|(t, loads)| table_counting(t, 2, loads.clone())),
+        );
+        let count = || loads.iter().map(|l| l.get()).collect::<Vec<_>>();
+        assert_eq!(count(), [1, 0, 1], "first windows only");
+        let mut m = Merge::new(vec![chain]);
+        for key in ["a", "b"] {
+            assert_eq!(m.next_entry().map(|e| e.key), Some(key.as_bytes()));
+        }
+        assert_eq!(count(), [2, 0, 1], "the front table read on");
+        let lent = m.next_entry().expect("c");
+        assert_eq!((lent.key, lent.value), (&b"c"[..], Some(&b"3"[..])));
+        assert_eq!(count(), [2, 0, 1], "the next table is already open");
+        let keys: Vec<Vec<u8>> = drain(m).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [b"d".to_vec(), b"e".to_vec(), b"f".to_vec()]);
+        assert_eq!(count(), [2, 0, 2]);
+        let empty = Chain::<WindowScan<Windows>>::new([]);
+        assert_eq!(drain(Merge::new(vec![empty])), vec![]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Any number of overlapping sources, each cut into windows of its
-        /// own size (one-entry windows included), merges to what a map
-        /// the sources are written into oldest first holds.
+        /// own size (one-entry windows included) and into a chain of
+        /// tables, merges to what a map the sources are written into
+        /// oldest first holds.
         #[test]
         fn the_merge_is_the_newest_write_of_every_key(
             sources in proptest::collection::vec(
@@ -312,6 +382,7 @@ mod tests {
                         0..30,
                     ),
                     1usize..5,
+                    1usize..4,
                 ),
                 0..6,
             ),
@@ -323,7 +394,7 @@ mod tests {
         ) {
             let bytes = |k: u8, v: Option<u8>| (vec![b'k', k], v.map(|v| vec![v; v as usize % 7]));
             let mut model = BTreeMap::new();
-            for (entries, _) in sources.iter().rev() {
+            for (entries, _, _) in sources.iter().rev() {
                 model.extend(entries.iter().map(|(&k, &v)| bytes(k, v)));
             }
             model.extend(memtable.iter().map(|(&k, &v)| bytes(k, v)));
@@ -335,9 +406,11 @@ mod tests {
                 }
             }
             let mut merged: Vec<Box<dyn Source + '_>> = vec![Box::new(mem.source(b"", None))];
-            for (entries, per_window) in &sources {
+            for (entries, per_window, tables) in &sources {
                 let owned: Owned = entries.iter().map(|(&k, &v)| bytes(k, v)).collect();
-                merged.push(Box::new(table(&owned, *per_window)));
+                let per_table = owned.len().div_ceil(*tables).max(1);
+                let chain = owned.chunks(per_table).map(|t| table(t, *per_window));
+                merged.push(Box::new(Chain::new(chain)));
             }
             prop_assert_eq!(drain(Merge::new(merged)), model.into_iter().collect::<Owned>());
         }

@@ -359,7 +359,7 @@ impl SstableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iter::Source;
+    use crate::iter::Merge;
     use crate::sstable::format::{BlockIndex, Footer};
     use crate::sstable::SstableReader;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -484,7 +484,7 @@ mod tests {
         build(v, name, level, entries, &[]);
         let r = SstableReader::open(v.clone(), name, true, None).expect("open");
         let mut scanned = Vec::new();
-        let mut scan = r.iter_bg();
+        let mut scan = Merge::new(vec![r.iter_bg()]);
         while let Some(e) = scan.next_entry() {
             let (window, at) = e.window.expect("a table entry");
             let value = e.value.map(|v| v.to_vec().into());

@@ -735,6 +735,7 @@ impl WindowSource for ChainWindows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iter::Merge;
     use crate::sstable::builder::SstableBuilder;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
     use ptsbench_vfs::VfsOptions;
@@ -760,8 +761,8 @@ mod tests {
     }
 
     /// Every entry a scan lends, copied out.
-    fn owned(mut scan: impl Source) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
-        let mut out = Vec::new();
+    fn owned(scan: impl Source) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+        let (mut scan, mut out) = (Merge::new(vec![scan]), Vec::new());
         while let Some(e) = scan.next_entry() {
             out.push((e.key.to_vec(), e.value.map(<[u8]>::to_vec)));
         }
@@ -769,8 +770,8 @@ mod tests {
     }
 
     /// What `stored_block_at` returns for each entry a scan lends.
-    fn containers(r: &SstableReader, mut scan: impl Source) -> Vec<Option<FileSlice>> {
-        let mut out = Vec::new();
+    fn containers(r: &SstableReader, scan: impl Source) -> Vec<Option<FileSlice>> {
+        let (mut scan, mut out) = (Merge::new(vec![scan]), Vec::new());
         while let Some(e) = scan.next_entry() {
             let (window, key_at) = e.window.expect("a table entry");
             out.push(r.stored_block_at(window, key_at));
@@ -1003,7 +1004,7 @@ mod tests {
         let r = table_of(&v, "sst-a", 1, true);
         // The same bytes in another file.
         let twin = table_of(&v, "sst-b", 1, true);
-        let mut scan = twin.iter_bg();
+        let mut scan = Merge::new(vec![twin.iter_bg()]);
         let (window, key_at) = scan.next_entry().and_then(|e| e.window).expect("entry");
         assert!(twin.stored_block_at(window, key_at).is_some());
         assert_eq!(r.stored_block_at(window, key_at), None);

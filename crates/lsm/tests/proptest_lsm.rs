@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use ptsbench_lsm::iter::Source;
+use ptsbench_lsm::iter::Merge;
 use ptsbench_lsm::sstable::{SstIter, SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -120,8 +120,8 @@ proptest! {
             prop_assert_eq!(reader.get(k).expect("get"), Some(v.clone()));
         }
         // Full scan in order (entries are ranges of the scan window).
-        let owned = |mut scan: SstIter<'_>| {
-            let mut out = Vec::new();
+        let owned = |scan: SstIter<'_>| {
+            let (mut scan, mut out) = (Merge::new(vec![scan]), Vec::new());
             while let Some(e) = scan.next_entry() {
                 out.push((e.key.to_vec(), e.value.map(<[u8]>::to_vec)));
             }
