@@ -25,8 +25,8 @@
 //!
 //! * the LSM's foreground p99 put latency drops by at least 10× when
 //!   maintenance moves off the foreground clock;
-//! * every shard's space amplification stays within the configured
-//!   `max_space_amp` ceiling (the urgency override that forces GC
+//! * every shard's space amplification stays within the
+//!   `MAX_SPACE_AMP` ceiling (the urgency override that forces GC
 //!   past the pacing gate);
 //! * write-amp/space-amp are reported only when maintenance is active
 //!   — inline reports carry no maintenance accounting at all;
@@ -40,7 +40,7 @@ use ptsbench_core::frontend::FrontendRun;
 use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
 use ptsbench_harness::{run_frontend_with_results, HarnessOutcome};
-use ptsbench_maint::MaintConfig;
+use ptsbench_maint::{MaintConfig, MAX_SPACE_AMP};
 use ptsbench_ssd::MINUTE;
 use ptsbench_workload::KeyDistribution;
 
@@ -114,11 +114,10 @@ pub fn fig_stall() {
                 for (i, r) in outcome.shard_results.iter().enumerate() {
                     let stats = r.maint.expect("background shards carry maintenance stats");
                     assert!(
-                        stats.space_amp() <= maint.max_space_amp as f64,
+                        stats.space_amp() <= MAX_SPACE_AMP as f64,
                         "{engine} shard{i}: space amplification {:.4} exceeds \
-                         the max_space_amp ceiling of {}",
+                         the max_space_amp ceiling of {MAX_SPACE_AMP}",
                         stats.space_amp(),
-                        maint.max_space_amp
                     );
                 }
                 assert!(

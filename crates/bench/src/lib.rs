@@ -100,7 +100,7 @@ pub fn banner(figure: &str, pitfall: &str) {
 /// by what it served). The serving studies calibrate their arrival
 /// rates and deadlines from a one-client closed-loop probe of this — no
 /// queueing, pure service. Zero when nothing was served.
-pub fn mean_service(report: &RunReport) -> Ns {
+pub(crate) fn mean_service(report: &RunReport) -> Ns {
     let (busy, served) = report
         .shards
         .iter()

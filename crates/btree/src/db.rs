@@ -1,6 +1,8 @@
 //! The B+Tree database: public API, tree algorithms, checkpointing.
 
-use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{
+    drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
+};
 use ptsbench_vfs::{Cause, LogRecord, RecordLog, TraceHandle, Vfs};
 
 use crate::node::Node;
@@ -33,6 +35,10 @@ const META_MAGIC: &[u8; 6] = b"BTREE1";
 /// place at every checkpoint (WiredTiger preallocates and reuses
 /// journal files), so its LBAs stay stable.
 const JOURNAL_PREFIX: &str = "journal";
+
+/// Merge threshold: a page smaller than `page_bytes / MERGE_DIVISOR`
+/// tries to merge with a sibling.
+const MERGE_DIVISOR: usize = 4;
 
 /// A slice-resumable fuzzy checkpoint — the only checkpoint there is:
 /// drained in place by [`BTreeDb::checkpoint`], or pumped in paced
@@ -488,9 +494,8 @@ impl BTreeDb {
         // threshold. Without it a write load faster than the maintenance
         // rate budget grows the journal — pure space overhead — without
         // bound.
-        let forced = forced
-            || self.bytes_since_checkpoint
-                > self.opts.maint.max_space_amp * self.opts.checkpoint_app_bytes;
+        let forced =
+            forced || self.bytes_since_checkpoint > MAX_SPACE_AMP * self.opts.checkpoint_app_bytes;
         let now = self.vfs.clock().now();
         let backlog = self.vfs.device_backlog_ns();
         match sched.admit(now, backlog, forced, self.ckpt.is_some()) {
@@ -658,7 +663,7 @@ impl BTreeDb {
         self.entries -= 1;
 
         // Merge undersized pages upward.
-        while cur_len < self.opts.page_bytes / self.opts.merge_divisor {
+        while cur_len < self.opts.page_bytes / MERGE_DIVISOR {
             let Some((ppage, idx)) = path.pop() else {
                 // The undersized page is the root.
                 self.collapse_root()?;

@@ -33,9 +33,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod db;
+mod db;
 pub mod node;
-pub mod options;
+mod options;
 pub mod pager;
 
 pub use db::{BTreeDb, BTreeScan, BTreeStats};

@@ -91,7 +91,7 @@ impl Separators {
     }
 
     /// Splits off the separators from index `at` on, keeping the rest.
-    pub fn split_off(&mut self, at: usize) -> Separators {
+    pub(crate) fn split_off(&mut self, at: usize) -> Separators {
         let cut = self.offset(at);
         let records = self.records.split_off(cut);
         let mut starts = self.starts.split_off(at);
@@ -175,7 +175,7 @@ const TAG_INTERNAL: u8 = 2;
 
 impl Node {
     /// Whether this is a leaf page.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
     }
 
@@ -287,7 +287,7 @@ impl Node {
 
     /// For an internal node: records that the child at `idx` split,
     /// `right` now holding its keys from `sep` up.
-    pub fn insert_child(&mut self, idx: usize, sep: &[u8], right: PageNo) {
+    pub(crate) fn insert_child(&mut self, idx: usize, sep: &[u8], right: PageNo) {
         match self {
             Node::Internal {
                 children,
@@ -302,7 +302,7 @@ impl Node {
 
     /// For an internal node: drops the child right of separator `idx`
     /// (merged into the child left of it) along with that separator.
-    pub fn remove_child(&mut self, idx: usize) {
+    pub(crate) fn remove_child(&mut self, idx: usize) {
         match self {
             Node::Internal {
                 children,
@@ -319,7 +319,7 @@ impl Node {
     /// after [`Node::absorb`]ing `self`, its right sibling. `sep` is the
     /// parent's separator between the two (it moves down when internal
     /// nodes merge).
-    pub fn merged_len(&self, left_len: usize, sep: &[u8]) -> usize {
+    pub(crate) fn merged_len(&self, left_len: usize, sep: &[u8]) -> usize {
         let pulled_down = if self.is_leaf() { 0 } else { 2 + sep.len() };
         left_len + self.encoded_len() - 5 + pulled_down
     }
@@ -352,7 +352,7 @@ impl Node {
     /// ~full — this is why B+Trees bulk-loaded in key order reach the
     /// ~1.12 space amplification the paper measures for WiredTiger,
     /// instead of the ~1.5 a half-split would produce.
-    pub fn split_append(&mut self) -> (Vec<u8>, Node) {
+    pub(crate) fn split_append(&mut self) -> (Vec<u8>, Node) {
         match self {
             Node::Leaf { entries } => {
                 debug_assert!(entries.len() >= 2, "split of a 1-entry leaf");

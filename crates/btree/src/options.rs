@@ -17,9 +17,6 @@ pub struct BTreeOptions {
     /// A checkpoint (write-back of all dirty pages + meta) runs after
     /// this many application bytes have been written since the last one.
     pub checkpoint_app_bytes: u64,
-    /// Merge threshold: a page smaller than `page_bytes / merge_divisor`
-    /// tries to merge with a sibling.
-    pub merge_divisor: usize,
     /// Record phase spans and per-cause device attribution through the
     /// tracer attached to the device (no-op — and byte-identical to the
     /// untraced engine — when the device has no tracer or this is
@@ -41,7 +38,6 @@ impl Default for BTreeOptions {
             wal_enabled: true,
             wal_fsync: false,
             checkpoint_app_bytes: 8 << 20,
-            merge_divisor: 4,
             trace: false,
             maint: MaintConfig::default(),
         }
@@ -58,7 +54,6 @@ impl BTreeOptions {
             wal_enabled: true,
             wal_fsync: false,
             checkpoint_app_bytes: 256 << 10,
-            merge_divisor: 4,
             trace: false,
             maint: MaintConfig::default(),
         }
@@ -95,7 +90,6 @@ impl BTreeOptions {
             self.cache_bytes >= 4 * self.page_bytes as u64,
             "cache must hold at least four pages"
         );
-        assert!(self.merge_divisor >= 2);
     }
 }
 

@@ -141,14 +141,14 @@ impl Pager {
 
     /// Attaches the tracing context: page-cache hits record
     /// `btree.cache_hit` markers and misses a `btree.page_load` span.
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
+    pub(crate) fn attach_trace(&mut self, trace: TraceHandle) {
         self.trace = Some(trace);
     }
 
     /// Opens an existing tree file (recovery path). The page count comes
     /// from the file size; the free list starts empty — the caller
     /// rebuilds it from tree reachability via [`Pager::set_free_list`].
-    pub fn open_existing(
+    pub(crate) fn open_existing(
         vfs: Vfs,
         file_name: &str,
         page_bytes: usize,
@@ -166,7 +166,7 @@ impl Pager {
     }
 
     /// Installs a rebuilt free list (recovery path).
-    pub fn set_free_list(&mut self, pages: Vec<PageNo>) {
+    pub(crate) fn set_free_list(&mut self, pages: Vec<PageNo>) {
         debug_assert!(pages.iter().all(|&p| p >= 1 && p < self.next_page));
         self.free_list = pages;
     }
@@ -177,7 +177,7 @@ impl Pager {
     }
 
     /// Number of pages ever materialized (including freed ones).
-    pub fn page_count(&self) -> PageNo {
+    pub(crate) fn page_count(&self) -> PageNo {
         self.next_page
     }
 
@@ -421,7 +421,7 @@ impl Pager {
     }
 
     /// Reads the metadata page (bypassing the node cache).
-    pub fn read_meta(&mut self) -> Result<Vec<u8>> {
+    pub(crate) fn read_meta(&mut self) -> Result<Vec<u8>> {
         Ok(self.vfs.read_at(self.file, 0, self.page_bytes)?)
     }
 

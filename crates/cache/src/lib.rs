@@ -25,9 +25,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod block;
-pub mod compress;
-pub mod sketch;
+mod block;
+mod compress;
+mod sketch;
 
 pub use block::{file_tag, BlockCache, CacheKey, SharedBlockCache};
 pub use compress::{Compression, EncodeScratch};

@@ -174,7 +174,6 @@ pub enum BatchOp {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteBatch {
     ops: Vec<BatchOp>,
-    bytes: u64,
 }
 
 impl WriteBatch {
@@ -185,7 +184,6 @@ impl WriteBatch {
 
     /// Appends a put.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.bytes += (key.len() + value.len()) as u64;
         self.ops.push(BatchOp::Put {
             key: key.to_vec(),
             value: value.to_vec(),
@@ -195,7 +193,6 @@ impl WriteBatch {
 
     /// Appends a delete.
     pub fn delete(&mut self, key: &[u8]) -> &mut Self {
-        self.bytes += key.len() as u64;
         self.ops.push(BatchOp::Delete { key: key.to_vec() });
         self
     }
@@ -215,23 +212,17 @@ impl WriteBatch {
         self.ops.is_empty()
     }
 
-    /// Application payload bytes across all operations.
-    pub fn payload_bytes(&self) -> u64 {
-        self.bytes
-    }
-
     /// Removes all operations, keeping the allocation.
     pub fn clear(&mut self) {
         self.ops.clear();
-        self.bytes = 0;
     }
 }
 
 /// A `(key, value)` pair yielded by a scan.
-pub type ScanItem = (Vec<u8>, Vec<u8>);
+pub(crate) type ScanItem = (Vec<u8>, Vec<u8>);
 
 /// A batch of `(key, value)` pairs from a materialized scan.
-pub type ScanItems = Vec<ScanItem>;
+pub(crate) type ScanItems = Vec<ScanItem>;
 
 /// A streaming scan cursor: yields live entries in ascending key order,
 /// pulling from the engine on demand.
@@ -251,7 +242,7 @@ impl<'a> ScanCursor<'a> {
     }
 
     /// A cursor over infallible pairs.
-    pub fn from_pairs(pairs: impl Iterator<Item = ScanItem> + 'a) -> Self {
+    pub(crate) fn from_pairs(pairs: impl Iterator<Item = ScanItem> + 'a) -> Self {
         Self::new(pairs.map(Ok))
     }
 
@@ -261,7 +252,7 @@ impl<'a> ScanCursor<'a> {
     }
 
     /// Drains the cursor into a vector, stopping at the first error.
-    pub fn collect_items(self) -> Result<ScanItems, PtsError> {
+    pub(crate) fn collect_items(self) -> Result<ScanItems, PtsError> {
         self.collect()
     }
 }
@@ -435,7 +426,7 @@ pub trait PtsEngine: Send {
 // ----------------------------------------------------------- builtins
 
 /// The LSM engine (RocksDB stand-in) behind the uniform API.
-pub struct LsmEngine(pub LsmDb);
+pub(crate) struct LsmEngine(pub LsmDb);
 
 impl PtsEngine for LsmEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
@@ -544,7 +535,7 @@ impl PtsEngine for LsmEngine {
 }
 
 /// The B+Tree engine (WiredTiger stand-in) behind the uniform API.
-pub struct BTreeEngine(pub BTreeDb);
+pub(crate) struct BTreeEngine(pub BTreeDb);
 
 impl PtsEngine for BTreeEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
@@ -674,7 +665,6 @@ mod tests {
             batch.delete(b"k0010");
             a.delete(b"k0010").expect("delete");
             assert_eq!(batch.len(), 51);
-            assert!(batch.payload_bytes() > 0);
             b.apply_batch(&batch).expect("batch");
             assert_eq!(
                 a.scan_to_vec(b"", None, 100).expect("scan a"),

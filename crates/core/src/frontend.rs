@@ -201,7 +201,7 @@ impl ClassPolicyMap {
 
     /// Whether every class runs the same policy (the single-policy
     /// shape, labelled exactly like the old `slo` field).
-    pub fn is_uniform(&self) -> bool {
+    pub(crate) fn is_uniform(&self) -> bool {
         self.policies[1] == self.policies[0] && self.policies[2] == self.policies[0]
     }
 

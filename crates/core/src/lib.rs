@@ -53,17 +53,15 @@ pub mod runner;
 pub mod sharded;
 pub mod state;
 
-pub use engine::{
-    BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, ScanItem, ScanItems, WriteBatch,
-};
+pub use engine::{BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, WriteBatch};
 pub use frontend::{
     ClassPolicyMap, ClientBinding, DispatchDiscipline, FrontendRun, SloPolicy, TenantQuota,
     TenantSpec,
 };
-pub use measure::{build_stack, bulk_load, Experiment, Served, Stack};
+pub use measure::{build_stack, bulk_load, Experiment, Served};
 pub use ptsbench_metrics::{ReqClass, TenantId};
 pub use registry::{EngineKind, EngineRegistry, EngineTuning, Lifecycle};
-pub use runner::{run, RunConfig, RunResult, Sample, SteadySummary};
+pub use runner::{run, RunConfig, RunResult, Sample};
 pub use sharded::ShardedRun;
 pub use state::DriveState;
 

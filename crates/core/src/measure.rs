@@ -36,7 +36,7 @@ use crate::runner::{RunConfig, RunResult, Sample, SteadySummary};
 use crate::state::DriveState;
 
 /// Operations per [`WriteBatch`] during the bulk-load phase.
-pub const LOAD_BATCH_OPS: usize = 128;
+pub(crate) const LOAD_BATCH_OPS: usize = 128;
 
 /// The outcome of serving one routed request ([`Experiment::serve`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -45,9 +45,11 @@ impl Default for PitfallOptions {
     /// 210 simulated minutes, 10-minute windows.
     ///
     /// 64 MiB keeps the engines' file sizes at ~8 files per simulated
-    /// erase superblock — the stream-mixing ratio that reproduces the
+    /// erase superblock — the stream-mixing ratio chosen to reproduce the
     /// paper's device-level write amplification (WA-D ~2 for the LSM on
-    /// a full-LBA-footprint drive). See DESIGN.md, "Scaling".
+    /// a full-LBA-footprint drive). That calibration is unverified: no
+    /// measured table of the verdicts across stand-in sizes exists yet
+    /// (ROADMAP item 2(d)).
     fn default() -> Self {
         Self {
             device_bytes: 64 << 20,

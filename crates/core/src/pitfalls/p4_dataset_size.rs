@@ -14,7 +14,7 @@ use crate::runner::{run, RunConfig, RunResult};
 use crate::state::DriveState;
 
 /// The dataset/capacity fractions of Figure 5.
-pub const FRACTIONS: [f64; 4] = [0.25, 0.37, 0.5, 0.62];
+pub(crate) const FRACTIONS: [f64; 4] = [0.25, 0.37, 0.5, 0.62];
 
 /// One sweep point.
 #[derive(Debug, Clone)]

@@ -19,7 +19,7 @@ use crate::state::DriveState;
 
 /// The dataset fractions of Figure 6 (including the two where RocksDB
 /// runs out of space).
-pub const FRACTIONS: [f64; 6] = [0.25, 0.37, 0.5, 0.62, 0.75, 0.88];
+pub(crate) const FRACTIONS: [f64; 6] = [0.25, 0.37, 0.5, 0.62, 0.75, 0.88];
 
 /// One measurement point.
 #[derive(Debug, Clone)]

@@ -19,7 +19,7 @@ use crate::state::DriveState;
 
 /// Partition fraction used for the extra-OP configuration (the paper
 /// reserves 100 GB of a 400 GB drive).
-pub const OP_PARTITION_FRACTION: f64 = 0.75;
+pub(crate) const OP_PARTITION_FRACTION: f64 = 0.75;
 
 /// The Figure 7 experiment: engine x {no OP, extra OP} x {trim, prec}.
 #[derive(Debug, Clone)]

@@ -119,7 +119,8 @@ impl EngineTuning {
 }
 
 /// Builder signature every registered engine provides.
-pub type EngineBuilder = fn(Vfs, &EngineTuning, Lifecycle) -> Result<Box<dyn PtsEngine>, PtsError>;
+pub(crate) type EngineBuilder =
+    fn(Vfs, &EngineTuning, Lifecycle) -> Result<Box<dyn PtsEngine>, PtsError>;
 
 /// What an engine tells the registry about itself.
 #[derive(Clone, Copy)]

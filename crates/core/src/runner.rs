@@ -311,12 +311,12 @@ impl RunResult {
     }
 
     /// Cumulative WA-A series.
-    pub fn wa_a_series(&self) -> TimeSeries {
+    pub(crate) fn wa_a_series(&self) -> TimeSeries {
         self.series("wa_a", |s| s.wa_a)
     }
 
     /// Cumulative WA-D series.
-    pub fn wa_d_series(&self) -> TimeSeries {
+    pub(crate) fn wa_d_series(&self) -> TimeSeries {
         self.series("wa_d", |s| s.wa_d)
     }
 

@@ -96,7 +96,7 @@ impl ShardedRun {
     }
 
     /// Simulated capacity of one shard.
-    pub fn shard_device_bytes(&self) -> u64 {
+    pub(crate) fn shard_device_bytes(&self) -> u64 {
         self.base.device_bytes / self.shards as u64
     }
 
@@ -150,7 +150,7 @@ impl ShardedRun {
     }
 
     /// Client owning a shard.
-    pub fn client_of_shard(&self, shard: usize) -> usize {
+    pub(crate) fn client_of_shard(&self, shard: usize) -> usize {
         shard % self.clients
     }
 

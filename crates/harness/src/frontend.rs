@@ -2585,11 +2585,11 @@ mod tests {
     mod scan_oracle {
         use super::super::*;
 
-        pub fn earliest(waiting: &[WaitingReq]) -> Option<Ns> {
+        pub(super) fn earliest(waiting: &[WaitingReq]) -> Option<Ns> {
             waiting.iter().map(|w| w.submitted_at).min()
         }
 
-        pub fn select_next(
+        pub(super) fn select_next(
             waiting: &[WaitingReq],
             t0: Ns,
             discipline: DispatchDiscipline,
@@ -2627,7 +2627,7 @@ mod tests {
         }
 
         /// A dead shard's drain order.
-        pub fn drain(waiting: &mut Vec<WaitingReq>) -> Vec<WaitingReq> {
+        pub(super) fn drain(waiting: &mut Vec<WaitingReq>) -> Vec<WaitingReq> {
             let mut rest = std::mem::take(waiting);
             rest.sort_by_key(|w| w.token);
             rest

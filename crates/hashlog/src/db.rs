@@ -9,12 +9,22 @@ use ptsbench_cache::{
 };
 use ptsbench_core::engine::{BatchOp, EngineStats, PtsEngine, PtsError, ScanCursor, WriteBatch};
 use ptsbench_core::registry::EngineKind;
-use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{
+    drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
+};
 use ptsbench_vfs::{AsyncRead, Cause, FileId, FileSlice, IoQueue, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::options::HashLogOptions;
 use crate::record::Record;
 use crate::{HashLogError, Result};
+
+/// Garbage collection starts when garbage across sealed segments
+/// exceeds this fraction of total log bytes.
+const GC_GARBAGE_FRACTION: f64 = 0.30;
+
+/// A sealed segment is only a GC victim once at least this fraction of
+/// it is garbage (avoids rewriting mostly-live segments).
+const MIN_VICTIM_GARBAGE: f64 = 0.25;
 
 /// Cumulative engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -686,15 +696,15 @@ impl HashLogDb {
         &self.vfs
     }
 
-    /// Whether total garbage across the log has crossed the configured
-    /// collection trigger.
+    /// Whether total garbage across the log has crossed the collection
+    /// trigger ([`GC_GARBAGE_FRACTION`]).
     fn gc_due(&self) -> bool {
         let total: u64 = self.segments.values().map(|s| s.bytes).sum();
-        total > 0 && (self.garbage_bytes() as f64) >= self.opts.gc_garbage_fraction * total as f64
+        total > 0 && (self.garbage_bytes() as f64) >= GC_GARBAGE_FRACTION * total as f64
     }
 
     /// The sealed segment with the highest garbage ratio, if that ratio
-    /// clears `min_victim_garbage`.
+    /// clears [`MIN_VICTIM_GARBAGE`].
     fn select_victim(&self) -> Option<u64> {
         self.segments
             .iter()
@@ -705,7 +715,7 @@ impl HashLogDb {
                 ga.total_cmp(&gb)
             })
             .map(|(id, s)| (*id, (s.bytes - s.live_bytes) as f64 / s.bytes.max(1) as f64))
-            .filter(|(_, ratio)| *ratio >= self.opts.min_victim_garbage)
+            .filter(|(_, ratio)| *ratio >= MIN_VICTIM_GARBAGE)
             .map(|(id, _)| id)
     }
 
@@ -724,11 +734,11 @@ impl HashLogDb {
     // between foreground ops — a detached read, byte-bounded slices
     // paced by the scheduler's token bucket, and the victim deleted only
     // at the final install, so reads of not-yet-moved records keep
-    // working throughout. Space-amp urgency (`max_space_amp`) forces
+    // working throughout. Space-amp urgency (`MAX_SPACE_AMP`) forces
     // slices past the pacing gate.
 
-    /// Collects the worst sealed segment when total garbage crosses the
-    /// configured fraction: in place when maintenance is off, as a
+    /// Collects the worst sealed segment when total garbage crosses
+    /// [`GC_GARBAGE_FRACTION`]: in place when maintenance is off, as a
     /// scheduled job when it is on.
     fn maybe_gc(&mut self) -> Result<()> {
         if !self.gc_due() {
@@ -778,12 +788,12 @@ impl HashLogDb {
     }
 
     /// Whether measured space amplification (total log bytes over live
-    /// bytes) exceeds the configured ceiling — the Marble urgency
+    /// bytes) exceeds [`MAX_SPACE_AMP`] — the Marble urgency
     /// condition that bypasses pacing.
     fn space_amp_exceeded(&self) -> bool {
         let total: u64 = self.segments.values().map(|s| s.bytes).sum();
         let live: u64 = self.segments.values().map(|s| s.live_bytes).sum();
-        live > 0 && total > self.opts.maint.max_space_amp * live
+        live > 0 && total > MAX_SPACE_AMP * live
     }
 
     fn maintenance_slice(&mut self, forced: bool) -> Result<bool> {
@@ -1012,7 +1022,7 @@ impl Iterator for IndexScan<'_> {
 }
 
 /// The hash-log engine behind the uniform [`PtsEngine`] API.
-pub struct HashLogEngine(pub HashLogDb);
+pub(crate) struct HashLogEngine(pub HashLogDb);
 
 impl PtsEngine for HashLogEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> std::result::Result<(), PtsError> {

@@ -36,7 +36,8 @@ mod db;
 mod options;
 mod record;
 
-pub use db::{HashLogDb, HashLogEngine, HashLogStats, IndexScan};
+use db::HashLogEngine;
+pub use db::{HashLogDb, HashLogStats, IndexScan};
 pub use options::HashLogOptions;
 
 use ptsbench_core::engine::PtsError;
@@ -47,7 +48,7 @@ use ptsbench_core::PtsEngine;
 use ptsbench_vfs::Vfs;
 
 /// Registry label of this engine.
-pub const LABEL: &str = "hashlog";
+pub(crate) const LABEL: &str = "hashlog";
 
 /// Errors surfaced by the hash-log engine.
 #[derive(Debug, Clone, PartialEq, Eq)]

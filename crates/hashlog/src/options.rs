@@ -9,12 +9,6 @@ pub struct HashLogOptions {
     /// Target size of one log segment; the active segment seals and a
     /// new one opens once it grows past this.
     pub segment_bytes: u64,
-    /// Garbage collection starts when garbage across sealed segments
-    /// exceeds this fraction of total log bytes.
-    pub gc_garbage_fraction: f64,
-    /// A sealed segment is only a GC victim once at least this fraction
-    /// of it is garbage (avoids rewriting mostly-live segments).
-    pub min_victim_garbage: f64,
     /// I/O submission queue depth. At 1 (the default) every read uses
     /// the classic synchronous path; above 1 the engine opens a shared
     /// [`ptsbench_vfs::IoQueue`] and issues scans as batches of up to
@@ -49,8 +43,6 @@ impl Default for HashLogOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 4 << 20,
-            gc_garbage_fraction: 0.30,
-            min_victim_garbage: 0.25,
             queue_depth: 1,
             cache_bytes: 0,
             compression: Compression::None,
@@ -87,14 +79,6 @@ impl HashLogOptions {
         assert!(
             self.segment_bytes >= 4 << 10,
             "segments unrealistically small"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.gc_garbage_fraction),
-            "gc trigger must be a fraction"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.min_victim_garbage),
-            "victim threshold must be a fraction"
         );
         assert!(self.queue_depth >= 1, "queue depth must be at least 1");
     }

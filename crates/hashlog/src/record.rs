@@ -15,14 +15,14 @@
 use crate::{HashLogError, Result};
 
 /// Byte length of the fixed record header.
-pub const HEADER_BYTES: usize = 8 + 1 + 4 + 4;
+pub(crate) const HEADER_BYTES: usize = 8 + 1 + 4 + 4;
 
 /// `flags` value marking a tombstone (delete) record.
-pub const FLAG_TOMBSTONE: u8 = 1;
+pub(crate) const FLAG_TOMBSTONE: u8 = 1;
 
 /// A decoded record header plus key (the value is read separately).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+pub(crate) struct Record {
     /// Global write sequence number.
     pub seq: u64,
     /// Whether this record deletes the key.
@@ -35,12 +35,12 @@ pub struct Record {
 
 impl Record {
     /// Total encoded length of a record with this key/value size.
-    pub fn encoded_len(key_len: usize, value_len: usize) -> u64 {
+    pub(crate) fn encoded_len(key_len: usize, value_len: usize) -> u64 {
         (HEADER_BYTES + key_len + value_len) as u64
     }
 
     /// Appends an encoded put record to `buf`.
-    pub fn encode_put(buf: &mut Vec<u8>, seq: u64, key: &[u8], value: &[u8]) {
+    pub(crate) fn encode_put(buf: &mut Vec<u8>, seq: u64, key: &[u8], value: &[u8]) {
         buf.extend_from_slice(&seq.to_le_bytes());
         buf.push(0);
         buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -50,7 +50,7 @@ impl Record {
     }
 
     /// Appends an encoded tombstone record to `buf`.
-    pub fn encode_tombstone(buf: &mut Vec<u8>, seq: u64, key: &[u8]) {
+    pub(crate) fn encode_tombstone(buf: &mut Vec<u8>, seq: u64, key: &[u8]) {
         buf.extend_from_slice(&seq.to_le_bytes());
         buf.push(FLAG_TOMBSTONE);
         buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -60,7 +60,7 @@ impl Record {
 
     /// Decodes the record starting at `offset` in `buf`; returns the
     /// record and the offset one past its end.
-    pub fn decode(buf: &[u8], offset: usize) -> Result<(Record, usize)> {
+    pub(crate) fn decode(buf: &[u8], offset: usize) -> Result<(Record, usize)> {
         let header_end = offset + HEADER_BYTES;
         if header_end > buf.len() {
             return Err(HashLogError::Corruption(format!(

@@ -88,7 +88,7 @@ pub(crate) struct CompactJob {
 
 impl CompactJob {
     /// Wraps a picked task into a fresh job.
-    pub fn new(task: CompactionTask, drop_tombstones: bool) -> Self {
+    pub(crate) fn new(task: CompactionTask, drop_tombstones: bool) -> Self {
         let input_bytes = task.input_bytes();
         let input_names = task.input_names();
         Self {
@@ -109,17 +109,17 @@ impl CompactJob {
     }
 
     /// Total input tables (source + overlaps).
-    pub fn source_count(&self) -> usize {
+    pub(crate) fn source_count(&self) -> usize {
         self.task.inputs.len() + self.task.overlaps.len()
     }
 
     /// Output bytes produced so far (finished outputs + live builder).
-    pub fn produced_bytes(&self) -> u64 {
+    pub(crate) fn produced_bytes(&self) -> u64 {
         self.finished_bytes + self.builder.as_ref().map_or(0, |b| b.estimated_bytes())
     }
 
     /// Finishes the live output table, if any.
-    pub fn finish_output(&mut self) -> crate::Result<()> {
+    pub(crate) fn finish_output(&mut self) -> crate::Result<()> {
         if let Some(builder) = self.builder.take() {
             let (meta, reused) = builder.finish_counted()?;
             self.reused_blocks += reused;

@@ -27,7 +27,7 @@ impl BloomFilter {
     /// [`BloomFilter::build`] from the keys' [`hash_pair`]s — all the
     /// filter ever needs of a key, so a table builder keeps 16 bytes per
     /// entry instead of a copy of every key.
-    pub fn from_hashes(hashes: &[(u64, u64)], bits_per_key: u32) -> Self {
+    pub(crate) fn from_hashes(hashes: &[(u64, u64)], bits_per_key: u32) -> Self {
         Self::sized_for(hashes.len(), hashes.iter().copied(), bits_per_key)
     }
 
@@ -103,7 +103,7 @@ impl BloomFilter {
 }
 
 /// The two hash values a key's probe positions derive from.
-pub fn hash_pair(key: &[u8]) -> (u64, u64) {
+pub(crate) fn hash_pair(key: &[u8]) -> (u64, u64) {
     // FNV-1a then a finalizing avalanche for the second hash.
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in key {

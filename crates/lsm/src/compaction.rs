@@ -19,7 +19,7 @@ use crate::version::{TableHandle, Version};
 
 /// A unit of compaction work chosen by [`pick`].
 #[derive(Debug)]
-pub struct CompactionTask {
+pub(crate) struct CompactionTask {
     /// Source level (0 = L0→L1 compaction).
     pub source_level: usize,
     /// Target level (always `source_level + 1`).
@@ -34,7 +34,7 @@ pub struct CompactionTask {
 
 impl CompactionTask {
     /// Total input bytes (both levels).
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         self.inputs
             .iter()
             .chain(&self.overlaps)
@@ -43,7 +43,7 @@ impl CompactionTask {
     }
 
     /// Names of every input table (for the manifest edit).
-    pub fn input_names(&self) -> Vec<String> {
+    pub(crate) fn input_names(&self) -> Vec<String> {
         self.inputs
             .iter()
             .chain(&self.overlaps)
@@ -58,7 +58,7 @@ impl CompactionTask {
 /// the level below divided by the size multiplier (floored at the static
 /// L1 target). Without this, datasets much smaller than the static
 /// hierarchy would strand stale data in the bottom level forever.
-pub fn effective_targets(version: &Version, opts: &LsmOptions) -> Vec<u64> {
+pub(crate) fn effective_targets(version: &Version, opts: &LsmOptions) -> Vec<u64> {
     let count = version.level_count();
     let mut targets = vec![u64::MAX; count];
     let Some(bottom) = version.deepest_nonempty().filter(|&b| b >= 1) else {
@@ -80,7 +80,11 @@ pub fn effective_targets(version: &Version, opts: &LsmOptions) -> Vec<u64> {
 
 /// Chooses the next compaction, if any is due. `cursors` holds one
 /// round-robin position per level and is advanced by the pick.
-pub fn pick(version: &Version, opts: &LsmOptions, cursors: &mut [usize]) -> Option<CompactionTask> {
+pub(crate) fn pick(
+    version: &Version,
+    opts: &LsmOptions,
+    cursors: &mut [usize],
+) -> Option<CompactionTask> {
     // Priority 1: L0 file count.
     let l0 = version.tables(0);
     if l0.len() >= opts.l0_compaction_trigger {

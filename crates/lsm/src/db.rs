@@ -4,7 +4,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
-use ptsbench_maint::{drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats};
+use ptsbench_maint::{
+    drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
+};
 use ptsbench_vfs::{Cause, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs};
 
 use crate::background::{CompactJob, FlushJob};
@@ -53,6 +55,17 @@ pub struct DbStats {
 
 /// The write-ahead log's files are `wal-<n>`.
 const WAL_PREFIX: &str = "wal";
+
+/// Inline compaction work budget per flush, as a multiple of the
+/// memtable size. Bounds how long a single write stalls on compaction
+/// (the role background compaction threads play in RocksDB); remaining
+/// debt is drained by subsequent flushes.
+const COMPACTION_BUDGET_FACTOR: u64 = 16;
+
+/// Marble `merge_ratio`: under paced maintenance a level schedules a
+/// merge only once it exceeds `(1 + 1/MERGE_RATIO)` times its target
+/// size. Larger ratios defer merges (less write-amp, more space-amp).
+const MERGE_RATIO: u64 = 3;
 
 /// A leveled LSM-tree key-value store on a simulated flash stack.
 pub struct LsmDb {
@@ -552,12 +565,13 @@ impl LsmDb {
         Ok(())
     }
 
-    /// Runs due compactions within the per-flush work budget. Trivial
-    /// moves are free; merging compactions consume budget by input
-    /// bytes. When L0 backs up to twice the trigger the budget is
-    /// ignored (hard write-stall backpressure, as in RocksDB).
+    /// Runs due compactions within the per-flush work budget
+    /// ([`COMPACTION_BUDGET_FACTOR`] memtables). Trivial moves are free;
+    /// merging compactions consume budget by input bytes. When L0 backs
+    /// up to twice the trigger the budget is ignored (hard write-stall
+    /// backpressure, as in RocksDB).
     fn maybe_compact(&mut self) -> Result<()> {
-        let budget = self.opts.compaction_budget_factor * self.opts.memtable_bytes;
+        let budget = COMPACTION_BUDGET_FACTOR * self.opts.memtable_bytes;
         let mut spent: u64 = 0;
         while let Some(task) = pick(&self.version, &self.opts, &mut self.cursors) {
             let l0_backed_up = self.version.tables(0).len() >= 2 * self.opts.l0_compaction_trigger;
@@ -839,7 +853,7 @@ impl LsmDb {
                     self.vfs.clone(),
                     &table_name(&mut self.next_file),
                     self.opts.block_bytes,
-                    self.opts.bits_per_key_for(0),
+                    self.opts.bloom_bits_per_key,
                     imm.approx_bytes(),
                 )?
                 .with_compression(self.opts.compression);
@@ -1102,7 +1116,7 @@ impl LsmDb {
                         self.vfs.clone(),
                         &table_name(&mut self.next_file),
                         self.opts.block_bytes,
-                        self.opts.bits_per_key_for(job.task.target_level),
+                        self.opts.bloom_bits_per_key,
                         self.opts.sstable_target_bytes,
                     )?;
                     none.insert(b.with_compression(self.opts.compression))
@@ -1223,7 +1237,7 @@ impl LsmDb {
             if target == u64::MAX {
                 continue;
             }
-            let slack = target / cfg.merge_ratio.max(1);
+            let slack = target / MERGE_RATIO;
             if self.version.bytes_at(level) > target.saturating_add(slack) {
                 return true;
             }
@@ -1231,14 +1245,14 @@ impl LsmDb {
         false
     }
 
-    /// Whether measured space amplification exceeds the configured
-    /// ceiling (total tree bytes vs the deepest level's bytes).
+    /// Whether measured space amplification exceeds [`MAX_SPACE_AMP`]
+    /// (total tree bytes vs the deepest level's bytes).
     fn space_amp_exceeded(&self) -> bool {
         let Some(bottom) = self.version.deepest_nonempty() else {
             return false;
         };
         let base = self.version.bytes_at(bottom).max(1);
-        self.version.total_bytes() > self.opts.maint.max_space_amp.max(1) * base
+        self.version.total_bytes() > MAX_SPACE_AMP * base
     }
 }
 
@@ -1327,7 +1341,7 @@ mod tests {
         }
         db.flush().expect("flush");
         assert!(db.memtable.is_empty());
-        assert!(db.version.table_count() > 0);
+        assert!(db.version.total_bytes() > 0);
         for i in (0..100).step_by(7) {
             assert_eq!(
                 db.get(&key(i)).expect("get"),

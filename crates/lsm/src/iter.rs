@@ -81,7 +81,7 @@ pub struct Chain<S> {
 impl<S: Source> Chain<S> {
     /// Chains `sources` (key-ordered, non-overlapping); spent ones are
     /// dropped.
-    pub fn new(sources: impl IntoIterator<Item = S>) -> Self {
+    pub(crate) fn new(sources: impl IntoIterator<Item = S>) -> Self {
         let sources = sources.into_iter().filter(|s| s.peek().is_some());
         Self {
             sources: sources.collect(),

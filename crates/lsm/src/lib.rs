@@ -10,7 +10,7 @@
 //! Everything below the API is real: SSTables have a binary on-"disk"
 //! format with data blocks, a block index and a bloom filter
 //! ([`sstable`]); compaction does k-way merges through the
-//! filesystem ([`compaction`], [`iter`]); and all I/O flows through
+//! filesystem (`compaction`, [`iter`]); and all I/O flows through
 //! `ptsbench-vfs` onto the simulated flash device, which is what lets the
 //! harness observe the paper's phenomena (bursty compaction writes,
 //! whole-LBA-space churn, WA-A that grows as levels fill, space
@@ -34,14 +34,14 @@
 
 pub(crate) mod background;
 pub mod bloom;
-pub mod compaction;
-pub mod db;
+mod compaction;
+mod db;
 pub mod iter;
-pub mod manifest;
+mod manifest;
 pub mod memtable;
-pub mod options;
+mod options;
 pub mod sstable;
-pub mod version;
+mod version;
 
 pub use db::{DbStats, LsmDb, RangeScan};
 pub use options::LsmOptions;

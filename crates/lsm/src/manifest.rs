@@ -14,22 +14,22 @@ use ptsbench_vfs::{FileId, Vfs};
 use crate::{LsmError, Result};
 
 /// Name of the manifest file within the database's filesystem.
-pub const MANIFEST_NAME: &str = "MANIFEST";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 
 /// Append-only log of version edits.
 #[derive(Debug)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     vfs: Vfs,
     file: FileId,
     buffer: String,
 }
 
 /// One replayed table: `(level, name)`, in log order.
-pub type ReplayedTables = Vec<(usize, String)>;
+pub(crate) type ReplayedTables = Vec<(usize, String)>;
 
 impl Manifest {
     /// Creates a fresh manifest (fails if one exists).
-    pub fn create(vfs: Vfs) -> Result<Self> {
+    pub(crate) fn create(vfs: Vfs) -> Result<Self> {
         let file = vfs.create(MANIFEST_NAME)?;
         Ok(Self {
             vfs,
@@ -39,7 +39,7 @@ impl Manifest {
     }
 
     /// Opens the existing manifest for appending.
-    pub fn open(vfs: Vfs) -> Result<Self> {
+    pub(crate) fn open(vfs: Vfs) -> Result<Self> {
         let file = vfs.open(MANIFEST_NAME)?;
         Ok(Self {
             vfs,
@@ -49,23 +49,23 @@ impl Manifest {
     }
 
     /// Whether a manifest exists on this filesystem.
-    pub fn exists(vfs: &Vfs) -> bool {
+    pub(crate) fn exists(vfs: &Vfs) -> bool {
         vfs.exists(MANIFEST_NAME)
     }
 
     /// Records a table entering a level.
-    pub fn log_add(&mut self, level: usize, name: &str) {
+    pub(crate) fn log_add(&mut self, level: usize, name: &str) {
         self.buffer.push_str(&format!("add {level} {name}\n"));
     }
 
     /// Records a table leaving the version.
-    pub fn log_del(&mut self, name: &str) {
+    pub(crate) fn log_del(&mut self, name: &str) {
         self.buffer.push_str(&format!("del {name}\n"));
     }
 
     /// Flushes buffered edits to the filesystem (one edit group = one
     /// append, as RocksDB writes one MANIFEST record per VersionEdit).
-    pub fn commit(&mut self) -> Result<()> {
+    pub(crate) fn commit(&mut self) -> Result<()> {
         if self.buffer.is_empty() {
             return Ok(());
         }
@@ -77,7 +77,7 @@ impl Manifest {
     /// Replays the manifest into the set of live tables, in add order
     /// (which preserves L0 recency). Returns the live `(level, name)`
     /// list and the next table number to assign.
-    pub fn replay(vfs: &Vfs) -> Result<(ReplayedTables, u64)> {
+    pub(crate) fn replay(vfs: &Vfs) -> Result<(ReplayedTables, u64)> {
         let file = vfs.open(MANIFEST_NAME)?;
         let size = vfs.size(file)? as usize;
         let raw = vfs.read_shared(file, 0, size)?;

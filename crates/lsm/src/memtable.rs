@@ -63,7 +63,7 @@ impl Memtable {
     }
 
     /// Approximate memory footprint in bytes (flush trigger).
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         self.approx_bytes
     }
 

@@ -26,15 +26,9 @@ pub struct LsmOptions {
     pub sstable_target_bytes: u64,
     /// Data block size in bytes.
     pub block_bytes: usize,
-    /// Bloom filter bits per key for L0 and L1 tables (0 disables
-    /// blooms entirely).
+    /// Bloom filter bits per key, every level (0 disables blooms
+    /// entirely).
     pub bloom_bits_per_key: u32,
-    /// Bloom filter bits per key for L2 and deeper. Defaults to
-    /// `bloom_bits_per_key` (uniform filters, the seed behavior);
-    /// lowering it trades filter bytes in the large deep levels for a
-    /// higher false-positive read rate there — the per-level filter
-    /// policy RocksDB exposes. Ignored when `bloom_bits_per_key` is 0.
-    pub bloom_bits_per_key_deep: u32,
     /// Block-cache budget in bytes (0 — the default — disables the
     /// cache and keeps the seed read path). The cache is created at
     /// open and shared by every reader generation of this database
@@ -56,13 +50,6 @@ pub struct LsmOptions {
     /// short-lived log pages across the LBA space — an ablation knob for
     /// studying stream mixing in the FTL.
     pub recycle_wal: bool,
-    /// Compaction work budget per flush, as a multiple of the memtable
-    /// size. Bounds how long a single write stalls on compaction (the
-    /// role background compaction threads play in RocksDB); remaining
-    /// debt is drained by subsequent flushes. When L0 reaches twice the
-    /// compaction trigger, the budget is ignored (the hard write-stall
-    /// backpressure).
-    pub compaction_budget_factor: u64,
     /// I/O submission queue depth. At 1 (the default) every read uses
     /// the classic synchronous path; above 1 the engine opens a shared
     /// [`ptsbench_vfs::IoQueue`] and issues its range-scan chunk loads
@@ -94,13 +81,11 @@ impl Default for LsmOptions {
             sstable_target_bytes: 4 << 20,
             block_bytes: 4096,
             bloom_bits_per_key: 10,
-            bloom_bits_per_key_deep: 10,
             cache_bytes: 0,
             compression: Compression::None,
             wal_enabled: true,
             wal_fsync: false,
             recycle_wal: true,
-            compaction_budget_factor: 16,
             queue_depth: 1,
             trace: false,
             maint: MaintConfig::default(),
@@ -121,13 +106,11 @@ impl LsmOptions {
             sstable_target_bytes: 16 << 10,
             block_bytes: 4096,
             bloom_bits_per_key: 10,
-            bloom_bits_per_key_deep: 10,
             cache_bytes: 0,
             compression: Compression::None,
             wal_enabled: true,
             wal_fsync: false,
             recycle_wal: true,
-            compaction_budget_factor: 16,
             queue_depth: 1,
             trace: false,
             maint: MaintConfig::default(),
@@ -150,20 +133,8 @@ impl LsmOptions {
         }
     }
 
-    /// Bloom bits per key for tables written at `level` (0 = an L0
-    /// flush): L0/L1 use the full `bloom_bits_per_key`, deeper levels
-    /// the `bloom_bits_per_key_deep` setting. Returns 0 (blooms off)
-    /// whenever the base knob is 0.
-    pub fn bits_per_key_for(&self, level: usize) -> u32 {
-        if self.bloom_bits_per_key == 0 || level <= 1 {
-            self.bloom_bits_per_key
-        } else {
-            self.bloom_bits_per_key_deep
-        }
-    }
-
     /// Target byte size for level `n` (1-based).
-    pub fn level_target_bytes(&self, level: usize) -> u64 {
+    pub(crate) fn level_target_bytes(&self, level: usize) -> u64 {
         assert!(level >= 1);
         self.l1_target_bytes
             .saturating_mul(self.level_size_multiplier.saturating_pow(level as u32 - 1))
@@ -180,10 +151,6 @@ impl LsmOptions {
         assert!(self.level_size_multiplier >= 2);
         assert!((1..=8).contains(&self.max_levels));
         assert!(self.block_bytes >= 512);
-        assert!(
-            self.compaction_budget_factor >= 2,
-            "budget must cover at least an L0 merge"
-        );
         assert!(self.queue_depth >= 1, "queue depth must be at least 1");
     }
 }
@@ -208,25 +175,6 @@ mod tests {
         assert_eq!(o.level_target_bytes(1), 100);
         assert_eq!(o.level_target_bytes(2), 1_000);
         assert_eq!(o.level_target_bytes(4), 100_000);
-    }
-
-    #[test]
-    fn per_level_bits_split_at_l2() {
-        let o = LsmOptions {
-            bloom_bits_per_key: 14,
-            bloom_bits_per_key_deep: 6,
-            ..Default::default()
-        };
-        assert_eq!(o.bits_per_key_for(0), 14, "L0 flush uses the full bits");
-        assert_eq!(o.bits_per_key_for(1), 14);
-        assert_eq!(o.bits_per_key_for(2), 6);
-        assert_eq!(o.bits_per_key_for(5), 6);
-        let off = LsmOptions {
-            bloom_bits_per_key: 0,
-            bloom_bits_per_key_deep: 6,
-            ..Default::default()
-        };
-        assert_eq!(off.bits_per_key_for(3), 0, "base knob 0 disables blooms");
     }
 
     #[test]

@@ -7,16 +7,16 @@ use ptsbench_vfs::FileSlice;
 use crate::LsmError;
 
 /// Value tag marking a tombstone (no value bytes follow).
-pub const TOMBSTONE_TAG: u32 = u32::MAX;
+pub(crate) const TOMBSTONE_TAG: u32 = u32::MAX;
 
 /// Magic bytes terminating a valid SSTable.
 pub const MAGIC: &[u8; 4] = b"PTSS";
 
 /// Bytes of an entry before its key: `u16` key length, `u32` value tag.
-pub const ENTRY_HEADER_LEN: usize = 2 + 4;
+pub(crate) const ENTRY_HEADER_LEN: usize = 2 + 4;
 
 /// Footer size in bytes.
-pub const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 4 + 4;
+pub(crate) const FOOTER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 4 + 4;
 
 /// Summary of a finished SSTable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,25 +64,25 @@ pub struct BlockIndex {
 
 impl BlockIndex {
     /// First key stored in `block`, an entry of this index.
-    pub fn first_key(&self, block: &IndexEntry) -> &[u8] {
+    pub(crate) fn first_key(&self, block: &IndexEntry) -> &[u8] {
         &self.block[block.first_key.start as usize..block.first_key.end as usize]
     }
 
     /// Whether `slice` is a range of the bytes this index was decoded
     /// from: of the table file's contents as read, when both came from
     /// reads of the file.
-    pub fn shares_buffer(&self, slice: &FileSlice) -> bool {
+    pub(crate) fn shares_buffer(&self, slice: &FileSlice) -> bool {
         self.block.shares_buffer(slice)
     }
 
     /// How many blocks begin at or before `key`: the block that can
     /// hold it is the last of them.
-    pub fn blocks_from(&self, key: &[u8]) -> usize {
+    pub(crate) fn blocks_from(&self, key: &[u8]) -> usize {
         self.entries.partition_point(|e| self.first_key(e) <= key)
     }
 
     /// Decodes an index block: `u32` entry count, then the entries.
-    pub fn decode(block: FileSlice) -> Result<Self, LsmError> {
+    pub(crate) fn decode(block: FileSlice) -> Result<Self, LsmError> {
         let corrupt = || LsmError::Corruption("truncated index".into());
         let buf = &block[..];
         if buf.len() < 4 || buf.len() > u32::MAX as usize {
@@ -119,7 +119,7 @@ impl BlockIndex {
 }
 
 /// Appends one entry of the index block to `out`.
-pub fn encode_index_entry(
+pub(crate) fn encode_index_entry(
     out: &mut Vec<u8>,
     first_key: &[u8],
     offset: u64,
@@ -152,14 +152,14 @@ pub fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
 }
 
 /// A decoded entry: `(key, value-or-tombstone, next_position)`.
-pub type DecodedEntry<'a> = (&'a [u8], Option<&'a [u8]>, usize);
+pub(crate) type DecodedEntry<'a> = (&'a [u8], Option<&'a [u8]>, usize);
 
 /// Where an entry's key and value sit in the buffer it was decoded
 /// from: `(key range, value range or tombstone, next_position)`.
-pub type EntryRanges = (Range<usize>, Option<Range<usize>>, usize);
+pub(crate) type EntryRanges = (Range<usize>, Option<Range<usize>>, usize);
 
 /// Locates the entry at `buf[pos..]` without touching its bytes.
-pub fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
+pub(crate) fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
     let need = |ok: bool| {
         if ok {
             Ok(())
@@ -182,14 +182,14 @@ pub fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
 }
 
 /// Decodes the entry at `buf[pos..]`; returns `(key, value, next_pos)`.
-pub fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
+pub(crate) fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
     let (key, value, next) = entry_ranges(buf, pos)?;
     Ok((&buf[key], value.map(|v| &buf[v]), next))
 }
 
 /// The fixed-size footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Footer {
+pub(crate) struct Footer {
     /// Offset of the index block.
     pub index_off: u64,
     /// Length of the index block.
@@ -206,7 +206,7 @@ pub struct Footer {
 
 impl Footer {
     /// Encodes the footer (always [`FOOTER_LEN`] bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.index_off.to_le_bytes());
         out.extend_from_slice(&self.index_len.to_le_bytes());
         out.extend_from_slice(&self.bloom_off.to_le_bytes());
@@ -217,7 +217,7 @@ impl Footer {
     }
 
     /// Decodes and validates a footer.
-    pub fn decode(buf: &[u8]) -> Result<Self, LsmError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, LsmError> {
         if buf.len() != FOOTER_LEN {
             return Err(LsmError::Corruption(format!("footer length {}", buf.len())));
         }

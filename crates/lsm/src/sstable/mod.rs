@@ -22,5 +22,6 @@ pub mod format;
 pub mod reader;
 
 pub use builder::SstableBuilder;
-pub use format::{SstableMeta, TOMBSTONE_TAG};
-pub use reader::{BloomCounters, ChainedSstScan, SstIter, SstableReader};
+pub use format::SstableMeta;
+pub(crate) use reader::{BloomCounters, ChainedSstScan};
+pub use reader::{SstIter, SstableReader};

@@ -33,7 +33,7 @@ use crate::{LsmError, Result};
 /// so the counts survive readers being dropped when compaction retires
 /// their tables.
 #[derive(Debug, Default)]
-pub struct BloomCounters {
+pub(crate) struct BloomCounters {
     /// Point lookups that consulted a bloom filter.
     pub probes: AtomicU64,
     /// Probes answered "definitely absent" (block read avoided).
@@ -88,13 +88,13 @@ impl std::fmt::Debug for SstableReader {
 
 impl SstableReader {
     /// Attaches the database's shared block cache (point lookups only).
-    pub fn with_cache(mut self, cache: Option<SharedBlockCache>) -> Self {
+    pub(crate) fn with_cache(mut self, cache: Option<SharedBlockCache>) -> Self {
         self.cache = cache;
         self
     }
 
     /// Attaches the database's shared bloom traffic counters.
-    pub fn with_blooms(mut self, blooms: Option<Arc<BloomCounters>>) -> Self {
+    pub(crate) fn with_blooms(mut self, blooms: Option<Arc<BloomCounters>>) -> Self {
         self.blooms = blooms;
         self
     }
@@ -183,7 +183,7 @@ impl SstableReader {
     }
 
     /// Largest key in the table (reads the final data block).
-    pub fn last_key(&self) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn last_key(&self) -> Result<Option<Vec<u8>>> {
         let Some(block) = self.index.entries.last() else {
             return Ok(None);
         };
@@ -308,7 +308,7 @@ impl SstableReader {
 
     /// Full scan with background I/O (compaction threads): reads consume
     /// media bandwidth without advancing the simulated clock.
-    pub fn iter_bg(&self) -> SstIter<'_> {
+    pub(crate) fn iter_bg(&self) -> SstIter<'_> {
         WindowScan::over(self.windows(0, true))
     }
 
@@ -654,10 +654,10 @@ impl WindowSource for TableWindows<'_> {
 /// table, strictly serially. Chained batching keeps `depth` window
 /// reads in flight, overlapping those base latencies — the same reason
 /// io_uring-driven scans beat synchronous readahead on real NVMe.
-pub type ChainedSstScan<'a> = WindowScan<ChainWindows<'a>>;
+pub(crate) type ChainedSstScan<'a> = WindowScan<ChainWindows<'a>>;
 
 /// The readahead windows of a chain of tables, in key order.
-pub struct ChainWindows<'a> {
+pub(crate) struct ChainWindows<'a> {
     tables: Vec<&'a SstableReader>,
     queue: SharedIoQueue,
     /// Cursor of the next window to load.

@@ -11,7 +11,7 @@ use crate::sstable::{SstableMeta, SstableReader};
 
 /// An open table plus its metadata.
 #[derive(Debug)]
-pub struct TableHandle {
+pub(crate) struct TableHandle {
     /// Summary metadata (key range, sizes).
     pub meta: SstableMeta,
     /// The open reader (index and bloom cached).
@@ -21,13 +21,13 @@ pub struct TableHandle {
 /// The level structure. `levels[0]` is L0 (overlapping, newest last);
 /// `levels[i >= 1]` are sorted non-overlapping runs.
 #[derive(Debug)]
-pub struct Version {
+pub(crate) struct Version {
     levels: Vec<Vec<Arc<TableHandle>>>,
 }
 
 impl Version {
     /// An empty manifest with `max_levels` levels (including L0).
-    pub fn new(max_levels: usize) -> Self {
+    pub(crate) fn new(max_levels: usize) -> Self {
         assert!(max_levels >= 2, "need at least L0 and L1");
         Self {
             levels: vec![Vec::new(); max_levels],
@@ -35,49 +35,49 @@ impl Version {
     }
 
     /// Number of levels (including L0).
-    pub fn level_count(&self) -> usize {
+    pub(crate) fn level_count(&self) -> usize {
         self.levels.len()
     }
 
     /// Tables at `level` (L0: oldest..newest; L1+: key order).
-    pub fn tables(&self, level: usize) -> &[Arc<TableHandle>] {
+    pub(crate) fn tables(&self, level: usize) -> &[Arc<TableHandle>] {
         &self.levels[level]
     }
 
     /// Registers a freshly flushed table in L0.
-    pub fn push_l0(&mut self, handle: Arc<TableHandle>) {
+    pub(crate) fn push_l0(&mut self, handle: Arc<TableHandle>) {
         self.levels[0].push(handle);
     }
 
     /// Total bytes at `level`.
-    pub fn bytes_at(&self, level: usize) -> u64 {
+    pub(crate) fn bytes_at(&self, level: usize) -> u64 {
         self.levels[level].iter().map(|h| h.meta.file_bytes).sum()
     }
 
     /// Total bytes across all levels.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         (0..self.levels.len()).map(|l| self.bytes_at(l)).sum()
     }
 
-    /// Total number of tables.
-    pub fn table_count(&self) -> usize {
-        self.levels.iter().map(|l| l.len()).sum()
-    }
-
     /// Deepest level index holding any table, or `None` when empty.
-    pub fn deepest_nonempty(&self) -> Option<usize> {
+    pub(crate) fn deepest_nonempty(&self) -> Option<usize> {
         (0..self.levels.len())
             .rev()
             .find(|&l| !self.levels[l].is_empty())
     }
 
     /// Whether any level deeper than `level` holds data.
-    pub fn has_data_below(&self, level: usize) -> bool {
+    pub(crate) fn has_data_below(&self, level: usize) -> bool {
         self.levels[level + 1..].iter().any(|l| !l.is_empty())
     }
 
     /// Tables at `level >= 1` overlapping `[min, max]`, in key order.
-    pub fn overlapping(&self, level: usize, min: &[u8], max: &[u8]) -> Vec<Arc<TableHandle>> {
+    pub(crate) fn overlapping(
+        &self,
+        level: usize,
+        min: &[u8],
+        max: &[u8],
+    ) -> Vec<Arc<TableHandle>> {
         assert!(level >= 1, "L0 requires scanning all tables");
         self.levels[level]
             .iter()
@@ -87,7 +87,7 @@ impl Version {
     }
 
     /// The single table at `level >= 1` that may contain `key`, if any.
-    pub fn table_for_key(&self, level: usize, key: &[u8]) -> Option<&Arc<TableHandle>> {
+    pub(crate) fn table_for_key(&self, level: usize, key: &[u8]) -> Option<&Arc<TableHandle>> {
         assert!(level >= 1);
         let tables = &self.levels[level];
         // Last table whose min_key <= key.
@@ -102,7 +102,7 @@ impl Version {
     /// Applies a compaction edit: removes `removed` (by name) from
     /// `source_level` and `target_level`, inserts `added` into
     /// `target_level` keeping key order.
-    pub fn apply_compaction(
+    pub(crate) fn apply_compaction(
         &mut self,
         source_level: usize,
         target_level: usize,
@@ -118,7 +118,7 @@ impl Version {
     }
 
     /// Validates the level structure (L1+ sorted and non-overlapping).
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         for (lvl, tables) in self.levels.iter().enumerate().skip(1) {
             for w in tables.windows(2) {
                 assert!(
@@ -134,7 +134,7 @@ impl Version {
     }
 
     /// Per-level summary: `(level, table count, bytes)`.
-    pub fn summary(&self) -> Vec<(usize, usize, u64)> {
+    pub(crate) fn summary(&self) -> Vec<(usize, usize, u64)> {
         (0..self.levels.len())
             .map(|l| (l, self.levels[l].len(), self.bytes_at(l)))
             .collect()

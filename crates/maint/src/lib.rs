@@ -11,23 +11,37 @@
 //! sustained writes becomes a measurable quantity instead of a
 //! pathology.
 //!
-//! The knob set follows Marble's background compactor: `merge_ratio`
-//! (level-size hysteresis before a merge is scheduled), `merge_window`
-//! (how many runs may accumulate before merging), and `max_space_amp`
-//! (the space-amplification ceiling past which pacing yields to
-//! urgency). Engines own a [`MaintScheduler`] per shard; the harness
-//! pumps [`slices`](MaintScheduler) between foreground ops on the
-//! shard's private clock.
+//! The scheduling rules follow Marble's background compactor:
+//! `merge_window` (how many runs may accumulate before merging), a
+//! level-size hysteresis before a merge is scheduled (the LSM's
+//! `MERGE_RATIO`), and [`MAX_SPACE_AMP`] (the space-amplification
+//! ceiling past which pacing yields to urgency). Engines own a
+//! [`MaintScheduler`] per shard; the harness pumps
+//! [`slices`](MaintScheduler) between foreground ops on the shard's
+//! private clock.
+
+#![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 
-pub mod rate;
+mod rate;
 
 pub use rate::RateBudget;
 
 /// Virtual nanoseconds (mirrors `ptsbench_ssd::Ns`; redeclared so this
 /// crate stays dependency-free and usable from every layer).
 pub type Ns = u64;
+
+/// Marble `max_space_amp`: once an engine's measured space
+/// amplification exceeds this factor, pacing is bypassed and
+/// maintenance runs at urgency (the bucket may overdraw freely).
+pub const MAX_SPACE_AMP: u64 = 2;
+
+/// Device-backlog gate: when outstanding background traffic already
+/// queues more than this many virtual nanoseconds of device time, slices
+/// wait rather than pile on (keeps foreground reads from queueing behind
+/// a compaction burst).
+const MAX_BACKLOG_NS: Ns = 2_000_000;
 
 /// Pacing and scheduling knobs for background maintenance.
 ///
@@ -50,22 +64,9 @@ pub struct MaintConfig {
     /// the interleaving quantum: smaller slices bound foreground stalls
     /// tighter at the cost of more scheduling overhead.
     pub slice_bytes: u64,
-    /// Device-backlog gate: when outstanding background traffic already
-    /// queues more than this many virtual nanoseconds of device time,
-    /// slices wait rather than pile on (keeps foreground reads from
-    /// queueing behind a compaction burst).
-    pub max_backlog_ns: Ns,
-    /// Marble `merge_ratio`: a level schedules a merge only once it
-    /// exceeds `(1 + 1/merge_ratio)` times its target size. Larger
-    /// ratios defer merges (less write-amp, more space-amp).
-    pub merge_ratio: u64,
     /// Marble `merge_window`: how many L0 runs may accumulate before a
     /// background merge is scheduled.
     pub merge_window: usize,
-    /// Marble `max_space_amp`: once measured space amplification exceeds
-    /// this factor, pacing is bypassed and maintenance runs at urgency
-    /// (the bucket may overdraw freely).
-    pub max_space_amp: u64,
 }
 
 impl Default for MaintConfig {
@@ -75,10 +76,7 @@ impl Default for MaintConfig {
             rate_bytes_per_sec: 64 << 20,
             burst_bytes: 1 << 20,
             slice_bytes: 128 << 10,
-            max_backlog_ns: 2_000_000,
-            merge_ratio: 3,
             merge_window: 10,
-            max_space_amp: 2,
         }
     }
 }
@@ -92,12 +90,6 @@ impl MaintConfig {
             enabled: true,
             ..Self::default()
         }
-    }
-
-    /// Builder-style rate override.
-    pub fn with_rate(mut self, bytes_per_sec: u64) -> Self {
-        self.rate_bytes_per_sec = bytes_per_sec;
-        self
     }
 }
 
@@ -349,7 +341,7 @@ impl MaintScheduler {
 
     /// Whether the budget permits a slice at `now`. `forced` bypasses
     /// pacing (backpressure or space-amp urgency).
-    pub fn budget_ready(&mut self, now: Ns, forced: bool) -> bool {
+    pub(crate) fn budget_ready(&mut self, now: Ns, forced: bool) -> bool {
         forced || self.budget.ready(now)
     }
 
@@ -368,7 +360,7 @@ impl MaintScheduler {
     /// ticket; otherwise the next ticket is consumed. `forced` bypasses
     /// both gates.
     pub fn admit(&mut self, now: Ns, backlog: Ns, forced: bool, in_flight: bool) -> Admission {
-        if !forced && backlog > self.cfg.max_backlog_ns {
+        if !forced && backlog > MAX_BACKLOG_NS {
             return Admission::Gated;
         }
         if !in_flight {
@@ -421,7 +413,6 @@ mod tests {
         let cfg = MaintConfig::default();
         assert!(!cfg.enabled);
         assert!(MaintConfig::enabled().enabled);
-        assert_eq!(MaintConfig::enabled().with_rate(7).rate_bytes_per_sec, 7);
     }
 
     #[test]
@@ -470,7 +461,7 @@ mod tests {
         let mut s = MaintScheduler::new(cfg, 0);
         assert_eq!(s.admit(0, 0, false, false), Admission::Gated, "no ticket");
         s.enqueue(JobKind::SegmentGc);
-        let deep = cfg.max_backlog_ns + 1;
+        let deep = MAX_BACKLOG_NS + 1;
         assert_eq!(s.admit(0, deep, false, false), Admission::Gated);
         assert_eq!(s.pending(), 1, "a gated slice keeps its ticket");
         assert_eq!(

@@ -226,7 +226,7 @@ mod tests {
         use super::super::{BASE_NS, BUCKETS, GROWTH};
 
         #[derive(Debug, Clone)]
-        pub struct LatencyHistogram {
+        pub(super) struct LatencyHistogram {
             counts: Vec<u64>,
             total: u64,
             sum_ns: u128,
@@ -235,7 +235,7 @@ mod tests {
         }
 
         impl LatencyHistogram {
-            pub fn new() -> Self {
+            pub(super) fn new() -> Self {
                 Self {
                     counts: vec![0; BUCKETS],
                     total: 0,
@@ -245,7 +245,7 @@ mod tests {
                 }
             }
 
-            pub fn record(&mut self, ns: u64) {
+            pub(super) fn record(&mut self, ns: u64) {
                 let idx = Self::bucket_of(ns);
                 self.counts[idx] += 1;
                 self.total += 1;
@@ -262,11 +262,11 @@ mod tests {
                 idx.min(BUCKETS - 1)
             }
 
-            pub fn count(&self) -> u64 {
+            pub(super) fn count(&self) -> u64 {
                 self.total
             }
 
-            pub fn mean(&self) -> f64 {
+            pub(super) fn mean(&self) -> f64 {
                 if self.total == 0 {
                     0.0
                 } else {
@@ -274,7 +274,7 @@ mod tests {
                 }
             }
 
-            pub fn max(&self) -> u64 {
+            pub(super) fn max(&self) -> u64 {
                 if self.total == 0 {
                     0
                 } else {
@@ -282,7 +282,7 @@ mod tests {
                 }
             }
 
-            pub fn min(&self) -> u64 {
+            pub(super) fn min(&self) -> u64 {
                 if self.total == 0 {
                     0
                 } else {
@@ -290,7 +290,7 @@ mod tests {
                 }
             }
 
-            pub fn quantile(&self, q: f64) -> u64 {
+            pub(super) fn quantile(&self, q: f64) -> u64 {
                 assert!((0.0..=1.0).contains(&q));
                 if self.total == 0 {
                     return 0;
@@ -306,7 +306,7 @@ mod tests {
                 self.max_ns
             }
 
-            pub fn fraction_at_most(&self, ns: u64) -> f64 {
+            pub(super) fn fraction_at_most(&self, ns: u64) -> f64 {
                 if self.total == 0 {
                     return 1.0;
                 }
@@ -328,7 +328,7 @@ mod tests {
                 cum as f64 / self.total as f64
             }
 
-            pub fn cdf_points(&self) -> Vec<(u64, f64)> {
+            pub(super) fn cdf_points(&self) -> Vec<(u64, f64)> {
                 let mut out = Vec::new();
                 if self.total == 0 {
                     return out;
@@ -350,7 +350,7 @@ mod tests {
                 out
             }
 
-            pub fn merge(&mut self, other: &LatencyHistogram) {
+            pub(super) fn merge(&mut self, other: &LatencyHistogram) {
                 if other.total == 0 {
                     return;
                 }
@@ -363,7 +363,7 @@ mod tests {
                 self.min_ns = self.min_ns.min(other.min_ns);
             }
 
-            pub fn reset(&mut self) {
+            pub(super) fn reset(&mut self) {
                 self.counts.fill(0);
                 self.total = 0;
                 self.sum_ns = 0;

@@ -86,7 +86,7 @@ pub fn render_heatmap(h: &Heatmap) -> String {
 }
 
 /// Compact byte formatting ("1T", "500G", "64M").
-pub fn format_bytes_short(bytes: u64) -> String {
+pub(crate) fn format_bytes_short(bytes: u64) -> String {
     const K: u64 = 1024;
     if bytes >= K * K * K * K && bytes.is_multiple_of(K * K * K * K) {
         format!("{}T", bytes / (K * K * K * K))

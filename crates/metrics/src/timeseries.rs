@@ -63,21 +63,6 @@ impl TimeSeries {
         self.points.last().map(|&(_, v)| v)
     }
 
-    /// Mean of all samples with `start <= t < end`.
-    pub fn mean_between(&self, start: Ns, end: Ns) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= start && t < end)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
     /// Mean of the first `n` samples (the "short test" measurement of
     /// Pitfall 1).
     pub fn early_mean(&self, n: usize) -> Option<f64> {
@@ -191,13 +176,6 @@ mod tests {
         assert!((early - 9.5).abs() < 1e-9);
         assert!((tail - 3.0).abs() < 1e-9);
         assert!(early / tail > 3.0);
-    }
-
-    #[test]
-    fn mean_between_filters_by_time() {
-        let s = series(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.mean_between(100, 300), Some(2.5));
-        assert_eq!(s.mean_between(1000, 2000), None);
     }
 
     #[test]

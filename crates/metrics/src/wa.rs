@@ -62,17 +62,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// The paper's *user-level write amplification* (§3.3(iii)): device write
-/// throughput divided by (KV-store throughput × KV pair size). Computed
-/// from windowed rates instead of cumulative counters.
-pub fn user_level_wa(device_write_bytes_per_s: f64, kv_ops_per_s: f64, kv_pair_bytes: u64) -> f64 {
-    let app_rate = kv_ops_per_s * kv_pair_bytes as f64;
-    if app_rate <= 0.0 {
-        return 0.0;
-    }
-    device_write_bytes_per_s / app_rate
-}
-
 /// Space amplification (§2.1.4, §3.3(v)): bytes occupied on the drive
 /// divided by the logical dataset size.
 pub fn space_amplification(disk_used_bytes: u64, dataset_bytes: u64) -> f64 {
@@ -154,14 +143,6 @@ mod tests {
         );
         assert!((d.wa_a() - 4.0).abs() < 1e-9);
         assert!((d.wa_d() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn user_level_wa_from_rates() {
-        // 150 MB/s device writes at 3000 ops/s of 4016-byte pairs.
-        let wa = user_level_wa(150e6, 3000.0, 4016);
-        assert!((wa - 150e6 / (3000.0 * 4016.0)).abs() < 1e-9);
-        assert_eq!(user_level_wa(150e6, 0.0, 4016), 0.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl DestageQueue {
     /// A queue with room for `capacity` pages. Capacity 0 means
     /// "no cache": [`DestageQueue::admit`] always returns `now` and the
     /// caller must treat the media completion as the host completion.
-    pub fn new(capacity: u32) -> Self {
+    pub(crate) fn new(capacity: u32) -> Self {
         Self {
             capacity: capacity as usize,
             inflight: VecDeque::new(),
@@ -34,19 +34,14 @@ impl DestageQueue {
     }
 
     /// Whether the device has a cache at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity > 0
-    }
-
-    /// Cache capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Earliest time (>= `now`) at which the host may *start* a new write,
     /// i.e. when a cache slot is available. Entries that completed by the
     /// returned time are drained.
-    pub fn admit(&mut self, now: Ns) -> Ns {
+    pub(crate) fn admit(&mut self, now: Ns) -> Ns {
         if self.capacity == 0 {
             return now;
         }
@@ -62,7 +57,7 @@ impl DestageQueue {
     }
 
     /// Registers the destage completion time of an admitted write.
-    pub fn push(&mut self, completion: Ns) {
+    pub(crate) fn push(&mut self, completion: Ns) {
         if self.capacity == 0 {
             return;
         }
@@ -73,20 +68,8 @@ impl DestageQueue {
         self.inflight.push_back(completion);
     }
 
-    /// Number of dirty pages still in flight at `now`.
-    pub fn occupancy(&mut self, now: Ns) -> usize {
-        self.drain(now);
-        self.inflight.len()
-    }
-
-    /// Completion time of the last in-flight destage (or `now` if empty):
-    /// the point at which the cache is fully clean.
-    pub fn drained_at(&self, now: Ns) -> Ns {
-        self.inflight.back().copied().unwrap_or(now).max(now)
-    }
-
     /// Forgets all in-flight state (device reset).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.inflight.clear();
     }
 
@@ -101,13 +84,19 @@ impl DestageQueue {
 mod tests {
     use super::*;
 
+    /// Dirty pages still in flight at `now`.
+    fn occupancy(q: &mut DestageQueue, now: Ns) -> usize {
+        q.drain(now);
+        q.inflight.len()
+    }
+
     #[test]
     fn admits_freely_when_room() {
         let mut q = DestageQueue::new(4);
         assert_eq!(q.admit(100), 100);
         q.push(500);
         assert_eq!(q.admit(100), 100);
-        assert_eq!(q.occupancy(100), 1);
+        assert_eq!(occupancy(&mut q, 100), 1);
     }
 
     #[test]
@@ -130,8 +119,8 @@ mod tests {
         let mut q = DestageQueue::new(2);
         q.push(100);
         q.push(200);
-        assert_eq!(q.occupancy(150), 1);
-        assert_eq!(q.occupancy(250), 0);
+        assert_eq!(occupancy(&mut q, 150), 1);
+        assert_eq!(occupancy(&mut q, 250), 0);
         assert_eq!(q.admit(250), 250);
     }
 
@@ -141,17 +130,7 @@ mod tests {
         assert!(!q.enabled());
         assert_eq!(q.admit(42), 42);
         q.push(1000); // ignored
-        assert_eq!(q.occupancy(42), 0);
-    }
-
-    #[test]
-    fn drained_at_tracks_tail() {
-        let mut q = DestageQueue::new(4);
-        assert_eq!(q.drained_at(10), 10);
-        q.push(500);
-        q.push(900);
-        assert_eq!(q.drained_at(10), 900);
-        assert_eq!(q.drained_at(1000), 1000);
+        assert_eq!(occupancy(&mut q, 42), 0);
     }
 
     #[test]

@@ -45,21 +45,8 @@ pub struct Geometry {
 
 impl Geometry {
     /// Total physical pages.
-    pub fn physical_pages(&self) -> u64 {
+    pub(crate) fn physical_pages(&self) -> u64 {
         self.physical_blocks as u64 * self.pages_per_block as u64
-    }
-
-    /// Advertised capacity in bytes.
-    pub fn logical_bytes(&self) -> u64 {
-        self.logical_pages * self.page_size as u64
-    }
-
-    /// Fraction of physical space not advertised to the host
-    /// (the hardware over-provisioning).
-    pub fn hardware_op_fraction(&self) -> f64 {
-        let phys = self.physical_pages() as f64;
-        let logi = self.logical_pages as f64;
-        (phys - logi) / logi
     }
 
     /// Validates internal consistency; panics with a description on error.
@@ -348,14 +335,12 @@ mod tests {
             physical_blocks: 5,
         };
         assert_eq!(g.physical_pages(), 1280);
-        assert_eq!(g.logical_bytes(), 4096 * 1024);
-        assert!((g.hardware_op_fraction() - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn profile_scaling_preserves_op_fraction() {
-        let cfg = DeviceProfile::ssd1().scaled_to(512 * MB);
-        let op = cfg.geometry.hardware_op_fraction();
+        let g = DeviceProfile::ssd1().scaled_to(512 * MB).geometry;
+        let op = (g.physical_pages() - g.logical_pages) as f64 / g.logical_pages as f64;
         assert!(
             (0.27..=0.30).contains(&op),
             "OP fraction {op} strayed from profile"

@@ -87,7 +87,7 @@ impl Ssd {
     }
 
     /// Builds a device sharing an existing clock.
-    pub fn with_clock(cfg: DeviceConfig, clock: Arc<SimClock>) -> Self {
+    pub(crate) fn with_clock(cfg: DeviceConfig, clock: Arc<SimClock>) -> Self {
         cfg.validate();
         let ftl = Ftl::new(cfg.geometry, cfg.gc, cfg.gc_policy);
         let cache = DestageQueue::new(cfg.cache.capacity_pages);

@@ -34,7 +34,7 @@ pub enum GcPolicy {
 /// greedy selection and carrying close timestamps for cost-benefit
 /// scoring.
 #[derive(Debug, Default)]
-pub struct CandidateSet {
+pub(crate) struct CandidateSet {
     /// Bucket `v` is `bits[v * words..(v + 1) * words]`; bit `b` of it
     /// is set iff block `b` is a candidate with `v` valid pages.
     bits: Vec<u64>,
@@ -48,7 +48,7 @@ pub struct CandidateSet {
 impl CandidateSet {
     /// A candidate set able to track `blocks` block ids of
     /// `pages_per_block` pages each.
-    pub fn new(blocks: u32, pages_per_block: u32) -> Self {
+    pub(crate) fn new(blocks: u32, pages_per_block: u32) -> Self {
         let words = (blocks as usize).div_ceil(64);
         Self {
             bits: vec![0; (pages_per_block as usize + 1) * words],
@@ -58,16 +58,11 @@ impl CandidateSet {
     }
 
     /// Number of candidate blocks.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bits
             .iter()
             .map(|word| word.count_ones() as usize)
             .sum()
-    }
-
-    /// Whether there are no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&word| word == 0)
     }
 
     /// The word and mask of `block`'s bit in bucket `valid`.
@@ -93,21 +88,21 @@ impl CandidateSet {
 
     /// Adds a freshly closed block with `valid` valid pages at logical
     /// sequence `seq`.
-    pub fn insert(&mut self, block: BlockId, valid: u32, seq: u64) {
+    pub(crate) fn insert(&mut self, block: BlockId, valid: u32, seq: u64) {
         let inserted = self.mark(valid, block, true);
         debug_assert!(inserted, "block {block} already a GC candidate");
         self.closed_seq[block as usize] = seq;
     }
 
     /// Updates a candidate's valid count after a page invalidation.
-    pub fn update_valid(&mut self, block: BlockId, old_valid: u32, new_valid: u32) {
+    pub(crate) fn update_valid(&mut self, block: BlockId, old_valid: u32, new_valid: u32) {
         let removed = self.mark(old_valid, block, false);
         debug_assert!(removed, "block {block} missing from candidate set");
         self.mark(new_valid, block, true);
     }
 
     /// Removes a block (it is about to be erased or reopened).
-    pub fn remove(&mut self, block: BlockId, valid: u32) {
+    pub(crate) fn remove(&mut self, block: BlockId, valid: u32) {
         let removed = self.mark(valid, block, false);
         debug_assert!(removed, "block {block} missing from candidate set");
     }
@@ -133,7 +128,7 @@ impl CandidateSet {
     /// Picks a victim under `policy`; returns `(block, valid_count)`.
     /// `now_seq` is the current logical sequence (for age computation).
     /// Returns `None` when there are no candidates.
-    pub fn pick(
+    pub(crate) fn pick(
         &self,
         policy: GcPolicy,
         pages_per_block: u32,
@@ -164,7 +159,7 @@ impl CandidateSet {
     }
 
     /// Checks internal consistency against externally tracked valid counts.
-    pub fn check_member(&self, block: BlockId, valid: u32) -> bool {
+    pub(crate) fn check_member(&self, block: BlockId, valid: u32) -> bool {
         let (word, mask) = self.slot(valid, block);
         self.bits[word] & mask != 0
     }
@@ -199,7 +194,7 @@ mod tests {
         c.insert(2, 7, 1);
         assert_eq!(c.len(), 1);
         c.remove(2, 7);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.pick(GcPolicy::Greedy, 256, 10), None);
     }
 

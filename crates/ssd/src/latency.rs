@@ -32,18 +32,6 @@ pub struct LatencyConfig {
     pub read_base_latency_ns: Ns,
 }
 
-impl LatencyConfig {
-    /// Sustained write bandwidth implied by the occupancy, bytes/second.
-    pub fn write_bandwidth_bps(&self, page_size: u32) -> f64 {
-        page_size as f64 * 1e9 / self.program_occupancy_ns as f64
-    }
-
-    /// Sustained read bandwidth implied by the occupancy, bytes/second.
-    pub fn read_bandwidth_bps(&self, page_size: u32) -> f64 {
-        page_size as f64 * 1e9 / self.read_occupancy_ns as f64
-    }
-}
-
 /// A backend timeline: one or more service lanes fed by a common
 /// reservation stream.
 ///
@@ -57,8 +45,6 @@ impl LatencyConfig {
 pub struct Backend {
     /// Per-lane busy horizon.
     lanes: Vec<Ns>,
-    /// Total busy time ever reserved (for utilization accounting).
-    total_busy: Ns,
 }
 
 impl Default for Backend {
@@ -78,20 +64,14 @@ impl Backend {
         assert!(lanes > 0, "backend needs at least one lane");
         Self {
             lanes: vec![0; lanes],
-            total_busy: 0,
         }
-    }
-
-    /// Number of parallel service lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Reserves `cost` nanoseconds of backend time starting no earlier
     /// than `now` on the earliest-free lane (lowest index on ties, so
     /// placement is deterministic); returns the completion time of this
     /// reservation.
-    pub fn reserve(&mut self, now: Ns, cost: Ns) -> Ns {
+    pub(crate) fn reserve(&mut self, now: Ns, cost: Ns) -> Ns {
         let lane = self
             .lanes
             .iter()
@@ -101,31 +81,24 @@ impl Backend {
             .expect("at least one lane");
         let start = self.lanes[lane].max(now);
         self.lanes[lane] = start + cost;
-        self.total_busy += cost;
         self.lanes[lane]
     }
 
     /// Time at which all currently queued work completes (the horizon of
     /// the busiest lane).
-    pub fn busy_until(&self) -> Ns {
+    pub(crate) fn busy_until(&self) -> Ns {
         self.lanes.iter().copied().max().unwrap_or(0)
     }
 
     /// Backlog (queued work) relative to `now`, in nanoseconds.
-    pub fn backlog(&self, now: Ns) -> Ns {
+    pub(crate) fn backlog(&self, now: Ns) -> Ns {
         self.busy_until().saturating_sub(now)
     }
 
-    /// Cumulative busy time reserved since construction/reset.
-    pub fn total_busy(&self) -> Ns {
-        self.total_busy
-    }
-
-    /// Clears backlog and accounting (used when resetting drive state
-    /// between experiment phases).
-    pub fn reset(&mut self, now: Ns) {
+    /// Clears backlog (used when resetting drive state between
+    /// experiment phases).
+    pub(crate) fn reset(&mut self, now: Ns) {
         self.lanes.fill(now);
-        self.total_busy = 0;
     }
 }
 
@@ -139,7 +112,6 @@ mod tests {
         assert_eq!(b.reserve(0, 10), 10);
         assert_eq!(b.reserve(0, 10), 20, "second op queues behind the first");
         assert_eq!(b.reserve(100, 10), 110, "idle gap is not carried over");
-        assert_eq!(b.total_busy(), 30);
     }
 
     #[test]
@@ -148,20 +120,6 @@ mod tests {
         b.reserve(0, 50);
         assert_eq!(b.backlog(20), 30);
         assert_eq!(b.backlog(60), 0);
-    }
-
-    #[test]
-    fn bandwidth_round_trip() {
-        let lat = LatencyConfig {
-            program_occupancy_ns: 4_096,
-            read_occupancy_ns: 1_024,
-            erase_occupancy_ns: 8_192,
-            cache_write_latency_ns: 20_000,
-            read_base_latency_ns: 90_000,
-        };
-        // 4096-byte page each 4096 ns => 1 byte/ns => 1e9 B/s.
-        assert!((lat.write_bandwidth_bps(4096) - 1e9).abs() < 1.0);
-        assert!((lat.read_bandwidth_bps(4096) - 4e9).abs() < 4.0);
     }
 
     #[test]
@@ -176,12 +134,11 @@ mod tests {
     #[test]
     fn lanes_overlap_reservations() {
         let mut b = Backend::with_lanes(2);
-        assert_eq!(b.lanes(), 2);
+        assert_eq!(b.lanes.len(), 2);
         assert_eq!(b.reserve(0, 10), 10, "lane 0");
         assert_eq!(b.reserve(0, 10), 10, "lane 1 runs concurrently");
         assert_eq!(b.reserve(0, 10), 20, "third op queues on lane 0");
         assert_eq!(b.busy_until(), 20);
-        assert_eq!(b.total_busy(), 30);
         b.reset(100);
         assert_eq!(b.backlog(100), 0);
         assert_eq!(b.reserve(100, 5), 105);
@@ -191,7 +148,7 @@ mod tests {
     fn single_lane_matches_legacy_serialization() {
         // Backend::new() must preserve the exact pre-lanes semantics.
         let mut b = Backend::new();
-        assert_eq!(b.lanes(), 1);
+        assert_eq!(b.lanes.len(), 1);
         assert_eq!(b.reserve(0, 10), 10);
         assert_eq!(b.reserve(0, 10), 20);
     }

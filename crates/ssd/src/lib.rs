@@ -53,17 +53,17 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod clock;
+mod clock;
 pub mod config;
-pub mod device;
+mod device;
 pub mod ftl;
 pub mod gc;
 pub mod latency;
-pub mod probe;
+mod probe;
 pub mod queue;
 pub mod stats;
 pub mod trace;
-pub mod types;
+mod types;
 
 pub use clock::{ClockBarrier, Ns, SimClock, MICROSECOND, MILLISECOND, MINUTE, SECOND};
 pub use config::{CacheConfig, DeviceConfig, DeviceProfile, GcConfig, Geometry, MediaKind};
@@ -72,14 +72,13 @@ pub use device::{Ssd, WriteCompletion};
 pub use ftl::{Ftl, NandOps};
 pub use gc::GcPolicy;
 pub use latency::LatencyConfig;
-pub use probe::DeviceProbe;
 pub use ptsbench_trace::{
     Cause, CauseCounters, CauseStats, SharedTraceRecorder, Span, SpanId, TraceRecorder, Tracer,
 };
-pub use queue::{IoCmd, IoCompletion, IoDepthStats, IoQueue, IoTimes, IoToken, SharedIoQueue};
+pub use queue::{IoCmd, IoCompletion, IoDepthStats, IoQueue, IoToken, SharedIoQueue};
 pub use stats::SmartCounters;
 pub use trace::WriteTrace;
-pub use types::{BlockId, Lpn, LpnRange, Ppn};
+pub use types::{Lpn, LpnRange};
 
 /// Errors surfaced by the SSD simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

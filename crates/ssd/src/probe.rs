@@ -31,7 +31,7 @@ use crate::types::Lpn;
 /// hooks. All sinks are disabled by default; the device's command path
 /// calls the hooks unconditionally and the probe filters.
 #[derive(Debug, Default)]
-pub struct DeviceProbe {
+pub(crate) struct DeviceProbe {
     trace: Option<WriteTrace>,
     io_depth: IoDepthStats,
     cause: CauseStats,
@@ -41,7 +41,7 @@ pub struct DeviceProbe {
 
 impl DeviceProbe {
     /// A probe with every sink disabled.
-    pub fn new(trace: Option<WriteTrace>) -> Self {
+    pub(crate) fn new(trace: Option<WriteTrace>) -> Self {
         Self {
             trace,
             ..Self::default()
@@ -51,14 +51,14 @@ impl DeviceProbe {
     // ---- host-command hooks (called by the device's service path) ----
 
     /// One host page written at `lpn`.
-    pub fn note_host_write(&mut self, lpn: Lpn) {
+    pub(crate) fn note_host_write(&mut self, lpn: Lpn) {
         if let Some(t) = self.trace.as_mut() {
             t.record(lpn);
         }
     }
 
     /// One queued submission with `in_flight` commands outstanding.
-    pub fn note_queue_submission(&mut self, in_flight: u64) {
+    pub(crate) fn note_queue_submission(&mut self, in_flight: u64) {
         self.io_depth.submitted += 1;
         self.io_depth.depth_sum += in_flight;
         self.io_depth.max_in_flight = self.io_depth.max_in_flight.max(in_flight);
@@ -66,21 +66,21 @@ impl DeviceProbe {
 
     /// Charges `bytes` of host writes to the current cause (only while
     /// a tracer is attached — cause accounting is part of tracing).
-    pub fn note_write_bytes(&mut self, bytes: u64) {
+    pub(crate) fn note_write_bytes(&mut self, bytes: u64) {
         if self.tracer.is_on() {
             self.cause.note_write(self.current_cause(), bytes);
         }
     }
 
     /// Charges `bytes` of host reads to the current cause.
-    pub fn note_read_bytes(&mut self, bytes: u64) {
+    pub(crate) fn note_read_bytes(&mut self, bytes: u64) {
         if self.tracer.is_on() {
             self.cause.note_read(self.current_cause(), bytes);
         }
     }
 
     /// Charges `erases` block erases to the current cause.
-    pub fn note_erases(&mut self, erases: u64) {
+    pub(crate) fn note_erases(&mut self, erases: u64) {
         if erases > 0 && self.tracer.is_on() {
             self.cause.note_erases(self.current_cause(), erases);
         }
@@ -90,57 +90,57 @@ impl DeviceProbe {
 
     /// Enters a cause scope: subsequent device traffic is charged to
     /// `cause` until the matching [`DeviceProbe::pop_cause`].
-    pub fn push_cause(&mut self, cause: Cause) {
+    pub(crate) fn push_cause(&mut self, cause: Cause) {
         self.cause_stack.push(cause);
     }
 
     /// Leaves the innermost cause scope.
-    pub fn pop_cause(&mut self) {
+    pub(crate) fn pop_cause(&mut self) {
         self.cause_stack.pop();
     }
 
     /// The innermost active cause ([`Cause::Other`] outside any scope).
-    pub fn current_cause(&self) -> Cause {
+    pub(crate) fn current_cause(&self) -> Cause {
         self.cause_stack.last().copied().unwrap_or(Cause::Other)
     }
 
     // ---- sink management ----
 
     /// Attaches a span tracer (enables cause accounting too).
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn attach_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
     /// The attached tracer (the off tracer when none was attached).
-    pub fn tracer(&self) -> &Tracer {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
     /// Per-cause traffic since the last reset; `None` when no tracer is
     /// attached (cause accounting is then inactive).
-    pub fn cause_stats(&self) -> Option<CauseStats> {
+    pub(crate) fn cause_stats(&self) -> Option<CauseStats> {
         self.tracer.is_on().then_some(self.cause)
     }
 
     /// Queued-submission depth statistics.
-    pub fn io_depth(&self) -> IoDepthStats {
+    pub(crate) fn io_depth(&self) -> IoDepthStats {
         self.io_depth
     }
 
     /// Enables per-LBA write tracing (idempotent).
-    pub fn enable_write_trace(&mut self, logical_pages: u64) {
+    pub(crate) fn enable_write_trace(&mut self, logical_pages: u64) {
         if self.trace.is_none() {
             self.trace = Some(WriteTrace::new(logical_pages));
         }
     }
 
     /// The LBA write trace, if enabled.
-    pub fn write_trace(&self) -> Option<&WriteTrace> {
+    pub(crate) fn write_trace(&self) -> Option<&WriteTrace> {
         self.trace.as_ref()
     }
 
     /// Clears the LBA write trace (keeps it enabled).
-    pub fn reset_write_trace(&mut self) {
+    pub(crate) fn reset_write_trace(&mut self) {
         if let Some(t) = self.trace.as_mut() {
             t.reset();
         }
@@ -151,7 +151,7 @@ impl DeviceProbe {
     /// measured phase gets deterministic ids). The LBA write trace and
     /// the cause stack survive — the trace covers the whole session by
     /// design, and a reset can happen inside an open scope.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.io_depth.reset();
         self.cause = CauseStats::new();
         self.tracer.clear();
@@ -211,7 +211,7 @@ mod tests {
         assert!(p.cause_stats().expect("tracer still on").is_empty());
         assert_eq!(p.current_cause(), Cause::BulkLoad, "scope survives reset");
         assert_eq!(
-            p.write_trace().expect("enabled").total_writes(),
+            p.write_trace().expect("enabled").touched_lpns(),
             1,
             "LBA trace survives reset"
         );
@@ -224,9 +224,9 @@ mod tests {
         let mut p = DeviceProbe::default();
         p.enable_write_trace(16);
         p.note_host_write(1);
-        assert_eq!(p.write_trace().expect("enabled").total_writes(), 1);
+        assert_eq!(p.write_trace().expect("enabled").touched_lpns(), 1);
         p.reset_write_trace();
-        assert_eq!(p.write_trace().expect("enabled").total_writes(), 0);
+        assert_eq!(p.write_trace().expect("enabled").touched_lpns(), 0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct WearStats {
 
 impl WearStats {
     /// Computes wear statistics from a per-block erase-count slice.
-    pub fn from_counts(counts: &[u32]) -> Self {
+    pub(crate) fn from_counts(counts: &[u32]) -> Self {
         if counts.is_empty() {
             return Self::default();
         }

@@ -31,13 +31,8 @@ impl WriteTrace {
         self.total += 1;
     }
 
-    /// Total writes recorded.
-    pub fn total_writes(&self) -> u64 {
-        self.total
-    }
-
     /// Number of LPNs written at least once.
-    pub fn touched_lpns(&self) -> u64 {
+    pub(crate) fn touched_lpns(&self) -> u64 {
         self.counts.iter().filter(|&&c| c > 0).count() as u64
     }
 
@@ -94,7 +89,7 @@ mod tests {
         t.record(0);
         t.record(0);
         t.record(3);
-        assert_eq!(t.total_writes(), 3);
+        assert_eq!(t.total, 3);
         assert_eq!(t.touched_lpns(), 2);
         assert!((t.untouched_fraction() - 0.8).abs() < 1e-9);
     }
@@ -139,7 +134,7 @@ mod tests {
         let mut t = WriteTrace::new(4);
         t.record(1);
         t.reset();
-        assert_eq!(t.total_writes(), 0);
+        assert_eq!(t.total, 0);
         assert_eq!(t.touched_lpns(), 0);
     }
 }

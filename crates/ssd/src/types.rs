@@ -12,10 +12,10 @@ pub type Lpn = u64;
 
 /// A physical page number: an index into the device's NAND array,
 /// `block_id * pages_per_block + page_offset`.
-pub type Ppn = u64;
+pub(crate) type Ppn = u64;
 
 /// A physical (erase) block identifier.
-pub type BlockId = u32;
+pub(crate) type BlockId = u32;
 
 /// Sentinel used in compact mapping tables for "unmapped".
 pub(crate) const UNMAPPED: u32 = u32::MAX;

@@ -38,7 +38,7 @@ pub enum Cause {
 
 impl Cause {
     /// Number of cause variants (the `CauseStats` array size).
-    pub const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 9;
 
     /// Every cause, in rendering order.
     pub const ALL: [Cause; Cause::COUNT] = [

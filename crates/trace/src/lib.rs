@@ -32,13 +32,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cause;
-pub mod recorder;
+mod cause;
+mod recorder;
 
 pub use cause::{Cause, CauseCounters, CauseStats};
-pub use recorder::{
-    OpBreakdown, SharedTraceRecorder, Span, SpanId, TraceRecorder, Tracer, DEFAULT_SPAN_CAPACITY,
-};
+pub use recorder::{OpBreakdown, SharedTraceRecorder, Span, SpanId, TraceRecorder, Tracer};
 
 /// Virtual-time nanoseconds (mirrors `ptsbench_ssd::Ns`; this crate
 /// sits below the device simulator in the dependency graph).

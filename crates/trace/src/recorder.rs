@@ -24,7 +24,7 @@ use crate::Ns;
 /// Sized so the `fig_anatomy` shapes (a few thousand requests, tens of
 /// spans each) fit with a wide margin; when a run overflows it, the
 /// oldest spans fall off and [`TraceRecorder::dropped`] counts them.
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 1 << 18;
 
 /// One completed (or still-open) span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,15 +223,6 @@ impl TraceRecorder {
         self.open.len()
     }
 
-    /// Completed root spans (no parent), in completion order.
-    pub fn root_spans(&self) -> Vec<Span> {
-        self.done
-            .iter()
-            .filter(|s| s.parent.is_none())
-            .copied()
-            .collect()
-    }
-
     /// Total duration and span count per phase name, sorted by total
     /// duration descending then name (deterministic).
     pub fn time_by_name(&self) -> Vec<(&'static str, Ns, u64)> {
@@ -392,7 +383,7 @@ impl Tracer {
     }
 
     /// Wraps an existing shared recorder.
-    pub fn from_shared(rec: SharedTraceRecorder) -> Self {
+    pub(crate) fn from_shared(rec: SharedTraceRecorder) -> Self {
         Self { rec: Some(rec) }
     }
 
@@ -455,7 +446,6 @@ mod tests {
         assert_eq!(spans[2].parent, None);
         assert!(spans.iter().all(|s| s.start <= s.end));
         assert_eq!(r.open_depth(), 0);
-        assert_eq!(r.root_spans().len(), 1);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl ExtentAllocator {
     }
 
     /// Snapshot of the free runs (for `fstrim` and tests).
-    pub fn free_runs(&self) -> Vec<Extent> {
+    pub(crate) fn free_runs(&self) -> Vec<Extent> {
         self.free
             .iter()
             .map(|(&start, &pages)| Extent { start, pages })

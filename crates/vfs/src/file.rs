@@ -40,7 +40,7 @@ pub(crate) struct FileNode {
 }
 
 impl FileNode {
-    pub fn new(name: String) -> Self {
+    pub(crate) fn new(name: String) -> Self {
         Self {
             name,
             data: Arc::default(),
@@ -53,19 +53,19 @@ impl FileNode {
     }
 
     /// The contents, unless an appender holds them.
-    pub fn contents(&self) -> Result<&Arc<Vec<u8>>, VfsError> {
+    pub(crate) fn contents(&self) -> Result<&Arc<Vec<u8>>, VfsError> {
         let busy =
             || VfsError::InvalidArgument(format!("{}: checked out to an appender", self.name));
         (!self.checked_out).then_some(&self.data).ok_or_else(busy)
     }
 
     /// Total pages currently allocated to the file.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.cum_pages.last().copied().unwrap_or(0)
     }
 
     /// Appends freshly allocated extents.
-    pub fn push_extents(&mut self, extents: Vec<Extent>) {
+    pub(crate) fn push_extents(&mut self, extents: Vec<Extent>) {
         for e in extents {
             let base = self.total_pages();
             self.extents.push(e);
@@ -77,7 +77,7 @@ impl FileNode {
     ///
     /// # Panics
     /// Panics if the page is beyond the allocated extents.
-    pub fn page_to_lpn(&self, file_page: u64) -> Lpn {
+    pub(crate) fn page_to_lpn(&self, file_page: u64) -> Lpn {
         let idx = self.cum_pages.partition_point(|&c| c <= file_page);
         assert!(
             idx < self.extents.len(),
@@ -93,7 +93,7 @@ impl FileNode {
     /// # Panics
     /// The iterator panics on reaching a page beyond the allocated
     /// extents.
-    pub fn runs(&self, first_page: u64, count: u64) -> impl Iterator<Item = LpnRange> + '_ {
+    pub(crate) fn runs(&self, first_page: u64, count: u64) -> impl Iterator<Item = LpnRange> + '_ {
         let end = first_page + count;
         let mut page = first_page;
         let mut idx = self.cum_pages.partition_point(|&c| c <= page);

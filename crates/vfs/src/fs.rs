@@ -621,7 +621,7 @@ impl Vfs {
     /// extent run (plus a read-modify-write of an unaligned tail page),
     /// waiting for all completions. With a depth-1 queue this reproduces
     /// [`Vfs::append`] exactly; deeper queues overlap the run writes.
-    pub fn append_async(&self, queue: &mut IoQueue, id: FileId, buf: &[u8]) -> Result<()> {
+    pub(crate) fn append_async(&self, queue: &mut IoQueue, id: FileId, buf: &[u8]) -> Result<()> {
         if buf.is_empty() {
             return Ok(());
         }

@@ -33,12 +33,12 @@
 #![forbid(unsafe_code)]
 
 pub mod alloc;
-pub mod error;
+mod error;
 pub mod file;
 pub mod fs;
 pub mod log;
-pub mod slice;
-pub mod trace;
+mod slice;
+mod trace;
 
 pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
 pub use error::VfsError;

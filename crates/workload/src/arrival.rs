@@ -185,11 +185,6 @@ impl ArrivalClock {
         }
     }
 
-    /// Whether [`ArrivalClock::retire`] was called.
-    pub fn is_retired(&self) -> bool {
-        self.retired
-    }
-
     /// Permanently stops this client's submissions.
     pub fn retire(&mut self) {
         self.next = None;
@@ -261,9 +256,7 @@ mod tests {
     fn retired_clocks_stay_retired() {
         let mut c = ArrivalClock::new(ArrivalSpec::Closed { think_ns: 0 }, 1);
         c.note_submitted();
-        assert!(!c.is_retired());
         c.retire();
-        assert!(c.is_retired());
         c.note_completed(500);
         assert_eq!(c.next_submit(), None, "completions cannot revive");
     }

@@ -47,7 +47,6 @@ pub struct OpGenerator {
     versions: HashMap<u64, u32, BuildHasherDefault<LocalIndexHasher>>,
     key_buf: Vec<u8>,
     value_buf: Vec<u8>,
-    ops_generated: u64,
 }
 
 /// Fibonacci hashing of a local key index: one multiply spreads the
@@ -88,18 +87,12 @@ impl OpGenerator {
             key_buf: Vec::with_capacity(spec.key_size),
             value_buf: Vec::with_capacity(spec.value_size),
             spec,
-            ops_generated: 0,
         }
     }
 
     /// The workload specification.
     pub fn spec(&self) -> &WorkloadSpec {
         &self.spec
-    }
-
-    /// Operations generated so far.
-    pub fn ops_generated(&self) -> u64 {
-        self.ops_generated
     }
 
     /// Current version of a key (0 = as bulk-loaded). `key_index` is
@@ -124,7 +117,6 @@ impl OpGenerator {
     /// offsets them by the slice base, so concurrent clients never
     /// collide on a key.
     pub fn next_op(&mut self) -> Op<'_> {
-        self.ops_generated += 1;
         // Hash-sharded specs own a scattered subset of their range:
         // rejection sampling confines the stream to owned keys while
         // preserving each key's conditional access probability.
@@ -239,7 +231,6 @@ mod tests {
             assert_eq!(op.key.len(), 16);
             assert_eq!(op.value.len(), 64);
         }
-        assert_eq!(g.ops_generated(), 1000);
     }
 
     #[test]

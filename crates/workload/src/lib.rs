@@ -21,9 +21,9 @@
 #![forbid(unsafe_code)]
 
 pub mod arrival;
-pub mod dist;
-pub mod generator;
-pub mod spec;
+mod dist;
+mod generator;
+mod spec;
 
 pub use arrival::{ArrivalClock, ArrivalSpec};
 pub use dist::{KeyDistribution, Sampler};

@@ -50,7 +50,7 @@ impl Default for WorkloadSpec {
 
 impl WorkloadSpec {
     /// Bytes of one key-value pair.
-    pub fn kv_pair_bytes(&self) -> u64 {
+    pub(crate) fn kv_pair_bytes(&self) -> u64 {
         (self.key_size + self.value_size) as u64
     }
 

@@ -27,12 +27,12 @@
 //!   lockstep, merged into one deterministic report.
 //! * [`workload`] — key/value workload generators.
 //! * [`metrics`] — time series, write-amplification math, CUSUM
-//!   steady-state detection, CDFs, storage-cost models.
+//!   steady-state detection, latency histograms, storage-cost models.
 //! * [`core`] — the paper's methodology: the seven benchmarking pitfalls,
 //!   experiment runners and figure drivers.
 //!
-//! See the repository `README.md` for a guided tour and `DESIGN.md` for
-//! the system inventory.
+//! See the repository `README.md` for a guided tour and the system
+//! inventory (its crate table).
 
 pub use ptsbench_btree as btree;
 pub use ptsbench_cache as cache;
