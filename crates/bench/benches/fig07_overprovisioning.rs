@@ -2,15 +2,15 @@
 //! throughput and WA-D with/without a reserved 25% OP partition, and
 //! the no-OP vs extra-OP storage-cost heatmap.
 
-use ptsbench_bench::{banner, bench_options};
-use ptsbench_core::pitfalls::p6_overprovisioning;
+use ptsbench_bench::banner;
+use ptsbench_core::pitfalls::{p6_overprovisioning, PitfallOptions};
 
 fn main() {
     banner(
         "Figures 7-8",
         "Pitfall 6: overlooking SSD software over-provisioning",
     );
-    let results = p6_overprovisioning::evaluate(&bench_options());
+    let results = p6_overprovisioning::evaluate(&PitfallOptions::default());
     let report = results.report();
     println!("{}", report.to_text());
     assert!(report.passed(), "Figure 7/8 phenomena did not reproduce");

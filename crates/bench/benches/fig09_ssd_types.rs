@@ -3,12 +3,12 @@
 //! (consumer QLC with a large cache) and SSD3 (Optane-like), plus the
 //! 1-minute-average throughput variability series.
 
-use ptsbench_bench::{banner, bench_options};
-use ptsbench_core::pitfalls::p7_storage_tech;
+use ptsbench_bench::banner;
+use ptsbench_core::pitfalls::{p7_storage_tech, PitfallOptions};
 
 fn main() {
     banner("Figures 9-10", "Pitfall 7: testing on a single SSD type");
-    let results = p7_storage_tech::evaluate(&bench_options());
+    let results = p7_storage_tech::evaluate(&PitfallOptions::default());
     let report = results.report();
     println!("{}", report.to_text());
     assert!(report.passed(), "Figure 9/10 phenomena did not reproduce");

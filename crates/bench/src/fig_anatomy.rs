@@ -38,11 +38,11 @@
 //! 4. **Traced runs are deterministic** — byte-identical reports and
 //!    identical phase rollups run-to-run.
 //!
-//! `examples/fig_anatomy.rs` runs 20 simulated minutes per fleet and
-//! writes one shard's trace as Chrome trace-event JSON
-//! (`target/fig_anatomy_trace.json`, loadable in `chrome://tracing` or
-//! Perfetto; CI validates that it parses); the `fig_anatomy` bench
-//! target runs 40 (20 under `PTSBENCH_QUICK=1`) and exports nothing.
+//! Each fleet serves 40 simulated minutes (`examples/fig_anatomy.rs`),
+//! and one shard's trace is written as Chrome trace-event JSON
+//! (`target/fig_anatomy_trace.json` under the working directory,
+//! loadable in `chrome://tracing` or Perfetto; CI validates that it
+//! parses).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -61,6 +61,10 @@ const SHARDS: usize = 4;
 /// The fig_tail fan-in maximum: enough closed-loop clients to keep
 /// every shard saturated for the whole measured phase.
 const FAN_IN: usize = 64;
+/// Virtual time per traced fleet.
+const DURATION: Ns = 40 * MINUTE;
+/// Where the cached LSM fleet's first shard's span forest is written.
+const TRACE_OUT: &str = "target/fig_anatomy_trace.json";
 
 /// Inline-maintenance phases, across all three engines.
 const MAINT: [&str; 5] = [
@@ -81,15 +85,15 @@ type ByService<'a> = [(Ns, &'a OpBreakdown)];
 /// A traced serving run: the fig_tail shape (Zipfian fan-in over four
 /// shards, 50:50 read:write) with closed-loop clients for sustained
 /// load, and the flight recorder on.
-fn serve(engine: EngineKind, cache_bytes: u64, duration: Ns) -> HarnessOutcome {
+fn serve(engine: EngineKind, cache_bytes: u64) -> HarnessOutcome {
     let mut cfg = FrontendRun::new(
         RunConfig {
             engine,
             device_bytes: TOTAL_BYTES,
             distribution: KeyDistribution::Zipfian { theta: 0.99 },
             read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
+            duration: DURATION,
+            sample_window: DURATION / 4,
             cache_bytes,
             trace: true,
             ..RunConfig::default()
@@ -214,25 +218,25 @@ fn print_anatomy(outcome: &HarnessOutcome) {
     }
 }
 
-/// Serves `duration` of virtual time per traced fleet — every
-/// registered engine, then the LSM again with a block cache — printing
-/// each engine's tail anatomy, the cached fleet's report and its first
+/// Serves 40 simulated minutes per traced fleet — every registered
+/// engine, then the LSM again with a block cache — printing each
+/// engine's tail anatomy, the cached fleet's report and its first
 /// shard's phase table; writes that shard's span forest as Chrome
-/// trace-event JSON to `trace_out` when given.
+/// trace-event JSON to `target/fig_anatomy_trace.json`.
 ///
 /// Asserts the four claims in the module doc.
-pub fn fig_anatomy(duration: Ns, trace_out: Option<&Path>) {
+pub fn fig_anatomy() {
     println!("ptsbench fig_anatomy — what the engine does during its slowest requests");
     println!(
         "{} MiB over {SHARDS} shards, Zipfian(0.99) 50:50 read:write, {FAN_IN} \
          closed-loop clients, flight recorder on",
         TOTAL_BYTES >> 20
     );
-    println!("{} simulated minutes per fleet", duration / MINUTE);
+    println!("{} simulated minutes per fleet", DURATION / MINUTE);
 
     let mut lsm_outcome = None;
     for engine in EngineRegistry::all() {
-        let outcome = serve(engine, 0, duration);
+        let outcome = serve(engine, 0);
         println!();
         println!("== {} ==", engine.name());
         print_anatomy(&outcome);
@@ -278,7 +282,7 @@ pub fn fig_anatomy(duration: Ns, trace_out: Option<&Path>) {
     );
 
     // Claim 2: the block cache shifts block-load time into cache hits.
-    let cached = serve(EngineKind::lsm(), 2 << 20, duration);
+    let cached = serve(EngineKind::lsm(), 2 << 20);
     let off = fleet_phases(&lsm);
     let on = fleet_phases(&cached);
     let gets = |m: &BTreeMap<&str, (u64, Ns)>| m.get("op.get").map_or(0, |e| e.0).max(1);
@@ -301,7 +305,7 @@ pub fn fig_anatomy(duration: Ns, trace_out: Option<&Path>) {
 
     // Claim 4: traced runs are deterministic — the report text and the
     // full phase rollup are identical run-to-run.
-    let again = serve(EngineKind::lsm(), 0, duration);
+    let again = serve(EngineKind::lsm(), 0);
     assert_eq!(
         lsm.report.render(),
         again.report.render(),
@@ -328,22 +332,21 @@ pub fn fig_anatomy(duration: Ns, trace_out: Option<&Path>) {
     // One guard for every read: the recorder mutex is not reentrant,
     // and format-argument temporaries live to the end of the statement.
     let rec = rec.lock();
-    if let Some(path) = trace_out {
-        // For chrome://tracing or Perfetto (CI validates that it parses).
-        let json = rec.export_chrome();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("trace directory");
-        }
-        std::fs::write(path, &json).expect("write trace");
-        println!(
-            "wrote {} ({} bytes, {} spans, {} dropped)",
-            path.display(),
-            json.len(),
-            rec.len(),
-            rec.dropped()
-        );
-        println!();
+    // For chrome://tracing or Perfetto (CI validates that it parses).
+    let json = rec.export_chrome();
+    let path = Path::new(TRACE_OUT);
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("trace directory");
     }
+    std::fs::write(path, &json).expect("write trace");
+    println!(
+        "wrote {} ({} bytes, {} spans, {} dropped)",
+        path.display(),
+        json.len(),
+        rec.len(),
+        rec.dropped()
+    );
+    println!();
     println!("shard0 phase table (cached LSM):");
     println!("{}", rec.phase_table());
 }

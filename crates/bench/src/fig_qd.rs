@@ -17,9 +17,8 @@
 //! queue-depth-1 harness run renders **byte-identically** to one with
 //! an untouched (pre-queue) configuration.
 //!
-//! `examples/fig_qd.rs` runs 8 scans of 384 entries per probe up to
-//! QD 8; the `fig_qd` bench target 16 scans of 512 (the example's
-//! sizing under `PTSBENCH_QUICK=1`) up to QD 32.
+//! Each probe runs 16 seeded scans of 512 entries, at QD 1 to 32
+//! (`examples/fig_qd.rs`).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +33,13 @@ use ptsbench_workload::encode_key;
 
 /// 64 MiB stand-in for the 400 GB reference drive.
 const DEVICE_BYTES: u64 = 64 << 20;
+/// Seeded range scans per probe.
+const SCANS: u64 = 16;
+/// Entries per scan.
+const SCAN_LEN: usize = 512;
+/// The deepest queue swept (powers of two from 1; the claims compare
+/// QD 8 with QD 1).
+const MAX_QD: usize = 32;
 
 /// One probe's measurements (reference-scale rates).
 struct Probe {
@@ -44,9 +50,9 @@ struct Probe {
 }
 
 /// Builds a stack + engine at `qd`, loads the default dataset, runs
-/// `scans` seeded range scans of `scan_len` entries, and measures the
+/// [`SCANS`] seeded range scans of [`SCAN_LEN`] entries, and measures the
 /// read path. Fully deterministic per (engine, qd).
-fn scan_probe(engine: EngineKind, qd: usize, scans: u64, scan_len: usize) -> Probe {
+fn scan_probe(engine: EngineKind, qd: usize) -> Probe {
     let cfg = RunConfig {
         engine,
         device_bytes: DEVICE_BYTES,
@@ -69,10 +75,10 @@ fn scan_probe(engine: EngineKind, qd: usize, scans: u64, scan_len: usize) -> Pro
     let t0 = stack.clock.now();
     let mut entries = 0u64;
     let mut key = Vec::new();
-    for _ in 0..scans {
-        let start = rng.gen_range(0..workload.num_keys.saturating_sub(scan_len as u64));
+    for _ in 0..SCANS {
+        let start = rng.gen_range(0..workload.num_keys.saturating_sub(SCAN_LEN as u64));
         encode_key(workload.key_base + start, workload.key_size, &mut key);
-        for item in system.scan(&key, None, scan_len).expect("scan") {
+        for item in system.scan(&key, None, SCAN_LEN).expect("scan") {
             item.expect("scan item");
             entries += 1;
         }
@@ -89,20 +95,18 @@ fn scan_probe(engine: EngineKind, qd: usize, scans: u64, scan_len: usize) -> Pro
     }
 }
 
-/// Sweeps the queue depth over 1, 2, 4, … `max_qd` (at least 8: the
-/// claims compare QD 8 with QD 1) on every registered engine, each
-/// probe `scans` seeded scans of `scan_len` entries, then prints the
+/// Sweeps the queue depth over 1, 2, 4, … 32 on every registered
+/// engine, each probe 16 seeded scans of 512 entries, then prints the
 /// QD=1 harness report.
 ///
 /// Asserts that QD=1 stays synchronous, that the LSM and the hash log
 /// gain read throughput from QD=1 to QD=8 and really fill their queues,
 /// that an identical probe measures bit-identically, and that a QD=1
 /// harness run renders byte-identically to an untouched configuration.
-pub fn fig_qd(scans: u64, scan_len: usize, max_qd: usize) {
-    assert!(max_qd >= 8, "the claims compare QD 8 with QD 1");
+pub fn fig_qd() {
     println!("ptsbench fig_qd — asynchronous submission/completion I/O demo");
     println!(
-        "{} MiB simulated drive, {scans} seeded scans x {scan_len} entries per probe",
+        "{} MiB simulated drive, {SCANS} seeded scans x {SCAN_LEN} entries per probe",
         DEVICE_BYTES >> 20
     );
     println!();
@@ -111,8 +115,8 @@ pub fn fig_qd(scans: u64, scan_len: usize, max_qd: usize) {
     for engine in EngineRegistry::all() {
         let label = engine.label();
         let mut probes = Vec::new();
-        for qd in (0..).map(|i| 1usize << i).take_while(|&qd| qd <= max_qd) {
-            let p = scan_probe(engine, qd, scans, scan_len);
+        for qd in (0..).map(|i| 1usize << i).take_while(|&qd| qd <= MAX_QD) {
+            let p = scan_probe(engine, qd);
             println!(
                 "{label:>10}/qd{qd:<2}  read {:>9.2} MB/s  ({} entries)",
                 p.read_mbps, p.entries
@@ -163,7 +167,7 @@ pub fn fig_qd(scans: u64, scan_len: usize, max_qd: usize) {
     println!("scaling check: QD=8 beats QD=1 on lsm and hashlog read throughput");
 
     // Determinism: an identical probe reproduces bit-identical rates.
-    let again = scan_probe(EngineKind::lsm(), 8, scans, scan_len);
+    let again = scan_probe(EngineKind::lsm(), 8);
     assert_eq!(
         lsm_qd8.expect("the LSM is a built-in engine"),
         (again.read_mbps.to_bits(), again.io)

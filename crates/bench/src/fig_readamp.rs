@@ -23,8 +23,7 @@
 //! * a cache-off harness run renders with no cache accounting at all,
 //!   while a cache-on run reports per-shard hit rates.
 //!
-//! `examples/fig_readamp.rs` replays 4 000 gets per probe, as does the
-//! `fig_readamp` bench target (1 500 under `PTSBENCH_QUICK=1`).
+//! Each probe replays 4 000 gets (`examples/fig_readamp.rs`).
 
 use ptsbench_cache::Compression;
 use ptsbench_core::measure::{build_stack, bulk_load};
@@ -42,6 +41,8 @@ const DEVICE_BYTES: u64 = 64 << 20;
 
 /// Cache budgets swept per engine (0 = the seed read path).
 const BUDGETS: [u64; 4] = [0, 256 << 10, 1 << 20, 4 << 20];
+/// Zipfian point gets per probe.
+const GETS: u64 = 4_000;
 
 /// One sweep point's measurements.
 struct Probe {
@@ -50,9 +51,9 @@ struct Probe {
 }
 
 /// Builds a stack + engine with the given tier knobs, loads the default
-/// dataset, replays `gets` seeded Zipfian point gets, and measures
+/// dataset, replays [`GETS`] seeded Zipfian point gets, and measures
 /// device read traffic. Fully deterministic per configuration.
-fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8, gets: u64) -> Probe {
+fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8) -> Probe {
     let cfg = RunConfig {
         engine,
         device_bytes: DEVICE_BYTES,
@@ -80,7 +81,7 @@ fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8, gets: u64) -> Pro
         0xAC_CE55,
     );
     let mut key = Vec::new();
-    for _ in 0..gets {
+    for _ in 0..GETS {
         encode_key(
             workload.key_base + sampler.sample(),
             workload.key_size,
@@ -123,12 +124,12 @@ fn compressible_footprint(level: u8) -> u64 {
 }
 
 /// Sweeps cache budget x compression level on every registered engine,
-/// `gets` Zipfian point gets per probe, printing one line per probe and
+/// 4 000 Zipfian point gets per probe, printing one line per probe and
 /// a cache-on harness report; asserts the claims in the module doc.
-pub fn fig_readamp(gets: u64) {
+pub fn fig_readamp() {
     println!("ptsbench fig_readamp — read-path acceleration tier demo");
     println!(
-        "{} MiB simulated drive, {gets} Zipfian(0.9) point gets per probe",
+        "{} MiB simulated drive, {GETS} Zipfian(0.9) point gets per probe",
         DEVICE_BYTES >> 20
     );
     println!();
@@ -141,12 +142,12 @@ pub fn fig_readamp(gets: u64) {
         for &level in levels {
             let mut probes = Vec::new();
             for budget in BUDGETS {
-                let p = read_probe(engine, budget, level, gets);
+                let p = read_probe(engine, budget, level);
                 println!(
                     "{:>18}  device reads {:>10} B  ({:>10.2} B/get, cache hit {})",
                     format!("{label}/c{}k/z{level}", budget >> 10),
                     p.device_read_bytes,
-                    p.device_read_bytes as f64 / gets as f64,
+                    p.device_read_bytes as f64 / GETS as f64,
                     p.hit_rate
                         .map_or_else(|| "   n/a".into(), |r| format!("{:>5.1}%", r * 100.0)),
                 );
@@ -213,8 +214,8 @@ pub fn fig_readamp(gets: u64) {
     );
 
     // Determinism: an identical probe reproduces identical measurements.
-    let a = read_probe(EngineKind::lsm(), 1 << 20, 3, gets);
-    let b = read_probe(EngineKind::lsm(), 1 << 20, 3, gets);
+    let a = read_probe(EngineKind::lsm(), 1 << 20, 3);
+    let b = read_probe(EngineKind::lsm(), 1 << 20, 3);
     assert_eq!(a.device_read_bytes, b.device_read_bytes);
     assert_eq!(
         a.hit_rate.map(f64::to_bits),

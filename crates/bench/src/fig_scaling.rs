@@ -10,8 +10,7 @@
 //! parallelism, and the axis the paper's single-threaded methodology
 //! leaves unexplored.
 //!
-//! `examples/fig_scaling.rs` runs 20 simulated minutes per point; the
-//! `fig_scaling` bench target 60 (20 under `PTSBENCH_QUICK=1`).
+//! Each point runs 60 simulated minutes (`examples/fig_scaling.rs`).
 
 use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
@@ -24,17 +23,19 @@ use ptsbench_ssd::{Ns, MINUTE};
 /// geometry (8 erase blocks per shard device).
 const TOTAL_BYTES: u64 = 128 << 20;
 const CLIENT_SWEEP: [usize; 4] = [1, 2, 4, 8];
+/// Virtual time per sweep point.
+const DURATION: Ns = 60 * MINUTE;
 /// The LSM sweep point that is run a second time for the determinism
 /// check.
 const RERUN: usize = 4;
 
-fn drive(engine: EngineKind, clients: usize, duration: Ns) -> RunReport {
+fn drive(engine: EngineKind, clients: usize) -> RunReport {
     let sharded = ShardedRun::new(
         RunConfig {
             engine,
             device_bytes: TOTAL_BYTES,
-            duration,
-            sample_window: duration / 4,
+            duration: DURATION,
+            sample_window: DURATION / 4,
             ..RunConfig::default()
         },
         clients,
@@ -42,21 +43,21 @@ fn drive(engine: EngineKind, clients: usize, duration: Ns) -> RunReport {
     run_sharded(&sharded).expect("sharded run")
 }
 
-/// Runs the client sweep on every registered engine for `duration` of
-/// virtual time per point, printing each point's merged report and the
+/// Runs the client sweep on every registered engine for 60 simulated
+/// minutes per point, printing each point's merged report and the
 /// speedup over one client.
 ///
 /// Asserts that every engine scales (8 clients more than double the
 /// aggregate steady throughput of 1) and the harness's headline
 /// guarantee: with fixed seeds the merged report renders
 /// byte-identically run-to-run.
-pub fn fig_scaling(duration: Ns) {
+pub fn fig_scaling() {
     println!("ptsbench fig_scaling — multi-client drive of every registered engine");
     println!(
         "total capacity {} MiB, {} simulated minutes, {}-minute windows",
         TOTAL_BYTES >> 20,
-        duration / MINUTE,
-        duration / 4 / MINUTE
+        DURATION / MINUTE,
+        DURATION / 4 / MINUTE
     );
 
     let mut speedups = Vec::new();
@@ -64,7 +65,7 @@ pub fn fig_scaling(duration: Ns) {
     for engine in EngineRegistry::all() {
         let mut kops = Vec::new();
         for clients in CLIENT_SWEEP {
-            let report = drive(engine, clients, duration);
+            let report = drive(engine, clients);
             let rendered = report.render();
             let steady = report.steady_mean("kv_kops").unwrap_or(0.0);
             println!();
@@ -93,7 +94,7 @@ pub fn fig_scaling(duration: Ns) {
 
     assert_eq!(
         lsm_rerun.expect("the LSM is a built-in engine"),
-        drive(EngineKind::lsm(), RERUN, duration).render(),
+        drive(EngineKind::lsm(), RERUN).render(),
         "fixed seeds must render byte-identical reports"
     );
     println!();

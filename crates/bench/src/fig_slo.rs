@@ -26,8 +26,7 @@
 //! closed-loop probe of its own fleet (engines differ ~8× in per-op
 //! service time), so the same sweep shape stresses all three equally.
 //!
-//! `examples/fig_slo.rs` runs 20 simulated minutes per point; the
-//! `fig_slo` bench target 40 (20 under `PTSBENCH_QUICK=1`).
+//! Each point runs 40 simulated minutes (`examples/fig_slo.rs`).
 
 use std::collections::BTreeMap;
 
@@ -45,15 +44,17 @@ const SHARDS: usize = 4;
 const CLIENTS: usize = 8;
 /// Offered load as multiples of the calibrated saturation rate.
 const LOAD_FACTORS: [f64; 5] = [0.2, 0.5, 1.0, 2.0, 3.0];
+/// Virtual time per run.
+const DURATION: Ns = 40 * MINUTE;
 
-fn config(engine: EngineKind, duration: Ns) -> FrontendRun {
+fn config(engine: EngineKind) -> FrontendRun {
     let mut cfg = FrontendRun::new(
         RunConfig {
             engine,
             device_bytes: TOTAL_BYTES,
             read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
+            duration: DURATION,
+            sample_window: DURATION / 4,
             ..RunConfig::default()
         },
         CLIENTS,
@@ -62,15 +63,15 @@ fn config(engine: EngineKind, duration: Ns) -> FrontendRun {
     cfg
 }
 
-fn serve(engine: EngineKind, duration: Ns, arrival: ArrivalSpec, slo: SloPolicy) -> RunReport {
-    let mut cfg = config(engine, duration);
+fn serve(engine: EngineKind, arrival: ArrivalSpec, slo: SloPolicy) -> RunReport {
+    let mut cfg = config(engine);
     cfg.arrival = arrival;
     cfg.slo = slo.into();
     run_frontend(&cfg).expect("frontend run")
 }
 
-/// Sweeps offered load on every registered engine for `duration` of
-/// virtual time per point, control against `PredictedSojourn` shedding,
+/// Sweeps offered load on every registered engine for 40 simulated
+/// minutes per point, control against `PredictedSojourn` shedding,
 /// printing one table per engine.
 ///
 /// Asserts per engine that no admitted request starts past the
@@ -78,20 +79,20 @@ fn serve(engine: EngineKind, duration: Ns, arrival: ArrivalSpec, slo: SloPolicy)
 /// (3x goodput >= 90% of 1x), and that the no-policy control's p99
 /// queue delay collapses to more than 10x the deadline; then that
 /// SLO-governed reports render byte-identically run-to-run.
-pub fn fig_slo(duration: Ns) {
+pub fn fig_slo() {
     println!("ptsbench fig_slo — goodput vs offered load under admission control");
     println!(
         "{} MiB over {SHARDS} shards, {CLIENTS} open-loop Poisson clients, 50:50 \
          read:write, {} simulated minutes; control vs PredictedSojourn shedding",
         TOTAL_BYTES >> 20,
-        duration / MINUTE
+        DURATION / MINUTE
     );
 
     for engine in EngineRegistry::all() {
         // Engines differ ~8x in per-op service time, so rates and
         // deadlines are calibrated per engine from one zero-think
         // closed-loop client (no queueing, pure service).
-        let mut probe = config(engine, duration);
+        let mut probe = config(engine);
         probe.clients = 1;
         let mean_service = crate::mean_service(&run_frontend(&probe).expect("calibration run"));
         // The fleet saturates at one request per mean service time per
@@ -138,11 +139,11 @@ pub fn fig_slo(duration: Ns) {
             // Control: everything is admitted; the SLO-miss fraction is
             // estimated from the queue-delay distribution (no
             // per-request accounting exists without a policy).
-            let control = serve(engine, duration, arrival, SloPolicy::None);
+            let control = serve(engine, arrival, SloPolicy::None);
             let ctl_qd = control.queue_delay.as_ref().expect("queue delay");
             let ctl_p99 = control.queue_delay_quantile(0.99).expect("p99");
             let ctl_att = ctl_qd.fraction_at_most(deadline);
-            let ctl_goodput = control.ops as f64 * ctl_att / (duration as f64 / 1e9);
+            let ctl_goodput = control.ops as f64 * ctl_att / (DURATION as f64 / 1e9);
             if factor == 3.0 {
                 control_p99_at_3x = ctl_p99;
             }
@@ -150,7 +151,6 @@ pub fn fig_slo(duration: Ns) {
             // Shedding: the dispatcher turns away what would miss.
             let shed = serve(
                 engine,
-                duration,
                 arrival,
                 SloPolicy::PredictedSojourn {
                     deadline_ns: deadline,
@@ -209,7 +209,7 @@ pub fn fig_slo(duration: Ns) {
         let arrival = ArrivalSpec::OpenPoisson {
             mean_interarrival_ns: SECOND,
         };
-        let run = || serve(EngineKind::lsm(), duration, arrival, slo).render();
+        let run = || serve(EngineKind::lsm(), arrival, slo).render();
         assert_eq!(run(), run(), "SLO reports must render byte-identically");
     }
     println!();

@@ -33,15 +33,15 @@
 //! * background-mode runs are deterministic — byte-identical reports
 //!   run-to-run.
 //!
-//! `examples/fig_stall.rs` and the `fig_stall` bench target are the same
-//! run; both register the hash log first.
+//! Each run serves 20 simulated minutes (`examples/fig_stall.rs`, which
+//! registers the hash log first).
 
 use ptsbench_core::frontend::FrontendRun;
 use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
 use ptsbench_harness::{run_frontend_with_results, HarnessOutcome};
 use ptsbench_maint::{MaintConfig, MAX_SPACE_AMP};
-use ptsbench_ssd::MINUTE;
+use ptsbench_ssd::{Ns, MINUTE};
 use ptsbench_workload::KeyDistribution;
 
 /// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
@@ -50,18 +50,20 @@ const SHARDS: usize = 4;
 /// The fig_tail fan-in maximum: enough closed-loop clients to keep
 /// every shard saturated for the whole measured phase.
 const FAN_IN: usize = 64;
+/// Virtual time per run.
+const DURATION: Ns = 20 * MINUTE;
 
 /// A sustained-write serving run: Zipfian skew, pure puts, closed-loop
 /// clients (the fleet always runs at its own saturation rate).
-fn serve(engine: EngineKind, maint: MaintConfig, duration: u64) -> HarnessOutcome {
+fn serve(engine: EngineKind, maint: MaintConfig) -> HarnessOutcome {
     let mut cfg = FrontendRun::new(
         RunConfig {
             engine,
             device_bytes: TOTAL_BYTES,
             distribution: KeyDistribution::Zipfian { theta: 0.99 },
             read_fraction: 0.0,
-            duration,
-            sample_window: duration / 4,
+            duration: DURATION,
+            sample_window: DURATION / 4,
             maint,
             ..RunConfig::default()
         },
@@ -72,14 +74,8 @@ fn serve(engine: EngineKind, maint: MaintConfig, duration: u64) -> HarnessOutcom
 }
 
 /// Runs the study over every registered engine, prints its table and
-/// asserts its claims (`PTSBENCH_QUICK=1` halves the simulated time).
+/// asserts its claims.
 pub fn fig_stall() {
-    let duration = if crate::quick() {
-        10 * MINUTE
-    } else {
-        20 * MINUTE
-    };
-
     crate::rule_banner(
         "fig_stall: write stalls vs background maintenance",
         &format!(
@@ -87,7 +83,7 @@ pub fn fig_stall() {
              closed-loop clients, {} simulated minutes; inline vs deferred \
              maintenance",
             TOTAL_BYTES >> 20,
-            duration / MINUTE
+            DURATION / MINUTE
         ),
     );
     println!();
@@ -103,7 +99,7 @@ pub fn fig_stall() {
             ("inline", MaintConfig::default()),
             ("bg", MaintConfig::enabled()),
         ] {
-            let outcome = serve(engine, maint, duration);
+            let outcome = serve(engine, maint);
             let report = &outcome.report;
             let totals = report.maint_totals();
 
@@ -187,7 +183,7 @@ pub fn fig_stall() {
     );
 
     // Headline guarantee: background-mode runs are deterministic.
-    let again = serve(EngineKind::lsm(), MaintConfig::enabled(), duration);
+    let again = serve(EngineKind::lsm(), MaintConfig::enabled());
     assert_eq!(
         lsm_bg.report.render(),
         again.report.render(),

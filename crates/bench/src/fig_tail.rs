@@ -15,14 +15,14 @@
 //! either way — the tail lives in the dispatch queue, invisible to any
 //! harness that stops at the engine API.
 //!
-//! `examples/fig_tail.rs` runs the study on the default engine at a
-//! fixed rate; the `fig_tail` bench target runs it on every registered
-//! engine at a rate calibrated per engine.
+//! `examples/fig_tail.rs` runs the study on every registered engine,
+//! each at an arrival rate calibrated to its own service time, for 40
+//! simulated minutes per run.
 
 use std::collections::BTreeMap;
 
 use ptsbench_core::frontend::FrontendRun;
-use ptsbench_core::registry::EngineKind;
+use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::sharded::Sharding;
 use ptsbench_harness::run_frontend;
@@ -31,22 +31,24 @@ use ptsbench_ssd::{Ns, MINUTE, SECOND};
 use ptsbench_workload::{ArrivalSpec, KeyDistribution};
 
 /// 64 MiB total: four 16 MiB shards, the smallest SSD1 geometry.
-pub const TOTAL_BYTES: u64 = 64 << 20;
+const TOTAL_BYTES: u64 = 64 << 20;
 /// The fixed fleet the fan-in grows over.
-pub const SHARDS: usize = 4;
+const SHARDS: usize = 4;
+/// Virtual time per run.
+const DURATION: Ns = 40 * MINUTE;
 const FAN_INS: [usize; 4] = [1, 4, 16, 64];
 /// The pathological corner: the top fan-in under contiguous routing.
 const CORNER: (Sharding, usize) = (Sharding::Contiguous, 64);
 
-fn config(engine: EngineKind, clients: usize, duration: Ns) -> FrontendRun {
+fn config(engine: EngineKind, clients: usize) -> FrontendRun {
     let mut cfg = FrontendRun::new(
         RunConfig {
             engine,
             device_bytes: TOTAL_BYTES,
             distribution: KeyDistribution::Zipfian { theta: 0.99 },
             read_fraction: 0.5,
-            duration,
-            sample_window: duration / 4,
+            duration: DURATION,
+            sample_window: DURATION / 4,
             ..RunConfig::default()
         },
         clients,
@@ -64,22 +66,16 @@ fn config(engine: EngineKind, clients: usize, duration: Ns) -> FrontendRun {
 /// routing (~85% of traffic onto a quarter of the capacity), with
 /// comfortable headroom when hashing spreads it. Deterministic, like
 /// everything else here.
-fn calibrated_interarrival(engine: EngineKind, duration: Ns) -> Ns {
-    let probe = run_frontend(&config(engine, 1, duration)).expect("calibration run");
+fn calibrated_interarrival(engine: EngineKind) -> Ns {
+    let probe = run_frontend(&config(engine, 1)).expect("calibration run");
     let mean_service = crate::mean_service(&probe);
     let raw = (FAN_INS[FAN_INS.len() - 1] as u64 * mean_service) as f64 / (0.45 * SHARDS as f64);
     // Round to 100 ms so report labels stay readable.
     ((raw as u64).div_ceil(SECOND / 10)).max(1) * (SECOND / 10)
 }
 
-fn serve(
-    engine: EngineKind,
-    sharding: Sharding,
-    clients: usize,
-    duration: Ns,
-    interarrival: Ns,
-) -> RunReport {
-    let mut cfg = config(engine, clients, duration);
+fn serve(engine: EngineKind, sharding: Sharding, clients: usize, interarrival: Ns) -> RunReport {
+    let mut cfg = config(engine, clients);
     cfg.sharding = sharding;
     cfg.arrival = ArrivalSpec::OpenPoisson {
         mean_interarrival_ns: interarrival,
@@ -87,27 +83,33 @@ fn serve(
     run_frontend(&cfg).expect("frontend run")
 }
 
-/// Runs the fan-in sweep on each of `engines` for `duration` of virtual
-/// time per run, printing one table and the pathological corner's full
-/// report per engine. `interarrival` is every client's mean Poisson
-/// gap; `None` calibrates it per engine (and says so).
+/// Runs the fan-in sweep on every registered engine for 40 simulated
+/// minutes per run, each engine's mean Poisson interarrival calibrated
+/// to its service time, printing one table and the pathological
+/// corner's full report per engine.
 ///
 /// Asserts the figure's claims — p99 queue delay grows with fan-in
 /// under contiguous routing, hashed routing bounds the saturated tail —
 /// and that the serving report renders byte-identically run-to-run.
-pub fn fig_tail(engines: &[EngineKind], duration: Ns, interarrival: Option<Ns>) {
-    for &engine in engines {
-        let interarrival = interarrival.unwrap_or_else(|| {
-            let calibrated = calibrated_interarrival(engine, duration);
-            println!();
-            println!(
-                "{}: calibrated mean interarrival {:.1} s/client",
-                engine.label(),
-                calibrated as f64 / SECOND as f64
-            );
-            println!();
-            calibrated
-        });
+pub fn fig_tail() {
+    crate::rule_banner(
+        "fig_tail: queueing delay vs fan-in (serving front-end)",
+        &format!(
+            "{} MiB over {SHARDS} shards, Zipfian(0.99), open-loop Poisson (rate \
+             calibrated per engine), {} simulated minutes, all registered engines",
+            TOTAL_BYTES >> 20,
+            DURATION / MINUTE
+        ),
+    );
+    for engine in EngineRegistry::all() {
+        let interarrival = calibrated_interarrival(engine);
+        println!();
+        println!(
+            "{}: calibrated mean interarrival {:.1} s/client",
+            engine.label(),
+            interarrival as f64 / SECOND as f64
+        );
+        println!();
         println!(
             "{:>10} {:>7} {:>9} {:>13} {:>13} {:>13} {:>10} {:>9}",
             "routing",
@@ -128,7 +130,7 @@ pub fn fig_tail(engines: &[EngineKind], duration: Ns, interarrival: Option<Ns>) 
                 Sharding::Hashed => "hashed",
             };
             for clients in FAN_INS {
-                let report = serve(engine, sharding, clients, duration, interarrival);
+                let report = serve(engine, sharding, clients, interarrival);
                 let delay_p99 = report.queue_delay_quantile(0.99).expect("queue delay");
                 let imbalance = report.load_imbalance().expect("load");
                 p99.insert((name, clients), delay_p99);
@@ -173,8 +175,10 @@ pub fn fig_tail(engines: &[EngineKind], duration: Ns, interarrival: Option<Ns>) 
         println!("{corner}");
         assert_eq!(
             corner,
-            serve(engine, CORNER.0, CORNER.1, duration, interarrival).render(),
+            serve(engine, CORNER.0, CORNER.1, interarrival).render(),
             "{engine}: serving reports must render byte-identically"
         );
     }
+    println!();
+    println!("determinism: byte-identical reports across runs — ok");
 }

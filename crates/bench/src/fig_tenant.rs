@@ -32,9 +32,7 @@
 //! through promotion, so its worst-case wait lands just past the
 //! configured promotion age instead of growing without bound.
 //!
-//! `examples/fig_tenant.rs` and the `fig_tenant` bench target both run
-//! 2 simulated minutes per configuration (the bench 1 under
-//! `PTSBENCH_QUICK=1`).
+//! Each configuration runs 2 simulated minutes (`examples/fig_tenant.rs`).
 
 use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun, TenantQuota, TenantSpec};
 use ptsbench_core::registry::EngineKind;
@@ -55,16 +53,18 @@ const WEIGHTS: [u32; 3] = [8, 1, 1];
 const PROMOTE_AFTER: Ns = 2 * SECOND;
 /// Closed-loop batch aggressor fleet size in the strict-priority run.
 const BATCH_CLIENTS: usize = 16;
+/// Virtual time per configuration.
+const DURATION: Ns = 2 * MINUTE;
 
-fn config(clients: usize, duration: Ns) -> FrontendRun {
+fn config(clients: usize) -> FrontendRun {
     let mut cfg = FrontendRun::new(
         RunConfig {
             engine: EngineKind::lsm(),
             device_bytes: TOTAL_BYTES,
             read_fraction: 1.0,
             distribution: KeyDistribution::Zipfian { theta: 0.9 },
-            duration,
-            sample_window: duration / 2,
+            duration: DURATION,
+            sample_window: DURATION / 2,
             ..RunConfig::default()
         },
         clients,
@@ -93,8 +93,8 @@ fn batch_aggressor(mean_service: Ns) -> TenantSpec {
     spec
 }
 
-fn shared_run(mean_service: Ns, duration: Ns, discipline: DispatchDiscipline) -> RunReport {
-    let mut cfg = config(3, duration);
+fn shared_run(mean_service: Ns, discipline: DispatchDiscipline) -> RunReport {
+    let mut cfg = config(3);
     cfg.tenants = vec![
         interactive_tenant(mean_service),
         batch_aggressor(mean_service),
@@ -107,8 +107,7 @@ fn int_p99_queue_delay(mt: &MtStats) -> Ns {
     mt.class(ReqClass::Interactive).queue_delay.quantile(0.99)
 }
 
-/// Runs the five serving configurations for `duration` of virtual time
-/// each and prints the interactive tenant's p99 queue delay against
+/// Runs the five serving configurations for 2 simulated minutes each and prints the interactive tenant's p99 queue delay against
 /// its isolated baseline, the quota ledger and the starvation bound.
 ///
 /// Asserts the five claims — FIFO collapses interactive latency (>= 10x
@@ -116,18 +115,17 @@ fn int_p99_queue_delay(mt: &MtStats) -> Ns {
 /// token bucket is a hard cap that a sustained over-offer nearly fills,
 /// age promotion bounds background starvation — and that multi-tenant
 /// reports render byte-identically run-to-run.
-pub fn fig_tenant(duration: Ns) {
+pub fn fig_tenant() {
     println!("ptsbench fig_tenant — multi-tenant serving: dispatch disciplines and quotas");
     println!(
         "{} MiB over {SHARDS} shards, lsm, Zipfian(0.9) reads, {} simulated minutes; \
          paced interactive tenant vs open-loop batch aggressor",
         TOTAL_BYTES >> 20,
-        duration / MINUTE
+        DURATION / MINUTE
     );
 
     // One zero-think closed-loop client: no queueing, pure service.
-    let mean_service =
-        crate::mean_service(&run_frontend(&config(1, duration)).expect("calibration run"));
+    let mean_service = crate::mean_service(&run_frontend(&config(1)).expect("calibration run"));
     println!(
         "calibration: mean service {:.1} ms → fleet capacity ≈ {:.0} ops/s",
         mean_service as f64 / MILLISECOND as f64,
@@ -136,7 +134,7 @@ pub fn fig_tenant(duration: Ns) {
 
     // --- Isolated baseline: the interactive tenant alone. -------------
     let iso = {
-        let mut cfg = config(2, duration);
+        let mut cfg = config(2);
         cfg.tenants = vec![interactive_tenant(mean_service)];
         run_frontend(&cfg).expect("isolated run")
     };
@@ -148,10 +146,9 @@ pub fn fig_tenant(duration: Ns) {
     let baseline = iso_p99 + iso.latency.quantile(0.99);
 
     // --- FIFO vs WFQ under the aggressor. ------------------------------
-    let fifo = shared_run(mean_service, duration, DispatchDiscipline::Fifo);
+    let fifo = shared_run(mean_service, DispatchDiscipline::Fifo);
     let wfq = shared_run(
         mean_service,
-        duration,
         DispatchDiscipline::WeightedFair { weights: WEIGHTS },
     );
     let fifo_mt = fifo.mt_totals().expect("per-class stats");
@@ -213,7 +210,7 @@ pub fn fig_tenant(duration: Ns) {
         burst_ops: 16,
     };
     let quota_report = {
-        let mut cfg = config(3, duration);
+        let mut cfg = config(3);
         let mut aggressor = TenantSpec::new(ReqClass::Batch, 1);
         aggressor.arrival = Some(ArrivalSpec::OpenPoisson {
             mean_interarrival_ns: (1_000_000_000 / (2 * quota_rate)).max(1),
@@ -224,7 +221,7 @@ pub fn fig_tenant(duration: Ns) {
     };
     let quota_mt = quota_report.mt_totals().expect("per-tenant stats");
     let aggressor_ledger = &quota_mt.tenants[1];
-    let cap = quota_rate * (duration / SECOND) + quota.burst_ops;
+    let cap = quota_rate * (DURATION / SECOND) + quota.burst_ops;
     println!();
     println!(
         "token bucket on batch ({} ops/s + {} burst): offered {} admitted {} \
@@ -242,7 +239,7 @@ pub fn fig_tenant(duration: Ns) {
         aggressor_ledger.admitted
     );
     assert!(
-        aggressor_ledger.admitted as f64 >= 0.9 * (quota_rate * (duration / SECOND)) as f64,
+        aggressor_ledger.admitted as f64 >= 0.9 * (quota_rate * (DURATION / SECOND)) as f64,
         "a sustained over-offer must come out near its full quota: {} of {cap}",
         aggressor_ledger.admitted
     );
@@ -264,7 +261,7 @@ pub fn fig_tenant(duration: Ns) {
     // case the whole closed-loop fleet piled onto the Zipfian-hot shard
     // — while without promotion it would starve for the rest of the run.
     let sp = {
-        let mut cfg = config(2 + BATCH_CLIENTS, duration);
+        let mut cfg = config(2 + BATCH_CLIENTS);
         let mut bg = TenantSpec::new(ReqClass::Background, 1);
         bg.arrival = Some(ArrivalSpec::OpenPoisson {
             mean_interarrival_ns: 20 * mean_service,
@@ -308,7 +305,6 @@ pub fn fig_tenant(duration: Ns) {
     // Headline guarantee: multi-tenant reports are deterministic.
     let rerun = shared_run(
         mean_service,
-        duration,
         DispatchDiscipline::WeightedFair { weights: WEIGHTS },
     );
     assert_eq!(

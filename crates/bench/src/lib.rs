@@ -7,9 +7,8 @@
 //!
 //! | Target | Paper figures |
 //! |---|---|
-//! | `fig02_steady_state` | Fig 2a–2d (Pitfall 1) |
-//! | `fig03_initial_state` | Fig 3a–3d (Pitfall 3) |
-//! | `fig04_lba_cdf` | Fig 4 |
+//! | `fig02_steady_state` | Fig 2a–2d (Pitfalls 1 and 2) |
+//! | `fig03_initial_state` | Fig 3a–3d + Fig 4 (Pitfall 3) |
 //! | `fig05_dataset_size` | Fig 5a–5c (Pitfall 4) |
 //! | `fig06_space_amp` | Fig 6a–6c (Pitfall 5) |
 //! | `fig07_overprovisioning` | Fig 7a/7b + Fig 8 (Pitfall 6) |
@@ -19,9 +18,8 @@
 //! | `ablations` | design-choice ablations on the simulated SSD |
 //!
 //! The eight studies beyond the paper are each one function in a module
-//! of this crate, called by a bench target of the same name (sized by
-//! `PTSBENCH_QUICK`) and by `examples/<name>.rs` in the root package
-//! (fixed sizing; its stdout is pinned by `tests/golden/<name>.txt`):
+//! of this crate, called by `examples/<name>.rs` in the root package
+//! (its stdout is pinned by `tests/golden/<name>.txt`):
 //!
 //! | Module | Study |
 //! |---|---|
@@ -34,9 +32,10 @@
 //! | [`fig_anatomy`] | the serving tail decomposed into engine phase spans |
 //! | [`fig_stall`] | foreground put latency, inline vs background maintenance |
 //!
-//! Sizing: benches default to a 128 MiB simulated stand-in for the
-//! paper's 400 GB drive with the full 210-minute measured phase. Set
-//! `PTSBENCH_QUICK=1` for a fast smoke configuration.
+//! Sizing: every paper-figure target runs `PitfallOptions::default()`, a
+//! 64 MiB simulated stand-in for the paper's 400 GB drive with the full
+//! 210-minute measured phase; each study sizes itself with constants
+//! next to the code that reads them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,22 +53,6 @@ use ptsbench_core::pitfalls::PitfallOptions;
 use ptsbench_metrics::runreport::RunReport;
 use ptsbench_ssd::{Ns, MINUTE};
 
-/// Whether `PTSBENCH_QUICK=1` asks for smoke sizing. Every bench target
-/// sizes itself from this one read of the variable.
-pub fn quick() -> bool {
-    std::env::var("PTSBENCH_QUICK").is_ok_and(|v| v == "1")
-}
-
-/// Sizing used by the figure benches: full paper-shaped runs by
-/// default, a smoke configuration when [`quick`].
-pub fn bench_options() -> PitfallOptions {
-    if quick() {
-        PitfallOptions::quick()
-    } else {
-        PitfallOptions::default()
-    }
-}
-
 /// Prints `ptsbench — {title}` and a line of reproduction context
 /// between two rules.
 pub fn rule_banner(title: &str, context: &str) {
@@ -80,9 +63,10 @@ pub fn rule_banner(title: &str, context: &str) {
     println!("{RULE}");
 }
 
-/// Prints a paper figure's banner with the [`bench_options`] sizing.
+/// Prints a paper figure's banner with the `PitfallOptions::default()`
+/// sizing every figure target runs.
 pub fn banner(figure: &str, pitfall: &str) {
-    let o = bench_options();
+    let o = PitfallOptions::default();
     rule_banner(
         &format!("{figure} ({pitfall})"),
         &format!(
@@ -144,19 +128,6 @@ mod tests {
             busy_ns,
             ..ShardLoad::default()
         })
-    }
-
-    #[test]
-    fn bench_options_are_smoke_sized_exactly_when_quick() {
-        // Whichever way the environment is set, `quick()` is the switch.
-        let smoke = PitfallOptions::quick();
-        let o = bench_options();
-        assert_eq!(
-            (o.device_bytes, o.duration) == (smoke.device_bytes, smoke.duration),
-            quick()
-        );
-        assert!(o.device_bytes >= smoke.device_bytes);
-        assert!(o.duration >= smoke.duration);
     }
 
     #[test]

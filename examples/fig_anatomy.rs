@@ -1,5 +1,5 @@
 //! Latency-anatomy demo: decomposing the serving tail into engine phase
-//! spans, 20 simulated minutes per traced fleet — the study in
+//! spans, 40 simulated minutes per traced fleet — the study in
 //! `ptsbench_bench::fig_anatomy`. Also writes one shard's trace as
 //! Chrome trace-event JSON (`target/fig_anatomy_trace.json`, loadable
 //! in `chrome://tracing` or Perfetto); CI validates that it parses.
@@ -11,12 +11,7 @@
 //!
 //! Run with: `cargo run --release --example fig_anatomy`
 
-use std::path::Path;
-
-use ptsbench::ssd::MINUTE;
-
 fn main() {
     ptsbench::hashlog::register();
-    let trace_out = Path::new("target/fig_anatomy_trace.json");
-    ptsbench_bench::fig_anatomy::fig_anatomy(20 * MINUTE, Some(trace_out));
+    ptsbench_bench::fig_anatomy::fig_anatomy();
 }

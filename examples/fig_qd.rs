@@ -1,8 +1,8 @@
 //! Queue-depth demo: scan read throughput of every registered engine at
-//! I/O submission queue depths 1, 2, 4 and 8 (8 seeded scans of 384
-//! entries per probe), plus the compatibility check that a QD=1 harness
-//! run renders byte-identically to an untouched (pre-queue)
-//! configuration — the study in `ptsbench_bench::fig_qd`.
+//! I/O submission queue depths 1 to 32 (16 seeded scans of 512 entries
+//! per probe), plus the compatibility check that a QD=1 harness run
+//! renders byte-identically to an untouched (pre-queue) configuration —
+//! the study in `ptsbench_bench::fig_qd`.
 //!
 //! The output is fully deterministic — fixed seeds produce
 //! byte-identical text — which CI exploits twice: it runs this example
@@ -13,5 +13,5 @@
 
 fn main() {
     ptsbench::hashlog::register();
-    ptsbench_bench::fig_qd::fig_qd(8, 384, 8);
+    ptsbench_bench::fig_qd::fig_qd();
 }

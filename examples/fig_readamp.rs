@@ -12,5 +12,5 @@
 
 fn main() {
     ptsbench::hashlog::register();
-    ptsbench_bench::fig_readamp::fig_readamp(4_000);
+    ptsbench_bench::fig_readamp::fig_readamp();
 }

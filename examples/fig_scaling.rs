@@ -1,6 +1,6 @@
 //! Concurrent sharded harness demo: every registered engine under
 //! 1, 2, 4 and 8 client threads on a fixed total simulated capacity,
-//! 20 simulated minutes per point — the study in
+//! 60 simulated minutes per point — the study in
 //! `ptsbench_bench::fig_scaling`.
 //!
 //! The output is fully deterministic — fixed seeds produce
@@ -10,9 +10,7 @@
 //!
 //! Run with: `cargo run --release --example fig_scaling`
 
-use ptsbench::ssd::MINUTE;
-
 fn main() {
     ptsbench::hashlog::register();
-    ptsbench_bench::fig_scaling::fig_scaling(20 * MINUTE);
+    ptsbench_bench::fig_scaling::fig_scaling();
 }

@@ -1,5 +1,5 @@
 //! Goodput vs offered load at the serving front-end, with and without
-//! admission control, for every registered engine at 20 simulated
+//! admission control, for every registered engine at 40 simulated
 //! minutes per point — the study in `ptsbench_bench::fig_slo`.
 //!
 //! The output is fully deterministic — fixed seeds produce
@@ -9,9 +9,7 @@
 //!
 //! Run with: `cargo run --release --example fig_slo`
 
-use ptsbench::ssd::MINUTE;
-
 fn main() {
     ptsbench::hashlog::register();
-    ptsbench_bench::fig_slo::fig_slo(20 * MINUTE);
+    ptsbench_bench::fig_slo::fig_slo();
 }

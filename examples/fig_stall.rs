@@ -1,7 +1,8 @@
 //! Write stalls vs background maintenance — foreground put latency
 //! with maintenance drained inside the triggering put against
 //! deferred, rate-budgeted background slices, for every registered
-//! engine: the study in `ptsbench_bench::fig_stall`.
+//! engine, 20 simulated minutes per run: the study in
+//! `ptsbench_bench::fig_stall`.
 //!
 //! The output is fully deterministic — fixed seeds produce
 //! byte-identical text — which CI exploits twice: it runs this example

@@ -10,8 +10,7 @@
 //!
 //! Run with: `cargo run --release --example fig_tenant`
 
-use ptsbench::ssd::MINUTE;
-
 fn main() {
-    ptsbench_bench::fig_tenant::fig_tenant(2 * MINUTE);
+    ptsbench::hashlog::register();
+    ptsbench_bench::fig_tenant::fig_tenant();
 }

@@ -1,10 +1,10 @@
 //! A guided tour of the seven benchmarking pitfalls: runs each pitfall's
-//! experiment at a quick scale and prints the figure-shaped reports with
-//! pass/fail verdicts.
+//! experiment at the paper sizing the figure targets use
+//! (`PitfallOptions::default()`), prints the figure-shaped reports with
+//! pass/fail verdicts, and exits non-zero when any verdict fails.
 //!
 //! ```sh
-//! cargo run --release --example pitfall_tour            # quick scale
-//! PTSBENCH_FULL=1 cargo run --release --example pitfall_tour   # paper scale
+//! cargo run --release --example pitfall_tour   # ~10 s in release
 //! ```
 
 use ptsbench::core::pitfalls::{
@@ -13,23 +13,11 @@ use ptsbench::core::pitfalls::{
 };
 use ptsbench::ssd::MINUTE;
 
-fn options() -> PitfallOptions {
-    if std::env::var("PTSBENCH_FULL").is_ok_and(|v| v == "1") {
-        PitfallOptions::default()
-    } else {
-        // Long enough for steady-state claims, small enough to finish
-        // the whole tour in well under a minute.
-        PitfallOptions {
-            duration: 120 * MINUTE,
-            ..PitfallOptions::quick()
-        }
-    }
-}
-
 fn main() {
-    let opts = options();
+    let opts = PitfallOptions::default();
     println!(
-        "ptsbench pitfall tour — device {} MiB, {} simulated minutes per run\n",
+        "ptsbench pitfall tour — device {} MiB, {} simulated minutes per run; \
+         exits non-zero if any verdict fails\n",
         opts.device_bytes >> 20,
         opts.duration / MINUTE
     );
@@ -66,4 +54,7 @@ fn main() {
         );
     }
     println!("{passed}/{total} verdicts passed");
+    if passed < total {
+        std::process::exit(1);
+    }
 }
