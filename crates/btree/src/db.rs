@@ -590,13 +590,10 @@ impl BTreeDb {
             let Node::Leaf { entries } = node else {
                 unreachable!("descent ends at a leaf")
             };
-            let mut appended_last = false;
+            let appended_last = slot == Err(entries.len());
             match slot {
-                Ok(i) => entries[i].1 = value.to_vec(),
-                Err(i) => {
-                    appended_last = i == entries.len();
-                    entries.insert(i, (key.to_vec(), value.to_vec()));
-                }
+                Ok(i) => node.set_value(i, value),
+                Err(i) => node.insert_pair(i, key, value),
             }
             // Inserts at the tail of a leaf (sequential loads) use the
             // append-optimized split to keep leaves ~full.
@@ -654,10 +651,7 @@ impl BTreeDb {
             return Ok(false);
         };
         let mut cur_len = self.pager.update(page, |node| {
-            let Node::Leaf { entries } = node else {
-                unreachable!("descent ends at a leaf")
-            };
-            entries.remove(i);
+            node.remove_pair(i);
             node.encoded_len()
         })?;
         self.entries -= 1;

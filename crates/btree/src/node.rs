@@ -285,6 +285,32 @@ impl Node {
         }
     }
 
+    /// For a leaf: inserts `(key, value)` as entry `i`.
+    pub(crate) fn insert_pair(&mut self, i: usize, key: &[u8], value: &[u8]) {
+        match self {
+            Node::Leaf { entries } => entries.insert(i, (key.to_vec(), value.to_vec())),
+            Node::Internal { .. } => panic!("insert_pair() on an internal node"),
+        }
+    }
+
+    /// For a leaf: replaces the value of entry `i`.
+    pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
+        match self {
+            Node::Leaf { entries } => entries[i].1 = value.to_vec(),
+            Node::Internal { .. } => panic!("set_value() on an internal node"),
+        }
+    }
+
+    /// For a leaf: removes entry `i`.
+    pub(crate) fn remove_pair(&mut self, i: usize) {
+        match self {
+            Node::Leaf { entries } => {
+                entries.remove(i);
+            }
+            Node::Internal { .. } => panic!("remove_pair() on an internal node"),
+        }
+    }
+
     /// For an internal node: records that the child at `idx` split,
     /// `right` now holding its keys from `sep` up.
     pub(crate) fn insert_child(&mut self, idx: usize, sep: &[u8], right: PageNo) {
@@ -509,6 +535,117 @@ mod tests {
             701,
             "separator key routes right"
         );
+    }
+
+    /// The page image the per-entry `Vec<(Vec<u8>, Vec<u8>)>` leaf wrote.
+    fn reference_leaf_image(pairs: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut buf = vec![TAG_LEAF];
+        buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (k, v) in pairs {
+            buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            buf.extend_from_slice(k);
+            buf.extend_from_slice(v);
+        }
+        buf
+    }
+
+    /// Where that leaf's `split` cut: after the first entry that brings
+    /// the left half to at least half the bytes, keeping both halves
+    /// non-empty.
+    fn reference_leaf_cut(pairs: &[(Vec<u8>, Vec<u8>)]) -> usize {
+        let total: usize = pairs.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
+        let mut acc = 0;
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            acc += 6 + k.len() + v.len();
+            if acc * 2 >= total {
+                return (i + 1).min(pairs.len() - 1).max(1);
+            }
+        }
+        pairs.len() / 2
+    }
+
+    /// `node` encodes to exactly `pairs`' reference image, reports that
+    /// length, and decodes back to itself.
+    fn assert_leaf_image(node: &Node, pairs: &[(Vec<u8>, Vec<u8>)]) {
+        let mut buf = Vec::new();
+        node.encode(&mut buf);
+        assert_eq!(buf, reference_leaf_image(pairs));
+        assert_eq!(buf.len(), node.encoded_len());
+        assert_eq!(Node::decode(&buf).expect("decode"), *node);
+    }
+
+    #[test]
+    fn wide_leaf_page_image_is_unchanged() {
+        // A paper-shaped leaf: ~4 KB values of jagged sizes behind
+        // 16-byte keys, plus an empty key with an empty value, built in
+        // one go and then edited the way a live tree edits leaves.
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..12u32)
+            .map(|i| {
+                let key = format!("user{:012}", 10 * i).into_bytes();
+                (key, vec![i as u8; 3000 + 197 * i as usize])
+            })
+            .collect();
+        pairs.insert(0, (Vec::new(), Vec::new()));
+        let mut node = Node::Leaf {
+            entries: pairs.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        };
+        assert_leaf_image(&node, &pairs);
+
+        // Inserts: in the middle, at the front of the keyed entries, at
+        // the tail.
+        for (i, key, value) in [
+            (5, "user000000000035", vec![0xa1; 4000]),
+            (1, "user", vec![]),
+            (15, "user000000000999", vec![0xa2; 17]),
+        ] {
+            node.insert_pair(i, key.as_bytes(), &value);
+            pairs.insert(i, (key.as_bytes().to_vec(), value));
+            assert_leaf_image(&node, &pairs);
+        }
+        // Overwrites: grow, shrink, same size, to and from empty.
+        for (i, value) in [
+            (3, vec![0xb1; 5000]),
+            (8, b"short".to_vec()),
+            (10, vec![0xb2; pairs[10].1.len()]),
+            (1, b"was empty".to_vec()),
+            (0, Vec::new()),
+            (12, Vec::new()),
+        ] {
+            node.set_value(i, &value);
+            pairs[i].1 = value;
+            assert_leaf_image(&node, &pairs);
+        }
+        // Removes: the last, one in the middle, the empty key.
+        for i in [pairs.len() - 1, 6, 0] {
+            node.remove_pair(i);
+            pairs.remove(i);
+            assert_leaf_image(&node, &pairs);
+        }
+        pairs.insert(0, (Vec::new(), b"empty key".to_vec()));
+        node.insert_pair(0, b"", b"empty key");
+        assert_leaf_image(&node, &pairs);
+
+        // A byte-halving split and the merge that undoes it.
+        let cut = reference_leaf_cut(&pairs);
+        let (sep, right) = node.split();
+        assert_eq!(sep, pairs[cut].0);
+        assert_leaf_image(&node, &pairs[..cut]);
+        assert_leaf_image(&right, &pairs[cut..]);
+        let merged_len = right.merged_len(node.encoded_len(), &sep);
+        node.absorb(&sep, right);
+        assert_leaf_image(&node, &pairs);
+        assert_eq!(node.encoded_len(), merged_len);
+
+        // The append split moves only the last entry; merging it back
+        // restores the page.
+        let last = pairs.len() - 1;
+        let (sep, right) = node.split_append();
+        assert_eq!(sep, pairs[last].0);
+        assert_leaf_image(&node, &pairs[..last]);
+        assert_leaf_image(&right, &pairs[last..]);
+        node.absorb(&sep, right);
+        assert_leaf_image(&node, &pairs);
     }
 
     #[test]

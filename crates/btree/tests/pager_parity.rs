@@ -6,6 +6,12 @@
 //! recorded on that commit; a change that only makes the host faster
 //! must not move any of them. The two `explicit` constants were recorded
 //! on PR 15, before the inline and sliced checkpoints became one job.
+//!
+//! The counters say nothing about what the pages hold, and recovery
+//! reads the pages back: the two `TREE_FILE_*` constants are an FNV-1a
+//! over every byte of the tree file after the inline and the background
+//! mix, each ended by a checkpoint. They were recorded while leaves were
+//! still held as one `(key, value)` pair of vectors per entry.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -19,11 +25,12 @@ fn key(i: u32) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
 }
 
-/// Runs the mix and renders every counter that must not move. With
-/// `explicit`, the random phase also calls `checkpoint()` and
-/// `drain_maintenance()` at fixed steps: a foreground checkpoint that
-/// lands on a half-done background job, and a forced drain mid-run.
-fn run_mix(maint: MaintConfig, explicit: bool) -> String {
+/// Runs the mix; returns the database and the number of entries the
+/// scans yielded. With `explicit`, the random phase also calls
+/// `checkpoint()` and `drain_maintenance()` at fixed steps: a foreground
+/// checkpoint that lands on a half-done background job, and a forced
+/// drain mid-run.
+fn mix(maint: MaintConfig, explicit: bool) -> (BTreeDb, usize) {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = BTreeOptions {
@@ -78,6 +85,12 @@ fn run_mix(maint: MaintConfig, explicit: bool) -> String {
         pump(&mut db);
     }
     db.drain_maintenance().expect("drain");
+    (db, scanned)
+}
+
+/// Runs the mix and renders every counter that must not move.
+fn run_mix(maint: MaintConfig, explicit: bool) -> String {
+    let (mut db, scanned) = mix(maint, explicit);
     let (height, live) = db.verify();
     let smart = db.vfs().ssd().lock().smart();
     format!(
@@ -91,6 +104,37 @@ fn run_mix(maint: MaintConfig, explicit: bool) -> String {
         smart.nand_pages_written,
         db.vfs().clock().now(),
     )
+}
+
+/// FNV-1a over every byte of the tree file.
+fn tree_file_fnv(db: &BTreeDb) -> u64 {
+    let vfs = db.vfs();
+    let file = vfs.open("btree.db").expect("open");
+    let size = vfs.size(file).expect("size") as usize;
+    let bytes = vfs.read_at(file, 0, size).expect("read");
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const TREE_FILE_INLINE: u64 = 9182357194509686930;
+const TREE_FILE_BACKGROUND: u64 = 9182357194509686930;
+
+#[test]
+fn tree_file_bytes_match_the_per_entry_leaf() {
+    let file_after = |maint| {
+        let (mut db, _) = mix(maint, false);
+        db.checkpoint().expect("checkpoint");
+        tree_file_fnv(&db)
+    };
+    assert_eq!(
+        [
+            file_after(MaintConfig::default()),
+            file_after(MaintConfig::enabled())
+        ],
+        [TREE_FILE_INLINE, TREE_FILE_BACKGROUND],
+        "tree file bytes moved"
+    );
 }
 
 #[test]
