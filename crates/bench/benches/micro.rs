@@ -299,7 +299,8 @@ fn bench_engines(c: &mut Criterion) {
 /// separators to an internal page), not `BTreeOptions::small()`: a
 /// walk served from the cache, a walk whose leaf comes off the device,
 /// an in-place update through a four-page cache (every put ends in a
-/// page write-back), and the decode of one wide internal page.
+/// page write-back), and the load (device read plus decode) of one
+/// wide internal page and of one full leaf.
 fn bench_btree_layers(c: &mut Criterion) {
     const KEYS: u32 = 2000;
     const PAGE_BYTES: usize = 32 << 10;
@@ -348,44 +349,43 @@ fn bench_btree_layers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pager");
     group.sample_size(500);
-    group.bench_function("load_internal_1k_separators", |b| {
-        let mut pager = Pager::create(fresh_vfs(64), "t.db", PAGE_BYTES, 4 * PAGE_BYTES as u64)
-            .expect("create");
-        let internal = pager
-            .allocate(Node::Internal {
-                children: (1..=1001).collect(),
-                separators: keys[..1000].iter().collect(),
-            })
-            .expect("allocate");
-        let fillers: Vec<PageNo> = (0..4u8)
-            .map(|i| {
-                let leaf = Node::Leaf {
-                    entries: vec![(vec![i], vec![i; 30_000])],
-                };
-                pager.allocate(leaf).expect("allocate")
-            })
-            .collect();
-        let pager = RefCell::new(pager);
-        b.iter_batched(
-            // Four ~30 KB leaves push the internal page out (untimed)...
-            || {
-                for &page in &fillers {
-                    pager.borrow_mut().read(page).expect("read");
-                }
-            },
-            // ...so this read is a device read plus the decode.
-            |()| {
-                black_box(
-                    pager
-                        .borrow_mut()
-                        .read(internal)
-                        .expect("read")
-                        .encoded_len(),
-                )
-            },
-            BatchSize::PerIteration,
-        )
-    });
+    let internal = Node::Internal {
+        children: (1..=1001).collect(),
+        separators: keys[..1000].iter().collect(),
+    };
+    let leaf = Node::Leaf {
+        entries: keys[..8].iter().map(|key| (key, &value)).collect(),
+    };
+    for (name, node) in [
+        ("load_internal_1k_separators", internal),
+        ("load_leaf_8x4000", leaf),
+    ] {
+        group.bench_function(name, |b| {
+            let mut pager = Pager::create(fresh_vfs(64), "t.db", PAGE_BYTES, 4 * PAGE_BYTES as u64)
+                .expect("create");
+            let page = pager.allocate(node.clone()).expect("allocate");
+            let fillers: Vec<PageNo> = (0..4u8)
+                .map(|i| {
+                    let leaf = Node::Leaf {
+                        entries: [(vec![i], vec![i; 30_000])].into_iter().collect(),
+                    };
+                    pager.allocate(leaf).expect("allocate")
+                })
+                .collect();
+            let pager = RefCell::new(pager);
+            b.iter_batched(
+                // Four ~30 KB leaves push the page out (untimed)...
+                || {
+                    for &filler in &fillers {
+                        pager.borrow_mut().read(filler).expect("read");
+                    }
+                },
+                // ...so this read is a device read plus the decode.
+                |()| black_box(pager.borrow_mut().read(page).expect("read").encoded_len()),
+                BatchSize::PerIteration,
+            )
+        });
+    }
     group.finish();
 }
 

@@ -5,7 +5,7 @@ use ptsbench_maint::{
 };
 use ptsbench_vfs::{Cause, LogRecord, RecordLog, TraceHandle, Vfs};
 
-use crate::node::Node;
+use crate::node::{Entries, Node};
 use crate::options::BTreeOptions;
 use crate::pager::{Pager, PagerStats};
 use crate::{BTreeError, PageNo, Result};
@@ -256,8 +256,14 @@ impl BTreeDb {
         self.entries == 0
     }
 
-    /// Inserts or overwrites a key.
+    /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes
+    /// (a page records a key's length in two bytes).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if key.len() > usize::from(u16::MAX) {
+            return Err(BTreeError::KeyTooLong {
+                key_bytes: key.len(),
+            });
+        }
         let pair_bytes = 6 + key.len() + value.len();
         if pair_bytes + 5 > self.opts.page_bytes {
             return Err(BTreeError::PairTooLarge {
@@ -328,10 +334,7 @@ impl BTreeDb {
                     page = child;
                 }
                 Node::Leaf { entries } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
+                    return Ok(entries.search(key).ok().map(|i| entries.get(i).1.to_vec()));
                 }
             }
         }
@@ -351,11 +354,10 @@ impl BTreeDb {
                     page = children[idx];
                 }
                 Node::Leaf { entries } => {
-                    let slot = entries.binary_search_by(|(k, _)| k.as_slice().cmp(key));
                     return Ok(Descent {
                         leaf: page,
                         path,
-                        slot,
+                        slot: entries.search(key),
                     });
                 }
             }
@@ -375,7 +377,8 @@ impl BTreeDb {
             },
             first_descent: true,
             stack: Vec::new(),
-            leaf: Vec::new().into_iter(),
+            leaf: Entries::default(),
+            next: 0,
             start: start.to_vec(),
             end: end.map(|e| e.to_vec()),
             remaining: limit,
@@ -574,7 +577,7 @@ impl BTreeDb {
     fn insert_entry(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         if self.root == 0 {
             let root = self.pager.allocate(Node::Leaf {
-                entries: vec![(key.to_vec(), value.to_vec())],
+                entries: [(key, value)].into_iter().collect(),
             })?;
             self.root = root;
             self.entries = 1;
@@ -737,15 +740,16 @@ impl BTreeDb {
     ) -> (usize, u64) {
         let (children, separators) = match self.pager.read(page).expect("readable page") {
             Node::Leaf { entries } => {
-                for w in entries.windows(2) {
-                    assert!(w[0].0 < w[1].0, "leaf keys out of order");
-                }
-                for (k, _) in entries {
+                for i in 0..entries.len() {
+                    let k = entries.key(i);
+                    if i > 0 {
+                        assert!(entries.key(i - 1) < k, "leaf keys out of order");
+                    }
                     if let Some(l) = &low {
-                        assert!(k >= l, "leaf key below subtree bound");
+                        assert!(k >= &l[..], "leaf key below subtree bound");
                     }
                     if let Some(h) = &high {
-                        assert!(k < h, "leaf key above subtree bound");
+                        assert!(k < &h[..], "leaf key above subtree bound");
                     }
                 }
                 return (1, entries.len() as u64);
@@ -796,8 +800,10 @@ pub struct BTreeScan<'a> {
     first_descent: bool,
     /// `(children, next child index)` for each internal node on the path.
     stack: Vec<(Vec<PageNo>, usize)>,
-    /// Remaining entries of the current leaf.
-    leaf: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
+    /// The entries of the current leaf the scan can still yield.
+    leaf: Entries,
+    /// The next of them to yield.
+    next: usize,
     start: Vec<u8>,
     end: Option<Vec<u8>>,
     remaining: usize,
@@ -806,28 +812,33 @@ pub struct BTreeScan<'a> {
 impl BTreeScan<'_> {
     /// Walks from `page` down to a leaf, routing by `start` on the
     /// first descent and leftmost thereafter, and copies out the leaf's
-    /// entries the scan can still yield. A leaf that holds the end of
-    /// the range caps `remaining`, so the walk stops with it.
+    /// entries the scan can still yield (one byte range). A leaf that
+    /// holds the end of the range caps `remaining`, so the walk stops
+    /// with it.
     fn descend(&mut self, mut page: PageNo) -> Result<()> {
+        // The index of the first entry at or past `key`.
+        let rank = |entries: &Entries, key: &[u8]| match entries.search(key) {
+            Ok(i) | Err(i) => i,
+        };
         loop {
             let node = self.pager.read(page)?;
             match node {
                 Node::Leaf { entries } => {
                     let from = if self.first_descent {
-                        entries.partition_point(|(k, _)| k.as_slice() < self.start.as_slice())
+                        rank(entries, &self.start)
                     } else {
                         0
                     };
-                    let tail = &entries[from..];
                     if let Some(end) = &self.end {
-                        let in_range = tail.partition_point(|(k, _)| k.as_slice() < end.as_slice());
-                        if in_range < tail.len() {
+                        let in_range = rank(entries, end).max(from) - from;
+                        if from + in_range < entries.len() {
                             self.remaining = self.remaining.min(in_range);
                         }
                     }
                     self.first_descent = false;
-                    let wanted = tail[..tail.len().min(self.remaining)].to_vec();
-                    self.leaf = wanted.into_iter();
+                    let to = entries.len().min(from + self.remaining);
+                    self.leaf = entries.range(from, to);
+                    self.next = 0;
                     return Ok(());
                 }
                 Node::Internal { children, .. } => {
@@ -867,9 +878,11 @@ impl Iterator for BTreeScan<'_> {
             if self.remaining == 0 {
                 return None;
             }
-            if let Some(entry) = self.leaf.next() {
+            if self.next < self.leaf.len() {
+                let (key, value) = self.leaf.get(self.next);
+                self.next += 1;
                 self.remaining -= 1;
-                return Some(Ok(entry));
+                return Some(Ok((key.to_vec(), value.to_vec())));
             }
             let advanced = match self.descend_from.take() {
                 Some(root) => self.descend(root).map(|()| true),

@@ -48,6 +48,11 @@ pub enum BTreeError {
     Vfs(ptsbench_vfs::VfsError),
     /// On-disk page failed validation.
     Corruption(String),
+    /// A key longer than a page can record (`u16::MAX` bytes).
+    KeyTooLong {
+        /// Key length in bytes.
+        key_bytes: usize,
+    },
     /// A single key-value pair larger than a page cannot be stored.
     PairTooLarge {
         /// Encoded pair size.
@@ -87,6 +92,9 @@ impl std::fmt::Display for BTreeError {
         match self {
             BTreeError::Vfs(e) => write!(f, "filesystem error: {e}"),
             BTreeError::Corruption(msg) => write!(f, "corruption: {msg}"),
+            BTreeError::KeyTooLong { key_bytes } => {
+                write!(f, "key of {key_bytes} bytes exceeds {} bytes", u16::MAX)
+            }
             BTreeError::PairTooLarge {
                 pair_bytes,
                 page_bytes,

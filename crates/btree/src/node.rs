@@ -8,50 +8,212 @@
 //! `(n_children - 1)` separators of `[u16 klen][key]`. Child `i` holds
 //! keys `k` with `sep[i-1] <= k < sep[i]` (first child: `k < sep[0]`).
 //!
-//! In memory an internal node keeps its separators the way the page
-//! does ([`Separators`]): the `[u16 klen][key]` records back to back in
-//! one buffer, plus an offset per record. A 32 KiB internal page routes
-//! ~1 000 children; decoding it is one copy of the separator region and
-//! a walk over the length prefixes — three allocations (children,
-//! records, offsets) instead of one per key — and encoding is one copy
-//! back.
+//! In memory both kinds keep their records the way the page does
+//! ([`Records`]): back to back in one buffer, plus an offset per record.
+//!
+//! * A leaf ([`Entries`]) *is* its page image: the buffer starts with
+//!   the `[1u8][u32 n]` header, which every edit keeps current, and a
+//!   loaded leaf has room for its whole page. Loading one is one copy of
+//!   the page's used prefix and a walk over the 6-byte record headers
+//!   (two allocations: buffer and offsets); a lookup is a binary search
+//!   over the offsets; an insert, overwrite or remove is one move inside
+//!   the buffer; split and merge move byte ranges; and the pager writes
+//!   the buffer back as it is, padded to the page, with no encode pass.
+//! * An internal node keeps its separators ([`Separators`]) the same way
+//!   beside a vector of children. A 32 KiB internal page routes ~1 000
+//!   children; decoding it is one copy of the separator region and a
+//!   walk over the length prefixes — three allocations (children,
+//!   records, offsets) instead of one per key — and encoding is one copy
+//!   back.
 
 use crate::{BTreeError, PageNo, Result};
 
-/// The separator keys of an internal node, in page layout.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Separators {
-    /// The `[u16 klen][key]` records, back to back, in key order.
-    records: Vec<u8>,
-    /// `starts[i]` is the offset of record `i` in `records`.
+/// Records in page layout: back to back in one buffer, in key order,
+/// with the offset of each. With `LEAF`, a leaf's
+/// `[u16 klen][u32 vlen][key][value]` entries behind the leaf page
+/// header ([`Entries`]); without, an internal node's `[u16 klen][key]`
+/// separators ([`Separators`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Records<const LEAF: bool> {
+    /// The leaf page header (leaves only), then the records.
+    buf: Vec<u8>,
+    /// `starts[i]` is the offset of record `i` in `buf`.
     starts: Vec<u32>,
 }
 
-impl Separators {
-    /// Number of separators.
+/// A leaf's entries: the leaf's page image.
+pub type Entries = Records<true>;
+
+/// The separator keys of an internal node, in page layout.
+pub type Separators = Records<false>;
+
+impl<const LEAF: bool> Default for Records<LEAF> {
+    fn default() -> Self {
+        let mut records = Records {
+            buf: vec![0; Self::PREFIX],
+            starts: Vec::new(),
+        };
+        records.stamp();
+        records
+    }
+}
+
+impl<const LEAF: bool> Records<LEAF> {
+    /// Bytes before the first record: the leaf page header.
+    const PREFIX: usize = if LEAF { 5 } else { 0 };
+    /// Bytes of a record's length header.
+    const HEADER: usize = if LEAF { 6 } else { 2 };
+
+    /// Number of records.
     pub fn len(&self) -> usize {
         self.starts.len()
     }
 
-    /// Whether there are no separators.
+    /// Whether there are no records.
     pub fn is_empty(&self) -> bool {
         self.starts.is_empty()
     }
 
+    /// `(key length, value length)` from the header at the front of
+    /// `record`.
+    fn lens(record: &[u8]) -> (usize, usize) {
+        let klen = u16::from_le_bytes([record[0], record[1]]) as usize;
+        let vlen = if LEAF {
+            u32::from_le_bytes([record[2], record[3], record[4], record[5]]) as usize
+        } else {
+            0
+        };
+        (klen, vlen)
+    }
+
     /// The key of the record starting at `start`.
     fn key_at(&self, start: u32) -> &[u8] {
-        let start = start as usize;
-        let klen = u16::from_le_bytes([self.records[start], self.records[start + 1]]) as usize;
-        &self.records[start + 2..start + 2 + klen]
+        let record = &self.buf[start as usize..];
+        &record[Self::HEADER..Self::HEADER + Self::lens(record).0]
+    }
+
+    /// The key of record `i`.
+    pub fn key(&self, i: usize) -> &[u8] {
+        self.key_at(self.starts[i])
     }
 
     /// Offset of record `i`; the end of the buffer for `i == len()`.
     fn offset(&self, i: usize) -> usize {
-        self.starts
-            .get(i)
-            .map_or(self.records.len(), |&s| s as usize)
+        self.starts.get(i).map_or(self.buf.len(), |&s| s as usize)
     }
 
+    /// The position of `key`: `Ok` if a record holds it, `Err` with its
+    /// insertion point if not.
+    pub(crate) fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        self.starts
+            .binary_search_by(|&start| self.key_at(start).cmp(key))
+    }
+
+    /// Keeps a leaf's page header current: its tag and record count.
+    fn stamp(&mut self) {
+        if LEAF {
+            self.buf[0] = TAG_LEAF;
+            self.buf[1..5].copy_from_slice(&(self.starts.len() as u32).to_le_bytes());
+        }
+    }
+
+    /// Resizes the `old` bytes at `at` to `new` bytes, moving everything
+    /// after them, and moves the offsets of records `from..` with them.
+    fn respan(&mut self, at: usize, old: usize, new: usize, from: usize) {
+        let end = self.buf.len();
+        if new > old {
+            self.buf.resize(end + new - old, 0);
+        }
+        self.buf.copy_within(at + old..end, at + new);
+        self.buf.truncate(end + new - old);
+        for start in &mut self.starts[from..] {
+            *start = (*start as usize + new - old) as u32;
+        }
+    }
+
+    /// Inserts a record as number `i`, shifting the later ones up.
+    fn insert_record(&mut self, i: usize, key: &[u8], value: &[u8]) {
+        let klen = u16::try_from(key.len()).expect("keys fit a u16 length");
+        let at = self.offset(i);
+        let len = Self::HEADER + key.len() + value.len();
+        self.respan(at, 0, len, i);
+        self.starts.insert(i, at as u32);
+        let (header, body) = self.buf[at..at + len].split_at_mut(Self::HEADER);
+        header[..2].copy_from_slice(&klen.to_le_bytes());
+        if LEAF {
+            header[2..].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        }
+        body[..key.len()].copy_from_slice(key);
+        body[key.len()..].copy_from_slice(value);
+        self.stamp();
+    }
+
+    /// Removes record `i`, shifting the later ones down.
+    pub fn remove(&mut self, i: usize) {
+        let (at, end) = (self.offset(i), self.offset(i + 1));
+        self.starts.remove(i);
+        self.respan(at, end - at, 0, i);
+        self.stamp();
+    }
+
+    /// A copy of records `from..to`: one byte range.
+    pub(crate) fn range(&self, from: usize, to: usize) -> Self {
+        let (lo, hi) = (self.offset(from), self.offset(to));
+        let mut buf = Vec::with_capacity(Self::PREFIX + hi - lo);
+        buf.extend_from_slice(&self.buf[..Self::PREFIX]);
+        buf.extend_from_slice(&self.buf[lo..hi]);
+        let rebase = |&start: &u32| start - lo as u32 + Self::PREFIX as u32;
+        let mut records = Records {
+            buf,
+            starts: self.starts[from..to].iter().map(rebase).collect(),
+        };
+        records.stamp();
+        records
+    }
+
+    /// Splits off the records from index `at` on, keeping the rest.
+    pub(crate) fn split_off(&mut self, at: usize) -> Self {
+        let right = self.range(at, self.len());
+        self.buf.truncate(self.offset(at));
+        self.starts.truncate(at);
+        self.stamp();
+        right
+    }
+
+    /// Appends all of `other`'s records after this one's.
+    pub fn append(&mut self, other: &Self) {
+        let base = (self.buf.len() - Self::PREFIX) as u32;
+        self.buf.extend_from_slice(&other.buf[Self::PREFIX..]);
+        self.starts.extend(other.starts.iter().map(|&s| s + base));
+        self.stamp();
+    }
+
+    /// Reads `n` records off the front of `page` (behind the header, for
+    /// a leaf). A leaf keeps room for the whole page, so neither its
+    /// edits up to a page nor the write-back's padding reallocate.
+    fn decode(page: &[u8], n: usize) -> Result<Self> {
+        let truncated = || BTreeError::Corruption(format!("truncated record in a {n}-record page"));
+        // `n` comes off the page: every record takes at least a header.
+        let mut starts = Vec::with_capacity(n.min(page.len() / Self::HEADER));
+        let mut pos = Self::PREFIX;
+        for _ in 0..n {
+            let Some(header) = page.get(pos..pos + Self::HEADER) else {
+                return Err(truncated());
+            };
+            let (klen, vlen) = Self::lens(header);
+            starts.push(pos as u32);
+            pos += Self::HEADER + klen + vlen;
+            if pos > page.len() {
+                return Err(truncated());
+            }
+        }
+        let mut buf = Vec::with_capacity(if LEAF { page.len() } else { pos });
+        buf.extend_from_slice(&page[..pos]);
+        Ok(Records { buf, starts })
+    }
+}
+
+impl Separators {
     /// How many separators are `<= key`: the index of the child that
     /// covers `key`.
     pub fn rank(&self, key: &[u8]) -> usize {
@@ -61,77 +223,12 @@ impl Separators {
 
     /// Inserts `key` as separator `i`, shifting the later ones up.
     pub fn insert(&mut self, i: usize, key: &[u8]) {
-        let klen = u16::try_from(key.len()).expect("separator keys fit a u16 length");
-        let at = self.offset(i);
-        let record_len = 2 + key.len();
-        let old_len = self.records.len();
-        self.records.resize(old_len + record_len, 0);
-        self.records.copy_within(at..old_len, at + record_len);
-        self.records[at..at + 2].copy_from_slice(&klen.to_le_bytes());
-        self.records[at + 2..at + record_len].copy_from_slice(key);
-        for start in &mut self.starts[i..] {
-            *start += record_len as u32;
-        }
-        self.starts.insert(i, at as u32);
+        self.insert_record(i, key, &[]);
     }
 
     /// Appends `key` as the last separator.
     pub fn push(&mut self, key: &[u8]) {
         self.insert(self.len(), key);
-    }
-
-    /// Removes separator `i`, shifting the later ones down.
-    pub fn remove(&mut self, i: usize) {
-        let (at, end) = (self.offset(i), self.offset(i + 1));
-        self.records.drain(at..end);
-        self.starts.remove(i);
-        for start in &mut self.starts[i..] {
-            *start -= (end - at) as u32;
-        }
-    }
-
-    /// Splits off the separators from index `at` on, keeping the rest.
-    pub(crate) fn split_off(&mut self, at: usize) -> Separators {
-        let cut = self.offset(at);
-        let records = self.records.split_off(cut);
-        let mut starts = self.starts.split_off(at);
-        for start in &mut starts {
-            *start -= cut as u32;
-        }
-        Separators { records, starts }
-    }
-
-    /// Appends all of `other`'s separators after this one's.
-    pub fn append(&mut self, other: &Separators) {
-        let base = self.records.len() as u32;
-        self.records.extend_from_slice(&other.records);
-        self.starts.extend(other.starts.iter().map(|&s| s + base));
-    }
-
-    /// Size of the separators in a page image.
-    fn encoded_len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Reads `n` separator records off the front of `buf`.
-    fn decode(buf: &[u8], n: usize) -> Result<Self> {
-        let corrupt = |m: &str| BTreeError::Corruption(m.to_string());
-        let mut starts = Vec::with_capacity(n);
-        let mut pos = 0;
-        for _ in 0..n {
-            let Some(klen) = buf.get(pos..pos + 2) else {
-                return Err(corrupt("truncated separator"));
-            };
-            starts.push(pos as u32);
-            pos += 2 + u16::from_le_bytes([klen[0], klen[1]]) as usize;
-            if pos > buf.len() {
-                return Err(corrupt("truncated separator key"));
-            }
-        }
-        Ok(Separators {
-            records: buf[..pos].to_vec(),
-            starts,
-        })
     }
 }
 
@@ -139,7 +236,7 @@ impl std::ops::Index<usize> for Separators {
     type Output = [u8];
 
     fn index(&self, i: usize) -> &[u8] {
-        self.key_at(self.starts[i])
+        self.key(i)
     }
 }
 
@@ -153,13 +250,59 @@ impl<K: AsRef<[u8]>> FromIterator<K> for Separators {
     }
 }
 
+impl Entries {
+    /// Entry `i` as `(key, value)`.
+    pub(crate) fn get(&self, i: usize) -> (&[u8], &[u8]) {
+        let record = &self.buf[self.starts[i] as usize..];
+        let (klen, vlen) = Self::lens(record);
+        record[Self::HEADER..Self::HEADER + klen + vlen].split_at(klen)
+    }
+
+    /// Inserts `(key, value)` as entry `i`, shifting the later ones up.
+    pub(crate) fn insert(&mut self, i: usize, key: &[u8], value: &[u8]) {
+        self.insert_record(i, key, value);
+    }
+
+    /// Replaces the value of entry `i`, moving the later entries by the
+    /// difference in length.
+    pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
+        let start = self.starts[i] as usize;
+        let (klen, vlen) = Self::lens(&self.buf[start..]);
+        let at = start + Self::HEADER + klen;
+        self.respan(at, vlen, value.len(), i + 1);
+        self.buf[start + 2..start + 6].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        self.buf[at..at + value.len()].copy_from_slice(value);
+    }
+
+    /// Where a byte-halving split cuts: after the first entry that
+    /// brings the left half to at least half the record bytes, keeping
+    /// both halves non-empty.
+    fn halving_cut(&self) -> usize {
+        let total = self.buf.len() - Self::PREFIX;
+        (1..self.len())
+            .find(|&i| (self.offset(i) - Self::PREFIX) * 2 >= total)
+            .unwrap_or(self.len() - 1)
+            .max(1)
+    }
+}
+
+impl<K: AsRef<[u8]>, V: AsRef<[u8]>> FromIterator<(K, V)> for Entries {
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(pairs: I) -> Self {
+        let mut entries = Entries::default();
+        for (key, value) in pairs {
+            entries.insert(entries.len(), key.as_ref(), value.as_ref());
+        }
+        entries
+    }
+}
+
 /// A decoded tree page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Node {
     /// Key-value storage page.
     Leaf {
-        /// Sorted `(key, value)` entries.
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
+        /// Sorted `(key, value)` entries, in page layout.
+        entries: Entries,
     },
     /// Routing page.
     Internal {
@@ -182,16 +325,11 @@ impl Node {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Node::Leaf { entries } => {
-                5 + entries
-                    .iter()
-                    .map(|(k, v)| 6 + k.len() + v.len())
-                    .sum::<usize>()
-            }
+            Node::Leaf { entries } => entries.buf.len(),
             Node::Internal {
                 children,
                 separators,
-            } => 5 + children.len() * 8 + separators.encoded_len(),
+            } => 5 + children.len() * 8 + separators.buf.len(),
         }
     }
 
@@ -199,16 +337,7 @@ impl Node {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.clear();
         match self {
-            Node::Leaf { entries } => {
-                buf.push(TAG_LEAF);
-                buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (k, v) in entries {
-                    buf.extend_from_slice(&(k.len() as u16).to_le_bytes());
-                    buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(k);
-                    buf.extend_from_slice(v);
-                }
-            }
+            Node::Leaf { entries } => buf.extend_from_slice(&entries.buf),
             Node::Internal {
                 children,
                 separators,
@@ -219,9 +348,32 @@ impl Node {
                 for c in children {
                     buf.extend_from_slice(&c.to_le_bytes());
                 }
-                buf.extend_from_slice(&separators.records);
+                buf.extend_from_slice(&separators.buf);
             }
         }
+    }
+
+    /// Runs `write` over this node's page image zero-padded to
+    /// `page_bytes`: a leaf's own buffer (its padding cut off again
+    /// afterwards), an internal node encoded into `scratch`.
+    pub(crate) fn with_page_image<R>(
+        &mut self,
+        page_bytes: usize,
+        scratch: &mut Vec<u8>,
+        write: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let image = match self {
+            Node::Leaf { entries } => &mut entries.buf,
+            internal => {
+                internal.encode(scratch);
+                scratch
+            }
+        };
+        let used = image.len();
+        image.resize(page_bytes, 0);
+        let out = write(image);
+        image.truncate(used);
+        out
     }
 
     /// Decodes a page image.
@@ -234,28 +386,9 @@ impl Node {
         let n = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
         let mut pos = 5;
         match tag {
-            TAG_LEAF => {
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if pos + 6 > buf.len() {
-                        return Err(corrupt("truncated leaf entry"));
-                    }
-                    let klen =
-                        u16::from_le_bytes(buf[pos..pos + 2].try_into().expect("2")) as usize;
-                    let vlen =
-                        u32::from_le_bytes(buf[pos + 2..pos + 6].try_into().expect("4")) as usize;
-                    pos += 6;
-                    if pos + klen + vlen > buf.len() {
-                        return Err(corrupt("truncated leaf payload"));
-                    }
-                    let key = buf[pos..pos + klen].to_vec();
-                    pos += klen;
-                    let value = buf[pos..pos + vlen].to_vec();
-                    pos += vlen;
-                    entries.push((key, value));
-                }
-                Ok(Node::Leaf { entries })
-            }
+            TAG_LEAF => Ok(Node::Leaf {
+                entries: Entries::decode(buf, n)?,
+            }),
             TAG_INTERNAL => {
                 if n == 0 {
                     return Err(corrupt("internal node without children"));
@@ -288,7 +421,7 @@ impl Node {
     /// For a leaf: inserts `(key, value)` as entry `i`.
     pub(crate) fn insert_pair(&mut self, i: usize, key: &[u8], value: &[u8]) {
         match self {
-            Node::Leaf { entries } => entries.insert(i, (key.to_vec(), value.to_vec())),
+            Node::Leaf { entries } => entries.insert(i, key, value),
             Node::Internal { .. } => panic!("insert_pair() on an internal node"),
         }
     }
@@ -296,7 +429,7 @@ impl Node {
     /// For a leaf: replaces the value of entry `i`.
     pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
         match self {
-            Node::Leaf { entries } => entries[i].1 = value.to_vec(),
+            Node::Leaf { entries } => entries.set_value(i, value),
             Node::Internal { .. } => panic!("set_value() on an internal node"),
         }
     }
@@ -304,9 +437,7 @@ impl Node {
     /// For a leaf: removes entry `i`.
     pub(crate) fn remove_pair(&mut self, i: usize) {
         match self {
-            Node::Leaf { entries } => {
-                entries.remove(i);
-            }
+            Node::Leaf { entries } => entries.remove(i),
             Node::Internal { .. } => panic!("remove_pair() on an internal node"),
         }
     }
@@ -353,7 +484,7 @@ impl Node {
     /// Merges the right sibling into `self`.
     pub fn absorb(&mut self, sep: &[u8], right: Node) {
         match (self, right) {
-            (Node::Leaf { entries }, Node::Leaf { entries: re }) => entries.extend(re),
+            (Node::Leaf { entries }, Node::Leaf { entries: re }) => entries.append(&re),
             (
                 Node::Internal {
                     children,
@@ -382,14 +513,8 @@ impl Node {
         match self {
             Node::Leaf { entries } => {
                 debug_assert!(entries.len() >= 2, "split of a 1-entry leaf");
-                let last = entries.pop().expect("non-empty leaf");
-                let sep = last.0.clone();
-                (
-                    sep,
-                    Node::Leaf {
-                        entries: vec![last],
-                    },
-                )
+                let right = entries.split_off(entries.len() - 1);
+                (right.key(0).to_vec(), Node::Leaf { entries: right })
             }
             Node::Internal { .. } => self.split(),
         }
@@ -403,19 +528,8 @@ impl Node {
             Node::Leaf { entries } => {
                 // Split by bytes, not count, so jagged value sizes still
                 // halve evenly.
-                let total: usize = entries.iter().map(|(k, v)| 6 + k.len() + v.len()).sum();
-                let mut acc = 0;
-                let mut cut = entries.len() / 2;
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    acc += 6 + k.len() + v.len();
-                    if acc * 2 >= total {
-                        cut = (i + 1).min(entries.len() - 1).max(1);
-                        break;
-                    }
-                }
-                let right: Vec<_> = entries.split_off(cut);
-                let sep = right[0].0.clone();
-                (sep, Node::Leaf { entries: right })
+                let right = entries.split_off(entries.halving_cut());
+                (right.key(0).to_vec(), Node::Leaf { entries: right })
             }
             Node::Internal {
                 children,
@@ -682,8 +796,8 @@ mod tests {
         let (sep, right) = n.split();
         // Separator is the first right key and ordering is preserved.
         if let (Node::Leaf { entries: left }, Node::Leaf { entries: right_e }) = (&n, &right) {
-            assert_eq!(right_e[0].0, sep);
-            assert!(left.last().expect("left non-empty").0 < sep);
+            assert_eq!(right_e.key(0), sep);
+            assert!(left.key(left.len() - 1) < &sep[..]);
             assert_eq!(left.len() + right_e.len(), 10);
             // Byte-based split: the two big entries keep the left side small.
             assert!(left.len() < right_e.len());

@@ -13,11 +13,17 @@
 //! resident page, decoded once per device read. The tree borrows it —
 //! [`Pager::read`] hands out `&Node` and [`Pager::update`] runs a closure
 //! over the slot's `&mut Node` — so a root-to-leaf walk copies nothing
-//! but the bytes it returns. Each slot remembers its node's encoded
-//! length (the cache budget is in encoded bytes), the dirty pages are
-//! kept as an ordered set (checkpoints write back in page order without
+//! but the bytes it returns. The cache budget is in encoded bytes (a
+//! node knows its encoded length in O(1)), the dirty pages are kept as
+//! an ordered set (checkpoints write back in page order without
 //! collecting or sorting), and the slots are indexed by last-access tick
 //! (the LRU victim is the index's first entry, not a scan).
+//!
+//! A leaf is its own page image ([`crate::node::Entries`]): a write-back
+//! writes the slot's buffer as it is, zero-padded to the page for the
+//! write and cut back after it, with no encode pass. Only an internal
+//! page, written after splits, is encoded first, into one buffer reused
+//! by every such write-back.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -49,8 +55,6 @@ pub struct PagerStats {
 /// One resident page.
 struct Slot {
     node: Node,
-    /// `node.encoded_len()`, kept current by [`Pager::update`].
-    encoded_len: usize,
     /// Tick of the last access; the slot's key in `Pager::lru`.
     last_access: u64,
 }
@@ -82,7 +86,7 @@ pub struct Pager {
     next_page: PageNo,
     free_list: Vec<PageNo>,
     stats: PagerStats,
-    /// One page image, reused by every write-back.
+    /// One page image, reused by every internal-page write-back.
     page_buf: Vec<u8>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
@@ -218,7 +222,7 @@ impl Pager {
     /// Returns a page to the free list (contents become garbage).
     pub fn free(&mut self, page: PageNo) {
         if let Some(slot) = self.cache.remove(&page) {
-            self.cached_bytes -= slot.encoded_len as u64;
+            self.cached_bytes -= slot.node.encoded_len() as u64;
             self.lru.remove(&slot.last_access);
             self.dirty.remove(&page);
         }
@@ -308,6 +312,7 @@ impl Pager {
             .cache
             .get_mut(&page)
             .unwrap_or_else(|| panic!("update of page {page}, which is not resident"));
+        let before = slot.node.encoded_len();
         let out = f(&mut slot.node);
         let len = slot.node.encoded_len();
         assert!(
@@ -315,8 +320,7 @@ impl Pager {
             "node of {len} bytes exceeds page size {}",
             self.page_bytes
         );
-        self.cached_bytes = self.cached_bytes - slot.encoded_len as u64 + len as u64;
-        slot.encoded_len = len;
+        self.cached_bytes = self.cached_bytes - before as u64 + len as u64;
         self.access_clock += 1;
         slot.stamp(page, self.access_clock, &mut self.lru);
         self.dirty.insert(page);
@@ -327,11 +331,9 @@ impl Pager {
     fn insert_cached(&mut self, page: PageNo, node: Node, dirty: bool) -> Result<()> {
         self.access_clock += 1;
         self.stats.cache.admissions += 1;
-        let encoded_len = node.encoded_len();
-        self.cached_bytes += encoded_len as u64;
+        self.cached_bytes += node.encoded_len() as u64;
         let slot = Slot {
             node,
-            encoded_len,
             last_access: self.access_clock,
         };
         self.lru.insert(slot.last_access, page);
@@ -348,7 +350,7 @@ impl Pager {
             self.flush_page(victim, false)?;
             self.lru.pop_first();
             let slot = self.cache.remove(&victim).expect("victim cached");
-            self.cached_bytes -= slot.encoded_len as u64;
+            self.cached_bytes -= slot.node.encoded_len() as u64;
             self.stats.cache.evictions += 1;
         }
         Ok(())
@@ -360,14 +362,17 @@ impl Pager {
         if !self.dirty.contains(&page) {
             return Ok(());
         }
-        self.cache[&page].node.encode(&mut self.page_buf);
-        self.page_buf.resize(self.page_bytes, 0);
+        let (vfs, file) = (&self.vfs, self.file);
         let offset = page * self.page_bytes as u64;
-        if background {
-            self.vfs.write_at_bg(self.file, offset, &self.page_buf)?;
-        } else {
-            self.vfs.write_at(self.file, offset, &self.page_buf)?;
-        }
+        let slot = self.cache.get_mut(&page).expect("dirty pages are resident");
+        slot.node
+            .with_page_image(self.page_bytes, &mut self.page_buf, |image| {
+                if background {
+                    vfs.write_at_bg(file, offset, image)
+                } else {
+                    vfs.write_at(file, offset, image)
+                }
+            })?;
         self.stats.writebacks += 1;
         self.dirty.remove(&page);
         Ok(())
@@ -451,7 +456,7 @@ mod tests {
 
     fn leaf(tag: u8, bytes: usize) -> Node {
         Node::Leaf {
-            entries: vec![(vec![tag], vec![tag; bytes])],
+            entries: [(vec![tag], vec![tag; bytes])].into_iter().collect(),
         }
     }
 

@@ -126,14 +126,14 @@ proptest! {
             .map(|(i, &s)| (format!("k{i:06}").into_bytes(), vec![0u8; s]))
             .collect();
         let total = entries.len();
-        let mut node = Node::Leaf { entries };
+        let mut node = Node::Leaf { entries: entries.into_iter().collect() };
         let (sep, right) = node.split();
         let (Node::Leaf { entries: left }, Node::Leaf { entries: right }) = (&node, &right) else {
             panic!("leaf split must produce leaves");
         };
         prop_assert_eq!(left.len() + right.len(), total);
         prop_assert!(!left.is_empty() && !right.is_empty());
-        prop_assert_eq!(&right[0].0, &sep);
-        prop_assert!(left.last().expect("non-empty").0 < sep);
+        prop_assert_eq!(right.key(0), &sep[..]);
+        prop_assert!(left.key(left.len() - 1) < &sep[..]);
     }
 }

@@ -47,7 +47,7 @@ fn pager_op() -> impl Strategy<Value = PagerOp> {
 
 fn leaf(value_bytes: usize) -> Node {
     Node::Leaf {
-        entries: vec![(vec![7], vec![7; value_bytes])],
+        entries: [(vec![7], vec![7; value_bytes])].into_iter().collect(),
     }
 }
 

@@ -154,3 +154,31 @@ fn repeated_recovery_is_stable() {
         }
     }
 }
+
+#[test]
+fn keys_past_a_u16_length_are_refused_and_the_longest_survives_recovery() {
+    // A page records a key's length in two bytes. A longer key fits a
+    // 128 KiB page, but it would be written with its length cut short
+    // and be gone after recovery: `put` refuses it instead.
+    let opts = BTreeOptions {
+        page_bytes: 128 << 10,
+        cache_bytes: 4 * (128 << 10),
+        ..BTreeOptions::small()
+    };
+    let longest = vec![b'k'; usize::from(u16::MAX)];
+    let v = vfs();
+    {
+        let mut db = BTreeDb::open(v.clone(), opts).expect("open");
+        let err = db
+            .put(&[b'k'; 70_000], b"v")
+            .expect_err("a 70 000-byte key");
+        assert_eq!(err, BTreeError::KeyTooLong { key_bytes: 70_000 });
+        db.put(&longest, b"longest").expect("put");
+        db.put(b"short", b"v").expect("put");
+        db.checkpoint().expect("checkpoint");
+    }
+    let mut db = BTreeDb::recover(v, opts).expect("recover");
+    assert_eq!(db.get(&longest).expect("get"), Some(b"longest".to_vec()));
+    assert_eq!(db.get(&[b'k'; 70_000]).expect("get"), None);
+    assert_eq!(db.verify(), (1, 2));
+}
