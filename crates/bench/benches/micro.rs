@@ -32,7 +32,9 @@ use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{
     DeviceConfig, DeviceProfile, Ftl, GcConfig, GcPolicy, LpnRange, Ssd, MINUTE, SECOND,
 };
-use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions};
+use ptsbench_vfs::{
+    AllocPolicy, EngineTuning, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions,
+};
 use ptsbench_workload::{encode_key, fill_value, OpKind};
 
 fn fresh_vfs(mb: u64) -> Vfs {
@@ -311,7 +313,7 @@ fn bench_btree_layers(c: &mut Criterion) {
     let value = vec![0u8; 4000];
     let loaded = |cache_bytes: u64| {
         let opts = BTreeOptions {
-            cache_bytes,
+            pager_bytes: cache_bytes,
             ..BTreeOptions::default()
         };
         let mut db = BTreeDb::open(fresh_vfs(64), opts).expect("open");
@@ -510,7 +512,7 @@ fn bench_lsm_data_path(c: &mut Criterion) {
     group.bench_function("compact_noise_lz1", |b| {
         let opts = LsmOptions {
             max_levels: 3,
-            compression: Compression::from_level(1),
+            tuning: EngineTuning::for_device(256 << 20).with_compression_level(1),
             ..LsmOptions::scaled_to_partition(256 << 20)
         };
         let db = RefCell::new(None);

@@ -24,7 +24,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ptsbench_core::measure::{build_stack, bulk_load};
-use ptsbench_core::registry::{EngineKind, EngineRegistry, EngineTuning};
+use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::sharded::ShardedRun;
 use ptsbench_harness::run_sharded;
@@ -60,9 +60,8 @@ fn scan_probe(engine: EngineKind, qd: usize) -> Probe {
         ..RunConfig::default()
     };
     let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes).with_queue_depth(qd);
     let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
+        .open(stack.vfs.clone(), &cfg.tuning())
         .expect("open engine");
     let workload = cfg.workload();
     bulk_load(system.as_mut(), &workload).expect("bulk load");

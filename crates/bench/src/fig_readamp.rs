@@ -25,15 +25,14 @@
 //!
 //! Each probe replays 4 000 gets (`examples/fig_readamp.rs`).
 
-use ptsbench_cache::Compression;
 use ptsbench_core::measure::{build_stack, bulk_load};
-use ptsbench_core::registry::{EngineKind, EngineRegistry, EngineTuning};
+use ptsbench_core::registry::{EngineKind, EngineRegistry};
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::sharded::ShardedRun;
 use ptsbench_harness::run_sharded;
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd, MINUTE};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 use ptsbench_workload::{encode_key, KeyDistribution, Sampler};
 
 /// 64 MiB stand-in for the 400 GB reference drive.
@@ -62,11 +61,8 @@ fn read_probe(engine: EngineKind, cache_bytes: u64, level: u8) -> Probe {
         ..RunConfig::default()
     };
     let stack = build_stack(&cfg).expect("stack");
-    let tuning = EngineTuning::for_device(cfg.device_bytes)
-        .with_cache_bytes(cache_bytes)
-        .with_compression_level(level);
     let mut system = engine
-        .open(stack.vfs.clone(), &tuning)
+        .open(stack.vfs.clone(), &cfg.tuning())
         .expect("open engine");
     let workload = cfg.workload();
     bulk_load(system.as_mut(), &workload).expect("bulk load");
@@ -110,7 +106,7 @@ fn compressible_footprint(level: u8) -> u64 {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = LsmOptions {
-        compression: Compression::from_level(level),
+        tuning: EngineTuning::for_device(0).with_compression_level(level),
         ..LsmOptions::small()
     };
     let mut db = LsmDb::open(vfs.clone(), opts).expect("open");

@@ -76,13 +76,13 @@ pub struct BTreeDb {
     stats: BTreeStats,
     bytes_since_checkpoint: u64,
     /// Pacing source for checkpoint jobs, present iff
-    /// `opts.maint.enabled`; without one the triggering put drains the
+    /// `opts.tuning.maint.enabled`; without one the triggering put drains the
     /// job in place.
     sched: Option<MaintScheduler>,
     /// The checkpoint in flight.
     ckpt: Option<CkptJob>,
     vfs: Vfs,
-    /// Tracing context (inert unless `opts.trace` and the device has a
+    /// Tracing context (inert unless `opts.tuning.trace` and the device has a
     /// tracer attached).
     trace: TraceHandle,
 }
@@ -101,15 +101,16 @@ impl BTreeDb {
     /// Opens a fresh database on the filesystem.
     pub fn open(vfs: Vfs, opts: BTreeOptions) -> Result<Self> {
         opts.validate();
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let mut pager = Pager::create(vfs.clone(), "btree.db", opts.page_bytes, opts.cache_bytes)?;
+        let trace = TraceHandle::from_vfs(&vfs, opts.tuning.trace);
+        let mut pager = Pager::create(
+            vfs.clone(),
+            "btree.db",
+            opts.page_bytes,
+            opts.pager_budget(),
+        )?;
         pager.attach_trace(trace.clone());
-        let journal = if opts.wal_enabled {
-            Some(RecordLog::create(vfs.clone(), JOURNAL_PREFIX, true)?)
-        } else {
-            None
-        };
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
+        let journal = Some(RecordLog::create(vfs.clone(), JOURNAL_PREFIX, true)?);
+        let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
         Ok(Self {
             pager,
             journal,
@@ -131,9 +132,13 @@ impl BTreeDb {
     /// recovery sequence: last checkpoint + log).
     pub fn recover(vfs: Vfs, opts: BTreeOptions) -> Result<Self> {
         opts.validate();
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let mut pager =
-            Pager::open_existing(vfs.clone(), "btree.db", opts.page_bytes, opts.cache_bytes)?;
+        let trace = TraceHandle::from_vfs(&vfs, opts.tuning.trace);
+        let mut pager = Pager::open_existing(
+            vfs.clone(),
+            "btree.db",
+            opts.page_bytes,
+            opts.pager_budget(),
+        )?;
         pager.attach_trace(trace.clone());
         let meta = pager.read_meta()?;
         if &meta[..META_MAGIC.len()] != META_MAGIC {
@@ -150,7 +155,7 @@ impl BTreeDb {
             )));
         }
 
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
+        let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
         let mut db = Self {
             pager,
             journal: None, // attached after replay so replay is not re-logged
@@ -178,12 +183,7 @@ impl BTreeDb {
         db.pager.set_free_list(free);
 
         // Replay the journal (records since the last checkpoint).
-        let records = if db.opts.wal_enabled {
-            RecordLog::replay(&vfs, JOURNAL_PREFIX)?
-        } else {
-            Vec::new()
-        };
-        for record in records {
+        for record in RecordLog::replay(&vfs, JOURNAL_PREFIX)? {
             match record {
                 LogRecord::Put(k, v) => db.insert_entry(&k, &v)?,
                 LogRecord::Delete(k) => {
@@ -191,9 +191,7 @@ impl BTreeDb {
                 }
             }
         }
-        if db.opts.wal_enabled {
-            db.journal = Some(RecordLog::open_or_create(vfs, JOURNAL_PREFIX, true)?);
-        }
+        db.journal = Some(RecordLog::open_or_create(vfs, JOURNAL_PREFIX, true)?);
         // Make the recovered state durable and truncate the journal.
         db.checkpoint()?;
         Ok(db)
@@ -907,7 +905,7 @@ impl Iterator for BTreeScan<'_> {
 mod tests {
     use super::*;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::VfsOptions;
+    use ptsbench_vfs::{EngineTuning, VfsOptions};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1126,7 +1124,7 @@ mod tests {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
         let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
         let opts = BTreeOptions {
-            maint: MaintConfig::enabled(),
+            tuning: EngineTuning::for_device(0).with_maint(MaintConfig::enabled()),
             ..BTreeOptions::small()
         };
         let mut db = BTreeDb::open(vfs.clone(), opts).expect("open");
@@ -1154,7 +1152,7 @@ mod tests {
         // the journal tail reproduce the tree.
         drop(db);
         let opts = BTreeOptions {
-            maint: MaintConfig::enabled(),
+            tuning: EngineTuning::for_device(0).with_maint(MaintConfig::enabled()),
             ..BTreeOptions::small()
         };
         let mut db = BTreeDb::recover(vfs, opts).expect("recover");

@@ -1,6 +1,7 @@
-//! Engine tuning knobs.
+//! The B+Tree's structural options, plus the per-run [`EngineTuning`]
+//! it embeds.
 
-use ptsbench_maint::MaintConfig;
+use ptsbench_vfs::EngineTuning;
 
 /// Configuration of a [`crate::BTreeDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -8,38 +9,30 @@ pub struct BTreeOptions {
     /// Tree page size in bytes (WiredTiger leaf default: 32 KiB).
     /// Should be a multiple of the device page size.
     pub page_bytes: usize,
-    /// Page-cache capacity in bytes (the paper configures 10 MB, §3.1).
-    pub cache_bytes: u64,
-    /// Whether updates are logged before being applied in cache.
-    pub wal_enabled: bool,
+    /// Page-cache capacity in bytes (the paper configures 10 MB, §3.1)
+    /// while the tuning sets no cache budget; see
+    /// `BTreeOptions::pager_budget`.
+    pub pager_bytes: u64,
     /// Whether each commit fsyncs the log.
     pub wal_fsync: bool,
     /// A checkpoint (write-back of all dirty pages + meta) runs after
     /// this many application bytes have been written since the last one.
     pub checkpoint_app_bytes: u64,
-    /// Record phase spans and per-cause device attribution through the
-    /// tracer attached to the device (no-op — and byte-identical to the
-    /// untraced engine — when the device has no tracer or this is
-    /// false, the default).
-    pub trace: bool,
-    /// Background-maintenance knobs. When `maint.enabled`, the
-    /// byte-threshold checkpoint runs as a deferred job in bounded,
-    /// rate-budgeted slices pumped between foreground ops instead of
-    /// inline inside the triggering write; off (the default) keeps the
-    /// seed inline-checkpoint behavior byte-identical.
-    pub maint: MaintConfig,
+    /// The per-run knobs: the cache budget (which overrides
+    /// `pager_bytes`), tracing, and paced checkpoints. Queue depth and
+    /// compression level do not apply: pages load synchronously, and
+    /// in-place page rewrites need fixed-size slots.
+    pub tuning: EngineTuning,
 }
 
 impl Default for BTreeOptions {
     fn default() -> Self {
         Self {
             page_bytes: 32 << 10,
-            cache_bytes: 10 << 20,
-            wal_enabled: true,
+            pager_bytes: 10 << 20,
             wal_fsync: false,
             checkpoint_app_bytes: 8 << 20,
-            trace: false,
-            maint: MaintConfig::default(),
+            tuning: EngineTuning::for_device(0),
         }
     }
 }
@@ -50,12 +43,9 @@ impl BTreeOptions {
     pub fn small() -> Self {
         Self {
             page_bytes: 4 << 10,
-            cache_bytes: 64 << 10,
-            wal_enabled: true,
-            wal_fsync: false,
+            pager_bytes: 64 << 10,
             checkpoint_app_bytes: 256 << 10,
-            trace: false,
-            maint: MaintConfig::default(),
+            ..Self::default()
         }
     }
 
@@ -70,12 +60,23 @@ impl BTreeOptions {
     pub fn scaled_to_partition(device_bytes: u64) -> Self {
         let page_bytes: usize = 32 << 10;
         let proportional = (10u64 << 20).saturating_mul(device_bytes) / (400 << 30);
-        let cache_bytes = proportional.max(4 * page_bytes as u64 + 1);
         Self {
             page_bytes,
-            cache_bytes,
+            pager_bytes: proportional.max(4 * page_bytes as u64 + 1),
             checkpoint_app_bytes: (device_bytes / 64).max(1 << 20),
+            tuning: EngineTuning::for_device(device_bytes),
             ..Self::default()
+        }
+    }
+
+    /// The page-cache budget the pager runs with: the tuning's cache
+    /// budget when it sets one — the budget sweep drives the pager
+    /// cache directly, clamped to the pager's four-page minimum so
+    /// tiny sweep points validate — and `pager_bytes` otherwise.
+    pub(crate) fn pager_budget(&self) -> u64 {
+        match self.tuning.cache_bytes {
+            0 => self.pager_bytes,
+            budget => budget.max(4 * self.page_bytes as u64 + 1),
         }
     }
 
@@ -87,7 +88,7 @@ impl BTreeOptions {
         );
         assert!(self.page_bytes <= 1 << 24);
         assert!(
-            self.cache_bytes >= 4 * self.page_bytes as u64,
+            self.pager_budget() >= 4 * self.page_bytes as u64,
             "cache must hold at least four pages"
         );
     }
@@ -107,14 +108,14 @@ mod tests {
     fn default_matches_wiredtiger_shape() {
         let o = BTreeOptions::default();
         assert_eq!(o.page_bytes, 32 << 10, "WiredTiger leaf pages are 32 KiB");
-        assert_eq!(o.cache_bytes, 10 << 20, "paper configures a 10 MB cache");
+        assert_eq!(o.pager_bytes, 10 << 20, "paper configures a 10 MB cache");
     }
 
     #[test]
     #[should_panic(expected = "cache must hold")]
     fn tiny_cache_rejected() {
         BTreeOptions {
-            cache_bytes: 1024,
+            pager_bytes: 1024,
             ..BTreeOptions::small()
         }
         .validate();

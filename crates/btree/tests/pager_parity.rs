@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use ptsbench_btree::{BTreeDb, BTreeOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn key(i: u32) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
@@ -34,8 +34,8 @@ fn mix(maint: MaintConfig, explicit: bool) -> (BTreeDb, usize) {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = BTreeOptions {
-        cache_bytes: 4 * 4096,
-        maint,
+        pager_bytes: 4 * 4096,
+        tuning: EngineTuning::for_device(0).with_maint(maint),
         ..BTreeOptions::small()
     };
     let mut db = BTreeDb::open(vfs, opts).expect("open");

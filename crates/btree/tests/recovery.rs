@@ -162,7 +162,7 @@ fn keys_past_a_u16_length_are_refused_and_the_longest_survives_recovery() {
     // and be gone after recovery: `put` refuses it instead.
     let opts = BTreeOptions {
         page_bytes: 128 << 10,
-        cache_bytes: 4 * (128 << 10),
+        pager_bytes: 4 * (128 << 10),
         ..BTreeOptions::small()
     };
     let longest = vec![b'k'; usize::from(u16::MAX)];

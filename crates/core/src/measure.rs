@@ -31,7 +31,6 @@ use ptsbench_vfs::{TraceHandle, Vfs, VfsOptions};
 use ptsbench_workload::{Loader, OpGenerator, OpKind, WorkloadSpec};
 
 use crate::engine::{PtsEngine, PtsError, WriteBatch};
-use crate::registry::EngineTuning;
 use crate::runner::{RunConfig, RunResult, Sample, SteadySummary};
 use crate::state::DriveState;
 
@@ -186,12 +185,7 @@ impl Experiment {
         let stack = build_stack(cfg)?;
 
         let trace = TraceHandle::from_vfs(&stack.vfs, cfg.trace);
-        let tuning = EngineTuning::for_device(cfg.device_bytes)
-            .with_queue_depth(cfg.queue_depth)
-            .with_cache_bytes(cfg.cache_bytes)
-            .with_compression_level(cfg.compression_level)
-            .with_trace(cfg.trace)
-            .with_maint(cfg.maint);
+        let tuning = cfg.tuning();
         let mut out_of_space = false;
         let mut failed_during_load = false;
         let mut system = match cfg.engine.open(stack.vfs.clone(), &tuning) {

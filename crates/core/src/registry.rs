@@ -16,6 +16,7 @@ use std::sync::{OnceLock, RwLock};
 
 use ptsbench_btree::{BTreeDb, BTreeOptions};
 use ptsbench_lsm::{LsmDb, LsmOptions};
+pub use ptsbench_vfs::EngineTuning;
 use ptsbench_vfs::Vfs;
 
 use crate::engine::{BTreeEngine, LsmEngine, PtsEngine, PtsError};
@@ -28,94 +29,6 @@ pub enum Lifecycle {
     Open,
     /// Rebuild from persisted state (post-crash restart).
     Recover,
-}
-
-/// Structural tuning inputs passed to engine builders.
-///
-/// Sizing follows the *drive* capacity, not the partition: the paper
-/// keeps engine configurations identical across partitioning schemes
-/// (§4.6), so reserving an over-provisioning partition must not change
-/// memtable/level/cache sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Simulated drive capacity in bytes that structural options scale
-    /// to.
-    pub device_bytes: u64,
-    /// I/O submission queue depth the engine should run its reads at
-    /// (1 = classic synchronous path; engines that support the
-    /// asynchronous API open a shared `IoQueue` of this depth).
-    pub queue_depth: usize,
-    /// Read-cache budget in bytes for this engine instance (each shard
-    /// builds its own instance, so this is a per-shard slice). 0 — the
-    /// default — keeps the engines' seed read paths: no block cache for
-    /// the LSM and hashlog, and the B+Tree's paper-proportioned pager
-    /// cache. Above 0 it becomes the LSM/hashlog block-cache budget and
-    /// overrides the B+Tree pager budget (never below the pager's
-    /// four-page minimum).
-    pub cache_bytes: u64,
-    /// Compression level for engines with a block/segment codec (0 —
-    /// the default — disables compression and keeps on-disk formats
-    /// byte-identical to the seed; 1–9 trades CPU for device bytes).
-    /// The B+Tree ignores it: in-place page rewrites need fixed-size
-    /// slots.
-    pub compression_level: u8,
-    /// Whether the engine records phase spans and per-cause device
-    /// attribution through the tracer attached to its device (false —
-    /// the default — keeps every engine hot path byte-identical to the
-    /// untraced build).
-    pub trace: bool,
-    /// Background-maintenance pacing knobs. Disabled (the default)
-    /// keeps flushes/compactions/GC/checkpoints inline with the
-    /// triggering operation, byte-identical to the seed; enabled turns
-    /// them into rate-budgeted slices the dispatcher interleaves with
-    /// foreground ops.
-    pub maint: ptsbench_maint::MaintConfig,
-}
-
-impl EngineTuning {
-    /// Tuning for a drive of `device_bytes` capacity, at the synchronous
-    /// queue depth of 1 and with the read-path accelerators off.
-    pub fn for_device(device_bytes: u64) -> Self {
-        Self {
-            device_bytes,
-            queue_depth: 1,
-            cache_bytes: 0,
-            compression_level: 0,
-            trace: false,
-            maint: ptsbench_maint::MaintConfig::default(),
-        }
-    }
-
-    /// Sets the I/O submission queue depth.
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        assert!(queue_depth >= 1, "queue depth must be at least 1");
-        self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Sets the per-instance read-cache budget (0 = cache off).
-    pub fn with_cache_bytes(mut self, cache_bytes: u64) -> Self {
-        self.cache_bytes = cache_bytes;
-        self
-    }
-
-    /// Sets the compression level (0 = off, clamped to 9 by the codec).
-    pub fn with_compression_level(mut self, level: u8) -> Self {
-        self.compression_level = level;
-        self
-    }
-
-    /// Enables (or disables) engine phase-span recording.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Sets the background-maintenance configuration.
-    pub fn with_maint(mut self, maint: ptsbench_maint::MaintConfig) -> Self {
-        self.maint = maint;
-        self
-    }
 }
 
 /// Builder signature every registered engine provides.
@@ -271,14 +184,7 @@ fn build_lsm(
     tuning: &EngineTuning,
     lifecycle: Lifecycle,
 ) -> Result<Box<dyn PtsEngine>, PtsError> {
-    let opts = LsmOptions {
-        queue_depth: tuning.queue_depth,
-        cache_bytes: tuning.cache_bytes,
-        compression: ptsbench_cache::Compression::from_level(tuning.compression_level),
-        trace: tuning.trace,
-        maint: tuning.maint,
-        ..LsmOptions::scaled_to_partition(tuning.device_bytes)
-    };
+    let opts = lsm_options(tuning);
     let db = match lifecycle {
         Lifecycle::Open => LsmDb::open(vfs, opts),
         Lifecycle::Recover => LsmDb::recover(vfs, opts),
@@ -286,24 +192,34 @@ fn build_lsm(
     Ok(Box::new(LsmEngine(db)))
 }
 
+/// The LSM's options on a drive: structure scaled to it, tuning as given.
+fn lsm_options(tuning: &EngineTuning) -> LsmOptions {
+    LsmOptions {
+        tuning: *tuning,
+        ..LsmOptions::scaled_to_partition(tuning.device_bytes)
+    }
+}
+
 fn build_btree(
     vfs: Vfs,
     tuning: &EngineTuning,
     lifecycle: Lifecycle,
 ) -> Result<Box<dyn PtsEngine>, PtsError> {
-    let mut opts = BTreeOptions::scaled_to_partition(tuning.device_bytes);
-    opts.trace = tuning.trace;
-    opts.maint = tuning.maint;
-    if tuning.cache_bytes > 0 {
-        // The budget sweep drives the pager cache directly; clamp to
-        // the pager's four-page minimum so tiny sweep points validate.
-        opts.cache_bytes = tuning.cache_bytes.max(4 * opts.page_bytes as u64 + 1);
-    }
+    let opts = btree_options(tuning);
     let db = match lifecycle {
         Lifecycle::Open => BTreeDb::open(vfs, opts),
         Lifecycle::Recover => BTreeDb::recover(vfs, opts),
     }?;
     Ok(Box::new(BTreeEngine(db)))
+}
+
+/// The B+Tree's options on a drive: structure scaled to it, tuning as
+/// given.
+fn btree_options(tuning: &EngineTuning) -> BTreeOptions {
+    BTreeOptions {
+        tuning: *tuning,
+        ..BTreeOptions::scaled_to_partition(tuning.device_bytes)
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +264,36 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.label(), "stub-test-engine");
         assert!(EngineRegistry::all().contains(&a));
+    }
+
+    /// The one `RunConfig -> EngineTuning` map carries every knob, and
+    /// each built-in engine embeds it unchanged.
+    #[test]
+    fn run_tuning_reaches_the_engine_options_unchanged() {
+        let cfg = crate::runner::RunConfig {
+            queue_depth: 8,
+            cache_bytes: 8 << 20,
+            compression_level: 3,
+            trace: true,
+            maint: ptsbench_maint::MaintConfig::enabled(),
+            ..crate::runner::RunConfig::default()
+        };
+        let tuning = cfg.tuning();
+        // Every knob away from its `for_device` default, exhaustively:
+        // a knob added to `EngineTuning` must be added here too.
+        assert_eq!(
+            tuning,
+            EngineTuning {
+                device_bytes: cfg.device_bytes,
+                queue_depth: 8,
+                cache_bytes: 8 << 20,
+                compression_level: 3,
+                trace: true,
+                maint: ptsbench_maint::MaintConfig::enabled(),
+            }
+        );
+        assert_eq!(lsm_options(&tuning).tuning, tuning);
+        assert_eq!(btree_options(&tuning).tuning, tuning);
     }
 
     #[test]

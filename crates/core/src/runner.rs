@@ -27,7 +27,7 @@ use ptsbench_workload::{KeyDistribution, WorkloadSpec};
 
 use crate::engine::PtsError;
 use crate::measure::Experiment;
-use crate::registry::EngineKind;
+use crate::registry::{EngineKind, EngineTuning};
 use crate::state::DriveState;
 
 /// Full description of one experiment run.
@@ -58,18 +58,14 @@ pub struct RunConfig {
     pub sample_window: Ns,
     /// Per-op CPU cost at reference scale (ns); `None` = engine default.
     pub cpu_cost_ns: Option<u64>,
-    /// I/O submission queue depth handed to the engine (1 = classic
-    /// synchronous reads; above 1 engines batch their scan and
-    /// compaction-input reads through a per-shard `IoQueue` of this
-    /// depth). 1 reproduces pre-queue reports byte-identically.
+    /// [`EngineTuning::queue_depth`] (1 reproduces pre-queue reports
+    /// byte-identically).
     pub queue_depth: usize,
-    /// Per-shard read-cache budget in bytes handed to the engine (0 —
-    /// the default — keeps the seed read path and reproduces pre-cache
-    /// reports byte-identically; see `EngineTuning::cache_bytes`).
+    /// [`EngineTuning::cache_bytes`], per shard (0 reproduces pre-cache
+    /// reports byte-identically).
     pub cache_bytes: u64,
-    /// Block/segment compression level handed to engines with a codec
-    /// (0 — the default — keeps the seed on-disk formats; see
-    /// `EngineTuning::compression_level`).
+    /// [`EngineTuning::compression_level`] (0 keeps the seed on-disk
+    /// formats).
     pub compression_level: u8,
     /// End the measured phase early once CUSUM declares throughput
     /// steady *and* cumulative host writes reach 3x device capacity —
@@ -77,16 +73,13 @@ pub struct RunConfig {
     pub stop_when_steady: bool,
     /// Record the per-LBA write trace (Fig 4).
     pub trace_lba: bool,
-    /// Record per-request phase spans and per-cause device attribution
-    /// (the flight recorder): a tracer is attached to the device before
-    /// the engine opens, engines emit phase spans, and the result gains
-    /// per-cause traffic totals plus a recorder handle. False — the
-    /// default — reproduces untraced reports byte-identically.
+    /// [`EngineTuning::trace`], plus the flight recorder: a tracer is
+    /// attached to the device before the engine opens, and the result
+    /// gains per-cause traffic totals and a recorder handle. False
+    /// reproduces untraced reports byte-identically.
     pub trace: bool,
-    /// Background-maintenance configuration handed to the engine
-    /// (disabled — the default — keeps flushes/compactions inline and
-    /// reproduces pre-maintenance reports byte-identically; see
-    /// `EngineTuning::maint`).
+    /// [`EngineTuning::maint`] (disabled reproduces pre-maintenance
+    /// reports byte-identically).
     pub maint: ptsbench_maint::MaintConfig,
     /// RNG seed.
     pub seed: u64,
@@ -140,10 +133,22 @@ impl RunConfig {
         .sized_to(self.device_bytes, self.dataset_fraction)
     }
 
+    /// The tuning every engine of this run is built with: the one map
+    /// from the run's knobs to the engines'.
+    pub fn tuning(&self) -> EngineTuning {
+        EngineTuning::for_device(self.device_bytes)
+            .with_queue_depth(self.queue_depth)
+            .with_cache_bytes(self.cache_bytes)
+            .with_compression_level(self.compression_level)
+            .with_trace(self.trace)
+            .with_maint(self.maint)
+    }
+
     /// Human-readable label for report rows. Queue depth, cache budget
     /// and compression level appear only when they depart from their
     /// seed defaults, so default labels (and therefore rendered
-    /// reports) match the pre-queue/pre-cache ones byte-for-byte.
+    /// reports) match the pre-queue/pre-cache ones byte-for-byte. The
+    /// compression level is the one the codec runs.
     pub fn label(&self) -> String {
         format!(
             "{}/{}/{}/ds{:.2}{}{}{}{}{}{}",
@@ -167,7 +172,10 @@ impl RunConfig {
                 String::new()
             },
             if self.compression_level > 0 {
-                format!("/z{}", self.compression_level)
+                format!(
+                    "/z{}",
+                    ptsbench_cache::Compression::from_level(self.compression_level).level()
+                )
             } else {
                 String::new()
             },
@@ -438,6 +446,21 @@ mod tests {
         assert!(label.contains("SSD1"));
         assert!(label.contains("trim"));
         assert!(label.contains("op0.25"));
+    }
+
+    #[test]
+    fn labels_name_the_compression_level_the_codec_runs() {
+        let at = |compression_level| {
+            RunConfig {
+                compression_level,
+                ..quick(EngineKind::lsm())
+            }
+            .label()
+        };
+        assert!(at(3).ends_with("/z3"), "{}", at(3));
+        assert!(at(12).ends_with("/z9"), "{}", at(12));
+        assert_eq!(at(12), at(9), "levels above 9 run as 9");
+        assert!(!at(0).contains("/z"));
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub struct HashLogDb {
     live_entries: u64,
     stats: HashLogStats,
     /// Shared submission queue for batched reads when
-    /// `opts.queue_depth > 1`; `None` keeps the synchronous read path.
+    /// `opts.tuning.queue_depth > 1`; `None` keeps the synchronous read path.
     queue: Option<SharedIoQueue>,
     /// In-memory contents of the active segment while compression is
     /// on: records accumulate here and the whole segment is written as
@@ -136,13 +136,13 @@ pub struct HashLogDb {
     /// a seal, both reused segment after segment.
     codec_scratch: EncodeScratch,
     container: Vec<u8>,
-    /// Value/segment cache sized by `opts.cache_bytes`; `None` keeps
+    /// Value/segment cache sized by `opts.tuning.cache_bytes`; `None` keeps
     /// the seed read path.
     cache: Option<SharedBlockCache>,
-    /// Tracing context (inert unless `opts.trace` and the device has a
+    /// Tracing context (inert unless `opts.tuning.trace` and the device has a
     /// tracer attached).
     trace: TraceHandle,
-    /// Pacing source for GC jobs, present iff `opts.maint.enabled`
+    /// Pacing source for GC jobs, present iff `opts.tuning.maint.enabled`
     /// (see [`HashLogDb::run_maintenance_slice`]); without one the
     /// triggering write drains the job in place.
     sched: Option<MaintScheduler>,
@@ -165,10 +165,11 @@ impl HashLogDb {
     /// first, [`HashLogDb::recover`] adopts the ones on the filesystem.
     fn empty(vfs: Vfs, opts: HashLogOptions) -> Self {
         opts.validate();
-        let queue = (opts.queue_depth > 1).then(|| vfs.io_queue(opts.queue_depth).into_shared());
-        let cache = (opts.cache_bytes > 0).then(|| BlockCache::shared(opts.cache_bytes));
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
+        let t = opts.tuning;
+        let queue = (t.queue_depth > 1).then(|| vfs.io_queue(t.queue_depth).into_shared());
+        let cache = (t.cache_bytes > 0).then(|| BlockCache::shared(t.cache_bytes));
+        let trace = TraceHandle::from_vfs(&vfs, t.trace);
+        let sched = MaintScheduler::for_config(t.maint, vfs.clock().now());
         Self {
             vfs,
             opts,
@@ -227,7 +228,7 @@ impl HashLogDb {
             let raw = db.vfs.read_shared(file, 0, size as usize)?;
             // Compressed logs store each sealed segment as one
             // container; undo it so offsets below are logical.
-            let buf = if db.opts.compression.is_active() && !raw.is_empty() {
+            let buf = if db.opts.compression().is_active() && !raw.is_empty() {
                 db.decode_segment(raw, Drive::Inline)?
             } else {
                 raw
@@ -276,7 +277,7 @@ impl HashLogDb {
         // A sealed container cannot take raw appends, so a compressed log
         // goes on in a fresh segment — unless the newest one is the empty
         // segment the last incarnation opened and never sealed into.
-        if db.opts.compression.is_active() && db.segments[&newest].bytes > 0 {
+        if db.opts.compression().is_active() && db.segments[&newest].bytes > 0 {
             db.new_segment()?;
         }
         Ok(db)
@@ -329,7 +330,7 @@ impl HashLogDb {
     /// does not advance.
     fn append_active(&mut self, buf: &[u8], drive: Drive) -> Result<()> {
         let active = self.active;
-        if self.opts.compression.is_active() {
+        if self.opts.compression().is_active() {
             self.pending_seg.extend_from_slice(buf);
         } else if drive == Drive::Paced {
             self.vfs.append_bg(self.segments[&active].file, buf)?;
@@ -353,16 +354,18 @@ impl HashLogDb {
 
     fn seal_active_inner(&mut self) -> Result<()> {
         let file = self.segments[&self.active].file;
-        if self.opts.compression.is_active() {
+        if self.opts.compression().is_active() {
             self.container.clear();
-            self.opts.compression.encode_into(
+            self.opts.compression().encode_into(
                 &self.pending_seg,
                 &mut self.codec_scratch,
                 &mut self.container,
             );
-            self.vfs
-                .clock()
-                .advance(self.opts.compression.encode_cost_ns(self.pending_seg.len()));
+            self.vfs.clock().advance(
+                self.opts
+                    .compression()
+                    .encode_cost_ns(self.pending_seg.len()),
+            );
             // Out of space leaves the contents readable in memory.
             self.vfs.append(file, &self.container)?;
             self.pending_seg.clear();
@@ -551,7 +554,7 @@ impl HashLogDb {
             }
             unit[value].to_vec()
         };
-        let compressed = self.opts.compression.is_active();
+        let compressed = self.opts.compression().is_active();
         let mut slots = Vec::with_capacity(entries.len());
         for entry in entries {
             let seg = &self.segments[&entry.segment];
@@ -652,7 +655,7 @@ impl HashLogDb {
     /// contents are sealed into a (possibly short) container first: the
     /// pending buffer is volatile, so durability requires sealing.
     pub fn flush(&mut self) -> Result<()> {
-        if self.opts.compression.is_active() && !self.pending_seg.is_empty() {
+        if self.opts.compression().is_active() && !self.pending_seg.is_empty() {
             return self.seal_active();
         }
         let file = self.segments[&self.active].file;
@@ -844,7 +847,7 @@ impl HashLogDb {
         };
         // Victims are always sealed; with compression that means one
         // container on disk holding `size` logical bytes.
-        let disk = if self.opts.compression.is_active() {
+        let disk = if self.opts.compression().is_active() {
             self.vfs.size(file)?
         } else {
             size
@@ -853,7 +856,7 @@ impl HashLogDb {
             Drive::Inline => self.vfs.read_shared(file, 0, disk as usize)?,
             Drive::Paced => self.vfs.read_shared_bg(file, 0, disk as usize)?,
         };
-        let buf = if self.opts.compression.is_active() {
+        let buf = if self.opts.compression().is_active() {
             self.decode_segment(raw, drive)?
         } else {
             raw
@@ -980,7 +983,7 @@ impl IndexScan<'_> {
         let _cause = db.trace.cause(Cause::Scan);
         // Queued prefetch reads values at device offsets, which only
         // exist on the uncompressed layout.
-        let queued = !db.opts.compression.is_active();
+        let queued = !db.opts.compression().is_active();
         let mut queue = db.queue.as_ref().filter(|_| queued).map(|q| q.lock());
         let depth = queue.as_ref().map_or(1, |q| q.depth().max(1));
         let take = self.ramp.min(depth);
@@ -1116,7 +1119,7 @@ impl PtsEngine for HashLogEngine {
 mod tests {
     use super::*;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::VfsOptions;
+    use ptsbench_vfs::{EngineTuning, VfsOptions};
 
     fn vfs() -> Vfs {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
@@ -1199,7 +1202,7 @@ mod tests {
         let mut db = HashLogDb::open(
             vfs(),
             HashLogOptions {
-                maint: MaintConfig::enabled(),
+                tuning: EngineTuning::for_device(0).with_maint(MaintConfig::enabled()),
                 ..HashLogOptions::small()
             },
         )
@@ -1273,9 +1276,9 @@ mod tests {
         // the last incarnation never sealed into: adopted as a sealed
         // segment, with another opened beside it, it leaked one empty
         // file per recovery.
-        for compression in [Compression::None, Compression::from_level(1)] {
+        for level in [0, 1] {
             let opts = HashLogOptions {
-                compression,
+                tuning: EngineTuning::for_device(0).with_compression_level(level),
                 ..HashLogOptions::small()
             };
             let v = vfs();
@@ -1295,7 +1298,7 @@ mod tests {
                 assert_eq!(
                     first.get_or_insert_with(|| shape.clone()),
                     &shape,
-                    "recovery {round}, {compression:?}"
+                    "recovery {round}, level {level}"
                 );
                 for i in 0..50u32 {
                     assert_eq!(
@@ -1339,7 +1342,7 @@ mod tests {
     #[test]
     fn queued_scans_match_sync_scans_and_run_faster() {
         let opts_deep = HashLogOptions {
-            queue_depth: 8,
+            tuning: EngineTuning::for_device(0).with_queue_depth(8),
             ..HashLogOptions::small()
         };
         let mut sync_db = HashLogDb::open(vfs(), HashLogOptions::small()).expect("open");
@@ -1372,7 +1375,7 @@ mod tests {
     #[test]
     fn compressed_log_round_trips_gc_and_recovery() {
         let opts = HashLogOptions {
-            compression: Compression::from_level(3),
+            tuning: EngineTuning::for_device(0).with_compression_level(3),
             ..HashLogOptions::small()
         };
         let v = vfs();
@@ -1425,7 +1428,7 @@ mod tests {
         let mut db = HashLogDb::open(
             vfs(),
             HashLogOptions {
-                cache_bytes: 1 << 20,
+                tuning: EngineTuning::for_device(0).with_cache_bytes(1 << 20),
                 ..HashLogOptions::small()
             },
         )
@@ -1453,8 +1456,9 @@ mod tests {
         let mut db = HashLogDb::open(
             vfs(),
             HashLogOptions {
-                cache_bytes: 4 << 20,
-                compression: Compression::from_level(3),
+                tuning: EngineTuning::for_device(0)
+                    .with_cache_bytes(4 << 20)
+                    .with_compression_level(3),
                 ..HashLogOptions::small()
             },
         )

@@ -120,17 +120,43 @@ fn build_hashlog(
     tuning: &EngineTuning,
     lifecycle: Lifecycle,
 ) -> std::result::Result<Box<dyn PtsEngine>, PtsError> {
-    let opts = HashLogOptions {
-        queue_depth: tuning.queue_depth,
-        cache_bytes: tuning.cache_bytes,
-        compression: ptsbench_cache::Compression::from_level(tuning.compression_level),
-        trace: tuning.trace,
-        maint: tuning.maint,
-        ..HashLogOptions::scaled_to_partition(tuning.device_bytes)
-    };
+    let opts = options_for(tuning);
     let db = match lifecycle {
         Lifecycle::Open => HashLogDb::open(vfs, opts),
         Lifecycle::Recover => HashLogDb::recover(vfs, opts),
     }?;
     Ok(Box::new(HashLogEngine(db)))
+}
+
+/// The hash log's options on a drive: structure scaled to it, tuning as
+/// given.
+fn options_for(tuning: &EngineTuning) -> HashLogOptions {
+    HashLogOptions {
+        tuning: *tuning,
+        ..HashLogOptions::scaled_to_partition(tuning.device_bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptsbench_core::runner::RunConfig;
+
+    /// The hash log embeds the run's tuning unchanged, every knob set
+    /// away from its default.
+    #[test]
+    fn run_tuning_reaches_the_options_unchanged() {
+        let tuning = RunConfig {
+            queue_depth: 8,
+            cache_bytes: 8 << 20,
+            compression_level: 3,
+            trace: true,
+            maint: ptsbench_maint::MaintConfig::enabled(),
+            ..RunConfig::default()
+        }
+        .tuning();
+        let opts = options_for(&tuning);
+        assert_eq!(opts.tuning, tuning);
+        assert_eq!(opts.compression().level(), 3);
+    }
 }

@@ -1,7 +1,8 @@
-//! Engine tuning knobs.
+//! The hash log's structural options, plus the per-run
+//! [`EngineTuning`] it embeds.
 
 use ptsbench_cache::Compression;
-use ptsbench_maint::MaintConfig;
+use ptsbench_vfs::EngineTuning;
 
 /// Configuration of a [`crate::HashLogDb`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -9,45 +10,21 @@ pub struct HashLogOptions {
     /// Target size of one log segment; the active segment seals and a
     /// new one opens once it grows past this.
     pub segment_bytes: u64,
-    /// I/O submission queue depth. At 1 (the default) every read uses
-    /// the classic synchronous path; above 1 the engine opens a shared
-    /// [`ptsbench_vfs::IoQueue`] and issues scans as batches of up to
-    /// this many parallel point reads — the KVell trick of hiding
-    /// per-command latency behind queue depth. Point lookups stay
-    /// synchronous at any depth.
-    pub queue_depth: usize,
-    /// Value/segment cache budget in bytes (0 — the default — disables
-    /// the cache and keeps the seed read path). Without compression the
-    /// cache holds individual values; with compression it holds whole
-    /// decoded segments, so one device read serves every hot value in
-    /// the segment.
-    pub cache_bytes: u64,
-    /// Segment compression codec: the active segment accumulates in
-    /// memory and is written as one compressed container when it seals
-    /// ([`Compression::None`] keeps the seed append-per-record format).
-    pub compression: Compression,
-    /// Record phase spans and per-cause device attribution through the
-    /// tracer attached to the device (no-op — and byte-identical to the
-    /// untraced engine — when the device has no tracer or this is
-    /// false, the default).
-    pub trace: bool,
-    /// Background-maintenance knobs. When `maint.enabled`, segment GC
-    /// runs as deferred jobs in bounded, rate-budgeted slices pumped
-    /// between foreground ops instead of inline inside the triggering
-    /// write; off (the default) keeps the seed inline-GC behavior
-    /// byte-identical.
-    pub maint: MaintConfig,
+    /// The per-run knobs. Queue depth above 1 issues scans as batches
+    /// of parallel point reads (the KVell trick of hiding per-command
+    /// latency behind queue depth; point lookups stay synchronous). The
+    /// cache holds individual values, or whole decoded segments under
+    /// compression. Compression accumulates the active segment in
+    /// memory and writes it as one container when it seals (see
+    /// `HashLogOptions::compression`). Maintenance paces segment GC.
+    pub tuning: EngineTuning,
 }
 
 impl Default for HashLogOptions {
     fn default() -> Self {
         Self {
             segment_bytes: 4 << 20,
-            queue_depth: 1,
-            cache_bytes: 0,
-            compression: Compression::None,
-            trace: false,
-            maint: MaintConfig::default(),
+            tuning: EngineTuning::for_device(0),
         }
     }
 }
@@ -70,8 +47,15 @@ impl HashLogOptions {
     pub fn scaled_to_partition(device_bytes: u64) -> Self {
         Self {
             segment_bytes: (device_bytes / 64).clamp(64 << 10, 16 << 20),
-            ..Self::default()
+            tuning: EngineTuning::for_device(device_bytes),
         }
+    }
+
+    /// The segment codec the tuning's compression level selects
+    /// ([`Compression::None`] at level 0 keeps the seed
+    /// append-per-record format).
+    pub(crate) fn compression(&self) -> Compression {
+        Compression::from_level(self.tuning.compression_level)
     }
 
     /// Validates option consistency; panics with a description on error.
@@ -80,7 +64,10 @@ impl HashLogOptions {
             self.segment_bytes >= 4 << 10,
             "segments unrealistically small"
         );
-        assert!(self.queue_depth >= 1, "queue depth must be at least 1");
+        assert!(
+            self.tuning.queue_depth >= 1,
+            "queue depth must be at least 1"
+        );
     }
 }
 

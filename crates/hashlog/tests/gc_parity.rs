@@ -15,7 +15,7 @@ use ptsbench_cache::Compression;
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 const KEYS: u32 = 160;
 
@@ -55,8 +55,9 @@ fn run_mix(maint: MaintConfig, compression: Compression) -> String {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = HashLogOptions {
-        maint,
-        compression,
+        tuning: EngineTuning::for_device(0)
+            .with_maint(maint)
+            .with_compression_level(compression.level()),
         ..HashLogOptions::small()
     };
     let mut db = HashLogDb::open(vfs, opts).expect("open");

@@ -26,12 +26,11 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ptsbench_cache::Compression;
 use ptsbench_core::engine::WriteBatch;
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 const KEYS: u32 = 400;
 
@@ -180,14 +179,15 @@ fn run_script(cache_bytes: u64, codec: u8, queue_depth: usize, maint: bool) -> S
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     let opts = HashLogOptions {
-        cache_bytes,
-        compression: Compression::from_level(codec),
-        queue_depth,
-        maint: if maint {
-            MaintConfig::enabled()
-        } else {
-            MaintConfig::default()
-        },
+        tuning: EngineTuning::for_device(0)
+            .with_cache_bytes(cache_bytes)
+            .with_compression_level(codec)
+            .with_queue_depth(queue_depth)
+            .with_maint(if maint {
+                MaintConfig::enabled()
+            } else {
+                MaintConfig::default()
+            }),
         ..HashLogOptions::small()
     };
     let mut db = HashLogDb::open(vfs.clone(), opts).expect("open");

@@ -72,25 +72,25 @@ pub struct LsmDb {
     vfs: Vfs,
     opts: LsmOptions,
     memtable: Memtable,
-    wal: Option<RecordLog>,
+    wal: RecordLog,
     manifest: Manifest,
     version: Version,
     cursors: Vec<usize>,
     next_file: u64,
     stats: DbStats,
     /// Shared submission queue threaded into every table reader when
-    /// `opts.queue_depth > 1`; `None` keeps the synchronous read path.
+    /// `opts.tuning.queue_depth > 1`; `None` keeps the synchronous read path.
     queue: Option<SharedIoQueue>,
     /// Block cache shared by every reader this database opens, sized by
-    /// `opts.cache_bytes`; `None` keeps the seed read path.
+    /// `opts.tuning.cache_bytes`; `None` keeps the seed read path.
     cache: Option<SharedBlockCache>,
     /// Bloom traffic counters shared across reader generations.
     blooms: Arc<BloomCounters>,
     /// Phase-span recorder + device cause scopes (inert unless
-    /// `opts.trace` and a tracer is attached to the device).
+    /// `opts.tuning.trace` and a tracer is attached to the device).
     trace: TraceHandle,
     /// Pacing source for maintenance jobs, present iff
-    /// `opts.maint.enabled`; without one the op that triggers a job
+    /// `opts.tuning.maint.enabled`; without one the op that triggers a job
     /// drains it in place (the seed behavior).
     sched: Option<MaintScheduler>,
     /// The frozen memtable being flushed (readable, newer than any
@@ -124,20 +124,12 @@ impl LsmDb {
     /// Opens a fresh database on the filesystem.
     pub fn open(vfs: Vfs, opts: LsmOptions) -> Result<Self> {
         opts.validate();
-        let wal = if opts.wal_enabled {
-            Some(RecordLog::create(
-                vfs.clone(),
-                WAL_PREFIX,
-                opts.recycle_wal,
-            )?)
-        } else {
-            None
-        };
+        let wal = RecordLog::create(vfs.clone(), WAL_PREFIX, opts.recycle_wal)?;
         let manifest = Manifest::create(vfs.clone())?;
         let queue = io_queue_for(&vfs, &opts);
         let cache = cache_for(&opts);
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
+        let trace = TraceHandle::from_vfs(&vfs, opts.tuning.trace);
+        let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
         Ok(Self {
             memtable: Memtable::new(),
             wal,
@@ -174,7 +166,7 @@ impl LsmDb {
         let (tables, next_file) = Manifest::replay(&vfs)?;
         let queue = io_queue_for(&vfs, &opts);
         let cache = cache_for(&opts);
-        let trace = TraceHandle::from_vfs(&vfs, opts.trace);
+        let trace = TraceHandle::from_vfs(&vfs, opts.tuning.trace);
         let blooms = Arc::new(BloomCounters::default());
         let mut version = Version::new(opts.max_levels);
         for (level, name) in tables {
@@ -217,21 +209,11 @@ impl LsmDb {
         // older than the live one. Those logs go where a deferred
         // rotation puts them, so the flush below releases them exactly
         // when their records are durable in a table.
-        let (records, wal, old_wals) = if opts.wal_enabled {
-            (
-                RecordLog::replay(&vfs, WAL_PREFIX)?,
-                Some(RecordLog::open_or_create(
-                    vfs.clone(),
-                    WAL_PREFIX,
-                    opts.recycle_wal,
-                )?),
-                RecordLog::stale(&vfs, WAL_PREFIX),
-            )
-        } else {
-            (Vec::new(), None, Vec::new())
-        };
+        let records = RecordLog::replay(&vfs, WAL_PREFIX)?;
+        let wal = RecordLog::open_or_create(vfs.clone(), WAL_PREFIX, opts.recycle_wal)?;
+        let old_wals = RecordLog::stale(&vfs, WAL_PREFIX);
         let manifest = Manifest::open(vfs.clone())?;
-        let sched = MaintScheduler::for_config(opts.maint, vfs.clock().now());
+        let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
         let mut db = Self {
             memtable: Memtable::new(),
             wal,
@@ -315,12 +297,13 @@ impl LsmDb {
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.stats.puts += 1;
         self.stats.app_bytes_written += (key.len() + value.len()) as u64;
-        if let Some(wal) = self.wal.as_mut() {
+        // Scoped so the flush that may follow is not WAL traffic.
+        {
             let _c = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("lsm.wal", Cause::Wal);
-            wal.log_put(key, value)?;
+            self.wal.log_put(key, value)?;
             if self.opts.wal_fsync {
-                wal.sync(true)?;
+                self.wal.sync(true)?;
             }
             self.trace.end(span);
         }
@@ -332,12 +315,13 @@ impl LsmDb {
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
         self.stats.deletes += 1;
         self.stats.app_bytes_written += key.len() as u64;
-        if let Some(wal) = self.wal.as_mut() {
+        // Scoped so the flush that may follow is not WAL traffic.
+        {
             let _c = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("lsm.wal", Cause::Wal);
-            wal.log_delete(key)?;
+            self.wal.log_delete(key)?;
             if self.opts.wal_fsync {
-                wal.sync(true)?;
+                self.wal.sync(true)?;
             }
             self.trace.end(span);
         }
@@ -362,16 +346,18 @@ impl LsmDb {
             }
             return Ok(());
         }
-        if let Some(wal) = self.wal.as_mut() {
+        // Scoped so the flush that may follow is not WAL traffic.
+        {
             let _c = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("lsm.wal", Cause::Wal);
             for &(key, value) in ops {
                 match value {
-                    Some(value) => wal.log_put_buffered(key, value),
-                    None => wal.log_delete_buffered(key),
+                    Some(value) => self.wal.log_put_buffered(key, value),
+                    None => self.wal.log_delete_buffered(key),
                 }
             }
-            wal.sync_batched(self.queue.as_ref(), self.opts.wal_fsync)?;
+            self.wal
+                .sync_batched(self.queue.as_ref(), self.opts.wal_fsync)?;
             self.trace.end(span);
         }
         for &(key, value) in ops {
@@ -480,9 +466,7 @@ impl LsmDb {
     /// waits for durability (the `SyncWAL` API). Data synced here
     /// survives a crash even without a flush.
     pub fn sync_wal(&mut self) -> Result<()> {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync(true)?;
-        }
+        self.wal.sync(true)?;
         Ok(())
     }
 
@@ -767,11 +751,9 @@ impl LsmDb {
                 return Ok(());
             }
         }
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync(false)?;
-            if drive == Drive::Paced {
-                self.old_wals.push(wal.rotate_deferred()?);
-            }
+        self.wal.sync(false)?;
+        if drive == Drive::Paced {
+            self.old_wals.push(self.wal.rotate_deferred()?);
         }
         self.imm = Some(std::mem::take(&mut self.memtable));
         if let Some(sched) = drive.pacing(&mut self.sched) {
@@ -784,7 +766,7 @@ impl LsmDb {
     /// background merge window, the writer runs forced slices until it
     /// drains below the line; the stall is attributed to `stall_ns`.
     fn backpressure_l0(&mut self) -> Result<()> {
-        let limit = 2 * self.opts.maint.merge_window.max(2);
+        let limit = 2 * self.opts.tuning.maint.merge_window.max(2);
         if self.version.tables(0).len() < limit {
             return Ok(());
         }
@@ -856,7 +838,7 @@ impl LsmDb {
                     self.opts.bloom_bits_per_key,
                     imm.approx_bytes(),
                 )?
-                .with_compression(self.opts.compression);
+                .with_compression(self.opts.compression());
                 none.insert(FlushJob {
                     builder: Some(builder),
                     cursor: None,
@@ -986,11 +968,7 @@ impl LsmDb {
         }
         match drive {
             Drive::Paced => self.maybe_schedule_compaction()?,
-            Drive::Inline => {
-                if let Some(wal) = self.wal.as_mut() {
-                    wal.rotate()?;
-                }
-            }
+            Drive::Inline => self.wal.rotate()?,
         }
         Ok(true)
     }
@@ -1119,7 +1097,7 @@ impl LsmDb {
                         self.opts.bloom_bits_per_key,
                         self.opts.sstable_target_bytes,
                     )?;
-                    none.insert(b.with_compression(self.opts.compression))
+                    none.insert(b.with_compression(self.opts.compression()))
                 }
             };
             // A block that begins where an input block begins may be
@@ -1198,7 +1176,7 @@ impl LsmDb {
             // Background picks use the Marble merge window (runs allowed
             // to accumulate before a background merge) as the L0 trigger.
             let bg = LsmOptions {
-                l0_compaction_trigger: self.opts.maint.merge_window.max(2),
+                l0_compaction_trigger: self.opts.tuning.maint.merge_window.max(2),
                 ..self.opts.clone()
             };
             let mut task = pick(&self.version, &bg, &mut self.cursors);
@@ -1223,7 +1201,7 @@ impl LsmDb {
 
     /// Background compaction triggers (see [`LsmDb::maybe_schedule_compaction`]).
     fn compaction_due_bg(&self) -> bool {
-        let cfg = &self.opts.maint;
+        let cfg = &self.opts.tuning.maint;
         if self.version.tables(0).len() >= cfg.merge_window.max(2) {
             return true;
         }
@@ -1265,12 +1243,14 @@ fn table_name(next_file: &mut u64) -> String {
 
 /// Opens the shared submission queue when the options ask for one.
 fn io_queue_for(vfs: &Vfs, opts: &LsmOptions) -> Option<SharedIoQueue> {
-    (opts.queue_depth > 1).then(|| vfs.io_queue(opts.queue_depth).into_shared())
+    let t = &opts.tuning;
+    (t.queue_depth > 1).then(|| vfs.io_queue(t.queue_depth).into_shared())
 }
 
 /// Builds the shared block cache when the options ask for one.
 fn cache_for(opts: &LsmOptions) -> Option<SharedBlockCache> {
-    (opts.cache_bytes > 0).then(|| BlockCache::shared(opts.cache_bytes))
+    let t = &opts.tuning;
+    (t.cache_bytes > 0).then(|| BlockCache::shared(t.cache_bytes))
 }
 
 /// Streaming cursor returned by [`LsmDb::scan_iter`]: merges the
@@ -1308,7 +1288,7 @@ impl Iterator for RangeScan<'_> {
 mod tests {
     use super::*;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::VfsOptions;
+    use ptsbench_vfs::{EngineTuning, VfsOptions};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1472,7 +1452,7 @@ mod tests {
         let mut deep_db = db_on_opts(
             64 << 20,
             LsmOptions {
-                queue_depth: 8,
+                tuning: EngineTuning::for_device(0).with_queue_depth(8),
                 ..LsmOptions::small()
             },
         );
@@ -1504,7 +1484,7 @@ mod tests {
         let mut db = db_on_opts(
             64 << 20,
             LsmOptions {
-                queue_depth: 8,
+                tuning: EngineTuning::for_device(0).with_queue_depth(8),
                 ..LsmOptions::small()
             },
         );
@@ -1614,10 +1594,10 @@ mod tests {
             // Every log starts on fresh pages, under either drive.
             recycle_wal: false,
             l0_compaction_trigger: 100_000,
-            maint: ptsbench_maint::MaintConfig {
+            tuning: EngineTuning::for_device(0).with_maint(ptsbench_maint::MaintConfig {
                 merge_window: 100_000,
                 ..maint
-            },
+            }),
             ..LsmOptions::small()
         };
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
@@ -1727,29 +1707,12 @@ mod tests {
     }
 
     #[test]
-    fn wal_disabled_mode() {
-        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
-        let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
-        let mut db = LsmDb::open(
-            vfs,
-            LsmOptions {
-                wal_enabled: false,
-                ..LsmOptions::small()
-            },
-        )
-        .expect("open");
-        db.put(b"k", b"v").expect("put");
-        assert_eq!(db.get(b"k").expect("get"), Some(b"v".to_vec()));
-    }
-
-    #[test]
     fn compressed_tables_round_trip_and_shrink_compressible_data() {
-        use ptsbench_cache::Compression;
         let mut plain = db_on(64 << 20);
         let mut packed = db_on_opts(
             64 << 20,
             LsmOptions {
-                compression: Compression::from_level(3),
+                tuning: EngineTuning::for_device(0).with_compression_level(3),
                 ..LsmOptions::small()
             },
         );
@@ -1788,7 +1751,7 @@ mod tests {
         let mut db = db_on_opts(
             64 << 20,
             LsmOptions {
-                cache_bytes: 4 << 20,
+                tuning: EngineTuning::for_device(0).with_cache_bytes(4 << 20),
                 ..LsmOptions::small()
             },
         );
@@ -1847,7 +1810,7 @@ mod tests {
 
     fn maint_opts() -> LsmOptions {
         LsmOptions {
-            maint: ptsbench_maint::MaintConfig::enabled(),
+            tuning: EngineTuning::for_device(0).with_maint(ptsbench_maint::MaintConfig::enabled()),
             ..LsmOptions::small()
         }
     }

@@ -1,7 +1,8 @@
-//! Engine tuning knobs.
+//! The LSM's structural options, plus the per-run [`EngineTuning`] it
+//! embeds.
 
 use ptsbench_cache::Compression;
-use ptsbench_maint::MaintConfig;
+use ptsbench_vfs::EngineTuning;
 
 /// Configuration of an [`crate::LsmDb`].
 ///
@@ -29,18 +30,6 @@ pub struct LsmOptions {
     /// Bloom filter bits per key, every level (0 disables blooms
     /// entirely).
     pub bloom_bits_per_key: u32,
-    /// Block-cache budget in bytes (0 — the default — disables the
-    /// cache and keeps the seed read path). The cache is created at
-    /// open and shared by every reader generation of this database
-    /// instance; shards each get their own budget slice so concurrent
-    /// shard threads never share mutable state (determinism).
-    pub cache_bytes: u64,
-    /// Block compression codec applied by the SSTable builder and
-    /// undone by the reader ([`Compression::None`] keeps the on-disk
-    /// format byte-identical to the seed).
-    pub compression: Compression,
-    /// Whether updates are logged to the WAL before the memtable.
-    pub wal_enabled: bool,
     /// Whether each commit fsyncs the WAL (RocksDB's default is no —
     /// the OS/device cache is trusted between syncs).
     pub wal_fsync: bool,
@@ -50,24 +39,11 @@ pub struct LsmOptions {
     /// short-lived log pages across the LBA space — an ablation knob for
     /// studying stream mixing in the FTL.
     pub recycle_wal: bool,
-    /// I/O submission queue depth. At 1 (the default) every read uses
-    /// the classic synchronous path; above 1 the engine opens a shared
-    /// [`ptsbench_vfs::IoQueue`] and issues its range-scan chunk loads
-    /// and compaction-input reads as batched submissions of up to this
-    /// many commands, overlapping their base latencies.
-    pub queue_depth: usize,
-    /// Record phase spans and per-cause device attribution through the
-    /// tracer attached to the device (no-op — and byte-identical to the
-    /// untraced engine — when the device has no tracer or this is
-    /// false, the default).
-    pub trace: bool,
-    /// Background-maintenance pacing knobs. When
-    /// [`MaintConfig::enabled`] is false (the default) flushes and
-    /// compactions run inline with the triggering write, byte-identical
-    /// to the seed; when enabled they execute as rate-budgeted slices
-    /// interleaved with foreground ops (see [`crate::db::LsmDb`]'s
-    /// `run_maintenance_slice`).
-    pub maint: MaintConfig,
+    /// The per-run knobs: queue depth for range-scan and
+    /// compaction-input reads, the block-cache budget, the block codec
+    /// level (`LsmOptions::compression`), tracing, and paced flushes
+    /// and compactions.
+    pub tuning: EngineTuning,
 }
 
 impl Default for LsmOptions {
@@ -81,14 +57,9 @@ impl Default for LsmOptions {
             sstable_target_bytes: 4 << 20,
             block_bytes: 4096,
             bloom_bits_per_key: 10,
-            cache_bytes: 0,
-            compression: Compression::None,
-            wal_enabled: true,
             wal_fsync: false,
             recycle_wal: true,
-            queue_depth: 1,
-            trace: false,
-            maint: MaintConfig::default(),
+            tuning: EngineTuning::for_device(0),
         }
     }
 }
@@ -104,16 +75,7 @@ impl LsmOptions {
             level_size_multiplier: 4,
             max_levels: 5,
             sstable_target_bytes: 16 << 10,
-            block_bytes: 4096,
-            bloom_bits_per_key: 10,
-            cache_bytes: 0,
-            compression: Compression::None,
-            wal_enabled: true,
-            wal_fsync: false,
-            recycle_wal: true,
-            queue_depth: 1,
-            trace: false,
-            maint: MaintConfig::default(),
+            ..Self::default()
         }
     }
 
@@ -129,8 +91,16 @@ impl LsmOptions {
             memtable_bytes: memtable,
             l1_target_bytes: memtable * 4,
             sstable_target_bytes: memtable,
+            tuning: EngineTuning::for_device(partition_bytes),
             ..Self::default()
         }
+    }
+
+    /// The block codec the tuning's compression level selects
+    /// ([`Compression::None`] at level 0 keeps the on-disk format
+    /// byte-identical to the seed).
+    pub(crate) fn compression(&self) -> Compression {
+        Compression::from_level(self.tuning.compression_level)
     }
 
     /// Target byte size for level `n` (1-based).
@@ -151,7 +121,10 @@ impl LsmOptions {
         assert!(self.level_size_multiplier >= 2);
         assert!((1..=8).contains(&self.max_levels));
         assert!(self.block_bytes >= 512);
-        assert!(self.queue_depth >= 1, "queue depth must be at least 1");
+        assert!(
+            self.tuning.queue_depth >= 1,
+            "queue depth must be at least 1"
+        );
     }
 }
 

@@ -22,7 +22,7 @@ use ptsbench_lsm::sstable::SstableBuilder;
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn vfs(bytes: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), bytes));
@@ -94,9 +94,10 @@ impl Values {
 
 fn mix_options(maint: MaintConfig, compression: Compression, queue_depth: usize) -> LsmOptions {
     LsmOptions {
-        maint,
-        compression,
-        queue_depth,
+        tuning: EngineTuning::for_device(0)
+            .with_maint(maint)
+            .with_compression_level(compression.level())
+            .with_queue_depth(queue_depth),
         ..LsmOptions::small()
     }
 }

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use ptsbench_lsm::{LsmDb, LsmError, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn vfs() -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -150,7 +150,7 @@ fn records_in_a_deferred_log_survive_recovery() {
     // old file, which alone holds the frozen memtable's records until
     // its flush installs. A crash in that window leaves two logs.
     let paced = || LsmOptions {
-        maint: ptsbench_maint::MaintConfig::enabled(),
+        tuning: EngineTuning::for_device(0).with_maint(ptsbench_maint::MaintConfig::enabled()),
         ..LsmOptions::small()
     };
     let logs = |v: &Vfs| v.list().iter().filter(|n| n.starts_with("wal-")).count();

@@ -21,6 +21,9 @@
 //!   (`wal-<n>`, `journal-0`): page-buffered put/delete records,
 //!   recycling or churning rotation, replay of every log in sequence
 //!   order.
+//! * **Engine tuning** ([`EngineTuning`]) — the per-run knobs (queue
+//!   depth, cache budget, compression level, tracing, maintenance)
+//!   every engine embeds in its options.
 //! * **Partitions** ([`Vfs::new`] takes an LPN range) — reserving part of
 //!   the device as an untouched partition is exactly the paper's software
 //!   over-provisioning knob (Pitfall 6).
@@ -39,6 +42,7 @@ pub mod fs;
 pub mod log;
 mod slice;
 mod trace;
+mod tuning;
 
 pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
 pub use error::VfsError;
@@ -47,6 +51,7 @@ pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};
 pub use log::{LogError, LogRecord, RecordLog};
 pub use slice::FileSlice;
 pub use trace::{CauseScope, TraceHandle};
+pub use tuning::EngineTuning;
 // Re-exported so engines can drive the asynchronous submission path
 // without depending on `ptsbench-ssd` directly.
 pub use ptsbench_ssd::{

@@ -16,7 +16,7 @@ use ptsbench::cache::{BlockCache, Compression, CountMinSketch};
 use ptsbench::hashlog::{HashLogDb, HashLogOptions};
 use ptsbench::lsm::{LsmDb, LsmOptions};
 use ptsbench::ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench::vfs::{Vfs, VfsOptions};
+use ptsbench::vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn vfs() -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -140,8 +140,9 @@ proptest! {
         level in 0..=9u8,
     ) {
         let opts = LsmOptions {
-            cache_bytes: budget,
-            compression: Compression::from_level(level),
+            tuning: EngineTuning::for_device(0)
+                .with_cache_bytes(budget)
+                .with_compression_level(level),
             ..LsmOptions::small()
         };
         drive_lsm(LsmDb::open(vfs(), opts).expect("open"), &ops);
@@ -156,8 +157,9 @@ proptest! {
         level in 0..=9u8,
     ) {
         let opts = HashLogOptions {
-            cache_bytes: budget,
-            compression: Compression::from_level(level),
+            tuning: EngineTuning::for_device(0)
+                .with_cache_bytes(budget)
+                .with_compression_level(level),
             ..HashLogOptions::small()
         };
         drive_hashlog(HashLogDb::open(vfs(), opts).expect("open"), &ops);

@@ -23,7 +23,7 @@ use ptsbench::hashlog::{HashLogDb, HashLogOptions};
 use ptsbench::lsm::{LsmDb, LsmOptions};
 use ptsbench::maint::{MaintConfig, RateBudget};
 use ptsbench::ssd::{Cause, DeviceConfig, DeviceProfile, Ssd, Tracer};
-use ptsbench::vfs::{Vfs, VfsOptions};
+use ptsbench::vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn vfs() -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -152,7 +152,10 @@ proptest! {
         ops in proptest::collection::vec(kv_op(), 1..200),
         maint in maint_cfg(),
     ) {
-        let opts = LsmOptions { maint, ..LsmOptions::small() };
+        let opts = LsmOptions {
+            tuning: EngineTuning::for_device(0).with_maint(maint),
+            ..LsmOptions::small()
+        };
         let db = LsmDb::open(vfs(), opts).expect("open");
         drive_interleaved!(db, &ops, true);
     }
@@ -165,7 +168,10 @@ proptest! {
         ops in proptest::collection::vec(kv_op(), 1..200),
         maint in maint_cfg(),
     ) {
-        let opts = HashLogOptions { maint, ..HashLogOptions::small() };
+        let opts = HashLogOptions {
+            tuning: EngineTuning::for_device(0).with_maint(maint),
+            ..HashLogOptions::small()
+        };
         let db = HashLogDb::open(vfs(), opts).expect("open");
         drive_interleaved!(db, &ops, true);
     }
@@ -178,7 +184,10 @@ proptest! {
         ops in proptest::collection::vec(kv_op(), 1..150),
         maint in maint_cfg(),
     ) {
-        let opts = BTreeOptions { maint, ..BTreeOptions::small() };
+        let opts = BTreeOptions {
+            tuning: EngineTuning::for_device(0).with_maint(maint),
+            ..BTreeOptions::small()
+        };
         let db = BTreeDb::open(vfs(), opts).expect("open");
         drive_interleaved!(db, &ops, false);
     }
@@ -225,8 +234,9 @@ proptest! {
     ) {
         let v = traced_vfs();
         let opts = HashLogOptions {
-            maint: MaintConfig::enabled(),
-            trace: true,
+            tuning: EngineTuning::for_device(0)
+                .with_maint(MaintConfig::enabled())
+                .with_trace(true),
             ..HashLogOptions::small()
         };
         let mut db = HashLogDb::open(v.clone(), opts).expect("open");
