@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use ptsbench_btree::node::Node;
 use ptsbench_btree::pager::Pager;
 use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
-use ptsbench_cache::Compression;
+use ptsbench_cache::{Compression, EncodeScratch};
 use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun};
 use ptsbench_core::registry::EngineKind;
 use ptsbench_core::runner::RunConfig;
@@ -626,16 +626,24 @@ fn bench_codec(c: &mut Criterion) {
         ),
     ];
 
+    // As `SstableBuilder::seal_block` encodes: one scratch for every
+    // block, the container appended to a cleared buffer. `encode` would
+    // allocate and zero fresh match tables each call, which no engine
+    // does.
     let mut group = c.benchmark_group("codec_encode");
     for (name, samples, blocks) in &inputs {
         for level in [1u8, 3] {
             let codec = Compression::from_level(level);
+            let mut scratch = EncodeScratch::default();
+            let mut out = Vec::new();
             let mut next = 0usize;
             group.sample_size(*samples);
             group.bench_function(&format!("{name}/l{level}"), |b| {
                 b.iter(|| {
                     next = (next + 1) % blocks.len();
-                    black_box(codec.encode(black_box(&blocks[next])))
+                    out.clear();
+                    codec.encode_into(black_box(&blocks[next]), &mut scratch, &mut out);
+                    black_box(out.len())
                 })
             });
         }
