@@ -74,6 +74,7 @@ use crate::driver::{base_shard_report, HarnessOutcome};
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Rejection turnaround of a request dropped by an out-of-space shard,
 /// in virtual nanoseconds: the error response still takes a round
@@ -401,7 +402,12 @@ pub struct FrontendShardResult {
 ///
 /// Single-threaded by design: virtual time makes concurrency a
 /// *modelled* property, not an execution property, so request
-/// interleavings are deterministic.
+/// interleavings are deterministic. [`run_frontend`] does generate its
+/// open-loop clients' requests on a second thread, but that thread
+/// never touches a `Frontend`: it computes what seeds alone fix (arrival
+/// times and ops) and hands them over in the order one thread would
+/// have made them, so every call on the `Frontend` — and with it every
+/// decision — is the same.
 ///
 /// [`submit`]: Frontend::submit
 /// [`poll`]: Frontend::poll
@@ -1210,10 +1216,164 @@ fn completion_order(c: &ReqCompletion) -> (Ns, u64) {
 
 /// Per-client driver state for [`run_frontend`].
 struct ClientState {
+    index: usize,
     generator: OpGenerator,
     arrivals: ArrivalClock,
     class: ReqClass,
     tenant: TenantId,
+}
+
+/// A generated request, with its client and submission instant.
+struct Submission {
+    at: Ns,
+    client: usize,
+    request: Request,
+}
+
+/// A set of clients and their due arrivals, earliest first, ties by
+/// client index: the one place [`run_frontend`] generates requests —
+/// the closed-loop clients' on the dispatcher's thread, the open-loop
+/// clients' on the generator thread.
+struct DueClients {
+    /// In increasing client index, so a slot orders like its client.
+    clients: Vec<ClientState>,
+    /// `(time, slot)`. Invariant: slot `s` has exactly one entry iff
+    /// `clients[s].arrivals.next_submit()` is `Some` — pushed when a
+    /// submission or a collected completion schedules the next
+    /// arrival, never for a retired client.
+    due: BinaryHeap<Reverse<(Ns, usize)>>,
+}
+
+impl DueClients {
+    fn new(cfg: &FrontendRun, clients: Vec<usize>) -> Self {
+        let clients: Vec<ClientState> = clients
+            .into_iter()
+            .map(|c| ClientState {
+                index: c,
+                generator: OpGenerator::new(cfg.client_workload(c)),
+                arrivals: ArrivalClock::new(cfg.client_arrival(c), cfg.client_arrival_seed(c)),
+                class: cfg.client_class(c),
+                tenant: cfg.tenant_of_client(c),
+            })
+            .collect();
+        let due = clients
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, c)| Some(Reverse((c.arrivals.next_submit()?, slot))))
+            .collect();
+        Self { clients, due }
+    }
+
+    /// The earliest due arrival before `deadline`, as `(time, client
+    /// index)` (an entry at or past the deadline on top means nobody
+    /// here submits).
+    fn peek(&self, deadline: Ns) -> Option<(Ns, usize)> {
+        let &Reverse((at, slot)) = self.due.peek()?;
+        (at < deadline).then(|| (at, self.clients[slot].index))
+    }
+
+    /// Pops the earliest due arrival and generates its request. A client
+    /// whose clock already knows its next submission — an open loop —
+    /// is due again at once; a closed loop waits for
+    /// [`DueClients::note_completed`].
+    fn pop(&mut self) -> (usize, Submission) {
+        let Reverse((at, slot)) = self.due.pop().expect("a due arrival");
+        let client = &mut self.clients[slot];
+        let op = client.generator.next_op();
+        let request = Request {
+            kind: op.kind,
+            key_index: op.key_index,
+            value: op.value.to_vec(),
+            class: client.class,
+            tenant: client.tenant,
+        };
+        client.arrivals.note_submitted();
+        if let Some(next) = client.arrivals.next_submit() {
+            self.due.push(Reverse((next, slot)));
+        }
+        let submission = Submission {
+            at,
+            client: client.index,
+            request,
+        };
+        (slot, submission)
+    }
+
+    /// Schedules a closed loop's next arrival after its request
+    /// completed at `done_at`.
+    fn note_completed(&mut self, slot: usize, done_at: Ns) {
+        let arrivals = &mut self.clients[slot].arrivals;
+        arrivals.note_completed(done_at);
+        if let Some(next) = arrivals.next_submit() {
+            self.due.push(Reverse((next, slot)));
+        }
+    }
+
+    /// Stops a closed loop for good.
+    fn retire(&mut self, slot: usize) {
+        self.clients[slot].arrivals.retire();
+    }
+
+    /// The generator thread: sends every arrival before `deadline`, in
+    /// order, in batches of [`ARRIVAL_BATCH`]. Stops early when the
+    /// dispatcher hangs up.
+    fn generate(mut self, deadline: Ns, tx: SyncSender<Vec<Submission>>) {
+        let mut batch = Vec::with_capacity(ARRIVAL_BATCH);
+        while self.peek(deadline).is_some() {
+            batch.push(self.pop().1);
+            if batch.len() == ARRIVAL_BATCH {
+                let full = std::mem::replace(&mut batch, Vec::with_capacity(ARRIVAL_BATCH));
+                if tx.send(full).is_err() {
+                    return;
+                }
+            }
+        }
+        if !batch.is_empty() {
+            // A hung-up dispatcher has nothing left to take it.
+            let _ = tx.send(batch);
+        }
+    }
+}
+
+/// Open-loop arrivals per message from the generator thread.
+const ARRIVAL_BATCH: usize = 256;
+
+/// Messages the channel from the generator thread holds: with the
+/// batch being filled and the one being submitted, at most
+/// `(ARRIVAL_BATCHES + 2) * ARRIVAL_BATCH` generated requests exist
+/// ahead of the dispatcher.
+const ARRIVAL_BATCHES: usize = 4;
+
+/// The open-loop arrivals as the generator thread sends them, in
+/// `(time, client index)` order; none when the run has no open loop.
+struct OpenArrivals {
+    rx: Option<Receiver<Vec<Submission>>>,
+    batch: std::iter::Peekable<std::vec::IntoIter<Submission>>,
+}
+
+impl OpenArrivals {
+    fn new(rx: Option<Receiver<Vec<Submission>>>) -> Self {
+        Self {
+            rx,
+            batch: Vec::new().into_iter().peekable(),
+        }
+    }
+
+    /// The next arrival, waiting for the generator thread when it has
+    /// not sent it yet; `None` once the generator has sent everything.
+    fn peek(&mut self) -> Option<&Submission> {
+        if self.batch.peek().is_none() {
+            if let Some(batch) = self.rx.as_ref().and_then(|rx| rx.recv().ok()) {
+                self.batch = batch.into_iter().peekable();
+            }
+        }
+        self.batch.peek()
+    }
+
+    /// Takes the arrival [`OpenArrivals::peek`] returned.
+    fn pop(&mut self) -> Submission {
+        self.batch.next().expect("a peeked arrival")
+    }
 }
 
 /// Runs a full serving experiment and returns the merged report.
@@ -1229,11 +1389,19 @@ struct ClientState {
 /// again — its bound shard died, or every shard did — while a routed
 /// client with healthy shards left keeps submitting.
 ///
-/// The driver is an event queue, not a scan: every client with a known
-/// next submission time sits in one binary heap keyed `(time, client
-/// index)`, and the closed-loop clients waiting on an undecided request
-/// sit in a blocked list, so a request costs O(log clients) however
-/// wide the fan-in.
+/// The driver is an event queue, not a scan: clients with a known next
+/// submission time sit in binary heaps keyed `(time, client index)`,
+/// and the closed-loop clients waiting on an undecided request sit in a
+/// blocked list, so a request costs O(log clients) however wide the
+/// fan-in. An open-loop client's arrivals and requests are fixed by its
+/// seeds — no completion feeds back into them — so when the run has
+/// any, a second thread generates them and sends them, in `(time,
+/// client index)` order, to the dispatcher over a bounded channel (at
+/// most 1 536 requests ahead). The dispatcher submits the earlier of
+/// that stream's head and the closed-loop heap's top, ties by client
+/// index: the order one heap over every client would pop, so every
+/// decision is the same. A run without open loops spawns no thread;
+/// the [`Frontend`] itself is only ever touched by the calling thread.
 ///
 /// Deterministic in virtual time: fixed seeds produce byte-identical
 /// rendered reports. In the conformant shape
@@ -1246,131 +1414,28 @@ pub fn run_frontend(cfg: &FrontendRun) -> Result<RunReport, PtsError> {
 
 /// [`run_frontend`], also returning the per-shard [`RunResult`]s.
 pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, PtsError> {
-    let mut frontend = Frontend::new(cfg)?;
-    let mut clients: Vec<ClientState> = (0..cfg.clients)
-        .map(|c| ClientState {
-            generator: OpGenerator::new(cfg.client_workload(c)),
-            arrivals: ArrivalClock::new(cfg.client_arrival(c), cfg.client_arrival_seed(c)),
-            class: cfg.client_class(c),
-            tenant: cfg.tenant_of_client(c),
-        })
-        .collect();
-    // Due arrivals, earliest first, ties by client index. Invariant:
-    // client `i` has exactly one entry iff `arrivals.next_submit()` is
-    // `Some` — pushed when a submission or a collected completion
-    // schedules the next arrival, never for a retired client.
-    let mut due: BinaryHeap<Reverse<(Ns, usize)>> = clients
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| Some(Reverse((c.arrivals.next_submit()?, i))))
-        .collect();
-    // Closed-loop clients whose request in flight has not been
-    // collected yet. Resolved immediately under FIFO dispatch; under a
-    // reordering discipline a client stays here until the dispatcher
-    // decides its request.
-    let mut blocked: Vec<(usize, ReqToken)> = Vec::new();
-
-    // Event loop, three moves per iteration:
-    //
-    // 1. collect resolved completions for blocked closed-loop clients
-    //    (so they can schedule their next arrival),
-    // 2. submit the earliest due arrival (ties by client index),
-    //    settling dispatch decisions strictly before it so the
-    //    discipline decides in event order,
-    // 3. when neither is possible, force the dispatcher's single next
-    //    decision to unblock somebody.
-    //
-    // Under FIFO dispatch every submission resolves at submit, step 3
-    // never fires, and the loop degenerates to the pre-multi-tenant
-    // submit/collect cycle in the identical order.
-    loop {
-        // 1. Blocked clients whose requests have resolved.
-        let mut resolved_any = false;
-        blocked.retain(|&(client_idx, token)| {
-            let Some(completion) = frontend.take(token) else {
-                return true;
-            };
-            resolved_any = true;
-            let arrivals = &mut clients[client_idx].arrivals;
-            // A closed-loop client retires when its traffic can never
-            // be served again: a bound client's shard died (mirroring
-            // how a sharded-harness shard stops), or the whole fleet is
-            // dead. A *routed* client with healthy shards left keeps
-            // going — its next keys may well route elsewhere, and its
-            // drops complete after `DROP_LATENCY` so retries advance
-            // virtual time.
-            if completion.outcome == ReqOutcome::ShardOutOfSpace
-                && (cfg.binding == ClientBinding::Bound || frontend.all_shards_dead())
-            {
-                arrivals.retire();
-            } else {
-                arrivals.note_completed(completion.done_at);
-                if let Some(next) = arrivals.next_submit() {
-                    due.push(Reverse((next, client_idx)));
-                }
+    let (open, closed): (Vec<usize>, Vec<usize>) =
+        (0..cfg.clients).partition(|&c| !cfg.client_arrival(c).is_closed());
+    let shards = if open.is_empty() {
+        dispatch(cfg, closed, OpenArrivals::new(None))?
+    } else {
+        std::thread::scope(|s| {
+            let (tx, rx) = sync_channel(ARRIVAL_BATCHES);
+            let generator =
+                s.spawn(move || DueClients::new(cfg, open).generate(cfg.base.duration, tx));
+            // Returning drops the receiver, which stops the generator
+            // if the run ended early.
+            let shards = dispatch(cfg, closed, OpenArrivals::new(Some(rx)));
+            if let Err(panic) = generator.join() {
+                std::panic::resume_unwind(panic);
             }
-            false
-        });
-
-        // 2. The earliest due arrival within the submission window (an
-        //    entry at or past the deadline on top means nobody submits).
-        if let Some(&Reverse((at, client_idx))) = due.peek() {
-            if at < cfg.base.duration {
-                due.pop();
-                frontend.advance_to(at);
-                // Settle strictly *before* the arrival instant: a
-                // decision at exactly `at` must still see this (and any
-                // simultaneous) submission as a candidate.
-                frontend.settle_to(at.saturating_sub(1))?;
-                let client = &mut clients[client_idx];
-                let request = {
-                    let op = client.generator.next_op();
-                    Request {
-                        kind: op.kind,
-                        key_index: op.key_index,
-                        value: op.value.to_vec(),
-                        class: client.class,
-                        tenant: client.tenant,
-                    }
-                };
-                client.arrivals.note_submitted();
-                match client.arrivals.next_submit() {
-                    // Open loop: the next arrival is already known, so
-                    // nobody will ever collect this completion.
-                    Some(next) => {
-                        frontend.submit_detached(request)?;
-                        due.push(Reverse((next, client_idx)));
-                    }
-                    // Closed loop: step 1 collects the completion once
-                    // it resolves (immediately under FIFO, at the
-                    // dispatch decision otherwise).
-                    None => blocked.push((client_idx, frontend.submit(request)?)),
-                }
-                // Only what a blocked client will come back for is
-                // parked, so the run's memory does not grow with the
-                // number of requests it has served.
-                debug_assert!(frontend.pending() <= blocked.len());
-                continue;
-            }
-        }
-
-        // 3. Nothing submitted: if a completion just resolved, loop so
-        //    its client can schedule; otherwise the dispatcher itself
-        //    must decide its next waiting request — and when even it
-        //    has nothing left, the run is over.
-        if resolved_any {
-            continue;
-        }
-        if !frontend.settle_one()? {
-            break;
-        }
-    }
-    frontend.settle()?;
+            shards
+        })?
+    };
 
     let attach_serving_metrics = !cfg.is_conformant();
     let attach_slo = cfg.slo.is_active();
     let attach_mt = cfg.mt_active();
-    let shards = frontend.finish();
     let reports = shards
         .iter()
         .enumerate()
@@ -1396,13 +1461,118 @@ pub fn run_frontend_with_results(cfg: &FrontendRun) -> Result<HarnessOutcome, Pt
     })
 }
 
+/// [`run_frontend`]'s dispatcher: builds the fleet and the closed-loop
+/// clients, submits every arrival — the closed loops' and `open`'s — in
+/// `(time, client index)` order, and drains the fleet.
+fn dispatch(
+    cfg: &FrontendRun,
+    closed: Vec<usize>,
+    mut open: OpenArrivals,
+) -> Result<Vec<FrontendShardResult>, PtsError> {
+    let mut frontend = Frontend::new(cfg)?;
+    let mut closed = DueClients::new(cfg, closed);
+    // Closed-loop clients (by slot) whose request in flight has not
+    // been collected yet. Resolved immediately under FIFO dispatch;
+    // under a reordering discipline a client stays here until the
+    // dispatcher decides its request.
+    let mut blocked: Vec<(usize, ReqToken)> = Vec::new();
+
+    // Event loop, three moves per iteration:
+    //
+    // 1. collect resolved completions for blocked closed-loop clients
+    //    (so they can schedule their next arrival),
+    // 2. submit the earliest due arrival (ties by client index),
+    //    settling dispatch decisions strictly before it so the
+    //    discipline decides in event order,
+    // 3. when neither is possible, force the dispatcher's single next
+    //    decision to unblock somebody.
+    //
+    // Under FIFO dispatch every submission resolves at submit, step 3
+    // never fires, and the loop degenerates to the pre-multi-tenant
+    // submit/collect cycle in the identical order.
+    loop {
+        // 1. Blocked clients whose requests have resolved.
+        let mut resolved_any = false;
+        blocked.retain(|&(slot, token)| {
+            let Some(completion) = frontend.take(token) else {
+                return true;
+            };
+            resolved_any = true;
+            // A closed-loop client retires when its traffic can never
+            // be served again: a bound client's shard died (mirroring
+            // how a sharded-harness shard stops), or the whole fleet is
+            // dead. A *routed* client with healthy shards left keeps
+            // going — its next keys may well route elsewhere, and its
+            // drops complete after `DROP_LATENCY` so retries advance
+            // virtual time.
+            if completion.outcome == ReqOutcome::ShardOutOfSpace
+                && (cfg.binding == ClientBinding::Bound || frontend.all_shards_dead())
+            {
+                closed.retire(slot);
+            } else {
+                closed.note_completed(slot, completion.done_at);
+            }
+            false
+        });
+
+        // 2. The earliest due arrival within the submission window: the
+        //    open-loop stream's head (the generator sends nothing at or
+        //    past the deadline) or the closed-loop heap's top, whichever
+        //    comes first by `(time, client index)`.
+        let next_open = open.peek().map(|a| (a.at, a.client));
+        let next = match (next_open, closed.peek(cfg.base.duration)) {
+            // A client is on one side only, so the two never tie.
+            (Some(o), c) if c.is_none_or(|c| o < c) => Some((None, open.pop())),
+            (_, Some(_)) => {
+                let (slot, arrival) = closed.pop();
+                Some((Some(slot), arrival))
+            }
+            _ => None,
+        };
+        if let Some((slot, arrival)) = next {
+            frontend.advance_to(arrival.at);
+            // Settle strictly *before* the arrival instant: a decision
+            // at exactly `at` must still see this (and any
+            // simultaneous) submission as a candidate.
+            frontend.settle_to(arrival.at.saturating_sub(1))?;
+            match slot {
+                // Open loop: the next arrival is already known, so
+                // nobody will ever collect this completion.
+                None => frontend.submit_detached(arrival.request)?,
+                // Closed loop: step 1 collects the completion once it
+                // resolves (immediately under FIFO, at the dispatch
+                // decision otherwise).
+                Some(slot) => blocked.push((slot, frontend.submit(arrival.request)?)),
+            }
+            // Only what a blocked client will come back for is parked,
+            // so the run's memory does not grow with the number of
+            // requests it has served.
+            debug_assert!(frontend.pending() <= blocked.len());
+            continue;
+        }
+
+        // 3. Nothing submitted: if a completion just resolved, loop so
+        //    its client can schedule; otherwise the dispatcher itself
+        //    must decide its next waiting request — and when even it
+        //    has nothing left, the run is over.
+        if resolved_any {
+            continue;
+        }
+        if !frontend.settle_one()? {
+            break;
+        }
+    }
+    frontend.settle()?;
+    Ok(frontend.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ptsbench_core::frontend::{ClientBinding, TenantQuota, TenantSpec};
     use ptsbench_core::registry::EngineKind;
     use ptsbench_core::runner::RunConfig;
-    use ptsbench_ssd::MINUTE;
+    use ptsbench_ssd::{MINUTE, SECOND};
     use ptsbench_workload::{ArrivalSpec, KeyDistribution};
 
     use proptest::prelude::*;
@@ -2320,6 +2490,37 @@ mod tests {
         assert!(matches!(fe.wait_any(), Err(PtsError::Engine { .. })));
         let token = fe.submit(read(2)).expect("submit");
         assert!(matches!(fe.wait(token), Err(PtsError::Engine { .. })));
+    }
+
+    #[test]
+    fn a_hard_engine_failure_ends_an_open_loop_run_and_its_generator() {
+        // 64 Poisson clients at one request per virtual second each
+        // arrive ~38 000 times in the window: far more than the channel
+        // from the generator thread holds, so the generator is still
+        // sending when the first read fails and ends only because the
+        // dispatcher hangs up. A hang fails the test instead of stalling
+        // the suite.
+        let mut run = base(16 << 20);
+        run.engine = failing_gets(false);
+        run.read_fraction = 0.5;
+        let mut cfg = FrontendRun::new(run, 64);
+        cfg.shards = 1;
+        cfg.arrival = ArrivalSpec::OpenPoisson {
+            mean_interarrival_ns: SECOND,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let outcome = run_frontend(&cfg).map(|_| ());
+            tx.send(()).expect("the test waits for the run");
+            outcome
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run returns instead of hanging");
+        let outcome = runner.join().expect("the run does not panic");
+        assert!(
+            matches!(outcome, Err(PtsError::Engine { .. })),
+            "{outcome:?}"
+        );
     }
 
     #[test]

@@ -34,7 +34,10 @@
 //!   [`run_frontend`] drives seeded open- or closed-loop arrival
 //!   processes over it; in its conformance shape it reproduces
 //!   [`run_sharded`] byte-identically (see
-//!   `tests/latency_conformance.rs`).
+//!   `tests/latency_conformance.rs`). Open-loop requests depend on
+//!   their seeds alone, so a second thread generates them and streams
+//!   them to the dispatcher in submission order; the `Frontend` and
+//!   every decision stay on the calling thread.
 //! * **Admission control and load shedding.** An
 //!   `ptsbench_core::frontend::SloPolicy` lets the dispatcher bound
 //!   per-shard pending work (`QueueBound`), reject requests whose

@@ -16,8 +16,9 @@
 //!    admissions at `t`, the `IoQueue` discipline).
 //!
 //! A second property holds the `run_frontend` driver — whose event loop
-//! keeps due arrivals in a heap — to a reference model: the loop it
-//! replaced, which scanned every client per event, written here over
+//! keeps due arrivals in heaps and takes open-loop requests from a
+//! generator thread — to a reference model: the loop it replaced, which
+//! scanned every client per event on one thread, written here over
 //! `Frontend`'s public calls. Arbitrary client mixes must produce a
 //! byte-identical rendered report and identical per-shard results.
 
