@@ -1,7 +1,8 @@
-//! Output parity of the `run_frontend` driver at the points where its
-//! open-loop and closed-loop arrivals meet.
+//! Output parity of the two drivers: `run_frontend` at the points where
+//! its open-loop and closed-loop arrivals meet, and `run_sharded` where
+//! client threads own several shards.
 //!
-//! The driver submits the earliest due arrival, ties by client index,
+//! The serving driver submits the earliest due arrival, ties by client index,
 //! whichever kind of client it belongs to. These fixed runs force the
 //! cases an arbitrary mix rarely draws, and pin each run's rendered
 //! report and every per-shard `RunResult` as one FNV-1a:
@@ -12,7 +13,10 @@
 //! * open loops only, on shards that run out of space mid-run, so open
 //!   loops keep submitting to dead shards;
 //! * a scaled-down serving fan-in: 256 Poisson clients over four hashed
-//!   hash-log shards.
+//!   hash-log shards;
+//! * the sharded driver with background maintenance and queued I/O on
+//!   two clients of two shards each, and on two clients whose shards
+//!   run out of space mid-run.
 //!
 //! A change that only reshapes the driver must not move any constant.
 
@@ -20,8 +24,8 @@ use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun, TenantSpec};
 use ptsbench_core::registry::EngineKind;
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::sharded::Sharding;
-use ptsbench_core::ReqClass;
-use ptsbench_harness::run_frontend_with_results;
+use ptsbench_core::{MaintConfig, ReqClass, ShardedRun};
+use ptsbench_harness::{run_frontend_with_results, run_sharded_with_results, HarnessOutcome};
 use ptsbench_ssd::{MINUTE, SECOND};
 use ptsbench_workload::{ArrivalSpec, KeyDistribution};
 
@@ -43,26 +47,31 @@ impl Fnv {
     }
 }
 
-/// Runs `cfg` and folds the rendered report and every shard's
-/// `RunResult` print into one sum; also returns the report.
-fn checksum(cfg: &FrontendRun) -> (u64, String) {
-    let outcome = run_frontend_with_results(cfg).expect("frontend run");
+/// Folds the rendered report and every shard's `RunResult` print into
+/// one sum and checks it; returns the report.
+fn assert_outcome(name: &str, outcome: &HarnessOutcome, want: u64) -> String {
     let report = outcome.report.render();
     let mut sum = Fnv::new();
     sum.feed(report.as_bytes());
     for result in &outcome.shard_results {
         sum.feed(format!("{result:?}").as_bytes());
     }
-    (sum.0, report)
-}
-
-fn assert_sum(name: &str, cfg: &FrontendRun, want: u64) -> String {
-    let (got, report) = checksum(cfg);
+    let got = sum.0;
     assert_eq!(
         got, want,
         "{name}: the run now sums to {got:#018x}; it renders\n{report}"
     );
     report
+}
+
+fn assert_sum(name: &str, cfg: &FrontendRun, want: u64) -> String {
+    let outcome = run_frontend_with_results(cfg).expect("frontend run");
+    assert_outcome(name, &outcome, want)
+}
+
+fn assert_sharded_sum(name: &str, cfg: &ShardedRun, want: u64) -> String {
+    let outcome = run_sharded_with_results(cfg).expect("sharded run");
+    assert_outcome(name, &outcome, want)
 }
 
 fn tenant(class: ReqClass, clients: usize, arrival: ArrivalSpec) -> TenantSpec {
@@ -169,4 +178,50 @@ fn poisson_fan_in_over_hash_log_shards() {
         mean_interarrival_ns: 144 * SECOND,
     };
     assert_sum("fan-in 256", &cfg, FANIN_256);
+}
+
+const SHARDED_LSM_BG: u64 = 0xe90c_a692_dd6b_a049;
+
+/// The `sharded_lsm_bg` benchmark shape at test size: paced LSM
+/// maintenance, queue depth 8, half reads, two clients of two 16 MiB
+/// shards each.
+#[test]
+fn sharded_clients_own_several_shards_under_maintenance() {
+    let mut cfg = ShardedRun::new(
+        RunConfig {
+            engine: EngineKind::lsm(),
+            device_bytes: 64 << 20,
+            read_fraction: 0.5,
+            queue_depth: 8,
+            maint: MaintConfig::enabled(),
+            duration: 10 * MINUTE,
+            sample_window: 5 * MINUTE,
+            ..RunConfig::default()
+        },
+        2,
+    );
+    cfg.shards = 4;
+    assert_sharded_sum("sharded lsm bg", &cfg, SHARDED_LSM_BG);
+}
+
+const SHARDED_OUT_OF_SPACE: u64 = 0xb7a5_b47e_fed0_66e8;
+
+/// Two clients on LSM shards filled to 95 %: each shard runs out of
+/// space mid-run after its own number of ops, so one client's shard has
+/// ended while the other's still runs.
+#[test]
+fn sharded_shards_run_out_of_space_at_different_times() {
+    let cfg = ShardedRun::new(
+        RunConfig {
+            engine: EngineKind::lsm(),
+            device_bytes: 32 << 20,
+            dataset_fraction: 0.95,
+            duration: 10 * MINUTE,
+            sample_window: 5 * MINUTE,
+            ..RunConfig::default()
+        },
+        2,
+    );
+    let report = assert_sharded_sum("sharded out of space", &cfg, SHARDED_OUT_OF_SPACE);
+    assert!(report.contains("out_of_space_shards=2"), "{report}");
 }
