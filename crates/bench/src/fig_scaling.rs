@@ -3,8 +3,8 @@
 //! 1 → 8 client threads over a fixed total simulated capacity.
 //!
 //! Each client drives its own shared-nothing shard (own device slice,
-//! own engine instance, own key range), synchronized on the
-//! virtual-time barrier. Because the total capacity is fixed, the sweep
+//! own engine instance, own key range) on its own virtual clock.
+//! Because the total capacity is fixed, the sweep
 //! isolates the effect of request parallelism — the dimension Roh et
 //! al. show flash SSDs need before revealing their internal
 //! parallelism, and the axis the paper's single-threaded methodology

@@ -476,9 +476,8 @@ impl BTreeDb {
     }
 
     /// Drains every outstanding checkpoint job to completion with
-    /// forced slices. Callers that end a run or leave a `ClockBarrier`
-    /// must drain first so no shard exits with a half-written
-    /// checkpoint.
+    /// forced slices. Callers that end a run must drain first so no
+    /// shard ends with a half-written checkpoint.
     pub fn drain_maintenance(&mut self) -> Result<()> {
         let pending =
             |db: &Self| (db.sched.as_ref()).is_some_and(|s| db.ckpt.is_some() || s.pending() > 0);

@@ -6,6 +6,7 @@
 //! host time on every sealed block. Counted, not timed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptsbench_cache::{Compression, EncodeScratch};
@@ -15,13 +16,27 @@ use ptsbench_workload::fill_value;
 /// allocation counts: it may have been moved.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread under test. Only its allocations count: the
+    /// test harness's own threads allocate while a test runs.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Adds `n` to [`ALLOCATIONS`] if the calling thread is under test.
+fn count(n: u64) {
+    if COUNTED.with(Cell::get) {
+        ALLOCATIONS.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// the `GlobalAlloc` contract; the counter is a relaxed statistic and
+// the flag a `const` thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(1);
         System.alloc(layout)
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,9 +55,10 @@ static ALLOC: Counting = Counting;
 
 const BLOCK: usize = 8 << 10;
 
-// One test: the counter is process-wide.
+// One test: every thread under test adds to the one counter.
 #[test]
 fn encoding_into_a_reused_scratch_allocates_nothing() {
+    COUNTED.set(true);
     // Incompressible (stored mode, like every benchmark block) and
     // text-like (LZ mode, a match token every few bytes).
     let mut noise = Vec::new();

@@ -372,8 +372,8 @@ pub trait PtsEngine: Send {
     /// (compaction input reads) that nothing will ever wait on.
     ///
     /// The measured phase of an experiment only ends once this has run
-    /// — a client leaving a `ClockBarrier` with detached commands in
-    /// flight would under-count its epoch's simulated work (see
+    /// — a run that ends with detached commands in flight would
+    /// under-count its simulated work (see
     /// `ptsbench_ssd::IoQueue::quiesce`). Engines on the synchronous
     /// path (no queues, or queue depth 1) keep the no-op default.
     fn drain_io(&mut self) {}

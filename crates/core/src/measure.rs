@@ -13,9 +13,9 @@
 //! * [`bulk_load`] — the batched sequential load phase;
 //! * [`Experiment`] — the whole lifecycle behind a resumable cursor:
 //!   [`Experiment::run_until`] advances the measured phase to a virtual
-//!   deadline and can be called repeatedly (the harness steps each
-//!   shard one barrier epoch at a time), and [`Experiment::finish`]
-//!   produces the final [`RunResult`].
+//!   deadline and can be called repeatedly (the runner and the sharded
+//!   harness call it once, to the configured duration), and
+//!   [`Experiment::finish`] produces the final [`RunResult`].
 //!
 //! Failures surface as [`PtsError`] values, never panics, so a harness
 //! shard can fail without aborting the process; running out of space is
@@ -297,8 +297,9 @@ impl Experiment {
 
     /// Advances the measured phase until `rel_deadline` nanoseconds
     /// after its start (capped by the configured duration). Safe to
-    /// call again with a later deadline; the concurrent harness steps
-    /// shards one barrier epoch at a time this way. Out-of-space ends
+    /// call again with a later deadline: stepping changes no measured
+    /// number (`runner::tests::stepped_experiment_matches_single_shot`).
+    /// Out-of-space ends
     /// the phase and is reported by [`Experiment::out_of_space`]; hard
     /// engine failures return `Err`.
     pub fn run_until(&mut self, rel_deadline: Ns) -> Result<(), PtsError> {
@@ -503,8 +504,7 @@ impl Experiment {
     /// Ends the measured phase properly: the engine's asynchronous I/O
     /// is drained first ([`PtsEngine::drain_io`]), so detached
     /// background commands still in flight are accounted on this
-    /// shard's timeline before any caller — notably a harness client
-    /// about to leave its `ClockBarrier` — treats the run as finished.
+    /// shard's timeline before any caller treats the run as finished.
     pub fn finish(mut self) -> RunResult {
         if let Some(system) = self.system.as_mut() {
             // Deferred maintenance first, so the version state and the

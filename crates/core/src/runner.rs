@@ -511,8 +511,8 @@ mod tests {
 
     #[test]
     fn stepped_experiment_matches_single_shot() {
-        // The harness drives Experiment::run_until in epochs; stepping
-        // must not change any measured number vs one big call.
+        // Experiment::run_until may be called with growing deadlines;
+        // stepping must not change any measured number vs one big call.
         let cfg = quick(EngineKind::lsm());
         let single = run_ok(&cfg);
         let mut exp = crate::measure::Experiment::prepare(&cfg).expect("prepare");

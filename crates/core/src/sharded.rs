@@ -17,7 +17,6 @@
 //! only derives the per-shard pieces, so `ptsbench-core` stays free of
 //! threading concerns.
 
-use ptsbench_ssd::Ns;
 use ptsbench_workload::WorkloadSpec;
 
 use crate::runner::RunConfig;
@@ -51,24 +50,16 @@ pub struct ShardedRun {
     pub shards: usize,
     /// Key-to-shard routing (contiguous slices by default).
     pub sharding: Sharding,
-    /// Virtual-time barrier quantum: every client simulates its shards
-    /// up to the next multiple of `epoch`, then waits for the others
-    /// (see `ptsbench_ssd::ClockBarrier`). Defaults to the base
-    /// configuration's sample window so merged series stay aligned.
-    pub epoch: Ns,
 }
 
 impl ShardedRun {
-    /// A sharded run with one shard per client and the sample window as
-    /// the barrier quantum.
+    /// A sharded run with one shard per client.
     pub fn new(base: RunConfig, clients: usize) -> Self {
-        let epoch = base.sample_window;
         Self {
             base,
             clients,
             shards: clients,
             sharding: Sharding::default(),
-            epoch,
         }
     }
 
@@ -81,17 +72,11 @@ impl ShardedRun {
             self.clients,
             self.shards
         );
-        assert!(self.epoch > 0, "epoch quantum must be positive");
         assert!(
             self.base.device_bytes.is_multiple_of(self.shards as u64),
             "device_bytes {} must divide evenly into {} shards",
             self.base.device_bytes,
             self.shards
-        );
-        assert!(
-            self.base.sample_window.is_multiple_of(self.epoch)
-                || self.epoch.is_multiple_of(self.base.sample_window),
-            "epoch and sample window must nest for aligned merged series"
         );
     }
 
@@ -159,11 +144,6 @@ impl ShardedRun {
         (0..self.shards)
             .filter(|s| self.client_of_shard(*s) == client)
             .collect()
-    }
-
-    /// Barrier epochs needed to cover the configured duration.
-    pub fn epochs(&self) -> u64 {
-        self.base.duration.div_ceil(self.epoch)
     }
 
     /// Human-readable label for report headers. The hashed routing mode
@@ -256,14 +236,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&x| x));
-    }
-
-    #[test]
-    fn epochs_cover_duration() {
-        let mut run = sharded(1, 1);
-        run.base.duration = 95;
-        run.epoch = 10;
-        assert_eq!(run.epochs(), 10);
     }
 
     #[test]

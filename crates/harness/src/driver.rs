@@ -1,13 +1,10 @@
-//! The multi-client driver: client threads, barrier epochs, merge.
-
-use std::sync::Arc;
+//! The multi-client driver: one thread per client over its own shards, merge.
 
 use ptsbench_core::engine::PtsError;
 use ptsbench_core::measure::Experiment;
 use ptsbench_core::runner::RunResult;
 use ptsbench_core::sharded::ShardedRun;
 use ptsbench_metrics::runreport::{QueueDepthSummary, RunReport, ShardReport};
-use ptsbench_ssd::ClockBarrier;
 
 /// Everything a sharded run produces: the merged report plus the full
 /// per-shard [`RunResult`]s (in shard-index order) for callers that
@@ -22,13 +19,13 @@ pub struct HarnessOutcome {
 
 /// Runs a concurrent sharded experiment and returns the merged report.
 ///
-/// Spawns `cfg.clients` OS threads; each prepares and drives its own
-/// disjoint subset of the `cfg.shards` shard experiments, advancing
-/// them one `cfg.epoch` of virtual time at a time and synchronizing on
-/// a [`ClockBarrier`] between epochs. Per-shard out-of-space ends that
-/// shard early but the run continues; any hard engine failure stops
-/// the run and is returned (the failing client leaves the barrier so
-/// the others drain instead of deadlocking).
+/// Spawns `cfg.clients` OS threads; each prepares its own disjoint
+/// subset of the `cfg.shards` shard experiments, runs each one through
+/// the whole measured phase and finishes them in shard order. Shards
+/// share nothing, so the threads never wait for one another.
+/// Per-shard out-of-space ends that shard early but the run continues;
+/// any hard engine failure ends its client and is returned, and a
+/// client's panic is resumed on the caller's thread.
 ///
 /// With fixed seeds the merged report is byte-identical run-to-run —
 /// shard simulations share nothing, so thread scheduling cannot perturb
@@ -40,14 +37,10 @@ pub fn run_sharded(cfg: &ShardedRun) -> Result<RunReport, PtsError> {
 /// [`run_sharded`], also returning the per-shard [`RunResult`]s.
 pub fn run_sharded_with_results(cfg: &ShardedRun) -> Result<HarnessOutcome, PtsError> {
     cfg.validate();
-    let barrier = ClockBarrier::new(cfg.clients, cfg.epoch);
 
     let per_client: Vec<Result<Vec<(usize, RunResult)>, PtsError>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.clients)
-            .map(|client| {
-                let barrier = Arc::clone(&barrier);
-                s.spawn(move || drive_client(cfg, client, &barrier))
-            })
+            .map(|client| s.spawn(move || drive_client(cfg, client)))
             .collect();
         handles
             .into_iter()
@@ -77,37 +70,17 @@ pub fn run_sharded_with_results(cfg: &ShardedRun) -> Result<HarnessOutcome, PtsE
     })
 }
 
-/// Leaves the barrier when dropped, so a client that returns an error
-/// — or *unwinds on a panic* — always stops the other clients from
-/// waiting for it at the next boundary instead of deadlocking them.
-struct LeaveOnExit<'a>(&'a ClockBarrier);
-
-impl Drop for LeaveOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.leave();
-    }
-}
-
-/// One client thread: prepare owned shards, step them through barrier
-/// epochs, finish them.
-fn drive_client(
-    cfg: &ShardedRun,
-    client: usize,
-    barrier: &ClockBarrier,
-) -> Result<Vec<(usize, RunResult)>, PtsError> {
-    let _leave = LeaveOnExit(barrier);
+/// One client thread: prepare every owned shard, run each through the
+/// measured phase, finish them.
+fn drive_client(cfg: &ShardedRun, client: usize) -> Result<Vec<(usize, RunResult)>, PtsError> {
     let mut experiments: Vec<(usize, Experiment)> = Vec::new();
     for shard in cfg.shards_of_client(client) {
         let shard_cfg = cfg.shard_config(shard);
         let workload = cfg.shard_workload(shard);
         experiments.push((shard, Experiment::prepare_with(&shard_cfg, workload)?));
     }
-    for epoch in 1..=cfg.epochs() {
-        let rel_deadline = (epoch * cfg.epoch).min(cfg.base.duration);
-        for (_, experiment) in experiments.iter_mut() {
-            experiment.run_until(rel_deadline)?;
-        }
-        barrier.arrive();
+    for (_, experiment) in experiments.iter_mut() {
+        experiment.run_until(cfg.base.duration)?;
     }
     Ok(experiments
         .into_iter()
@@ -180,6 +153,35 @@ mod tests {
             single.latency.count(),
             "merged latency must equal the single run's"
         );
+
+        // Shared nothing: with two clients of two shards each and paced
+        // maintenance, every shard equals the same shard run alone on
+        // this thread.
+        let mut sharded = ShardedRun::new(
+            RunConfig {
+                maint: ptsbench_core::MaintConfig::enabled(),
+                ..base(64 << 20)
+            },
+            2,
+        );
+        sharded.shards = 4;
+        let outcome = run_sharded_with_results(&sharded).expect("sharded run");
+        for (i, shard) in outcome.shard_results.iter().enumerate() {
+            let shard_cfg = sharded.shard_config(i);
+            let mut alone = Experiment::prepare_with(&shard_cfg, sharded.shard_workload(i))
+                .expect("prepare alone");
+            alone.run_until(shard_cfg.duration).expect("run alone");
+            let alone = alone.finish();
+            assert_eq!(shard.samples, alone.samples, "shard {i}");
+            assert_eq!(shard.ops_executed, alone.ops_executed, "shard {i}");
+            assert_eq!(shard.latency.count(), alone.latency.count(), "shard {i}");
+            assert_eq!(
+                shard.host_bytes_written, alone.host_bytes_written,
+                "shard {i}"
+            );
+            assert!(alone.maint.is_some(), "shard {i} runs maintenance");
+            assert_eq!(shard.maint, alone.maint, "shard {i}");
+        }
     }
 
     #[test]
@@ -291,8 +293,7 @@ mod tests {
         let mut cfg = base(32 << 20);
         cfg.engine = kind;
         let sharded = ShardedRun::new(cfg, 2);
-        // Must not hang: the panicking client's barrier departure (drop
-        // guard) releases the other client, and the panic propagates.
+        // The panic reaches the caller through the client's join.
         let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_sharded(&sharded)));
         assert!(outcome.is_err(), "the client panic must propagate");

@@ -15,12 +15,11 @@
 //!   (`WorkloadSpec::shard`). Nothing is shared between shards, so no
 //!   thread interleaving can perturb any shard's simulation — the
 //!   KVell-style partitioned design the paper's §4.1 discusses.
-//! * **Real threads, virtual lockstep.** `N` client threads each drive
-//!   their shards' measured phases one epoch at a time and meet at a
-//!   `ptsbench_ssd::ClockBarrier` between epochs: the global experiment
-//!   clock only advances when every active client has simulated up to
-//!   the boundary, so sampling windows line up across clients and no
-//!   client runs arbitrarily ahead.
+//! * **Real threads, no waiting.** `N` client threads each run their
+//!   shards' measured phases start to end and never wait for one
+//!   another. Every shard samples on its own clock at the same
+//!   offsets from the start of its measured phase, so the windows line
+//!   up in the merged series without any synchronization.
 //! * **Mergeable metrics.** Every client records its own latency
 //!   histogram and per-window series; [`run_sharded`] folds them into
 //!   one `ptsbench_metrics::RunReport`. Fixed seeds produce

@@ -480,9 +480,9 @@ impl HashLogDb {
 
     /// Advances the virtual clock past every asynchronous command still
     /// in flight on the shared submission queue. No-op on the
-    /// synchronous (`queue_depth == 1`) path. Callers that end a run or
-    /// leave a `ClockBarrier` must quiesce first so the simulated
-    /// timeline accounts for all charged work.
+    /// synchronous (`queue_depth == 1`) path. Callers that end a run
+    /// must quiesce first so the simulated timeline accounts for all
+    /// charged work.
     pub fn quiesce(&mut self) {
         if let Some(queue) = &self.queue {
             queue.lock().quiesce();
@@ -782,8 +782,8 @@ impl HashLogDb {
     }
 
     /// Drains every outstanding GC job to completion with forced
-    /// slices. Callers that end a run or leave a `ClockBarrier` must
-    /// drain first so no shard exits with a half-relocated segment.
+    /// slices. Callers that end a run must drain first so no shard ends
+    /// with a half-relocated segment.
     pub fn drain_maintenance(&mut self) -> Result<()> {
         let pending =
             |db: &Self| (db.sched.as_ref()).is_some_and(|s| db.gc.is_some() || s.pending() > 0);

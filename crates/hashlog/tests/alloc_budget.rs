@@ -7,6 +7,7 @@
 //! with puts may allocate far less than one copy of the file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
@@ -17,13 +18,27 @@ use ptsbench_vfs::{Vfs, VfsOptions};
 /// counts in full: it may have been moved.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread under test. Only its allocations count: the
+    /// test harness's own threads allocate while a test runs.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Adds `n` to [`REQUESTED`] if the calling thread is under test.
+fn count(n: u64) {
+    if COUNTED.with(Cell::get) {
+        REQUESTED.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// the `GlobalAlloc` contract; the counter is a relaxed statistic and
+// the flag a `const` thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size() as u64);
         System.alloc(layout)
     }
 
@@ -32,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,9 +59,10 @@ fn key(i: u32) -> Vec<u8> {
     format!("user{i:012}").into_bytes()
 }
 
-// One test: the counter is process-wide.
+// One test: every thread under test adds to the one counter.
 #[test]
 fn gets_of_the_active_segment_beside_puts_never_copy_it() {
+    COUNTED.set(true);
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
     let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     // One 16 MiB segment, uncompressed: every record of the run lands in

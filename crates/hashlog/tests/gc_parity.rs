@@ -79,7 +79,7 @@ fn run_mix(maint: MaintConfig, compression: Compression) -> String {
             _ => reads.feed_read(db.get(&key(i)).expect("get")),
         }
         pump(&mut db);
-        // A forced drain mid-run: the barrier-exit path, with a job
+        // A forced drain mid-run: the end-of-run path, with a job
         // possibly half relocated.
         if step % 2000 == 1999 {
             db.drain_maintenance().expect("drain");

@@ -284,9 +284,9 @@ impl LsmDb {
     /// Advances the virtual clock past every asynchronous command still
     /// in flight on the shared submission queue — including detached
     /// compaction-input reads nothing will ever wait on. No-op on the
-    /// synchronous (`queue_depth == 1`) path. Callers that end a run or
-    /// leave a `ClockBarrier` must quiesce first so the simulated
-    /// timeline accounts for all charged work.
+    /// synchronous (`queue_depth == 1`) path. Callers that end a run
+    /// must quiesce first so the simulated timeline accounts for all
+    /// charged work.
     pub fn quiesce(&mut self) {
         if let Some(queue) = &self.queue {
             queue.lock().quiesce();
@@ -659,9 +659,9 @@ impl LsmDb {
     }
 
     /// Drains every outstanding background job to completion with
-    /// forced slices. Callers that end a run or leave a `ClockBarrier`
-    /// must drain first so no shard exits with detached maintenance
-    /// I/O (or an uninstalled version edit) outstanding.
+    /// forced slices. Callers that end a run must drain first so no
+    /// shard ends with detached maintenance I/O (or an uninstalled
+    /// version edit) outstanding.
     pub fn drain_maintenance(&mut self) -> Result<()> {
         drain_forced(self, Self::has_paced_work, Self::forced_slice)
     }

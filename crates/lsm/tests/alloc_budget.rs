@@ -5,6 +5,7 @@
 //! the guard against a staging copy or an over-reservation coming back.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptsbench_lsm::sstable::SstableBuilder;
@@ -15,13 +16,27 @@ use ptsbench_vfs::{Vfs, VfsOptions};
 /// counts in full: it may have been moved.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread under test. Only its allocations count: the
+    /// test harness's own threads allocate while a test runs.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Adds `n` to [`REQUESTED`] if the calling thread is under test.
+fn count(n: u64) {
+    if COUNTED.with(Cell::get) {
+        REQUESTED.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// the `GlobalAlloc` contract; the counter is a relaxed statistic and
+// the flag a `const` thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size() as u64);
         System.alloc(layout)
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,9 +74,10 @@ fn build(fs: &Vfs, name: &str, target: u64) -> (u64, u64, u64) {
     (allocated, meta.file_bytes, capacity as u64)
 }
 
-// One test: the counter is process-wide.
+// One test: every thread under test adds to the one counter.
 #[test]
 fn a_table_is_allocated_once_with_little_to_spare() {
+    COUNTED.set(true);
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
     let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
     for (name, target) in [("sst-1m", 1u64 << 20), ("sst-128k", 128 << 10)] {

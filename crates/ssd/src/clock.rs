@@ -7,17 +7,11 @@
 //! clock to that completion. This makes whole experiments deterministic:
 //! "minutes" on a plot are simulated minutes, not wall-clock minutes.
 //!
-//! Concurrent experiments add a second structure: the [`ClockBarrier`],
-//! which lets several client threads — each simulating its own
-//! shared-nothing stack on its own [`SimClock`] — advance one *global*
-//! experiment clock in fixed quanta (epochs). Every client simulates up
-//! to the next epoch boundary on its private timeline, then waits at
-//! the barrier; when the last client arrives, the global clock jumps to
-//! the boundary and all clients resume. Global time therefore never
-//! runs ahead of any client, sampling windows line up across clients,
-//! and — because each client's simulation is fully independent between
-//! boundaries — results remain deterministic no matter how the OS
-//! schedules the threads.
+//! The [`ClockBarrier`] is kept only so the host-cost table of the
+//! `examples/perf` benchmark can time [`ClockBarrier::arrive`] (its
+//! `harness.barrier_arrive.host_ns` row). No driver uses it: sharded
+//! clients simulate shared-nothing stacks, each on its own
+//! [`SimClock`], and never wait for one another.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -77,7 +71,7 @@ impl SimClock {
 /// Mutable barrier state (under the mutex).
 #[derive(Debug)]
 struct BarrierState {
-    /// Clients still participating (leavers decrement this).
+    /// Clients that must arrive before an epoch completes.
     parties: usize,
     /// Clients that have arrived at the current epoch boundary.
     arrived: usize,
@@ -85,15 +79,14 @@ struct BarrierState {
     epoch: u64,
 }
 
-/// A virtual-time barrier for multi-threaded charging of one experiment
-/// clock.
+/// A virtual-time barrier: `parties` threads advance one global clock
+/// in `quantum`-sized epochs.
 ///
-/// `parties` client threads each run an independent simulation on a
-/// private [`SimClock`]. [`ClockBarrier::arrive`] blocks the caller
-/// until all active parties have reached the same epoch boundary, then
-/// advances the shared global clock to `epoch * quantum` and releases
-/// everyone. A client that finishes early (out of space, failure) must
-/// call [`ClockBarrier::leave`] so the others stop waiting for it.
+/// [`ClockBarrier::arrive`] blocks the caller until every party has
+/// reached the same epoch boundary, then advances the global clock to
+/// `epoch * quantum` and releases everyone. Kept only for the
+/// `harness.barrier_arrive.host_ns` row of the perf benchmark (see the
+/// module docs).
 #[derive(Debug)]
 pub struct ClockBarrier {
     quantum: Ns,
@@ -120,15 +113,10 @@ impl ClockBarrier {
         })
     }
 
-    /// The shared global experiment clock. It only moves at epoch
-    /// boundaries, and never runs ahead of the slowest active client.
+    /// The shared global clock. It only moves at epoch boundaries, and
+    /// never runs ahead of the slowest party.
     pub fn clock(&self) -> Arc<SimClock> {
         Arc::clone(&self.clock)
-    }
-
-    /// Epoch length in virtual nanoseconds.
-    pub fn quantum(&self) -> Ns {
-        self.quantum
     }
 
     /// Completed epochs so far.
@@ -136,13 +124,8 @@ impl ClockBarrier {
         self.lock().epoch
     }
 
-    /// Active (not-left) parties.
-    pub fn parties(&self) -> usize {
-        self.lock().parties
-    }
-
     /// Announces that the caller has simulated up to the next epoch
-    /// boundary and blocks until every other active party has too. The
+    /// boundary and blocks until every other party has too. The
     /// last arrival advances the global clock to the boundary and wakes
     /// everyone. Returns the number of completed epochs.
     pub fn arrive(&self) -> u64 {
@@ -157,30 +140,6 @@ impl ClockBarrier {
             }
         }
         g.epoch
-    }
-
-    /// Permanently removes the calling party (it finished its run or
-    /// failed). If everyone else has already arrived at the boundary,
-    /// this releases them.
-    ///
-    /// **Drain before leaving.** A party that still has asynchronous
-    /// work in flight on its private timeline — detached I/O commands
-    /// whose completion lies beyond its current clock — must advance
-    /// its private clock past those completions first (see
-    /// `IoQueue::quiesce`). Leaving with work outstanding under-counts
-    /// the epoch: the barrier credits the party with having simulated
-    /// up to the boundary while commands it charged to the device are
-    /// still "running" past it, so later epochs start from a clock that
-    /// never accounted for them. The harness enforces this by quiescing
-    /// every engine queue when an experiment finishes, before the
-    /// departure.
-    pub fn leave(&self) {
-        let mut g = self.lock();
-        assert!(g.parties > 0, "leave without a matching party");
-        g.parties -= 1;
-        if g.parties > 0 && g.arrived >= g.parties {
-            self.release(&mut g);
-        }
     }
 
     fn release(&self, g: &mut BarrierState) {
@@ -254,42 +213,5 @@ mod tests {
         assert_eq!(b.arrive(), 1);
         assert_eq!(b.arrive(), 2);
         assert_eq!(b.clock().now(), 14);
-    }
-
-    #[test]
-    fn leaving_party_unblocks_the_rest() {
-        let barrier = ClockBarrier::new(2, 10);
-        std::thread::scope(|s| {
-            let b = Arc::clone(&barrier);
-            let worker = s.spawn(move || {
-                // Two epochs while the partner is alive, then two more
-                // after it leaves.
-                for _ in 0..4 {
-                    b.arrive();
-                }
-            });
-            barrier.arrive();
-            barrier.arrive();
-            barrier.leave();
-            worker.join().expect("worker");
-        });
-        assert_eq!(barrier.epoch(), 4);
-        assert_eq!(barrier.parties(), 1);
-    }
-
-    #[test]
-    fn leave_releases_waiters_already_at_the_boundary() {
-        let barrier = ClockBarrier::new(2, 10);
-        std::thread::scope(|s| {
-            let b = Arc::clone(&barrier);
-            let waiter = s.spawn(move || b.arrive());
-            // Give the waiter a moment to block, then leave; it must be
-            // released by the departure, not stay stuck.
-            while barrier.lock().arrived == 0 {
-                std::thread::yield_now();
-            }
-            barrier.leave();
-            assert_eq!(waiter.join().expect("waiter"), 1);
-        });
     }
 }

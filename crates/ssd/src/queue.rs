@@ -332,9 +332,9 @@ impl IoQueue {
     /// [`IoQueue::wait_all`] only drains completions somebody will
     /// collect; detached background commands (compaction input reads)
     /// keep occupying slots until virtual time passes their completion.
-    /// A client that abandons its simulation mid-flight — e.g. leaving
-    /// a `ClockBarrier` — must quiesce first, or the epoch it reported
-    /// as finished under-counts simulated work still in its queue.
+    /// A caller that ends a run must quiesce first, or the run it
+    /// reports as finished under-counts simulated work still in its
+    /// queue.
     pub fn quiesce(&mut self) -> Ns {
         let latest = self
             .slots

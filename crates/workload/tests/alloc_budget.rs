@@ -7,6 +7,7 @@
 //! 130 MB. Counted, not timed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptsbench_workload::{split_seed, KeyDistribution, OpGenerator, WorkloadSpec};
@@ -15,13 +16,27 @@ use ptsbench_workload::{split_seed, KeyDistribution, OpGenerator, WorkloadSpec};
 /// counts in full: it may have been moved.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread under test. Only its allocations count: the
+    /// test harness's own threads allocate while a test runs.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Adds `n` to [`REQUESTED`] if the calling thread is under test.
+fn count(n: u64) {
+    if COUNTED.with(Cell::get) {
+        REQUESTED.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// the `GlobalAlloc` contract; the counter is a relaxed statistic and
+// the flag a `const` thread-local, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size() as u64);
         System.alloc(layout)
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,9 +62,10 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, REQUESTED.load(Ordering::Relaxed) - before)
 }
 
-// One test: the counter is process-wide.
+// One test: every thread under test adds to the one counter.
 #[test]
 fn generators_allocate_for_the_keys_they_update_not_the_key_space() {
+    COUNTED.set(true);
     let million = WorkloadSpec {
         num_keys: 1_000_000,
         distribution: ZIPF,

@@ -23,8 +23,8 @@
 //!   attribution, Chrome trace-event export and per-op phase
 //!   breakdowns.
 //! * [`harness`] — the concurrent sharded workload driver: N client
-//!   threads over M shared-nothing engine shards in virtual-time
-//!   lockstep, merged into one deterministic report.
+//!   threads, each running its own subset of M shared-nothing engine
+//!   shards to the end, merged into one deterministic report.
 //! * [`workload`] — key/value workload generators.
 //! * [`metrics`] — time series, write-amplification math, CUSUM
 //!   steady-state detection, latency histograms, storage-cost models.
