@@ -29,12 +29,8 @@ use ptsbench_lsm::sstable::format::encode_entry;
 use ptsbench_lsm::sstable::reader::WindowScan;
 use ptsbench_lsm::sstable::{SstableBuilder, SstableReader};
 use ptsbench_lsm::{LsmDb, LsmOptions};
-use ptsbench_ssd::{
-    DeviceConfig, DeviceProfile, Ftl, GcConfig, GcPolicy, LpnRange, Ssd, MINUTE, SECOND,
-};
-use ptsbench_vfs::{
-    AllocPolicy, EngineTuning, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions,
-};
+use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ftl, GcConfig, LpnRange, Ssd, MINUTE, SECOND};
+use ptsbench_vfs::{EngineTuning, ExtentAllocator, FileAppender, FileSlice, Vfs, VfsOptions};
 use ptsbench_workload::{encode_key, fill_value, OpKind};
 
 fn fresh_vfs(mb: u64) -> Vfs {
@@ -87,7 +83,7 @@ fn bench_ftl(c: &mut Criterion) {
     // per iteration, each invalidating a page of a GC candidate.
     c.bench_function("ssd/ftl_write_steady", |b| {
         let geom = DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20).geometry;
-        let mut ftl = Ftl::new(geom, GcConfig::default(), GcPolicy::Greedy);
+        let mut ftl = Ftl::new(geom, GcConfig::default());
         let mut rng = SmallRng::seed_from_u64(7);
         let pages = geom.logical_pages;
         for lpn in 0..pages {
@@ -107,7 +103,7 @@ fn bench_ftl(c: &mut Criterion) {
 fn bench_allocator(c: &mut Criterion) {
     c.bench_function("allocator/churn", |b| {
         b.iter_batched(
-            || ExtentAllocator::new(LpnRange::new(0, 1 << 20), AllocPolicy::NextFit),
+            || ExtentAllocator::new(LpnRange::new(0, 1 << 20)),
             |mut a| {
                 let mut live = Vec::new();
                 for i in 0..500 {

@@ -15,7 +15,6 @@
 //! | `fig09_ssd_types` | Fig 9 + Fig 10a/10b (Pitfall 7) |
 //! | `fig11_workloads` | Fig 11a–11d |
 //! | `micro` | criterion micro-benchmarks |
-//! | `ablations` | design-choice ablations on the simulated SSD |
 //!
 //! The eight studies beyond the paper are each one function in a module
 //! of this crate, called by `examples/<name>.rs` in the root package
@@ -55,7 +54,7 @@ use ptsbench_ssd::{Ns, MINUTE};
 
 /// Prints `ptsbench — {title}` and a line of reproduction context
 /// between two rules.
-pub fn rule_banner(title: &str, context: &str) {
+pub(crate) fn rule_banner(title: &str, context: &str) {
     const RULE: &str = "================================================================";
     println!("{RULE}");
     println!("ptsbench — {title}");

@@ -56,6 +56,9 @@ pub struct DbStats {
 /// The write-ahead log's files are `wal-<n>`.
 const WAL_PREFIX: &str = "wal";
 
+/// Bloom filter bits per key in every table the tree writes.
+const BLOOM_BITS_PER_KEY: u32 = 10;
+
 /// Inline compaction work budget per flush, as a multiple of the
 /// memtable size. Bounds how long a single write stalls on compaction
 /// (the role background compaction threads play in RocksDB); remaining
@@ -835,7 +838,7 @@ impl LsmDb {
                     self.vfs.clone(),
                     &table_name(&mut self.next_file),
                     self.opts.block_bytes,
-                    self.opts.bloom_bits_per_key,
+                    BLOOM_BITS_PER_KEY,
                     imm.approx_bytes(),
                 )?
                 .with_compression(self.opts.compression());
@@ -1094,7 +1097,7 @@ impl LsmDb {
                         self.vfs.clone(),
                         &table_name(&mut self.next_file),
                         self.opts.block_bytes,
-                        self.opts.bloom_bits_per_key,
+                        BLOOM_BITS_PER_KEY,
                         self.opts.sstable_target_bytes,
                     )?;
                     none.insert(b.with_compression(self.opts.compression()))

@@ -27,17 +27,14 @@ pub struct LsmOptions {
     pub sstable_target_bytes: u64,
     /// Data block size in bytes.
     pub block_bytes: usize,
-    /// Bloom filter bits per key, every level (0 disables blooms
-    /// entirely).
-    pub bloom_bits_per_key: u32,
     /// Whether each commit fsyncs the WAL (RocksDB's default is no —
     /// the OS/device cache is trusted between syncs).
     pub wal_fsync: bool,
     /// Recycle the WAL file in place on rotation (RocksDB's
     /// `recycle_log_file_num` option; our default). Disabling it deletes
     /// the old log and creates a fresh file on every rotation, spreading
-    /// short-lived log pages across the LBA space — an ablation knob for
-    /// studying stream mixing in the FTL.
+    /// short-lived log pages across the LBA space, which mixes streams
+    /// in the FTL.
     pub recycle_wal: bool,
     /// The per-run knobs: queue depth for range-scan and
     /// compaction-input reads, the block-cache budget, the block codec
@@ -56,7 +53,6 @@ impl Default for LsmOptions {
             max_levels: 6,
             sstable_target_bytes: 4 << 20,
             block_bytes: 4096,
-            bloom_bits_per_key: 10,
             wal_fsync: false,
             recycle_wal: true,
             tuning: EngineTuning::for_device(0),

@@ -16,7 +16,6 @@
 //! | [`DeviceProfile::ssd2`] | Intel 660p (consumer QLC flash) | slow NAND, very large cache |
 //! | [`DeviceProfile::ssd3`] | Intel Optane (3DXP) | in-place media: no GC at all |
 
-use crate::gc::GcPolicy;
 use crate::latency::LatencyConfig;
 
 /// What kind of medium backs the device.
@@ -102,8 +101,6 @@ pub struct DeviceConfig {
     pub geometry: Geometry,
     /// GC tuning (ignored for [`MediaKind::InPlace`]).
     pub gc: GcConfig,
-    /// Victim-selection policy.
-    pub gc_policy: GcPolicy,
     /// Cache behaviour.
     pub cache: CacheConfig,
     /// Timing model.
@@ -172,8 +169,6 @@ pub struct DeviceProfile {
     pub page_size: u32,
     /// Pages per erase block.
     pub pages_per_block: u32,
-    /// Victim-selection policy.
-    pub gc_policy: GcPolicy,
     /// Backend cost of one block erase, expressed in units of one page
     /// program (erases are amortized across the die array).
     pub erase_cost_programs: f64,
@@ -200,7 +195,6 @@ impl DeviceProfile {
             // superblocks; several host streams interleave within one
             // erase unit.
             pages_per_block: 512,
-            gc_policy: GcPolicy::Greedy,
             erase_cost_programs: 2.0,
         }
     }
@@ -221,7 +215,6 @@ impl DeviceProfile {
             hardware_op: 0.10,
             page_size: 4096,
             pages_per_block: 256,
-            gc_policy: GcPolicy::Greedy,
             erase_cost_programs: 3.0,
         }
     }
@@ -241,7 +234,6 @@ impl DeviceProfile {
             hardware_op: 0.02,
             page_size: 4096,
             pages_per_block: 256,
-            gc_policy: GcPolicy::Greedy,
             erase_cost_programs: 0.0,
         }
     }
@@ -298,7 +290,6 @@ impl DeviceProfile {
             media: self.media,
             geometry,
             gc: GcConfig { reserve_blocks },
-            gc_policy: self.gc_policy,
             cache: CacheConfig {
                 capacity_pages: cache_pages,
             },

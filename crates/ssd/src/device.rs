@@ -89,7 +89,7 @@ impl Ssd {
     /// Builds a device sharing an existing clock.
     pub(crate) fn with_clock(cfg: DeviceConfig, clock: Arc<SimClock>) -> Self {
         cfg.validate();
-        let ftl = Ftl::new(cfg.geometry, cfg.gc, cfg.gc_policy);
+        let ftl = Ftl::new(cfg.geometry, cfg.gc);
         let cache = DestageQueue::new(cfg.cache.capacity_pages);
         let trace = cfg
             .trace_writes

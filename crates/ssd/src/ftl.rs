@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use crate::config::{GcConfig, Geometry};
-use crate::gc::{CandidateSet, GcPolicy};
+use crate::gc::CandidateSet;
 use crate::types::{BlockId, Lpn, Ppn, UNMAPPED};
 use crate::SsdError;
 
@@ -88,7 +88,6 @@ struct OpenBlock {
 pub struct Ftl {
     geom: Geometry,
     gc_cfg: GcConfig,
-    policy: GcPolicy,
     /// Logical→physical map; `UNMAPPED` when the LPN holds no data.
     l2p: Vec<u32>,
     /// Physical→logical reverse map; `UNMAPPED` when the page is free or
@@ -101,8 +100,6 @@ pub struct Ftl {
     candidates: CandidateSet,
     /// Number of mapped (valid) logical pages.
     mapped: u64,
-    /// Monotone operation counter (cost-benefit age source).
-    seq: u64,
 }
 
 impl Ftl {
@@ -115,7 +112,7 @@ impl Ftl {
     /// state where every GC candidate is fully valid and collection
     /// cannot reclaim space (real FTLs guarantee the same bound via
     /// hardware over-provisioning).
-    pub fn new(geom: Geometry, gc_cfg: GcConfig, policy: GcPolicy) -> Self {
+    pub fn new(geom: Geometry, gc_cfg: GcConfig) -> Self {
         geom.validate();
         assert!(
             geom.logical_pages < UNMAPPED as u64,
@@ -137,7 +134,6 @@ impl Ftl {
         Self {
             geom,
             gc_cfg,
-            policy,
             l2p: vec![UNMAPPED; geom.logical_pages as usize],
             p2l: vec![UNMAPPED; geom.physical_pages() as usize],
             blocks: vec![
@@ -153,7 +149,6 @@ impl Ftl {
             opens: [None; STREAMS],
             candidates: CandidateSet::new(blocks, geom.pages_per_block),
             mapped: 0,
-            seq: 0,
         }
     }
 
@@ -191,7 +186,6 @@ impl Ftl {
     /// operations performed (any GC work plus the host program itself).
     pub fn write(&mut self, lpn: Lpn) -> Result<NandOps, SsdError> {
         self.check_lpn(lpn)?;
-        self.seq += 1;
         let mut ops = NandOps::default();
 
         let was_mapped = self.invalidate(lpn);
@@ -280,7 +274,7 @@ impl Ftl {
                 // Block is full: close it and make it a GC candidate.
                 let meta = &mut self.blocks[ob.id as usize];
                 meta.state = BlockState::Closed;
-                self.candidates.insert(ob.id, meta.valid, self.seq);
+                self.candidates.insert(ob.id, meta.valid);
                 self.opens[stream] = None;
             }
 
@@ -310,10 +304,7 @@ impl Ftl {
 
     /// Collects one victim block: relocates its valid pages and erases it.
     fn collect_one(&mut self, ops: &mut NandOps) -> Result<(), SsdError> {
-        let (victim, valid) = self
-            .candidates
-            .pick(self.policy, self.geom.pages_per_block, self.seq)
-            .ok_or(SsdError::NoFreeBlocks)?;
+        let (victim, valid) = self.candidates.pick().ok_or(SsdError::NoFreeBlocks)?;
         self.candidates.remove(victim, valid);
         ops.gc_runs += 1;
         // Survivors of a stream-s block age into stream s+1; data that
@@ -424,11 +415,7 @@ mod tests {
     }
 
     fn ftl() -> Ftl {
-        Ftl::new(
-            small_geom(),
-            GcConfig { reserve_blocks: 2 },
-            GcPolicy::Greedy,
-        )
+        Ftl::new(small_geom(), GcConfig { reserve_blocks: 2 })
     }
 
     #[test]
@@ -442,7 +429,7 @@ mod tests {
             physical_blocks: 14,
             ..small_geom()
         };
-        Ftl::new(geom, GcConfig { reserve_blocks: 2 }, GcPolicy::Greedy);
+        Ftl::new(geom, GcConfig { reserve_blocks: 2 });
     }
 
     #[test]
@@ -603,23 +590,5 @@ mod tests {
         }
         let wear = f.erase_counts();
         assert!(wear.iter().any(|&c| c > 0));
-    }
-
-    #[test]
-    fn cost_benefit_policy_also_maintains_invariants() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let mut f = Ftl::new(
-            small_geom(),
-            GcConfig { reserve_blocks: 2 },
-            GcPolicy::CostBenefit,
-        );
-        let mut rng = SmallRng::seed_from_u64(11);
-        for lpn in 0..64 {
-            f.write(lpn).expect("fill");
-        }
-        for _ in 0..1000 {
-            f.write(rng.gen_range(0..64)).expect("update");
-        }
-        f.check_invariants();
     }
 }

@@ -8,9 +8,9 @@
 //!
 //! * **Page-mapped FTL** — out-of-place page writes, logical-to-physical
 //!   mapping, block erase-before-program semantics ([`ftl`]).
-//! * **Garbage collection** — greedy or cost-benefit victim selection,
-//!   valid-page relocation, and the resulting *device-level write
-//!   amplification* (WA-D) ([`gc`]).
+//! * **Garbage collection** — greedy victim selection (fewest valid
+//!   pages first), valid-page relocation, and the resulting
+//!   *device-level write amplification* (WA-D) ([`ftl`]).
 //! * **Over-provisioning** — hardware OP baked into the geometry, plus
 //!   software OP created by trimming and never writing part of the LBA
 //!   space ([`config`], [`Ssd::trim_range`]).
@@ -57,7 +57,7 @@ mod clock;
 pub mod config;
 mod device;
 pub mod ftl;
-pub mod gc;
+mod gc;
 pub mod latency;
 mod probe;
 pub mod queue;
@@ -70,7 +70,6 @@ pub use config::{CacheConfig, DeviceConfig, DeviceProfile, GcConfig, Geometry, M
 pub use device::SharedSsd;
 pub use device::{Ssd, WriteCompletion};
 pub use ftl::{Ftl, NandOps};
-pub use gc::GcPolicy;
 pub use latency::LatencyConfig;
 pub use ptsbench_trace::{
     Cause, CauseCounters, CauseStats, SharedTraceRecorder, Span, SpanId, TraceRecorder, Tracer,

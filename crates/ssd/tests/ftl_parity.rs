@@ -1,7 +1,7 @@
 //! NAND-operation parity of the FTL across refactors of its garbage
 //! collector: a fixed seeded write/TRIM mix, with one `discard_all`
 //! midway, on two small geometries (~28 % spare with 32-page blocks,
-//! ~10 % spare with 16-page blocks) under both victim policies. Each half
+//! ~10 % spare with 16-page blocks) under greedy victim selection. Each half
 //! fills the drive, then writes eight times its logical capacity, so GC
 //! picks thousands of victims. The rendered numbers — an FNV over every
 //! step's [`NandOps`], the final wear vector, the free list and the
@@ -12,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use ptsbench_ssd::config::{GcConfig, Geometry};
-use ptsbench_ssd::{Ftl, GcPolicy, NandOps};
+use ptsbench_ssd::{Ftl, NandOps};
 
 /// FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -63,8 +63,8 @@ fn tight() -> Geometry {
 }
 
 /// Runs the mix and renders what must not move.
-fn run(geom: Geometry, policy: GcPolicy) -> String {
-    let mut ftl = Ftl::new(geom, GcConfig::default(), policy);
+fn run(geom: Geometry) -> String {
+    let mut ftl = Ftl::new(geom, GcConfig::default());
     let logical = geom.logical_pages;
     let mut rng = SmallRng::seed_from_u64(28);
     let mut steps = Fnv::new();
@@ -82,9 +82,9 @@ fn run(geom: Geometry, policy: GcPolicy) -> String {
                 steps.ops(ftl.write(lpn).expect("fill"));
             }
         }
-        // A fifth of the LBA space takes most writes (cold data for the
-        // cost-benefit cleaner to age), the rest are uniform; one op in
-        // twenty trims a short range.
+        // A fifth of the LBA space takes most writes (hot and cold data
+        // share the drive), the rest are uniform; one op in twenty trims
+        // a short range.
         let lpn = if rng.gen_range(0..10) < 7 {
             rng.gen_range(0..logical / 5)
         } else {
@@ -127,21 +127,11 @@ fn assert_parity(actual: &str, expected: &str) {
 
 const ROOMY_GREEDY: &str =
     "steps=58a2c443a8c35711 wear=0f88441aaefd2823 free=4 mapped=1704 gc_runs=1980 relocated=31443";
-const ROOMY_COST_BENEFIT: &str =
-    "steps=b4d6e78ac828e9c9 wear=e230f44fcd0781c6 free=4 mapped=1704 gc_runs=1837 relocated=26897";
 const TIGHT_GREEDY: &str =
     "steps=1f894217dbe255fd wear=cb4206d912f525f6 free=4 mapped=1704 gc_runs=5379 relocated=53575";
-const TIGHT_COST_BENEFIT: &str =
-    "steps=9e8da9fc19a8df2a wear=a6871fbb43bd41f8 free=4 mapped=1704 gc_runs=4901 relocated=45918";
 
 #[test]
 fn greedy_victims_match_the_recorded_runs() {
-    assert_parity(&run(roomy(), GcPolicy::Greedy), ROOMY_GREEDY);
-    assert_parity(&run(tight(), GcPolicy::Greedy), TIGHT_GREEDY);
-}
-
-#[test]
-fn cost_benefit_victims_match_the_recorded_runs() {
-    assert_parity(&run(roomy(), GcPolicy::CostBenefit), ROOMY_COST_BENEFIT);
-    assert_parity(&run(tight(), GcPolicy::CostBenefit), TIGHT_COST_BENEFIT);
+    assert_parity(&run(roomy()), ROOMY_GREEDY);
+    assert_parity(&run(tight()), TIGHT_GREEDY);
 }

@@ -6,7 +6,6 @@ use proptest::prelude::*;
 
 use ptsbench_ssd::config::{GcConfig, Geometry};
 use ptsbench_ssd::ftl::Ftl;
-use ptsbench_ssd::GcPolicy;
 
 /// A compact op language over a small logical space.
 #[derive(Debug, Clone)]
@@ -42,10 +41,9 @@ proptest! {
     #[test]
     fn ftl_matches_set_model(
         ops in proptest::collection::vec(op_strategy(96), 1..600),
-        policy in prop_oneof![Just(GcPolicy::Greedy), Just(GcPolicy::CostBenefit)],
     ) {
         let geom = small_geometry();
-        let mut ftl = Ftl::new(geom, GcConfig { reserve_blocks: 3 }, policy);
+        let mut ftl = Ftl::new(geom, GcConfig { reserve_blocks: 3 });
         let mut model = std::collections::HashSet::new();
         for op in &ops {
             match *op {
@@ -79,7 +77,7 @@ proptest! {
     fn nand_accounting_is_consistent(
         ops in proptest::collection::vec(0u64..96, 1..800),
     ) {
-        let mut ftl = Ftl::new(small_geometry(), GcConfig { reserve_blocks: 3 }, GcPolicy::Greedy);
+        let mut ftl = Ftl::new(small_geometry(), GcConfig { reserve_blocks: 3 });
         let mut host_writes = 0u64;
         let mut programs = 0u64;
         let mut relocated = 0u64;
@@ -100,7 +98,7 @@ proptest! {
     fn discard_all_restores_writability(
         warmup in proptest::collection::vec(0u64..96, 0..400),
     ) {
-        let mut ftl = Ftl::new(small_geometry(), GcConfig { reserve_blocks: 3 }, GcPolicy::Greedy);
+        let mut ftl = Ftl::new(small_geometry(), GcConfig { reserve_blocks: 3 });
         for &lpn in &warmup {
             ftl.write(lpn).expect("write");
         }

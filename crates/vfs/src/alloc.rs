@@ -1,16 +1,14 @@
 //! Extent allocation over a partition's LBA space.
 //!
 //! The allocator hands out runs of logical pages ([`Extent`]s) and takes
-//! them back on file deletion, coalescing adjacent free runs. The policy
-//! determines *where* new data lands, which in turn determines the LBA
-//! footprint the device sees — the crux of the paper's Figure 4:
-//!
-//! * [`AllocPolicy::NextFit`] keeps a roving cursor, so a workload that
-//!   constantly creates and deletes large files (LSM compaction) cycles
-//!   through the entire partition, touching every LBA.
-//! * [`AllocPolicy::FirstFit`] reuses the lowest free space first, so the
-//!   same workload keeps rewriting a compact LBA prefix.
-//! * [`AllocPolicy::BestFit`] minimizes fragmentation for mixed sizes.
+//! them back on file deletion, coalescing adjacent free runs. Where new
+//! data lands determines the LBA footprint the device sees — the crux of
+//! the paper's Figure 4. Placement is next-fit (aged-ext4-like): a roving
+//! cursor sits one past the last page handed out, and the next extent
+//! starts at the cursor when it is free, else at the next free run after
+//! it, else at the lowest free run (wrapping). A workload that constantly
+//! creates and deletes large files (LSM compaction) therefore cycles
+//! through the entire partition, touching every LBA.
 
 use std::collections::BTreeMap;
 
@@ -39,18 +37,6 @@ impl Extent {
     }
 }
 
-/// Free-space placement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocPolicy {
-    /// Roving cursor (aged-ext4-like; the default).
-    #[default]
-    NextFit,
-    /// Lowest free address first.
-    FirstFit,
-    /// Smallest free run that fits (fewest leftovers).
-    BestFit,
-}
-
 /// Free-extent manager for one partition.
 #[derive(Debug)]
 pub struct ExtentAllocator {
@@ -59,13 +45,13 @@ pub struct ExtentAllocator {
     /// non-overlapping, within `range`, never adjacent (always coalesced).
     free: BTreeMap<Lpn, u64>,
     free_pages: u64,
-    policy: AllocPolicy,
+    /// One past the last page handed out: where the next search starts.
     cursor: Lpn,
 }
 
 impl ExtentAllocator {
     /// An allocator with the whole `range` free.
-    pub fn new(range: LpnRange, policy: AllocPolicy) -> Self {
+    pub fn new(range: LpnRange) -> Self {
         let mut free = BTreeMap::new();
         if !range.is_empty() {
             free.insert(range.start, range.len());
@@ -73,7 +59,6 @@ impl ExtentAllocator {
         Self {
             free,
             free_pages: range.len(),
-            policy,
             cursor: range.start,
             range,
         }
@@ -118,7 +103,7 @@ impl ExtentAllocator {
         let mut remaining = pages;
         while remaining > 0 {
             let (run_start, run_len, alloc_start) = self
-                .pick_run(remaining)
+                .pick_run()
                 .expect("free_pages accounting guarantees a run");
             let head = alloc_start - run_start;
             let take = remaining.min(run_len - head);
@@ -188,39 +173,20 @@ impl ExtentAllocator {
     }
 
     /// Chooses a free run; returns `(run_start, run_len, alloc_start)`
-    /// where `alloc_start` may point into the middle of the run (NextFit
-    /// resuming at its cursor).
-    fn pick_run(&self, want: u64) -> Option<(Lpn, u64, Lpn)> {
-        match self.policy {
-            AllocPolicy::FirstFit => self.free.iter().next().map(|(&s, &l)| (s, l, s)),
-            AllocPolicy::NextFit => {
-                // A run containing the cursor resumes exactly there.
-                if let Some((&s, &l)) = self.free.range(..=self.cursor).next_back() {
-                    if s + l > self.cursor {
-                        return Some((s, l, self.cursor.max(s)));
-                    }
-                }
-                self.free
-                    .range(self.cursor..)
-                    .next()
-                    .or_else(|| self.free.iter().next())
-                    .map(|(&s, &l)| (s, l, s))
-            }
-            AllocPolicy::BestFit => {
-                // Smallest run >= want, else the largest run.
-                let mut best_fit: Option<(Lpn, u64)> = None;
-                let mut largest: Option<(Lpn, u64)> = None;
-                for (&s, &l) in &self.free {
-                    if l >= want && best_fit.is_none_or(|(_, bl)| l < bl) {
-                        best_fit = Some((s, l));
-                    }
-                    if largest.is_none_or(|(_, ll)| l > ll) {
-                        largest = Some((s, l));
-                    }
-                }
-                best_fit.or(largest).map(|(s, l)| (s, l, s))
+    /// where `alloc_start` may point into the middle of the run (resuming
+    /// at the cursor).
+    fn pick_run(&self) -> Option<(Lpn, u64, Lpn)> {
+        // A run containing the cursor resumes exactly there.
+        if let Some((&s, &l)) = self.free.range(..=self.cursor).next_back() {
+            if s + l > self.cursor {
+                return Some((s, l, self.cursor.max(s)));
             }
         }
+        self.free
+            .range(self.cursor..)
+            .next()
+            .or_else(|| self.free.iter().next())
+            .map(|(&s, &l)| (s, l, s))
     }
 
     /// Exhaustively validates allocator invariants (tests).
@@ -248,13 +214,13 @@ impl ExtentAllocator {
 mod tests {
     use super::*;
 
-    fn alloc(policy: AllocPolicy) -> ExtentAllocator {
-        ExtentAllocator::new(LpnRange::new(0, 100), policy)
+    fn alloc() -> ExtentAllocator {
+        ExtentAllocator::new(LpnRange::new(0, 100))
     }
 
     #[test]
     fn alloc_and_release_round_trip() {
-        let mut a = alloc(AllocPolicy::FirstFit);
+        let mut a = alloc();
         let e = a.alloc(10).expect("alloc");
         assert_eq!(
             e,
@@ -276,50 +242,21 @@ mod tests {
 
     #[test]
     fn next_fit_cycles_through_space() {
-        let mut a = alloc(AllocPolicy::NextFit);
+        let mut a = alloc();
         let e1 = a.alloc(40).expect("alloc")[0];
         a.release(e1);
         let e2 = a.alloc(40).expect("alloc")[0];
-        assert_eq!(e2.start, 40, "NextFit must move past released space");
+        assert_eq!(e2.start, 40, "next-fit must move past released space");
         a.release(e2);
         let e3 = a.alloc(40).expect("alloc")[0];
-        assert_eq!(e3.start, 80, "NextFit keeps roving");
+        assert_eq!(e3.start, 80, "next-fit keeps roving");
         assert_eq!(e3.pages, 20, "wraps after exhausting the tail");
         a.check_invariants();
     }
 
     #[test]
-    fn first_fit_reuses_low_space() {
-        let mut a = alloc(AllocPolicy::FirstFit);
-        let e1 = a.alloc(40).expect("alloc")[0];
-        a.release(e1);
-        let e2 = a.alloc(40).expect("alloc")[0];
-        assert_eq!(e2.start, 0, "FirstFit must reuse the lowest space");
-    }
-
-    #[test]
-    fn best_fit_prefers_snug_run() {
-        let mut a = alloc(AllocPolicy::BestFit);
-        // Carve free space into runs of 30 (at 0) and 10 (at 90) by
-        // allocating the middle.
-        let all = a.alloc(100).expect("alloc");
-        a.release(Extent {
-            start: 0,
-            pages: 30,
-        });
-        a.release(Extent {
-            start: 90,
-            pages: 10,
-        });
-        let got = a.alloc(8).expect("alloc");
-        assert_eq!(got[0].start, 90, "BestFit should pick the 10-page run");
-        let _ = all;
-        a.check_invariants();
-    }
-
-    #[test]
     fn fragmented_alloc_spans_runs() {
-        let mut a = alloc(AllocPolicy::FirstFit);
+        let mut a = alloc();
         let _hold = a.alloc(100).expect("alloc");
         a.release(Extent {
             start: 10,
@@ -337,7 +274,7 @@ mod tests {
 
     #[test]
     fn no_space_is_clean_failure() {
-        let mut a = alloc(AllocPolicy::FirstFit);
+        let mut a = alloc();
         let _e = a.alloc(95).expect("alloc");
         let err = a.alloc(10).expect_err("must fail");
         assert_eq!(
@@ -355,7 +292,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "double free")]
     fn double_free_panics() {
-        let mut a = alloc(AllocPolicy::FirstFit);
+        let mut a = alloc();
         let e = a.alloc(10).expect("alloc")[0];
         a.release(e);
         a.release(e);
@@ -363,7 +300,7 @@ mod tests {
 
     #[test]
     fn zero_alloc_is_empty() {
-        let mut a = alloc(AllocPolicy::NextFit);
+        let mut a = alloc();
         assert!(a.alloc(0).expect("alloc").is_empty());
     }
 }

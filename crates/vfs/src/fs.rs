@@ -46,7 +46,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use ptsbench_ssd::{IoCmd, IoQueue, IoToken, LpnRange, Ns, SharedSsd, SimClock, Tracer};
 
-use crate::alloc::{AllocPolicy, Extent, ExtentAllocator};
+use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::VfsError;
 use crate::file::{FileId, FileNode};
 use crate::slice::FileSlice;
@@ -81,24 +81,14 @@ impl AsyncRead {
     }
 }
 
-/// Mount options.
-#[derive(Debug, Clone, Copy)]
+/// Mount options. Extent placement is always next-fit (see
+/// [`ExtentAllocator`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VfsOptions {
-    /// Extent placement policy.
-    pub policy: AllocPolicy,
     /// If true, deleting a file TRIMs its extents (ext4 `-o discard`);
     /// if false (default, matching the paper's `nodiscard` mount) the
     /// device keeps the pages as live data until they are overwritten.
     pub discard_on_delete: bool,
-}
-
-impl Default for VfsOptions {
-    fn default() -> Self {
-        Self {
-            policy: AllocPolicy::NextFit,
-            discard_on_delete: false,
-        }
-    }
 }
 
 /// Filesystem-level usage statistics (the `df` view, used for the
@@ -312,7 +302,7 @@ impl Vfs {
                 clock,
                 page_size,
                 opts,
-                allocator: ExtentAllocator::new(partition, opts.policy),
+                allocator: ExtentAllocator::new(partition),
                 peak_used_pages: 0,
                 data_bytes: 0,
                 files: HashMap::new(),
@@ -917,7 +907,6 @@ mod tests {
     fn delete_with_discard_trims() {
         let v = fs_with(VfsOptions {
             discard_on_delete: true,
-            ..Default::default()
         });
         let f = v.create("a").expect("create");
         v.write_at(f, 0, &vec![1u8; 64 * 4096]).expect("write");

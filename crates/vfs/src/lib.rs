@@ -10,10 +10,9 @@
 //!   ordered list of LBA extents; page-aligned overwrites hit the *same*
 //!   LBAs (the in-place behaviour a B+Tree relies on), appends allocate
 //!   new extents.
-//! * **Allocation policies** ([`alloc`]) — `NextFit` (default; cycles the
-//!   partition like an aged filesystem, which is why LSM file churn
-//!   touches the whole LBA space in the paper's Figure 4), `FirstFit`,
-//!   and `BestFit`.
+//! * **Next-fit extent placement** ([`alloc`]) — a roving cursor cycles
+//!   the partition like an aged filesystem, which is why LSM file churn
+//!   touches the whole LBA space in the paper's Figure 4.
 //! * **`nodiscard` semantics** — deletes return extents to the allocator
 //!   without trimming; an explicit [`Vfs::trim_free_space`] models
 //!   `fstrim`, and discard-on-delete can be enabled to model `-o discard`.
@@ -44,7 +43,7 @@ mod slice;
 mod trace;
 mod tuning;
 
-pub use alloc::{AllocPolicy, Extent, ExtentAllocator};
+pub use alloc::{Extent, ExtentAllocator};
 pub use error::VfsError;
 pub use file::FileId;
 pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};

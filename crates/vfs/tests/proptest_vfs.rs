@@ -2,14 +2,14 @@
 //! append / truncate / delete / rename sequences agree with a
 //! name→bytes model — with owned reads and with shared reads held
 //! across every later mutation — and the extent allocator never leaks
-//! or overlaps.
+//! or overlaps, and places every extent where next-fit says.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
-use ptsbench_vfs::{AllocPolicy, ExtentAllocator, FileSlice, FsStats, Vfs, VfsError, VfsOptions};
+use ptsbench_vfs::{Extent, ExtentAllocator, FileSlice, FsStats, Vfs, VfsError, VfsOptions};
 
 #[derive(Debug, Clone)]
 enum FsOp {
@@ -169,6 +169,50 @@ fn run_against_model(ops: &[FsOp], shared: bool) -> Result<Footprint, TestCaseEr
     ))
 }
 
+/// Next-fit over a page bitmap: the extents an allocation of `pages`
+/// must yield, or `None` when fewer pages are free. Each extent starts
+/// at the roving cursor when that page is free, else at the first free
+/// page after it, else at the lowest free page; it runs to the end of
+/// its free run or of the request, and the cursor moves past it.
+struct NextFitModel {
+    free: Vec<bool>,
+    cursor: usize,
+}
+
+impl NextFitModel {
+    fn alloc(&mut self, pages: u64) -> Option<Vec<Extent>> {
+        let mut remaining = pages as usize;
+        if remaining > self.free.iter().filter(|&&f| f).count() {
+            return None;
+        }
+        let mut out = Vec::new();
+        while remaining > 0 {
+            let start = (self.cursor..self.free.len())
+                .find(|&p| self.free[p])
+                .or_else(|| self.free.iter().position(|&f| f))
+                .expect("a free page is left");
+            let mut end = start;
+            while end < self.free.len() && self.free[end] && end - start < remaining {
+                self.free[end] = false;
+                end += 1;
+            }
+            out.push(Extent {
+                start: start as u64,
+                pages: (end - start) as u64,
+            });
+            remaining -= end - start;
+            self.cursor = end;
+        }
+        Some(out)
+    }
+
+    fn release(&mut self, extent: Extent) {
+        for p in extent.start..extent.end() {
+            self.free[p as usize] = true;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -183,28 +227,29 @@ proptest! {
         prop_assert_eq!(owned, shared);
     }
 
-    /// The allocator hands out non-overlapping extents and accounts free
-    /// pages exactly, under arbitrary alloc/release interleavings.
+    /// The allocator hands out non-overlapping extents, accounts free
+    /// pages exactly and places every extent where a page-bitmap
+    /// next-fit model does, under arbitrary alloc/release interleavings.
     #[test]
     fn allocator_never_overlaps(
         steps in proptest::collection::vec((1u64..64, any::<bool>()), 1..200),
-        policy in prop_oneof![
-            Just(AllocPolicy::NextFit),
-            Just(AllocPolicy::FirstFit),
-            Just(AllocPolicy::BestFit)
-        ],
     ) {
         let total = 2048u64;
-        let mut alloc = ExtentAllocator::new(LpnRange::new(0, total), policy);
-        let mut live: Vec<ptsbench_vfs::Extent> = Vec::new();
+        let mut alloc = ExtentAllocator::new(LpnRange::new(0, total));
+        let mut model = NextFitModel { free: vec![true; total as usize], cursor: 0 };
+        let mut live: Vec<Extent> = Vec::new();
         let mut live_pages = 0u64;
         for (i, &(pages, release_first)) in steps.iter().enumerate() {
             if release_first && !live.is_empty() {
                 let e = live.swap_remove(i % live.len());
                 live_pages -= e.pages;
                 alloc.release(e);
+                model.release(e);
             }
-            if let Ok(extents) = alloc.alloc(pages) {
+            let expected = model.alloc(pages);
+            let got = alloc.alloc(pages).ok();
+            prop_assert_eq!(&got, &expected, "placement of {} pages (step {})", pages, i);
+            if let Some(extents) = got {
                 live_pages += pages;
                 live.extend(extents);
             }

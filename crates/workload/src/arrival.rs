@@ -165,6 +165,10 @@ impl ArrivalClock {
                 // Inverse-CDF exponential gap, floored at 1 ns so two
                 // submissions never collapse onto the same instant.
                 let u: f64 = self.rng.gen();
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "the Poisson gap needs ln; ROADMAP item 9(a) audits it"
+                )]
                 let gap = (-(1.0 - u).ln() * mean_interarrival_ns as f64).round() as u64;
                 Some(at + gap.max(1))
             }

@@ -8,7 +8,7 @@
 //! * the **small-value variant** — 128-byte values with proportionally
 //!   more keys (Fig 11c/d);
 //! * the **mixed variant** — 50:50 read:write (Fig 11a/b);
-//! * plus Zipfian / latest distributions for skewed-access studies;
+//! * plus a Zipfian key distribution for skewed-access studies;
 //! * and [`arrival`] — open/closed-loop request-arrival processes for
 //!   the serving front-end (`ptsbench-harness`).
 //!

@@ -14,8 +14,6 @@ fn distribution() -> impl Strategy<Value = KeyDistribution> {
     prop_oneof![
         Just(KeyDistribution::Uniform),
         (0.05f64..0.99).prop_map(|theta| KeyDistribution::Zipfian { theta }),
-        Just(KeyDistribution::Latest),
-        Just(KeyDistribution::Sequential),
     ]
 }
 

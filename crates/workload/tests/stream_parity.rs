@@ -1,6 +1,6 @@
 //! Bit parity of the client generators across refactors: for every
-//! configuration in {Uniform, Zipfian 0.99, Zipfian 0.5, Latest,
-//! Sequential} × {whole spec, `shard(1, 4)`, `shard_hashed(1, 4)`} ×
+//! configuration in {Uniform, Zipfian 0.99, Zipfian 0.5} × {whole
+//! spec, `shard(1, 4)`, `shard_hashed(1, 4)`} ×
 //! read fraction {0, 0.5}, an FNV-1a over 20 000 `next_op`s (kind,
 //! `key_index`, key bytes, value bytes) followed by `version_of` for
 //! every key the stream touched, in key order; and for each shape one
@@ -37,12 +37,10 @@ impl Fnv {
     }
 }
 
-const DISTRIBUTIONS: [(&str, KeyDistribution); 5] = [
+const DISTRIBUTIONS: [(&str, KeyDistribution); 3] = [
     ("uniform", KeyDistribution::Uniform),
     ("zipf99", KeyDistribution::Zipfian { theta: 0.99 }),
     ("zipf50", KeyDistribution::Zipfian { theta: 0.5 }),
-    ("latest", KeyDistribution::Latest),
-    ("sequential", KeyDistribution::Sequential),
 ];
 
 const SHAPES: [&str; 3] = ["whole", "shard", "hashed"];
@@ -185,11 +183,11 @@ fn interleaved_key_spaces_draw_their_own_streams() {
     let names = [
         "zipf99/whole/rw",
         "zipf50/shard/w",
-        "latest/shard/rw",
+        "zipf99/shard/rw",
         "zipf99/whole/w",
         "zipf50/hashed/rw",
         "zipf50/shard/w",
-        "latest/whole/w",
+        "zipf99/hashed/w",
     ];
     let generators: Vec<(&str, OpGenerator)> = names
         .iter()
@@ -263,18 +261,6 @@ const STREAMS: &[(&str, u64)] = &[
     ("zipf50/shard/rw", 0x283f393c1840814f),
     ("zipf50/hashed/w", 0x9ec746902a08c01b),
     ("zipf50/hashed/rw", 0x8adbaae82ae38ea2),
-    ("latest/whole/w", 0x56e8a6c4bafcd714),
-    ("latest/whole/rw", 0xf4724e35f8807e48),
-    ("latest/shard/w", 0xcc2774f215d593e3),
-    ("latest/shard/rw", 0x7d5fa6c7103bcd45),
-    ("latest/hashed/w", 0x9b5c88868d16ccd5),
-    ("latest/hashed/rw", 0x57034838057d7eb5),
-    ("sequential/whole/w", 0x1607cce8d72732d3),
-    ("sequential/whole/rw", 0x144e93ab42a52535),
-    ("sequential/shard/w", 0x2b90edf3fe433033),
-    ("sequential/shard/rw", 0x3f4b4f6a73819bca),
-    ("sequential/hashed/w", 0xfdb4a6cf6b5616aa),
-    ("sequential/hashed/rw", 0x9adf36d275b469bd),
 ];
 
 /// One per shape, in the order of [`SHAPES`].
