@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the core data structures: the FTL
 //! write path, extent allocator, memtable, bloom filter, SSTable
-//! build/lookup, B+Tree operations and the k-way merge — and, layer by
+//! build/lookup, engine puts and the k-way merge — and, layer by
 //! layer, the B+Tree's page walk and the LSM's compaction data path at
-//! the paper's geometry, the block codec over blocks the branch
-//! predictor cannot learn, and one serving-dispatch decision at two
-//! backlog depths.
+//! the paper's geometry, the hash log's inline GC at the serving
+//! fan-in's, the block codec over blocks the branch predictor cannot
+//! learn, and one serving-dispatch decision at two backlog depths.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,6 +22,7 @@ use ptsbench_core::registry::EngineKind;
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::ReqClass;
 use ptsbench_harness::{Frontend, Request};
+use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_lsm::bloom::BloomFilter;
 use ptsbench_lsm::iter::Merge;
 use ptsbench_lsm::memtable::Memtable;
@@ -287,6 +288,93 @@ fn bench_engines(c: &mut Criterion) {
                 black_box(db.len())
             },
             BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("hashlog/put_2k_ops", |b| {
+        b.iter_batched(
+            || HashLogDb::open(fresh_vfs(64), HashLogOptions::small()).expect("open"),
+            |mut db| {
+                let mut rng = SmallRng::seed_from_u64(3);
+                for _ in 0..2000 {
+                    let i: u32 = rng.gen_range(0..500);
+                    db.put(format!("key{i:08}").as_bytes(), &[0u8; 256])
+                        .expect("put");
+                }
+                black_box(db.stats().gc_runs)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+/// One put that collects a GC victim inline, at the geometry
+/// `serve_fanin_fifo` runs the hash log (256 KiB segments, 4 000 B
+/// values, codec off): the victim read, the relocation of its live
+/// records into the active segment and the victim's deletion. A seeded
+/// churn is replayed once to find which of its puts collect; the
+/// measured log replays the same churn, the other puts in the untimed
+/// set-up, past 20 collections of warm-up.
+fn bench_hashlog(c: &mut Criterion) {
+    const SAMPLES: usize = 100;
+    const WARM_UP: usize = 20;
+    let value = vec![0x5au8; 4000];
+    let open = || {
+        let opts = HashLogOptions {
+            segment_bytes: 256 << 10,
+            ..HashLogOptions::default()
+        };
+        HashLogDb::open(fresh_vfs(64), opts).expect("open")
+    };
+    // Three in four puts overwrite one of 128 hot keys.
+    let churn = |db: &mut HashLogDb, rng: &mut SmallRng| {
+        let i: u32 = match rng.gen_range(0..4) {
+            0 => rng.gen_range(128..1024),
+            _ => rng.gen_range(0..128),
+        };
+        db.put(format!("user{i:012}").as_bytes(), &value)
+            .expect("put");
+    };
+    let mut collecting = VecDeque::new();
+    let (mut probe, mut rng) = (open(), SmallRng::seed_from_u64(5));
+    for n in 0u64.. {
+        if collecting.len() == WARM_UP + SAMPLES {
+            break;
+        }
+        let runs = probe.stats().gc_runs;
+        churn(&mut probe, &mut rng);
+        if probe.stats().gc_runs > runs {
+            collecting.push_back(n);
+        }
+    }
+    drop(probe);
+    let (mut db, mut rng) = (open(), SmallRng::seed_from_u64(5));
+    let mut next = 0u64;
+    let warm = collecting.drain(..WARM_UP).next_back().expect("warm-up");
+    while next <= warm {
+        churn(&mut db, &mut rng);
+        next += 1;
+    }
+    let (db, rng, next) = (RefCell::new(db), RefCell::new(rng), RefCell::new(next));
+    let mut group = c.benchmark_group("hashlog");
+    group.sample_size(SAMPLES);
+    group.bench_function("gc_inline_victim", |b| {
+        b.iter_batched(
+            || {
+                let collects = collecting.pop_front().expect("a collecting put");
+                let (mut db, mut rng) = (db.borrow_mut(), rng.borrow_mut());
+                while *next.borrow() < collects {
+                    churn(&mut db, &mut rng);
+                    *next.borrow_mut() += 1;
+                }
+            },
+            |()| {
+                let runs = db.borrow().stats().gc_runs;
+                churn(&mut db.borrow_mut(), &mut rng.borrow_mut());
+                *next.borrow_mut() += 1;
+                assert_eq!(db.borrow().stats().gc_runs, runs + 1, "a collection");
+            },
+            BatchSize::PerIteration,
         )
     });
     group.finish();
@@ -727,6 +815,7 @@ criterion_group!(
     bench_sstable,
     bench_kway_merge,
     bench_engines,
+    bench_hashlog,
     bench_btree_layers,
     bench_lsm_data_path,
     bench_codec,

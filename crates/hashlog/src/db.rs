@@ -12,7 +12,9 @@ use ptsbench_core::registry::EngineKind;
 use ptsbench_maint::{
     drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
 };
-use ptsbench_vfs::{AsyncRead, Cause, FileId, FileSlice, IoQueue, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{
+    AsyncRead, Cause, FileAppender, FileId, FileSlice, IoQueue, SharedIoQueue, TraceHandle, Vfs,
+};
 
 use crate::options::HashLogOptions;
 use crate::record::Record;
@@ -69,16 +71,33 @@ struct Segment {
     min_seq: u64,
 }
 
-/// A record staged for one log append (offsets relative to the append
-/// base).
+/// A record of a group being appended, to index once it is committed
+/// (offsets in the active segment).
 struct Pending {
     key: Vec<u8>,
     seq: u64,
     tombstone: bool,
-    rel_record_offset: u64,
+    record_offset: u64,
     record_bytes: u64,
-    rel_value_offset: u64,
+    value_offset: u64,
     value_len: u32,
+}
+
+/// The active segment's buffer, checked out for one group of records
+/// (see [`HashLogDb::append_group`]): the segment file's own buffer
+/// without the codec, the pending segment with it.
+enum Tail {
+    File(FileAppender),
+    Pending(Vec<u8>),
+}
+
+impl Tail {
+    fn buf(&mut self) -> &mut Vec<u8> {
+        match self {
+            Tail::File(appender) => &mut appender.buf,
+            Tail::Pending(buf) => buf,
+        }
+    }
 }
 
 /// A slice-resumable segment-GC job — the only GC there is: the
@@ -132,6 +151,13 @@ pub struct HashLogDb {
     /// like a memtable — `flush` seals a partial segment for
     /// durability). Always empty when compression is off.
     pending_seg: Vec<u8>,
+    /// A collected victim's buffer, emptied, that nothing else held:
+    /// the next segment's buffer (compression off; empty when none).
+    spare: Vec<u8>,
+    /// Every segment's `bytes` and `live_bytes`, summed: kept beside
+    /// them so the GC trigger reads two totals instead of the segments.
+    log_bytes: u64,
+    live_bytes: u64,
     /// The codec's match-finder tables and the container it builds at
     /// a seal, both reused segment after segment.
     codec_scratch: EncodeScratch,
@@ -182,6 +208,9 @@ impl HashLogDb {
             stats: HashLogStats::default(),
             queue,
             pending_seg: Vec::new(),
+            spare: Vec::new(),
+            log_bytes: 0,
+            live_bytes: 0,
             codec_scratch: EncodeScratch::default(),
             container: Vec::new(),
             cache,
@@ -241,6 +270,7 @@ impl HashLogDb {
                 records.push((id, record, offset as u64, (end - offset) as u64));
                 offset = end;
             }
+            db.log_bytes += buf.len() as u64;
             db.segments.insert(
                 id,
                 Segment {
@@ -273,6 +303,7 @@ impl HashLogDb {
                 .get_mut(&entry.segment)
                 .expect("segment of entry");
             seg.live_bytes += entry.record_bytes;
+            db.live_bytes += entry.record_bytes;
         }
         // A sealed container cannot take raw appends, so a compressed log
         // goes on in a fresh segment — unless the newest one is the empty
@@ -284,12 +315,15 @@ impl HashLogDb {
     }
 
     /// Inserts `entry` for `key`, maintaining garbage accounting of the
-    /// displaced entry (used on both the write path and recovery).
+    /// displaced entry (used on both the write path and recovery, where
+    /// live bytes are only counted once the index is final).
     fn apply_index_entry(&mut self, key: Vec<u8>, entry: IndexEntry) {
         let was_live = match self.index.insert(key, entry) {
             Some(old) => {
                 if let Some(seg) = self.segments.get_mut(&old.segment) {
-                    seg.live_bytes = seg.live_bytes.saturating_sub(old.record_bytes);
+                    let freed = seg.live_bytes.min(old.record_bytes);
+                    seg.live_bytes -= freed;
+                    self.live_bytes -= freed;
                 }
                 !old.tombstone
             }
@@ -319,26 +353,6 @@ impl HashLogDb {
         );
         self.active = id;
         self.stats.segments_created += 1;
-        Ok(())
-    }
-
-    /// Appends `buf` to the active segment: straight to the device, or
-    /// into the in-memory pending buffer when compression is on (the
-    /// device sees one container at seal time). A paced GC slice appends
-    /// through the background write path — media bandwidth is consumed
-    /// (and later destages queue behind it) but the foreground clock
-    /// does not advance.
-    fn append_active(&mut self, buf: &[u8], drive: Drive) -> Result<()> {
-        let active = self.active;
-        if self.opts.compression().is_active() {
-            self.pending_seg.extend_from_slice(buf);
-        } else if drive == Drive::Paced {
-            self.vfs.append_bg(self.segments[&active].file, buf)?;
-        } else {
-            self.vfs.append(self.segments[&active].file, buf)?;
-        }
-        let seg = self.segments.get_mut(&active).expect("active segment");
-        seg.bytes += buf.len() as u64;
         Ok(())
     }
 
@@ -374,23 +388,104 @@ impl HashLogDb {
         self.new_segment()
     }
 
-    /// Appends an encoded run of records to the active segment and
-    /// indexes them, sealing the segment once it is full.
-    fn append_records(&mut self, buf: &[u8], pendings: Vec<Pending>, drive: Drive) -> Result<()> {
+    /// Checks the active segment's buffer out for a group of about
+    /// `group` bytes: the segment file's own buffer ([`Vfs::appender`])
+    /// without the codec, the pending segment with it. A fresh
+    /// segment's buffer is reserved once, for a segment's worth plus
+    /// this first group (only the group when it alone fills the
+    /// segment), and is the spare when that is large enough.
+    fn checkout(&mut self, group: u64) -> Result<Tail> {
+        let mut tail = if self.opts.compression().is_active() {
+            Tail::Pending(std::mem::take(&mut self.pending_seg))
+        } else {
+            let file = self.segments[&self.active].file;
+            Tail::File(self.vfs.appender(file, 0)?)
+        };
+        let buf = tail.buf();
+        if !buf.is_empty() || group == 0 {
+            buf.reserve(group as usize);
+            return Ok(tail);
+        }
+        let segment = self.opts.segment_bytes;
+        let need = if group >= segment {
+            group
+        } else {
+            segment + group
+        } as usize;
+        if buf.capacity() < need {
+            let spare = std::mem::take(&mut self.spare);
+            *buf = if spare.capacity() >= need {
+                spare
+            } else {
+                Vec::with_capacity(need)
+            };
+        }
+        Ok(tail)
+    }
+
+    /// Hands back a tail nothing was committed from, the segment as it
+    /// was: the pending segment cut back to the segment's length (an
+    /// appender cuts the file's buffer back when it is dropped).
+    fn give_back(&mut self, tail: Tail) {
+        if let Tail::Pending(mut buf) = tail {
+            buf.truncate(self.segments[&self.active].bytes as usize);
+            self.pending_seg = buf;
+        }
+    }
+
+    /// Appends one group of records to the active segment. `encode`
+    /// writes them at the tail of the segment's own buffer (see
+    /// [`HashLogDb::checkout`]) and returns what to index; the group is
+    /// then committed once — one device append (background semantics
+    /// for a paced GC slice: media bandwidth, no foreground clock), or
+    /// kept in the pending segment under compression — indexed, and the
+    /// segment sealed once it is full. A group of no records appends
+    /// nothing (`false`). Whatever `encode` fails on, the segment is
+    /// left as it was.
+    fn append_group(
+        &mut self,
+        group: u64,
+        drive: Drive,
+        encode: impl FnOnce(&mut Self, &mut Vec<u8>) -> Result<Vec<Pending>>,
+    ) -> Result<bool> {
+        let mut tail = self.checkout(group)?;
+        let pendings = match encode(self, tail.buf()) {
+            Ok(pendings) if !pendings.is_empty() => pendings,
+            other => {
+                self.give_back(tail);
+                return other.map(|_| false);
+            }
+        };
         let active = self.active;
         let base = self.segments[&active].bytes;
-        self.append_active(buf, drive)?;
+        let end = match tail {
+            Tail::File(mut appender) => {
+                let end = appender.buf.len();
+                appender.commit(end, drive != Drive::Paced)?;
+                end
+            }
+            Tail::Pending(buf) => {
+                self.pending_seg = buf;
+                self.pending_seg.len()
+            }
+        };
+        self.segments
+            .get_mut(&active)
+            .expect("active segment")
+            .bytes = end as u64;
+        self.log_bytes += end as u64 - base;
         for p in pendings {
             {
                 let seg = self.segments.get_mut(&active).expect("active segment");
                 seg.min_seq = seg.min_seq.min(p.seq);
                 seg.live_bytes += p.record_bytes;
+                self.live_bytes += p.record_bytes;
             }
             let entry = IndexEntry {
                 segment: active,
-                record_offset: base + p.rel_record_offset,
+                record_offset: p.record_offset,
                 record_bytes: p.record_bytes,
-                value_offset: base + p.rel_value_offset,
+                value_offset: p.value_offset,
                 value_len: p.value_len,
                 tombstone: p.tombstone,
             };
@@ -399,7 +494,7 @@ impl HashLogDb {
         if self.segments[&active].bytes >= self.opts.segment_bytes {
             self.seal_active()?;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Inserts or overwrites a key.
@@ -423,59 +518,63 @@ impl HashLogDb {
 
     /// The foreground write path and its one record encoder: every op
     /// of the group (`Some(value)` is a put, `None` a delete) becomes a
-    /// record of one log append, which is indexed; then garbage is
-    /// collected if it is due. Deletes of keys that are not visible write
-    /// nothing; a group that writes nothing appends nothing.
+    /// record of one log append, encoded straight into the active
+    /// segment's buffer, and is indexed; then garbage is collected if it
+    /// is due. Deletes of keys that are not visible write nothing; a
+    /// group that writes nothing appends nothing.
     fn write<'a>(
         &mut self,
-        ops: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+        ops: impl IntoIterator<Item = (&'a [u8], Option<&'a [u8]>), IntoIter: Clone>,
     ) -> Result<()> {
         let ops = ops.into_iter();
-        let mut buf = Vec::new();
-        let mut pendings: Vec<Pending> = Vec::with_capacity(ops.size_hint().0);
-        for (key, value) in ops {
-            let value_len = value.map_or(0, <[u8]>::len);
-            self.stats.app_bytes_written += (key.len() + value_len) as u64;
-            if value.is_some() {
-                self.stats.puts += 1;
-            } else {
-                self.stats.deletes += 1;
-                // A delete is live if the key is currently visible,
-                // either in the index or earlier in this group.
-                let visible_in_group = pendings
-                    .iter()
-                    .rev()
-                    .find(|p| p.key == key)
-                    .map(|p| !p.tombstone);
-                let visible = visible_in_group
-                    .unwrap_or_else(|| self.index.get(key).is_some_and(|e| !e.tombstone));
-                if !visible {
-                    continue;
+        let group = ops
+            .clone()
+            .map(|(key, value)| Record::encoded_len(key.len(), value.map_or(0, <[u8]>::len)));
+        let appended = self.append_group(group.sum(), Drive::Inline, |db, buf| {
+            let mut pendings: Vec<Pending> = Vec::with_capacity(ops.size_hint().0);
+            for (key, value) in ops {
+                let value_len = value.map_or(0, <[u8]>::len);
+                db.stats.app_bytes_written += (key.len() + value_len) as u64;
+                if value.is_some() {
+                    db.stats.puts += 1;
+                } else {
+                    db.stats.deletes += 1;
+                    // A delete is live if the key is currently visible,
+                    // either in the index or earlier in this group.
+                    let visible_in_group = pendings
+                        .iter()
+                        .rev()
+                        .find(|p| p.key == key)
+                        .map(|p| !p.tombstone);
+                    let visible = visible_in_group
+                        .unwrap_or_else(|| db.index.get(key).is_some_and(|e| !e.tombstone));
+                    if !visible {
+                        continue;
+                    }
                 }
+                let seq = db.next_seq;
+                db.next_seq += 1;
+                let record_offset = buf.len() as u64;
+                match value {
+                    Some(value) => Record::encode_put(buf, seq, key, value),
+                    None => Record::encode_tombstone(buf, seq, key),
+                }
+                pendings.push(Pending {
+                    key: key.to_vec(),
+                    seq,
+                    tombstone: value.is_none(),
+                    record_offset,
+                    record_bytes: buf.len() as u64 - record_offset,
+                    value_offset: record_offset + Record::encoded_len(key.len(), 0),
+                    value_len: value_len as u32,
+                });
             }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let rel_record_offset = buf.len() as u64;
-            buf.reserve(Record::encoded_len(key.len(), value_len) as usize);
-            match value {
-                Some(value) => Record::encode_put(&mut buf, seq, key, value),
-                None => Record::encode_tombstone(&mut buf, seq, key),
-            }
-            pendings.push(Pending {
-                key: key.to_vec(),
-                seq,
-                tombstone: value.is_none(),
-                rel_record_offset,
-                record_bytes: buf.len() as u64 - rel_record_offset,
-                rel_value_offset: rel_record_offset + Record::encoded_len(key.len(), 0),
-                value_len: value_len as u32,
-            });
+            Ok(pendings)
+        })?;
+        if appended {
+            self.maybe_gc()?;
         }
-        if buf.is_empty() {
-            return Ok(());
-        }
-        self.append_records(&buf, pendings, Drive::Inline)?;
-        self.maybe_gc()
+        Ok(())
     }
 
     /// Advances the virtual clock past every asynchronous command still
@@ -691,7 +790,7 @@ impl HashLogDb {
     /// Bytes held by records that are no longer the newest version of
     /// their key.
     pub fn garbage_bytes(&self) -> u64 {
-        self.segments.values().map(|s| s.bytes - s.live_bytes).sum()
+        self.log_bytes - self.live_bytes
     }
 
     /// The underlying filesystem.
@@ -702,7 +801,7 @@ impl HashLogDb {
     /// Whether total garbage across the log has crossed the collection
     /// trigger ([`GC_GARBAGE_FRACTION`]).
     fn gc_due(&self) -> bool {
-        let total: u64 = self.segments.values().map(|s| s.bytes).sum();
+        let total = self.log_bytes;
         total > 0 && (self.garbage_bytes() as f64) >= GC_GARBAGE_FRACTION * total as f64
     }
 
@@ -794,9 +893,7 @@ impl HashLogDb {
     /// bytes) exceeds [`MAX_SPACE_AMP`] — the Marble urgency
     /// condition that bypasses pacing.
     fn space_amp_exceeded(&self) -> bool {
-        let total: u64 = self.segments.values().map(|s| s.bytes).sum();
-        let live: u64 = self.segments.values().map(|s| s.live_bytes).sum();
-        live > 0 && total > MAX_SPACE_AMP * live
+        self.live_bytes > 0 && self.log_bytes > MAX_SPACE_AMP * self.live_bytes
     }
 
     fn maintenance_slice(&mut self, forced: bool) -> Result<bool> {
@@ -881,73 +978,83 @@ impl HashLogDb {
     /// victim removed from the log and deleted on disk.
     fn gc_slice(&mut self, drive: Drive) -> Result<()> {
         let slice_bytes = drive.slice_bytes(&self.sched);
-        let GcJob {
-            victim,
-            buf,
-            mut offset,
-            rewritten,
-        } = self.gc.take().expect("job in progress");
-        let begin = offset;
-        let mut out = Vec::new();
-        let mut pendings = Vec::new();
-        while offset < buf.len() && ((offset - begin) as u64) < slice_bytes {
-            let (record, end) = Record::decode(&buf, offset)?;
-            let record_bytes = (end - offset) as u64;
-            let current = self
-                .index
-                .get(&record.key)
-                .is_some_and(|e| e.segment == victim && e.record_offset == offset as u64);
-            if current {
-                if record.tombstone {
-                    // A tombstone can be dropped once no other segment
-                    // holds records older than it (nothing left to
-                    // shadow on recovery).
-                    let blocked = self
-                        .segments
-                        .iter()
-                        .any(|(id, s)| *id != victim && s.min_seq < record.seq);
-                    if !blocked {
-                        self.index.remove(&record.key);
-                        offset = end;
-                        continue;
+        let job = self.gc.take().expect("job in progress");
+        let victim = job.victim;
+        // The group is at most what the victim still holds live.
+        let group = self.segments[&victim].live_bytes.min(slice_bytes);
+        let (mut offset, mut out_len) = (job.offset, 0);
+        self.append_group(group, drive, |db, out| {
+            let (begin, base) = (offset, out.len());
+            let mut pendings = Vec::new();
+            while offset < job.buf.len() && ((offset - begin) as u64) < slice_bytes {
+                let (record, end) = Record::decode(&job.buf, offset)?;
+                let record_bytes = (end - offset) as u64;
+                let current = db
+                    .index
+                    .get(&record.key)
+                    .is_some_and(|e| e.segment == victim && e.record_offset == offset as u64);
+                if current {
+                    if record.tombstone {
+                        // A tombstone can be dropped once no other segment
+                        // holds records older than it (nothing left to
+                        // shadow on recovery).
+                        let blocked = db
+                            .segments
+                            .iter()
+                            .any(|(id, s)| *id != victim && s.min_seq < record.seq);
+                        if !blocked {
+                            db.index.remove(&record.key);
+                            offset = end;
+                            continue;
+                        }
                     }
+                    let record_offset = out.len() as u64;
+                    out.extend_from_slice(&job.buf[offset..end]);
+                    pendings.push(Pending {
+                        value_offset: record_offset + Record::encoded_len(record.key.len(), 0),
+                        key: record.key,
+                        seq: record.seq,
+                        tombstone: record.tombstone,
+                        record_offset,
+                        record_bytes,
+                        value_len: record.value_len,
+                    });
                 }
-                let rel_record_offset = out.len() as u64;
-                out.extend_from_slice(&buf[offset..end]);
-                pendings.push(Pending {
-                    rel_value_offset: rel_record_offset + Record::encoded_len(record.key.len(), 0),
-                    key: record.key,
-                    seq: record.seq,
-                    tombstone: record.tombstone,
-                    rel_record_offset,
-                    record_bytes,
-                    value_len: record.value_len,
-                });
+                offset = end;
             }
-            offset = end;
-        }
-        let out_len = out.len() as u64;
-        // An inline job (one unbounded slice) reclaims the victim before
-        // re-appending; with the victim gone the re-index below displaces
-        // nothing, so its accounting is a plain insert.
-        if drive == Drive::Inline {
-            self.gc_reclaim(victim, rewritten + out_len)?;
-        }
-        if !out.is_empty() {
-            self.append_records(&out, pendings, drive)?;
-        }
+            out_len = (out.len() - base) as u64;
+            // An inline job (one unbounded slice) reclaims the victim
+            // before its records are committed; with the victim gone the
+            // re-index displaces nothing, so its accounting is a plain
+            // insert.
+            if drive == Drive::Inline {
+                db.gc_reclaim(victim, job.rewritten + out_len)?;
+            }
+            Ok(pendings)
+        })?;
         drive.charge(&mut self.sched, self.vfs.clock().now(), out_len, false);
-        if offset < buf.len() {
+        let rewritten = job.rewritten + out_len;
+        if offset < job.buf.len() {
             self.gc = Some(GcJob {
-                victim,
-                buf,
                 offset,
-                rewritten: rewritten + out_len,
+                rewritten,
+                ..job
             });
-        } else if drive == Drive::Paced {
+            return Ok(());
+        }
+        if drive == Drive::Paced {
             // Install: the whole victim is relocated; drop the file.
-            self.gc_reclaim(victim, rewritten + out_len)?;
+            self.gc_reclaim(victim, rewritten)?;
             drive.installed(&mut self.sched);
+        }
+        // The victim's file is gone, so the job may hold the last handle
+        // on its buffer: the next segment's, if so (the codec's pending
+        // segment keeps its own buffer).
+        if !self.opts.compression().is_active() {
+            if let Some(mut buf) = job.buf.into_buffer() {
+                buf.clear();
+                self.spare = buf;
+            }
         }
         Ok(())
     }
@@ -956,8 +1063,10 @@ impl HashLogDb {
     fn gc_reclaim(&mut self, victim: u64, rewritten: u64) -> Result<()> {
         self.stats.gc_runs += 1;
         self.stats.gc_bytes_rewritten += rewritten;
-        let name = self.segments.remove(&victim).expect("victim segment").name;
-        Ok(self.vfs.delete(&name)?)
+        let seg = self.segments.remove(&victim).expect("victim segment");
+        self.log_bytes -= seg.bytes;
+        self.live_bytes -= seg.live_bytes;
+        Ok(self.vfs.delete(&seg.name)?)
     }
 }
 
@@ -1489,6 +1598,120 @@ mod tests {
             "most lookups must skip the device, read {} pages",
             after - before
         );
+    }
+
+    /// The running totals against the segments they sum.
+    fn assert_totals(db: &HashLogDb) {
+        let bytes: u64 = db.segments.values().map(|s| s.bytes).sum();
+        let live: u64 = db.segments.values().map(|s| s.live_bytes).sum();
+        assert_eq!((db.log_bytes, db.live_bytes), (bytes, live));
+    }
+
+    #[test]
+    fn running_totals_match_the_segments() {
+        use ptsbench_maint::MaintConfig;
+        let tight = MaintConfig {
+            slice_bytes: 4 << 10,
+            ..MaintConfig::enabled()
+        };
+        for maint in [MaintConfig::default(), MaintConfig::enabled(), tight] {
+            let opts = HashLogOptions {
+                tuning: EngineTuning::for_device(0).with_maint(maint),
+                ..HashLogOptions::small()
+            };
+            let v = vfs();
+            let mut db = HashLogDb::open(v.clone(), opts).expect("open");
+            for round in 0..40u32 {
+                for i in 0..32u32 {
+                    db.put(&key(i), &vec![round as u8; 512]).expect("put");
+                    // Tombstones, some of which GC drops.
+                    if i % 8 == round % 8 {
+                        db.delete(&key(i)).expect("delete");
+                    }
+                    db.run_maintenance_slice().expect("slice");
+                    assert_totals(&db);
+                }
+            }
+            assert!(db.stats().gc_runs > 0, "churn must collect: {maint:?}");
+            db.drain_maintenance().expect("drain");
+            assert_totals(&db);
+            db.flush().expect("flush");
+            drop(db);
+            assert_totals(&HashLogDb::recover(v, opts).expect("recover"));
+        }
+    }
+
+    #[test]
+    fn a_corrupt_victim_leaves_the_active_segment_alone() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // An inline GC that fails on a victim's record has the active
+        // segment's tail checked out: the pending segment under the
+        // codec, the segment file's buffer without it. Both go back.
+        for level in [0, 1] {
+            let opts = HashLogOptions {
+                tuning: EngineTuning::for_device(0).with_compression_level(level),
+                ..HashLogOptions::small()
+            };
+            let mut db = HashLogDb::open(vfs(), opts).expect("open");
+            let mut rng = SmallRng::seed_from_u64(7);
+            // Noise: the codec stores every container verbatim.
+            let mut noise = || (0..8000).map(|_| rng.gen()).collect::<Vec<u8>>();
+            let mut model = BTreeMap::new();
+            for i in 0..100u32 {
+                let value = noise();
+                db.put(&key(i), &value).expect("put");
+                model.insert(i, value);
+            }
+            // Every sealed segment's last record becomes a tombstone
+            // that carries a value: a collection copies the records
+            // before it, then fails.
+            for (&id, seg) in &db.segments {
+                if id == db.active {
+                    continue;
+                }
+                let size = db.vfs.size(seg.file).expect("size");
+                let raw = db.vfs.read_at(seg.file, 0, size as usize).expect("read");
+                let payload = match level {
+                    0 => &raw[..],
+                    _ => Compression::stored_payload(&raw).expect("stored container"),
+                };
+                let mut last = 0;
+                while let Ok((_, end)) = Record::decode(payload, last) {
+                    if end == payload.len() {
+                        break;
+                    }
+                    last = end;
+                }
+                let flags = raw.len() - payload.len() + last + 8;
+                db.vfs
+                    .write_at(seg.file, flags as u64, &[1])
+                    .expect("corrupt");
+            }
+            // Every other key is overwritten: victims keep live records.
+            let error = (0..).find_map(|i: u32| {
+                let (i, value) = (i * 2 % 100, noise());
+                let result = db.put(&key(i), &value);
+                // A put that fails in its collection was appended.
+                model.insert(i, value);
+                result.err()
+            });
+            assert!(
+                matches!(error, Some(HashLogError::Corruption(_))),
+                "{error:?}"
+            );
+            let active = model
+                .keys()
+                .filter(|&&i| db.index[&key(i)].segment == db.active);
+            let active: Vec<u32> = active.copied().collect();
+            assert!(!active.is_empty(), "level {level}: records are pending");
+            for i in active {
+                assert_eq!(db.get(&key(i)).expect("get").as_ref(), model.get(&i));
+            }
+            // The log goes on taking appends; each collection fails again.
+            assert!(db.put(b"after", b"ok").is_err());
+            assert_eq!(db.get(b"after").expect("get"), Some(b"ok".to_vec()));
+        }
     }
 
     #[test]

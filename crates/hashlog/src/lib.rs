@@ -23,6 +23,13 @@
 //!   deleted records make a segment's garbage ratio grow; the engine
 //!   rewrites the victim's live records into the active segment and
 //!   deletes the file (space reclamation without global sorting).
+//! * **Records are written once** — every `put` / `delete` /
+//!   `apply_batch` group and every GC relocation is encoded straight
+//!   into the active segment's own buffer (the segment file's, checked
+//!   out through `Vfs::appender`, or under compression the pending
+//!   segment) and committed with one append. A fresh segment's buffer
+//!   is reserved once, and a collected victim's buffer becomes the next
+//!   segment's, so a steady-state log allocates no segment memory.
 //!
 //! Durability: records carry a global sequence number, and
 //! [`HashLogDb::recover`] replays every segment applying records in

@@ -1,33 +1,45 @@
-//! A get of the active segment costs a value, never the segment: the
-//! value is copied out of a range of the segment file's own buffer and
-//! the range is gone before `get` returns. A range that outlived the
-//! call would be silent in every virtual metric — and would make the
-//! next put copy the whole segment file (`Arc::make_mut` on a shared
-//! buffer). Counted, not timed: gets of the active segment interleaved
-//! with puts may allocate far less than one copy of the file.
+//! What the hash log asks the allocator for, counted, not timed:
+//!
+//! * A get of the active segment costs a value, never the segment: the
+//!   value is copied out of a range of the segment file's own buffer
+//!   and the range is gone before `get` returns. A range that outlived
+//!   the call would be silent in every virtual metric — and would make
+//!   the next put copy the whole segment file (`Arc::make_mut` on a
+//!   shared buffer).
+//! * Records are encoded once, into the active segment's own buffer: an
+//!   inline GC relocating R bytes asks for keys and index entries, not
+//!   for a buffer of R bytes to relocate them through.
+//! * A collected victim's buffer is the next segment's: filling that
+//!   segment does not regrow a buffer a put at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
 use ptsbench_vfs::{Vfs, VfsOptions};
 
-/// Bytes requested from the allocator so far. A regrown allocation
-/// counts in full: it may have been moved.
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// Set on the thread under test. Only its allocations count: the
     /// test harness's own threads allocate while a test runs.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread requested from the allocator so far. A regrown
+    /// allocation counts in full: it may have been moved.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    /// How many of those requests were for a segment's worth or more.
+    static SEGMENT_SIZED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Adds `n` to [`REQUESTED`] if the calling thread is under test.
 fn count(n: u64) {
     if COUNTED.with(Cell::get) {
-        REQUESTED.fetch_add(n, Ordering::Relaxed);
+        REQUESTED.set(REQUESTED.get() + n);
+        if n >= SEGMENT / 2 {
+            SEGMENT_SIZED.set(SEGMENT_SIZED.get() + 1);
+        }
     }
 }
 
@@ -59,7 +71,6 @@ fn key(i: u32) -> Vec<u8> {
     format!("user{i:012}").into_bytes()
 }
 
-// One test: every thread under test adds to the one counter.
 #[test]
 fn gets_of_the_active_segment_beside_puts_never_copy_it() {
     COUNTED.set(true);
@@ -82,7 +93,7 @@ fn gets_of_the_active_segment_beside_puts_never_copy_it() {
 
     // Fresh keys only: no garbage, so no GC, and 100 KiB of appends stay
     // inside the capacity the file's buffer already has.
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = REQUESTED.get();
     for round in 0..100u32 {
         db.put(&key(next + round), &[round as u8; 1000])
             .expect("put");
@@ -91,10 +102,106 @@ fn gets_of_the_active_segment_beside_puts_never_copy_it() {
         let old = round.wrapping_mul(2_654_435_761) % next;
         assert_eq!(db.get(&key(old)).expect("get"), Some(vec![old as u8; 4000]));
     }
-    let allocated = REQUESTED.load(Ordering::Relaxed) - before;
+    let allocated = REQUESTED.get() - before;
     assert_eq!(db.segment_count(), 1, "all of it in the active segment");
     assert!(
         allocated < file_bytes / 2,
         "{allocated} bytes allocated beside a segment file of {file_bytes}"
     );
+}
+
+/// The `serve_fanin_fifo` shape: 256 KiB segments, codec off, inline
+/// GC, 4 000-byte values under fixed-length keys.
+const SEGMENT: u64 = 256 << 10;
+const VALUE: [u8; 4000] = [7; 4000];
+
+fn fanin_log() -> HashLogDb {
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
+    let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    let opts = HashLogOptions {
+        segment_bytes: SEGMENT,
+        ..HashLogOptions::default()
+    };
+    HashLogDb::open(fs, opts).expect("open")
+}
+
+/// An overwrite of a skewed key set: three in four of 128 hot keys.
+fn churn(db: &mut HashLogDb, rng: &mut SmallRng) {
+    let i = if rng.gen_range(0..4) == 0 {
+        rng.gen_range(128..1024)
+    } else {
+        rng.gen_range(0..128)
+    };
+    db.put(&key(i), &VALUE).expect("churn");
+}
+
+#[test]
+fn inline_gc_requests_a_fraction_of_what_it_relocates() {
+    COUNTED.set(true);
+    let mut db = fanin_log();
+    let mut rng = SmallRng::seed_from_u64(41);
+    while db.stats().gc_runs < 20 {
+        churn(&mut db, &mut rng);
+    }
+    let (mut requested, mut relocated, mut runs) = (0, 0, 0);
+    while runs < 200 {
+        let (before, stats) = (REQUESTED.get(), db.stats());
+        churn(&mut db, &mut rng);
+        let after = db.stats();
+        if after.gc_runs > stats.gc_runs {
+            requested += REQUESTED.get() - before;
+            relocated += after.gc_bytes_rewritten - stats.gc_bytes_rewritten;
+            runs += 1;
+        }
+    }
+    assert!(
+        relocated > 200 * 4000,
+        "the runs relocate records: {relocated}"
+    );
+    assert!(
+        requested < relocated / 4,
+        "{runs} puts that ran an inline GC relocated {relocated} bytes and requested {requested}"
+    );
+}
+
+#[test]
+fn a_reclaimed_victims_buffer_is_the_next_segments() {
+    COUNTED.set(true);
+    let mut db = fanin_log();
+    let mut rng = SmallRng::seed_from_u64(42);
+    while db.stats().gc_runs < 20 {
+        churn(&mut db, &mut rng);
+    }
+    let newest_segment_is_empty = |db: &HashLogDb| {
+        let fs = db.vfs();
+        let newest = fs.list().into_iter().max().expect("a segment");
+        fs.size(fs.open(&newest).expect("open")).expect("size") == 0
+    };
+    let mut segments = 0;
+    while segments < 100 {
+        // A put that collected a victim and left a new, empty segment
+        // active: the victim's buffer is the spare.
+        let stats = db.stats();
+        churn(&mut db, &mut rng);
+        let after = db.stats();
+        if after.gc_runs == stats.gc_runs
+            || after.segments_created == stats.segments_created
+            || !newest_segment_is_empty(&db)
+        {
+            continue;
+        }
+        // That segment, from its first put up to the one that seals it
+        // (whose own collection may relocate into the segment after).
+        let (before, opened) = (SEGMENT_SIZED.get(), after.segments_created);
+        let mut requests = 0;
+        while db.stats().segments_created == opened {
+            requests = SEGMENT_SIZED.get() - before;
+            churn(&mut db, &mut rng);
+        }
+        assert_eq!(
+            requests, 0,
+            "filling segment {segments} after a collection made segment-sized requests"
+        );
+        segments += 1;
+    }
 }

@@ -29,16 +29,25 @@
 //! reads (the B+Tree's meta page at recovery), tests, tools and the
 //! benchmark's unit-cost row.
 //!
-//! A file that is *built* — a table, written once front to back — has
-//! one more owner for a while: [`Vfs::appender`] checks the buffer out
-//! to a single writer ([`FileAppender`]), which encodes at its tail
-//! with no lock and no second buffer and commits prefixes of it through
-//! the accounting every write goes through (`Inner::write`). Meanwhile
-//! the file's *size* is the committed length — what [`Vfs::size`], `df`
-//! and a crash would see — and its contents are nobody else's: a read,
-//! a write, a truncate or a second appender is an `InvalidArgument`
+//! A file that grows at its tail has one more owner for a while:
+//! [`Vfs::appender`] checks the buffer out to a single writer
+//! ([`FileAppender`]), which encodes at its tail with no lock and no
+//! second buffer and commits prefixes of it through the accounting
+//! every write goes through (`Inner::write`). Two writers do: a table
+//! builder holds a table's buffer for the whole build (written once,
+//! front to back), and the hash log holds its active segment's for one
+//! append — a group of records encoded in place, committed once, and
+//! the buffer handed back before the write returns. Meanwhile the
+//! file's *size* is the committed length — what [`Vfs::size`], `df` and
+//! a crash would see — and its contents are nobody else's: a read, a
+//! write, a truncate or a second appender is an `InvalidArgument`
 //! error, never an empty read. Deleting the file is allowed (an
 //! abandoned build) and orphans the buffer.
+//!
+//! A buffer can outlive its file: once the file is deleted, the last
+//! [`FileSlice`] of it gives the whole allocation back
+//! ([`FileSlice::into_buffer`]) — the hash log makes a collected
+//! victim's buffer its next segment's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -218,11 +227,15 @@ impl Inner {
     }
 }
 
-/// One writer building a file in the file's own buffer, checked out by
+/// One writer growing a file in the file's own buffer, checked out by
 /// [`Vfs::appender`] (see the [module docs](self)): it encodes at the
-/// tail of `buf` and commits prefixes of it. Dropping the appender hands
+/// tail of `buf` and commits prefixes of it — a table builder for a
+/// whole build, the hash log for one group of records. A writer may
+/// put a buffer of its own in place of an empty `buf` (the hash log
+/// hands a fresh segment a recycled one). Dropping the appender hands
 /// the buffer back to the file, cut to the committed length — a file
-/// never has a size without its bytes.
+/// never has a size without its bytes, and an append that failed or
+/// was never committed leaves the file as it was.
 #[derive(Debug)]
 pub struct FileAppender {
     vfs: Vfs,

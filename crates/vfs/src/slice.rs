@@ -74,6 +74,16 @@ impl FileSlice {
     pub fn buffer_slice(&self, range: Range<usize>) -> Self {
         Self::new(&self.buf, range)
     }
+
+    /// The whole buffer this slice is a range of (not just the range),
+    /// if this is the last handle on it: the file it was read from is
+    /// deleted and every other slice of it is gone. `None` otherwise.
+    /// Lets the last holder of a dead file's bytes reuse their
+    /// allocation — the hash log makes a collected segment's buffer the
+    /// next segment's.
+    pub fn into_buffer(self) -> Option<Vec<u8>> {
+        Arc::try_unwrap(self.buf).ok()
+    }
 }
 
 /// A buffer that is already shared (a cached block), whole.
@@ -163,6 +173,14 @@ mod tests {
         let hello = world.buffer_slice(0..5);
         assert_eq!(&*hello, b"hello");
         assert!(hello.shares_buffer(&whole));
+    }
+
+    #[test]
+    fn the_last_handle_gets_the_whole_buffer() {
+        let whole = FileSlice::from(b"hello world".to_vec());
+        let world = whole.slice(6..11);
+        assert_eq!(whole.into_buffer(), None, "shared with `world`");
+        assert_eq!(world.into_buffer(), Some(b"hello world".to_vec()));
     }
 
     #[test]
