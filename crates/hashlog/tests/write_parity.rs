@@ -289,8 +289,9 @@ fn run_out_of_space(codec: u8, flush_every: Option<u32>) -> String {
     let opts = opts(codec, MaintConfig::default());
     let mut db = HashLogDb::open(fs.clone(), opts).expect("open");
     let mut rng = SmallRng::seed_from_u64(39);
-    let mut acked: BTreeMap<u32, Option<Vec<u8>>> = BTreeMap::new();
-    let mut durable = acked.clone();
+    // Each key's last acknowledged value, and the step that wrote it.
+    let mut acked: BTreeMap<u32, (u32, Option<Vec<u8>>)> = BTreeMap::new();
+    let mut flushed_at = None;
     let mut failed = None;
     for step in 0..200_000u32 {
         let i = rng.gen_range(0..=step / 3);
@@ -303,7 +304,7 @@ fn run_out_of_space(codec: u8, flush_every: Option<u32>) -> String {
         };
         match result {
             Ok(v) => {
-                acked.insert(i, v);
+                acked.insert(i, (step, v));
             }
             Err(e) => {
                 assert!(e.is_out_of_space(), "unexpected error: {e}");
@@ -313,7 +314,7 @@ fn run_out_of_space(codec: u8, flush_every: Option<u32>) -> String {
         }
         if flush_every.is_some_and(|n| step % n == n - 1) {
             match db.flush() {
-                Ok(()) => durable = acked.clone(),
+                Ok(()) => flushed_at = Some(step),
                 Err(e) => {
                     assert!(e.is_out_of_space(), "unexpected error: {e}");
                     failed = Some((step, u32::MAX, e.to_string()));
@@ -329,7 +330,7 @@ fn run_out_of_space(codec: u8, flush_every: Option<u32>) -> String {
     // Every acknowledged key reads back as acknowledged; the key of the
     // failed op is only rendered.
     let mut readback = Fnv::new();
-    for (&i, v) in &acked {
+    for (&i, (_, v)) in &acked {
         let got = db.get(&key(i)).expect("get");
         if i != failed_key {
             assert_eq!(&got, v, "key {i} before recovery");
@@ -342,13 +343,13 @@ fn run_out_of_space(codec: u8, flush_every: Option<u32>) -> String {
 
     let mut db = HashLogDb::recover(fs, opts).expect("recover");
     let mut recovered = Fnv::new();
-    for (&i, v) in &acked {
+    for (&i, &(step, ref v)) in &acked {
         let got = db.get(&key(i)).expect("get");
         // Without the codec every acknowledged record is on the device;
         // with it, what the last flush sealed is, and later writes may
         // or may not have been sealed by a full segment.
-        let unchanged = durable.get(&i) == Some(v);
-        if i != failed_key && (all_durable || unchanged) {
+        let flushed = flushed_at.is_some_and(|at| step <= at);
+        if i != failed_key && (all_durable || flushed) {
             assert_eq!(&got, v, "key {i} after recovery");
         }
         recovered.feed_read(got);
