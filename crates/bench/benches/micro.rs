@@ -13,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ptsbench_btree::node::Node;
+use ptsbench_btree::node::{Entries, Node};
 use ptsbench_btree::pager::Pager;
 use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
 use ptsbench_cache::{Compression, EncodeScratch};
@@ -385,8 +385,9 @@ fn bench_hashlog(c: &mut Criterion) {
 /// separators to an internal page), not `BTreeOptions::small()`: a
 /// walk served from the cache, a walk whose leaf comes off the device,
 /// an in-place update through a four-page cache (every put ends in a
-/// page write-back), and the load (device read plus decode) of one
-/// wide internal page and of one full leaf.
+/// page write-back), the load (device read plus decode) of one wide
+/// internal page and of one full leaf, and the write-back of one dirty
+/// full leaf on eviction.
 fn bench_btree_layers(c: &mut Criterion) {
     const KEYS: u32 = 2000;
     const PAGE_BYTES: usize = 32 << 10;
@@ -442,23 +443,28 @@ fn bench_btree_layers(c: &mut Criterion) {
     let leaf = Node::Leaf {
         entries: keys[..8].iter().map(|key| (key, &value)).collect(),
     };
+    // A four-page cache holding `node`'s page beside four ~30 KB leaves,
+    // any four of which push it out.
+    let pager_with = |node: &Node| {
+        let mut pager = Pager::create(fresh_vfs(64), "t.db", PAGE_BYTES, 4 * PAGE_BYTES as u64)
+            .expect("create");
+        let page = pager.allocate(node.clone()).expect("allocate");
+        let fillers: Vec<PageNo> = (0..4u8)
+            .map(|i| {
+                let leaf = Node::Leaf {
+                    entries: [(vec![i], vec![i; 30_000])].into_iter().collect(),
+                };
+                pager.allocate(leaf).expect("allocate")
+            })
+            .collect();
+        (RefCell::new(pager), page, fillers)
+    };
     for (name, node) in [
-        ("load_internal_1k_separators", internal),
-        ("load_leaf_8x4000", leaf),
+        ("load_internal_1k_separators", &internal),
+        ("load_leaf_8x4000", &leaf),
     ] {
         group.bench_function(name, |b| {
-            let mut pager = Pager::create(fresh_vfs(64), "t.db", PAGE_BYTES, 4 * PAGE_BYTES as u64)
-                .expect("create");
-            let page = pager.allocate(node.clone()).expect("allocate");
-            let fillers: Vec<PageNo> = (0..4u8)
-                .map(|i| {
-                    let leaf = Node::Leaf {
-                        entries: [(vec![i], vec![i; 30_000])].into_iter().collect(),
-                    };
-                    pager.allocate(leaf).expect("allocate")
-                })
-                .collect();
-            let pager = RefCell::new(pager);
+            let (pager, page, fillers) = pager_with(node);
             b.iter_batched(
                 // Four ~30 KB leaves push the page out (untimed)...
                 || {
@@ -472,6 +478,35 @@ fn bench_btree_layers(c: &mut Criterion) {
             )
         });
     }
+    group.bench_function("evict_dirty_leaf", |b| {
+        let (pager, page, fillers) = pager_with(&leaf);
+        // An edit that leaves the leaf as it was: its last entry out and
+        // back in.
+        let last: Entries = [(&keys[7], &value)].into_iter().collect();
+        b.iter_batched(
+            // The leaf read and edited, then three fillers read after it
+            // (untimed)...
+            || {
+                let mut pager = pager.borrow_mut();
+                pager.read(page).expect("read");
+                pager
+                    .update(page, |node| {
+                        if let Node::Leaf { entries } = node {
+                            entries.remove(7);
+                            entries.append(&last);
+                        }
+                    })
+                    .expect("edit");
+                for &filler in &fillers[..3] {
+                    pager.read(filler).expect("read");
+                }
+            },
+            // ...so the fourth filler's load evicts it: the load of a
+            // one-entry leaf plus the dirty leaf's write-back.
+            |()| black_box(pager.borrow_mut().read(fillers[3]).is_ok()),
+            BatchSize::PerIteration,
+        )
+    });
     group.finish();
 }
 

@@ -11,20 +11,28 @@
 //! In memory both kinds keep their records the way the page does
 //! ([`Records`]): back to back in one buffer, plus an offset per record.
 //!
-//! * A leaf ([`Entries`]) *is* its page image: the buffer starts with
-//!   the `[1u8][u32 n]` header, which every edit keeps current, and a
-//!   loaded leaf has room for its whole page. Loading one is one copy of
-//!   the page's used prefix and a walk over the 6-byte record headers
-//!   (two allocations: buffer and offsets); a lookup is a binary search
-//!   over the offsets; an insert, overwrite or remove is one move inside
-//!   the buffer; split and merge move byte ranges; and the pager writes
-//!   the buffer back as it is, padded to the page, with no encode pass.
+//! * A leaf ([`Entries`]) *is* its page image: a page-long buffer that
+//!   starts with the `[1u8][u32 n]` header, which every edit keeps
+//!   current, and is zero past its records. Loading one copies nothing:
+//!   the leaf keeps the tree file's own page, shared, and walks its
+//!   6-byte record headers (one allocation: the offsets). The first
+//!   edit after a load or a write-back copies the page once
+//!   (`Arc::make_mut`) and the file keeps its bytes; a lookup is a
+//!   binary search over the offsets; an insert, overwrite or remove is
+//!   one move inside the buffer; split and merge move byte ranges; and
+//!   the pager hands the buffer to the file as it is, with no encode
+//!   pass and no copy. Length, equality and the cache budget count the
+//!   bytes in use, not the room.
 //! * An internal node keeps its separators ([`Separators`]) the same way
 //!   beside a vector of children. A 32 KiB internal page routes ~1 000
 //!   children; decoding it is one copy of the separator region and a
 //!   walk over the length prefixes — three allocations (children,
 //!   records, offsets) instead of one per key — and encoding is one copy
 //!   back.
+
+use std::sync::Arc;
+
+use ptsbench_vfs::FileSlice;
 
 use crate::{BTreeError, PageNo, Result};
 
@@ -33,13 +41,29 @@ use crate::{BTreeError, PageNo, Result};
 /// `[u16 klen][u32 vlen][key][value]` entries behind the leaf page
 /// header ([`Entries`]); without, an internal node's `[u16 klen][key]`
 /// separators ([`Separators`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Compares as the records (the bytes in use), whatever room follows.
+#[derive(Debug, Clone)]
 pub struct Records<const LEAF: bool> {
-    /// The leaf page header (leaves only), then the records.
-    buf: Vec<u8>,
+    /// The leaf page header (leaves only), then the records, then room:
+    /// `buf[..used]` is in use and every byte after it is zero. Shared
+    /// copy-on-write: every edit goes through [`Records::bytes_mut`], so
+    /// a buffer the tree file also holds is copied once, by the first
+    /// edit.
+    buf: Arc<Vec<u8>>,
+    /// Bytes of `buf` in use.
+    used: usize,
     /// `starts[i]` is the offset of record `i` in `buf`.
     starts: Vec<u32>,
 }
+
+impl<const LEAF: bool> PartialEq for Records<LEAF> {
+    fn eq(&self, other: &Self) -> bool {
+        self.buf[..self.used] == other.buf[..other.used] && self.starts == other.starts
+    }
+}
+
+impl<const LEAF: bool> Eq for Records<LEAF> {}
 
 /// A leaf's entries: the leaf's page image.
 pub type Entries = Records<true>;
@@ -50,7 +74,8 @@ pub type Separators = Records<false>;
 impl<const LEAF: bool> Default for Records<LEAF> {
     fn default() -> Self {
         let mut records = Records {
-            buf: vec![0; Self::PREFIX],
+            buf: Arc::new(vec![0; Self::PREFIX]),
+            used: Self::PREFIX,
             starts: Vec::new(),
         };
         records.stamp();
@@ -97,9 +122,19 @@ impl<const LEAF: bool> Records<LEAF> {
         self.key_at(self.starts[i])
     }
 
-    /// Offset of record `i`; the end of the buffer for `i == len()`.
+    /// Offset of record `i`; the end of the records for `i == len()`.
     fn offset(&self, i: usize) -> usize {
-        self.starts.get(i).map_or(self.buf.len(), |&s| s as usize)
+        self.starts.get(i).map_or(self.used, |&s| s as usize)
+    }
+
+    /// The buffer, to edit: the one place a shared buffer is copied
+    /// (`Arc::make_mut`, but of the bytes in use only; the room of the
+    /// copy is zeroed, not copied).
+    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+        if Arc::get_mut(&mut self.buf).is_none() {
+            self.buf = Arc::new(with_room(&self.buf[..self.used], self.buf.len()));
+        }
+        Arc::get_mut(&mut self.buf).expect("a buffer of its own")
     }
 
     /// The position of `key`: `Ok` if a record holds it, `Err` with its
@@ -112,20 +147,26 @@ impl<const LEAF: bool> Records<LEAF> {
     /// Keeps a leaf's page header current: its tag and record count.
     fn stamp(&mut self) {
         if LEAF {
-            self.buf[0] = TAG_LEAF;
-            self.buf[1..5].copy_from_slice(&(self.starts.len() as u32).to_le_bytes());
+            let n = (self.starts.len() as u32).to_le_bytes();
+            let buf = self.bytes_mut();
+            buf[0] = TAG_LEAF;
+            buf[1..5].copy_from_slice(&n);
         }
     }
 
     /// Resizes the `old` bytes at `at` to `new` bytes, moving everything
     /// after them, and moves the offsets of records `from..` with them.
+    /// The buffer grows only past its room; bytes given up are zeroed.
     fn respan(&mut self, at: usize, old: usize, new: usize, from: usize) {
-        let end = self.buf.len();
-        if new > old {
-            self.buf.resize(end + new - old, 0);
+        let end = self.used;
+        let new_end = end + new - old;
+        let buf = self.bytes_mut();
+        grow(buf, new_end);
+        buf.copy_within(at + old..end, at + new);
+        if new_end < end {
+            buf[new_end..end].fill(0);
         }
-        self.buf.copy_within(at + old..end, at + new);
-        self.buf.truncate(end + new - old);
+        self.used = new_end;
         for start in &mut self.starts[from..] {
             *start = (*start as usize + new - old) as u32;
         }
@@ -138,7 +179,7 @@ impl<const LEAF: bool> Records<LEAF> {
         let len = Self::HEADER + key.len() + value.len();
         self.respan(at, 0, len, i);
         self.starts.insert(i, at as u32);
-        let (header, body) = self.buf[at..at + len].split_at_mut(Self::HEADER);
+        let (header, body) = self.bytes_mut()[at..at + len].split_at_mut(Self::HEADER);
         header[..2].copy_from_slice(&klen.to_le_bytes());
         if LEAF {
             header[2..].copy_from_slice(&(value.len() as u32).to_le_bytes());
@@ -164,7 +205,8 @@ impl<const LEAF: bool> Records<LEAF> {
         buf.extend_from_slice(&self.buf[lo..hi]);
         let rebase = |&start: &u32| start - lo as u32 + Self::PREFIX as u32;
         let mut records = Records {
-            buf,
+            used: buf.len(),
+            buf: Arc::new(buf),
             starts: self.starts[from..to].iter().map(rebase).collect(),
         };
         records.stamp();
@@ -174,7 +216,9 @@ impl<const LEAF: bool> Records<LEAF> {
     /// Splits off the records from index `at` on, keeping the rest.
     pub(crate) fn split_off(&mut self, at: usize) -> Self {
         let right = self.range(at, self.len());
-        self.buf.truncate(self.offset(at));
+        let (cut, end) = (self.offset(at), self.used);
+        self.bytes_mut()[cut..end].fill(0);
+        self.used = cut;
         self.starts.truncate(at);
         self.stamp();
         right
@@ -182,16 +226,20 @@ impl<const LEAF: bool> Records<LEAF> {
 
     /// Appends all of `other`'s records after this one's.
     pub fn append(&mut self, other: &Self) {
-        let base = (self.buf.len() - Self::PREFIX) as u32;
-        self.buf.extend_from_slice(&other.buf[Self::PREFIX..]);
+        let (at, base) = (self.used, (self.used - Self::PREFIX) as u32);
+        let records = &other.buf[Self::PREFIX..other.used];
+        let end = at + records.len();
+        let buf = self.bytes_mut();
+        grow(buf, end);
+        buf[at..end].copy_from_slice(records);
+        self.used = end;
         self.starts.extend(other.starts.iter().map(|&s| s + base));
         self.stamp();
     }
 
-    /// Reads `n` records off the front of `page` (behind the header, for
-    /// a leaf). A leaf keeps room for the whole page, so neither its
-    /// edits up to a page nor the write-back's padding reallocate.
-    fn decode(page: &[u8], n: usize) -> Result<Self> {
+    /// The offsets of `n` records at the front of `page` (behind the
+    /// header, for a leaf), and where the last one ends.
+    fn walk(page: &[u8], n: usize) -> Result<(Vec<u32>, usize)> {
         let truncated = || BTreeError::Corruption(format!("truncated record in a {n}-record page"));
         // `n` comes off the page: every record takes at least a header.
         let mut starts = Vec::with_capacity(n.min(page.len() / Self::HEADER));
@@ -207,9 +255,19 @@ impl<const LEAF: bool> Records<LEAF> {
                 return Err(truncated());
             }
         }
-        let mut buf = Vec::with_capacity(if LEAF { page.len() } else { pos });
-        buf.extend_from_slice(&page[..pos]);
-        Ok(Records { buf, starts })
+        Ok((starts, pos))
+    }
+
+    /// Reads `n` records off the front of `page` into a buffer of their
+    /// own: for a leaf, a page long, with the room zeroed.
+    fn decode(page: &[u8], n: usize) -> Result<Self> {
+        let (starts, used) = Self::walk(page, n)?;
+        let room = if LEAF { page.len() } else { used };
+        Ok(Records {
+            buf: Arc::new(with_room(&page[..used], room)),
+            used,
+            starts,
+        })
     }
 }
 
@@ -270,19 +328,51 @@ impl Entries {
         let (klen, vlen) = Self::lens(&self.buf[start..]);
         let at = start + Self::HEADER + klen;
         self.respan(at, vlen, value.len(), i + 1);
-        self.buf[start + 2..start + 6].copy_from_slice(&(value.len() as u32).to_le_bytes());
-        self.buf[at..at + value.len()].copy_from_slice(value);
+        let buf = self.bytes_mut();
+        buf[start + 2..start + 6].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        buf[at..at + value.len()].copy_from_slice(value);
     }
 
     /// Where a byte-halving split cuts: after the first entry that
     /// brings the left half to at least half the record bytes, keeping
     /// both halves non-empty.
     fn halving_cut(&self) -> usize {
-        let total = self.buf.len() - Self::PREFIX;
+        let total = self.used - Self::PREFIX;
         (1..self.len())
             .find(|&i| (self.offset(i) - Self::PREFIX) * 2 >= total)
             .unwrap_or(self.len() - 1)
             .max(1)
+    }
+
+    /// The leaf as a page read from the tree file: `page` itself, kept
+    /// shared (no copy; only the record headers are walked). A page the
+    /// tree wrote is zero past its records.
+    fn shared(page: Arc<Vec<u8>>, n: usize) -> Result<Self> {
+        let (starts, used) = Self::walk(&page, n)?;
+        Ok(Records {
+            buf: page,
+            used,
+            starts,
+        })
+    }
+
+    /// Makes the buffer exactly a page, `page_bytes` long and no
+    /// larger an allocation, and returns it: the page image, shared
+    /// with whoever writes it. A leaf born smaller (a new root, a split's
+    /// right half) or one that overflowed before its split moves to a
+    /// buffer of its own; the file may hold the page for a long time.
+    pub(crate) fn page(&mut self, page_bytes: usize) -> &Arc<Vec<u8>> {
+        debug_assert!(self.used <= page_bytes, "leaf larger than a page");
+        if self.buf.len() != page_bytes || self.buf.capacity() != page_bytes {
+            self.buf = Arc::new(with_room(&self.buf[..self.used], page_bytes));
+        }
+        &self.buf
+    }
+
+    /// The buffer, whole, as a slice sharing it (tests).
+    #[cfg(test)]
+    pub(crate) fn buffer(&self) -> FileSlice {
+        FileSlice::from(Arc::clone(&self.buf))
     }
 }
 
@@ -294,6 +384,33 @@ impl<K: AsRef<[u8]>, V: AsRef<[u8]>> FromIterator<(K, V)> for Entries {
         }
         entries
     }
+}
+
+/// `bytes` in a buffer of `room` bytes (at least as many) and no more
+/// capacity, zeros after them.
+fn with_room(bytes: &[u8], room: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(room);
+    buf.extend_from_slice(bytes);
+    buf.resize(room, 0);
+    buf
+}
+
+/// Grows `buf` to `len` bytes, if it is shorter, with no capacity to
+/// spare: a leaf grows past its page only for the moment before it
+/// splits.
+fn grow(buf: &mut Vec<u8>, len: usize) {
+    if len > buf.len() {
+        buf.reserve_exact(len - buf.len());
+        buf.resize(len, 0);
+    }
+}
+
+/// What a write-back writes ([`Node::page_image`]).
+pub(crate) enum PageImage<'a> {
+    /// A leaf's own buffer, a page long.
+    Shared(&'a Arc<Vec<u8>>),
+    /// An internal node, encoded and zero-padded to the page.
+    Encoded(&'a [u8]),
 }
 
 /// A decoded tree page.
@@ -325,11 +442,11 @@ impl Node {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Node::Leaf { entries } => entries.buf.len(),
+            Node::Leaf { entries } => entries.used,
             Node::Internal {
                 children,
                 separators,
-            } => 5 + children.len() * 8 + separators.buf.len(),
+            } => 5 + children.len() * 8 + separators.used,
         }
     }
 
@@ -337,7 +454,7 @@ impl Node {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.clear();
         match self {
-            Node::Leaf { entries } => buf.extend_from_slice(&entries.buf),
+            Node::Leaf { entries } => buf.extend_from_slice(&entries.buf[..entries.used]),
             Node::Internal {
                 children,
                 separators,
@@ -348,35 +465,47 @@ impl Node {
                 for c in children {
                     buf.extend_from_slice(&c.to_le_bytes());
                 }
-                buf.extend_from_slice(&separators.buf);
+                buf.extend_from_slice(&separators.buf[..separators.used]);
             }
         }
     }
 
-    /// Runs `write` over this node's page image zero-padded to
-    /// `page_bytes`: a leaf's own buffer (its padding cut off again
-    /// afterwards), an internal node encoded into `scratch`.
-    pub(crate) fn with_page_image<R>(
-        &mut self,
+    /// This node's page image, `page_bytes` long and zero past its
+    /// records: a leaf's own buffer, for the file to share, or an
+    /// internal node encoded into `scratch`.
+    pub(crate) fn page_image<'a>(
+        &'a mut self,
         page_bytes: usize,
-        scratch: &mut Vec<u8>,
-        write: impl FnOnce(&[u8]) -> R,
-    ) -> R {
-        let image = match self {
-            Node::Leaf { entries } => &mut entries.buf,
+        scratch: &'a mut Vec<u8>,
+    ) -> PageImage<'a> {
+        match self {
+            Node::Leaf { entries } => PageImage::Shared(entries.page(page_bytes)),
             internal => {
                 internal.encode(scratch);
-                scratch
+                scratch.resize(page_bytes, 0);
+                PageImage::Encoded(scratch)
             }
-        };
-        let used = image.len();
-        image.resize(page_bytes, 0);
-        let out = write(image);
-        image.truncate(used);
-        out
+        }
     }
 
-    /// Decodes a page image.
+    /// Decodes a page read whole from the tree file. A leaf keeps the
+    /// page itself — shared with the file, copied by its first edit —
+    /// and walks only its record headers; an internal node is decoded
+    /// as [`Node::decode`] does.
+    pub(crate) fn load(page: FileSlice) -> Result<Self> {
+        if page.len() < 5 || page[0] != TAG_LEAF {
+            return Self::decode(&page);
+        }
+        let n = u32::from_le_bytes(page[1..5].try_into().expect("4 bytes")) as usize;
+        let page = page
+            .into_shared()
+            .unwrap_or_else(|part| Arc::new(part.to_vec()));
+        Ok(Node::Leaf {
+            entries: Entries::shared(page, n)?,
+        })
+    }
+
+    /// Decodes a page image into buffers of the node's own.
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let corrupt = |m: &str| BTreeError::Corruption(m.to_string());
         if buf.len() < 5 {

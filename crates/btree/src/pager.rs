@@ -19,18 +19,36 @@
 //! collecting or sorting), and the slots are indexed by last-access tick
 //! (the LRU victim is the index's first entry, not a scan).
 //!
-//! A leaf is its own page image ([`crate::node::Entries`]): a write-back
-//! writes the slot's buffer as it is, zero-padded to the page for the
-//! write and cut back after it, with no encode pass. Only an internal
-//! page, written after splits, is encoded first, into one buffer reused
-//! by every such write-back.
+//! # Page sharing
+//!
+//! The tree file is a paged file ([`Vfs::create_paged`]): the
+//! filesystem holds it one reference-counted page at a time, so a page
+//! can be shared between the file and the cache, copy-on-write, and no
+//! load or write-back of a leaf copies it:
+//!
+//! * **load** — a leaf is its own page image ([`crate::node::Entries`]),
+//!   so a miss keeps the page the read returned, shared with the file,
+//!   and walks only its record headers;
+//! * **first edit** — the first edit after a load or a write-back copies
+//!   the page once (`Arc::make_mut`), and the file keeps the bytes it
+//!   had; later edits work on the copy;
+//! * **write-back** — on eviction or checkpoint the slot hands its
+//!   buffer to the file ([`Vfs::write_page`]): they share it again.
+//!
+//! A leaf's buffer is a page long from birth, zero past its records, so
+//! the file gets exactly the zero-padded image and neither edits nor
+//! write-backs reallocate. A page materialized at EOF shares one zero
+//! page until its first write-back. Only an internal page, written
+//! after splits, is encoded, into one buffer reused by every such
+//! write-back, and copied into the file.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use ptsbench_cache::CacheStats;
 use ptsbench_vfs::{FileId, TraceHandle, Vfs};
 
-use crate::node::Node;
+use crate::node::{Node, PageImage};
 use crate::{BTreeError, PageNo, Result};
 
 /// Cumulative pager statistics. The caching traffic (hits, misses,
@@ -88,6 +106,9 @@ pub struct Pager {
     stats: PagerStats,
     /// One page image, reused by every internal-page write-back.
     page_buf: Vec<u8>,
+    /// A page of zeros, what a page materialized at EOF holds until it
+    /// is written back.
+    zero_page: Arc<Vec<u8>>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
 }
@@ -131,16 +152,18 @@ impl Pager {
             free_list: Vec::new(),
             stats: PagerStats::default(),
             page_buf: Vec::new(),
+            zero_page: Arc::new(vec![0; page_bytes]),
             trace: None,
         }
     }
 
-    /// Creates the tree file with a zeroed meta page.
+    /// Creates the tree file, paged, with a zeroed meta page.
     pub fn create(vfs: Vfs, file_name: &str, page_bytes: usize, cache_bytes: u64) -> Result<Self> {
-        let file = vfs.create(file_name)?;
+        let file = vfs.create_paged(file_name, page_bytes)?;
+        let pager = Self::over(vfs, file, page_bytes, cache_bytes, 1);
         // Materialize the meta page.
-        vfs.write_at(file, 0, &vec![0u8; page_bytes])?;
-        Ok(Self::over(vfs, file, page_bytes, cache_bytes, 1))
+        pager.vfs.write_page(file, 0, &pager.zero_page)?;
+        Ok(pager)
     }
 
     /// Attaches the tracing context: page-cache hits record
@@ -198,7 +221,7 @@ impl Pager {
 
     /// Allocates a page, reusing freed pages first (keeping the file's
     /// LBA footprint stable) and extending the file otherwise.
-    pub fn allocate(&mut self, node: Node) -> Result<PageNo> {
+    pub fn allocate(&mut self, mut node: Node) -> Result<PageNo> {
         self.stats.allocations += 1;
         let page = match self.free_list.pop() {
             Some(p) => p,
@@ -206,15 +229,16 @@ impl Pager {
                 let p = self.next_page;
                 // Materialize the new page at EOF so the file never has
                 // holes (an append at the device level).
-                self.vfs.write_at(
-                    self.file,
-                    p * self.page_bytes as u64,
-                    &vec![0u8; self.page_bytes],
-                )?;
+                let offset = p * self.page_bytes as u64;
+                self.vfs.write_page(self.file, offset, &self.zero_page)?;
                 self.next_page += 1;
                 p
             }
         };
+        // A leaf's buffer is a page long from birth.
+        if let Node::Leaf { entries } = &mut node {
+            entries.page(self.page_bytes);
+        }
         self.insert_cached(page, node, true)?;
         Ok(page)
     }
@@ -282,17 +306,16 @@ impl Pager {
         self.insert_cached(page, node?, false)
     }
 
-    /// Decodes the page straight from the range that was read. The
-    /// tree file is written in place, so the range must not outlive this
-    /// call (the ownership rule in `ptsbench_vfs::fs`): the next
-    /// write-back would copy the whole file.
+    /// Decodes the page straight from the range that was read: the
+    /// tree file's own page, which a leaf keeps (see
+    /// [page sharing](self#page-sharing)).
     fn read_node(&mut self, page: PageNo) -> Result<Node> {
         let offset = page * self.page_bytes as u64;
         let bytes = self.vfs.read_shared(self.file, offset, self.page_bytes)?;
         if bytes.len() < self.page_bytes {
             return Err(BTreeError::Corruption(format!("short read of page {page}")));
         }
-        Node::decode(&bytes)
+        Node::load(bytes)
     }
 
     /// Mutates a resident page in place and marks it dirty; the change
@@ -365,14 +388,12 @@ impl Pager {
         let (vfs, file) = (&self.vfs, self.file);
         let offset = page * self.page_bytes as u64;
         let slot = self.cache.get_mut(&page).expect("dirty pages are resident");
-        slot.node
-            .with_page_image(self.page_bytes, &mut self.page_buf, |image| {
-                if background {
-                    vfs.write_at_bg(file, offset, image)
-                } else {
-                    vfs.write_at(file, offset, image)
-                }
-            })?;
+        match slot.node.page_image(self.page_bytes, &mut self.page_buf) {
+            PageImage::Shared(image) if background => vfs.write_page_bg(file, offset, image),
+            PageImage::Shared(image) => vfs.write_page(file, offset, image),
+            PageImage::Encoded(image) if background => vfs.write_at_bg(file, offset, image),
+            PageImage::Encoded(image) => vfs.write_at(file, offset, image),
+        }?;
         self.stats.writebacks += 1;
         self.dirty.remove(&page);
         Ok(())
@@ -398,12 +419,13 @@ impl Pager {
     /// fsyncs, or gates any dependent install on [`Pager::durable_at`].
     pub fn write_meta(&mut self, meta: &[u8], background: bool) -> Result<()> {
         assert!(meta.len() <= self.page_bytes);
-        let mut meta_buf = meta.to_vec();
-        meta_buf.resize(self.page_bytes, 0);
+        let mut page = meta.to_vec();
+        page.resize(self.page_bytes, 0);
+        let page = Arc::new(page);
         if background {
-            self.vfs.write_at_bg(self.file, 0, &meta_buf)?;
+            self.vfs.write_page_bg(self.file, 0, &page)?;
         } else {
-            self.vfs.write_at(self.file, 0, &meta_buf)?;
+            self.vfs.write_page(self.file, 0, &page)?;
         }
         Ok(())
     }
@@ -440,7 +462,7 @@ impl Pager {
 mod tests {
     use super::*;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::VfsOptions;
+    use ptsbench_vfs::{FileSlice, VfsOptions};
 
     fn vfs() -> Vfs {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
@@ -531,6 +553,96 @@ mod tests {
         let b = p.allocate(leaf(2, 10)).expect("alloc");
         assert_eq!(a, b, "freed page must be reused");
         assert_eq!(p.page_count(), count, "file must not grow");
+    }
+
+    /// The page a leaf holds, as a slice sharing its buffer.
+    fn held_page(p: &mut Pager, page: PageNo) -> FileSlice {
+        match p.read(page).expect("read") {
+            Node::Leaf { entries } => entries.buffer(),
+            Node::Internal { .. } => panic!("page {page} is not a leaf"),
+        }
+    }
+
+    /// `node`'s page image: its encoding, zero-padded to the page.
+    fn image(node: &Node) -> Vec<u8> {
+        let mut image = Vec::new();
+        node.encode(&mut image);
+        image.resize(4096, 0);
+        image
+    }
+
+    #[test]
+    fn a_written_back_leaf_shares_its_page_and_edits_copy_it() {
+        let v = vfs();
+        let mut p = Pager::create(v.clone(), "t.db", 4096, 64 << 10).expect("create");
+        let page = p.allocate(leaf(1, 3000)).expect("alloc");
+        checkpoint(&mut p, b"m");
+        let file = v.open("t.db").expect("open");
+        let on_file = || v.read_shared(file, page * 4096, 4096).expect("read");
+        assert!(
+            held_page(&mut p, page).shares_buffer(&on_file()),
+            "the checkpoint handed the leaf's buffer to the file"
+        );
+        assert_eq!(*on_file(), image(&leaf(1, 3000)));
+
+        // An edit copies the page; the file keeps its bytes...
+        p.update(page, |n| n.set_value(0, &[2; 2000]))
+            .expect("edit");
+        let edited = Node::Leaf {
+            entries: [(vec![1], vec![2; 2000])].into_iter().collect(),
+        };
+        assert!(!held_page(&mut p, page).shares_buffer(&on_file()));
+        assert_eq!(
+            *on_file(),
+            image(&leaf(1, 3000)),
+            "an edit reached the file"
+        );
+        // ...until the next write-back, which shares the edited page.
+        checkpoint(&mut p, b"m");
+        assert_eq!(*on_file(), image(&edited));
+        assert!(held_page(&mut p, page).shares_buffer(&on_file()));
+    }
+
+    #[test]
+    fn a_leaf_evicted_dirty_hands_its_page_to_the_file() {
+        let v = vfs();
+        let mut p = Pager::create(v.clone(), "t.db", 4096, 16 << 10).expect("create");
+        let page = p.allocate(leaf(1, 3000)).expect("alloc");
+        checkpoint(&mut p, b"m");
+        let file = v.open("t.db").expect("open");
+        let on_file = || v.read_shared(file, page * 4096, 4096).expect("read");
+        p.update(page, |n| n.set_value(0, &[3; 2500]))
+            .expect("edit");
+        let edited = Node::Leaf {
+            entries: [(vec![1], vec![3; 2500])].into_iter().collect(),
+        };
+        let held = held_page(&mut p, page);
+        assert!(!held.shares_buffer(&on_file()));
+        assert_eq!(
+            *on_file(),
+            image(&leaf(1, 3000)),
+            "an edit reached the file"
+        );
+
+        // Five more ~3 KiB leaves push the dirty one out of a 16 KiB
+        // cache: the eviction writes it back by handing over its buffer.
+        let writebacks = p.stats().writebacks;
+        for i in 0..5 {
+            p.allocate(leaf(10 + i, 3000)).expect("alloc");
+        }
+        assert!(!p.is_resident(page), "the leaf was evicted");
+        assert!(p.stats().writebacks > writebacks);
+        assert!(
+            held.shares_buffer(&on_file()),
+            "the file holds the leaf's buffer"
+        );
+        assert_eq!(*on_file(), image(&edited));
+
+        // Loaded back, it shares the page again; an edit leaves the file
+        // as the eviction wrote it.
+        assert!(held_page(&mut p, page).shares_buffer(&on_file()));
+        p.update(page, |n| n.set_value(0, &[4; 10])).expect("edit");
+        assert_eq!(*on_file(), image(&edited), "an edit reached the file");
     }
 
     #[test]

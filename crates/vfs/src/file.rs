@@ -1,11 +1,13 @@
 //! File representation: contents plus the LBA extents backing them.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ptsbench_ssd::{Lpn, LpnRange, Ns};
 
 use crate::alloc::Extent;
 use crate::error::VfsError;
+use crate::slice::FileSlice;
 
 /// An opaque handle to an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -14,19 +16,26 @@ pub struct FileId(pub(crate) u64);
 /// In-memory state of one file.
 ///
 /// Contents live here (the device models *when*, the filesystem owns
-/// *what*), reference-counted so that a read can share a range of them
-/// instead of copying it; `extents` record which logical pages back
-/// which file pages, so page-aligned overwrites are in-place at the
-/// device level.
+/// *what*) as reference-counted *pieces*, so that a read can share a
+/// range of them instead of copying it. A paged file
+/// ([`crate::Vfs::create_paged`]) has one piece per page; every other
+/// file has exactly one piece, its whole contents. `extents` record
+/// which logical pages back which file pages, so page-aligned
+/// overwrites are in-place at the device level.
 #[derive(Debug)]
 pub(crate) struct FileNode {
     pub name: String,
-    /// Mutated through `Arc::make_mut`: in place while no
-    /// [`crate::FileSlice`] of this file is outstanding. Empty while a
-    /// [`crate::FileAppender`] has the buffer checked out.
-    pub data: Arc<Vec<u8>>,
-    /// The file's size: `data.len()`, or, while the buffer is checked
-    /// out, how much of it the appender has committed.
+    /// Piece `i` holds bytes `[i * piece_bytes, (i + 1) * piece_bytes)`
+    /// of the file (the last one up to the file's size). Each is
+    /// mutated through `Arc::make_mut`, in place while no
+    /// [`crate::FileSlice`] of it is outstanding, and replaced whole by
+    /// a write that covers it. A one-piece file always has its piece;
+    /// it is empty while a [`crate::FileAppender`] has it checked out.
+    pieces: Vec<Arc<Vec<u8>>>,
+    /// A paged file's page size; `usize::MAX` for a one-piece file.
+    piece_bytes: usize,
+    /// The file's size: the pieces' total, or, while the buffer is
+    /// checked out, how much of it the appender has committed.
     pub len: u64,
     /// A [`crate::FileAppender`] holds the buffer.
     pub checked_out: bool,
@@ -40,10 +49,19 @@ pub(crate) struct FileNode {
 }
 
 impl FileNode {
-    pub(crate) fn new(name: String) -> Self {
+    /// An empty file: paged with `page_bytes` per piece, or (`None`)
+    /// one piece.
+    pub(crate) fn new(name: String, page_bytes: Option<usize>) -> Self {
+        let piece_bytes = page_bytes.unwrap_or(usize::MAX);
+        assert!(piece_bytes > 0, "a paged file needs a page size");
         Self {
             name,
-            data: Arc::default(),
+            pieces: if page_bytes.is_some() {
+                Vec::new()
+            } else {
+                vec![Arc::default()]
+            },
+            piece_bytes,
             len: 0,
             checked_out: false,
             extents: Vec::new(),
@@ -52,11 +70,138 @@ impl FileNode {
         }
     }
 
-    /// The contents, unless an appender holds them.
-    pub(crate) fn contents(&self) -> Result<&Arc<Vec<u8>>, VfsError> {
-        let busy =
-            || VfsError::InvalidArgument(format!("{}: checked out to an appender", self.name));
-        (!self.checked_out).then_some(&self.data).ok_or_else(busy)
+    /// Fails unless the contents are here, not with an appender.
+    pub(crate) fn available(&self) -> Result<(), VfsError> {
+        if self.checked_out {
+            return Err(VfsError::InvalidArgument(format!(
+                "{}: checked out to an appender",
+                self.name
+            )));
+        }
+        Ok(())
+    }
+
+    /// Fails for a paged file: what only a one-piece file can do (be
+    /// checked out, be truncated).
+    pub(crate) fn one_piece(&self, what: &str) -> Result<(), VfsError> {
+        if self.piece_bytes != usize::MAX {
+            return Err(VfsError::InvalidArgument(format!(
+                "{}: a paged file cannot {what}",
+                self.name
+            )));
+        }
+        Ok(())
+    }
+
+    /// The piece holding byte `offset`, and the offset within it.
+    fn locate(&self, offset: usize) -> (usize, usize) {
+        (offset / self.piece_bytes, offset % self.piece_bytes)
+    }
+
+    /// Copies `src` in at `offset` (at most the current size: no holes),
+    /// overwriting what is there and extending the file with the rest.
+    /// A piece someone else holds is replaced, not written: copied once
+    /// if the write covers part of it, not at all if it covers it all.
+    pub(crate) fn store(&mut self, offset: usize, mut src: &[u8]) {
+        let mut pos = offset;
+        while !src.is_empty() {
+            let (i, at) = self.locate(pos);
+            if i == self.pieces.len() {
+                self.pieces.push(Arc::default());
+            }
+            let piece = &mut self.pieces[i];
+            let (bytes, rest) = src.split_at(src.len().min(self.piece_bytes - at));
+            if at == 0 && bytes.len() >= piece.len() && Arc::get_mut(piece).is_none() {
+                *piece = Arc::new(bytes.to_vec());
+            } else {
+                let data = Arc::make_mut(piece);
+                let overlap = bytes.len().min(data.len() - at);
+                data[at..at + overlap].copy_from_slice(&bytes[..overlap]);
+                data.extend_from_slice(&bytes[overlap..]);
+            }
+            pos += bytes.len();
+            src = rest;
+        }
+    }
+
+    /// Puts `page` in at `offset` (at most the current size), sharing
+    /// it when it is exactly one whole piece of a paged file and
+    /// copying it (see [`FileNode::store`]) otherwise.
+    pub(crate) fn store_shared(&mut self, offset: usize, page: &Arc<Vec<u8>>) {
+        let (i, at) = self.locate(offset);
+        if at != 0 || page.len() != self.piece_bytes {
+            return self.store(offset, page);
+        }
+        if i == self.pieces.len() {
+            self.pieces.push(Arc::clone(page));
+        } else {
+            self.pieces[i] = Arc::clone(page);
+        }
+    }
+
+    /// The bytes in `range` (within the file's size): shared when one
+    /// piece holds them all, copied out of each piece otherwise.
+    pub(crate) fn slice(&self, range: Range<usize>) -> FileSlice {
+        let (first, mut at) = self.locate(range.start);
+        let piece = &self.pieces[first];
+        if at + range.len() <= piece.len() {
+            return FileSlice::new(piece, at..at + range.len());
+        }
+        let mut out = Vec::with_capacity(range.len());
+        for piece in &self.pieces[first..] {
+            let take = (range.len() - out.len()).min(piece.len() - at);
+            out.extend_from_slice(&piece[at..at + take]);
+            if out.len() == range.len() {
+                break;
+            }
+            at = 0;
+        }
+        FileSlice::from(out)
+    }
+
+    /// Hands a one-piece file's buffer out to an appender (copied if a
+    /// slice of it is outstanding), leaving the piece empty.
+    pub(crate) fn check_out(&mut self) -> Vec<u8> {
+        self.checked_out = true;
+        std::mem::take(Arc::make_mut(&mut self.pieces[0]))
+    }
+
+    /// Takes an appender's buffer back as a one-piece file's contents.
+    pub(crate) fn check_in(&mut self, buf: Vec<u8>) {
+        *Arc::make_mut(&mut self.pieces[0]) = buf;
+        self.checked_out = false;
+    }
+
+    /// Cuts a one-piece file's contents to `len` bytes.
+    pub(crate) fn cut(&mut self, len: u64) {
+        Arc::make_mut(&mut self.pieces[0]).truncate(len as usize);
+        self.len = len;
+    }
+
+    /// Checks that the pieces hold exactly the file's size, every one
+    /// but the last a whole page (tests).
+    pub(crate) fn check_pieces(&self) {
+        if self.checked_out {
+            return;
+        }
+        let stored: usize = self.pieces.iter().map(|p| p.len()).sum();
+        assert_eq!(self.len, stored as u64, "{}: size without bytes", self.name);
+        if self.piece_bytes != usize::MAX {
+            assert_eq!(
+                self.pieces.len() as u64,
+                self.len.div_ceil(self.piece_bytes as u64),
+                "{}: piece count",
+                self.name
+            );
+            let whole = self.pieces.len().saturating_sub(1);
+            assert!(
+                self.pieces[..whole]
+                    .iter()
+                    .all(|p| p.len() == self.piece_bytes),
+                "{}: a short piece before the last",
+                self.name
+            );
+        }
     }
 
     /// Total pages currently allocated to the file.
@@ -123,7 +268,7 @@ mod tests {
     use super::*;
 
     fn node_with(extents: &[(u64, u64)]) -> FileNode {
-        let mut n = FileNode::new("t".into());
+        let mut n = FileNode::new("t".into(), None);
         n.push_extents(
             extents
                 .iter()

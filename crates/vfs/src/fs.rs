@@ -7,30 +7,41 @@
 //! # Who owns a file's bytes
 //!
 //! Contents are host state — the device only models *when* they move —
-//! and each file keeps its own in one reference-counted buffer. A read
-//! is charged to the device page by page and then *shares* a range of
-//! that buffer: [`Vfs::read_shared`], [`Vfs::read_shared_bg`] and
-//! [`Vfs::read_runs_shared`] are the reads, and each returns a
-//! [`FileSlice`]. A slice keeps the bytes it was read with: a write to
-//! the file while any slice of it is outstanding first copies the whole
-//! file once (`Arc::make_mut`) and leaves the old buffer to the slices;
-//! deleting the file does not disturb them either. That copy is correct
-//! and slow, and one rule keeps every engine from paying it:
+//! and each file keeps its own in reference-counted *pieces*. A paged
+//! file ([`Vfs::create_paged`], the B+Tree's tree file) has one piece
+//! per page; every other file — tables, segments, logs — has exactly
+//! one, its whole contents. One code path serves both: a read is
+//! charged to the device page by page and then *shares* a range of the
+//! piece that holds it; [`Vfs::read_shared`], [`Vfs::read_shared_bg`]
+//! and [`Vfs::read_runs_shared`] are the reads, and each returns a
+//! [`FileSlice`] (a read across the pages of a paged file copies them
+//! into one buffer instead). A slice keeps the bytes it was read with:
+//! a write into a piece while any slice of it is outstanding replaces
+//! that piece — copying it once (`Arc::make_mut`) if the write covers
+//! part of it — and leaves the old one to the slices; deleting the file
+//! does not disturb them either. For a one-piece file that copy is the
+//! whole file: correct and slow, and one rule, which holds per piece,
+//! keeps every engine from paying it:
 //!
-//! **a range of a file that can still be written is dropped before the
-//! call that read it returns.** The pager decodes a page from its range
-//! and lets go; log, manifest and segment replay parse theirs and let
-//! go; a hash-log `get` of the active segment copies the value out at
-//! its public boundary. Ranges of files nobody writes again — finished
+//! **a range of a piece that can still be written is dropped before the
+//! call that read it returns — unless the piece is one page.** Log,
+//! manifest and segment replay parse their ranges and let go; a
+//! hash-log `get` of the active segment copies the value out at its
+//! public boundary. Ranges of files nobody writes again — finished
 //! tables, sealed segments, GC victims — may be kept for as long as
 //! they are useful (scan windows, a victim being relocated across
-//! slices, past the file's deletion). [`Vfs::read_at`] is the rule
-//! applied for the caller — the same read, copied out — for one-off
-//! reads (the B+Tree's meta page at recovery), tests, tools and the
-//! benchmark's unit-cost row.
+//! slices, past the file's deletion). A page of a paged file may be
+//! held across writes: the B+Tree's page cache keeps every leaf it
+//! loads as the file's own page, and a later write of that page costs
+//! at most that page. [`Vfs::write_page`] is the other half: a whole
+//! page of a paged file written by reference count, so a write-back
+//! hands the cache's buffer to the file instead of copying it.
+//! [`Vfs::read_at`] is the rule applied for the caller — the same read,
+//! copied out — for one-off reads (the B+Tree's meta page at recovery),
+//! tests, tools and the benchmark's unit-cost row.
 //!
-//! A file that grows at its tail has one more owner for a while:
-//! [`Vfs::appender`] checks the buffer out to a single writer
+//! A one-piece file that grows at its tail has one more owner for a
+//! while: [`Vfs::appender`] checks the buffer out to a single writer
 //! ([`FileAppender`]), which encodes at its tail with no lock and no
 //! second buffer and commits prefixes of it through the accounting
 //! every write goes through (`Inner::write`). Two writers do: a table
@@ -44,10 +55,10 @@
 //! error, never an empty read. Deleting the file is allowed (an
 //! abandoned build) and orphans the buffer.
 //!
-//! A buffer can outlive its file: once the file is deleted, the last
-//! [`FileSlice`] of it gives the whole allocation back
-//! ([`FileSlice::into_buffer`]) — the hash log makes a collected
-//! victim's buffer its next segment's.
+//! A buffer can outlive its file: once the file is deleted (or the
+//! piece replaced), the last [`FileSlice`] of it gives the whole
+//! allocation back ([`FileSlice::into_buffer`]) — the hash log makes a
+//! collected victim's buffer its next segment's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,27 +149,50 @@ struct Inner {
     next_id: u64,
 }
 
+/// What a write puts in the file.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// Bytes copied in.
+    Copied(&'a [u8]),
+    /// A page shared by reference count where it is one whole piece of
+    /// a paged file, copied in otherwise.
+    Shared(&'a Arc<Vec<u8>>),
+    /// This many bytes already at the tail of the buffer an appender
+    /// holds.
+    Committed(u64),
+}
+
+impl Src<'_> {
+    fn len(self) -> u64 {
+        match self {
+            Src::Copied(bytes) => bytes.len() as u64,
+            Src::Shared(page) => page.len() as u64,
+            Src::Committed(len) => len,
+        }
+    }
+}
+
 impl Inner {
-    /// The one write: `len` bytes at `offset` (`None`: at EOF, as it is
-    /// under this lock). Allocates extents, moves the size and charges
-    /// the device, advancing the clock when `blocking`. The bytes are
-    /// `src`, copied into the file's buffer, or (`None`) already at the
-    /// tail of the buffer an appender holds.
+    /// The one write: `src` at `offset` (`None`: at EOF, as it is under
+    /// this lock). Allocates extents, moves the size and charges the
+    /// device, advancing the clock when `blocking`. How the bytes get
+    /// into the file — copied, shared, or already there — moves none of
+    /// that.
     fn write(
         &mut self,
         id: FileId,
         offset: Option<u64>,
-        len: u64,
-        src: Option<&[u8]>,
+        src: Src<'_>,
         blocking: bool,
     ) -> Result<()> {
+        let len = src.len();
         if len == 0 {
             return Ok(());
         }
         let ps = self.page_size;
         let node = self.files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-        if src.is_some() {
-            node.contents()?;
+        if !matches!(src, Src::Committed(_)) {
+            node.available()?;
         }
         let old_size = node.len;
         let offset = offset.unwrap_or(old_size);
@@ -178,11 +212,10 @@ impl Inner {
         }
 
         // Contents: overwrite what exists, append the rest.
-        if let Some(buf) = src {
-            let data = Arc::make_mut(&mut node.data);
-            let overlap = buf.len().min((old_size - offset) as usize);
-            data[offset as usize..offset as usize + overlap].copy_from_slice(&buf[..overlap]);
-            data.extend_from_slice(&buf[overlap..]);
+        match src {
+            Src::Copied(bytes) => node.store(offset as usize, bytes),
+            Src::Shared(page) => node.store_shared(offset as usize, page),
+            Src::Committed(_) => {}
         }
         node.len = new_size;
         self.data_bytes += new_size - old_size;
@@ -257,7 +290,7 @@ impl FileAppender {
         assert!(self.committed <= upto && upto <= self.buf.len());
         let len = (upto - self.committed) as u64;
         let mut g = self.vfs.inner.lock();
-        g.write(self.id, None, len, None, blocking)?;
+        g.write(self.id, None, Src::Committed(len), blocking)?;
         self.committed = upto;
         Ok(())
     }
@@ -274,8 +307,7 @@ impl Drop for FileAppender {
         let mut g = self.vfs.inner.lock();
         if let Some(node) = g.files.get_mut(&self.id) {
             self.buf.truncate(self.committed);
-            *Arc::make_mut(&mut node.data) = std::mem::take(&mut self.buf);
-            node.checked_out = false;
+            node.check_in(std::mem::take(&mut self.buf));
         }
     }
 }
@@ -357,13 +389,31 @@ impl Vfs {
 
     /// Creates an empty file. Fails if the name exists.
     pub fn create(&self, name: &str) -> Result<FileId> {
+        self.create_with(name, None)
+    }
+
+    /// Creates an empty *paged* file: its bytes are held one
+    /// `page_bytes` piece at a time (see the [module docs](self)), so a
+    /// page read whole is shared for as long as the reader likes and a
+    /// whole page can be written by reference count
+    /// ([`Vfs::write_page`]). It cannot be checked out to an appender
+    /// or truncated. Fails if the name exists.
+    ///
+    /// # Panics
+    /// Panics if `page_bytes` is zero.
+    pub fn create_paged(&self, name: &str, page_bytes: usize) -> Result<FileId> {
+        self.create_with(name, Some(page_bytes))
+    }
+
+    fn create_with(&self, name: &str, page_bytes: Option<usize>) -> Result<FileId> {
         let mut g = self.inner.lock();
         if g.names.contains_key(name) {
             return Err(VfsError::AlreadyExists(name.to_string()));
         }
         let id = FileId(g.next_id);
         g.next_id += 1;
-        g.files.insert(id, FileNode::new(name.to_string()));
+        g.files
+            .insert(id, FileNode::new(name.to_string(), page_bytes));
         g.names.insert(name.to_string(), id);
         Ok(id)
     }
@@ -432,16 +482,12 @@ impl Vfs {
     /// Appends `buf` to the end of the file as it is when the write
     /// happens (blocks the simulated clock with direct-I/O semantics).
     pub fn append(&self, id: FileId, buf: &[u8]) -> Result<()> {
-        self.inner
-            .lock()
-            .write(id, None, buf.len() as u64, Some(buf), true)
+        self.inner.lock().write(id, None, Src::Copied(buf), true)
     }
 
     /// Appends `buf` with background semantics (see [`Vfs::write_at_bg`]).
     pub fn append_bg(&self, id: FileId, buf: &[u8]) -> Result<()> {
-        self.inner
-            .lock()
-            .write(id, None, buf.len() as u64, Some(buf), false)
+        self.inner.lock().write(id, None, Src::Copied(buf), false)
     }
 
     /// Writes `buf` at `offset`. The write may extend the file but must
@@ -450,7 +496,7 @@ impl Vfs {
     pub fn write_at(&self, id: FileId, offset: u64, buf: &[u8]) -> Result<()> {
         self.inner
             .lock()
-            .write(id, Some(offset), buf.len() as u64, Some(buf), true)
+            .write(id, Some(offset), Src::Copied(buf), true)
     }
 
     /// Background (asynchronous) write: the device work is queued — it
@@ -461,18 +507,40 @@ impl Vfs {
     pub fn write_at_bg(&self, id: FileId, offset: u64, buf: &[u8]) -> Result<()> {
         self.inner
             .lock()
-            .write(id, Some(offset), buf.len() as u64, Some(buf), false)
+            .write(id, Some(offset), Src::Copied(buf), false)
+    }
+
+    /// [`Vfs::write_at`] of a whole page the caller keeps: where `page`
+    /// is exactly one page of a paged file ([`Vfs::create_paged`]) the
+    /// file takes it by reference count instead of copying it, and the
+    /// caller's next edit of it copies it first (`Arc::make_mut`);
+    /// anywhere else its bytes are copied in. Extents, device commands,
+    /// clock and `durable_at` move exactly as [`Vfs::write_at`]'s do.
+    pub fn write_page(&self, id: FileId, offset: u64, page: &Arc<Vec<u8>>) -> Result<()> {
+        self.inner
+            .lock()
+            .write(id, Some(offset), Src::Shared(page), true)
+    }
+
+    /// [`Vfs::write_page`] with background semantics (see
+    /// [`Vfs::write_at_bg`]).
+    pub fn write_page_bg(&self, id: FileId, offset: u64, page: &Arc<Vec<u8>>) -> Result<()> {
+        self.inner
+            .lock()
+            .write(id, Some(offset), Src::Shared(page), false)
     }
 
     /// Checks the file's buffer out to one writer that builds the file
-    /// in place (see [`FileAppender`]), with room for `reserve` more bytes.
+    /// in place (see [`FileAppender`]), with room for `reserve` more
+    /// bytes. A paged file has no one buffer to check out: that is an
+    /// `InvalidArgument` error.
     pub fn appender(&self, id: FileId, reserve: u64) -> Result<FileAppender> {
         let mut buf = {
             let mut g = self.inner.lock();
             let node = g.files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-            node.contents()?;
-            node.checked_out = true;
-            std::mem::take(Arc::make_mut(&mut node.data))
+            node.available()?;
+            node.one_piece("be checked out")?;
+            node.check_out()
         };
         buf.reserve_exact(reserve as usize);
         let (vfs, committed) = (self.clone(), buf.len());
@@ -519,7 +587,7 @@ impl Vfs {
     fn read_with(&self, id: FileId, offset: u64, len: usize, blocking: bool) -> Result<FileSlice> {
         let g = self.inner.lock();
         let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
-        let data = node.contents()?;
+        node.available()?;
         let size = node.len;
         if offset >= size || len == 0 {
             return Ok(FileSlice::default());
@@ -541,7 +609,7 @@ impl Vfs {
             }
             dev.tracer().end(span, g.clock.now());
         }
-        Ok(FileSlice::new(data, offset as usize..offset as usize + len))
+        Ok(node.slice(offset as usize..offset as usize + len))
     }
 
     /// Creates a submission/completion queue of `depth` outstanding
@@ -574,7 +642,7 @@ impl Vfs {
         let (runs, data) = {
             let g = self.inner.lock();
             let node = g.files.get(&id).ok_or(VfsError::StaleHandle)?;
-            let data = node.contents()?;
+            node.available()?;
             let size = node.len;
             if offset >= size || len == 0 {
                 return Ok(AsyncRead {
@@ -587,8 +655,7 @@ impl Vfs {
             let first_page = offset / ps;
             let last_page = (offset + len as u64 - 1) / ps;
             let runs: Vec<LpnRange> = node.runs(first_page, last_page - first_page + 1).collect();
-            let range = offset as usize..offset as usize + len;
-            (runs, FileSlice::new(data, range))
+            (runs, node.slice(offset as usize..offset as usize + len))
         };
         let mut tokens = Vec::with_capacity(runs.len());
         for run in runs {
@@ -641,7 +708,7 @@ impl Vfs {
             } = &mut *g;
             let ps = *page_size;
             let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-            node.contents()?;
+            node.available()?;
             let offset = node.len;
             let new_size = offset + buf.len() as u64;
             let needed_pages = new_size.div_ceil(ps);
@@ -652,7 +719,7 @@ impl Vfs {
                 node.push_extents(fresh);
                 peak_update = allocator.used_pages();
             }
-            Arc::make_mut(&mut node.data).extend_from_slice(buf);
+            node.store(offset as usize, buf);
             node.len = new_size;
             *data_bytes += buf.len() as u64;
 
@@ -710,22 +777,24 @@ impl Vfs {
     /// Truncates a file to `new_len` bytes **keeping its allocated
     /// extents** (the `fallocate`-style log-recycling pattern: RocksDB's
     /// `recycle_log_file_num` and WiredTiger's journal preallocation both
-    /// reuse the same LBAs for successive logs). No device traffic.
+    /// reuse the same LBAs for successive logs). No device traffic. A
+    /// paged file cannot be truncated: that is an `InvalidArgument`
+    /// error.
     pub fn truncate(&self, id: FileId, new_len: u64) -> Result<()> {
         let mut g = self.inner.lock();
         let Inner {
             data_bytes, files, ..
         } = &mut *g;
         let node = files.get_mut(&id).ok_or(VfsError::StaleHandle)?;
-        node.contents()?;
+        node.available()?;
+        node.one_piece("be truncated")?;
         let old_len = node.len;
         if new_len > old_len {
             return Err(VfsError::InvalidArgument(format!(
                 "truncate to {new_len} beyond EOF {old_len}"
             )));
         }
-        Arc::make_mut(&mut node.data).truncate(new_len as usize);
-        node.len = new_len;
+        node.cut(new_len);
         *data_bytes -= old_len - new_len;
         Ok(())
     }
@@ -802,8 +871,8 @@ impl Vfs {
         );
         let file_bytes: u64 = g.files.values().map(|f| f.len).sum();
         assert_eq!(file_bytes, g.data_bytes, "data-byte accounting drifted");
-        for f in g.files.values().filter(|f| !f.checked_out) {
-            assert_eq!(f.len, f.data.len() as u64, "{}: size without bytes", f.name);
+        for f in g.files.values() {
+            f.check_pieces();
         }
         for (name, id) in &g.names {
             assert_eq!(&g.files[id].name, name, "name table out of sync");
@@ -1215,6 +1284,48 @@ mod tests {
     fn appender_crosses_threads() {
         fn assert_send<T: Send>() {}
         assert_send::<FileAppender>();
+    }
+
+    #[test]
+    fn a_paged_file_shares_whole_pages_and_replaces_what_is_held() {
+        let v = fs();
+        let f = v.create_paged("tree", 8192).expect("create");
+        let page = Arc::new(vec![1u8; 8192]);
+        v.write_page(f, 0, &page).expect("write");
+        v.write_page_bg(f, 8192, &page).expect("write");
+        let held = v.read_shared(f, 8192, 8192).expect("read");
+        assert!(held.shares_buffer(&FileSlice::from(Arc::clone(&page))));
+        assert_eq!(held.buffer_offset(), 0, "offsets are within the page");
+
+        // A write into a held page replaces that page only.
+        v.write_at(f, 8192 + 100, &[2u8; 10]).expect("write");
+        assert_eq!(*held, vec![1u8; 8192], "the holder keeps its bytes");
+        let fresh = v.read_shared(f, 8192, 8192).expect("read");
+        assert_eq!(&fresh[100..110], &[2u8; 10]);
+        assert!(!fresh.shares_buffer(&held));
+        assert!(
+            v.read_shared(f, 0, 8192)
+                .expect("read")
+                .shares_buffer(&held),
+            "the other page is still the caller's"
+        );
+
+        // A read across pages copies; a page not a page long is copied.
+        let across = v.read_shared(f, 8000, 400).expect("read");
+        assert_eq!(&across[..192], &[1u8; 192][..]);
+        assert!(!across.shares_buffer(&held) && !across.shares_buffer(&fresh));
+        let short = Arc::new(vec![3u8; 100]);
+        v.write_page(f, 16_384, &short).expect("write");
+        assert!(!v
+            .read_shared(f, 16_384, 100)
+            .expect("read")
+            .shares_buffer(&short.into()));
+        assert_eq!(v.size(f).expect("size"), 16_484);
+
+        let refused = |r: Result<()>| matches!(r, Err(VfsError::InvalidArgument(_)));
+        assert!(refused(v.appender(f, 0).map(drop)));
+        assert!(refused(v.truncate(f, 0)));
+        v.check_invariants();
     }
 
     #[test]

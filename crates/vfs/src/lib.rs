@@ -5,11 +5,12 @@
 //! the allocator but sends **no TRIM** to the drive, so the device keeps
 //! treating those LBAs as live data. This crate reproduces that layer:
 //!
-//! * **Extent-based files** ([`file`](mod@file)) — a file is a shared byte buffer
-//!   (reads can borrow ranges of it as [`FileSlice`]s) plus an
-//!   ordered list of LBA extents; page-aligned overwrites hit the *same*
-//!   LBAs (the in-place behaviour a B+Tree relies on), appends allocate
-//!   new extents.
+//! * **Extent-based files** ([`file`](mod@file)) — a file is shared byte
+//!   pieces — one whole buffer, or one per page for a paged file — that
+//!   reads can borrow ranges of as [`FileSlice`]s, plus an ordered list
+//!   of LBA extents; page-aligned overwrites hit the *same* LBAs (the
+//!   in-place behaviour a B+Tree relies on), appends allocate new
+//!   extents.
 //! * **Next-fit extent placement** ([`alloc`]) — a roving cursor cycles
 //!   the partition like an aged filesystem, which is why LSM file churn
 //!   touches the whole LBA space in the paper's Figure 4.

@@ -6,11 +6,14 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// A range of a reference-counted byte buffer — what a shared read
-/// ([`crate::Vfs::read_shared`]) returns: the file's own contents as
-/// they were at the read, not a copy of them. Cloning and
-/// [`FileSlice::slice`] share the buffer; a later write to the file
-/// never shows through (see the ownership rule in [`crate::fs`]), and
-/// the bytes outlive the file's deletion for as long as a slice is held.
+/// ([`crate::Vfs::read_shared`]) returns: one *piece* of the file's own
+/// contents as they were at the read (a one-piece file's whole buffer,
+/// or one page of a paged file), not a copy of them; a read across the
+/// pages of a paged file is the one read that copies, into a buffer of
+/// its own. Cloning and [`FileSlice::slice`] share the buffer; a later
+/// write to the file never shows through (see the ownership rule in
+/// [`crate::fs`]), and the bytes outlive the file's deletion for as
+/// long as a slice is held.
 ///
 /// Compares, orders and prints as the bytes it covers.
 #[derive(Clone, Default)]
@@ -60,14 +63,17 @@ impl FileSlice {
     }
 
     /// Where this range starts in its buffer: for a range a read
-    /// returned, its offset in the file.
+    /// returned, its offset within the piece it was read from. That is
+    /// its offset in the file only for a one-piece file (every file but
+    /// a paged one) — which is what the LSM's table reader relies on
+    /// when it finds a stored block beside a scan window.
     pub fn buffer_offset(&self) -> usize {
         self.start
     }
 
     /// Another range of this slice's buffer, positions in the buffer (so
-    /// file offsets, for a range a read returned): the bytes beside a
-    /// range, without a second read.
+    /// file offsets, for a range a read of a one-piece file returned):
+    /// the bytes beside a range, without a second read.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
@@ -76,13 +82,26 @@ impl FileSlice {
     }
 
     /// The whole buffer this slice is a range of (not just the range),
-    /// if this is the last handle on it: the file it was read from is
-    /// deleted and every other slice of it is gone. `None` otherwise.
-    /// Lets the last holder of a dead file's bytes reuse their
-    /// allocation — the hash log makes a collected segment's buffer the
-    /// next segment's.
+    /// if this is the last handle on it: the file no longer holds it —
+    /// the file is deleted, or a later write replaced the piece it was
+    /// (the old bytes are the slices') — and every other slice of it is
+    /// gone. `None` otherwise. Lets the last holder of a dead file's
+    /// bytes reuse their allocation — the hash log makes a collected
+    /// segment's buffer the next segment's.
     pub fn into_buffer(self) -> Option<Vec<u8>> {
         Arc::try_unwrap(self.buf).ok()
+    }
+
+    /// The buffer itself, by reference count, when this slice covers
+    /// all of it — a page of a paged file read whole, which the reader
+    /// may keep across later writes to the file; the slice back
+    /// otherwise.
+    pub fn into_shared(self) -> Result<Arc<Vec<u8>>, Self> {
+        if self.start == 0 && self.end == self.buf.len() {
+            Ok(self.buf)
+        } else {
+            Err(self)
+        }
     }
 }
 
@@ -181,6 +200,15 @@ mod tests {
         let world = whole.slice(6..11);
         assert_eq!(whole.into_buffer(), None, "shared with `world`");
         assert_eq!(world.into_buffer(), Some(b"hello world".to_vec()));
+    }
+
+    #[test]
+    fn only_a_whole_buffer_is_shared_out() {
+        let whole = FileSlice::from(b"hello world".to_vec());
+        let world = whole.slice(6..11).into_shared().expect_err("a part");
+        assert_eq!(&*world, b"world");
+        let buf = whole.clone().into_shared().expect("all of it");
+        assert!(FileSlice::from(buf).shares_buffer(&whole));
     }
 
     #[test]

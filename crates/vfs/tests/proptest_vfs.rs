@@ -1,14 +1,17 @@
 //! Property-based tests of the filesystem: random create / write /
 //! append / truncate / delete / rename sequences agree with a
 //! name→bytes model — with owned reads and with shared reads held
-//! across every later mutation — and the extent allocator never leaks
-//! or overlaps, and places every extent where next-fit says.
+//! across every later mutation — a paged file and a one-piece file
+//! given the same writes and reads end byte for byte and counter for
+//! counter alike, and the extent allocator never leaks or overlaps, and
+//! places every extent where next-fit says.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, Ssd};
+use ptsbench_ssd::{DeviceConfig, DeviceProfile, LpnRange, SmartCounters, Ssd};
 use ptsbench_vfs::{Extent, ExtentAllocator, FileSlice, FsStats, Vfs, VfsError, VfsOptions};
 
 #[derive(Debug, Clone)]
@@ -169,6 +172,155 @@ fn run_against_model(ops: &[FsOp], shared: bool) -> Result<Footprint, TestCaseEr
     ))
 }
 
+/// The page size of the paged file: two device pages.
+const PIECE: usize = 8192;
+
+/// One step of the paged-versus-flat property. Offsets are taken modulo
+/// the file's size plus one, so that writes leave no hole.
+#[derive(Debug, Clone)]
+enum PagedOp {
+    /// A whole page at page `page` (at most one past the last), copied
+    /// ([`Vfs::write_at`]) or shared ([`Vfs::write_page`]), foreground
+    /// or background.
+    WritePage {
+        page: u8,
+        seed: u16,
+        shared: bool,
+        bg: bool,
+    },
+    /// `len` bytes at `offset`, foreground or background: partial,
+    /// unaligned, extending.
+    Write {
+        offset: u16,
+        len: u16,
+        bg: bool,
+    },
+    /// `len` bytes at the end of the file.
+    Append(u16),
+    /// A shared read, held to the end: inside one page or across pages.
+    Read {
+        offset: u16,
+        len: u16,
+    },
+    Fsync,
+    /// Delete the file and create it again.
+    Recreate,
+}
+
+fn paged_op() -> impl Strategy<Value = PagedOp> {
+    prop_oneof![
+        4 => (0..8u8, any::<u16>(), any::<bool>(), any::<bool>())
+            .prop_map(|(page, seed, shared, bg)| PagedOp::WritePage { page, seed, shared, bg }),
+        3 => (any::<u16>(), 1..12_000u16, any::<bool>())
+            .prop_map(|(offset, len, bg)| PagedOp::Write { offset, len, bg }),
+        1 => (1..9_000u16).prop_map(PagedOp::Append),
+        3 => (any::<u16>(), prop_oneof![1..2_000u16, 1..20_000u16])
+            .prop_map(|(offset, len)| PagedOp::Read { offset, len }),
+        1 => Just(PagedOp::Fsync),
+        1 => Just(PagedOp::Recreate),
+    ]
+}
+
+/// Everything a write or read may move: SMART, the virtual clock, the
+/// `df` view, the file's extents, its durability horizon and its bytes.
+type Outcome = (SmartCounters, u64, FsStats, Vec<Extent>, u64, Vec<u8>);
+
+/// Applies `ops` to one file — paged or one piece — on a fresh
+/// filesystem, checking it against a byte model at every step and
+/// every held read against the bytes it was read with.
+fn run_paged(ops: &[PagedOp], paged: bool) -> Result<Outcome, TestCaseError> {
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
+    let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    let create = |vfs: &Vfs| {
+        if paged {
+            vfs.create_paged("f", PIECE)
+        } else {
+            vfs.create("f")
+        }
+    };
+    let mut id = create(&vfs).expect("create");
+    let mut model: Vec<u8> = Vec::new();
+    let mut held: Vec<(FileSlice, Vec<u8>)> = Vec::new();
+    for op in ops {
+        let size = model.len();
+        match *op {
+            PagedOp::WritePage {
+                page,
+                seed,
+                shared,
+                bg,
+            } => {
+                let offset = page as usize % (size / PIECE + 1) * PIECE;
+                let bytes = pattern(seed, PIECE);
+                let result = match (shared, bg) {
+                    (false, false) => vfs.write_at(id, offset as u64, &bytes),
+                    (false, true) => vfs.write_at_bg(id, offset as u64, &bytes),
+                    (true, false) => vfs.write_page(id, offset as u64, &Arc::new(bytes.clone())),
+                    (true, true) => vfs.write_page_bg(id, offset as u64, &Arc::new(bytes.clone())),
+                };
+                prop_assert!(result.is_ok(), "page write failed: {:?}", result);
+                model.resize(size.max(offset + PIECE), 0);
+                model[offset..offset + PIECE].copy_from_slice(&bytes);
+            }
+            PagedOp::Write { offset, len, bg } => {
+                let offset = offset as usize % (size + 1);
+                let bytes = pattern(len, len as usize);
+                let result = if bg {
+                    vfs.write_at_bg(id, offset as u64, &bytes)
+                } else {
+                    vfs.write_at(id, offset as u64, &bytes)
+                };
+                prop_assert!(result.is_ok(), "write failed: {:?}", result);
+                model.resize(size.max(offset + bytes.len()), 0);
+                model[offset..offset + bytes.len()].copy_from_slice(&bytes);
+            }
+            PagedOp::Append(len) => {
+                let bytes = pattern(len ^ 0x5a5a, len as usize);
+                vfs.append(id, &bytes).expect("append");
+                model.extend_from_slice(&bytes);
+            }
+            PagedOp::Read { offset, len } => {
+                let offset = offset as usize % (size + 1);
+                let got = vfs
+                    .read_shared(id, offset as u64, len as usize)
+                    .expect("read");
+                let want = &model[offset..(offset + len as usize).min(size)];
+                prop_assert_eq!(&*got, want, "read mismatch");
+                held.push((got, want.to_vec()));
+            }
+            PagedOp::Fsync => vfs.fsync(id).expect("fsync"),
+            PagedOp::Recreate => {
+                vfs.delete("f").expect("delete");
+                id = create(&vfs).expect("create");
+                model.clear();
+            }
+        }
+        vfs.check_invariants();
+        for (slice, bytes) in &held {
+            prop_assert_eq!(&**slice, &bytes[..], "a held slice changed under {:?}", op);
+        }
+    }
+    let bytes = vfs.read_at(id, 0, model.len() + 1).expect("read");
+    prop_assert_eq!(&bytes, &model, "content mismatch");
+    if paged {
+        let refused = |r: Result<(), VfsError>| matches!(r, Err(VfsError::InvalidArgument(_)));
+        prop_assert!(
+            refused(vfs.appender(id, 0).map(drop)),
+            "a paged file has no one buffer"
+        );
+        prop_assert!(refused(vfs.truncate(id, 0)), "nor can it be truncated");
+    }
+    let smart = vfs.ssd().lock().smart();
+    Ok((
+        smart,
+        vfs.clock().now(),
+        vfs.stats(),
+        vfs.extents(id).expect("extents"),
+        vfs.durable_at(id).expect("durable_at"),
+        bytes,
+    ))
+}
+
 /// Next-fit over a page bitmap: the extents an allocation of `pages`
 /// must yield, or `None` when fewer pages are free. Each extent starts
 /// at the roving cursor when that page is free, else at the first free
@@ -225,6 +377,20 @@ proptest! {
         let owned = run_against_model(&ops, false)?;
         let shared = run_against_model(&ops, true)?;
         prop_assert_eq!(owned, shared);
+    }
+
+    /// A paged file shares whole pages and copies everything else; a
+    /// one-piece file copies everything. Given the same whole-page
+    /// writes (copied and shared, foreground and background), partial
+    /// and extending writes, appends, reads inside one page and across
+    /// pages, fsyncs and deletes, the two end alike in every counter,
+    /// extent and byte, and every read held along the way keeps its
+    /// bytes.
+    #[test]
+    fn paged_file_matches_one_piece_file(ops in proptest::collection::vec(paged_op(), 1..80)) {
+        let paged = run_paged(&ops, true)?;
+        let flat = run_paged(&ops, false)?;
+        prop_assert_eq!(paged, flat);
     }
 
     /// The allocator hands out non-overlapping extents, accounts free
