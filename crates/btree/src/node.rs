@@ -16,8 +16,9 @@
 //!   current, and is zero past its records. Loading one copies nothing:
 //!   the leaf keeps the tree file's own page, shared, and walks its
 //!   6-byte record headers (one allocation: the offsets). The first
-//!   edit after a load or a write-back copies the page once
-//!   (`Arc::make_mut`) and the file keeps its bytes; a lookup is a
+//!   edit after a load or a write-back copies the page's records once,
+//!   into a page of the leaf's own, and the file keeps its bytes; a
+//!   lookup is a
 //!   binary search over the offsets; an insert, overwrite or remove is
 //!   one move inside the buffer; split and merge move byte ranges; and
 //!   the pager hands the buffer to the file as it is, with no encode

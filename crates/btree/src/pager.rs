@@ -30,14 +30,21 @@
 //!   so a miss keeps the page the read returned, shared with the file,
 //!   and walks only its record headers;
 //! * **first edit** — the first edit after a load or a write-back copies
-//!   the page once (`Arc::make_mut`), and the file keeps the bytes it
-//!   had; later edits work on the copy;
+//!   the page once (copy-on-write, of the bytes in use), and the file
+//!   keeps the bytes it had; later edits work on the copy;
 //! * **write-back** — on eviction or checkpoint the slot hands its
 //!   buffer to the file ([`Vfs::write_page`]): they share it again.
 //!
+//! An internal node is decoded into buffers of its own, but the page it
+//! was decoded from stays beside it: evicted unchanged, the node is
+//! parked with that page, and a later load — charged as ever — takes it
+//! back instead of decoding ~1 000 separators again if the file still
+//! holds that very page.
+//!
 //! A leaf's buffer is a page long from birth, zero past its records, so
 //! the file gets exactly the zero-padded image and neither edits nor
-//! write-backs reallocate. A page materialized at EOF shares one zero
+//! write-backs reallocate (only a leaf that overflows before its split
+//! grows, and moves back to a page-sized buffer before it is written). A page materialized at EOF shares one zero
 //! page until its first write-back. Only an internal page, written
 //! after splits, is encoded, into one buffer reused by every such
 //! write-back, and copied into the file.
@@ -46,10 +53,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ptsbench_cache::CacheStats;
-use ptsbench_vfs::{FileId, TraceHandle, Vfs};
+use ptsbench_vfs::{FileId, FileSlice, TraceHandle, Vfs};
 
 use crate::node::{Node, PageImage};
 use crate::{BTreeError, PageNo, Result};
+
+/// How many evicted internal pages the pager keeps decoded
+/// (`Pager::parked`): more than a tree of the paper's sizes has.
+const PARKED_PAGES: usize = 64;
 
 /// Cumulative pager statistics. The caching traffic (hits, misses,
 /// admissions, evictions, device bytes saved) uses the same
@@ -75,6 +86,9 @@ struct Slot {
     node: Node,
     /// Tick of the last access; the slot's key in `Pager::lru`.
     last_access: u64,
+    /// The file page an internal node was decoded from, while the node
+    /// is unchanged since (see `Pager::parked`).
+    source: Option<FileSlice>,
 }
 
 impl Slot {
@@ -109,6 +123,14 @@ pub struct Pager {
     /// A page of zeros, what a page materialized at EOF holds until it
     /// is written back.
     zero_page: Arc<Vec<u8>>,
+    /// Internal pages evicted unchanged, each with the file page it was
+    /// decoded from. Host work only: a load of such a page still reads
+    /// it (and is charged for it), then takes the node back instead of
+    /// decoding it again if the file still holds that very page. A page
+    /// someone else holds is never written in place (the file replaces
+    /// it), so the same page is the same bytes. At most
+    /// [`PARKED_PAGES`].
+    parked: HashMap<PageNo, (FileSlice, Node)>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
 }
@@ -153,6 +175,7 @@ impl Pager {
             stats: PagerStats::default(),
             page_buf: Vec::new(),
             zero_page: Arc::new(vec![0; page_bytes]),
+            parked: HashMap::new(),
             trace: None,
         }
     }
@@ -239,12 +262,13 @@ impl Pager {
         if let Node::Leaf { entries } = &mut node {
             entries.page(self.page_bytes);
         }
-        self.insert_cached(page, node, true)?;
+        self.insert_cached(page, node, None, true)?;
         Ok(page)
     }
 
     /// Returns a page to the free list (contents become garbage).
     pub fn free(&mut self, page: PageNo) {
+        self.parked.remove(&page);
         if let Some(slot) = self.cache.remove(&page) {
             self.cached_bytes -= slot.node.encoded_len() as u64;
             self.lru.remove(&slot.last_access);
@@ -303,19 +327,29 @@ impl Pager {
         if let (Some(t), Some(span)) = (&self.trace, span) {
             t.end(span);
         }
-        self.insert_cached(page, node?, false)
+        let (node, source) = node?;
+        self.insert_cached(page, node, source, false)
     }
 
     /// Decodes the page straight from the range that was read: the
     /// tree file's own page, which a leaf keeps (see
-    /// [page sharing](self#page-sharing)).
-    fn read_node(&mut self, page: PageNo) -> Result<Node> {
+    /// [page sharing](self#page-sharing)), and which an internal node
+    /// was decoded from — unless it was parked unchanged, and is taken
+    /// back.
+    fn read_node(&mut self, page: PageNo) -> Result<(Node, Option<FileSlice>)> {
         let offset = page * self.page_bytes as u64;
         let bytes = self.vfs.read_shared(self.file, offset, self.page_bytes)?;
         if bytes.len() < self.page_bytes {
             return Err(BTreeError::Corruption(format!("short read of page {page}")));
         }
-        Node::load(bytes)
+        if let Some((source, node)) = self.parked.remove(&page) {
+            if source.shares_buffer(&bytes) {
+                return Ok((node, Some(source)));
+            }
+        }
+        let node = Node::load(bytes.clone())?;
+        let source = (!node.is_leaf()).then_some(bytes);
+        Ok((node, source))
     }
 
     /// Mutates a resident page in place and marks it dirty; the change
@@ -336,6 +370,7 @@ impl Pager {
             .get_mut(&page)
             .unwrap_or_else(|| panic!("update of page {page}, which is not resident"));
         let before = slot.node.encoded_len();
+        slot.source = None;
         let out = f(&mut slot.node);
         let len = slot.node.encoded_len();
         assert!(
@@ -351,13 +386,20 @@ impl Pager {
         Ok(out)
     }
 
-    fn insert_cached(&mut self, page: PageNo, node: Node, dirty: bool) -> Result<()> {
+    fn insert_cached(
+        &mut self,
+        page: PageNo,
+        node: Node,
+        source: Option<FileSlice>,
+        dirty: bool,
+    ) -> Result<()> {
         self.access_clock += 1;
         self.stats.cache.admissions += 1;
         self.cached_bytes += node.encoded_len() as u64;
         let slot = Slot {
             node,
             last_access: self.access_clock,
+            source,
         };
         self.lru.insert(slot.last_access, page);
         if dirty {
@@ -375,6 +417,12 @@ impl Pager {
             let slot = self.cache.remove(&victim).expect("victim cached");
             self.cached_bytes -= slot.node.encoded_len() as u64;
             self.stats.cache.evictions += 1;
+            if let Some(source) = slot.source {
+                if self.parked.len() == PARKED_PAGES {
+                    self.parked.clear();
+                }
+                self.parked.insert(victim, (source, slot.node));
+            }
         }
         Ok(())
     }
@@ -462,7 +510,7 @@ impl Pager {
 mod tests {
     use super::*;
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::{FileSlice, VfsOptions};
+    use ptsbench_vfs::VfsOptions;
 
     fn vfs() -> Vfs {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
@@ -643,6 +691,68 @@ mod tests {
         assert!(held_page(&mut p, page).shares_buffer(&on_file()));
         p.update(page, |n| n.set_value(0, &[4; 10])).expect("edit");
         assert_eq!(*on_file(), image(&edited), "an edit reached the file");
+    }
+
+    #[test]
+    fn an_internal_page_is_taken_back_only_while_the_file_holds_it() {
+        let v = vfs();
+        let mut p = Pager::create(v.clone(), "t.db", 4096, 16 << 10).expect("create");
+        let internal = |children: Vec<PageNo>, separators: &[&str]| Node::Internal {
+            children,
+            separators: separators.iter().collect(),
+        };
+        let page = p
+            .allocate(internal(vec![7, 8, 9], &["g", "p"]))
+            .expect("alloc");
+        // Six ~3 KiB leaves push every other page out of the cache.
+        let push_out = |p: &mut Pager| {
+            for i in 0..6 {
+                p.allocate(leaf(i, 3000)).expect("alloc");
+            }
+            assert!(!p.is_resident(page));
+        };
+        push_out(&mut p);
+        assert!(!p.parked.contains_key(&page), "it was never loaded");
+
+        // Loaded, then evicted unchanged: parked, and taken back.
+        assert_eq!(
+            *p.read(page).expect("read"),
+            internal(vec![7, 8, 9], &["g", "p"])
+        );
+        push_out(&mut p);
+        assert!(p.parked.contains_key(&page));
+        let misses = p.stats().cache.misses;
+        assert_eq!(
+            *p.read(page).expect("read"),
+            internal(vec![7, 8, 9], &["g", "p"])
+        );
+        assert_eq!(p.stats().cache.misses, misses + 1, "a miss all the same");
+        assert!(!p.parked.contains_key(&page));
+
+        // Changed, written back and evicted: not parked; the load
+        // decodes what the write-back wrote.
+        p.update(page, |n| n.insert_child(2, b"x", 10))
+            .expect("edit");
+        push_out(&mut p);
+        assert!(
+            !p.parked.contains_key(&page),
+            "a changed node is not parked"
+        );
+        let changed = internal(vec![7, 8, 9, 10], &["g", "p", "x"]);
+        assert_eq!(*p.read(page).expect("read"), changed);
+
+        // Parked, then the page rewritten behind the pager's back: the
+        // file no longer holds the page the node came from.
+        push_out(&mut p);
+        assert!(p.parked.contains_key(&page));
+        let rewritten = internal(vec![1, 2], &["m"]);
+        v.write_at(
+            v.open("t.db").expect("open"),
+            page * 4096,
+            &image(&rewritten),
+        )
+        .expect("write");
+        assert_eq!(*p.read(page).expect("read"), rewritten);
     }
 
     #[test]
