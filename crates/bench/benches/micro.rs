@@ -385,9 +385,10 @@ fn bench_hashlog(c: &mut Criterion) {
 /// separators to an internal page), not `BTreeOptions::small()`: a
 /// walk served from the cache, a walk whose leaf comes off the device,
 /// an in-place update through a four-page cache (every put ends in a
-/// page write-back), the load (device read plus decode) of one wide
-/// internal page and of one full leaf, and the write-back of one dirty
-/// full leaf on eviction.
+/// page write-back), the reload of one wide internal page and of one
+/// full leaf that are unchanged since their last load (a device read,
+/// then the parked internal node taken back, the leaf's header walk),
+/// and the write-back of one dirty full leaf on eviction.
 fn bench_btree_layers(c: &mut Criterion) {
     const KEYS: u32 = 2000;
     const PAGE_BYTES: usize = 32 << 10;
@@ -472,7 +473,7 @@ fn bench_btree_layers(c: &mut Criterion) {
                         pager.borrow_mut().read(filler).expect("read");
                     }
                 },
-                // ...so this read is a device read plus the decode.
+                // ...so this read is a device read plus the load.
                 |()| black_box(pager.borrow_mut().read(page).expect("read").encoded_len()),
                 BatchSize::PerIteration,
             )

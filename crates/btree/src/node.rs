@@ -18,12 +18,11 @@
 //!   6-byte record headers (one allocation: the offsets). The first
 //!   edit after a load or a write-back copies the page's records once,
 //!   into a page of the leaf's own, and the file keeps its bytes; a
-//!   lookup is a
-//!   binary search over the offsets; an insert, overwrite or remove is
-//!   one move inside the buffer; split and merge move byte ranges; and
-//!   the pager hands the buffer to the file as it is, with no encode
-//!   pass and no copy. Length, equality and the cache budget count the
-//!   bytes in use, not the room.
+//!   lookup is a binary search over the offsets; an insert, overwrite or
+//!   remove is one move inside the buffer; split and merge move byte
+//!   ranges; and the pager hands the buffer to the file as it is, with
+//!   no encode pass and no copy. Length, equality and the cache budget
+//!   count the bytes in use, not the room.
 //! * An internal node keeps its separators ([`Separators`]) the same way
 //!   beside a vector of children. A 32 KiB internal page routes ~1 000
 //!   children; decoding it is one copy of the separator region and a

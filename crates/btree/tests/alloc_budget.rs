@@ -11,7 +11,7 @@
 //!   own page, shared, and only walks its record headers. On the pager
 //!   that copied every page it loaded into a page-long buffer of its
 //!   own, the read-only churn below requested 4 116 bytes per load on
-//!   average, a page and a record-offset table; sharing the page, 796.
+//!   average, a page and a record-offset table; sharing the page, 343.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
