@@ -3,8 +3,9 @@
 //! build/lookup, engine puts and the k-way merge — and, layer by
 //! layer, the B+Tree's page walk and the LSM's compaction data path at
 //! the paper's geometry, the hash log's inline GC at the serving
-//! fan-in's, the block codec over blocks the branch predictor cannot
-//! learn, and one serving-dispatch decision at two backlog depths.
+//! fan-in's, the LSM's point read copied out and lent, the block codec
+//! over blocks the branch predictor cannot learn, and one
+//! serving-dispatch decision at two backlog depths.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -684,6 +685,39 @@ fn bench_lsm_data_path(c: &mut Criterion) {
         assert!(tables >= 128, "{tables} tables");
         b.iter(|| black_box(db.scan_iter(b"", None, usize::MAX).count()))
     });
+    group.finish();
+
+    // Point reads of 4 000-byte values, copied out (`get`) and lent
+    // (`get_with`), side by side: the gap is what the copy costs. 1 000
+    // keys flushed into tables (cache off: every table hit reads the
+    // device), then 100 more left in the memtable.
+    let mut group = c.benchmark_group("lsm");
+    group.sample_size(2000);
+    let opts = LsmOptions::scaled_to_partition(256 << 20);
+    let mut db = LsmDb::open(fresh_vfs(64), opts).expect("open");
+    for i in 0..1000 {
+        db.put(&key(i), &value).expect("put");
+    }
+    db.flush().expect("flush");
+    for i in 1000..1100 {
+        db.put(&key(i), &value).expect("put");
+    }
+    let flushes = db.stats().flushes;
+    for (tier, keys) in [("memtable_hit", 1000..1100u32), ("table_hit", 0..1000)] {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut next = || key(rng.gen_range(keys.clone()));
+        group.bench_function(&format!("get_{tier}"), |b| {
+            b.iter(|| black_box(db.get(&next()).expect("get")))
+        });
+        group.bench_function(&format!("get_with_{tier}"), |b| {
+            b.iter(|| black_box(db.get_with(&next(), |v| v.map(<[u8]>::len)).expect("get")))
+        });
+    }
+    assert_eq!(
+        db.stats().flushes,
+        flushes,
+        "the memtable rows stayed in the memtable"
+    );
     group.finish();
 }
 

@@ -304,21 +304,28 @@ impl BTreeDb {
         Ok(existed)
     }
 
-    /// Point lookup.
+    /// Point lookup, copied out: [`BTreeDb::get_with`] with a `to_vec`.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_with(key, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Point lookup that lends the value to `f` (`None` when the key is
+    /// absent) and returns what `f` returns. The value is lent from the
+    /// leaf the pager holds; nothing is copied.
+    pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R> {
         self.stats.gets += 1;
         if self.root == 0 {
-            return Ok(None);
+            return Ok(f(None));
         }
         let walk = self
             .trace
             .begin("btree.page_walk", self.trace.current_cause());
-        let result = self.lookup(key);
+        let result = self.lookup(key, f);
         self.trace.end(walk);
         result
     }
 
-    fn lookup(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    fn lookup<R>(&mut self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R> {
         let mut page = self.root;
         loop {
             let node = self.pager.read(page)?;
@@ -332,7 +339,7 @@ impl BTreeDb {
                     page = child;
                 }
                 Node::Leaf { entries } => {
-                    return Ok(entries.search(key).ok().map(|i| entries.get(i).1.to_vec()));
+                    return Ok(f(entries.search(key).ok().map(|i| entries.get(i).1)));
                 }
             }
         }

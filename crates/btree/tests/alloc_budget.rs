@@ -12,6 +12,9 @@
 //!   that copied every page it loaded into a page-long buffer of its
 //!   own, the read-only churn below requested 4 116 bytes per load on
 //!   average, a page and a record-offset table; sharing the page, 343.
+//! * A lent point read of a resident leaf copies nothing: `get_with`
+//!   lends the value from the leaf the pager holds. The copying lookup
+//!   requested the value's length, 4 000 bytes, per read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -147,5 +150,33 @@ fn a_clean_page_load_allocates_no_page() {
         allocated < loads * page_bytes / 4,
         "{loads} clean page loads requested {allocated} bytes, {} per load",
         allocated / loads
+    );
+}
+
+#[test]
+fn a_lent_read_of_a_resident_leaf_copies_no_value() {
+    COUNTED.set(true);
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
+    let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    // 32 KiB pages: a leaf holds several 4 000-byte values.
+    let mut db = BTreeDb::open(fs, BTreeOptions::default()).expect("open");
+    for i in 0..40 {
+        db.put(&key(i), &[i as u8; 4000]).expect("load");
+    }
+    db.checkpoint().expect("checkpoint");
+    assert!(db.get(&key(7)).expect("warm").is_some());
+    let misses = db.pager_stats().cache.misses;
+    let before = REQUESTED.get();
+    let len = db.get_with(&key(7), |v| v.map(<[u8]>::len)).expect("get");
+    let requested = REQUESTED.get() - before;
+    assert_eq!(len, Some(4000));
+    assert_eq!(
+        db.pager_stats().cache.misses,
+        misses,
+        "the leaf was resident"
+    );
+    assert!(
+        requested < 1024,
+        "a lent read of a resident leaf requested {requested} bytes"
     );
 }

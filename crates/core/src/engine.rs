@@ -322,8 +322,21 @@ pub trait PtsEngine: Send {
     /// Inserts or overwrites a key.
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError>;
 
-    /// Point lookup.
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PtsError>;
+    /// Point lookup that lends the value: `f` sees the live value's
+    /// bytes (`None` for an absent or deleted key) where the engine
+    /// holds them — a memtable entry, a cached or freshly read block, a
+    /// resident leaf — for the duration of the call, and nothing is
+    /// copied unless `f` copies it. `f` runs exactly once when the
+    /// lookup succeeds and not at all when it fails.
+    fn get_with(&mut self, key: &[u8], f: &mut dyn FnMut(Option<&[u8]>)) -> Result<(), PtsError>;
+
+    /// Point lookup that copies the value out: [`PtsEngine::get_with`]
+    /// with a `to_vec` inside the closure.
+    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
+        let mut value = None;
+        self.get_with(key, &mut |v| value = v.map(<[u8]>::to_vec))?;
+        Ok(value)
+    }
 
     /// Deletes a key (idempotent).
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError>;
@@ -433,8 +446,8 @@ impl PtsEngine for LsmEngine {
         Ok(self.0.put(key, value)?)
     }
 
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
-        Ok(self.0.get(key)?)
+    fn get_with(&mut self, key: &[u8], f: &mut dyn FnMut(Option<&[u8]>)) -> Result<(), PtsError> {
+        Ok(self.0.get_with(key, f)?)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
@@ -542,8 +555,8 @@ impl PtsEngine for BTreeEngine {
         Ok(self.0.put(key, value)?)
     }
 
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
-        Ok(self.0.get(key)?)
+    fn get_with(&mut self, key: &[u8], f: &mut dyn FnMut(Option<&[u8]>)) -> Result<(), PtsError> {
+        Ok(self.0.get_with(key, f)?)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {

@@ -363,7 +363,7 @@ impl Experiment {
         let span = self.trace.begin(span_name, cause);
         let outcome = match kind {
             OpKind::Update => system.put(key, value),
-            OpKind::Read => system.get(key).map(|_| ()),
+            OpKind::Read => system.get_with(key, &mut |_| ()),
         };
         match outcome {
             Ok(()) => {}

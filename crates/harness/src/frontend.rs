@@ -2392,7 +2392,11 @@ mod tests {
             fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
                 self.lsm.put(key, value)
             }
-            fn get(&mut self, _key: &[u8]) -> Result<Option<Vec<u8>>, PtsError> {
+            fn get_with(
+                &mut self,
+                _key: &[u8],
+                _f: &mut dyn FnMut(Option<&[u8]>),
+            ) -> Result<(), PtsError> {
                 Err(if self.full {
                     PtsError::OutOfSpace
                 } else {

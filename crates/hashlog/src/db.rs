@@ -629,18 +629,22 @@ impl HashLogDb {
     /// reads KVell leans on). With cache and codec both off and no queue
     /// this is exactly the seed path: one device read per value.
     ///
-    /// The values are copied out here, at the engine's public boundary:
-    /// no range of the active segment's file outlives the call.
+    /// Each value is lent to `f`, in `entries` order, once every read of
+    /// the batch has been issued: a range of the pending buffer, of the
+    /// cached unit, or of the read. Nothing is lent when the batch fails, and no
+    /// range of the active segment's file outlives the call.
     fn fetch(
         &self,
         entries: &[IndexEntry],
         mut queue: Option<&mut IoQueue>,
-    ) -> Result<Vec<Vec<u8>>> {
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<()> {
         /// What a miss needs once its unit's bytes are in: the unit's
         /// cache key and device length, and the value's place in it.
         type Miss = (CacheKey, u64, Range<usize>);
         enum Slot {
-            Ready(Vec<u8>),
+            Pending(Range<usize>),
+            Ready(FileSlice),
             Queued(AsyncRead, Miss),
         }
         let admit = |unit: FileSlice, (ckey, device_len, value): Miss| {
@@ -651,7 +655,7 @@ impl HashLogDb {
                     .lock()
                     .insert(ckey, Arc::new(unit.to_vec()), device_len);
             }
-            unit[value].to_vec()
+            unit.slice(value)
         };
         let compressed = self.opts.compression().is_active();
         let mut slots = Vec::with_capacity(entries.len());
@@ -660,7 +664,7 @@ impl HashLogDb {
             let (offset, len) = (entry.value_offset, entry.value_len as usize);
             let in_segment = offset as usize..offset as usize + len;
             if compressed && entry.segment == self.active {
-                slots.push(Slot::Ready(self.pending_seg[in_segment].to_vec()));
+                slots.push(Slot::Pending(in_segment));
                 continue;
             }
             let (unit_offset, value) = if compressed {
@@ -673,7 +677,7 @@ impl HashLogDb {
                 if let Some(unit) = cache.lock().get(&ckey) {
                     self.trace
                         .mark("hashlog.cache_hit", self.trace.current_cause());
-                    slots.push(Slot::Ready(unit[value].to_vec()));
+                    slots.push(Slot::Ready(FileSlice::from(unit).slice(value)));
                     continue;
                 }
             }
@@ -702,23 +706,37 @@ impl HashLogDb {
             };
             slots.push(slot);
         }
-        let values = slots.into_iter().map(|slot| match slot {
-            Slot::Ready(value) => value,
-            Slot::Queued(read, miss) => {
-                let q = queue.as_deref_mut().expect("queued by this call");
-                admit(read.wait(q), miss)
+        for slot in slots {
+            match slot {
+                Slot::Pending(value) => f(&self.pending_seg[value]),
+                Slot::Ready(value) => f(&value),
+                Slot::Queued(read, miss) => {
+                    let q = queue.as_deref_mut().expect("queued by this call");
+                    f(&admit(read.wait(q), miss));
+                }
             }
-        });
-        Ok(values.collect())
+        }
+        Ok(())
     }
 
-    /// Point lookup: index probe plus (at most) one device read, never
-    /// through the submission queue.
+    /// Point lookup, copied out: [`HashLogDb::get_with`] with a `to_vec`.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_with(key, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Point lookup that lends the value to `f` (`None` when the key is
+    /// absent or deleted) and returns what `f` returns: index probe plus
+    /// (at most) one device read, never through the submission queue.
+    pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R> {
         self.stats.gets += 1;
         match self.index.get(key) {
-            Some(entry) if !entry.tombstone => Ok(self.fetch(&[*entry], None)?.pop()),
-            _ => Ok(None),
+            Some(entry) if !entry.tombstone => {
+                let mut f = Some(f);
+                let mut out = None;
+                self.fetch(&[*entry], None, |v| out = f.take().map(|f| f(Some(v))))?;
+                Ok(out.expect("one entry fetched, one value lent"))
+            }
+            _ => Ok(f(None)),
         }
     }
 
@@ -1103,12 +1121,14 @@ impl IndexScan<'_> {
             .filter(|(_, entry)| !entry.tombstone)
             .take(take.min(self.remaining))
             .unzip();
-        match db.fetch(&entries, queue.as_deref_mut()) {
-            Ok(values) => {
-                let items = keys.into_iter().cloned().zip(values);
-                self.batch.extend(items.map(Ok));
-            }
-            Err(e) => self.batch.push_back(Err(e)),
+        let mut keys = keys.into_iter();
+        let batch = &mut self.batch;
+        let fetched = db.fetch(&entries, queue.as_deref_mut(), |value| {
+            let key = keys.next().expect("one value per entry").clone();
+            batch.push_back(Ok((key, value.to_vec())));
+        });
+        if let Err(e) = fetched {
+            batch.push_back(Err(e));
         }
     }
 }
@@ -1141,8 +1161,12 @@ impl PtsEngine for HashLogEngine {
         Ok(self.0.put(key, value)?)
     }
 
-    fn get(&mut self, key: &[u8]) -> std::result::Result<Option<Vec<u8>>, PtsError> {
-        Ok(self.0.get(key)?)
+    fn get_with(
+        &mut self,
+        key: &[u8],
+        f: &mut dyn FnMut(Option<&[u8]>),
+    ) -> std::result::Result<(), PtsError> {
+        Ok(self.0.get_with(key, f)?)
     }
 
     fn delete(&mut self, key: &[u8]) -> std::result::Result<(), PtsError> {

@@ -11,6 +11,9 @@
 //!   for a buffer of R bytes to relocate them through.
 //! * A collected victim's buffer is the next segment's: filling that
 //!   segment does not regrow a buffer a put at a time.
+//! * A lent point read copies nothing: `get_with` lends a range of the
+//!   pending buffer, of the cached unit or of the read. The copying
+//!   lookup requested the value's length, 4 000 bytes, per read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 thread_local! {
     /// Set on the thread under test. Only its allocations count: the
@@ -203,5 +206,51 @@ fn a_reclaimed_victims_buffer_is_the_next_segments() {
             "filling segment {segments} after a collection made segment-sized requests"
         );
         segments += 1;
+    }
+}
+
+#[test]
+fn a_lent_point_read_copies_no_value() {
+    COUNTED.set(true);
+    // (cache bytes, codec level, what serves the read).
+    for (cache_bytes, level, tier) in [
+        (0, 1, "pending buffer"),
+        (256 << 10, 0, "cache hit"),
+        (0, 0, "device read"),
+    ] {
+        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
+        let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+        let opts = HashLogOptions {
+            tuning: EngineTuning::for_device(0)
+                .with_cache_bytes(cache_bytes)
+                .with_compression_level(level),
+            ..HashLogOptions::default()
+        };
+        let mut db = HashLogDb::open(fs, opts).expect("open");
+        for i in 0..8 {
+            db.put(&key(i), &[i as u8; 4000]).expect("put");
+        }
+        // A cache hit needs the miss that admitted the unit first.
+        let get = |db: &mut HashLogDb| {
+            let before = (
+                REQUESTED.get(),
+                db.vfs().ssd().lock().smart().host_pages_read,
+            );
+            let len = db.get_with(&key(3), |v| v.map(<[u8]>::len)).expect("get");
+            assert_eq!(len, Some(4000), "{tier}");
+            let read = db.vfs().ssd().lock().smart().host_pages_read > before.1;
+            (REQUESTED.get() - before.0, read)
+        };
+        get(&mut db);
+        let (requested, read) = get(&mut db);
+        assert_eq!(
+            read,
+            tier == "device read",
+            "{tier}: whether the device was read"
+        );
+        assert!(
+            requested < 1024,
+            "{tier}: a lent point read requested {requested} bytes"
+        );
     }
 }

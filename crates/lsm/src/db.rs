@@ -381,33 +381,41 @@ impl LsmDb {
         Ok(())
     }
 
-    /// Point lookup.
+    /// Point lookup, copied out: [`LsmDb::get_with`] with a `to_vec`.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_with(key, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Point lookup that lends the value to `f` (`None` when the key is
+    /// absent or deleted) and returns what `f` returns. A memtable value
+    /// is lent where the memtable holds it, a table value as a range of
+    /// the block the lookup loaded; nothing is copied.
+    pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R> {
         self.stats.gets += 1;
         if let Some(entry) = self.memtable.get(key) {
-            return Ok(entry.clone());
+            return Ok(f(entry.as_deref()));
         }
         // The frozen memtable is newer than any table.
         if let Some(entry) = self.imm.as_ref().and_then(|imm| imm.get(key)) {
-            return Ok(entry.clone());
+            return Ok(f(entry.as_deref()));
         }
         // L0: newest to oldest, any table may contain the key.
         for handle in self.version.tables(0).iter().rev() {
             if handle.meta.overlaps(key, key) {
-                if let Some(entry) = handle.reader.get(key)? {
-                    return Ok(entry);
+                if let Some(entry) = handle.reader.get_shared(key)? {
+                    return Ok(f(entry.as_deref()));
                 }
             }
         }
         // L1+: at most one candidate per level.
         for level in 1..self.version.level_count() {
             if let Some(handle) = self.version.table_for_key(level, key) {
-                if let Some(entry) = handle.reader.get(key)? {
-                    return Ok(entry);
+                if let Some(entry) = handle.reader.get_shared(key)? {
+                    return Ok(f(entry.as_deref()));
                 }
             }
         }
-        Ok(None)
+        Ok(f(None))
     }
 
     /// Streaming range scan: live entries with `start <= key < end`

@@ -235,9 +235,17 @@ impl SstableReader {
         }
     }
 
-    /// Point lookup. `None` = key not in this table; `Some(None)` =
-    /// tombstone; `Some(Some(v))` = live value.
+    /// Point lookup, copied out: [`SstableReader::get_shared`] with the
+    /// value's bytes in a `Vec` of their own.
     pub fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
+        Ok(self.get_shared(key)?.map(|v| v.map(|v| v.to_vec())))
+    }
+
+    /// Point lookup. `None` = key not in this table; `Some(None)` =
+    /// tombstone; `Some(Some(v))` = live value, a range of the data
+    /// block the lookup loaded: the cache's copy, the table's own bytes,
+    /// or the block decoded from them.
+    pub fn get_shared(&self, key: &[u8]) -> Result<Option<Option<FileSlice>>> {
         let mut bloom_passed = false;
         if let Some(bloom) = &self.bloom {
             Self::count(self.blooms.as_deref().map(|b| &b.probes));
@@ -262,9 +270,10 @@ impl SstableReader {
         let buf = self.load_block(block)?;
         let mut pos = 0;
         for _ in 0..block.entries {
-            let (k, v, next) = decode_entry(&buf, pos)?;
+            let (k, v, next) = entry_ranges(&buf, pos)?;
+            let k = &buf[k];
             if k == key {
-                return Ok(Some(v.map(|v| v.to_vec())));
+                return Ok(Some(v.map(|v| buf.slice(v))));
             }
             if k > key {
                 break;

@@ -1,31 +1,36 @@
-//! A table's bytes are allocated once and written where they stay:
-//! building a table may allocate little more than the finished file,
-//! and the file's buffer may carry little spare capacity (which is
-//! resident memory for as long as the table lives). Counted, not timed —
-//! the guard against a staging copy or an over-reservation coming back.
+//! What the LSM asks the allocator for, counted, not timed:
+//!
+//! * A table's bytes are allocated once and written where they stay:
+//!   building a table may allocate little more than the finished file,
+//!   and the file's buffer may carry little spare capacity (which is
+//!   resident memory for as long as the table lives) — the guard
+//!   against a staging copy or an over-reservation coming back.
+//! * A lent point read copies nothing: `get_with` lends a memtable
+//!   value where the memtable holds it and a table value as a range of
+//!   the block it loaded, cache off or on. The copying lookup requested
+//!   the value's length, 4 000 bytes, per read.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ptsbench_lsm::sstable::SstableBuilder;
+use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
-
-/// Bytes requested from the allocator so far. A regrown allocation
-/// counts in full: it may have been moved.
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 thread_local! {
     /// Set on the thread under test. Only its allocations count: the
     /// test harness's own threads allocate while a test runs.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread requested from the allocator so far. A regrown
+    /// allocation counts in full: it may have been moved.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Adds `n` to [`REQUESTED`] if the calling thread is under test.
 fn count(n: u64) {
     if COUNTED.with(Cell::get) {
-        REQUESTED.fetch_add(n, Ordering::Relaxed);
+        REQUESTED.set(REQUESTED.get() + n);
     }
 }
 
@@ -58,7 +63,7 @@ static ALLOC: Counting = Counting;
 /// meanwhile, file bytes, capacity of the file's buffer).
 fn build(fs: &Vfs, name: &str, target: u64) -> (u64, u64, u64) {
     let value = vec![0x5au8; 4000];
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = REQUESTED.get();
     let mut b = SstableBuilder::create_bg(fs.clone(), name, 4096, 10, target).expect("create");
     let mut i = 0u32;
     while b.estimated_bytes() < target {
@@ -67,14 +72,13 @@ fn build(fs: &Vfs, name: &str, target: u64) -> (u64, u64, u64) {
         i += 1;
     }
     let meta = b.finish().expect("finish");
-    let allocated = REQUESTED.load(Ordering::Relaxed) - before;
+    let allocated = REQUESTED.get() - before;
     // The buffer's capacity shows to whoever checks it out next.
     let id = fs.open(name).expect("open");
     let capacity = fs.appender(id, 0).expect("appender").buf.capacity();
     (allocated, meta.file_bytes, capacity as u64)
 }
 
-// One test: every thread under test adds to the one counter.
 #[test]
 fn a_table_is_allocated_once_with_little_to_spare() {
     COUNTED.set(true);
@@ -90,6 +94,51 @@ fn a_table_is_allocated_once_with_little_to_spare() {
         assert!(
             (capacity - file_bytes) * 100 <= file_bytes * 3,
             "{name}: buffer of {capacity} bytes for a file of {file_bytes}"
+        );
+    }
+}
+
+/// Bytes requested while one lent get of `key` runs, which must find a
+/// 4 000-byte value.
+fn lent_get(db: &mut LsmDb, key: &[u8]) -> u64 {
+    let before = REQUESTED.get();
+    let len = db.get_with(key, |v| v.map(<[u8]>::len)).expect("get");
+    let requested = REQUESTED.get() - before;
+    assert_eq!(len, Some(4000), "{key:?}");
+    requested
+}
+
+#[test]
+fn a_lent_point_read_copies_no_value() {
+    COUNTED.set(true);
+    for cache_bytes in [0, 256 << 10] {
+        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
+        let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+        let opts = LsmOptions {
+            tuning: EngineTuning::for_device(0).with_cache_bytes(cache_bytes),
+            ..LsmOptions::small()
+        };
+        let mut db = LsmDb::open(fs, opts).expect("open");
+        for i in 0..40u8 {
+            db.put(&[b't', i], &[i; 4000]).expect("put");
+        }
+        db.flush().expect("flush");
+        db.put(b"m", &[1; 4000]).expect("put");
+        // A table hit warms the cache first: the miss that admits the
+        // block requests the cache's own copy of it.
+        let hits = |db: &LsmDb| db.cache_stats().map_or(0, |c| c.hits);
+        for _ in 0..3 {
+            lent_get(&mut db, b"t\x07");
+        }
+        let hits_before = hits(&db);
+        let memtable = lent_get(&mut db, b"m");
+        let table = lent_get(&mut db, b"t\x07");
+        if cache_bytes > 0 {
+            assert_eq!(hits(&db), hits_before + 1, "the table hit was a cache hit");
+        }
+        assert!(
+            memtable < 1024 && table < 1024,
+            "cache {cache_bytes}: a lent memtable hit requested {memtable} bytes, a table hit {table}"
         );
     }
 }

@@ -26,8 +26,10 @@
 //! **a range of a piece that can still be written is dropped before the
 //! call that read it returns — unless the piece is one page.** Log,
 //! manifest and segment replay parse their ranges and let go; a
-//! hash-log `get` of the active segment copies the value out at its
-//! public boundary. Ranges of files nobody writes again — finished
+//! hash-log point read of the active segment lends the value to the
+//! caller's closure (`get_with`), and the range is dropped before the
+//! call returns — a closure may copy the bytes, never keep the range.
+//! Ranges of files nobody writes again — finished
 //! tables, sealed segments, GC victims — may be kept for as long as
 //! they are useful (scan windows, a victim being relocated across
 //! slices, past the file's deletion). A page of a paged file may be
