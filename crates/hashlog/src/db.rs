@@ -631,8 +631,9 @@ impl HashLogDb {
     ///
     /// Each value is lent to `f`, in `entries` order, once every read of
     /// the batch has been issued: a range of the pending buffer, of the
-    /// cached unit, or of the read. Nothing is lent when the batch fails, and no
-    /// range of the active segment's file outlives the call.
+    /// cached unit, or of the read. Nothing is lent when the batch
+    /// fails, and no range of the active segment's file outlives the
+    /// call.
     fn fetch(
         &self,
         entries: &[IndexEntry],
