@@ -3,12 +3,12 @@
 use ptsbench_maint::{
     drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
 };
-use ptsbench_vfs::{Cause, LogRecord, RecordLog, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, LogRecord, RecordLog, StoreError, TraceHandle, Vfs};
 
 use crate::node::{Entries, Node};
 use crate::options::BTreeOptions;
 use crate::pager::{Pager, PagerStats};
-use crate::{BTreeError, PageNo, Result};
+use crate::{PageNo, Result};
 
 /// Cumulative engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,14 +142,14 @@ impl BTreeDb {
         pager.attach_trace(trace.clone());
         let meta = pager.read_meta()?;
         if &meta[..META_MAGIC.len()] != META_MAGIC {
-            return Err(BTreeError::Corruption(
+            return Err(StoreError::Corruption(
                 "no checkpointed metadata (magic missing)".into(),
             ));
         }
         let root = u64::from_le_bytes(meta[6..14].try_into().expect("8 bytes"));
         let entries = u64::from_le_bytes(meta[14..22].try_into().expect("8 bytes"));
         if root >= pager.page_count() {
-            return Err(BTreeError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "meta root {root} beyond file end ({} pages)",
                 pager.page_count()
             )));
@@ -199,7 +199,7 @@ impl BTreeDb {
 
     fn mark_reachable(&mut self, page: PageNo, seen: &mut [bool]) -> Result<()> {
         if seen[page as usize] {
-            return Err(BTreeError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "page {page} reachable twice"
             )));
         }
@@ -209,7 +209,7 @@ impl BTreeDb {
         };
         for child in children.clone() {
             if child >= seen.len() as u64 {
-                return Err(BTreeError::Corruption(format!("child {child} beyond file")));
+                return Err(StoreError::Corruption(format!("child {child} beyond file")));
             }
             self.mark_reachable(child, seen)?;
         }
@@ -257,17 +257,13 @@ impl BTreeDb {
     /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes
     /// (a page records a key's length in two bytes).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.len() > usize::from(u16::MAX) {
-            return Err(BTreeError::KeyTooLong {
-                key_bytes: key.len(),
-            });
-        }
+        StoreError::check_key(key)?;
         let pair_bytes = 6 + key.len() + value.len();
         if pair_bytes + 5 > self.opts.page_bytes {
-            return Err(BTreeError::PairTooLarge {
-                pair_bytes,
-                page_bytes: self.opts.page_bytes,
-            });
+            return Err(StoreError::InvalidInput(format!(
+                "key-value pair of {pair_bytes} bytes exceeds page capacity {}",
+                self.opts.page_bytes
+            )));
         }
         self.stats.puts += 1;
         self.stats.app_bytes_written += (key.len() + value.len()) as u64;
@@ -276,9 +272,6 @@ impl BTreeDb {
             let _cause = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("btree.journal", Cause::Wal);
             j.log_put(key, value)?;
-            if self.opts.wal_fsync {
-                j.sync(true)?;
-            }
             self.trace.end(span);
         }
         self.insert_entry(key, value)?;
@@ -294,9 +287,6 @@ impl BTreeDb {
             let _cause = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("btree.journal", Cause::Wal);
             j.log_delete(key)?;
-            if self.opts.wal_fsync {
-                j.sync(true)?;
-            }
             self.trace.end(span);
         }
         let existed = self.remove_entry(key)?;
@@ -1172,7 +1162,12 @@ mod tests {
     fn oversized_pair_rejected() {
         let mut db = db_on(32 << 20);
         let err = db.put(b"k", &vec![0u8; 8192]).expect_err("too large");
-        assert!(matches!(err, BTreeError::PairTooLarge { .. }));
+        assert_eq!(
+            err,
+            StoreError::InvalidInput(
+                "key-value pair of 8199 bytes exceeds page capacity 4096".into()
+            )
+        );
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! * **Stable WA-A** (Fig 2d): every update dirties one leaf; the extra
 //!   write volume per update does not change over time.
 //!
+//! Every fallible call returns [`ptsbench_vfs::StoreError`]. `put`
+//! refuses a key longer than `u16::MAX` bytes (a page records a key's
+//! length in two bytes) and a pair larger than a page as `InvalidInput`.
+//!
 //! ```
 //! use ptsbench_btree::{BTreeDb, BTreeOptions};
 //! use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -41,77 +45,8 @@ pub mod pager;
 pub use db::{BTreeDb, BTreeScan, BTreeStats};
 pub use options::BTreeOptions;
 
-/// Errors surfaced by the B+Tree engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BTreeError {
-    /// Underlying filesystem/device error.
-    Vfs(ptsbench_vfs::VfsError),
-    /// On-disk page failed validation.
-    Corruption(String),
-    /// A key longer than a page can record (`u16::MAX` bytes).
-    KeyTooLong {
-        /// Key length in bytes.
-        key_bytes: usize,
-    },
-    /// A single key-value pair larger than a page cannot be stored.
-    PairTooLarge {
-        /// Encoded pair size.
-        pair_bytes: usize,
-        /// Page capacity.
-        page_bytes: usize,
-    },
-}
-
-impl From<ptsbench_vfs::VfsError> for BTreeError {
-    fn from(e: ptsbench_vfs::VfsError) -> Self {
-        BTreeError::Vfs(e)
-    }
-}
-
-impl From<ptsbench_vfs::LogError> for BTreeError {
-    fn from(e: ptsbench_vfs::LogError) -> Self {
-        match e {
-            ptsbench_vfs::LogError::Vfs(e) => BTreeError::Vfs(e),
-            ptsbench_vfs::LogError::Corruption(what) => BTreeError::Corruption(what),
-        }
-    }
-}
-
-impl BTreeError {
-    /// Whether this is the out-of-space condition.
-    pub fn is_out_of_space(&self) -> bool {
-        matches!(
-            self,
-            BTreeError::Vfs(ptsbench_vfs::VfsError::NoSpace { .. })
-        )
-    }
-}
-
-impl std::fmt::Display for BTreeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BTreeError::Vfs(e) => write!(f, "filesystem error: {e}"),
-            BTreeError::Corruption(msg) => write!(f, "corruption: {msg}"),
-            BTreeError::KeyTooLong { key_bytes } => {
-                write!(f, "key of {key_bytes} bytes exceeds {} bytes", u16::MAX)
-            }
-            BTreeError::PairTooLarge {
-                pair_bytes,
-                page_bytes,
-            } => {
-                write!(
-                    f,
-                    "key-value pair of {pair_bytes} bytes exceeds page capacity {page_bytes}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for BTreeError {}
-
-/// Convenience result alias.
-pub type Result<T> = std::result::Result<T, BTreeError>;
+/// Convenience result alias over the shared storage error.
+pub type Result<T> = std::result::Result<T, ptsbench_vfs::StoreError>;
 
 /// Page number within the B+Tree file (page 0 is the metadata page).
 pub type PageNo = u64;

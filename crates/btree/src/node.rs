@@ -32,9 +32,9 @@
 
 use std::sync::Arc;
 
-use ptsbench_vfs::FileSlice;
+use ptsbench_vfs::{FileSlice, StoreError};
 
-use crate::{BTreeError, PageNo, Result};
+use crate::{PageNo, Result};
 
 /// Records in page layout: back to back in one buffer, in key order,
 /// with the offset of each. With `LEAF`, a leaf's
@@ -240,7 +240,7 @@ impl<const LEAF: bool> Records<LEAF> {
     /// The offsets of `n` records at the front of `page` (behind the
     /// header, for a leaf), and where the last one ends.
     fn walk(page: &[u8], n: usize) -> Result<(Vec<u32>, usize)> {
-        let truncated = || BTreeError::Corruption(format!("truncated record in a {n}-record page"));
+        let truncated = || StoreError::Corruption(format!("truncated record in a {n}-record page"));
         // `n` comes off the page: every record takes at least a header.
         let mut starts = Vec::with_capacity(n.min(page.len() / Self::HEADER));
         let mut pos = Self::PREFIX;
@@ -507,7 +507,7 @@ impl Node {
 
     /// Decodes a page image into buffers of the node's own.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        let corrupt = |m: &str| BTreeError::Corruption(m.to_string());
+        let corrupt = |m: &str| StoreError::Corruption(m.to_string());
         if buf.len() < 5 {
             return Err(corrupt("page too small"));
         }

@@ -13,8 +13,6 @@ pub struct BTreeOptions {
     /// while the tuning sets no cache budget; see
     /// `BTreeOptions::pager_budget`.
     pub pager_bytes: u64,
-    /// Whether each commit fsyncs the log.
-    pub wal_fsync: bool,
     /// A checkpoint (write-back of all dirty pages + meta) runs after
     /// this many application bytes have been written since the last one.
     pub checkpoint_app_bytes: u64,
@@ -30,7 +28,6 @@ impl Default for BTreeOptions {
         Self {
             page_bytes: 32 << 10,
             pager_bytes: 10 << 20,
-            wal_fsync: false,
             checkpoint_app_bytes: 8 << 20,
             tuning: EngineTuning::for_device(0),
         }
@@ -65,7 +62,6 @@ impl BTreeOptions {
             pager_bytes: proportional.max(4 * page_bytes as u64 + 1),
             checkpoint_app_bytes: (device_bytes / 64).max(1 << 20),
             tuning: EngineTuning::for_device(device_bytes),
-            ..Self::default()
         }
     }
 

@@ -53,10 +53,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use ptsbench_cache::CacheStats;
-use ptsbench_vfs::{FileId, FileSlice, TraceHandle, Vfs};
+use ptsbench_vfs::{FileId, FileSlice, StoreError, TraceHandle, Vfs};
 
 use crate::node::{Node, PageImage};
-use crate::{BTreeError, PageNo, Result};
+use crate::{PageNo, Result};
 
 /// How many evicted internal pages the pager keeps decoded
 /// (`Pager::parked`): more than a tree of the paper's sizes has.
@@ -207,7 +207,7 @@ impl Pager {
         let file = vfs.open(file_name)?;
         let size = vfs.size(file)?;
         if size == 0 || size % page_bytes as u64 != 0 {
-            return Err(BTreeError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "tree file size {size} is not a multiple of the {page_bytes}-byte page size"
             )));
         }
@@ -340,7 +340,7 @@ impl Pager {
         let offset = page * self.page_bytes as u64;
         let bytes = self.vfs.read_shared(self.file, offset, self.page_bytes)?;
         if bytes.len() < self.page_bytes {
-            return Err(BTreeError::Corruption(format!("short read of page {page}")));
+            return Err(StoreError::Corruption(format!("short read of page {page}")));
         }
         if let Some((source, node)) = self.parked.remove(&page) {
             if source.shares_buffer(&bytes) {

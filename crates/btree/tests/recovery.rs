@@ -6,9 +6,9 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ptsbench_btree::{BTreeDb, BTreeError, BTreeOptions};
+use ptsbench_btree::{BTreeDb, BTreeOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{Vfs, VfsOptions};
+use ptsbench_vfs::{StoreError, Vfs, VfsOptions};
 
 fn vfs() -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -128,7 +128,7 @@ fn recovery_without_checkpoint_fails_cleanly() {
     }
     assert!(matches!(
         BTreeDb::recover(v, BTreeOptions::small()),
-        Err(BTreeError::Corruption(_))
+        Err(StoreError::Corruption(_))
     ));
 }
 
@@ -172,7 +172,10 @@ fn keys_past_a_u16_length_are_refused_and_the_longest_survives_recovery() {
         let err = db
             .put(&[b'k'; 70_000], b"v")
             .expect_err("a 70 000-byte key");
-        assert_eq!(err, BTreeError::KeyTooLong { key_bytes: 70_000 });
+        assert_eq!(
+            err,
+            StoreError::InvalidInput("key of 70000 bytes exceeds 65535 bytes".into())
+        );
         db.put(&longest, b"longest").expect("put");
         db.put(b"short", b"v").expect("put");
         db.checkpoint().expect("checkpoint");

@@ -21,18 +21,21 @@
 //! * **Uniform statistics** — [`EngineStats`] carries the metrics the
 //!   methodology needs (application bytes written for WA-A, cache
 //!   traffic) plus an engine-specific structural summary.
+//! * **One error mapping** — an engine on the `Vfs` returns
+//!   [`StoreError`], and [`PtsError::store`] turns it into the uniform
+//!   error: out-of-space becomes [`PtsError::OutOfSpace`].
 //! * **Explicit lifecycle** — engines are built through the registry
 //!   with [`crate::registry::Lifecycle`] `Open` (fresh) or `Recover`
 //!   (rebuild from the filesystem after a crash).
 
 use std::sync::Arc;
 
-use ptsbench_btree::{BTreeDb, BTreeError};
+use ptsbench_btree::BTreeDb;
 use ptsbench_cache::CacheStats;
-use ptsbench_lsm::{LsmDb, LsmError};
+use ptsbench_lsm::LsmDb;
 use ptsbench_maint::MaintStats;
 use ptsbench_ssd::SsdError;
-use ptsbench_vfs::Vfs;
+use ptsbench_vfs::{StoreError, Vfs};
 
 use crate::registry::EngineKind;
 
@@ -46,7 +49,8 @@ pub enum PtsError {
     /// The underlying partition filled up (the paper's RocksDB
     /// out-of-space condition on large datasets). Every engine must map
     /// its native no-space failure to this variant so the runner's
-    /// capacity experiments treat engines uniformly.
+    /// capacity experiments treat engines uniformly; [`PtsError::store`]
+    /// does it for a [`StoreError`].
     OutOfSpace,
     /// Any other engine failure, with the native error retained for
     /// [`std::error::Error::source`] inspection.
@@ -74,6 +78,18 @@ impl PtsError {
         PtsError::Engine {
             engine,
             source: Arc::new(source),
+        }
+    }
+
+    /// Maps a storage error of the engine labelled `engine`: running
+    /// out of space becomes [`PtsError::OutOfSpace`], anything else a
+    /// [`PtsError::Engine`] whose source chain reaches the filesystem
+    /// and the device.
+    pub fn store(engine: &'static str, e: StoreError) -> Self {
+        if e.is_out_of_space() {
+            PtsError::OutOfSpace
+        } else {
+            PtsError::engine(engine, e)
         }
     }
 }
@@ -125,26 +141,6 @@ impl Eq for PtsError {}
 impl From<SsdError> for PtsError {
     fn from(source: SsdError) -> Self {
         PtsError::Device { source }
-    }
-}
-
-impl From<LsmError> for PtsError {
-    fn from(e: LsmError) -> Self {
-        if e.is_out_of_space() {
-            PtsError::OutOfSpace
-        } else {
-            PtsError::engine("lsm", e)
-        }
-    }
-}
-
-impl From<BTreeError> for PtsError {
-    fn from(e: BTreeError) -> Self {
-        if e.is_out_of_space() {
-            PtsError::OutOfSpace
-        } else {
-            PtsError::engine("btree", e)
-        }
     }
 }
 
@@ -277,21 +273,12 @@ pub struct EngineStats {
     /// Application payload bytes written (keys + values of puts and
     /// deletes) — the WA-A numerator's denominator (§3.3).
     pub app_bytes_written: u64,
-    /// In-memory cache hits (0 for engines without a page cache).
-    pub cache_hits: u64,
-    /// Cache misses, i.e. reads that went to the filesystem.
-    pub cache_misses: u64,
     /// Full read-cache traffic counters in the uniform
     /// [`CacheStats`] accounting (admissions, evictions, device bytes
     /// saved) when the engine runs a cache: the B+Tree's pager cache is
     /// always on, the LSM/hashlog block caches only when a
     /// `cache_bytes` budget is configured (`None` otherwise).
     pub cache: Option<CacheStats>,
-    /// Per-cause device traffic attribution (which bytes each request
-    /// kind and background activity pushed to / pulled from the
-    /// device), present only when a tracer is attached to the engine's
-    /// device (`None` keeps untraced snapshots identical to seed).
-    pub cause: Option<ptsbench_vfs::CauseStats>,
     /// Engine-specific structural counters (flushes, compactions,
     /// splits, segment rewrites, ...), as labelled values so reports can
     /// render any engine without knowing its internals.
@@ -419,16 +406,6 @@ pub trait PtsEngine: Send {
     /// Uniform statistics snapshot.
     fn stats(&self) -> EngineStats;
 
-    /// Application payload bytes written so far (for WA-A).
-    ///
-    /// The default delegates to [`PtsEngine::stats`]. Engines whose
-    /// `stats` locks the device (the per-cause traffic breakdown does)
-    /// must override this with a lock-free read: the runner samples it
-    /// while holding the device mutex, which is not reentrant.
-    fn app_bytes_written(&self) -> u64 {
-        self.stats().app_bytes_written
-    }
-
     /// The filesystem the engine runs on.
     fn vfs(&self) -> &Vfs;
 
@@ -438,20 +415,30 @@ pub trait PtsEngine: Send {
 
 // ----------------------------------------------------------- builtins
 
+/// A storage error of the built-in LSM as a [`PtsError`].
+pub(crate) fn lsm_error(e: StoreError) -> PtsError {
+    PtsError::store("lsm", e)
+}
+
+/// A storage error of the built-in B+Tree as a [`PtsError`].
+pub(crate) fn btree_error(e: StoreError) -> PtsError {
+    PtsError::store("btree", e)
+}
+
 /// The LSM engine (RocksDB stand-in) behind the uniform API.
 pub(crate) struct LsmEngine(pub LsmDb);
 
 impl PtsEngine for LsmEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
-        Ok(self.0.put(key, value)?)
+        self.0.put(key, value).map_err(lsm_error)
     }
 
     fn get_with(&mut self, key: &[u8], f: &mut dyn FnMut(Option<&[u8]>)) -> Result<(), PtsError> {
-        Ok(self.0.get_with(key, f)?)
+        self.0.get_with(key, f).map_err(lsm_error)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
-        Ok(self.0.delete(key)?)
+        self.0.delete(key).map_err(lsm_error)
     }
 
     // Native group commit: in maintenance mode the batch's WAL records
@@ -466,7 +453,7 @@ impl PtsEngine for LsmEngine {
                 BatchOp::Delete { key } => (key.as_slice(), None),
             })
             .collect();
-        Ok(self.0.apply_batch(&ops)?)
+        self.0.apply_batch(&ops).map_err(lsm_error)
     }
 
     fn scan(
@@ -479,7 +466,7 @@ impl PtsEngine for LsmEngine {
     }
 
     fn flush(&mut self) -> Result<(), PtsError> {
-        Ok(self.0.flush()?)
+        self.0.flush().map_err(lsm_error)
     }
 
     fn drain_io(&mut self) {
@@ -487,36 +474,25 @@ impl PtsEngine for LsmEngine {
     }
 
     fn run_maintenance_slice(&mut self) -> Result<bool, PtsError> {
-        Ok(self.0.run_maintenance_slice()?)
+        self.0.run_maintenance_slice().map_err(lsm_error)
     }
 
     fn drain_maintenance(&mut self) -> Result<(), PtsError> {
-        Ok(self.0.drain_maintenance()?)
+        self.0.drain_maintenance().map_err(lsm_error)
     }
 
     fn maint_stats(&self) -> Option<MaintStats> {
         self.0.maint_stats()
     }
 
-    // Lock-free override: `stats()` takes the device mutex for the
-    // per-cause breakdown, so callers already holding it (the runner's
-    // finish path) must be able to read this counter without it.
-    fn app_bytes_written(&self) -> u64 {
-        self.0.stats().app_bytes_written
-    }
-
     fn stats(&self) -> EngineStats {
         let s = self.0.stats();
-        let cache = self.0.cache_stats();
         EngineStats {
             puts: s.puts,
             gets: s.gets,
             deletes: s.deletes,
             app_bytes_written: s.app_bytes_written,
-            cache_hits: cache.map_or(0, |c| c.hits),
-            cache_misses: cache.map_or(0, |c| c.misses),
-            cache,
-            cause: self.0.vfs().ssd().lock().cause_stats(),
+            cache: self.0.cache_stats(),
             structural: vec![
                 ("flushes", s.flushes),
                 ("flush_bytes", s.flush_bytes),
@@ -552,15 +528,15 @@ pub(crate) struct BTreeEngine(pub BTreeDb);
 
 impl PtsEngine for BTreeEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), PtsError> {
-        Ok(self.0.put(key, value)?)
+        self.0.put(key, value).map_err(btree_error)
     }
 
     fn get_with(&mut self, key: &[u8], f: &mut dyn FnMut(Option<&[u8]>)) -> Result<(), PtsError> {
-        Ok(self.0.get_with(key, f)?)
+        self.0.get_with(key, f).map_err(btree_error)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
-        self.0.delete(key)?;
+        self.0.delete(key).map_err(btree_error)?;
         Ok(())
     }
 
@@ -573,43 +549,34 @@ impl PtsEngine for BTreeEngine {
         Ok(ScanCursor::new(
             self.0
                 .scan_iter(start, end, limit)
-                .map(|item| item.map_err(PtsError::from)),
+                .map(|item| item.map_err(btree_error)),
         ))
     }
 
     fn flush(&mut self) -> Result<(), PtsError> {
-        Ok(self.0.checkpoint()?)
+        self.0.checkpoint().map_err(btree_error)
     }
 
     fn run_maintenance_slice(&mut self) -> Result<bool, PtsError> {
-        Ok(self.0.run_maintenance_slice()?)
+        self.0.run_maintenance_slice().map_err(btree_error)
     }
 
     fn drain_maintenance(&mut self) -> Result<(), PtsError> {
-        Ok(self.0.drain_maintenance()?)
+        self.0.drain_maintenance().map_err(btree_error)
     }
 
     fn maint_stats(&self) -> Option<MaintStats> {
         self.0.maint_stats()
     }
 
-    // Lock-free override: see `LsmEngine::app_bytes_written`.
-    fn app_bytes_written(&self) -> u64 {
-        self.0.stats().app_bytes_written
-    }
-
     fn stats(&self) -> EngineStats {
         let s = self.0.stats();
-        let cache = self.0.pager_stats().cache;
         EngineStats {
             puts: s.puts,
             gets: s.gets,
             deletes: s.deletes,
             app_bytes_written: s.app_bytes_written,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache: Some(cache),
-            cause: self.0.vfs().ssd().lock().cause_stats(),
+            cache: Some(self.0.cache_stats()),
             structural: vec![
                 ("splits", s.splits),
                 ("merges", s.merges),
@@ -703,15 +670,41 @@ mod tests {
 
     #[test]
     fn out_of_space_maps_uniformly_and_chains_sources() {
-        let e: PtsError = LsmError::Vfs(ptsbench_vfs::VfsError::NoSpace {
-            requested_pages: 1,
-            available_pages: 0,
-        })
-        .into();
+        let e = PtsError::store(
+            "lsm",
+            StoreError::Vfs(ptsbench_vfs::VfsError::NoSpace {
+                requested_pages: 1,
+                available_pages: 0,
+            }),
+        );
         assert_eq!(e, PtsError::OutOfSpace);
-        let e: PtsError = BTreeError::Corruption("x".into()).into();
-        assert!(matches!(e, PtsError::Engine { .. }));
+        let e = PtsError::store("btree", StoreError::Corruption("x".into()));
+        assert!(matches!(
+            e,
+            PtsError::Engine {
+                engine: "btree",
+                ..
+            }
+        ));
         let source = std::error::Error::source(&e).expect("chained source");
         assert!(source.to_string().contains("corruption"));
+        // A device failure keeps its whole chain: engine, filesystem,
+        // device.
+        let e = PtsError::store(
+            "lsm",
+            StoreError::Vfs(ptsbench_vfs::VfsError::Device(SsdError::NoFreeBlocks)),
+        );
+        let mut chain = vec![e.to_string()];
+        let mut next = std::error::Error::source(&e);
+        while let Some(source) = next {
+            chain.push(source.to_string());
+            next = source.source();
+        }
+        assert_eq!(
+            chain.last(),
+            Some(&SsdError::NoFreeBlocks.to_string()),
+            "{chain:?}"
+        );
+        assert_eq!(chain.len(), 4, "{chain:?}");
     }
 }

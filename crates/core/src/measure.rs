@@ -213,7 +213,7 @@ impl Experiment {
         stack.shared.lock().reset_observability();
         stack.vfs.reset_peak_usage();
         let t0 = stack.clock.now();
-        let app_bytes_t0 = system.as_ref().map_or(0, |s| s.app_bytes_written());
+        let app_bytes_t0 = system.as_ref().map_or(0, |s| s.stats().app_bytes_written);
         let cpu_cost_sim = ((cfg.cpu_cost_ns.unwrap_or(cfg.engine.default_cpu_cost_ns()) as f64)
             * scale)
             .round() as Ns;
@@ -467,7 +467,7 @@ impl Experiment {
         let app_bytes_cum = self
             .system
             .as_ref()
-            .map_or(0, |s| s.app_bytes_written() - self.app_bytes_t0);
+            .map_or(0, |s| s.stats().app_bytes_written - self.app_bytes_t0);
         let fs = self.stack.vfs.stats();
         self.max_disk_used = self.max_disk_used.max(fs.peak_used_pages * page_size);
         self.samples.push(Sample {
@@ -572,10 +572,7 @@ impl Experiment {
         result.disk_used_bytes = self
             .max_disk_used
             .max(self.stack.vfs.stats().peak_used_pages * self.stack.page_size);
-        // Read the engine's counter before taking the device lock:
-        // `stats()`-based accessors may themselves lock the device (for
-        // the per-cause breakdown), and the mutex is not reentrant.
-        let app_bytes = system.app_bytes_written() - self.app_bytes_t0;
+        let app_bytes = system.stats().app_bytes_written - self.app_bytes_t0;
         {
             let dev = self.stack.shared.lock();
             result.cause = dev.cause_stats();

@@ -19,7 +19,7 @@ use ptsbench_lsm::{LsmDb, LsmOptions};
 pub use ptsbench_vfs::EngineTuning;
 use ptsbench_vfs::Vfs;
 
-use crate::engine::{BTreeEngine, LsmEngine, PtsEngine, PtsError};
+use crate::engine::{btree_error, lsm_error, BTreeEngine, LsmEngine, PtsEngine, PtsError};
 
 /// Whether a builder opens a fresh engine or rebuilds one from the
 /// files already on the filesystem.
@@ -188,7 +188,8 @@ fn build_lsm(
     let db = match lifecycle {
         Lifecycle::Open => LsmDb::open(vfs, opts),
         Lifecycle::Recover => LsmDb::recover(vfs, opts),
-    }?;
+    }
+    .map_err(lsm_error)?;
     Ok(Box::new(LsmEngine(db)))
 }
 
@@ -209,7 +210,8 @@ fn build_btree(
     let db = match lifecycle {
         Lifecycle::Open => BTreeDb::open(vfs, opts),
         Lifecycle::Recover => BTreeDb::recover(vfs, opts),
-    }?;
+    }
+    .map_err(btree_error)?;
     Ok(Box::new(BTreeEngine(db)))
 }
 

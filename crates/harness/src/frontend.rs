@@ -2423,9 +2423,6 @@ mod tests {
             fn stats(&self) -> EngineStats {
                 self.lsm.stats()
             }
-            fn app_bytes_written(&self) -> u64 {
-                self.lsm.app_bytes_written()
-            }
             fn vfs(&self) -> &Vfs {
                 self.lsm.vfs()
             }

@@ -13,12 +13,13 @@ use ptsbench_maint::{
     drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
 };
 use ptsbench_vfs::{
-    AsyncRead, Cause, FileAppender, FileId, FileSlice, IoQueue, SharedIoQueue, TraceHandle, Vfs,
+    AsyncRead, Cause, FileAppender, FileId, FileSlice, IoQueue, SharedIoQueue, StoreError,
+    TraceHandle, Vfs,
 };
 
 use crate::options::HashLogOptions;
 use crate::record::Record;
-use crate::{HashLogError, Result};
+use crate::{store_error, Result};
 
 /// Garbage collection starts when garbage across sealed segments
 /// exceeds this fraction of total log bytes.
@@ -237,7 +238,7 @@ impl HashLogDb {
             .collect();
         ids.sort_unstable();
         let Some(&newest) = ids.last() else {
-            return Err(HashLogError::Corruption(
+            return Err(StoreError::Corruption(
                 "no log segments to recover from".into(),
             ));
         };
@@ -612,7 +613,7 @@ impl HashLogDb {
         if let Some(span) = span {
             self.trace.end(span);
         }
-        data.ok_or_else(|| HashLogError::Corruption("bad compressed segment".into()))
+        data.ok_or_else(|| StoreError::Corruption("bad compressed segment".into()))
     }
 
     /// Reads the values a batch of index entries point at, in order,
@@ -1159,7 +1160,7 @@ pub(crate) struct HashLogEngine(pub HashLogDb);
 
 impl PtsEngine for HashLogEngine {
     fn put(&mut self, key: &[u8], value: &[u8]) -> std::result::Result<(), PtsError> {
-        Ok(self.0.put(key, value)?)
+        self.0.put(key, value).map_err(store_error)
     }
 
     fn get_with(
@@ -1167,15 +1168,15 @@ impl PtsEngine for HashLogEngine {
         key: &[u8],
         f: &mut dyn FnMut(Option<&[u8]>),
     ) -> std::result::Result<(), PtsError> {
-        Ok(self.0.get_with(key, f)?)
+        self.0.get_with(key, f).map_err(store_error)
     }
 
     fn delete(&mut self, key: &[u8]) -> std::result::Result<(), PtsError> {
-        Ok(self.0.delete(key)?)
+        self.0.delete(key).map_err(store_error)
     }
 
     fn apply_batch(&mut self, batch: &WriteBatch) -> std::result::Result<(), PtsError> {
-        Ok(self.0.apply_batch(batch)?)
+        self.0.apply_batch(batch).map_err(store_error)
     }
 
     fn scan(
@@ -1187,12 +1188,12 @@ impl PtsEngine for HashLogEngine {
         Ok(ScanCursor::new(
             self.0
                 .scan_iter(start, end, limit)
-                .map(|item| item.map_err(PtsError::from)),
+                .map(|item| item.map_err(store_error)),
         ))
     }
 
     fn flush(&mut self) -> std::result::Result<(), PtsError> {
-        Ok(self.0.flush()?)
+        self.0.flush().map_err(store_error)
     }
 
     fn drain_io(&mut self) {
@@ -1200,36 +1201,25 @@ impl PtsEngine for HashLogEngine {
     }
 
     fn run_maintenance_slice(&mut self) -> std::result::Result<bool, PtsError> {
-        Ok(self.0.run_maintenance_slice()?)
+        self.0.run_maintenance_slice().map_err(store_error)
     }
 
     fn drain_maintenance(&mut self) -> std::result::Result<(), PtsError> {
-        Ok(self.0.drain_maintenance()?)
+        self.0.drain_maintenance().map_err(store_error)
     }
 
     fn maint_stats(&self) -> Option<MaintStats> {
         self.0.maint_stats()
     }
 
-    // Lock-free override: `stats()` takes the device mutex for the
-    // per-cause breakdown, so callers already holding it (the runner's
-    // finish path) must be able to read this counter without it.
-    fn app_bytes_written(&self) -> u64 {
-        self.0.stats().app_bytes_written
-    }
-
     fn stats(&self) -> EngineStats {
         let s = self.0.stats();
-        let cache = self.0.cache_stats();
         EngineStats {
             puts: s.puts,
             gets: s.gets,
             deletes: s.deletes,
             app_bytes_written: s.app_bytes_written,
-            cache_hits: cache.map_or(0, |c| c.hits),
-            cache_misses: cache.map_or(0, |c| c.misses),
-            cache,
-            cause: self.0.vfs().ssd().lock().cause_stats(),
+            cache: self.0.cache_stats(),
             structural: vec![
                 ("segments", self.0.segment_count() as u64),
                 ("entries", self.0.len()),
@@ -1722,7 +1712,7 @@ mod tests {
                 result.err()
             });
             assert!(
-                matches!(error, Some(HashLogError::Corruption(_))),
+                matches!(error, Some(StoreError::Corruption(_))),
                 "{error:?}"
             );
             let active = model

@@ -35,6 +35,11 @@
 //! [`HashLogDb::recover`] replays every segment applying records in
 //! sequence order, so the newest version of each key wins regardless of
 //! GC-induced relocation.
+//!
+//! Errors: every fallible call returns [`ptsbench_vfs::StoreError`]
+//! (keys and values carry four-byte lengths, so no key is too long), and
+//! the engine's [`PtsEngine`] adapter maps it with `PtsError::store`, so
+//! running out of space is the uniform `PtsError::OutOfSpace`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,60 +57,18 @@ use ptsbench_core::registry::{
     EngineDescriptor, EngineKind, EngineRegistry, EngineTuning, Lifecycle,
 };
 use ptsbench_core::PtsEngine;
-use ptsbench_vfs::Vfs;
+use ptsbench_vfs::{StoreError, Vfs};
 
 /// Registry label of this engine.
 pub(crate) const LABEL: &str = "hashlog";
 
-/// Errors surfaced by the hash-log engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HashLogError {
-    /// Underlying filesystem/device error (`NoSpace` maps to the
-    /// uniform out-of-space condition).
-    Vfs(ptsbench_vfs::VfsError),
-    /// An on-disk record failed validation.
-    Corruption(String),
+/// Convenience result alias over the shared storage error.
+pub type Result<T> = std::result::Result<T, StoreError>;
+
+/// A storage error of this engine as a [`PtsError`].
+pub(crate) fn store_error(e: StoreError) -> PtsError {
+    PtsError::store(LABEL, e)
 }
-
-impl From<ptsbench_vfs::VfsError> for HashLogError {
-    fn from(e: ptsbench_vfs::VfsError) -> Self {
-        HashLogError::Vfs(e)
-    }
-}
-
-impl HashLogError {
-    /// Whether this is the out-of-space condition.
-    pub fn is_out_of_space(&self) -> bool {
-        matches!(
-            self,
-            HashLogError::Vfs(ptsbench_vfs::VfsError::NoSpace { .. })
-        )
-    }
-}
-
-impl std::fmt::Display for HashLogError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HashLogError::Vfs(e) => write!(f, "filesystem error: {e}"),
-            HashLogError::Corruption(msg) => write!(f, "corruption: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for HashLogError {}
-
-impl From<HashLogError> for PtsError {
-    fn from(e: HashLogError) -> Self {
-        if e.is_out_of_space() {
-            PtsError::OutOfSpace
-        } else {
-            PtsError::engine(LABEL, e)
-        }
-    }
-}
-
-/// Convenience result alias.
-pub type Result<T> = std::result::Result<T, HashLogError>;
 
 /// Registers the hash-log engine with the global engine registry and
 /// returns its handle. Idempotent; call it once before resolving the
@@ -131,7 +94,8 @@ fn build_hashlog(
     let db = match lifecycle {
         Lifecycle::Open => HashLogDb::open(vfs, opts),
         Lifecycle::Recover => HashLogDb::recover(vfs, opts),
-    }?;
+    }
+    .map_err(store_error)?;
     Ok(Box::new(HashLogEngine(db)))
 }
 

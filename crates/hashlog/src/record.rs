@@ -12,7 +12,9 @@
 //! records in `seq` order, so the newest version of a key wins no
 //! matter which segment it physically lives in.
 
-use crate::{HashLogError, Result};
+use ptsbench_vfs::StoreError;
+
+use crate::Result;
 
 /// Byte length of the fixed record header.
 pub(crate) const HEADER_BYTES: usize = 8 + 1 + 4 + 4;
@@ -63,7 +65,7 @@ impl Record {
     pub(crate) fn decode(buf: &[u8], offset: usize) -> Result<(Record, usize)> {
         let header_end = offset + HEADER_BYTES;
         if header_end > buf.len() {
-            return Err(HashLogError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "truncated record header at offset {offset}"
             )));
         }
@@ -75,13 +77,13 @@ impl Record {
             u32::from_le_bytes(buf[offset + 13..offset + 17].try_into().expect("4 bytes"));
         let tombstone = flags & FLAG_TOMBSTONE != 0;
         if tombstone && value_len != 0 {
-            return Err(HashLogError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "tombstone with value at offset {offset}"
             )));
         }
         let end = header_end + key_len + value_len as usize;
         if end > buf.len() {
-            return Err(HashLogError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "truncated record body at offset {offset}"
             )));
         }

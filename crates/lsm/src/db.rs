@@ -7,7 +7,7 @@ use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{
     drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
 };
-use ptsbench_vfs::{Cause, LogRecord, RecordLog, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{Cause, LogRecord, RecordLog, SharedIoQueue, StoreError, TraceHandle, Vfs};
 
 use crate::background::{CompactJob, FlushJob};
 use crate::compaction::{effective_targets, pick, CompactionTask};
@@ -18,7 +18,7 @@ use crate::options::LsmOptions;
 use crate::sstable::reader::WindowScan;
 use crate::sstable::{BloomCounters, ChainedSstScan, SstableBuilder, SstableMeta, SstableReader};
 use crate::version::{TableHandle, Version};
-use crate::{LsmError, Result};
+use crate::Result;
 
 /// Cumulative engine statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -164,7 +164,7 @@ impl LsmDb {
     pub fn recover(vfs: Vfs, opts: LsmOptions) -> Result<Self> {
         opts.validate();
         if !Manifest::exists(&vfs) {
-            return Err(LsmError::Corruption("no MANIFEST to recover from".into()));
+            return Err(StoreError::Corruption("no MANIFEST to recover from".into()));
         }
         let (tables, next_file) = Manifest::replay(&vfs)?;
         let queue = io_queue_for(&vfs, &opts);
@@ -174,7 +174,7 @@ impl LsmDb {
         let mut version = Version::new(opts.max_levels);
         for (level, name) in tables {
             if level >= opts.max_levels {
-                return Err(LsmError::Corruption(format!(
+                return Err(StoreError::Corruption(format!(
                     "manifest places {name} at level {level}, beyond max {}",
                     opts.max_levels
                 )));
@@ -187,10 +187,10 @@ impl LsmDb {
                 .with_trace(trace.clone());
             let min_key = reader
                 .first_key()
-                .ok_or_else(|| LsmError::Corruption(format!("{name}: empty table")))?;
+                .ok_or_else(|| StoreError::Corruption(format!("{name}: empty table")))?;
             let max_key = reader
                 .last_key()?
-                .ok_or_else(|| LsmError::Corruption(format!("{name}: empty table")))?;
+                .ok_or_else(|| StoreError::Corruption(format!("{name}: empty table")))?;
             let meta = crate::sstable::SstableMeta {
                 name: name.clone(),
                 min_key,
@@ -296,8 +296,10 @@ impl LsmDb {
         }
     }
 
-    /// Inserts or overwrites a key.
+    /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes
+    /// (an SSTable entry records a key's length in two bytes).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        StoreError::check_key(key)?;
         self.stats.puts += 1;
         self.stats.app_bytes_written += (key.len() + value.len()) as u64;
         // Scoped so the flush that may follow is not WAL traffic.
@@ -305,9 +307,6 @@ impl LsmDb {
             let _c = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("lsm.wal", Cause::Wal);
             self.wal.log_put(key, value)?;
-            if self.opts.wal_fsync {
-                self.wal.sync(true)?;
-            }
             self.trace.end(span);
         }
         self.memtable.put(key, value);
@@ -316,6 +315,7 @@ impl LsmDb {
 
     /// Deletes a key (writes a tombstone).
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
+        StoreError::check_key(key)?;
         self.stats.deletes += 1;
         self.stats.app_bytes_written += key.len() as u64;
         // Scoped so the flush that may follow is not WAL traffic.
@@ -323,9 +323,6 @@ impl LsmDb {
             let _c = self.trace.cause(Cause::Wal);
             let span = self.trace.begin("lsm.wal", Cause::Wal);
             self.wal.log_delete(key)?;
-            if self.opts.wal_fsync {
-                self.wal.sync(true)?;
-            }
             self.trace.end(span);
         }
         self.memtable.delete(key);
@@ -338,8 +335,13 @@ impl LsmDb {
     /// buffer first, then written as one batched submission whose page
     /// appends overlap at queue depth and share at most one fsync —
     /// instead of paying a serial page drain per record. Inline mode
-    /// applies the ops one by one, byte-identical to the seed.
+    /// applies the ops one by one, byte-identical to the seed. A key
+    /// `put` would refuse fails the whole batch before anything is
+    /// applied.
     pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
+        for &(key, _) in ops {
+            StoreError::check_key(key)?;
+        }
         if self.sched.is_none() {
             for &(key, value) in ops {
                 match value {
@@ -359,8 +361,7 @@ impl LsmDb {
                     None => self.wal.log_delete_buffered(key),
                 }
             }
-            self.wal
-                .sync_batched(self.queue.as_ref(), self.opts.wal_fsync)?;
+            self.wal.sync_batched(self.queue.as_ref(), false)?;
             self.trace.end(span);
         }
         for &(key, value) in ops {
@@ -1351,6 +1352,33 @@ mod tests {
         assert_eq!(db.get(b"k").expect("get"), None, "memtable tombstone");
         db.flush().expect("flush");
         assert_eq!(db.get(b"k").expect("get"), None, "flushed tombstone");
+    }
+
+    #[test]
+    fn overlong_keys_are_refused_before_the_wal() {
+        // An SSTable entry records a key's length in two bytes: a
+        // longer key would be cut short at flush and lost.
+        let long = vec![b'k'; usize::from(u16::MAX) + 1];
+        let longest = &long[1..];
+        let refused = Err(StoreError::InvalidInput(
+            "key of 65536 bytes exceeds 65535 bytes".into(),
+        ));
+        for opts in [LsmOptions::small(), maint_opts()] {
+            let mut db = db_on_opts(32 << 20, opts);
+            db.put(b"a", b"1").expect("put");
+            let (stats, fs) = (db.stats(), db.vfs().stats());
+            assert_eq!(db.put(&long, b"v"), refused);
+            assert_eq!(db.delete(&long), refused);
+            // One bad key refuses the whole batch, the ops before it too.
+            let batch: [(&[u8], Option<&[u8]>); 2] = [(b"b", Some(b"2")), (&long, None)];
+            assert_eq!(db.apply_batch(&batch), refused);
+            assert_eq!(db.stats(), stats);
+            assert_eq!(db.vfs().stats(), fs);
+            db.put(longest, b"longest").expect("put");
+            db.flush().expect("flush");
+            assert_eq!(db.get(b"b").expect("get"), None);
+            assert_eq!(db.get(longest).expect("get"), Some(b"longest".to_vec()));
+        }
     }
 
     #[test]

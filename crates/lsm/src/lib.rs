@@ -17,6 +17,11 @@
 //! amplification from multi-level residency, out-of-space on large
 //! datasets).
 //!
+//! Every fallible call returns [`ptsbench_vfs::StoreError`]. A key
+//! longer than `u16::MAX` bytes (an SSTable entry records a key's length
+//! in two bytes) is refused as `InvalidInput` by `put`, `delete` and
+//! `apply_batch` before any WAL byte is written.
+//!
 //! ```
 //! use ptsbench_lsm::{LsmDb, LsmOptions};
 //! use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
@@ -46,48 +51,5 @@ mod version;
 pub use db::{DbStats, LsmDb, RangeScan};
 pub use options::LsmOptions;
 
-/// Errors surfaced by the LSM engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LsmError {
-    /// Underlying filesystem/device error (`NoSpace` is the one the
-    /// paper's large-dataset runs hit).
-    Vfs(ptsbench_vfs::VfsError),
-    /// On-disk data failed validation.
-    Corruption(String),
-}
-
-impl From<ptsbench_vfs::VfsError> for LsmError {
-    fn from(e: ptsbench_vfs::VfsError) -> Self {
-        LsmError::Vfs(e)
-    }
-}
-
-impl From<ptsbench_vfs::LogError> for LsmError {
-    fn from(e: ptsbench_vfs::LogError) -> Self {
-        match e {
-            ptsbench_vfs::LogError::Vfs(e) => LsmError::Vfs(e),
-            ptsbench_vfs::LogError::Corruption(what) => LsmError::Corruption(what),
-        }
-    }
-}
-
-impl LsmError {
-    /// Whether this is the out-of-space condition.
-    pub fn is_out_of_space(&self) -> bool {
-        matches!(self, LsmError::Vfs(ptsbench_vfs::VfsError::NoSpace { .. }))
-    }
-}
-
-impl std::fmt::Display for LsmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LsmError::Vfs(e) => write!(f, "filesystem error: {e}"),
-            LsmError::Corruption(msg) => write!(f, "corruption: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for LsmError {}
-
-/// Convenience result alias.
-pub type Result<T> = std::result::Result<T, LsmError>;
+/// Convenience result alias over the shared storage error.
+pub type Result<T> = std::result::Result<T, ptsbench_vfs::StoreError>;

@@ -9,9 +9,9 @@
 
 use std::collections::HashMap;
 
-use ptsbench_vfs::{FileId, Vfs};
+use ptsbench_vfs::{FileId, StoreError, Vfs};
 
-use crate::{LsmError, Result};
+use crate::Result;
 
 /// Name of the manifest file within the database's filesystem.
 pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
@@ -82,7 +82,7 @@ impl Manifest {
         let size = vfs.size(file)? as usize;
         let raw = vfs.read_shared(file, 0, size)?;
         let text = std::str::from_utf8(&raw)
-            .map_err(|_| LsmError::Corruption("manifest is not UTF-8".into()))?;
+            .map_err(|_| StoreError::Corruption("manifest is not UTF-8".into()))?;
 
         let mut live: Vec<(usize, String)> = Vec::new();
         let mut seen: HashMap<String, usize> = HashMap::new(); // name -> index in live
@@ -92,7 +92,7 @@ impl Manifest {
                 continue;
             }
             let corrupt =
-                || LsmError::Corruption(format!("manifest line {}: {line:?}", lineno + 1));
+                || StoreError::Corruption(format!("manifest line {}: {line:?}", lineno + 1));
             let mut parts = line.split(' ');
             match parts.next() {
                 Some("add") => {
@@ -204,6 +204,9 @@ mod tests {
         let v = vfs();
         let f = v.create(MANIFEST_NAME).expect("create");
         v.write_at(f, 0, b"nonsense line\n").expect("write");
-        assert!(matches!(Manifest::replay(&v), Err(LsmError::Corruption(_))));
+        assert!(matches!(
+            Manifest::replay(&v),
+            Err(StoreError::Corruption(_))
+        ));
     }
 }

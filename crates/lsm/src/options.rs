@@ -27,9 +27,6 @@ pub struct LsmOptions {
     pub sstable_target_bytes: u64,
     /// Data block size in bytes.
     pub block_bytes: usize,
-    /// Whether each commit fsyncs the WAL (RocksDB's default is no —
-    /// the OS/device cache is trusted between syncs).
-    pub wal_fsync: bool,
     /// Recycle the WAL file in place on rotation (RocksDB's
     /// `recycle_log_file_num` option; our default). Disabling it deletes
     /// the old log and creates a fresh file on every rotation, spreading
@@ -53,7 +50,6 @@ impl Default for LsmOptions {
             max_levels: 6,
             sstable_target_bytes: 4 << 20,
             block_bytes: 4096,
-            wal_fsync: false,
             recycle_wal: true,
             tuning: EngineTuning::for_device(0),
         }

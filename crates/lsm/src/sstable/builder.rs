@@ -17,13 +17,13 @@
 //! ([`SstableBuilder::add_reusing`]), which is then copied.
 
 use ptsbench_cache::{Compression, EncodeScratch};
-use ptsbench_vfs::{FileAppender, FileId, FileSlice, Vfs};
+use ptsbench_vfs::{FileAppender, FileId, FileSlice, StoreError, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::sstable::format::{
     encode_entry, encode_index_entry, entry_ranges, Footer, SstableMeta, FOOTER_LEN,
 };
-use crate::{LsmError, Result};
+use crate::Result;
 
 /// Written bytes are committed once this many whole pages have gathered.
 const APPEND_BYTES: usize = 256 << 10;
@@ -295,7 +295,7 @@ impl SstableBuilder {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
             self.vfs.delete(&self.name)?;
-            return Err(LsmError::Corruption(
+            return Err(StoreError::Corruption(
                 "refusing to write empty SSTable".into(),
             ));
         }

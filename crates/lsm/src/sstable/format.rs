@@ -2,9 +2,7 @@
 
 use std::ops::Range;
 
-use ptsbench_vfs::FileSlice;
-
-use crate::LsmError;
+use ptsbench_vfs::{FileSlice, StoreError};
 
 /// Value tag marking a tombstone (no value bytes follow).
 pub(crate) const TOMBSTONE_TAG: u32 = u32::MAX;
@@ -82,8 +80,8 @@ impl BlockIndex {
     }
 
     /// Decodes an index block: `u32` entry count, then the entries.
-    pub(crate) fn decode(block: FileSlice) -> Result<Self, LsmError> {
-        let corrupt = || LsmError::Corruption("truncated index".into());
+    pub(crate) fn decode(block: FileSlice) -> Result<Self, StoreError> {
+        let corrupt = || StoreError::Corruption("truncated index".into());
         let buf = &block[..];
         if buf.len() < 4 || buf.len() > u32::MAX as usize {
             return Err(corrupt());
@@ -133,7 +131,8 @@ pub(crate) fn encode_index_entry(
     out.extend_from_slice(&entries.to_le_bytes());
 }
 
-/// Appends an entry encoding to `out`.
+/// Appends an entry encoding to `out`. The key is at most `u16::MAX`
+/// bytes: `LsmDb` refuses a longer one before it reaches the WAL.
 pub fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
     debug_assert!(key.len() <= u16::MAX as usize, "key too long");
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -159,12 +158,12 @@ pub(crate) type DecodedEntry<'a> = (&'a [u8], Option<&'a [u8]>, usize);
 pub(crate) type EntryRanges = (Range<usize>, Option<Range<usize>>, usize);
 
 /// Locates the entry at `buf[pos..]` without touching its bytes.
-pub(crate) fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmError> {
+pub(crate) fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, StoreError> {
     let need = |ok: bool| {
         if ok {
             Ok(())
         } else {
-            Err(LsmError::Corruption("truncated entry".into()))
+            Err(StoreError::Corruption("truncated entry".into()))
         }
     };
     need(pos + ENTRY_HEADER_LEN <= buf.len())?;
@@ -182,7 +181,7 @@ pub(crate) fn entry_ranges(buf: &[u8], pos: usize) -> Result<EntryRanges, LsmErr
 }
 
 /// Decodes the entry at `buf[pos..]`; returns `(key, value, next_pos)`.
-pub(crate) fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, LsmError> {
+pub(crate) fn decode_entry(buf: &[u8], pos: usize) -> Result<DecodedEntry<'_>, StoreError> {
     let (key, value, next) = entry_ranges(buf, pos)?;
     Ok((&buf[key], value.map(|v| &buf[v]), next))
 }
@@ -217,12 +216,15 @@ impl Footer {
     }
 
     /// Decodes and validates a footer.
-    pub(crate) fn decode(buf: &[u8]) -> Result<Self, LsmError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() != FOOTER_LEN {
-            return Err(LsmError::Corruption(format!("footer length {}", buf.len())));
+            return Err(StoreError::Corruption(format!(
+                "footer length {}",
+                buf.len()
+            )));
         }
         if &buf[FOOTER_LEN - 4..] != MAGIC {
-            return Err(LsmError::Corruption("bad magic".into()));
+            return Err(StoreError::Corruption("bad magic".into()));
         }
         Ok(Self {
             index_off: u64::from_le_bytes(buf[0..8].try_into().expect("8")),

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ptsbench_cache::{file_tag, Compression, SharedBlockCache};
-use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, TraceHandle, Vfs};
+use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, StoreError, TraceHandle, Vfs};
 
 use crate::bloom::BloomFilter;
 use crate::iter::{Lent, Source};
@@ -25,7 +25,7 @@ use crate::sstable::format::{
     decode_entry, entry_ranges, BlockIndex, EntryRanges, Footer, IndexEntry, ENTRY_HEADER_LEN,
     FOOTER_LEN,
 };
-use crate::{LsmError, Result};
+use crate::Result;
 
 /// Shared bloom-filter traffic counters.
 ///
@@ -127,7 +127,7 @@ impl SstableReader {
         };
         let file_bytes = vfs.size(file)?;
         if (file_bytes as usize) < FOOTER_LEN {
-            return Err(LsmError::Corruption(format!(
+            return Err(StoreError::Corruption(format!(
                 "{name}: too small ({file_bytes} bytes)"
             )));
         }
@@ -138,7 +138,7 @@ impl SstableReader {
             let bloom_buf = read(footer.bloom_off, footer.bloom_len as usize)?;
             Some(
                 BloomFilter::decode(&bloom_buf)
-                    .ok_or_else(|| LsmError::Corruption(format!("{name}: bad bloom")))?,
+                    .ok_or_else(|| StoreError::Corruption(format!("{name}: bad bloom")))?,
             )
         } else {
             None
@@ -216,8 +216,9 @@ impl SstableReader {
         let raw = self
             .vfs
             .read_shared(self.file, block.offset, block.len as usize)?;
-        let data = decode_window(self, raw, true)
-            .ok_or_else(|| LsmError::Corruption(format!("{}: bad compressed block", self.name)))?;
+        let data = decode_window(self, raw, true).ok_or_else(|| {
+            StoreError::Corruption(format!("{}: bad compressed block", self.name))
+        })?;
         if let Some(cache) = &self.cache {
             // The cache owns its bytes: a block that stayed a range of
             // the table would keep a deleted table's contents alive.
@@ -235,8 +236,8 @@ impl SstableReader {
         }
     }
 
-    /// Point lookup, copied out: [`SstableReader::get_shared`] with the
-    /// value's bytes in a `Vec` of their own.
+    /// Point lookup, copied out: `get_shared` with the value's bytes in
+    /// a `Vec` of their own.
     pub fn get(&self, key: &[u8]) -> Result<Option<Option<Vec<u8>>>> {
         Ok(self.get_shared(key)?.map(|v| v.map(|v| v.to_vec())))
     }
@@ -245,7 +246,7 @@ impl SstableReader {
     /// tombstone; `Some(Some(v))` = live value, a range of the data
     /// block the lookup loaded: the cache's copy, the table's own bytes,
     /// or the block decoded from them.
-    pub fn get_shared(&self, key: &[u8]) -> Result<Option<Option<FileSlice>>> {
+    pub(crate) fn get_shared(&self, key: &[u8]) -> Result<Option<Option<FileSlice>>> {
         let mut bloom_passed = false;
         if let Some(bloom) = &self.bloom {
             Self::count(self.blooms.as_deref().map(|b| &b.probes));
@@ -1032,7 +1033,7 @@ mod tests {
         v.write_at(f, 0, &[0u8; 100]).expect("write");
         assert!(matches!(
             SstableReader::open(v, "sst-bad", true, None),
-            Err(LsmError::Corruption(_))
+            Err(StoreError::Corruption(_))
         ));
     }
 }

@@ -6,9 +6,9 @@ use std::collections::BTreeMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use ptsbench_lsm::{LsmDb, LsmError, LsmOptions};
+use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
+use ptsbench_vfs::{EngineTuning, StoreError, Vfs, VfsOptions};
 
 fn vfs() -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -118,7 +118,7 @@ fn recovery_without_manifest_fails_cleanly() {
     let v = vfs();
     assert!(matches!(
         LsmDb::recover(v, LsmOptions::small()),
-        Err(LsmError::Corruption(_))
+        Err(StoreError::Corruption(_))
     ));
 }
 

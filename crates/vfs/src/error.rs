@@ -1,4 +1,5 @@
-//! Filesystem error type.
+//! The filesystem's error type and the storage error every engine on
+//! it returns.
 
 use ptsbench_ssd::SsdError;
 
@@ -64,6 +65,65 @@ impl From<SsdError> for VfsError {
     }
 }
 
+/// Errors returned by the record log and by every engine built on the
+/// [`crate::Vfs`]: the LSM, the B+Tree and the hash log.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoreError {
+    /// The filesystem or device refused an operation (`NoSpace` is the
+    /// one the paper's large-dataset runs hit).
+    Vfs(VfsError),
+    /// Stored data failed validation.
+    Corruption(String),
+    /// The engine cannot store this input, e.g. a key too long for its
+    /// format; nothing was written.
+    InvalidInput(String),
+}
+
+impl StoreError {
+    /// Whether this is the out-of-space condition.
+    pub fn is_out_of_space(&self) -> bool {
+        matches!(self, StoreError::Vfs(VfsError::NoSpace { .. }))
+    }
+
+    /// Refuses a key longer than `u16::MAX` bytes, the most a tree page
+    /// or an SSTable entry records a key's length in.
+    pub fn check_key(key: &[u8]) -> Result<(), StoreError> {
+        if key.len() > usize::from(u16::MAX) {
+            return Err(StoreError::InvalidInput(format!(
+                "key of {} bytes exceeds {} bytes",
+                key.len(),
+                u16::MAX
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Vfs(e) => write!(f, "filesystem error: {e}"),
+            StoreError::Corruption(msg) => write!(f, "corruption: {msg}"),
+            StoreError::InvalidInput(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            StoreError::Vfs(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<VfsError> for StoreError {
+    fn from(e: VfsError) -> Self {
+        StoreError::Vfs(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,5 +145,30 @@ mod tests {
         assert!(e.to_string().contains("device error"));
         let source = std::error::Error::source(&e).expect("chained source");
         assert!(source.to_string().contains("free physical blocks"));
+    }
+
+    #[test]
+    fn store_errors_keep_their_messages() {
+        let full = StoreError::from(VfsError::NoSpace {
+            requested_pages: 2,
+            available_pages: 1,
+        });
+        assert!(full.is_out_of_space());
+        assert_eq!(
+            full.to_string(),
+            "filesystem error: no space left on device (requested 2 pages, 1 free)"
+        );
+        assert!(!StoreError::Vfs(VfsError::Device(SsdError::NoFreeBlocks)).is_out_of_space());
+        assert_eq!(
+            StoreError::Corruption("x".into()).to_string(),
+            "corruption: x"
+        );
+        assert_eq!(
+            StoreError::check_key(&[0; 70_000]),
+            Err(StoreError::InvalidInput(
+                "key of 70000 bytes exceeds 65535 bytes".into()
+            ))
+        );
+        assert_eq!(StoreError::check_key(&[0; 65_535]), Ok(()));
     }
 }

@@ -21,6 +21,11 @@
 //!   (`wal-<n>`, `journal-0`): page-buffered put/delete records,
 //!   recycling or churning rotation, replay of every log in sequence
 //!   order.
+//! * **One storage error** ([`StoreError`]) — what the record log and
+//!   every engine on the filesystem return: a [`VfsError`] (whose
+//!   `NoSpace` is the paper's out-of-space outcome), corruption, or an
+//!   input the engine cannot store. Its source chain runs on to the
+//!   [`VfsError`] and the device's error.
 //! * **Engine tuning** ([`EngineTuning`]) — the per-run knobs (queue
 //!   depth, cache budget, compression level, tracing, maintenance)
 //!   every engine embeds in its options.
@@ -45,10 +50,10 @@ mod trace;
 mod tuning;
 
 pub use alloc::{Extent, ExtentAllocator};
-pub use error::VfsError;
+pub use error::{StoreError, VfsError};
 pub use file::FileId;
 pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};
-pub use log::{LogError, LogRecord, RecordLog};
+pub use log::{LogRecord, RecordLog};
 pub use slice::FileSlice;
 pub use trace::{CauseScope, TraceHandle};
 pub use tuning::EngineTuning;

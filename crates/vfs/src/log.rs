@@ -17,7 +17,7 @@
 //! ([`RecordLog::rotate_deferred`]) leaves the frozen records in the
 //! older file until their flush installs.
 
-use crate::{FileId, SharedIoQueue, Vfs, VfsError};
+use crate::{FileId, SharedIoQueue, StoreError, Vfs};
 
 /// Record tag for a put.
 const TAG_PUT: u8 = 1;
@@ -33,21 +33,6 @@ pub enum LogRecord {
     Put(Vec<u8>, Vec<u8>),
     /// A logged deletion.
     Delete(Vec<u8>),
-}
-
-/// Why a replay failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogError {
-    /// The filesystem or device refused a read.
-    Vfs(VfsError),
-    /// A log file does not parse as records and padding.
-    Corruption(String),
-}
-
-impl From<VfsError> for LogError {
-    fn from(e: VfsError) -> Self {
-        LogError::Vfs(e)
-    }
 }
 
 /// An append-only log of put/delete records in `<prefix>-<n>` files.
@@ -239,7 +224,7 @@ impl RecordLog {
     /// Replays every record persisted in the `<prefix>-<n>` files, oldest
     /// file first, skipping sync padding. Buffered-but-unsynced records
     /// are, by definition, lost in a crash and do not appear here.
-    pub fn replay(vfs: &Vfs, prefix: &str) -> Result<Vec<LogRecord>, LogError> {
+    pub fn replay(vfs: &Vfs, prefix: &str) -> Result<Vec<LogRecord>, StoreError> {
         let page = vfs.page_size() as usize;
         let mut out = Vec::new();
         for (_, name) in Self::files(vfs, prefix) {
@@ -247,7 +232,7 @@ impl RecordLog {
             let size = vfs.size(file)? as usize;
             let buf = vfs.read_shared(file, 0, size)?;
             parse(&buf, page, &mut out)
-                .map_err(|what| LogError::Corruption(format!("{name}: {what}")))?;
+                .map_err(|what| StoreError::Corruption(format!("{name}: {what}")))?;
         }
         Ok(out)
     }
@@ -289,7 +274,7 @@ fn parse(buf: &[u8], page: usize, out: &mut Vec<LogRecord>) -> Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VfsOptions;
+    use crate::{VfsError, VfsOptions};
     use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
 
     fn vfs() -> Vfs {
@@ -457,13 +442,16 @@ mod tests {
         // One page is on disk; the record's tail is still buffered.
         let torn = RecordLog::replay(&v, "wal").expect_err("torn record");
         assert!(
-            matches!(&torn, LogError::Corruption(what) if what.starts_with("wal-0: truncated")),
+            matches!(&torn, StoreError::Corruption(what) if what.starts_with("wal-0: truncated")),
             "{torn:?}"
         );
         let stray = v.create("wal-7").expect("create");
         v.append(stray, &[9u8; 16]).expect("append");
         w.sync(false).expect("sync");
         let bad = RecordLog::replay(&v, "wal").expect_err("bad tag");
-        assert_eq!(bad, LogError::Corruption("wal-7: bad record tag 9".into()));
+        assert_eq!(
+            bad,
+            StoreError::Corruption("wal-7: bad record tag 9".into())
+        );
     }
 }

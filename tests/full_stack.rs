@@ -74,7 +74,7 @@ fn engines_agree_with_model_on_shared_stack() {
         let smart = ssd.lock().smart();
         assert!(smart.nand_pages_written >= smart.host_pages_written);
         assert!(smart.host_pages_written > 0);
-        assert!(sys.app_bytes_written() > 0);
+        assert!(sys.stats().app_bytes_written > 0);
         let live_bytes: u64 = model.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
         assert!(
             vfs.stats().used_bytes >= live_bytes,
