@@ -127,32 +127,44 @@ fn tree_file_bytes_match_the_per_entry_leaf() {
         db.checkpoint().expect("checkpoint");
         tree_file_fnv(&db)
     };
+    let got = [
+        file_after(MaintConfig::default()),
+        file_after(MaintConfig::enabled()),
+    ];
     assert_eq!(
-        [
-            file_after(MaintConfig::default()),
-            file_after(MaintConfig::enabled())
-        ],
+        got,
         [TREE_FILE_INLINE, TREE_FILE_BACKGROUND],
         "tree file bytes moved"
+    );
+    ptsbench_testkit::assert_golden(
+        "parity/btree/pager_parity/TREE_FILE_INLINE.txt",
+        &format!("{:016x}", got[0]),
+    );
+    ptsbench_testkit::assert_golden(
+        "parity/btree/pager_parity/TREE_FILE_BACKGROUND.txt",
+        &format!("{:016x}", got[1]),
     );
 }
 
 #[test]
 fn inline_counters_match_the_cloning_pager() {
+    let actual = run_mix(MaintConfig::default(), false);
     assert_eq!(
-        run_mix(MaintConfig::default(), false),
+        actual,
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8518, allocations: 578, checkpoints: 9 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
          merges: 472, checkpoints: 9 } maint=None height=2 live=1177 scanned=28755 hpw=9740 hpr=19947 \
          npw=9740 clock=13274542447292"
     );
+    ptsbench_testkit::assert_golden("parity/btree/pager_parity/INLINE.txt", &actual);
 }
 
 #[test]
 fn background_counters_match_the_cloning_pager() {
+    let actual = run_mix(MaintConfig::enabled(), false);
     assert_eq!(
-        run_mix(MaintConfig::enabled(), false),
+        actual,
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
@@ -161,24 +173,28 @@ fn background_counters_match_the_cloning_pager() {
          used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10173 hpr=19947 npw=10173 \
          clock=13227412447292"
     );
+    ptsbench_testkit::assert_golden("parity/btree/pager_parity/BACKGROUND.txt", &actual);
 }
 
 #[test]
 fn inline_counters_with_explicit_checkpoints_match_the_two_path_engine() {
+    let actual = run_mix(MaintConfig::default(), true);
     assert_eq!(
-        run_mix(MaintConfig::default(), true),
+        actual,
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8517, allocations: 578, checkpoints: 12 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
          merges: 472, checkpoints: 12 } maint=None height=2 live=1177 scanned=28755 hpw=9743 hpr=19947 \
          npw=9743 clock=13275022447292"
     );
+    ptsbench_testkit::assert_golden("parity/btree/pager_parity/INLINE_EXPLICIT.txt", &actual);
 }
 
 #[test]
 fn background_counters_with_explicit_checkpoints_match_the_two_path_engine() {
+    let actual = run_mix(MaintConfig::enabled(), true);
     assert_eq!(
-        run_mix(MaintConfig::enabled(), true),
+        actual,
         "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
          evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
          BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
@@ -187,4 +203,5 @@ fn background_counters_with_explicit_checkpoints_match_the_two_path_engine() {
          used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10170 hpr=19947 npw=10170 \
          clock=13236212447292"
     );
+    ptsbench_testkit::assert_golden("parity/btree/pager_parity/BACKGROUND_EXPLICIT.txt", &actual);
 }

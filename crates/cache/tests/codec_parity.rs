@@ -277,4 +277,5 @@ fn every_container_matches_the_recorded_bytes() {
         actual == RECORDED,
         "the codec's output drifted from the recorded constants; it now renders:\n{actual}"
     );
+    ptsbench_testkit::assert_golden("parity/cache/codec_parity/RECORDED.txt", &actual);
 }

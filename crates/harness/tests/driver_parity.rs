@@ -49,7 +49,7 @@ impl Fnv {
 
 /// Folds the rendered report and every shard's `RunResult` print into
 /// one sum and checks it; returns the report.
-fn assert_outcome(name: &str, outcome: &HarnessOutcome, want: u64) -> String {
+fn assert_outcome(name: &str, outcome: &HarnessOutcome, want: u64, golden: &str) -> String {
     let report = outcome.report.render();
     let mut sum = Fnv::new();
     sum.feed(report.as_bytes());
@@ -61,17 +61,21 @@ fn assert_outcome(name: &str, outcome: &HarnessOutcome, want: u64) -> String {
         got, want,
         "{name}: the run now sums to {got:#018x}; it renders\n{report}"
     );
+    ptsbench_testkit::assert_golden(
+        &format!("parity/harness/driver_parity/{golden}.txt"),
+        &format!("{got:016x}"),
+    );
     report
 }
 
-fn assert_sum(name: &str, cfg: &FrontendRun, want: u64) -> String {
+fn assert_sum(name: &str, cfg: &FrontendRun, want: u64, golden: &str) -> String {
     let outcome = run_frontend_with_results(cfg).expect("frontend run");
-    assert_outcome(name, &outcome, want)
+    assert_outcome(name, &outcome, want, golden)
 }
 
-fn assert_sharded_sum(name: &str, cfg: &ShardedRun, want: u64) -> String {
+fn assert_sharded_sum(name: &str, cfg: &ShardedRun, want: u64, golden: &str) -> String {
     let outcome = run_sharded_with_results(cfg).expect("sharded run");
-    assert_outcome(name, &outcome, want)
+    assert_outcome(name, &outcome, want, golden)
 }
 
 fn tenant(class: ReqClass, clients: usize, arrival: ArrivalSpec) -> TenantSpec {
@@ -118,13 +122,18 @@ const TIED_WFQ: u64 = 0x2b83_2127_f3fa_cf03;
 
 #[test]
 fn open_loops_tied_with_closed_loops_under_fifo() {
-    assert_sum("tied fifo", &tied(DispatchDiscipline::Fifo), TIED_FIFO);
+    assert_sum(
+        "tied fifo",
+        &tied(DispatchDiscipline::Fifo),
+        TIED_FIFO,
+        "TIED_FIFO",
+    );
 }
 
 #[test]
 fn open_loops_tied_with_closed_loops_under_wfq() {
     let cfg = tied(DispatchDiscipline::WeightedFair { weights: [4, 2, 1] });
-    assert_sum("tied wfq", &cfg, TIED_WFQ);
+    assert_sum("tied wfq", &cfg, TIED_WFQ, "TIED_WFQ");
 }
 
 const OPEN_OUT_OF_SPACE: u64 = 0xb0b5_7dd1_7cea_ec5e;
@@ -150,7 +159,12 @@ fn open_loops_outlive_shards_that_run_out_of_space() {
     cfg.arrival = ArrivalSpec::OpenPoisson {
         mean_interarrival_ns: SECOND,
     };
-    let report = assert_sum("open out of space", &cfg, OPEN_OUT_OF_SPACE);
+    let report = assert_sum(
+        "open out of space",
+        &cfg,
+        OPEN_OUT_OF_SPACE,
+        "OPEN_OUT_OF_SPACE",
+    );
     assert!(report.contains("out_of_space_shards=2"), "{report}");
 }
 
@@ -177,7 +191,7 @@ fn poisson_fan_in_over_hash_log_shards() {
     cfg.arrival = ArrivalSpec::OpenPoisson {
         mean_interarrival_ns: 144 * SECOND,
     };
-    assert_sum("fan-in 256", &cfg, FANIN_256);
+    assert_sum("fan-in 256", &cfg, FANIN_256, "FANIN_256");
 }
 
 const SHARDED_LSM_BG: u64 = 0xe90c_a692_dd6b_a049;
@@ -201,7 +215,7 @@ fn sharded_clients_own_several_shards_under_maintenance() {
         2,
     );
     cfg.shards = 4;
-    assert_sharded_sum("sharded lsm bg", &cfg, SHARDED_LSM_BG);
+    assert_sharded_sum("sharded lsm bg", &cfg, SHARDED_LSM_BG, "SHARDED_LSM_BG");
 }
 
 const SHARDED_OUT_OF_SPACE: u64 = 0xb7a5_b47e_fed0_66e8;
@@ -222,6 +236,11 @@ fn sharded_shards_run_out_of_space_at_different_times() {
         },
         2,
     );
-    let report = assert_sharded_sum("sharded out of space", &cfg, SHARDED_OUT_OF_SPACE);
+    let report = assert_sharded_sum(
+        "sharded out of space",
+        &cfg,
+        SHARDED_OUT_OF_SPACE,
+        "SHARDED_OUT_OF_SPACE",
+    );
     assert!(report.contains("out_of_space_shards=2"), "{report}");
 }

@@ -128,6 +128,18 @@ fn run_mix(maint: MaintConfig, compression: Compression) -> String {
     out
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/hashlog/gc_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -244,42 +256,42 @@ readback=b32976ed54319e87\n\
 
 #[test]
 fn inline_gc_codec_off_matches_the_recorded_run() {
-    assert_parity(
-        &run_mix(MaintConfig::default(), Compression::None),
-        INLINE_RAW,
+    parity!(
+        run_mix(MaintConfig::default(), Compression::None),
+        INLINE_RAW
     );
 }
 
 #[test]
 fn inline_gc_codec_on_matches_the_recorded_run() {
-    assert_parity(
-        &run_mix(MaintConfig::default(), Compression::from_level(1)),
-        INLINE_LZ,
+    parity!(
+        run_mix(MaintConfig::default(), Compression::from_level(1)),
+        INLINE_LZ
     );
 }
 
 #[test]
 fn background_gc_codec_off_matches_the_recorded_run() {
-    assert_parity(&run_mix(MaintConfig::enabled(), Compression::None), BG_RAW);
+    parity!(run_mix(MaintConfig::enabled(), Compression::None), BG_RAW);
 }
 
 #[test]
 fn background_gc_codec_on_matches_the_recorded_run() {
-    assert_parity(
-        &run_mix(MaintConfig::enabled(), Compression::from_level(1)),
-        BG_LZ,
+    parity!(
+        run_mix(MaintConfig::enabled(), Compression::from_level(1)),
+        BG_LZ
     );
 }
 
 #[test]
 fn tightly_paced_gc_codec_off_matches_the_recorded_run() {
-    assert_parity(&run_mix(paced_tight(), Compression::None), BG_TIGHT_RAW);
+    parity!(run_mix(paced_tight(), Compression::None), BG_TIGHT_RAW);
 }
 
 #[test]
 fn tightly_paced_gc_codec_on_matches_the_recorded_run() {
-    assert_parity(
-        &run_mix(paced_tight(), Compression::from_level(1)),
-        BG_TIGHT_LZ,
+    parity!(
+        run_mix(paced_tight(), Compression::from_level(1)),
+        BG_TIGHT_LZ
     );
 }

@@ -266,6 +266,18 @@ fn run_script(cache_bytes: u64, codec: u8, queue_depth: usize, maint: bool) -> S
     out
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/hashlog/read_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -1174,80 +1186,80 @@ hlog-00000049.log 2910 0a591f7d6a745dfa\n\
 
 #[test]
 fn codec_off_depth_1_inline() {
-    assert_parity(&run_script(0, 0, 1, false), RAW_QD1_INLINE);
+    parity!(run_script(0, 0, 1, false), RAW_QD1_INLINE);
 }
 
 #[test]
 fn codec_off_depth_1_background() {
-    assert_parity(&run_script(0, 0, 1, true), RAW_QD1_BG);
+    parity!(run_script(0, 0, 1, true), RAW_QD1_BG);
 }
 
 #[test]
 fn codec_off_depth_8_inline() {
-    assert_parity(&run_script(0, 0, 8, false), RAW_QD8_INLINE);
+    parity!(run_script(0, 0, 8, false), RAW_QD8_INLINE);
 }
 
 #[test]
 fn codec_off_depth_8_background() {
-    assert_parity(&run_script(0, 0, 8, true), RAW_QD8_BG);
+    parity!(run_script(0, 0, 8, true), RAW_QD8_BG);
 }
 
 #[test]
 fn codec_on_depth_1_inline() {
-    assert_parity(&run_script(0, 1, 1, false), LZ_QD1_INLINE);
+    parity!(run_script(0, 1, 1, false), LZ_QD1_INLINE);
 }
 
 #[test]
 fn codec_on_depth_1_background() {
-    assert_parity(&run_script(0, 1, 1, true), LZ_QD1_BG);
+    parity!(run_script(0, 1, 1, true), LZ_QD1_BG);
 }
 
 #[test]
 fn codec_on_depth_8_inline() {
-    assert_parity(&run_script(0, 1, 8, false), LZ_QD8_INLINE);
+    parity!(run_script(0, 1, 8, false), LZ_QD8_INLINE);
 }
 
 #[test]
 fn codec_on_depth_8_background() {
-    assert_parity(&run_script(0, 1, 8, true), LZ_QD8_BG);
+    parity!(run_script(0, 1, 8, true), LZ_QD8_BG);
 }
 
 #[test]
 fn cached_codec_off_depth_1_inline() {
-    assert_parity(&run_script(CACHE, 0, 1, false), CACHED_RAW_QD1_INLINE);
+    parity!(run_script(CACHE, 0, 1, false), CACHED_RAW_QD1_INLINE);
 }
 
 #[test]
 fn cached_codec_off_depth_1_background() {
-    assert_parity(&run_script(CACHE, 0, 1, true), CACHED_RAW_QD1_BG);
+    parity!(run_script(CACHE, 0, 1, true), CACHED_RAW_QD1_BG);
 }
 
 #[test]
 fn cached_codec_off_depth_8_inline() {
-    assert_parity(&run_script(CACHE, 0, 8, false), CACHED_RAW_QD8_INLINE);
+    parity!(run_script(CACHE, 0, 8, false), CACHED_RAW_QD8_INLINE);
 }
 
 #[test]
 fn cached_codec_off_depth_8_background() {
-    assert_parity(&run_script(CACHE, 0, 8, true), CACHED_RAW_QD8_BG);
+    parity!(run_script(CACHE, 0, 8, true), CACHED_RAW_QD8_BG);
 }
 
 #[test]
 fn cached_codec_on_depth_1_inline() {
-    assert_parity(&run_script(CACHE, 1, 1, false), CACHED_LZ_QD1_INLINE);
+    parity!(run_script(CACHE, 1, 1, false), CACHED_LZ_QD1_INLINE);
 }
 
 #[test]
 fn cached_codec_on_depth_1_background() {
-    assert_parity(&run_script(CACHE, 1, 1, true), CACHED_LZ_QD1_BG);
+    parity!(run_script(CACHE, 1, 1, true), CACHED_LZ_QD1_BG);
 }
 
 #[test]
 fn cached_codec_on_depth_8_inline() {
-    assert_parity(&run_script(CACHE, 1, 8, false), CACHED_LZ_QD8_INLINE);
+    parity!(run_script(CACHE, 1, 8, false), CACHED_LZ_QD8_INLINE);
 }
 
 #[test]
 fn cached_codec_on_depth_8_background() {
-    assert_parity(&run_script(CACHE, 1, 8, true), CACHED_LZ_QD8_BG);
+    parity!(run_script(CACHE, 1, 8, true), CACHED_LZ_QD8_BG);
 }

@@ -157,6 +157,18 @@ fn segment_digest(fs: &Vfs) -> String {
     format!("segment files={} {:016x}\n", files.lines().count(), sum.0)
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/hashlog/write_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -706,35 +718,35 @@ recovered entries=8866 readback=81c2f6a997ba118a\n\
 
 #[test]
 fn bulk_groups_codec_off_match_the_recorded_run() {
-    assert_parity(&run_bulk(0, MaintConfig::default()), BULK_RAW);
+    parity!(run_bulk(0, MaintConfig::default()), BULK_RAW);
 }
 
 #[test]
 fn bulk_groups_codec_on_match_the_recorded_run() {
-    assert_parity(&run_bulk(1, MaintConfig::default()), BULK_LZ);
+    parity!(run_bulk(1, MaintConfig::default()), BULK_LZ);
 }
 
 #[test]
 fn bulk_groups_paced_gc_match_the_recorded_run() {
-    assert_parity(&run_bulk(0, paced_tight()), BULK_BG_RAW);
+    parity!(run_bulk(0, paced_tight()), BULK_BG_RAW);
 }
 
 #[test]
 fn groups_that_append_nothing_codec_off_match_the_recorded_run() {
-    assert_parity(&run_empty_groups(0), EMPTY_GROUPS_RAW);
+    parity!(run_empty_groups(0), EMPTY_GROUPS_RAW);
 }
 
 #[test]
 fn groups_that_append_nothing_codec_on_match_the_recorded_run() {
-    assert_parity(&run_empty_groups(1), EMPTY_GROUPS_LZ);
+    parity!(run_empty_groups(1), EMPTY_GROUPS_LZ);
 }
 
 #[test]
 fn out_of_space_codec_off_matches_the_recorded_run() {
-    assert_parity(&run_out_of_space(0, None), OUT_OF_SPACE_RAW);
+    parity!(run_out_of_space(0, None), OUT_OF_SPACE_RAW);
 }
 
 #[test]
 fn out_of_space_with_flush_seals_codec_on_matches_the_recorded_run() {
-    assert_parity(&run_out_of_space(1, Some(64)), OUT_OF_SPACE_LZ);
+    parity!(run_out_of_space(1, Some(64)), OUT_OF_SPACE_LZ);
 }

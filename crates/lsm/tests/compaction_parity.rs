@@ -193,6 +193,18 @@ fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> 
     run_values(maint, compression, queue_depth, Values::Patterned)
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/lsm/compaction_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -479,29 +491,29 @@ sst-00001344 6976 490e2209972f7246\n\
 #[test]
 fn inline_codec_off_matches_the_copying_data_path() {
     let off = MaintConfig::default();
-    assert_parity(&run_mix(off, Compression::None, 1), INLINE_RAW_QD1);
-    assert_parity(&run_mix(off, Compression::None, 8), INLINE_RAW_QD8);
+    parity!(run_mix(off, Compression::None, 1), INLINE_RAW_QD1);
+    parity!(run_mix(off, Compression::None, 8), INLINE_RAW_QD8);
 }
 
 #[test]
 fn inline_codec_on_matches_the_copying_data_path() {
     let off = MaintConfig::default();
-    assert_parity(&run_mix(off, Compression::from_level(1), 1), INLINE_LZ_QD1);
-    assert_parity(&run_mix(off, Compression::from_level(1), 8), INLINE_LZ_QD8);
+    parity!(run_mix(off, Compression::from_level(1), 1), INLINE_LZ_QD1);
+    parity!(run_mix(off, Compression::from_level(1), 8), INLINE_LZ_QD8);
 }
 
 #[test]
 fn background_codec_off_matches_the_copying_data_path() {
     let on = MaintConfig::enabled();
-    assert_parity(&run_mix(on, Compression::None, 1), BG_RAW_QD1);
-    assert_parity(&run_mix(on, Compression::None, 8), BG_RAW_QD8);
+    parity!(run_mix(on, Compression::None, 1), BG_RAW_QD1);
+    parity!(run_mix(on, Compression::None, 8), BG_RAW_QD8);
 }
 
 #[test]
 fn background_codec_on_matches_the_copying_data_path() {
     let on = MaintConfig::enabled();
-    assert_parity(&run_mix(on, Compression::from_level(1), 1), BG_LZ_QD1);
-    assert_parity(&run_mix(on, Compression::from_level(1), 8), BG_LZ_QD8);
+    parity!(run_mix(on, Compression::from_level(1), 1), BG_LZ_QD1);
+    parity!(run_mix(on, Compression::from_level(1), 8), BG_LZ_QD8);
 }
 
 /// Noise-valued and half-noise mixes: the codec stores most blocks
@@ -524,22 +536,22 @@ fn run_noise(maint: MaintConfig, level: u8, values: Values) -> String {
 #[test]
 fn inline_noise_values_match_the_recorded_tables() {
     let off = MaintConfig::default();
-    assert_parity(&run_noise(off, 1, Values::Noise), INLINE_NOISE_LZ1);
-    assert_parity(&run_noise(off, 3, Values::Noise), INLINE_NOISE_LZ3);
+    parity!(run_noise(off, 1, Values::Noise), INLINE_NOISE_LZ1);
+    parity!(run_noise(off, 3, Values::Noise), INLINE_NOISE_LZ3);
 }
 
 #[test]
 fn background_noise_values_match_the_recorded_tables() {
     let on = MaintConfig::enabled();
-    assert_parity(&run_noise(on, 1, Values::Noise), BG_NOISE_LZ1);
-    assert_parity(&run_noise(on, 3, Values::Noise), BG_NOISE_LZ3);
+    parity!(run_noise(on, 1, Values::Noise), BG_NOISE_LZ1);
+    parity!(run_noise(on, 3, Values::Noise), BG_NOISE_LZ3);
 }
 
 #[test]
 fn half_noise_values_match_the_recorded_tables() {
     let (off, on) = (MaintConfig::default(), MaintConfig::enabled());
-    assert_parity(&run_noise(off, 1, Values::Halves), INLINE_HALVES_LZ1);
-    assert_parity(&run_noise(on, 1, Values::Halves), BG_HALVES_LZ1);
+    parity!(run_noise(off, 1, Values::Halves), INLINE_HALVES_LZ1);
+    parity!(run_noise(on, 1, Values::Halves), BG_HALVES_LZ1);
 }
 
 /// Tables written at codec level 3, recovered at level 1, updated here
@@ -558,7 +570,7 @@ fn a_codec_level_change_rewrites_every_compacted_block() {
         db.put(&key(i), &value).expect("put");
     }
     db.compact_all().expect("compact_all");
-    assert_parity(&render(&db, reads), LEVEL_3_TO_1);
+    parity!(render(&db, reads), LEVEL_3_TO_1);
 }
 
 /// Bounded scans while maintenance advances one slice per step: under
@@ -756,20 +768,20 @@ sst-00000282 8612 b68f50682b2a7001\n\
 fn inline_scans_match_the_recorded_run() {
     let off = MaintConfig::default();
     let lz = Compression::from_level(1);
-    assert_parity(&run_scans(off, Compression::None, 1), SCAN_INLINE_RAW_QD1);
-    assert_parity(&run_scans(off, Compression::None, 8), SCAN_INLINE_RAW_QD8);
-    assert_parity(&run_scans(off, lz, 1), SCAN_INLINE_LZ_QD1);
-    assert_parity(&run_scans(off, lz, 8), SCAN_INLINE_LZ_QD8);
+    parity!(run_scans(off, Compression::None, 1), SCAN_INLINE_RAW_QD1);
+    parity!(run_scans(off, Compression::None, 8), SCAN_INLINE_RAW_QD8);
+    parity!(run_scans(off, lz, 1), SCAN_INLINE_LZ_QD1);
+    parity!(run_scans(off, lz, 8), SCAN_INLINE_LZ_QD8);
 }
 
 #[test]
 fn background_scans_match_the_recorded_run() {
     let on = MaintConfig::enabled();
     let lz = Compression::from_level(1);
-    assert_parity(&run_scans(on, Compression::None, 1), SCAN_BG_RAW_QD1);
-    assert_parity(&run_scans(on, Compression::None, 8), SCAN_BG_RAW_QD8);
-    assert_parity(&run_scans(on, lz, 1), SCAN_BG_LZ_QD1);
-    assert_parity(&run_scans(on, lz, 8), SCAN_BG_LZ_QD8);
+    parity!(run_scans(on, Compression::None, 1), SCAN_BG_RAW_QD1);
+    parity!(run_scans(on, Compression::None, 8), SCAN_BG_RAW_QD8);
+    parity!(run_scans(on, lz, 1), SCAN_BG_LZ_QD1);
+    parity!(run_scans(on, lz, 8), SCAN_BG_LZ_QD8);
 }
 
 /// Reference encoder of the table layout documented in
@@ -1051,19 +1063,19 @@ lz1 bg: finish: filesystem error: no space left on device (requested 28 pages, 2
 #[test]
 fn builder_table_smaller_than_one_append() {
     // 20 x 4 KB: everything leaves in the one write `finish` makes.
-    assert_parity(&build_tables(20, |_, _| None), BUILD_SMALL);
+    parity!(build_tables(20, |_, _| None), BUILD_SMALL);
 }
 
 #[test]
 fn builder_table_of_several_appends() {
     // 300 x 4 KB: 256 KiB streamed out at a time, then the tail.
-    assert_parity(&build_tables(300, |_, _| None), BUILD_LARGE);
+    parity!(build_tables(300, |_, _| None), BUILD_LARGE);
 }
 
 #[test]
 fn builder_out_of_space_mid_add() {
     // 100 free pages take the first 256 KiB, not the second.
-    assert_parity(&build_tables(300, |_, _| Some(100)), BUILD_NO_SPACE_MID_ADD);
+    parity!(build_tables(300, |_, _| Some(100)), BUILD_NO_SPACE_MID_ADD);
 }
 
 #[test]
@@ -1080,5 +1092,5 @@ fn builder_out_of_space_at_finish() {
         }
         Some(b.finish().expect("finish").file_bytes.div_ceil(4096) - 1)
     };
-    assert_parity(&build_tables(300, one_short), BUILD_NO_SPACE_AT_FINISH);
+    parity!(build_tables(300, one_short), BUILD_NO_SPACE_AT_FINISH);
 }

@@ -185,6 +185,18 @@ fn run_script(cache_bytes: u64, codec: u8) -> String {
     out
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/lsm/read_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -300,20 +312,20 @@ hpw=1283 hpr=4820 clock=1145153336189 reads=c0dcac8ba58a2726\n";
 
 #[test]
 fn codec_off() {
-    assert_parity(&run_script(0, 0), RAW);
+    parity!(run_script(0, 0), RAW);
 }
 
 #[test]
 fn codec_on() {
-    assert_parity(&run_script(0, 1), LZ);
+    parity!(run_script(0, 1), LZ);
 }
 
 #[test]
 fn cached_codec_off() {
-    assert_parity(&run_script(CACHE, 0), CACHED_RAW);
+    parity!(run_script(CACHE, 0), CACHED_RAW);
 }
 
 #[test]
 fn cached_codec_on() {
-    assert_parity(&run_script(CACHE, 1), CACHED_LZ);
+    parity!(run_script(CACHE, 1), CACHED_LZ);
 }

@@ -118,6 +118,18 @@ fn run(geom: Geometry) -> String {
     )
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/ssd/ftl_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -132,6 +144,6 @@ const TIGHT_GREEDY: &str =
 
 #[test]
 fn greedy_victims_match_the_recorded_runs() {
-    assert_parity(&run(roomy()), ROOMY_GREEDY);
-    assert_parity(&run(tight()), TIGHT_GREEDY);
+    parity!(run(roomy()), ROOMY_GREEDY);
+    parity!(run(tight()), TIGHT_GREEDY);
 }

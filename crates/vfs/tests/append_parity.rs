@@ -170,9 +170,13 @@ fn run(case: &Case, blocking: bool, via: Via) -> String {
 }
 
 /// Both ways of growing the file leave `expected`.
-fn assert_both(case: &Case, blocking: bool, expected: &str) {
-    assert_parity(&run(case, blocking, Via::Append), expected);
-    assert_parity(&run(case, blocking, Via::Appender), expected);
+fn assert_both(case: &Case, blocking: bool, expected: &str, name: &str) {
+    let rel = format!("parity/vfs/append_parity/{name}.txt");
+    for via in [Via::Append, Via::Appender] {
+        let actual = run(case, blocking, via);
+        assert_parity(&actual, expected);
+        ptsbench_testkit::assert_golden(&rel, &actual);
+    }
 }
 
 fn assert_parity(actual: &str, expected: &str) {
@@ -259,32 +263,42 @@ bytes=e27a3ba75942f0bf\n\
 
 #[test]
 fn aligned_chunks() {
-    assert_both(&ALIGNED, true, ALIGNED_FG);
-    assert_both(&ALIGNED, false, ALIGNED_BG);
+    assert_both(&ALIGNED, true, ALIGNED_FG, "ALIGNED_FG");
+    assert_both(&ALIGNED, false, ALIGNED_BG, "ALIGNED_BG");
 }
 
 #[test]
 fn unaligned_tail() {
-    assert_both(&UNALIGNED_TAIL, true, UNALIGNED_TAIL_FG);
-    assert_both(&UNALIGNED_TAIL, false, UNALIGNED_TAIL_BG);
+    assert_both(
+        &UNALIGNED_TAIL,
+        true,
+        UNALIGNED_TAIL_FG,
+        "UNALIGNED_TAIL_FG",
+    );
+    assert_both(
+        &UNALIGNED_TAIL,
+        false,
+        UNALIGNED_TAIL_BG,
+        "UNALIGNED_TAIL_BG",
+    );
 }
 
 #[test]
 fn sub_page_chunks() {
-    assert_both(&SUB_PAGE, true, SUB_PAGE_FG);
-    assert_both(&SUB_PAGE, false, SUB_PAGE_BG);
+    assert_both(&SUB_PAGE, true, SUB_PAGE_FG, "SUB_PAGE_FG");
+    assert_both(&SUB_PAGE, false, SUB_PAGE_BG, "SUB_PAGE_BG");
 }
 
 #[test]
 fn chunk_crossing_an_extent_boundary() {
-    assert_both(&CROSSING, true, CROSSING_FG);
-    assert_both(&CROSSING, false, CROSSING_BG);
+    assert_both(&CROSSING, true, CROSSING_FG, "CROSSING_FG");
+    assert_both(&CROSSING, false, CROSSING_BG, "CROSSING_BG");
 }
 
 #[test]
 fn out_of_space_on_the_third_chunk() {
-    assert_both(&OUT_OF_SPACE, true, OUT_OF_SPACE_FG);
-    assert_both(&OUT_OF_SPACE, false, OUT_OF_SPACE_BG);
+    assert_both(&OUT_OF_SPACE, true, OUT_OF_SPACE_FG, "OUT_OF_SPACE_FG");
+    assert_both(&OUT_OF_SPACE, false, OUT_OF_SPACE_BG, "OUT_OF_SPACE_BG");
 }
 
 proptest! {

@@ -301,6 +301,18 @@ fn run(prefix: &'static str, script: &[Step], recycle: bool) -> String {
     out
 }
 
+/// Checks the recorded literal and the file it moves to.
+macro_rules! parity {
+    ($actual:expr, $name:ident) => {{
+        let actual: String = $actual;
+        assert_parity(&actual, $name);
+        ptsbench_testkit::assert_golden(
+            concat!("parity/vfs/log_parity/", stringify!($name), ".txt"),
+            &actual,
+        );
+    }};
+}
+
 fn assert_parity(actual: &str, expected: &str) {
     assert!(
         actual == expected,
@@ -427,17 +439,17 @@ const WAL_CHURN: &str = "\
 
 #[test]
 fn journal_script() {
-    assert_parity(&run("journal", JOURNAL_SCRIPT, true), JOURNAL);
+    parity!(run("journal", JOURNAL_SCRIPT, true), JOURNAL);
 }
 
 #[test]
 fn wal_script_recycling() {
-    assert_parity(&run("wal", WAL_SCRIPT, true), WAL_RECYCLE);
+    parity!(run("wal", WAL_SCRIPT, true), WAL_RECYCLE);
 }
 
 #[test]
 fn wal_script_churning() {
-    assert_parity(&run("wal", WAL_SCRIPT, false), WAL_CHURN);
+    parity!(run("wal", WAL_SCRIPT, false), WAL_CHURN);
 }
 
 /// The prefix is a name and nothing else: the WAL's script under the
@@ -450,4 +462,16 @@ fn the_prefix_only_names_the_files() {
             &expected.replace("wal-", "journal-"),
         );
     }
+    let actual = run("journal", WAL_SCRIPT, true);
+    assert!(!actual.contains("wal-"), "{actual}");
+    ptsbench_testkit::assert_golden(
+        "parity/vfs/log_parity/WAL_RECYCLE.txt",
+        &actual.replace("journal-", "wal-"),
+    );
+    let actual = run("journal", WAL_SCRIPT, false);
+    assert!(!actual.contains("wal-"), "{actual}");
+    ptsbench_testkit::assert_golden(
+        "parity/vfs/log_parity/WAL_CHURN.txt",
+        &actual.replace("journal-", "wal-"),
+    );
 }

@@ -148,7 +148,8 @@ fn op_streams_match_the_recorded_constants() {
     let got = configurations()
         .into_iter()
         .map(|(name, spec)| (name, stream_checksum(OpGenerator::new(spec))))
-        .collect();
+        .collect::<Vec<_>>();
+    ptsbench_testkit::assert_golden("parity/workload/stream_parity/STREAMS.txt", &render(&got));
     assert_table("op streams", got, STREAMS);
 }
 
@@ -160,7 +161,8 @@ fn bulk_loads_match_the_recorded_constants() {
             let spec = spec(KeyDistribution::Uniform, shape, 0.0);
             (shape.to_string(), loader_checksum(spec))
         })
-        .collect();
+        .collect::<Vec<_>>();
+    ptsbench_testkit::assert_golden("parity/workload/stream_parity/LOADS.txt", &render(&got));
     assert_table("bulk loads", got, LOADS);
 }
 

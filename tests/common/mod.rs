@@ -31,7 +31,12 @@ pub fn golden_section(name: &str) -> String {
     let end = GOLDEN[start..]
         .find("@@@")
         .expect("golden sections are terminated");
-    GOLDEN[start..start + end].to_string()
+    let section = GOLDEN[start..start + end].to_string();
+    ptsbench_testkit::assert_golden(
+        &format!("baseline/{}.txt", name.replace('/', "-")),
+        &section,
+    );
+    section
 }
 
 /// The exact shapes the snapshot was captured with (small enough for

@@ -191,8 +191,7 @@ fn mixed_arrival_fleet_matches_the_scanning_driver_golden_output() {
             },
         ),
     ];
-    assert_eq!(
-        run_frontend(&cfg).expect("run").render(),
-        include_str!("golden/frontend_mixed257.txt")
-    );
+    let actual = run_frontend(&cfg).expect("run").render();
+    assert_eq!(actual, include_str!("golden/frontend_mixed257.txt"));
+    ptsbench_testkit::assert_golden("frontend_mixed257.txt", &actual);
 }

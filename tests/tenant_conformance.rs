@@ -152,10 +152,9 @@ fn wfq_overload_matches_the_scanning_driver_golden_output() {
         tenant(ReqClass::Interactive, 2, 3_837_000_000),
         tenant(ReqClass::Batch, 1, 109_640_000),
     ];
-    assert_eq!(
-        run_frontend(&cfg).expect("run").render(),
-        include_str!("golden/frontend_wfq_overload.txt")
-    );
+    let actual = run_frontend(&cfg).expect("run").render();
+    assert_eq!(actual, include_str!("golden/frontend_wfq_overload.txt"));
+    ptsbench_testkit::assert_golden("frontend_wfq_overload.txt", &actual);
 }
 
 /// Strict priority's decisions, pinned against history: two LSM shards
@@ -304,8 +303,7 @@ fn strict_priority_overload_matches_the_scanning_dispatcher_golden_output() {
         shed > 0 && served > 0,
         "the shed branch must run: {rendered}"
     );
-    assert_eq!(
-        rendered,
-        include_str!("golden/frontend_strict_overload.txt")
-    );
+    let actual = rendered;
+    assert_eq!(actual, include_str!("golden/frontend_strict_overload.txt"));
+    ptsbench_testkit::assert_golden("frontend_strict_overload.txt", &actual);
 }
