@@ -19,6 +19,7 @@ use rand::{Rng, SeedableRng};
 use ptsbench_btree::{BTreeDb, BTreeOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_testkit::{assert_golden, fnv64};
 use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 fn key(i: u32) -> Vec<u8> {
@@ -112,96 +113,42 @@ fn tree_file_fnv(db: &BTreeDb) -> u64 {
     let file = vfs.open("btree.db").expect("open");
     let size = vfs.size(file).expect("size") as usize;
     let bytes = vfs.read_at(file, 0, size).expect("read");
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    fnv64(&bytes)
 }
-
-const TREE_FILE_INLINE: u64 = 9182357194509686930;
-const TREE_FILE_BACKGROUND: u64 = 9182357194509686930;
 
 #[test]
 fn tree_file_bytes_match_the_per_entry_leaf() {
     let file_after = |maint| {
         let (mut db, _) = mix(maint, false);
         db.checkpoint().expect("checkpoint");
-        tree_file_fnv(&db)
+        format!("{:016x}", tree_file_fnv(&db))
     };
-    let got = [
-        file_after(MaintConfig::default()),
-        file_after(MaintConfig::enabled()),
-    ];
-    assert_eq!(
-        got,
-        [TREE_FILE_INLINE, TREE_FILE_BACKGROUND],
-        "tree file bytes moved"
-    );
-    ptsbench_testkit::assert_golden(
-        "parity/btree/pager_parity/TREE_FILE_INLINE.txt",
-        &format!("{:016x}", got[0]),
-    );
-    ptsbench_testkit::assert_golden(
-        "parity/btree/pager_parity/TREE_FILE_BACKGROUND.txt",
-        &format!("{:016x}", got[1]),
-    );
+    let got = file_after(MaintConfig::default());
+    assert_golden("parity/btree/pager_parity/TREE_FILE_INLINE.txt", &got);
+    let got = file_after(MaintConfig::enabled());
+    assert_golden("parity/btree/pager_parity/TREE_FILE_BACKGROUND.txt", &got);
 }
 
 #[test]
 fn inline_counters_match_the_cloning_pager() {
-    let actual = run_mix(MaintConfig::default(), false);
-    assert_eq!(
-        actual,
-        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
-         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8518, allocations: 578, checkpoints: 9 } \
-         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
-         merges: 472, checkpoints: 9 } maint=None height=2 live=1177 scanned=28755 hpw=9740 hpr=19947 \
-         npw=9740 clock=13274542447292"
-    );
-    ptsbench_testkit::assert_golden("parity/btree/pager_parity/INLINE.txt", &actual);
+    let got = run_mix(MaintConfig::default(), false);
+    assert_golden("parity/btree/pager_parity/INLINE.txt", &got);
 }
 
 #[test]
 fn background_counters_match_the_cloning_pager() {
-    let actual = run_mix(MaintConfig::enabled(), false);
-    assert_eq!(
-        actual,
-        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
-         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
-         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
-         merges: 472, checkpoints: 11 } maint=Some(MaintStats { jobs: 11, slices: 289, installs: 11, \
-         bytes_read: 0, bytes_written: 2990080, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, \
-         used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10173 hpr=19947 npw=10173 \
-         clock=13227412447292"
-    );
-    ptsbench_testkit::assert_golden("parity/btree/pager_parity/BACKGROUND.txt", &actual);
+    let got = run_mix(MaintConfig::enabled(), false);
+    assert_golden("parity/btree/pager_parity/BACKGROUND.txt", &got);
 }
 
 #[test]
 fn inline_counters_with_explicit_checkpoints_match_the_two_path_engine() {
-    let actual = run_mix(MaintConfig::default(), true);
-    assert_eq!(
-        actual,
-        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
-         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8517, allocations: 578, checkpoints: 12 } \
-         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
-         merges: 472, checkpoints: 12 } maint=None height=2 live=1177 scanned=28755 hpw=9743 hpr=19947 \
-         npw=9743 clock=13275022447292"
-    );
-    ptsbench_testkit::assert_golden("parity/btree/pager_parity/INLINE_EXPLICIT.txt", &actual);
+    let got = run_mix(MaintConfig::default(), true);
+    assert_golden("parity/btree/pager_parity/INLINE_EXPLICIT.txt", &got);
 }
 
 #[test]
 fn background_counters_with_explicit_checkpoints_match_the_two_path_engine() {
-    let actual = run_mix(MaintConfig::enabled(), true);
-    assert_eq!(
-        actual,
-        "PagerStats { cache: CacheStats { hits: 65482, misses: 19947, admissions: 20525, rejections: 0, \
-         evictions: 20046, bytes_saved: 268214272 }, writebacks: 8947, allocations: 578, checkpoints: 11 } \
-         BTreeStats { puts: 13252, gets: 3024, deletes: 10086, app_bytes_written: 2363270, splits: 575, \
-         merges: 472, checkpoints: 11 } maint=Some(MaintStats { jobs: 3, slices: 231, installs: 3, \
-         bytes_read: 0, bytes_written: 2752512, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, \
-         used_bytes: 0 }) height=2 live=1177 scanned=28755 hpw=10170 hpr=19947 npw=10170 \
-         clock=13236212447292"
-    );
-    ptsbench_testkit::assert_golden("parity/btree/pager_parity/BACKGROUND_EXPLICIT.txt", &actual);
+    let got = run_mix(MaintConfig::enabled(), true);
+    assert_golden("parity/btree/pager_parity/BACKGROUND_EXPLICIT.txt", &got);
 }

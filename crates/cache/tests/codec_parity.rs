@@ -8,26 +8,8 @@
 //! only makes the encoder faster must not move any of them.
 
 use ptsbench_cache::Compression;
+use ptsbench_testkit::{assert_golden, Fnv};
 use ptsbench_workload::{encode_key, fill_value};
-
-/// FNV-1a over container bytes, length-delimited per container.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 ^= bytes.len() as u64;
-        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-    }
-}
 
 /// The test's own generator (splitmix64): the inputs must not move with
 /// any library's RNG.
@@ -247,35 +229,7 @@ fn run_family() -> String {
     out
 }
 
-const RECORDED: &str = "\
-random stored=162 lz=0 bytes=4587291 fnv=91bbe9729c596f94\n\
-constant stored=54 lz=108 bytes=106893 fnv=630e1a19467dd42c\n\
-alphabet3 stored=54 lz=108 bytes=2549117 fnv=a266c2128792b2d2\n\
-alphabet17 stored=117 lz=45 bytes=4342862 fnv=ebb265dae023c7a5\n\
-periodic_text stored=54 lz=108 bytes=111591 fnv=40c220a61722d8f2\n\
-counter_div7 stored=54 lz=108 bytes=821065 fnv=c7081ee1a7a736a9\n\
-planted_repeats stored=108 lz=54 bytes=4262588 fnv=11d635a3a97a56c2\n\
-long_range stored=0 lz=9 bytes=1640694 fnv=0eb75ca169377eb2\n\
-blocks_2x4000B stored=72 lz=0 bytes=579744 fnv=37fc987637dcec89\n\
-blocks_64x100B stored=0 lz=72 bytes=485579 fnv=d9db21547fe4ff50\n\
-blocks_300x8B stored=0 lz=72 bytes=288106 fnv=bb84ccef1954f669\n\
-level1 stored=75 lz=76 bytes=2293724 fnv=057ae1543db3f6c8\n\
-level2 stored=75 lz=76 bytes=2249269 fnv=1612ca0e19a7368f\n\
-level3 stored=75 lz=76 bytes=2219872 fnv=ea80cd38433a3a58\n\
-level4 stored=75 lz=76 bytes=2198256 fnv=8b638936b9107a30\n\
-level5 stored=75 lz=76 bytes=2182691 fnv=560ae250974d67ea\n\
-level6 stored=75 lz=76 bytes=2170468 fnv=247c8bbb10c77727\n\
-level7 stored=75 lz=76 bytes=2160770 fnv=e1cb2e5b6588a49e\n\
-level8 stored=75 lz=76 bytes=2153215 fnv=1e3011d830f24306\n\
-level9 stored=75 lz=76 bytes=2147265 fnv=1c699302e73be4c6\n\
-";
-
 #[test]
 fn every_container_matches_the_recorded_bytes() {
-    let actual = run_family();
-    assert!(
-        actual == RECORDED,
-        "the codec's output drifted from the recorded constants; it now renders:\n{actual}"
-    );
-    ptsbench_testkit::assert_golden("parity/cache/codec_parity/RECORDED.txt", &actual);
+    assert_golden("parity/cache/codec_parity/RECORDED.txt", &run_family());
 }

@@ -27,55 +27,20 @@ use ptsbench_core::sharded::Sharding;
 use ptsbench_core::{MaintConfig, ReqClass, ShardedRun};
 use ptsbench_harness::{run_frontend_with_results, run_sharded_with_results, HarnessOutcome};
 use ptsbench_ssd::{MINUTE, SECOND};
+use ptsbench_testkit::{assert_golden, Fnv};
 use ptsbench_workload::{ArrivalSpec, KeyDistribution};
 
-/// FNV-1a, length-delimited per field.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 ^= bytes.len() as u64;
-        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-    }
-}
-
-/// Folds the rendered report and every shard's `RunResult` print into
-/// one sum and checks it; returns the report.
-fn assert_outcome(name: &str, outcome: &HarnessOutcome, want: u64, golden: &str) -> String {
+/// One FNV-1a over the rendered report and every shard's `RunResult`
+/// print. The report is printed too, so a failing test shows it.
+fn sum(outcome: &HarnessOutcome) -> String {
     let report = outcome.report.render();
+    println!("{report}");
     let mut sum = Fnv::new();
     sum.feed(report.as_bytes());
     for result in &outcome.shard_results {
         sum.feed(format!("{result:?}").as_bytes());
     }
-    let got = sum.0;
-    assert_eq!(
-        got, want,
-        "{name}: the run now sums to {got:#018x}; it renders\n{report}"
-    );
-    ptsbench_testkit::assert_golden(
-        &format!("parity/harness/driver_parity/{golden}.txt"),
-        &format!("{got:016x}"),
-    );
-    report
-}
-
-fn assert_sum(name: &str, cfg: &FrontendRun, want: u64, golden: &str) -> String {
-    let outcome = run_frontend_with_results(cfg).expect("frontend run");
-    assert_outcome(name, &outcome, want, golden)
-}
-
-fn assert_sharded_sum(name: &str, cfg: &ShardedRun, want: u64, golden: &str) -> String {
-    let outcome = run_sharded_with_results(cfg).expect("sharded run");
-    assert_outcome(name, &outcome, want, golden)
+    format!("{:016x}", sum.0)
 }
 
 fn tenant(class: ReqClass, clients: usize, arrival: ArrivalSpec) -> TenantSpec {
@@ -117,26 +82,18 @@ fn tied(discipline: DispatchDiscipline) -> FrontendRun {
     cfg
 }
 
-const TIED_FIFO: u64 = 0x85ea_ea55_9590_ee3f;
-const TIED_WFQ: u64 = 0x2b83_2127_f3fa_cf03;
-
 #[test]
 fn open_loops_tied_with_closed_loops_under_fifo() {
-    assert_sum(
-        "tied fifo",
-        &tied(DispatchDiscipline::Fifo),
-        TIED_FIFO,
-        "TIED_FIFO",
-    );
+    let outcome = run_frontend_with_results(&tied(DispatchDiscipline::Fifo)).expect("run");
+    assert_golden("parity/harness/driver_parity/TIED_FIFO.txt", &sum(&outcome));
 }
 
 #[test]
 fn open_loops_tied_with_closed_loops_under_wfq() {
     let cfg = tied(DispatchDiscipline::WeightedFair { weights: [4, 2, 1] });
-    assert_sum("tied wfq", &cfg, TIED_WFQ, "TIED_WFQ");
+    let outcome = run_frontend_with_results(&cfg).expect("run");
+    assert_golden("parity/harness/driver_parity/TIED_WFQ.txt", &sum(&outcome));
 }
-
-const OPEN_OUT_OF_SPACE: u64 = 0xb0b5_7dd1_7cea_ec5e;
 
 /// Open loops only, on two LSM shards filled to 95 %: the shards run
 /// out of space mid-run and the open loops go on submitting to them
@@ -159,16 +116,12 @@ fn open_loops_outlive_shards_that_run_out_of_space() {
     cfg.arrival = ArrivalSpec::OpenPoisson {
         mean_interarrival_ns: SECOND,
     };
-    let report = assert_sum(
-        "open out of space",
-        &cfg,
-        OPEN_OUT_OF_SPACE,
-        "OPEN_OUT_OF_SPACE",
-    );
+    let outcome = run_frontend_with_results(&cfg).expect("run");
+    let got = sum(&outcome);
+    assert_golden("parity/harness/driver_parity/OPEN_OUT_OF_SPACE.txt", &got);
+    let report = outcome.report.render();
     assert!(report.contains("out_of_space_shards=2"), "{report}");
 }
-
-const FANIN_256: u64 = 0xc859_68d3_e330_c3bd;
 
 /// The serving fan-in scaled down: 256 Poisson clients over four
 /// hashed hash-log shards, Zipfian keys, half reads.
@@ -191,10 +144,9 @@ fn poisson_fan_in_over_hash_log_shards() {
     cfg.arrival = ArrivalSpec::OpenPoisson {
         mean_interarrival_ns: 144 * SECOND,
     };
-    assert_sum("fan-in 256", &cfg, FANIN_256, "FANIN_256");
+    let outcome = run_frontend_with_results(&cfg).expect("run");
+    assert_golden("parity/harness/driver_parity/FANIN_256.txt", &sum(&outcome));
 }
-
-const SHARDED_LSM_BG: u64 = 0xe90c_a692_dd6b_a049;
 
 /// The `sharded_lsm_bg` benchmark shape at test size: paced LSM
 /// maintenance, queue depth 8, half reads, two clients of two 16 MiB
@@ -215,10 +167,10 @@ fn sharded_clients_own_several_shards_under_maintenance() {
         2,
     );
     cfg.shards = 4;
-    assert_sharded_sum("sharded lsm bg", &cfg, SHARDED_LSM_BG, "SHARDED_LSM_BG");
+    let outcome = run_sharded_with_results(&cfg).expect("run");
+    let got = sum(&outcome);
+    assert_golden("parity/harness/driver_parity/SHARDED_LSM_BG.txt", &got);
 }
-
-const SHARDED_OUT_OF_SPACE: u64 = 0xb7a5_b47e_fed0_66e8;
 
 /// Two clients on LSM shards filled to 95 %: each shard runs out of
 /// space mid-run after its own number of ops, so one client's shard has
@@ -236,11 +188,11 @@ fn sharded_shards_run_out_of_space_at_different_times() {
         },
         2,
     );
-    let report = assert_sharded_sum(
-        "sharded out of space",
-        &cfg,
-        SHARDED_OUT_OF_SPACE,
-        "SHARDED_OUT_OF_SPACE",
+    let outcome = run_sharded_with_results(&cfg).expect("run");
+    assert_golden(
+        "parity/harness/driver_parity/SHARDED_OUT_OF_SPACE.txt",
+        &sum(&outcome),
     );
+    let report = outcome.report.render();
     assert!(report.contains("out_of_space_shards=2"), "{report}");
 }

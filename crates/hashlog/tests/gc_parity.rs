@@ -15,40 +15,13 @@ use ptsbench_cache::Compression;
 use ptsbench_hashlog::{HashLogDb, HashLogOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_testkit::{assert_golden, Fnv};
 use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
+mod common;
+use common::{feed_get, key};
+
 const KEYS: u32 = 160;
-
-fn key(i: u32) -> Vec<u8> {
-    format!("key{i:08}").into_bytes()
-}
-
-/// FNV-1a, folded over everything a read returned or a segment holds.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        // Length-delimit so ("ab", "c") and ("a", "bc") differ.
-        self.0 ^= bytes.len() as u64;
-        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-    }
-
-    fn feed_read(&mut self, value: Option<Vec<u8>>) {
-        match value {
-            Some(v) => self.feed(&v),
-            None => self.feed(b"<absent>"),
-        }
-    }
-}
 
 /// Runs the mix and renders every number and byte that must not move.
 fn run_mix(maint: MaintConfig, compression: Compression) -> String {
@@ -76,7 +49,7 @@ fn run_mix(maint: MaintConfig, compression: Compression) -> String {
                 db.put(&key(i), &value).expect("put");
             }
             12..=14 => db.delete(&key(i)).expect("delete"),
-            _ => reads.feed_read(db.get(&key(i)).expect("get")),
+            _ => feed_get(&mut reads, db.get(&key(i)).expect("get")),
         }
         pump(&mut db);
         // A forced drain mid-run: the end-of-run path, with a job
@@ -122,29 +95,10 @@ fn run_mix(maint: MaintConfig, compression: Compression) -> String {
     }
     let mut readback = Fnv::new();
     for i in 0..KEYS {
-        readback.feed_read(db.get(&key(i)).expect("get"));
+        feed_get(&mut readback, db.get(&key(i)).expect("get"));
     }
     out.push_str(&format!("readback={:016x}\n", readback.0));
     out
-}
-
-/// Checks the recorded literal and the file it moves to.
-macro_rules! parity {
-    ($actual:expr, $name:ident) => {{
-        let actual: String = $actual;
-        assert_parity(&actual, $name);
-        ptsbench_testkit::assert_golden(
-            concat!("parity/hashlog/gc_parity/", stringify!($name), ".txt"),
-            &actual,
-        );
-    }};
-}
-
-fn assert_parity(actual: &str, expected: &str) {
-    assert!(
-        actual == expected,
-        "the run drifted from the recorded constants; it now renders:\n{actual}"
-    );
 }
 
 /// Slices a quarter of a segment long on a budget the run outpaces, so
@@ -159,139 +113,38 @@ fn paced_tight() -> MaintConfig {
     }
 }
 
-const INLINE_RAW: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 384, gc_runs: 376, gc_bytes_rewritten: 6544132 }\n\
-maint=None\n\
-segments=8 entries=125 garbage=67831\n\
-hpw=9445 hpr=11501 npw=9445 clock=7291437177636 reads=20d5da517b7964fc\n\
-hlog-00000370.log 33396 1a8a4a7f0c88cf7e\n\
-hlog-00000375.log 32867 6e696764d70593a5\n\
-hlog-00000377.log 33865 75bf7abb942e676a\n\
-hlog-00000379.log 34919 af4e6362f2fdfbf5\n\
-hlog-00000380.log 44682 081d67ffe6f10f14\n\
-hlog-00000381.log 51935 f1ef58bfc71ac825\n\
-hlog-00000382.log 35517 90f2433fa8290c6b\n\
-hlog-00000383.log 1705 aa32124958a637e0\n\
-readback=b32976ed54319e87\n\
-";
-const INLINE_LZ: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 385, gc_runs: 376, gc_bytes_rewritten: 6544132 }\n\
-maint=None\n\
-segments=9 entries=125 garbage=67831\n\
-hpw=838 hpr=4093 npw=838 clock=1171310443848 reads=20d5da517b7964fc\n\
-hlog-00000370.log 6534 7a183d57aa6721f7\n\
-hlog-00000375.log 6516 453078bd7a7240fe\n\
-hlog-00000377.log 6666 8c816f623f115d0e\n\
-hlog-00000379.log 6975 6da0a7dfad5166a9\n\
-hlog-00000380.log 8776 f0f5e84bc2383e34\n\
-hlog-00000381.log 10182 cb7cfb303ea22f3a\n\
-hlog-00000382.log 7121 0b8d979be19e2dbe\n\
-hlog-00000383.log 357 0a290ffced68f7bf\n\
-hlog-00000384.log 0 af63bd4c8601b7df\n\
-readback=b32976ed54319e87\n\
-";
-const BG_RAW: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 384, gc_runs: 376, gc_bytes_rewritten: 6544132 }\n\
-maint=Some(MaintStats { jobs: 376, slices: 376, installs: 376, bytes_read: 13923364, bytes_written: 6544132, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-segments=8 entries=125 garbage=67831\n\
-hpw=9445 hpr=11501 npw=9445 clock=5572788905592 reads=20d5da517b7964fc\n\
-hlog-00000370.log 33396 1a8a4a7f0c88cf7e\n\
-hlog-00000375.log 32867 6e696764d70593a5\n\
-hlog-00000377.log 33865 75bf7abb942e676a\n\
-hlog-00000379.log 34919 af4e6362f2fdfbf5\n\
-hlog-00000380.log 44682 081d67ffe6f10f14\n\
-hlog-00000381.log 51935 f1ef58bfc71ac825\n\
-hlog-00000382.log 35517 90f2433fa8290c6b\n\
-hlog-00000383.log 1705 aa32124958a637e0\n\
-readback=b32976ed54319e87\n\
-";
-const BG_LZ: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 388, gc_runs: 379, gc_bytes_rewritten: 6605558 }\n\
-maint=Some(MaintStats { jobs: 379, slices: 379, installs: 379, bytes_read: 2763609, bytes_written: 6605558, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-segments=9 entries=125 garbage=82582\n\
-hpw=836 hpr=4063 npw=836 clock=945374055698 reads=20d5da517b7964fc\n\
-hlog-00000379.log 7543 da7fe49d0354c728\n\
-hlog-00000380.log 7113 f4b6298bd0f9e0fc\n\
-hlog-00000381.log 8678 6133a11a61c1daa3\n\
-hlog-00000382.log 7819 981aab944d563c7d\n\
-hlog-00000383.log 8467 5d451fa1c10d0f86\n\
-hlog-00000384.log 6559 1404290fdb8ce395\n\
-hlog-00000385.log 6660 5755a9eca60fca67\n\
-hlog-00000386.log 3215 28048bb5b4f267fb\n\
-hlog-00000387.log 0 af63bd4c8601b7df\n\
-readback=b32976ed54319e87\n\
-";
-const BG_TIGHT_RAW: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 445, gc_runs: 436, gc_bytes_rewritten: 7715003 }\n\
-maint=Some(MaintStats { jobs: 436, slices: 1783, installs: 436, bytes_read: 15082327, bytes_written: 7715003, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-segments=9 entries=125 garbage=79739\n\
-hpw=11087 hpr=13116 npw=11087 clock=5702359360572 reads=20d5da517b7964fc\n\
-hlog-00000434.log 38176 f02d3750e71785a1\n\
-hlog-00000435.log 35351 c03f69b3c47fdd8b\n\
-hlog-00000438.log 33505 2079d685abb1cd0a\n\
-hlog-00000439.log 32908 8e5da2017a4b7c43\n\
-hlog-00000440.log 34567 2eb4d56810bd0c4e\n\
-hlog-00000441.log 34099 389bf7023bf7efd5\n\
-hlog-00000442.log 34188 933a607b22468233\n\
-hlog-00000443.log 33117 471a93f19393a02f\n\
-hlog-00000444.log 4883 d77503ba21418fd7\n\
-readback=b32976ed54319e87\n\
-";
-const BG_TIGHT_LZ: &str = "\
-HashLogStats { puts: 4796, gets: 1988, deletes: 1216, app_bytes_written: 7553250, segments_created: 420, gc_runs: 411, gc_bytes_rewritten: 6845532 }\n\
-maint=Some(MaintStats { jobs: 411, slices: 1685, installs: 411, bytes_read: 2816871, bytes_written: 6845532, stall_ns: 0, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-segments=9 entries=125 garbage=59169\n\
-hpw=838 hpr=3722 npw=838 clock=935248756597 reads=20d5da517b7964fc\n\
-hlog-00000409.log 6616 7f8d908f71f991f3\n\
-hlog-00000412.log 6602 cd268c113a328b6b\n\
-hlog-00000413.log 6550 ddae3286b73fae17\n\
-hlog-00000414.log 6464 43708fb0e73e0c91\n\
-hlog-00000415.log 6890 9d5c4f603786af26\n\
-hlog-00000416.log 6586 56362561ee7aa503\n\
-hlog-00000417.log 7005 9b24792abaf8cc21\n\
-hlog-00000418.log 4761 3d5d5bc97cd6b4d5\n\
-hlog-00000419.log 0 af63bd4c8601b7df\n\
-readback=b32976ed54319e87\n\
-";
-
 #[test]
 fn inline_gc_codec_off_matches_the_recorded_run() {
-    parity!(
-        run_mix(MaintConfig::default(), Compression::None),
-        INLINE_RAW
-    );
+    let got = run_mix(MaintConfig::default(), Compression::None);
+    assert_golden("parity/hashlog/gc_parity/INLINE_RAW.txt", &got);
 }
 
 #[test]
 fn inline_gc_codec_on_matches_the_recorded_run() {
-    parity!(
-        run_mix(MaintConfig::default(), Compression::from_level(1)),
-        INLINE_LZ
-    );
+    let got = run_mix(MaintConfig::default(), Compression::from_level(1));
+    assert_golden("parity/hashlog/gc_parity/INLINE_LZ.txt", &got);
 }
 
 #[test]
 fn background_gc_codec_off_matches_the_recorded_run() {
-    parity!(run_mix(MaintConfig::enabled(), Compression::None), BG_RAW);
+    let got = run_mix(MaintConfig::enabled(), Compression::None);
+    assert_golden("parity/hashlog/gc_parity/BG_RAW.txt", &got);
 }
 
 #[test]
 fn background_gc_codec_on_matches_the_recorded_run() {
-    parity!(
-        run_mix(MaintConfig::enabled(), Compression::from_level(1)),
-        BG_LZ
-    );
+    let got = run_mix(MaintConfig::enabled(), Compression::from_level(1));
+    assert_golden("parity/hashlog/gc_parity/BG_LZ.txt", &got);
 }
 
 #[test]
 fn tightly_paced_gc_codec_off_matches_the_recorded_run() {
-    parity!(run_mix(paced_tight(), Compression::None), BG_TIGHT_RAW);
+    let got = run_mix(paced_tight(), Compression::None);
+    assert_golden("parity/hashlog/gc_parity/BG_TIGHT_RAW.txt", &got);
 }
 
 #[test]
 fn tightly_paced_gc_codec_on_matches_the_recorded_run() {
-    parity!(
-        run_mix(paced_tight(), Compression::from_level(1)),
-        BG_TIGHT_LZ
-    );
+    let got = run_mix(paced_tight(), Compression::from_level(1));
+    assert_golden("parity/hashlog/gc_parity/BG_TIGHT_LZ.txt", &got);
 }

@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 use ptsbench_lsm::{LsmDb, LsmOptions};
 use ptsbench_maint::MaintConfig;
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_testkit::{assert_golden, Fnv};
 use ptsbench_vfs::{EngineTuning, Vfs, VfsOptions};
 
 const KEYS: u32 = 600;
@@ -48,31 +49,10 @@ fn value(rng: &mut SmallRng, tag: u32) -> Vec<u8> {
         .collect()
 }
 
-/// FNV-1a, folded over everything a get returned.
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-        // Length-delimit so ("ab", "c") and ("a", "bc") differ.
-        self.0 ^= bytes.len() as u64;
-        self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-    }
-
-    fn get(&mut self, db: &mut LsmDb, key: &[u8]) {
-        match db.get(key).expect("get") {
-            Some(v) => self.feed(&v),
-            None => self.feed(b"<absent>"),
-        }
-    }
+/// Folds a point read into `reads`: the value, or a marker for none.
+fn feed_get(reads: &mut Fnv, db: &mut LsmDb, key: &[u8]) {
+    let value = db.get(key).expect("get");
+    reads.feed(value.as_deref().unwrap_or(b"<absent>"));
 }
 
 fn pump(db: &mut LsmDb) {
@@ -83,8 +63,8 @@ fn pump(db: &mut LsmDb) {
 /// just above it, and a few keys above every table.
 fn read_everything(db: &mut LsmDb, reads: &mut Fnv) {
     for i in (0..KEYS + 10).rev() {
-        reads.get(db, &key(i));
-        reads.get(db, &gap_key(i));
+        feed_get(reads, db, &key(i));
+        feed_get(reads, db, &gap_key(i));
     }
 }
 
@@ -149,20 +129,20 @@ fn run_script(cache_bytes: u64, codec: u8) -> String {
                 }
                 recent.push(i);
                 if step % 2 == 0 {
-                    reads.get(&mut db, &key(i));
+                    feed_get(&mut reads, &mut db, &key(i));
                 }
             }
             7..=8 => {
                 db.delete(&key(i)).expect("delete");
-                reads.get(&mut db, &key(i));
+                feed_get(&mut reads, &mut db, &key(i));
             }
-            9..=13 => reads.get(&mut db, &key(i)),
+            9..=13 => feed_get(&mut reads, &mut db, &key(i)),
             14..=15 if !recent.is_empty() => {
                 let r = recent[rng.gen_range(0..recent.len())];
-                reads.get(&mut db, &key(r));
+                feed_get(&mut reads, &mut db, &key(r));
             }
-            16..=18 => reads.get(&mut db, &gap_key(i)),
-            _ => reads.get(&mut db, &key(KEYS + i)),
+            16..=18 => feed_get(&mut reads, &mut db, &gap_key(i)),
+            _ => feed_get(&mut reads, &mut db, &key(KEYS + i)),
         }
         if step % 8 == 0 {
             db.run_maintenance_slice().expect("slice");
@@ -185,147 +165,26 @@ fn run_script(cache_bytes: u64, codec: u8) -> String {
     out
 }
 
-/// Checks the recorded literal and the file it moves to.
-macro_rules! parity {
-    ($actual:expr, $name:ident) => {{
-        let actual: String = $actual;
-        assert_parity(&actual, $name);
-        ptsbench_testkit::assert_golden(
-            concat!("parity/lsm/read_parity/", stringify!($name), ".txt"),
-            &actual,
-        );
-    }};
-}
-
-fn assert_parity(actual: &str, expected: &str) {
-    assert!(
-        actual == expected,
-        "the run drifted from the recorded constants; it now renders:\n{actual}"
-    );
-}
-
 const CACHE: u64 = 256 << 10;
-
-const RAW: &str = "\
--- loaded\n\
-DbStats { puts: 600, gets: 0, deletes: 55, app_bytes_written: 768873, flushes: 42, flush_bytes: 711432, compactions: 4, compaction_bytes_read: 1661580, compaction_bytes_written: 1637470, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 46, slices: 244, installs: 46, bytes_read: 1661580, bytes_written: 2365469, stall_ns: 35968272508, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 2, 33805), (1, 38, 653517), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=940 hpr=936 clock=98020727040 reads=cbf29ce484222325\n\
--- mixed\n\
-DbStats { puts: 1684, gets: 2468, deletes: 328, app_bytes_written: 2128066, flushes: 123, flush_bytes: 2088555, compactions: 12, compaction_bytes_read: 8283613, compaction_bytes_written: 6856657, trivial_moves: 0, bloom_probes: 6917, bloom_negatives: 6087, bloom_false_positives: 55 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 135, slices: 924, installs: 135, bytes_read: 8283613, bytes_written: 8961078, stall_ns: 150514635204, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 49511), (1, 36, 612088), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3309 hpr=5751 clock=824058998196 reads=96dd31c4fe742740\n\
--- flushed and read back\n\
-DbStats { puts: 1684, gets: 3688, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 2107790, compactions: 12, compaction_bytes_read: 8283613, compaction_bytes_written: 6856657, trivial_moves: 0, bloom_probes: 12924, bloom_negatives: 11517, bloom_false_positives: 131 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 137, slices: 929, installs: 137, bytes_read: 8283613, bytes_written: 8964447, stall_ns: 151461998840, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 5, 68746), (1, 36, 612088), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3317 hpr=6903 clock=1171315725052 reads=073c2bccb6b132c3\n\
--- compacted and read back\n\
-DbStats { puts: 1684, gets: 4908, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 2107790, compactions: 13, compaction_bytes_read: 8964447, compaction_bytes_written: 7459438, trivial_moves: 0, bloom_probes: 14079, bloom_negatives: 12177, bloom_false_positives: 138 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 137, slices: 929, installs: 137, bytes_read: 8283613, bytes_written: 8964447, stall_ns: 151461998840, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 0, 0), (1, 35, 602781), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3492 hpr=8205 clock=1478536633708 reads=c0dcac8ba58a2726\n";
-
-const LZ: &str = "\
--- loaded\n\
-DbStats { puts: 600, gets: 0, deletes: 55, app_bytes_written: 768873, flushes: 43, flush_bytes: 152684, compactions: 4, compaction_bytes_read: 343491, compaction_bytes_written: 335282, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 47, slices: 193, installs: 47, bytes_read: 343491, bytes_written: 541859, stall_ns: 14256181704, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 10527), (1, 10, 133948), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=396 hpr=651 clock=77055999872 reads=cbf29ce484222325\n\
--- mixed\n\
-DbStats { puts: 1684, gets: 2468, deletes: 328, app_bytes_written: 2128066, flushes: 123, flush_bytes: 439517, compactions: 12, compaction_bytes_read: 1709842, compaction_bytes_written: 1406356, trivial_moves: 0, bloom_probes: 6956, bloom_negatives: 6122, bloom_false_positives: 57 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 135, slices: 612, installs: 135, bytes_read: 1709842, bytes_written: 2017636, stall_ns: 57526272092, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 10436), (1, 9, 125595), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1242 hpr=3770 clock=726700910078 reads=96dd31c4fe742740\n\
--- flushed and read back\n\
-DbStats { puts: 1684, gets: 3688, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 443634, compactions: 12, compaction_bytes_read: 1709842, compaction_bytes_written: 1406356, trivial_moves: 0, bloom_probes: 13006, bloom_negatives: 11593, bloom_false_positives: 135 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 137, slices: 617, installs: 137, bytes_read: 1709842, bytes_written: 2020912, stall_ns: 58323635728, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 5, 14553), (1, 9, 125595), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1247 hpr=4447 clock=1069563299195 reads=073c2bccb6b132c3\n\
--- compacted and read back\n\
-DbStats { puts: 1684, gets: 4908, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 443634, compactions: 13, compaction_bytes_read: 1849990, compaction_bytes_written: 1530118, trivial_moves: 0, bloom_probes: 14195, bloom_negatives: 12289, bloom_false_positives: 140 }\n\
-cache=None\n\
-maint=Some(MaintStats { jobs: 137, slices: 617, installs: 137, bytes_read: 1709842, bytes_written: 2020912, stall_ns: 58323635728, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 0, 0), (1, 9, 123762), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1283 hpr=5236 clock=1363532029356 reads=c0dcac8ba58a2726\n";
-
-const CACHED_RAW: &str = "\
--- loaded\n\
-DbStats { puts: 600, gets: 0, deletes: 55, app_bytes_written: 768873, flushes: 42, flush_bytes: 711432, compactions: 4, compaction_bytes_read: 1661580, compaction_bytes_written: 1637470, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
-cache=Some(CacheStats { hits: 0, misses: 0, admissions: 0, rejections: 0, evictions: 0, bytes_saved: 0 })\n\
-maint=Some(MaintStats { jobs: 46, slices: 244, installs: 46, bytes_read: 1661580, bytes_written: 2365469, stall_ns: 35968272508, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 2, 33805), (1, 38, 653517), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=940 hpr=936 clock=98020727040 reads=cbf29ce484222325\n\
--- mixed\n\
-DbStats { puts: 1684, gets: 2468, deletes: 328, app_bytes_written: 2128066, flushes: 123, flush_bytes: 2088555, compactions: 12, compaction_bytes_read: 8283613, compaction_bytes_written: 6856657, trivial_moves: 0, bloom_probes: 6916, bloom_negatives: 6086, bloom_false_positives: 55 }\n\
-cache=Some(CacheStats { hits: 53, misses: 777, admissions: 155, rejections: 622, evictions: 98, bytes_saved: 250551 })\n\
-maint=Some(MaintStats { jobs: 135, slices: 924, installs: 135, bytes_read: 8283613, bytes_written: 8961078, stall_ns: 150514635204, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 49511), (1, 36, 612088), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3309 hpr=5645 clock=792326452780 reads=96dd31c4fe742740\n\
--- flushed and read back\n\
-DbStats { puts: 1684, gets: 3688, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 2107790, compactions: 12, compaction_bytes_read: 8283613, compaction_bytes_written: 6856657, trivial_moves: 0, bloom_probes: 12923, bloom_negatives: 11516, bloom_false_positives: 131 }\n\
-cache=Some(CacheStats { hits: 259, misses: 1148, admissions: 237, rejections: 911, evictions: 180, bytes_saved: 1194854 })\n\
-maint=Some(MaintStats { jobs: 137, slices: 929, installs: 137, bytes_read: 8283613, bytes_written: 8964447, stall_ns: 151461998840, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 5, 68746), (1, 36, 612088), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3317 hpr=6400 clock=1016415816144 reads=073c2bccb6b132c3\n\
--- compacted and read back\n\
-DbStats { puts: 1684, gets: 4908, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 2107790, compactions: 13, compaction_bytes_read: 8964447, compaction_bytes_written: 7459438, trivial_moves: 0, bloom_probes: 14078, bloom_negatives: 12176, bloom_false_positives: 138 }\n\
-cache=Some(CacheStats { hits: 360, misses: 1542, admissions: 297, rejections: 1245, evictions: 237, bytes_saved: 1667785 })\n\
-maint=Some(MaintStats { jobs: 137, slices: 929, installs: 137, bytes_read: 8283613, bytes_written: 8964447, stall_ns: 151461998840, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 0, 0), (1, 35, 602781), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=3492 hpr=7496 clock=1263119815784 reads=c0dcac8ba58a2726\n";
-
-const CACHED_LZ: &str = "\
--- loaded\n\
-DbStats { puts: 600, gets: 0, deletes: 55, app_bytes_written: 768873, flushes: 43, flush_bytes: 152684, compactions: 4, compaction_bytes_read: 343491, compaction_bytes_written: 335282, trivial_moves: 0, bloom_probes: 0, bloom_negatives: 0, bloom_false_positives: 0 }\n\
-cache=Some(CacheStats { hits: 0, misses: 0, admissions: 0, rejections: 0, evictions: 0, bytes_saved: 0 })\n\
-maint=Some(MaintStats { jobs: 47, slices: 193, installs: 47, bytes_read: 343491, bytes_written: 541859, stall_ns: 14256181704, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 10527), (1, 10, 133948), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=396 hpr=651 clock=77055999872 reads=cbf29ce484222325\n\
--- mixed\n\
-DbStats { puts: 1684, gets: 2468, deletes: 328, app_bytes_written: 2128066, flushes: 123, flush_bytes: 439517, compactions: 12, compaction_bytes_read: 1709842, compaction_bytes_written: 1406356, trivial_moves: 0, bloom_probes: 6956, bloom_negatives: 6122, bloom_false_positives: 57 }\n\
-cache=Some(CacheStats { hits: 61, misses: 773, admissions: 149, rejections: 624, evictions: 93, bytes_saved: 58316 })\n\
-maint=Some(MaintStats { jobs: 135, slices: 612, installs: 135, bytes_read: 1709842, bytes_written: 2017636, stall_ns: 57571726636, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 3, 10436), (1, 9, 125595), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1242 hpr=3701 clock=690826128971 reads=96dd31c4fe742740\n\
--- flushed and read back\n\
-DbStats { puts: 1684, gets: 3688, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 443634, compactions: 12, compaction_bytes_read: 1709842, compaction_bytes_written: 1406356, trivial_moves: 0, bloom_probes: 13006, bloom_negatives: 11593, bloom_false_positives: 135 }\n\
-cache=Some(CacheStats { hits: 293, misses: 1120, admissions: 241, rejections: 879, evictions: 188, bytes_saved: 278850 })\n\
-maint=Some(MaintStats { jobs: 137, slices: 617, installs: 137, bytes_read: 1709842, bytes_written: 2020912, stall_ns: 58369090272, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 5, 14553), (1, 9, 125595), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1247 hpr=4118 clock=897101426710 reads=073c2bccb6b132c3\n\
--- compacted and read back\n\
-DbStats { puts: 1684, gets: 4908, deletes: 328, app_bytes_written: 2128066, flushes: 125, flush_bytes: 443634, compactions: 13, compaction_bytes_read: 1849990, compaction_bytes_written: 1530118, trivial_moves: 0, bloom_probes: 14195, bloom_negatives: 12289, bloom_false_positives: 140 }\n\
-cache=Some(CacheStats { hits: 371, misses: 1535, admissions: 287, rejections: 1248, evictions: 233, bytes_saved: 352853 })\n\
-maint=Some(MaintStats { jobs: 137, slices: 617, installs: 137, bytes_read: 1709842, bytes_written: 2020912, stall_ns: 58369090272, app_bytes: 0, host_bytes: 0, live_bytes: 0, used_bytes: 0 })\n\
-levels=[(0, 0, 0), (1, 9, 123762), (2, 0, 0), (3, 0, 0), (4, 0, 0)]\n\
-hpw=1283 hpr=4820 clock=1145153336189 reads=c0dcac8ba58a2726\n";
 
 #[test]
 fn codec_off() {
-    parity!(run_script(0, 0), RAW);
+    assert_golden("parity/lsm/read_parity/RAW.txt", &run_script(0, 0));
 }
 
 #[test]
 fn codec_on() {
-    parity!(run_script(0, 1), LZ);
+    assert_golden("parity/lsm/read_parity/LZ.txt", &run_script(0, 1));
 }
 
 #[test]
 fn cached_codec_off() {
-    parity!(run_script(CACHE, 0), CACHED_RAW);
+    let got = run_script(CACHE, 0);
+    assert_golden("parity/lsm/read_parity/CACHED_RAW.txt", &got);
 }
 
 #[test]
 fn cached_codec_on() {
-    parity!(run_script(CACHE, 1), CACHED_LZ);
+    let got = run_script(CACHE, 1);
+    assert_golden("parity/lsm/read_parity/CACHED_LZ.txt", &got);
 }

@@ -13,32 +13,18 @@ use rand::{Rng, SeedableRng};
 
 use ptsbench_ssd::config::{GcConfig, Geometry};
 use ptsbench_ssd::{Ftl, NandOps};
+use ptsbench_testkit::{assert_golden, Fnv};
 
-/// FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn feed(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn ops(&mut self, ops: NandOps) {
-        for word in [
-            ops.programs,
-            ops.reads,
-            ops.erases,
-            ops.relocated,
-            ops.gc_runs,
-        ] {
-            self.feed(word as u64);
-        }
+/// Folds one step's [`NandOps`] into `fnv`.
+fn ops(fnv: &mut Fnv, step: NandOps) {
+    for word in [
+        step.programs,
+        step.reads,
+        step.erases,
+        step.relocated,
+        step.gc_runs,
+    ] {
+        fnv.word(word as u64);
     }
 }
 
@@ -74,12 +60,12 @@ fn run(geom: Geometry) -> String {
     while written < writes {
         if written == writes / 2 {
             ftl.discard_all();
-            steps.feed(u64::MAX);
+            steps.word(u64::MAX);
         }
         if written % (writes / 2) == 0 {
             // A full drive: fill the logical space in order.
             for lpn in 0..logical {
-                steps.ops(ftl.write(lpn).expect("fill"));
+                ops(&mut steps, ftl.write(lpn).expect("fill"));
             }
         }
         // A fifth of the LBA space takes most writes (hot and cold data
@@ -93,19 +79,19 @@ fn run(geom: Geometry) -> String {
         if rng.gen_range(0..20) == 0 {
             let end = (lpn + rng.gen_range(1..8u64)).min(logical);
             for lpn in lpn..end {
-                steps.feed(ftl.trim(lpn).expect("trim") as u64);
+                steps.word(ftl.trim(lpn).expect("trim") as u64);
             }
         } else {
-            let ops = ftl.write(lpn).expect("write");
-            steps.ops(ops);
-            total.merge(ops);
+            let op = ftl.write(lpn).expect("write");
+            ops(&mut steps, op);
+            total.merge(op);
             written += 1;
         }
     }
     ftl.check_invariants();
     let mut wear = Fnv::new();
     for count in ftl.erase_counts() {
-        wear.feed(count as u64);
+        wear.word(count as u64);
     }
     format!(
         "steps={:016x} wear={:016x} free={} mapped={} gc_runs={} relocated={}",
@@ -118,32 +104,8 @@ fn run(geom: Geometry) -> String {
     )
 }
 
-/// Checks the recorded literal and the file it moves to.
-macro_rules! parity {
-    ($actual:expr, $name:ident) => {{
-        let actual: String = $actual;
-        assert_parity(&actual, $name);
-        ptsbench_testkit::assert_golden(
-            concat!("parity/ssd/ftl_parity/", stringify!($name), ".txt"),
-            &actual,
-        );
-    }};
-}
-
-fn assert_parity(actual: &str, expected: &str) {
-    assert!(
-        actual == expected,
-        "the run drifted from the recorded constants; it now renders:\n{actual}"
-    );
-}
-
-const ROOMY_GREEDY: &str =
-    "steps=58a2c443a8c35711 wear=0f88441aaefd2823 free=4 mapped=1704 gc_runs=1980 relocated=31443";
-const TIGHT_GREEDY: &str =
-    "steps=1f894217dbe255fd wear=cb4206d912f525f6 free=4 mapped=1704 gc_runs=5379 relocated=53575";
-
 #[test]
 fn greedy_victims_match_the_recorded_runs() {
-    parity!(run(roomy()), ROOMY_GREEDY);
-    parity!(run(tight()), TIGHT_GREEDY);
+    assert_golden("parity/ssd/ftl_parity/ROOMY_GREEDY.txt", &run(roomy()));
+    assert_golden("parity/ssd/ftl_parity/TIGHT_GREEDY.txt", &run(tight()));
 }

@@ -75,48 +75,17 @@ fn root() -> PathBuf {
 /// what the last run saw move.
 pub fn assert_golden(rel: &str, actual: &str) {
     let root = root();
-    let golden = root.join("tests/golden").join(rel);
     let rendered = root.join("target/golden-actual").join(rel);
-    let recorded = std::fs::read(&golden).ok();
+    let recorded = std::fs::read(root.join("tests/golden").join(rel)).ok();
     if recorded.as_deref() == Some(actual.as_bytes()) {
         let _ = std::fs::remove_file(&rendered);
         return;
     }
-    let written = rendered
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(&rendered, actual));
-    if let Err(e) = written {
-        panic!(
-            "tests/golden/{rel} does not match, and {} could not be written: {e}",
-            rendered.display()
-        );
-    }
-    let diff = match &recorded {
-        None => "the file is missing".to_string(),
-        Some(recorded) => {
-            let recorded = String::from_utf8_lossy(recorded);
-            match recorded
-                .lines()
-                .zip(actual.lines())
-                .position(|(r, a)| r != a)
-            {
-                Some(i) => format!(
-                    "line {}: recorded\n    {}\nrendered\n    {}",
-                    i + 1,
-                    recorded.lines().nth(i).unwrap_or_default(),
-                    actual.lines().nth(i).unwrap_or_default()
-                ),
-                None => format!(
-                    "{} bytes recorded, {} rendered; one is a prefix of the other",
-                    recorded.len(),
-                    actual.len()
-                ),
-            }
-        }
-    };
+    std::fs::create_dir_all(rendered.parent().expect("a file under target/"))
+        .and_then(|()| std::fs::write(&rendered, actual))
+        .unwrap_or_else(|e| panic!("tests/golden/{rel} does not match the run: {e}"));
     panic!(
-        "tests/golden/{rel} does not match the run ({diff}).\n\
+        "tests/golden/{rel} does not match the run, which is left under target/golden-actual/. \
          After a declared change, re-record it from the workspace root:\n    \
          cp target/golden-actual/{rel} tests/golden/{rel}"
     );

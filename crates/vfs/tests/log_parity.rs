@@ -17,6 +17,7 @@
 //! suite's.
 
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
+use ptsbench_testkit::{assert_golden, fnv64};
 use ptsbench_vfs::{LogRecord, RecordLog, SharedIoQueue, Vfs, VfsOptions};
 
 const PAGE: usize = 4096;
@@ -168,12 +169,6 @@ fn log_step(
     .map_err(|e| format!("filesystem error: {e}"))
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 fn pattern(step: usize, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (step * 31 + i * 7 + i / 251) as u8)
@@ -203,7 +198,7 @@ fn snapshot(v: &Vfs, prefix: &str) -> String {
             let id = v.open(name).expect("open");
             // Looked at through a checked-out appender: no device
             // traffic, nothing moves.
-            let bytes = fnv(&v.appender(id, 0).expect("check out").buf);
+            let bytes = fnv64(&v.appender(id, 0).expect("check out").buf);
             format!(
                 "{name}:{}:{}:{bytes:016x}",
                 v.size(id).expect("size"),
@@ -221,7 +216,7 @@ fn snapshot(v: &Vfs, prefix: &str) -> String {
                     "{}={}:{:08x}",
                     String::from_utf8_lossy(k),
                     value.len(),
-                    fnv(value) as u32
+                    fnv64(value) as u32
                 ),
                 LogRecord::Delete(k) => format!("{}=X", String::from_utf8_lossy(k)),
             })
@@ -301,177 +296,33 @@ fn run(prefix: &'static str, script: &[Step], recycle: bool) -> String {
     out
 }
 
-/// Checks the recorded literal and the file it moves to.
-macro_rules! parity {
-    ($actual:expr, $name:ident) => {{
-        let actual: String = $actual;
-        assert_parity(&actual, $name);
-        ptsbench_testkit::assert_golden(
-            concat!("parity/vfs/log_parity/", stringify!($name), ".txt"),
-            &actual,
-        );
-    }};
-}
-
-fn assert_parity(actual: &str, expected: &str) {
-    assert!(
-        actual == expected,
-        "the run drifted from the recorded constants; it now renders:\n{actual}"
-    );
-}
-
-const JOURNAL: &str = "\
-0 Put(\"tiny\", 10) ok files=[journal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-1 Put(\"entry\", 4000) ok files=[journal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-2 Put(\"pages\", 9000) ok files=[journal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=3 nw=3 nr=3 er=0 gc=0/0 trim=0 clock=8968363635 df=3/4093/1/3/12288 replay=[<torn>]\n\
-3 Delete(\"tiny\") ok files=[journal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=6 nw=3 nr=6 er=0 gc=0/0 trim=0 clock=16016727270 df=3/4093/1/3/12288 replay=[<torn>]\n\
-4 Sync(false) ok files=[journal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=10 nw=4 nr=10 er=0 gc=0/0 trim=0 clock=26054545450 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-5 Put(\"tail\", 10) ok files=[journal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=14 nw=4 nr=14 er=0 gc=0/0 trim=0 clock=35452363630 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-6 Sync(true) ok files=[journal-0:20480:35652363630:630f21fae37327d5] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/20480 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X tail=10:c9d468b8]\n\
-7 Rotate ok files=[journal-0:0:35652363630:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/0 replay=[]\n\
-8 Put(\"entry\", 4000) ok files=[journal-0:0:35652363630:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/0 replay=[]\n\
-9 Put(\"entry2\", 4000) ok files=[journal-0:4096:48039636355:7cbb4937ffa2a3e2] w=6 r=20 nw=6 nr=20 er=0 gc=0/0 trim=0 clock=50829090900 df=5/4091/1/5/4096 replay=[<torn>]\n\
-10 Sync(false) ok files=[journal-0:8192:51029090900:ed36c929e439f876] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=5/4091/1/5/8192 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5]\n\
-11 Reopen ok files=[journal-0:8192:51029090900:ed36c929e439f876] w=7 r=24 nw=7 nr=24 er=0 gc=0/0 trim=0 clock=60866909080 df=5/4091/1/5/8192 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5]\n\
-12 Put(\"after\", 10) ok files=[journal-0:8192:51029090900:ed36c929e439f876] w=7 r=26 nw=7 nr=26 er=0 gc=0/0 trim=0 clock=65565818170 df=5/4091/1/5/8192 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5]\n\
-13 Sync(true) ok files=[journal-0:12288:65765818170:5804d1c738a70aed] w=8 r=29 nw=8 nr=29 er=0 gc=0/0 trim=0 clock=73254181805 df=5/4091/1/5/12288 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5 after=10:ec15c978]\n\
-14 Rotate ok files=[journal-0:0:65765818170:cbf29ce484222325] w=8 r=29 nw=8 nr=29 er=0 gc=0/0 trim=0 clock=73254181805 df=5/4091/1/5/0 replay=[]\n\
-15 Put(\"kept\", 300) ok files=[journal-0:0:65765818170:cbf29ce484222325] w=8 r=29 nw=8 nr=29 er=0 gc=0/0 trim=0 clock=73254181805 df=5/4091/1/5/0 replay=[]\n\
-16 Hog(1) ok files=[journal-0:0:65765818170:cbf29ce484222325] w=4098 r=29 nw=4098 nr=29 er=0 gc=0/0 trim=0 clock=73254181805 df=4095/1/2/4095/16752640 replay=[]\n\
-17 Put(\"huge\", 100000) ERR(filesystem error: no space left on device (requested 1 pages, 0 free)) files=[journal-0:24576:893254181805:81c5c44affa2c23e] w=4104 r=35 nw=4104 nr=35 er=0 gc=0/0 trim=0 clock=907790909075 df=4096/0/2/4096/16777216 replay=[<torn>]\n\
-18 Unhog ok files=[journal-0:24576:893254181805:81c5c44affa2c23e] w=4104 r=41 nw=4104 nr=41 er=0 gc=0/0 trim=0 clock=921887636345 df=6/4090/1/4096/24576 replay=[<torn>]\n\
-19 Put(\"next\", 10) ok files=[journal-0:98304:932967636345:bbe81f19e0b95a71] w=4122 r=65 nw=4122 nr=65 er=0 gc=0/0 trim=0 clock=989794545425 df=24/4072/1/4096/98304 replay=[<torn>]\n\
-20 Sync(true) ok files=[journal-0:102400:989994545425:de9d7532710510eb] w=4123 r=90 nw=4123 nr=90 er=0 gc=0/0 trim=0 clock=1049170909050 df=25/4071/1/4096/102400 replay=[kept=300:41cbdfea huge=100000:60571a76 next=10:79f950d4]\n\
-21 Rotate ok files=[journal-0:0:989994545425:cbf29ce484222325] w=4123 r=90 nw=4123 nr=90 er=0 gc=0/0 trim=0 clock=1049170909050 df=25/4071/1/4096/0 replay=[]\n\
-";
-const WAL_RECYCLE: &str = "\
-0 Put(\"tiny\", 10) ok files=[wal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-1 Put(\"entry\", 4000) ok files=[wal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-2 Put(\"pages\", 9000) ok files=[wal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=3 nw=3 nr=3 er=0 gc=0/0 trim=0 clock=8968363635 df=3/4093/1/3/12288 replay=[<torn>]\n\
-3 Delete(\"tiny\") ok files=[wal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=6 nw=3 nr=6 er=0 gc=0/0 trim=0 clock=16016727270 df=3/4093/1/3/12288 replay=[<torn>]\n\
-4 Sync(false) ok files=[wal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=10 nw=4 nr=10 er=0 gc=0/0 trim=0 clock=26054545450 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-5 Put(\"tail\", 10) ok files=[wal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=14 nw=4 nr=14 er=0 gc=0/0 trim=0 clock=35452363630 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-6 Sync(true) ok files=[wal-0:20480:35652363630:630f21fae37327d5] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/20480 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X tail=10:c9d468b8]\n\
-7 Rotate ok files=[wal-0:0:35652363630:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/0 replay=[]\n\
-8 Put(\"entry\", 4000) ok files=[wal-0:0:35652363630:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/0 replay=[]\n\
-9 Put(\"entry2\", 4000) ok files=[wal-0:4096:48039636355:7cbb4937ffa2a3e2] w=6 r=20 nw=6 nr=20 er=0 gc=0/0 trim=0 clock=50829090900 df=5/4091/1/5/4096 replay=[<torn>]\n\
-10 Sync(false) ok files=[wal-0:8192:51029090900:ed36c929e439f876] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=5/4091/1/5/8192 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5]\n\
-11 RotateDeferred ok files=[wal-0:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=5/4091/2/5/8192 replay=[<2 logs>]\n\
-12 Put(\"fresh\", 10) ok files=[wal-0:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=5/4091/2/5/8192 replay=[<2 logs>]\n\
-13 Delete(\"entry\") ok files=[wal-0:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=5/4091/2/5/8192 replay=[<2 logs>]\n\
-14 Sync(true) ok files=[wal-0:8192:51029090900:ed36c929e439f876 wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=22 nw=8 nr=22 er=0 gc=0/0 trim=0 clock=56807999990 df=6/4090/2/6/12288 replay=[<2 logs>]\n\
-15 ReleaseDeferred ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=23 nw=8 nr=23 er=0 gc=0/0 trim=0 clock=59157454535 df=1/4095/1/6/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-16 Reopen ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=24 nw=8 nr=24 er=0 gc=0/0 trim=0 clock=61506909080 df=1/4095/1/6/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-17 Put(\"after\", 10) ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=25 nw=8 nr=25 er=0 gc=0/0 trim=0 clock=63856363625 df=1/4095/1/6/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-18 Sync(true) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=27 nw=9 nr=27 er=0 gc=0/0 trim=0 clock=69195272715 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-19 PutBuffered(\"b0\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=29 nw=9 nr=29 er=0 gc=0/0 trim=0 clock=73894181805 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-20 PutBuffered(\"b1\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=31 nw=9 nr=31 er=0 gc=0/0 trim=0 clock=78593090895 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-21 PutBuffered(\"b2\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=33 nw=9 nr=33 er=0 gc=0/0 trim=0 clock=83291999985 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-22 PutBuffered(\"b3\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=35 nw=9 nr=35 er=0 gc=0/0 trim=0 clock=87990909075 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-23 PutBuffered(\"b4\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=37 nw=9 nr=37 er=0 gc=0/0 trim=0 clock=92689818165 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-24 PutBuffered(\"b5\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=39 nw=9 nr=39 er=0 gc=0/0 trim=0 clock=97388727255 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-25 PutBuffered(\"b6\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=41 nw=9 nr=41 er=0 gc=0/0 trim=0 clock=102087636345 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-26 PutBuffered(\"b7\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=43 nw=9 nr=43 er=0 gc=0/0 trim=0 clock=106786545435 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-27 PutBuffered(\"b8\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=45 nw=9 nr=45 er=0 gc=0/0 trim=0 clock=111485454525 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-28 PutBuffered(\"b9\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=47 nw=9 nr=47 er=0 gc=0/0 trim=0 clock=116184363615 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-29 DeleteBuffered(\"b3\") ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=49 nw=9 nr=49 er=0 gc=0/0 trim=0 clock=120883272705 df=2/4094/1/6/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-30 SyncBatched { queued: true, wait: false } ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=61 nw=19 nr=61 er=0 gc=0/0 trim=0 clock=129380727245 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-31 PutBuffered(\"c0\", 10) ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=73 nw=19 nr=73 er=0 gc=0/0 trim=0 clock=136838181785 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-32 PutBuffered(\"c1\", 9000) ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=85 nw=19 nr=85 er=0 gc=0/0 trim=0 clock=144295636325 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-33 SyncBatched { queued: true, wait: true } ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=100 nw=22 nr=100 er=0 gc=0/0 trim=0 clock=154833454500 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-34 PutBuffered(\"d0\", 5000) ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=115 nw=22 nr=115 er=0 gc=0/0 trim=0 clock=164731272675 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-35 DeleteBuffered(\"c0\") ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=130 nw=22 nr=130 er=0 gc=0/0 trim=0 clock=174629090850 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-36 SyncBatched { queued: false, wait: true } ok files=[wal-2:69632:175029090850:41942caf4bef5924] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=17/4079/1/17/69632 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9 d0=5000:ac88e355 c0=X]\n\
-37 Rotate ok files=[wal-2:0:175029090850:cbf29ce484222325] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=17/4079/1/17/0 replay=[]\n\
-38 Put(\"kept\", 300) ok files=[wal-2:0:175029090850:cbf29ce484222325] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=17/4079/1/17/0 replay=[]\n\
-39 Hog(1) ok files=[wal-2:0:175029090850:cbf29ce484222325] w=4102 r=147 nw=4102 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=4095/1/2/4095/16703488 replay=[]\n\
-40 Put(\"huge\", 100000) ERR(filesystem error: no space left on device (requested 1 pages, 0 free)) files=[wal-2:73728:1012841818115:f8ad0f9672150b50] w=4120 r=165 nw=4120 nr=165 er=0 gc=0/0 trim=0 clock=1027923999925 df=4096/0/2/4096/16777216 replay=[<torn>]\n\
-41 Unhog ok files=[wal-2:73728:1012841818115:f8ad0f9672150b50] w=4120 r=183 nw=4120 nr=183 er=0 gc=0/0 trim=0 clock=1042566181735 df=18/4078/1/4096/73728 replay=[<torn>]\n\
-42 Sync(true) ok files=[wal-2:102400:1043966181735:f612976ac7fda700] w=4127 r=208 nw=4127 nr=208 er=0 gc=0/0 trim=0 clock=1061230545360 df=25/4071/1/4096/102400 replay=[kept=300:3854a1d4 huge=100000:92f498b0]\n\
-43 Rotate ok files=[wal-2:0:1043966181735:cbf29ce484222325] w=4127 r=208 nw=4127 nr=208 er=0 gc=0/0 trim=0 clock=1061230545360 df=25/4071/1/4096/0 replay=[]\n\
-";
-const WAL_CHURN: &str = "\
-0 Put(\"tiny\", 10) ok files=[wal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-1 Put(\"entry\", 4000) ok files=[wal-0:0:0:cbf29ce484222325] w=0 r=0 nw=0 nr=0 er=0 gc=0/0 trim=0 clock=0 df=0/4096/1/0/0 replay=[]\n\
-2 Put(\"pages\", 9000) ok files=[wal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=3 nw=3 nr=3 er=0 gc=0/0 trim=0 clock=8968363635 df=3/4093/1/3/12288 replay=[<torn>]\n\
-3 Delete(\"tiny\") ok files=[wal-0:12288:1480000000:12cb1e322cc861f1] w=3 r=6 nw=3 nr=6 er=0 gc=0/0 trim=0 clock=16016727270 df=3/4093/1/3/12288 replay=[<torn>]\n\
-4 Sync(false) ok files=[wal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=10 nw=4 nr=10 er=0 gc=0/0 trim=0 clock=26054545450 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-5 Put(\"tail\", 10) ok files=[wal-0:16384:16216727270:1d28fc899c5e4b8f] w=4 r=14 nw=4 nr=14 er=0 gc=0/0 trim=0 clock=35452363630 df=4/4092/1/4/16384 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X]\n\
-6 Sync(true) ok files=[wal-0:20480:35652363630:630f21fae37327d5] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=5/4091/1/5/20480 replay=[tiny=10:9d330638 entry=4000:0e139e75 pages=9000:9bc70715 tiny=X tail=10:c9d468b8]\n\
-7 Rotate ok files=[wal-1:0:0:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=0/4096/1/5/0 replay=[]\n\
-8 Put(\"entry\", 4000) ok files=[wal-1:0:0:cbf29ce484222325] w=5 r=19 nw=5 nr=19 er=0 gc=0/0 trim=0 clock=47839636355 df=0/4096/1/5/0 replay=[]\n\
-9 Put(\"entry2\", 4000) ok files=[wal-1:4096:48039636355:7cbb4937ffa2a3e2] w=6 r=20 nw=6 nr=20 er=0 gc=0/0 trim=0 clock=50829090900 df=1/4095/1/5/4096 replay=[<torn>]\n\
-10 Sync(false) ok files=[wal-1:8192:51029090900:ed36c929e439f876] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=2/4094/1/5/8192 replay=[entry=4000:6a06f6c5 entry2=4000:61a159b5]\n\
-11 RotateDeferred ok files=[wal-1:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=2/4094/2/5/8192 replay=[<2 logs>]\n\
-12 Put(\"fresh\", 10) ok files=[wal-1:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=2/4094/2/5/8192 replay=[<2 logs>]\n\
-13 Delete(\"entry\") ok files=[wal-1:8192:51029090900:ed36c929e439f876 wal-2:0:0:cbf29ce484222325] w=7 r=22 nw=7 nr=22 er=0 gc=0/0 trim=0 clock=56167999990 df=2/4094/2/5/8192 replay=[<2 logs>]\n\
-14 Sync(true) ok files=[wal-1:8192:51029090900:ed36c929e439f876 wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=22 nw=8 nr=22 er=0 gc=0/0 trim=0 clock=56807999990 df=3/4093/2/5/12288 replay=[<2 logs>]\n\
-15 ReleaseDeferred ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=23 nw=8 nr=23 er=0 gc=0/0 trim=0 clock=59157454535 df=1/4095/1/5/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-16 Reopen ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=24 nw=8 nr=24 er=0 gc=0/0 trim=0 clock=61506909080 df=1/4095/1/5/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-17 Put(\"after\", 10) ok files=[wal-2:4096:56367999990:1ef813fb7873fb2d] w=8 r=25 nw=8 nr=25 er=0 gc=0/0 trim=0 clock=63856363625 df=1/4095/1/5/4096 replay=[fresh=10:ec15c978 entry=X]\n\
-18 Sync(true) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=27 nw=9 nr=27 er=0 gc=0/0 trim=0 clock=69195272715 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-19 PutBuffered(\"b0\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=29 nw=9 nr=29 er=0 gc=0/0 trim=0 clock=73894181805 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-20 PutBuffered(\"b1\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=31 nw=9 nr=31 er=0 gc=0/0 trim=0 clock=78593090895 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-21 PutBuffered(\"b2\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=33 nw=9 nr=33 er=0 gc=0/0 trim=0 clock=83291999985 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-22 PutBuffered(\"b3\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=35 nw=9 nr=35 er=0 gc=0/0 trim=0 clock=87990909075 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-23 PutBuffered(\"b4\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=37 nw=9 nr=37 er=0 gc=0/0 trim=0 clock=92689818165 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-24 PutBuffered(\"b5\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=39 nw=9 nr=39 er=0 gc=0/0 trim=0 clock=97388727255 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-25 PutBuffered(\"b6\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=41 nw=9 nr=41 er=0 gc=0/0 trim=0 clock=102087636345 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-26 PutBuffered(\"b7\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=43 nw=9 nr=43 er=0 gc=0/0 trim=0 clock=106786545435 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-27 PutBuffered(\"b8\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=45 nw=9 nr=45 er=0 gc=0/0 trim=0 clock=111485454525 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-28 PutBuffered(\"b9\", 4000) ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=47 nw=9 nr=47 er=0 gc=0/0 trim=0 clock=116184363615 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-29 DeleteBuffered(\"b3\") ok files=[wal-2:8192:64056363625:460b6da066521cce] w=9 r=49 nw=9 nr=49 er=0 gc=0/0 trim=0 clock=120883272705 df=2/4094/1/5/8192 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58]\n\
-30 SyncBatched { queued: true, wait: false } ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=61 nw=19 nr=61 er=0 gc=0/0 trim=0 clock=129380727245 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-31 PutBuffered(\"c0\", 10) ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=73 nw=19 nr=73 er=0 gc=0/0 trim=0 clock=136838181785 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-32 PutBuffered(\"c1\", 9000) ok files=[wal-2:49152:122883272705:d1ca4f608451f83c] w=19 r=85 nw=19 nr=85 er=0 gc=0/0 trim=0 clock=144295636325 df=12/4084/1/12/49152 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X]\n\
-33 SyncBatched { queued: true, wait: true } ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=100 nw=22 nr=100 er=0 gc=0/0 trim=0 clock=154833454500 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-34 PutBuffered(\"d0\", 5000) ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=115 nw=22 nr=115 er=0 gc=0/0 trim=0 clock=164731272675 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-35 DeleteBuffered(\"c0\") ok files=[wal-2:61440:144895636325:f391ea84ea0e4bc7] w=22 r=130 nw=22 nr=130 er=0 gc=0/0 trim=0 clock=174629090850 df=15/4081/1/15/61440 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9]\n\
-36 SyncBatched { queued: false, wait: true } ok files=[wal-2:69632:175029090850:41942caf4bef5924] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=17/4079/1/17/69632 replay=[fresh=10:ec15c978 entry=X after=10:9fa6cb58 b0=4000:4f929485 b1=4000:63e0a825 b2=4000:4d7a4fb5 b3=4000:4599bf65 b4=4000:45220ce5 b5=4000:618cc645 b6=4000:c21fe315 b7=4000:67336305 b8=4000:d4716045 b9=4000:eb839ec5 b3=X c0=10:9a2dee0c c1=9000:eba013a9 d0=5000:ac88e355 c0=X]\n\
-37 Rotate ok files=[wal-3:0:0:cbf29ce484222325] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=0/4096/1/17/0 replay=[]\n\
-38 Put(\"kept\", 300) ok files=[wal-3:0:0:cbf29ce484222325] w=24 r=147 nw=24 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=0/4096/1/17/0 replay=[]\n\
-39 Hog(1) ok files=[wal-3:0:0:cbf29ce484222325] w=4119 r=147 nw=4119 nr=147 er=0 gc=0/0 trim=0 clock=187561818115 df=4095/1/2/4095/16773120 replay=[]\n\
-40 Put(\"huge\", 100000) ERR(filesystem error: no space left on device (requested 1 pages, 0 free)) files=[wal-3:4096:1006761818115:ea67b7cfbc727148] w=4120 r=148 nw=4120 nr=148 er=0 gc=0/0 trim=0 clock=1008151272660 df=4096/0/2/4096/16777216 replay=[<torn>]\n\
-41 Unhog ok files=[wal-3:4096:1006761818115:ea67b7cfbc727148] w=4120 r=149 nw=4120 nr=149 er=0 gc=0/0 trim=0 clock=1010500727205 df=1/4095/1/4096/4096 replay=[<torn>]\n\
-42 Sync(true) ok files=[wal-3:102400:1015300727205:f612976ac7fda700] w=4144 r=174 nw=4144 nr=174 er=0 gc=0/0 trim=0 clock=1021045090830 df=25/4071/1/4096/102400 replay=[kept=300:3854a1d4 huge=100000:92f498b0]\n\
-43 Rotate ok files=[wal-4:0:0:cbf29ce484222325] w=4144 r=174 nw=4144 nr=174 er=0 gc=0/0 trim=0 clock=1021045090830 df=0/4096/1/4096/0 replay=[]\n\
-";
-
 #[test]
 fn journal_script() {
-    parity!(run("journal", JOURNAL_SCRIPT, true), JOURNAL);
+    let got = run("journal", JOURNAL_SCRIPT, true);
+    assert_golden("parity/vfs/log_parity/JOURNAL.txt", &got);
 }
 
 #[test]
 fn wal_script_recycling() {
-    parity!(run("wal", WAL_SCRIPT, true), WAL_RECYCLE);
+    let got = run("wal", WAL_SCRIPT, true);
+    assert_golden("parity/vfs/log_parity/WAL_RECYCLE.txt", &got);
 }
 
 #[test]
 fn wal_script_churning() {
-    parity!(run("wal", WAL_SCRIPT, false), WAL_CHURN);
+    let got = run("wal", WAL_SCRIPT, false);
+    assert_golden("parity/vfs/log_parity/WAL_CHURN.txt", &got);
 }
 
 /// The prefix is a name and nothing else: the WAL's script under the
-/// journal's prefix renders the WAL's constants with the files renamed.
+/// journal's prefix renders the WAL's recorded runs with the files renamed.
 #[test]
 fn the_prefix_only_names_the_files() {
-    for (recycle, expected) in [(true, WAL_RECYCLE), (false, WAL_CHURN)] {
-        assert_parity(
-            &run("journal", WAL_SCRIPT, recycle),
-            &expected.replace("wal-", "journal-"),
-        );
-    }
-    let actual = run("journal", WAL_SCRIPT, true);
-    assert!(!actual.contains("wal-"), "{actual}");
-    ptsbench_testkit::assert_golden(
-        "parity/vfs/log_parity/WAL_RECYCLE.txt",
-        &actual.replace("journal-", "wal-"),
-    );
-    let actual = run("journal", WAL_SCRIPT, false);
-    assert!(!actual.contains("wal-"), "{actual}");
-    ptsbench_testkit::assert_golden(
-        "parity/vfs/log_parity/WAL_CHURN.txt",
-        &actual.replace("journal-", "wal-"),
-    );
+    let renamed = |recycle| {
+        let actual = run("journal", WAL_SCRIPT, recycle);
+        assert!(!actual.contains("wal-"), "{actual}");
+        actual.replace("journal-", "wal-")
+    };
+    assert_golden("parity/vfs/log_parity/WAL_RECYCLE.txt", &renamed(true));
+    assert_golden("parity/vfs/log_parity/WAL_CHURN.txt", &renamed(false));
 }

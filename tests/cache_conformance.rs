@@ -13,7 +13,7 @@
 //!
 //! Unlike the other conformance suites, which compare two live runs,
 //! this one also pins against a **golden snapshot**
-//! (`tests/golden/baseline.txt`) captured from the harness before
+//! (`tests/golden/baseline/`) captured from the harness before
 //! the cache tier existed, so a regression in *any* layer the tier
 //! touched — builders, readers, options, the report renderer — shows
 //! up as a byte diff against history, not just against a sibling code
@@ -24,9 +24,10 @@ use ptsbench::core::runner::run;
 use ptsbench::core::sharded::ShardedRun;
 use ptsbench::harness::{run_frontend, run_sharded};
 use ptsbench::workload::KeyDistribution;
+use ptsbench_testkit::assert_golden;
 
 mod common;
-use common::{base, engines, golden_section, serving_shape};
+use common::{base, engines, serving_shape};
 
 /// The tentpole guarantee: with the tier off, today's sharded harness
 /// reproduces the pre-cache golden output byte-for-byte for every
@@ -34,13 +35,8 @@ use common::{base, engines, golden_section, serving_shape};
 #[test]
 fn cache_off_sharded_runs_match_the_pre_cache_golden_output() {
     for engine in engines() {
-        let name = format!("sharded/{engine}");
         let report = run_sharded(&ShardedRun::new(base(engine, 32 << 20), 2)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: cache-off sharded output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/sharded-{engine}.txt"), &report.render());
         assert!(
             !report.render().contains("cache"),
             "{engine}: no cache accounting may appear with the tier off"
@@ -53,13 +49,8 @@ fn cache_off_sharded_runs_match_the_pre_cache_golden_output() {
 #[test]
 fn cache_off_frontend_runs_match_the_pre_cache_golden_output() {
     for engine in engines() {
-        let name = format!("frontend/{engine}");
         let report = run_frontend(&serving_shape(engine)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: cache-off front-end output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/frontend-{engine}.txt"), &report.render());
     }
 }
 

@@ -1,6 +1,6 @@
-//! Helpers shared by the root conformance suites: the engine list, the
-//! run shapes the golden snapshot was captured with, and the snapshot
-//! itself. Each suite is its own crate and uses a subset.
+//! Helpers shared by the root conformance suites: the engine list and
+//! the run shapes the baseline goldens (`tests/golden/baseline/`) were
+//! captured with. Each suite is its own crate and uses a subset.
 #![allow(dead_code)]
 
 use ptsbench::core::frontend::FrontendRun;
@@ -9,34 +9,10 @@ use ptsbench::core::runner::RunConfig;
 use ptsbench::ssd::MINUTE;
 use ptsbench::workload::KeyDistribution;
 
-/// Rendered harness output captured before any optional subsystem
-/// (cache tier, tracing, SLOs, tenants, background maintenance) landed;
-/// with all of them off, today's harness must reproduce it byte for
-/// byte.
-const GOLDEN: &str = include_str!("../golden/baseline.txt");
-
 /// Every registered engine, the hash log included.
 pub fn engines() -> Vec<EngineKind> {
     ptsbench::hashlog::register();
     EngineRegistry::all()
-}
-
-/// One `@@@section@@@` block of the golden snapshot.
-pub fn golden_section(name: &str) -> String {
-    let header = format!("@@@{name}@@@\n");
-    let start = GOLDEN
-        .find(&header)
-        .unwrap_or_else(|| panic!("golden section {name} missing"))
-        + header.len();
-    let end = GOLDEN[start..]
-        .find("@@@")
-        .expect("golden sections are terminated");
-    let section = GOLDEN[start..start + end].to_string();
-    ptsbench_testkit::assert_golden(
-        &format!("baseline/{}.txt", name.replace('/', "-")),
-        &section,
-    );
-    section
 }
 
 /// The exact shapes the snapshot was captured with (small enough for

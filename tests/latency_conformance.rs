@@ -20,6 +20,7 @@ use ptsbench::core::ReqClass;
 use ptsbench::harness::{run_frontend, run_frontend_with_results, run_sharded_with_results};
 use ptsbench::ssd::{MINUTE, SECOND};
 use ptsbench::workload::ArrivalSpec;
+use ptsbench_testkit::assert_golden;
 
 mod common;
 use common::{base, engines};
@@ -191,7 +192,6 @@ fn mixed_arrival_fleet_matches_the_scanning_driver_golden_output() {
             },
         ),
     ];
-    let actual = run_frontend(&cfg).expect("run").render();
-    assert_eq!(actual, include_str!("golden/frontend_mixed257.txt"));
-    ptsbench_testkit::assert_golden("frontend_mixed257.txt", &actual);
+    let got = run_frontend(&cfg).expect("run").render();
+    assert_golden("frontend_mixed257.txt", &got);
 }

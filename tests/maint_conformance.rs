@@ -12,7 +12,7 @@
 //! engine, across the sharded driver and the serving front-end.
 //!
 //! Like `cache_conformance`, this pins against the golden snapshot
-//! (`tests/golden/baseline.txt`) captured before either subsystem
+//! (`tests/golden/baseline/`) captured before either subsystem
 //! existed, so a regression in *any* layer maintenance touched —
 //! engine write paths, the WAL, options, the runner, the report
 //! renderer — shows up as a byte diff against history.
@@ -21,9 +21,10 @@ use ptsbench::core::runner::run;
 use ptsbench::core::sharded::ShardedRun;
 use ptsbench::harness::{run_frontend, run_frontend_with_results, run_sharded};
 use ptsbench::maint::MaintConfig;
+use ptsbench_testkit::assert_golden;
 
 mod common;
-use common::{base, engines, golden_section, serving_shape};
+use common::{base, engines, serving_shape};
 
 /// The tentpole guarantee: with maintenance off (the default), today's
 /// sharded harness reproduces the pre-maintenance golden output
@@ -31,13 +32,8 @@ use common::{base, engines, golden_section, serving_shape};
 #[test]
 fn maint_off_sharded_runs_match_the_golden_output() {
     for engine in engines() {
-        let name = format!("sharded/{engine}");
         let report = run_sharded(&ShardedRun::new(base(engine, 32 << 20), 2)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: maintenance-off sharded output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/sharded-{engine}.txt"), &report.render());
         assert!(
             !report.render().contains("maint"),
             "{engine}: no maintenance accounting may appear with the subsystem off"
@@ -51,13 +47,8 @@ fn maint_off_sharded_runs_match_the_golden_output() {
 #[test]
 fn maint_off_frontend_runs_match_the_golden_output() {
     for engine in engines() {
-        let name = format!("frontend/{engine}");
         let report = run_frontend(&serving_shape(engine)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: maintenance-off front-end output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/frontend-{engine}.txt"), &report.render());
     }
 }
 
@@ -99,9 +90,11 @@ fn maint_on_perturbs_the_report_deterministically() {
             text.contains("maint: jobs=") && text.contains("maint["),
             "{engine}: maintenance accounting must render: {text}"
         );
+        let baseline = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("tests/golden/baseline/frontend-{engine}.txt"));
         assert_ne!(
             text,
-            golden_section(&format!("frontend/{engine}")),
+            std::fs::read_to_string(baseline).expect("the maintenance-off baseline"),
             "{engine}: active maintenance must show up in the report"
         );
         for (i, r) in outcome.shard_results.iter().enumerate() {

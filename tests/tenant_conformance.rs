@@ -13,7 +13,7 @@
 //! anywhere — for every registered engine.
 //!
 //! Like `tests/cache_conformance.rs`, the pin is against the **golden
-//! snapshot** (`tests/golden/baseline.txt`) captured from the
+//! snapshot** (`tests/golden/baseline/`) captured from the
 //! harness before either subsystem existed, so a regression in any
 //! layer the front-end rework touched — the dispatcher, the completion
 //! ordering, the report renderer — shows up as a byte diff against
@@ -29,9 +29,10 @@ use ptsbench::harness::{run_frontend, Frontend, ReqOutcome, Request};
 use ptsbench::metrics::runreport::{RunReport, ShardReport};
 use ptsbench::ssd::{MILLISECOND, MINUTE, SECOND};
 use ptsbench::workload::{ArrivalSpec, KeyDistribution, OpKind};
+use ptsbench_testkit::{assert_golden, Fnv};
 
 mod common;
-use common::{base, engines, golden_section, serving_shape};
+use common::{base, engines, serving_shape};
 
 /// The tentpole guarantee: a front-end run whose multi-tenant knobs are
 /// all at their explicit pass-through settings reproduces the
@@ -47,13 +48,8 @@ fn classless_frontend_runs_match_the_pre_mt_golden_output() {
         cfg.discipline = DispatchDiscipline::Fifo;
         cfg.tenants = Vec::new();
         assert!(!cfg.mt_active(), "{engine}: these are the pass-throughs");
-        let report = run_frontend(&cfg).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&format!("frontend/{engine}")),
-            "{engine}: class-less front-end output must be byte-identical to seed"
-        );
-        let text = report.render();
+        let text = run_frontend(&cfg).expect("run").render();
+        assert_golden(&format!("baseline/frontend-{engine}.txt"), &text);
         assert!(
             !text.contains("mt:") && !text.contains("mt[") && !text.contains("/mt"),
             "{engine}: no multi-tenant accounting may appear when inactive: {text}"
@@ -152,9 +148,8 @@ fn wfq_overload_matches_the_scanning_driver_golden_output() {
         tenant(ReqClass::Interactive, 2, 3_837_000_000),
         tenant(ReqClass::Batch, 1, 109_640_000),
     ];
-    let actual = run_frontend(&cfg).expect("run").render();
-    assert_eq!(actual, include_str!("golden/frontend_wfq_overload.txt"));
-    ptsbench_testkit::assert_golden("frontend_wfq_overload.txt", &actual);
+    let got = run_frontend(&cfg).expect("run").render();
+    assert_golden("frontend_wfq_overload.txt", &got);
 }
 
 /// Strict priority's decisions, pinned against history: two LSM shards
@@ -239,12 +234,7 @@ fn strict_priority_overload_matches_the_scanning_dispatcher_golden_output() {
 
     let completions = frontend.wait_all().expect("wait_all");
     assert_eq!(completions.len(), tokens.len(), "exactly-once resolution");
-    let mut fnv = 0xcbf2_9ce4_8422_2325_u64;
-    let mut fold = |word: u64| {
-        for byte in word.to_le_bytes() {
-            fnv = (fnv ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fnv = Fnv::new();
     let (mut served, mut shed) = (0, 0);
     for c in &completions {
         let index = tokens.binary_search(&c.token).expect("a submitted token");
@@ -263,7 +253,7 @@ fn strict_priority_overload_matches_the_scanning_dispatcher_golden_output() {
             c.done_at,
             c.seq,
         ] {
-            fold(word);
+            fnv.word(word);
         }
     }
 
@@ -295,15 +285,14 @@ fn strict_priority_overload_matches_the_scanning_dispatcher_golden_output() {
     let report = RunReport::merge(cfg.label(), cfg.clients, reports);
     let rendered = format!(
         "{}completions={} served={served} shed={shed}\n\
-         fnv1a(token, shard, outcome, issued_at, done_at, seq)={fnv:016x}\n",
+         fnv1a(token, shard, outcome, issued_at, done_at, seq)={:016x}\n",
         report.render(),
         completions.len(),
+        fnv.0,
     );
     assert!(
         shed > 0 && served > 0,
         "the shed branch must run: {rendered}"
     );
-    let actual = rendered;
-    assert_eq!(actual, include_str!("golden/frontend_strict_overload.txt"));
-    ptsbench_testkit::assert_golden("frontend_strict_overload.txt", &actual);
+    assert_golden("frontend_strict_overload.txt", &rendered);
 }

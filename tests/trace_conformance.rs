@@ -10,7 +10,7 @@
 //! — same labels, same numbers, no `cause` attribution anywhere — for
 //! every registered engine, across the sharded driver and the serving
 //! front-end. Like the cache suite, the pin is against the
-//! `tests/golden/baseline.txt` snapshot captured before either
+//! `tests/golden/baseline/` snapshot captured before either
 //! tier existed, so a regression in *any* layer the recorder touched
 //! shows up as a byte diff against history.
 //!
@@ -23,9 +23,10 @@
 use ptsbench::core::runner::run;
 use ptsbench::core::sharded::ShardedRun;
 use ptsbench::harness::{run_frontend, run_sharded};
+use ptsbench_testkit::assert_golden;
 
 mod common;
-use common::{base, engines, golden_section, serving_shape};
+use common::{base, engines, serving_shape};
 
 /// The tentpole guarantee: with the recorder off, today's sharded
 /// harness reproduces the pre-trace golden output byte-for-byte for
@@ -33,13 +34,8 @@ use common::{base, engines, golden_section, serving_shape};
 #[test]
 fn trace_off_sharded_runs_match_the_pre_trace_golden_output() {
     for engine in engines() {
-        let name = format!("sharded/{engine}");
         let report = run_sharded(&ShardedRun::new(base(engine, 32 << 20), 2)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: trace-off sharded output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/sharded-{engine}.txt"), &report.render());
         assert!(
             !report.render().contains("cause"),
             "{engine}: no cause attribution may appear with the recorder off"
@@ -52,13 +48,8 @@ fn trace_off_sharded_runs_match_the_pre_trace_golden_output() {
 #[test]
 fn trace_off_frontend_runs_match_the_pre_trace_golden_output() {
     for engine in engines() {
-        let name = format!("frontend/{engine}");
         let report = run_frontend(&serving_shape(engine)).expect("run");
-        assert_eq!(
-            report.render(),
-            golden_section(&name),
-            "{engine}: trace-off front-end output must be byte-identical to seed"
-        );
+        assert_golden(&format!("baseline/frontend-{engine}.txt"), &report.render());
     }
 }
 
