@@ -254,9 +254,10 @@ impl BTreeDb {
         self.entries == 0
     }
 
-    /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes
-    /// (a page records a key's length in two bytes).
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+    /// What [`BTreeDb::put`] refuses before it touches anything: a key
+    /// longer than `u16::MAX` bytes (a page records a key's length in two
+    /// bytes), or a pair no page can hold.
+    fn check_put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         StoreError::check_key(key)?;
         let pair_bytes = 6 + key.len() + value.len();
         if pair_bytes + 5 > self.opts.page_bytes {
@@ -265,6 +266,13 @@ impl BTreeDb {
                 self.opts.page_bytes
             )));
         }
+        Ok(())
+    }
+
+    /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes,
+    /// and a key-value pair must fit in one page.
+    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.check_put(key, value)?;
         self.stats.puts += 1;
         self.stats.app_bytes_written += (key.len() + value.len()) as u64;
         self.bytes_since_checkpoint += (key.len() + value.len()) as u64;
@@ -276,6 +284,27 @@ impl BTreeDb {
         }
         self.insert_entry(key, value)?;
         self.maybe_checkpoint()
+    }
+
+    /// Applies a batch of writes (`value == None` = delete) in order,
+    /// each exactly as [`BTreeDb::put`] or [`BTreeDb::delete`] would. A
+    /// put `put` would refuse fails the whole batch before any op is
+    /// applied.
+    pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
+        for &(key, value) in ops {
+            if let Some(value) = value {
+                self.check_put(key, value)?;
+            }
+        }
+        for &(key, value) in ops {
+            match value {
+                Some(value) => self.put(key, value)?,
+                None => {
+                    self.delete(key)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Deletes a key; returns whether it existed.

@@ -12,9 +12,10 @@
 //! Design points:
 //!
 //! * **Batched writes** — [`WriteBatch`] groups puts/deletes so bulk
-//!   load and replication-style ingest can amortize per-call overhead;
-//!   engines may override [`PtsEngine::apply_batch`] with a native
-//!   group commit.
+//!   load and replication-style ingest can amortize per-call overhead.
+//!   Every engine states its own [`PtsEngine::apply_batch`] (there is no
+//!   default loop), and a batch holding an op the engine refuses
+//!   applies nothing.
 //! * **Streaming scans** — [`PtsEngine::scan`] returns a
 //!   [`ScanCursor`], an iterator that pulls entries on demand instead
 //!   of materializing `Vec<(Vec<u8>, Vec<u8>)>` for the whole range.
@@ -164,9 +165,10 @@ pub enum BatchOp {
 /// An ordered group of puts/deletes applied through
 /// [`PtsEngine::apply_batch`].
 ///
-/// The loader uses batches for bulk load; engines with a native group
-/// write path (e.g. a single log append covering the whole batch) can
-/// override `apply_batch` to exploit it.
+/// The loader uses batches for bulk load. Each engine implements
+/// `apply_batch` itself: the hash log appends a whole batch as one log
+/// write, the LSM group-commits one in maintenance mode, and both tree
+/// engines check every op before they apply any.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteBatch {
     ops: Vec<BatchOp>,
@@ -328,18 +330,11 @@ pub trait PtsEngine: Send {
     /// Deletes a key (idempotent).
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError>;
 
-    /// Applies a batch in order. The default loops over the individual
-    /// operations; engines with a native group write path should
-    /// override it.
-    fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {
-        for op in batch.ops() {
-            match op {
-                BatchOp::Put { key, value } => self.put(key, value)?,
-                BatchOp::Delete { key } => self.delete(key)?,
-            }
-        }
-        Ok(())
-    }
+    /// Applies a batch in order. An op the engine would refuse on its
+    /// own (a key or pair over the engine's limits) fails the whole batch
+    /// before any op is applied: an `Err` of that kind leaves every key,
+    /// counter and byte as it was.
+    fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError>;
 
     /// Streaming range scan: live entries with `start <= key < end`
     /// (`end` `None` = unbounded), up to `limit` results, in ascending
@@ -425,6 +420,19 @@ pub(crate) fn btree_error(e: StoreError) -> PtsError {
     PtsError::store("btree", e)
 }
 
+/// A batch as the tree engines take it: `(key, Some(value))` for a put,
+/// `(key, None)` for a delete.
+fn pairs(batch: &WriteBatch) -> Vec<(&[u8], Option<&[u8]>)> {
+    batch
+        .ops()
+        .iter()
+        .map(|op| match op {
+            BatchOp::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
+            BatchOp::Delete { key } => (key.as_slice(), None),
+        })
+        .collect()
+}
+
 /// The LSM engine (RocksDB stand-in) behind the uniform API.
 pub(crate) struct LsmEngine(pub LsmDb);
 
@@ -443,17 +451,9 @@ impl PtsEngine for LsmEngine {
 
     // Native group commit: in maintenance mode the batch's WAL records
     // coalesce into one padded append + at most one fsync; in inline
-    // mode LsmDb loops put/delete exactly like the trait default.
+    // mode LsmDb loops put/delete one op at a time.
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {
-        let ops: Vec<(&[u8], Option<&[u8]>)> = batch
-            .ops()
-            .iter()
-            .map(|op| match op {
-                BatchOp::Put { key, value } => (key.as_slice(), Some(value.as_slice())),
-                BatchOp::Delete { key } => (key.as_slice(), None),
-            })
-            .collect();
-        self.0.apply_batch(&ops).map_err(lsm_error)
+        self.0.apply_batch(&pairs(batch)).map_err(lsm_error)
     }
 
     fn scan(
@@ -538,6 +538,10 @@ impl PtsEngine for BTreeEngine {
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
         self.0.delete(key).map_err(btree_error)?;
         Ok(())
+    }
+
+    fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {
+        self.0.apply_batch(&pairs(batch)).map_err(btree_error)
     }
 
     fn scan(

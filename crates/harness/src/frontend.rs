@@ -2380,7 +2380,7 @@ mod tests {
     /// The LSM with every point lookup failing: hard, or — `full` — as
     /// the out-of-space outcome.
     fn failing_gets(full: bool) -> EngineKind {
-        use ptsbench_core::engine::{EngineStats, PtsEngine, ScanCursor};
+        use ptsbench_core::engine::{EngineStats, PtsEngine, ScanCursor, WriteBatch};
         use ptsbench_core::registry::{EngineDescriptor, EngineRegistry, EngineTuning, Lifecycle};
         use ptsbench_vfs::Vfs;
 
@@ -2408,6 +2408,9 @@ mod tests {
             }
             fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
                 self.lsm.delete(key)
+            }
+            fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {
+                self.lsm.apply_batch(batch)
             }
             fn scan(
                 &mut self,

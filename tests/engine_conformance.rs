@@ -8,7 +8,7 @@
 //! descriptor, it is automatically held to this spec.
 
 use ptsbench::core::runner::{run, RunConfig};
-use ptsbench::core::{EngineRegistry, EngineTuning, PtsError, WriteBatch};
+use ptsbench::core::{EngineRegistry, EngineTuning, PtsEngine, PtsError, WriteBatch};
 use ptsbench::ssd::{DeviceConfig, DeviceProfile, Ssd, MINUTE};
 use ptsbench::vfs::{Vfs, VfsOptions};
 
@@ -214,6 +214,38 @@ fn oversized_keys_read_back_or_are_refused_before_anything_moves() {
             Some(b"v".to_vec()),
             "{kind:?}"
         );
+    }
+}
+
+#[test]
+fn a_refused_batch_applies_nothing() {
+    // After a good put: a key longer than two bytes can record, and a
+    // pair larger than a 32 KiB B+Tree page. A batch is taken whole and
+    // reads back after a flush, or is refused with nothing applied.
+    let (long_key, big_value) = (vec![b'k'; 70_000], vec![b'v'; 40_000]);
+    for kind in engines() {
+        for (key, value) in [(&long_key[..], &b"v"[..]), (b"big", &big_value)] {
+            let mut sys = kind.open(stack(64 << 20), &tuning(64 << 20)).expect("open");
+            let before = sys.stats();
+            let mut batch = WriteBatch::new();
+            batch.put(b"first", b"v").put(key, value);
+            let applied = sys.apply_batch(&batch);
+            let after = sys.stats();
+            sys.flush().expect("flush");
+            let read = |sys: &mut Box<dyn PtsEngine>, key| sys.get(key).expect("get");
+            let (first, last) = (read(&mut sys, b"first"), read(&mut sys, key));
+            if applied.is_ok() {
+                assert_eq!(first.as_deref(), Some(&b"v"[..]), "{kind:?}");
+                assert_eq!(last.as_deref(), Some(value), "{kind:?}");
+            } else {
+                assert_eq!((first, last), (None, None), "{kind:?}: {applied:?}");
+                assert_eq!(after.puts, before.puts, "{kind:?}");
+                assert_eq!(
+                    after.app_bytes_written, before.app_bytes_written,
+                    "{kind:?}"
+                );
+            }
+        }
     }
 }
 
