@@ -287,9 +287,9 @@ impl BTreeDb {
     }
 
     /// Applies a batch of writes (`value == None` = delete) in order,
-    /// each exactly as [`BTreeDb::put`] or [`BTreeDb::delete`] would. A
-    /// put `put` would refuse fails the whole batch before any op is
-    /// applied.
+    /// each exactly as [`BTreeDb::put`] or [`BTreeDb::delete`] would.
+    /// Every put is checked first: one that `put` would refuse fails the
+    /// whole batch before any op is applied.
     pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
         for &(key, value) in ops {
             if let Some(value) = value {
