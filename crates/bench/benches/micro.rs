@@ -139,6 +139,20 @@ fn bench_memtable(c: &mut Criterion) {
     });
 }
 
+fn bench_workload(c: &mut Criterion) {
+    // A distinct (key, version) pair per call: one value's chain each,
+    // as a bulk load or an update stream makes them.
+    c.bench_function("workload/fill_value_4000", |b| {
+        let mut value = Vec::with_capacity(4000);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            fill_value(black_box(i), i % 7, 4000, &mut value);
+            black_box(value.last().copied())
+        })
+    });
+}
+
 fn bench_bloom(c: &mut Criterion) {
     let keys: Vec<Vec<u8>> = (0..100_000u32).map(|i| i.to_le_bytes().to_vec()).collect();
     c.bench_function("bloom/build_100k", |b| {
@@ -881,6 +895,7 @@ criterion_group!(
     bench_ftl,
     bench_allocator,
     bench_memtable,
+    bench_workload,
     bench_bloom,
     bench_sstable,
     bench_kway_merge,

@@ -616,20 +616,16 @@ impl BTreeDb {
             let Node::Leaf { entries } = node else {
                 unreachable!("descent ends at a leaf")
             };
-            let appended_last = slot == Err(entries.len());
+            if slot == Err(entries.len()) {
+                // Inserts at the tail of a leaf (sequential loads) use
+                // the append-optimized split to keep leaves ~full.
+                return node.append_pair(key, value, page_bytes);
+            }
             match slot {
                 Ok(i) => node.set_value(i, value),
                 Err(i) => node.insert_pair(i, key, value),
             }
-            // Inserts at the tail of a leaf (sequential loads) use the
-            // append-optimized split to keep leaves ~full.
-            (node.encoded_len() > page_bytes).then(|| {
-                if appended_last {
-                    node.split_append()
-                } else {
-                    node.split()
-                }
-            })
+            (node.encoded_len() > page_bytes).then(|| node.split())
         })?;
         self.entries += u64::from(slot.is_err());
         let Some((mut sep, right)) = split else {

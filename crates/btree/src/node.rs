@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use ptsbench_vfs::{FileSlice, StoreError};
+use ptsbench_vfs::{touch_strided, FileSlice, StoreError};
 
 use crate::{PageNo, Result};
 
@@ -244,6 +244,12 @@ impl<const LEAF: bool> Records<LEAF> {
         // `n` comes off the page: every record takes at least a header.
         let mut starts = Vec::with_capacity(n.min(page.len() / Self::HEADER));
         let mut pos = Self::PREFIX;
+        if let (true, Some(header)) = (LEAF, page.get(pos..pos + Self::HEADER)) {
+            // A leaf's records are mostly one size: fetch every header
+            // at once where that size puts it, not one miss at a time.
+            let (klen, vlen) = Self::lens(header);
+            touch_strided(page, pos, Self::HEADER + klen + vlen, n);
+        }
         for _ in 0..n {
             let Some(header) = page.get(pos..pos + Self::HEADER) else {
                 return Err(truncated());
@@ -342,6 +348,18 @@ impl Entries {
             .find(|&i| (self.offset(i) - Self::PREFIX) * 2 >= total)
             .unwrap_or(self.len() - 1)
             .max(1)
+    }
+
+    /// A leaf holding `(key, value)` alone, in a buffer `page_bytes`
+    /// long: a page image as it is.
+    fn lone(key: &[u8], value: &[u8], page_bytes: usize) -> Self {
+        let mut entries = Self {
+            buf: Arc::new(vec![0; page_bytes]),
+            used: Self::PREFIX,
+            starts: Vec::new(),
+        };
+        entries.insert(0, key, value);
+        entries
     }
 
     /// The leaf as a page read from the tree file: `page` itself, kept
@@ -632,12 +650,40 @@ impl Node {
         }
     }
 
-    /// Append-optimized leaf split: moves only the final entry to the
-    /// right node. Used when the overflowing insertion was at the end of
-    /// the leaf (the sequential-load pattern), leaving the left leaf
-    /// ~full — this is why B+Trees bulk-loaded in key order reach the
-    /// ~1.12 space amplification the paper measures for WiredTiger,
-    /// instead of the ~1.5 a half-split would produce.
+    /// For a leaf whose keys are all below `key`: appends `(key, value)`
+    /// if the leaf still fits a page of `page_bytes`, and returns `None`.
+    /// If it would not, this is the append-optimized split, decided
+    /// before the insert: the leaf stays as it is, ~full, and the pair
+    /// alone becomes a new page-long right leaf, returned with its key
+    /// as the separator. Sequential loads end every leaf this way, which
+    /// is why B+Trees bulk-loaded in key order reach the ~1.12 space
+    /// amplification the paper measures for WiredTiger, instead of the
+    /// ~1.5 a half-split would produce.
+    ///
+    /// The pair must fit a page on its own (`BTreeDb::put` refuses one
+    /// that does not).
+    pub(crate) fn append_pair(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        page_bytes: usize,
+    ) -> Option<(Vec<u8>, Node)> {
+        let Node::Leaf { entries } = self else {
+            panic!("append_pair() on an internal node")
+        };
+        if entries.used + Entries::HEADER + key.len() + value.len() <= page_bytes {
+            entries.insert(entries.len(), key, value);
+            return None;
+        }
+        debug_assert!(!entries.is_empty(), "a pair larger than a page");
+        let right = Entries::lone(key, value, page_bytes);
+        Some((key.to_vec(), Node::Leaf { entries: right }))
+    }
+
+    /// The split [`Node::append_pair`] decides before its insert, made
+    /// after it: moves only the final entry to the right node (tests:
+    /// the reference for `append_pair`'s pages).
+    #[cfg(test)]
     pub(crate) fn split_append(&mut self) -> (Vec<u8>, Node) {
         match self {
             Node::Leaf { entries } => {
@@ -889,6 +935,110 @@ mod tests {
         assert_leaf_image(&right, &pairs[last..]);
         node.absorb(&sep, right);
         assert_leaf_image(&node, &pairs);
+    }
+
+    /// The offsets of `pairs`' records in their page image, and where
+    /// the last ends: the walk with no guessing ahead.
+    fn plain_walk(pairs: &[(Vec<u8>, Vec<u8>)]) -> (Vec<u32>, usize) {
+        let mut pos = Entries::PREFIX;
+        let mut starts = Vec::new();
+        for (k, v) in pairs {
+            starts.push(pos as u32);
+            pos += Entries::HEADER + k.len() + v.len();
+        }
+        (starts, pos)
+    }
+
+    #[test]
+    fn leaf_loads_of_jagged_records_walk_as_the_plain_walk() {
+        let pair = |i: usize, len: usize| (format!("key{i:04}").into_bytes(), vec![i as u8; len]);
+        let cases: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![
+            // Mixed value lengths, some empty.
+            [4000, 12, 0, 3000, 0, 9000, 1]
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| pair(i, len))
+                .collect(),
+            // A long first record: every guess past the second lands
+            // past the end of the page.
+            [20_000, 3, 3, 3, 3, 3]
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| pair(i, len))
+                .collect(),
+            // A short first record: the guesses land inside values.
+            [0, 5000, 7000, 4000]
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| pair(i, len))
+                .collect(),
+            // All one size: every guess is a header.
+            (0..8).map(|i| pair(i, 4000)).collect(),
+            // One record; none.
+            vec![pair(0, 10)],
+            Vec::new(),
+        ];
+        for pairs in &cases {
+            let (starts, used) = plain_walk(pairs);
+            let image = reference_leaf_image(pairs);
+            assert_eq!(image.len(), used);
+            // A page that ends where the last record does, and one with
+            // room after it.
+            for room in [0, 32_768 - used.min(32_768)] {
+                let mut page = image.clone();
+                page.resize(used + room, 0);
+                assert_eq!(
+                    Entries::walk(&page, pairs.len()).expect("walk"),
+                    (starts.clone(), used)
+                );
+                let loaded = Node::load(FileSlice::from(page.clone())).expect("load");
+                assert_leaf_image(&loaded, pairs);
+                assert_eq!(Node::decode(&page).expect("decode"), loaded);
+            }
+            // More records claimed than the page holds.
+            assert!(Entries::walk(&image, pairs.len() + 3).is_err());
+        }
+    }
+
+    #[test]
+    fn an_append_past_a_full_leaf_starts_the_pages_split_append_leaves() {
+        let page_bytes = 32_768;
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..9)
+            .map(|i| (format!("key{i:04}").into_bytes(), vec![i as u8; 4000]))
+            .collect();
+        let (last, full) = pairs.split_last().expect("pairs");
+        let mut decided: Node = leaf(&[]);
+        for (k, v) in full {
+            assert!(decided.append_pair(k, v, page_bytes).is_none(), "fits");
+        }
+        let mut split = decided.clone();
+        let (sep, mut right) = decided
+            .append_pair(&last.0, &last.1, page_bytes)
+            .expect("a ninth 4 000-byte record overflows the page");
+        assert_leaf_image(&decided, full);
+        assert_leaf_image(&right, &pairs[full.len()..]);
+
+        // The same pages as inserting first and splitting after.
+        split.insert_pair(full.len(), &last.0, &last.1);
+        let (want_sep, mut want_right) = split.split_append();
+        assert_eq!((&sep, &decided), (&want_sep, &split));
+        assert_eq!(right, want_right);
+        let mut scratch = Vec::new();
+        let images =
+            |node: &mut Node, scratch: &mut Vec<u8>| match node.page_image(page_bytes, scratch) {
+                PageImage::Shared(page) => page.to_vec(),
+                PageImage::Encoded(page) => page.to_vec(),
+            };
+        assert_eq!(
+            images(&mut right, &mut scratch),
+            images(&mut want_right, &mut scratch)
+        );
+        // The new leaf is born a page long: its write-back copies nothing.
+        let Node::Leaf { entries } = &mut right else {
+            unreachable!("a leaf")
+        };
+        let born = Arc::as_ptr(&entries.buf);
+        assert_eq!(Arc::as_ptr(entries.page(page_bytes)), born);
     }
 
     #[test]

@@ -155,7 +155,7 @@ mod tests {
 
     use super::*;
     use crate::memtable::Memtable;
-    use crate::sstable::format::encode_entry;
+    use crate::sstable::format::{decode_entry, encode_entry};
     use crate::sstable::reader::{LoadedWindow, WindowScan, WindowSource};
 
     /// Entries as owned bytes.
@@ -212,6 +212,76 @@ mod tests {
             out.push((e.key.to_vec(), e.value.map(<[u8]>::to_vec)));
         }
         out
+    }
+
+    /// Jagged entries: long, short, empty and tombstoned values, so a
+    /// window's first entry is sometimes longer and sometimes shorter
+    /// than the rest.
+    fn jagged(n: usize) -> Owned {
+        (0..n)
+            .map(|i| {
+                let value = match i % 5 {
+                    0 => Some(vec![b'x'; 3000]),
+                    1 => None,
+                    2 => Some(Vec::new()),
+                    3 => Some(vec![b'y'; 7]),
+                    _ => Some(vec![b'z'; 900]),
+                };
+                (format!("k{i:03}").into_bytes(), value)
+            })
+            .collect()
+    }
+
+    /// The entries of windows of `per_window` entries each, decoded one
+    /// header at a time, with no guessing ahead; each walk must end
+    /// where its window does.
+    fn plain_walk(items: &[(Vec<u8>, Option<Vec<u8>>)], per_window: usize) -> Owned {
+        let mut out = Vec::new();
+        for chunk in items.chunks(per_window) {
+            let mut buf = Vec::new();
+            for (k, v) in chunk {
+                encode_entry(&mut buf, k, v.as_deref());
+            }
+            let mut pos = 0;
+            for _ in chunk {
+                let (key, value, next) = decode_entry(&buf, pos).expect("entry");
+                out.push((key.to_vec(), value.map(<[u8]>::to_vec)));
+                pos = next;
+            }
+            assert_eq!(pos, buf.len());
+        }
+        out
+    }
+
+    fn scan_all<S: Source>(mut scan: S) -> Owned {
+        let mut out = Vec::new();
+        while scan.peek().is_some() {
+            scan.advance();
+            let lent = scan.last();
+            out.push((lent.key.to_vec(), lent.value.map(<[u8]>::to_vec)));
+        }
+        out
+    }
+
+    #[test]
+    fn a_scan_of_jagged_windows_lends_what_a_plain_walk_decodes() {
+        let items = jagged(40);
+        // Windows that start on each kind of entry, one window, and a
+        // window of one entry; every window ends with its last entry,
+        // and a long first entry sends the guesses past its end.
+        for per_window in [1, 3, 5, 7, 40] {
+            let want = plain_walk(&items, per_window);
+            assert_eq!(want, items);
+            assert_eq!(scan_all(table(&items, per_window)), want, "{per_window}");
+        }
+        // A window that claims more entries than it holds ends the scan
+        // after the ones it has.
+        let mut buf = Vec::new();
+        for (k, v) in &items[..5] {
+            encode_entry(&mut buf, k, v.as_deref());
+        }
+        let windows = VecDeque::from([(FileSlice::from(buf), 9)]);
+        assert_eq!(scan_all(WindowScan::over(windows)), items[..5]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ptsbench_cache::{file_tag, Compression, SharedBlockCache};
-use ptsbench_vfs::{FileId, FileSlice, SharedIoQueue, StoreError, TraceHandle, Vfs};
+use ptsbench_vfs::{touch_strided, FileId, FileSlice, SharedIoQueue, StoreError, TraceHandle, Vfs};
 
 use crate::bloom::BloomFilter;
 use crate::iter::{Lent, Source};
@@ -549,6 +549,16 @@ impl<S: WindowSource> WindowScan<S> {
             }
             pos = 0;
             self.remaining = entries;
+            if let Ok((_, _, stride)) = entry_ranges(&self.buf, 0) {
+                // Entries are mostly one size: fetch every header at
+                // once where that size puts it, not one miss at a time.
+                touch_strided(
+                    &self.buf,
+                    0,
+                    stride,
+                    usize::try_from(entries).unwrap_or(usize::MAX),
+                );
+            }
         }
         // A corrupt entry ends the scan.
         self.head = entry_ranges(&self.buf, pos).ok();

@@ -5,6 +5,26 @@ use std::cmp::Ordering;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
+/// Loads one byte of `buf` at each offset `first + k * stride`, for `k`
+/// in `1..count`, that lies inside it, and throws them away: where the
+/// headers of `count` records from `first` on would sit if every record
+/// were `stride` bytes long. The loads do not depend on one another, so
+/// their cache misses overlap; a walk that then follows the real
+/// headers one by one finds them cached where the guess was right, and
+/// where it was wrong has lost one load. Changes nothing.
+pub fn touch_strided(buf: &[u8], first: usize, stride: usize, count: usize) {
+    let mut folded = 0u8;
+    let mut at = first;
+    for _ in 1..count {
+        at = at.saturating_add(stride);
+        let Some(&byte) = buf.get(at) else {
+            break;
+        };
+        folded ^= byte;
+    }
+    std::hint::black_box(folded);
+}
+
 /// A range of a reference-counted byte buffer — what a shared read
 /// ([`crate::Vfs::read_shared`]) returns: one *piece* of the file's own
 /// contents as they were at the read (a one-piece file's whole buffer,
@@ -164,6 +184,25 @@ impl std::fmt::Debug for FileSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strided_touches_stay_inside_the_buffer() {
+        let buf = [7u8; 100];
+        // Guesses that run past the end, start past it, overflow the
+        // offset, or stand still.
+        for (first, stride, count) in [
+            (0, 30, 10),
+            (99, 1, 5),
+            (100, 1, 3),
+            (0, usize::MAX, 3),
+            (usize::MAX, 1, 2),
+            (0, 0, 4),
+            (0, 10, 0),
+        ] {
+            touch_strided(&buf, first, stride, count);
+        }
+        touch_strided(&[], 0, 6, 1_000);
+    }
 
     #[test]
     fn slices_share_and_compare_by_bytes() {
