@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use crate::compaction::CompactionTask;
 use crate::iter::Merge;
 use crate::sstable::reader::{LoadedWindow, WindowScan};
-use crate::sstable::{SstableBuilder, SstableMeta};
+use crate::sstable::{SstableBuilder, SstableMeta, TableImage};
 
 /// A scan over one input table's windows, read by the compaction read
 /// phase; the windows keep their bytes after the table is deleted.
@@ -118,10 +118,15 @@ impl CompactJob {
         self.finished_bytes + self.builder.as_ref().map_or(0, |b| b.estimated_bytes())
     }
 
-    /// Finishes the live output table, if any.
-    pub(crate) fn finish_output(&mut self) -> crate::Result<()> {
+    /// Finishes the live output table, if any, and hands its image to
+    /// `place` to be laid out ([`TableImage::materialize`]).
+    pub(crate) fn finish_output(
+        &mut self,
+        place: &mut impl FnMut(TableImage),
+    ) -> crate::Result<()> {
         if let Some(builder) = self.builder.take() {
-            let (meta, reused) = builder.finish_counted()?;
+            let (meta, reused, image) = builder.finish_counted()?;
+            place(image);
             self.reused_blocks += reused;
             self.finished_bytes += meta.file_bytes;
             self.outputs.push(meta);

@@ -1,7 +1,8 @@
 //! The LSM database: public API and the write/flush/compact machinery.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{
@@ -16,7 +17,9 @@ use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
 use crate::sstable::reader::WindowScan;
-use crate::sstable::{BloomCounters, ChainedSstScan, SstableBuilder, SstableMeta, SstableReader};
+use crate::sstable::{
+    BloomCounters, ChainedSstScan, SstableBuilder, SstableMeta, SstableReader, TableImage,
+};
 use crate::version::{TableHandle, Version};
 use crate::Result;
 
@@ -1060,7 +1063,7 @@ impl LsmDb {
         let job = self.compact.as_mut().expect("live job");
         let mut merge = (job.merge.take())
             .unwrap_or_else(|| Merge::new(job.buffered.drain(..).map(WindowScan::over).collect()));
-        self.compact_write(&mut merge, slice_bytes)?;
+        self.compact_write(&mut merge, slice_bytes, &mut TableImage::materialize)?;
         let job = self.compact.as_mut().expect("live job");
         if !job.write_done {
             job.merge = Some(merge);
@@ -1074,6 +1077,14 @@ impl LsmDb {
 
     /// Inline read-and-write phase: streams every input through the
     /// merge straight into the outputs, in one unbounded slice.
+    ///
+    /// The outputs splice their values, and laying each one out
+    /// ([`TableImage::materialize`]) is shared with one helper thread
+    /// ([`Layouts`]) while the merge goes on here. The scope joins the
+    /// helper before this returns, so every output is in its file before
+    /// [`LsmDb::compact_install`] opens it. Laying out moves bytes only:
+    /// the device commands and clock steps were all taken here, at the
+    /// same points as a copying build takes them.
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1081,18 +1092,37 @@ impl LsmDb {
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
-        self.compact_write(&mut merge, u64::MAX)
+        let layouts = Layouts::default();
+        std::thread::scope(|scope| {
+            // Lets the helper go however the merge ends, a panic included.
+            let _finish = Finish(&layouts);
+            let mut helper = None;
+            self.compact_write(&mut merge, u64::MAX, &mut |image| {
+                if image.is_spliced() {
+                    helper.get_or_insert_with(|| scope.spawn(|| layouts.serve()));
+                    layouts.push(image);
+                } else {
+                    image.materialize(); // in its file's buffer already
+                }
+            })
+        })
     }
 
     /// Merges entries into output tables, splitting them at the table
     /// size target, until `slice_bytes` of output are produced; marks
-    /// the job ready to install once the merge runs dry.
-    fn compact_write<S: Source>(&mut self, merge: &mut Merge<S>, slice_bytes: u64) -> Result<()> {
+    /// the job ready to install once the merge runs dry. Each finished
+    /// output goes to `place` to be laid out.
+    fn compact_write<S: Source>(
+        &mut self,
+        merge: &mut Merge<S>,
+        slice_bytes: u64,
+        place: &mut impl FnMut(TableImage),
+    ) -> Result<()> {
         let job = self.compact.as_mut().expect("live job");
         let base = job.produced_bytes();
         while job.produced_bytes().saturating_sub(base) < slice_bytes {
             let Some(entry) = merge.next_entry() else {
-                job.finish_output()?;
+                job.finish_output(place)?;
                 job.write_done = true;
                 break;
             };
@@ -1109,19 +1139,21 @@ impl LsmDb {
                         BLOOM_BITS_PER_KEY,
                         self.opts.sstable_target_bytes,
                     )?;
-                    none.insert(b.with_compression(self.opts.compression()))
+                    none.insert(
+                        b.with_compression(self.opts.compression())
+                            .splicing_values(),
+                    )
                 }
             };
             // A block that begins where an input block begins may be
             // that block unchanged: offer its container.
             let task = &job.task;
-            builder.add_reusing(entry.key, entry.value, || {
-                let (window, key_at) = entry.window?;
+            builder.add_reusing(entry, |window, key_at| {
                 (task.inputs.iter().chain(&task.overlaps))
                     .find_map(|h| h.reader.stored_block_at(window, key_at))
             })?;
             if builder.estimated_bytes() >= self.opts.sstable_target_bytes {
-                job.finish_output()?;
+                job.finish_output(place)?;
             }
         }
         Ok(())
@@ -1243,6 +1275,73 @@ impl LsmDb {
         };
         let base = self.version.bytes_at(bottom).max(1);
         self.version.total_bytes() > MAX_SPACE_AMP * base
+    }
+}
+
+/// The finished outputs of one inline compaction still to be laid out
+/// ([`TableImage::materialize`]), shared by the simulator thread and one
+/// helper. Laying a table out costs more than building the next one, so
+/// a helper alone would fall behind: it takes the oldest waiting table,
+/// and the simulator thread lays out any it leaves waiting behind the
+/// newest, and whatever is left once the merge is done. The helper
+/// waits for work by yielding, not sleeping: a compaction lasts about a
+/// millisecond, and a wake-up can take a tenth of that.
+#[derive(Default)]
+struct Layouts {
+    waiting: Mutex<VecDeque<TableImage>>,
+    /// Nothing more will be queued.
+    done: AtomicBool,
+}
+
+impl Layouts {
+    fn pop(&self) -> Option<TableImage> {
+        let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
+        waiting.pop_front()
+    }
+
+    /// Queues `image`; lays out here the one waiting before it, if the
+    /// helper has not taken that yet.
+    fn push(&self, image: TableImage) {
+        let behind = {
+            let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
+            waiting.push_back(image);
+            (waiting.len() > 1).then(|| waiting.pop_front()).flatten()
+        };
+        if let Some(behind) = behind {
+            behind.materialize();
+        }
+    }
+
+    /// The helper: lays out queued tables until [`Layouts::finish`].
+    fn serve(&self) {
+        loop {
+            if let Some(image) = self.pop() {
+                image.materialize();
+            } else if self.done.load(Ordering::Acquire) {
+                return;
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// The simulator thread, once every output is queued (or the merge
+    /// failed): lays out what the helper has not taken, and lets the
+    /// helper go.
+    fn finish(&self) {
+        while let Some(image) = self.pop() {
+            image.materialize();
+        }
+        self.done.store(true, Ordering::Release);
+    }
+}
+
+/// Calls [`Layouts::finish`] when dropped.
+struct Finish<'a>(&'a Layouts);
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.0.finish();
     }
 }
 

@@ -15,18 +15,158 @@
 //! a scratch block that the codec then encodes onto the file buffer —
 //! unless the block is one an input table already stored verbatim
 //! ([`SstableBuilder::add_reusing`]), which is then copied.
+//!
+//! A compaction's output may *splice* its values instead
+//! ([`SstableBuilder::splicing_values`], codec off): a value the merge
+//! lent as a range of an input's window is kept as that range, and the
+//! builder's buffer holds everything else. Commits charge the device by
+//! length, so every device command and clock step is the same either
+//! way; [`TableImage::materialize`] then lays the pieces out as the
+//! file's buffer, on whichever thread the caller picks — an inline
+//! compaction hands its outputs to a helper thread.
+
+use std::ops::Range;
 
 use ptsbench_cache::{Compression, EncodeScratch};
 use ptsbench_vfs::{FileAppender, FileId, FileSlice, StoreError, Vfs};
 
 use crate::bloom::{hash_pair, BloomFilter};
+use crate::iter::Lent;
 use crate::sstable::format::{
-    encode_entry, encode_index_entry, entry_ranges, Footer, SstableMeta, FOOTER_LEN,
+    encode_entry, encode_entry_head, encode_index_entry, Footer, SstableMeta, FOOTER_LEN,
 };
 use crate::Result;
 
 /// Written bytes are committed once this many whole pages have gathered.
 const APPEND_BYTES: usize = 256 << 10;
+
+/// A table's bytes as its builder holds them: the builder's own buffer
+/// — the file's, checked out — and the values spliced into it by
+/// reference. The file's length counts both; its buffer holds the
+/// spliced values only once [`TableImage::materialize`] has laid the
+/// pieces out, which a dropped image also does (the check-in asserts
+/// that every committed byte is there).
+pub struct TableImage {
+    /// Headers, keys, index, bloom, footer and codec containers: the
+    /// table less its spliced values.
+    out: FileAppender,
+    /// The windows the spliced values are ranges of, each held once.
+    windows: Vec<FileSlice>,
+    /// The spliced values, in table order.
+    splices: Vec<Splice>,
+    /// Total length of `splices`.
+    spliced: usize,
+    /// The capacity a laid-out table is reserved with.
+    reserve: usize,
+    /// The laid-out table's buffer, reserved when the table is finished,
+    /// on the builder's thread: the allocator hands out and takes back a
+    /// table's memory on the thread that frees tables.
+    laid_out: Vec<u8>,
+}
+
+/// A value spliced into a table: `windows[window][range]`, put before
+/// byte `at` of the builder's own buffer.
+struct Splice {
+    at: usize,
+    window: usize,
+    range: Range<usize>,
+}
+
+impl TableImage {
+    /// The table's length so far.
+    fn len(&self) -> usize {
+        self.out.buf.len() + self.spliced
+    }
+
+    /// Where the builder encodes: the end of the table so far, less its
+    /// spliced values.
+    fn side(&mut self) -> &mut Vec<u8> {
+        &mut self.out.buf
+    }
+
+    /// Puts `window[range]` at the end of the table, by reference.
+    fn splice(&mut self, window: &FileSlice, range: Range<usize>) {
+        let held = (self.windows.iter()).rposition(|w| std::ptr::eq(&w[..], &window[..]));
+        let window = held.unwrap_or_else(|| {
+            self.windows.push(window.clone());
+            self.windows.len() - 1
+        });
+        self.spliced += range.len();
+        let at = self.out.buf.len();
+        self.splices.push(Splice { at, window, range });
+    }
+
+    fn commit(&mut self, upto: usize, blocking: bool) -> Result<()> {
+        Ok(self.out.commit(upto, blocking)?)
+    }
+
+    fn committed(&self) -> usize {
+        self.out.committed()
+    }
+
+    /// Reserves the laid-out table's buffer as a copying build reserves
+    /// it — the expected size, a block and 1/64 — or exactly the
+    /// table's length if it ran past that.
+    fn reserve_laid_out(&mut self) {
+        if !self.splices.is_empty() {
+            self.laid_out = Vec::with_capacity(self.reserve.max(self.len()));
+        }
+    }
+
+    /// Whether any value is spliced: laying out copies the table.
+    pub fn is_spliced(&self) -> bool {
+        !self.splices.is_empty()
+    }
+
+    /// Lays the table out as its file's buffer and hands that to the
+    /// file. A table with no splices (a flush, a codec-on output) is its
+    /// builder's buffer already and is not copied.
+    pub fn materialize(mut self) {
+        self.lay_out();
+    }
+
+    fn lay_out(&mut self) {
+        if self.splices.is_empty() {
+            return;
+        }
+        // Taken, not borrowed: a panic here leaves nothing for the drop
+        // to lay out again.
+        let splices = std::mem::take(&mut self.splices);
+        let windows = std::mem::take(&mut self.windows);
+        let side = std::mem::take(&mut self.out.buf);
+        let mut buf = std::mem::take(&mut self.laid_out);
+        buf.reserve_exact(side.len() + self.spliced);
+        let mut from = 0;
+        for splice in &splices {
+            buf.extend_from_slice(&side[from..splice.at]);
+            buf.extend_from_slice(&windows[splice.window][splice.range.clone()]);
+            from = splice.at;
+        }
+        buf.extend_from_slice(&side[from..]);
+        self.out.buf = buf;
+        self.spliced = 0;
+    }
+}
+
+/// Dropping the appender checks the file in: lay it out first.
+impl Drop for TableImage {
+    fn drop(&mut self) {
+        self.lay_out();
+    }
+}
+
+/// Where `value` sits in `window`, if it is a range of it: the bytes
+/// right behind the key at `key_at`, by address — a value the merge
+/// lent from a table scan, which is then spliced rather than copied.
+fn lent_range(
+    key: &[u8],
+    value: &[u8],
+    (window, key_at): (&FileSlice, usize),
+) -> Option<Range<usize>> {
+    let at = key_at + key.len();
+    let range = at..at + value.len();
+    std::ptr::eq(window.get(range.clone())?, value).then_some(range)
+}
 
 /// Streaming SSTable writer.
 pub struct SstableBuilder {
@@ -43,6 +183,8 @@ pub struct SstableBuilder {
     /// the reader knows to decode; the CPU cost is charged to the
     /// simulated clock on the foreground path.
     compression: Compression,
+    /// Whether values lent from a window are spliced (codec off).
+    splice_values: bool,
     /// The codec's match-finder tables, reused block after block.
     codec_scratch: EncodeScratch,
     /// The codec's input: the current block's entries. Stays empty when
@@ -54,10 +196,12 @@ pub struct SstableBuilder {
     /// Blocks sealed by copying their donor.
     reused_blocks: u64,
     block_entries: u32,
-    /// The table file's buffer: sealed blocks and, when the codec is
-    /// off, the current block's entries from `block_start` on.
-    out: FileAppender,
-    /// Where the current block begins in `out` (codec off).
+    /// The current block's first key.
+    first_key: Vec<u8>,
+    /// The table so far: sealed blocks and, when the codec is off, the
+    /// current block's entries from `block_start` on.
+    out: TableImage,
+    /// Where the current block begins in the table (codec off).
     block_start: usize,
     /// The index block's entries, encoded as blocks are sealed.
     index: Vec<u8>,
@@ -114,9 +258,17 @@ impl SstableBuilder {
         let page_size = vfs.page_size() as usize;
         // A caller stops at its target by up to an entry, and the tail
         // is about 1 % of a table of 4 KB values: with a block and
-        // 1/64 of slack neither regrows the buffer.
+        // 1/64 of slack neither regrows the buffer. Reserved at the
+        // first entry, once it is known whether values are spliced.
         let reserve = expected_bytes + block_bytes as u64 + expected_bytes / 64;
-        let out = vfs.appender(file, reserve)?;
+        let out = TableImage {
+            out: vfs.appender(file, 0)?,
+            windows: Vec::new(),
+            splices: Vec::new(),
+            spliced: 0,
+            reserve: reserve as usize,
+            laid_out: Vec::new(),
+        };
         Ok(Self {
             vfs,
             name: name.to_string(),
@@ -125,11 +277,13 @@ impl SstableBuilder {
             block_bytes,
             bloom_bits_per_key,
             compression: Compression::None,
+            splice_values: false,
             codec_scratch: EncodeScratch::default(),
             block: Vec::new(),
             donor: None,
             reused_blocks: 0,
             block_entries: 0,
+            first_key: Vec::new(),
             out,
             block_start: 0,
             index: Vec::new(),
@@ -150,43 +304,77 @@ impl SstableBuilder {
         self
     }
 
-    /// Appends an entry; keys must arrive in strictly increasing order.
-    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
-        self.add_reusing(key, value, || None)
+    /// Splices every value [`SstableBuilder::add_reusing`] is lent as a
+    /// range of a window, instead of copying it, while the codec is off
+    /// (builder style; call before the first `add`): for a compaction's
+    /// output. The builder's own buffer then holds everything else, and
+    /// the file's buffer is reserved when the table is laid out
+    /// ([`TableImage::materialize`]).
+    pub fn splicing_values(mut self) -> Self {
+        self.splice_values = true;
+        self
     }
 
-    /// [`SstableBuilder::add`] for an entry that may begin a block some
-    /// other table holds already (a compaction's input). When the entry
-    /// begins a block and the codec is on, `donor` is asked for that
-    /// block's container — [`crate::sstable::SstableReader::stored_block_at`]
-    /// — and the block is sealed by copying that container if it is a
-    /// stored-mode container of this builder's level holding exactly the
-    /// block's bytes (the exactness argument is at `seal_block`).
+    /// Appends an entry; keys must arrive in strictly increasing order.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        let entry = Lent {
+            key,
+            value,
+            window: None,
+        };
+        self.add_reusing(entry, |_, _| None)
+    }
+
+    /// [`SstableBuilder::add`] for an entry a merge lent from an input
+    /// table, with the window it sits in. Its value is spliced when the
+    /// builder splices values ([`SstableBuilder::splicing_values`]).
+    /// When the entry begins a block and the codec is on, `donor` is
+    /// asked for the input block at that window and key offset —
+    /// [`crate::sstable::SstableReader::stored_block_at`] — and the
+    /// block is sealed by copying that container if it is a stored-mode
+    /// container of this builder's level holding exactly the block's
+    /// bytes (the exactness argument is at `seal_block`).
     pub fn add_reusing(
         &mut self,
-        key: &[u8],
-        value: Option<&[u8]>,
-        donor: impl FnOnce() -> Option<FileSlice>,
+        entry: Lent<'_>,
+        donor: impl FnOnce(&FileSlice, usize) -> Option<FileSlice>,
     ) -> Result<()> {
-        if self.block_entries == 0 && self.compression.is_active() {
-            self.donor = donor();
-        }
+        let Lent { key, value, window } = entry;
+        let codec = self.compression.is_active();
         if self.entries == 0 {
             self.min_key = Some(key.to_vec());
+            let spliced = self.splice_values && !codec;
+            let side = if spliced { 0 } else { self.out.reserve };
+            self.out.side().reserve_exact(side);
         } else {
             assert!(
                 key > self.last_key.as_slice(),
                 "SSTable keys must be strictly increasing"
             );
         }
+        if self.block_entries == 0 {
+            self.first_key.clear();
+            self.first_key.extend_from_slice(key);
+            if codec {
+                self.donor = window.and_then(|(w, key_at)| donor(w, key_at));
+            }
+        }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
-        let block = if self.compression.is_active() {
-            &mut self.block
-        } else {
-            &mut self.out.buf
+        let splice = match (value, window) {
+            (Some(v), Some(lent)) if self.splice_values && !codec && !v.is_empty() => {
+                lent_range(key, v, lent).map(|range| (lent.0, range))
+            }
+            _ => None,
         };
-        encode_entry(block, key, value);
+        match splice {
+            Some((window, range)) => {
+                encode_entry_head(self.out.side(), key, Some(range.len()));
+                self.out.splice(window, range);
+            }
+            None if codec => encode_entry(&mut self.block, key, value),
+            None => encode_entry(self.out.side(), key, value),
+        }
         self.block_entries += 1;
         self.entries += 1;
         if self.bloom_bits_per_key > 0 {
@@ -200,13 +388,13 @@ impl SstableBuilder {
 
     /// Encoded bytes of the current (unsealed) block.
     fn block_len(&self) -> usize {
-        self.block.len() + self.out.buf.len() - self.block_start
+        self.block.len() + self.out.len() - self.block_start
     }
 
     /// Approximate file size if finished now (compaction output split
     /// decisions).
     pub fn estimated_bytes(&self) -> u64 {
-        (self.out.buf.len() + self.block.len()) as u64
+        (self.out.len() + self.block.len()) as u64
     }
 
     /// Name of the table file under construction.
@@ -241,9 +429,8 @@ impl SstableBuilder {
             return Ok(());
         }
         let start = self.block_start;
-        let out = &mut self.out.buf;
-        let codec = self.compression.is_active();
-        if codec {
+        if self.compression.is_active() {
+            let out = self.out.side();
             let donor = self.donor.take();
             let same = (donor.as_deref())
                 .filter(|d| self.compression.stored_payload_at_level(d) == Some(&self.block[..]));
@@ -265,17 +452,21 @@ impl SstableBuilder {
                     .advance(self.compression.encode_cost_ns(self.block.len()));
             }
         }
-        // The block's first key is where its first entry put it.
-        let entries = if codec { &self.block } else { &out[start..] };
-        let (first_key, _, _) = entry_ranges(entries, 0)?;
-        let (key, len) = (&entries[first_key], (out.len() - start) as u32);
-        encode_index_entry(&mut self.index, key, start as u64, len, self.block_entries);
+        let end = self.out.len();
+        let len = (end - start) as u32;
+        encode_index_entry(
+            &mut self.index,
+            &self.first_key,
+            start as u64,
+            len,
+            self.block_entries,
+        );
         self.blocks += 1;
         self.block.clear();
         self.block_entries = 0;
-        self.block_start = out.len();
+        self.block_start = end;
         // Stream out whole pages to keep the writes aligned.
-        let aligned = (out.len() / self.page_size) * self.page_size;
+        let aligned = (end / self.page_size) * self.page_size;
         if aligned - self.out.committed() >= APPEND_BYTES {
             self.out.commit(aligned, !self.background)?;
         }
@@ -286,12 +477,21 @@ impl SstableBuilder {
     /// everything not yet written, fsyncs, and returns the metadata. A
     /// failed finish removes the partial file.
     pub fn finish(self) -> Result<SstableMeta> {
-        self.finish_counted().map(|(meta, _)| meta)
+        let (meta, image) = self.finish_image()?;
+        image.materialize();
+        Ok(meta)
     }
 
-    /// [`SstableBuilder::finish`], also returning how many blocks were
-    /// copied from a donor instead of encoded.
-    pub(crate) fn finish_counted(mut self) -> Result<(SstableMeta, u64)> {
+    /// [`SstableBuilder::finish`] but for laying the table out, which
+    /// is left to the caller: the file is written, and readable once
+    /// the image is materialized (or dropped).
+    pub fn finish_image(self) -> Result<(SstableMeta, TableImage)> {
+        self.finish_counted().map(|(meta, _, image)| (meta, image))
+    }
+
+    /// [`SstableBuilder::finish_image`], also returning how many blocks
+    /// were copied from a donor instead of encoded.
+    pub(crate) fn finish_counted(mut self) -> Result<(SstableMeta, u64, TableImage)> {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
             self.vfs.delete(&self.name)?;
@@ -307,12 +507,12 @@ impl SstableBuilder {
             .then(|| BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits_per_key));
         let index_len = 4 + self.index.len();
         let bloom_len = bloom.as_ref().map_or(0, BloomFilter::encoded_len);
-        let out = &mut self.out.buf;
+        let index_off = self.out.len() as u64;
+        let bloom_off = index_off + index_len as u64;
+        let out = self.out.side();
         out.reserve_exact(index_len + bloom_len + FOOTER_LEN);
-        let index_off = out.len() as u64;
         out.extend_from_slice(&self.blocks.to_le_bytes());
         out.extend_from_slice(&self.index);
-        let bloom_off = out.len() as u64;
         if let Some(bloom) = bloom {
             bloom.encode(out);
         }
@@ -329,10 +529,12 @@ impl SstableBuilder {
         }
         .encode(out);
 
-        if let Err(e) = self.out.commit(self.out.buf.len(), !self.background) {
+        let total = self.out.len();
+        self.out.reserve_laid_out();
+        if let Err(e) = self.out.commit(total, !self.background) {
             // Out of space mid-finish: remove the partial file.
             let _ = self.vfs.delete(&self.name);
-            return Err(e.into());
+            return Err(e);
         }
         // Background builds install without waiting for durability (the
         // version edit is logical; durability arrives when the destage
@@ -345,9 +547,9 @@ impl SstableBuilder {
             min_key: self.min_key.expect("non-empty"),
             max_key: self.last_key,
             entries: self.entries,
-            file_bytes: self.out.committed() as u64,
+            file_bytes: total as u64,
         };
-        Ok((meta, self.reused_blocks))
+        Ok((meta, self.reused_blocks, self.out))
     }
 
     /// Abandons the build, deleting the partial file.
@@ -362,8 +564,8 @@ mod tests {
     use crate::iter::Merge;
     use crate::sstable::format::{BlockIndex, Footer};
     use crate::sstable::SstableReader;
-    use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};
-    use ptsbench_vfs::VfsOptions;
+    use ptsbench_ssd::{DeviceConfig, DeviceProfile, SmartCounters, Ssd};
+    use ptsbench_vfs::{FsStats, VfsOptions};
 
     fn vfs() -> Vfs {
         let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 32 << 20));
@@ -455,6 +657,15 @@ mod tests {
             .collect()
     }
 
+    /// `entry` lent with its key range as its window (key at 0).
+    fn lent((key, value): &Scanned) -> Lent<'_> {
+        Lent {
+            key,
+            value: value.as_deref(),
+            window: Some((key, 0)),
+        }
+    }
+
     /// Builds `name` at codec `level` from `entries`, offering every
     /// entry the blocks of `inputs` the way a compaction does; returns
     /// the table's bytes and how many blocks were copied.
@@ -468,13 +679,14 @@ mod tests {
         let mut b = SstableBuilder::create_bg(v.clone(), name, 4096, 10, 0)
             .expect("create")
             .with_compression(Compression::from_level(level));
-        for (k, value) in entries {
-            b.add_reusing(k, value.as_deref(), || {
-                inputs.iter().find_map(|r| r.stored_block_at(k, 0))
+        for entry in entries {
+            b.add_reusing(lent(entry), |w, at| {
+                inputs.iter().find_map(|r| r.stored_block_at(w, at))
             })
             .expect("add");
         }
-        let (meta, reused) = b.finish_counted().expect("finish");
+        let (meta, reused, image) = b.finish_counted().expect("finish");
+        image.materialize();
         let image = v.read_at(v.open(name).expect("open"), 0, meta.file_bytes as usize);
         (image.expect("read"), reused)
     }
@@ -556,11 +768,12 @@ mod tests {
         let mut b = SstableBuilder::create_bg(v.clone(), "out", 4096, 10, 0)
             .expect("create")
             .with_compression(Compression::from_level(1));
-        for (k, value) in &all {
-            b.add_reusing(k, value.as_deref(), || containers.next())
+        for entry in &all {
+            b.add_reusing(lent(entry), |_, _| containers.next())
                 .expect("add");
         }
-        let (meta, reused) = b.finish_counted().expect("finish");
+        let (meta, reused, image) = b.finish_counted().expect("finish");
+        image.materialize();
         assert_eq!(reused, 0);
         assert_eq!(containers.next(), None, "offered once per block");
         let image = v.read_at(v.open("out").expect("open"), 0, meta.file_bytes as usize);
@@ -590,6 +803,136 @@ mod tests {
         let (image, reused) = build(&v, "out", 1, &scan, &[&one, &two]);
         assert_eq!(reused, 2);
         assert!(image == build(&v, "fresh", 1, &scan, &[]).0);
+    }
+
+    /// How a table of lent entries is finished.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Way {
+        /// Values spliced, laid out on a helper thread.
+        Helper,
+        /// Values spliced, laid out on the building thread.
+        Caller,
+        /// Values copied in as they are added.
+        Copied,
+    }
+
+    /// What one build left behind: the table's bytes and metadata, the
+    /// drive's counters, `df`, and the clock.
+    type Built = (Vec<u8>, SstableMeta, SmartCounters, FsStats, u64);
+
+    /// Whether `pos` of the table falls strictly inside a spliced value.
+    fn inside_a_splice(image: &TableImage, pos: usize) -> bool {
+        let mut shift = 0;
+        image.splices.iter().any(|s| {
+            let start = s.at + shift;
+            shift += s.range.len();
+            start < pos && pos < start + s.range.len()
+        })
+    }
+
+    /// Builds a table from a scan of another, on a drive of its own,
+    /// the way `way` says; every seventh entry is added without its
+    /// window (so copied whatever the way).
+    fn lent_build(entries: &[Scanned], way: Way) -> Built {
+        let v = vfs();
+        build(&v, "in", 0, entries, &[]);
+        let r = SstableReader::open(v.clone(), "in", true, None).expect("open");
+        let mut b = SstableBuilder::create_bg(v.clone(), "out", 4096, 10, 1 << 20).expect("create");
+        if way != Way::Copied {
+            b = b.splicing_values();
+        }
+        let mut scan = Merge::new(vec![r.iter_bg()]);
+        let (mut n, mut commits_inside) = (0, 0);
+        while let Some(mut entry) = scan.next_entry() {
+            if n % 7 == 3 {
+                entry.window = None;
+            }
+            n += 1;
+            let before = b.out.committed();
+            b.add_reusing(entry, |_, _| None).expect("add");
+            let at = b.out.committed();
+            if at != before && inside_a_splice(&b.out, at) {
+                commits_inside += 1;
+            }
+        }
+        drop(scan);
+        let (meta, _, image) = b.finish_counted().expect("finish");
+        assert_eq!(image.is_spliced(), way != Way::Copied, "{way:?}");
+        if way != Way::Copied {
+            assert!(
+                commits_inside >= 2,
+                "{way:?}: {commits_inside} commits inside a value"
+            );
+        }
+        match way {
+            Way::Helper => std::thread::scope(|s| {
+                s.spawn(|| image.materialize());
+            }),
+            Way::Caller | Way::Copied => image.materialize(),
+        }
+        let bytes = v.read_at(v.open("out").expect("open"), 0, meta.file_bytes as usize);
+        v.check_invariants();
+        let smart = v.ssd().lock().smart();
+        (
+            bytes.expect("read"),
+            meta,
+            smart,
+            v.stats(),
+            v.clock().now(),
+        )
+    }
+
+    #[test]
+    fn spliced_values_lay_out_the_bytes_a_copying_build_writes() {
+        // ~1.2 MiB of 3-5 KB noise values, tombstones and empty values.
+        let entries: Vec<Scanned> = (0..360u32)
+            .map(|i| {
+                let key = FileSlice::from(format!("key{i:08}").into_bytes());
+                let value = match (i % 11, i % 13) {
+                    (5, _) => None,
+                    (_, 6) => Some(Vec::new()),
+                    _ => Some(noise(i as u64 + 1, 3000 + (i as usize * 37) % 2000)),
+                };
+                (key, value.map(FileSlice::from))
+            })
+            .collect();
+        let copied = lent_build(&entries, Way::Copied);
+        assert!(copied.0.len() > 1 << 20);
+        for way in [Way::Helper, Way::Caller] {
+            let spliced = lent_build(&entries, way);
+            assert!(spliced.0 == copied.0, "{way:?}: table bytes differ");
+            assert_eq!(spliced.1, copied.1, "{way:?}");
+            assert_eq!(spliced.2, copied.2, "{way:?}");
+            assert_eq!(spliced.3, copied.3, "{way:?}");
+            assert_eq!(spliced.4, copied.4, "{way:?}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_image_lays_itself_out() {
+        // What a builder dropped mid-compaction leaves (a crash): the
+        // file holds every byte it was committed with.
+        let v = vfs();
+        let scanned = entries(0..200, &[3], false);
+        build(&v, "in", 0, &scanned, &[]);
+        let r = SstableReader::open(v.clone(), "in", true, None).expect("open");
+        let mut b = SstableBuilder::create_bg(v.clone(), "out", 4096, 10, 0)
+            .expect("create")
+            .splicing_values();
+        let mut scan = Merge::new(vec![r.iter_bg()]);
+        while let Some(entry) = scan.next_entry() {
+            b.add_reusing(entry, |_, _| None).expect("add");
+        }
+        drop(scan);
+        let committed = b.out.committed();
+        assert!(committed > 0 && b.out.is_spliced());
+        drop(b);
+        let id = v.open("out").expect("open");
+        let want = v
+            .read_at(v.open("in").expect("open"), 0, committed)
+            .expect("read");
+        assert!(v.read_at(id, 0, usize::MAX).expect("read") == want);
+        v.check_invariants();
     }
 
     #[test]

@@ -134,20 +134,22 @@ pub(crate) fn encode_index_entry(
 /// Appends an entry encoding to `out`. The key is at most `u16::MAX`
 /// bytes: `LsmDb` refuses a longer one before it reaches the WAL.
 pub fn encode_entry(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
-    debug_assert!(key.len() <= u16::MAX as usize, "key too long");
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    match value {
-        Some(v) => {
-            debug_assert!((v.len() as u32) != TOMBSTONE_TAG);
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(key);
-            out.extend_from_slice(v);
-        }
-        None => {
-            out.extend_from_slice(&TOMBSTONE_TAG.to_le_bytes());
-            out.extend_from_slice(key);
-        }
+    encode_entry_head(out, key, value.map(<[u8]>::len));
+    if let Some(v) = value {
+        out.extend_from_slice(v);
     }
+}
+
+/// Appends an entry's header and key to `out`: everything but the
+/// value bytes, which follow them (`value_len` of them; `None` is a
+/// tombstone).
+pub(crate) fn encode_entry_head(out: &mut Vec<u8>, key: &[u8], value_len: Option<usize>) {
+    debug_assert!(key.len() <= u16::MAX as usize, "key too long");
+    let tag = value_len.map_or(TOMBSTONE_TAG, |len| len as u32);
+    debug_assert!(value_len.is_none() || tag != TOMBSTONE_TAG);
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(key);
 }
 
 /// A decoded entry: `(key, value-or-tombstone, next_position)`.

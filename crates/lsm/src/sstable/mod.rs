@@ -21,7 +21,7 @@ pub mod builder;
 pub mod format;
 pub mod reader;
 
-pub use builder::SstableBuilder;
+pub use builder::{SstableBuilder, TableImage};
 pub use format::SstableMeta;
 pub(crate) use reader::{BloomCounters, ChainedSstScan};
 pub use reader::{SstIter, SstableReader};

@@ -159,8 +159,9 @@ enum Src<'a> {
     /// A page shared by reference count where it is one whole piece of
     /// a paged file, copied in otherwise.
     Shared(&'a Arc<Vec<u8>>),
-    /// This many bytes already at the tail of the buffer an appender
-    /// holds.
+    /// This many more bytes of the file an appender is building. They
+    /// need not be in its buffer yet: nothing here reads them, and the
+    /// appender's check-in asserts they are there by then.
     Committed(u64),
 }
 
@@ -264,32 +265,37 @@ impl Inner {
 
 /// One writer growing a file in the file's own buffer, checked out by
 /// [`Vfs::appender`] (see the [module docs](self)): it encodes at the
-/// tail of `buf` and commits prefixes of it — a table builder for a
-/// whole build, the hash log for one group of records. A writer may
-/// put a buffer of its own in place of an empty `buf` (the hash log
-/// hands a fresh segment a recycled one). Dropping the appender hands
-/// the buffer back to the file, cut to the committed length — a file
-/// never has a size without its bytes, and an append that failed or
-/// was never committed leaves the file as it was.
+/// tail of `buf` and commits prefixes of the file — a table builder for
+/// a whole build, the hash log for one group of records. A commit moves
+/// the file's length, extents, device and clock only, so it may run
+/// ahead of `buf`: a table builder commits values it has not copied in
+/// yet and puts them in place before it lets go. A writer may put a
+/// buffer of its own in place of `buf` (the hash log hands a fresh
+/// segment a recycled one; a table builder lays its pieces out in a new
+/// one). Dropping the appender hands the buffer back to the file, cut
+/// to the committed length, and asserts that it holds every committed
+/// byte — a file never has a size without its bytes, and an append
+/// that failed or was never committed leaves the file as it was.
 #[derive(Debug)]
 pub struct FileAppender {
     vfs: Vfs,
     id: FileId,
     /// The file's contents so far, then what the writer is encoding.
-    /// Not to be cut below the committed length.
+    /// At least the committed length by the time the appender drops.
     pub buf: Vec<u8>,
     committed: usize,
 }
 
 impl FileAppender {
-    /// Makes `buf[..upto]` the file: extents, device commands, clock
-    /// (when `blocking`) and `df` exactly as appending `[committed,
-    /// upto)` would. On an error nothing was committed.
+    /// Makes the file `upto` bytes long: extents, device commands,
+    /// clock (when `blocking`) and `df` exactly as appending
+    /// `[committed, upto)` would. The bytes are `buf[..upto]` once the
+    /// appender drops. On an error nothing was committed.
     ///
     /// # Panics
-    /// Panics if `upto` is not in `committed..=buf.len()`.
+    /// Panics if `upto` is below the committed length.
     pub fn commit(&mut self, upto: usize, blocking: bool) -> Result<()> {
-        assert!(self.committed <= upto && upto <= self.buf.len());
+        assert!(self.committed <= upto);
         let len = (upto - self.committed) as u64;
         let mut g = self.vfs.inner.lock();
         g.write(self.id, None, Src::Committed(len), blocking)?;
@@ -308,6 +314,15 @@ impl Drop for FileAppender {
     fn drop(&mut self) {
         let mut g = self.vfs.inner.lock();
         if let Some(node) = g.files.get_mut(&self.id) {
+            // A writer that panicked may leave the buffer short: that
+            // panic, not this one, is the news.
+            assert!(
+                self.buf.len() >= self.committed || std::thread::panicking(),
+                "{}: {} of {} committed bytes checked in",
+                node.name,
+                self.buf.len(),
+                self.committed
+            );
             self.buf.truncate(self.committed);
             node.check_in(std::mem::take(&mut self.buf));
         }
@@ -1280,6 +1295,44 @@ mod tests {
         drop(a);
         assert!(!v.exists("t"));
         v.check_invariants();
+    }
+
+    #[test]
+    fn a_commit_may_run_ahead_of_the_buffer_until_check_in() {
+        // What a table builder that splices values does: commit by
+        // length, put the bytes in place before letting go.
+        let (v, w) = (fs(), fs());
+        let (f, g) = (
+            v.create("t").expect("create"),
+            w.create("t").expect("create"),
+        );
+        let mut ahead = v.appender(f, 0).expect("appender");
+        ahead.buf.extend_from_slice(&[1u8; 100]);
+        ahead.commit(8192, false).expect("commit by length");
+        ahead.commit(12_000, true).expect("commit by length");
+        let mut copied = w.appender(g, 0).expect("appender");
+        copied.buf.extend_from_slice(&[1u8; 12_000]);
+        copied.commit(8192, false).expect("commit");
+        copied.commit(12_000, true).expect("commit");
+        assert_eq!(v.size(f).expect("size"), 12_000);
+        assert_eq!(v.stats(), w.stats());
+        assert_eq!(v.ssd().lock().smart(), w.ssd().lock().smart());
+        assert_eq!(v.clock().now(), w.clock().now());
+        ahead.buf = vec![1u8; 12_000];
+        drop((ahead, copied));
+        assert_eq!(v.read_at(f, 0, 20_000).expect("read"), vec![1u8; 12_000]);
+        v.check_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "100 of 8192 committed bytes checked in")]
+    fn checking_in_fewer_bytes_than_committed_panics() {
+        let v = fs();
+        let f = v.create("t").expect("create");
+        let mut a = v.appender(f, 0).expect("appender");
+        a.buf.extend_from_slice(&[1u8; 100]);
+        a.commit(8192, false).expect("commit by length");
+        drop(a);
     }
 
     #[test]
