@@ -120,10 +120,7 @@ impl CompactJob {
 
     /// Finishes the live output table, if any, and hands its image to
     /// `place` to be laid out ([`TableImage::materialize`]).
-    pub(crate) fn finish_output(
-        &mut self,
-        place: &mut impl FnMut(TableImage),
-    ) -> crate::Result<()> {
+    pub(crate) fn finish_output(&mut self, place: &mut dyn FnMut(TableImage)) -> crate::Result<()> {
         if let Some(builder) = self.builder.take() {
             let (meta, reused, image) = builder.finish_counted()?;
             place(image);

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{
@@ -1063,7 +1063,7 @@ impl LsmDb {
         let job = self.compact.as_mut().expect("live job");
         let mut merge = (job.merge.take())
             .unwrap_or_else(|| Merge::new(job.buffered.drain(..).map(WindowScan::over).collect()));
-        self.compact_write(&mut merge, slice_bytes, &mut TableImage::materialize)?;
+        self.compact_write(&mut merge, slice_bytes, None)?;
         let job = self.compact.as_mut().expect("live job");
         if !job.write_done {
             job.merge = Some(merge);
@@ -1097,27 +1097,34 @@ impl LsmDb {
             // Lets the helper go however the merge ends, a panic included.
             let _finish = Finish(&layouts);
             let mut helper = None;
-            self.compact_write(&mut merge, u64::MAX, &mut |image| {
+            let place = &mut |image: TableImage| {
                 if image.is_spliced() {
                     helper.get_or_insert_with(|| scope.spawn(|| layouts.serve()));
                     layouts.push(image);
                 } else {
                     image.materialize(); // in its file's buffer already
                 }
-            })
+            };
+            self.compact_write(&mut merge, u64::MAX, Some(place))
         })
     }
 
     /// Merges entries into output tables, splitting them at the table
     /// size target, until `slice_bytes` of output are produced; marks
-    /// the job ready to install once the merge runs dry. Each finished
-    /// output goes to `place` to be laid out.
+    /// the job ready to install once the merge runs dry. Given `place`,
+    /// the outputs splice their values and each finished one goes to
+    /// `place` to be laid out; without, they copy their values in (a
+    /// paced slice has no thread to hand the copy to, and laying out
+    /// later only adds a pass).
     fn compact_write<S: Source>(
         &mut self,
         merge: &mut Merge<S>,
         slice_bytes: u64,
-        place: &mut impl FnMut(TableImage),
+        place: Option<&mut dyn FnMut(TableImage)>,
     ) -> Result<()> {
+        let splice = place.is_some();
+        let mut in_place = TableImage::materialize;
+        let place = place.unwrap_or(&mut in_place);
         let job = self.compact.as_mut().expect("live job");
         let base = job.produced_bytes();
         while job.produced_bytes().saturating_sub(base) < slice_bytes {
@@ -1139,10 +1146,8 @@ impl LsmDb {
                         BLOOM_BITS_PER_KEY,
                         self.opts.sstable_target_bytes,
                     )?;
-                    none.insert(
-                        b.with_compression(self.opts.compression())
-                            .splicing_values(),
-                    )
+                    let b = b.with_compression(self.opts.compression());
+                    none.insert(if splice { b.splicing_values() } else { b })
                 }
             };
             // A block that begins where an input block begins may be
@@ -1294,18 +1299,27 @@ struct Layouts {
 }
 
 impl Layouts {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<TableImage>> {
+        // Only a push or a pop runs under the lock: the queue is whole
+        // even after a panic elsewhere.
+        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn pop(&self) -> Option<TableImage> {
-        let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
-        waiting.pop_front()
+        self.lock().pop_front()
     }
 
     /// Queues `image`; lays out here the one waiting before it, if the
     /// helper has not taken that yet.
     fn push(&self, image: TableImage) {
         let behind = {
-            let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut waiting = self.lock();
             waiting.push_back(image);
-            (waiting.len() > 1).then(|| waiting.pop_front()).flatten()
+            if waiting.len() > 1 {
+                waiting.pop_front()
+            } else {
+                None
+            }
         };
         if let Some(behind) = behind {
             behind.materialize();
@@ -1318,6 +1332,8 @@ impl Layouts {
             if let Some(image) = self.pop() {
                 image.materialize();
             } else if self.done.load(Ordering::Acquire) {
+                // Pairs with `finish`'s release: no table is queued
+                // after it.
                 return;
             } else {
                 std::thread::yield_now();

@@ -16,14 +16,14 @@
 //! unless the block is one an input table already stored verbatim
 //! ([`SstableBuilder::add_reusing`]), which is then copied.
 //!
-//! A compaction's output may *splice* its values instead
+//! An inline compaction's output *splices* its values instead
 //! ([`SstableBuilder::splicing_values`], codec off): a value the merge
 //! lent as a range of an input's window is kept as that range, and the
 //! builder's buffer holds everything else. Commits charge the device by
 //! length, so every device command and clock step is the same either
 //! way; [`TableImage::materialize`] then lays the pieces out as the
-//! file's buffer, on whichever thread the caller picks — an inline
-//! compaction hands its outputs to a helper thread.
+//! file's buffer, on whichever thread the caller picks — the
+//! compaction shares that work with a helper thread.
 
 use std::ops::Range;
 
@@ -306,10 +306,11 @@ impl SstableBuilder {
 
     /// Splices every value [`SstableBuilder::add_reusing`] is lent as a
     /// range of a window, instead of copying it, while the codec is off
-    /// (builder style; call before the first `add`): for a compaction's
-    /// output. The builder's own buffer then holds everything else, and
-    /// the file's buffer is reserved when the table is laid out
-    /// ([`TableImage::materialize`]).
+    /// (builder style; call before the first `add`): for an output of a
+    /// compaction that hands the copy to another thread. The builder's
+    /// own buffer then holds everything else, and the file's buffer is
+    /// reserved when the table is finished and filled when it is laid
+    /// out ([`TableImage::materialize`]).
     pub fn splicing_values(mut self) -> Self {
         self.splice_values = true;
         self
