@@ -56,11 +56,13 @@ pub struct TableImage {
     splices: Vec<Splice>,
     /// Total length of `splices`.
     spliced: usize,
-    /// The capacity a laid-out table is reserved with.
+    /// The capacity the file's buffer is reserved with: the builder's
+    /// own when values are copied in, the laid-out one when spliced.
     reserve: usize,
-    /// The laid-out table's buffer, reserved when the table is finished,
-    /// on the builder's thread: the allocator hands out and takes back a
-    /// table's memory on the thread that frees tables.
+    /// The laid-out table's buffer, reserved when the table is finished
+    /// on the building thread, the thread that frees tables: a buffer a
+    /// helper thread allocated would come from the allocator's arena
+    /// for that thread.
     laid_out: Vec<u8>,
 }
 
@@ -342,10 +344,10 @@ impl SstableBuilder {
     ) -> Result<()> {
         let Lent { key, value, window } = entry;
         let codec = self.compression.is_active();
+        let splicing = self.splice_values && !codec;
         if self.entries == 0 {
             self.min_key = Some(key.to_vec());
-            let spliced = self.splice_values && !codec;
-            let side = if spliced { 0 } else { self.out.reserve };
+            let side = if splicing { 0 } else { self.out.reserve };
             self.out.side().reserve_exact(side);
         } else {
             assert!(
@@ -363,7 +365,7 @@ impl SstableBuilder {
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         let splice = match (value, window) {
-            (Some(v), Some(lent)) if self.splice_values && !codec && !v.is_empty() => {
+            (Some(v), Some(lent)) if splicing && !v.is_empty() => {
                 lent_range(key, v, lent).map(|range| (lent.0, range))
             }
             _ => None,
