@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{
@@ -73,6 +74,15 @@ const COMPACTION_BUDGET_FACTOR: u64 = 16;
 /// size. Larger ratios defer merges (less write-amp, more space-amp).
 const MERGE_RATIO: u64 = 3;
 
+/// An inline compaction that waits longer than this for its helper
+/// thread after the merge ends (laying one 1 MiB table out takes about
+/// a fifth of it) found no idle CPU for the helper. The next
+/// [`HELPER_BACKOFF`] compactions then copy their values in on the
+/// simulator thread, as a paced one does.
+const HELPER_WAIT_LIMIT: Duration = Duration::from_millis(1);
+/// See [`HELPER_WAIT_LIMIT`].
+const HELPER_BACKOFF: u32 = 64;
+
 /// A leveled LSM-tree key-value store on a simulated flash stack.
 pub struct LsmDb {
     vfs: Vfs,
@@ -115,6 +125,10 @@ pub struct LsmDb {
     /// of encoding. Host-side work only, so not a [`DbStats`] field:
     /// no rendered report moves with it.
     blocks_reused: u64,
+    /// Inline compactions left to run without a helper thread (see
+    /// [`HELPER_WAIT_LIMIT`]). Host-side only: the bytes are the same
+    /// either way.
+    helper_backoff: u32,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -156,6 +170,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
+            helper_backoff: 0,
         })
     }
 
@@ -240,6 +255,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
+            helper_backoff: 0,
         };
         for record in records {
             match record {
@@ -1084,7 +1100,9 @@ impl LsmDb {
     /// helper before this returns, so every output is in its file before
     /// [`LsmDb::compact_install`] opens it. Laying out moves bytes only:
     /// the device commands and clock steps were all taken here, at the
-    /// same points as a copying build takes them.
+    /// same points as a copying build takes them. A helper that found
+    /// no idle CPU sends the next compactions back to copying here
+    /// ([`HELPER_WAIT_LIMIT`]).
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1092,10 +1110,15 @@ impl LsmDb {
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
+        if self.helper_backoff > 0 {
+            self.helper_backoff -= 1;
+            return self.compact_write(&mut merge, u64::MAX, None);
+        }
         let layouts = Layouts::default();
-        std::thread::scope(|scope| {
+        let mut merged = None;
+        let result = std::thread::scope(|scope| {
             // Lets the helper go however the merge ends, a panic included.
-            let _finish = Finish(&layouts);
+            let finish = Finish(&layouts);
             let mut helper = None;
             let place = &mut |image: TableImage| {
                 if image.is_spliced() {
@@ -1105,8 +1128,15 @@ impl LsmDb {
                     image.materialize(); // in its file's buffer already
                 }
             };
-            self.compact_write(&mut merge, u64::MAX, Some(place))
-        })
+            let result = self.compact_write(&mut merge, u64::MAX, Some(place));
+            drop(finish);
+            merged = Some(Instant::now());
+            result
+        });
+        if merged.is_some_and(|at| at.elapsed() > HELPER_WAIT_LIMIT) {
+            self.helper_backoff = HELPER_BACKOFF;
+        }
+        result
     }
 
     /// Merges entries into output tables, splitting them at the table
