@@ -76,9 +76,10 @@ const MERGE_RATIO: u64 = 3;
 
 /// An inline compaction that waits longer than this for its helper
 /// thread after the merge ends (laying one 1 MiB table out takes about
-/// a fifth of it) found no idle CPU for the helper. The next
-/// [`HELPER_BACKOFF`] compactions then copy their values in on the
-/// simulator thread, as a paced one does.
+/// a fifth of it) found no idle CPU for the helper. After two such in a
+/// row, the next [`HELPER_BACKOFF`] compactions copy their values in on
+/// the simulator thread, as a paced one does (one alone is as likely a
+/// brief stall of the host).
 const HELPER_WAIT_LIMIT: Duration = Duration::from_millis(1);
 /// See [`HELPER_WAIT_LIMIT`].
 const HELPER_BACKOFF: u32 = 64;
@@ -125,10 +126,11 @@ pub struct LsmDb {
     /// of encoding. Host-side work only, so not a [`DbStats`] field:
     /// no rendered report moves with it.
     blocks_reused: u64,
-    /// Inline compactions left to run without a helper thread (see
-    /// [`HELPER_WAIT_LIMIT`]). Host-side only: the bytes are the same
-    /// either way.
+    /// Inline compactions left to run without a helper thread, and
+    /// whether the last helper was slow (see [`HELPER_WAIT_LIMIT`]).
+    /// Host-side only: the bytes are the same either way.
     helper_backoff: u32,
+    helper_slow: bool,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -171,6 +173,7 @@ impl LsmDb {
             compact: None,
             blocks_reused: 0,
             helper_backoff: 0,
+            helper_slow: false,
         })
     }
 
@@ -256,6 +259,7 @@ impl LsmDb {
             compact: None,
             blocks_reused: 0,
             helper_backoff: 0,
+            helper_slow: false,
         };
         for record in records {
             match record {
@@ -1133,9 +1137,11 @@ impl LsmDb {
             merged = Some(Instant::now());
             result
         });
-        if merged.is_some_and(|at| at.elapsed() > HELPER_WAIT_LIMIT) {
+        let slow = merged.is_some_and(|at| at.elapsed() > HELPER_WAIT_LIMIT);
+        if slow && self.helper_slow {
             self.helper_backoff = HELPER_BACKOFF;
         }
+        self.helper_slow = slow;
         result
     }
 
