@@ -2,8 +2,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
 use ptsbench_maint::{
@@ -74,16 +73,6 @@ const COMPACTION_BUDGET_FACTOR: u64 = 16;
 /// size. Larger ratios defer merges (less write-amp, more space-amp).
 const MERGE_RATIO: u64 = 3;
 
-/// An inline compaction that waits longer than this for its helper
-/// thread after the merge ends (laying one 1 MiB table out takes about
-/// a fifth of it) found no idle CPU for the helper. After two such in a
-/// row, the next [`HELPER_BACKOFF`] compactions copy their values in on
-/// the simulator thread, as a paced one does (one alone is as likely a
-/// brief stall of the host).
-const HELPER_WAIT_LIMIT: Duration = Duration::from_millis(1);
-/// See [`HELPER_WAIT_LIMIT`].
-const HELPER_BACKOFF: u32 = 64;
-
 /// A leveled LSM-tree key-value store on a simulated flash stack.
 pub struct LsmDb {
     vfs: Vfs,
@@ -126,11 +115,6 @@ pub struct LsmDb {
     /// of encoding. Host-side work only, so not a [`DbStats`] field:
     /// no rendered report moves with it.
     blocks_reused: u64,
-    /// Inline compactions left to run without a helper thread, and
-    /// whether the last helper was slow (see [`HELPER_WAIT_LIMIT`]).
-    /// Host-side only: the bytes are the same either way.
-    helper_backoff: u32,
-    helper_slow: bool,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -172,8 +156,6 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
-            helper_backoff: 0,
-            helper_slow: false,
         })
     }
 
@@ -258,8 +240,6 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
-            helper_backoff: 0,
-            helper_slow: false,
         };
         for record in records {
             match record {
@@ -1104,9 +1084,9 @@ impl LsmDb {
     /// helper before this returns, so every output is in its file before
     /// [`LsmDb::compact_install`] opens it. Laying out moves bytes only:
     /// the device commands and clock steps were all taken here, at the
-    /// same points as a copying build takes them. A helper that found
-    /// no idle CPU sends the next compactions back to copying here
-    /// ([`HELPER_WAIT_LIMIT`]).
+    /// same points as a copying build takes them. A process limited to
+    /// one CPU has no second one for the helper: there the values are
+    /// copied in here, as a paced compaction does.
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1114,15 +1094,13 @@ impl LsmDb {
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
-        if self.helper_backoff > 0 {
-            self.helper_backoff -= 1;
+        if !helper_has_a_cpu() {
             return self.compact_write(&mut merge, u64::MAX, None);
         }
         let layouts = Layouts::default();
-        let mut merged = None;
-        let result = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             // Lets the helper go however the merge ends, a panic included.
-            let finish = Finish(&layouts);
+            let _finish = Finish(&layouts);
             let mut helper = None;
             let place = &mut |image: TableImage| {
                 if image.is_spliced() {
@@ -1132,17 +1110,8 @@ impl LsmDb {
                     image.materialize(); // in its file's buffer already
                 }
             };
-            let result = self.compact_write(&mut merge, u64::MAX, Some(place));
-            drop(finish);
-            merged = Some(Instant::now());
-            result
-        });
-        let slow = merged.is_some_and(|at| at.elapsed() > HELPER_WAIT_LIMIT);
-        if slow && self.helper_slow {
-            self.helper_backoff = HELPER_BACKOFF;
-        }
-        self.helper_slow = slow;
-        result
+            self.compact_write(&mut merge, u64::MAX, Some(place))
+        })
     }
 
     /// Merges entries into output tables, splitting them at the table
@@ -1386,6 +1355,14 @@ impl Layouts {
         }
         self.done.store(true, Ordering::Release);
     }
+}
+
+/// Whether this process may run on more than one CPU, so that an
+/// inline compaction's helper need not wait for the simulator thread's
+/// CPU. Asked once, at the first inline compaction.
+fn helper_has_a_cpu() -> bool {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())) > 1
 }
 
 /// Calls [`Layouts::finish`] when dropped.

@@ -49,7 +49,7 @@ const APPEND_BYTES: usize = 256 << 10;
 pub struct TableImage {
     /// Headers, keys, index, bloom, footer and codec containers: the
     /// table less its spliced values.
-    out: FileAppender,
+    file: FileAppender,
     /// The windows the spliced values are ranges of, each held once.
     windows: Vec<FileSlice>,
     /// The spliced values, in table order.
@@ -77,13 +77,7 @@ struct Splice {
 impl TableImage {
     /// The table's length so far.
     fn len(&self) -> usize {
-        self.out.buf.len() + self.spliced
-    }
-
-    /// Where the builder encodes: the end of the table so far, less its
-    /// spliced values.
-    fn side(&mut self) -> &mut Vec<u8> {
-        &mut self.out.buf
+        self.file.buf.len() + self.spliced
     }
 
     /// Puts `window[range]` at the end of the table, by reference.
@@ -94,16 +88,8 @@ impl TableImage {
             self.windows.len() - 1
         });
         self.spliced += range.len();
-        let at = self.out.buf.len();
+        let at = self.file.buf.len();
         self.splices.push(Splice { at, window, range });
-    }
-
-    fn commit(&mut self, upto: usize, blocking: bool) -> Result<()> {
-        Ok(self.out.commit(upto, blocking)?)
-    }
-
-    fn committed(&self) -> usize {
-        self.out.committed()
     }
 
     /// Reserves the laid-out table's buffer as a copying build reserves
@@ -135,7 +121,7 @@ impl TableImage {
         // to lay out again.
         let splices = std::mem::take(&mut self.splices);
         let windows = std::mem::take(&mut self.windows);
-        let side = std::mem::take(&mut self.out.buf);
+        let side = std::mem::take(&mut self.file.buf);
         let mut buf = std::mem::take(&mut self.laid_out);
         buf.reserve_exact(side.len() + self.spliced);
         let mut from = 0;
@@ -145,7 +131,7 @@ impl TableImage {
             from = splice.at;
         }
         buf.extend_from_slice(&side[from..]);
-        self.out.buf = buf;
+        self.file.buf = buf;
         self.spliced = 0;
     }
 }
@@ -264,7 +250,7 @@ impl SstableBuilder {
         // first entry, once it is known whether values are spliced.
         let reserve = expected_bytes + block_bytes as u64 + expected_bytes / 64;
         let out = TableImage {
-            out: vfs.appender(file, 0)?,
+            file: vfs.appender(file, 0)?,
             windows: Vec::new(),
             splices: Vec::new(),
             spliced: 0,
@@ -348,7 +334,7 @@ impl SstableBuilder {
         if self.entries == 0 {
             self.min_key = Some(key.to_vec());
             let side = if splicing { 0 } else { self.out.reserve };
-            self.out.side().reserve_exact(side);
+            self.out.file.buf.reserve_exact(side);
         } else {
             assert!(
                 key > self.last_key.as_slice(),
@@ -372,11 +358,11 @@ impl SstableBuilder {
         };
         match splice {
             Some((window, range)) => {
-                encode_entry_head(self.out.side(), key, Some(range.len()));
+                encode_entry_head(&mut self.out.file.buf, key, Some(range.len()));
                 self.out.splice(window, range);
             }
             None if codec => encode_entry(&mut self.block, key, value),
-            None => encode_entry(self.out.side(), key, value),
+            None => encode_entry(&mut self.out.file.buf, key, value),
         }
         self.block_entries += 1;
         self.entries += 1;
@@ -433,7 +419,7 @@ impl SstableBuilder {
         }
         let start = self.block_start;
         if self.compression.is_active() {
-            let out = self.out.side();
+            let out = &mut self.out.file.buf;
             let donor = self.donor.take();
             let same = (donor.as_deref())
                 .filter(|d| self.compression.stored_payload_at_level(d) == Some(&self.block[..]));
@@ -470,8 +456,8 @@ impl SstableBuilder {
         self.block_start = end;
         // Stream out whole pages to keep the writes aligned.
         let aligned = (end / self.page_size) * self.page_size;
-        if aligned - self.out.committed() >= APPEND_BYTES {
-            self.out.commit(aligned, !self.background)?;
+        if aligned - self.out.file.committed() >= APPEND_BYTES {
+            self.out.file.commit(aligned, !self.background)?;
         }
         Ok(())
     }
@@ -480,21 +466,16 @@ impl SstableBuilder {
     /// everything not yet written, fsyncs, and returns the metadata. A
     /// failed finish removes the partial file.
     pub fn finish(self) -> Result<SstableMeta> {
-        let (meta, image) = self.finish_image()?;
+        let (meta, _, image) = self.finish_counted()?;
         image.materialize();
         Ok(meta)
     }
 
-    /// [`SstableBuilder::finish`] but for laying the table out, which
-    /// is left to the caller: the file is written, and readable once
-    /// the image is materialized (or dropped).
-    pub fn finish_image(self) -> Result<(SstableMeta, TableImage)> {
-        self.finish_counted().map(|(meta, _, image)| (meta, image))
-    }
-
-    /// [`SstableBuilder::finish_image`], also returning how many blocks
-    /// were copied from a donor instead of encoded.
-    pub(crate) fn finish_counted(mut self) -> Result<(SstableMeta, u64, TableImage)> {
+    /// [`SstableBuilder::finish`], also returning how many blocks were
+    /// copied from a donor instead of encoded, and leaving the laying
+    /// out to the caller: the file is written, and readable once the
+    /// image is materialized (or dropped).
+    pub fn finish_counted(mut self) -> Result<(SstableMeta, u64, TableImage)> {
         if self.entries == 0 {
             // An empty table is a caller bug upstream; fail cleanly.
             self.vfs.delete(&self.name)?;
@@ -512,7 +493,7 @@ impl SstableBuilder {
         let bloom_len = bloom.as_ref().map_or(0, BloomFilter::encoded_len);
         let index_off = self.out.len() as u64;
         let bloom_off = index_off + index_len as u64;
-        let out = self.out.side();
+        let out = &mut self.out.file.buf;
         out.reserve_exact(index_len + bloom_len + FOOTER_LEN);
         out.extend_from_slice(&self.blocks.to_le_bytes());
         out.extend_from_slice(&self.index);
@@ -534,10 +515,10 @@ impl SstableBuilder {
 
         let total = self.out.len();
         self.out.reserve_laid_out();
-        if let Err(e) = self.out.commit(total, !self.background) {
+        if let Err(e) = self.out.file.commit(total, !self.background) {
             // Out of space mid-finish: remove the partial file.
             let _ = self.vfs.delete(&self.name);
-            return Err(e);
+            return Err(e.into());
         }
         // Background builds install without waiting for durability (the
         // version edit is logical; durability arrives when the destage
@@ -851,9 +832,9 @@ mod tests {
                 entry.window = None;
             }
             n += 1;
-            let before = b.out.committed();
+            let before = b.out.file.committed();
             b.add_reusing(entry, |_, _| None).expect("add");
-            let at = b.out.committed();
+            let at = b.out.file.committed();
             if at != before && inside_a_splice(&b.out, at) {
                 commits_inside += 1;
             }
@@ -927,7 +908,7 @@ mod tests {
             b.add_reusing(entry, |_, _| None).expect("add");
         }
         drop(scan);
-        let committed = b.out.committed();
+        let committed = b.out.file.committed();
         assert!(committed > 0 && b.out.is_spliced());
         drop(b);
         let id = v.open("out").expect("open");

@@ -103,7 +103,7 @@ fn build_spliced(fs: &Vfs, input: &str, name: &str, target: u64) -> (u64, u64, u
         b.add_reusing(entry, |_, _| None).expect("add");
     }
     drop(scan);
-    let (meta, image) = b.finish_image().expect("finish");
+    let (meta, _, image) = b.finish_counted().expect("finish");
     let allocated = REQUESTED.get() - before;
     let id = fs.open(name).expect("open");
     assert!(image.is_spliced());

@@ -275,7 +275,9 @@ impl Inner {
 /// one). Dropping the appender hands the buffer back to the file, cut
 /// to the committed length, and asserts that it holds every committed
 /// byte — a file never has a size without its bytes, and an append
-/// that failed or was never committed leaves the file as it was.
+/// that failed or was never committed leaves the file as it was. An
+/// appender dropped short while its thread panics cuts the file to the
+/// bytes it holds instead (extents kept, as [`Vfs::truncate`] does).
 #[derive(Debug)]
 pub struct FileAppender {
     vfs: Vfs,
@@ -313,14 +315,24 @@ impl FileAppender {
 impl Drop for FileAppender {
     fn drop(&mut self) {
         let mut g = self.vfs.inner.lock();
-        if let Some(node) = g.files.get_mut(&self.id) {
-            // A writer that panicked may leave the buffer short: that
-            // panic, not this one, is the news.
+        let Inner {
+            data_bytes, files, ..
+        } = &mut *g;
+        if let Some(node) = files.get_mut(&self.id) {
+            let held = self.buf.len();
+            if held < self.committed && std::thread::panicking() {
+                // A writer that panicked may leave the buffer short:
+                // that panic, not this one, is the news. The file
+                // keeps the bytes it has.
+                node.check_in(std::mem::take(&mut self.buf));
+                *data_bytes -= node.len - held as u64;
+                node.cut(held as u64);
+                return;
+            }
             assert!(
-                self.buf.len() >= self.committed || std::thread::panicking(),
-                "{}: {} of {} committed bytes checked in",
+                held >= self.committed,
+                "{}: {held} of {} committed bytes checked in",
                 node.name,
-                self.buf.len(),
                 self.committed
             );
             self.buf.truncate(self.committed);
@@ -1321,6 +1333,24 @@ mod tests {
         ahead.buf = vec![1u8; 12_000];
         drop((ahead, copied));
         assert_eq!(v.read_at(f, 0, 20_000).expect("read"), vec![1u8; 12_000]);
+        v.check_invariants();
+    }
+
+    #[test]
+    fn a_writer_that_panics_short_leaves_the_bytes_it_holds() {
+        let v = fs();
+        let f = v.create("t").expect("create");
+        let before = v.stats().data_bytes;
+        let mut a = v.appender(f, 0).expect("appender");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            a.buf.extend_from_slice(&[1u8; 100]);
+            a.commit(8192, false).expect("commit by length");
+            panic!("the writer fails before its bytes are in place");
+        }));
+        assert!(caught.is_err());
+        assert_eq!(v.size(f).expect("size"), 100);
+        assert_eq!(v.stats().data_bytes, before + 100);
+        assert_eq!(v.read_at(f, 0, 8192).expect("read"), vec![1u8; 100]);
         v.check_invariants();
     }
 
