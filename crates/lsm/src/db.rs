@@ -1,7 +1,7 @@
 //! The LSM database: public API and the write/flush/compact machinery.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
@@ -115,6 +115,8 @@ pub struct LsmDb {
     /// of encoding. Host-side work only, so not a [`DbStats`] field:
     /// no rendered report moves with it.
     blocks_reused: u64,
+    /// Counts this database among those open in the process.
+    _open: OpenDb,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -156,6 +158,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
+            _open: OpenDb::new(),
         })
     }
 
@@ -240,6 +243,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
+            _open: OpenDb::new(),
         };
         for record in records {
             match record {
@@ -1084,9 +1088,10 @@ impl LsmDb {
     /// helper before this returns, so every output is in its file before
     /// [`LsmDb::compact_install`] opens it. Laying out moves bytes only:
     /// the device commands and clock steps were all taken here, at the
-    /// same points as a copying build takes them. A process limited to
-    /// one CPU has no second one for the helper: there the values are
-    /// copied in here, as a paced compaction does.
+    /// same points as a copying build takes them. The helper needs a
+    /// CPU nothing else in the process wants ([`helper_has_a_cpu`]);
+    /// without one the values are copied in here, as a paced compaction
+    /// does.
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1357,12 +1362,36 @@ impl Layouts {
     }
 }
 
-/// Whether this process may run on more than one CPU, so that an
-/// inline compaction's helper need not wait for the simulator thread's
-/// CPU. Asked once, at the first inline compaction.
+/// LSM databases open in the process.
+static OPEN_DBS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counted in [`OPEN_DBS`] from construction to drop.
+struct OpenDb;
+
+impl OpenDb {
+    fn new() -> Self {
+        OPEN_DBS.fetch_add(1, Ordering::Relaxed);
+        Self
+    }
+}
+
+impl Drop for OpenDb {
+    fn drop(&mut self) {
+        OPEN_DBS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Whether an inline compaction's helper would have a CPU to itself:
+/// the process may run on more than one CPU (asked once), and this is
+/// the only database open in it. Several open databases are shards
+/// driven by as many threads as the harness could give CPUs (or tests
+/// run side by side), and a helper beside them takes CPU time from
+/// another simulator thread: two client threads over eight inline
+/// shards measured a third slower with one.
 fn helper_has_a_cpu() -> bool {
     static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())) > 1
+    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    cpus > 1 && OPEN_DBS.load(Ordering::Relaxed) == 1
 }
 
 /// Calls [`Layouts::finish`] when dropped.
