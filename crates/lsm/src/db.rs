@@ -1090,8 +1090,7 @@ impl LsmDb {
     /// the device commands and clock steps were all taken here, at the
     /// same points as a copying build takes them. The helper needs a
     /// CPU nothing else in the process wants ([`helper_has_a_cpu`]);
-    /// without one the values are copied in here, as a paced compaction
-    /// does.
+    /// without one, each output is laid out here as it is finished.
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1099,20 +1098,18 @@ impl LsmDb {
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
-        if !helper_has_a_cpu() {
-            return self.compact_write(&mut merge, u64::MAX, None);
-        }
+        let helped = helper_has_a_cpu();
         let layouts = Layouts::default();
         std::thread::scope(|scope| {
             // Lets the helper go however the merge ends, a panic included.
             let _finish = Finish(&layouts);
             let mut helper = None;
             let place = &mut |image: TableImage| {
-                if image.is_spliced() {
+                if image.is_spliced() && helped {
                     helper.get_or_insert_with(|| scope.spawn(|| layouts.serve()));
                     layouts.push(image);
                 } else {
-                    image.materialize(); // in its file's buffer already
+                    image.materialize();
                 }
             };
             self.compact_write(&mut merge, u64::MAX, Some(place))
