@@ -1090,7 +1090,8 @@ impl LsmDb {
     /// the device commands and clock steps were all taken here, at the
     /// same points as a copying build takes them. The helper needs a
     /// CPU nothing else in the process wants ([`helper_has_a_cpu`]);
-    /// without one, each output is laid out here as it is finished.
+    /// without one the values are copied in here, as a paced compaction
+    /// does: laying them out here later measured slower.
     fn compact_stream(&mut self) -> Result<()> {
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
@@ -1098,18 +1099,20 @@ impl LsmDb {
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
-        let helped = helper_has_a_cpu();
+        if !helper_has_a_cpu() {
+            return self.compact_write(&mut merge, u64::MAX, None);
+        }
         let layouts = Layouts::default();
         std::thread::scope(|scope| {
             // Lets the helper go however the merge ends, a panic included.
             let _finish = Finish(&layouts);
             let mut helper = None;
             let place = &mut |image: TableImage| {
-                if image.is_spliced() && helped {
+                if image.is_spliced() {
                     helper.get_or_insert_with(|| scope.spawn(|| layouts.serve()));
                     layouts.push(image);
                 } else {
-                    image.materialize();
+                    image.materialize(); // in its file's buffer already
                 }
             };
             self.compact_write(&mut merge, u64::MAX, Some(place))
