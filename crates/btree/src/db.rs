@@ -409,16 +409,6 @@ impl BTreeDb {
         }
     }
 
-    /// Range scan materialized into a vector (see [`BTreeDb::scan_iter`]).
-    pub fn scan(
-        &mut self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: usize,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_iter(start, end, limit).collect()
-    }
-
     /// Forces buffered journal records onto the device and waits for
     /// durability. Data synced here survives a crash even without a
     /// checkpoint.
@@ -1060,7 +1050,13 @@ mod tests {
                     );
                 }
             }
+            // A checkpoint writes back and evicts under a live mix.
+            if step % 250 == 249 {
+                db.checkpoint().expect("checkpoint");
+                db.verify();
+            }
         }
+        assert!(db.stats().checkpoints >= 20);
         db.verify();
         for i in 0..400u32 {
             let k = key(i);
@@ -1079,7 +1075,12 @@ mod tests {
         for i in 0..300u32 {
             db.put(&key(i), format!("v{i}").as_bytes()).expect("put");
         }
-        let items = db.scan(&key(10), Some(&key(20)), 100).expect("scan");
+        let scan = |db: &mut BTreeDb, start: &[u8], end: Option<&[u8]>, limit| {
+            db.scan_iter(start, end, limit)
+                .collect::<Result<Vec<_>>>()
+                .expect("scan")
+        };
+        let items = scan(&mut db, &key(10), Some(&key(20)), 100);
         assert_eq!(items.len(), 10);
         assert_eq!(items[0].0, key(10));
         assert_eq!(items[9].0, key(19));
@@ -1087,9 +1088,9 @@ mod tests {
             assert!(w[0].0 < w[1].0);
         }
         // Limit.
-        assert_eq!(db.scan(&key(0), None, 25).expect("scan").len(), 25);
+        assert_eq!(scan(&mut db, &key(0), None, 25).len(), 25);
         // Empty range.
-        assert!(db.scan(&key(500), None, 10).expect("scan").is_empty());
+        assert!(scan(&mut db, &key(500), None, 10).is_empty());
     }
 
     #[test]

@@ -304,6 +304,41 @@ impl EngineStats {
 /// [`crate::registry::EngineRegistry`]; see the repository README for a
 /// worked "add an engine" example.
 ///
+/// # The contract
+///
+/// Every registered engine keeps it, and the workspace's engine model
+/// check (`tests/proptest_engines.rs`) holds each to it against a
+/// `BTreeMap` under the same ops and tuning:
+///
+/// * **Limits.** An engine may refuse a key longer than 65 535 bytes
+///   (the LSM and the B+Tree record a key's length in two bytes) and a
+///   pair its layout cannot hold (a B+Tree page holds whole pairs: key,
+///   value and 11 bytes must fit one). It takes every other key and
+///   value, the empty value included.
+/// * **Refusal applies nothing.** A refused op fails with
+///   [`PtsError::Engine`] before it changes anything: no key, no
+///   counter in [`EngineStats`], no byte on the device. A batch holding
+///   one refused op is refused whole.
+/// * **Reads.** A get or scan returns the value of the last accepted
+///   write to each key, whatever flushes, maintenance slices, caching,
+///   compression and queue depth happened since.
+/// * **Scans.** Live entries with `start <= key < end`, in ascending key
+///   order, at most `limit` of them. An `end` at or below `start`, or a
+///   `limit` of 0, is an empty scan, not an error.
+/// * **Batches.** Ops apply in order, so a key repeated within a batch
+///   ends at its last op.
+/// * **Counters.** Since the engine was opened or recovered, `puts` and
+///   `deletes` count accepted ops (batched ones included) and
+///   `app_bytes_written` their keys and put values.
+/// * **Durability.** After [`PtsEngine::flush`], dropping the engine
+///   and recovering it on the same filesystem
+///   ([`crate::registry::EngineKind::recover`]) gives back every key
+///   written before the flush; the recovered engine's counters start
+///   at zero. What survives a drop without a flush is not specified.
+/// * **Errors.** A storage failure maps through [`PtsError::store`]:
+///   out of space is [`PtsError::OutOfSpace`], anything else
+///   [`PtsError::Engine`] with the native error as its source.
+///
 /// `Send` is a supertrait: the concurrent harness moves each engine
 /// handle onto a client thread (one shard per engine instance, never
 /// shared), so every engine must be transferable across threads.
@@ -333,12 +368,13 @@ pub trait PtsEngine: Send {
     /// Applies a batch in order. An op the engine would refuse on its
     /// own (a key or pair over the engine's limits) fails the whole batch
     /// before any op is applied: an `Err` of that kind leaves every key,
-    /// counter and byte as it was.
+    /// counter and byte as it was. A batch is not atomic across a crash:
+    /// an engine may log it one record per op.
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError>;
 
     /// Streaming range scan: live entries with `start <= key < end`
     /// (`end` `None` = unbounded), up to `limit` results, in ascending
-    /// key order.
+    /// key order. An `end` at or below `start` yields nothing.
     fn scan(
         &mut self,
         start: &[u8],
@@ -358,7 +394,9 @@ pub trait PtsEngine: Send {
     }
 
     /// Flushes buffered state to storage (memtable flush, checkpoint,
-    /// or log sync — whatever makes the current state durable).
+    /// or log sync — whatever makes the current state durable): every
+    /// key written before it survives a drop and
+    /// [`crate::registry::EngineKind::recover`].
     fn flush(&mut self) -> Result<(), PtsError>;
 
     /// Drains the engine's asynchronous I/O: advances the simulated

@@ -747,9 +747,10 @@ impl HashLogDb {
     /// With a submission queue the cursor prefetches its reads in
     /// batches of the queue depth, overlapping their latencies.
     pub fn scan_iter(&self, start: &[u8], end: Option<&[u8]>, limit: usize) -> IndexScan<'_> {
+        // An `end` below `start` is an empty range, not a panic.
         let range = self.index.range::<[u8], _>((
             Bound::Included(start),
-            end.map_or(Bound::Unbounded, Bound::Excluded),
+            end.map_or(Bound::Unbounded, |end| Bound::Excluded(end.max(start))),
         ));
         IndexScan {
             db: self,

@@ -336,15 +336,16 @@ impl LsmDb {
         self.maybe_flush()
     }
 
-    /// Applies a batch of writes (`value == None` = delete) atomically
-    /// with respect to the WAL. In background-maintenance mode the
-    /// records group-commit: every record is encoded into the WAL
+    /// Applies a batch of writes (`value == None` = delete) in order. A
+    /// key `put` would refuse fails the whole batch before anything is
+    /// applied. The WAL holds one record per op either way, so a crash
+    /// can keep a prefix of the batch. In background-maintenance mode
+    /// the records group-commit: every record is encoded into the WAL
     /// buffer first, then written as one batched submission whose page
     /// appends overlap at queue depth and share at most one fsync —
     /// instead of paying a serial page drain per record. Inline mode
-    /// applies the ops one by one, byte-identical to the seed. A key
-    /// `put` would refuse fails the whole batch before anything is
-    /// applied.
+    /// applies the ops one by one through `put` and `delete`,
+    /// byte-identical to the seed.
     pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
         for &(key, _) in ops {
             StoreError::check_key(key)?;

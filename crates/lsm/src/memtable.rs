@@ -90,7 +90,8 @@ impl Memtable {
     }
 
     fn bounded(&self, start: &[u8], end: Option<&[u8]>) -> btree_map::Range<'_, Vec<u8>, Entry> {
-        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
+        // An `end` below `start` is an empty range, not a panic.
+        let upper = end.map_or(Bound::Unbounded, |end| Bound::Excluded(end.max(start)));
         self.map.range::<[u8], _>((Bound::Included(start), upper))
     }
 
@@ -177,6 +178,7 @@ mod tests {
         assert_eq!(keys, vec![&b"b"[..], b"c"]);
         let keys: Vec<&[u8]> = m.range(b"c", None).map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"c"[..], b"d"]);
+        assert_eq!(m.range(b"d", Some(b"b")).count(), 0, "end below start");
     }
 
     #[test]

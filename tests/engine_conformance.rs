@@ -5,7 +5,8 @@
 //! `ptsbench::core::EngineRegistry` — the only engine-specific line is
 //! the `ptsbench::hashlog::register()` call, which is exactly how a
 //! downstream crate adds an engine. If a new engine registers a
-//! descriptor, it is automatically held to this spec.
+//! descriptor, it is automatically held to this spec, and to the model
+//! check over the same registry (`proptest_engines.rs`).
 
 use ptsbench::core::runner::{run, RunConfig};
 use ptsbench::core::{EngineRegistry, EngineTuning, PtsEngine, PtsError, WriteBatch};
@@ -36,63 +37,6 @@ fn registry_exposes_all_three_engines() {
         assert_eq!(kind.label(), label);
         assert!(!kind.name().is_empty());
         assert!(kind.default_cpu_cost_ns() > 0);
-    }
-}
-
-#[test]
-fn put_get_delete_overwrite_spec() {
-    for kind in engines() {
-        let mut sys = kind.open(stack(64 << 20), &tuning(64 << 20)).expect("open");
-        assert_eq!(sys.get(b"missing").expect("get"), None, "{kind:?}");
-        sys.put(b"k1", b"v1").expect("put");
-        sys.put(b"k2", b"v2").expect("put");
-        sys.put(b"k1", b"v1-overwritten").expect("overwrite");
-        assert_eq!(
-            sys.get(b"k1").expect("get"),
-            Some(b"v1-overwritten".to_vec()),
-            "{kind:?}"
-        );
-        sys.delete(b"k1").expect("delete");
-        assert_eq!(sys.get(b"k1").expect("get"), None, "{kind:?}");
-        sys.delete(b"k1").expect("deletes are idempotent");
-        sys.delete(b"never-existed").expect("delete of absent key");
-        assert_eq!(
-            sys.get(b"k2").expect("get"),
-            Some(b"v2".to_vec()),
-            "{kind:?}"
-        );
-        assert_eq!(sys.kind(), kind);
-    }
-}
-
-#[test]
-fn batch_apply_matches_individual_ops() {
-    for kind in engines() {
-        let mut individually = kind.open(stack(64 << 20), &tuning(64 << 20)).expect("open");
-        let mut batched = kind.open(stack(64 << 20), &tuning(64 << 20)).expect("open");
-        let mut batch = WriteBatch::new();
-        for i in 0..200u32 {
-            let k = format!("key{i:05}");
-            let v = format!("value-{i}");
-            individually.put(k.as_bytes(), v.as_bytes()).expect("put");
-            batch.put(k.as_bytes(), v.as_bytes());
-        }
-        for i in (0..200u32).step_by(7) {
-            let k = format!("key{i:05}");
-            individually.delete(k.as_bytes()).expect("delete");
-            batch.delete(k.as_bytes());
-        }
-        batched.apply_batch(&batch).expect("apply_batch");
-        assert_eq!(
-            individually.scan_to_vec(b"", None, 1000).expect("scan"),
-            batched.scan_to_vec(b"", None, 1000).expect("scan"),
-            "{kind:?}: batch must be equivalent to its individual ops"
-        );
-        assert_eq!(
-            individually.stats().app_bytes_written,
-            batched.stats().app_bytes_written,
-            "{kind:?}: batch accounting must match"
-        );
     }
 }
 
@@ -136,42 +80,6 @@ fn scan_streams_ordered_bounded_and_limited() {
         let first = cursor.next().expect("item").expect("ok");
         assert_eq!(first.0, b"key00000".to_vec(), "{kind:?}");
         assert_eq!(cursor.take(5).count(), 5, "{kind:?}");
-    }
-}
-
-#[test]
-fn flush_then_recover_preserves_data() {
-    for kind in engines() {
-        let vfs = stack(64 << 20);
-        {
-            let mut sys = kind.open(vfs.clone(), &tuning(64 << 20)).expect("open");
-            for i in 0..500u32 {
-                sys.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
-                    .expect("put");
-            }
-            sys.delete(b"key00042").expect("delete");
-            sys.flush().expect("flush");
-        }
-        let mut sys = kind.recover(vfs, &tuning(64 << 20)).expect("recover");
-        assert_eq!(
-            sys.get(b"key00042").expect("get"),
-            None,
-            "{kind:?}: delete survives"
-        );
-        for i in (0..500u32).filter(|i| *i != 42).step_by(13) {
-            assert_eq!(
-                sys.get(format!("key{i:05}").as_bytes()).expect("get"),
-                Some(format!("v{i}").into_bytes()),
-                "{kind:?}: key {i} must survive recovery"
-            );
-        }
-        sys.put(b"post-recovery", b"ok")
-            .expect("put after recovery");
-        assert_eq!(
-            sys.get(b"post-recovery").expect("get"),
-            Some(b"ok".to_vec()),
-            "{kind:?}"
-        );
     }
 }
 

@@ -1,169 +1,18 @@
-//! Property-based tests of the read-path acceleration tier:
+//! Property-based tests of the read-path acceleration tier (that the
+//! cache and codec never change what a read returns is part of the model
+//! check over every engine, `proptest_engines.rs`):
 //!
-//! * engines serve byte-identical data with the cache and compression
-//!   on or off — acceleration must never change *what* a read returns,
-//!   only where the bytes come from;
 //! * the TinyLFU sketch's halving never inflates an estimate;
 //! * the block cache's resident bytes never exceed its budget;
 //! * the compression container round-trips arbitrary payloads
 //!   losslessly at every level.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 
 use ptsbench::cache::{BlockCache, Compression, CountMinSketch};
-use ptsbench::hashlog::{HashLogDb, HashLogOptions};
-use ptsbench::lsm::{LsmDb, LsmOptions};
-use ptsbench::ssd::{DeviceConfig, DeviceProfile, Ssd};
-use ptsbench::vfs::{EngineTuning, Vfs, VfsOptions};
-
-fn vfs() -> Vfs {
-    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
-    Vfs::whole_device(ssd.into_shared(), VfsOptions::default())
-}
-
-#[derive(Debug, Clone)]
-enum KvOp {
-    Put(u16, u16),
-    Delete(u16),
-    Get(u16),
-    Scan(u16, u8),
-    Flush,
-}
-
-fn kv_op() -> impl Strategy<Value = KvOp> {
-    prop_oneof![
-        6 => (0..200u16, 0..2_000u16).prop_map(|(k, v)| KvOp::Put(k, v)),
-        2 => (0..200u16).prop_map(KvOp::Delete),
-        4 => (0..200u16).prop_map(KvOp::Get),
-        1 => (0..200u16, 1..20u8).prop_map(|(s, n)| KvOp::Scan(s, n)),
-        1 => Just(KvOp::Flush),
-    ]
-}
-
-fn key(i: u16) -> Vec<u8> {
-    format!("key{i:06}").into_bytes()
-}
-
-fn value(tag: u16, step: usize) -> Vec<u8> {
-    format!("value-{tag}-{step}")
-        .into_bytes()
-        .repeat(1 + tag as usize % 4)
-}
-
-/// Replays `ops` against a model, asserting every read and scan result
-/// matches; returns nothing — the assertions are the point.
-fn drive_lsm(mut db: LsmDb, ops: &[KvOp]) {
-    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    for (step, op) in ops.iter().enumerate() {
-        match op {
-            KvOp::Put(k, v) => {
-                let (k, v) = (key(*k), value(*v, step));
-                db.put(&k, &v).expect("put");
-                model.insert(k, v);
-            }
-            KvOp::Delete(k) => {
-                let k = key(*k);
-                db.delete(&k).expect("delete");
-                model.remove(&k);
-            }
-            KvOp::Get(k) => {
-                let k = key(*k);
-                assert_eq!(db.get(&k).expect("get"), model.get(&k).cloned());
-            }
-            KvOp::Scan(s, n) => {
-                let start = key(*s);
-                let got: Vec<_> = db.scan_iter(&start, None, *n as usize).collect::<Vec<_>>();
-                let want: Vec<_> = model
-                    .range(start..)
-                    .take(*n as usize)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                assert_eq!(got, want);
-            }
-            KvOp::Flush => db.flush().expect("flush"),
-        }
-    }
-    for (k, v) in &model {
-        assert_eq!(db.get(k).expect("get"), Some(v.clone()), "final audit");
-    }
-}
-
-fn drive_hashlog(mut db: HashLogDb, ops: &[KvOp]) {
-    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    for (step, op) in ops.iter().enumerate() {
-        match op {
-            KvOp::Put(k, v) => {
-                let (k, v) = (key(*k), value(*v, step));
-                db.put(&k, &v).expect("put");
-                model.insert(k, v);
-            }
-            KvOp::Delete(k) => {
-                let k = key(*k);
-                db.delete(&k).expect("delete");
-                model.remove(&k);
-            }
-            KvOp::Get(k) => {
-                let k = key(*k);
-                assert_eq!(db.get(&k).expect("get"), model.get(&k).cloned());
-            }
-            KvOp::Scan(s, n) => {
-                let start = key(*s);
-                let got = db.scan(&start, None, *n as usize).expect("scan");
-                let want: Vec<_> = model
-                    .range(start..)
-                    .take(*n as usize)
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                assert_eq!(got, want);
-            }
-            KvOp::Flush => db.flush().expect("flush"),
-        }
-    }
-    for (k, v) in &model {
-        assert_eq!(db.get(k).expect("get"), Some(v.clone()), "final audit");
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Acceleration never changes what a read returns: the LSM with a
-    /// block cache and compression serves exactly the bytes the model
-    /// (and therefore the uncached engine, pinned by `proptest_lsm`)
-    /// serves, through flushes and compactions.
-    #[test]
-    fn accelerated_lsm_reads_match_the_model(
-        ops in proptest::collection::vec(kv_op(), 1..200),
-        budget in prop_oneof![Just(0u64), 16_384..(2u64 << 20)],
-        level in 0..=9u8,
-    ) {
-        let opts = LsmOptions {
-            tuning: EngineTuning::for_device(0)
-                .with_cache_bytes(budget)
-                .with_compression_level(level),
-            ..LsmOptions::small()
-        };
-        drive_lsm(LsmDb::open(vfs(), opts).expect("open"), &ops);
-    }
-
-    /// Same property for the hashlog's value/segment cache and
-    /// whole-segment compression.
-    #[test]
-    fn accelerated_hashlog_reads_match_the_model(
-        ops in proptest::collection::vec(kv_op(), 1..200),
-        budget in prop_oneof![Just(0u64), 16_384..(2u64 << 20)],
-        level in 0..=9u8,
-    ) {
-        let opts = HashLogOptions {
-            tuning: EngineTuning::for_device(0)
-                .with_cache_bytes(budget)
-                .with_compression_level(level),
-            ..HashLogOptions::small()
-        };
-        drive_hashlog(HashLogDb::open(vfs(), opts).expect("open"), &ops);
-    }
 
     /// Halving ages popularity; it must never *raise* any estimate.
     #[test]
