@@ -262,9 +262,9 @@ fn check(kind: EngineKind, tuning: &EngineTuning, ops: &[Op]) -> Result<(), Test
                 let want = model.scan(&start, end.as_deref(), limit.into());
                 prop_assert_eq!(got, want, "{}", at);
             }
-            Op::Batch(first, ref puts) => {
+            Op::Batch(first, ref writes) => {
                 let mut batch = WriteBatch::new();
-                for &(i, len) in puts {
+                for &(i, len) in writes {
                     match len {
                         Some(len) => batch.put(&key(first + i), &value(len, step)),
                         None => batch.delete(&key(first + i)),
@@ -335,7 +335,7 @@ fn check(kind: EngineKind, tuning: &EngineTuning, ops: &[Op]) -> Result<(), Test
         }
         None => prop_assert!(!tuning.maint.enabled, "{}: no maintenance stats", at),
     }
-    prop_assert_eq!(sys.kind(), kind);
+    prop_assert_eq!(sys.kind(), kind, "{}: kind", at);
     let stats = sys.stats();
     prop_assert_eq!(
         (stats.puts, stats.deletes, stats.app_bytes_written),
