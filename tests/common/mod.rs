@@ -1,6 +1,7 @@
 //! Helpers shared by the root conformance suites: the engine list and
 //! the run shapes the baseline goldens (`tests/golden/baseline/`) were
-//! captured with. Each suite is its own crate and uses a subset.
+//! captured with, and the model check every engine is held to
+//! (`model`). Each suite is its own crate and uses a subset.
 #![allow(dead_code)]
 
 use ptsbench::core::frontend::FrontendRun;
@@ -8,6 +9,8 @@ use ptsbench::core::registry::{EngineKind, EngineRegistry};
 use ptsbench::core::runner::RunConfig;
 use ptsbench::ssd::MINUTE;
 use ptsbench::workload::KeyDistribution;
+
+pub mod model;
 
 /// Every registered engine, the hash log included.
 pub fn engines() -> Vec<EngineKind> {

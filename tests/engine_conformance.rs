@@ -6,7 +6,7 @@
 //! the `ptsbench::hashlog::register()` call, which is exactly how a
 //! downstream crate adds an engine. If a new engine registers a
 //! descriptor, it is automatically held to this spec, and to the model
-//! check over the same registry (`proptest_engines.rs`).
+//! check (`common/model.rs`) over the same registry.
 
 use ptsbench::core::runner::{run, RunConfig};
 use ptsbench::core::{EngineRegistry, EngineTuning, PtsEngine, PtsError, WriteBatch};
@@ -15,6 +15,7 @@ use ptsbench::vfs::{Vfs, VfsOptions};
 
 mod common;
 use common::engines;
+use common::model::{self, Op};
 
 fn stack(bytes: u64) -> Vfs {
     let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), bytes)).into_shared();
@@ -23,6 +24,17 @@ fn stack(bytes: u64) -> Vfs {
 
 fn tuning(bytes: u64) -> EngineTuning {
     EngineTuning::for_device(bytes)
+}
+
+/// Runs scripted ops on every engine through the model check: each get
+/// and scan reads as a `BTreeMap`, the counters as the ops applied one
+/// by one, and every key at the end.
+fn script(ops: &[Op]) {
+    for kind in engines() {
+        if let Err(e) = model::check(kind, &tuning(64 << 20), ops) {
+            panic!("{e}");
+        }
+    }
 }
 
 #[test]
@@ -38,6 +50,31 @@ fn registry_exposes_all_three_engines() {
         assert!(!kind.name().is_empty());
         assert!(kind.default_cpu_cost_ns() > 0);
     }
+}
+
+#[test]
+fn put_get_delete_overwrite_spec() {
+    use Op::{Delete, Get, Put};
+    script(&[
+        Get(1),
+        Put(1, 2),
+        Put(2, 2),
+        Put(1, 14),
+        Get(1),
+        Delete(1),
+        Get(1),
+        Delete(1),
+        Delete(999),
+        Get(2),
+    ]);
+}
+
+#[test]
+fn batch_apply_matches_individual_ops() {
+    // Every seventh key is put and then deleted within the one batch.
+    let puts = (0..200).map(|i| (i, Some(8)));
+    let deletes = (0..200).step_by(7).map(|i| (i, None));
+    script(&[Op::Batch(0, puts.chain(deletes).collect())]);
 }
 
 #[test]
@@ -81,6 +118,19 @@ fn scan_streams_ordered_bounded_and_limited() {
         assert_eq!(first.0, b"key00000".to_vec(), "{kind:?}");
         assert_eq!(cursor.take(5).count(), 5, "{kind:?}");
     }
+}
+
+#[test]
+fn flush_then_recover_preserves_data() {
+    let mut ops: Vec<Op> = (0..500).map(|i| Op::Put(i, 8)).collect();
+    ops.extend([
+        Op::Delete(42),
+        Op::Reopen,
+        Op::Get(42),
+        Op::Put(600, 2),
+        Op::Get(600),
+    ]);
+    script(&ops);
 }
 
 #[test]

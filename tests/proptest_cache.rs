@@ -1,7 +1,8 @@
-//! Property-based tests of the read-path acceleration tier (that the
-//! cache and codec never change what a read returns is part of the model
-//! check over every engine, `proptest_engines.rs`):
+//! Property-based tests of the read-path acceleration tier:
 //!
+//! * the cache and codec never change what a read returns, only where
+//!   the bytes come from: the engine model check (`common/model.rs`)
+//!   with a codec level drawn from all ten;
 //! * the TinyLFU sketch's halving never inflates an estimate;
 //! * the block cache's resident bytes never exceed its budget;
 //! * the compression container round-trips arbitrary payloads
@@ -10,9 +11,38 @@
 use proptest::prelude::*;
 
 use ptsbench::cache::{BlockCache, Compression, CountMinSketch};
+use ptsbench::core::{EngineKind, EngineTuning};
+
+mod common;
+use common::model;
+
+/// The model check's tuning with the codec level drawn from 0 to 9.
+fn accelerated_tuning() -> impl Strategy<Value = EngineTuning> {
+    model::tuning_of(model::maint(), model::cache_bytes(), 0..=9u8)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The LSM serves the model's bytes through its block cache and
+    /// compressed tables, across flushes and compactions.
+    #[test]
+    fn accelerated_lsm_reads_match_the_model(
+        tuning in accelerated_tuning(),
+        ops in model::ops(),
+    ) {
+        model::check(EngineKind::lsm(), &tuning, &ops)?;
+    }
+
+    /// The same for the hash log's value and segment cache and its
+    /// whole-segment compression, across segment GC.
+    #[test]
+    fn accelerated_hashlog_reads_match_the_model(
+        tuning in accelerated_tuning(),
+        ops in model::ops(),
+    ) {
+        model::check(ptsbench::hashlog::register(), &tuning, &ops)?;
+    }
 
     /// Halving ages popularity; it must never *raise* any estimate.
     #[test]

@@ -1,8 +1,8 @@
-//! Property-based tests of the background-maintenance subsystem (that
-//! arbitrary interleavings of ops and slices keep every read and install
-//! each job once is part of the model check over every engine,
-//! `proptest_engines.rs`):
+//! Property-based tests of the background-maintenance subsystem:
 //!
+//! * arbitrary interleavings of ops and maintenance slices keep every
+//!   read the model's on each engine, and every job installs once: the
+//!   engine model check (`common/model.rs`) with maintenance always on;
 //! * the rate budget is a window invariant: over any virtual-time
 //!   window `W`, greedily paced slices charge at most
 //!   `rate * W + burst + max_single_charge` bytes;
@@ -13,10 +13,19 @@
 
 use proptest::prelude::*;
 
+use ptsbench::core::EngineKind;
 use ptsbench::hashlog::{HashLogDb, HashLogOptions};
 use ptsbench::maint::{MaintConfig, RateBudget};
 use ptsbench::ssd::{Cause, DeviceConfig, DeviceProfile, Ssd, Tracer};
 use ptsbench::vfs::{EngineTuning, Vfs, VfsOptions};
+
+mod common;
+use common::model;
+
+/// The model check's tuning with maintenance always paced.
+fn paced_tuning() -> impl Strategy<Value = EngineTuning> {
+    model::tuning_of(model::paced(), model::cache_bytes(), model::codec_level())
+}
 
 fn traced_vfs() -> Vfs {
     let mut ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 48 << 20));
@@ -30,6 +39,38 @@ fn key(i: u16) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// LSM: flushes and compactions deferred into slices between
+    /// arbitrary ops never change what a read returns; every job
+    /// installs once.
+    #[test]
+    fn lsm_interleavings_preserve_reads_and_install_once(
+        tuning in paced_tuning(),
+        ops in model::ops(),
+    ) {
+        model::check(EngineKind::lsm(), &tuning, &ops)?;
+    }
+
+    /// Hash log: victims rewritten in slices while reads keep landing
+    /// on not-yet-moved records.
+    #[test]
+    fn hashlog_interleavings_preserve_reads_and_install_once(
+        tuning in paced_tuning(),
+        ops in model::ops(),
+    ) {
+        model::check(ptsbench::hashlog::register(), &tuning, &ops)?;
+    }
+
+    /// B+Tree: deferred fuzzy checkpoints never lose an update (the
+    /// journal holds everything the checkpoint has not yet made
+    /// durable).
+    #[test]
+    fn btree_interleavings_preserve_reads_and_install_once(
+        tuning in paced_tuning(),
+        ops in model::ops(),
+    ) {
+        model::check(EngineKind::btree(), &tuning, &ops)?;
+    }
 
     /// The window invariant, randomized: greedily paced charges over
     /// any window never exceed `rate * W + burst + max_single_charge`,
