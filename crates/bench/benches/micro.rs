@@ -19,6 +19,7 @@ use ptsbench_btree::pager::Pager;
 use ptsbench_btree::{BTreeDb, BTreeOptions, PageNo};
 use ptsbench_cache::{Compression, EncodeScratch};
 use ptsbench_core::frontend::{DispatchDiscipline, FrontendRun};
+use ptsbench_core::measure::idle_cpus;
 use ptsbench_core::registry::EngineKind;
 use ptsbench_core::runner::RunConfig;
 use ptsbench_core::ReqClass;
@@ -610,11 +611,16 @@ fn bench_lsm_data_path(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("lsm");
     group.sample_size(30);
+    // The compactions run as the single-stack runner's do: with a helper
+    // thread while the process has a CPU beside this one.
+    let helpers = idle_cpus(1).min(1);
     group.bench_function("compact_4x1mib_into_l1", |b| {
+        let scaled = LsmOptions::scaled_to_partition(256 << 20);
         let opts = LsmOptions {
             // Four flushes must pile up in L0 untouched.
             l0_compaction_trigger: 8,
-            ..LsmOptions::scaled_to_partition(256 << 20)
+            tuning: scaled.tuning.with_helper_threads(helpers),
+            ..scaled
         };
         let db = RefCell::new(None);
         b.iter_batched(
@@ -647,7 +653,9 @@ fn bench_lsm_data_path(c: &mut Criterion) {
     group.bench_function("compact_noise_lz1", |b| {
         let opts = LsmOptions {
             max_levels: 3,
-            tuning: EngineTuning::for_device(256 << 20).with_compression_level(1),
+            tuning: EngineTuning::for_device(256 << 20)
+                .with_compression_level(1)
+                .with_helper_threads(helpers),
             ..LsmOptions::scaled_to_partition(256 << 20)
         };
         let db = RefCell::new(None);

@@ -106,6 +106,13 @@ pub fn build_stack(cfg: &RunConfig) -> Result<Stack, PtsError> {
     })
 }
 
+/// CPUs the process may run on beyond `busy` threads of its own: what
+/// a stack builder can hand its engines as helper threads.
+pub fn idle_cpus(busy: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cpus.saturating_sub(busy)
+}
+
 /// Bulk-loads `workload`'s dataset sequentially in write batches and
 /// flushes (step 3 of the paper's procedure).
 pub fn bulk_load(system: &mut dyn PtsEngine, workload: &WorkloadSpec) -> Result<(), PtsError> {
@@ -166,26 +173,41 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Prepares an experiment on the configuration's derived workload.
+    /// Prepares an experiment on the configuration's derived workload:
+    /// the single-stack runner, whose engine may run a helper thread
+    /// while the process has a CPU beside the caller's.
     pub fn prepare(cfg: &RunConfig) -> Result<Self, PtsError> {
         let workload = cfg.workload();
-        Self::prepare_with(cfg, workload)
+        Self::prepare_with_helpers(cfg, workload, idle_cpus(1).min(1))
     }
 
     /// Prepares an experiment on an explicit workload specification —
     /// the sharded harness passes one slice of a global key space per
-    /// shard (see `WorkloadSpec::shard`).
+    /// shard (see `WorkloadSpec::shard`) — with no helper thread.
     ///
     /// Running out of space while building or loading is an *outcome*
     /// (`out_of_space`/`failed_during_load` set, measured phase a
     /// no-op), not an `Err`; any other engine failure is returned.
     pub fn prepare_with(cfg: &RunConfig, workload: WorkloadSpec) -> Result<Self, PtsError> {
+        Self::prepare_with_helpers(cfg, workload, 0)
+    }
+
+    /// [`Experiment::prepare_with`], handing the engine a budget of
+    /// `helper_threads` (0 or 1) host threads beside the caller's
+    /// ([`EngineTuning::helper_threads`](crate::EngineTuning)). The
+    /// fleet drivers give it out from [`idle_cpus`]; it changes host
+    /// time only, never a result.
+    pub fn prepare_with_helpers(
+        cfg: &RunConfig,
+        workload: WorkloadSpec,
+        helper_threads: usize,
+    ) -> Result<Self, PtsError> {
         let scale = cfg.scale();
         let dataset_bytes = workload.dataset_bytes();
         let stack = build_stack(cfg)?;
 
         let trace = TraceHandle::from_vfs(&stack.vfs, cfg.trace);
-        let tuning = cfg.tuning();
+        let tuning = cfg.tuning().with_helper_threads(helper_threads);
         let mut out_of_space = false;
         let mut failed_during_load = false;
         let mut system = match cfg.engine.open(stack.vfs.clone(), &tuning) {

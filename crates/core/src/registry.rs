@@ -292,6 +292,7 @@ mod tests {
                 compression_level: 3,
                 trace: true,
                 maint: ptsbench_maint::MaintConfig::enabled(),
+                helper_threads: 0,
             }
         );
         assert_eq!(lsm_options(&tuning).tuning, tuning);

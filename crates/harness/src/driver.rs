@@ -1,7 +1,7 @@
 //! The multi-client driver: one thread per client over its own shards, merge.
 
 use ptsbench_core::engine::PtsError;
-use ptsbench_core::measure::Experiment;
+use ptsbench_core::measure::{idle_cpus, Experiment};
 use ptsbench_core::runner::RunResult;
 use ptsbench_core::sharded::ShardedRun;
 use ptsbench_metrics::runreport::{QueueDepthSummary, RunReport, ShardReport};
@@ -71,13 +71,18 @@ pub fn run_sharded_with_results(cfg: &ShardedRun) -> Result<HarnessOutcome, PtsE
 }
 
 /// One client thread: prepare every owned shard, run each through the
-/// measured phase, finish them.
+/// measured phase, finish them. The CPUs the client threads leave idle
+/// go to the lowest clients, one each: every shard of such a client
+/// gets a helper thread, and since the client runs its shards one at a
+/// time, at most one of those helpers works at once.
 fn drive_client(cfg: &ShardedRun, client: usize) -> Result<Vec<(usize, RunResult)>, PtsError> {
+    let helpers = usize::from(client < idle_cpus(cfg.clients));
     let mut experiments: Vec<(usize, Experiment)> = Vec::new();
     for shard in cfg.shards_of_client(client) {
         let shard_cfg = cfg.shard_config(shard);
         let workload = cfg.shard_workload(shard);
-        experiments.push((shard, Experiment::prepare_with(&shard_cfg, workload)?));
+        let experiment = Experiment::prepare_with_helpers(&shard_cfg, workload, helpers)?;
+        experiments.push((shard, experiment));
     }
     for (_, experiment) in experiments.iter_mut() {
         experiment.run_until(cfg.base.duration)?;

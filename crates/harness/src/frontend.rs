@@ -58,7 +58,7 @@
 
 use ptsbench_core::engine::PtsError;
 use ptsbench_core::frontend::{ClientBinding, DispatchDiscipline, FrontendRun, SloPolicy};
-use ptsbench_core::measure::{Experiment, Served};
+use ptsbench_core::measure::{idle_cpus, Experiment, Served};
 use ptsbench_core::runner::RunResult;
 use ptsbench_core::sharded::Sharding;
 use ptsbench_metrics::histogram::LatencyHistogram;
@@ -442,10 +442,19 @@ impl Frontend {
     pub fn new(cfg: &FrontendRun) -> Result<Self, PtsError> {
         cfg.validate();
         let global = cfg.base.workload();
+        // `run_frontend`'s threads: the dispatcher, which drives every
+        // shard, and the open loops' generator. Only the dispatcher
+        // runs engine work, one shard at a time, so every shard may
+        // have a helper when a CPU is left beside them.
+        let open = (0..cfg.clients).any(|c| !cfg.client_arrival(c).is_closed());
+        let helpers = idle_cpus(1 + usize::from(open)).min(1);
         let mut shards = Vec::with_capacity(cfg.shards);
         for index in 0..cfg.shards {
-            let experiment =
-                Experiment::prepare_with(&cfg.shard_config(index), cfg.shard_workload(index))?;
+            let experiment = Experiment::prepare_with_helpers(
+                &cfg.shard_config(index),
+                cfg.shard_workload(index),
+                helpers,
+            )?;
             let dead = experiment.failed_during_load();
             let mut mt = MtStats::new(cfg.tenants.len());
             for lane in &mut mt.classes {

@@ -1,10 +1,12 @@
 //! The LSM database: public API and the write/flush/compact machinery.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
-use ptsbench_cache::{BlockCache, CacheStats, SharedBlockCache};
+use ptsbench_cache::{BlockCache, CacheStats, EncodeScratch, SharedBlockCache};
 use ptsbench_maint::{
     drain_forced, Admission, Drive, JobKind, MaintScheduler, MaintStats, MAX_SPACE_AMP,
 };
@@ -16,6 +18,7 @@ use crate::iter::{Chain, Merge, Source};
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::options::LsmOptions;
+use crate::sstable::builder::BlockQueue;
 use crate::sstable::reader::WindowScan;
 use crate::sstable::{
     BloomCounters, ChainedSstScan, SstableBuilder, SstableMeta, SstableReader, TableImage,
@@ -115,8 +118,8 @@ pub struct LsmDb {
     /// of encoding. Host-side work only, so not a [`DbStats`] field:
     /// no rendered report moves with it.
     blocks_reused: u64,
-    /// Counts this database among those open in the process.
-    _open: OpenDb,
+    /// The helper thread, when the tuning grants one (see [`Helper`]).
+    helper: Option<Arc<Helper>>,
 }
 
 impl std::fmt::Debug for LsmDb {
@@ -138,6 +141,7 @@ impl LsmDb {
         let cache = cache_for(&opts);
         let trace = TraceHandle::from_vfs(&vfs, opts.tuning.trace);
         let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
+        let helper = Helper::granted(&opts);
         Ok(Self {
             memtable: Memtable::new(),
             wal,
@@ -158,7 +162,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
-            _open: OpenDb::new(),
+            helper,
         })
     }
 
@@ -223,6 +227,7 @@ impl LsmDb {
         let old_wals = RecordLog::stale(&vfs, WAL_PREFIX);
         let manifest = Manifest::open(vfs.clone())?;
         let sched = MaintScheduler::for_config(opts.tuning.maint, vfs.clock().now());
+        let helper = Helper::granted(&opts);
         let mut db = Self {
             memtable: Memtable::new(),
             wal,
@@ -243,7 +248,7 @@ impl LsmDb {
             flush: None,
             compact: None,
             blocks_reused: 0,
-            _open: OpenDb::new(),
+            helper,
         };
         for record in records {
             match record {
@@ -723,7 +728,7 @@ impl LsmDb {
         let _cause = self.trace.cause(Cause::Compaction);
         let span = self.trace.begin(kind.span_label(), Cause::Compaction);
         let result = match kind {
-            JobKind::Flush => self.flush_step(Drive::Paced, forced),
+            JobKind::Flush => self.flush_step(Drive::Paced, forced, None),
             JobKind::Compaction => self.compact_step(Drive::Paced, forced),
             // GC / checkpoint tickets belong to other engines.
             _ => Ok(false),
@@ -809,10 +814,15 @@ impl LsmDb {
         // maintenance stall, and the paper's WA-A folds both together.
         let _cause = self.trace.cause(Cause::Compaction);
         let span = self.trace.begin("lsm.flush", Cause::Compaction);
+        // With the codec on, the helper encodes the table's blocks.
+        let job = (self.helper.as_ref())
+            .filter(|_| self.opts.compression().is_active())
+            .and_then(HelperJob::start);
         let mut result = self.freeze_memtable(Drive::Inline);
         while result.is_ok() && self.imm.is_some() {
-            result = self.flush_step(Drive::Inline, true).map(drop);
+            result = self.flush_step(Drive::Inline, true, job.as_ref()).map(drop);
         }
+        drop(job);
         self.trace.end(span);
         result
     }
@@ -820,8 +830,14 @@ impl LsmDb {
     /// One step of the flush job: a build slice, or the install once
     /// the table is finished. `Ok(false)` is a stale ticket, or a paced
     /// install still waiting for the durability horizon. A failed step
-    /// aborts the job ([`LsmDb::flush_abort`]).
-    fn flush_step(&mut self, drive: Drive, forced: bool) -> Result<bool> {
+    /// aborts the job ([`LsmDb::flush_abort`]). A `helper` job encodes
+    /// the table's blocks.
+    fn flush_step(
+        &mut self,
+        drive: Drive,
+        forced: bool,
+        helper: Option<&HelperJob>,
+    ) -> Result<bool> {
         if self.imm.is_none() {
             self.flush = None;
             return Ok(false); // stale ticket
@@ -829,7 +845,7 @@ impl LsmDb {
         let step = if self.flush.as_ref().is_some_and(|j| j.meta.is_some()) {
             self.flush_install(drive, forced)
         } else {
-            self.flush_build_slice(drive).map(|()| true)
+            self.flush_build_slice(drive, helper).map(|()| true)
         };
         if step.is_err() {
             self.flush_abort();
@@ -846,12 +862,12 @@ impl LsmDb {
     /// Streams one byte-bounded slice of the frozen memtable into the
     /// output table (background writes, no foreground clock charge for
     /// the block encode), finishing the table when the input runs dry.
-    fn flush_build_slice(&mut self, drive: Drive) -> Result<()> {
+    fn flush_build_slice(&mut self, drive: Drive, helper: Option<&HelperJob>) -> Result<()> {
         let imm = self.imm.as_ref().expect("frozen memtable present");
         let job = match &mut self.flush {
             Some(job) => job,
             none => {
-                let builder = SstableBuilder::create_bg(
+                let mut builder = SstableBuilder::create_bg(
                     self.vfs.clone(),
                     &table_name(&mut self.next_file),
                     self.opts.block_bytes,
@@ -859,6 +875,9 @@ impl LsmDb {
                     imm.approx_bytes(),
                 )?
                 .with_compression(self.opts.compression());
+                if let Some(job) = helper {
+                    builder = builder.encoding_on(job.blocks());
+                }
                 none.insert(FlushJob {
                     builder: Some(builder),
                     cursor: None,
@@ -1083,59 +1102,44 @@ impl LsmDb {
     /// Inline read-and-write phase: streams every input through the
     /// merge straight into the outputs, in one unbounded slice.
     ///
-    /// The outputs splice their values, and laying each one out
-    /// ([`TableImage::materialize`]) is shared with one helper thread
-    /// ([`Layouts`]) while the merge goes on here. The scope joins the
-    /// helper before this returns, so every output is in its file before
-    /// [`LsmDb::compact_install`] opens it. Laying out moves bytes only:
-    /// the device commands and clock steps were all taken here, at the
-    /// same points as a copying build takes them. The helper needs a
-    /// CPU nothing else in the process wants ([`helper_has_a_cpu`]);
-    /// without one the values are copied in here, as a paced compaction
-    /// does: laying them out here later measured slower.
+    /// With a helper thread the job is shared with it ([`Helper`]): the
+    /// outputs splice their values and the helper lays them out, or,
+    /// with the codec on, it encodes the blocks they seal. The job ends
+    /// before this returns, so every output is in its file before
+    /// [`LsmDb::compact_install`] opens it. The helper moves host work
+    /// only: the device commands and clock steps are all taken here, at
+    /// the same points as a build on this thread alone takes them.
+    /// Without a helper the values are copied in here, as a paced
+    /// compaction does: laying them out here later measured slower.
     fn compact_stream(&mut self) -> Result<()> {
+        // Woken first: its wake-up overlaps the first window reads.
+        let job = self.helper.as_ref().and_then(HelperJob::start);
         let task = &self.compact.as_ref().expect("live job").task;
         // Recency-ordered sources: source-level tables (already newest
         // first), then target-level overlaps (older).
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
         let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
-        if !helper_has_a_cpu() {
-            return self.compact_write(&mut merge, u64::MAX, None);
-        }
-        let layouts = Layouts::default();
-        std::thread::scope(|scope| {
-            // Lets the helper go however the merge ends, a panic included.
-            let _finish = Finish(&layouts);
-            let mut helper = None;
-            let place = &mut |image: TableImage| {
-                if image.is_spliced() {
-                    helper.get_or_insert_with(|| scope.spawn(|| layouts.serve()));
-                    layouts.push(image);
-                } else {
-                    image.materialize(); // in its file's buffer already
-                }
-            };
-            self.compact_write(&mut merge, u64::MAX, Some(place))
-        })
+        self.compact_write(&mut merge, u64::MAX, job.as_ref())
     }
 
     /// Merges entries into output tables, splitting them at the table
     /// size target, until `slice_bytes` of output are produced; marks
-    /// the job ready to install once the merge runs dry. Given `place`,
-    /// the outputs splice their values and each finished one goes to
-    /// `place` to be laid out; without, they copy their values in (a
-    /// paced slice has no thread to hand the copy to, and laying out
-    /// later only adds a pass).
+    /// the job ready to install once the merge runs dry. Given a helper
+    /// `job`, the outputs splice their values and go to the job to be
+    /// laid out, or queue their blocks for it to encode; without, they
+    /// copy and encode in place (a paced slice has no thread to hand
+    /// the work to, and laying out later only adds a pass).
     fn compact_write<S: Source>(
         &mut self,
         merge: &mut Merge<S>,
         slice_bytes: u64,
-        place: Option<&mut dyn FnMut(TableImage)>,
+        helper: Option<&HelperJob>,
     ) -> Result<()> {
-        let splice = place.is_some();
-        let mut in_place = TableImage::materialize;
-        let place = place.unwrap_or(&mut in_place);
+        let place = &mut |image: TableImage| match helper {
+            Some(job) => job.place(image),
+            None => image.materialize(),
+        };
         let job = self.compact.as_mut().expect("live job");
         let base = job.produced_bytes();
         while job.produced_bytes().saturating_sub(base) < slice_bytes {
@@ -1158,7 +1162,10 @@ impl LsmDb {
                         self.opts.sstable_target_bytes,
                     )?;
                     let b = b.with_compression(self.opts.compression());
-                    none.insert(if splice { b.splicing_values() } else { b })
+                    none.insert(match helper {
+                        Some(h) => b.splicing_values().encoding_on(h.blocks()),
+                        None => b,
+                    })
                 }
             };
             // A block that begins where an input block begins may be
@@ -1168,7 +1175,7 @@ impl LsmDb {
                 (task.inputs.iter().chain(&task.overlaps))
                     .find_map(|h| h.reader.stored_block_at(window, key_at))
             })?;
-            if builder.estimated_bytes() >= self.opts.sstable_target_bytes {
+            if builder.reaches(self.opts.sstable_target_bytes)? {
                 job.finish_output(place)?;
             }
         }
@@ -1294,40 +1301,194 @@ impl LsmDb {
     }
 }
 
-/// The finished outputs of one inline compaction still to be laid out
-/// ([`TableImage::materialize`]), shared by the simulator thread and one
-/// helper. Laying a table out costs more than building the next one, so
-/// a helper alone would fall behind: it takes the oldest waiting table,
-/// and the simulator thread lays out any it leaves waiting behind the
-/// newest, and whatever is left once the merge is done. The helper
-/// waits for work by yielding, not sleeping: a compaction lasts about a
-/// millisecond, and a wake-up can take a tenth of that.
-#[derive(Default)]
-struct Layouts {
-    waiting: Mutex<VecDeque<TableImage>>,
-    /// Nothing more will be queued.
-    done: AtomicBool,
+/// The database's helper thread (a host-thread budget of 1,
+/// [`EngineTuning::helper_threads`](ptsbench_vfs::EngineTuning)), fed
+/// one inline job at a time the way Marble's `pt_lsm` feeds its
+/// background compactor: over a channel it blocks on between jobs. A
+/// job wakes it as it starts ([`HelperJob::start`]), so the wake-up
+/// overlaps the job's first reads, and until the job ends the helper
+/// serves it, yielding while there is nothing to take (a job lasts
+/// about a millisecond; a wake-up per table or block would cost about
+/// what the work it hands over does). It has two jobs:
+///
+/// * laying out the spliced outputs of an inline compaction (codec off,
+///   [`TableImage::materialize`]), the oldest first;
+/// * encoding the blocks an inline flush or compaction seals (codec on,
+///   [`BlockQueue`]), the oldest first.
+///
+/// The simulator thread does whatever the helper has not taken when it
+/// needs it done, so the helper decides host time only; a helper that
+/// gets too little CPU to help sits jobs out ([`HelperJob`]). It is
+/// joined when the database drops.
+struct Helper {
+    work: Arc<HelperWork>,
+    /// One message per job; closed to stop the thread.
+    wake: Option<Sender<()>>,
+    thread: Option<JoinHandle<()>>,
+    /// Jobs still to run without the helper, and how many the next
+    /// back-off skips (see [`HelperJob`]).
+    skip: AtomicU32,
+    backoff: AtomicU32,
 }
 
-impl Layouts {
-    fn lock(&self) -> MutexGuard<'_, VecDeque<TableImage>> {
+/// What the simulator thread hands the helper.
+#[derive(Default)]
+struct HelperWork {
+    /// Finished spliced outputs still to be laid out, oldest first.
+    layouts: Mutex<VecDeque<TableImage>>,
+    /// Outputs the helper is laying out now.
+    laying: AtomicUsize,
+    /// Sealed blocks still to be encoded.
+    blocks: Arc<BlockQueue>,
+    /// A job is running: the helper keeps serving instead of blocking.
+    running: AtomicBool,
+}
+
+impl Helper {
+    /// Starts the helper thread if the tuning grants one; `None` if it
+    /// does not, or the host refuses a thread (the database then does
+    /// all its work on the caller's).
+    fn granted(opts: &LsmOptions) -> Option<Arc<Self>> {
+        if opts.tuning.helper_threads == 0 {
+            return None;
+        }
+        let work = Arc::new(HelperWork::default());
+        let (wake, jobs) = channel();
+        let served = Arc::clone(&work);
+        let thread = std::thread::Builder::new()
+            .name("lsm-helper".into())
+            .spawn(move || served.serve(&jobs))
+            .ok()?;
+        Some(Arc::new(Self {
+            work,
+            wake: Some(wake),
+            thread: Some(thread),
+            skip: AtomicU32::new(0),
+            backoff: AtomicU32::new(1),
+        }))
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        drop(self.wake.take()); // ends the thread's wait for a job
+        if let Some(thread) = self.thread.take() {
+            // A helper that panicked is not raised again here: its job
+            // already saw it (a block it held was encoded again, a
+            // table it held panicked the job).
+            let _ = thread.join();
+        }
+    }
+}
+
+impl HelperWork {
+    fn layouts(&self) -> MutexGuard<'_, VecDeque<TableImage>> {
         // Only a push or a pop runs under the lock: the queue is whole
         // even after a panic elsewhere.
-        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+        self.layouts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn pop(&self) -> Option<TableImage> {
-        self.lock().pop_front()
+    /// The helper thread: blocks until a job starts, serves it until it
+    /// ends, and again, until the channel closes.
+    fn serve(&self, jobs: &Receiver<()>) {
+        let _gone = Gone(self);
+        let mut scratch = EncodeScratch::default();
+        while jobs.recv().is_ok() {
+            loop {
+                let image = {
+                    let mut layouts = self.layouts();
+                    let image = layouts.pop_front();
+                    if image.is_some() {
+                        self.laying.fetch_add(1, Ordering::Relaxed);
+                    }
+                    image
+                };
+                if let Some(image) = image {
+                    image.materialize();
+                    self.laying.fetch_sub(1, Ordering::Release);
+                } else if self.blocks.encode_oldest(&mut scratch) {
+                    continue;
+                } else if self.running.load(Ordering::Acquire) && !self.blocks.declined() {
+                    std::thread::yield_now();
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+/// Marks the helper gone if its thread unwinds, so that no job waits
+/// for a table it took. (A block it took is encoded again by the
+/// builder, which waits for none for long.)
+struct Gone<'a>(&'a HelperWork);
+
+impl Drop for Gone<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.laying.store(usize::MAX, Ordering::Release);
+        }
+    }
+}
+
+/// One inline flush or compaction the helper serves, from
+/// [`HelperJob::start`] until the guard drops. Dropping it lays out
+/// here every output the helper has not taken and waits for the one it
+/// is laying out: every output is in its file before the job installs.
+///
+/// A helper that encoded under a quarter of a job's blocks had little
+/// CPU (a busy neighbour process; [`BlockQueue::judge`], which also
+/// makes the job's builds stop queueing as soon as it says so): then
+/// the next job runs without it, the next two after another such job,
+/// and so on up to 64, so that it takes no CPU from the simulator
+/// thread while it cannot help.
+struct HelperJob {
+    helper: Arc<Helper>,
+    /// The block queue's counts when the job started.
+    counts: (usize, usize),
+}
+
+impl HelperJob {
+    /// Starts a job on `helper`, unless it is backing off.
+    fn start(helper: &Arc<Helper>) -> Option<Self> {
+        let skip = helper.skip.load(Ordering::Relaxed);
+        if skip > 0 {
+            helper.skip.store(skip - 1, Ordering::Relaxed);
+            return None;
+        }
+        helper.work.blocks.reopen();
+        helper.work.running.store(true, Ordering::Release);
+        if let Some(wake) = &helper.wake {
+            // A helper that is gone cannot take a job; the simulator
+            // thread then does all of it.
+            let _ = wake.send(());
+        }
+        Some(Self {
+            helper: Arc::clone(helper),
+            counts: helper.work.blocks.counts(),
+        })
     }
 
-    /// Queues `image`; lays out here the one waiting before it, if the
-    /// helper has not taken that yet.
-    fn push(&self, image: TableImage) {
+    /// The queue the job's builders hand their sealed blocks to.
+    fn blocks(&self) -> &Arc<BlockQueue> {
+        &self.helper.work.blocks
+    }
+
+    /// Takes a finished output: one with spliced values is queued for
+    /// the helper, and the one waiting before it, if the helper has not
+    /// taken that yet, is laid out here (laying a table out takes longer
+    /// than building the next, so the helper alone would fall behind);
+    /// any other is in its file's buffer already.
+    fn place(&self, image: TableImage) {
+        if !image.is_spliced() {
+            image.materialize();
+            return;
+        }
         let behind = {
-            let mut waiting = self.lock();
-            waiting.push_back(image);
-            if waiting.len() > 1 {
-                waiting.pop_front()
+            let mut layouts = self.helper.work.layouts();
+            layouts.push_back(image);
+            if layouts.len() > 1 {
+                layouts.pop_front()
             } else {
                 None
             }
@@ -1336,71 +1497,36 @@ impl Layouts {
             behind.materialize();
         }
     }
+}
 
-    /// The helper: lays out queued tables until [`Layouts::finish`].
-    fn serve(&self) {
+impl Drop for HelperJob {
+    fn drop(&mut self) {
+        let work = &self.helper.work;
         loop {
-            if let Some(image) = self.pop() {
-                image.materialize();
-            } else if self.done.load(Ordering::Acquire) {
-                // Pairs with `finish`'s release: no table is queued
-                // after it.
-                return;
-            } else {
-                std::thread::yield_now();
+            let image = work.layouts().pop_front();
+            match image {
+                Some(image) => image.materialize(),
+                None => break,
             }
         }
-    }
-
-    /// The simulator thread, once every output is queued (or the merge
-    /// failed): lays out what the helper has not taken, and lets the
-    /// helper go.
-    fn finish(&self) {
-        while let Some(image) = self.pop() {
-            image.materialize();
+        loop {
+            match work.laying.load(Ordering::Acquire) {
+                0 => break,
+                usize::MAX => panic!("the LSM helper thread died laying out a table"),
+                _ => std::thread::yield_now(),
+            }
         }
-        self.done.store(true, Ordering::Release);
-    }
-}
-
-/// LSM databases open in the process.
-static OPEN_DBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Counted in [`OPEN_DBS`] from construction to drop.
-struct OpenDb;
-
-impl OpenDb {
-    fn new() -> Self {
-        OPEN_DBS.fetch_add(1, Ordering::Relaxed);
-        Self
-    }
-}
-
-impl Drop for OpenDb {
-    fn drop(&mut self) {
-        OPEN_DBS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Whether an inline compaction's helper would have a CPU to itself:
-/// the process may run on more than one CPU (asked once), and this is
-/// the only database open in it. Several open databases are shards
-/// driven by as many threads as the harness could give CPUs (or tests
-/// run side by side), and a helper beside them takes CPU time from
-/// another simulator thread: two client threads over eight inline
-/// shards measured a third slower with one.
-fn helper_has_a_cpu() -> bool {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    let cpus = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    cpus > 1 && OPEN_DBS.load(Ordering::Relaxed) == 1
-}
-
-/// Calls [`Layouts::finish`] when dropped.
-struct Finish<'a>(&'a Layouts);
-
-impl Drop for Finish<'_> {
-    fn drop(&mut self) {
-        self.0.finish();
+        work.running.store(false, Ordering::Release);
+        let backoff = &self.helper.backoff;
+        match work.blocks.judge(self.counts) {
+            Some(true) => {
+                let skip = backoff.load(Ordering::Relaxed);
+                self.helper.skip.store(skip, Ordering::Relaxed);
+                backoff.store((skip * 2).min(64), Ordering::Relaxed);
+            }
+            Some(false) => backoff.store(1, Ordering::Relaxed),
+            None => {}
+        }
     }
 }
 
@@ -1470,6 +1596,57 @@ mod tests {
 
     fn key(i: u32) -> Vec<u8> {
         format!("key{i:08}").into_bytes()
+    }
+
+    /// Runs one job on `helper`, if it is not backing off: a codec-on
+    /// table of 80 blocks built through the job's queue, the "helper"
+    /// (this thread, in turn) encoding each block as it is sealed when
+    /// `helps`. Returns whether the job ran.
+    fn helper_job(helper: &Arc<Helper>, helps: bool) -> bool {
+        let Some(job) = HelperJob::start(helper) else {
+            return false;
+        };
+        let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 16 << 20));
+        let vfs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+        let mut b = SstableBuilder::create_bg(vfs, "sst", 4096, 10, 0)
+            .expect("create")
+            .with_compression(ptsbench_cache::Compression::from_level(1))
+            .encoding_on(job.blocks());
+        let (mut rng, mut scratch) = (SmallRng::seed_from_u64(7), EncodeScratch::default());
+        for i in 0..80 {
+            let value: Vec<u8> = (0..4500).map(|_| rng.gen()).collect();
+            b.add(&key(i), Some(&value)).expect("add");
+            if helps {
+                job.blocks().encode_oldest(&mut scratch);
+            }
+        }
+        b.finish().expect("finish");
+        true
+    }
+
+    #[test]
+    fn a_helper_that_encodes_under_a_quarter_sits_out_longer_each_time() {
+        let helper = Arc::new(Helper {
+            work: Arc::default(),
+            wake: None,
+            thread: None,
+            skip: AtomicU32::new(0),
+            backoff: AtomicU32::new(1),
+        });
+        let ran: Vec<bool> = (0..8).map(|_| helper_job(&helper, false)).collect();
+        // Skipped 1, then 2, then 4 jobs.
+        assert_eq!(ran, [true, false, true, false, false, true, false, false]);
+        (0..2).for_each(|_| assert!(!helper_job(&helper, true)));
+        assert!(helper_job(&helper, true), "back after four");
+        assert!(
+            helper_job(&helper, true),
+            "a helper that helps is not skipped"
+        );
+        assert!(
+            helper_job(&helper, false),
+            "and one bad job skips one again"
+        );
+        assert!(!helper_job(&helper, false));
     }
 
     #[test]

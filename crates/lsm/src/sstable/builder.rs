@@ -16,16 +16,40 @@
 //! unless the block is one an input table already stored verbatim
 //! ([`SstableBuilder::add_reusing`]), which is then copied.
 //!
-//! An inline compaction's output *splices* its values instead
-//! ([`SstableBuilder::splicing_values`], codec off): a value the merge
-//! lent as a range of an input's window is kept as that range, and the
-//! builder's buffer holds everything else. Commits charge the device by
-//! length, so every device command and clock step is the same either
-//! way; [`TableImage::materialize`] then lays the pieces out as the
-//! file's buffer, on whichever thread the caller picks — the
-//! compaction shares that work with a helper thread.
+//! A database with a helper thread (one per database, owned by it, see
+//! `LsmDb`'s `Helper`) hands it the copying work of its inline jobs,
+//! one of two kinds depending on the codec:
+//!
+//! * **Codec off: laying out.** A compaction's output *splices* its
+//!   values ([`SstableBuilder::splicing_values`]): a value the merge
+//!   lent as a range of an input's window is kept as that range, and
+//!   the builder's buffer holds everything else. Commits charge the
+//!   device by length, so every device command and clock step is the
+//!   same either way; [`TableImage::materialize`] then lays the pieces
+//!   out as the file's buffer, on whichever thread takes the table.
+//! * **Codec on: encoding.** A flush's or compaction's sealed blocks go
+//!   to a `BlockQueue` (`SstableBuilder::encoding_on`) that the helper
+//!   encodes oldest first. The builder appends the containers strictly
+//!   in block order — encoding itself any the helper has not taken, and
+//!   any it has held for longer than an encoding takes here — before
+//!   anything depends on their lengths: at a block whose
+//!   containers could reach the next commit (a container is at most its
+//!   block plus 8 bytes), when a caller's size threshold could be
+//!   reached (`SstableBuilder::reaches`), and at finish. Each appended
+//!   block gets its index entry and commit check where an encoding
+//!   build gives them, so every byte, device command and clock step is
+//!   the same.
+//!
+//! Either way the buffers a table keeps are allocated on the building
+//! thread, never the helper's (a buffer the helper allocated comes from
+//! the allocator's arena for that thread: peak RSS grew by two thirds
+//! when it did).
 
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use ptsbench_cache::{Compression, EncodeScratch};
 use ptsbench_vfs::{FileAppender, FileId, FileSlice, StoreError, Vfs};
@@ -156,6 +180,251 @@ fn lent_range(
     std::ptr::eq(window.get(range.clone())?, value).then_some(range)
 }
 
+/// A codec container is at most its block plus this header: the codec
+/// stores a block verbatim when its LZ body would not be shorter.
+const CONTAINER_HEADER: usize = 8;
+
+/// Room `Compression::encode_into` asks for while it encodes `raw_len`
+/// bytes: the header, the block, and one literal token per 128 bytes.
+fn encode_room(raw_len: usize) -> usize {
+    CONTAINER_HEADER + raw_len + raw_len / 128 + 1
+}
+
+/// Sealed blocks a builder hands over to be encoded, shared with the
+/// database's helper thread, which encodes the oldest one waiting
+/// ([`BlockQueue::encode_oldest`]). The builder keeps every block it
+/// queued and appends them in order before anything depends on their
+/// containers' lengths: it encodes itself, newest first, those the
+/// helper has not taken, and waits for one the helper is encoding only
+/// about as long as an encoding takes — after that it encodes the
+/// block itself too, so a helper whose CPU went to another process
+/// costs the builder one encoding, not the wait. One builder at a time
+/// queues here: a database builds its tables one after another.
+///
+/// Every buffer in it is allocated on the building thread and reused
+/// block after block, so the helper allocates nothing a table keeps.
+#[derive(Default)]
+pub(crate) struct BlockQueue {
+    blocks: Mutex<Blocks>,
+    /// How many blocks wait: an idle helper polls this, not the lock
+    /// the builder queues under.
+    waiting_len: AtomicUsize,
+    /// Blocks queued so far, and of those, encoded by the helper.
+    queued: AtomicUsize,
+    helped: AtomicUsize,
+    /// A build found the helper starved ([`BlockQueue::judge`]): no
+    /// build queues here again until the next job reopens the queue.
+    declined: AtomicBool,
+}
+
+/// Blocks queued before the helper's share of them is judged.
+const JUDGED_BLOCKS: usize = 64;
+
+#[derive(Default)]
+struct Blocks {
+    /// Blocks no thread has taken yet, oldest first.
+    waiting: VecDeque<Arc<Block>>,
+    /// Emptied blocks to seal the next ones into, each held only here.
+    spare: Vec<Arc<Block>>,
+}
+
+/// One sealed block: its entries, which every thread that takes it
+/// reads, and the container the first of them writes.
+#[derive(Default)]
+struct Block {
+    compression: Compression,
+    raw: Vec<u8>,
+    container: Mutex<Vec<u8>>,
+    /// `container` holds the encoded block.
+    done: AtomicBool,
+}
+
+impl Block {
+    /// Encodes the block into its container, unless a thread did;
+    /// whether this call did.
+    fn encode(&self, scratch: &mut EncodeScratch) -> bool {
+        let mut container = self
+            .container
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let fresh = !self.done.load(Ordering::Acquire);
+        if fresh {
+            (self.compression).encode_into(&self.raw, scratch, &mut container);
+            self.done.store(true, Ordering::Release);
+        }
+        fresh
+    }
+}
+
+impl BlockQueue {
+    fn lock(&self) -> MutexGuard<'_, Blocks> {
+        // Only pushes and pops run under the lock: the queue is whole
+        // even after a panic elsewhere.
+        self.blocks.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the oldest (`front`) or newest waiting block.
+    fn pop(&self, front: bool) -> Option<Arc<Block>> {
+        let mut blocks = self.lock();
+        let block = if front {
+            blocks.waiting.pop_front()
+        } else {
+            blocks.waiting.pop_back()
+        };
+        self.waiting_len
+            .store(blocks.waiting.len(), Ordering::Relaxed);
+        block
+    }
+
+    /// The helper: encodes the oldest waiting block; `false` when none
+    /// is waiting.
+    pub(crate) fn encode_oldest(&self, scratch: &mut EncodeScratch) -> bool {
+        if self.waiting_len.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let Some(block) = self.pop(true) else {
+            return false;
+        };
+        if block.encode(scratch) {
+            self.helped.fetch_add(1, Ordering::Relaxed);
+        }
+        true
+    }
+
+    /// How many blocks were queued so far, and how many of them the
+    /// helper encoded.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        let queued = self.queued.load(Ordering::Relaxed);
+        (queued, self.helped.load(Ordering::Relaxed))
+    }
+
+    /// Whether the helper was starved of CPU since the queue's counts
+    /// were `since`: it encoded under a quarter of the blocks queued
+    /// (about half when it has a CPU of its own; a few per cent beside
+    /// a busy process). `None` until [`JUDGED_BLOCKS`] were queued.
+    pub(crate) fn judge(&self, since: (usize, usize)) -> Option<bool> {
+        let (queued, helped) = self.counts();
+        let (queued, helped) = (queued - since.0, helped - since.1);
+        (queued >= JUDGED_BLOCKS).then_some(helped * 4 < queued)
+    }
+
+    /// Whether a build declined the helper in this job.
+    pub(crate) fn declined(&self) -> bool {
+        self.declined.load(Ordering::Relaxed)
+    }
+
+    /// Lets builds queue again (a job starts).
+    pub(crate) fn reopen(&self) {
+        self.declined.store(false, Ordering::Relaxed);
+    }
+
+    /// Queues the block in `raw`, leaving `raw` an emptied block's
+    /// buffer for the next one's entries; returns the queued block.
+    fn push(&self, raw: &mut Vec<u8>, compression: Compression) -> Arc<Block> {
+        let mut blocks = self.lock();
+        let mut block = blocks.spare.pop().unwrap_or_default();
+        let b = Arc::get_mut(&mut block).expect("a spare block is held only here");
+        std::mem::swap(&mut b.raw, raw);
+        // Allocates only while the spares are still growing.
+        let container = b
+            .container
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        container.reserve(encode_room(b.raw.len()));
+        b.compression = compression;
+        blocks.waiting.push_back(Arc::clone(&block));
+        self.waiting_len
+            .store(blocks.waiting.len(), Ordering::Relaxed);
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        block
+    }
+
+    /// Keeps the appended `blocks` that no other thread holds for reuse.
+    fn give_back(&self, blocks: impl Iterator<Item = Arc<Block>>) {
+        let mut spare = self.lock();
+        for mut block in blocks {
+            if let Some(b) = Arc::get_mut(&mut block) {
+                b.raw.clear();
+                b.container
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clear();
+                *b.done.get_mut() = false;
+                spare.spare.push(block);
+            }
+        }
+    }
+
+    /// Drops whatever waits (a build abandoned with blocks queued).
+    fn discard(&self) {
+        self.lock().waiting.clear();
+        self.waiting_len.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The blocks a builder has sealed but not yet appended, when it hands
+/// its encoding to the helper ([`SstableBuilder::encoding_on`]).
+struct Queued {
+    queue: Arc<BlockQueue>,
+    /// The queue's counts when the build began.
+    since: (usize, usize),
+    /// Sealed blocks in table order.
+    sealed: VecDeque<Sealed>,
+    /// The most `sealed` can append: each block plus a container header.
+    bound: usize,
+    /// How long this thread took to encode a block, last time: how
+    /// long it waits for the helper to finish one.
+    patience: Duration,
+}
+
+/// A sealed block waiting for its place in the table.
+struct Sealed {
+    /// Where its index entry's offset field is (the entry is written at
+    /// seal, its offset and length once the container is appended).
+    index_at: usize,
+    body: Body,
+}
+
+/// What a sealed block appends.
+enum Body {
+    /// The donor container it equals, copied instead of encoded.
+    Copy(FileSlice),
+    /// The block, in the queue or encoded.
+    Queued(Arc<Block>),
+}
+
+impl Queued {
+    /// Appends `block`'s container to `out`, waiting up to `patience`
+    /// for a helper that is encoding it, then encoding it here.
+    fn append(&mut self, block: &Block, out: &mut Vec<u8>, scratch: &mut EncodeScratch) {
+        let since = Instant::now();
+        while !block.done.load(Ordering::Acquire) {
+            if since.elapsed() > self.patience {
+                let start = Instant::now();
+                (block.compression).encode_into(&block.raw, scratch, out);
+                self.patience = start.elapsed();
+                return;
+            }
+            std::thread::yield_now();
+        }
+        out.extend_from_slice(
+            &block
+                .container
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+}
+
+/// A build dropped with blocks queued leaves none behind.
+impl Drop for Queued {
+    fn drop(&mut self) {
+        if !self.sealed.is_empty() {
+            self.queue.discard();
+        }
+    }
+}
+
 /// Streaming SSTable writer.
 pub struct SstableBuilder {
     vfs: Vfs,
@@ -183,6 +452,8 @@ pub struct SstableBuilder {
     donor: Option<FileSlice>,
     /// Blocks sealed by copying their donor.
     reused_blocks: u64,
+    /// Sealed blocks handed to the helper, when it encodes (codec on).
+    queued: Option<Queued>,
     block_entries: u32,
     /// The current block's first key.
     first_key: Vec<u8>,
@@ -270,6 +541,7 @@ impl SstableBuilder {
             block: Vec::new(),
             donor: None,
             reused_blocks: 0,
+            queued: None,
             block_entries: 0,
             first_key: Vec::new(),
             out,
@@ -301,6 +573,28 @@ impl SstableBuilder {
     /// out ([`TableImage::materialize`]).
     pub fn splicing_values(mut self) -> Self {
         self.splice_values = true;
+        self
+    }
+
+    /// Hands the encoding of sealed blocks to the helper serving `queue`
+    /// while the codec is on (builder style; call before the first
+    /// `add`): each sealed block is queued instead of encoded, and the
+    /// builder appends the containers in block order — encoding itself
+    /// any the helper has not taken — before anything depends on their
+    /// lengths: at a block that could make a commit, when
+    /// [`SstableBuilder::reaches`] could answer yes, and at finish. So
+    /// every table byte, device command and clock step is where an
+    /// encoding build puts it.
+    pub(crate) fn encoding_on(mut self, queue: &Arc<BlockQueue>) -> Self {
+        if self.compression.is_active() && !queue.declined() {
+            self.queued = Some(Queued {
+                queue: Arc::clone(queue),
+                since: queue.counts(),
+                sealed: VecDeque::new(),
+                bound: 0,
+                patience: Duration::ZERO,
+            });
+        }
         self
     }
 
@@ -381,9 +675,23 @@ impl SstableBuilder {
     }
 
     /// Approximate file size if finished now (compaction output split
-    /// decisions).
+    /// decisions): the sealed blocks and the open one, before the tail.
+    /// Blocks queued for the helper are not counted (the crate asks
+    /// `reaches` instead).
     pub fn estimated_bytes(&self) -> u64 {
         (self.out.len() + self.block.len()) as u64
+    }
+
+    /// Whether [`SstableBuilder::estimated_bytes`] is at least
+    /// `threshold` with every queued block appended: appends them first
+    /// when their bound could get there.
+    pub(crate) fn reaches(&mut self, threshold: u64) -> Result<bool> {
+        if let Some(queued) = &self.queued {
+            if self.estimated_bytes() + queued.bound as u64 >= threshold {
+                self.append_queued()?;
+            }
+        }
+        Ok(self.estimated_bytes() >= threshold)
     }
 
     /// Name of the table file under construction.
@@ -419,18 +727,11 @@ impl SstableBuilder {
         }
         let start = self.block_start;
         if self.compression.is_active() {
-            let out = &mut self.out.file.buf;
             let donor = self.donor.take();
-            let same = (donor.as_deref())
+            let same = donor
                 .filter(|d| self.compression.stored_payload_at_level(d) == Some(&self.block[..]));
-            match same {
-                Some(container) => {
-                    out.extend_from_slice(container);
-                    self.reused_blocks += 1;
-                }
-                None => self
-                    .compression
-                    .encode_into(&self.block, &mut self.codec_scratch, out),
+            if same.is_some() {
+                self.reused_blocks += 1;
             }
             if !self.background {
                 // Foreground builds pay the codec's CPU time on the
@@ -439,6 +740,16 @@ impl SstableBuilder {
                 self.vfs
                     .clock()
                     .advance(self.compression.encode_cost_ns(self.block.len()));
+            }
+            if self.queued.is_some() {
+                return self.queue_block(same);
+            }
+            let out = &mut self.out.file.buf;
+            match same {
+                Some(container) => out.extend_from_slice(&container),
+                None => self
+                    .compression
+                    .encode_into(&self.block, &mut self.codec_scratch, out),
             }
         }
         let end = self.out.len();
@@ -454,12 +765,84 @@ impl SstableBuilder {
         self.block.clear();
         self.block_entries = 0;
         self.block_start = end;
-        // Stream out whole pages to keep the writes aligned.
+        commit_pages(&mut self.out.file, end, self.page_size, !self.background)
+    }
+
+    /// [`SstableBuilder::seal_block`] handing the block to the helper:
+    /// writes its index entry but the offset and length, queues it —
+    /// or, when it equals `copy`, keeps that container to copy — and
+    /// appends every queued block now if this one could make a commit.
+    fn queue_block(&mut self, copy: Option<FileSlice>) -> Result<()> {
+        let queued = self.queued.as_mut().expect("queued build");
+        let index_at = self.index.len() + 2 + self.first_key.len();
+        encode_index_entry(&mut self.index, &self.first_key, 0, 0, self.block_entries);
+        queued.bound += self.block.len() + CONTAINER_HEADER;
+        let body = match copy {
+            Some(container) => Body::Copy(container),
+            None => Body::Queued(queued.queue.push(&mut self.block, self.compression)),
+        };
+        queued.sealed.push_back(Sealed { index_at, body });
+        self.blocks += 1;
+        self.block.clear();
+        self.block_entries = 0;
+        let end = self.out.len() + queued.bound;
         let aligned = (end / self.page_size) * self.page_size;
         if aligned - self.out.file.committed() >= APPEND_BYTES {
-            self.out.file.commit(aligned, !self.background)?;
+            self.append_queued()?;
         }
         Ok(())
+    }
+
+    /// Appends every queued block's container in table order, fills in
+    /// its index entry and makes the commit check after each, exactly
+    /// as [`SstableBuilder::seal_block`] does for a block it encodes.
+    fn append_queued(&mut self) -> Result<()> {
+        let Some(queued) = self.queued.as_mut() else {
+            return Ok(());
+        };
+        if queued.sealed.is_empty() {
+            return Ok(());
+        }
+        // Newest first, so that the helper, taking the oldest, meets
+        // this thread rather than racing it block for block.
+        while let Some(block) = queued.queue.pop(false) {
+            let start = Instant::now();
+            block.encode(&mut self.codec_scratch);
+            queued.patience = start.elapsed();
+        }
+        let mut appended = Vec::with_capacity(queued.sealed.len());
+        queued.bound = 0;
+        let mut result = Ok(());
+        while let Some(sealed) = queued.sealed.pop_front() {
+            let out = &mut self.out.file.buf;
+            let start = out.len();
+            match sealed.body {
+                Body::Copy(container) => out.extend_from_slice(&container),
+                Body::Queued(block) => {
+                    queued.append(&block, out, &mut self.codec_scratch);
+                    appended.push(block);
+                }
+            }
+            let end = out.len();
+            let entry = &mut self.index[sealed.index_at..sealed.index_at + 12];
+            entry[..8].copy_from_slice(&(start as u64).to_le_bytes());
+            entry[8..].copy_from_slice(&((end - start) as u32).to_le_bytes());
+            self.block_start = end;
+            result = commit_pages(&mut self.out.file, end, self.page_size, !self.background);
+            if result.is_err() {
+                break;
+            }
+        }
+        queued.sealed.clear();
+        queued.queue.give_back(appended.into_iter());
+        if queued.queue.judge(queued.since) == Some(true) {
+            // The helper has no CPU to speak of (a busy neighbour):
+            // this job's builds encode in place from here on, and the
+            // helper goes back to waiting for a job.
+            queued.queue.declined.store(true, Ordering::Relaxed);
+            self.queued = None;
+        }
+        result
     }
 
     /// Finalizes the table: encodes index, bloom and footer, writes
@@ -483,7 +866,7 @@ impl SstableBuilder {
                 "refusing to write empty SSTable".into(),
             ));
         }
-        if let Err(e) = self.seal_block() {
+        if let Err(e) = self.seal_block().and_then(|()| self.append_queued()) {
             self.abandon();
             return Err(e);
         }
@@ -540,6 +923,21 @@ impl SstableBuilder {
     pub fn abandon(self) {
         let _ = self.vfs.delete(&self.name);
     }
+}
+
+/// Commits the whole pages of a table `end` bytes long once
+/// [`APPEND_BYTES`] of them have gathered (aligned writes).
+fn commit_pages(
+    file: &mut FileAppender,
+    end: usize,
+    page_size: usize,
+    foreground: bool,
+) -> Result<()> {
+    let aligned = (end / page_size) * page_size;
+    if aligned - file.committed() >= APPEND_BYTES {
+        file.commit(aligned, foreground)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -889,6 +1287,181 @@ mod tests {
             assert_eq!(spliced.2, copied.2, "{way:?}");
             assert_eq!(spliced.3, copied.3, "{way:?}");
             assert_eq!(spliced.4, copied.4, "{way:?}");
+        }
+    }
+
+    /// Who encodes a codec-on build's blocks.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Encoder {
+        /// The building thread, as it seals each block.
+        Builder,
+        /// The building thread takes the oldest queued block back as a
+        /// helper would, after every fifth entry; the builder encodes
+        /// the rest when it appends them.
+        Interleaved,
+        /// A helper thread, while the build goes on.
+        Thread,
+        /// A helper that takes the oldest queued block after every
+        /// seventh entry and never encodes it, like one whose CPU went
+        /// elsewhere: the builder encodes those blocks itself.
+        Stalled,
+    }
+
+    /// What a codec-on build left behind: each output's bytes, metadata
+    /// and `durable_at`, then the drive's counters, `df` and clock, and
+    /// the drive's counters after every entry (where each commit fell
+    /// among the window reads).
+    type Outputs = (
+        Vec<(Vec<u8>, SstableMeta, u64)>,
+        SmartCounters,
+        FsStats,
+        u64,
+        Vec<SmartCounters>,
+    );
+
+    /// Builds level-1 outputs from a scan of a table of `entries`, every
+    /// tenth entry dropped, the way a compaction builds them: each window
+    /// read as the merge reaches it (between the outputs' commits), each
+    /// block offered the input's block where it starts, the outputs split
+    /// at `SPLIT` bytes as `reaches` says, and the encoding done as
+    /// `encoder` says. Returns the outputs, how many blocks were copied
+    /// and how many an interleaved or stalled encoder took.
+    fn codec_outputs(entries: &[Scanned], encoder: Encoder) -> (Outputs, u64, usize) {
+        const SPLIT: u64 = 600 << 10;
+        let v = vfs();
+        build(&v, "in", 1, entries, &[]);
+        let r = SstableReader::open(v.clone(), "in", true, None).expect("open");
+        let queue = Arc::new(BlockQueue::default());
+        let stop = AtomicBool::new(false);
+        let (mut reused, mut taken) = (0, 0);
+        let (mut metas, mut steps) = (Vec::new(), Vec::new());
+        std::thread::scope(|s| {
+            let helper = (encoder == Encoder::Thread).then(|| {
+                s.spawn(|| {
+                    let mut scratch = EncodeScratch::default();
+                    while !stop.load(Ordering::Acquire) {
+                        if !queue.encode_oldest(&mut scratch) {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            });
+            let mut scratch = EncodeScratch::default();
+            let mut held = Vec::new();
+            let mut builder: Option<SstableBuilder> = None;
+            let mut finish = |b: SstableBuilder, metas: &mut Vec<SstableMeta>| {
+                let (meta, copied, image) = b.finish_counted().expect("finish");
+                image.materialize();
+                reused += copied;
+                metas.push(meta);
+            };
+            let mut scan = Merge::new(vec![r.iter_bg()]);
+            let mut n = 0;
+            while let Some(entry) = scan.next_entry() {
+                n += 1;
+                if n % 10 == 9 {
+                    continue;
+                }
+                let b = builder.get_or_insert_with(|| {
+                    let name = format!("out-{}", metas.len());
+                    let b = SstableBuilder::create_bg(v.clone(), &name, 4096, 10, SPLIT)
+                        .expect("create")
+                        .with_compression(Compression::from_level(1));
+                    match encoder {
+                        Encoder::Builder => b,
+                        _ => b.encoding_on(&queue),
+                    }
+                });
+                b.add_reusing(entry, |w, at| r.stored_block_at(w, at))
+                    .expect("add");
+                if encoder == Encoder::Interleaved && n % 5 == 0 {
+                    taken += usize::from(queue.encode_oldest(&mut scratch));
+                }
+                if encoder == Encoder::Stalled && n % 7 == 0 {
+                    held.extend(queue.pop(true));
+                }
+                if b.reaches(SPLIT).expect("reaches") {
+                    finish(builder.take().expect("live"), &mut metas);
+                }
+                steps.push(v.ssd().lock().smart());
+            }
+            if let Some(b) = builder.take() {
+                finish(b, &mut metas);
+            }
+            stop.store(true, Ordering::Release);
+            if let Some(helper) = helper {
+                helper.join().expect("helper");
+            }
+            taken += held.len();
+        });
+        // A helper that took blocks and encoded none is declined; one
+        // that encodes its share is not.
+        match encoder {
+            Encoder::Stalled => assert!(queue.declined(), "a starved helper is declined"),
+            Encoder::Interleaved => assert!(!queue.declined(), "a helper doing its share"),
+            Encoder::Builder | Encoder::Thread => {}
+        }
+        let outputs = (metas.into_iter())
+            .map(|meta| {
+                let id = v.open(&meta.name).expect("open");
+                let bytes = v.read_at(id, 0, meta.file_bytes as usize).expect("read");
+                (bytes, meta, v.durable_at(id).expect("durable_at"))
+            })
+            .collect();
+        v.check_invariants();
+        let smart = v.ssd().lock().smart();
+        let built = (outputs, smart, v.stats(), v.clock().now(), steps);
+        (built, reused, taken)
+    }
+
+    #[test]
+    fn a_helper_encoding_the_blocks_leaves_every_byte_where_the_builder_puts_it() {
+        // ~1.8 MiB: runs of noise and of compressible values, so that
+        // outputs hold stored blocks copied from the input, stored
+        // blocks encoded anew (a dropped entry shifts the blocks) and LZ
+        // blocks.
+        let entries: Vec<Scanned> = (0..900u32)
+            .map(|i| {
+                let key = FileSlice::from(format!("key{i:08}").into_bytes());
+                let value = if (i / 60) % 3 != 2 {
+                    noise((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15), 2000)
+                } else {
+                    format!("value-{i}-").repeat(300).into_bytes()[..2000].to_vec()
+                };
+                (key, Some(value.into()))
+            })
+            .collect();
+        let (alone, reused, _) = codec_outputs(&entries, Encoder::Builder);
+        let outputs = &alone.0;
+        assert!(outputs.len() >= 2, "the outputs split");
+        assert!(
+            outputs[0].0.len() > 2 * APPEND_BYTES,
+            "two commits before finish"
+        );
+        let blocks: usize = outputs.iter().map(|(bytes, _, _)| blocks(bytes)).sum();
+        assert!(
+            reused > 0 && (reused as usize) < blocks,
+            "{reused} of {blocks} copied"
+        );
+        for encoder in [Encoder::Interleaved, Encoder::Thread, Encoder::Stalled] {
+            let (helped, copied, taken) = codec_outputs(&entries, encoder);
+            if encoder != Encoder::Thread {
+                assert!(taken > 0, "{encoder:?}: no block was taken out of turn");
+            }
+            assert_eq!(copied, reused, "{encoder:?}");
+            assert_eq!(helped.0.len(), outputs.len(), "{encoder:?}");
+            for (got, want) in helped.0.iter().zip(outputs) {
+                assert!(got.0 == want.0, "{encoder:?}: {} bytes differ", want.1.name);
+                assert_eq!(got.1, want.1, "{encoder:?}");
+                assert_eq!(got.2, want.2, "{encoder:?}: durable_at");
+            }
+            assert_eq!(helped.1, alone.1, "{encoder:?}: SMART");
+            assert_eq!(helped.2, alone.2, "{encoder:?}: df");
+            assert_eq!(helped.3, alone.3, "{encoder:?}: clock");
+            assert!(
+                helped.4 == alone.4,
+                "{encoder:?}: device counters per entry"
+            );
         }
     }
 

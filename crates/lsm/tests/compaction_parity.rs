@@ -73,13 +73,33 @@ impl Values {
     }
 }
 
-fn mix_options(maint: MaintConfig, compression: Compression, queue_depth: usize) -> LsmOptions {
+/// `helpers` is the host-thread budget: 0, or a helper thread that
+/// lays out or encodes an inline job's tables beside the thread that
+/// builds them. It moves no byte, so every inline case runs under both
+/// budgets against its one recorded constant ([`assert_both_budgets`]);
+/// the paced drive never hands work to a helper.
+fn mix_options(
+    maint: MaintConfig,
+    compression: Compression,
+    queue_depth: usize,
+    helpers: usize,
+) -> LsmOptions {
     LsmOptions {
         tuning: EngineTuning::for_device(0)
             .with_maint(maint)
             .with_compression_level(compression.level())
-            .with_queue_depth(queue_depth),
+            .with_queue_depth(queue_depth)
+            .with_helper_threads(helpers),
         ..LsmOptions::small()
+    }
+}
+
+/// Runs an inline case without and with a helper thread, one database
+/// at a time, and holds both to the constant `rel`.
+fn assert_both_budgets(rel: &str, run: impl Fn(usize) -> String) {
+    for helpers in [0, 1] {
+        eprintln!("{rel}: {helpers} helper thread(s)");
+        assert_golden(rel, &run(helpers));
     }
 }
 
@@ -161,59 +181,69 @@ fn run_values(
     compression: Compression,
     queue_depth: usize,
     values: Values,
+    helpers: usize,
 ) -> String {
-    let opts = mix_options(maint, compression, queue_depth);
+    let opts = mix_options(maint, compression, queue_depth, helpers);
     let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
     let reads = drive_mix(&mut db, values);
     render(&db, reads)
 }
 
 /// The original mix: compressible values.
-fn run_mix(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
-    run_values(maint, compression, queue_depth, Values::Patterned)
+fn run_mix(
+    maint: MaintConfig,
+    compression: Compression,
+    queue_depth: usize,
+    helpers: usize,
+) -> String {
+    run_values(maint, compression, queue_depth, Values::Patterned, helpers)
 }
 
 #[test]
 fn inline_codec_off_matches_the_copying_data_path() {
-    let off = MaintConfig::default();
-    let got = run_mix(off, Compression::None, 1);
-    assert_golden("parity/lsm/compaction_parity/INLINE_RAW_QD1.txt", &got);
-    let got = run_mix(off, Compression::None, 8);
-    assert_golden("parity/lsm/compaction_parity/INLINE_RAW_QD8.txt", &got);
+    let (off, raw) = (MaintConfig::default(), Compression::None);
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_RAW_QD1.txt", |h| {
+        run_mix(off, raw, 1, h)
+    });
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_RAW_QD8.txt", |h| {
+        run_mix(off, raw, 8, h)
+    });
 }
 
 #[test]
 fn inline_codec_on_matches_the_copying_data_path() {
-    let off = MaintConfig::default();
-    let got = run_mix(off, Compression::from_level(1), 1);
-    assert_golden("parity/lsm/compaction_parity/INLINE_LZ_QD1.txt", &got);
-    let got = run_mix(off, Compression::from_level(1), 8);
-    assert_golden("parity/lsm/compaction_parity/INLINE_LZ_QD8.txt", &got);
+    let (off, lz) = (MaintConfig::default(), Compression::from_level(1));
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_LZ_QD1.txt", |h| {
+        run_mix(off, lz, 1, h)
+    });
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_LZ_QD8.txt", |h| {
+        run_mix(off, lz, 8, h)
+    });
 }
 
 #[test]
 fn background_codec_off_matches_the_copying_data_path() {
     let on = MaintConfig::enabled();
-    let got = run_mix(on, Compression::None, 1);
+    let got = run_mix(on, Compression::None, 1, 0);
     assert_golden("parity/lsm/compaction_parity/BG_RAW_QD1.txt", &got);
-    let got = run_mix(on, Compression::None, 8);
+    let got = run_mix(on, Compression::None, 8, 0);
     assert_golden("parity/lsm/compaction_parity/BG_RAW_QD8.txt", &got);
 }
 
 #[test]
 fn background_codec_on_matches_the_copying_data_path() {
     let on = MaintConfig::enabled();
-    let got = run_mix(on, Compression::from_level(1), 1);
+    let got = run_mix(on, Compression::from_level(1), 1, 0);
     assert_golden("parity/lsm/compaction_parity/BG_LZ_QD1.txt", &got);
-    let got = run_mix(on, Compression::from_level(1), 8);
+    let got = run_mix(on, Compression::from_level(1), 8, 0);
     assert_golden("parity/lsm/compaction_parity/BG_LZ_QD8.txt", &got);
 }
 
 /// Noise-valued and half-noise mixes: the codec stores most blocks
 /// verbatim, and most of what a compaction writes is an input block
 /// passing through unchanged. Queue depth 1; codec levels 1 and 3.
-fn run_noise(maint: MaintConfig, level: u8, values: Values) -> String {
-    let opts = mix_options(maint, Compression::from_level(level), 1);
+fn run_noise(maint: MaintConfig, level: u8, values: Values, helpers: usize) -> String {
+    let opts = mix_options(maint, Compression::from_level(level), 1, helpers);
     let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
     let reads = drive_mix(&mut db, values);
     // The constants cannot tell a copied block from an encoded one (that
@@ -229,27 +259,30 @@ fn run_noise(maint: MaintConfig, level: u8, values: Values) -> String {
 #[test]
 fn inline_noise_values_match_the_recorded_tables() {
     let off = MaintConfig::default();
-    let got = run_noise(off, 1, Values::Noise);
-    assert_golden("parity/lsm/compaction_parity/INLINE_NOISE_LZ1.txt", &got);
-    let got = run_noise(off, 3, Values::Noise);
-    assert_golden("parity/lsm/compaction_parity/INLINE_NOISE_LZ3.txt", &got);
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_NOISE_LZ1.txt", |h| {
+        run_noise(off, 1, Values::Noise, h)
+    });
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_NOISE_LZ3.txt", |h| {
+        run_noise(off, 3, Values::Noise, h)
+    });
 }
 
 #[test]
 fn background_noise_values_match_the_recorded_tables() {
     let on = MaintConfig::enabled();
-    let got = run_noise(on, 1, Values::Noise);
+    let got = run_noise(on, 1, Values::Noise, 0);
     assert_golden("parity/lsm/compaction_parity/BG_NOISE_LZ1.txt", &got);
-    let got = run_noise(on, 3, Values::Noise);
+    let got = run_noise(on, 3, Values::Noise, 0);
     assert_golden("parity/lsm/compaction_parity/BG_NOISE_LZ3.txt", &got);
 }
 
 #[test]
 fn half_noise_values_match_the_recorded_tables() {
     let (off, on) = (MaintConfig::default(), MaintConfig::enabled());
-    let got = run_noise(off, 1, Values::Halves);
-    assert_golden("parity/lsm/compaction_parity/INLINE_HALVES_LZ1.txt", &got);
-    let got = run_noise(on, 1, Values::Halves);
+    assert_both_budgets("parity/lsm/compaction_parity/INLINE_HALVES_LZ1.txt", |h| {
+        run_noise(off, 1, Values::Halves, h)
+    });
+    let got = run_noise(on, 1, Values::Halves, 0);
     assert_golden("parity/lsm/compaction_parity/BG_HALVES_LZ1.txt", &got);
 }
 
@@ -258,19 +291,23 @@ fn half_noise_values_match_the_recorded_tables() {
 /// level 1, including the level-3 blocks that pass through unchanged.
 #[test]
 fn a_codec_level_change_rewrites_every_compacted_block() {
-    let opts = |level| mix_options(MaintConfig::default(), Compression::from_level(level), 1);
-    let mut db = LsmDb::open(vfs(64 << 20), opts(3)).expect("open");
-    let reads = drive_mix(&mut db, Values::Halves);
-    let fs = db.vfs().clone();
-    drop(db);
-    let mut db = LsmDb::recover(fs, opts(1)).expect("recover");
-    for i in (0..160).step_by(9) {
-        let value = Values::Halves.make(i, 0, 700, 0x9E37_79B9_7F4A_7C15 ^ i as u64);
-        db.put(&key(i), &value).expect("put");
-    }
-    db.compact_all().expect("compact_all");
-    let got = render(&db, reads);
-    assert_golden("parity/lsm/compaction_parity/LEVEL_3_TO_1.txt", &got);
+    assert_both_budgets("parity/lsm/compaction_parity/LEVEL_3_TO_1.txt", |helpers| {
+        let opts = |level| {
+            let lz = Compression::from_level(level);
+            mix_options(MaintConfig::default(), lz, 1, helpers)
+        };
+        let mut db = LsmDb::open(vfs(64 << 20), opts(3)).expect("open");
+        let reads = drive_mix(&mut db, Values::Halves);
+        let fs = db.vfs().clone();
+        drop(db);
+        let mut db = LsmDb::recover(fs, opts(1)).expect("recover");
+        for i in (0..160).step_by(9) {
+            let value = Values::Halves.make(i, 0, 700, 0x9E37_79B9_7F4A_7C15 ^ i as u64);
+            db.put(&key(i), &value).expect("put");
+        }
+        db.compact_all().expect("compact_all");
+        render(&db, reads)
+    });
 }
 
 /// Bounded scans while maintenance advances one slice per step: under
@@ -279,8 +316,13 @@ fn a_codec_level_change_rewrites_every_compacted_block() {
 /// ranges, single tables, chained levels with and without a submission
 /// queue) lends entries to the scans. Renders like the other mixes, with
 /// the scans' results in `reads`.
-fn run_scans(maint: MaintConfig, compression: Compression, queue_depth: usize) -> String {
-    let opts = mix_options(maint, compression, queue_depth);
+fn run_scans(
+    maint: MaintConfig,
+    compression: Compression,
+    queue_depth: usize,
+    helpers: usize,
+) -> String {
+    let opts = mix_options(maint, compression, queue_depth, helpers);
     let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
     let mut rng = SmallRng::seed_from_u64(31);
     let mut reads = Fnv::new();
@@ -315,27 +357,28 @@ fn run_scans(maint: MaintConfig, compression: Compression, queue_depth: usize) -
 fn inline_scans_match_the_recorded_run() {
     let off = MaintConfig::default();
     let lz = Compression::from_level(1);
-    let got = run_scans(off, Compression::None, 1);
-    assert_golden("parity/lsm/compaction_parity/SCAN_INLINE_RAW_QD1.txt", &got);
-    let got = run_scans(off, Compression::None, 8);
-    assert_golden("parity/lsm/compaction_parity/SCAN_INLINE_RAW_QD8.txt", &got);
-    let got = run_scans(off, lz, 1);
-    assert_golden("parity/lsm/compaction_parity/SCAN_INLINE_LZ_QD1.txt", &got);
-    let got = run_scans(off, lz, 8);
-    assert_golden("parity/lsm/compaction_parity/SCAN_INLINE_LZ_QD8.txt", &got);
+    for (rel, codec, depth) in [
+        ("SCAN_INLINE_RAW_QD1", Compression::None, 1),
+        ("SCAN_INLINE_RAW_QD8", Compression::None, 8),
+        ("SCAN_INLINE_LZ_QD1", lz, 1),
+        ("SCAN_INLINE_LZ_QD8", lz, 8),
+    ] {
+        let rel = format!("parity/lsm/compaction_parity/{rel}.txt");
+        assert_both_budgets(&rel, |h| run_scans(off, codec, depth, h));
+    }
 }
 
 #[test]
 fn background_scans_match_the_recorded_run() {
     let on = MaintConfig::enabled();
     let lz = Compression::from_level(1);
-    let got = run_scans(on, Compression::None, 1);
+    let got = run_scans(on, Compression::None, 1, 0);
     assert_golden("parity/lsm/compaction_parity/SCAN_BG_RAW_QD1.txt", &got);
-    let got = run_scans(on, Compression::None, 8);
+    let got = run_scans(on, Compression::None, 8, 0);
     assert_golden("parity/lsm/compaction_parity/SCAN_BG_RAW_QD8.txt", &got);
-    let got = run_scans(on, lz, 1);
+    let got = run_scans(on, lz, 1, 0);
     assert_golden("parity/lsm/compaction_parity/SCAN_BG_LZ_QD1.txt", &got);
-    let got = run_scans(on, lz, 8);
+    let got = run_scans(on, lz, 8, 0);
     assert_golden("parity/lsm/compaction_parity/SCAN_BG_LZ_QD8.txt", &got);
 }
 

@@ -62,7 +62,7 @@ impl LatencyHistogram {
 
     #[allow(
         clippy::disallowed_methods,
-        reason = "the log bucket map; ROADMAP item 9(a) replaces it with an integer one"
+        reason = "the log bucket map; ROADMAP item 13 replaces it with an integer one"
     )]
     fn bucket_of(ns: u64) -> usize {
         if (ns as f64) <= BASE_NS {

@@ -50,6 +50,13 @@ pub struct EngineTuning {
     /// them into rate-budgeted slices the dispatcher interleaves with
     /// foreground ops.
     pub maint: MaintConfig,
+    /// Host threads the engine may run beside its caller's: 0 or 1.
+    /// The stack's builder hands it out from the CPUs its own threads
+    /// leave idle (the LSM runs one helper thread per database on it).
+    /// A host setting, not a run knob: it moves no byte, clock step or
+    /// counter, and no label or report shows it. 0 — the default —
+    /// starts no thread.
+    pub helper_threads: usize,
 }
 
 impl EngineTuning {
@@ -64,6 +71,7 @@ impl EngineTuning {
             compression_level: 0,
             trace: false,
             maint: MaintConfig::default(),
+            helper_threads: 0,
         }
     }
 
@@ -95,6 +103,13 @@ impl EngineTuning {
     /// Sets the background-maintenance configuration.
     pub fn with_maint(mut self, maint: MaintConfig) -> Self {
         self.maint = maint;
+        self
+    }
+
+    /// Sets the host-thread budget (0 or 1 helper thread).
+    pub fn with_helper_threads(mut self, helper_threads: usize) -> Self {
+        assert!(helper_threads <= 1, "an engine runs at most one helper");
+        self.helper_threads = helper_threads;
         self
     }
 }

@@ -13,7 +13,7 @@
 //! alone — a defect, not a contract (`replays_every_log_in_sequence_order`
 //! in `log.rs` pins what holds there). A log whose last record is still
 //! partly buffered does not parse at all (`<torn>`): tolerating a torn
-//! tail is the crash model's business (ROADMAP item 2), not this
+//! tail is the crash model's business (ROADMAP item 4), not this
 //! suite's.
 
 use ptsbench_ssd::{DeviceConfig, DeviceProfile, Ssd};

@@ -167,7 +167,7 @@ impl ArrivalClock {
                 let u: f64 = self.rng.gen();
                 #[allow(
                     clippy::disallowed_methods,
-                    reason = "the Poisson gap needs ln; ROADMAP item 9(a) audits it"
+                    reason = "the Poisson gap needs ln; ROADMAP item 13 audits it"
                 )]
                 let gap = (-(1.0 - u).ln() * mean_interarrival_ns as f64).round() as u64;
                 Some(at + gap.max(1))

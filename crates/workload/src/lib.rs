@@ -75,7 +75,7 @@ pub fn decode_key(key: &[u8]) -> u64 {
 /// The words are one xorshift chain, but a long value computes it as
 /// four lanes, one per quarter, that do not wait on one another: lane
 /// `j` starts `j * L` steps into the chain (`L` = a quarter of the
-/// words), reached by a jump ([`JumpTable`]) instead of by `j * L`
+/// words), reached by a jump (a `JumpTable`) instead of by `j * L`
 /// steps. Words past the last full quarter, and the tail, follow
 /// serially, so the bytes are exactly the one chain's.
 pub fn fill_value(key_idx: u64, version: u64, value_size: usize, buf: &mut Vec<u8>) {

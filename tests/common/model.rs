@@ -223,9 +223,12 @@ pub fn codec_level() -> impl Strategy<Value = u8> {
 }
 
 /// A tuning of the drawn maintenance, cache budget and codec level, at
-/// queue depth 1 or 8. `device_bytes` 0 gives every engine its smallest
-/// scaled shape (64 KiB memtable, 32 KiB pages, 64 KiB segments), so a
-/// few hundred ops reach flushes, compactions, splits and segment GC.
+/// queue depth 1 or 8, with no helper thread or one (the LSM lays out
+/// and encodes its inline jobs' tables on it; a helper lives as long as
+/// its database, so a case holds at most one thread per open engine).
+/// `device_bytes` 0 gives every engine its smallest scaled shape
+/// (64 KiB memtable, 32 KiB pages, 64 KiB segments), so a few hundred
+/// ops reach flushes, compactions, splits and segment GC.
 pub fn tuning_of(
     maint: impl Strategy<Value = MaintConfig>,
     cache_bytes: impl Strategy<Value = u64>,
@@ -236,13 +239,15 @@ pub fn tuning_of(
         cache_bytes,
         codec_level,
         prop_oneof![Just(1usize), Just(8)],
+        0..=1usize,
     )
-        .prop_map(|(maint, cache, level, depth)| {
+        .prop_map(|(maint, cache, level, depth, helpers)| {
             EngineTuning::for_device(0)
                 .with_maint(maint)
                 .with_cache_bytes(cache)
                 .with_compression_level(level)
                 .with_queue_depth(depth)
+                .with_helper_threads(helpers)
         })
 }
 
