@@ -186,9 +186,7 @@ impl BTreeDb {
         for record in RecordLog::replay(&vfs, JOURNAL_PREFIX)? {
             match record {
                 LogRecord::Put(k, v) => db.insert_entry(&k, &v)?,
-                LogRecord::Delete(k) => {
-                    db.remove_entry(&k)?;
-                }
+                LogRecord::Delete(k) => db.remove_entry(&k)?,
             }
         }
         db.journal = Some(RecordLog::open_or_create(vfs, JOURNAL_PREFIX, true)?);
@@ -272,18 +270,7 @@ impl BTreeDb {
     /// Inserts or overwrites a key. Keys are at most `u16::MAX` bytes,
     /// and a key-value pair must fit in one page.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_put(key, value)?;
-        self.stats.puts += 1;
-        self.stats.app_bytes_written += (key.len() + value.len()) as u64;
-        self.bytes_since_checkpoint += (key.len() + value.len()) as u64;
-        if let Some(j) = self.journal.as_mut() {
-            let _cause = self.trace.cause(Cause::Wal);
-            let span = self.trace.begin("btree.journal", Cause::Wal);
-            j.log_put(key, value)?;
-            self.trace.end(span);
-        }
-        self.insert_entry(key, value)?;
-        self.maybe_checkpoint()
+        self.write(&[(key, Some(value))])
     }
 
     /// Applies a batch of writes (`value == None` = delete) in order,
@@ -291,6 +278,19 @@ impl BTreeDb {
     /// Every put is checked first: one that `put` would refuse fails the
     /// whole batch before any op is applied.
     pub fn apply_batch(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
+        self.write(ops)
+    }
+
+    /// Deletes a key (a no-op on the tree when it is absent; the journal
+    /// records it either way).
+    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
+        self.write(&[(key, None)])
+    }
+
+    /// The write path behind `put`, `delete` and `apply_batch`: checks
+    /// every put, then counts, journals and applies the ops in order,
+    /// each followed by the checkpoint check.
+    fn write(&mut self, ops: &[(&[u8], Option<&[u8]>)]) -> Result<()> {
         for &(key, value) in ops {
             if let Some(value) = value {
                 self.check_put(key, value)?;
@@ -298,29 +298,25 @@ impl BTreeDb {
         }
         for &(key, value) in ops {
             match value {
-                Some(value) => self.put(key, value)?,
-                None => {
-                    self.delete(key)?;
-                }
+                Some(_) => self.stats.puts += 1,
+                None => self.stats.deletes += 1,
             }
+            let bytes = (key.len() + value.map_or(0, <[u8]>::len)) as u64;
+            self.stats.app_bytes_written += bytes;
+            self.bytes_since_checkpoint += bytes;
+            if let Some(j) = self.journal.as_mut() {
+                let _cause = self.trace.cause(Cause::Wal);
+                let span = self.trace.begin("btree.journal", Cause::Wal);
+                j.log(key, value)?;
+                self.trace.end(span);
+            }
+            match value {
+                Some(value) => self.insert_entry(key, value)?,
+                None => self.remove_entry(key)?,
+            }
+            self.maybe_checkpoint()?;
         }
         Ok(())
-    }
-
-    /// Deletes a key; returns whether it existed.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        self.stats.deletes += 1;
-        self.stats.app_bytes_written += key.len() as u64;
-        self.bytes_since_checkpoint += key.len() as u64;
-        if let Some(j) = self.journal.as_mut() {
-            let _cause = self.trace.cause(Cause::Wal);
-            let span = self.trace.begin("btree.journal", Cause::Wal);
-            j.log_delete(key)?;
-            self.trace.end(span);
-        }
-        let existed = self.remove_entry(key)?;
-        self.maybe_checkpoint()?;
-        Ok(existed)
     }
 
     /// Point lookup, copied out: [`BTreeDb::get_with`] with a `to_vec`.
@@ -472,11 +468,6 @@ impl BTreeDb {
     // `run_maintenance_slice` between foreground ops — detached writes
     // paced by the scheduler's token bucket, the install gated on the
     // device's durability horizon.
-
-    /// Whether background-maintenance mode is on.
-    pub fn maint_enabled(&self) -> bool {
-        self.sched.is_some()
-    }
 
     /// Background-maintenance counters; `None` when maintenance is off.
     pub fn maint_stats(&self) -> Option<MaintStats> {
@@ -650,9 +641,9 @@ impl BTreeDb {
 
     // ----- deletion -----
 
-    fn remove_entry(&mut self, key: &[u8]) -> Result<bool> {
+    fn remove_entry(&mut self, key: &[u8]) -> Result<()> {
         if self.root == 0 {
-            return Ok(false);
+            return Ok(());
         }
         let Descent {
             leaf: page,
@@ -660,7 +651,7 @@ impl BTreeDb {
             slot,
         } = self.descend(key)?;
         let Ok(i) = slot else {
-            return Ok(false);
+            return Ok(());
         };
         let mut cur_len = self.pager.update(page, |node| {
             node.remove_pair(i);
@@ -714,7 +705,7 @@ impl BTreeDb {
                 parent.encoded_len()
             })?;
         }
-        Ok(true)
+        Ok(())
     }
 
     fn collapse_root(&mut self) -> Result<()> {
@@ -992,12 +983,11 @@ mod tests {
             db.put(&key(i), &[1u8; 64]).expect("put");
         }
         for i in 0..1900u32 {
-            assert!(db.delete(&key(i)).expect("delete"), "key {i} existed");
+            assert!(db.get(&key(i)).expect("get").is_some(), "key {i} exists");
+            db.delete(&key(i)).expect("delete");
         }
-        assert!(
-            !db.delete(&key(0)).expect("delete"),
-            "double delete is false"
-        );
+        db.delete(&key(0)).expect("double delete");
+        assert_eq!(db.get(&key(0)).expect("get"), None);
         assert_eq!(db.len(), 100);
         assert!(db.stats().merges > 0, "mass deletion must merge pages");
         db.verify();
@@ -1038,9 +1028,9 @@ mod tests {
                     model.insert(k, v);
                 }
                 6..=7 => {
-                    let got = db.delete(&k).expect("delete");
-                    let expect = model.remove(&k).is_some();
-                    assert_eq!(got, expect, "step {step}");
+                    db.delete(&k).expect("delete");
+                    model.remove(&k);
+                    assert_eq!(db.get(&k).expect("get"), None, "step {step}");
                 }
                 _ => {
                     assert_eq!(
@@ -1106,7 +1096,7 @@ mod tests {
         assert_eq!(db.pager.dirty_pages(), 0);
         let writebacks = db.pager_stats().writebacks;
 
-        assert!(!db.delete(&key(301)).expect("delete"), "absent key");
+        db.delete(&key(301)).expect("delete of an absent key");
         assert_eq!(db.get(&key(303)).expect("get"), None);
         let first: Vec<_> = db.scan_iter(&key(100), None, 500).take(3).collect();
         assert_eq!(first.len(), 3);

@@ -166,9 +166,12 @@ pub enum BatchOp {
 /// [`PtsEngine::apply_batch`].
 ///
 /// The loader uses batches for bulk load. Each engine implements
-/// `apply_batch` itself: the hash log appends a whole batch as one log
-/// write, the LSM group-commits one in maintenance mode, and both tree
-/// engines check every op before they apply any.
+/// `apply_batch` itself, through the same write body as its `put` and
+/// `delete`: the hash log appends a whole batch as one log write; the
+/// LSM logs one record per op just before it applies, except under
+/// paced maintenance, where a batch group-commits all its records
+/// before its first op applies; the B+Tree journals each op just before
+/// it applies. Both tree engines check every op before they apply any.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteBatch {
     ops: Vec<BatchOp>,
@@ -369,7 +372,8 @@ pub trait PtsEngine: Send {
     /// own (a key or pair over the engine's limits) fails the whole batch
     /// before any op is applied: an `Err` of that kind leaves every key,
     /// counter and byte as it was. A batch is not atomic across a crash:
-    /// an engine may log it one record per op.
+    /// an engine may log it one record per op (each engine's commit rule
+    /// is on [`WriteBatch`]).
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError>;
 
     /// Streaming range scan: live entries with `start <= key < end`
@@ -487,9 +491,9 @@ impl PtsEngine for LsmEngine {
         self.0.delete(key).map_err(lsm_error)
     }
 
-    // Native group commit: in maintenance mode the batch's WAL records
-    // coalesce into one padded append + at most one fsync; in inline
-    // mode LsmDb loops put/delete one op at a time.
+    // Native group commit: under paced maintenance the batch's WAL
+    // records coalesce into one padded append + at most one fsync;
+    // otherwise each op logs its record as a lone `put` or `delete` would.
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {
         self.0.apply_batch(&pairs(batch)).map_err(lsm_error)
     }
@@ -574,8 +578,7 @@ impl PtsEngine for BTreeEngine {
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), PtsError> {
-        self.0.delete(key).map_err(btree_error)?;
-        Ok(())
+        self.0.delete(key).map_err(btree_error)
     }
 
     fn apply_batch(&mut self, batch: &WriteBatch) -> Result<(), PtsError> {

@@ -883,11 +883,6 @@ impl HashLogDb {
         result
     }
 
-    /// Whether background-maintenance mode is on.
-    pub fn maint_enabled(&self) -> bool {
-        self.sched.is_some()
-    }
-
     /// Background-maintenance counters; `None` when maintenance is off.
     pub fn maint_stats(&self) -> Option<MaintStats> {
         self.sched.as_ref().map(|s| s.stats)
@@ -1332,7 +1327,7 @@ mod tests {
             },
         )
         .expect("open");
-        assert!(db.maint_enabled());
+        assert!(db.maint_stats().is_some());
         // Same churn as `rotation_and_gc_bound_the_log`, but the write
         // path only schedules; slices pumped between ops do the work.
         for round in 0..40u32 {

@@ -12,6 +12,8 @@
 //! blocks passing through the merge unchanged. The bounded-scan mix was
 //! recorded while merges still passed every entry along as two shared
 //! ranges: it pins when each scan and compaction reads its windows.
+//! The large-table case writes 1 MiB tables, so an output table commits
+//! before its finish, which no `small()` table does.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -306,6 +308,52 @@ fn a_codec_level_change_rewrites_every_compacted_block() {
             db.put(&key(i), &value).expect("put");
         }
         db.compact_all().expect("compact_all");
+        render(&db, reads)
+    });
+}
+
+/// Tables past two commits: with a 1 MiB table target, a compaction's
+/// output commits 256 KiB at a time before finish. With a helper
+/// encoding the queued blocks, the build must append them where an
+/// in-place build commits: at queue depth 8 the input reads overlap the
+/// output commits, so a commit that moves moves the clock.
+#[test]
+fn inline_large_tables_commit_where_an_encoding_build_does() {
+    let rel = "parity/lsm/compaction_parity/INLINE_LARGE_LZ_QD8.txt";
+    assert_both_budgets(rel, |helpers| {
+        let lz = Compression::from_level(1);
+        let opts = LsmOptions {
+            memtable_bytes: 256 << 10,
+            l1_target_bytes: 1 << 20,
+            sstable_target_bytes: 1 << 20,
+            ..mix_options(MaintConfig::default(), lz, 8, helpers)
+        };
+        let mut db = LsmDb::open(vfs(64 << 20), opts).expect("open");
+        let mut rng = SmallRng::seed_from_u64(47);
+        let mut reads = Fnv::new();
+        for step in 0..2400u32 {
+            let i: u32 = rng.gen_range(0..1500);
+            if rng.gen_range(0..10) == 0 {
+                let value = db.get(&key(i)).expect("get");
+                reads.feed(value.as_deref().unwrap_or(b"<absent>"));
+                continue;
+            }
+            // Noise under even keys, patterned under odd: stored and
+            // compressed blocks in the same tables.
+            let values = [Values::Noise, Values::Patterned][i as usize % 2];
+            let len = rng.gen_range(500..3000);
+            let value = values.make(i, step, len, rng.gen::<u64>());
+            db.put(&key(i), &value).expect("put");
+        }
+        db.flush().expect("flush");
+        db.quiesce();
+        // One table must be past two commits, or the case pins nothing.
+        let fs = db.vfs();
+        let largest = (fs.list().iter())
+            .filter(|name| name.starts_with("sst-"))
+            .map(|name| fs.size(fs.open(name).expect("open")).expect("size"))
+            .max();
+        assert!(largest > Some(512 << 10), "largest table: {largest:?}");
         render(&db, reads)
     });
 }

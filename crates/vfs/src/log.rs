@@ -111,32 +111,23 @@ impl RecordLog {
         logs.into_iter().map(|(_, name)| name).collect()
     }
 
-    /// Appends a put record.
-    pub fn log_put(&mut self, key: &[u8], value: &[u8]) -> crate::Result<()> {
-        self.log_put_buffered(key, value);
+    /// Appends a record: a put of `value`, or a delete when `value` is
+    /// `None`. Whole pages are written as they fill.
+    pub fn log(&mut self, key: &[u8], value: Option<&[u8]>) -> crate::Result<()> {
+        self.log_buffered(key, value);
         self.write_full_pages()
     }
 
-    /// Appends a delete record.
-    pub fn log_delete(&mut self, key: &[u8]) -> crate::Result<()> {
-        self.log_delete_buffered(key);
-        self.write_full_pages()
-    }
-
-    /// Buffers a put *without* eagerly writing filled pages — the
-    /// group-commit path: a batch of records accumulates here and is
-    /// written in one [`RecordLog::sync_batched`] call, so the batch's
-    /// page appends overlap on the submission queue and share one fsync.
-    pub fn log_put_buffered(&mut self, key: &[u8], value: &[u8]) {
-        self.encode_record(TAG_PUT, key, value);
-    }
-
-    /// Buffers a delete (see [`RecordLog::log_put_buffered`]).
-    pub fn log_delete_buffered(&mut self, key: &[u8]) {
-        self.encode_record(TAG_DELETE, key, &[]);
-    }
-
-    fn encode_record(&mut self, tag: u8, key: &[u8], value: &[u8]) {
+    /// Buffers a record (see [`RecordLog::log`]) *without* eagerly
+    /// writing filled pages — the group-commit path: a batch of records
+    /// accumulates here and is written in one
+    /// [`RecordLog::sync_batched`] call, so the batch's page appends
+    /// overlap on the submission queue and share one fsync.
+    pub fn log_buffered(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let (tag, value) = match value {
+            Some(value) => (TAG_PUT, value),
+            None => (TAG_DELETE, &[][..]),
+        };
         self.buffer.push(tag);
         self.buffer
             .extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -291,10 +282,10 @@ mod tests {
         let v = vfs();
         let mut w = RecordLog::create(v.clone(), "wal", true).expect("create");
         // Less than a page: nothing hits the fs yet.
-        w.log_put(b"key", &[0u8; 100]).expect("log");
+        w.log(b"key", Some(&[0u8; 100])).expect("log");
         assert_eq!(size(&v, "wal-0"), 0);
         // Cross a page boundary.
-        w.log_put(b"key2", &[0u8; 8000]).expect("log");
+        w.log(b"key2", Some(&[0u8; 8000])).expect("log");
         assert_eq!(size(&v, "wal-0"), 4096, "only whole pages are written");
     }
 
@@ -302,7 +293,7 @@ mod tests {
     fn sync_pads_final_page() {
         let v = vfs();
         let mut w = RecordLog::create(v.clone(), "wal", true).expect("create");
-        w.log_put(b"k", b"v").expect("log");
+        w.log(b"k", Some(b"v")).expect("log");
         w.sync(true).expect("sync");
         assert_eq!(size(&v, "wal-0"), 4096);
     }
@@ -311,7 +302,7 @@ mod tests {
     fn rotation_without_recycle_churns_files() {
         let v = vfs();
         let mut w = RecordLog::create(v.clone(), "wal", false).expect("create");
-        w.log_put(b"k", &[1u8; 5000]).expect("log");
+        w.log(b"k", Some(&[1u8; 5000])).expect("log");
         w.sync(false).expect("sync");
         assert!(v.exists("wal-0"));
         w.rotate().expect("rotate");
@@ -328,14 +319,14 @@ mod tests {
     fn rotation_recycles_in_place() {
         let v = vfs();
         let mut j = RecordLog::create(v.clone(), "journal", true).expect("create");
-        j.log_put(b"k", &[1u8; 5000]).expect("log");
+        j.log(b"k", Some(&[1u8; 5000])).expect("log");
         j.sync(false).expect("sync");
         let mapped = v.ssd().lock().mapped_pages();
         j.rotate().expect("rotate");
         assert_eq!(v.list(), ["journal-0"], "recycled, not replaced");
         assert_eq!(size(&v, "journal-0"), 0, "fresh log is empty");
         // Refilling the log reuses the same LBAs.
-        j.log_put(b"k", &[2u8; 5000]).expect("log");
+        j.log(b"k", Some(&[2u8; 5000])).expect("log");
         j.sync(false).expect("sync");
         assert_eq!(
             v.ssd().lock().mapped_pages(),
@@ -348,14 +339,14 @@ mod tests {
     fn replays_every_log_in_sequence_order() {
         let v = vfs();
         let mut w = RecordLog::create(v.clone(), "wal", true).expect("create");
-        w.log_put(b"frozen", &[1u8; 3000]).expect("log");
-        w.log_put(b"both", b"old").expect("log");
+        w.log(b"frozen", Some(&[1u8; 3000])).expect("log");
+        w.log(b"both", Some(b"old")).expect("log");
         w.sync(false).expect("sync");
         // A recycling rotation keeps `wal-0` under a higher sequence
         // number; the deferred one must still name the file it left.
         w.rotate().expect("rotate");
-        w.log_put(b"frozen", &[2u8; 3000]).expect("log");
-        w.log_put(b"both", b"old").expect("log");
+        w.log(b"frozen", Some(&[2u8; 3000])).expect("log");
+        w.log(b"both", Some(b"old")).expect("log");
         w.sync(false).expect("sync");
         let old = w.rotate_deferred().expect("rotate");
         assert_eq!(old, "wal-0");
@@ -363,7 +354,7 @@ mod tests {
         assert!(v.exists("wal-2"));
         assert_eq!(RecordLog::stale(&v, "wal"), ["wal-0"]);
         // New records land in the new log; replay reads old, then new.
-        w.log_put(b"both", b"new").expect("log");
+        w.log(b"both", Some(b"new")).expect("log");
         w.sync(false).expect("sync");
         assert_eq!(
             RecordLog::replay(&v, "wal").expect("replay"),
@@ -379,7 +370,7 @@ mod tests {
         // Reopening finds the newest log and appends to it.
         drop(w);
         let mut w = RecordLog::open_or_create(v.clone(), "wal", true).expect("open");
-        w.log_delete(b"both").expect("log");
+        w.log(b"both", None).expect("log");
         w.sync(false).expect("sync");
         assert_eq!(
             RecordLog::replay(&v, "wal").expect("replay"),
@@ -399,8 +390,8 @@ mod tests {
         let queue = batched_vfs.io_queue(8).into_shared();
         for i in 0..40u32 {
             let key = format!("k{i:04}").into_bytes();
-            classic.log_put(&key, &[i as u8; 400]).expect("log");
-            batched.log_put_buffered(&key, &[i as u8; 400]);
+            classic.log(&key, Some(&[i as u8; 400])).expect("log");
+            batched.log_buffered(&key, Some(&[i as u8; 400]));
         }
         classic.sync(true).expect("sync");
         batched.sync_batched(Some(&queue), true).expect("sync");
@@ -420,7 +411,7 @@ mod tests {
         let free = v.stats().free_pages as usize;
         v.append(hog, &vec![0u8; free * 4096]).expect("fill");
         let mut j = RecordLog::create(v.clone(), "journal", true).expect("create");
-        let err = j.log_put(b"key", &[7u8; 5000]).expect_err("no space");
+        let err = j.log(b"key", Some(&[7u8; 5000])).expect_err("no space");
         assert!(matches!(err, VfsError::NoSpace { .. }), "{err}");
         assert_eq!(size(&v, "journal-0"), 0);
         // Space comes back: the record that failed is written, whole —
@@ -438,7 +429,7 @@ mod tests {
     fn a_file_that_is_not_records_and_padding_is_corruption() {
         let v = vfs();
         let mut w = RecordLog::create(v.clone(), "wal", true).expect("create");
-        w.log_put(b"k", &[3u8; 5000]).expect("log");
+        w.log(b"k", Some(&[3u8; 5000])).expect("log");
         // One page is on disk; the record's tail is still buffered.
         let torn = RecordLog::replay(&v, "wal").expect_err("torn record");
         assert!(

@@ -149,17 +149,17 @@ fn log_step(
     queue: &SharedIoQueue,
 ) -> Result<(), String> {
     match step {
-        Put(k, _) => log.log_put(k.as_bytes(), value),
-        Delete(k) => log.log_delete(k.as_bytes()),
+        Put(k, _) => log.log(k.as_bytes(), Some(value)),
+        Delete(k) => log.log(k.as_bytes(), None),
         Sync(wait) => log.sync(wait),
         Rotate => log.rotate(),
         RotateDeferred => log.rotate_deferred().map(drop),
         PutBuffered(k, _) => {
-            log.log_put_buffered(k.as_bytes(), value);
+            log.log_buffered(k.as_bytes(), Some(value));
             Ok(())
         }
         DeleteBuffered(k) => {
-            log.log_delete_buffered(k.as_bytes());
+            log.log_buffered(k.as_bytes(), None);
             Ok(())
         }
         SyncBatched { queued, wait } => log.sync_batched(queued.then_some(queue), wait),
