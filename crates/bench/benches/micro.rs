@@ -3,7 +3,8 @@
 //! build/lookup, engine puts and the k-way merge — and, layer by
 //! layer, the B+Tree's page walk and the LSM's compaction data path at
 //! the paper's geometry, the hash log's inline GC at the serving
-//! fan-in's, the LSM's point read copied out and lent, the block codec
+//! fan-in's, the LSM's point read copied out and lent and through a
+//! sorted level of ~128 tables, the block codec
 //! over blocks the branch predictor cannot learn, and one
 //! serving-dispatch decision at two backlog depths.
 
@@ -740,6 +741,33 @@ fn bench_lsm_data_path(c: &mut Criterion) {
         flushes,
         "the memtable rows stayed in the memtable"
     );
+    // Point reads through a sorted level of ~128 tables, as the serving
+    // workloads read a key-ordered bulk load: the level's search, the
+    // table's block index and the block walk, per get.
+    let opts = LsmOptions {
+        memtable_bytes: 64 << 10,
+        sstable_target_bytes: 64 << 10,
+        ..LsmOptions::scaled_to_partition(64 << 20)
+    };
+    let mut db = LsmDb::open(fresh_vfs(64), opts).expect("open");
+    let mut buf = Vec::new();
+    for i in 0..2048 {
+        encode_key(i, 16, &mut buf);
+        db.put(&buf, &value).expect("put");
+    }
+    db.flush().expect("flush");
+    let bottom = db.level_summary().iter().map(|&(_, t, _)| t).max();
+    assert!(
+        bottom >= Some(120),
+        "{bottom:?} tables in the largest level"
+    );
+    let mut rng = SmallRng::seed_from_u64(5);
+    group.bench_function("get_bottom_level", |b| {
+        b.iter(|| {
+            encode_key(rng.gen_range(0..2048u64), 16, &mut buf);
+            black_box(db.get_with(&buf, |v| v.map(<[u8]>::len)).expect("get"))
+        })
+    });
     group.finish();
 }
 

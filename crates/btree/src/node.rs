@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use ptsbench_vfs::{touch_strided, FileSlice, StoreError};
+use ptsbench_vfs::{cmp_keys, touch_strided, FileSlice, StoreError};
 
 use crate::{PageNo, Result};
 
@@ -141,7 +141,7 @@ impl<const LEAF: bool> Records<LEAF> {
     /// insertion point if not.
     pub(crate) fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
         self.starts
-            .binary_search_by(|&start| self.key_at(start).cmp(key))
+            .binary_search_by(|&start| cmp_keys(self.key_at(start), key))
     }
 
     /// Keeps a leaf's page header current: its tag and record count.
@@ -282,7 +282,7 @@ impl Separators {
     /// covers `key`.
     pub fn rank(&self, key: &[u8]) -> usize {
         self.starts
-            .partition_point(|&start| self.key_at(start) <= key)
+            .partition_point(|&start| cmp_keys(self.key_at(start), key).is_le())
     }
 
     /// Inserts `key` as separator `i`, shifting the later ones up.

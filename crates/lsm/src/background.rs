@@ -33,7 +33,7 @@
 use std::collections::VecDeque;
 
 use crate::compaction::CompactionTask;
-use crate::iter::Merge;
+use crate::iter::{Chain, Merge};
 use crate::sstable::reader::{LoadedWindow, WindowScan};
 use crate::sstable::{SstableBuilder, SstableMeta, TableImage};
 
@@ -67,7 +67,7 @@ pub(crate) struct CompactJob {
     pub buffered: Vec<VecDeque<LoadedWindow>>,
     /// Merge over the buffered windows (paced write phase); built lazily
     /// once every input is buffered.
-    pub merge: Option<Merge<BufferedScan>>,
+    pub merge: Option<Merge<Chain<BufferedScan>>>,
     /// Output table under construction.
     pub builder: Option<SstableBuilder>,
     /// Finished output tables awaiting install.

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use crate::iter::{Chain, Source};
 use crate::options::LsmOptions;
 use crate::version::{TableHandle, Version};
 
@@ -40,6 +41,26 @@ impl CompactionTask {
             .chain(&self.overlaps)
             .map(|h| h.meta.file_bytes)
             .sum()
+    }
+
+    /// The merge's sources over `scans`, one scan per input table in
+    /// the task's order (`inputs`, then `overlaps`), each opened as it
+    /// is drawn: every L0 input on its own, since L0 tables overlap; a
+    /// deeper source level's inputs as one [`Chain`], and the target
+    /// level's overlaps as another.
+    pub(crate) fn merge_sources<S: Source>(
+        &self,
+        scans: impl IntoIterator<Item = S>,
+    ) -> Vec<Chain<S>> {
+        let mut scans = scans.into_iter();
+        let inputs = scans.by_ref().take(self.inputs.len());
+        let mut sources: Vec<Chain<S>> = if self.source_level == 0 {
+            inputs.map(|scan| Chain::new([scan])).collect()
+        } else {
+            vec![Chain::new(inputs)]
+        };
+        sources.push(Chain::new(scans));
+        sources
     }
 
     /// Names of every input table (for the manifest edit).

@@ -1036,8 +1036,12 @@ impl LsmDb {
         let now = self.vfs.clock().now();
         let slice_bytes = Drive::Paced.slice_bytes(&self.sched);
         let job = self.compact.as_mut().expect("live job");
-        let mut merge = (job.merge.take())
-            .unwrap_or_else(|| Merge::new(job.buffered.drain(..).map(WindowScan::over).collect()));
+        let mut merge = (job.merge.take()).unwrap_or_else(|| {
+            Merge::new(
+                job.task
+                    .merge_sources(job.buffered.drain(..).map(WindowScan::over)),
+            )
+        });
         self.compact_write(&mut merge, slice_bytes, None)?;
         let job = self.compact.as_mut().expect("live job");
         if !job.write_done {
@@ -1070,7 +1074,7 @@ impl LsmDb {
         // first), then target-level overlaps (older).
         let handles: Vec<Arc<TableHandle>> =
             task.inputs.iter().chain(&task.overlaps).cloned().collect();
-        let mut merge = Merge::new(handles.iter().map(|h| h.reader.iter_bg()).collect());
+        let mut merge = Merge::new(task.merge_sources(handles.iter().map(|h| h.reader.iter_bg())));
         self.compact_write(&mut merge, u64::MAX, job.as_ref())
     }
 

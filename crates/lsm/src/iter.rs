@@ -5,8 +5,10 @@
 //! sources hold the same key, the entry from the lowest-numbered source
 //! wins and the others are consumed — the LSM shadowing rule. A deeper
 //! level's tables hold disjoint key ranges, so the level is one source:
-//! a chained window scan with a submission queue, a [`Chain`] of table
-//! scans without one.
+//! in a scan, a chained window scan with a submission queue, a [`Chain`]
+//! of table scans without one; in a compaction, a [`Chain`] of the
+//! level's input tables and another of the target level's overlaps,
+//! while each L0 input stays a source of its own.
 //!
 //! Entries are *lent*, not shared: a source exposes the entry at its
 //! cursor as slices of bytes it already holds — a table scan of the
@@ -23,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use ptsbench_vfs::FileSlice;
+use ptsbench_vfs::{cmp_keys, FileSlice};
 
 /// An entry lent by its source until the source next moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +129,7 @@ impl<S: Source> Merge<S> {
         let mut winner: Option<(usize, &[u8])> = None;
         for (i, source) in self.sources.iter().enumerate() {
             if let Some(key) = source.peek() {
-                if winner.is_none_or(|(_, best)| key < best) {
+                if winner.is_none_or(|(_, best)| cmp_keys(key, best).is_lt()) {
                     winner = Some((i, key));
                 }
             }
@@ -137,7 +139,7 @@ impl<S: Source> Merge<S> {
         let (newer, older) = self.sources.split_at_mut(w + 1);
         let key = newer[w].last().key;
         for source in older {
-            if source.peek() == Some(key) {
+            if source.peek().is_some_and(|k| cmp_keys(k, key).is_eq()) {
                 source.advance();
             }
         }

@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use ptsbench_vfs::{FileSlice, StoreError};
+use ptsbench_vfs::{cmp_keys, FileSlice, StoreError};
 
 /// Value tag marking a tombstone (no value bytes follow).
 pub(crate) const TOMBSTONE_TAG: u32 = u32::MAX;
@@ -34,7 +34,7 @@ pub struct SstableMeta {
 impl SstableMeta {
     /// Whether the table's key range overlaps `[min, max]` (inclusive).
     pub fn overlaps(&self, min: &[u8], max: &[u8]) -> bool {
-        self.min_key.as_slice() <= max && self.max_key.as_slice() >= min
+        cmp_keys(&self.min_key, max).is_le() && cmp_keys(&self.max_key, min).is_ge()
     }
 }
 
@@ -76,7 +76,11 @@ impl BlockIndex {
     /// How many blocks begin at or before `key`: the block that can
     /// hold it is the last of them.
     pub(crate) fn blocks_from(&self, key: &[u8]) -> usize {
-        self.entries.partition_point(|e| self.first_key(e) <= key)
+        let block: &[u8] = &self.block;
+        self.entries.partition_point(|e| {
+            let first = &block[e.first_key.start as usize..e.first_key.end as usize];
+            cmp_keys(first, key).is_le()
+        })
     }
 
     /// Decodes an index block: `u32` entry count, then the entries.

@@ -17,7 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ptsbench_cache::{file_tag, Compression, SharedBlockCache};
-use ptsbench_vfs::{touch_strided, FileId, FileSlice, SharedIoQueue, StoreError, TraceHandle, Vfs};
+use ptsbench_vfs::{
+    cmp_keys, touch_strided, FileId, FileSlice, SharedIoQueue, StoreError, TraceHandle, Vfs,
+};
 
 use crate::bloom::BloomFilter;
 use crate::iter::{Lent, Source};
@@ -269,14 +271,15 @@ impl SstableReader {
         }
         let block = &self.index.entries[idx - 1];
         let buf = self.load_block(block)?;
+        let bytes: &[u8] = &buf;
         let mut pos = 0;
         for _ in 0..block.entries {
-            let (k, v, next) = entry_ranges(&buf, pos)?;
-            let k = &buf[k];
-            if k == key {
+            let (k, v, next) = entry_ranges(bytes, pos)?;
+            let order = cmp_keys(&bytes[k], key);
+            if order.is_eq() {
                 return Ok(Some(v.map(|v| buf.slice(v))));
             }
-            if k > key {
+            if order.is_gt() {
                 break;
             }
             pos = next;

@@ -63,6 +63,7 @@
 //! collected victim's buffer its next segment's.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -146,9 +147,33 @@ struct Inner {
     peak_used_pages: u64,
     /// Sum of live file sizes, kept current by write/truncate/delete.
     data_bytes: u64,
-    files: HashMap<FileId, FileNode>,
+    files: HashMap<FileId, FileNode, BuildHasherDefault<FileIdHasher>>,
     names: HashMap<String, FileId>,
     next_id: u64,
+}
+
+/// Fibonacci hashing of a file id: one multiply, where SipHash cost
+/// every read and write a keyed hash. Ids are handed out by the
+/// filesystem itself, one after another, so no collision resistance is
+/// needed; the map is only summed over, never iterated in an order that
+/// could reach a report.
+#[derive(Default)]
+struct FileIdHasher(u64);
+
+impl Hasher for FileIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// What a write puts in the file.
@@ -379,7 +404,7 @@ impl Vfs {
                 allocator: ExtentAllocator::new(partition),
                 peak_used_pages: 0,
                 data_bytes: 0,
-                files: HashMap::new(),
+                files: HashMap::default(),
                 names: HashMap::new(),
                 next_id: 1,
             })),

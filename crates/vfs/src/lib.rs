@@ -54,7 +54,7 @@ pub use error::{StoreError, VfsError};
 pub use file::FileId;
 pub use fs::{AsyncRead, FileAppender, FsStats, Vfs, VfsOptions};
 pub use log::{LogRecord, RecordLog};
-pub use slice::{touch_strided, FileSlice};
+pub use slice::{cmp_keys, touch_strided, FileSlice};
 pub use trace::{CauseScope, TraceHandle};
 pub use tuning::EngineTuning;
 // Re-exported so engines can drive the asynchronous submission path

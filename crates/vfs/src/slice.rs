@@ -25,6 +25,31 @@ pub fn touch_strided(buf: &[u8], first: usize, stride: usize, count: usize) {
     std::hint::black_box(folded);
 }
 
+/// Orders two keys as `<[u8]>::cmp` does, lexicographically by byte:
+/// eight bytes at a time as big-endian `u64`s, then the tail bytes one
+/// by one, then the lengths. Inlined, with no call into libc's
+/// `memcmp`: a key is a few words, and every probe of a sorted search
+/// would otherwise pay a call for it.
+#[inline]
+pub fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len().min(b.len());
+    let (a_words, b_words) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    let (a_tail, b_tail) = (a_words.remainder(), b_words.remainder());
+    for (x, y) in a_words.zip(b_words) {
+        let x = u64::from_be_bytes(x.try_into().expect("8 bytes"));
+        let y = u64::from_be_bytes(y.try_into().expect("8 bytes"));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    for (x, y) in a_tail.iter().zip(b_tail) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 /// A range of a reference-counted byte buffer — what a shared read
 /// ([`crate::Vfs::read_shared`]) returns: one *piece* of the file's own
 /// contents as they were at the read (a one-piece file's whole buffer,
