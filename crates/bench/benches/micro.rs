@@ -405,7 +405,9 @@ fn bench_hashlog(c: &mut Criterion) {
 /// page write-back), the reload of one wide internal page and of one
 /// full leaf that are unchanged since their last load (a device read,
 /// then the parked internal node taken back, the leaf's header walk),
-/// and the write-back of one dirty full leaf on eviction.
+/// the write-back of one dirty full leaf on eviction, and a full leaf
+/// loaded, one value overwritten at the same length and the leaf
+/// written back.
 fn bench_btree_layers(c: &mut Criterion) {
     const KEYS: u32 = 2000;
     const PAGE_BYTES: usize = 32 << 10;
@@ -522,6 +524,33 @@ fn bench_btree_layers(c: &mut Criterion) {
             // ...so the fourth filler's load evicts it: the load of a
             // one-entry leaf plus the dirty leaf's write-back.
             |()| black_box(pager.borrow_mut().read(fillers[3]).is_ok()),
+            BatchSize::PerIteration,
+        )
+    });
+    group.bench_function("overwrite_loaded_leaf", |b| {
+        let (pager, page, fillers) = pager_with(&leaf);
+        let mut round = 0u8;
+        b.iter_batched(
+            // Four fillers push the leaf out (untimed; it is clean)...
+            || {
+                for &filler in &fillers {
+                    pager.borrow_mut().read(filler).expect("read");
+                }
+                round = round.wrapping_add(1);
+                vec![round; 4000]
+            },
+            // ...so this is a device read and the load, a same-length
+            // overwrite of one value, and the page's write-back (the
+            // one eviction makes, driven alone so no other load is
+            // timed).
+            |fresh| {
+                let mut pager = pager.borrow_mut();
+                pager.read(page).expect("read");
+                pager
+                    .update(page, |node| node.set_value(3, &fresh))
+                    .expect("edit");
+                black_box(pager.flush_dirty(u64::MAX, false).expect("write-back"))
+            },
             BatchSize::PerIteration,
         )
     });

@@ -15,14 +15,21 @@
 //!   starts with the `[1u8][u32 n]` header, which every edit keeps
 //!   current, and is zero past its records. Loading one copies nothing:
 //!   the leaf keeps the tree file's own page, shared, and walks its
-//!   6-byte record headers (one allocation: the offsets). The first
-//!   edit after a load or a write-back copies the page's records once,
-//!   into a page of the leaf's own, and the file keeps its bytes; a
-//!   lookup is a binary search over the offsets; an insert, overwrite or
-//!   remove is one move inside the buffer; split and merge move byte
-//!   ranges; and the pager hands the buffer to the file as it is, with
-//!   no encode pass and no copy. Length, equality and the cache budget
-//!   count the bytes in use, not the room.
+//!   6-byte record headers (one allocation: the offsets). An overwrite
+//!   of a value with one of the same length, while the page is still
+//!   shared, copies nothing: it is kept *pending* beside the page (at
+//!   most one per record), every read looks through it, and the
+//!   write-back hands the page and the pending values to the file
+//!   together ([`ptsbench_vfs::Vfs::rewrite_page`]), which makes them in
+//!   its own page when nobody else holds it. The first edit that moves
+//!   bytes after a load or a write-back copies the page's records once,
+//!   into a page of the leaf's own, with the pending values in place,
+//!   and the file keeps its bytes; a lookup is a binary search over the
+//!   offsets; an insert, overwrite or remove is one move inside the
+//!   buffer; split and merge move byte ranges; and the pager hands the
+//!   buffer to the file as it is, with no encode pass and no copy.
+//!   Length, equality and the cache budget count the bytes in use, not
+//!   the room.
 //! * An internal node keeps its separators ([`Separators`]) the same way
 //!   beside a vector of children. A 32 KiB internal page routes ~1 000
 //!   children; decoding it is one copy of the separator region and a
@@ -30,6 +37,8 @@
 //!   records, offsets) instead of one per key — and encoding is one copy
 //!   back.
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ptsbench_vfs::{cmp_keys, touch_strided, FileSlice, StoreError};
@@ -47,19 +56,21 @@ use crate::{PageNo, Result};
 pub struct Records<const LEAF: bool> {
     /// The leaf page header (leaves only), then the records, then room:
     /// `buf[..used]` is in use and every byte after it is zero. Shared
-    /// copy-on-write: every edit goes through [`Records::bytes_mut`], so
-    /// a buffer the tree file also holds is copied once, by the first
-    /// edit.
+    /// copy-on-write: every edit but a pending overwrite goes through
+    /// [`Records::bytes_mut`], so a buffer the tree file also holds is
+    /// copied once, by the first such edit.
     buf: Arc<Vec<u8>>,
     /// Bytes of `buf` in use.
     used: usize,
     /// `starts[i]` is the offset of record `i` in `buf`.
     starts: Vec<u32>,
+    /// Values newer than `buf`'s, of the same lengths (leaves only).
+    pending: Pending,
 }
 
 impl<const LEAF: bool> PartialEq for Records<LEAF> {
     fn eq(&self, other: &Self) -> bool {
-        self.buf[..self.used] == other.buf[..other.used] && self.starts == other.starts
+        self.starts == other.starts && self.image() == other.image()
     }
 }
 
@@ -77,6 +88,7 @@ impl<const LEAF: bool> Default for Records<LEAF> {
             buf: Arc::new(vec![0; Self::PREFIX]),
             used: Self::PREFIX,
             starts: Vec::new(),
+            pending: Pending::default(),
         };
         records.stamp();
         records
@@ -127,14 +139,29 @@ impl<const LEAF: bool> Records<LEAF> {
         self.starts.get(i).map_or(self.used, |&s| s as usize)
     }
 
-    /// The buffer, to edit: the one place a shared buffer is copied
-    /// (`Arc::make_mut`, but of the bytes in use only; the room of the
-    /// copy is zeroed, not copied).
+    /// The buffer, to edit, with the pending values in place: the one
+    /// place a shared buffer is copied (`Arc::make_mut`, but of the
+    /// bytes in use only; the room of the copy is zeroed, not copied).
     fn bytes_mut(&mut self) -> &mut Vec<u8> {
         if Arc::get_mut(&mut self.buf).is_none() {
             self.buf = Arc::new(with_room(&self.buf[..self.used], self.buf.len()));
         }
-        Arc::get_mut(&mut self.buf).expect("a buffer of its own")
+        let buf = Arc::get_mut(&mut self.buf).expect("a buffer of its own");
+        self.pending.apply(buf);
+        self.pending.clear();
+        buf
+    }
+
+    /// The bytes in use as the records read: `buf[..used]` with the
+    /// pending values in place.
+    fn image(&self) -> Cow<'_, [u8]> {
+        let bytes = &self.buf[..self.used];
+        if self.pending.is_empty() {
+            return Cow::Borrowed(bytes);
+        }
+        let mut image = bytes.to_vec();
+        self.pending.apply(&mut image);
+        Cow::Owned(image)
     }
 
     /// The position of `key`: `Ok` if a record holds it, `Err` with its
@@ -156,11 +183,15 @@ impl<const LEAF: bool> Records<LEAF> {
 
     /// Resizes the `old` bytes at `at` to `new` bytes, moving everything
     /// after them, and moves the offsets of records `from..` with them.
-    /// The buffer grows only past its room; bytes given up are zeroed.
+    /// The buffer grows only past its room; bytes given up are zeroed;
+    /// nothing moves when the length stays.
     fn respan(&mut self, at: usize, old: usize, new: usize, from: usize) {
         let end = self.used;
         let new_end = end + new - old;
         let buf = self.bytes_mut();
+        if new == old {
+            return;
+        }
         grow(buf, new_end);
         buf.copy_within(at + old..end, at + new);
         if new_end < end {
@@ -203,11 +234,13 @@ impl<const LEAF: bool> Records<LEAF> {
         let mut buf = Vec::with_capacity(Self::PREFIX + hi - lo);
         buf.extend_from_slice(&self.buf[..Self::PREFIX]);
         buf.extend_from_slice(&self.buf[lo..hi]);
+        self.pending.apply_range(lo..hi, &mut buf[Self::PREFIX..]);
         let rebase = |&start: &u32| start - lo as u32 + Self::PREFIX as u32;
         let mut records = Records {
             used: buf.len(),
             buf: Arc::new(buf),
             starts: self.starts[from..to].iter().map(rebase).collect(),
+            pending: Pending::default(),
         };
         records.stamp();
         records
@@ -227,11 +260,12 @@ impl<const LEAF: bool> Records<LEAF> {
     /// Appends all of `other`'s records after this one's.
     pub fn append(&mut self, other: &Self) {
         let (at, base) = (self.used, (self.used - Self::PREFIX) as u32);
-        let records = &other.buf[Self::PREFIX..other.used];
+        let records = Self::PREFIX..other.used;
         let end = at + records.len();
         let buf = self.bytes_mut();
         grow(buf, end);
-        buf[at..end].copy_from_slice(records);
+        buf[at..end].copy_from_slice(&other.buf[records.clone()]);
+        other.pending.apply_range(records, &mut buf[at..end]);
         self.used = end;
         self.starts.extend(other.starts.iter().map(|&s| s + base));
         self.stamp();
@@ -273,6 +307,7 @@ impl<const LEAF: bool> Records<LEAF> {
             buf: Arc::new(with_room(&page[..used], room)),
             used,
             starts,
+            pending: Pending::default(),
         })
     }
 }
@@ -317,9 +352,12 @@ impl<K: AsRef<[u8]>> FromIterator<K> for Separators {
 impl Entries {
     /// Entry `i` as `(key, value)`.
     pub(crate) fn get(&self, i: usize) -> (&[u8], &[u8]) {
-        let record = &self.buf[self.starts[i] as usize..];
+        let start = self.starts[i] as usize;
+        let record = &self.buf[start..];
         let (klen, vlen) = Self::lens(record);
-        record[Self::HEADER..Self::HEADER + klen + vlen].split_at(klen)
+        let (key, value) = record[Self::HEADER..Self::HEADER + klen + vlen].split_at(klen);
+        let pending = self.pending.get(start + Self::HEADER + klen);
+        (key, pending.unwrap_or(value))
     }
 
     /// Inserts `(key, value)` as entry `i`, shifting the later ones up.
@@ -328,11 +366,17 @@ impl Entries {
     }
 
     /// Replaces the value of entry `i`, moving the later entries by the
-    /// difference in length.
+    /// difference in length. A value of the same length while the
+    /// buffer is shared (with the tree file, after a load or a
+    /// write-back) is kept pending instead: the page is not copied.
     pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
         let start = self.starts[i] as usize;
         let (klen, vlen) = Self::lens(&self.buf[start..]);
         let at = start + Self::HEADER + klen;
+        if value.len() == vlen && Arc::get_mut(&mut self.buf).is_none() {
+            self.pending.set(at, value);
+            return;
+        }
         self.respan(at, vlen, value.len(), i + 1);
         let buf = self.bytes_mut();
         buf[start + 2..start + 6].copy_from_slice(&(value.len() as u32).to_le_bytes());
@@ -357,6 +401,7 @@ impl Entries {
             buf: Arc::new(vec![0; page_bytes]),
             used: Self::PREFIX,
             starts: Vec::new(),
+            pending: Pending::default(),
         };
         entries.insert(0, key, value);
         entries
@@ -371,6 +416,7 @@ impl Entries {
             buf: page,
             used,
             starts,
+            pending: Pending::default(),
         })
     }
 
@@ -382,9 +428,21 @@ impl Entries {
     pub(crate) fn page(&mut self, page_bytes: usize) -> &Arc<Vec<u8>> {
         debug_assert!(self.used <= page_bytes, "leaf larger than a page");
         if self.buf.len() != page_bytes || self.buf.capacity() != page_bytes {
-            self.buf = Arc::new(with_room(&self.buf[..self.used], page_bytes));
+            let mut page = with_room(&self.buf[..self.used], page_bytes);
+            self.pending.apply(&mut page);
+            self.pending.clear();
+            self.buf = Arc::new(page);
         }
         &self.buf
+    }
+
+    /// The page image a write-back writes (see [`Node::page_image`]).
+    fn page_image(&mut self, page_bytes: usize) -> PageImage<'_> {
+        if self.pending.is_empty() {
+            PageImage::Shared(self.page(page_bytes))
+        } else {
+            PageImage::Patched(&mut self.buf, &mut self.pending)
+        }
     }
 
     /// The buffer, whole, as a slice sharing it (tests).
@@ -401,6 +459,59 @@ impl<K: AsRef<[u8]>, V: AsRef<[u8]>> FromIterator<(K, V)> for Entries {
             entries.insert(entries.len(), key.as_ref(), value.as_ref());
         }
         entries
+    }
+}
+
+/// Same-length value overwrites not yet in a leaf's buffer, because
+/// the buffer is shared: `(offset of the value in the buffer, value)`,
+/// by offset, at most one per record — so they never add up to more
+/// than the page.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pending(Vec<(u32, Vec<u8>)>);
+
+impl Pending {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The pending value at offset `at`, if there is one.
+    fn get(&self, at: usize) -> Option<&[u8]> {
+        let i = self
+            .0
+            .binary_search_by_key(&(at as u32), |(o, _)| *o)
+            .ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// Makes `value` the pending value at offset `at`, in place of the
+    /// one there may be (of the same length).
+    fn set(&mut self, at: usize, value: &[u8]) {
+        match self.0.binary_search_by_key(&(at as u32), |(o, _)| *o) {
+            Ok(i) => self.0[i].1.copy_from_slice(value),
+            Err(i) => self.0.insert(i, (at as u32, value.to_vec())),
+        }
+    }
+
+    /// Writes every pending value into `page`, the buffer they are
+    /// offsets into.
+    pub(crate) fn apply(&self, page: &mut [u8]) {
+        self.apply_range(0..page.len(), page);
+    }
+
+    /// Writes the pending values inside `range` of the buffer into
+    /// `dst`, which holds that range.
+    fn apply_range(&self, range: Range<usize>, dst: &mut [u8]) {
+        for (at, value) in &self.0 {
+            let at = *at as usize;
+            if range.contains(&at) {
+                let to = at - range.start;
+                dst[to..to + value.len()].copy_from_slice(value);
+            }
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -427,6 +538,10 @@ fn grow(buf: &mut Vec<u8>, len: usize) {
 pub(crate) enum PageImage<'a> {
     /// A leaf's own buffer, a page long.
     Shared(&'a Arc<Vec<u8>>),
+    /// A leaf's shared page and the values pending beside it: the page
+    /// to write is the one with them in place. The writer leaves in
+    /// the first the page it wrote, and clears the second.
+    Patched(&'a mut Arc<Vec<u8>>, &'a mut Pending),
     /// An internal node, encoded and zero-padded to the page.
     Encoded(&'a [u8]),
 }
@@ -472,7 +587,7 @@ impl Node {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         buf.clear();
         match self {
-            Node::Leaf { entries } => buf.extend_from_slice(&entries.buf[..entries.used]),
+            Node::Leaf { entries } => buf.extend_from_slice(&entries.image()),
             Node::Internal {
                 children,
                 separators,
@@ -489,7 +604,8 @@ impl Node {
     }
 
     /// This node's page image, `page_bytes` long and zero past its
-    /// records: a leaf's own buffer, for the file to share, or an
+    /// records: a leaf's own buffer, for the file to share, or its
+    /// shared page and pending values, for the file to patch; or an
     /// internal node encoded into `scratch`.
     pub(crate) fn page_image<'a>(
         &'a mut self,
@@ -497,7 +613,7 @@ impl Node {
         scratch: &'a mut Vec<u8>,
     ) -> PageImage<'a> {
         match self {
-            Node::Leaf { entries } => PageImage::Shared(entries.page(page_bytes)),
+            Node::Leaf { entries } => entries.page_image(page_bytes),
             internal => {
                 internal.encode(scratch);
                 scratch.resize(page_bytes, 0);
@@ -574,7 +690,7 @@ impl Node {
     }
 
     /// For a leaf: replaces the value of entry `i`.
-    pub(crate) fn set_value(&mut self, i: usize, value: &[u8]) {
+    pub fn set_value(&mut self, i: usize, value: &[u8]) {
         match self {
             Node::Leaf { entries } => entries.set_value(i, value),
             Node::Internal { .. } => panic!("set_value() on an internal node"),
@@ -1027,6 +1143,7 @@ mod tests {
         let images =
             |node: &mut Node, scratch: &mut Vec<u8>| match node.page_image(page_bytes, scratch) {
                 PageImage::Shared(page) => page.to_vec(),
+                PageImage::Patched(..) => unreachable!("nothing is pending"),
                 PageImage::Encoded(page) => page.to_vec(),
             };
         assert_eq!(

@@ -29,11 +29,22 @@
 //! * **load** — a leaf is its own page image ([`crate::node::Entries`]),
 //!   so a miss keeps the page the read returned, shared with the file,
 //!   and walks only its record headers;
-//! * **first edit** — the first edit after a load or a write-back copies
-//!   the page once (copy-on-write, of the bytes in use), and the file
-//!   keeps the bytes it had; later edits work on the copy;
+//! * **same-length overwrite** — a value replaced by one of the same
+//!   length while the page is shared is kept *pending* beside it (at
+//!   most one per record): the page is not copied, the file keeps its
+//!   bytes, and reads see the new value;
+//! * **first edit that moves bytes** — the first insert, remove, split,
+//!   merge or resizing overwrite after a load or a write-back copies the
+//!   page once (copy-on-write, of the bytes in use, the pending values
+//!   put in), and the file keeps the bytes it had; later edits work on
+//!   the copy;
 //! * **write-back** — on eviction or checkpoint the slot hands its
-//!   buffer to the file ([`Vfs::write_page`]): they share it again.
+//!   buffer to the file ([`Vfs::write_page`]), or, with values pending,
+//!   the shared page and the values ([`Vfs::rewrite_page`]), which the
+//!   file puts in its own page when nobody else holds it and in a copy
+//!   when someone does (a held read keeps its bytes). Either way they
+//!   share the page again, and the device is charged as for any page
+//!   write.
 //!
 //! An internal node is decoded into buffers of its own, but the page it
 //! was decoded from stays beside it: evicted unchanged, the node is
@@ -44,10 +55,11 @@
 //! A leaf's buffer is a page long from birth, zero past its records, so
 //! the file gets exactly the zero-padded image and neither edits nor
 //! write-backs reallocate (only a leaf that overflows before its split
-//! grows, and moves back to a page-sized buffer before it is written). A page materialized at EOF shares one zero
-//! page until its first write-back. Only an internal page, written
-//! after splits, is encoded, into one buffer reused by every such
-//! write-back, and copied into the file.
+//! grows, and moves back to a page-sized buffer before it is written).
+//! A page materialized at EOF shares one zero page until its first
+//! write-back. Only an internal page, written after splits, is encoded,
+//! into one buffer reused by every such write-back, and copied into the
+//! file.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -128,8 +140,8 @@ pub struct Pager {
     /// it (and is charged for it), then takes the node back instead of
     /// decoding it again if the file still holds that very page. A page
     /// someone else holds is never written in place (the file replaces
-    /// it), so the same page is the same bytes. At most
-    /// [`PARKED_PAGES`].
+    /// it, and [`Vfs::rewrite_page`] patches a copy), so the same page is
+    /// the same bytes. At most [`PARKED_PAGES`].
     parked: HashMap<PageNo, (FileSlice, Node)>,
     /// Tracing context; `None` until [`Pager::attach_trace`].
     trace: Option<TraceHandle>,
@@ -439,6 +451,15 @@ impl Pager {
         match slot.node.page_image(self.page_bytes, &mut self.page_buf) {
             PageImage::Shared(image) if background => vfs.write_page_bg(file, offset, image),
             PageImage::Shared(image) => vfs.write_page(file, offset, image),
+            PageImage::Patched(page, pending) => {
+                let patch = |bytes: &mut [u8]| pending.apply(bytes);
+                if background {
+                    vfs.rewrite_page_bg(file, offset, page, patch)
+                } else {
+                    vfs.rewrite_page(file, offset, page, patch)
+                }
+                .map(|()| pending.clear())
+            }
             PageImage::Encoded(image) if background => vfs.write_at_bg(file, offset, image),
             PageImage::Encoded(image) => vfs.write_at(file, offset, image),
         }?;
@@ -525,8 +546,13 @@ mod tests {
     }
 
     fn leaf(tag: u8, bytes: usize) -> Node {
+        filled(tag, tag, bytes)
+    }
+
+    /// A leaf of one entry: key `[tag]`, value `bytes` bytes of `fill`.
+    fn filled(tag: u8, fill: u8, bytes: usize) -> Node {
         Node::Leaf {
-            entries: [(vec![tag], vec![tag; bytes])].into_iter().collect(),
+            entries: [(vec![tag], vec![fill; bytes])].into_iter().collect(),
         }
     }
 
@@ -691,6 +717,85 @@ mod tests {
         assert!(held_page(&mut p, page).shares_buffer(&on_file()));
         p.update(page, |n| n.set_value(0, &[4; 10])).expect("edit");
         assert_eq!(*on_file(), image(&edited), "an edit reached the file");
+    }
+
+    #[test]
+    fn a_same_length_overwrite_waits_for_the_write_back_which_patches_the_files_page() {
+        let v = vfs();
+        let mut p = Pager::create(v.clone(), "t.db", 4096, 64 << 10).expect("create");
+        let page = p.allocate(leaf(1, 3000)).expect("alloc");
+        checkpoint(&mut p, b"m");
+        let file = v.open("t.db").expect("open");
+        let on_file = || v.read_shared(file, page * 4096, 4096).expect("read");
+        // Where the file's page lives; the slice is dropped at once.
+        let files_page = on_file().as_ptr();
+
+        // The overwrite copies nothing: the leaf still shares the file's
+        // page, which keeps its bytes, and reads see the new value.
+        p.update(page, |n| n.set_value(0, &[5; 3000]))
+            .expect("edit");
+        assert!(held_page(&mut p, page).shares_buffer(&on_file()));
+        assert_eq!(
+            *on_file(),
+            image(&leaf(1, 3000)),
+            "an edit reached the file"
+        );
+        let edited = filled(1, 5, 3000);
+        assert_eq!(*p.read(page).expect("read"), edited);
+        assert_eq!(p.dirty_pages(), 1);
+
+        // With no other holder, the write-back makes it in the file's
+        // own page buffer, which the leaf shares again.
+        checkpoint(&mut p, b"m");
+        assert_eq!(*on_file(), image(&edited));
+        assert_eq!(on_file().as_ptr(), files_page, "the page was copied");
+        assert!(held_page(&mut p, page).shares_buffer(&on_file()));
+
+        // The same through the background path, then an edit that moves
+        // bytes: it copies the page with the pending value in it.
+        p.update(page, |n| n.set_value(0, &[6; 3000]))
+            .expect("edit");
+        p.flush_dirty(u64::MAX, true).expect("write-back");
+        assert_eq!(on_file().as_ptr(), files_page, "the page was copied");
+        assert_eq!(*on_file(), image(&filled(1, 6, 3000)));
+        p.update(page, |n| n.set_value(0, &[7; 3000]))
+            .expect("edit");
+        p.update(page, |n| n.insert_pair(1, &[2], &[8; 10]))
+            .expect("edit");
+        let both = Node::Leaf {
+            entries: [(vec![1], vec![7; 3000]), (vec![2], vec![8; 10])]
+                .into_iter()
+                .collect(),
+        };
+        assert_eq!(*p.read(page).expect("read"), both);
+        assert!(!held_page(&mut p, page).shares_buffer(&on_file()));
+        assert_eq!(*on_file(), image(&filled(1, 6, 3000)));
+        checkpoint(&mut p, b"m");
+        assert_eq!(*on_file(), image(&both));
+    }
+
+    #[test]
+    fn a_pending_overwrite_of_a_held_page_is_made_in_a_copy() {
+        let v = vfs();
+        let mut p = Pager::create(v.clone(), "t.db", 4096, 16 << 10).expect("create");
+        let page = p.allocate(leaf(1, 3000)).expect("alloc");
+        checkpoint(&mut p, b"m");
+        let file = v.open("t.db").expect("open");
+        let on_file = || v.read_shared(file, page * 4096, 4096).expect("read");
+        p.update(page, |n| n.set_value(0, &[9; 3000]))
+            .expect("edit");
+        let held = on_file();
+
+        // Five more ~3 KiB leaves push the leaf out: its write-back
+        // patches a copy, and the held slice keeps the old bytes.
+        for i in 0..5 {
+            p.allocate(leaf(10 + i, 3000)).expect("alloc");
+        }
+        assert!(!p.is_resident(page), "the leaf was evicted");
+        assert_eq!(*held, image(&leaf(1, 3000)), "a held slice changed");
+        assert!(!held.shares_buffer(&on_file()));
+        assert_eq!(*on_file(), image(&filled(1, 9, 3000)));
+        assert_eq!(*p.read(page).expect("read"), filled(1, 9, 3000));
     }
 
     #[test]

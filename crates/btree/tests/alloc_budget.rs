@@ -15,6 +15,12 @@
 //! * A lent point read of a resident leaf copies nothing: `get_with`
 //!   lends the value from the leaf the pager holds. The copying lookup
 //!   requested the value's length, 4 000 bytes, per read.
+//! * A same-length overwrite of a leaf loaded from the file copies no
+//!   page: the value is kept pending beside the shared page, and the
+//!   write-back puts it in the file's own page. The pager that copied
+//!   the page at the first edit after every load requested 32 928
+//!   bytes per overwrite below (a page and the record offsets); keeping
+//!   it pending, 4 288 (the value and the offsets).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -178,5 +184,54 @@ fn a_lent_read_of_a_resident_leaf_copies_no_value() {
     assert!(
         requested < 1024,
         "a lent read of a resident leaf requested {requested} bytes"
+    );
+}
+
+#[test]
+fn a_same_length_overwrite_of_a_loaded_leaf_requests_no_page() {
+    COUNTED.set(true);
+    let ssd = Ssd::new(DeviceConfig::from_profile(DeviceProfile::ssd1(), 64 << 20));
+    let fs = Vfs::whole_device(ssd.into_shared(), VfsOptions::default());
+    // 32 KiB pages, eight 4 000-byte values each, under a cache of four
+    // pages: an overwrite of a random key nearly always loads its leaf
+    // from the file and evicts (writes back) a dirty one.
+    let opts = BTreeOptions::default();
+    let page_bytes = opts.page_bytes as u64;
+    let opts = BTreeOptions {
+        pager_bytes: 4 * page_bytes,
+        ..opts
+    };
+    let mut db = BTreeDb::open(fs, opts).expect("open");
+    const LEAF_KEYS: u32 = 400;
+    for i in 0..LEAF_KEYS {
+        db.put(&key(i), &[i as u8; 4000]).expect("load");
+    }
+    db.checkpoint().expect("checkpoint");
+    let churn = |db: &mut BTreeDb, rounds: u32| {
+        for round in 0..rounds {
+            let i = round.wrapping_mul(2_654_435_761) % LEAF_KEYS;
+            db.put(&key(i), &[round as u8; 4000]).expect("overwrite");
+        }
+    };
+    // Warm: the journal grown to hold the measured overwrites (a
+    // checkpoint recycles it, keeping its buffer), the internal pages
+    // resident, the cache full of dirty leaves.
+    churn(&mut db, 600);
+    db.checkpoint().expect("checkpoint");
+    churn(&mut db, 100);
+    let (stats, before) = (db.pager_stats(), REQUESTED.get());
+    const OVERWRITES: u32 = 400;
+    churn(&mut db, OVERWRITES);
+    let allocated = REQUESTED.get() - before;
+    let stats_after = db.pager_stats();
+    let loads = stats_after.cache.misses - stats.cache.misses;
+    let writebacks = stats_after.writebacks - stats.writebacks;
+    assert!(loads >= 300, "leaves were loaded: {loads}");
+    assert!(writebacks >= 300, "and written back: {writebacks}");
+    assert_eq!(stats_after.checkpoints, stats.checkpoints, "no checkpoint");
+    let per_overwrite = allocated / u64::from(OVERWRITES);
+    assert!(
+        per_overwrite < page_bytes / 4,
+        "{OVERWRITES} overwrites requested {allocated} bytes, {per_overwrite} per overwrite"
     );
 }

@@ -139,6 +139,34 @@ impl FileNode {
         }
     }
 
+    /// Puts `page` with `patch` applied in at `offset` (at most the
+    /// current size), and leaves in `page` what the file then holds
+    /// there. Where the file holds `page` itself at `offset`, `patch`
+    /// edits that piece — in place if nobody else holds it, in a copy
+    /// (`Arc::make_mut`) if a slice does. Any other `page` is patched
+    /// in a copy, put in as [`FileNode::store_shared`] puts a page.
+    pub(crate) fn store_patched(
+        &mut self,
+        offset: usize,
+        page: &mut Arc<Vec<u8>>,
+        patch: &mut dyn FnMut(&mut [u8]),
+    ) {
+        let (i, at) = self.locate(offset);
+        if at == 0 && self.pieces.get(i).is_some_and(|p| Arc::ptr_eq(p, page)) {
+            // Let go of the caller's handle first: then the piece is
+            // the file's alone unless a slice of it is outstanding.
+            *page = Arc::default();
+            patch(Arc::make_mut(&mut self.pieces[i]).as_mut_slice());
+            *page = Arc::clone(&self.pieces[i]);
+            return;
+        }
+        let mut copy = Vec::with_capacity(page.len());
+        copy.extend_from_slice(page);
+        patch(&mut copy);
+        *page = Arc::new(copy);
+        self.store_shared(offset, page);
+    }
+
     /// The bytes in `range` (within the file's size): shared when one
     /// piece holds them all, copied out of each piece otherwise.
     pub(crate) fn slice(&self, range: Range<usize>) -> FileSlice {

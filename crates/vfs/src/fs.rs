@@ -37,10 +37,13 @@
 //! loads as the file's own page, and a later write of that page costs
 //! at most that page. [`Vfs::write_page`] is the other half: a whole
 //! page of a paged file written by reference count, so a write-back
-//! hands the cache's buffer to the file instead of copying it.
-//! [`Vfs::read_at`] is the rule applied for the caller — the same read,
-//! copied out — for one-off reads (the B+Tree's meta page at recovery),
-//! tests, tools and the benchmark's unit-cost row.
+//! hands the cache's buffer to the file instead of copying it, and
+//! [`Vfs::rewrite_page`] writes back a page the cache still shares with
+//! the file plus the edits it kept beside it, making them in the file's
+//! own page when nobody else holds it. [`Vfs::read_at`] is the rule
+//! applied for the caller — the same read, copied out — for one-off
+//! reads (the B+Tree's meta page at recovery), tests, tools and the
+//! benchmark's unit-cost row.
 //!
 //! A one-piece file that grows at its tail has one more owner for a
 //! while: [`Vfs::appender`] checks the buffer out to a single writer
@@ -177,13 +180,16 @@ impl Hasher for FileIdHasher {
 }
 
 /// What a write puts in the file.
-#[derive(Clone, Copy)]
 enum Src<'a> {
     /// Bytes copied in.
     Copied(&'a [u8]),
     /// A page shared by reference count where it is one whole piece of
     /// a paged file, copied in otherwise.
     Shared(&'a Arc<Vec<u8>>),
+    /// A page the caller holds, with an edit to apply: made in the
+    /// file's own piece when that is the page, and the page left as
+    /// what the file holds (see [`Vfs::rewrite_page`]).
+    Patched(&'a mut Arc<Vec<u8>>, &'a mut dyn FnMut(&mut [u8])),
     /// This many more bytes of the file an appender is building. They
     /// need not be in its buffer yet: nothing here reads them, and the
     /// appender's check-in asserts they are there by then.
@@ -191,11 +197,12 @@ enum Src<'a> {
 }
 
 impl Src<'_> {
-    fn len(self) -> u64 {
+    fn len(&self) -> u64 {
         match self {
             Src::Copied(bytes) => bytes.len() as u64,
             Src::Shared(page) => page.len() as u64,
-            Src::Committed(len) => len,
+            Src::Patched(page, _) => page.len() as u64,
+            Src::Committed(len) => *len,
         }
     }
 }
@@ -243,6 +250,7 @@ impl Inner {
         match src {
             Src::Copied(bytes) => node.store(offset as usize, bytes),
             Src::Shared(page) => node.store_shared(offset as usize, page),
+            Src::Patched(page, patch) => node.store_patched(offset as usize, page, patch),
             Src::Committed(_) => {}
         }
         node.len = new_size;
@@ -582,6 +590,44 @@ impl Vfs {
         self.inner
             .lock()
             .write(id, Some(offset), Src::Shared(page), false)
+    }
+
+    /// [`Vfs::write_page`] of `page` with `patch` applied, for a caller
+    /// that keeps a page it shares with the file and edits it only
+    /// through `patch`. Where the file holds `page` itself at `offset`
+    /// and nobody else holds it, `patch` edits the file's own page in
+    /// place and nothing is copied; otherwise it edits a copy — of the
+    /// file's page if that is `page` (a held [`FileSlice`] keeps its
+    /// bytes), of `page` if it is not (a stale page is still written
+    /// patched) — which the file takes as `write_page` takes a page.
+    /// Either way `page` is left holding the page the file now holds.
+    /// Extents, device commands, clock and `durable_at` move exactly as
+    /// `write_page`'s do. On an error `page` is as it was, or, if the
+    /// device failed the write, the patched page the file holds.
+    pub fn rewrite_page(
+        &self,
+        id: FileId,
+        offset: u64,
+        page: &mut Arc<Vec<u8>>,
+        mut patch: impl FnMut(&mut [u8]),
+    ) -> Result<()> {
+        self.inner
+            .lock()
+            .write(id, Some(offset), Src::Patched(page, &mut patch), true)
+    }
+
+    /// [`Vfs::rewrite_page`] with background semantics (see
+    /// [`Vfs::write_at_bg`]).
+    pub fn rewrite_page_bg(
+        &self,
+        id: FileId,
+        offset: u64,
+        page: &mut Arc<Vec<u8>>,
+        mut patch: impl FnMut(&mut [u8]),
+    ) -> Result<()> {
+        self.inner
+            .lock()
+            .write(id, Some(offset), Src::Patched(page, &mut patch), false)
     }
 
     /// Checks the file's buffer out to one writer that builds the file

@@ -188,6 +188,22 @@ enum PagedOp {
         shared: bool,
         bg: bool,
     },
+    /// A page the caller keeps, with `len` bytes of it at `at` patched,
+    /// written back at page `page` (at most one past the last),
+    /// foreground or background: on the paged file through
+    /// [`Vfs::rewrite_page`], on the one-piece file as the patched bytes
+    /// through [`Vfs::write_at`]. The page is the one the last rewrite
+    /// of that offset left — current, or stale if a write replaced it
+    /// since — or, with `fresh` or none kept, the file's page read
+    /// whole (a stale pattern where the file has no whole page there).
+    RewritePage {
+        page: u8,
+        at: u16,
+        len: u16,
+        seed: u16,
+        fresh: bool,
+        bg: bool,
+    },
     /// `len` bytes at `offset`, foreground or background: partial,
     /// unaligned, extending.
     Write {
@@ -211,6 +227,10 @@ fn paged_op() -> impl Strategy<Value = PagedOp> {
     prop_oneof![
         4 => (0..8u8, any::<u16>(), any::<bool>(), any::<bool>())
             .prop_map(|(page, seed, shared, bg)| PagedOp::WritePage { page, seed, shared, bg }),
+        4 => (0..8u8, 0..PIECE as u16, 1..600u16, any::<u16>(), any::<bool>(), any::<bool>())
+            .prop_map(|(page, at, len, seed, fresh, bg)| PagedOp::RewritePage {
+                page, at, len, seed, fresh, bg,
+            }),
         3 => (any::<u16>(), 1..12_000u16, any::<bool>())
             .prop_map(|(offset, len, bg)| PagedOp::Write { offset, len, bg }),
         1 => (1..9_000u16).prop_map(PagedOp::Append),
@@ -241,6 +261,8 @@ fn run_paged(ops: &[PagedOp], paged: bool) -> Result<Outcome, TestCaseError> {
     let mut id = create(&vfs).expect("create");
     let mut model: Vec<u8> = Vec::new();
     let mut held: Vec<(FileSlice, Vec<u8>)> = Vec::new();
+    // The page each offset's last rewrite left, as a cache keeps it.
+    let mut kept: HashMap<usize, Arc<Vec<u8>>> = HashMap::new();
     for op in ops {
         let size = model.len();
         match *op {
@@ -261,6 +283,53 @@ fn run_paged(ops: &[PagedOp], paged: bool) -> Result<Outcome, TestCaseError> {
                 prop_assert!(result.is_ok(), "page write failed: {:?}", result);
                 model.resize(size.max(offset + PIECE), 0);
                 model[offset..offset + PIECE].copy_from_slice(&bytes);
+            }
+            PagedOp::RewritePage {
+                page,
+                at,
+                len,
+                seed,
+                fresh,
+                bg,
+            } => {
+                let offset = page as usize % (size / PIECE + 1) * PIECE;
+                let mut base = match kept.remove(&offset) {
+                    Some(base) if !fresh => base,
+                    _ if offset + PIECE <= size => {
+                        let read = vfs.read_shared(id, offset as u64, PIECE).expect("read");
+                        read.into_shared()
+                            .unwrap_or_else(|part| Arc::new(part.to_vec()))
+                    }
+                    _ => Arc::new(pattern(seed ^ 0xa5a5, PIECE)),
+                };
+                let (at, len) = (at as usize, (len as usize).min(PIECE - at as usize));
+                let value = pattern(seed, len);
+                let patch = |page: &mut [u8]| page[at..at + len].copy_from_slice(&value);
+                let mut want = base.to_vec();
+                patch(&mut want);
+                let result = match (paged, bg) {
+                    (true, false) => vfs.rewrite_page(id, offset as u64, &mut base, patch),
+                    (true, true) => vfs.rewrite_page_bg(id, offset as u64, &mut base, patch),
+                    (false, false) => {
+                        base = Arc::new(want.clone());
+                        vfs.write_at(id, offset as u64, &want)
+                    }
+                    (false, true) => {
+                        base = Arc::new(want.clone());
+                        vfs.write_at_bg(id, offset as u64, &want)
+                    }
+                };
+                prop_assert!(result.is_ok(), "page rewrite failed: {:?}", result);
+                prop_assert_eq!(&base[..], &want[..], "the page left to the caller");
+                // Read on both files, so that both are charged for it.
+                let on_file = vfs.read_shared(id, offset as u64, PIECE).expect("read");
+                prop_assert!(
+                    !paged || on_file.shares_buffer(&FileSlice::from(Arc::clone(&base))),
+                    "the caller is left the file's page"
+                );
+                kept.insert(offset, base);
+                model.resize(size.max(offset + PIECE), 0);
+                model[offset..offset + PIECE].copy_from_slice(&want);
             }
             PagedOp::Write { offset, len, bg } => {
                 let offset = offset as usize % (size + 1);

@@ -82,6 +82,11 @@ impl Model {
 #[derive(Debug, Clone)]
 pub enum Op {
     Put(u16, u16),
+    /// A put at the length the model holds for the key (4 000 bytes if
+    /// it holds none): drawn lengths almost never repeat one, and a
+    /// B+Tree keeps a same-length overwrite of a loaded leaf pending
+    /// beside the page until its write-back.
+    Overwrite(u16),
     Delete(u16),
     Get(u16),
     /// `start` (`None`: the empty key), `end` (`None`: unbounded) and a
@@ -164,6 +169,7 @@ fn op() -> impl Strategy<Value = Op> {
     ];
     prop_oneof![
         12 => (0..KEYS, value_len()).prop_map(|(k, len)| Op::Put(k, len)),
+        6 => (0..KEYS).prop_map(Op::Overwrite),
         3 => (0..KEYS).prop_map(Op::Delete),
         4 => (0..KEYS).prop_map(Op::Get),
         2 => (option::of(0..KEYS), option::of(0..KEYS), 0..24u8)
@@ -276,6 +282,13 @@ pub fn check(kind: EngineKind, tuning: &EngineTuning, ops: &[Op]) -> Result<(), 
         match *op {
             Op::Put(i, len) => {
                 let (k, v) = (key(i), value(len, step));
+                ok(sys.put(&k, &v), &at)?;
+                model.put(&k, &v);
+            }
+            Op::Overwrite(i) => {
+                let k = key(i);
+                let len = model.map.get(&k).map_or(4000, |v| v.len() as u16);
+                let v = value(len, step);
                 ok(sys.put(&k, &v), &at)?;
                 model.put(&k, &v);
             }
